@@ -132,7 +132,7 @@ snapshot-smoke:
 # Sharded-engine gate. Three legs: the bigscale sweep runs one seeded
 # UMT2013 workload at Shards=1/2/4 and fails internally on any digest
 # divergence; a user-visible check that a sharded ping-pong run prints
-# the same table as the classic engine; and two same-seed sharded
+# the same table as the single-engine run; and two same-seed sharded
 # traced runs must serialize byte-identical Chrome traces that pass
 # the tracecheck validator (the shard round-robin makes span emission
 # order a pure function of workload and shard count).

@@ -272,7 +272,7 @@ func BenchmarkSharded(b *testing.B) {
 	app, _ := miniapps.ByName("UMT2013")
 	var windows, cross uint64
 	for i := 0; i < b.N; i++ {
-		cl, err := cluster.New(cluster.Config{Nodes: 16, OS: cluster.OSMcKernelHFI,
+		cl, err := cluster.New(cluster.Spec{Nodes: 16, OS: cluster.OSMcKernelHFI,
 			Params: model.Default(), Seed: 1, Synthetic: true, Shards: 4})
 		if err != nil {
 			b.Fatal(err)
@@ -294,7 +294,7 @@ func BenchmarkSharded(b *testing.B) {
 // the §3.4 SDMA request coalescing on a 4 MB transfer.
 func BenchmarkAblationCoalescing(b *testing.B) {
 	run := func(coalesce bool) time.Duration {
-		cl, err := cluster.New(cluster.Config{
+		cl, err := cluster.New(cluster.Spec{
 			Nodes: 2, OS: cluster.OSMcKernelHFI, Params: model.Default(), Seed: 1, Synthetic: true,
 		})
 		if err != nil {
@@ -337,7 +337,7 @@ func BenchmarkAblationLinuxCPUs(b *testing.B) {
 	run := func(osCPUs int) time.Duration {
 		spec := ihk.DefaultNodeSpec()
 		spec.LinuxCPUs = osCPUs
-		cl, err := cluster.New(cluster.Config{
+		cl, err := cluster.New(cluster.Spec{
 			Nodes: 2, OS: cluster.OSMcKernel, Params: model.Default(),
 			Spec: spec, Seed: 1, Synthetic: true,
 		})
@@ -411,7 +411,7 @@ func BenchmarkAblationMunmapOptimized(b *testing.B) {
 	run := func(munmapPerPage time.Duration) time.Duration {
 		pr := model.Default()
 		pr.McKMunmapPerPage = munmapPerPage
-		cl, err := cluster.New(cluster.Config{
+		cl, err := cluster.New(cluster.Spec{
 			Nodes: 2, OS: cluster.OSMcKernelHFI, Params: pr, Seed: 1, Synthetic: true,
 		})
 		if err != nil {
@@ -437,7 +437,7 @@ func BenchmarkAblationMunmapOptimized(b *testing.B) {
 // (core.MLXPico) versus the offloaded path, for a 1 MB region.
 func BenchmarkExtensionMLXRegMR(b *testing.B) {
 	run := func(fast bool) time.Duration {
-		cl, err := cluster.New(cluster.Config{
+		cl, err := cluster.New(cluster.Spec{
 			Nodes: 1, OS: cluster.OSMcKernelHFI, Params: model.Default(), Seed: 1,
 		})
 		if err != nil {
@@ -479,7 +479,7 @@ func BenchmarkExtensionMLXRegMR(b *testing.B) {
 			}
 			lat = p.Now() - start
 		})
-		if err := cl.E.Run(0); err != nil {
+		if err := cl.Run(0); err != nil {
 			b.Fatal(err)
 		}
 		return lat

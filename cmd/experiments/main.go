@@ -15,8 +15,8 @@
 // -j fans the independent simulation cells of each experiment out over N
 // workers (default: GOMAXPROCS). Artifacts are byte-identical for any
 // -j, including -j 1; only wall-clock changes. -shards partitions every
-// cluster into N engine shards (default 1, the classic single-engine
-// path); artifacts stay identical for any value, only wall-clock moves.
+// cluster into N engine shards (default 1, one standalone engine);
+// artifacts stay identical for any value, only wall-clock moves.
 // The shared -j/-shards/-loss block comes from internal/cliconf, the
 // same run-setup path as every other simulator binary.
 //

@@ -50,7 +50,7 @@ func main() {
 }
 
 func run(os cluster.OSType, nodes, rpn, steps int) (*mpi.JobResult, error) {
-	cl, err := cluster.New(cluster.Config{
+	cl, err := cluster.New(cluster.Spec{
 		Nodes: nodes, OS: os, Params: model.Default(), Seed: 7, Synthetic: true,
 	})
 	if err != nil {

@@ -35,7 +35,7 @@ func exchange(os cluster.OSType) (time.Duration, error) {
 	// 1. Build the cluster: two KNL-style nodes, OmniPath fabric, the
 	//    chosen OS configuration (Linux, McKernel, or McKernel with the
 	//    HFI PicoDriver).
-	cl, err := cluster.New(cluster.Config{
+	cl, err := cluster.New(cluster.Spec{
 		Nodes: 2, OS: os, Params: model.Default(), Seed: 1,
 	})
 	if err != nil {
@@ -105,7 +105,7 @@ func exchange(os cluster.OSType) (time.Duration, error) {
 		})
 	}
 	// 4. Drive the simulation to completion.
-	if err := cl.E.Run(0); err != nil {
+	if err := cl.Run(0); err != nil {
 		return 0, err
 	}
 	if failure != nil {

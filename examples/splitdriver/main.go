@@ -278,7 +278,7 @@ func (kp *kxpPico) fastPath() *mckernel.FastPath {
 }
 
 func main() {
-	cl, err := cluster.New(cluster.Config{
+	cl, err := cluster.New(cluster.Spec{
 		Nodes: 1, OS: cluster.OSMcKernelHFI, Params: model.Default(), Seed: 1,
 	})
 	if err != nil {
@@ -335,7 +335,7 @@ func main() {
 			fmt.Printf("%-28s %8v/job   (device counts %d jobs)\n",
 				label, (total / jobs).Round(10*time.Nanosecond), count)
 		})
-		if err := cl.E.Run(0); err != nil {
+		if err := cl.Run(0); err != nil {
 			log.Fatal(err)
 		}
 		return total

@@ -26,8 +26,8 @@ type Flags struct {
 	// (0 = GOMAXPROCS).
 	J *int
 	// Shards is the simulation engine shard count. 1 (the default)
-	// runs the classic single-engine path and keeps every artifact
-	// byte-identical; >1 requires a loss-free, jitter-free,
+	// runs one standalone engine, the configuration the committed
+	// artifacts are cut from; >1 requires a loss-free, jitter-free,
 	// congestion-free profile (cluster.New rejects anything else).
 	Shards *int
 	// Loss is the per-packet drop probability; nonzero arms the fabric
@@ -53,7 +53,7 @@ const (
 func New(opts ...Option) *Flags {
 	f := &Flags{
 		J:      flag.Int("j", 0, "parallel simulation jobs (0 = GOMAXPROCS)"),
-		Shards: flag.Int("shards", 1, "simulation engine shards (1 = classic single-engine run)"),
+		Shards: flag.Int("shards", 1, "simulation engine shards (1 = one standalone engine)"),
 		Loss:   flag.Float64("loss", 0, "per-packet drop probability (activates the PSM reliability layer)"),
 	}
 	trace := ""

@@ -87,15 +87,13 @@ type Spec struct {
 	// Shards partitions the cluster into that many contiguous node
 	// groups, each simulated by its own engine and synchronized
 	// conservatively with the fabric link latency as lookahead
-	// (sim.ShardSet). 0 or 1 builds the classic single-engine machine,
-	// byte-identical to pre-sharding builds. Shards > 1 requires the
-	// loss-free, jitter-free, congestion-free, untraced profile and is
-	// clamped to the node count.
+	// (sim.ShardSet). 0 or 1 builds one standalone engine that runs the
+	// whole machine in a single unbounded window: same dispatcher, no
+	// barrier, and no restriction on faults, congestion or jitter.
+	// Shards > 1 requires the loss-free, jitter-free, congestion-free,
+	// untraced profile and is clamped to the node count.
 	Shards int
 }
-
-// Config is the legacy name of Spec, kept for existing callers.
-type Config = Spec
 
 // Cluster is the simulated machine.
 type Cluster struct {
@@ -114,6 +112,9 @@ type Cluster struct {
 
 	// Set drives the sharded configuration (nil when Shards <= 1).
 	Set *sim.ShardSet
+	// machine is what runs and snapshots the whole cluster: Set when
+	// sharded, E otherwise. Chosen once, at construction.
+	machine snapshot.Machine
 	// Per-shard engines and fabrics, indexed by shard; single-engine
 	// clusters hold one entry each, aliasing E/Fab/IBFab.
 	engines []*sim.Engine
@@ -171,9 +172,9 @@ func New(cfg Spec) (*Cluster, error) {
 			return nil, err
 		}
 	} else {
-		// Single-engine machine: the classic wiring, byte-identical to
-		// pre-sharding builds.
+		// Single-engine machine: one standalone engine, one fabric pair.
 		c.E = sim.NewEngine(cfg.Seed)
+		c.machine = c.E
 		c.Fab = fabric.New(c.E, c.Params)
 		c.IBFab = fabric.New(c.E, c.Params)
 		c.Fab.SetFaults(&c.Cfg.Faults)
@@ -220,6 +221,7 @@ func (c *Cluster) buildSharded() error {
 		return err
 	}
 	c.Set = set
+	c.machine = set
 	c.engines = set.Engines()
 	c.E = c.engines[0]
 	// Contiguous block partition: shard i owns nodes [i*N/S, (i+1)*N/S).
@@ -442,41 +444,21 @@ func (c *Cluster) Go(node int, name string, fn func(p *sim.Proc)) *sim.Proc {
 
 // Run drives the whole machine to completion (or to limit), regardless
 // of shard count. This is the only correct way to run a cluster; E.Run
-// would run shard 0 alone.
-func (c *Cluster) Run(limit time.Duration) error {
-	if c.Set != nil {
-		return c.Set.Run(limit)
-	}
-	return c.E.Run(limit)
-}
+// would run shard 0 alone (and panics on a sharded cluster).
+func (c *Cluster) Run(limit time.Duration) error { return c.machine.Run(limit) }
 
 // Now returns the machine's virtual time (the maximum shard clock).
-func (c *Cluster) Now() time.Duration {
-	if c.Set != nil {
-		return c.Set.Now()
-	}
-	return c.E.Now()
-}
+func (c *Cluster) Now() time.Duration { return c.machine.Now() }
 
-// NewRendezvous creates an n-participant cross-shard rendezvous (a
-// plain WaitGroup wrapper on a single-engine cluster).
-func (c *Cluster) NewRendezvous(n int) *sim.Rendezvous {
-	if c.Set != nil {
-		return c.Set.NewRendezvous(n)
-	}
-	return sim.NewRendezvous(c.E, n)
-}
+// NewRendezvous creates an n-participant rendezvous spanning every
+// shard of the cluster.
+func (c *Cluster) NewRendezvous(n int) *sim.Rendezvous { return sim.NewRendezvous(c.E, n) }
 
 // Machine returns the cluster's snapshot surface: the shard set on a
 // sharded cluster, the standalone engine otherwise. Checkpoint and
-// restore flow through it, so Shards=1 keeps the classic snapshot byte
-// format while sharded clusters get the "shards"-sectioned one.
-func (c *Cluster) Machine() snapshot.Machine {
-	if c.Set != nil {
-		return c.Set
-	}
-	return c.E
-}
+// restore flow through it, so Shards=1 keeps the single-engine snapshot
+// layout while sharded clusters get the "shards"-sectioned one.
+func (c *Cluster) Machine() snapshot.Machine { return c.machine }
 
 // Fabrics returns the per-shard OmniPath fabrics in shard order
 // (single-engine clusters return [Fab]).

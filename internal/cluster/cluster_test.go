@@ -17,7 +17,7 @@ import (
 func runPair(t *testing.T, os OSType, synthetic bool,
 	body func(p *sim.Proc, rank int, ep *psm.Endpoint)) *Cluster {
 	t.Helper()
-	c, err := New(Config{Nodes: 2, OS: os, Params: model.Default(), Seed: 42, Synthetic: synthetic})
+	c, err := New(Spec{Nodes: 2, OS: os, Params: model.Default(), Seed: 42, Synthetic: synthetic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestPingPongDataIntegrity(t *testing.T) {
 
 // TestIntraNodeMessaging covers the shared-memory local path.
 func TestIntraNodeMessaging(t *testing.T) {
-	c, err := New(Config{Nodes: 1, OS: OSMcKernelHFI, Params: model.Default(), Seed: 7})
+	c, err := New(Spec{Nodes: 1, OS: OSMcKernelHFI, Params: model.Default(), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

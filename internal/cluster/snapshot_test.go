@@ -18,7 +18,7 @@ import (
 // Identical calls build byte-identical simulations.
 func startPair(t *testing.T, os OSType, size uint64) *Cluster {
 	t.Helper()
-	c, err := New(Config{Nodes: 2, OS: os, Params: model.Default(), Seed: 42, Synthetic: true})
+	c, err := New(Spec{Nodes: 2, OS: os, Params: model.Default(), Seed: 42, Synthetic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestSnapshotRestoreDivergence(t *testing.T) {
 	mid := totalTime(t, OSLinux, size) / 2
 	snap := snapAt(t, OSLinux, size, mid)
 
-	c, err := New(Config{Nodes: 2, OS: OSLinux, Params: model.Default(), Seed: 43, Synthetic: true})
+	c, err := New(Spec{Nodes: 2, OS: OSLinux, Params: model.Default(), Seed: 43, Synthetic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestConcurrentEngineIsolation(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := New(Config{Nodes: 2, OS: OSMcKernelHFI, Params: model.Default(), Seed: 42, Synthetic: true})
+			c, err := New(Spec{Nodes: 2, OS: OSMcKernelHFI, Params: model.Default(), Seed: 42, Synthetic: true})
 			if err != nil {
 				errs[i] = err
 				return

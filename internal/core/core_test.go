@@ -95,7 +95,7 @@ func TestExtractedLayoutsMatchAuthoritative(t *testing.T) {
 // TestFrameworkRejectsOriginalLayout: PicoDriver cannot attach without
 // the unified address space.
 func TestFrameworkRejectsOriginalLayout(t *testing.T) {
-	cl, err := cluster.New(cluster.Config{
+	cl, err := cluster.New(cluster.Spec{
 		Nodes: 1, OS: cluster.OSMcKernel, Params: model.Default(), Seed: 1,
 	})
 	if err != nil {
@@ -111,7 +111,7 @@ func TestFrameworkRejectsOriginalLayout(t *testing.T) {
 // message; hooks let tests tweak the pico driver first.
 func runPicoPair(t *testing.T, size uint64, tweak func(*core.HFIPico)) *cluster.Cluster {
 	t.Helper()
-	cl, err := cluster.New(cluster.Config{
+	cl, err := cluster.New(cluster.Spec{
 		Nodes: 2, OS: cluster.OSMcKernelHFI, Params: model.Default(), Seed: 11, Synthetic: true,
 	})
 	if err != nil {
@@ -177,7 +177,7 @@ func TestCoalescingAblation(t *testing.T) {
 // built from hand-copied offsets of an older driver release reads the
 // wrong fields and cannot submit (here it trips the engine state check).
 func TestStaleManualLayoutsFail(t *testing.T) {
-	cl, err := cluster.New(cluster.Config{
+	cl, err := cluster.New(cluster.Spec{
 		Nodes: 2, OS: cluster.OSMcKernelHFI, Params: model.Default(), Seed: 13, Synthetic: true,
 	})
 	if err != nil {
@@ -247,7 +247,7 @@ func TestPicoSharesTIDSpaceWithLinuxDriver(t *testing.T) {
 // TestPicoFallbackForUnpinnedBuffers: a fast-path call on a non-pinned
 // mapping falls back to the offloaded Linux driver transparently.
 func TestPicoFallbackForUnpinnedBuffers(t *testing.T) {
-	cl, err := cluster.New(cluster.Config{
+	cl, err := cluster.New(cluster.Spec{
 		Nodes: 2, OS: cluster.OSMcKernelHFI, Params: model.Default(), Seed: 17, Synthetic: true,
 	})
 	if err != nil {

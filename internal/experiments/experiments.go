@@ -56,8 +56,8 @@ type Config struct {
 	// the tenancy experiment overrides it per cell.
 	Congestion fabric.CongProfile
 	// Shards partitions every cluster the experiments build into that
-	// many conservatively-synchronized engine shards (0 or 1 = the
-	// classic single engine, byte-identical to all prior artifacts).
+	// many conservatively-synchronized engine shards (0 or 1 = one
+	// standalone engine, the configuration every artifact is cut from).
 	// Sharding requires the loss-free, jitter-free, congestion-free
 	// profile; cluster.New rejects anything else.
 	Shards int
@@ -80,7 +80,7 @@ func (c Config) pool() *runner.Pool {
 // profile. Synthetic clusters skip payload materialization; lossy cells
 // need real bytes, so the reliability sweep passes synthetic=false.
 func (c Config) cluster(nodes int, os cluster.OSType, seed int64, synthetic bool) (*cluster.Cluster, error) {
-	return cluster.New(cluster.Config{
+	return cluster.New(cluster.Spec{
 		Nodes: nodes, OS: os, Params: model.Default(), Seed: seed,
 		Synthetic: synthetic, Faults: c.Faults, Congestion: c.Congestion,
 		Shards: c.Shards,
@@ -135,16 +135,16 @@ type Scale struct {
 // SmallScale is the default: shapes are visible, runtime is modest.
 func SmallScale() Scale {
 	return Scale{
-		Name:          "small",
-		PingPongSizes: []uint64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20},
-		PingPongReps:  4,
-		AppNodes:      []int{1, 2, 4, 8},
-		QBoxNodes:     []int{4, 8},
-		RanksPerNode:  16,
-		ProfileNodes:  8,
-		ProfileRPN:    16,
-		VerbsSizes:    []uint64{4 << 10, 64 << 10, 1 << 20, 2<<20 + 4096},
-		VerbsReps:     4,
+		Name:             "small",
+		PingPongSizes:    []uint64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20},
+		PingPongReps:     4,
+		AppNodes:         []int{1, 2, 4, 8},
+		QBoxNodes:        []int{4, 8},
+		RanksPerNode:     16,
+		ProfileNodes:     8,
+		ProfileRPN:       16,
+		VerbsSizes:       []uint64{4 << 10, 64 << 10, 1 << 20, 2<<20 + 4096},
+		VerbsReps:        4,
 		LossRates:        []float64{0, 0.001, 0.01, 0.05},
 		ReliabilitySizes: []uint64{8 << 10, 32 << 10, 256 << 10},
 		FailoverMsgs:     160,
@@ -179,8 +179,8 @@ func PaperScale() Scale {
 		ReliabilitySizes: []uint64{
 			2 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 256 << 10,
 		},
-		FailoverMsgs:   400,
-		FailoverSize:   32 << 10,
+		FailoverMsgs: 400,
+		FailoverSize: 32 << 10,
 		// RPN is 4, not the profile sweep's 32: at 1024 nodes the tie
 		// count (fabric.Ties — same-instant arrivals at one destination
 		// from different sources) grows ~40x between rpn=4 (26 ties) and
@@ -315,8 +315,8 @@ func buildPingPong(cfg Config, os cluster.OSType, size uint64, reps int, seed in
 	eps := make([]*psm.Endpoint, 2)
 	book := psm.MapBook{}
 	// Rank r lives on node r's engine (cl.Go), and the address-book
-	// exchange is a cross-shard rendezvous: on a single-engine cluster
-	// both reduce to exactly the old WaitGroup wiring.
+	// exchange is a cross-shard rendezvous; on a single-engine cluster
+	// it wakes its waiters the way a WaitGroup would.
 	ready := cl.NewRendezvous(2)
 	idle := new(int)
 	for r := 0; r < 2; r++ {

@@ -106,7 +106,7 @@ func failoverCell(cfg Config, os cluster.OSType, msgs int, size uint64, seed int
 	fp.Down = append(append([]fabric.DownWindow{}, fp.Down...),
 		fabric.DownWindow{Src: 0, Dst: 1, From: failoverOutageFrom, Until: failoverOutageUntil},
 		fabric.DownWindow{Src: 1, Dst: 0, From: failoverOutageFrom, Until: failoverOutageUntil})
-	cl, err := cluster.New(cluster.Config{
+	cl, err := cluster.New(cluster.Spec{
 		Nodes: 2, OS: os, Params: pr, Seed: seed, Faults: fp,
 	})
 	if err != nil {
@@ -192,7 +192,7 @@ func failoverCell(cfg Config, os cluster.OSType, msgs int, size uint64, seed int
 			}
 		})
 	}
-	if err := cl.E.Run(0); err != nil {
+	if err := cl.Run(0); err != nil {
 		return FailoverRow{}, err
 	}
 	if runErr != nil {

@@ -124,7 +124,7 @@ func reliabilityCell(cfg Config, os cluster.OSType, loss float64, size uint64, r
 	// aborts, ...) and sweeps only the drop rate on top of it.
 	fp := cfg.Faults
 	fp.Drop = loss
-	cl, err := cluster.New(cluster.Config{
+	cl, err := cluster.New(cluster.Spec{
 		Nodes: 2, OS: os, Params: model.Default(), Seed: seed, Faults: fp,
 	})
 	if err != nil {
@@ -225,7 +225,7 @@ func reliabilityCell(cfg Config, os cluster.OSType, loss float64, size uint64, r
 			}
 		})
 	}
-	if err := cl.E.Run(0); err != nil {
+	if err := cl.Run(0); err != nil {
 		return relCell{}, err
 	}
 	if runErr != nil {

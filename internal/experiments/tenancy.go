@@ -254,7 +254,7 @@ func tenancyCell(cfg Config, os cluster.OSType, scen string, seed int64, rec *tr
 	if !cong.Active() {
 		cong = tenancyCong()
 	}
-	cl, err := cluster.New(cluster.Config{
+	cl, err := cluster.New(cluster.Spec{
 		Nodes: 4, OS: os, Params: model.Default(), Seed: seed,
 		Faults: cfg.Faults, Congestion: cong,
 	})

@@ -94,7 +94,7 @@ func verbsCellRun(cfg Config, os cluster.OSType, size uint64, reps int, seed int
 	cl.E.Go("verbs-cell", func(p *sim.Proc) {
 		cell, runErr = verbsCellBody(p, cl, size, reps)
 	})
-	if err := cl.E.Run(0); err != nil {
+	if err := cl.Run(0); err != nil {
 		return verbsCell{}, err
 	}
 	return cell, runErr

@@ -3,7 +3,7 @@ package fabric
 // Freelists for the per-packet hot path. A Fabric owns one payload-
 // buffer pool (size-class keyed) and one Packet pool, shared by every
 // NIC attached to it. All pool methods run in simulation context
-// (engine loop or a running process), so no locking is needed.
+// (an event callback or a running process), so no locking is needed.
 //
 // Ownership protocol:
 //

@@ -11,7 +11,7 @@ import (
 
 func runApp(t *testing.T, app *App, nodes, rpn int, os cluster.OSType) *mpi.JobResult {
 	t.Helper()
-	cl, err := cluster.New(cluster.Config{
+	cl, err := cluster.New(cluster.Spec{
 		Nodes: nodes, OS: os, Params: model.Default(), Seed: 5, Synthetic: true,
 	})
 	if err != nil {

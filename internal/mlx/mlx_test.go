@@ -28,7 +28,7 @@ type rig struct {
 
 func newRig(t *testing.T) *rig {
 	t.Helper()
-	cl, err := cluster.New(cluster.Config{
+	cl, err := cluster.New(cluster.Spec{
 		Nodes: 1, OS: cluster.OSMcKernelHFI, Params: model.Default(), Seed: 31,
 	})
 	if err != nil {
@@ -173,7 +173,7 @@ func TestPicoRegMRFastAndCoalesced(t *testing.T) {
 // page; the fast path writes one per contiguous extent.
 func TestMTTEntriesReflectBacking(t *testing.T) {
 	// Build MRs directly through the shared protocol to inspect MTTs.
-	cl, err := cluster.New(cluster.Config{
+	cl, err := cluster.New(cluster.Spec{
 		Nodes: 1, OS: cluster.OSMcKernelHFI, Params: model.Default(), Seed: 33,
 	})
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 
 func testCluster(t *testing.T, nodes int, os cluster.OSType, synthetic bool) *cluster.Cluster {
 	t.Helper()
-	cl, err := cluster.New(cluster.Config{
+	cl, err := cluster.New(cluster.Spec{
 		Nodes: nodes, OS: os, Params: model.Default(), Seed: 99, Synthetic: synthetic,
 	})
 	if err != nil {

@@ -17,7 +17,7 @@ func TestRMAPutGetFence(t *testing.T) {
 	const slot = 12345 // straddles a page boundary
 	for _, os := range cluster.AllOSTypes {
 		t.Run(os.String(), func(t *testing.T) {
-			cl, err := cluster.New(cluster.Config{
+			cl, err := cluster.New(cluster.Spec{
 				Nodes: 2, OS: os, Params: model.Default(), Seed: 5,
 			})
 			if err != nil {

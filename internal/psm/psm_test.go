@@ -16,7 +16,7 @@ import (
 // ranks once the endpoints exist.
 func pair(t *testing.T, synthetic bool, body func(p *sim.Proc, rank int, ep *psm.Endpoint)) []*psm.Endpoint {
 	t.Helper()
-	cl, err := cluster.New(cluster.Config{
+	cl, err := cluster.New(cluster.Spec{
 		Nodes: 2, OS: cluster.OSLinux, Params: model.Default(), Seed: 21, Synthetic: synthetic,
 	})
 	if err != nil {

@@ -26,7 +26,7 @@ func lossyPair(t *testing.T, fp fabric.FaultProfile, body func(p *sim.Proc, rank
 // dual-rail configurations).
 func lossyPairOn(t *testing.T, fp fabric.FaultProfile, pr model.Params, body func(p *sim.Proc, rank int, ep *psm.Endpoint)) (*cluster.Cluster, []*psm.Endpoint) {
 	t.Helper()
-	cl, err := cluster.New(cluster.Config{
+	cl, err := cluster.New(cluster.Spec{
 		Nodes: 2, OS: cluster.OSLinux, Params: pr, Seed: 21, Faults: fp,
 	})
 	if err != nil {

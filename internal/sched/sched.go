@@ -196,7 +196,7 @@ func (s *Scheduler) Run() ([]JobReport, error) {
 			Body:      q.spec.Body,
 		})
 	}
-	if err := s.cl.E.Run(0); err != nil {
+	if err := s.cl.Run(0); err != nil {
 		return nil, fmt.Errorf("sched: execution: %w", err)
 	}
 	reports := make([]JobReport, len(s.jobs))

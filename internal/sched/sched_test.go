@@ -13,7 +13,7 @@ import (
 
 func testCluster(t *testing.T, nodes int, cong fabric.CongProfile) *cluster.Cluster {
 	t.Helper()
-	cl, err := cluster.New(cluster.Config{
+	cl, err := cluster.New(cluster.Spec{
 		Nodes: nodes, OS: cluster.OSMcKernelHFI,
 		Params: model.Default(), Seed: 7, Congestion: cong,
 	})

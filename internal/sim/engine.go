@@ -2,10 +2,14 @@
 // with virtual-time processes.
 //
 // The engine owns a virtual clock and an event heap. Simulated processes
-// are goroutines, but exactly one of them runs at any instant: control is
-// handed from the engine loop to a process and back over unbuffered
-// channels, so no locking is needed inside simulation code and runs are
-// reproducible. Events that fire at the same virtual time are ordered by
+// are goroutines, but exactly one goroutine — a process, or the driver
+// that called Run — holds the engine token at any instant, so no locking
+// is needed inside simulation code and runs are reproducible. Whoever
+// holds the token dispatches: a process that blocks or finishes pops the
+// heap itself (step), runs callback events inline, and hands the token
+// straight to the next runnable process over an unbuffered channel; the
+// driver gets it back only when the window is drained or a failure is
+// latched. Events that fire at the same virtual time are ordered by
 // their scheduling sequence number.
 //
 // All timing uses time.Duration as virtual nanoseconds since the start of
@@ -14,6 +18,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime/debug"
 	"sort"
 	"time"
@@ -24,20 +29,26 @@ import (
 )
 
 // Engine is a discrete-event simulator. Create one with NewEngine, add
-// processes with Go, and execute with Run. An Engine must not be shared
-// between concurrently running simulations.
+// processes with Go, and execute with Run — or, for an engine that is a
+// shard of a ShardSet, with ShardSet.Run. Both drivers execute events
+// the same way, one window at a time through runWindow. An Engine must
+// not be shared between concurrently running simulations.
 type Engine struct {
 	now    time.Duration
 	seq    uint64
 	heap   eventHeap
 	rng    *xrand.Rand
-	parked chan struct{}
+	parked chan struct{} // the token's way back to the driver
 	procs  map[*Proc]struct{}
 	live   int
-	failv  any
-	rnd    uint64 // cheap deterministic counter for Rng-free jitter
+	failv  error // first Fail or panic; ends the window
 	rec    *trace.Recorder
 	states []regState // snapshot section encoders, registration order
+
+	// bound is the open window's exclusive time bound: step dispatches
+	// only events strictly before it. Run opens one window per call
+	// (limit+1, or unbounded); ShardSet.Run opens one per barrier.
+	bound time.Duration
 
 	// Sharded-mode wiring (nil/zero on a standalone engine): the set this
 	// engine is a shard of, its shard index, and the per-shard emission
@@ -45,17 +56,6 @@ type Engine struct {
 	set      *ShardSet
 	shard    int
 	crossSeq uint64
-
-	// Direct-dispatch mode (sharded engines only): a blocking or
-	// finishing process hands the token straight to the next runnable
-	// process instead of bouncing through the engine goroutine, and
-	// callback events execute inline on whichever goroutine holds the
-	// token. Event order is identical to the classic loop — the same
-	// heap pops in the same (at, seq) order — only the number of
-	// goroutine switches changes (one per process event instead of
-	// two). bound is the current window's exclusive time bound.
-	direct bool
-	bound  time.Duration
 }
 
 // regState is one registered snapshot contributor.
@@ -125,7 +125,7 @@ func (e *Engine) Fail(err error) {
 }
 
 // Rng returns the engine's deterministic random source. It must only be
-// used from simulation context (the engine loop or a running process).
+// used from simulation context (an event callback or a running process).
 // The generator's state is part of the engine snapshot, so draws made
 // by a restored run continue the straight run's sequence exactly.
 func (e *Engine) Rng() *xrand.Rand { return e.rng }
@@ -209,16 +209,12 @@ func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	go func() {
 		<-p.resume
 		defer func() {
-			if r := recover(); r != nil && e.failv == nil {
-				e.failv = &PanicError{Proc: p.name, Value: r, Stack: debug.Stack()}
+			if r := recover(); r != nil {
+				e.Fail(&PanicError{Proc: p.name, Value: r, Stack: debug.Stack()})
 			}
 			e.live--
 			delete(e.procs, p)
-			if e.direct {
-				e.handoff()
-				return
-			}
-			e.parked <- struct{}{}
+			e.handoff()
 		}()
 		fn(p)
 	}()
@@ -226,43 +222,46 @@ func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	return p
 }
 
-// runProc hands the engine token to p until it blocks or finishes.
-func (e *Engine) runProc(p *Proc) {
-	p.resume <- struct{}{}
-	<-e.parked
-}
-
-// block parks the calling process until it is woken via wake.
+// block parks the calling process until it is woken via wake. The
+// caller holds the token, so it dispatches onward itself: it runs the
+// callbacks that are due and wakes the next runnable process directly,
+// one goroutine switch per process event.
 func (p *Proc) block(state string) {
 	p.state = state
 	e := p.e
-	if e.direct {
-		switch q := e.step(); q {
-		case p:
-			// The next event is this process's own resumption (a sleep
-			// nothing else interleaves with): the park/unpark pair would
-			// be a self-handoff, so skip it entirely.
-		case nil:
-			e.parked <- struct{}{}
-			<-p.resume
-		default:
-			q.resume <- struct{}{}
-			<-p.resume
-		}
-		p.state = ""
-		return
+	switch q := e.step(); q {
+	case p:
+		// The next event is this process's own resumption (a sleep
+		// nothing else interleaves with): the park/unpark pair would
+		// be a self-handoff, so skip it entirely.
+	case nil:
+		e.parked <- struct{}{}
+		<-p.resume
+	default:
+		q.resume <- struct{}{}
+		<-p.resume
 	}
-	e.parked <- struct{}{}
-	<-p.resume
 	p.state = ""
 }
 
-// step executes queued events strictly before the window bound until it
-// reaches a process resumption, which it returns for the caller to hand
-// the token to (nil: the window is drained or a failure is pending).
-// Callback events run inline on the calling goroutine; dispatch order
-// is exactly the classic loop's (same heap, same pops).
+// callbackProc is the PanicError.Proc value of a panic raised by an
+// After/At/AfterArg callback rather than by a process body.
+const callbackProc = "(event callback)"
+
+// step is the dispatcher, and the only place the event heap is popped
+// for execution. It runs queued events strictly before the window
+// bound, in (at, seq) order, until it reaches a process resumption,
+// which it returns for the caller to hand the token to (nil: the window
+// is drained or a failure is latched). Callback events run inline on
+// the calling goroutine — the driver's or a blocking process's — so a
+// callback's panic is caught here, before it can unwind into a process
+// that did nothing wrong, and latched as a PanicError naming no process.
 func (e *Engine) step() *Proc {
+	defer func() {
+		if r := recover(); r != nil {
+			e.Fail(&PanicError{Proc: callbackProc, Value: r, Stack: debug.Stack()})
+		}
+	}()
 	for len(e.heap) > 0 && e.heap[0].at < e.bound && e.failv == nil {
 		ev := e.heap.pop()
 		e.now = ev.at
@@ -280,7 +279,7 @@ func (e *Engine) step() *Proc {
 
 // handoff passes the engine token onward when the calling goroutine is
 // done with it: directly to the next runnable process, or back to the
-// window driver once the window is drained.
+// driver once the window is drained.
 func (e *Engine) handoff() {
 	if q := e.step(); q != nil {
 		q.resume <- struct{}{}
@@ -309,10 +308,11 @@ func (p *Proc) Sleep(d time.Duration) {
 // before the process continues.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// PanicError is returned (wrapped) by Run when a simulated process
-// panics. It preserves the panicking process's name, the panic value
-// and the goroutine stack captured at recover time, and unwraps via
-// errors.As.
+// PanicError is returned (wrapped) by Run and ShardSet.Run when a
+// simulated process or an event callback panics. It preserves the
+// panicking process's name ("(event callback)" for a callback, whichever
+// goroutine happened to be dispatching it), the panic value and the
+// goroutine stack captured at recover time, and unwraps via errors.As.
 type PanicError struct {
 	Proc  string
 	Value any
@@ -320,6 +320,9 @@ type PanicError struct {
 }
 
 func (e *PanicError) Error() string {
+	if e.Proc == callbackProc {
+		return fmt.Sprintf("event callback panicked: %v\n%s", e.Value, e.Stack)
+	}
 	return fmt.Sprintf("proc %q panicked: %v\n%s", e.Proc, e.Value, e.Stack)
 }
 
@@ -335,57 +338,70 @@ func (d *DeadlockError) Error() string {
 		d.Now, len(d.Blocked), d.Blocked)
 }
 
+// deadlockError reports the non-daemon processes still parked on the
+// given engines once every queue has drained (nil if there are none).
+func deadlockError(now time.Duration, engines ...*Engine) error {
+	var blocked []string
+	for _, e := range engines {
+		for p := range e.procs {
+			if !p.daemon {
+				blocked = append(blocked, fmt.Sprintf("%s [%s]", p.name, p.state))
+			}
+		}
+	}
+	if len(blocked) == 0 {
+		return nil
+	}
+	sort.Strings(blocked)
+	return &DeadlockError{Now: now, Blocked: blocked}
+}
+
+// runWindow dispatches every queued event with time strictly before
+// bound and returns the latched failure, if any. The driver starts the
+// step/handoff chain and regains the token only when the window is
+// drained (or a failure latched); limit handling and deadlock detection
+// belong to the callers, Run and ShardSet.Run.
+func (e *Engine) runWindow(bound time.Duration) error {
+	e.bound = bound
+	if q := e.step(); q != nil {
+		q.resume <- struct{}{}
+		<-e.parked
+	}
+	if e.failv != nil {
+		return fmt.Errorf("sim: %w", e.failv)
+	}
+	return nil
+}
+
 // Run executes events until the heap is empty or until limit (if > 0) is
 // reached. It returns a *DeadlockError if processes remain blocked with
-// no pending events, and a *PanicError (wrapped) if any process
-// panicked.
+// no pending events, and a *PanicError (wrapped) if any process or
+// callback panicked.
 //
 // Run is resumable: an event past the limit stays queued, so
 // Run(t) followed by Run(0) reaches exactly the same final state as a
 // single Run(0).
 func (e *Engine) Run(limit time.Duration) error {
-	if e.direct {
-		// A sharded engine's block() dispatches against the window
-		// bound; running it outside ShardSet.Run would dispatch against
-		// a stale bound and silently corrupt the schedule.
+	if e.set != nil {
+		// A shard's windows are bounded by the set's barrier; running
+		// it alone would dispatch past cross-shard events not yet
+		// injected and silently corrupt the schedule.
 		panic("sim: Run called on a sharded engine (drive it with ShardSet.Run)")
 	}
-	for len(e.heap) > 0 {
-		// Peek before popping: the first event past the limit must stay
-		// in the heap for a later resumed Run to execute.
-		if limit > 0 && e.heap[0].at > limit {
-			e.now = limit
-			return nil
-		}
-		ev := e.heap.pop()
-		e.now = ev.at
-		switch ev.kind {
-		case evProc:
-			e.runProc(ev.p)
-		case evArg:
-			ev.afn(ev.arg)
-		default:
-			ev.fn()
-		}
-		if e.failv != nil {
-			if err, ok := e.failv.(error); ok {
-				return fmt.Errorf("sim: %w", err)
-			}
-			return fmt.Errorf("sim: %v", e.failv)
-		}
+	// One window: events at exactly limit execute, so its exclusive
+	// bound is limit+1; with no limit it is unbounded.
+	bound := time.Duration(math.MaxInt64)
+	if limit > 0 {
+		bound = limit + 1
 	}
-	var blocked []string
-	for p := range e.procs {
-		if p.daemon {
-			continue
-		}
-		blocked = append(blocked, fmt.Sprintf("%s [%s]", p.name, p.state))
+	if err := e.runWindow(bound); err != nil {
+		return err
 	}
-	if len(blocked) > 0 {
-		sort.Strings(blocked)
-		return &DeadlockError{Now: e.now, Blocked: blocked}
+	if limit > 0 && len(e.heap) > 0 {
+		e.now = limit
+		return nil
 	}
-	return nil
+	return deadlockError(e.now, e)
 }
 
 // eventHeap is a binary min-heap ordered by (at, seq).

@@ -133,3 +133,64 @@ func TestFailErrorUnwraps(t *testing.T) {
 		t.Fatalf("errors.Is failed: %v", err)
 	}
 }
+
+// TestCallbackPanicNamesNoProcess: an event callback runs on whichever
+// goroutine holds the token — the driver, or a process that happened to
+// block just before it. Its panic must come back from Run as a
+// *PanicError that identifies a callback, never the bystander process,
+// on both engine shapes.
+func TestCallbackPanicNamesNoProcess(t *testing.T) {
+	// arm schedules the panicking callback and a live, sleeping process.
+	// With driver set the callback is the heap's first event, so Run's
+	// own goroutine dispatches it; otherwise it falls inside one of the
+	// bystander's sleeps and is dispatched from that process's block.
+	arm := func(e *Engine, driver bool) {
+		boom := func() { panic("callback kaboom") }
+		if driver {
+			e.After(0, boom)
+		}
+		e.Go("bystander", func(p *Proc) {
+			for i := 0; i < 4; i++ {
+				p.Sleep(10)
+			}
+		})
+		if !driver {
+			e.After(25, boom)
+		}
+	}
+	check := func(t *testing.T, err error) {
+		t.Helper()
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("Run = %v (%T), want a wrapped *PanicError", err, err)
+		}
+		if pe.Proc != "(event callback)" {
+			t.Fatalf("Proc = %q, want the reserved callback value", pe.Proc)
+		}
+		if fmt.Sprint(pe.Value) != "callback kaboom" {
+			t.Fatalf("Value = %v", pe.Value)
+		}
+		if !strings.Contains(string(pe.Stack), "goroutine") {
+			t.Fatalf("Stack not captured: %q", pe.Stack)
+		}
+		if strings.Contains(strings.SplitN(err.Error(), "\n", 2)[0], "bystander") {
+			t.Fatalf("error blames a process that did not panic: %v", err)
+		}
+	}
+	for _, driver := range []bool{true, false} {
+		t.Run(fmt.Sprintf("engine/driver=%v", driver), func(t *testing.T) {
+			e := NewEngine(1)
+			arm(e, driver)
+			check(t, e.Run(0))
+		})
+		t.Run(fmt.Sprintf("shards=2/driver=%v", driver), func(t *testing.T) {
+			s, err := NewShardSet(1, 2, 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Engines()[0].Go("other-shard", func(p *Proc) { p.Sleep(40) })
+			arm(s.Engines()[1], driver)
+			check(t, s.Run(0))
+		})
+	}
+}

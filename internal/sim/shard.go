@@ -22,9 +22,13 @@
 // of the workload and seed — independent of shard execution order,
 // which is what lets a future parallel dispatcher keep byte-identical
 // digests. The current driver runs shards sequentially round-robin:
-// on a single-core host all of the sharded speedup comes from smaller
+// on a single-core host the only thing sharding can buy is smaller
 // per-shard heaps and working sets, and the window loop is exactly the
 // structure a multi-core dispatcher needs.
+//
+// A shard executes its window through the same Engine.runWindow (step /
+// handoff) a standalone engine's Run uses for its single window; the
+// set adds only the bound, the barrier and the cross-shard buffer.
 package sim
 
 import (
@@ -85,7 +89,6 @@ func NewShardSet(seed int64, n int, lookahead time.Duration) (*ShardSet, error) 
 		e := NewEngine(seed)
 		e.set = s
 		e.shard = i
-		e.direct = true
 		s.shards = append(s.shards, e)
 	}
 	return s, nil
@@ -185,20 +188,7 @@ func (s *ShardSet) Run(limit time.Duration) error {
 		}
 		s.Windows++
 	}
-	var blocked []string
-	for _, e := range s.shards {
-		for p := range e.procs {
-			if p.daemon {
-				continue
-			}
-			blocked = append(blocked, fmt.Sprintf("%s [%s]", p.name, p.state))
-		}
-	}
-	if len(blocked) > 0 {
-		sort.Strings(blocked)
-		return &DeadlockError{Now: s.Now(), Blocked: blocked}
-	}
-	return nil
+	return deadlockError(s.Now(), s.shards...)
 }
 
 // barrier injects the window's buffered cross-shard events in global
@@ -264,34 +254,14 @@ func (s *ShardSet) barrier(bound time.Duration) error {
 	return nil
 }
 
-// runWindow processes every queued event with time strictly before
-// bound. It is the per-shard slice of ShardSet.Run: no limit handling
-// and no deadlock detection (the set aggregates that after all queues
-// drain). Execution uses direct dispatch — step/handoff chain the
-// token from process to process, and the driver only regains control
-// once the window is drained (or a failure latched).
-func (e *Engine) runWindow(bound time.Duration) error {
-	e.bound = bound
-	if q := e.step(); q != nil {
-		e.runProc(q)
-	}
-	if e.failv != nil {
-		if err, ok := e.failv.(error); ok {
-			return fmt.Errorf("sim: %w", err)
-		}
-		return fmt.Errorf("sim: %v", e.failv)
-	}
-	return nil
-}
-
 // Rendezvous is a count-down synchronization point that works across
 // shards: n participants each call Done, and every waiter resumes at
 // the virtual time of the LAST Done — the same instant WaitGroup's
-// Broadcast fires on a single engine, which keeps digests identical
-// between sharded and unsharded runs. On a standalone engine it is a
-// thin wrapper over WaitGroup, preserving byte-identical behavior; on
-// a ShardSet the completion is observed at the window barrier, where
-// waiter wakeups are injected in deterministic order.
+// Broadcast fires — which keeps digests identical between sharded and
+// unsharded runs. On a standalone engine the last Done wakes the waiters
+// on the spot, in Wait order; on a ShardSet the completion is observed
+// at the window barrier, where the wakeups are injected in
+// deterministic order.
 //
 // Done and Wait have zero cross-shard latency, so they are only safe
 // at points where every waiting shard is otherwise quiescent (e.g. job
@@ -299,43 +269,26 @@ func (e *Engine) runWindow(bound time.Duration) error {
 // waiter's shard has already run past the completion time the barrier
 // fails loudly rather than bending causality.
 type Rendezvous struct {
-	set     *ShardSet
-	wg      *WaitGroup // standalone-engine mode
+	set     *ShardSet // nil on a standalone engine
 	count   int
 	tLast   time.Duration
 	waiters []*Proc
 	last    *Proc // the participant whose Done completed the count
-	flushed bool  // wakeups injected; later Waits return immediately
+	flushed bool  // wakeups issued; later Waits return immediately
 }
 
-// NewRendezvous creates a rendezvous for n participants on e. On a
-// standalone engine it delegates to WaitGroup; on a shard it registers
-// with the engine's set.
+// NewRendezvous creates a rendezvous for n participants on e, spanning
+// every shard of e's set if it has one.
 func NewRendezvous(e *Engine, n int) *Rendezvous {
-	if e.set != nil {
-		return e.set.NewRendezvous(n)
-	}
-	wg := NewWaitGroup(e)
-	wg.Add(n)
-	return &Rendezvous{wg: wg}
-}
-
-// NewRendezvous creates a rendezvous for n participants spanning the
-// set's shards.
-func (s *ShardSet) NewRendezvous(n int) *Rendezvous {
 	if n < 0 {
 		panic("sim: negative Rendezvous count")
 	}
-	return &Rendezvous{set: s, count: n, flushed: n == 0}
+	return &Rendezvous{set: e.set, count: n, flushed: n == 0}
 }
 
 // Done counts down one participant at p's current virtual time. The
 // count must not go below zero.
 func (r *Rendezvous) Done(p *Proc) {
-	if r.wg != nil {
-		r.wg.Done()
-		return
-	}
 	if r.count <= 0 {
 		panic("sim: Rendezvous count below zero")
 	}
@@ -343,22 +296,27 @@ func (r *Rendezvous) Done(p *Proc) {
 	if t := p.e.now; t > r.tLast {
 		r.tLast = t
 	}
-	if r.count == 0 {
+	if r.count > 0 {
+		return
+	}
+	if r.set != nil {
 		r.last = p
 		r.set.fired = append(r.set.fired, r)
+		return
 	}
+	for _, w := range r.waiters {
+		w.e.wake(w)
+	}
+	r.waiters = nil
+	r.flushed = true
 }
 
 // Wait blocks p until every participant has called Done and the
-// barrier has injected the wakeups; after that, Wait returns
-// immediately (matching WaitGroup.Wait on a drained group). The final
+// wakeups have been issued; after that, Wait returns immediately
+// (matching WaitGroup.Wait on a drained group). On a ShardSet the final
 // Done-er parks here too — its shard must not run past the completion
 // time before the other shards' waiters have woken.
 func (r *Rendezvous) Wait(p *Proc) {
-	if r.wg != nil {
-		r.wg.Wait(p)
-		return
-	}
 	if r.flushed {
 		return
 	}

@@ -126,7 +126,7 @@ func TestShardRendezvous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rv := s.NewRendezvous(3)
+	rv := NewRendezvous(s.Engines()[0], 3)
 	var woke []string
 	start := func(e *Engine, name string, init time.Duration) {
 		e.Go(name, func(p *Proc) {
@@ -155,7 +155,7 @@ func TestShardDeadlockAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rv := s.NewRendezvous(3) // one Done never arrives
+	rv := NewRendezvous(s.Engines()[0], 3) // one Done never arrives
 	s.Engines()[0].Go("a", func(p *Proc) { rv.Done(p); rv.Wait(p) })
 	s.Engines()[1].Go("b", func(p *Proc) { rv.Done(p); rv.Wait(p) })
 	err = s.Run(0)

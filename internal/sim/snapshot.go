@@ -74,7 +74,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 func (e *Engine) encodeEngineState(enc *snapshot.Enc) {
 	st := e.rng.State()
 	enc.Printf("rng=%016x,%016x,%016x,%016x\n", st[0], st[1], st[2], st[3])
-	enc.Printf("rnd=%d live=%d procs=%d events=%d\n", e.rnd, e.live, len(e.procs), len(e.heap))
+	enc.Printf("live=%d procs=%d events=%d\n", e.live, len(e.procs), len(e.heap))
 
 	procs := make([]string, 0, len(e.procs))
 	for p := range e.procs {
@@ -120,7 +120,7 @@ var _ snapshot.Machine = (*Engine)(nil)
 // sections prefixed "shard<i>/". The container format is the same as a
 // single engine's, so Restore's replay-and-byte-verify protocol works
 // unchanged; a Shards=1 cluster never reaches this path (it builds a
-// standalone engine), keeping classic snapshots byte-identical.
+// standalone engine and keeps the unprefixed single-engine layout).
 //
 // Like Engine.Snapshot it must be called between Run calls, where the
 // cross-shard buffer is empty (every window's barrier drains it), so

@@ -193,7 +193,7 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 			return nil, fmt.Errorf("simtest: msg %d endpoints (%d→%d) invalid for %d ranks", i, m.Src, m.Dst, ranks)
 		}
 	}
-	cl, err := cluster.New(cluster.Config{
+	cl, err := cluster.New(cluster.Spec{
 		Nodes:          w.Nodes,
 		OS:             w.OS,
 		Params:         w.params(),
@@ -224,9 +224,9 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 	eps := make([]*psm.Endpoint, ranks)
 	rankErr := make([]error, ranks)
 	sums := make([][]byte, len(w.Msgs))
-	// On a single-engine cluster the rendezvous are plain WaitGroups
-	// (byte-identical wiring); on a sharded one they are the barrier-
-	// injected cross-shard kind. drained replaces the shared-counter
+	// On a single-engine cluster a rendezvous wakes its waiters at the
+	// last Done, like a WaitGroup; on a sharded one the wakeups are
+	// injected at the barrier. drained replaces the shared-counter
 	// idle spin for shard-aware cells: a counter polled across shards
 	// is not a legal cross-shard signal.
 	ready := cl.NewRendezvous(ranks)

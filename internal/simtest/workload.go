@@ -89,7 +89,7 @@ type Workload struct {
 	RendezvousWindow uint64
 
 	// Shards > 0 marks a shard-aware cell: the cluster is split into
-	// that many engine shards (1 = classic single engine), the ranks
+	// that many engine shards (1 = one standalone engine), the ranks
 	// synchronize through cross-shard rendezvous instead of the
 	// shared-counter drain spin, and Check additionally runs the cell
 	// at Shards=1 requiring an identical digest. Zero keeps the

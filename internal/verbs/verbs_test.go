@@ -19,7 +19,7 @@ import (
 func withCluster(t *testing.T, os cluster.OSType, nodes int, seed int64,
 	body func(p *sim.Proc, cl *cluster.Cluster) error) *cluster.Cluster {
 	t.Helper()
-	cl, err := cluster.New(cluster.Config{
+	cl, err := cluster.New(cluster.Spec{
 		Nodes: nodes, OS: os, Params: model.Default(), Seed: seed,
 	})
 	if err != nil {
@@ -492,7 +492,7 @@ func TestRDMAImmuneToFabricFaults(t *testing.T) {
 		},
 		Seed: 17,
 	}
-	cl, err := cluster.New(cluster.Config{
+	cl, err := cluster.New(cluster.Spec{
 		Nodes: 2, OS: cluster.OSMcKernelHFI, Params: model.Default(), Seed: 17,
 	})
 	if err != nil {
