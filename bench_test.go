@@ -451,7 +451,7 @@ func BenchmarkExtensionMLXRegMR(b *testing.B) {
 		}
 		var lat time.Duration
 		proc := n.Mck.NewProcess("verbs")
-		cl.E.Go("app", func(p *sim.Proc) {
+		cl.Go(0, "app", func(p *sim.Proc) {
 			ctx := &kernel.Ctx{P: p, CPU: n.AppCPUs()[0]}
 			f, err := n.Mck.Open(ctx, proc, mlx.DevicePath)
 			if err != nil {

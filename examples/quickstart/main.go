@@ -42,74 +42,48 @@ func exchange(os cluster.OSType) (time.Duration, error) {
 		return 0, err
 	}
 
+	// 2. Start one rank per node. Each opens a PSM endpoint — this
+	//    opens /dev/hfi1 (offloaded to Linux on McKernel) and maps the
+	//    context areas — publishes its address, and runs the body once
+	//    every rank has done so.
 	var lat time.Duration
-	var failure error
-	book := psm.MapBook{}
-	ready := sim.NewWaitGroup(cl.E)
-	ready.Add(2)
-
-	for rank := 0; rank < 2; rank++ {
-		rank := rank
-		osops := cl.Nodes[rank].NewRankOS(rank)
-		cl.E.Go(fmt.Sprintf("rank%d", rank), func(p *sim.Proc) {
-			// 2. Open a PSM endpoint: this opens /dev/hfi1 (offloaded
-			//    to Linux on McKernel), maps the context areas and
-			//    registers the rank's address.
-			ep, err := psm.NewEndpoint(p, osops, rank, book, false)
-			if err != nil {
-				failure = err
-				ready.Done()
-				return
+	ranks := cl.StartRanks("rank", []int{0, 1}, false, func(p *sim.Proc, rank int, ep *psm.Endpoint) error {
+		// 3. Allocate a user buffer (contiguous+pinned on McKernel,
+		//    scattered 4K pages on Linux) and move real bytes.
+		buf, err := ep.OS.MmapAnon(p, size)
+		if err != nil {
+			return err
+		}
+		proc := ep.OS.Proc()
+		if rank == 0 {
+			payload := bytes.Repeat([]byte{0x5A}, size)
+			if err := proc.WriteAt(buf, payload); err != nil {
+				return err
 			}
-			book[rank] = psm.Addr{Node: osops.NodeID(), Ctx: ep.CtxID}
-			ready.Done()
-			ready.Wait(p)
-
-			// 3. Allocate a user buffer (contiguous+pinned on McKernel,
-			//    scattered 4K pages on Linux) and move real bytes.
-			buf, err := osops.MmapAnon(p, size)
-			if err != nil {
-				failure = err
-				return
+			start := p.Now()
+			if err := ep.Send(p, 1, 42, buf, size); err != nil {
+				return err
 			}
-			proc := osops.Proc()
-			if rank == 0 {
-				payload := bytes.Repeat([]byte{0x5A}, size)
-				if err := proc.WriteAt(buf, payload); err != nil {
-					failure = err
-					return
-				}
-				start := p.Now()
-				if err := ep.Send(p, 1, 42, buf, size); err != nil {
-					failure = err
-					return
-				}
-				lat = p.Now() - start
-			} else {
-				if err := ep.Recv(p, 0, 42, buf, size); err != nil {
-					failure = err
-					return
-				}
-				got := make([]byte, size)
-				if err := proc.ReadAt(buf, got); err != nil {
-					failure = err
-					return
-				}
-				for i, b := range got {
-					if b != 0x5A {
-						failure = fmt.Errorf("payload corrupted at byte %d", i)
-						return
-					}
-				}
+			lat = p.Now() - start
+			return nil
+		}
+		if err := ep.Recv(p, 0, 42, buf, size); err != nil {
+			return err
+		}
+		got := make([]byte, size)
+		if err := proc.ReadAt(buf, got); err != nil {
+			return err
+		}
+		for i, b := range got {
+			if b != 0x5A {
+				return fmt.Errorf("payload corrupted at byte %d", i)
 			}
-		})
-	}
+		}
+		return nil
+	})
 	// 4. Drive the simulation to completion.
 	if err := cl.Run(0); err != nil {
 		return 0, err
 	}
-	if failure != nil {
-		return 0, failure
-	}
-	return lat, nil
+	return lat, ranks.Err()
 }

@@ -309,7 +309,7 @@ func main() {
 	measure := func(label string) time.Duration {
 		var total time.Duration
 		proc := n.Mck.NewProcess("app")
-		cl.E.Go("app", func(p *sim.Proc) {
+		cl.Go(0, "app", func(p *sim.Proc) {
 			ctx := &kernel.Ctx{P: p, CPU: n.AppCPUs()[0]}
 			f, err := n.Mck.Open(ctx, proc, "/dev/kxp0")
 			if err != nil {

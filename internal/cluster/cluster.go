@@ -20,6 +20,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
+	"repro/internal/trace"
 	"repro/internal/vas"
 	"repro/internal/verbs"
 )
@@ -97,11 +98,6 @@ type Spec struct {
 
 // Cluster is the simulated machine.
 type Cluster struct {
-	// E is the engine of shard 0 — in the default single-engine
-	// configuration, the only engine. Sharded callers must schedule
-	// node-local work on EngineFor(node) (or via Go) and drive the run
-	// with Cluster.Run, never E.Run.
-	E   *sim.Engine
 	Fab *fabric.Fabric
 	// IBFab is the InfiniBand network the verbs HCAs attach to — a
 	// second adapter per node, independent of the OmniPath fabric.
@@ -113,10 +109,10 @@ type Cluster struct {
 	// Set drives the sharded configuration (nil when Shards <= 1).
 	Set *sim.ShardSet
 	// machine is what runs and snapshots the whole cluster: Set when
-	// sharded, E otherwise. Chosen once, at construction.
+	// sharded, the one engine otherwise. Chosen once, at construction.
 	machine snapshot.Machine
 	// Per-shard engines and fabrics, indexed by shard; single-engine
-	// clusters hold one entry each, aliasing E/Fab/IBFab.
+	// clusters hold one entry each.
 	engines []*sim.Engine
 	fabs    []*fabric.Fabric
 	ibfabs  []*fabric.Fabric
@@ -173,17 +169,17 @@ func New(cfg Spec) (*Cluster, error) {
 		}
 	} else {
 		// Single-engine machine: one standalone engine, one fabric pair.
-		c.E = sim.NewEngine(cfg.Seed)
-		c.machine = c.E
-		c.Fab = fabric.New(c.E, c.Params)
-		c.IBFab = fabric.New(c.E, c.Params)
+		eng := sim.NewEngine(cfg.Seed)
+		c.machine = eng
+		c.Fab = fabric.New(eng, c.Params)
+		c.IBFab = fabric.New(eng, c.Params)
 		c.Fab.SetFaults(&c.Cfg.Faults)
 		c.Fab.SetCongestion(&c.Cfg.Congestion)
 		// Snapshot registration: the OmniPath fabric takes the bare
 		// label, the IB fabric the deterministic "#1" suffix.
-		c.E.RegisterState("fabric", c.Fab.EncodeState)
-		c.E.RegisterState("fabric", c.IBFab.EncodeState)
-		c.engines = []*sim.Engine{c.E}
+		eng.RegisterState("fabric", c.Fab.EncodeState)
+		eng.RegisterState("fabric", c.IBFab.EncodeState)
+		c.engines = []*sim.Engine{eng}
 		c.fabs = []*fabric.Fabric{c.Fab}
 		c.ibfabs = []*fabric.Fabric{c.IBFab}
 		c.shardOf = make([]int, cfg.Nodes)
@@ -223,7 +219,6 @@ func (c *Cluster) buildSharded() error {
 	c.Set = set
 	c.machine = set
 	c.engines = set.Engines()
-	c.E = c.engines[0]
 	// Contiguous block partition: shard i owns nodes [i*N/S, (i+1)*N/S).
 	c.shardOf = make([]int, cfg.Nodes)
 	for s := 0; s < cfg.Shards; s++ {
@@ -425,8 +420,8 @@ func (c *Cluster) buildNode(id int) (*Node, error) {
 // cluster).
 func (c *Cluster) Shards() int { return len(c.engines) }
 
-// Engines returns the per-shard engines in shard order; single-engine
-// clusters return [E].
+// Engines returns the per-shard engines in shard order, one on a
+// single-engine cluster.
 func (c *Cluster) Engines() []*sim.Engine { return c.engines }
 
 // ShardOf returns the shard owning the node.
@@ -443,8 +438,9 @@ func (c *Cluster) Go(node int, name string, fn func(p *sim.Proc)) *sim.Proc {
 }
 
 // Run drives the whole machine to completion (or to limit), regardless
-// of shard count. This is the only correct way to run a cluster; E.Run
-// would run shard 0 alone (and panics on a sharded cluster).
+// of shard count. This is the only correct way to run a cluster: an
+// engine's own Run drives that shard alone (and panics on a sharded
+// cluster).
 func (c *Cluster) Run(limit time.Duration) error { return c.machine.Run(limit) }
 
 // Now returns the machine's virtual time (the maximum shard clock).
@@ -452,7 +448,15 @@ func (c *Cluster) Now() time.Duration { return c.machine.Now() }
 
 // NewRendezvous creates an n-participant rendezvous spanning every
 // shard of the cluster.
-func (c *Cluster) NewRendezvous(n int) *sim.Rendezvous { return sim.NewRendezvous(c.E, n) }
+func (c *Cluster) NewRendezvous(n int) *sim.Rendezvous { return sim.NewRendezvous(c.engines[0], n) }
+
+// SetRecorder attaches a span recorder to every shard's engine (nil
+// turns tracing off).
+func (c *Cluster) SetRecorder(rec *trace.Recorder) {
+	for _, e := range c.engines {
+		e.SetRecorder(rec)
+	}
+}
 
 // Machine returns the cluster's snapshot surface: the shard set on a
 // sharded cluster, the standalone engine otherwise. Checkpoint and

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -11,9 +12,9 @@ import (
 	"repro/internal/sim"
 )
 
-// buildPair boots a 2-node cluster with one rank per node and returns
-// the engine, endpoints and a completion latch. The body function runs
-// inside each rank's process after both endpoints exist.
+// runPair boots a 2-node cluster with one rank per node, runs body
+// inside each rank's process after both endpoints exist, and returns
+// the finished cluster.
 func runPair(t *testing.T, os OSType, synthetic bool,
 	body func(p *sim.Proc, rank int, ep *psm.Endpoint)) *Cluster {
 	t.Helper()
@@ -21,29 +22,15 @@ func runPair(t *testing.T, os OSType, synthetic bool,
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps := make([]*psm.Endpoint, 2)
-	book := psm.MapBook{}
-	ready := sim.NewWaitGroup(c.E)
-	ready.Add(2)
-	for r := 0; r < 2; r++ {
-		r := r
-		osops := c.Nodes[r].NewRankOS(r)
-		c.E.Go(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			ep, err := psm.NewEndpoint(p, osops, r, book, synthetic)
-			if err != nil {
-				t.Errorf("rank %d endpoint: %v", r, err)
-				ready.Done()
-				return
-			}
-			eps[r] = ep
-			book[r] = psm.Addr{Node: osops.NodeID(), Ctx: ep.CtxID}
-			ready.Done()
-			ready.Wait(p)
-			body(p, r, ep)
-		})
-	}
-	if err := c.E.Run(0); err != nil {
+	ranks := c.StartRanks("rank", []int{0, 1}, synthetic, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
+		body(p, r, ep)
+		return nil
+	})
+	if err := c.Run(0); err != nil {
 		t.Fatalf("%v: %v", os, err)
+	}
+	if err := ranks.Err(); err != nil {
+		t.Errorf("%v: %v", os, err)
 	}
 	return c
 }
@@ -149,64 +136,42 @@ func TestIntraNodeMessaging(t *testing.T) {
 		t.Fatal(err)
 	}
 	const size = 100 << 10
-	eps := make([]*psm.Endpoint, 2)
-	book := psm.MapBook{}
-	ready := sim.NewWaitGroup(c.E)
-	ready.Add(2)
 	ok := false
-	for r := 0; r < 2; r++ {
-		r := r
-		osops := c.Nodes[0].NewRankOS(r)
-		c.E.Go(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			ep, err := psm.NewEndpoint(p, osops, r, book, false)
-			if err != nil {
-				t.Error(err)
-				ready.Done()
-				return
+	ranks := c.StartRanks("rank", []int{0, 0}, false, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
+		buf, err := ep.OS.MmapAnon(p, size)
+		if err != nil {
+			return err
+		}
+		if r == 0 {
+			if err := ep.OS.Proc().WriteAt(buf, pattern(size, 5)); err != nil {
+				return err
 			}
-			eps[r] = ep
-			book[r] = psm.Addr{Node: 0, Ctx: ep.CtxID}
-			ready.Done()
-			ready.Wait(p)
-			buf, err := ep.OS.MmapAnon(p, size)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if r == 0 {
-				if err := ep.OS.Proc().WriteAt(buf, pattern(size, 5)); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := ep.Send(p, 1, 1, buf, size); err != nil {
-					t.Error(err)
-				}
-			} else {
-				if err := ep.Recv(p, 0, 1, buf, size); err != nil {
-					t.Error(err)
-					return
-				}
-				got := make([]byte, size)
-				if err := ep.OS.Proc().ReadAt(buf, got); err != nil {
-					t.Error(err)
-					return
-				}
-				if !bytes.Equal(got, pattern(size, 5)) {
-					t.Error("local payload corrupted")
-					return
-				}
-				ok = true
-			}
-		})
+			return ep.Send(p, 1, 1, buf, size)
+		}
+		if err := ep.Recv(p, 0, 1, buf, size); err != nil {
+			return err
+		}
+		got := make([]byte, size)
+		if err := ep.OS.Proc().ReadAt(buf, got); err != nil {
+			return err
+		}
+		if !bytes.Equal(got, pattern(size, 5)) {
+			return errors.New("local payload corrupted")
+		}
+		ok = true
+		return nil
+	})
+	if err := c.Run(0); err != nil {
+		t.Fatal(err)
 	}
-	if err := c.E.Run(0); err != nil {
+	if err := ranks.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
 		t.Fatal("local message not verified")
 	}
-	if eps[0].Stats.SendsLocal != 1 {
-		t.Fatalf("local path not used: %+v", eps[0].Stats)
+	if st := ranks.Endpoints()[0].Stats; st.SendsLocal != 1 {
+		t.Fatalf("local path not used: %+v", st)
 	}
 }
 

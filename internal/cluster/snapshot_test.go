@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -27,59 +26,28 @@ func startPair(t *testing.T, os OSType, size uint64) *Cluster {
 }
 
 // startPairOn spawns the ping-pong ranks onto an existing cluster.
-// Failures are reported with t.Error only (goroutine-safe).
+// Failures are reported when a rank ends, with t.Error only
+// (goroutine-safe).
 func startPairOn(t *testing.T, c *Cluster, size uint64) {
-	book := psm.MapBook{}
-	ready := sim.NewWaitGroup(c.E)
-	ready.Add(2)
-	for r := 0; r < 2; r++ {
-		r := r
-		osops := c.Nodes[r].NewRankOS(r)
-		c.E.Go(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			ep, err := psm.NewEndpoint(p, osops, r, book, true)
-			if err != nil {
-				t.Errorf("rank %d endpoint: %v", r, err)
-				ready.Done()
-				return
-			}
-			book[r] = psm.Addr{Node: osops.NodeID(), Ctx: ep.CtxID}
-			ready.Done()
-			ready.Wait(p)
-			buf, err := ep.OS.MmapAnon(p, size)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if r == 0 {
-				if err := ep.Send(p, 1, 77, buf, size); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := ep.Recv(p, 1, 78, buf, size); err != nil {
-					t.Error(err)
-				}
-			} else {
-				if err := ep.Recv(p, 0, 77, buf, size); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := ep.Send(p, 0, 78, buf, size); err != nil {
-					t.Error(err)
-				}
-			}
-		})
-	}
+	body := pingPong(1, size)
+	c.StartRanks("rank", []int{0, 1}, true, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
+		err := body(p, r, ep)
+		if err != nil {
+			t.Errorf("rank %d: %v", r, err)
+		}
+		return err
+	})
 }
 
 // snapAt builds the pair workload, runs to at, and snapshots.
 func snapAt(t *testing.T, os OSType, size uint64, at time.Duration) []byte {
 	t.Helper()
 	c := startPair(t, os, size)
-	if err := c.E.Run(at); err != nil {
+	if err := c.Run(at); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := c.E.Snapshot(&buf); err != nil {
+	if err := c.Machine().Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -89,10 +57,10 @@ func snapAt(t *testing.T, os OSType, size uint64, at time.Duration) []byte {
 func totalTime(t *testing.T, os OSType, size uint64) time.Duration {
 	t.Helper()
 	c := startPair(t, os, size)
-	if err := c.E.Run(0); err != nil {
+	if err := c.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	return c.E.Now()
+	return c.Now()
 }
 
 // TestSnapshotDeterminism: identically seeded clusters snapshotted at
@@ -113,14 +81,14 @@ func TestSnapshotDeterminism(t *testing.T) {
 			}
 
 			c := startPair(t, os, size)
-			if err := c.E.Run(mid); err != nil {
+			if err := c.Run(mid); err != nil {
 				t.Fatal(err)
 			}
 			var s1, s2 bytes.Buffer
-			if err := c.E.Snapshot(&s1); err != nil {
+			if err := c.Machine().Snapshot(&s1); err != nil {
 				t.Fatal(err)
 			}
-			if err := c.E.Snapshot(&s2); err != nil {
+			if err := c.Machine().Snapshot(&s2); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(s1.Bytes(), s2.Bytes()) {
@@ -171,18 +139,18 @@ func TestSnapshotRestore(t *testing.T) {
 			snap := snapAt(t, os, size, mid)
 
 			fresh := startPair(t, os, size)
-			now, err := snapshot.Restore(snap, fresh.E)
+			now, err := snapshot.Restore(snap, fresh.Machine())
 			if err != nil {
 				t.Fatalf("restore: %v", err)
 			}
 			if now != mid {
 				t.Fatalf("restored to %v, want %v", now, mid)
 			}
-			if err := fresh.E.Run(0); err != nil {
+			if err := fresh.Run(0); err != nil {
 				t.Fatal(err)
 			}
-			if fresh.E.Now() != total {
-				t.Fatalf("restored run finished at %v, straight run at %v", fresh.E.Now(), total)
+			if fresh.Now() != total {
+				t.Fatalf("restored run finished at %v, straight run at %v", fresh.Now(), total)
 			}
 		})
 	}
@@ -200,7 +168,7 @@ func TestSnapshotRestoreDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snapshot.Restore(snap, c.E); err == nil {
+	if _, err := snapshot.Restore(snap, c.Machine()); err == nil {
 		t.Fatal("restore into a differently seeded simulation succeeded")
 	}
 }
@@ -227,12 +195,12 @@ func TestConcurrentEngineIsolation(t *testing.T) {
 				return
 			}
 			startPairOn(t, c, size)
-			if err := c.E.Run(mid); err != nil {
+			if err := c.Run(mid); err != nil {
 				errs[i] = err
 				return
 			}
 			var buf bytes.Buffer
-			if err := c.E.Snapshot(&buf); err != nil {
+			if err := c.Machine().Snapshot(&buf); err != nil {
 				errs[i] = err
 				return
 			}
@@ -262,20 +230,20 @@ func TestSnapshotRestoredRngSequence(t *testing.T) {
 
 	// Straight run: advance to mid, then draw.
 	straight := startPair(t, OSLinux, size)
-	if err := straight.E.Run(mid); err != nil {
+	if err := straight.Run(mid); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]int64, 8)
 	for i := range want {
-		want[i] = straight.E.Rng().Int63n(1 << 30)
+		want[i] = straight.EngineFor(0).Rng().Int63n(1 << 30)
 	}
 
 	restored := startPair(t, OSLinux, size)
-	if _, err := snapshot.Restore(snap, restored.E); err != nil {
+	if _, err := snapshot.Restore(snap, restored.Machine()); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
-		if got := restored.E.Rng().Int63n(1 << 30); got != want[i] {
+		if got := restored.EngineFor(0).Rng().Int63n(1 << 30); got != want[i] {
 			t.Fatalf("draw %d: restored %d, straight %d", i, got, want[i])
 		}
 	}

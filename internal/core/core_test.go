@@ -14,7 +14,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/psm"
 	"repro/internal/sim"
-	"repro/internal/uproc"
 )
 
 // TestLinuxDriverIsUnmodified enforces the paper's headline claim
@@ -254,54 +253,36 @@ func TestPicoFallbackForUnpinnedBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fellBack bool
-	eps := make([]*psm.Endpoint, 2)
-	book := psm.MapBook{}
-	ready := sim.NewWaitGroup(cl.E)
-	ready.Add(2)
-	for r := 0; r < 2; r++ {
-		r := r
-		osops := cl.Nodes[r].NewRankOS(r)
-		cl.E.Go("rank", func(p *sim.Proc) {
-			ep, err := psm.NewEndpoint(p, osops, r, book, true)
+	ranks := cl.StartRanks("rank", []int{0, 1}, true, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
+		if r != 0 {
+			// Receiver posts a matching receive into a regular
+			// (pinned) buffer.
+			buf, err := ep.OS.MmapAnon(p, 128<<10)
 			if err != nil {
-				t.Error(err)
-				ready.Done()
-				return
+				return err
 			}
-			eps[r] = ep
-			book[r] = psm.Addr{Node: osops.NodeID(), Ctx: ep.CtxID}
-			ready.Done()
-			ready.Wait(p)
-			if r != 0 {
-				// Receiver posts a matching receive into a regular
-				// (pinned) buffer.
-				buf, _ := osops.MmapAnon(p, 128<<10)
-				if err := ep.Recv(p, 0, 9, buf, 128<<10); err != nil {
-					t.Error(err)
-				}
-				return
-			}
-			// Sender uses its *device mapping* as the source buffer: not
-			// a pinned anonymous VMA, so the fast path must bail out.
-			var va uproc.VirtAddr
-			h, err := osops.Open(p, psm.DevicePath)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			va, err = osops.MmapDevice(p, h, hfi.MmapEager, 0)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := ep.Send(p, 1, 9, va, 128<<10); err != nil {
-				t.Error(err)
-				return
-			}
-			fellBack = cl.Nodes[0].Pico.FallbackCalls > 0
-		})
+			return ep.Recv(p, 0, 9, buf, 128<<10)
+		}
+		// Sender uses its *device mapping* as the source buffer: not
+		// a pinned anonymous VMA, so the fast path must bail out.
+		h, err := ep.OS.Open(p, psm.DevicePath)
+		if err != nil {
+			return err
+		}
+		va, err := ep.OS.MmapDevice(p, h, hfi.MmapEager, 0)
+		if err != nil {
+			return err
+		}
+		if err := ep.Send(p, 1, 9, va, 128<<10); err != nil {
+			return err
+		}
+		fellBack = cl.Nodes[0].Pico.FallbackCalls > 0
+		return nil
+	})
+	if err := cl.Run(0); err != nil {
+		t.Fatal(err)
 	}
-	if err := cl.E.Run(0); err != nil {
+	if err := ranks.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if !fellBack {

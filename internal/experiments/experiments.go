@@ -290,11 +290,11 @@ func pingPongRec(cfg Config, os cluster.OSType, size uint64, reps int, seed int6
 // write into. Splitting construction from execution is what lets
 // checkpoint/resume interpose on the engine between the two.
 type ppCell struct {
-	cl     *cluster.Cluster
-	reps   int
-	total  time.Duration
-	hist   *trace.Histogram
-	runErr error
+	cl    *cluster.Cluster
+	ranks *cluster.Ranks
+	reps  int
+	total time.Duration
+	hist  *trace.Histogram
 }
 
 // buildPingPong constructs the cell and spawns the ranks; the engine
@@ -308,105 +308,61 @@ func buildPingPong(cfg Config, os cluster.OSType, size uint64, reps int, seed in
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range cl.Engines() {
-		e.SetRecorder(rec)
-	}
+	cl.SetRecorder(rec)
 	c := &ppCell{cl: cl, reps: reps, hist: &trace.Histogram{}}
-	eps := make([]*psm.Endpoint, 2)
-	book := psm.MapBook{}
-	// Rank r lives on node r's engine (cl.Go), and the address-book
-	// exchange is a cross-shard rendezvous; on a single-engine cluster
-	// it wakes its waiters the way a WaitGroup would.
-	ready := cl.NewRendezvous(2)
-	idle := new(int)
-	for r := 0; r < 2; r++ {
-		r := r
-		osops := cl.Nodes[r].NewRankOS(r)
-		cl.Go(r, fmt.Sprintf("pp%d", r), func(p *sim.Proc) {
-			ep, err := psm.NewEndpoint(p, osops, r, book, !lossy)
-			if err != nil {
-				c.runErr = err
-				ready.Done(p)
-				return
+	c.ranks = cl.StartRanks("pp", []int{0, 1}, !lossy, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
+		buf, err := ep.OS.MmapAnon(p, size)
+		if err != nil {
+			return err
+		}
+		// On a lossy fabric rank 0 seeds a reference pattern and
+		// checks that every bounce returns it intact: the reliability
+		// layer must recover loss, never rewrite bytes.
+		if lossy && r == 0 {
+			if err := ep.OS.Proc().WriteAt(buf, relPattern(uint64(seed), size)); err != nil {
+				return err
 			}
-			eps[r] = ep
-			book[r] = psm.Addr{Node: osops.NodeID(), Ctx: ep.CtxID}
-			ready.Done(p)
-			ready.Wait(p)
-			buf, err := osops.MmapAnon(p, size)
-			if err != nil {
-				c.runErr = err
-				return
-			}
-			// On a lossy fabric rank 0 seeds a reference pattern and
-			// checks that every bounce returns it intact: the reliability
-			// layer must recover loss, never rewrite bytes.
-			if lossy && r == 0 {
-				if err := ep.OS.Proc().WriteAt(buf, relPattern(uint64(seed), size)); err != nil {
-					c.runErr = err
-					return
+		}
+		// Warmup round, then timed rounds.
+		for i := 0; i <= reps; i++ {
+			tag := uint64(10 + i)
+			var start time.Duration
+			if r == 0 {
+				start = p.Now()
+				if err := ep.Send(p, 1, tag, buf, size); err != nil {
+					return err
 				}
-			}
-			// Warmup round, then timed rounds.
-			for i := 0; i <= reps; i++ {
-				tag := uint64(10 + i)
-				var start time.Duration
-				if r == 0 {
-					start = p.Now()
-					if err := ep.Send(p, 1, tag, buf, size); err != nil {
-						c.runErr = err
-						return
+				if err := ep.Recv(p, 1, tag, buf, size); err != nil {
+					return err
+				}
+				if lossy {
+					got := make([]byte, size)
+					if err := ep.OS.Proc().ReadAt(buf, got); err != nil {
+						return err
 					}
-					if err := ep.Recv(p, 1, tag, buf, size); err != nil {
-						c.runErr = err
-						return
-					}
-					if lossy {
-						got := make([]byte, size)
-						if err := ep.OS.Proc().ReadAt(buf, got); err != nil {
-							c.runErr = err
-							return
-						}
-						if !bytes.Equal(got, relPattern(uint64(seed), size)) {
-							c.runErr = fmt.Errorf("pingpong: bounce %d corrupted the payload (size %d, %s)", i, size, os)
-							return
-						}
-					}
-					if i > 0 {
-						rtt := p.Now() - start
-						c.total += rtt
-						c.hist.Observe(rtt / 2)
-					}
-				} else {
-					if err := ep.Recv(p, 0, tag, buf, size); err != nil {
-						c.runErr = err
-						return
-					}
-					if err := ep.Send(p, 0, tag, buf, size); err != nil {
-						c.runErr = err
-						return
+					if !bytes.Equal(got, relPattern(uint64(seed), size)) {
+						return fmt.Errorf("pingpong: bounce %d corrupted the payload (size %d, %s)", i, size, os)
 					}
 				}
-			}
-			if lossy {
-				if err := ep.Quiesce(p); err != nil {
-					c.runErr = err
-					return
+				if i > 0 {
+					rtt := p.Now() - start
+					c.total += rtt
+					c.hist.Observe(rtt / 2)
 				}
-				// Stay alive until the peer has drained too: a quiesced
-				// rank still re-ACKs duplicate arrivals, and the peer's
-				// final ACK may have been the packet that was dropped.
-				*idle++
-				for *idle < 2 {
-					if _, err := ep.Progress(p); err != nil {
-						c.runErr = err
-						return
-					}
-					p.Sleep(time.Microsecond)
+			} else {
+				if err := ep.Recv(p, 0, tag, buf, size); err != nil {
+					return err
+				}
+				if err := ep.Send(p, 0, tag, buf, size); err != nil {
+					return err
 				}
 			}
-		})
-	}
+		}
+		if lossy {
+			return c.ranks.Drain(p, ep)
+		}
+		return nil
+	})
 	return c, nil
 }
 
@@ -415,8 +371,8 @@ func (c *ppCell) finish() (ppResult, error) {
 	if err := c.cl.Run(0); err != nil {
 		return ppResult{}, err
 	}
-	if c.runErr != nil {
-		return ppResult{}, c.runErr
+	if err := c.ranks.Err(); err != nil {
+		return ppResult{}, err
 	}
 	return ppResult{mean: c.total / time.Duration(2*c.reps), hist: c.hist}, nil
 }
@@ -514,9 +470,7 @@ func TracedRun(cfg Config, appName string, nodes, rpn int, os cluster.OSType) (*
 	if rec == nil {
 		rec = trace.NewRecorder()
 	}
-	for _, e := range cl.Engines() {
-		e.SetRecorder(rec)
-	}
+	cl.SetRecorder(rec)
 	res, err := mpi.RunJob(cl, rpn, func(c *mpi.Comm) error { return app.Body(c, app) })
 	if err != nil {
 		return nil, nil, err

@@ -112,94 +112,56 @@ func failoverCell(cfg Config, os cluster.OSType, msgs int, size uint64, seed int
 	if err != nil {
 		return FailoverRow{}, err
 	}
-	if rec != nil {
-		cl.E.SetRecorder(rec)
-	}
-	var runErr error
+	cl.SetRecorder(rec)
 	completions := make([]time.Duration, 0, msgs)
 	var streamStart time.Duration
-	eps := make([]*psm.Endpoint, 2)
-	book := psm.MapBook{}
-	ready := sim.NewWaitGroup(cl.E)
-	ready.Add(2)
-	idle := new(int)
-	for r := 0; r < 2; r++ {
-		r := r
-		osops := cl.Nodes[r].NewRankOS(r)
-		cl.E.Go(fmt.Sprintf("fo%d", r), func(p *sim.Proc) {
-			ep, err := psm.NewEndpoint(p, osops, r, book, false)
-			if err != nil {
-				runErr = err
-				ready.Done()
-				return
-			}
-			eps[r] = ep
-			book[r] = psm.Addr{Node: osops.NodeID(), Ctx: ep.CtxID}
-			ready.Done()
-			ready.Wait(p)
-			proc := ep.OS.Proc()
-			buf, err := osops.MmapAnon(p, size)
-			if err != nil {
-				runErr = err
-				return
-			}
-			if r == 0 {
-				streamStart = p.Now()
-				for i := 0; i < msgs; i++ {
-					tag := uint64(10 + i)
-					if err := proc.WriteAt(buf, relPattern(tag, size)); err != nil {
-						runErr = err
-						return
-					}
-					if err := ep.Send(p, 1, tag, buf, size); err != nil {
-						runErr = fmt.Errorf("failover: send %d on %s: %w", i, os, err)
-						return
-					}
-					completions = append(completions, p.Now())
-					// Pacing keeps the stream alive past the outage and the
-					// probe-driven fall back to rail 0.
-					p.Sleep(10 * time.Microsecond)
+	var ranks *cluster.Ranks
+	ranks = cl.StartRanks("fo", []int{0, 1}, false, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
+		proc := ep.OS.Proc()
+		buf, err := ep.OS.MmapAnon(p, size)
+		if err != nil {
+			return err
+		}
+		if r == 0 {
+			streamStart = p.Now()
+			for i := 0; i < msgs; i++ {
+				tag := uint64(10 + i)
+				if err := proc.WriteAt(buf, relPattern(tag, size)); err != nil {
+					return err
 				}
-			} else {
-				for i := 0; i < msgs; i++ {
-					tag := uint64(10 + i)
-					if err := ep.Recv(p, 0, tag, buf, size); err != nil {
-						runErr = fmt.Errorf("failover: recv %d on %s: %w", i, os, err)
-						return
-					}
-					got := make([]byte, size)
-					if err := proc.ReadAt(buf, got); err != nil {
-						runErr = err
-						return
-					}
-					if !bytes.Equal(got, relPattern(tag, size)) {
-						runErr = fmt.Errorf("failover: payload mismatch at msg %d on %s", i, os)
-						return
-					}
+				if err := ep.Send(p, 1, tag, buf, size); err != nil {
+					return fmt.Errorf("failover: send %d on %s: %w", i, os, err)
+				}
+				completions = append(completions, p.Now())
+				// Pacing keeps the stream alive past the outage and the
+				// probe-driven fall back to rail 0.
+				p.Sleep(10 * time.Microsecond)
+			}
+		} else {
+			for i := 0; i < msgs; i++ {
+				tag := uint64(10 + i)
+				if err := ep.Recv(p, 0, tag, buf, size); err != nil {
+					return fmt.Errorf("failover: recv %d on %s: %w", i, os, err)
+				}
+				got := make([]byte, size)
+				if err := proc.ReadAt(buf, got); err != nil {
+					return err
+				}
+				if !bytes.Equal(got, relPattern(tag, size)) {
+					return fmt.Errorf("failover: payload mismatch at msg %d on %s", i, os)
 				}
 			}
-			if err := ep.Quiesce(p); err != nil {
-				runErr = err
-				return
-			}
-			*idle++
-			for *idle < 2 {
-				if _, err := ep.Progress(p); err != nil {
-					runErr = err
-					return
-				}
-				p.Sleep(time.Microsecond)
-			}
-		})
-	}
+		}
+		return ranks.Drain(p, ep)
+	})
 	if err := cl.Run(0); err != nil {
 		return FailoverRow{}, err
 	}
-	if runErr != nil {
-		return FailoverRow{}, runErr
+	if err := ranks.Err(); err != nil {
+		return FailoverRow{}, err
 	}
 	row := FailoverRow{OS: osName(os), Msgs: msgs, Size: size}
-	fs := eps[0].FailoverStats
+	fs := ranks.Endpoints()[0].FailoverStats
 	row.Failovers, row.RailSwitches = fs.Failovers, fs.RailSwitches
 	row.Fallbacks, row.Freezes = fs.Fallbacks, fs.Freezes
 	if row.Failovers == 0 || row.RailSwitches == 0 {

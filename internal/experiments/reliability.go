@@ -131,108 +131,67 @@ func reliabilityCell(cfg Config, os cluster.OSType, loss float64, size uint64, r
 		return relCell{}, err
 	}
 	hist := &trace.Histogram{}
-	var runErr error
-	eps := make([]*psm.Endpoint, 2)
-	book := psm.MapBook{}
-	ready := sim.NewWaitGroup(cl.E)
-	ready.Add(2)
-	idle := new(int)
-	for r := 0; r < 2; r++ {
-		r := r
-		osops := cl.Nodes[r].NewRankOS(r)
-		cl.E.Go(fmt.Sprintf("rel%d", r), func(p *sim.Proc) {
-			ep, err := psm.NewEndpoint(p, osops, r, book, false)
-			if err != nil {
-				runErr = err
-				ready.Done()
-				return
+	var ranks *cluster.Ranks
+	ranks = cl.StartRanks("rel", []int{0, 1}, false, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
+		proc := ep.OS.Proc()
+		buf, err := ep.OS.MmapAnon(p, size)
+		if err != nil {
+			return err
+		}
+		verify := func(tag uint64) error {
+			got := make([]byte, size)
+			if err := proc.ReadAt(buf, got); err != nil {
+				return err
 			}
-			eps[r] = ep
-			book[r] = psm.Addr{Node: osops.NodeID(), Ctx: ep.CtxID}
-			ready.Done()
-			ready.Wait(p)
-			proc := ep.OS.Proc()
-			buf, err := osops.MmapAnon(p, size)
-			if err != nil {
-				runErr = err
-				return
+			if !bytes.Equal(got, relPattern(tag, size)) {
+				return fmt.Errorf("reliability: payload mismatch at loss=%g size=%d tag=%d on %s",
+					loss, size, tag, os)
 			}
-			verify := func(tag uint64) error {
-				got := make([]byte, size)
-				if err := proc.ReadAt(buf, got); err != nil {
+			return nil
+		}
+		// Warmup round, then timed rounds; both directions carry the
+		// reference pattern and are verified on arrival.
+		for i := 0; i <= reps; i++ {
+			tag := uint64(10 + i)
+			if r == 0 {
+				if err := proc.WriteAt(buf, relPattern(tag, size)); err != nil {
 					return err
 				}
-				if !bytes.Equal(got, relPattern(tag, size)) {
-					return fmt.Errorf("reliability: payload mismatch at loss=%g size=%d tag=%d on %s",
-						loss, size, tag, os)
+				start := p.Now()
+				if err := ep.Send(p, 1, tag, buf, size); err != nil {
+					return err
 				}
-				return nil
-			}
-			// Warmup round, then timed rounds; both directions carry the
-			// reference pattern and are verified on arrival.
-			for i := 0; i <= reps; i++ {
-				tag := uint64(10 + i)
-				if r == 0 {
-					if err := proc.WriteAt(buf, relPattern(tag, size)); err != nil {
-						runErr = err
-						return
-					}
-					start := p.Now()
-					if err := ep.Send(p, 1, tag, buf, size); err != nil {
-						runErr = err
-						return
-					}
-					if err := ep.Recv(p, 1, tag, buf, size); err != nil {
-						runErr = err
-						return
-					}
-					if err := verify(tag); err != nil {
-						runErr = err
-						return
-					}
-					if i > 0 {
-						hist.Observe((p.Now() - start) / 2)
-					}
-				} else {
-					if err := ep.Recv(p, 0, tag, buf, size); err != nil {
-						runErr = err
-						return
-					}
-					if err := verify(tag); err != nil {
-						runErr = err
-						return
-					}
-					if err := ep.Send(p, 0, tag, buf, size); err != nil {
-						runErr = err
-						return
-					}
+				if err := ep.Recv(p, 1, tag, buf, size); err != nil {
+					return err
+				}
+				if err := verify(tag); err != nil {
+					return err
+				}
+				if i > 0 {
+					hist.Observe((p.Now() - start) / 2)
+				}
+			} else {
+				if err := ep.Recv(p, 0, tag, buf, size); err != nil {
+					return err
+				}
+				if err := verify(tag); err != nil {
+					return err
+				}
+				if err := ep.Send(p, 0, tag, buf, size); err != nil {
+					return err
 				}
 			}
-			if err := ep.Quiesce(p); err != nil {
-				runErr = err
-				return
-			}
-			// Stay alive until the peer has drained too: a quiesced rank
-			// still re-ACKs duplicate arrivals, and the peer's final ACK
-			// may have been the packet that was dropped.
-			*idle++
-			for *idle < 2 {
-				if _, err := ep.Progress(p); err != nil {
-					runErr = err
-					return
-				}
-				p.Sleep(time.Microsecond)
-			}
-		})
-	}
+		}
+		return ranks.Drain(p, ep)
+	})
 	if err := cl.Run(0); err != nil {
 		return relCell{}, err
 	}
-	if runErr != nil {
-		return relCell{}, runErr
+	if err := ranks.Err(); err != nil {
+		return relCell{}, err
 	}
 	cell := relCell{hist: hist, reps: reps}
-	for _, ep := range eps {
+	for _, ep := range ranks.Endpoints() {
 		cell.retrans += ep.Stats.Retransmits + ep.Stats.MsgResends
 	}
 	// Sanity-couple the recovery counters to the injected faults: a

@@ -261,9 +261,7 @@ func tenancyCell(cfg Config, os cluster.OSType, scen string, seed int64, rec *tr
 	if err != nil {
 		return TenancyRow{}, err
 	}
-	if rec != nil {
-		cl.E.SetRecorder(rec)
-	}
+	cl.SetRecorder(rec)
 	s := sched.New(cl)
 	hist := &trace.Histogram{}
 

@@ -91,7 +91,7 @@ func verbsCellRun(cfg Config, os cluster.OSType, size uint64, reps int, seed int
 	}
 	var cell verbsCell
 	var runErr error
-	cl.E.Go("verbs-cell", func(p *sim.Proc) {
+	cl.Go(0, "verbs-cell", func(p *sim.Proc) {
 		cell, runErr = verbsCellBody(p, cl, size, reps)
 	})
 	if err := cl.Run(0); err != nil {

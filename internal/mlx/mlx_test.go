@@ -60,7 +60,7 @@ func (r *rig) regDereg(t *testing.T, size uint64) (lat time.Duration, mttEntries
 	t.Helper()
 	n := r.cl.Nodes[0]
 	proc := n.Mck.NewProcess("verbs-app")
-	r.cl.E.Go("app", func(p *sim.Proc) {
+	r.cl.Go(0, "app", func(p *sim.Proc) {
 		ctx := &kernel.Ctx{P: p, CPU: n.AppCPUs()[0]}
 		f, err := n.Mck.Open(ctx, proc, mlx.DevicePath)
 		if err != nil {
@@ -127,7 +127,7 @@ func (r *rig) regDereg(t *testing.T, size uint64) (lat time.Duration, mttEntries
 			t.Errorf("mr_count after dereg = %d", count)
 		}
 	})
-	if err := r.cl.E.Run(0); err != nil {
+	if err := r.cl.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	return lat, mttEntries
@@ -186,7 +186,7 @@ func TestMTTEntriesReflectBacking(t *testing.T) {
 	}
 	const size = 1 << 20
 	mck := n.Mck.NewProcess("a")
-	cl.E.Go("t", func(p *sim.Proc) {
+	cl.Go(0, "t", func(p *sim.Proc) {
 		ctx := &kernel.Ctx{P: p, CPU: n.Lin.Pool.CPUs()[0]}
 		buf, err := mck.MmapAnon(size)
 		if err != nil {
@@ -225,7 +225,7 @@ func TestMTTEntriesReflectBacking(t *testing.T) {
 			t.Errorf("MTT entry = pa %#x bytes %d present %v", pa, bytes, present)
 		}
 	})
-	if err := cl.E.Run(0); err != nil {
+	if err := cl.Run(0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -237,7 +237,7 @@ func TestPicoFallbacks(t *testing.T) {
 	pico := r.attachPico(t)
 	n := r.cl.Nodes[0]
 	proc := n.Mck.NewProcess("app")
-	r.cl.E.Go("t", func(p *sim.Proc) {
+	r.cl.Go(0, "t", func(p *sim.Proc) {
 		ctx := &kernel.Ctx{P: p, CPU: n.AppCPUs()[0]}
 		f, err := n.Mck.Open(ctx, proc, mlx.DevicePath)
 		if err != nil {
@@ -259,7 +259,7 @@ func TestPicoFallbacks(t *testing.T) {
 			t.Errorf("query = %d, %v", v, err)
 		}
 	})
-	if err := r.cl.E.Run(0); err != nil {
+	if err := r.cl.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if pico.FastRegs != 0 {
@@ -279,7 +279,7 @@ func TestMixedOwnershipDereg(t *testing.T) {
 	proc := n.Mck.NewProcess("app")
 	var lkey uint32
 	// Phase 1: register via offload (no fast path yet).
-	r.cl.E.Go("reg", func(p *sim.Proc) {
+	r.cl.Go(0, "reg", func(p *sim.Proc) {
 		ctx := &kernel.Ctx{P: p, CPU: n.AppCPUs()[0]}
 		f, err := n.Mck.Open(ctx, proc, mlx.DevicePath)
 		if err != nil {
@@ -323,7 +323,7 @@ func TestMixedOwnershipDereg(t *testing.T) {
 			t.Error("foreign-lkey dereg did not fall back to Linux")
 		}
 	})
-	if err := r.cl.E.Run(0); err != nil {
+	if err := r.cl.Run(0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -333,7 +333,7 @@ func TestDeregUnknownLKey(t *testing.T) {
 	r := newRig(t)
 	n := r.cl.Nodes[0]
 	proc := n.Mck.NewProcess("app")
-	r.cl.E.Go("t", func(p *sim.Proc) {
+	r.cl.Go(0, "t", func(p *sim.Proc) {
 		ctx := &kernel.Ctx{P: p, CPU: n.AppCPUs()[0]}
 		f, err := n.Mck.Open(ctx, proc, mlx.DevicePath)
 		if err != nil {
@@ -349,7 +349,7 @@ func TestDeregUnknownLKey(t *testing.T) {
 			t.Error("unknown lkey accepted")
 		}
 	})
-	if err := r.cl.E.Run(0); err != nil {
+	if err := r.cl.Run(0); err != nil {
 		t.Fatal(err)
 	}
 }

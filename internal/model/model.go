@@ -45,8 +45,6 @@ type Params struct {
 	// IRQHandlerCost is the handler's base cost per completion IRQ,
 	// spent on a Linux CPU.
 	IRQHandlerCost time.Duration
-	// IRQCoalesce is the window within which completions share an IRQ.
-	IRQCoalesce time.Duration
 	// LinkJitter, when positive, adds a deterministic pseudo-random
 	// delivery delay in [0, LinkJitter) to every packet, drawn from the
 	// engine's seeded RNG. Ordering between any two nodes stays FIFO
@@ -125,8 +123,6 @@ type Params struct {
 	TIDMaxEntryBytes uint64
 	// TIDProgramCost is the driver cost to program one RcvArray entry.
 	TIDProgramCost time.Duration
-	// TIDMaxEntries is the per-ioctl entry limit.
-	TIDMaxEntries int
 
 	// ---- RDMA verbs (mlx data path) ----
 
@@ -238,7 +234,6 @@ func Default() Params {
 		RcvPacketCost:       25 * time.Nanosecond,
 		IRQLatency:          600 * time.Nanosecond,
 		IRQHandlerCost:      900 * time.Nanosecond,
-		IRQCoalesce:         4 * time.Microsecond,
 
 		PIOBandwidth:  3.2e9,
 		PIOPerMessage: 350 * time.Nanosecond,
@@ -257,7 +252,6 @@ func Default() Params {
 
 		TIDMaxEntryBytes: 256 << 10,
 		TIDProgramCost:   20 * time.Nanosecond,
-		TIDMaxEntries:    2048,
 
 		VerbsMTU:       4096,
 		VerbsDoorbell:  100 * time.Nanosecond,

@@ -2,7 +2,6 @@ package psm_test
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -12,40 +11,32 @@ import (
 	"repro/internal/uproc"
 )
 
-// pair boots a 2-node, 1-rank-per-node cluster and runs body on both
-// ranks once the endpoints exist.
-func pair(t *testing.T, synthetic bool, body func(p *sim.Proc, rank int, ep *psm.Endpoint)) []*psm.Endpoint {
+// runPair boots the 2-node, 1-rank-per-node Linux cluster spec describes
+// (seed 21) and runs body on both ranks once the endpoints exist.
+func runPair(t *testing.T, spec cluster.Spec, body func(p *sim.Proc, rank int, ep *psm.Endpoint)) (*cluster.Cluster, []*psm.Endpoint) {
 	t.Helper()
-	cl, err := cluster.New(cluster.Spec{
-		Nodes: 2, OS: cluster.OSLinux, Params: model.Default(), Seed: 21, Synthetic: synthetic,
-	})
+	spec.Nodes, spec.OS, spec.Seed = 2, cluster.OSLinux, 21
+	cl, err := cluster.New(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps := make([]*psm.Endpoint, 2)
-	book := psm.MapBook{}
-	ready := sim.NewWaitGroup(cl.E)
-	ready.Add(2)
-	for r := 0; r < 2; r++ {
-		r := r
-		osops := cl.Nodes[r].NewRankOS(r)
-		cl.E.Go(fmt.Sprintf("r%d", r), func(p *sim.Proc) {
-			ep, err := psm.NewEndpoint(p, osops, r, book, synthetic)
-			if err != nil {
-				t.Error(err)
-				ready.Done()
-				return
-			}
-			eps[r] = ep
-			book[r] = psm.Addr{Node: osops.NodeID(), Ctx: ep.CtxID}
-			ready.Done()
-			ready.Wait(p)
-			body(p, r, ep)
-		})
-	}
-	if err := cl.E.Run(0); err != nil {
+	ranks := cl.StartRanks("r", []int{0, 1}, spec.Synthetic, func(p *sim.Proc, rank int, ep *psm.Endpoint) error {
+		body(p, rank, ep)
+		return nil
+	})
+	if err := cl.Run(0); err != nil {
 		t.Fatal(err)
 	}
+	if err := ranks.Err(); err != nil {
+		t.Error(err)
+	}
+	return cl, ranks.Endpoints()
+}
+
+// pair is runPair on the default loss-free machine.
+func pair(t *testing.T, synthetic bool, body func(p *sim.Proc, rank int, ep *psm.Endpoint)) []*psm.Endpoint {
+	t.Helper()
+	_, eps := runPair(t, cluster.Spec{Params: model.Default(), Synthetic: synthetic}, body)
 	return eps
 }
 

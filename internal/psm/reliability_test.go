@@ -3,7 +3,6 @@ package psm_test
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -26,37 +25,7 @@ func lossyPair(t *testing.T, fp fabric.FaultProfile, body func(p *sim.Proc, rank
 // dual-rail configurations).
 func lossyPairOn(t *testing.T, fp fabric.FaultProfile, pr model.Params, body func(p *sim.Proc, rank int, ep *psm.Endpoint)) (*cluster.Cluster, []*psm.Endpoint) {
 	t.Helper()
-	cl, err := cluster.New(cluster.Spec{
-		Nodes: 2, OS: cluster.OSLinux, Params: pr, Seed: 21, Faults: fp,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eps := make([]*psm.Endpoint, 2)
-	book := psm.MapBook{}
-	ready := sim.NewWaitGroup(cl.E)
-	ready.Add(2)
-	for r := 0; r < 2; r++ {
-		r := r
-		osops := cl.Nodes[r].NewRankOS(r)
-		cl.E.Go(fmt.Sprintf("r%d", r), func(p *sim.Proc) {
-			ep, err := psm.NewEndpoint(p, osops, r, book, false)
-			if err != nil {
-				t.Error(err)
-				ready.Done()
-				return
-			}
-			eps[r] = ep
-			book[r] = psm.Addr{Node: osops.NodeID(), Ctx: ep.CtxID}
-			ready.Done()
-			ready.Wait(p)
-			body(p, r, ep)
-		})
-	}
-	if err := cl.E.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	return cl, eps
+	return runPair(t, cluster.Spec{Params: pr, Faults: fp}, body)
 }
 
 // pattern generates the deterministic payload for one message.
@@ -143,7 +112,7 @@ func runLossyTransfersOn(t *testing.T, fp fabric.FaultProfile, pr model.Params, 
 			t.Error(err)
 		}
 	})
-	res := lossyResult{fstats: cl.Fab.FaultStats(), now: cl.E.Now()}
+	res := lossyResult{fstats: cl.Fab.FaultStats(), now: cl.Now()}
 	for i, ep := range eps {
 		if ep != nil {
 			res.stats[i] = ep.Stats

@@ -8,13 +8,14 @@ import (
 	"repro/internal/experiments"
 )
 
-// TestCommittedArtifactsByteIdentical rebuilds four committed artifacts
+// TestCommittedArtifactsByteIdentical rebuilds five committed artifacts
 // through the calls cmd/experiments makes for them (experiments.* then
 // report.*, small scale) and byte-compares text and CSV against
 // artifacts/. Together they cover the plain PSM path (fig4), verbs,
-// fault injection with rail failover, and congestion control with the
-// job scheduler, so a change that moves simulated results cannot leave
-// `go test ./...` green. The full set stays behind `make artifacts`.
+// fault injection with go-back-N recovery (reliability) and with rail
+// failover, and congestion control with the job scheduler, so a change
+// that moves simulated results cannot leave `go test ./...` green. The
+// full set stays behind `make artifacts`.
 func TestCommittedArtifactsByteIdentical(t *testing.T) {
 	cfg := experiments.NewConfig(experiments.SmallScale(), 0)
 	cases := []struct {
@@ -28,6 +29,10 @@ func TestCommittedArtifactsByteIdentical(t *testing.T) {
 		{"verbs", func() (string, string, error) {
 			rows, err := experiments.VerbsSweep(cfg)
 			return VerbsTable(rows), VerbsCSV(rows), err
+		}},
+		{"reliability", func() (string, string, error) {
+			rows, err := experiments.Reliability(cfg)
+			return ReliabilityTable(rows), ReliabilityCSV(rows), err
 		}},
 		{"failover", func() (string, string, error) {
 			rows, err := experiments.Failover(cfg)

@@ -53,19 +53,26 @@ func (e *Engine) stateIndex(label string) int {
 // Run(t) paused the clock at t.
 func (e *Engine) Snapshot(w io.Writer) error {
 	f := &snapshot.File{Now: e.now, Seq: e.seq}
+	e.appendSections(f, "")
+	return snapshot.Encode(w, f)
+}
+
+// appendSections appends this engine's part of a snapshot to f: its own
+// "engine" section, then every registered layer section sorted by
+// label, each name behind prefix.
+func (e *Engine) appendSections(f *snapshot.File, prefix string) {
 	enc := snapshot.NewEnc()
 	e.encodeEngineState(enc)
-	f.Sections = append(f.Sections, snapshot.Section{Name: "engine", Payload: enc.Bytes()})
+	f.Sections = append(f.Sections, snapshot.Section{Name: prefix + "engine", Payload: enc.Bytes()})
 
 	sections := make([]snapshot.Section, 0, len(e.states))
 	for _, s := range e.states {
 		se := snapshot.NewEnc()
 		s.fn(se)
-		sections = append(sections, snapshot.Section{Name: s.label, Payload: se.Bytes()})
+		sections = append(sections, snapshot.Section{Name: prefix + s.label, Payload: se.Bytes()})
 	}
 	sort.Slice(sections, func(i, j int) bool { return sections[i].Name < sections[j].Name })
 	f.Sections = append(f.Sections, sections...)
-	return snapshot.Encode(w, f)
 }
 
 // encodeEngineState emits the engine's own mutable state. Process
@@ -142,18 +149,7 @@ func (s *ShardSet) Snapshot(w io.Writer) error {
 	f.Sections = append(f.Sections, snapshot.Section{Name: "shards", Payload: enc.Bytes()})
 
 	for i, e := range s.shards {
-		prefix := fmt.Sprintf("shard%d/", i)
-		ee := snapshot.NewEnc()
-		e.encodeEngineState(ee)
-		f.Sections = append(f.Sections, snapshot.Section{Name: prefix + "engine", Payload: ee.Bytes()})
-		sections := make([]snapshot.Section, 0, len(e.states))
-		for _, st := range e.states {
-			se := snapshot.NewEnc()
-			st.fn(se)
-			sections = append(sections, snapshot.Section{Name: prefix + st.label, Payload: se.Bytes()})
-		}
-		sort.Slice(sections, func(i, j int) bool { return sections[i].Name < sections[j].Name })
-		f.Sections = append(f.Sections, sections...)
+		e.appendSections(f, fmt.Sprintf("shard%d/", i))
 	}
 	return snapshot.Encode(w, f)
 }

@@ -208,9 +208,7 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 	}
 	rec := trace.NewRecorder()
 	if !o.traceFromRestore && !w.Untraced {
-		for _, e := range cl.Engines() {
-			e.SetRecorder(rec)
-		}
+		cl.SetRecorder(rec)
 	}
 	// Pin balance is measured against the post-boot baseline: McKernel
 	// ranks pin their anonymous memory at mmap time, so only the delta
@@ -253,9 +251,7 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 		if _, rerr := snapshot.Restore(o.restore, cl.Machine()); rerr != nil {
 			engineErr = fmt.Errorf("restore: %w", rerr)
 		} else if o.traceFromRestore {
-			for _, e := range cl.Engines() {
-				e.SetRecorder(rec)
-			}
+			cl.SetRecorder(rec)
 		}
 	}
 	if engineErr == nil && o.snapshotAt > 0 {

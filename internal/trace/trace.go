@@ -146,27 +146,3 @@ func (s *SyscallProfile) String() string {
 	}
 	return b.String()
 }
-
-// Counters is a set of named monotonic counters.
-type Counters struct {
-	vals map[string]uint64
-}
-
-// NewCounters returns an empty counter set.
-func NewCounters() *Counters { return &Counters{vals: make(map[string]uint64)} }
-
-// Inc adds n to a counter.
-func (c *Counters) Inc(name string, n uint64) { c.vals[name] += n }
-
-// Get reads a counter.
-func (c *Counters) Get(name string) uint64 { return c.vals[name] }
-
-// Names returns the counter names, sorted.
-func (c *Counters) Names() []string {
-	var out []string
-	for n := range c.vals {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -168,17 +168,3 @@ func TestStringRendering(t *testing.T) {
 		t.Fatalf("rendering = %q", s)
 	}
 }
-
-func TestCounters(t *testing.T) {
-	c := NewCounters()
-	c.Inc("pkts", 5)
-	c.Inc("pkts", 2)
-	c.Inc("bytes", 100)
-	if c.Get("pkts") != 7 || c.Get("bytes") != 100 || c.Get("missing") != 0 {
-		t.Fatal("counter values wrong")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "bytes" {
-		t.Fatalf("names = %v", names)
-	}
-}

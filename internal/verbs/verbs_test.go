@@ -26,13 +26,13 @@ func withCluster(t *testing.T, os cluster.OSType, nodes int, seed int64,
 		t.Fatal(err)
 	}
 	done := false
-	cl.E.Go("test", func(p *sim.Proc) {
+	cl.Go(0, "test", func(p *sim.Proc) {
 		if err := body(p, cl); err != nil {
 			t.Error(err)
 		}
 		done = true
 	})
-	if err := cl.E.Run(0); err != nil {
+	if err := cl.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if !done {
@@ -503,13 +503,13 @@ func TestRDMAImmuneToFabricFaults(t *testing.T) {
 	// what keeps the data path clean.
 	cl.IBFab.SetFaults(&fp)
 	done := false
-	cl.E.Go("test", func(p *sim.Proc) {
+	cl.Go(0, "test", func(p *sim.Proc) {
 		if err := writeReadBody(p, cl, 12345); err != nil {
 			t.Error(err)
 		}
 		done = true
 	})
-	if err := cl.E.Run(0); err != nil {
+	if err := cl.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if !done {
