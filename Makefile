@@ -9,8 +9,12 @@ all: build test
 build:
 	$(GO) build ./...
 
+# Static gate: go vet, plus formatting — any file gofmt would rewrite
+# fails the target (and so `check` and CI).
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -163,27 +163,40 @@ func New(cfg Spec) (*Cluster, error) {
 	}
 	c := &Cluster{Cfg: cfg}
 	c.Params = &c.Cfg.Params
+	// Pick the engines — one standalone engine, or a shard set's — then
+	// build every engine's fabric pair the same way.
 	if cfg.Shards > 1 {
-		if err := c.buildSharded(); err != nil {
+		set, err := newShardSet(&c.Cfg)
+		if err != nil {
 			return nil, err
 		}
+		c.Set, c.machine, c.engines = set, set, set.Engines()
 	} else {
-		// Single-engine machine: one standalone engine, one fabric pair.
 		eng := sim.NewEngine(cfg.Seed)
-		c.machine = eng
-		c.Fab = fabric.New(eng, c.Params)
-		c.IBFab = fabric.New(eng, c.Params)
-		c.Fab.SetFaults(&c.Cfg.Faults)
-		c.Fab.SetCongestion(&c.Cfg.Congestion)
+		c.machine, c.engines = eng, []*sim.Engine{eng}
+	}
+	shards := len(c.engines)
+	c.shardOf = make([]int, cfg.Nodes)
+	for s, eng := range c.engines {
+		// Contiguous block partition: shard s owns nodes [s*N/S, (s+1)*N/S).
+		for id := s * cfg.Nodes / shards; id < (s+1)*cfg.Nodes/shards; id++ {
+			c.shardOf[id] = s
+		}
+		fab, ibfab := fabric.New(eng, c.Params), fabric.New(eng, c.Params)
+		fab.SetFaults(&c.Cfg.Faults)
+		fab.SetCongestion(&c.Cfg.Congestion)
 		// Snapshot registration: the OmniPath fabric takes the bare
 		// label, the IB fabric the deterministic "#1" suffix.
-		eng.RegisterState("fabric", c.Fab.EncodeState)
-		eng.RegisterState("fabric", c.IBFab.EncodeState)
-		c.engines = []*sim.Engine{eng}
-		c.fabs = []*fabric.Fabric{c.Fab}
-		c.ibfabs = []*fabric.Fabric{c.IBFab}
-		c.shardOf = make([]int, cfg.Nodes)
+		eng.RegisterState("fabric", fab.EncodeState)
+		eng.RegisterState("fabric", ibfab.EncodeState)
+		if c.Set != nil {
+			fab.SetRouter(c.router(eng, &c.fabs))
+			ibfab.SetRouter(c.router(eng, &c.ibfabs))
+		}
+		c.fabs = append(c.fabs, fab)
+		c.ibfabs = append(c.ibfabs, ibfab)
 	}
+	c.Fab, c.IBFab = c.fabs[0], c.ibfabs[0]
 	for i := 0; i < cfg.Nodes; i++ {
 		n, err := c.buildNode(i)
 		if err != nil {
@@ -194,65 +207,24 @@ func New(cfg Spec) (*Cluster, error) {
 	return c, nil
 }
 
-// buildSharded assembles the per-shard engines and fabrics and wires
-// cross-shard routing. Cross-shard packet delivery is the only
-// inter-shard event source, so the fabric's (jitter-free) link latency
-// is the exact conservative lookahead.
-func (c *Cluster) buildSharded() error {
-	cfg := &c.Cfg
+// newShardSet checks that the spec's profile can be sharded and creates
+// the shard set. Cross-shard packet delivery is the only inter-shard
+// event source, so the fabric's (jitter-free) link latency is the exact
+// conservative lookahead.
+func newShardSet(cfg *Spec) (*sim.ShardSet, error) {
 	if cfg.Faults.Active() {
-		return fmt.Errorf("cluster: Shards=%d requires a loss-free fabric (fault injection draws from a run-global RNG stream)", cfg.Shards)
+		return nil, fmt.Errorf("cluster: Shards=%d requires a loss-free fabric (fault injection draws from a run-global RNG stream)", cfg.Shards)
 	}
 	if cfg.Congestion.Active() {
-		return fmt.Errorf("cluster: Shards=%d is incompatible with congestion control (credit budgets are shared across links)", cfg.Shards)
+		return nil, fmt.Errorf("cluster: Shards=%d is incompatible with congestion control (credit budgets are shared across links)", cfg.Shards)
 	}
 	if cfg.Params.LinkJitter > 0 {
-		return fmt.Errorf("cluster: Shards=%d requires LinkJitter=0 (jitter draws from the engine RNG in global send order)", cfg.Shards)
+		return nil, fmt.Errorf("cluster: Shards=%d requires LinkJitter=0 (jitter draws from the engine RNG in global send order)", cfg.Shards)
 	}
 	if cfg.Params.LinkLatency <= 0 {
-		return fmt.Errorf("cluster: Shards=%d needs a positive LinkLatency as conservative lookahead", cfg.Shards)
+		return nil, fmt.Errorf("cluster: Shards=%d needs a positive LinkLatency as conservative lookahead", cfg.Shards)
 	}
-	set, err := sim.NewShardSet(cfg.Seed, cfg.Shards, cfg.Params.LinkLatency)
-	if err != nil {
-		return err
-	}
-	c.Set = set
-	c.machine = set
-	c.engines = set.Engines()
-	// Contiguous block partition: shard i owns nodes [i*N/S, (i+1)*N/S).
-	c.shardOf = make([]int, cfg.Nodes)
-	for s := 0; s < cfg.Shards; s++ {
-		lo, hi := s*cfg.Nodes/cfg.Shards, (s+1)*cfg.Nodes/cfg.Shards
-		for id := lo; id < hi; id++ {
-			c.shardOf[id] = s
-		}
-	}
-	for s := 0; s < cfg.Shards; s++ {
-		eng := c.engines[s]
-		fab := fabric.New(eng, c.Params)
-		ibfab := fabric.New(eng, c.Params)
-		fab.SetFaults(&c.Cfg.Faults)
-		fab.SetCongestion(&c.Cfg.Congestion)
-		eng.RegisterState("fabric", fab.EncodeState)
-		eng.RegisterState("fabric", ibfab.EncodeState)
-		fab.SetRouter(c.router(eng, c.fabsRef()))
-		ibfab.SetRouter(c.router(eng, c.ibfabsRef()))
-		c.fabs = append(c.fabs, fab)
-		c.ibfabs = append(c.ibfabs, ibfab)
-	}
-	c.Fab = c.fabs[0]
-	c.IBFab = c.ibfabs[0]
-	return nil
-}
-
-// fabsRef / ibfabsRef return accessors evaluated at routing time, after
-// every shard's fabrics exist.
-func (c *Cluster) fabsRef() func(shard int) *fabric.Fabric {
-	return func(shard int) *fabric.Fabric { return c.fabs[shard] }
-}
-
-func (c *Cluster) ibfabsRef() func(shard int) *fabric.Fabric {
-	return func(shard int) *fabric.Fabric { return c.ibfabs[shard] }
+	return sim.NewShardSet(cfg.Seed, cfg.Shards, cfg.Params.LinkLatency)
 }
 
 // crossPkt is the argument record of one routed cross-shard delivery.
@@ -273,8 +245,9 @@ var crossDeliver = func(a any) {
 
 // router builds the cross-shard routing hook for one shard's fabric:
 // resolve the destination shard, then schedule the delivery on its
-// engine through the conservative cross-event path.
-func (c *Cluster) router(src *sim.Engine, fabFor func(shard int) *fabric.Fabric) func(*fabric.Packet, time.Duration) error {
+// engine through the conservative cross-event path. fabs (c.fabs or
+// c.ibfabs) is read at routing time, after every shard's fabrics exist.
+func (c *Cluster) router(src *sim.Engine, fabs *[]*fabric.Fabric) func(*fabric.Packet, time.Duration) error {
 	return func(pkt *fabric.Packet, lat time.Duration) error {
 		// Port IDs are rail-qualified; rails share the node's shard.
 		node := pkt.DstNode % fabric.RailBase
@@ -283,7 +256,7 @@ func (c *Cluster) router(src *sim.Engine, fabFor func(shard int) *fabric.Fabric)
 		}
 		dst := c.shardOf[node]
 		c.Set.CrossAfter(src, c.engines[dst], lat, crossDeliver,
-			&crossPkt{fab: fabFor(dst), pkt: pkt})
+			&crossPkt{fab: (*fabs)[dst], pkt: pkt})
 		return nil
 	}
 }

@@ -77,7 +77,7 @@ func (rs *Ranks) Err() error { return rs.err }
 // still re-ACKs duplicate arrivals, and a peer's final ACK may have
 // been the packet that was dropped. It gives up once any rank has
 // failed, since that rank will never quiesce. The count is polled on
-// one clock: fault injection is single-engine (buildSharded).
+// one clock: fault injection is single-engine (newShardSet).
 func (rs *Ranks) Drain(p *sim.Proc, ep *psm.Endpoint) error {
 	if err := ep.Quiesce(p); err != nil {
 		return err

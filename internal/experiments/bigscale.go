@@ -61,7 +61,7 @@ func Bigscale(cfg Config, appName string, nodes, rpn int, shards []int) ([]Bigsc
 	for _, s := range shards {
 		c := cfg
 		c.Shards = s
-		cl, err := c.cluster(nodes, cluster.OSMcKernelHFI, seed, true)
+		cl, err := c.cluster(cluster.Spec{Nodes: nodes, OS: cluster.OSMcKernelHFI, Seed: seed, Synthetic: true})
 		if err != nil {
 			return nil, fmt.Errorf("bigscale: shards=%d: %w", s, err)
 		}

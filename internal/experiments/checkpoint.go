@@ -109,17 +109,26 @@ func (c PingPongCell) String() string {
 // pingPongSeed derives the same per-cell seed Fig4 uses, so a
 // checkpointed cell is the cell from the artifact sweep.
 func pingPongSeed(cfg Config, os cluster.OSType, size uint64) int64 {
-	return runner.DeriveSeed(cfg.Scale.Seed, fmt.Sprintf("fig4/%dB/%s", size, osName(os)))
+	return runner.DeriveSeed(cfg.Scale.Seed, cellID(fig4Key(size), os))
+}
+
+// observable runs the built cell to completion and renders its result.
+func (c *ppCell) observable() (PingPongCell, error) {
+	r, err := c.finish()
+	if err != nil {
+		return PingPongCell{}, err
+	}
+	return PingPongCell{Mean: r.mean, P50: r.hist.P50(), P99: r.hist.P99()}, nil
 }
 
 // PingPongStraight runs one Figure 4 cell start-to-finish, recording
 // spans into rec (nil = untraced).
 func PingPongStraight(cfg Config, os cluster.OSType, size uint64, rec *trace.Recorder) (PingPongCell, error) {
-	r, err := pingPongRec(cfg, os, size, cfg.Scale.PingPongReps, pingPongSeed(cfg, os, size), rec)
+	c, err := fig4Cell(cfg, os, size, pingPongSeed(cfg, os, size), rec)
 	if err != nil {
 		return PingPongCell{}, err
 	}
-	return PingPongCell{Mean: r.mean, P50: r.hist.P50(), P99: r.hist.P99()}, nil
+	return c.observable()
 }
 
 // PingPongCheckpoint runs the same cell but abandons it halfway: the
@@ -128,9 +137,8 @@ func PingPongStraight(cfg Config, os cluster.OSType, size uint64, rec *trace.Rec
 // checkpoint's virtual time.
 func PingPongCheckpoint(cfg Config, os cluster.OSType, size uint64, w io.Writer) (time.Duration, error) {
 	seed := pingPongSeed(cfg, os, size)
-	reps := cfg.Scale.PingPongReps
 	// Probe run to learn the cell's total virtual time.
-	probe, err := buildPingPong(cfg, os, size, reps, seed, nil)
+	probe, err := fig4Cell(cfg, os, size, seed, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -139,7 +147,7 @@ func PingPongCheckpoint(cfg Config, os cluster.OSType, size uint64, w io.Writer)
 	}
 	mid := probe.cl.Now() / 2
 
-	c, err := buildPingPong(cfg, os, size, reps, seed, nil)
+	c, err := fig4Cell(cfg, os, size, seed, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -157,16 +165,12 @@ func PingPongCheckpoint(cfg Config, os cluster.OSType, size uint64, w io.Writer)
 // byte-verifies the re-encoded state against img — and finishes the
 // run. The result must match PingPongStraight's exactly.
 func PingPongResume(cfg Config, os cluster.OSType, size uint64, img []byte, rec *trace.Recorder) (PingPongCell, error) {
-	c, err := buildPingPong(cfg, os, size, cfg.Scale.PingPongReps, pingPongSeed(cfg, os, size), rec)
+	c, err := fig4Cell(cfg, os, size, pingPongSeed(cfg, os, size), rec)
 	if err != nil {
 		return PingPongCell{}, err
 	}
 	if _, err := snapshot.Restore(img, c.cl.Machine()); err != nil {
 		return PingPongCell{}, fmt.Errorf("restore: %w", err)
 	}
-	r, err := c.finish()
-	if err != nil {
-		return PingPongCell{}, err
-	}
-	return PingPongCell{Mean: r.mean, P50: r.hist.P50(), P99: r.hist.P99()}, nil
+	return c.observable()
 }

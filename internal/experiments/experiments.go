@@ -2,16 +2,17 @@
 // evaluation (§4): the ping-pong bandwidth sweep (Figure 4), the five
 // mini-application scaling studies (Figures 5–7), the communication
 // profile (Table 1) and the kernel-level system call breakdowns
-// (Figures 8 and 9).
+// (Figures 8 and 9), plus the reproduction's own verbs, reliability,
+// failover, tenancy and bigscale sweeps.
 //
-// Each experiment builds fresh clusters per OS configuration and node
-// count, runs deterministically, and returns structured results that the
-// report package renders in the layout of the paper's artifacts.
-//
-// The sweep cells are independent simulations, so every experiment fans
-// them out over a runner.Pool and merges the results in submission
-// order: artifacts are byte-identical for any pool size. Each cell's
-// engine seed is derived from (Scale.Seed, cell identity), never from
+// Every experiment is the same shape — a parameter sweep × the OS
+// configurations, one independent simulation per cell — and runs on one
+// cell harness: Config.cluster builds the cell's machine (the package's
+// only cluster.New call), a cell function drives it and returns one
+// measurement, and osGrid fans the cells out over a runner.Pool and
+// hands the results back indexed [key][os]. Results merge in submission
+// order, so artifacts are byte-identical for any pool size; each cell's
+// engine seed is derived from (Scale.Seed, cell id), never from
 // scheduling, which is what keeps the merge deterministic.
 package experiments
 
@@ -29,32 +30,24 @@ import (
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/uproc"
 )
 
 // Config is the single entry point every experiment runs under: the
 // sweep bounds, the pool the independent simulation cells fan out over,
-// an optional span recorder for the traced single-run variants, and a
-// fabric fault profile applied to every cluster the experiments build.
-// Callers construct one Config instead of re-plumbing (pool, scale,
-// seed, recorder, faults) through each entry point.
+// and the fabric fault profile and shard count of every cluster the
+// experiments build. Callers construct one Config instead of
+// re-plumbing (pool, scale, seed, faults, shards) through each entry
+// point.
 type Config struct {
 	Scale Scale
 	// Pool fans the experiment's cells out (nil = a fresh
 	// GOMAXPROCS-wide pool per call).
 	Pool *runner.Pool
-	// Trace, when non-nil, receives the spans of traced single runs
-	// (TracedRun, TracedPingPong, TracedVerbsRun).
-	Trace *trace.Recorder
 	// Faults is the lossy-fabric profile for every cluster built by the
-	// experiments. The reliability sweep overrides the drop rate per
-	// cell; everything else runs it as given.
+	// experiments. The reliability sweep sets the drop rate per cell and
+	// the failover cell adds its outage windows; everything else runs it
+	// as given.
 	Faults fabric.FaultProfile
-	// Congestion is the fabric congestion-control profile for every
-	// cluster built by the experiments. The zero value (the default)
-	// disables it, keeping all pre-congestion artifacts byte-identical;
-	// the tenancy experiment overrides it per cell.
-	Congestion fabric.CongProfile
 	// Shards partitions every cluster the experiments build into that
 	// many conservatively-synchronized engine shards (0 or 1 = one
 	// standalone engine, the configuration every artifact is cut from).
@@ -76,15 +69,62 @@ func (c Config) pool() *runner.Pool {
 	return runner.New(0)
 }
 
-// cluster builds one simulation cluster under the Config's fault
-// profile. Synthetic clusters skip payload materialization; lossy cells
-// need real bytes, so the reliability sweep passes synthetic=false.
-func (c Config) cluster(nodes int, os cluster.OSType, seed int64, synthetic bool) (*cluster.Cluster, error) {
-	return cluster.New(cluster.Spec{
-		Nodes: nodes, OS: os, Params: model.Default(), Seed: seed,
-		Synthetic: synthetic, Faults: c.Faults, Congestion: c.Congestion,
-		Shards: c.Shards,
-	})
+// cluster builds one cell's machine, and is the only place the package
+// calls cluster.New. spec carries what the cell chooses — nodes, OS,
+// seed, Synthetic, Congestion, and Params when it departs from
+// model.Default(); the fault profile and the shard count always come
+// from the Config, so they reach every cell or cluster.New refuses the
+// combination. A cell that sweeps the fault profile edits its own copy
+// of the Config first.
+func (c Config) cluster(spec cluster.Spec) (*cluster.Cluster, error) {
+	if spec.Params == (model.Params{}) {
+		spec.Params = model.Default()
+	}
+	spec.Faults = c.Faults
+	spec.Shards = c.Shards
+	return cluster.New(spec)
+}
+
+// cellID names one (key, OS) cell. The runner reports errors under it
+// and the cell's engine seed is derived from it, so these strings are
+// frozen: changing one reseeds the cell and with it the artifact.
+func cellID(key string, os cluster.OSType) string { return key + "/" + osName(os) }
+
+// osGrid runs cell once per (key, OS configuration) on the Config's pool
+// and returns the results indexed [key][os], os in cluster.AllOSTypes
+// order. key names a sweep entry; together with the OS it is the cell's
+// id, from which the cell's seed is derived.
+func osGrid[K, R any](cfg Config, keys []K, key func(K) string,
+	cell func(k K, os cluster.OSType, seed int64) (R, error)) ([][]R, error) {
+	var jobs []runner.Job[R]
+	for _, k := range keys {
+		for _, os := range cluster.AllOSTypes {
+			id := cellID(key(k), os)
+			jobs = append(jobs, runner.Job[R]{ID: id, Fn: func() (R, error) {
+				return cell(k, os, runner.DeriveSeed(cfg.Scale.Seed, id))
+			}})
+		}
+	}
+	flat, err := runner.Run(cfg.pool(), jobs)
+	if err != nil {
+		return nil, err
+	}
+	n := len(cluster.AllOSTypes)
+	grid := make([][]R, len(keys))
+	for i := range grid {
+		grid[i] = flat[i*n : (i+1)*n]
+	}
+	return grid, nil
+}
+
+// byOS folds one grid row into the per-OS-name map the row structs
+// carry.
+func byOS[R, V any](cells []R, val func(R) V) map[string]V {
+	m := make(map[string]V, len(cells))
+	for j, os := range cluster.AllOSTypes {
+		m[osName(os)] = val(cells[j])
+	}
+	return m
 }
 
 // Scale bounds an experiment run. SmallScale finishes in minutes on a
@@ -222,67 +262,45 @@ type ppResult struct {
 	hist *trace.Histogram
 }
 
+func fig4Key(size uint64) string { return fmt.Sprintf("fig4/%dB", size) }
+
 // Fig4 runs the IMB-style ping-pong sweep on a two-node cluster, one
 // pool job per (message size, OS) cell.
 func Fig4(cfg Config) ([]Fig4Row, error) {
 	sc := cfg.Scale
-	var jobs []runner.Job[ppResult]
-	for _, size := range sc.PingPongSizes {
-		for _, os := range cluster.AllOSTypes {
-			size, os := size, os
-			id := fmt.Sprintf("fig4/%dB/%s", size, osName(os))
-			jobs = append(jobs, runner.Job[ppResult]{ID: id, Fn: func() (ppResult, error) {
-				return pingPong(cfg, os, size, sc.PingPongReps, runner.DeriveSeed(sc.Seed, id))
-			}})
-		}
-	}
-	cells, err := runner.Run(cfg.pool(), jobs)
+	grid, err := osGrid(cfg, sc.PingPongSizes, fig4Key,
+		func(size uint64, os cluster.OSType, seed int64) (ppResult, error) {
+			c, err := fig4Cell(cfg, os, size, seed, nil)
+			if err != nil {
+				return ppResult{}, err
+			}
+			return c.finish()
+		})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Fig4Row, 0, len(sc.PingPongSizes))
+	rows := make([]Fig4Row, 0, len(grid))
 	for i, size := range sc.PingPongSizes {
-		row := Fig4Row{
-			Size: size, MBps: make(map[string]float64),
-			OneWayP50: make(map[string]time.Duration),
-			OneWayP99: make(map[string]time.Duration),
-		}
-		for j, os := range cluster.AllOSTypes {
-			cell := cells[i*len(cluster.AllOSTypes)+j]
-			row.MBps[osName(os)] = float64(size) / cell.mean.Seconds() / 1e6
-			row.OneWayP50[osName(os)] = cell.hist.P50()
-			row.OneWayP99[osName(os)] = cell.hist.P99()
-		}
-		rows = append(rows, row)
+		rows = append(rows, Fig4Row{
+			Size:      size,
+			MBps:      byOS(grid[i], func(c ppResult) float64 { return float64(size) / c.mean.Seconds() / 1e6 }),
+			OneWayP50: byOS(grid[i], func(c ppResult) time.Duration { return c.hist.P50() }),
+			OneWayP99: byOS(grid[i], func(c ppResult) time.Duration { return c.hist.P99() }),
+		})
 	}
 	return rows, nil
 }
 
-// pingPong returns the mean and distribution of one-way times for the
-// given message size.
-func pingPong(cfg Config, os cluster.OSType, size uint64, reps int, seed int64) (ppResult, error) {
-	r, err := pingPongRec(cfg, os, size, reps, seed, nil)
-	return r, err
-}
-
-// TracedPingPong runs one ping-pong cell with a span recorder attached
-// (cfg.Trace, or a fresh one) and returns the recorder alongside the
-// timing result.
+// TracedPingPong runs one ping-pong cell with a fresh span recorder
+// attached and returns the recorder.
 func TracedPingPong(cfg Config, os cluster.OSType, size uint64) (*trace.Recorder, error) {
-	rec := cfg.Trace
-	if rec == nil {
-		rec = trace.NewRecorder()
-	}
-	_, err := pingPongRec(cfg, os, size, cfg.Scale.PingPongReps, cfg.Scale.Seed, rec)
-	return rec, err
-}
-
-func pingPongRec(cfg Config, os cluster.OSType, size uint64, reps int, seed int64, rec *trace.Recorder) (ppResult, error) {
-	c, err := buildPingPong(cfg, os, size, reps, seed, rec)
+	rec := trace.NewRecorder()
+	c, err := fig4Cell(cfg, os, size, cfg.Scale.Seed, rec)
 	if err != nil {
-		return ppResult{}, err
+		return nil, err
 	}
-	return c.finish()
+	_, err = c.finish()
+	return rec, err
 }
 
 // ppCell is a built-but-not-yet-run ping-pong cell: the cluster with
@@ -295,54 +313,70 @@ type ppCell struct {
 	reps  int
 	total time.Duration
 	hist  *trace.Histogram
+	// want is the payload an arrival of tag at rank must carry:
+	// relPattern on both ranks. The ranks read it when they run, so the
+	// harness test can swap in a wrong one between build and finish.
+	want func(rank int, tag uint64) []byte
+}
+
+// fig4Cell builds the Figure 4 cell for one (OS, size): the scale's
+// repetition count, verified exactly when the Config's fabric is lossy.
+func fig4Cell(cfg Config, os cluster.OSType, size uint64, seed int64, rec *trace.Recorder) (*ppCell, error) {
+	return buildPingPong(cfg, os, size, cfg.Scale.PingPongReps, seed, rec, cfg.Faults.Active())
 }
 
 // buildPingPong constructs the cell and spawns the ranks; the engine
-// has not run yet when it returns.
-func buildPingPong(cfg Config, os cluster.OSType, size uint64, reps int, seed int64, rec *trace.Recorder) (*ppCell, error) {
-	// Loss-free cells run synthetic (no payload materialization); a
-	// lossy fault profile needs real bytes so every bounce can be
-	// verified against the reference pattern.
-	lossy := cfg.Faults.Active()
-	cl, err := cfg.cluster(2, os, seed, !lossy)
+// has not run yet when it returns. A verified cell moves real bytes:
+// rank 0 seeds a per-tag reference pattern, both ranks check every
+// arrival against it — the reliability layer must recover loss, never
+// rewrite bytes — and both leave through Ranks.Drain. An unverified
+// cell runs synthetic and never materializes a payload.
+func buildPingPong(cfg Config, os cluster.OSType, size uint64, reps int, seed int64, rec *trace.Recorder, verified bool) (*ppCell, error) {
+	cl, err := cfg.cluster(cluster.Spec{Nodes: 2, OS: os, Seed: seed, Synthetic: !verified})
 	if err != nil {
 		return nil, err
 	}
 	cl.SetRecorder(rec)
-	c := &ppCell{cl: cl, reps: reps, hist: &trace.Histogram{}}
-	c.ranks = cl.StartRanks("pp", []int{0, 1}, !lossy, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
+	c := &ppCell{cl: cl, reps: reps, hist: &trace.Histogram{},
+		want: func(_ int, tag uint64) []byte { return relPattern(tag, size) }}
+	c.ranks = cl.StartRanks("pp", []int{0, 1}, !verified, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
+		proc := ep.OS.Proc()
 		buf, err := ep.OS.MmapAnon(p, size)
 		if err != nil {
 			return err
 		}
-		// On a lossy fabric rank 0 seeds a reference pattern and
-		// checks that every bounce returns it intact: the reliability
-		// layer must recover loss, never rewrite bytes.
-		if lossy && r == 0 {
-			if err := ep.OS.Proc().WriteAt(buf, relPattern(uint64(seed), size)); err != nil {
+		arrived := func(tag uint64) error {
+			if !verified {
+				return nil
+			}
+			got := make([]byte, size)
+			if err := proc.ReadAt(buf, got); err != nil {
 				return err
 			}
+			if !bytes.Equal(got, c.want(r, tag)) {
+				return fmt.Errorf("pingpong: payload mismatch at rank %d, tag %d (loss=%g size=%d, %s)",
+					r, tag, cfg.Faults.Drop, size, os)
+			}
+			return nil
 		}
 		// Warmup round, then timed rounds.
 		for i := 0; i <= reps; i++ {
 			tag := uint64(10 + i)
-			var start time.Duration
 			if r == 0 {
-				start = p.Now()
+				if verified {
+					if err := proc.WriteAt(buf, relPattern(tag, size)); err != nil {
+						return err
+					}
+				}
+				start := p.Now()
 				if err := ep.Send(p, 1, tag, buf, size); err != nil {
 					return err
 				}
 				if err := ep.Recv(p, 1, tag, buf, size); err != nil {
 					return err
 				}
-				if lossy {
-					got := make([]byte, size)
-					if err := ep.OS.Proc().ReadAt(buf, got); err != nil {
-						return err
-					}
-					if !bytes.Equal(got, relPattern(uint64(seed), size)) {
-						return fmt.Errorf("pingpong: bounce %d corrupted the payload (size %d, %s)", i, size, os)
-					}
+				if err := arrived(tag); err != nil {
+					return err
 				}
 				if i > 0 {
 					rtt := p.Now() - start
@@ -353,12 +387,15 @@ func buildPingPong(cfg Config, os cluster.OSType, size uint64, reps int, seed in
 				if err := ep.Recv(p, 0, tag, buf, size); err != nil {
 					return err
 				}
+				if err := arrived(tag); err != nil {
+					return err
+				}
 				if err := ep.Send(p, 0, tag, buf, size); err != nil {
 					return err
 				}
 			}
 		}
-		if lossy {
+		if verified {
 			return c.ranks.Drain(p, ep)
 		}
 		return nil
@@ -368,13 +405,25 @@ func buildPingPong(cfg Config, os cluster.OSType, size uint64, reps int, seed in
 
 // finish runs the cell's cluster to completion and folds the result.
 func (c *ppCell) finish() (ppResult, error) {
-	if err := c.cl.Run(0); err != nil {
-		return ppResult{}, err
-	}
+	runErr := c.cl.Run(0)
+	// A rank's own error is the cause; the deadlock Run reports after it
+	// is only the peer left waiting for the failed rank.
 	if err := c.ranks.Err(); err != nil {
 		return ppResult{}, err
 	}
+	if runErr != nil {
+		return ppResult{}, runErr
+	}
 	return ppResult{mean: c.total / time.Duration(2*c.reps), hist: c.hist}, nil
+}
+
+// relPattern is the deterministic loss-free reference payload for a tag.
+func relPattern(tag, size uint64) []byte {
+	b := make([]byte, size)
+	for k := range b {
+		b[k] = byte(uint64(k)*2654435761 + tag*97)
+	}
+	return b
 }
 
 // ---------------------------------------------------------------------
@@ -403,57 +452,45 @@ func AppScaling(cfg Config, app *miniapps.App, nodes []int) ([]ScalingPoint, err
 	if rpn <= 0 {
 		rpn = app.RanksPerNode
 	}
-	var jobs []runner.Job[*mpi.JobResult]
-	for _, n := range nodes {
-		for _, os := range cluster.AllOSTypes {
-			n, os := n, os
-			id := fmt.Sprintf("%s/%dn/%s", app.Name, n, osName(os))
-			jobs = append(jobs, runner.Job[*mpi.JobResult]{ID: id, Fn: func() (*mpi.JobResult, error) {
-				return runApp(cfg, app, n, rpn, os, runner.DeriveSeed(cfg.Scale.Seed, id))
-			}})
-		}
-	}
-	results, err := runner.Run(cfg.pool(), jobs)
+	grid, err := osGrid(cfg, nodes,
+		func(n int) string { return scalingKey(app.Name, n) },
+		func(n int, os cluster.OSType, seed int64) (*mpi.JobResult, error) {
+			return runApp(cfg, app, n, rpn, os, seed, nil)
+		})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ScalingPoint, 0, len(nodes))
+	out := make([]ScalingPoint, 0, len(grid))
 	for i, n := range nodes {
-		pt := ScalingPoint{
+		lin := grid[i][0].Elapsed // AllOSTypes[0] is Linux
+		out = append(out, ScalingPoint{
 			Nodes:      n,
-			Elapsed:    make(map[string]time.Duration),
-			RelToLinux: make(map[string]float64),
-			RankP50:    make(map[string]time.Duration),
-			RankP99:    make(map[string]time.Duration),
-		}
-		for j, os := range cluster.AllOSTypes {
-			res := results[i*len(cluster.AllOSTypes)+j]
-			pt.Elapsed[osName(os)] = res.Elapsed
-			pt.RankP50[osName(os)] = res.RankElapsed.P50()
-			pt.RankP99[osName(os)] = res.RankElapsed.P99()
-		}
-		lin := pt.Elapsed["Linux"]
-		for name, d := range pt.Elapsed {
-			pt.RelToLinux[name] = lin.Seconds() / d.Seconds()
-		}
-		out = append(out, pt)
+			Elapsed:    byOS(grid[i], func(r *mpi.JobResult) time.Duration { return r.Elapsed }),
+			RelToLinux: byOS(grid[i], func(r *mpi.JobResult) float64 { return lin.Seconds() / r.Elapsed.Seconds() }),
+			RankP50:    byOS(grid[i], func(r *mpi.JobResult) time.Duration { return r.RankElapsed.P50() }),
+			RankP99:    byOS(grid[i], func(r *mpi.JobResult) time.Duration { return r.RankElapsed.P99() }),
+		})
 	}
 	return out, nil
 }
 
-func runApp(cfg Config, app *miniapps.App, nodes, rpn int, os cluster.OSType, seed int64) (*mpi.JobResult, error) {
-	cl, err := cfg.cluster(nodes, os, seed, true)
+func scalingKey(app string, nodes int) string { return fmt.Sprintf("%s/%dn", app, nodes) }
+
+// runApp runs one mini-app job on a fresh synthetic cluster, recording
+// spans into rec (nil = untraced).
+func runApp(cfg Config, app *miniapps.App, nodes, rpn int, os cluster.OSType, seed int64, rec *trace.Recorder) (*mpi.JobResult, error) {
+	cl, err := cfg.cluster(cluster.Spec{Nodes: nodes, OS: os, Seed: seed, Synthetic: true})
 	if err != nil {
 		return nil, err
 	}
+	cl.SetRecorder(rec)
 	return mpi.RunJob(cl, rpn, func(c *mpi.Comm) error { return app.Body(c, app) })
 }
 
-// TracedRun executes one mini-app job with a span recorder attached to
-// the cluster's engine (cfg.Trace, or a fresh one) and returns the
-// recorder (spans + latency histograms from every layer) alongside the
-// job result. Same-seed calls produce byte-identical Chrome trace
-// output.
+// TracedRun executes one mini-app job with a fresh span recorder
+// attached to the cluster's engines and returns the recorder (spans +
+// latency histograms from every layer) alongside the job result.
+// Same-seed calls produce byte-identical Chrome trace output.
 func TracedRun(cfg Config, appName string, nodes, rpn int, os cluster.OSType) (*trace.Recorder, *mpi.JobResult, error) {
 	app, err := miniapps.ByName(appName)
 	if err != nil {
@@ -462,16 +499,8 @@ func TracedRun(cfg Config, appName string, nodes, rpn int, os cluster.OSType) (*
 	if rpn <= 0 {
 		rpn = app.RanksPerNode
 	}
-	cl, err := cfg.cluster(nodes, os, cfg.Scale.Seed, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	rec := cfg.Trace
-	if rec == nil {
-		rec = trace.NewRecorder()
-	}
-	cl.SetRecorder(rec)
-	res, err := mpi.RunJob(cl, rpn, func(c *mpi.Comm) error { return app.Body(c, app) })
+	rec := trace.NewRecorder()
+	res, err := runApp(cfg, app, nodes, rpn, os, cfg.Scale.Seed, rec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -503,52 +532,40 @@ type AppProfile struct {
 // under all three OS configurations, one pool job per (app, OS) cell.
 func Table1(cfg Config) ([]AppProfile, error) {
 	sc := cfg.Scale
-	names := []string{"UMT2013", "HACC", "QBOX"}
-	type cell struct {
-		app string
-		os  cluster.OSType
-	}
-	var cells []cell
-	var jobs []runner.Job[*mpi.JobResult]
-	for _, name := range names {
-		app, err := miniapps.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, os := range cluster.AllOSTypes {
-			os := os
-			id := fmt.Sprintf("table1/%s/%s", name, osName(os))
-			cells = append(cells, cell{app: name, os: os})
-			jobs = append(jobs, runner.Job[*mpi.JobResult]{ID: id, Fn: func() (*mpi.JobResult, error) {
-				return runApp(cfg, app, sc.ProfileNodes, sc.ProfileRPN, os, runner.DeriveSeed(sc.Seed, id))
-			}})
-		}
-	}
-	results, err := runner.Run(cfg.pool(), jobs)
+	apps := []*miniapps.App{miniapps.UMT2013(), miniapps.HACC(), miniapps.QBOX()}
+	grid, err := osGrid(cfg, apps,
+		func(app *miniapps.App) string { return table1Key(app.Name) },
+		func(app *miniapps.App, os cluster.OSType, seed int64) (*mpi.JobResult, error) {
+			return runApp(cfg, app, sc.ProfileNodes, sc.ProfileRPN, os, seed, nil)
+		})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]AppProfile, 0, len(cells))
-	for i, c := range cells {
-		res := results[i]
-		prof := AppProfile{App: c.app, OS: osName(c.os), Elapsed: res.Elapsed}
-		mpiTotal := res.MPI.Total()
-		// %Rt is relative to the cumulative runtime over all ranks,
-		// including initialization (the paper's profiles contain
-		// MPI_Init).
-		rtTotal := res.WallTime * time.Duration(res.Ranks)
-		for _, e := range res.MPI.Top(5) {
-			prof.Top = append(prof.Top, ProfileEntry{
-				Call:   e.Name,
-				Time:   e.Time,
-				PctMPI: 100 * float64(e.Time) / float64(mpiTotal),
-				PctRt:  100 * float64(e.Time) / float64(rtTotal),
-			})
+	var out []AppProfile
+	for i, app := range apps {
+		for j, os := range cluster.AllOSTypes {
+			res := grid[i][j]
+			prof := AppProfile{App: app.Name, OS: osName(os), Elapsed: res.Elapsed}
+			mpiTotal := res.MPI.Total()
+			// %Rt is relative to the cumulative runtime over all ranks,
+			// including initialization (the paper's profiles contain
+			// MPI_Init).
+			rtTotal := res.WallTime * time.Duration(res.Ranks)
+			for _, e := range res.MPI.Top(5) {
+				prof.Top = append(prof.Top, ProfileEntry{
+					Call:   e.Name,
+					Time:   e.Time,
+					PctMPI: 100 * float64(e.Time) / float64(mpiTotal),
+					PctRt:  100 * float64(e.Time) / float64(rtTotal),
+				})
+			}
+			out = append(out, prof)
 		}
-		out = append(out, prof)
 	}
 	return out, nil
 }
+
+func table1Key(app string) string { return "table1/" + app }
 
 // ---------------------------------------------------------------------
 // Figures 8-9: kernel-level system call breakdown.
@@ -575,9 +592,8 @@ func SyscallBreakdown(cfg Config, appName string) (orig, pico Breakdown, err err
 	if err != nil {
 		return orig, pico, err
 	}
-	run := func(os cluster.OSType) (Breakdown, error) {
-		seed := runner.DeriveSeed(sc.Seed, fmt.Sprintf("breakdown/%s/%s", appName, osName(os)))
-		cl, err := cfg.cluster(sc.ProfileNodes, os, seed, true)
+	run := func(os cluster.OSType, seed int64) (Breakdown, error) {
+		cl, err := cfg.cluster(cluster.Spec{Nodes: sc.ProfileNodes, OS: os, Seed: seed, Synthetic: true})
 		if err != nil {
 			return Breakdown{}, err
 		}
@@ -608,11 +624,12 @@ func SyscallBreakdown(cfg Config, appName string) (orig, pico Breakdown, err err
 			KernelTime: merged.Total(),
 		}, nil
 	}
-	jobs := []runner.Job[Breakdown]{
-		{ID: fmt.Sprintf("breakdown/%s/%s", appName, osName(cluster.OSMcKernel)),
-			Fn: func() (Breakdown, error) { return run(cluster.OSMcKernel) }},
-		{ID: fmt.Sprintf("breakdown/%s/%s", appName, osName(cluster.OSMcKernelHFI)),
-			Fn: func() (Breakdown, error) { return run(cluster.OSMcKernelHFI) }},
+	var jobs []runner.Job[Breakdown]
+	for _, os := range []cluster.OSType{cluster.OSMcKernel, cluster.OSMcKernelHFI} {
+		id := cellID("breakdown/"+appName, os)
+		jobs = append(jobs, runner.Job[Breakdown]{ID: id, Fn: func() (Breakdown, error) {
+			return run(os, runner.DeriveSeed(sc.Seed, id))
+		}})
 	}
 	results, err := runner.Run(cfg.pool(), jobs)
 	if err != nil {
@@ -620,6 +637,3 @@ func SyscallBreakdown(cfg Config, appName string) (orig, pico Breakdown, err err
 	}
 	return results[0], results[1], nil
 }
-
-// uint64VA helps build user addresses in harness code.
-func uint64VA(v uint64) uproc.VirtAddr { return uproc.VirtAddr(v) }

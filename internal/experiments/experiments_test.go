@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/miniapps"
 	"repro/internal/runner"
 )
@@ -236,5 +238,168 @@ func TestReliabilitySweep(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rows, again) {
 		t.Fatal("reliability sweep not deterministic")
+	}
+}
+
+// TestShardsReachEveryCell pins that Config.Shards is never dropped on
+// the way to cluster.New: the cells that cannot shard say so, and a
+// cell that can produces the rows it produces unsharded.
+func TestShardsReachEveryCell(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Scale.TenancyMsgs = 40
+	cfg.Shards = 2
+	for _, c := range []struct {
+		name string
+		run  func(Config) error
+	}{
+		{"reliability", func(cfg Config) error { _, err := Reliability(cfg); return err }},
+		{"failover", func(cfg Config) error { _, err := Failover(cfg); return err }},
+		{"tenancy", func(cfg Config) error { _, err := Tenancy(cfg); return err }},
+	} {
+		if err := c.run(cfg); err == nil || !strings.Contains(err.Error(), "Shards=2") {
+			t.Errorf("%s at Shards=2: want an error naming Shards=2, got %v", c.name, err)
+		}
+	}
+	sharded, err := Fig4(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := Fig4(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sharded, single) {
+		t.Fatalf("fig4 rows differ between Shards=2 and Shards=1:\n%+v\n%+v", sharded, single)
+	}
+}
+
+// TestCellIDsPinned freezes the cell ids of the five OS-grid sweeps.
+// Every cell's engine seed is DeriveSeed(Scale.Seed, id), so a drifting
+// format string would silently reseed — and change — every artifact.
+// Each sweep's key formatter runs through osGrid with a cell that only
+// reports the seed it was handed, compared against the seed of the
+// literal id; and each sweep that can be made to fail inside its first
+// cell must report that cell under the literal id.
+func TestCellIDsPinned(t *testing.T) {
+	seeds := func(grid [][]int64, err error) [][]int64 {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return grid
+	}
+	cfg := tinyConfig()
+	cfg.Scale.Seed = 7
+	// Shards on a lossy fabric: cluster.New refuses every cell at once.
+	bad := cfg
+	bad.Shards, bad.Faults.Drop = 2, 0.5
+	bad.Scale.PingPongSizes = []uint64{1024, 4096}
+	bad.Scale.VerbsSizes, bad.Scale.VerbsReps = []uint64{4096, 65536}, 1
+	for _, c := range []struct {
+		sweep string
+		got   [][]int64
+		want  [2][3]string // [key][os], as osGrid indexes
+		run   func() error // nil: the sweep refuses Shards before any cell runs
+	}{
+		{"Fig4",
+			seeds(osGrid(cfg, []uint64{1024, 4096}, fig4Key, seedOf[uint64])),
+			[2][3]string{
+				{"fig4/1024B/Linux", "fig4/1024B/McKernel", "fig4/1024B/McKernel+HFI1"},
+				{"fig4/4096B/Linux", "fig4/4096B/McKernel", "fig4/4096B/McKernel+HFI1"}},
+			func() error { _, err := Fig4(bad); return err }},
+		{"AppScaling",
+			seeds(osGrid(cfg, []int{2, 64}, func(n int) string { return scalingKey("LAMMPS", n) }, seedOf[int])),
+			[2][3]string{
+				{"LAMMPS/2n/Linux", "LAMMPS/2n/McKernel", "LAMMPS/2n/McKernel+HFI1"},
+				{"LAMMPS/64n/Linux", "LAMMPS/64n/McKernel", "LAMMPS/64n/McKernel+HFI1"}},
+			func() error { _, err := AppScaling(bad, miniapps.LAMMPS(), []int{2, 64}); return err }},
+		{"Table1",
+			seeds(osGrid(cfg, []string{"UMT2013", "QBOX"}, table1Key, seedOf[string])),
+			[2][3]string{
+				{"table1/UMT2013/Linux", "table1/UMT2013/McKernel", "table1/UMT2013/McKernel+HFI1"},
+				{"table1/QBOX/Linux", "table1/QBOX/McKernel", "table1/QBOX/McKernel+HFI1"}},
+			func() error { _, err := Table1(bad); return err }},
+		{"VerbsSweep",
+			seeds(osGrid(cfg, []uint64{4096, 2<<20 + 4096}, verbsKey, seedOf[uint64])),
+			[2][3]string{
+				{"verbs/4096B/Linux", "verbs/4096B/McKernel", "verbs/4096B/McKernel+HFI1"},
+				{"verbs/2101248B/Linux", "verbs/2101248B/McKernel", "verbs/2101248B/McKernel+HFI1"}},
+			func() error { _, err := VerbsSweep(bad); return err }},
+		{"Reliability",
+			seeds(osGrid(cfg, []relKey{{0.01, 8192}, {0, 262144}}, relKey.String, seedOf[relKey])),
+			[2][3]string{
+				{"reliability/0.0100/8192B/Linux", "reliability/0.0100/8192B/McKernel", "reliability/0.0100/8192B/McKernel+HFI1"},
+				{"reliability/0.0000/262144B/Linux", "reliability/0.0000/262144B/McKernel", "reliability/0.0000/262144B/McKernel+HFI1"}},
+			nil},
+	} {
+		for i, row := range c.want {
+			for j, id := range row {
+				if want := runner.DeriveSeed(7, id); c.got[i][j] != want {
+					t.Errorf("%s: cell [%d][%d] was seeded %d, want DeriveSeed(7, %q) = %d", c.sweep, i, j, c.got[i][j], id, want)
+				}
+			}
+		}
+		if c.run == nil {
+			continue
+		}
+		if err := c.run(); err == nil || !strings.Contains(err.Error(), `job "`+c.want[0][0]+`"`) {
+			t.Errorf("%s: first cell not reported as %q: %v", c.sweep, c.want[0][0], err)
+		}
+	}
+}
+
+// seedOf is an osGrid cell that only reports the seed it was handed.
+func seedOf[K any](_ K, _ cluster.OSType, seed int64) (int64, error) { return seed, nil }
+
+// TestPingPongCellVerifiesBothRanks covers the merged ping-pong cell:
+// on a lossy fabric it moves real bytes and checks every arrival at
+// both ranks — a wrong reference for either rank alone fails the cell —
+// while a loss-free Figure 4 cell stays synthetic and never asks for a
+// payload.
+func TestPingPongCellVerifiesBothRanks(t *testing.T) {
+	const size = 32 << 10
+	lossy := tinyConfig()
+	lossy.Faults.Drop = 0.05
+	lossy.Scale.PingPongReps = 20 // enough packets that 5% drops some
+	build := func(cfg Config) *ppCell {
+		c, err := fig4Cell(cfg, cluster.OSMcKernelHFI, size, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	c := build(lossy)
+	if c.cl.Cfg.Synthetic {
+		t.Fatal("lossy cell built a synthetic cluster")
+	}
+	if _, err := c.finish(); err != nil {
+		t.Fatalf("lossy cell with the real pattern: %v", err)
+	}
+	if c.cl.Fab.FaultStats().Dropped == 0 {
+		t.Fatal("lossy cell dropped nothing: the check below would be vacuous")
+	}
+	for rank := 0; rank <= 1; rank++ {
+		c := build(lossy)
+		c.want = func(r int, tag uint64) []byte {
+			if r == rank {
+				tag++ // the neighbouring tag's pattern
+			}
+			return relPattern(tag, size)
+		}
+		want := fmt.Sprintf("payload mismatch at rank %d", rank)
+		if _, err := c.finish(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("wrong reference at rank %d: want %q, got %v", rank, want, err)
+		}
+	}
+
+	c = build(tinyConfig())
+	c.want = func(int, uint64) []byte {
+		t.Error("loss-free cell asked for a reference payload")
+		return nil
+	}
+	if !c.cl.Cfg.Synthetic {
+		t.Fatal("loss-free cell built a real-payload cluster")
+	}
+	if _, err := c.finish(); err != nil {
+		t.Fatal(err)
 	}
 }

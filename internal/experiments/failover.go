@@ -54,23 +54,14 @@ type FailoverRow struct {
 
 // Failover runs the failover cell once per OS configuration.
 func Failover(cfg Config) ([]FailoverRow, error) {
-	sc := cfg.Scale
-	msgs, size := sc.FailoverMsgs, sc.FailoverSize
-	if msgs <= 0 {
-		msgs = 160
+	grid, err := osGrid(cfg, []string{"failover"}, func(k string) string { return k },
+		func(_ string, os cluster.OSType, seed int64) (FailoverRow, error) {
+			return failoverCell(cfg, os, seed, nil)
+		})
+	if err != nil {
+		return nil, err
 	}
-	if size == 0 {
-		size = 32 << 10
-	}
-	var jobs []runner.Job[FailoverRow]
-	for _, os := range cluster.AllOSTypes {
-		os := os
-		id := fmt.Sprintf("failover/%s", osName(os))
-		jobs = append(jobs, runner.Job[FailoverRow]{ID: id, Fn: func() (FailoverRow, error) {
-			return failoverCell(cfg, os, msgs, size, runner.DeriveSeed(sc.Seed, id), nil)
-		}})
-	}
-	return runner.Run(cfg.pool(), jobs)
+	return grid[0], nil
 }
 
 // TracedFailover runs one failover cell under a trace recorder and
@@ -78,37 +69,31 @@ func Failover(cfg Config) ([]FailoverRow, error) {
 // failover/fallback spans of the health machine can be exported as a
 // Chrome trace.
 func TracedFailover(cfg Config, os cluster.OSType) (FailoverRow, *trace.Recorder, error) {
-	sc := cfg.Scale
-	msgs, size := sc.FailoverMsgs, sc.FailoverSize
+	rec := trace.NewRecorder()
+	seed := runner.DeriveSeed(cfg.Scale.Seed, cellID("failover", os))
+	row, err := failoverCell(cfg, os, seed, rec)
+	return row, rec, err
+}
+
+// failoverCell streams the scale's paced messages from rank 0 to rank 1
+// over a dual-rail cluster whose rail 0 is down for
+// [failoverOutageFrom, failoverOutageUntil), verifying every payload and
+// timing every completion.
+func failoverCell(cfg Config, os cluster.OSType, seed int64, rec *trace.Recorder) (FailoverRow, error) {
+	msgs, size := cfg.Scale.FailoverMsgs, cfg.Scale.FailoverSize
 	if msgs <= 0 {
 		msgs = 160
 	}
 	if size == 0 {
 		size = 32 << 10
 	}
-	rec := cfg.Trace
-	if rec == nil {
-		rec = trace.NewRecorder()
-	}
-	id := fmt.Sprintf("failover/%s", osName(os))
-	row, err := failoverCell(cfg, os, msgs, size, runner.DeriveSeed(sc.Seed, id), rec)
-	return row, rec, err
-}
-
-// failoverCell streams msgs paced messages of the given size from rank 0
-// to rank 1 over a dual-rail cluster whose rail 0 is down for
-// [failoverOutageFrom, failoverOutageUntil), verifying every payload and
-// timing every completion.
-func failoverCell(cfg Config, os cluster.OSType, msgs int, size uint64, seed int64, rec *trace.Recorder) (FailoverRow, error) {
 	pr := model.Default()
 	pr.DualRail = true
-	fp := cfg.Faults
-	fp.Down = append(append([]fabric.DownWindow{}, fp.Down...),
+	// The outage rides on top of whatever the run-wide profile injects.
+	cfg.Faults.Down = append(append([]fabric.DownWindow{}, cfg.Faults.Down...),
 		fabric.DownWindow{Src: 0, Dst: 1, From: failoverOutageFrom, Until: failoverOutageUntil},
 		fabric.DownWindow{Src: 1, Dst: 0, From: failoverOutageFrom, Until: failoverOutageUntil})
-	cl, err := cluster.New(cluster.Spec{
-		Nodes: 2, OS: os, Params: pr, Seed: seed, Faults: fp,
-	})
+	cl, err := cfg.cluster(cluster.Spec{Nodes: 2, OS: os, Params: pr, Seed: seed})
 	if err != nil {
 		return FailoverRow{}, err
 	}

@@ -7,15 +7,11 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/model"
-	"repro/internal/psm"
-	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -38,6 +34,14 @@ type ReliabilityRow struct {
 	// so the drop injection is actually exercised).
 	Reps int
 }
+
+// relKey is one (loss rate, message size) entry of the sweep.
+type relKey struct {
+	loss float64
+	size uint64
+}
+
+func (k relKey) String() string { return fmt.Sprintf("reliability/%.4f/%dB", k.loss, k.size) }
 
 // relCell is one (loss, size, OS) measurement.
 type relCell struct {
@@ -70,149 +74,68 @@ func relReps(loss float64, size uint64, chunk uint64) int {
 // Reliability runs the lossy-fabric sweep, one pool job per (loss rate,
 // message size, OS) cell. Any payload mismatch fails the experiment.
 func Reliability(cfg Config) ([]ReliabilityRow, error) {
+	// Every cell, the loss-free column included, ends in Ranks.Drain,
+	// which polls one counter on one clock.
+	if cfg.Shards > 1 {
+		return nil, fmt.Errorf("reliability: verified ping-pong cells cannot run with Shards=%d", cfg.Shards)
+	}
 	sc := cfg.Scale
-	chunk := model.Default().EagerChunk
-	var jobs []runner.Job[relCell]
+	var keys []relKey
 	for _, loss := range sc.LossRates {
 		for _, size := range sc.ReliabilitySizes {
-			for _, os := range cluster.AllOSTypes {
-				loss, size, os := loss, size, os
-				id := fmt.Sprintf("reliability/%.4f/%dB/%s", loss, size, osName(os))
-				reps := relReps(loss, size, chunk)
-				jobs = append(jobs, runner.Job[relCell]{ID: id, Fn: func() (relCell, error) {
-					return reliabilityCell(cfg, os, loss, size, reps, runner.DeriveSeed(sc.Seed, id))
-				}})
-			}
+			keys = append(keys, relKey{loss, size})
 		}
 	}
-	cells, err := runner.Run(cfg.pool(), jobs)
+	grid, err := osGrid(cfg, keys, relKey.String, func(k relKey, os cluster.OSType, seed int64) (relCell, error) {
+		return relCellRun(cfg, os, k, seed)
+	})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]ReliabilityRow, 0, len(sc.LossRates)*len(sc.ReliabilitySizes))
-	i := 0
-	for _, loss := range sc.LossRates {
-		for _, size := range sc.ReliabilitySizes {
-			row := ReliabilityRow{
-				Loss: loss, Size: size,
-				Goodput:     make(map[string]float64),
-				OneWayP50:   make(map[string]time.Duration),
-				OneWayP99:   make(map[string]time.Duration),
-				Retransmits: make(map[string]uint64),
-			}
-			for _, os := range cluster.AllOSTypes {
-				cell := cells[i]
-				i++
-				name := osName(os)
-				row.Goodput[name] = float64(size) / cell.hist.Mean().Seconds() / 1e6
-				row.OneWayP50[name] = cell.hist.P50()
-				row.OneWayP99[name] = cell.hist.P99()
-				row.Retransmits[name] = cell.retrans
-				row.Reps = cell.reps
-			}
-			rows = append(rows, row)
-		}
+	rows := make([]ReliabilityRow, 0, len(grid))
+	for i, k := range keys {
+		rows = append(rows, ReliabilityRow{
+			Loss: k.loss, Size: k.size,
+			Goodput: byOS(grid[i], func(c relCell) float64 {
+				return float64(k.size) / c.hist.Mean().Seconds() / 1e6
+			}),
+			OneWayP50:   byOS(grid[i], func(c relCell) time.Duration { return c.hist.P50() }),
+			OneWayP99:   byOS(grid[i], func(c relCell) time.Duration { return c.hist.P99() }),
+			Retransmits: byOS(grid[i], func(c relCell) uint64 { return c.retrans }),
+			Reps:        grid[i][0].reps,
+		})
 	}
 	return rows, nil
 }
 
-// reliabilityCell runs one symmetric ping-pong cell on a real-payload
-// (non-synthetic) two-node cluster under the given drop rate, verifying
-// every delivered message against the deterministic reference pattern.
-func reliabilityCell(cfg Config, os cluster.OSType, loss float64, size uint64, reps int, seed int64) (relCell, error) {
+// relCellRun runs the verified ping-pong cell under the key's drop
+// rate and couples its recovery counters to the injected faults.
+func relCellRun(cfg Config, os cluster.OSType, k relKey, seed int64) (relCell, error) {
 	// The cell inherits cfg.Faults (duplication, reordering, SDMA
 	// aborts, ...) and sweeps only the drop rate on top of it.
-	fp := cfg.Faults
-	fp.Drop = loss
-	cl, err := cluster.New(cluster.Spec{
-		Nodes: 2, OS: os, Params: model.Default(), Seed: seed, Faults: fp,
-	})
+	cfg.Faults.Drop = k.loss
+	reps := relReps(k.loss, k.size, model.Default().EagerChunk)
+	c, err := buildPingPong(cfg, os, k.size, reps, seed, nil, true)
 	if err != nil {
 		return relCell{}, err
 	}
-	hist := &trace.Histogram{}
-	var ranks *cluster.Ranks
-	ranks = cl.StartRanks("rel", []int{0, 1}, false, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
-		proc := ep.OS.Proc()
-		buf, err := ep.OS.MmapAnon(p, size)
-		if err != nil {
-			return err
-		}
-		verify := func(tag uint64) error {
-			got := make([]byte, size)
-			if err := proc.ReadAt(buf, got); err != nil {
-				return err
-			}
-			if !bytes.Equal(got, relPattern(tag, size)) {
-				return fmt.Errorf("reliability: payload mismatch at loss=%g size=%d tag=%d on %s",
-					loss, size, tag, os)
-			}
-			return nil
-		}
-		// Warmup round, then timed rounds; both directions carry the
-		// reference pattern and are verified on arrival.
-		for i := 0; i <= reps; i++ {
-			tag := uint64(10 + i)
-			if r == 0 {
-				if err := proc.WriteAt(buf, relPattern(tag, size)); err != nil {
-					return err
-				}
-				start := p.Now()
-				if err := ep.Send(p, 1, tag, buf, size); err != nil {
-					return err
-				}
-				if err := ep.Recv(p, 1, tag, buf, size); err != nil {
-					return err
-				}
-				if err := verify(tag); err != nil {
-					return err
-				}
-				if i > 0 {
-					hist.Observe((p.Now() - start) / 2)
-				}
-			} else {
-				if err := ep.Recv(p, 0, tag, buf, size); err != nil {
-					return err
-				}
-				if err := verify(tag); err != nil {
-					return err
-				}
-				if err := ep.Send(p, 0, tag, buf, size); err != nil {
-					return err
-				}
-			}
-		}
-		return ranks.Drain(p, ep)
-	})
-	if err := cl.Run(0); err != nil {
+	res, err := c.finish()
+	if err != nil {
 		return relCell{}, err
 	}
-	if err := ranks.Err(); err != nil {
-		return relCell{}, err
-	}
-	cell := relCell{hist: hist, reps: reps}
-	for _, ep := range ranks.Endpoints() {
+	cell := relCell{hist: res.hist, reps: reps}
+	for _, ep := range c.ranks.Endpoints() {
 		cell.retrans += ep.Stats.Retransmits + ep.Stats.MsgResends
 	}
-	// Sanity-couple the recovery counters to the injected faults: a
-	// lossy cell with no drops means the repetition scaling is broken.
-	fs := cl.Fab.FaultStats()
-	if loss > 0 && fs.Dropped == 0 {
+	// A lossy cell with no drops means the repetition scaling is broken.
+	fs := c.cl.Fab.FaultStats()
+	if k.loss > 0 && fs.Dropped == 0 {
 		return relCell{}, fmt.Errorf("reliability: loss=%g size=%d on %s injected no drops over %d reps",
-			loss, size, os, reps)
+			k.loss, k.size, os, reps)
 	}
-	if loss > 0 && cell.retrans == 0 {
+	if k.loss > 0 && cell.retrans == 0 {
 		return relCell{}, fmt.Errorf("reliability: loss=%g size=%d on %s dropped %d packets but recovered none",
-			loss, size, os, fs.Dropped)
+			k.loss, k.size, os, fs.Dropped)
 	}
 	return cell, nil
-}
-
-// relPattern is the deterministic loss-free reference payload for a tag.
-func relPattern(tag, size uint64) []byte {
-	b := make([]byte, size)
-	for k := range b {
-		b[k] = byte(uint64(k)*2654435761 + tag*97)
-	}
-	return b
 }

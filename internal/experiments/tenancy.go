@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fabric"
-	"repro/internal/model"
 	"repro/internal/mpi"
 	"repro/internal/runner"
 	"repro/internal/sched"
@@ -75,8 +74,7 @@ func Tenancy(cfg Config) ([]TenancyRow, error) {
 	var jobs []runner.Job[TenancyRow]
 	for _, os := range cluster.AllOSTypes {
 		for _, scen := range tenancyScenarios {
-			os, scen := os, scen
-			id := fmt.Sprintf("tenancy/%s/%s", osName(os), scen)
+			id := tenancyID(os, scen)
 			jobs = append(jobs, runner.Job[TenancyRow]{ID: id, Fn: func() (TenancyRow, error) {
 				return tenancyCell(cfg, os, scen, runner.DeriveSeed(sc.Seed, id), nil)
 			}})
@@ -114,16 +112,19 @@ func Tenancy(cfg Config) ([]TenancyRow, error) {
 	return rows, nil
 }
 
+// tenancyID names one tenancy cell (OS first: the sweep's rows are
+// grouped per OS). Frozen like every cell id — seeds derive from it.
+func tenancyID(os cluster.OSType, scen string) string {
+	return fmt.Sprintf("tenancy/%s/%s", osName(os), scen)
+}
+
 // TracedTenancy runs the packed noisy-neighbor cell for one OS under a
 // trace recorder, so the victim's inflated request spans can be
 // exported as a Chrome trace.
 func TracedTenancy(cfg Config, os cluster.OSType) (TenancyRow, *trace.Recorder, error) {
-	rec := cfg.Trace
-	if rec == nil {
-		rec = trace.NewRecorder()
-	}
-	id := fmt.Sprintf("tenancy/%s/packed", osName(os))
-	row, err := tenancyCell(cfg, os, "packed", runner.DeriveSeed(cfg.Scale.Seed, id), rec)
+	rec := trace.NewRecorder()
+	seed := runner.DeriveSeed(cfg.Scale.Seed, tenancyID(os, "packed"))
+	row, err := tenancyCell(cfg, os, "packed", seed, rec)
 	return row, rec, err
 }
 
@@ -131,9 +132,8 @@ func TracedTenancy(cfg Config, os cluster.OSType) (TenancyRow, *trace.Recorder, 
 // cell for one OS, tracing the packed cell: cmd/pingpong prints the
 // victim's p50/p99 inflation from the pair.
 func NeighborDelta(cfg Config, os cluster.OSType) (solo, packed TenancyRow, rec *trace.Recorder, err error) {
-	sc := cfg.Scale
-	soloID := fmt.Sprintf("tenancy/%s/solo", osName(os))
-	solo, err = tenancyCell(cfg, os, "solo", runner.DeriveSeed(sc.Seed, soloID), nil)
+	seed := runner.DeriveSeed(cfg.Scale.Seed, tenancyID(os, "solo"))
+	solo, err = tenancyCell(cfg, os, "solo", seed, nil)
 	if err != nil {
 		return TenancyRow{}, TenancyRow{}, nil, err
 	}
@@ -183,53 +183,26 @@ func tenancyLatencyBody(msgs int, size uint64, hist *trace.Histogram) mpi.RankFu
 	}
 }
 
-// tenancyBulkBody is the noisy neighbor: count back-to-back bulk
-// transfers (SDMA-eager sized) from rank 0 to rank 1.
-func tenancyBulkBody(count int, size uint64) mpi.RankFunc {
-	return func(c *mpi.Comm) error {
-		buf, err := c.MmapAnon(size)
-		if err != nil {
-			return err
-		}
-		switch c.Rank {
-		case 0:
-			for i := 0; i < count; i++ {
-				if err := c.EP.Send(c.P, 1, uint64(2000+i), buf, size); err != nil {
-					return err
-				}
-			}
-		case 1:
-			for i := 0; i < count; i++ {
-				if err := c.EP.Recv(c.P, 0, uint64(2000+i), buf, size); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-}
-
-// tenancyIncastBody is one incast aggressor: rank 1 (a remote node)
-// pushes bulk transfers at rank 0, which sits on the shared hot-spot
+// tenancyStreamBody is a bulk tenant: count back-to-back transfers
+// (SDMA-eager sized) from rank `from` to the job's other rank, tagged
+// tagBase+i. The noisy neighbor streams 0→1; an incast aggressor
+// streams 1→0, from its remote node into rank 0 on the shared hot-spot
 // node.
-func tenancyIncastBody(count int, size uint64) mpi.RankFunc {
+func tenancyStreamBody(from int, tagBase uint64, count int, size uint64) mpi.RankFunc {
 	return func(c *mpi.Comm) error {
 		buf, err := c.MmapAnon(size)
 		if err != nil {
 			return err
 		}
-		switch c.Rank {
-		case 1:
-			for i := 0; i < count; i++ {
-				if err := c.EP.Send(c.P, 0, uint64(3000+i), buf, size); err != nil {
-					return err
-				}
+		for i := 0; i < count; i++ {
+			tag := tagBase + uint64(i)
+			if c.Rank == from {
+				err = c.EP.Send(c.P, 1-from, tag, buf, size)
+			} else {
+				err = c.EP.Recv(c.P, from, tag, buf, size)
 			}
-		case 0:
-			for i := 0; i < count; i++ {
-				if err := c.EP.Recv(c.P, 1, uint64(3000+i), buf, size); err != nil {
-					return err
-				}
+			if err != nil {
+				return err
 			}
 		}
 		return nil
@@ -250,14 +223,7 @@ func tenancyCell(cfg Config, os cluster.OSType, scen string, seed int64, rec *tr
 		bulkSize = 32 << 10
 	}
 	const latSize = 4 << 10
-	cong := cfg.Congestion
-	if !cong.Active() {
-		cong = tenancyCong()
-	}
-	cl, err := cluster.New(cluster.Spec{
-		Nodes: 4, OS: os, Params: model.Default(), Seed: seed,
-		Faults: cfg.Faults, Congestion: cong,
-	})
+	cl, err := cfg.cluster(cluster.Spec{Nodes: 4, OS: os, Seed: seed, Congestion: tenancyCong()})
 	if err != nil {
 		return TenancyRow{}, err
 	}
@@ -285,7 +251,7 @@ func tenancyCell(cfg Config, os cluster.OSType, scen string, seed int64, rec *tr
 		}
 		if err := s.Submit(sched.JobSpec{
 			Name: "bulk", Tenant: "bulk", Ranks: 2, Policy: pol,
-			Body: tenancyBulkBody(bulkCount, bulkSize),
+			Body: tenancyStreamBody(0, 2000, bulkCount, bulkSize),
 		}); err != nil {
 			return TenancyRow{}, err
 		}
@@ -296,7 +262,7 @@ func tenancyCell(cfg Config, os cluster.OSType, scen string, seed int64, rec *tr
 			if err := s.Submit(sched.JobSpec{
 				Name: fmt.Sprintf("in%d", i), Tenant: fmt.Sprintf("bulk%d", i),
 				Ranks: 2, Placement: []int{0, i + 1},
-				Body: tenancyIncastBody(bulkCount, bulkSize),
+				Body: tenancyStreamBody(1, 3000, bulkCount, bulkSize),
 			}); err != nil {
 				return TenancyRow{}, err
 			}

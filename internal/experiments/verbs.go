@@ -13,10 +13,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/mlx"
-	"repro/internal/mpi"
-	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/verbs"
 )
 
@@ -40,38 +37,26 @@ type verbsCell struct {
 // (message size, OS) cell.
 func VerbsSweep(cfg Config) ([]VerbsRow, error) {
 	sc := cfg.Scale
-	var jobs []runner.Job[verbsCell]
-	for _, size := range sc.VerbsSizes {
-		for _, os := range cluster.AllOSTypes {
-			size, os := size, os
-			id := fmt.Sprintf("verbs/%dB/%s", size, osName(os))
-			jobs = append(jobs, runner.Job[verbsCell]{ID: id, Fn: func() (verbsCell, error) {
-				return verbsCellRun(cfg, os, size, sc.VerbsReps, runner.DeriveSeed(sc.Seed, id))
-			}})
-		}
-	}
-	cells, err := runner.Run(cfg.pool(), jobs)
+	grid, err := osGrid(cfg, sc.VerbsSizes, verbsKey,
+		func(size uint64, os cluster.OSType, seed int64) (verbsCell, error) {
+			return verbsCellRun(cfg, os, size, sc.VerbsReps, seed)
+		})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]VerbsRow, 0, len(sc.VerbsSizes))
+	rows := make([]VerbsRow, 0, len(grid))
 	for i, size := range sc.VerbsSizes {
-		row := VerbsRow{
-			Size:   size,
-			RegLat: make(map[string]time.Duration),
-			WriteLat: make(map[string]time.Duration),
-			ReadLat:  make(map[string]time.Duration),
-		}
-		for j, os := range cluster.AllOSTypes {
-			cell := cells[i*len(cluster.AllOSTypes)+j]
-			row.RegLat[osName(os)] = cell.reg
-			row.WriteLat[osName(os)] = cell.write
-			row.ReadLat[osName(os)] = cell.read
-		}
-		rows = append(rows, row)
+		rows = append(rows, VerbsRow{
+			Size:     size,
+			RegLat:   byOS(grid[i], func(c verbsCell) time.Duration { return c.reg }),
+			WriteLat: byOS(grid[i], func(c verbsCell) time.Duration { return c.write }),
+			ReadLat:  byOS(grid[i], func(c verbsCell) time.Duration { return c.read }),
+		})
 	}
 	return rows, nil
 }
+
+func verbsKey(size uint64) string { return fmt.Sprintf("verbs/%dB", size) }
 
 // verbsCellRun measures one (size, OS) cell on a two-node cluster:
 // node 0 initiates against a window on node 1. The cell runs under
@@ -85,7 +70,7 @@ func verbsCellRun(cfg Config, os cluster.OSType, size uint64, reps int, seed int
 	if cfg.Shards > 1 {
 		return verbsCell{}, fmt.Errorf("verbs: single-process cell cannot run with Shards=%d", cfg.Shards)
 	}
-	cl, err := cfg.cluster(2, os, seed, true)
+	cl, err := cfg.cluster(cluster.Spec{Nodes: 2, OS: os, Seed: seed, Synthetic: true})
 	if err != nil {
 		return verbsCell{}, err
 	}
@@ -215,12 +200,4 @@ func verbsCellBody(p *sim.Proc, cl *cluster.Cluster, size uint64, reps int) (ver
 		return cell, fmt.Errorf("verbs cell: data path entered a kernel (+%v)", d)
 	}
 	return cell, nil
-}
-
-// TracedVerbsRun executes the one-sided LAMMPS variant with a span
-// recorder attached: the verbs doorbell/dma/cqe spans land in the trace
-// next to the MPI and kernel layers. Same-seed calls produce
-// byte-identical Chrome output.
-func TracedVerbsRun(cfg Config, nodes, rpn int, os cluster.OSType) (*trace.Recorder, *mpi.JobResult, error) {
-	return TracedRun(cfg, "LAMMPS-RMA", nodes, rpn, os)
 }

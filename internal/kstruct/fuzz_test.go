@@ -26,11 +26,11 @@ func fuzzSpace(t *testing.T) *kmemSpace {
 // load every element with the kind's exact width (no sign extension,
 // no neighbor clobbering).
 func FuzzScalarRoundTrip(f *testing.F) {
-	f.Add(uint16(40), uint8(4), uint8(1), uint64(7))                    // Listing 1's current_state
-	f.Add(uint16(48), uint8(2), uint8(1), uint64(1))                    // go_s99_running
-	f.Add(uint16(160), uint8(2), uint8(16), uint64(0xdeadbeef))         // sde_irqs array
-	f.Add(uint16(0), uint8(5), uint8(1), uint64(0xffff880000001000))    // pointer
-	f.Add(uint16(3), uint8(0), uint8(4), uint64(0x1122334455667788))    // unaligned u8 array
+	f.Add(uint16(40), uint8(4), uint8(1), uint64(7))                 // Listing 1's current_state
+	f.Add(uint16(48), uint8(2), uint8(1), uint64(1))                 // go_s99_running
+	f.Add(uint16(160), uint8(2), uint8(16), uint64(0xdeadbeef))      // sde_irqs array
+	f.Add(uint16(0), uint8(5), uint8(1), uint64(0xffff880000001000)) // pointer
+	f.Add(uint16(3), uint8(0), uint8(4), uint64(0x1122334455667788)) // unaligned u8 array
 	f.Fuzz(func(t *testing.T, off uint16, kind uint8, count uint8, value uint64) {
 		fld := Field{Name: "f", Offset: uint64(off), Kind: Kind(kind % 6), Count: uint64(count)}
 		guard := Field{Name: "guard", Offset: uint64(off) + fld.Size(), Kind: U64}

@@ -83,12 +83,11 @@ type Params struct {
 
 	// ---- PSM thresholds ----
 
-	// SDMAThreshold is the message size above which PSM switches from
-	// PIO to SDMA (64 KB by default in PSM).
+	// SDMAThreshold is the largest message PSM sends eagerly (PIO up to
+	// PIOMaxSize, eager SDMA above it); larger messages take the
+	// rendezvous protocol with expected receive (TID registration).
+	// 64 KB by default in PSM.
 	SDMAThreshold uint64
-	// RendezvousThreshold is the size above which expected receive
-	// (TID registration) is used instead of eager buffers.
-	RendezvousThreshold uint64
 	// RendezvousWindow is the PSM TID window: large expected transfers
 	// are split into windows, each with its own TID registration, CTS
 	// and SDMA submission.
@@ -173,11 +172,6 @@ type Params struct {
 	// wakeup overhead to the call being serviced. This is what turns
 	// high offload demand into the superlinear collapse of Figure 6a.
 	OffloadThrashPerQueued time.Duration
-	// LinuxCPUsPerNode is the number of cores reserved for OS services
-	// (4 on OFP; 64 go to the application).
-	LinuxCPUsPerNode int
-	// AppCPUsPerNode is the number of cores given to the application.
-	AppCPUsPerNode int
 
 	// ---- OS noise ----
 
@@ -239,11 +233,10 @@ func Default() Params {
 		PIOPerMessage: 350 * time.Nanosecond,
 		PIOMaxSize:    16 << 10,
 
-		SDMAThreshold:       64 << 10,
-		RendezvousThreshold: 64 << 10,
-		RendezvousWindow:    512 << 10,
-		EagerChunk:          8 << 10,
-		MemcpyBandwidth:     6.0e9,
+		SDMAThreshold:    64 << 10,
+		RendezvousWindow: 512 << 10,
+		EagerChunk:       8 << 10,
+		MemcpyBandwidth:  6.0e9,
 
 		PSMRtoBase:      100 * time.Microsecond,
 		PSMRtoMax:       2 * time.Millisecond,
@@ -270,8 +263,6 @@ func Default() Params {
 		IKCLatency:             1600 * time.Nanosecond,
 		OffloadFixed:           8000 * time.Nanosecond,
 		OffloadThrashPerQueued: 6000 * time.Nanosecond,
-		LinuxCPUsPerNode:       4,
-		AppCPUsPerNode:         64,
 
 		NoiseTickPeriod:   1 * time.Millisecond,
 		NoiseTickCost:     2 * time.Microsecond,

@@ -52,9 +52,9 @@ type Win struct {
 	mr     *verbs.MR
 	target *verbs.QP // any-source QP peers WRITE/READ through
 
-	meta  []winMeta          // per-rank descriptors, indexed by rank
-	peers map[int]*verbs.QP  // lazily connected initiator QPs
-	out   map[*verbs.QP]int  // outstanding completions per initiator QP
+	meta  []winMeta         // per-rank descriptors, indexed by rank
+	peers map[int]*verbs.QP // lazily connected initiator QPs
+	out   map[*verbs.QP]int // outstanding completions per initiator QP
 	wrid  uint64
 }
 

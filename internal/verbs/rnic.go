@@ -418,7 +418,7 @@ func (r *RNIC) streamOut(p *sim.Proc, dstNode int, dstQPN, srcQPN, op uint32,
 			Hdr: fabric.Header{Op: op, SrcRank: srcQPN, Tag: w.RAddr,
 				Aux: uint64(w.RKey), MsgID: msgID, MsgLen: w.Len, Offset: off},
 			Payload: payload, Bytes: n, Last: last,
-			Pooled:  true, PooledPayload: payload != nil,
+			Pooled: true, PooledPayload: payload != nil,
 		}
 		if err := r.fab.Send(p, pkt); err != nil {
 			r.e.Fail(err)
