@@ -6,11 +6,11 @@
 //	experiments [-scale small|paper] [-only fig4,fig5a,...] [-out DIR] [-j N]
 //	            [-checkpoint FILE [-resume]]
 //
-// Experiment ids: fig4, fig5a, fig5b, fig6a, fig6b, fig7, table1, fig8,
-// fig9, verbs, reliability, failover, tenancy, bigscale. With -out, each
-// artifact is also written to DIR/<id>.txt. The bigscale id (the sharded
-// engine's same-seed shard-count sweep) is expensive and only runs when
-// named in -only.
+// The experiment ids are the report.Artifacts catalogue, run in its
+// order (an unknown -only id prints the list). With -out, each artifact
+// is also written to DIR/<id>.txt and DIR/<id>.csv. The catalogue's
+// explicit ids (bigscale, the sharded engine's same-seed shard-count
+// sweep) are expensive and only run when named in -only.
 //
 // -j fans the independent simulation cells of each experiment out over N
 // workers (default: GOMAXPROCS). Artifacts are byte-identical for any
@@ -37,19 +37,8 @@ import (
 
 	"repro/internal/cliconf"
 	"repro/internal/experiments"
-	"repro/internal/miniapps"
 	"repro/internal/report"
 )
-
-// experimentIDs lists every known id in output order. explicitOnly ids
-// are skipped unless named in -only (too expensive for the default
-// sweep).
-var experimentIDs = []string{
-	"fig4", "fig5a", "fig5b", "fig6a", "fig6b", "fig7", "table1", "fig8", "fig9",
-	"verbs", "reliability", "failover", "tenancy", "bigscale",
-}
-
-var explicitOnly = map[string]bool{"bigscale": true}
 
 func main() {
 	scaleFlag := flag.String("scale", "small", "experiment scale: small or paper")
@@ -75,9 +64,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	var ids []string
 	known := map[string]bool{}
-	for _, id := range experimentIDs {
-		known[id] = true
+	for _, a := range report.Artifacts {
+		ids = append(ids, a.ID)
+		known[a.ID] = true
 	}
 	want := map[string]bool{}
 	if *onlyFlag != "" {
@@ -85,17 +76,17 @@ func main() {
 			id = strings.TrimSpace(id)
 			if !known[id] {
 				fmt.Fprintf(os.Stderr, "unknown experiment id %q (known: %s)\n",
-					id, strings.Join(experimentIDs, ", "))
+					id, strings.Join(ids, ", "))
 				os.Exit(2)
 			}
 			want[id] = true
 		}
 	}
-	selected := func(id string) bool {
-		if explicitOnly[id] {
-			return want[id]
+	selected := func(a report.Artifact) bool {
+		if a.Explicit {
+			return want[a.ID]
 		}
-		return len(want) == 0 || want[id]
+		return len(want) == 0 || want[a.ID]
 	}
 
 	cfg := shared.Config(sc)
@@ -109,15 +100,6 @@ func main() {
 		if ckpt, err = experiments.LoadCheckpoint(*ckptFlag, meta, *resumeFlag); err != nil {
 			fatal(err)
 		}
-	}
-
-	// A failed sweep job doesn't abort the whole run: the experiment is
-	// named on stderr, the remaining experiments still execute, and the
-	// process exits non-zero at the end.
-	var failed []string
-	fail := func(id string, err error) {
-		failed = append(failed, id)
-		fmt.Fprintf(os.Stderr, "experiments: %s FAILED: %v\n", id, err)
 	}
 
 	emit := func(id, content, csv string) {
@@ -137,25 +119,30 @@ func main() {
 		}
 	}
 
-	// do runs one experiment — or replays it from the resume manifest —
-	// emits its artifacts, records them in the checkpoint, and reports
-	// wall-clock on stderr (where the effect of -j is otherwise
-	// invisible).
-	do := func(id string, run func() (text, csv string, err error)) {
-		if !selected(id) {
-			return
+	// Each selected experiment runs — or replays from the resume
+	// manifest — emits its artifacts, records them in the checkpoint,
+	// and reports wall-clock on stderr (where the effect of -j is
+	// otherwise invisible). A failed sweep job doesn't abort the whole
+	// run: the experiment is named on stderr, the remaining experiments
+	// still execute, and the process exits non-zero at the end.
+	var failed []string
+	for _, a := range report.Artifacts {
+		id := a.ID
+		if !selected(a) {
+			continue
 		}
 		if ckpt != nil && ckpt.Has(id) {
 			text, csv := ckpt.Artifact(id)
 			emit(id, text, csv)
 			fmt.Fprintf(os.Stderr, "experiments: %-6s resumed from %s\n", id, *ckptFlag)
-			return
+			continue
 		}
 		start := time.Now()
-		text, csv, err := run()
+		text, csv, err := a.Run(cfg)
 		if err != nil {
-			fail(id, err)
-			return
+			failed = append(failed, id)
+			fmt.Fprintf(os.Stderr, "experiments: %s FAILED: %v\n", id, err)
+			continue
 		}
 		emit(id, text, csv)
 		if ckpt != nil {
@@ -165,101 +152,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "experiments: %-6s %s\n", id, time.Since(start).Round(time.Millisecond))
 	}
-
-	do("fig4", func() (string, string, error) {
-		rows, err := experiments.Fig4(cfg)
-		if err != nil {
-			return "", "", err
-		}
-		return report.Fig4Table(rows), report.Fig4CSV(rows), nil
-	})
-
-	scaling := []struct {
-		id, title string
-		app       *miniapps.App
-		nodes     []int
-	}{
-		{"fig5a", "Figure 5a: LAMMPS", miniapps.LAMMPS(), sc.AppNodes},
-		{"fig5b", "Figure 5b: Nekbone", miniapps.Nekbone(), sc.AppNodes},
-		{"fig6a", "Figure 6a: UMT2013", miniapps.UMT2013(), sc.AppNodes},
-		{"fig6b", "Figure 6b: HACC", miniapps.HACC(), sc.AppNodes},
-		{"fig7", "Figure 7: QBOX", miniapps.QBOX(), sc.QBoxNodes},
-	}
-	for _, s := range scaling {
-		s := s
-		do(s.id, func() (string, string, error) {
-			pts, err := experiments.AppScaling(cfg, s.app, s.nodes)
-			if err != nil {
-				return "", "", err
-			}
-			return report.ScalingTable(s.title, pts), report.ScalingCSV(pts), nil
-		})
-	}
-
-	do("table1", func() (string, string, error) {
-		profiles, err := experiments.Table1(cfg)
-		if err != nil {
-			return "", "", err
-		}
-		return report.Table1(profiles), report.Table1CSV(profiles), nil
-	})
-
-	for _, bd := range []struct{ id, app string }{
-		{"fig8", "UMT2013"},
-		{"fig9", "QBOX"},
-	} {
-		bd := bd
-		do(bd.id, func() (string, string, error) {
-			orig, pico, err := experiments.SyscallBreakdown(cfg, bd.app)
-			if err != nil {
-				return "", "", err
-			}
-			return report.BreakdownTable(orig, pico), report.BreakdownCSV(orig, pico), nil
-		})
-	}
-
-	do("verbs", func() (string, string, error) {
-		rows, err := experiments.VerbsSweep(cfg)
-		if err != nil {
-			return "", "", err
-		}
-		return report.VerbsTable(rows), report.VerbsCSV(rows), nil
-	})
-
-	do("reliability", func() (string, string, error) {
-		rows, err := experiments.Reliability(cfg)
-		if err != nil {
-			return "", "", err
-		}
-		return report.ReliabilityTable(rows), report.ReliabilityCSV(rows), nil
-	})
-
-	do("failover", func() (string, string, error) {
-		rows, err := experiments.Failover(cfg)
-		if err != nil {
-			return "", "", err
-		}
-		return report.FailoverTable(rows), report.FailoverCSV(rows), nil
-	})
-
-	do("tenancy", func() (string, string, error) {
-		rows, err := experiments.Tenancy(cfg)
-		if err != nil {
-			return "", "", err
-		}
-		return report.TenancyTable(rows), report.TenancyCSV(rows), nil
-	})
-
-	do("bigscale", func() (string, string, error) {
-		rows, err := experiments.Bigscale(cfg, "UMT2013",
-			sc.BigscaleNodes, sc.BigscaleRPN, sc.BigscaleShards)
-		if err != nil {
-			return "", "", err
-		}
-		title := fmt.Sprintf("Sharded engine: UMT2013, %d nodes x %d ranks/node, one seed",
-			sc.BigscaleNodes, sc.BigscaleRPN)
-		return report.BigscaleTable(title, rows), report.BigscaleCSV(rows), nil
-	})
 
 	if len(failed) > 0 {
 		fmt.Fprintf(os.Stderr, "experiments: %d experiment(s) failed: %s\n",

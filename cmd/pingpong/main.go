@@ -46,77 +46,57 @@ func main() {
 	}
 	sc.PingPongSizes = sizes
 	cfg := shared.Config(sc)
-	traceFlag := shared.Trace
 
-	if *foFlag {
-		row, rec, err := experiments.TracedFailover(cfg, cluster.OSMcKernelHFI)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pingpong:", err)
-			os.Exit(1)
+	// writeTrace exports the mode's traced cell when -trace is set.
+	writeTrace := func(rec *trace.Recorder, what string) {
+		if *shared.Trace == "" {
+			return
 		}
-		fmt.Print(report.FailoverTable([]experiments.FailoverRow{row}))
-		if *traceFlag != "" {
-			if err := writeTrace(rec, *traceFlag); err != nil {
-				fmt.Fprintln(os.Stderr, "pingpong:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("trace: dual-rail failover cell, %d spans -> %s\n",
-				rec.SpanCount(), *traceFlag)
+		if err := shared.WriteTrace(rec); err != nil {
+			fatal(err)
 		}
-		return
+		fmt.Printf("trace: %s, %d spans -> %s\n", what, rec.SpanCount(), *shared.Trace)
 	}
 
-	if *nbFlag {
+	switch {
+	case *foFlag:
+		row, rec, err := experiments.TracedFailover(cfg, cluster.OSMcKernelHFI)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Print(report.FailoverTable([]experiments.FailoverRow{row}))
+		writeTrace(rec, "dual-rail failover cell")
+
+	case *nbFlag:
 		solo, packed, rec, err := experiments.NeighborDelta(cfg, cluster.OSMcKernelHFI)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pingpong:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Print(report.TenancyTable([]experiments.TenancyRow{solo, packed}))
 		fmt.Printf("victim delta: p50 %+v, p99 %+v (bulk neighbor at %.1f MB/s)\n",
 			packed.VictimP50-solo.VictimP50, packed.VictimP99-solo.VictimP99, packed.BulkMBps)
-		if *traceFlag != "" {
-			if err := writeTrace(rec, *traceFlag); err != nil {
-				fmt.Fprintln(os.Stderr, "pingpong:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("trace: packed noisy-neighbor cell, %d spans -> %s\n",
-				rec.SpanCount(), *traceFlag)
-		}
-		return
-	}
+		writeTrace(rec, "packed noisy-neighbor cell")
 
-	rows, err := experiments.Fig4(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pingpong:", err)
-		os.Exit(1)
-	}
-	fmt.Print(report.Fig4Table(rows))
-
-	if *traceFlag != "" {
-		rec, err := experiments.TracedPingPong(cfg, cluster.OSMcKernelHFI, 64<<10)
+	default:
+		rows, err := experiments.Fig4(cfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pingpong:", err)
-			os.Exit(1)
+			fatal(err)
 		}
-		if err := writeTrace(rec, *traceFlag); err != nil {
-			fmt.Fprintln(os.Stderr, "pingpong:", err)
-			os.Exit(1)
+		fmt.Print(report.Fig4Table(rows))
+		if *shared.Trace != "" {
+			// Fig4's own 64KB McKernel+HFI1 cell (same derived seed)
+			// run again under a recorder: its spans are the run behind
+			// the table's 64KB row whenever -sizes includes 64K.
+			rec := trace.NewRecorder()
+			if _, err := experiments.PingPongStraight(cfg, cluster.OSMcKernelHFI, 64<<10, rec); err != nil {
+				fatal(err)
+			}
+			writeTrace(rec, "64KB McKernel+HFI1 ping-pong")
 		}
-		fmt.Printf("trace: 64KB McKernel+HFI1 ping-pong, %d spans -> %s\n",
-			rec.SpanCount(), *traceFlag)
 	}
 }
 
-// writeTrace serializes a recorder as Chrome trace JSON.
-func writeTrace(rec *trace.Recorder, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := rec.WriteChromeTrace(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "pingpong:", err)
+	os.Exit(1)
 }

@@ -106,15 +106,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		f, err := os.Create(*traceFlag)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rec.WriteChromeTrace(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := shared.WriteTrace(rec); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("trace: %s %s nodes=%d rpn=%d elapsed=%v spans=%d -> %s\n",

@@ -12,8 +12,9 @@
 //
 // straight and resume print the cell's statistics on stdout and can
 // serialize the run's Chrome trace; a correct implementation makes
-// both outputs byte-identical, which is what `make snapshot-smoke`
-// asserts.
+// both outputs byte-identical, which is what
+// TestPingPongCheckpointResume (internal/experiments) asserts
+// in-process.
 //
 // Run setup (-j, -shards, -loss, -trace) comes from the shared
 // cliconf block; with -shards N>1 the checkpoint mode exercises the
@@ -37,7 +38,6 @@ func main() {
 	size := flag.Uint64("size", 1<<20, "ping-pong message size in bytes")
 	shared := cliconf.New(cliconf.WithTrace)
 	flag.Parse()
-	tracePath := shared.Trace
 
 	osType, err := cliconf.ParseOS(*osFlag)
 	if err != nil {
@@ -46,15 +46,13 @@ func main() {
 	cfg := shared.Config(experiments.SmallScale())
 
 	var rec *trace.Recorder
-	if *tracePath != "" {
+	if *shared.Trace != "" {
 		rec = trace.NewRecorder()
 	}
 	emit := func(cell experiments.PingPongCell) {
 		fmt.Printf("fig4 %dB %s: %s\n", *size, osType, cell)
-		if rec != nil {
-			if err := os.WriteFile(*tracePath, rec.ChromeTraceJSON(), 0o644); err != nil {
-				fatal(err)
-			}
+		if err := shared.WriteTrace(rec); err != nil {
+			fatal(err)
 		}
 	}
 

@@ -1,7 +1,9 @@
 // Command tracecheck validates a Chrome trace-event JSON file produced
 // by the simulator's span recorder: the file must parse, hold a
 // non-empty traceEvents array, and every event must carry the fields
-// Perfetto requires (name, ph, pid, ts for X/M phases, dur for X).
+// Perfetto requires (name, ph, pid, ts for X/M phases, dur for X). The
+// checks are trace.Validate, the same validator `go test` runs over
+// every determinism gate's trace.
 //
 // Usage:
 //
@@ -9,59 +11,22 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
+
+	"repro/internal/trace"
 )
-
-type traceFile struct {
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
-	TraceEvents     []traceEvent `json:"traceEvents"`
-}
-
-type traceEvent struct {
-	Name string          `json:"name"`
-	Cat  string          `json:"cat"`
-	Ph   string          `json:"ph"`
-	Pid  *int            `json:"pid"`
-	Tid  *int            `json:"tid"`
-	Ts   json.RawMessage `json:"ts"`
-	Dur  json.RawMessage `json:"dur"`
-}
 
 func check(path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	var tf traceFile
-	if err := json.Unmarshal(raw, &tf); err != nil {
-		return fmt.Errorf("not valid JSON: %w", err)
+	events, spans, err := trace.Validate(raw)
+	if err != nil {
+		return err
 	}
-	var spans int
-	for i, ev := range tf.TraceEvents {
-		if ev.Name == "" || ev.Ph == "" || ev.Pid == nil || ev.Tid == nil {
-			return fmt.Errorf("event %d: missing name/ph/pid/tid", i)
-		}
-		switch ev.Ph {
-		case "X":
-			if len(ev.Ts) == 0 || len(ev.Dur) == 0 {
-				return fmt.Errorf("event %d (%s): X event without ts/dur", i, ev.Name)
-			}
-			if ev.Cat == "" {
-				return fmt.Errorf("event %d (%s): span without cat", i, ev.Name)
-			}
-			spans++
-		case "M":
-			// Metadata events only need name/pid/tid.
-		default:
-			return fmt.Errorf("event %d (%s): unexpected phase %q", i, ev.Name, ev.Ph)
-		}
-	}
-	if spans == 0 {
-		return fmt.Errorf("no span (ph=X) events")
-	}
-	fmt.Printf("%s: ok (%d events, %d spans)\n", path, len(tf.TraceEvents), spans)
+	fmt.Printf("%s: ok (%d events, %d spans)\n", path, events, spans)
 	return nil
 }
 

@@ -11,11 +11,13 @@ package cliconf
 import (
 	"flag"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/experiments"
+	"repro/internal/trace"
 )
 
 // Flags holds the shared run-setup flag block. The fields are the
@@ -34,8 +36,7 @@ type Flags struct {
 	// fault model and the PSM reliability layer.
 	Loss *float64
 	// Trace is the Chrome trace output path ("" = no trace). Only
-	// registered by New(WithTrace); the binary consumes the path
-	// itself.
+	// registered by New(WithTrace); WriteTrace writes to it.
 	Trace *string
 }
 
@@ -74,6 +75,23 @@ func (f *Flags) Config(sc experiments.Scale) experiments.Config {
 	cfg.Faults.Drop = *f.Loss
 	cfg.Shards = *f.Shards
 	return cfg
+}
+
+// WriteTrace serializes rec as Chrome trace-event JSON to the -trace
+// path. Without -trace it does nothing.
+func (f *Flags) WriteTrace(rec *trace.Recorder) error {
+	if *f.Trace == "" {
+		return nil
+	}
+	file, err := os.Create(*f.Trace)
+	if err != nil {
+		return err
+	}
+	werr := rec.WriteChromeTrace(file)
+	if cerr := file.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
 }
 
 // ParseSize parses a byte size with an optional K/KB/M/MB suffix.

@@ -38,8 +38,8 @@ func TestCheckpointManifest(t *testing.T) {
 			t.Fatalf("resumed manifest lost %s", id)
 		}
 	}
-	if re.Has("fig5a") {
-		t.Fatal("resumed manifest invents fig5a")
+	if re.Has("never-recorded") {
+		t.Fatal("resumed manifest invents an id")
 	}
 	text, csv := re.Artifact("fig4")
 	if text != "the table\n" || csv != "a,b\n1,2\n" {
@@ -63,11 +63,10 @@ func TestCheckpointManifest(t *testing.T) {
 	}
 }
 
-// TestPingPongCheckpointResume pins the engine-level workflow the
-// snapshot-smoke CI gate runs: a Figure 4 cell checkpointed at half
-// its virtual time and resumed from the image must reproduce the
-// straight run's statistics and serialize a byte-identical Chrome
-// trace.
+// TestPingPongCheckpointResume pins the engine-level workflow
+// cmd/snapcheck drives: a Figure 4 cell checkpointed at half its
+// virtual time and resumed from the image must reproduce the straight
+// run's statistics and serialize a byte-identical, valid Chrome trace.
 func TestPingPongCheckpointResume(t *testing.T) {
 	cfg := tinyConfig()
 	const size = 256 << 10 // rendezvous: TID/SDMA state in flight at mid
@@ -99,11 +98,46 @@ func TestPingPongCheckpointResume(t *testing.T) {
 	if !bytes.Equal(recA.ChromeTraceJSON(), recB.ChromeTraceJSON()) {
 		t.Fatal("resumed run's trace differs from the straight run's")
 	}
+	if _, _, err := trace.Validate(recB.ChromeTraceJSON()); err != nil {
+		t.Fatalf("resumed run's trace is not a loadable Chrome trace: %v", err)
+	}
 
 	// A corrupted image must be rejected, not half-restored.
 	bad := append([]byte(nil), img.Bytes()...)
 	bad[img.Len()/2] ^= 1
 	if _, err := PingPongResume(cfg, os, size, bad, nil); err == nil {
 		t.Fatal("bit-flipped checkpoint accepted")
+	}
+}
+
+// TestTracedPingPongIsTheTableCell pins what `pingpong -trace` exports:
+// PingPongStraight under a recorder is Fig4's own cell for that
+// (size, OS) — same derived seed — so the spans belong to the run whose
+// numbers the table prints, on a loss-free and on a lossy fabric.
+func TestTracedPingPongIsTheTableCell(t *testing.T) {
+	const size = 64 << 10
+	os := cluster.OSMcKernelHFI
+	for _, drop := range []float64{0, 0.05} {
+		cfg := tinyConfig()
+		cfg.Scale.PingPongSizes = []uint64{size}
+		cfg.Scale.PingPongReps = 4
+		cfg.Faults.Drop = drop
+		rows, err := Fig4(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := trace.NewRecorder()
+		cell, err := PingPongStraight(cfg, os, size, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := rows[0]
+		if cell.P50 != row.OneWayP50[os.String()] || cell.P99 != row.OneWayP99[os.String()] {
+			t.Errorf("drop=%g: traced cell p50/p99 = %v/%v, Fig4 row has %v/%v",
+				drop, cell.P50, cell.P99, row.OneWayP50[os.String()], row.OneWayP99[os.String()])
+		}
+		if rec.SpanCount() == 0 {
+			t.Errorf("drop=%g: traced cell recorded no spans", drop)
+		}
 	}
 }

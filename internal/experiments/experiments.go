@@ -291,18 +291,6 @@ func Fig4(cfg Config) ([]Fig4Row, error) {
 	return rows, nil
 }
 
-// TracedPingPong runs one ping-pong cell with a fresh span recorder
-// attached and returns the recorder.
-func TracedPingPong(cfg Config, os cluster.OSType, size uint64) (*trace.Recorder, error) {
-	rec := trace.NewRecorder()
-	c, err := fig4Cell(cfg, os, size, cfg.Scale.Seed, rec)
-	if err != nil {
-		return nil, err
-	}
-	_, err = c.finish()
-	return rec, err
-}
-
 // ppCell is a built-but-not-yet-run ping-pong cell: the cluster with
 // both rank processes spawned, plus the accumulators their closures
 // write into. Splitting construction from execution is what lets

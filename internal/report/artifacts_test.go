@@ -4,53 +4,40 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/experiments"
 )
 
-// TestCommittedArtifactsByteIdentical rebuilds five committed artifacts
-// through the calls cmd/experiments makes for them (experiments.* then
-// report.*, small scale) and byte-compares text and CSV against
-// artifacts/. Together they cover the plain PSM path (fig4), verbs,
-// fault injection with go-back-N recovery (reliability) and with rail
-// failover, and congestion control with the job scheduler, so a change
-// that moves simulated results cannot leave `go test ./...` green. The
-// full set stays behind `make artifacts`.
+// shortArtifacts are the sub-second ids `go test -short` still rebuilds
+// (make check runs them under -race). Together they cover the plain PSM
+// path (fig4), verbs, fault injection with go-back-N recovery
+// (reliability) and with rail failover, and congestion control with the
+// job scheduler.
+var shortArtifacts = map[string]bool{
+	"fig4": true, "verbs": true, "reliability": true, "failover": true, "tenancy": true,
+}
+
+// TestCommittedArtifactsByteIdentical rebuilds the committed artifacts
+// from the Artifacts catalogue — the calls cmd/experiments makes, at
+// small scale — and byte-compares text and CSV against artifacts/, so a
+// change that moves a simulated result cannot leave `go test ./...`
+// green. Explicit ids are skipped (bigscale's wall-clock column is not
+// reproducible; TestDeterminismGates runs a tiny one). It also checks
+// that artifacts/ holds no file the catalogue does not own.
 func TestCommittedArtifactsByteIdentical(t *testing.T) {
-	cfg := experiments.NewConfig(experiments.SmallScale(), 0)
-	cases := []struct {
-		id  string
-		run func() (text, csv string, err error)
-	}{
-		{"fig4", func() (string, string, error) {
-			rows, err := experiments.Fig4(cfg)
-			return Fig4Table(rows), Fig4CSV(rows), err
-		}},
-		{"verbs", func() (string, string, error) {
-			rows, err := experiments.VerbsSweep(cfg)
-			return VerbsTable(rows), VerbsCSV(rows), err
-		}},
-		{"reliability", func() (string, string, error) {
-			rows, err := experiments.Reliability(cfg)
-			return ReliabilityTable(rows), ReliabilityCSV(rows), err
-		}},
-		{"failover", func() (string, string, error) {
-			rows, err := experiments.Failover(cfg)
-			return FailoverTable(rows), FailoverCSV(rows), err
-		}},
-		{"tenancy", func() (string, string, error) {
-			rows, err := experiments.Tenancy(cfg)
-			return TenancyTable(rows), TenancyCSV(rows), err
-		}},
-	}
-	for _, c := range cases {
-		t.Run(c.id, func(t *testing.T) {
-			text, csv, err := c.run()
+	cfg := defaultConfig()
+	dir := filepath.Join("..", "..", "artifacts")
+	owned := map[string]bool{}
+	for _, a := range Artifacts {
+		owned[a.ID+".txt"], owned[a.ID+".csv"] = true, true
+		if a.Explicit || (testing.Short() && !shortArtifacts[a.ID]) {
+			continue
+		}
+		t.Run(a.ID, func(t *testing.T) {
+			text, csv, err := a.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for ext, got := range map[string]string{".txt": text, ".csv": csv} {
-				path := filepath.Join("..", "..", "artifacts", c.id+ext)
+				path := filepath.Join(dir, a.ID+ext)
 				want, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
@@ -60,5 +47,14 @@ func TestCommittedArtifactsByteIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !owned[f.Name()] {
+			t.Errorf("artifacts/%s belongs to no id in the Artifacts catalogue", f.Name())
+		}
 	}
 }
