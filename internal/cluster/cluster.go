@@ -1,7 +1,7 @@
 // Package cluster assembles simulated compute nodes into an OmniPath-
 // connected machine under one of the paper's three OS configurations —
 // Linux, the original McKernel, and McKernel with the HFI PicoDriver —
-// and provides the per-rank OS personalities that PSM runs against.
+// and provides the per-rank OS personality (RankOS) that PSM runs against.
 package cluster
 
 import (
@@ -396,9 +396,6 @@ func (c *Cluster) Shards() int { return len(c.engines) }
 // Engines returns the per-shard engines in shard order, one on a
 // single-engine cluster.
 func (c *Cluster) Engines() []*sim.Engine { return c.engines }
-
-// ShardOf returns the shard owning the node.
-func (c *Cluster) ShardOf(node int) int { return c.shardOf[node] }
 
 // EngineFor returns the engine simulating the node. Everything local to
 // a node — processes, device callbacks, snapshot sections — must be

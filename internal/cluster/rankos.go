@@ -7,158 +7,101 @@ import (
 	"repro/internal/hfi"
 	"repro/internal/kernel"
 	"repro/internal/linux"
-	"repro/internal/psm"
 	"repro/internal/sim"
 	"repro/internal/uproc"
 	"repro/internal/verbs"
 )
 
-// NewRankOS creates the per-rank OS personality: the process (with the
-// OS-appropriate memory policy) plus the system call surface PSM uses.
-func (n *Node) NewRankOS(rank int) psm.OSOps {
-	cpu := n.nextAppCPU()
+// syscalls is the one system call table a rank runs against. Both
+// *linux.Kernel and *mckernel.Kernel implement it; how a call is routed
+// — served locally, offloaded over IKC, or fast-pathed by a PicoDriver —
+// is entirely the kernel's business (§2.1, §3).
+type syscalls interface {
+	Open(ctx *kernel.Ctx, proc *uproc.Process, path string) (*linux.File, error)
+	Close(ctx *kernel.Ctx, f *linux.File) error
+	Writev(ctx *kernel.Ctx, f *linux.File, iov []linux.IOVec) (uint64, error)
+	Ioctl(ctx *kernel.Ctx, f *linux.File, cmd uint32, arg uproc.VirtAddr) (uint64, error)
+	MmapDevice(ctx *kernel.Ctx, f *linux.File, kind uint32, length uint64) (uproc.VirtAddr, error)
+	Poll(ctx *kernel.Ctx, f *linux.File) (uint32, error)
+	MmapAnon(ctx *kernel.Ctx, proc *uproc.Process, size uint64) (uproc.VirtAddr, error)
+	Munmap(ctx *kernel.Ctx, proc *uproc.Process, va uproc.VirtAddr) error
+	Misc(ctx *kernel.Ctx, name string, cost time.Duration)
+	Compute(p *sim.Proc, d time.Duration)
+}
+
+// RankOS is the per-rank OS personality, the same type on every OS
+// configuration: the rank's process, its application core, and the
+// kernel that core runs. It implements psm.OSOps and verbs.OSOps.
+type RankOS struct {
+	node *Node
+	proc *uproc.Process
+	cpu  int
+	k    syscalls
+}
+
+var _ verbs.OSOps = (*RankOS)(nil) // and so psm.OSOps
+
+// NewRankOS creates the personality of one rank: the process (with the
+// OS-appropriate memory policy) bound to the node's application kernel.
+func (n *Node) NewRankOS(rank int) *RankOS {
+	o := &RankOS{node: n, cpu: n.nextAppCPU()}
 	name := fmt.Sprintf("rank%d@node%d", rank, n.ID)
-	switch n.OS {
-	case OSLinux:
+	if n.OS == OSLinux {
 		backing := uproc.BackingScattered4K
 		if n.hugePages {
 			backing = uproc.BackingContigLarge
 		}
-		proc := uproc.NewProcess(name, n.Phys.Partition("linux"), backing)
-		return &linuxOS{node: n, proc: proc, cpu: cpu}
-	default:
-		proc := n.Mck.NewProcess(name)
-		return &mckOS{node: n, proc: proc, cpu: cpu}
+		o.proc = uproc.NewProcess(name, n.Phys.Partition("linux"), backing)
+		o.k = n.Lin
+	} else {
+		o.proc = n.Mck.NewProcess(name)
+		o.k = n.Mck
 	}
+	return o
 }
 
-// linuxOS executes system calls locally on the application core, with
-// full Linux costs and OS noise during computation.
-type linuxOS struct {
-	node *Node
-	proc *uproc.Process
-	cpu  int
+func (o *RankOS) ctx(p *sim.Proc) *kernel.Ctx { return &kernel.Ctx{P: p, CPU: o.cpu} }
+
+func (o *RankOS) Name() string         { return o.node.OS.String() }
+func (o *RankOS) NodeID() int          { return o.node.ID }
+func (o *RankOS) Proc() *uproc.Process { return o.proc }
+func (o *RankOS) NIC() *hfi.NIC        { return o.node.NIC }
+func (o *RankOS) RNIC() *verbs.RNIC    { return o.node.RNIC }
+
+func (o *RankOS) Open(p *sim.Proc, path string) (*linux.File, error) {
+	return o.k.Open(o.ctx(p), o.proc, path)
 }
 
-func (o *linuxOS) ctx(p *sim.Proc) *kernel.Ctx { return &kernel.Ctx{P: p, CPU: o.cpu} }
-
-func (o *linuxOS) Name() string         { return OSLinux.String() }
-func (o *linuxOS) NodeID() int          { return o.node.ID }
-func (o *linuxOS) Proc() *uproc.Process { return o.proc }
-func (o *linuxOS) NIC() *hfi.NIC        { return o.node.NIC }
-func (o *linuxOS) RNIC() *verbs.RNIC    { return o.node.RNIC }
-
-func (o *linuxOS) Open(p *sim.Proc, path string) (psm.Handle, error) {
-	return o.node.Lin.Open(o.ctx(p), o.proc, path)
+func (o *RankOS) Close(p *sim.Proc, f *linux.File) error {
+	return o.k.Close(o.ctx(p), f)
 }
 
-func (o *linuxOS) Close(p *sim.Proc, h psm.Handle) error {
-	return o.node.Lin.Close(o.ctx(p), h.(*linux.File))
+func (o *RankOS) Writev(p *sim.Proc, f *linux.File, iov []linux.IOVec) (uint64, error) {
+	return o.k.Writev(o.ctx(p), f, iov)
 }
 
-func (o *linuxOS) Writev(p *sim.Proc, h psm.Handle, iov []hfi.IOVec) (uint64, error) {
-	return o.node.Lin.Writev(o.ctx(p), h.(*linux.File), toLinuxIOV(iov))
+func (o *RankOS) Ioctl(p *sim.Proc, f *linux.File, cmd uint32, arg uproc.VirtAddr) (uint64, error) {
+	return o.k.Ioctl(o.ctx(p), f, cmd, arg)
 }
 
-func (o *linuxOS) Ioctl(p *sim.Proc, h psm.Handle, cmd uint32, arg uproc.VirtAddr) (uint64, error) {
-	return o.node.Lin.Ioctl(o.ctx(p), h.(*linux.File), cmd, arg)
+func (o *RankOS) MmapDevice(p *sim.Proc, f *linux.File, kind uint32, length uint64) (uproc.VirtAddr, error) {
+	return o.k.MmapDevice(o.ctx(p), f, kind, length)
 }
 
-func (o *linuxOS) MmapDevice(p *sim.Proc, h psm.Handle, kind uint32, length uint64) (uproc.VirtAddr, error) {
-	return o.node.Lin.MmapDevice(o.ctx(p), h.(*linux.File), kind, length)
+func (o *RankOS) Poll(p *sim.Proc, f *linux.File) (uint32, error) {
+	return o.k.Poll(o.ctx(p), f)
 }
 
-func (o *linuxOS) Poll(p *sim.Proc, h psm.Handle) (uint32, error) {
-	return o.node.Lin.Poll(o.ctx(p), h.(*linux.File))
+func (o *RankOS) MmapAnon(p *sim.Proc, size uint64) (uproc.VirtAddr, error) {
+	return o.k.MmapAnon(o.ctx(p), o.proc, size)
 }
 
-func (o *linuxOS) MmapAnon(p *sim.Proc, size uint64) (uproc.VirtAddr, error) {
-	return o.node.Lin.MmapAnon(o.ctx(p), o.proc, size)
+func (o *RankOS) Munmap(p *sim.Proc, va uproc.VirtAddr) error {
+	return o.k.Munmap(o.ctx(p), o.proc, va)
 }
 
-func (o *linuxOS) Munmap(p *sim.Proc, va uproc.VirtAddr) error {
-	return o.node.Lin.Munmap(o.ctx(p), o.proc, va)
-}
+func (o *RankOS) Compute(p *sim.Proc, d time.Duration) { o.k.Compute(p, d) }
 
-func (o *linuxOS) Compute(p *sim.Proc, d time.Duration) { o.node.Lin.Compute(p, d) }
-
-func (o *linuxOS) Misc(p *sim.Proc, name string, cost time.Duration) {
-	o.node.Lin.Misc(o.ctx(p), name, cost)
-}
-
-// mckOS executes the LWK syscall table: local memory management and fast
-// paths on the LWK core, everything else offloaded through IKC.
-type mckOS struct {
-	node *Node
-	proc *uproc.Process
-	cpu  int
-	// slow forces the device syscalls (writev/ioctl) onto the offloaded
-	// slow path, bypassing any registered PicoDriver fast path. Toggled
-	// at runtime by the PSM health machine (psm.SlowPathForcer).
-	slow bool
-}
-
-func (o *mckOS) ctx(p *sim.Proc) *kernel.Ctx { return &kernel.Ctx{P: p, CPU: o.cpu} }
-
-func (o *mckOS) Name() string         { return o.node.OS.String() }
-func (o *mckOS) NodeID() int          { return o.node.ID }
-func (o *mckOS) Proc() *uproc.Process { return o.proc }
-func (o *mckOS) NIC() *hfi.NIC        { return o.node.NIC }
-func (o *mckOS) RNIC() *verbs.RNIC    { return o.node.RNIC }
-
-func (o *mckOS) Open(p *sim.Proc, path string) (psm.Handle, error) {
-	return o.node.Mck.Open(o.ctx(p), o.proc, path)
-}
-
-func (o *mckOS) Close(p *sim.Proc, h psm.Handle) error {
-	return o.node.Mck.Close(o.ctx(p), h.(*linux.File))
-}
-
-func (o *mckOS) Writev(p *sim.Proc, h psm.Handle, iov []hfi.IOVec) (uint64, error) {
-	if o.slow {
-		return o.node.Mck.WritevSlow(o.ctx(p), h.(*linux.File), toLinuxIOV(iov))
-	}
-	return o.node.Mck.Writev(o.ctx(p), h.(*linux.File), toLinuxIOV(iov))
-}
-
-func (o *mckOS) Ioctl(p *sim.Proc, h psm.Handle, cmd uint32, arg uproc.VirtAddr) (uint64, error) {
-	if o.slow {
-		return o.node.Mck.IoctlSlow(o.ctx(p), h.(*linux.File), cmd, arg)
-	}
-	return o.node.Mck.Ioctl(o.ctx(p), h.(*linux.File), cmd, arg)
-}
-
-// ForceSlowPath implements psm.SlowPathForcer: while on, device writev
-// and ioctl always take the offloaded syscall route even when a
-// PicoDriver fast path is registered.
-func (o *mckOS) ForceSlowPath(on bool) { o.slow = on }
-
-func (o *mckOS) MmapDevice(p *sim.Proc, h psm.Handle, kind uint32, length uint64) (uproc.VirtAddr, error) {
-	return o.node.Mck.MmapDevice(o.ctx(p), h.(*linux.File), kind, length)
-}
-
-func (o *mckOS) Poll(p *sim.Proc, h psm.Handle) (uint32, error) {
-	return o.node.Mck.Poll(o.ctx(p), h.(*linux.File))
-}
-
-func (o *mckOS) MmapAnon(p *sim.Proc, size uint64) (uproc.VirtAddr, error) {
-	return o.node.Mck.MmapAnon(o.ctx(p), o.proc, size)
-}
-
-func (o *mckOS) Munmap(p *sim.Proc, va uproc.VirtAddr) error {
-	return o.node.Mck.Munmap(o.ctx(p), o.proc, va)
-}
-
-func (o *mckOS) Compute(p *sim.Proc, d time.Duration) { o.node.Mck.Compute(p, d) }
-
-func (o *mckOS) Misc(p *sim.Proc, name string, cost time.Duration) {
-	o.node.Mck.OffloadSimple(o.ctx(p), name, cost)
-}
-
-func toLinuxIOV(iov []hfi.IOVec) []linux.IOVec {
-	out := make([]linux.IOVec, len(iov))
-	for i, v := range iov {
-		out[i] = linux.IOVec{Base: v.Base, Len: v.Len}
-	}
-	return out
+func (o *RankOS) Misc(p *sim.Proc, name string, cost time.Duration) {
+	o.k.Misc(o.ctx(p), name, cost)
 }

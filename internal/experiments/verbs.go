@@ -87,8 +87,8 @@ func verbsCellRun(cfg Config, os cluster.OSType, size uint64, reps int, seed int
 
 func verbsCellBody(p *sim.Proc, cl *cluster.Cluster, size uint64, reps int) (verbsCell, error) {
 	var cell verbsCell
-	osI := cl.Nodes[0].NewRankOS(0).(verbs.OSOps)
-	osT := cl.Nodes[1].NewRankOS(1).(verbs.OSOps)
+	osI := cl.Nodes[0].NewRankOS(0)
+	osT := cl.Nodes[1].NewRankOS(1)
 	uI, err := verbs.Open(p, osI)
 	if err != nil {
 		return cell, err

@@ -13,14 +13,13 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/linux"
 	"repro/internal/uproc"
 )
 
-// IOVec is one element of a writev vector.
-type IOVec struct {
-	Base uproc.VirtAddr
-	Len  uint64
-}
+// IOVec is one element of a writev vector: the VFS's own type, so a
+// vector built by PSM reaches the driver without conversion.
+type IOVec = linux.IOVec
 
 // Ioctl command numbers. The real driver multiplexes over a dozen
 // functionalities through ioctl; only the three TID commands are on the

@@ -251,13 +251,6 @@ func (d *LinuxDriver) OpenContexts() int { return len(d.open) }
 // PicoDriver must NOT use this — it extracts from DWARFBlob).
 func (d *LinuxDriver) Registry() *kstruct.Registry { return d.reg }
 
-// DevdataVA returns the hfi1_devdata kernel address, discoverable by
-// other kernel components (exported symbol in the real module).
-func (d *LinuxDriver) DevdataVA() kmem.VirtAddr { return d.ddVA }
-
-// CompletionVA returns the Linux completion callback address.
-func (d *LinuxDriver) CompletionVA() kmem.VirtAddr { return d.completionVA }
-
 func (d *LinuxDriver) layout(name string) *kstruct.Layout {
 	l, err := d.reg.Lookup(name)
 	if err != nil {

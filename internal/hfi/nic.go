@@ -721,15 +721,3 @@ func (n *NIC) TxBytes() uint64 {
 	}
 	return b
 }
-
-// RailTxBytes returns the bytes transmitted on one rail (striping and
-// failover instrumentation).
-func (n *NIC) RailTxBytes(rail int) uint64 {
-	switch {
-	case rail == 0:
-		return n.port.TxBytes
-	case n.port1 != nil:
-		return n.port1.TxBytes
-	}
-	return 0
-}

@@ -81,9 +81,6 @@ func NewWorkerPool(e *sim.Engine, name string, cpus []int) *WorkerPool {
 // CPUs returns the pool's CPU ids.
 func (wp *WorkerPool) CPUs() []int { return wp.cpus }
 
-// Capacity returns the number of worker CPUs.
-func (wp *WorkerPool) Capacity() int { return len(wp.cpus) }
-
 // QueueLen returns the number of items waiting for a worker.
 func (wp *WorkerPool) QueueLen() int { return wp.q.Len() }
 

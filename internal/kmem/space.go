@@ -18,6 +18,7 @@
 package kmem
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/mem"
@@ -115,9 +116,6 @@ func NewSpace(name string, layout vas.Layout, alloc *mem.Allocator, cpus []int) 
 // EnableForeignFree turns on the §3.3 extension that lets deallocation
 // routines run correctly on CPUs this kernel does not manage.
 func (s *Space) EnableForeignFree() { s.foreignFree = true }
-
-// OwnsCPU reports whether cpu is managed by this kernel.
-func (s *Space) OwnsCPU(cpu int) bool { return s.cpus[cpu] }
 
 // CPUs returns the number of CPUs the kernel manages.
 func (s *Space) CPUs() int { return len(s.cpus) }
@@ -286,25 +284,12 @@ func (s *Space) WriteAt(va VirtAddr, buf []byte) error {
 }
 
 func (s *Space) access(va VirtAddr, buf []byte, write bool) error {
-	exts, err := s.PT.WalkExtentsInto(s.extScratch[:0], va, uint64(len(buf)))
+	exts, fault, err := s.PT.Access(s.Alloc.Phys(), s.extScratch[:0], va, buf, write)
 	s.extScratch = exts
-	if err != nil {
-		return fmt.Errorf("kmem: %s: fault accessing %#x: %w", s.Name, va, err)
+	if fault != nil {
+		return fmt.Errorf("kmem: %s: fault accessing %#x: %w", s.Name, va, fault)
 	}
-	off := 0
-	for _, e := range exts {
-		chunk := buf[off : off+int(e.Len)]
-		if write {
-			err = s.Alloc.Phys().WriteAt(e.Addr, chunk)
-		} else {
-			err = s.Alloc.Phys().ReadAt(e.Addr, chunk)
-		}
-		if err != nil {
-			return err
-		}
-		off += int(e.Len)
-	}
-	return nil
+	return err
 }
 
 // ReadU64 reads a little-endian uint64 at va.
@@ -313,18 +298,12 @@ func (s *Space) ReadU64(va VirtAddr) (uint64, error) {
 	if err := s.ReadAt(va, b[:]); err != nil {
 		return 0, err
 	}
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v, nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // WriteU64 writes a little-endian uint64 at va.
 func (s *Space) WriteU64(va VirtAddr, v uint64) error {
 	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(b[:], v)
 	return s.WriteAt(va, b[:])
 }

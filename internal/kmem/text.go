@@ -61,12 +61,6 @@ func (s *Space) RegisterText(name string, fn func(args ...any) any) (VirtAddr, e
 	return addr, nil
 }
 
-// SymbolAt returns the symbol registered at addr in this kernel's image.
-func (s *Space) SymbolAt(addr VirtAddr) (*Symbol, bool) {
-	sym, ok := s.symbols[addr]
-	return sym, ok
-}
-
 // MapForeignImage maps another kernel's image into this kernel's page
 // table, implementing the "McKernel ELF image is also mapped in the Linux
 // kernel at LWK boot time" step of §3.1. It fails if the other image's

@@ -43,6 +43,11 @@ type File struct {
 	Private kmem.VirtAddr
 	// MmapCookie lets drivers stash mapping bookkeeping.
 	MmapCookie any
+	// NoFastPath makes McKernel offload this descriptor's writev and
+	// ioctl even when a PicoDriver is registered for its device. The PSM
+	// health machine sets it while the device's fast path is failed
+	// over; Linux, which has no fast path, ignores it.
+	NoFastPath bool
 }
 
 // Driver is the file-operations interface a character device registers
@@ -58,7 +63,7 @@ type Driver interface {
 	Poll(ctx *kernel.Ctx, f *File) (uint32, error)
 }
 
-// IOVec mirrors hfi.IOVec without importing it (the VFS is generic).
+// IOVec is one element of a writev vector.
 type IOVec struct {
 	Base uproc.VirtAddr
 	Len  uint64

@@ -6,7 +6,9 @@
 // Device files are a hybrid: open/close/mmap/poll are always offloaded;
 // writev and ioctl are offloaded too — unless a PicoDriver has
 // registered a fast path for the device, in which case the performance-
-// critical subset executes locally on the LWK core (§3).
+// critical subset executes locally on the LWK core (§3). A descriptor
+// flagged linux.File.NoFastPath skips the PicoDriver: that is how a
+// failed-over fast path is bypassed, one open file at a time.
 package mckernel
 
 import (
@@ -98,136 +100,105 @@ func (k *Kernel) NewProcess(name string) *uproc.Process {
 	return uproc.NewProcess(name, k.Space.Alloc, uproc.BackingContigLarge)
 }
 
+// enter charges the LWK syscall entry cost and returns the time the call
+// began, for account: every system call opens with
+// `defer k.account(ctx, name, k.enter(ctx))`.
+func (k *Kernel) enter(ctx *kernel.Ctx) time.Duration {
+	start := ctx.Now()
+	ctx.Spend(lwkSyscallEntry)
+	return start
+}
+
+// offload delegates one call to Linux: fn runs on a Linux CPU behind an
+// IKC round trip and its result travels back to the LWK core.
+func offload[T any](k *Kernel, ctx *kernel.Ctx, label string, fn func(lctx *kernel.Ctx) (T, error)) (T, error) {
+	var out struct { // one heap cell shared with the closure, not two
+		res T
+		err error
+	}
+	k.Del.Offload(ctx.P, label, func(lctx *kernel.Ctx) { out.res, out.err = fn(lctx) })
+	return out.res, out.err
+}
+
+// fastPath returns the PicoDriver handlers that serve f: nil when the
+// device has none, or while the descriptor bypasses them (failover).
+func (k *Kernel) fastPath(f *linux.File) *FastPath {
+	if f.NoFastPath {
+		return nil
+	}
+	return k.fast[f.Path]
+}
+
 // Open opens a device file. McKernel has no VFS: the call is offloaded
 // and the Linux file object is returned; McKernel merely forwards the
 // descriptor (§2.1).
 func (k *Kernel) Open(ctx *kernel.Ctx, proc *uproc.Process, path string) (*linux.File, error) {
-	start := ctx.Now()
-	defer k.account(ctx, "open", start)
-	ctx.Spend(lwkSyscallEntry)
-	var f *linux.File
-	var err error
-	k.Del.Offload(ctx.P, "open:"+path, func(lctx *kernel.Ctx) {
-		f, err = k.lin.Open(lctx, proc, path)
+	defer k.account(ctx, "open", k.enter(ctx))
+	return offload(k, ctx, "open:"+path, func(lctx *kernel.Ctx) (*linux.File, error) {
+		return k.lin.Open(lctx, proc, path)
 	})
-	return f, err
 }
 
 // Close releases a device file (offloaded).
 func (k *Kernel) Close(ctx *kernel.Ctx, f *linux.File) error {
-	start := ctx.Now()
-	defer k.account(ctx, "close", start)
-	ctx.Spend(lwkSyscallEntry)
-	var err error
-	k.Del.Offload(ctx.P, "close", func(lctx *kernel.Ctx) {
-		err = k.lin.Close(lctx, f)
+	defer k.account(ctx, "close", k.enter(ctx))
+	_, err := offload(k, ctx, "close", func(lctx *kernel.Ctx) (struct{}, error) {
+		return struct{}{}, k.lin.Close(lctx, f)
 	})
 	return err
 }
 
 // Writev submits a vectored write. With a PicoDriver present the SDMA
-// fast path runs right here on the LWK core; otherwise the call pays the
-// full offload round trip plus Linux-CPU queueing.
+// fast path runs right here on the LWK core; otherwise — or while the
+// descriptor bypasses it — the call pays the full offload round trip
+// plus Linux-CPU queueing.
 func (k *Kernel) Writev(ctx *kernel.Ctx, f *linux.File, iov []linux.IOVec) (uint64, error) {
-	start := ctx.Now()
-	defer k.account(ctx, "writev", start)
-	ctx.Spend(lwkSyscallEntry)
-	if fp := k.fast[f.Path]; fp != nil && fp.Writev != nil {
-		n, handled, err := fp.Writev(ctx, f, iov)
-		if handled {
+	defer k.account(ctx, "writev", k.enter(ctx))
+	if fp := k.fastPath(f); fp != nil && fp.Writev != nil {
+		if n, handled, err := fp.Writev(ctx, f, iov); handled {
 			return n, err
 		}
 	}
-	var n uint64
-	var err error
-	k.Del.Offload(ctx.P, "writev", func(lctx *kernel.Ctx) {
-		n, err = k.lin.Writev(lctx, f, iov)
+	return offload(k, ctx, "writev", func(lctx *kernel.Ctx) (uint64, error) {
+		return k.lin.Writev(lctx, f, iov)
 	})
-	return n, err
-}
-
-// WritevSlow is Writev with the fast path bypassed: the call always
-// pays the full offload round trip, even when a PicoDriver is
-// registered. The PSM health machine routes device writes here while
-// the fast path is failed over.
-func (k *Kernel) WritevSlow(ctx *kernel.Ctx, f *linux.File, iov []linux.IOVec) (uint64, error) {
-	start := ctx.Now()
-	defer k.account(ctx, "writev", start)
-	ctx.Spend(lwkSyscallEntry)
-	var n uint64
-	var err error
-	k.Del.Offload(ctx.P, "writev", func(lctx *kernel.Ctx) {
-		n, err = k.lin.Writev(lctx, f, iov)
-	})
-	return n, err
 }
 
 // Ioctl dispatches an ioctl, fast-pathing the commands the PicoDriver
 // ported and offloading the rest transparently.
 func (k *Kernel) Ioctl(ctx *kernel.Ctx, f *linux.File, cmd uint32, arg uproc.VirtAddr) (uint64, error) {
-	start := ctx.Now()
-	defer k.account(ctx, "ioctl", start)
-	ctx.Spend(lwkSyscallEntry)
-	if fp := k.fast[f.Path]; fp != nil && fp.Ioctl != nil {
-		res, handled, err := fp.Ioctl(ctx, f, cmd, arg)
-		if handled {
+	defer k.account(ctx, "ioctl", k.enter(ctx))
+	if fp := k.fastPath(f); fp != nil && fp.Ioctl != nil {
+		if res, handled, err := fp.Ioctl(ctx, f, cmd, arg); handled {
 			return res, err
 		}
 	}
-	var res uint64
-	var err error
-	k.Del.Offload(ctx.P, "ioctl", func(lctx *kernel.Ctx) {
-		res, err = k.lin.Ioctl(lctx, f, cmd, arg)
+	return offload(k, ctx, "ioctl", func(lctx *kernel.Ctx) (uint64, error) {
+		return k.lin.Ioctl(lctx, f, cmd, arg)
 	})
-	return res, err
-}
-
-// IoctlSlow is Ioctl with the fast path bypassed (see WritevSlow).
-func (k *Kernel) IoctlSlow(ctx *kernel.Ctx, f *linux.File, cmd uint32, arg uproc.VirtAddr) (uint64, error) {
-	start := ctx.Now()
-	defer k.account(ctx, "ioctl", start)
-	ctx.Spend(lwkSyscallEntry)
-	var res uint64
-	var err error
-	k.Del.Offload(ctx.P, "ioctl", func(lctx *kernel.Ctx) {
-		res, err = k.lin.Ioctl(lctx, f, cmd, arg)
-	})
-	return res, err
 }
 
 // MmapDevice maps a driver region (offloaded; device mappings are
 // established through the proxy, §2.1).
 func (k *Kernel) MmapDevice(ctx *kernel.Ctx, f *linux.File, kind uint32, length uint64) (uproc.VirtAddr, error) {
-	start := ctx.Now()
-	defer k.account(ctx, "mmap", start)
-	ctx.Spend(lwkSyscallEntry)
-	var va uproc.VirtAddr
-	var err error
-	k.Del.Offload(ctx.P, "mmap-dev", func(lctx *kernel.Ctx) {
-		va, err = k.lin.MmapDevice(lctx, f, kind, length)
+	defer k.account(ctx, "mmap", k.enter(ctx))
+	return offload(k, ctx, "mmap-dev", func(lctx *kernel.Ctx) (uproc.VirtAddr, error) {
+		return k.lin.MmapDevice(lctx, f, kind, length)
 	})
-	return va, err
 }
 
 // Poll polls a device file (offloaded).
 func (k *Kernel) Poll(ctx *kernel.Ctx, f *linux.File) (uint32, error) {
-	start := ctx.Now()
-	defer k.account(ctx, "poll", start)
-	ctx.Spend(lwkSyscallEntry)
-	var ev uint32
-	var err error
-	k.Del.Offload(ctx.P, "poll", func(lctx *kernel.Ctx) {
-		ev, err = k.lin.Poll(lctx, f)
+	defer k.account(ctx, "poll", k.enter(ctx))
+	return offload(k, ctx, "poll", func(lctx *kernel.Ctx) (uint32, error) {
+		return k.lin.Poll(lctx, f)
 	})
-	return ev, err
 }
 
 // MmapAnon is served locally: memory management is exactly what McKernel
 // implements itself.
 func (k *Kernel) MmapAnon(ctx *kernel.Ctx, proc *uproc.Process, size uint64) (uproc.VirtAddr, error) {
-	start := ctx.Now()
-	defer k.account(ctx, "mmap", start)
-	ctx.Spend(lwkSyscallEntry)
+	defer k.account(ctx, "mmap", k.enter(ctx))
 	npages := (size + mem.PageSize4K - 1) / mem.PageSize4K
 	ctx.Spend(time.Duration(npages) * k.pr.McKMmapPerPage)
 	return proc.MmapAnon(size)
@@ -236,9 +207,7 @@ func (k *Kernel) MmapAnon(ctx *kernel.Ctx, proc *uproc.Process, size uint64) (up
 // Munmap is served locally; its per-page cost is the memory-management
 // shortcoming the paper's profiling exposed.
 func (k *Kernel) Munmap(ctx *kernel.Ctx, proc *uproc.Process, va uproc.VirtAddr) error {
-	start := ctx.Now()
-	defer k.account(ctx, "munmap", start)
-	ctx.Spend(lwkSyscallEntry)
+	defer k.account(ctx, "munmap", k.enter(ctx))
 	if v, ok := proc.VMAOf(va); ok {
 		npages := v.Range.Size / mem.PageSize4K
 		ctx.Spend(time.Duration(npages) * k.pr.McKMunmapPerPage)
@@ -246,15 +215,11 @@ func (k *Kernel) Munmap(ctx *kernel.Ctx, proc *uproc.Process, va uproc.VirtAddr)
 	return proc.Munmap(va)
 }
 
-// OffloadSimple models miscellaneous offloaded calls (read on config
-// files, nanosleep, ...) so that kernel profiles include them.
-func (k *Kernel) OffloadSimple(ctx *kernel.Ctx, name string, linuxCost time.Duration) {
-	start := ctx.Now()
-	defer k.account(ctx, name, start)
-	ctx.Spend(lwkSyscallEntry)
-	k.Del.Offload(ctx.P, name, func(lctx *kernel.Ctx) {
-		lctx.Spend(linuxCost)
-	})
+// Misc models miscellaneous offloaded calls (read on config files,
+// nanosleep, ...) so that kernel profiles include them.
+func (k *Kernel) Misc(ctx *kernel.Ctx, name string, linuxCost time.Duration) {
+	defer k.account(ctx, name, k.enter(ctx))
+	k.Del.Offload(ctx.P, name, func(lctx *kernel.Ctx) { lctx.Spend(linuxCost) })
 }
 
 // Compute runs application computation on an isolated LWK core: no

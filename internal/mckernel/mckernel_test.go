@@ -151,18 +151,57 @@ func TestFastPathInterception(t *testing.T) {
 		if res, err := mck.Ioctl(ctx, f, 0x55, 0); err != nil || res != 0x55 {
 			t.Errorf("fallback ioctl = %d, %v", res, err)
 		}
+		if fastWritev != 1 || fastIoctl != 1 || drv.writevs != 0 || drv.ioctls != 1 {
+			t.Errorf("fast calls %d/%d, driver calls %d/%d; want 1/1, 0/1",
+				fastWritev, fastIoctl, drv.writevs, drv.ioctls)
+		}
+
+		// A flagged descriptor bypasses the handlers: the same two ported
+		// calls are offloaded to the Linux driver, one round trip each.
+		f.NoFastPath = true
+		offloads := mck.Del.Count
+		if n, err := mck.Writev(ctx, f, nil); err != nil || n != 1 {
+			t.Errorf("bypassed writev = %d, %v; want the driver's 1", n, err)
+		}
+		if res, err := mck.Ioctl(ctx, f, 0x10, 0); err != nil || res != 0x10 {
+			t.Errorf("bypassed ioctl = %d, %v; want the driver's echo", res, err)
+		}
+		if fastWritev != 1 || fastIoctl != 1 {
+			t.Errorf("fast handlers ran on a flagged descriptor: %d/%d", fastWritev, fastIoctl)
+		}
+		if drv.writevs != 1 || drv.ioctls != 2 || mck.Del.Count != offloads+2 {
+			t.Errorf("bypass: driver calls %d/%d, %d offloads; want 1/2, 2",
+				drv.writevs, drv.ioctls, mck.Del.Count-offloads)
+		}
+		// Only that descriptor: a second open of the device is fast-pathed.
+		g, err := mck.Open(ctx, proc, "/dev/kxp")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if n, _ := mck.Writev(ctx, g, nil); n != 99 || fastWritev != 2 {
+			t.Errorf("unflagged descriptor: writev = %d, %d fast calls", n, fastWritev)
+		}
+
+		// Flag off restores the fast path.
+		f.NoFastPath = false
+		if n, err := mck.Writev(ctx, f, nil); err != nil || n != 99 {
+			t.Errorf("restored writev = %d, %v", n, err)
+		}
+		if _, err := mck.Ioctl(ctx, f, 0x10, 0); err != nil {
+			t.Error(err)
+		}
+		if fastWritev != 3 || fastIoctl != 2 || drv.writevs != 1 || drv.ioctls != 2 {
+			t.Errorf("after restore: fast calls %d/%d, driver calls %d/%d; want 3/2, 1/2",
+				fastWritev, fastIoctl, drv.writevs, drv.ioctls)
+		}
 	})
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if fastWritev != 1 || fastIoctl != 1 {
-		t.Fatalf("fast calls: %d/%d", fastWritev, fastIoctl)
-	}
-	if drv.writevs != 0 {
-		t.Fatal("fast-path writev leaked to Linux")
-	}
-	if drv.ioctls != 1 {
-		t.Fatalf("fallback ioctls = %d, want 1", drv.ioctls)
+	// Bypassed or not, each call is one entry of the one LWK profile.
+	if w, i := mck.Syscalls.Count("writev"), mck.Syscalls.Count("ioctl"); w != 4 || i != 4 {
+		t.Fatalf("profiled writev/ioctl = %d/%d, want 4/4", w, i)
 	}
 }
 
@@ -221,7 +260,7 @@ func TestComputeIsNoiseless(t *testing.T) {
 func TestOffloadSimpleProfiled(t *testing.T) {
 	mck, _, _, e := lwkRig(t)
 	e.Go("t", func(p *sim.Proc) {
-		mck.OffloadSimple(&kernel.Ctx{P: p, CPU: 4}, "read", 2*time.Microsecond)
+		mck.Misc(&kernel.Ctx{P: p, CPU: 4}, "read", 2*time.Microsecond)
 	})
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)

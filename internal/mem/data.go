@@ -1,6 +1,9 @@
 package mem
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // ReadAt copies len(buf) bytes starting at physical address pa into buf.
 // Unwritten frames read as zero. Reading MMIO or unmapped addresses is an
@@ -57,19 +60,13 @@ func (pm *PhysMem) ReadU64(pa PhysAddr) (uint64, error) {
 	if err := pm.ReadAt(pa, b[:]); err != nil {
 		return 0, err
 	}
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v, nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // WriteU64 writes a little-endian uint64 at pa.
 func (pm *PhysMem) WriteU64(pa PhysAddr, v uint64) error {
 	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(b[:], v)
 	return pm.WriteAt(pa, b[:])
 }
 

@@ -359,6 +359,31 @@ func (t *Table) WalkExtentsInto(dst []mem.Extent, va VirtAddr, length uint64) ([
 	return out, nil
 }
 
+// Access copies buf into (write) or out of the physical memory behind
+// [va, va+len(buf)). It walks through the owner's scratch slice exactly
+// like WalkExtentsInto and hands it back grown. A translation fault is
+// returned as fault, apart from a physical-memory err, so that each
+// address-space owner can report it in its own words.
+func (t *Table) Access(pm *mem.PhysMem, scratch []mem.Extent, va VirtAddr, buf []byte, write bool) (exts []mem.Extent, fault, err error) {
+	exts, fault = t.WalkExtentsInto(scratch, va, uint64(len(buf)))
+	if fault != nil {
+		return exts, fault, nil
+	}
+	for _, e := range exts {
+		chunk := buf[:e.Len]
+		if write {
+			err = pm.WriteAt(e.Addr, chunk)
+		} else {
+			err = pm.ReadAt(e.Addr, chunk)
+		}
+		if err != nil {
+			return exts, nil, err
+		}
+		buf = buf[e.Len:]
+	}
+	return exts, nil, nil
+}
+
 // Pages returns one extent per 4K page of the virtual range, in the style
 // of get_user_pages: no merging across page boundaries, every entry at
 // most one page long. The first and last entries may be partial when va

@@ -12,10 +12,12 @@ import "time"
 // a link-down window (linkStrike). Two causes are tracked separately:
 //
 //   - causeSDMA: the local SDMA engine is erroring. Failover routes
-//     eager traffic over sequenced PIO (Endpoint.avoidSDMA) and flips
-//     the OS personality onto the offloaded syscall slow path
-//     (SlowPathForcer). In-flight go-back-N flows are untouched: PSN
-//     state is transport-independent.
+//     eager traffic over sequenced PIO (Endpoint.avoidSDMA) and marks
+//     the endpoint's own /dev/hfi1 descriptor NoFastPath, so McKernel
+//     offloads its writev/ioctl instead of running the PicoDriver.
+//     Descriptors of other devices (the verbs HCA) keep their fast
+//     path. In-flight go-back-N flows are untouched: PSN state is
+//     transport-independent.
 //   - causeLink: the rail currently selected toward a peer is inside a
 //     link-down window. If a spare rail is up, transmit traffic for
 //     that peer switches rails (NIC.SetRail); flows keep their PSN
@@ -101,14 +103,6 @@ type healthMachine struct {
 	peer     int // peer node of the last link failover
 	armed    bool
 	deadline time.Duration
-}
-
-// SlowPathForcer is implemented by OS personalities that can route the
-// device syscalls (writev/ioctl) onto their offloaded slow path at
-// runtime. Personalities without a slow path (Linux, HFIPico's direct
-// fast path) simply don't implement it.
-type SlowPathForcer interface {
-	ForceSlowPath(on bool)
 }
 
 // Health returns the endpoint's current health state (HealthHealthy on
@@ -198,7 +192,7 @@ func (h *healthMachine) failOver(cause failCause, peerNode int) {
 	h.peer = peerNode
 	h.strikes = 0
 	if cause == causeSDMA {
-		h.forceSlowPath(true)
+		h.ep.fd.NoFastPath = true
 	}
 	h.arm(healthProbeAfter)
 }
@@ -227,7 +221,7 @@ func (h *healthMachine) fire(now time.Duration) {
 			}
 		case causeSDMA:
 			// Probe: re-enable the fast path on trial.
-			h.forceSlowPath(false)
+			h.ep.fd.NoFastPath = false
 			h.beginTrial()
 		default:
 			// No cause recorded: nothing to probe, go straight back.
@@ -249,10 +243,4 @@ func (h *healthMachine) fire(now time.Duration) {
 func (h *healthMachine) beginTrial() {
 	h.state = HealthRecovering
 	h.arm(healthTrialWindow)
-}
-
-func (h *healthMachine) forceSlowPath(on bool) {
-	if sp, ok := h.ep.OS.(SlowPathForcer); ok {
-		sp.ForceSlowPath(on)
-	}
 }

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/hfi"
+	"repro/internal/linux"
 	"repro/internal/sim"
 	"repro/internal/uproc"
 )
@@ -51,14 +52,14 @@ const (
 	OpCnp uint32 = 14
 )
 
-// Handle is an opaque open-device handle as returned by the OS
-// personality (a *linux.File underneath, but PSM does not care).
-type Handle any
+// Handle is an open device file as returned by the OS personality: the
+// descriptor Linux hands out, which McKernel merely forwards (§2.1).
+type Handle = *linux.File
 
-// OSOps is the system interface PSM is compiled against. Each OS
-// configuration of the evaluation (Linux, McKernel, McKernel+HFI)
-// provides an implementation; PSM itself is identical across them, just
-// like the unmodified binaries the paper runs.
+// OSOps is the system interface PSM is compiled against. One
+// implementation (cluster.RankOS) serves every OS configuration of the
+// evaluation (Linux, McKernel, McKernel+HFI): PSM is identical across
+// them, just like the unmodified binaries the paper runs.
 type OSOps interface {
 	Name() string
 	NodeID() int

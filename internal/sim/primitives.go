@@ -63,9 +63,6 @@ func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 // Push or Pop; snapshot encoders use it to enumerate in-flight work.
 func (q *Queue[T]) Items() []T { return q.items[q.head:] }
 
-// Waiters reports the number of processes blocked in Pop.
-func (q *Queue[T]) Waiters() int { return q.waiters.len() }
-
 // Push appends v and wakes the longest-waiting process, if any.
 func (q *Queue[T]) Push(v T) {
 	if q.head > 0 && q.head == len(q.items) {
@@ -168,9 +165,6 @@ func NewResource(e *Engine, capacity int) *Resource {
 	}
 	return &Resource{e: e, capacity: capacity}
 }
-
-// Capacity returns the number of servers in the pool.
-func (r *Resource) Capacity() int { return r.capacity }
 
 // InUse returns the number of servers currently held.
 func (r *Resource) InUse() int { return r.inUse }

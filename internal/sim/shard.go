@@ -100,9 +100,6 @@ func (s *ShardSet) Engines() []*Engine { return s.shards }
 // Shards returns the shard count.
 func (s *ShardSet) Shards() int { return len(s.shards) }
 
-// Lookahead returns the conservative synchronization bound.
-func (s *ShardSet) Lookahead() time.Duration { return s.lookahead }
-
 // Now returns the set's virtual time: the maximum shard clock.
 func (s *ShardSet) Now() time.Duration {
 	var t time.Duration

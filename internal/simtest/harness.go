@@ -611,12 +611,7 @@ func runRankRMA(p *sim.Proc, w Workload, node *cluster.Node, r int,
 		return nil
 	}
 	osops := node.NewRankOS(r)
-	vops, ok := osops.(verbs.OSOps)
-	if !ok {
-		ready.Done(p)
-		return fmt.Errorf("rank OS %T does not expose the verbs HCA", osops)
-	}
-	u, err := verbs.Open(p, vops)
+	u, err := verbs.Open(p, osops)
 	if err != nil {
 		ready.Done(p)
 		return err

@@ -10,6 +10,7 @@
 package uproc
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/mem"
@@ -234,26 +235,12 @@ func (p *Process) WriteAt(va VirtAddr, buf []byte) error {
 }
 
 func (p *Process) access(va VirtAddr, buf []byte, write bool) error {
-	exts, err := p.PT.WalkExtentsInto(p.extScratch[:0], va, uint64(len(buf)))
+	exts, fault, err := p.PT.Access(p.Alloc.Phys(), p.extScratch[:0], va, buf, write)
 	p.extScratch = exts
-	if err != nil {
-		return fmt.Errorf("uproc: %s: segfault at %#x: %w", p.Name, va, err)
+	if fault != nil {
+		return fmt.Errorf("uproc: %s: segfault at %#x: %w", p.Name, va, fault)
 	}
-	off := 0
-	pm := p.Alloc.Phys()
-	for _, e := range exts {
-		chunk := buf[off : off+int(e.Len)]
-		if write {
-			err = pm.WriteAt(e.Addr, chunk)
-		} else {
-			err = pm.ReadAt(e.Addr, chunk)
-		}
-		if err != nil {
-			return err
-		}
-		off += int(e.Len)
-	}
-	return nil
+	return err
 }
 
 // ReadU64 reads a little-endian uint64 from user memory.
@@ -262,18 +249,12 @@ func (p *Process) ReadU64(va VirtAddr) (uint64, error) {
 	if err := p.ReadAt(va, b[:]); err != nil {
 		return 0, err
 	}
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v, nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // WriteU64 writes a little-endian uint64 to user memory.
 func (p *Process) WriteU64(va VirtAddr, v uint64) error {
 	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(b[:], v)
 	return p.WriteAt(va, b[:])
 }

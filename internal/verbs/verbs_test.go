@@ -66,8 +66,8 @@ type pair struct {
 
 func setupPair(p *sim.Proc, cl *cluster.Cluster, size uint64, targetAccess uint32) (*pair, error) {
 	pr := &pair{}
-	pr.osI = cl.Nodes[0].NewRankOS(0).(verbs.OSOps)
-	pr.osT = cl.Nodes[1].NewRankOS(1).(verbs.OSOps)
+	pr.osI = cl.Nodes[0].NewRankOS(0)
+	pr.osT = cl.Nodes[1].NewRankOS(1)
 	var err error
 	if pr.uI, err = verbs.Open(p, pr.osI); err != nil {
 		return nil, err
@@ -301,8 +301,8 @@ func TestCQErrors(t *testing.T) {
 func TestSendRecvChannel(t *testing.T) {
 	const size = 8192
 	withCluster(t, cluster.OSMcKernel, 2, 19, func(p *sim.Proc, cl *cluster.Cluster) error {
-		osI := cl.Nodes[0].NewRankOS(0).(verbs.OSOps)
-		osT := cl.Nodes[1].NewRankOS(1).(verbs.OSOps)
+		osI := cl.Nodes[0].NewRankOS(0)
+		osT := cl.Nodes[1].NewRankOS(1)
 		uI, err := verbs.Open(p, osI)
 		if err != nil {
 			return err
@@ -433,7 +433,7 @@ func TestSendRecvChannel(t *testing.T) {
 // HCA keys — no leak survives the file.
 func TestReleaseTeardown(t *testing.T) {
 	cl := withCluster(t, cluster.OSLinux, 1, 23, func(p *sim.Proc, cl *cluster.Cluster) error {
-		os := cl.Nodes[0].NewRankOS(0).(verbs.OSOps)
+		os := cl.Nodes[0].NewRankOS(0)
 		u, err := verbs.Open(p, os)
 		if err != nil {
 			return err
