@@ -26,8 +26,10 @@ test:
 # the first real concurrent exercise of cross-engine isolation. -short
 # narrows the artifact comparison to its five sub-second ids and skips
 # the bigscale gate row; the 72-cell simtest battery runs in full.
+# -shuffle=on: determinism is the currency here, so a test that only
+# passes after its neighbour has run must fail the gate.
 check: vet
-	$(GO) test -race -short ./...
+	$(GO) test -race -short -shuffle=on ./...
 
 # Property-based simulation testing. Default: the short battery (one
 # randomized cell grid across all three OS configs). SOAK=1 runs the

@@ -86,11 +86,11 @@ func main() {
 		}
 		fmt.Println(report.Table1(profiles))
 	}
-	for id, app := range map[string]string{"fig8": "UMT2013", "fig9": "QBOX"} {
-		if !want[id] {
+	for _, fig := range []struct{ id, app string }{{"fig8", "UMT2013"}, {"fig9", "QBOX"}} {
+		if !want[fig.id] {
 			continue
 		}
-		orig, pico, err := experiments.SyscallBreakdown(cfg, app)
+		orig, pico, err := experiments.SyscallBreakdown(cfg, fig.app)
 		if err != nil {
 			fatal(err)
 		}

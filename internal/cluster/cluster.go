@@ -341,12 +341,10 @@ func (c *Cluster) buildNode(id int) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.Mlx, err = mlx.NewDriver(n.Lin)
+	n.Mlx, err = mlx.NewDriver(n.Lin, n.RNIC)
 	if err != nil {
 		return nil, err
 	}
-	n.Mlx.Engine = n.RNIC
-	n.Mlx.Table = n.RNIC
 	if err := n.Lin.RegisterDevice(mlx.DevicePath, n.Mlx); err != nil {
 		return nil, err
 	}
@@ -363,11 +361,10 @@ func (c *Cluster) buildNode(id int) (*Node, error) {
 		if err := n.Pico.Attach(fw, "/dev/hfi1"); err != nil {
 			return nil, err
 		}
-		n.MlxPico, err = core.NewMLXPico(fw, n.Mlx.DWARFBlob)
+		n.MlxPico, err = core.NewMLXPico(fw, n.Mlx.DWARFBlob, n.RNIC)
 		if err != nil {
 			return nil, err
 		}
-		n.MlxPico.Table = n.RNIC
 		if err := n.MlxPico.Attach(fw, mlx.DevicePath); err != nil {
 			return nil, err
 		}

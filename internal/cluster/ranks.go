@@ -12,13 +12,30 @@ import (
 // the first error any of them hit, and the teardown protocol of a lossy
 // fabric.
 type Ranks struct {
+	FirstErr
 	eps  []*psm.Endpoint
 	idle int // ranks that have quiesced (Drain)
-
-	err     error
-	errAt   time.Duration
-	errRank int
 }
+
+// FirstErr keeps, of the errors a set of ranks report, the earliest in
+// virtual time, the lowest rank on a tie: the cause, not what it later
+// did to a peer. Read Err after Run.
+type FirstErr struct {
+	err  error
+	at   time.Duration
+	rank int
+}
+
+// Record reports that rank failed with err at p's current time.
+func (f *FirstErr) Record(p *sim.Proc, rank int, err error) {
+	t := p.Now()
+	if f.err == nil || t < f.at || (t == f.at && rank < f.rank) {
+		f.err, f.at, f.rank = err, t, rank
+	}
+}
+
+// Err returns the first error recorded, nil if none was.
+func (f *FirstErr) Err() error { return f.err }
 
 // StartRanks spawns one process per placement entry — rank r on node
 // placement[r], named prefix+r — that opens a PSM endpoint, publishes
@@ -39,7 +56,7 @@ func (c *Cluster) StartRanks(prefix string, placement []int, synthetic bool,
 		c.Go(node, fmt.Sprintf("%s%d", prefix, r), func(p *sim.Proc) {
 			ep, err := psm.NewEndpoint(p, osops, r, book, synthetic)
 			if err != nil {
-				rs.fail(p, r, err)
+				rs.Record(p, r, err)
 				ready.Done(p)
 				return
 			}
@@ -48,29 +65,16 @@ func (c *Cluster) StartRanks(prefix string, placement []int, synthetic bool,
 			ready.Done(p)
 			ready.Wait(p)
 			if err := body(p, r, ep); err != nil {
-				rs.fail(p, r, err)
+				rs.Record(p, r, err)
 			}
 		})
 	}
 	return rs
 }
 
-// fail keeps the earliest error in virtual time, the lowest rank on a
-// tie: the cause, not what it later did to a peer.
-func (rs *Ranks) fail(p *sim.Proc, rank int, err error) {
-	t := p.Now()
-	if rs.err == nil || t < rs.errAt || (t == rs.errAt && rank < rs.errRank) {
-		rs.err, rs.errAt, rs.errRank = err, t, rank
-	}
-}
-
 // Endpoints returns the endpoints in rank order; an entry is nil until
 // its rank has opened it.
 func (rs *Ranks) Endpoints() []*psm.Endpoint { return rs.eps }
-
-// Err returns the first error a rank hit, nil if none did. Read it
-// after Run.
-func (rs *Ranks) Err() error { return rs.err }
 
 // Drain is how a rank body ends on a lossy fabric: quiesce ep, then
 // keep progressing until every rank has quiesced too. A quiesced rank
@@ -83,7 +87,7 @@ func (rs *Ranks) Drain(p *sim.Proc, ep *psm.Endpoint) error {
 		return err
 	}
 	rs.idle++
-	for rs.idle < len(rs.eps) && rs.err == nil {
+	for rs.idle < len(rs.eps) && rs.Err() == nil {
 		if _, err := ep.Progress(p); err != nil {
 			return err
 		}

@@ -37,9 +37,9 @@ type MLXPico struct {
 	// mrs maps lkeys this fast path issued to their MR records.
 	mrs map[uint32]kmem.VirtAddr
 
-	// Table, when set, receives key programming exactly like the Linux
-	// driver's: fast-path registrations are indistinguishable to the HCA.
-	Table mlx.MRTable
+	// table receives key programming exactly like the Linux driver's:
+	// fast-path registrations are indistinguishable to the HCA.
+	table mlx.MRTable
 
 	// Stats.
 	FastRegs   uint64
@@ -48,14 +48,14 @@ type MLXPico struct {
 }
 
 // NewMLXPico extracts the layouts from the module's debug info and
-// returns the ported fast path.
-func NewMLXPico(fw *Framework, dwarfBlob []byte) (*MLXPico, error) {
+// returns the ported fast path, programming keys into table.
+func NewMLXPico(fw *Framework, dwarfBlob []byte, table mlx.MRTable) (*MLXPico, error) {
 	reg, err := ExtractLayouts(dwarfBlob, "mlxpico", MLXWants)
 	if err != nil {
 		return nil, err
 	}
 	return &MLXPico{
-		LWK: fw.LWK, reg: reg, space: fw.LWK.Space,
+		LWK: fw.LWK, reg: reg, space: fw.LWK.Space, table: table,
 		mrs: make(map[uint32]kmem.VirtAddr),
 	}, nil
 }
@@ -122,10 +122,8 @@ func (m *MLXPico) regMR(ctx *kernel.Ctx, f *linux.File, arg uproc.VirtAddr) (uin
 		return 0, true, err
 	}
 	m.mrs[lkey] = mrVA
-	if m.Table != nil {
-		m.Table.ProgramKey(lkey, mlx.MRHandle{Space: m.space, MTTVA: mttVA,
-			Entries: uint64(len(extents)), IOVA: uint64(mi.VAddr), Length: mi.Length, Access: mi.Access})
-	}
+	m.table.ProgramKey(lkey, mlx.MRHandle{Space: m.space, MTTVA: mttVA,
+		Entries: uint64(len(extents)), IOVA: uint64(mi.VAddr), Length: mi.Length, Access: mi.Access})
 	if err := mlx.WriteLKeyBack(f.Proc, arg, lkey); err != nil {
 		return 0, true, err
 	}
@@ -157,9 +155,7 @@ func (m *MLXPico) deregMR(ctx *kernel.Ctx, f *linux.File, arg uproc.VirtAddr) (u
 	if err := mlx.DestroyMR(ctx, m.space, m.reg, devVA, mrVA); err != nil {
 		return 0, true, err
 	}
-	if m.Table != nil {
-		m.Table.InvalidateKey(mi.LKey)
-	}
+	m.table.InvalidateKey(mi.LKey)
 	delete(m.mrs, mi.LKey)
 	m.FastDeregs++
 	return 0, true, nil

@@ -480,29 +480,16 @@ func (n *NIC) runEngine(p *sim.Proc, eng *SDMAEngine) {
 			if req.Src.Len == n.pr.MaxSDMARequest {
 				n.SDMAFullSize++
 			}
-			var payload []byte
-			if !txn.Synthetic {
-				payload = n.fab.GetBuf(int(req.Src.Len))
-				if err := n.phys.ReadAt(req.Src.Addr, payload); err != nil {
-					n.e.Fail(fmt.Errorf("hfi: node %d engine %d DMA read: %w", n.Node, eng.Index, err))
-					return
-				}
+			payload, err := n.dmaRead(txn, req)
+			if err != nil {
+				n.e.Fail(fmt.Errorf("hfi: node %d engine %d DMA read: %w", n.Node, eng.Index, err))
+				return
 			}
-			hdr := txn.Hdr
-			hdr.Offset = req.MsgOff
 			rail := baseRail
 			if stripe {
 				rail = i % 2
 			}
-			pkt := n.fab.GetPacket()
-			*pkt = fabric.Packet{
-				SrcNode: fabric.RailID(n.Node, rail), DstNode: fabric.RailID(txn.DstNode, rail), DstCtx: txn.DstCtx,
-				Kind: txn.Kind, Hdr: hdr,
-				Payload: payload, Bytes: req.Src.Len,
-				TIDIdx: req.TIDIdx, TIDOff: req.TIDOff, Last: req.Last,
-				Pooled: true, PooledPayload: payload != nil,
-			}
-			if err := n.fab.Send(p, pkt); err != nil {
+			if err := n.fab.Send(p, n.reqPacket(txn, req, payload, rail)); err != nil {
 				n.e.Fail(fmt.Errorf("hfi: node %d send: %w", n.Node, err))
 				return
 			}
@@ -516,23 +503,26 @@ func (n *NIC) runEngine(p *sim.Proc, eng *SDMAEngine) {
 	}
 }
 
-// PIOChunk transmits one SDMA request by programmed I/O, preserving the
-// transaction's packet kind and TID placement — the driver's degraded
-// slow path when an SDMA engine keeps failing a transaction. The caller
-// pays the PIO store cost per chunk.
-func (n *NIC) PIOChunk(p *sim.Proc, txn *SDMATxn, req SDMARequest) error {
-	var payload []byte
-	if !txn.Synthetic {
-		payload = n.fab.GetBuf(int(req.Src.Len))
-		if err := n.phys.ReadAt(req.Src.Addr, payload); err != nil {
-			n.fab.PutBuf(payload)
-			return fmt.Errorf("hfi: PIO chunk read: %w", err)
-		}
+// dmaRead loads one request's payload from host memory into a pooled
+// buffer (nil for a synthetic transaction); a failed read returns the
+// buffer to the pool.
+func (n *NIC) dmaRead(txn *SDMATxn, req SDMARequest) ([]byte, error) {
+	if txn.Synthetic {
+		return nil, nil
 	}
+	payload := n.fab.GetBuf(int(req.Src.Len))
+	if err := n.phys.ReadAt(req.Src.Addr, payload); err != nil {
+		n.fab.PutBuf(payload)
+		return nil, err
+	}
+	return payload, nil
+}
+
+// reqPacket builds the wire packet of one request on the given rail,
+// preserving the transaction's packet kind and TID placement.
+func (n *NIC) reqPacket(txn *SDMATxn, req SDMARequest, payload []byte, rail int) *fabric.Packet {
 	hdr := txn.Hdr
 	hdr.Offset = req.MsgOff
-	p.Sleep(n.pr.PIOTime(req.Src.Len))
-	rail := n.TxRail(txn.DstNode)
 	pkt := n.fab.GetPacket()
 	*pkt = fabric.Packet{
 		SrcNode: fabric.RailID(n.Node, rail), DstNode: fabric.RailID(txn.DstNode, rail), DstCtx: txn.DstCtx,
@@ -540,7 +530,20 @@ func (n *NIC) PIOChunk(p *sim.Proc, txn *SDMATxn, req SDMARequest) error {
 		TIDIdx: req.TIDIdx, TIDOff: req.TIDOff, Last: req.Last,
 		Pooled: true, PooledPayload: payload != nil,
 	}
-	return n.fab.Send(p, pkt)
+	return pkt
+}
+
+// PIOChunk transmits one SDMA request by programmed I/O — the driver's
+// degraded slow path when an SDMA engine keeps failing a transaction.
+// The caller pays the PIO store cost per chunk, and the chunk follows
+// whichever rail is selected once the stores are done.
+func (n *NIC) PIOChunk(p *sim.Proc, txn *SDMATxn, req SDMARequest) error {
+	payload, err := n.dmaRead(txn, req)
+	if err != nil {
+		return fmt.Errorf("hfi: PIO chunk read: %w", err)
+	}
+	p.Sleep(n.pr.PIOTime(req.Src.Len))
+	return n.fab.Send(p, n.reqPacket(txn, req, payload, n.TxRail(txn.DstNode)))
 }
 
 // complete queues a finished transaction for interrupt delivery,

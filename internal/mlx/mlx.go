@@ -153,11 +153,9 @@ type Driver struct {
 	mrs map[uint32]*linuxMR
 	// qps tracks QPs per file id for release-time cleanup.
 	qps map[int][]uint32
-	// Engine, when set, is the HCA the QP ioctls and mmap regions are
-	// backed by. Nil keeps the historical control-path-only stubs.
-	Engine QPEngine
-	// Table, when set, receives key programming at reg/dereg time.
-	Table MRTable
+	// hca backs the QP ioctls and mmap regions and receives key
+	// programming at reg/dereg time.
+	hca HCA
 	// MRBytesRegistered is instrumentation.
 	MRBytesRegistered uint64
 }
@@ -171,14 +169,14 @@ type linuxMR struct {
 	proc   *uproc.Process
 }
 
-// NewDriver performs module init.
-func NewDriver(k *linux.Kernel) (*Driver, error) {
+// NewDriver performs module init for the given HCA.
+func NewDriver(k *linux.Kernel, hca HCA) (*Driver, error) {
 	reg := BuildRegistry(DriverVersion)
 	blob, err := BuildDWARFBlob(reg)
 	if err != nil {
 		return nil, err
 	}
-	d := &Driver{K: k, reg: reg, DWARFBlob: blob,
+	d := &Driver{K: k, reg: reg, DWARFBlob: blob, hca: hca,
 		mrs: make(map[uint32]*linuxMR), qps: make(map[int][]uint32)}
 	devLayout, err := reg.Lookup("mlx_device")
 	if err != nil {
@@ -235,11 +233,9 @@ func (d *Driver) Open(ctx *kernel.Ctx, f *linux.File) error {
 // left live (the kernel must not leak pins or MTT memory when an
 // application exits without deregistering).
 func (d *Driver) Release(ctx *kernel.Ctx, f *linux.File) error {
-	if d.Engine != nil {
-		for _, qpn := range d.qps[f.ID] {
-			if err := d.Engine.DestroyQP(ctx, qpn); err != nil {
-				return err
-			}
+	for _, qpn := range d.qps[f.ID] {
+		if err := d.hca.DestroyQP(ctx, qpn); err != nil {
+			return err
 		}
 	}
 	delete(d.qps, f.ID)
@@ -256,9 +252,7 @@ func (d *Driver) Release(ctx *kernel.Ctx, f *linux.File) error {
 			return err
 		}
 		d.K.PutUserPages(rec.proc, rec.pages)
-		if d.Table != nil {
-			d.Table.InvalidateKey(lkey)
-		}
+		d.hca.InvalidateKey(lkey)
 		delete(d.mrs, lkey)
 	}
 	return d.K.Space.Kfree(f.Private, ctx.CPU)
@@ -284,15 +278,9 @@ func (d *Driver) Ioctl(ctx *kernel.Ctx, f *linux.File, cmd uint32, arg uproc.Vir
 		return 1635, nil
 	case CmdCreateQP, CmdModifyQP:
 		ctx.Spend(15 * time.Microsecond) // slow-path QP state machine
-		if d.Engine == nil {
-			return 0, nil
-		}
 		return d.qpIoctl(ctx, f, cmd, arg)
 	case CmdDestroyQP:
 		ctx.Spend(8 * time.Microsecond)
-		if d.Engine == nil {
-			return 0, nil
-		}
 		return d.qpIoctl(ctx, f, cmd, arg)
 	}
 	return 0, fmt.Errorf("mlx: unknown ioctl %#x", cmd)
@@ -319,10 +307,8 @@ func (d *Driver) regMR(ctx *kernel.Ctx, f *linux.File, arg uproc.VirtAddr) (uint
 	d.mrs[lkey] = &linuxMR{mrVA: mrVA, mttVA: mttVA, mttLen: uint64(len(mtt)) * 8,
 		pages: pages, fileID: f.ID, proc: f.Proc}
 	d.MRBytesRegistered += mi.Length
-	if d.Table != nil {
-		d.Table.ProgramKey(lkey, MRHandle{Space: d.K.Space, MTTVA: mttVA,
-			Entries: uint64(len(mtt)), IOVA: uint64(mi.VAddr), Length: mi.Length, Access: mi.Access})
-	}
+	d.hca.ProgramKey(lkey, MRHandle{Space: d.K.Space, MTTVA: mttVA,
+		Entries: uint64(len(mtt)), IOVA: uint64(mi.VAddr), Length: mi.Length, Access: mi.Access})
 	if err := WriteLKeyBack(f.Proc, arg, lkey); err != nil {
 		return 0, err
 	}
@@ -343,22 +329,17 @@ func (d *Driver) deregMR(ctx *kernel.Ctx, f *linux.File, arg uproc.VirtAddr) (ui
 		return 0, err
 	}
 	d.K.PutUserPages(f.Proc, rec.pages)
-	if d.Table != nil {
-		d.Table.InvalidateKey(mi.LKey)
-	}
+	d.hca.InvalidateKey(mi.LKey)
 	delete(d.mrs, mi.LKey)
 	return 0, nil
 }
 
 // Mmap exposes QP ring memory (allocated by the engine in Linux kernel
 // memory) to userspace; the data path then runs entirely on mapped
-// pages. Without an engine there is nothing to map.
+// pages.
 func (d *Driver) Mmap(ctx *kernel.Ctx, f *linux.File, kind uint32, length uint64) (uproc.VirtAddr, error) {
-	if d.Engine == nil {
-		return 0, fmt.Errorf("mlx: no mmap regions in this model")
-	}
 	region, qpn := SplitMmapKind(kind)
-	ext, err := d.Engine.Region(qpn, region)
+	ext, err := d.hca.Region(qpn, region)
 	if err != nil {
 		return 0, err
 	}

@@ -45,11 +45,10 @@ func (r *rig) attachPico(t *testing.T) *core.MLXPico {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pico, err := core.NewMLXPico(fw, r.drv.DWARFBlob)
+	pico, err := core.NewMLXPico(fw, r.drv.DWARFBlob, n.RNIC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pico.Table = n.RNIC
 	n.Mck.ReplaceFastPath(mlx.DevicePath, pico.FastPath())
 	return pico
 }
@@ -180,7 +179,7 @@ func TestMTTEntriesReflectBacking(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := cl.Nodes[0]
-	drv, err := mlx.NewDriver(n.Lin)
+	drv, err := mlx.NewDriver(n.Lin, n.RNIC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +304,7 @@ func TestMixedOwnershipDereg(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		pico, err := core.NewMLXPico(fw, r.drv.DWARFBlob)
+		pico, err := core.NewMLXPico(fw, r.drv.DWARFBlob, n.RNIC)
 		if err != nil {
 			t.Error(err)
 			return

@@ -136,10 +136,12 @@ type MRTable interface {
 	InvalidateKey(lkey uint32)
 }
 
-// QPEngine is the HCA's control-path surface. The driver calls it from
-// ioctl context; ring memory lives in the engine (allocated from Linux
+// HCA is the device a Driver is initialised for (verbs.RNIC in a
+// cluster): the key table plus the QP control path. The driver calls it
+// from ioctl context; ring memory lives in the HCA (allocated from Linux
 // kernel memory, DMA-visible to both the HCA and the mapping process).
-type QPEngine interface {
+type HCA interface {
+	MRTable
 	CreateQP(ctx *kernel.Ctx, info *QPInfo) (uint32, error)
 	ModifyQP(ctx *kernel.Ctx, qpn uint32, info *QPInfo) error
 	DestroyQP(ctx *kernel.Ctx, qpn uint32) error
@@ -147,7 +149,7 @@ type QPEngine interface {
 	Region(qpn, region uint32) (mem.Extent, error)
 }
 
-// qpIoctl handles the QP command set against the attached engine.
+// qpIoctl handles the QP command set against the HCA.
 func (d *Driver) qpIoctl(ctx *kernel.Ctx, f *linux.File, cmd uint32, arg uproc.VirtAddr) (uint64, error) {
 	qi, err := DecodeQPInfo(f.Proc, arg)
 	if err != nil {
@@ -155,7 +157,7 @@ func (d *Driver) qpIoctl(ctx *kernel.Ctx, f *linux.File, cmd uint32, arg uproc.V
 	}
 	switch cmd {
 	case CmdCreateQP:
-		qpn, err := d.Engine.CreateQP(ctx, qi)
+		qpn, err := d.hca.CreateQP(ctx, qi)
 		if err != nil {
 			return 0, err
 		}
@@ -165,9 +167,9 @@ func (d *Driver) qpIoctl(ctx *kernel.Ctx, f *linux.File, cmd uint32, arg uproc.V
 		}
 		return uint64(qpn), nil
 	case CmdModifyQP:
-		return 0, d.Engine.ModifyQP(ctx, qi.QPN, qi)
+		return 0, d.hca.ModifyQP(ctx, qi.QPN, qi)
 	case CmdDestroyQP:
-		if err := d.Engine.DestroyQP(ctx, qi.QPN); err != nil {
+		if err := d.hca.DestroyQP(ctx, qi.QPN); err != nil {
 			return 0, err
 		}
 		owned := d.qps[f.ID]

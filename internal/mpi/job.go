@@ -57,7 +57,7 @@ type JobHandle struct {
 	// arrival is the virtual time MPI_Init begins (spawn time + Delay).
 	arrival   time.Duration
 	comms     []*Comm
-	errs      []error
+	failed    cluster.FirstErr
 	bodyStart []time.Duration
 	bodyEnd   []time.Duration
 }
@@ -73,7 +73,6 @@ func StartJob(cl *cluster.Cluster, spec JobSpec) *JobHandle {
 		Spec:      spec,
 		arrival:   cl.Now() + spec.Delay,
 		comms:     make([]*Comm, nRanks),
-		errs:      make([]error, nRanks),
 		bodyStart: make([]time.Duration, nRanks),
 		bodyEnd:   make([]time.Duration, nRanks),
 	}
@@ -98,26 +97,27 @@ func StartJob(cl *cluster.Cluster, spec JobSpec) *JobHandle {
 			if spec.Delay > 0 {
 				p.Sleep(spec.Delay)
 			}
+			fail := func(err error) { h.failed.Record(p, r, err) }
 			comm, err := initRank(p, cl, osops, r, nRanks, rpn, book, rma, ready)
 			if err != nil {
-				h.errs[r] = err
+				fail(err)
 				return
 			}
 			comm.Job = spec.Name
 			h.comms[r] = comm
 			// Post-init barrier: application timing starts here.
 			if err := comm.Barrier(); err != nil {
-				h.errs[r] = err
+				fail(err)
 				return
 			}
 			h.bodyStart[r] = p.Now()
 			if err := spec.Body(comm); err != nil {
-				h.errs[r] = fmt.Errorf("rank %d: %w", r, err)
+				fail(fmt.Errorf("rank %d: %w", r, err))
 				return
 			}
 			// Completion barrier quiesces outstanding traffic.
 			if err := comm.Barrier(); err != nil {
-				h.errs[r] = err
+				fail(err)
 				return
 			}
 			h.bodyEnd[r] = p.Now()
@@ -132,12 +132,11 @@ func StartJob(cl *cluster.Cluster, spec JobSpec) *JobHandle {
 func (h *JobHandle) Comms() []*Comm { return h.comms }
 
 // Result aggregates the finished job's profiles and timings. It must
-// only be called after the engine has drained.
+// only be called after the engine has drained. If ranks failed it
+// returns the first failure (cluster.FirstErr's rule, as Ranks.Err).
 func (h *JobHandle) Result() (*JobResult, error) {
-	for _, err := range h.errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := h.failed.Err(); err != nil {
+		return nil, err
 	}
 	nRanks := len(h.comms)
 	res := &JobResult{MPI: trace.NewSyscallProfile(), Ranks: nRanks, RankElapsed: &trace.Histogram{}}

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -202,5 +203,35 @@ func TestJobDeterminism(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("non-deterministic job: %v vs %v", a, b)
+	}
+}
+
+// TestJobResultFirstFailureWins: rank 1 fails first with the cause, rank
+// 0 fails later on a receive as a consequence; Result must report the
+// cause. Scanning errors in rank order would report rank 0.
+func TestJobResultFirstFailureWins(t *testing.T) {
+	cl := testCluster(t, 2, cluster.OSLinux, false)
+	cause := errors.New("rank 1 gave up")
+	var consequence error
+	_, err := RunJob(cl, 1, func(c *Comm) error {
+		buf, err := c.MmapAnon(4096)
+		if err != nil {
+			return err
+		}
+		if c.Rank == 1 {
+			if _, err := c.Isend(0, 7, buf, 4096); err != nil {
+				return err
+			}
+			return cause
+		}
+		c.P.Sleep(100 * time.Microsecond)
+		consequence = c.Recv(1, 7, buf, 16)
+		return consequence
+	})
+	if consequence == nil {
+		t.Fatal("rank 0's truncated receive did not fail")
+	}
+	if !errors.Is(err, cause) {
+		t.Fatalf("Result error = %v, want the first failure %v", err, cause)
 	}
 }

@@ -45,26 +45,17 @@ type congCtl struct {
 	burst  int // chunks sent in the current burst
 }
 
-// congOf returns (creating if needed) the window toward peer.
-func (ep *Endpoint) congOf(peer int) *congCtl {
-	cc, ok := ep.cong[peer]
-	if !ok {
-		cc = &congCtl{window: congMaxWindow}
-		ep.cong[peer] = cc
-	}
-	return cc
-}
-
-// congWindow returns the current eager window toward peer
-// (congMaxWindow when congestion control is off or the peer is clean).
-func (ep *Endpoint) congWindow(peer int) int {
+// backedOff returns the window toward peer if it is below the maximum,
+// nil when congestion control is off or the peer is clean (one branch
+// and, when on, one lookup per chunk).
+func (ep *Endpoint) backedOff(peer int) *congCtl {
 	if !ep.congEnabled {
-		return congMaxWindow
+		return nil
 	}
-	if cc, ok := ep.cong[peer]; ok {
-		return cc.window
+	if pe, ok := ep.peers[peer]; ok && pe.cong != nil && pe.cong.window < congMaxWindow {
+		return pe.cong
 	}
-	return congMaxWindow
+	return nil
 }
 
 // congObserve records one inbound header entry's ECN mark: the next
@@ -76,7 +67,10 @@ func (ep *Endpoint) congObserve(src int, op uint32, ecn bool) {
 		return
 	}
 	ep.CongStats.EcnSeen++
-	ep.cnpOwed[src] = true
+	if pe := ep.peerOf(src); !pe.cnpOwed {
+		pe.cnpOwed = true
+		ep.cnpOwed = append(ep.cnpOwed, src)
+	}
 }
 
 // congBackoff is the multiplicative decrease: a CNP from peer halves
@@ -86,7 +80,11 @@ func (ep *Endpoint) congBackoff(peer int) {
 		return
 	}
 	ep.CongStats.CnpsRcvd++
-	cc := ep.congOf(peer)
+	pe := ep.peerOf(peer)
+	if pe.cong == nil {
+		pe.cong = &congCtl{window: congMaxWindow}
+	}
+	cc := pe.cong
 	if cc.window > 1 {
 		cc.window /= 2
 		ep.CongStats.Backoffs++
@@ -99,14 +97,10 @@ func (ep *Endpoint) congBackoff(peer int) {
 // off window's burst is exhausted, the sender idles one inter-burst gap
 // — (congMaxWindow - window) chunk wire times, so a halved window
 // roughly halves the offered load — and banks the clean chunks toward
-// additive increase. A full window inserts no gaps and costs two map-
-// free comparisons.
+// additive increase. A full window inserts no gaps.
 func (ep *Endpoint) congPace(p *sim.Proc, peer int, chunkBytes uint64) {
-	if !ep.congEnabled {
-		return
-	}
-	cc, ok := ep.cong[peer]
-	if !ok || cc.window >= congMaxWindow {
+	cc := ep.backedOff(peer)
+	if cc == nil {
 		return
 	}
 	cc.burst++
@@ -137,11 +131,8 @@ func (ep *Endpoint) congPace(p *sim.Proc, peer int, chunkBytes uint64) {
 // time, matching the paced-PIO slowdown without touching the engine's
 // descriptor pipeline.
 func (ep *Endpoint) congPreSDMA(p *sim.Proc, peer int, bytes uint64) {
-	if !ep.congEnabled {
-		return
-	}
-	cc, ok := ep.cong[peer]
-	if !ok || cc.window >= congMaxWindow {
+	cc := ep.backedOff(peer)
+	if cc == nil {
 		return
 	}
 	wire := ep.nic.Params().WireTime(bytes)

@@ -1,7 +1,6 @@
 package psm
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -50,7 +49,7 @@ type Endpoint struct {
 	// Matched queues.
 	posted     []*recvReq
 	unexpected []*inbound
-	inflight   map[msgKey]*inbound
+	inflight   map[uint64]*inbound // by msgid
 	pendingRTS []*rtsInfo
 
 	// Send state.
@@ -70,17 +69,20 @@ type Endpoint struct {
 	// MaxActiveRdv bounds concurrently TID-registered receives.
 	MaxActiveRdv int
 
+	// peers holds the per-remote-rank state: cached address, go-back-N
+	// flows, congestion window (see reliability.go). ackOwed/cnpOwed
+	// list the ranks the next Progress drain owes an ACK / a CNP.
+	peers            map[int]*peer
+	ackOwed, cnpOwed []int
+
 	// Reliability state, populated only when the fabric is lossy
 	// (reliable == nic.Lossy()); see reliability.go.
 	reliable      bool
-	txFlows       map[int]*txFlow
-	rxFlows       map[int]*rxFlow
-	msgTimers     map[mtKey]*msgTimer
-	ackOwed       map[int]bool
+	msgTimers     map[mtKey]*recovery
 	rtCond        *sim.Cond
 	closed        bool
-	completedMsgs map[msgKey]bool
-	completedFIFO []msgKey
+	completedMsgs map[uint64]bool // by msgid
+	completedFIFO []uint64
 	// health drives live fast-path/slow-path switching and dual-rail
 	// failover (nil on a loss-free fabric); see health.go.
 	health *healthMachine
@@ -90,8 +92,6 @@ type Endpoint struct {
 	// congestion.go. Orthogonal to reliability: a congested fabric need
 	// not be lossy.
 	congEnabled bool
-	cong        map[int]*congCtl
-	cnpOwed     map[int]bool
 
 	// snapLabel is this endpoint's registered snapshot section
 	// (see EncodeState); Close unregisters it.
@@ -105,11 +105,6 @@ type Endpoint struct {
 	localBuf  []byte // shared-memory chunk staging (consumed synchronously)
 	tidBuf    []byte // TID-list wire staging
 	trackName string // cached "rank<N>" span track
-}
-
-type msgKey struct {
-	src   uint32
-	msgid uint64
 }
 
 type recvReq struct {
@@ -203,7 +198,8 @@ func NewEndpoint(p *sim.Proc, os OSOps, rank int, book AddressBook, synthetic bo
 	ep := &Endpoint{
 		OS: os, Rank: rank, Book: book, Synthetic: synthetic,
 		trackName:    fmt.Sprintf("rank%d", rank),
-		inflight:     make(map[msgKey]*inbound),
+		peers:        make(map[int]*peer),
+		inflight:     make(map[uint64]*inbound),
 		bySeq:        make(map[uint32]*sendWindow),
 		sends:        make(map[uint64]*sendReq),
 		rdvRecvs:     make(map[uint64]*rdvRecv),
@@ -260,11 +256,8 @@ func NewEndpoint(p *sim.Proc, os OSOps, rank int, book AddressBook, synthetic bo
 	// retransmission timer daemon.
 	ep.reliable = ep.nic.Lossy()
 	if ep.reliable {
-		ep.txFlows = make(map[int]*txFlow)
-		ep.rxFlows = make(map[int]*rxFlow)
-		ep.msgTimers = make(map[mtKey]*msgTimer)
-		ep.ackOwed = make(map[int]bool)
-		ep.completedMsgs = make(map[msgKey]bool)
+		ep.msgTimers = make(map[mtKey]*recovery)
+		ep.completedMsgs = make(map[uint64]bool)
 		ep.rtCond = sim.NewCond(ep.eng)
 		ep.health = &healthMachine{ep: ep}
 		ep.eng.GoDaemon(fmt.Sprintf("psm-rt-rank%d", rank), func(dp *sim.Proc) {
@@ -273,10 +266,6 @@ func NewEndpoint(p *sim.Proc, os OSOps, rank int, book AddressBook, synthetic bo
 	}
 	// On a congested fabric, arm the ECN/CNP response machinery.
 	ep.congEnabled = ep.nic.Congested()
-	if ep.congEnabled {
-		ep.cong = make(map[int]*congCtl)
-		ep.cnpOwed = make(map[int]bool)
-	}
 	ep.snapLabel = ep.eng.RegisterState(fmt.Sprintf("psm/rank%d", rank), ep.EncodeState)
 	return ep, nil
 }
@@ -307,11 +296,18 @@ func (ep *Endpoint) span(name string, begin time.Duration, bytes uint64) {
 	}
 }
 
+// addrOf resolves a rank through the address book once and from its
+// peer record afterwards (a rank's address never changes).
 func (ep *Endpoint) addrOf(rank int) (Addr, error) {
+	if pe, ok := ep.peers[rank]; ok && pe.hasAddr {
+		return pe.addr, nil
+	}
 	a, ok := ep.Book.Lookup(rank)
 	if !ok {
 		return Addr{}, fmt.Errorf("psm: no address for rank %d", rank)
 	}
+	pe := ep.peerOf(rank)
+	pe.addr, pe.hasAddr = a, true
 	return a, nil
 }
 
@@ -376,16 +372,6 @@ func (ep *Endpoint) header(op uint32, tag, msgid, msglen, offset, aux uint64) fa
 		Op: op, SrcRank: uint32(ep.Rank), Tag: tag,
 		MsgID: msgid, MsgLen: msglen, Offset: offset, Aux: aux,
 	}
-}
-
-// encodeTIDPairs serializes a TID list into a CTS payload.
-func encodeTIDPairs(pairs []hfi.TIDPair) []byte {
-	buf := make([]byte, len(pairs)*hfi.TIDPairSize)
-	for i, tp := range pairs {
-		binary.LittleEndian.PutUint64(buf[i*hfi.TIDPairSize:], tp.Idx)
-		binary.LittleEndian.PutUint64(buf[i*hfi.TIDPairSize+8:], tp.Len)
-	}
-	return buf
 }
 
 // Compute forwards to the OS personality (noise model included).

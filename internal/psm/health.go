@@ -96,13 +96,12 @@ type FailoverStats struct {
 
 // healthMachine is the state machine itself, owned by one endpoint.
 type healthMachine struct {
-	ep       *Endpoint
-	state    HealthState
-	cause    failCause
-	strikes  int
-	peer     int // peer node of the last link failover
-	armed    bool
-	deadline time.Duration
+	retryTimer // deadline of the next self-transition (no rto, no budget)
+	ep         *Endpoint
+	state      HealthState
+	cause      failCause
+	strikes    int
+	peer       int // peer node of the last link failover
 }
 
 // Health returns the endpoint's current health state (HealthHealthy on
@@ -123,8 +122,7 @@ func (ep *Endpoint) avoidSDMA() bool {
 // arm schedules the machine's next self-transition and wakes the
 // retransmit daemon, which services health deadlines.
 func (h *healthMachine) arm(d time.Duration) {
-	h.armed = true
-	h.deadline = h.ep.eng.Now() + d
+	h.retryTimer.arm(h.ep.eng.Now(), d)
 	h.ep.rtCond.Broadcast()
 }
 
@@ -199,7 +197,7 @@ func (h *healthMachine) failOver(cause failCause, peerNode int) {
 
 // fire services an expired health deadline (called from fireTimers).
 func (h *healthMachine) fire(now time.Duration) {
-	if h == nil || !h.armed || h.deadline > now {
+	if h == nil || !h.due(now) {
 		return
 	}
 	h.armed = false

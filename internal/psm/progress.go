@@ -47,38 +47,32 @@ func (ep *Endpoint) Progress(p *sim.Proc) (bool, error) {
 		made = true
 	}
 	// Coalesced cumulative ACKs: one per peer that delivered in-order
-	// data during this drain.
-	if ep.reliable && len(ep.ackOwed) > 0 {
-		peers := make([]int, 0, len(ep.ackOwed))
-		for peer := range ep.ackOwed {
-			peers = append(peers, peer)
-		}
-		sort.Ints(peers)
-		for _, peer := range peers {
-			delete(ep.ackOwed, peer)
-			rf := ep.rxFlows[peer]
+	// data during this drain, in rank order.
+	if len(ep.ackOwed) > 0 {
+		sort.Ints(ep.ackOwed)
+		for _, rank := range ep.ackOwed {
+			pe := ep.peers[rank]
+			pe.ackOwed = false
 			ep.Stats.AcksSent++
-			if err := ep.sendCtl(p, peer, OpAck, uint64(rf.expected-1)); err != nil {
+			if err := ep.sendCtl(p, rank, OpAck, uint64(pe.rx.expected-1)); err != nil {
 				return made, err
 			}
 		}
+		ep.ackOwed = ep.ackOwed[:0]
 	}
 	// Coalesced CNPs: one per peer whose traffic arrived ECN-marked
 	// during this drain. Not gated on reliability — congestion control
 	// runs on loss-free fabrics too.
-	if ep.congEnabled && len(ep.cnpOwed) > 0 {
-		peers := make([]int, 0, len(ep.cnpOwed))
-		for peer := range ep.cnpOwed {
-			peers = append(peers, peer)
-		}
-		sort.Ints(peers)
-		for _, peer := range peers {
-			delete(ep.cnpOwed, peer)
+	if len(ep.cnpOwed) > 0 {
+		sort.Ints(ep.cnpOwed)
+		for _, rank := range ep.cnpOwed {
+			ep.peers[rank].cnpOwed = false
 			ep.CongStats.CnpsSent++
-			if err := ep.sendCtl(p, peer, OpCnp, 0); err != nil {
+			if err := ep.sendCtl(p, rank, OpCnp, 0); err != nil {
 				return made, err
 			}
 		}
+		ep.cnpOwed = ep.cnpOwed[:0]
 	}
 	for {
 		head, err := ep.readStatus(hfi.StatusCQHead)
@@ -133,14 +127,20 @@ func (ep *Endpoint) handleEagerEntry(p *sim.Proc, e *hfi.HdrqEntry) error {
 	// themselves are unsequenced (PSN 0) and bypass this filter.
 	if ep.reliable && e.PSN != 0 {
 		src := int(e.SrcRank)
-		rf := ep.rxFlowFor(src)
+		pe := ep.peerOf(src)
+		if pe.rx == nil {
+			pe.rx = &rxFlow{expected: 1}
+		}
+		rf := pe.rx
+		if e.PSN <= rf.expected && !pe.ackOwed {
+			pe.ackOwed = true
+			ep.ackOwed = append(ep.ackOwed, src)
+		}
 		switch {
 		case e.PSN == rf.expected:
 			rf.expected++
 			rf.nakSentFor = 0
-			ep.ackOwed[src] = true
 		case e.PSN < rf.expected:
-			ep.ackOwed[src] = true
 			return nil
 		default:
 			if rf.nakSentFor != rf.expected {
@@ -160,11 +160,8 @@ func (ep *Endpoint) handleEagerEntry(p *sim.Proc, e *hfi.HdrqEntry) error {
 		return ep.onRTS(p, e)
 	case OpCTS:
 		return ep.onCTS(p, e)
-	case OpAck:
-		ep.onAck(&ackEntry{peer: int(e.SrcRank), cum: uint32(e.Aux)})
-		return nil
-	case OpNak:
-		return ep.onNak(p, &ackEntry{peer: int(e.SrcRank), cum: uint32(e.Aux)})
+	case OpAck, OpNak:
+		return ep.onAck(p, int(e.SrcRank), uint32(e.Aux), e.Op == OpNak)
 	case OpEagerFin, OpRdvFin:
 		return ep.onFin(e)
 	case OpCnp:
@@ -196,7 +193,8 @@ func (ep *Endpoint) slotPayload(e *hfi.HdrqEntry) ([]byte, error) {
 // buffer, or into a bounce heap for unexpected arrivals (both charged
 // the copy cost; real PSM does exactly this double-copy dance).
 func (ep *Endpoint) onEagerChunk(p *sim.Proc, e *hfi.HdrqEntry) error {
-	key := msgKey{src: e.SrcRank, msgid: e.MsgID}
+	// A msgid (sender rank<<32 | sequence) is unique across senders.
+	key := e.MsgID
 	if ep.reliable && ep.completedMsgs[key] {
 		// Stale chunk of an already-assembled message (a late SDMA
 		// packet racing its own PIO replay).
@@ -209,8 +207,7 @@ func (ep *Endpoint) onEagerChunk(p *sim.Proc, e *hfi.HdrqEntry) error {
 			if e.MsgLen > rr.capacity {
 				// MPI truncation semantics: fail the receive, consume
 				// the message as unexpected data.
-				rr.req.Err = fmt.Errorf("psm: message of %d bytes truncates %d-byte receive", e.MsgLen, rr.capacity)
-				rr.req.Done = true
+				rr.req.fail(fmt.Errorf("psm: message of %d bytes truncates %d-byte receive", e.MsgLen, rr.capacity))
 			} else {
 				inb.bound = rr
 			}
@@ -374,10 +371,7 @@ func (ep *Endpoint) onSendComplete(p *sim.Proc, seqRaw uint64) error {
 		}
 		// Terminal SDMA failure (driver retry budget exhausted with
 		// degradation disabled, no recovery path): surface a typed error.
-		if !sr.req.Done {
-			sr.req.Err = &SDMAError{Rank: ep.Rank, Seq: seq}
-			sr.req.Done = true
-		}
+		sr.req.fail(&SDMAError{Rank: ep.Rank, Seq: seq})
 		delete(ep.sends, sr.msgid)
 		if ep.reliable {
 			ep.cancelMsgTimer(mtKey{msgid: sr.msgid, kind: mtEagerFin})

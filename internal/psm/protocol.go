@@ -2,6 +2,7 @@ package psm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hfi"
 	"repro/internal/sim"
@@ -71,23 +72,14 @@ func (ep *Endpoint) Send(p *sim.Proc, dst int, tag uint64, buf uproc.VirtAddr, l
 	return ep.Wait(p, req)
 }
 
-// sendLocal uses the shared-memory transport for same-node peers.
-func (ep *Endpoint) sendLocal(p *sim.Proc, a Addr, tag, msgid uint64, buf uproc.VirtAddr, length uint64) error {
+// eagerChunks calls send for each EagerChunk-sized slice [off, off+n)
+// of a length-byte message, in order; an empty message is one empty
+// chunk.
+func (ep *Endpoint) eagerChunks(length uint64, send func(off, n uint64) error) error {
 	chunk := ep.nic.Params().EagerChunk
-	off := uint64(0)
-	for {
-		n := length - off
-		if n > chunk {
-			n = chunk
-		}
-		payload, err := ep.readPayloadScratch(buf+uproc.VirtAddr(off), n)
-		if err != nil {
-			return err
-		}
-		hdr := ep.header(hfi.OpEager, tag, msgid, length, off, 0)
-		// LocalDeliver consumes the payload synchronously, so the scratch
-		// chunk can be reused for the next iteration.
-		if err := ep.nic.LocalDeliver(p, a.Ctx, hdr, payload, n); err != nil {
+	for off := uint64(0); ; {
+		n := min(length-off, chunk)
+		if err := send(off, n); err != nil {
 			return err
 		}
 		off += n
@@ -97,18 +89,26 @@ func (ep *Endpoint) sendLocal(p *sim.Proc, a Addr, tag, msgid uint64, buf uproc.
 	}
 }
 
+// sendLocal uses the shared-memory transport for same-node peers.
+func (ep *Endpoint) sendLocal(p *sim.Proc, a Addr, tag, msgid uint64, buf uproc.VirtAddr, length uint64) error {
+	return ep.eagerChunks(length, func(off, n uint64) error {
+		// LocalDeliver consumes the payload synchronously, so the scratch
+		// chunk can be reused for the next one.
+		payload, err := ep.readPayloadScratch(buf+uproc.VirtAddr(off), n)
+		if err != nil {
+			return err
+		}
+		hdr := ep.header(hfi.OpEager, tag, msgid, length, off, 0)
+		return ep.nic.LocalDeliver(p, a.Ctx, hdr, payload, n)
+	})
+}
+
 // sendPIO pushes a small message through programmed I/O: user-space
 // stores, no kernel involvement at all. The request completes when the
 // last chunk is acknowledged — immediately on a loss-free fabric,
 // on cumulative ACK otherwise.
 func (ep *Endpoint) sendPIO(p *sim.Proc, dst int, a Addr, tag, msgid uint64, buf uproc.VirtAddr, length uint64, req *Request) error {
-	chunk := ep.nic.Params().EagerChunk
-	off := uint64(0)
-	for {
-		n := length - off
-		if n > chunk {
-			n = chunk
-		}
+	return ep.eagerChunks(length, func(off, n uint64) error {
 		hdr := ep.header(hfi.OpEager, tag, msgid, length, off, 0)
 		var onAcked func(error)
 		if off+n >= length {
@@ -148,11 +148,8 @@ func (ep *Endpoint) sendPIO(p *sim.Proc, dst int, a Addr, tag, msgid uint64, buf
 			}
 		}
 		ep.congPace(p, dst, n)
-		off += n
-		if off >= length {
-			return nil
-		}
-	}
+		return nil
+	})
 }
 
 // readPayload loads message bytes from user memory (nil in synthetic
@@ -190,16 +187,14 @@ func (ep *Endpoint) readPayloadScratch(va uproc.VirtAddr, n uint64) ([]byte, err
 // send additionally awaits the receiver's FIN, with a recovery timer
 // that replays the message as sequenced PIO chunks.
 func (ep *Endpoint) sendEagerSDMA(p *sim.Proc, dst int, a Addr, tag, msgid uint64, buf uproc.VirtAddr, length uint64, req *Request) error {
+	sr := &sendReq{req: req, dst: a, peer: dst, tag: tag, msgid: msgid, buf: buf,
+		length: length, ctsDone: true, needFin: ep.reliable, op: "send:eager-sdma"}
 	if ep.avoidSDMA() {
 		// Failed over from the SDMA fast path: carry the payload as
 		// sequenced PIO chunks instead of a writev. Completion still
 		// rides the receiver's FIN, and the eager-fin timer replays the
 		// message if the FIN stalls — identical recovery semantics, no
 		// SDMA engine involved.
-		sr := &sendReq{req: req, dst: a, peer: dst, tag: tag, msgid: msgid, buf: buf,
-			length: length, ctsDone: true, needFin: true,
-			op: "send:eager-sdma"}
-		ep.sends[msgid] = sr
 		ep.armEagerFin(sr)
 		return ep.resendEagerPIO(p, sr)
 	}
@@ -214,30 +209,22 @@ func (ep *Endpoint) sendEagerSDMA(p *sim.Proc, dst int, a Addr, tag, msgid uint6
 	if err := ep.writevSDMA(p, hdr, buf, length); err != nil {
 		return err
 	}
-	sr := &sendReq{req: req, dst: a, peer: dst, tag: tag, msgid: msgid, buf: buf,
-		length: length, remaining: 0, windows: 1, ctsDone: true,
-		op: "send:eager-sdma"}
+	sr.windows = 1
 	ep.bySeq[cs] = &sendWindow{send: sr}
 	if ep.reliable {
-		sr.needFin = true
-		ep.sends[msgid] = sr
 		ep.armEagerFin(sr)
 	}
 	return nil
 }
 
-// armEagerFin arms the eager-SDMA message's FIN-replay recovery timer.
+// armEagerFin registers an eager-SDMA send to await its FIN and arms the
+// FIN-replay recovery timer.
 func (ep *Endpoint) armEagerFin(sr *sendReq) {
-	ep.armMsgTimer(mtKey{msgid: sr.msgid, kind: mtEagerFin}, sr.peer,
-		func(tp *sim.Proc) error {
-			ep.Stats.MsgResends++
-			return ep.resendEagerPIO(tp, sr)
-		},
+	ep.sends[sr.msgid] = sr
+	ep.armMsgTimer(mtKey{msgid: sr.msgid, kind: mtEagerFin}, sr.peer, sr.dst,
+		func(tp *sim.Proc) error { return ep.resendEagerPIO(tp, sr) },
 		func(err error) {
-			if !sr.req.Done {
-				sr.req.Err = err
-				sr.req.Done = true
-			}
+			sr.req.fail(err)
 			delete(ep.sends, sr.msgid)
 		})
 }
@@ -286,52 +273,69 @@ func (ep *Endpoint) Irecv(p *sim.Proc, src int, tag uint64, buf uproc.VirtAddr, 
 	req := &Request{kind: reqRecv, begin: p.Now()}
 	rr := &recvReq{req: req, src: src, tag: tag, buf: buf, capacity: capacity}
 
-	// 1. A fully arrived unexpected eager message?
-	for i, inb := range ep.unexpected {
-		if int(inb.src) == src && inb.tag == tag {
-			ep.unexpected = append(ep.unexpected[:i], ep.unexpected[i+1:]...)
-			if err := ep.claimUnexpected(p, rr, inb); err != nil {
+	// MPI non-overtaking: of everything already here for (src, tag) —
+	// fully arrived, partially arrived, or announced by an RTS — the
+	// receive takes what was sent first. msgid = rank<<32 | seq is send
+	// order within one source, so that is the lowest msgid, whichever
+	// list holds it and whatever order the inflight map iterates in.
+	var inb *inbound
+	var rts *rtsInfo
+	for _, c := range ep.unexpected {
+		if int(c.src) == src && c.tag == tag && (inb == nil || c.msgid < inb.msgid) {
+			inb = c
+		}
+	}
+	for _, c := range ep.inflight {
+		if c.bound == nil && int(c.src) == src && c.tag == tag && (inb == nil || c.msgid < inb.msgid) {
+			inb = c
+		}
+	}
+	for _, r := range ep.pendingRTS {
+		if int(r.src) == src && r.tag == tag && (rts == nil || r.msgid < rts.msgid) {
+			rts = r
+		}
+	}
+	switch {
+	case rts != nil && (inb == nil || rts.msgid < inb.msgid):
+		i := slices.Index(ep.pendingRTS, rts)
+		ep.pendingRTS = slices.Delete(ep.pendingRTS, i, i+1)
+		if err := ep.beginRendezvous(p, rr, rts); err != nil {
+			return nil, err
+		}
+	case inb == nil:
+		// Nothing here yet: queue on the matched queue.
+		ep.posted = append(ep.posted, rr)
+	case inb.msglen > rr.capacity:
+		return nil, fmt.Errorf("psm: message of %d bytes truncates %d-byte receive", inb.msglen, rr.capacity)
+	case inb.got >= inb.msglen:
+		// Fully arrived: copy the buffered message out.
+		i := slices.Index(ep.unexpected, inb)
+		ep.unexpected = slices.Delete(ep.unexpected, i, i+1)
+		p.Sleep(ep.nic.Params().MemcpyTime(inb.msglen))
+		if !ep.Synthetic {
+			if err := ep.proc().WriteAt(rr.buf, inb.heap[:inb.msglen]); err != nil {
 				return nil, err
 			}
-			return req, nil
 		}
-	}
-	// 2. A partially arrived unexpected eager message?
-	for _, inb := range ep.inflight {
-		if inb.bound == nil && int(inb.src) == src && inb.tag == tag {
-			if inb.msglen > rr.capacity {
-				return nil, fmt.Errorf("psm: message of %d bytes truncates %d-byte receive", inb.msglen, rr.capacity)
+		ep.completeRecv(rr, inb.msglen)
+	default:
+		// Partially arrived: the rest lands in place.
+		inb.bound = rr
+		// Copy what already landed in the bounce heap.
+		p.Sleep(ep.nic.Params().MemcpyTime(inb.got))
+		if !ep.Synthetic && inb.got > 0 {
+			landed := inb.heap[:inb.got]
+			if ep.reliable {
+				// Coverage may be non-contiguous on a lossy fabric;
+				// copy the whole heap (gaps are rewritten on arrival).
+				landed = inb.heap
 			}
-			inb.bound = rr
-			// Copy what already landed in the bounce heap.
-			p.Sleep(ep.nic.Params().MemcpyTime(inb.got))
-			if !ep.Synthetic && inb.got > 0 {
-				landed := inb.heap[:inb.got]
-				if ep.reliable {
-					// Coverage may be non-contiguous on a lossy fabric;
-					// copy the whole heap (gaps are rewritten on arrival).
-					landed = inb.heap
-				}
-				if err := ep.proc().WriteAt(rr.buf, landed); err != nil {
-					return nil, err
-				}
-			}
-			inb.heap = nil
-			return req, nil
-		}
-	}
-	// 3. A pending rendezvous RTS?
-	for i, rts := range ep.pendingRTS {
-		if int(rts.src) == src && rts.tag == tag {
-			ep.pendingRTS = append(ep.pendingRTS[:i], ep.pendingRTS[i+1:]...)
-			if err := ep.beginRendezvous(p, rr, rts); err != nil {
+			if err := ep.proc().WriteAt(rr.buf, landed); err != nil {
 				return nil, err
 			}
-			return req, nil
 		}
+		inb.heap = nil
 	}
-	// 4. Queue on the matched queue.
-	ep.posted = append(ep.posted, rr)
 	return req, nil
 }
 
@@ -342,22 +346,6 @@ func (ep *Endpoint) Recv(p *sim.Proc, src int, tag uint64, buf uproc.VirtAddr, c
 		return err
 	}
 	return ep.Wait(p, req)
-}
-
-// claimUnexpected copies a buffered unexpected message into the
-// application buffer.
-func (ep *Endpoint) claimUnexpected(p *sim.Proc, rr *recvReq, inb *inbound) error {
-	if inb.msglen > rr.capacity {
-		return fmt.Errorf("psm: message of %d bytes truncates %d-byte receive", inb.msglen, rr.capacity)
-	}
-	p.Sleep(ep.nic.Params().MemcpyTime(inb.msglen))
-	if !ep.Synthetic {
-		if err := ep.proc().WriteAt(rr.buf, inb.heap[:inb.msglen]); err != nil {
-			return err
-		}
-	}
-	ep.completeRecv(rr, inb.msglen)
-	return nil
 }
 
 func (ep *Endpoint) completeRecv(rr *recvReq, n uint64) {
@@ -384,8 +372,7 @@ func (ep *Endpoint) beginRendezvous(p *sim.Proc, rr *recvReq, rts *rtsInfo) erro
 	if rts.msglen > rr.capacity {
 		// Truncation fails the receive; the RTS stays pending for a
 		// correctly sized receive.
-		rr.req.Err = fmt.Errorf("psm: rendezvous of %d bytes truncates %d-byte receive", rts.msglen, rr.capacity)
-		rr.req.Done = true
+		rr.req.fail(fmt.Errorf("psm: rendezvous of %d bytes truncates %d-byte receive", rts.msglen, rr.capacity))
 		ep.pendingRTS = append(ep.pendingRTS, rts)
 		return nil
 	}
@@ -470,20 +457,14 @@ func (ep *Endpoint) registerWindow(p *sim.Proc, rdv *rdvRecv) error {
 		// Retain the CTS and arm the window's recovery timer: if the
 		// expected data stalls (SDMA packets lost on the wire), the
 		// re-fired CTS makes the sender re-submit this window.
-		payload := encodeTIDPairs(pairs)
+		payload := hfi.AppendTIDList(make([]byte, 0, len(pairs)*hfi.TIDPairSize), pairs)
 		w.ctsPayload = payload
 		key := mtKey{msgid: rdv.msgid, win: winOff, kind: mtRdvWindow}
-		ep.armMsgTimer(key, int(rdv.src),
+		ep.armMsgTimer(key, int(rdv.src), addr,
 			func(tp *sim.Proc) error {
-				ep.Stats.MsgResends++
 				return ep.sendFlowPkt(tp, int(rdv.src), addr, hdr, w.ctsPayload, 0, nil)
 			},
-			func(err error) {
-				if !rdv.rr.req.Done {
-					rdv.rr.req.Err = err
-					rdv.rr.req.Done = true
-				}
-			})
+			rdv.rr.req.fail)
 		return ep.sendFlowPkt(p, int(rdv.src), addr, hdr, payload, 0, nil)
 	}
 	// Loss-free fabric: the CTS payload is consumed on delivery, so it

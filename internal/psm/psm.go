@@ -113,6 +113,13 @@ type Request struct {
 	begin time.Duration
 }
 
+// fail completes the request with err, unless it already completed.
+func (r *Request) fail(err error) {
+	if !r.Done {
+		r.Err, r.Done = err, true
+	}
+}
+
 type reqKind uint8
 
 const (

@@ -40,59 +40,88 @@ func pair(t *testing.T, synthetic bool, body func(p *sim.Proc, rank int, ep *psm
 	return eps
 }
 
-// TestSameTagFIFOOrdering: two same-size messages on one (src, tag) pair
-// must match receives in posting order.
+// TestSameTagFIFOOrdering: two messages on one (src, tag) pair must
+// match receives in send order (MPI non-overtaking), whether the
+// receives are posted before the data arrives or after, and whichever
+// message finishes arriving first.
 func TestSameTagFIFOOrdering(t *testing.T) {
-	const size = 4 << 10
-	var first, second []byte
-	pair(t, false, func(p *sim.Proc, rank int, ep *psm.Endpoint) {
-		proc := ep.OS.Proc()
-		buf, err := ep.OS.MmapAnon(p, 2*size)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if rank == 0 {
-			a := bytes.Repeat([]byte{0xAA}, size)
-			b := bytes.Repeat([]byte{0xBB}, size)
-			if err := proc.WriteAt(buf, a); err != nil {
-				t.Error(err)
-				return
+	for _, tc := range []struct {
+		name         string
+		size1, size2 uint64
+		// late: rank 1 polls until the second message has fully arrived
+		// before posting either receive.
+		late bool
+	}{
+		{name: "posted-first", size1: 4 << 10, size2: 4 << 10},
+		// A 64 KB eager-SDMA message followed by a 16 KB PIO one: the
+		// short message completes while the long one is still partial,
+		// and must not overtake it.
+		{name: "short-completes-first", size1: 64 << 10, size2: 16 << 10, late: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const capacity = 64 << 10
+			var first, second byte
+			pair(t, false, func(p *sim.Proc, rank int, ep *psm.Endpoint) {
+				proc := ep.OS.Proc()
+				buf, err := ep.OS.MmapAnon(p, 2*capacity)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if rank == 0 {
+					if err := proc.WriteAt(buf, bytes.Repeat([]byte{0xAA}, int(tc.size1))); err != nil {
+						t.Error(err)
+						return
+					}
+					if err := proc.WriteAt(buf+capacity, bytes.Repeat([]byte{0xBB}, int(tc.size2))); err != nil {
+						t.Error(err)
+						return
+					}
+					r1, err := ep.Isend(p, 1, 7, buf, tc.size1)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					r2, err := ep.Isend(p, 1, 7, buf+capacity, tc.size2)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if err := ep.WaitAll(p, []*psm.Request{r1, r2}); err != nil {
+						t.Error(err)
+					}
+					return
+				}
+				if tc.late {
+					if err := ep.WaitFor(p, func() bool { return ep.Stats.Unexpected > 0 }); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				r1, err := ep.Irecv(p, 0, 7, buf, capacity)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				r2, err := ep.Irecv(p, 0, 7, buf+capacity, capacity)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := ep.WaitAll(p, []*psm.Request{r1, r2}); err != nil {
+					t.Error(err)
+					return
+				}
+				var b [1]byte
+				_ = proc.ReadAt(buf, b[:])
+				first = b[0]
+				_ = proc.ReadAt(buf+capacity, b[:])
+				second = b[0]
+			})
+			if first != 0xAA || second != 0xBB {
+				t.Fatalf("FIFO order violated: first receive got %#x, second %#x", first, second)
 			}
-			if err := proc.WriteAt(buf+size, b); err != nil {
-				t.Error(err)
-				return
-			}
-			if err := ep.Send(p, 1, 7, buf, size); err != nil {
-				t.Error(err)
-				return
-			}
-			if err := ep.Send(p, 1, 7, buf+size, size); err != nil {
-				t.Error(err)
-			}
-		} else {
-			r1, err := ep.Irecv(p, 0, 7, buf, size)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			r2, err := ep.Irecv(p, 0, 7, buf+size, size)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := ep.WaitAll(p, []*psm.Request{r1, r2}); err != nil {
-				t.Error(err)
-				return
-			}
-			first = make([]byte, size)
-			second = make([]byte, size)
-			_ = proc.ReadAt(buf, first)
-			_ = proc.ReadAt(buf+size, second)
-		}
-	})
-	if first[0] != 0xAA || second[0] != 0xBB {
-		t.Fatalf("FIFO order violated: %x %x", first[0], second[0])
+		})
 	}
 }
 

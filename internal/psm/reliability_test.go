@@ -183,12 +183,14 @@ func TestDupHeavyNoDuplicateDelivery(t *testing.T) {
 	}
 }
 
-// TestRetransmitBackoffSchedule black-holes every packet and checks the
-// exact exponential-backoff schedule against the virtual clock: the flow
-// must fail after PSMMaxRetries go-back-N rounds, with the waits
-// doubling from PSMRtoBase and capping at PSMRtoMax.
+// TestRetransmitBackoffSchedule pins the one expiry policy for every
+// state machine that shares the recovery timer. Each row starves one
+// kind — a go-back-N flow, an eager-SDMA send awaiting its FIN, a
+// rendezvous window awaiting its data — and checks the exact schedule
+// against the virtual clock: the machine must die with a
+// RetryBudgetError naming it after PSMMaxRetries charged firings, the
+// waits doubling from PSMRtoBase and capping at PSMRtoMax.
 func TestRetransmitBackoffSchedule(t *testing.T) {
-	fp := fabric.FaultProfile{LinkFaults: fabric.LinkFaults{Drop: 1}, Seed: 5}
 	pr := model.Default()
 	// Expected silent waits: one per expiration, the last of which
 	// exhausts the budget.
@@ -201,44 +203,97 @@ func TestRetransmitBackoffSchedule(t *testing.T) {
 			rto = pr.PSMRtoMax
 		}
 	}
-	_, eps := lossyPair(t, fp, func(p *sim.Proc, rank int, ep *psm.Endpoint) {
-		if rank != 0 {
-			return
-		}
-		buf, err := ep.OS.MmapAnon(p, 4096)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		t0 := p.Now()
-		err = ep.Send(p, 1, 1, buf, 1024)
-		var rbe *psm.RetryBudgetError
-		if !errors.As(err, &rbe) {
-			t.Errorf("send error = %v, want *RetryBudgetError", err)
-			return
-		}
-		if rbe.What != "flow" || rbe.Peer != 1 || rbe.Retries != pr.PSMMaxRetries {
-			t.Errorf("error detail = %+v", rbe)
-		}
-		elapsed := p.Now() - t0
-		if elapsed < want || elapsed > want+500*time.Microsecond {
-			t.Errorf("flow died after %v, want backoff schedule sum %v", elapsed, want)
-		}
-		// A dead flow rejects immediately, without a fresh budget.
-		t1 := p.Now()
-		if err := ep.Send(p, 1, 2, buf, 1024); !errors.As(err, &rbe) {
-			t.Errorf("second send error = %v, want *RetryBudgetError", err)
-		}
-		if d := p.Now() - t1; d > 50*time.Microsecond {
-			t.Errorf("second send blocked %v on a dead flow", d)
-		}
-	})
-	s := eps[0].Stats
-	if s.Timeouts != uint64(pr.PSMMaxRetries)+1 {
-		t.Errorf("timeouts = %d, want %d", s.Timeouts, pr.PSMMaxRetries+1)
-	}
-	if s.Retransmits != uint64(pr.PSMMaxRetries) {
-		t.Errorf("retransmits = %d, want %d", s.Retransmits, pr.PSMMaxRetries)
+	for _, tc := range []struct {
+		what string
+		fp   fabric.FaultProfile
+		size uint64
+		// dies is the rank whose request the starved machine fails;
+		// recv: rank 1 posts the matching receive and rank 0 keeps
+		// polling (and ACKing) until it has failed.
+		dies int
+		recv bool
+	}{
+		// Everything black-holed: a PIO send's flow never sees an ACK.
+		{what: "flow", size: 1024, dies: 0,
+			fp: fabric.FaultProfile{LinkFaults: fabric.LinkFaults{Drop: 1}, Seed: 5}},
+		// One-way black hole: the SDMA original and every PIO replay are
+		// lost, so the FIN never comes. The replays' flow starves too, but
+		// it was armed one rto later and dies second.
+		{what: "eager-fin", size: 32 << 10, dies: 0,
+			fp: fabric.FaultProfile{PerLink: map[fabric.LinkID]fabric.LinkFaults{{Src: 0, Dst: 1}: {Drop: 1}}, Seed: 11}},
+		// Loss-free wire, but the sender's window writev fails terminally:
+		// the receiver re-CTSes (each one ACKed by the still-polling
+		// sender, so its flow stays healthy) for data that never comes.
+		{what: "rdv-window", size: 200 << 10, dies: 1, recv: true,
+			fp: fabric.FaultProfile{SDMAErr: 1, SDMANoDegrade: true, Seed: 3}},
+	} {
+		t.Run(tc.what, func(t *testing.T) {
+			var died error
+			var elapsed time.Duration
+			receiverDone := false
+			_, eps := lossyPair(t, tc.fp, func(p *sim.Proc, rank int, ep *psm.Endpoint) {
+				if rank == 1 && !tc.recv {
+					return
+				}
+				buf, err := ep.OS.MmapAnon(p, tc.size)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				t0 := p.Now()
+				if rank == 0 {
+					err = ep.Send(p, 1, 1, buf, tc.size)
+				} else {
+					err = ep.Recv(p, 0, 1, buf, tc.size)
+					receiverDone = true
+				}
+				if rank == tc.dies {
+					died, elapsed = err, p.Now()-t0
+				}
+				for rank == 0 && tc.recv && !receiverDone {
+					if _, err := ep.Progress(p); err != nil {
+						t.Error(err)
+						return
+					}
+					p.Sleep(time.Microsecond)
+				}
+				if tc.what != "flow" {
+					return
+				}
+				// A dead flow rejects immediately, without a fresh budget.
+				t1 := p.Now()
+				var rbe *psm.RetryBudgetError
+				if err := ep.Send(p, 1, 2, buf, tc.size); !errors.As(err, &rbe) {
+					t.Errorf("second send error = %v, want *RetryBudgetError", err)
+				}
+				if d := p.Now() - t1; d > 50*time.Microsecond {
+					t.Errorf("second send blocked %v on a dead flow", d)
+				}
+			})
+			var rbe *psm.RetryBudgetError
+			if !errors.As(died, &rbe) {
+				t.Fatalf("rank %d error = %v, want *RetryBudgetError", tc.dies, died)
+			}
+			if rbe.What != tc.what || rbe.Peer != 1-tc.dies || rbe.Retries != pr.PSMMaxRetries {
+				t.Errorf("error detail = %+v", rbe)
+			}
+			if elapsed < want || elapsed > want+500*time.Microsecond {
+				t.Errorf("%s died after %v, want backoff schedule sum %v", tc.what, elapsed, want)
+			}
+			// Exactly PSMMaxRetries firings were charged before the one
+			// that found the budget spent.
+			s := eps[tc.dies].Stats
+			fired := s.MsgResends
+			if tc.what == "flow" {
+				fired = s.Retransmits // one unacked packet per go-back-N round
+			}
+			if fired != uint64(pr.PSMMaxRetries) {
+				t.Errorf("%s fired %d times, want %d: %+v", tc.what, fired, pr.PSMMaxRetries, s)
+			}
+			if tc.what != "eager-fin" && s.Timeouts != uint64(pr.PSMMaxRetries)+1 {
+				t.Errorf("timeouts = %d, want %d", s.Timeouts, pr.PSMMaxRetries+1)
+			}
+		})
 	}
 }
 
@@ -343,16 +398,29 @@ func TestLinkDownFreezesRetryBudget(t *testing.T) {
 		},
 		Seed: 13,
 	}
-	res := runLossyTransfers(t, fp, []uint64{8 << 10}, 1)
-	if res.fail[0].Freezes == 0 {
-		t.Fatalf("budget never frozen during outage: %+v", res.fail[0])
-	}
 	pr := model.Default()
-	if got := res.stats[0].Timeouts; got >= uint64(pr.PSMMaxRetries) {
-		t.Fatalf("outage burned %d timeouts against a budget of %d", got, pr.PSMMaxRetries)
-	}
-	if res.now < outage {
-		t.Fatalf("transfer finished at %v, inside the %v outage", res.now, outage)
+	for _, tc := range []struct {
+		what string
+		size uint64
+	}{
+		{"flow", 8 << 10},
+		// An eager-SDMA send whose original dies in the outage: only its
+		// eager-fin timer is armed (the flow carries nothing until the
+		// first replay), so every freeze is the message timer's.
+		{"eager-fin", 32 << 10},
+	} {
+		t.Run(tc.what, func(t *testing.T) {
+			res := runLossyTransfers(t, fp, []uint64{tc.size}, 1)
+			if res.fail[0].Freezes == 0 {
+				t.Fatalf("budget never frozen during outage: %+v", res.fail[0])
+			}
+			if got := res.stats[0].Timeouts; got >= uint64(pr.PSMMaxRetries) {
+				t.Fatalf("outage burned %d timeouts against a budget of %d", got, pr.PSMMaxRetries)
+			}
+			if res.now < outage {
+				t.Fatalf("transfer finished at %v, inside the %v outage", res.now, outage)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package psm
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"sort"
 
@@ -28,52 +29,27 @@ func (ep *Endpoint) EncodeState(e *snapshot.Enc) {
 	for i, in := range ep.unexpected {
 		encodeInbound(e, "unexpected", i, in)
 	}
-	keys := make([]msgKey, 0, len(ep.inflight))
-	for k := range ep.inflight {
-		keys = append(keys, k)
-	}
-	sortMsgKeys(keys)
-	for _, k := range keys {
-		encodeInbound(e, "inflight", int(k.src), ep.inflight[k])
+	for _, m := range sortedKeys(ep.inflight) {
+		in := ep.inflight[m]
+		encodeInbound(e, "inflight", int(in.src), in)
 	}
 	for i, r := range ep.pendingRTS {
 		e.Printf("pendingrts i=%d src=%d tag=%x msgid=%d len=%d\n", i, r.src, r.tag, r.msgid, r.msglen)
 	}
 
-	seqs := make([]uint32, 0, len(ep.bySeq))
-	for sq := range ep.bySeq {
-		seqs = append(seqs, sq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, sq := range seqs {
+	for _, sq := range sortedKeys(ep.bySeq) {
 		e.Printf("window seq=%d msgid=%d\n", sq, ep.bySeq[sq].send.msgid)
 	}
-	mids := make([]uint64, 0, len(ep.sends))
-	for m := range ep.sends {
-		mids = append(mids, m)
-	}
-	sort.Slice(mids, func(i, j int) bool { return mids[i] < mids[j] })
-	for _, m := range mids {
+	for _, m := range sortedKeys(ep.sends) {
 		sr := ep.sends[m]
 		e.Printf("send msgid=%d peer=%d tag=%x len=%d remaining=%d windows=%d ctsdone=%v needfin=%v findone=%v op=%q\n",
 			m, sr.peer, sr.tag, sr.length, sr.remaining, sr.windows, sr.ctsDone, sr.needFin, sr.finDone, sr.op)
 	}
-
-	mids = mids[:0]
-	for m := range ep.rdvRecvs {
-		mids = append(mids, m)
-	}
-	sort.Slice(mids, func(i, j int) bool { return mids[i] < mids[j] })
-	for _, m := range mids {
+	for _, m := range sortedKeys(ep.rdvRecvs) {
 		rv := ep.rdvRecvs[m]
 		e.Printf("rdv msgid=%d src=%d len=%d nextreg=%d completed=%d winsize=%d windows=%d\n",
 			m, rv.src, rv.msglen, rv.nextReg, rv.completed, rv.winSize, len(rv.windows))
-		offs := make([]uint64, 0, len(rv.windows))
-		for o := range rv.windows {
-			offs = append(offs, o)
-		}
-		sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-		for _, o := range offs {
+		for _, o := range sortedKeys(rv.windows) {
 			w := rv.windows[o]
 			e.Printf("rdv msgid=%d window off=%d len=%d tids=%d slot=%d covered=%d\n",
 				m, o, w.len, len(w.tids), w.slot, w.covered)
@@ -81,115 +57,79 @@ func (ep *Endpoint) EncodeState(e *snapshot.Enc) {
 	}
 	e.Printf("rdv active=%d backlog=%d freeslots=%d\n", ep.activeRdvs, len(ep.rdvBacklog), len(ep.freeRdvSlots))
 
-	// Congestion-response state, emitted only when the fabric runs
-	// congestion control (and before the reliability gate below —
-	// congestion works on loss-free fabrics too). Congestion-off
-	// snapshots stay byte-identical.
+	// Per-peer state, one walk in rank order. A sub-state prints only
+	// once it exists (flows on a lossy fabric, a window after a CNP), so
+	// loss-free congestion-off snapshots carry no peer lines at all.
+	for _, rank := range sortedKeys(ep.peers) {
+		pe := ep.peers[rank]
+		if cc := pe.cong; cc != nil {
+			e.Printf("peer=%d cong window=%d clean=%d burst=%d\n", rank, cc.window, cc.clean, cc.burst)
+		}
+		if fl := pe.tx; fl != nil {
+			e.Printf("peer=%d txflow nextpsn=%d unacked=%d waiters=%d failed=%v gbnran=%v lastgbn=%d ",
+				rank, fl.nextPSN, len(fl.unacked), len(fl.waiters), fl.failed != nil, fl.gbnRan, int64(fl.lastGBN))
+			encodeTimer(e, &fl.retryTimer)
+			for _, tp := range fl.unacked {
+				e.Printf("peer=%d txflow pkt psn=%d op=%d msgid=%d bytes=%d", rank, tp.psn, tp.hdr.Op, tp.hdr.MsgID, tp.bytes)
+				if tp.payload != nil {
+					sum := sha256.Sum256(tp.payload)
+					e.Printf(" payload=%x", sum[:8])
+				}
+				e.Printf("\n")
+			}
+		}
+		if rf := pe.rx; rf != nil {
+			e.Printf("peer=%d rxflow expected=%d naksentfor=%d\n", rank, rf.expected, rf.nakSentFor)
+		}
+		if pe.ackOwed || pe.cnpOwed {
+			e.Printf("peer=%d owed ack=%v cnp=%v\n", rank, pe.ackOwed, pe.cnpOwed)
+		}
+	}
 	if ep.congEnabled {
 		cs := &ep.CongStats
 		e.Printf("congstats ecn=%d cnptx=%d cnprx=%d backoffs=%d increases=%d paces=%d\n",
 			cs.EcnSeen, cs.CnpsSent, cs.CnpsRcvd, cs.Backoffs, cs.Increases, cs.PaceSleeps)
-		cpeers := make([]int, 0, len(ep.cong))
-		for p := range ep.cong {
-			cpeers = append(cpeers, p)
-		}
-		sort.Ints(cpeers)
-		for _, p := range cpeers {
-			cc := ep.cong[p]
-			e.Printf("cong peer=%d window=%d clean=%d burst=%d\n", p, cc.window, cc.clean, cc.burst)
-		}
-		cpeers = cpeers[:0]
-		for p, owed := range ep.cnpOwed {
-			if owed {
-				cpeers = append(cpeers, p)
-			}
-		}
-		sort.Ints(cpeers)
-		for _, p := range cpeers {
-			e.Printf("cnpowed peer=%d\n", p)
-		}
 	}
 
 	if !ep.reliable {
 		return
 	}
-	peers := make([]int, 0, len(ep.txFlows))
-	for p := range ep.txFlows {
-		peers = append(peers, p)
-	}
-	sort.Ints(peers)
-	for _, p := range peers {
-		fl := ep.txFlows[p]
-		e.Printf("txflow peer=%d nextpsn=%d unacked=%d waiters=%d armed=%v deadline=%d rto=%d retries=%d failed=%v gbnran=%v lastgbn=%d\n",
-			p, fl.nextPSN, len(fl.unacked), len(fl.waiters), fl.armed,
-			int64(fl.deadline), int64(fl.rto), fl.retries, fl.failed != nil, fl.gbnRan, int64(fl.lastGBN))
-		for _, tp := range fl.unacked {
-			e.Printf("txflow peer=%d pkt psn=%d op=%d msgid=%d bytes=%d", p, tp.psn, tp.hdr.Op, tp.hdr.MsgID, tp.bytes)
-			if tp.payload != nil {
-				sum := sha256.Sum256(tp.payload)
-				e.Printf(" payload=%x", sum[:8])
-			}
-			e.Printf("\n")
-		}
-	}
-	peers = peers[:0]
-	for p := range ep.rxFlows {
-		peers = append(peers, p)
-	}
-	sort.Ints(peers)
-	for _, p := range peers {
-		fl := ep.rxFlows[p]
-		e.Printf("rxflow peer=%d expected=%d naksentfor=%d\n", p, fl.expected, fl.nakSentFor)
-	}
 	tkeys := make([]mtKey, 0, len(ep.msgTimers))
 	for k := range ep.msgTimers {
 		tkeys = append(tkeys, k)
 	}
-	sort.Slice(tkeys, func(i, j int) bool {
-		a, b := tkeys[i], tkeys[j]
-		if a.msgid != b.msgid {
-			return a.msgid < b.msgid
-		}
-		if a.win != b.win {
-			return a.win < b.win
-		}
-		return a.kind < b.kind
-	})
+	sortMTKeys(tkeys)
 	for _, k := range tkeys {
 		mt := ep.msgTimers[k]
-		e.Printf("msgtimer msgid=%d win=%d kind=%d deadline=%d rto=%d retries=%d peer=%d\n",
-			k.msgid, k.win, k.kind, int64(mt.deadline), int64(mt.rto), mt.retries, mt.peer)
-	}
-	peers = peers[:0]
-	for p, owed := range ep.ackOwed {
-		if owed {
-			peers = append(peers, p)
-		}
-	}
-	sort.Ints(peers)
-	for _, p := range peers {
-		e.Printf("ackowed peer=%d\n", p)
+		e.Printf("msgtimer msgid=%d win=%d kind=%d peer=%d ", k.msgid, k.win, k.kind, mt.peer)
+		encodeTimer(e, &mt.retryTimer)
 	}
 	e.Printf("completed msgs=%d fifo=%d\n", len(ep.completedMsgs), len(ep.completedFIFO))
 	if h := ep.health; h != nil {
-		e.Printf("health state=%d cause=%d strikes=%d peer=%d armed=%v deadline=%d\n",
-			h.state, h.cause, h.strikes, h.peer, h.armed, int64(h.deadline))
+		e.Printf("health state=%d cause=%d strikes=%d peer=%d ", h.state, h.cause, h.strikes, h.peer)
+		encodeTimer(e, &h.retryTimer)
 		fs := &ep.FailoverStats
 		e.Printf("failover sdmastrikes=%d linkstrikes=%d failovers=%d fallbacks=%d railswitches=%d freezes=%d\n",
 			fs.SDMAStrikes, fs.LinkStrikes, fs.Failovers, fs.Fallbacks, fs.RailSwitches, fs.Freezes)
 	}
 }
 
+// encodeTimer ends a line with a recovery timer's state.
+func encodeTimer(e *snapshot.Enc, t *retryTimer) {
+	e.Printf("armed=%v deadline=%d rto=%d retries=%d\n", t.armed, int64(t.deadline), int64(t.rto), t.retries)
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
+}
+
 func encodeInbound(e *snapshot.Enc, kind string, i int, in *inbound) {
 	e.Printf("%s i=%d src=%d tag=%x msgid=%d len=%d got=%d bound=%v heap=%d\n",
 		kind, i, in.src, in.tag, in.msgid, in.msglen, in.got, in.bound != nil, len(in.heap))
-}
-
-func sortMsgKeys(keys []msgKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].src != keys[j].src {
-			return keys[i].src < keys[j].src
-		}
-		return keys[i].msgid < keys[j].msgid
-	})
 }

@@ -37,16 +37,40 @@ func TestGBNSuppressionAtTimeZero(t *testing.T) {
 }
 
 func TestFlowArmedFlagAtTimeZero(t *testing.T) {
-	// A flow whose deadline was armed at exactly t=0 with rto subtracted
-	// (deadline == 0) must still count as armed: the armed flag, not the
-	// deadline value, is the disarm sentinel.
-	fl := &txFlow{armed: true, deadline: 0}
-	if !fl.armed {
-		t.Fatal("armed flag lost")
+	// A timer armed at exactly t=0 with deadline == 0 must still count as
+	// armed, be the next deadline and fire: the armed flag, not the
+	// deadline value, is the disarm sentinel. retryTimer is the one
+	// encoding every embedder shares — flow, message timer and health
+	// machine alike.
+	tm := retryTimer{armed: true, deadline: 0}
+	if !tm.due(0) {
+		t.Fatal("timer armed at t=0 with deadline 0 does not fire")
 	}
-	// And a zero-value flow is disarmed regardless of its deadline.
-	var zero txFlow
-	if zero.armed {
-		t.Fatal("zero-value flow claims to be armed")
+	ep := &Endpoint{
+		peers:     map[int]*peer{1: {tx: &txFlow{recovery: recovery{retryTimer: tm}}}},
+		msgTimers: map[mtKey]*recovery{},
+		health:    &healthMachine{},
+	}
+	if d, ok := ep.nextDeadline(); !ok || d != 0 {
+		t.Fatalf("flow armed at t=0: nextDeadline = %v, %v", d, ok)
+	}
+	ep.peers[1].tx.armed = false
+	ep.msgTimers[mtKey{msgid: 1}] = &recovery{retryTimer: tm}
+	if d, ok := ep.nextDeadline(); !ok || d != 0 {
+		t.Fatalf("message timer armed at t=0: nextDeadline = %v, %v", d, ok)
+	}
+	ep.msgTimers = nil
+	ep.health.retryTimer = tm
+	if d, ok := ep.nextDeadline(); !ok || d != 0 {
+		t.Fatalf("health machine armed at t=0: nextDeadline = %v, %v", d, ok)
+	}
+	// And the zero value is disarmed regardless of its deadline.
+	var zero retryTimer
+	if zero.armed || zero.due(0) {
+		t.Fatal("zero-value timer claims to be armed")
+	}
+	ep.health.retryTimer = zero
+	if _, ok := ep.nextDeadline(); ok {
+		t.Fatal("nextDeadline reports a deadline with every timer disarmed")
 	}
 }

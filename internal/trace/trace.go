@@ -12,35 +12,52 @@ import (
 
 // SyscallProfile accumulates time and invocation counts per system call.
 type SyscallProfile struct {
-	times  map[string]time.Duration
-	counts map[string]uint64
+	calls map[string]*Entry // Share is filled in by Top
 }
 
 // NewSyscallProfile returns an empty profile.
 func NewSyscallProfile() *SyscallProfile {
-	return &SyscallProfile{
-		times:  make(map[string]time.Duration),
-		counts: make(map[string]uint64),
+	return &SyscallProfile{calls: make(map[string]*Entry)}
+}
+
+// entry returns (creating on first use) the accumulator of one call.
+func (s *SyscallProfile) entry(name string) *Entry {
+	e, ok := s.calls[name]
+	if !ok {
+		e = &Entry{Name: name}
+		s.calls[name] = e
 	}
+	return e
 }
 
 // Add records one invocation of name taking d.
 func (s *SyscallProfile) Add(name string, d time.Duration) {
-	s.times[name] += d
-	s.counts[name]++
+	e := s.entry(name)
+	e.Time += d
+	e.Count++
 }
 
 // Time returns the cumulative time of one call.
-func (s *SyscallProfile) Time(name string) time.Duration { return s.times[name] }
+func (s *SyscallProfile) Time(name string) time.Duration {
+	if e, ok := s.calls[name]; ok {
+		return e.Time
+	}
+	return 0
+}
 
 // Count returns the invocation count of one call.
-func (s *SyscallProfile) Count(name string) uint64 { return s.counts[name] }
+func (s *SyscallProfile) Count(name string) uint64 {
+	if e, ok := s.calls[name]; ok {
+		return e.Count
+	}
+	return 0
+}
 
 // Total returns the cumulative time across all calls.
 func (s *SyscallProfile) Total() time.Duration {
 	var t time.Duration
-	for _, d := range s.times {
-		t += d
+	for _, e := range s.calls {
+		t += e.Time
 	}
 	return t
 }
@@ -53,46 +70,30 @@ func (s *SyscallProfile) Clone() *SyscallProfile {
 }
 
 // Sub subtracts a baseline profile (earlier snapshot of the same
-// accumulator); entries never go negative. The two maps stay in
-// lockstep: a name is removed only once BOTH its time and its count
-// reach zero, so a call whose time zeroes out while invocations remain
-// (or vice versa) still shows up in Top and String.
+// accumulator); entries never go negative. A name is removed only once
+// BOTH its time and its count reach zero, so a call whose time zeroes
+// out while invocations remain (or vice versa) still shows up in Top
+// and String.
 func (s *SyscallProfile) Sub(base *SyscallProfile) {
-	for n, d := range base.times {
-		if s.times[n] >= d {
-			s.times[n] -= d
-		} else {
-			s.times[n] = 0
+	for n, b := range base.calls {
+		e, ok := s.calls[n]
+		if !ok {
+			continue
 		}
-	}
-	for n, c := range base.counts {
-		if s.counts[n] >= c {
-			s.counts[n] -= c
-		} else {
-			s.counts[n] = 0
-		}
-	}
-	for n := range base.times {
-		if s.times[n] == 0 && s.counts[n] == 0 {
-			delete(s.times, n)
-			delete(s.counts, n)
-		}
-	}
-	for n := range base.counts {
-		if s.times[n] == 0 && s.counts[n] == 0 {
-			delete(s.times, n)
-			delete(s.counts, n)
+		e.Time -= min(e.Time, b.Time)
+		e.Count -= min(e.Count, b.Count)
+		if e.Time == 0 && e.Count == 0 {
+			delete(s.calls, n)
 		}
 	}
 }
 
 // Merge adds another profile into this one.
 func (s *SyscallProfile) Merge(o *SyscallProfile) {
-	for n, d := range o.times {
-		s.times[n] += d
-	}
-	for n, c := range o.counts {
-		s.counts[n] += c
+	for n, oe := range o.calls {
+		e := s.entry(n)
+		e.Time += oe.Time
+		e.Count += oe.Count
 	}
 }
 
@@ -104,24 +105,15 @@ type Entry struct {
 	Share float64 // fraction of the profile total
 }
 
-// Top returns the n most expensive calls, descending by time. It
-// covers the union of the time and count maps, so an entry with
-// invocations but zero accumulated time is still reported.
+// Top returns the n most expensive calls, descending by time; an entry
+// with invocations but zero accumulated time is still reported.
 func (s *SyscallProfile) Top(n int) []Entry {
 	total := s.Total()
-	names := make(map[string]bool, len(s.times))
-	for name := range s.times {
-		names[name] = true
-	}
-	for name := range s.counts {
-		names[name] = true
-	}
 	var out []Entry
-	for name := range names {
-		d := s.times[name]
-		e := Entry{Name: name, Time: d, Count: s.counts[name]}
+	for _, c := range s.calls {
+		e := *c
 		if total > 0 {
-			e.Share = float64(d) / float64(total)
+			e.Share = float64(e.Time) / float64(total)
 		}
 		out = append(out, e)
 	}

@@ -155,10 +155,9 @@ func (r *RNIC) LiveQPs() int { return len(r.qps) }
 // KeysLive counts programmed (not invalidated) memory keys.
 func (r *RNIC) KeysLive() int { return len(r.keys) }
 
-// ---- Control path (mlx.QPEngine / mlx.MRTable) ----
+// ---- Control path (mlx.HCA) ----
 
-var _ mlx.QPEngine = (*RNIC)(nil)
-var _ mlx.MRTable = (*RNIC)(nil)
+var _ mlx.HCA = (*RNIC)(nil)
 
 // ProgramKey installs a memory key (driver → HCA at registration time).
 func (r *RNIC) ProgramKey(lkey uint32, h mlx.MRHandle) { r.keys[lkey] = h }
