@@ -49,12 +49,18 @@ func buildRequests(extents []mem.Extent, maxReq uint64, tids []TIDPair) ([]SDMAR
 	if maxReq == 0 {
 		return nil, fmt.Errorf("hfi: zero max request size")
 	}
+	// The validation pass also sizes the list: an extent splits every
+	// maxReq bytes and each TID boundary adds at most one more split, so
+	// Σ⌈len/maxReq⌉ + len(tids) bounds the count and the list is
+	// allocated once.
 	var total uint64
+	bound := len(tids)
 	for _, e := range extents {
 		if e.Len == 0 {
 			return nil, fmt.Errorf("hfi: zero-length source extent")
 		}
 		total += e.Len
+		bound += int((e.Len-1)/maxReq) + 1
 	}
 	if tids != nil {
 		var cover uint64
@@ -66,7 +72,7 @@ func buildRequests(extents []mem.Extent, maxReq uint64, tids []TIDPair) ([]SDMAR
 		}
 	}
 
-	var out []SDMARequest
+	out := make([]SDMARequest, 0, bound)
 	msgOff := uint64(0)
 	tidIdx := 0
 	tidUsed := uint64(0) // bytes consumed within current TID entry

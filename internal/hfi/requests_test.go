@@ -217,3 +217,77 @@ func TestBitmapHelpers(t *testing.T) {
 		t.Fatalf("limit 1000 returned %d", idx)
 	}
 }
+
+// requestInputs are the two sides of §3.4 at the 4 MB message size: one
+// physically contiguous extent, and 1024 non-adjacent 4 KB frames.
+func requestInputs() (contig, scattered []mem.Extent, tids []TIDPair) {
+	const size, tidLen = 4 << 20, 256 << 10
+	contig = []mem.Extent{{Addr: 0x4000_0000, Len: size}}
+	for i := 0; i < size/mem.PageSize4K; i++ {
+		scattered = append(scattered, mem.Extent{Addr: mem.PhysAddr(0x8000_0000 + i*2*mem.PageSize4K), Len: mem.PageSize4K})
+	}
+	for off := 0; off < size; off += tidLen {
+		tids = append(tids, TIDPair{Idx: uint64(len(tids)), Len: tidLen})
+	}
+	return contig, scattered, tids
+}
+
+// TestBuildRequestsAllocatesOnce: the validation pass sizes the list, so
+// building it is one allocation however many requests come out.
+func TestBuildRequestsAllocatesOnce(t *testing.T) {
+	contig, scattered, tids := requestInputs()
+	for _, in := range []struct {
+		name    string
+		extents []mem.Extent
+		maxReq  uint64
+		want    int
+	}{
+		{"contig 10K", contig, 10 << 10, 416},
+		{"contig 4K", contig, 4 << 10, 1024},
+		{"scattered 10K", scattered, 10 << 10, 1024},
+	} {
+		var n int
+		got := testing.AllocsPerRun(10, func() {
+			reqs, err := BuildExpectedRequests(in.extents, in.maxReq, tids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n = len(reqs)
+		})
+		if got != 1 || n != in.want {
+			t.Errorf("BuildExpectedRequests %s: %v allocs for %d requests, want 1 for %d", in.name, got, n, in.want)
+		}
+		got = testing.AllocsPerRun(10, func() {
+			if _, err := BuildEagerRequests(in.extents, in.maxReq, 8<<10); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 1 {
+			t.Errorf("BuildEagerRequests %s: %v allocs, want 1", in.name, got)
+		}
+	}
+}
+
+var benchReqs []SDMARequest
+
+func BenchmarkBuildRequests(b *testing.B) {
+	contig, scattered, tids := requestInputs()
+	for _, in := range []struct {
+		name    string
+		extents []mem.Extent
+		maxReq  uint64
+	}{
+		{"contig10K", contig, 10 << 10},
+		{"scattered4K", scattered, 4 << 10},
+	} {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if benchReqs, err = BuildExpectedRequests(in.extents, in.maxReq, tids); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -12,44 +12,55 @@ func (pm *PhysMem) ReadAt(pa PhysAddr, buf []byte) error {
 	return pm.access(pa, buf, false)
 }
 
-// WriteAt copies buf into physical memory starting at pa, allocating
-// sparse frame backing on demand.
+// WriteAt copies buf into physical memory starting at pa, backing frames
+// on first write.
 func (pm *PhysMem) WriteAt(pa PhysAddr, buf []byte) error {
 	return pm.access(pa, buf, true)
 }
 
 func (pm *PhysMem) access(pa PhysAddr, buf []byte, write bool) error {
-	off := 0
-	for off < len(buf) {
-		cur := pa + PhysAddr(off)
-		rs := pm.regionOf(cur)
-		if rs == nil {
-			return fmt.Errorf("mem: access to unmapped physical address %#x", cur)
-		}
-		if rs.Kind == MMIO {
+	if len(buf) == 0 {
+		return nil
+	}
+	cur := pa
+	w := pm.walk(Extent{Addr: pa, Len: uint64(len(buf))})
+	var r frameRun
+	for w.next(&r) {
+		if r.rs.Kind == MMIO {
 			return fmt.Errorf("mem: byte access to MMIO window %#x", cur)
 		}
-		frameBase := cur &^ (PageSize4K - 1)
-		inFrame := int(cur - frameBase)
-		n := PageSize4K - inFrame
-		if rem := len(buf) - off; n > rem {
-			n = rem
-		}
-		frame := pm.frames[frameBase]
+		c := r.c
 		if write {
-			if frame == nil {
-				frame = new([PageSize4K]byte)
-				pm.frames[frameBase] = frame
-			}
-			copy(frame[inFrame:inFrame+n], buf[off:off+n])
-		} else {
-			if frame == nil {
-				clear(buf[off : off+n])
-			} else {
-				copy(buf[off:off+n], frame[inFrame:inFrame+n])
-			}
+			c = r.chunk()
 		}
-		off += n
+		for i := r.lo; i < r.hi; i++ {
+			inFrame := int(cur & (PageSize4K - 1))
+			n := PageSize4K - inFrame
+			if n > len(buf) {
+				n = len(buf)
+			}
+			var f *frame
+			if c != nil {
+				f = c.frames[i]
+			}
+			switch {
+			case write:
+				if f == nil {
+					f = pm.takeFrame(n == PageSize4K)
+					c.frames[i] = f
+				}
+				copy(f[inFrame:inFrame+n], buf[:n])
+			case f == nil:
+				clear(buf[:n])
+			default:
+				copy(buf[:n], f[inFrame:inFrame+n])
+			}
+			buf = buf[n:]
+			cur += PhysAddr(n)
+		}
+	}
+	if len(buf) > 0 {
+		return fmt.Errorf("mem: access to unmapped physical address %#x", cur)
 	}
 	return nil
 }
@@ -71,37 +82,56 @@ func (pm *PhysMem) WriteU64(pa PhysAddr, v uint64) error {
 }
 
 // Pin increments the pin count of every 4K frame overlapping the extent,
-// as get_user_pages does. Pinned frames must not be freed. Pin sits on
-// the per-transfer fast path, so it walks the frame range inline rather
-// than materializing a slice.
+// as get_user_pages does. Pinned frames must not be freed. Pin panics
+// when a frame lies in no region: every caller pins extents that came
+// out of a page walk over allocated memory, so that is a bug, and there
+// is no table to hold such a count.
 func (pm *PhysMem) Pin(e Extent) {
-	end := frameCeil(e.End())
-	for pa := frameFloor(e.Addr); pa < end; pa += PageSize4K {
-		pm.pins[pa]++
+	w := pm.walk(e)
+	var r frameRun
+	for w.next(&r) {
+		c := r.chunk()
+		for i := r.lo; i < r.hi; i++ {
+			if c.pins[i] == 0 {
+				pm.pinned++
+			}
+			c.pins[i]++
+		}
+	}
+	if w.pa < w.end {
+		panic(fmt.Sprintf("mem: pin of frame %#x outside every region", w.pa))
 	}
 }
 
 // Unpin decrements pin counts; it panics on unbalanced unpins.
 func (pm *PhysMem) Unpin(e Extent) {
-	end := frameCeil(e.End())
-	for pa := frameFloor(e.Addr); pa < end; pa += PageSize4K {
-		if pm.pins[pa] == 0 {
-			panic(fmt.Sprintf("mem: unpin of unpinned frame %#x", pa))
+	w := pm.walk(e)
+	var r frameRun
+	for w.next(&r) {
+		for i := r.lo; i < r.hi; i++ {
+			if r.c == nil || r.c.pins[i] == 0 {
+				panic(fmt.Sprintf("mem: unpin of unpinned frame %#x", r.rs.frameAddr(r.ci, i)))
+			}
+			r.c.pins[i]--
+			if r.c.pins[i] == 0 {
+				pm.pinned--
+			}
 		}
-		pm.pins[pa]--
-		if pm.pins[pa] == 0 {
-			delete(pm.pins, pa)
-		}
+	}
+	if w.pa < w.end {
+		panic(fmt.Sprintf("mem: unpin of unpinned frame %#x", w.pa))
 	}
 }
 
 // Pinned reports whether the 4K frame containing pa is pinned.
 func (pm *PhysMem) Pinned(pa PhysAddr) bool {
-	return pm.pins[frameFloor(pa)] > 0
+	w := pm.walk(Extent{Addr: pa, Len: 1})
+	var r frameRun
+	return w.next(&r) && r.c != nil && r.c.pins[r.lo] > 0
 }
 
 // PinnedFrames returns the number of distinct pinned frames.
-func (pm *PhysMem) PinnedFrames() int { return len(pm.pins) }
+func (pm *PhysMem) PinnedFrames() int { return pm.pinned }
 
 // frameFloor rounds pa down to its 4K frame base.
 func frameFloor(pa PhysAddr) PhysAddr { return pa &^ (PageSize4K - 1) }

@@ -4,8 +4,9 @@
 // DDR4, as on Knights Landing nodes). Each region is managed by a buddy
 // allocator supporting contiguous power-of-two allocations, which is the
 // property the PicoDriver's SDMA request coalescing exploits. Frame
-// contents are byte-addressable and sparsely backed, so DMA engines can
-// move real data between nodes without reserving gigabytes of host RAM.
+// contents are byte-addressable and backed only once written (table.go),
+// so DMA engines can move real data between nodes without reserving
+// gigabytes of host RAM.
 package mem
 
 import (
@@ -77,12 +78,15 @@ type Extent struct {
 func (e Extent) End() PhysAddr { return e.Addr + PhysAddr(e.Len) }
 
 // PhysMem is the physical memory of one node (or one kernel's partition
-// of a node). It owns allocators for its regions and the sparse byte
-// backing for frame contents.
+// of a node). It owns allocators for its regions and, per region, the
+// table of frame contents and pin counts.
 type PhysMem struct {
 	regions []*regionState
-	frames  map[PhysAddr]*[PageSize4K]byte // keyed by 4K-aligned address
-	pins    map[PhysAddr]int               // pin count per 4K frame
+	// pinned counts the frames whose pin count is non-zero.
+	pinned int
+	// freeFrames holds the buffers of freed frames for the next first
+	// write anywhere on the node.
+	freeFrames []*frame
 	// regScratch backs regionsFor: allocation paths call it once per
 	// page, so the candidate list must not allocate each time.
 	regScratch []*regionState
@@ -95,6 +99,8 @@ type regionState struct {
 	// emulate a long-running Linux kernel's fragmented page pool.
 	scatterPool []PhysAddr
 	allocated   uint64
+	// chunks is the frame-table directory, see table.go.
+	chunks []*chunk
 }
 
 // NewPhysMem creates physical memory from the given regions. Regions must
@@ -113,10 +119,7 @@ func NewPhysMem(regions ...Region) (*PhysMem, error) {
 			return nil, fmt.Errorf("mem: regions overlap at %#x", r.Base)
 		}
 	}
-	pm := &PhysMem{
-		frames: make(map[PhysAddr]*[PageSize4K]byte),
-		pins:   make(map[PhysAddr]int),
-	}
+	pm := &PhysMem{}
 	for _, r := range sorted {
 		rs := &regionState{Region: r}
 		if r.Kind != MMIO {
@@ -361,9 +364,9 @@ func (pm *PhysMem) allocScattered(npages int, policy AllocPolicy, owner string) 
 	for i := 0; i < npages; i++ {
 		pa, err := pm.allocScatterPage(policy, owner)
 		if err != nil {
-			for _, e := range out {
-				pm.FreeContig(e)
-			}
+			// Scatter-pool frames are slices of a 2 MB buddy block, not
+			// blocks of their own: they go back to the pool.
+			pm.FreeScattered(out)
 			return nil, err
 		}
 		out = append(out, Extent{Addr: pa, Len: PageSize4K})
@@ -434,12 +437,6 @@ func (pm *PhysMem) Allocated(kind Kind) uint64 {
 		}
 	}
 	return total
-}
-
-func (pm *PhysMem) dropFrames(e Extent) {
-	for off := uint64(0); off < e.Len; off += PageSize4K {
-		delete(pm.frames, e.Addr+PhysAddr(off))
-	}
 }
 
 // mergeExtents sorts extents by address and merges adjacent ones.

@@ -234,11 +234,12 @@ func TestPinUnpin(t *testing.T) {
 func TestUnbalancedUnpinPanics(t *testing.T) {
 	pm := testMem(t)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+		if got, want := recover(), "mem: unpin of unpinned frame 0x40001000"; got != want {
+			t.Fatalf("panic = %v, want %q", got, want)
 		}
 	}()
-	pm.Unpin(Extent{Addr: 1 << 30, Len: PageSize4K})
+	pm.Pin(Extent{Addr: 1 << 30, Len: PageSize4K})
+	pm.Unpin(Extent{Addr: 1 << 30, Len: 2 * PageSize4K})
 }
 
 func TestDoubleFreePanics(t *testing.T) {

@@ -46,25 +46,34 @@ func (pm *PhysMem) EncodeState(e *snapshot.Enc) {
 		}
 	}
 
-	addrs := make([]PhysAddr, 0, len(pm.frames))
-	for a := range pm.frames {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		sum := sha256.Sum256(pm.frames[a][:])
-		e.Printf("frame addr=%x content=%x\n", uint64(a), sum[:8])
-	}
-
-	pinned := make([]PhysAddr, 0, len(pm.pins))
-	for a := range pm.pins {
-		if pm.pins[a] != 0 {
-			pinned = append(pinned, a)
+	pm.eachChunk(func(base PhysAddr, c *chunk) {
+		for i, f := range &c.frames {
+			if f != nil {
+				sum := sha256.Sum256(f[:])
+				e.Printf("frame addr=%x content=%x\n", uint64(base)+uint64(i)*PageSize4K, sum[:8])
+			}
 		}
-	}
-	sort.Slice(pinned, func(i, j int) bool { return pinned[i] < pinned[j] })
-	for _, a := range pinned {
-		e.Printf("pin addr=%x count=%d\n", uint64(a), pm.pins[a])
+	})
+	pm.eachChunk(func(base PhysAddr, c *chunk) {
+		for i, n := range &c.pins {
+			if n != 0 {
+				e.Printf("pin addr=%x count=%d\n", uint64(base)+uint64(i)*PageSize4K, n)
+			}
+		}
+	})
+}
+
+// eachChunk visits the chunk records that exist, with the address of
+// their first frame. Regions ascend by base and chunks by number, so the
+// visits are in address order; a record emptied by a free is still
+// visited and must contribute nothing.
+func (pm *PhysMem) eachChunk(fn func(base PhysAddr, c *chunk)) {
+	for _, rs := range pm.regions {
+		for ci, c := range rs.chunks {
+			if c != nil {
+				fn(rs.frameAddr(ci, 0), c)
+			}
+		}
 	}
 }
 

@@ -73,18 +73,36 @@ type table struct {
 // Table is a four-level page table (one address space).
 type Table struct {
 	root *table
-	// mapped tracks the number of bytes currently mapped, per page size.
-	mapped map[uint64]uint64
+	// mapped tracks the number of bytes currently mapped, per page size
+	// (idx4K, idx2M, idx1G).
+	mapped [3]uint64
 }
+
+// Indices into Table.mapped.
+const (
+	idx4K = iota
+	idx2M
+	idx1G
+)
 
 // New returns an empty page table.
 func New() *Table {
-	return &Table{root: &table{}, mapped: make(map[uint64]uint64)}
+	return &Table{root: &table{}}
 }
 
 // MappedBytes returns the number of mapped bytes using the given page
 // size (Size4K, Size2M or Size1G).
-func (t *Table) MappedBytes(pageSize uint64) uint64 { return t.mapped[pageSize] }
+func (t *Table) MappedBytes(pageSize uint64) uint64 {
+	switch pageSize {
+	case Size4K:
+		return t.mapped[idx4K]
+	case Size2M:
+		return t.mapped[idx2M]
+	case Size1G:
+		return t.mapped[idx1G]
+	}
+	return 0
+}
 
 func idx(v VirtAddr, shift uint) int { return int(uint64(v)>>shift) & indexMask }
 
@@ -149,7 +167,7 @@ func (t *Table) mapOne(va VirtAddr, pa mem.PhysAddr, pgsz uint64, flags Flags) {
 	l3 := &l4.next.slots[idx(va, l3Shift)]
 	if pgsz == Size1G {
 		*l3 = entry{leaf: true, pa: pa, flags: flags}
-		t.mapped[Size1G] += Size1G
+		t.mapped[idx1G] += Size1G
 		return
 	}
 	if l3.next == nil {
@@ -158,7 +176,7 @@ func (t *Table) mapOne(va VirtAddr, pa mem.PhysAddr, pgsz uint64, flags Flags) {
 	l2 := &l3.next.slots[idx(va, l2Shift)]
 	if pgsz == Size2M {
 		*l2 = entry{leaf: true, pa: pa, flags: flags}
-		t.mapped[Size2M] += Size2M
+		t.mapped[idx2M] += Size2M
 		return
 	}
 	if l2.next == nil {
@@ -166,7 +184,7 @@ func (t *Table) mapOne(va VirtAddr, pa mem.PhysAddr, pgsz uint64, flags Flags) {
 	}
 	l1 := &l2.next.slots[idx(va, l1Shift)]
 	*l1 = entry{leaf: true, pa: pa, flags: flags}
-	t.mapped[Size4K] += Size4K
+	t.mapped[idx4K] += Size4K
 }
 
 // firstMapped returns the lowest mapped address in [va, va+length), if
@@ -299,18 +317,18 @@ func (t *Table) clearOne(va VirtAddr) uint64 {
 	l3 := &l4.next.slots[idx(va, l3Shift)]
 	if l3.leaf {
 		*l3 = entry{}
-		t.mapped[Size1G] -= Size1G
+		t.mapped[idx1G] -= Size1G
 		return Size1G
 	}
 	l2 := &l3.next.slots[idx(va, l2Shift)]
 	if l2.leaf {
 		*l2 = entry{}
-		t.mapped[Size2M] -= Size2M
+		t.mapped[idx2M] -= Size2M
 		return Size2M
 	}
 	l1 := &l2.next.slots[idx(va, l1Shift)]
 	*l1 = entry{}
-	t.mapped[Size4K] -= Size4K
+	t.mapped[idx4K] -= Size4K
 	return Size4K
 }
 

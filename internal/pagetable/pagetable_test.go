@@ -343,3 +343,25 @@ func TestMapUnmapAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMapUnmapPageSteadyStateAllocs: with the table levels already in
+// place, mapping and unmapping one page touches slots and the per-size
+// byte counters only.
+func TestMapUnmapPageSteadyStateAllocs(t *testing.T) {
+	pt := New()
+	if err := pt.Map(0x400000, 0x10000, 64*Size4K, Writable|User); err != nil {
+		t.Fatal(err)
+	}
+	const va = 0x400000 + 100*Size4K
+	got := testing.AllocsPerRun(100, func() {
+		if pt.Map(va, 0x900000, Size4K, Writable|User) != nil || pt.Unmap(va, Size4K) != nil {
+			t.Fatal("map/unmap failed")
+		}
+	})
+	if got != 0 {
+		t.Fatalf("Map+Unmap of one page in a populated table: %v allocs, want 0", got)
+	}
+	if pt.MappedBytes(Size4K) != 64*Size4K || pt.MappedBytes(Size2M) != 0 || pt.MappedBytes(12345) != 0 {
+		t.Fatalf("MappedBytes = %d/%d/%d", pt.MappedBytes(Size4K), pt.MappedBytes(Size2M), pt.MappedBytes(12345))
+	}
+}
