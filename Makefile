@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check bench bench-gate simtest artifacts artifacts-paper examples clean
+.PHONY: all build test vet check simtest artifacts artifacts-paper examples clean
 
 all: build test
 
@@ -16,7 +16,7 @@ vet:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
-# Tier-1. Besides the unit tests this rebuilds all 13 default artifacts
+# Tier-1. Besides the unit tests this rebuilds all 14 default artifacts
 # and byte-compares them with artifacts/ (~25 s), and runs every
 # determinism gate: go test ./internal/report -run 'Gates|Artifacts'.
 test:
@@ -24,7 +24,7 @@ test:
 
 # Full static + race gate: the parallel experiment runner makes ./...
 # the first real concurrent exercise of cross-engine isolation. -short
-# narrows the artifact comparison to its five sub-second ids and skips
+# narrows the artifact comparison to its six sub-second ids and skips
 # the bigscale gate row; the 72-cell simtest battery runs in full.
 # -shuffle=on: determinism is the currency here, so a test that only
 # passes after its neighbour has run must fail the gate.
@@ -41,19 +41,6 @@ ifeq ($(SOAK),1)
 else
 	$(GO) test ./internal/simtest -count=1 -seed=$(SEED) -v -run 'TestSim'
 endif
-
-# One testing.B benchmark per paper table/figure, plus ablations.
-# Writes BENCH_pr6.json; BENCH_seed.json is the frozen pre-pooling
-# baseline and must not be regenerated. -benchtime 3x keeps allocs/op
-# stable for the sub-second benches (allocs are averaged per op).
-bench:
-	$(GO) test -bench . -benchtime 3x -benchmem . | $(GO) run ./cmd/benchjson -out BENCH_pr6.json
-
-# Allocation regression gate: same run as `bench`, but fails when any
-# benchmark's allocs/op exceeds its checked-in ceiling in
-# bench_budget.json.
-bench-gate:
-	$(GO) test -bench . -benchtime 3x -benchmem . | $(GO) run ./cmd/benchjson -out BENCH_pr6.json -budget bench_budget.json
 
 # Regenerate every table/figure (text + CSV) at the default scale.
 artifacts:

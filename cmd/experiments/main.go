@@ -15,16 +15,18 @@
 // -j fans the independent simulation cells of each experiment out over N
 // workers (default: GOMAXPROCS). Artifacts are byte-identical for any
 // -j, including -j 1; only wall-clock changes. -shards partitions every
-// cluster into N engine shards (default 1, one standalone engine);
-// artifacts stay identical for any value, only wall-clock moves.
+// cluster into N engine shards (default 1, one standalone engine):
+// artifacts stay identical for any value, only wall-clock moves — except
+// that verbs, reliability, failover and tenancy refuse -shards > 1 (the
+// sharded engine runs no fault injection or congestion control).
 // The shared -j/-shards/-loss block comes from internal/cliconf, the
 // same run-setup path as every other simulator binary.
 //
 // -checkpoint FILE records each finished experiment's artifacts in a
 // resumable manifest; adding -resume emits already-recorded experiments
 // from the manifest instead of re-running them, so an interrupted
-// -scale paper run picks up where it stopped. The manifest pins the
-// scale and seed: resuming under different parameters is refused.
+// -scale paper run picks up where it stopped. The manifest pins scale,
+// seed and fault profile (-loss), not -j or -shards: a mismatch is refused.
 package main
 
 import (
@@ -95,9 +97,8 @@ func main() {
 
 	var ckpt *experiments.Checkpoint
 	if *ckptFlag != "" {
-		meta := fmt.Sprintf("scale=%s seed=%d", sc.Name, sc.Seed)
 		var err error
-		if ckpt, err = experiments.LoadCheckpoint(*ckptFlag, meta, *resumeFlag); err != nil {
+		if ckpt, err = experiments.LoadCheckpoint(*ckptFlag, cfg, *resumeFlag); err != nil {
 			fatal(err)
 		}
 	}

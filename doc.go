@@ -27,8 +27,8 @@
 //	                      dwarf-extract-struct
 //	examples/*            quickstart, halo3d, splitdriver, structextract
 //
-// The benchmarks in bench_test.go regenerate every table and figure of
-// the paper's evaluation at a reduced default scale; cmd/experiments
-// -scale paper runs the full sweeps. See DESIGN.md for the system
-// inventory and EXPERIMENTS.md for paper-vs-measured results.
+// cmd/experiments regenerates every table and figure of the evaluation:
+// at a reduced default scale into artifacts/, which go test ./... rebuilds
+// and byte-compares, or the full sweeps with -scale paper. See DESIGN.md
+// for the system inventory, EXPERIMENTS.md for paper-vs-measured results.
 package repro

@@ -289,3 +289,20 @@ func TestPicoFallbackForUnpinnedBuffers(t *testing.T) {
 		t.Fatal("fast path did not fall back for a non-pinned buffer")
 	}
 }
+
+var benchLayouts *kstruct.Registry
+
+// BenchmarkDWARFExtract measures the §3.2 extraction path.
+func BenchmarkDWARFExtract(b *testing.B) {
+	blob, err := hfi.BuildDWARFBlob(hfi.BuildRegistry(hfi.DriverVersion))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if benchLayouts, err = core.ExtractLayouts(blob, "bench", core.HFIWants); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

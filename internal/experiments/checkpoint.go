@@ -18,23 +18,23 @@ import (
 // ---------------------------------------------------------------------
 
 // Checkpoint records completed experiment artifacts in the snapshot
-// container format — a "meta" section pinning the scale, then
-// "artifact/<id>.txt" and "artifact/<id>.csv" sections per finished
-// experiment. cmd/experiments -checkpoint/-resume use it so an
-// interrupted -scale paper run re-emits finished experiments from the
-// manifest instead of re-running them.
+// container format — a "meta" section pinning the scale, seed and fault
+// profile, then "artifact/<id>.txt" and "artifact/<id>.csv" sections
+// per finished experiment. cmd/experiments -checkpoint/-resume use it
+// so an interrupted -scale paper run re-emits finished experiments from
+// the manifest instead of re-running them.
 type Checkpoint struct {
 	path string
-	meta string
 	f    *snapshot.File
 }
 
 // LoadCheckpoint opens (resume=true) or starts (resume=false) the
-// manifest at path. meta describes the run parameters that must match
-// for the recorded artifacts to be reusable; a resumed manifest with
-// different meta is rejected.
-func LoadCheckpoint(path, meta string, resume bool) (*Checkpoint, error) {
-	c := &Checkpoint{path: path, meta: meta, f: &snapshot.File{
+// manifest at path. It pins everything of cfg that moves a result —
+// scale, seed and fault profile, not the pool or the shard count — and
+// a resumed manifest recorded under a different pin is rejected.
+func LoadCheckpoint(path string, cfg Config, resume bool) (*Checkpoint, error) {
+	meta := fmt.Sprintf("scale=%s seed=%d faults=%+v", cfg.Scale.Name, cfg.Scale.Seed, cfg.Faults)
+	c := &Checkpoint{path: path, f: &snapshot.File{
 		Sections: []snapshot.Section{{Name: "meta", Payload: []byte(meta)}},
 	}}
 	if !resume {

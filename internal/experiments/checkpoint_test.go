@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -11,11 +12,12 @@ import (
 
 // TestCheckpointManifest covers the experiment-level resume protocol:
 // recorded artifacts come back verbatim, resume tolerates a missing
-// file, and a manifest recorded under different parameters is refused.
+// file, and a manifest recorded under a different scale, seed or fault
+// profile is refused — but not one recorded at another -j or -shards.
 func TestCheckpointManifest(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 
-	ck, err := LoadCheckpoint(path, "scale=tiny seed=1", false)
+	ck, err := LoadCheckpoint(path, tinyConfig(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +31,10 @@ func TestCheckpointManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := LoadCheckpoint(path, "scale=tiny seed=1", true)
+	// The pool and the shard count move no artifact, so they do not pin.
+	same := NewConfig(tinyScale(), 1)
+	same.Shards = 4
+	re, err := LoadCheckpoint(path, same, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,12 +54,21 @@ func TestCheckpointManifest(t *testing.T) {
 		t.Fatalf("table1 artifact mangled: %q / %q", text, csv)
 	}
 
-	if _, err := LoadCheckpoint(path, "scale=paper seed=1", true); err == nil {
-		t.Fatal("manifest recorded at scale=tiny accepted for a scale=paper resume")
+	// A mismatch is refused by name; "Drop" was once replayed silently.
+	for want, edit := range map[string]func(*Config){
+		"scale=paper": func(c *Config) { c.Scale.Name = "paper" },
+		"seed=2":      func(c *Config) { c.Scale.Seed = 2 },
+		"Drop:0.05":   func(c *Config) { c.Faults.Drop = 0.05 },
+	} {
+		cfg := tinyConfig()
+		edit(&cfg)
+		if _, err := LoadCheckpoint(path, cfg, true); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("manifest recorded under tinyConfig resumed under %s: want a refusal naming it, got %v", want, err)
+		}
 	}
 
 	// Resume with no file on disk starts fresh.
-	fresh, err := LoadCheckpoint(filepath.Join(t.TempDir(), "none.ckpt"), "m", true)
+	fresh, err := LoadCheckpoint(filepath.Join(t.TempDir(), "none.ckpt"), tinyConfig(), true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -235,9 +235,6 @@ func PaperScale() Scale {
 	}
 }
 
-// OSNames in paper order.
-var OSNames = []string{"Linux", "McKernel", "McKernel+HFI1"}
-
 func osName(o cluster.OSType) string { return o.String() }
 
 // ---------------------------------------------------------------------
@@ -443,7 +440,7 @@ func AppScaling(cfg Config, app *miniapps.App, nodes []int) ([]ScalingPoint, err
 	grid, err := osGrid(cfg, nodes,
 		func(n int) string { return scalingKey(app.Name, n) },
 		func(n int, os cluster.OSType, seed int64) (*mpi.JobResult, error) {
-			return runApp(cfg, app, n, rpn, os, seed, nil)
+			return runApp(cfg, app, cluster.Spec{Nodes: n, OS: os, Seed: seed}, rpn, nil)
 		})
 	if err != nil {
 		return nil, err
@@ -464,10 +461,11 @@ func AppScaling(cfg Config, app *miniapps.App, nodes []int) ([]ScalingPoint, err
 
 func scalingKey(app string, nodes int) string { return fmt.Sprintf("%s/%dn", app, nodes) }
 
-// runApp runs one mini-app job on a fresh synthetic cluster, recording
-// spans into rec (nil = untraced).
-func runApp(cfg Config, app *miniapps.App, nodes, rpn int, os cluster.OSType, seed int64, rec *trace.Recorder) (*mpi.JobResult, error) {
-	cl, err := cfg.cluster(cluster.Spec{Nodes: nodes, OS: os, Seed: seed, Synthetic: true})
+// runApp runs one mini-app job on a fresh synthetic cluster built from
+// spec, recording spans into rec (nil = untraced).
+func runApp(cfg Config, app *miniapps.App, spec cluster.Spec, rpn int, rec *trace.Recorder) (*mpi.JobResult, error) {
+	spec.Synthetic = true
+	cl, err := cfg.cluster(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -488,7 +486,7 @@ func TracedRun(cfg Config, appName string, nodes, rpn int, os cluster.OSType) (*
 		rpn = app.RanksPerNode
 	}
 	rec := trace.NewRecorder()
-	res, err := runApp(cfg, app, nodes, rpn, os, cfg.Scale.Seed, rec)
+	res, err := runApp(cfg, app, cluster.Spec{Nodes: nodes, OS: os, Seed: cfg.Scale.Seed}, rpn, rec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -524,7 +522,7 @@ func Table1(cfg Config) ([]AppProfile, error) {
 	grid, err := osGrid(cfg, apps,
 		func(app *miniapps.App) string { return table1Key(app.Name) },
 		func(app *miniapps.App, os cluster.OSType, seed int64) (*mpi.JobResult, error) {
-			return runApp(cfg, app, sc.ProfileNodes, sc.ProfileRPN, os, seed, nil)
+			return runApp(cfg, app, cluster.Spec{Nodes: sc.ProfileNodes, OS: os, Seed: seed}, sc.ProfileRPN, nil)
 		})
 	if err != nil {
 		return nil, err

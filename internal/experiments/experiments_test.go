@@ -45,9 +45,9 @@ func TestFig4ShapesAndDeterminism(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
-		for _, name := range OSNames {
-			if r.MBps[name] <= 0 {
-				t.Fatalf("%s bandwidth missing at %d", name, r.Size)
+		for _, os := range cluster.AllOSTypes {
+			if r.MBps[os.String()] <= 0 {
+				t.Fatalf("%s bandwidth missing at %d", os, r.Size)
 			}
 		}
 	}
@@ -62,8 +62,8 @@ func TestFig4ShapesAndDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range rows {
-		for _, name := range OSNames {
-			if rows[i].MBps[name] != again[i].MBps[name] {
+		for _, os := range cluster.AllOSTypes {
+			if rows[i].MBps[os.String()] != again[i].MBps[os.String()] {
 				t.Fatal("fig4 not deterministic")
 			}
 		}
@@ -210,7 +210,8 @@ func TestReliabilitySweep(t *testing.T) {
 			bySize[r.Size] = map[float64]ReliabilityRow{}
 		}
 		bySize[r.Size][r.Loss] = r
-		for _, name := range OSNames {
+		for _, os := range cluster.AllOSTypes {
+			name := os.String()
 			if r.Goodput[name] <= 0 {
 				t.Fatalf("%s goodput missing at loss=%g size=%d", name, r.Loss, r.Size)
 			}
@@ -225,7 +226,8 @@ func TestReliabilitySweep(t *testing.T) {
 			if loss == 0 {
 				continue
 			}
-			for _, name := range OSNames {
+			for _, os := range cluster.AllOSTypes {
+				name := os.String()
 				if r.Goodput[name] > byLoss[0].Goodput[name] {
 					t.Fatalf("%s goodput at loss=%g size=%d beats the loss-free reference", name, loss, size)
 				}
@@ -249,31 +251,41 @@ func TestShardsReachEveryCell(t *testing.T) {
 	cfg.Scale.TenancyMsgs = 40
 	cfg.Shards = 2
 	for _, c := range []struct {
-		name string
-		run  func(Config) error
+		name   string
+		run    func(Config) (any, error)
+		shards bool // true: the unsharded rows; false: an error naming Shards=2
 	}{
-		{"reliability", func(cfg Config) error { _, err := Reliability(cfg); return err }},
-		{"failover", func(cfg Config) error { _, err := Failover(cfg); return err }},
-		{"tenancy", func(cfg Config) error { _, err := Tenancy(cfg); return err }},
+		{"reliability", func(cfg Config) (any, error) { return Reliability(cfg) }, false},
+		{"failover", func(cfg Config) (any, error) { return Failover(cfg) }, false},
+		{"tenancy", func(cfg Config) (any, error) { return Tenancy(cfg) }, false},
+		{"fig4", func(cfg Config) (any, error) { return Fig4(cfg) }, true},
+		{"ablations", func(cfg Config) (any, error) { return Ablations(cfg) }, true},
 	} {
-		if err := c.run(cfg); err == nil || !strings.Contains(err.Error(), "Shards=2") {
-			t.Errorf("%s at Shards=2: want an error naming Shards=2, got %v", c.name, err)
+		sharded, err := c.run(cfg)
+		if !c.shards {
+			if err == nil || !strings.Contains(err.Error(), "Shards=2") {
+				t.Errorf("%s at Shards=2: want an error naming Shards=2, got %v", c.name, err)
+			}
+			continue
+		}
+		single, err1 := c.run(tinyConfig())
+		if err != nil || err1 != nil || !reflect.DeepEqual(sharded, single) {
+			t.Errorf("%s rows differ between Shards=2 and Shards=1 (errors %v, %v):\n%+v\n%+v", c.name, err, err1, sharded, single)
 		}
 	}
-	sharded, err := Fig4(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := Fig4(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sharded, single) {
-		t.Fatalf("fig4 rows differ between Shards=2 and Shards=1:\n%+v\n%+v", sharded, single)
+	// cluster.New refuses Shards on a lossy fabric: so must every arm but backing's.
+	cfg.Faults.Drop = 0.5
+	for _, a := range ablations {
+		for arm, name := range a.Arms {
+			_, err := a.cell(cfg, arm, 1)
+			if a.ID != "backing" && (err == nil || !strings.Contains(err.Error(), "Shards=2")) {
+				t.Errorf("ablation %s/%s at Shards=2 on a lossy fabric: %v", a.ID, name, err)
+			}
+		}
 	}
 }
 
-// TestCellIDsPinned freezes the cell ids of the five OS-grid sweeps.
+// TestCellIDsPinned freezes the cell ids of the OS-grid sweeps and ablations.
 // Every cell's engine seed is DeriveSeed(Scale.Seed, id), so a drifting
 // format string would silently reseed — and change — every artifact.
 // Each sweep's key formatter runs through osGrid with a cell that only
@@ -344,6 +356,18 @@ func TestCellIDsPinned(t *testing.T) {
 		if err := c.run(); err == nil || !strings.Contains(err.Error(), `job "`+c.want[0][0]+`"`) {
 			t.Errorf("%s: first cell not reported as %q: %v", c.sweep, c.want[0][0], err)
 		}
+	}
+
+	// The ablation cells.
+	var ids []string
+	for _, j := range ablationJobs(cfg) {
+		ids = append(ids, j.ID)
+	}
+	want := []string{
+		"ablation/coalescing/off", "ablation/coalescing/on", "ablation/linux-cpus/2", "ablation/linux-cpus/16",
+		"ablation/backing/scattered-4k", "ablation/backing/contig-large", "ablation/munmap/260ns", "ablation/munmap/20ns"}
+	if !reflect.DeepEqual(ids, want) {
+		t.Errorf("Ablations: cell ids %q, want %q", ids, want)
 	}
 }
 

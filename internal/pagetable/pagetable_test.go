@@ -365,3 +365,40 @@ func TestMapUnmapPageSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("MappedBytes = %d/%d/%d", pt.MappedBytes(Size4K), pt.MappedBytes(Size2M), pt.MappedBytes(12345))
 	}
 }
+
+// largePage4M maps the 4 MB large-page-backed buffer the fast path walks.
+func largePage4M(tb testing.TB) (*Table, VirtAddr) {
+	pt := New()
+	if err := pt.Map(16*Size2M, 0x40000000, 4<<20, Writable); err != nil {
+		tb.Fatal(err)
+	}
+	return pt, 16 * Size2M
+}
+
+// TestWalkExtentsAllocs: a walk allocates its result slice and nothing
+// else, and nothing at all into a slice that already has the capacity.
+func TestWalkExtentsAllocs(t *testing.T) {
+	pt, va := largePage4M(t)
+	allocs := func(dst []mem.Extent) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if _, err := pt.WalkExtentsInto(dst, va, 4<<20); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if fresh, reused := allocs(nil), allocs(make([]mem.Extent, 0, 8)); fresh != 1 || reused != 0 {
+		t.Errorf("WalkExtents: %v allocs, into a reused slice %v; want 1 and 0", fresh, reused)
+	}
+}
+
+var benchExtents []mem.Extent
+
+// BenchmarkPageTableWalk measures the fast path's extent gathering.
+func BenchmarkPageTableWalk(b *testing.B) {
+	pt, va := largePage4M(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchExtents, _ = pt.WalkExtents(va, 4<<20)
+	}
+}

@@ -9,10 +9,10 @@ import (
 // shortArtifacts are the sub-second ids `go test -short` still rebuilds
 // (make check runs them under -race). Together they cover the plain PSM
 // path (fig4), verbs, fault injection with go-back-N recovery
-// (reliability) and with rail failover, and congestion control with the
-// job scheduler.
+// (reliability) and with rail failover, congestion control with the
+// job scheduler, and the mini-app bodies over mpi.RunJob (ablations).
 var shortArtifacts = map[string]bool{
-	"fig4": true, "verbs": true, "reliability": true, "failover": true, "tenancy": true,
+	"fig4": true, "verbs": true, "reliability": true, "failover": true, "tenancy": true, "ablations": true,
 }
 
 // TestCommittedArtifactsByteIdentical rebuilds the committed artifacts

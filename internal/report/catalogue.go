@@ -35,6 +35,7 @@ var Artifacts = []Artifact{
 	artifact("reliability", experiments.Reliability, ReliabilityTable, ReliabilityCSV),
 	artifact("failover", experiments.Failover, FailoverTable, FailoverCSV),
 	artifact("tenancy", experiments.Tenancy, TenancyTable, TenancyCSV),
+	artifact("ablations", experiments.Ablations, AblationTable, AblationCSV),
 	{ID: "bigscale", Explicit: true, Run: func(cfg experiments.Config) (string, string, error) {
 		sc := cfg.Scale
 		rows, err := experiments.Bigscale(cfg, "UMT2013", sc.BigscaleNodes, sc.BigscaleRPN, sc.BigscaleShards)

@@ -144,6 +144,16 @@ func TenancyCSV(rows []experiments.TenancyRow) string {
 	return b.String()
 }
 
+// AblationCSV renders the ablations as one row per mechanism.
+func AblationCSV(rows []experiments.AblationRow) string {
+	var b strings.Builder
+	b.WriteString("id,unit,without_arm,without,with_arm,with,ratio\n")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%s,%s,%s,%v,%s,%v,%.6f\n", r.ID, r.Unit, r.Arms[0], r.Value[0], r.Arms[1], r.Value[1], r.Ratio())
+	}
+	return b.String()
+}
+
 // BreakdownCSV renders a syscall-share pair.
 func BreakdownCSV(orig, pico experiments.Breakdown) string {
 	var b strings.Builder

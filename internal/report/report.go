@@ -223,6 +223,19 @@ func TenancyTable(rows []experiments.TenancyRow) string {
 	return b.String()
 }
 
+// AblationTable renders the ablations: per mechanism, the measurement
+// without it, with it (%v keeps every digit), and the ratio it buys.
+func AblationTable(rows []experiments.AblationRow) string {
+	var b strings.Builder
+	b.WriteString("Ablations: one mechanism per row, everything else fixed (ratio = without / with)\n")
+	fmt.Fprintf(&b, "%-11s %-26s %-26s %8s  %s\n", "id", "without", "with", "ratio", "workload: knob")
+	for _, r := range rows {
+		arm := func(i int) string { return fmt.Sprintf("%-12s %v %s", r.Arms[i], r.Value[i], r.Unit) }
+		fmt.Fprintf(&b, "%-11s %-26s %-26s %7.4gx  %s\n", r.ID, arm(0), arm(1), r.Ratio(), r.What)
+	}
+	return b.String()
+}
+
 // lossLabel renders a drop probability as a percentage.
 func lossLabel(loss float64) string {
 	if loss == 0 {
