@@ -23,7 +23,9 @@ test:
 	$(GO) test ./...
 
 # Full static + race gate: the parallel experiment runner makes ./...
-# the first real concurrent exercise of cross-engine isolation. -short
+# the first real concurrent exercise of cross-engine isolation. One
+# simulation is single-threaded by construction: one driver goroutine
+# per engine, and processes are coroutines resumed only by it. -short
 # narrows the artifact comparison to its six sub-second ids and skips
 # the bigscale gate row; the 72-cell simtest battery runs in full.
 # -shuffle=on: determinism is the currency here, so a test that only

@@ -2,15 +2,14 @@
 // with virtual-time processes.
 //
 // The engine owns a virtual clock and an event heap. Simulated processes
-// are goroutines, but exactly one goroutine — a process, or the driver
-// that called Run — holds the engine token at any instant, so no locking
-// is needed inside simulation code and runs are reproducible. Whoever
-// holds the token dispatches: a process that blocks or finishes pops the
-// heap itself (step), runs callback events inline, and hands the token
-// straight to the next runnable process over an unbuffered channel; the
-// driver gets it back only when the window is drained or a failure is
-// latched. Events that fire at the same virtual time are ordered by
-// their scheduling sequence number.
+// are coroutines (iter.Pull) of the one goroutine that drives the engine,
+// the caller of Run or ShardSet.Run: the driver pops the heap (step), runs
+// callback events itself and resumes a process by switching to its
+// coroutine; a process that blocks or finishes switches straight back.
+// Exactly one of them executes at any instant and the Go scheduler is not
+// involved in the switch, so no locking is needed inside simulation code
+// and runs are reproducible. Events that fire at the same virtual time
+// are ordered by their scheduling sequence number.
 //
 // All timing uses time.Duration as virtual nanoseconds since the start of
 // the run.
@@ -18,6 +17,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"runtime/debug"
 	"sort"
@@ -38,7 +38,6 @@ type Engine struct {
 	seq    uint64
 	heap   eventHeap
 	rng    *xrand.Rand
-	parked chan struct{} // the token's way back to the driver
 	procs  map[*Proc]struct{}
 	live   int
 	failv  error // first Fail or panic; ends the window
@@ -91,9 +90,8 @@ type event struct {
 // deterministic random source derived from seed.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		rng:    xrand.New(seed),
-		parked: make(chan struct{}),
-		procs:  make(map[*Proc]struct{}),
+		rng:   xrand.New(seed),
+		procs: make(map[*Proc]struct{}),
 	}
 }
 
@@ -169,12 +167,13 @@ func (e *Engine) AfterArg(d time.Duration, fn func(any), arg any) {
 }
 
 // Proc is a simulated process. Its methods must only be called from the
-// goroutine executing the process body.
+// process body.
 type Proc struct {
 	e      *Engine
 	name   string
-	resume chan struct{}
-	state  string // for deadlock diagnostics
+	next   func() (struct{}, bool) // driver side: run the body until it blocks or ends
+	yield  func(struct{}) bool     // body side: switch back to the driver
+	state  string                  // for deadlock diagnostics
 	daemon bool
 }
 
@@ -188,8 +187,8 @@ func (p *Proc) Engine() *Engine { return p.e }
 func (p *Proc) Now() time.Duration { return p.e.now }
 
 // Go creates a process executing fn, starting at the current virtual
-// time. fn runs in its own goroutine but only while it holds the engine
-// token; it yields by calling blocking Proc methods (Sleep, Queue.Pop,
+// time. fn runs as a coroutine of the engine's driver, only between a
+// resumption event and its next blocking Proc method (Sleep, Queue.Pop,
 // Cond.Wait, ...).
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	return e.spawn(name, fn, false)
@@ -203,43 +202,40 @@ func (e *Engine) GoDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
-	p := &Proc{e: e, name: name, resume: make(chan struct{}), daemon: daemon}
+	p := &Proc{e: e, name: name, daemon: daemon}
 	e.procs[p] = struct{}{}
 	e.live++
-	go func() {
-		<-p.resume
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		// The recover sits inside the coroutine so the captured stack is
+		// the panicking body's; iter.Pull alone would re-raise the panic
+		// on the driver's stack. A runtime.Goexit (t.FailNow in a body)
+		// is not recovered: next passes it on and the driver exits.
 		defer func() {
 			if r := recover(); r != nil {
 				e.Fail(&PanicError{Proc: p.name, Value: r, Stack: debug.Stack()})
 			}
 			e.live--
 			delete(e.procs, p)
-			e.handoff()
 		}()
 		fn(p)
-	}()
+	})
 	e.atProc(e.now, p)
 	return p
 }
 
-// block parks the calling process until it is woken via wake. The
-// caller holds the token, so it dispatches onward itself: it runs the
-// callbacks that are due and wakes the next runnable process directly,
-// one goroutine switch per process event.
+// block suspends the calling process until it is woken via wake: it
+// switches back to the driver, which dispatches onward. When the next
+// event is this process's own resumption (a sleep nothing else
+// interleaves with) the switch pair would land right back here, so the
+// event is consumed in place instead, under step's conditions.
 func (p *Proc) block(state string) {
 	p.state = state
 	e := p.e
-	switch q := e.step(); q {
-	case p:
-		// The next event is this process's own resumption (a sleep
-		// nothing else interleaves with): the park/unpark pair would
-		// be a self-handoff, so skip it entirely.
-	case nil:
-		e.parked <- struct{}{}
-		<-p.resume
-	default:
-		q.resume <- struct{}{}
-		<-p.resume
+	if h := e.heap; len(h) > 0 && h[0].p == p && h[0].at < e.bound && e.failv == nil {
+		e.now = e.heap.pop().at
+	} else {
+		p.yield(struct{}{})
 	}
 	p.state = ""
 }
@@ -248,14 +244,13 @@ func (p *Proc) block(state string) {
 // After/At/AfterArg callback rather than by a process body.
 const callbackProc = "(event callback)"
 
-// step is the dispatcher, and the only place the event heap is popped
-// for execution. It runs queued events strictly before the window
-// bound, in (at, seq) order, until it reaches a process resumption,
-// which it returns for the caller to hand the token to (nil: the window
-// is drained or a failure is latched). Callback events run inline on
-// the calling goroutine — the driver's or a blocking process's — so a
-// callback's panic is caught here, before it can unwind into a process
-// that did nothing wrong, and latched as a PanicError naming no process.
+// step is the dispatcher: it runs queued events strictly before the
+// window bound, in (at, seq) order, until it reaches a process
+// resumption, which it returns for runWindow to switch to (nil: the
+// window is drained or a failure is latched). Callback events run here,
+// on the driver and between processes, so a callback's panic is caught
+// before it can unwind into anything else and latched as a PanicError
+// naming no process.
 func (e *Engine) step() *Proc {
 	defer func() {
 		if r := recover(); r != nil {
@@ -275,17 +270,6 @@ func (e *Engine) step() *Proc {
 		}
 	}
 	return nil
-}
-
-// handoff passes the engine token onward when the calling goroutine is
-// done with it: directly to the next runnable process, or back to the
-// driver once the window is drained.
-func (e *Engine) handoff() {
-	if q := e.step(); q != nil {
-		q.resume <- struct{}{}
-	} else {
-		e.parked <- struct{}{}
-	}
 }
 
 // wake schedules p to resume at the current virtual time.
@@ -310,9 +294,10 @@ func (p *Proc) Yield() { p.Sleep(0) }
 
 // PanicError is returned (wrapped) by Run and ShardSet.Run when a
 // simulated process or an event callback panics. It preserves the
-// panicking process's name ("(event callback)" for a callback, whichever
-// goroutine happened to be dispatching it), the panic value and the
-// goroutine stack captured at recover time, and unwraps via errors.As.
+// panicking process's name ("(event callback)" for a callback), the
+// panic value and the stack captured at recover time — the body's own
+// coroutine stack, or the driver's for a callback — and unwraps via
+// errors.As.
 type PanicError struct {
 	Proc  string
 	Value any
@@ -330,7 +315,7 @@ func (e *PanicError) Error() string {
 // events are pending.
 type DeadlockError struct {
 	Now     time.Duration
-	Blocked []string // "name [state]" of each parked process
+	Blocked []string // "name [state]" of each blocked process
 }
 
 func (d *DeadlockError) Error() string {
@@ -338,7 +323,7 @@ func (d *DeadlockError) Error() string {
 		d.Now, len(d.Blocked), d.Blocked)
 }
 
-// deadlockError reports the non-daemon processes still parked on the
+// deadlockError reports the non-daemon processes still blocked on the
 // given engines once every queue has drained (nil if there are none).
 func deadlockError(now time.Duration, engines ...*Engine) error {
 	var blocked []string
@@ -357,15 +342,15 @@ func deadlockError(now time.Duration, engines ...*Engine) error {
 }
 
 // runWindow dispatches every queued event with time strictly before
-// bound and returns the latched failure, if any. The driver starts the
-// step/handoff chain and regains the token only when the window is
-// drained (or a failure latched); limit handling and deadlock detection
-// belong to the callers, Run and ShardSet.Run.
+// bound and returns the latched failure, if any. It is the only caller
+// of step and the only place a process is resumed, so callbacks and
+// process switches all happen on the goroutine that called it; limit
+// handling and deadlock detection belong to the callers, Run and
+// ShardSet.Run.
 func (e *Engine) runWindow(bound time.Duration) error {
 	e.bound = bound
-	if q := e.step(); q != nil {
-		q.resume <- struct{}{}
-		<-e.parked
+	for q := e.step(); q != nil; q = e.step() {
+		q.next()
 	}
 	if e.failv != nil {
 		return fmt.Errorf("sim: %w", e.failv)

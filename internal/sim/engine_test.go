@@ -359,3 +359,86 @@ func TestDaemonsDoNotCountAsDeadlock(t *testing.T) {
 		t.Fatal("blocked non-daemon not reported")
 	}
 }
+
+// Micro-benchmarks of the process switch, beside the code they time.
+// Run each at -cpu 1,2: a coroutine switch never enters the scheduler,
+// so the two columns should read the same.
+
+// BenchmarkProcEvent: 64 processes sleeping one tick round-robin, so
+// every event is a resumption of a process other than the one that just
+// blocked — one switch to the driver and one to the next process.
+func BenchmarkProcEvent(b *testing.B) {
+	const procs = 64
+	e := NewEngine(1)
+	per := b.N/procs + 1
+	for i := 0; i < procs; i++ {
+		e.Go("p", func(p *Proc) {
+			for j := 0; j < per; j++ {
+				p.Sleep(1)
+			}
+		})
+	}
+	b.ResetTimer()
+	if err := e.Run(0); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkQueueHandoff: one item pushed and popped between two
+// processes per iteration, each side blocking on the other.
+func BenchmarkQueueHandoff(b *testing.B) {
+	e := NewEngine(1)
+	ping, pong := NewQueue[int](e), NewQueue[int](e)
+	e.Go("a", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			ping.Push(i)
+			pong.Pop(p)
+		}
+	})
+	e.Go("b", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			pong.Push(ping.Pop(p))
+		}
+	})
+	b.ResetTimer()
+	if err := e.Run(0); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkSpawn: create a process, run it to completion.
+func BenchmarkSpawn(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine(1)
+	for i := 0; i < b.N; i++ {
+		e.Go("p", func(p *Proc) {})
+		if err := e.Run(0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestSpawnAllocs pins what creating one process allocates, most of it
+// iter.Pull's bookkeeping (measured on go1.24; a channel and a closure
+// cost 3). The benchmark's regen_sweep spawns ≈5 600 processes, so a
+// closure added to spawn, or a runtime that changes iter.Pull, should
+// show up here as a number rather than there as mallocs_k drift.
+func TestSpawnAllocs(t *testing.T) {
+	// The runtime allocates a goroutine descriptor only when it has no
+	// finished one to recycle (one object more). Finish more processes
+	// than will be measured, so the count does not depend on which tests
+	// ran before this one.
+	const runs = 100
+	e := NewEngine(1)
+	body := func(p *Proc) {}
+	for i := 0; i < 4*runs; i++ {
+		e.Go("recycled", body)
+	}
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(runs, func() { e.GoDaemon("d", body) })
+	if want := 12.0; got != want {
+		t.Fatalf("GoDaemon allocates %v objects per process, want %v", got, want)
+	}
+}

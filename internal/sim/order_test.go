@@ -9,9 +9,10 @@ import (
 
 // The literals in this file were recorded on the last commit that still
 // had the pop-and-bounce engine loop (one heap pop per iteration, every
-// process event handed engine→process→engine). They pin the (at, seq)
-// dispatch order of step/handoff to that loop's, so the equivalence the
-// artifacts and simtest digests rest on is checked here as well.
+// process event bounced engine→process→engine over channels). They pin
+// the (at, seq) dispatch order of step, runWindow and block's in-place
+// self-resumption to that loop's, so the equivalence the artifacts and
+// simtest digests rest on is checked here as well.
 
 const splitScenarioSeed7 = "10ns:20 19ns:10 22ns:21 31ns:0 32ns:11 39ns:30 47ns:22 54ns:31 55ns:12 68ns:1 68ns:23 70ns:32 84ns:13 87ns:14 88ns:2 92ns:33 94ns:3 97ns:4 100ns:24 102ns:25 108ns:5 123ns:34 125ns:35 127ns:15 final:127ns"
 

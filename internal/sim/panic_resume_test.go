@@ -91,35 +91,62 @@ func TestRunSplitResumeEquivalence(t *testing.T) {
 	}
 }
 
+// bombBody is a named function so its frame can be looked for in
+// PanicError.Stack.
+func bombBody(p *Proc) {
+	p.Sleep(3)
+	panic("kaboom")
+}
+
 // TestPanicErrorCarriesStack is the regression test for panics being
 // flattened to a string: Run's error must unwrap to a *PanicError with
-// the process name, panic value and a captured stack.
+// the process name, panic value and a captured stack — the panicking
+// body's own, which is why spawn recovers inside the coroutine instead
+// of letting iter.Pull re-raise the panic on the driver — on both engine
+// shapes, and the body's exit must still be accounted.
 func TestPanicErrorCarriesStack(t *testing.T) {
-	e := NewEngine(1)
-	e.Go("bomb", func(p *Proc) {
-		p.Sleep(3)
-		panic("kaboom")
+	check := func(t *testing.T, err error, e *Engine) {
+		t.Helper()
+		if err == nil {
+			t.Fatal("expected error from panicking proc")
+		}
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("errors.As(*PanicError) failed on %T: %v", err, err)
+		}
+		if pe.Proc != "bomb" {
+			t.Fatalf("Proc = %q, want bomb", pe.Proc)
+		}
+		if fmt.Sprint(pe.Value) != "kaboom" {
+			t.Fatalf("Value = %v, want kaboom", pe.Value)
+		}
+		if !strings.Contains(string(pe.Stack), "goroutine") || !strings.Contains(string(pe.Stack), "bombBody") {
+			t.Fatalf("Stack is not the panicking body's: %q", pe.Stack)
+		}
+		if !strings.Contains(err.Error(), "kaboom") {
+			t.Fatalf("error text %q does not mention the panic value", err)
+		}
+		if e.live != 1 {
+			t.Fatalf("live = %d after the bomb ended, want 1 (the bystander)", e.live)
+		}
+	}
+	t.Run("engine", func(t *testing.T) {
+		e := NewEngine(1)
+		e.Go("bomb", bombBody)
+		e.Go("bystander", bystanderBody)
+		check(t, e.Run(0), e)
 	})
-	err := e.Run(0)
-	if err == nil {
-		t.Fatal("expected error from panicking proc")
-	}
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("errors.As(*PanicError) failed on %T: %v", err, err)
-	}
-	if pe.Proc != "bomb" {
-		t.Fatalf("Proc = %q, want bomb", pe.Proc)
-	}
-	if fmt.Sprint(pe.Value) != "kaboom" {
-		t.Fatalf("Value = %v, want kaboom", pe.Value)
-	}
-	if len(pe.Stack) == 0 || !strings.Contains(string(pe.Stack), "goroutine") {
-		t.Fatalf("Stack not captured: %q", pe.Stack)
-	}
-	if !strings.Contains(err.Error(), "kaboom") {
-		t.Fatalf("error text %q does not mention the panic value", err)
-	}
+	t.Run("shards=2", func(t *testing.T) {
+		s, err := NewShardSet(1, 2, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Engines()[0].Go("other-shard", func(p *Proc) { p.Sleep(40) })
+		e := s.Engines()[1]
+		e.Go("bomb", bombBody)
+		e.Go("bystander", bystanderBody)
+		check(t, s.Run(0), e)
+	})
 }
 
 // TestFailErrorUnwraps checks that Engine.Fail errors keep their chain
@@ -134,27 +161,33 @@ func TestFailErrorUnwraps(t *testing.T) {
 	}
 }
 
-// TestCallbackPanicNamesNoProcess: an event callback runs on whichever
-// goroutine holds the token — the driver, or a process that happened to
-// block just before it. Its panic must come back from Run as a
-// *PanicError that identifies a callback, never the bystander process,
-// on both engine shapes.
+// bystanderBody is a named function so its frame can be looked for in
+// PanicError.Stack.
+func bystanderBody(p *Proc) {
+	for i := 0; i < 4; i++ {
+		p.Sleep(10)
+	}
+}
+
+// TestCallbackPanicNamesNoProcess: an event callback always runs on the
+// driver, between processes — also one that falls due while a process
+// sleeps. Its panic must come back from Run as a *PanicError that
+// identifies a callback, never the bystander process, and its stack must
+// be free of the bystander's frames, on both engine shapes.
 func TestCallbackPanicNamesNoProcess(t *testing.T) {
 	// arm schedules the panicking callback and a live, sleeping process.
-	// With driver set the callback is the heap's first event, so Run's
-	// own goroutine dispatches it; otherwise it falls inside one of the
-	// bystander's sleeps and is dispatched from that process's block.
-	arm := func(e *Engine, driver bool) {
+	// With first set the callback is the window's first event, before any
+	// process has run; otherwise it falls between two of the bystander's
+	// sleeps, right after the bystander has blocked. (The rows are still
+	// labelled driver=true/false: the second used to be dispatched from
+	// the bystander's own block.)
+	arm := func(e *Engine, first bool) {
 		boom := func() { panic("callback kaboom") }
-		if driver {
+		if first {
 			e.After(0, boom)
 		}
-		e.Go("bystander", func(p *Proc) {
-			for i := 0; i < 4; i++ {
-				p.Sleep(10)
-			}
-		})
-		if !driver {
+		e.Go("bystander", bystanderBody)
+		if !first {
 			e.After(25, boom)
 		}
 	}
@@ -173,23 +206,26 @@ func TestCallbackPanicNamesNoProcess(t *testing.T) {
 		if !strings.Contains(string(pe.Stack), "goroutine") {
 			t.Fatalf("Stack not captured: %q", pe.Stack)
 		}
+		if strings.Contains(string(pe.Stack), "bystanderBody") {
+			t.Fatalf("callback panicked on a process's stack:\n%s", pe.Stack)
+		}
 		if strings.Contains(strings.SplitN(err.Error(), "\n", 2)[0], "bystander") {
 			t.Fatalf("error blames a process that did not panic: %v", err)
 		}
 	}
-	for _, driver := range []bool{true, false} {
-		t.Run(fmt.Sprintf("engine/driver=%v", driver), func(t *testing.T) {
+	for _, first := range []bool{true, false} {
+		t.Run(fmt.Sprintf("engine/driver=%v", first), func(t *testing.T) {
 			e := NewEngine(1)
-			arm(e, driver)
+			arm(e, first)
 			check(t, e.Run(0))
 		})
-		t.Run(fmt.Sprintf("shards=2/driver=%v", driver), func(t *testing.T) {
+		t.Run(fmt.Sprintf("shards=2/driver=%v", first), func(t *testing.T) {
 			s, err := NewShardSet(1, 2, 100)
 			if err != nil {
 				t.Fatal(err)
 			}
 			s.Engines()[0].Go("other-shard", func(p *Proc) { p.Sleep(40) })
-			arm(s.Engines()[1], driver)
+			arm(s.Engines()[1], first)
 			check(t, s.Run(0))
 		})
 	}

@@ -26,9 +26,10 @@
 // per-shard heaps and working sets, and the window loop is exactly the
 // structure a multi-core dispatcher needs.
 //
-// A shard executes its window through the same Engine.runWindow (step /
-// handoff) a standalone engine's Run uses for its single window; the
-// set adds only the bound, the barrier and the cross-shard buffer.
+// A shard executes its window through the same Engine.runWindow a
+// standalone engine's Run uses for its single window, on the goroutine
+// that called ShardSet.Run; the set adds only the bound, the barrier and
+// the cross-shard buffer.
 package sim
 
 import (

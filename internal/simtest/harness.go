@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -279,7 +280,11 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 			fails = append(fails, fmt.Sprintf("rank %d: %v", r, e))
 		}
 	}
-	if engineErr != nil {
+	// A rank's own error is the cause; a deadlock reported after it is
+	// only the peers left waiting for the failed rank. Any other engine
+	// error (a panic, a latched Fail) is a cause of its own and stays.
+	var dl *sim.DeadlockError
+	if engineErr != nil && (len(fails) == 0 || !errors.As(engineErr, &dl)) {
 		fails = append(fails, engineErr.Error())
 	}
 	if len(fails) > 0 {

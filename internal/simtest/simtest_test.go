@@ -210,6 +210,26 @@ func TestFailureSnapshotRepro(t *testing.T) {
 	t.Logf("snapshot at %v (%d bytes) reproduced the fault; %d-byte slice trace", at, len(snap), len(data))
 }
 
+// TestRankErrorReportedWithoutItsDeadlock pins the failure message of a
+// committed soak repro (seed 1, Linux/lossy/25: a flow exhausts its retry
+// budget — ROADMAP item 1, still open, so the cell still fails). The
+// rank's error is the cause; the deadlock the engine reports afterwards
+// only lists the peers left waiting for that rank and must not be
+// appended to it.
+func TestRankErrorReportedWithoutItsDeadlock(t *testing.T) {
+	_, err := simtest.CheckCell(1, "Linux/lossy/25")
+	if err == nil {
+		t.Fatal("Linux/lossy/25 at seed 1 passed: update this test with the fix that made it pass")
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, "flow to rank 4 dead after 10 retries") {
+		t.Fatalf("failure does not name the dead flow:\n%s", msg)
+	}
+	if strings.Contains(msg, "deadlock") || strings.Contains(msg, "rendezvous-wait") {
+		t.Fatalf("failure reports the consequence beside the cause:\n%s", msg)
+	}
+}
+
 // TestTraceFoldedIntoDigest pins the recorder integration: every cell
 // run attaches a span recorder, so a successful Check must have seen a
 // non-trivial number of spans (their serialized form participates in
