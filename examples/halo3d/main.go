@@ -56,6 +56,7 @@ func run(os cluster.OSType, nodes, rpn, steps int) (*mpi.JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer cl.Close()
 	const (
 		faceX = 256 << 10 // rendezvous: TID registration + SDMA writev
 		faceY = 32 << 10  // eager SDMA: one writev per message

@@ -41,6 +41,9 @@ func exchange(os cluster.OSType) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
+	// Close frees the machine when exchange returns: the NIC and CPU
+	// daemons stay parked, holding the cluster, until it is closed.
+	defer cl.Close()
 
 	// 2. Start one rank per node. Each opens a PSM endpoint — this
 	//    opens /dev/hfi1 (offloaded to Linux on McKernel) and maps the

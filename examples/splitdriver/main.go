@@ -284,6 +284,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer cl.Close()
 	n := cl.Nodes[0]
 
 	// Module load: the unmodified Linux KXP driver registers with the VFS.

@@ -413,6 +413,18 @@ func (c *Cluster) Run(limit time.Duration) error { return c.machine.Run(limit) }
 // Now returns the machine's virtual time (the maximum shard clock).
 func (c *Cluster) Now() time.Duration { return c.machine.Now() }
 
+// Close ends the simulation and frees the machine: it closes every
+// shard's engine (sim.Engine.Close), unwinding the processes still
+// parked there — the NIC, CPU and timer daemons of every node at least.
+// Until then they keep the whole cluster reachable. Call it last, after
+// reading the syscall profiles and spans an unwinding defer can add to;
+// counters stay readable after it, and the cluster cannot run again.
+func (c *Cluster) Close() {
+	for _, e := range c.engines {
+		e.Close()
+	}
+}
+
 // NewRendezvous creates an n-participant rendezvous spanning every
 // shard of the cluster.
 func (c *Cluster) NewRendezvous(n int) *sim.Rendezvous { return sim.NewRendezvous(c.engines[0], n) }

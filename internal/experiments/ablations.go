@@ -85,6 +85,7 @@ func coalescingCell(cfg Config, arm int, seed int64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer cl.Close()
 	for _, n := range cl.Nodes {
 		n.Pico.Coalesce = arm == 1
 	}

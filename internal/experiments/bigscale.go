@@ -61,31 +61,9 @@ func Bigscale(cfg Config, appName string, nodes, rpn int, shards []int) ([]Bigsc
 	for _, s := range shards {
 		c := cfg
 		c.Shards = s
-		cl, err := c.cluster(cluster.Spec{Nodes: nodes, OS: cluster.OSMcKernelHFI, Seed: seed, Synthetic: true})
+		row, err := bigscaleRow(c, app, nodes, rpn, seed)
 		if err != nil {
 			return nil, fmt.Errorf("bigscale: shards=%d: %w", s, err)
-		}
-		// The wall column compares rows run back to back in one process,
-		// so each row starts from a collected heap — without this, heap
-		// growth from earlier rows inflates later rows' GC time and the
-		// speedup column measures allocator history, not the engine.
-		runtime.GC()
-		debug.FreeOSMemory()
-		start := time.Now()
-		res, err := mpi.RunJob(cl, rpn, func(co *mpi.Comm) error { return app.Body(co, app) })
-		if err != nil {
-			return nil, fmt.Errorf("bigscale: shards=%d: %w", s, err)
-		}
-		row := BigscaleRow{
-			Shards:  cl.Shards(),
-			Wall:    time.Since(start),
-			Virt:    cl.Now(),
-			Elapsed: res.Elapsed,
-			Digest:  bigscaleDigest(cl, res),
-			Ties:    cl.Ties(),
-		}
-		if cl.Set != nil {
-			row.Windows, row.Cross = cl.Set.Windows, cl.Set.CrossEvents
 		}
 		if len(rows) > 0 {
 			if want := rows[0].Digest; row.Digest != want {
@@ -100,6 +78,39 @@ func Bigscale(cfg Config, appName string, nodes, rpn int, shards []int) ([]Bigsc
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// bigscaleRow builds, runs, measures and closes one shard count's
+// cluster, so the next row is built with the last one already freed.
+func bigscaleRow(cfg Config, app *miniapps.App, nodes, rpn int, seed int64) (BigscaleRow, error) {
+	cl, err := cfg.cluster(cluster.Spec{Nodes: nodes, OS: cluster.OSMcKernelHFI, Seed: seed, Synthetic: true})
+	if err != nil {
+		return BigscaleRow{}, err
+	}
+	defer cl.Close()
+	// The wall column compares rows run back to back in one process, so
+	// each row starts from a collected heap: the previous row's cluster is
+	// closed, but its garbage is not yet collected, and collecting it
+	// inside this row's timed run would charge this row for it.
+	runtime.GC()
+	debug.FreeOSMemory()
+	start := time.Now()
+	res, err := mpi.RunJob(cl, rpn, func(co *mpi.Comm) error { return app.Body(co, app) })
+	if err != nil {
+		return BigscaleRow{}, err
+	}
+	row := BigscaleRow{
+		Shards:  cl.Shards(),
+		Wall:    time.Since(start),
+		Virt:    cl.Now(),
+		Elapsed: res.Elapsed,
+		Digest:  bigscaleDigest(cl, res),
+		Ties:    cl.Ties(),
+	}
+	if cl.Set != nil {
+		row.Windows, row.Cross = cl.Set.Windows, cl.Set.CrossEvents
+	}
+	return row, nil
 }
 
 // bigscaleDigest hashes the run outcome a shard count must not change:

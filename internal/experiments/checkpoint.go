@@ -128,6 +128,7 @@ func PingPongStraight(cfg Config, os cluster.OSType, size uint64, rec *trace.Rec
 	if err != nil {
 		return PingPongCell{}, err
 	}
+	defer c.cl.Close()
 	return c.observable()
 }
 
@@ -142,6 +143,7 @@ func PingPongCheckpoint(cfg Config, os cluster.OSType, size uint64, w io.Writer)
 	if err != nil {
 		return 0, err
 	}
+	defer probe.cl.Close()
 	if _, err := probe.finish(); err != nil {
 		return 0, err
 	}
@@ -151,6 +153,7 @@ func PingPongCheckpoint(cfg Config, os cluster.OSType, size uint64, w io.Writer)
 	if err != nil {
 		return 0, err
 	}
+	defer c.cl.Close() // abandoned at mid: its ranks are parked mid-exchange
 	if err := c.cl.Run(mid); err != nil {
 		return 0, err
 	}
@@ -169,6 +172,7 @@ func PingPongResume(cfg Config, os cluster.OSType, size uint64, img []byte, rec 
 	if err != nil {
 		return PingPongCell{}, err
 	}
+	defer c.cl.Close()
 	if _, err := snapshot.Restore(img, c.cl.Machine()); err != nil {
 		return PingPongCell{}, fmt.Errorf("restore: %w", err)
 	}

@@ -271,6 +271,7 @@ func Fig4(cfg Config) ([]Fig4Row, error) {
 			if err != nil {
 				return ppResult{}, err
 			}
+			defer c.cl.Close()
 			return c.finish()
 		})
 	if err != nil {
@@ -469,6 +470,7 @@ func runApp(cfg Config, app *miniapps.App, spec cluster.Spec, rpn int, rec *trac
 	if err != nil {
 		return nil, err
 	}
+	defer cl.Close()
 	cl.SetRecorder(rec)
 	return mpi.RunJob(cl, rpn, func(c *mpi.Comm) error { return app.Body(c, app) })
 }
@@ -583,6 +585,7 @@ func SyscallBreakdown(cfg Config, appName string) (orig, pico Breakdown, err err
 		if err != nil {
 			return Breakdown{}, err
 		}
+		defer cl.Close() // after the profiles are merged: unwinding can add to them
 		// Snapshot each node's kernel profile at body start so the
 		// breakdown covers steady-state execution, not MPI_Init (the
 		// paper's applications run long enough to amortize startup).

@@ -97,6 +97,7 @@ func failoverCell(cfg Config, os cluster.OSType, seed int64, rec *trace.Recorder
 	if err != nil {
 		return FailoverRow{}, err
 	}
+	defer cl.Close()
 	cl.SetRecorder(rec)
 	completions := make([]time.Duration, 0, msgs)
 	var streamStart time.Duration

@@ -119,6 +119,7 @@ func relCellRun(cfg Config, os cluster.OSType, k relKey, seed int64) (relCell, e
 	if err != nil {
 		return relCell{}, err
 	}
+	defer c.cl.Close()
 	res, err := c.finish()
 	if err != nil {
 		return relCell{}, err

@@ -227,6 +227,7 @@ func tenancyCell(cfg Config, os cluster.OSType, scen string, seed int64, rec *tr
 	if err != nil {
 		return TenancyRow{}, err
 	}
+	defer cl.Close()
 	cl.SetRecorder(rec)
 	s := sched.New(cl)
 	hist := &trace.Histogram{}

@@ -74,6 +74,7 @@ func verbsCellRun(cfg Config, os cluster.OSType, size uint64, reps int, seed int
 	if err != nil {
 		return verbsCell{}, err
 	}
+	defer cl.Close()
 	var cell verbsCell
 	var runErr error
 	cl.Go(0, "verbs-cell", func(p *sim.Proc) {

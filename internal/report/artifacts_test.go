@@ -3,7 +3,9 @@ package report
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // shortArtifacts are the sub-second ids `go test -short` still rebuilds
@@ -21,8 +23,11 @@ var shortArtifacts = map[string]bool{
 // change that moves a simulated result cannot leave `go test ./...`
 // green. Explicit ids are skipped (bigscale's wall-clock column is not
 // reproducible; TestDeterminismGates runs a tiny one). It also checks
-// that artifacts/ holds no file the catalogue does not own.
+// that artifacts/ holds no file the catalogue does not own, and that
+// every cell closed its cluster: a parked process is a goroutine, so a
+// forgotten Close shows here as a count rather than as memory growth.
 func TestCommittedArtifactsByteIdentical(t *testing.T) {
+	defer checkNoParkedProcesses(t, runtime.NumGoroutine())
 	cfg := defaultConfig()
 	dir := filepath.Join("..", "..", "artifacts")
 	owned := map[string]bool{}
@@ -55,6 +60,18 @@ func TestCommittedArtifactsByteIdentical(t *testing.T) {
 	for _, f := range files {
 		if !owned[f.Name()] {
 			t.Errorf("artifacts/%s belongs to no id in the Artifacts catalogue", f.Name())
+		}
+	}
+}
+
+// checkNoParkedProcesses fails t unless the goroutine count falls back
+// to base within a second (a runner worker may still be exiting).
+func checkNoParkedProcesses(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("%d goroutines after the run, %d before: a cell left its cluster unclosed", runtime.NumGoroutine(), base)
+			return
 		}
 	}
 }

@@ -11,11 +11,18 @@
 // and runs are reproducible. Events that fire at the same virtual time
 // are ordered by their scheduling sequence number.
 //
+// A parked process is still a goroutine, and its stack keeps everything
+// it references reachable — for a daemon blocked forever, the whole
+// simulated machine. Close ends a finished simulation: it unwinds every
+// parked process and drops the event heap, so whoever builds an engine
+// closes it once done reading it.
+//
 // All timing uses time.Duration as virtual nanoseconds since the start of
 // the run.
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"iter"
 	"math"
@@ -38,11 +45,12 @@ type Engine struct {
 	seq    uint64
 	heap   eventHeap
 	rng    *xrand.Rand
-	procs  map[*Proc]struct{}
+	procs  map[*Proc]uint64 // unfinished processes → spawn event's seq
 	live   int
 	failv  error // first Fail or panic; ends the window
 	rec    *trace.Recorder
 	states []regState // snapshot section encoders, registration order
+	closed bool       // Close ran: Go and Run panic
 
 	// bound is the open window's exclusive time bound: step dispatches
 	// only events strictly before it. Run opens one window per call
@@ -91,7 +99,7 @@ type event struct {
 func NewEngine(seed int64) *Engine {
 	return &Engine{
 		rng:   xrand.New(seed),
-		procs: make(map[*Proc]struct{}),
+		procs: make(map[*Proc]uint64),
 	}
 }
 
@@ -172,6 +180,7 @@ type Proc struct {
 	e      *Engine
 	name   string
 	next   func() (struct{}, bool) // driver side: run the body until it blocks or ends
+	stop   func()                  // driver side: unwind the body (Close)
 	yield  func(struct{}) bool     // body side: switch back to the driver
 	state  string                  // for deadlock diagnostics
 	daemon bool
@@ -202,18 +211,22 @@ func (e *Engine) GoDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
+	e.mustBeOpen("Go")
 	p := &Proc{e: e, name: name, daemon: daemon}
-	e.procs[p] = struct{}{}
 	e.live++
-	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		// The recover sits inside the coroutine so the captured stack is
 		// the panicking body's; iter.Pull alone would re-raise the panic
 		// on the driver's stack. A runtime.Goexit (t.FailNow in a body)
 		// is not recovered: next passes it on and the driver exits.
 		defer func() {
-			if r := recover(); r != nil {
-				e.Fail(&PanicError{Proc: p.name, Value: r, Stack: debug.Stack()})
+			if r := recover(); r != nil && r != errClosed {
+				pe := &PanicError{Proc: p.name, Value: r, Stack: debug.Stack()}
+				if e.closed {
+					panic(pe) // a deferred call broke while Close unwound it
+				}
+				e.Fail(pe)
 			}
 			e.live--
 			delete(e.procs, p)
@@ -221,23 +234,82 @@ func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 		fn(p)
 	})
 	e.atProc(e.now, p)
+	e.procs[p] = e.seq
 	return p
 }
+
+// errClosed unwinds a process parked when its engine is closed: block
+// panics with it, and spawn's recover lets it end the body silently.
+var errClosed = errors.New("sim: engine closed")
 
 // block suspends the calling process until it is woken via wake: it
 // switches back to the driver, which dispatches onward. When the next
 // event is this process's own resumption (a sleep nothing else
 // interleaves with) the switch pair would land right back here, so the
-// event is consumed in place instead, under step's conditions.
+// event is consumed in place instead, under step's conditions. A yield
+// that returns false is Close stopping the coroutine.
 func (p *Proc) block(state string) {
 	p.state = state
 	e := p.e
 	if h := e.heap; len(h) > 0 && h[0].p == p && h[0].at < e.bound && e.failv == nil {
 		e.now = e.heap.pop().at
-	} else {
-		p.yield(struct{}{})
+	} else if !p.yield(struct{}{}) {
+		panic(errClosed)
 	}
 	p.state = ""
+}
+
+// Close ends a finished simulation and releases what it holds. Every
+// process that has not returned — daemons blocked forever, processes a
+// deadlock or a failure left parked, processes spawned but never
+// started — is unwound in spawn order, and the event heap is dropped.
+//
+// Unwinding runs a body's deferred calls as a panic would; a call in
+// them that blocks unwinds instead. Read state such a call can touch (a
+// syscall profile, a simulated lock, a span recorder) before Close;
+// the clock, counters and everything else stay readable after it. A
+// panic raised by a deferred call is re-raised from Close, once every
+// process is unwound. Close is idempotent, and the engine cannot be
+// reused: Go, GoDaemon and Run on a closed engine panic.
+func (e *Engine) Close() {
+	if e.closed {
+		return
+	}
+	e.closed = true
+	// No window is open: a Sleep in a deferred call must reach yield, not
+	// be consumed in place by block.
+	e.bound = 0
+	procs := make([]*Proc, 0, len(e.procs))
+	for p := range e.procs {
+		procs = append(procs, p)
+	}
+	sort.Slice(procs, func(i, j int) bool { return e.procs[procs[i]] < e.procs[procs[j]] })
+	var broken any
+	for _, p := range procs {
+		if r := p.unwind(); r != nil && broken == nil {
+			broken = r
+		}
+	}
+	// A process never started never ran spawn's deferred bookkeeping.
+	e.heap, e.procs, e.live = nil, nil, 0
+	if broken != nil {
+		panic(broken)
+	}
+}
+
+// unwind stops p's coroutine and returns what a deferred call of its
+// body panicked with (nil: it unwound cleanly).
+func (p *Proc) unwind() (broken any) {
+	defer func() { broken = recover() }()
+	p.stop()
+	return nil
+}
+
+// mustBeOpen panics when op is attempted on a closed engine.
+func (e *Engine) mustBeOpen(op string) {
+	if e.closed {
+		panic("sim: " + op + " on an engine after Close")
+	}
 }
 
 // callbackProc is the PanicError.Proc value of a panic raised by an
@@ -367,6 +439,7 @@ func (e *Engine) runWindow(bound time.Duration) error {
 // Run(t) followed by Run(0) reaches exactly the same final state as a
 // single Run(0).
 func (e *Engine) Run(limit time.Duration) error {
+	e.mustBeOpen("Run")
 	if e.set != nil {
 		// A shard's windows are bounded by the set's barrier; running
 		// it alone would dispatch past cross-shard events not yet

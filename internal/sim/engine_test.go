@@ -430,6 +430,7 @@ func TestSpawnAllocs(t *testing.T) {
 	// ran before this one.
 	const runs = 100
 	e := NewEngine(1)
+	defer e.Close()
 	body := func(p *Proc) {}
 	for i := 0; i < 4*runs; i++ {
 		e.Go("recycled", body)

@@ -159,6 +159,9 @@ func (s *ShardSet) nextTime() (time.Duration, bool) {
 // the same state as one Run(0). A *DeadlockError aggregates blocked
 // non-daemon processes across all shards.
 func (s *ShardSet) Run(limit time.Duration) error {
+	for _, e := range s.shards {
+		e.mustBeOpen("Run")
+	}
 	for {
 		t, ok := s.nextTime()
 		if !ok {

@@ -207,6 +207,7 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer cl.Close()
 	rec := trace.NewRecorder()
 	if !o.traceFromRestore && !w.Untraced {
 		cl.SetRecorder(rec)

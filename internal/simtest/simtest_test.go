@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/simtest"
@@ -26,8 +28,12 @@ var (
 // cell asserts byte-exact delivery against an in-memory reference,
 // pin/TID balance at teardown, virtual-clock monotonicity and
 // same-seed trace-digest equality. A failing cell prints a one-line
-// repro command and a greedily shrunk workload.
+// repro command and a greedily shrunk workload. Once every cell is
+// done, no simulated process may be left parked: each run closes its
+// cluster.
 func TestSimHarness(t *testing.T) {
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() { checkNoParkedProcesses(t, base) })
 	if *cellFlag != "" {
 		runCell(t, *cellFlag)
 		return
@@ -92,6 +98,18 @@ func TestSimHarness(t *testing.T) {
 				t.Parallel()
 				runCell(t, cell)
 			})
+		}
+	}
+}
+
+// checkNoParkedProcesses fails t unless the goroutine count falls back
+// to base within a second (a finished subtest may still be exiting).
+func checkNoParkedProcesses(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("%d goroutines after the battery, %d before: a run left its cluster unclosed", runtime.NumGoroutine(), base)
+			return
 		}
 	}
 }
