@@ -82,8 +82,7 @@ type Spec struct {
 	Faults fabric.FaultProfile
 	// Congestion configures credit/ECN congestion control on the
 	// OmniPath fabric (the verbs/IB fabric is exempt, like Faults). The
-	// zero value disables it entirely: no credit gating, no ECN marks,
-	// and byte-identical snapshots/traces to pre-congestion builds.
+	// zero value disables it entirely: no credit gating and no ECN marks.
 	Congestion fabric.CongProfile
 	// Shards partitions the cluster into that many contiguous node
 	// groups, each simulated by its own engine and synchronized

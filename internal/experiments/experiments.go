@@ -153,15 +153,12 @@ type Scale struct {
 	// ReliabilitySizes straddle the PIO (16K) and eager-SDMA (64K)
 	// protocol thresholds so every transfer mode recovers from loss.
 	ReliabilitySizes []uint64
-	// FailoverMsgs/FailoverSize shape the failover experiment's paced
-	// message stream (0 = defaults: 160 messages of 32K).
+	// FailoverMsgs is the length of the failover experiment's paced
+	// stream of 32K messages.
 	FailoverMsgs int
-	FailoverSize uint64
 	// TenancyMsgs is the latency tenant's message count per tenancy
-	// cell, TenancyBulkSize the noisy neighbor's transfer size
-	// (0 = defaults: 120 messages, 32K bulk transfers).
-	TenancyMsgs     int
-	TenancyBulkSize uint64
+	// cell (0 = default: 120 messages).
+	TenancyMsgs int
 	// BigscaleNodes/BigscaleRPN size the sharded-engine scaling run
 	// (the bigscale experiment, an explicit-only id in cmd/experiments);
 	// BigscaleShards is its shard-count sweep, Shards=1 first so every
@@ -188,7 +185,6 @@ func SmallScale() Scale {
 		LossRates:        []float64{0, 0.001, 0.01, 0.05},
 		ReliabilitySizes: []uint64{8 << 10, 32 << 10, 256 << 10},
 		FailoverMsgs:     160,
-		FailoverSize:     32 << 10,
 		BigscaleNodes:    128,
 		BigscaleRPN:      4,
 		BigscaleShards:   []int{1, 2, 4},
@@ -220,7 +216,6 @@ func PaperScale() Scale {
 			2 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 256 << 10,
 		},
 		FailoverMsgs: 400,
-		FailoverSize: 32 << 10,
 		// RPN is 4, not the profile sweep's 32: at 1024 nodes the tie
 		// count (fabric.Ties — same-instant arrivals at one destination
 		// from different sources) grows ~40x between rpn=4 (26 ties) and

@@ -80,13 +80,8 @@ func TracedFailover(cfg Config, os cluster.OSType) (FailoverRow, *trace.Recorder
 // [failoverOutageFrom, failoverOutageUntil), verifying every payload and
 // timing every completion.
 func failoverCell(cfg Config, os cluster.OSType, seed int64, rec *trace.Recorder) (FailoverRow, error) {
-	msgs, size := cfg.Scale.FailoverMsgs, cfg.Scale.FailoverSize
-	if msgs <= 0 {
-		msgs = 160
-	}
-	if size == 0 {
-		size = 32 << 10
-	}
+	msgs := cfg.Scale.FailoverMsgs
+	const size = 32 << 10
 	pr := model.Default()
 	pr.DualRail = true
 	// The outage rides on top of whatever the run-wide profile injects.
@@ -147,7 +142,7 @@ func failoverCell(cfg Config, os cluster.OSType, seed int64, rec *trace.Recorder
 		return FailoverRow{}, err
 	}
 	row := FailoverRow{OS: osName(os), Msgs: msgs, Size: size}
-	fs := ranks.Endpoints()[0].FailoverStats
+	fs := ranks.Endpoints()[0].Stats
 	row.Failovers, row.RailSwitches = fs.Failovers, fs.RailSwitches
 	row.Fallbacks, row.Freezes = fs.Fallbacks, fs.Freezes
 	if row.Failovers == 0 || row.RailSwitches == 0 {

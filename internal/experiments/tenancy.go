@@ -218,11 +218,7 @@ func tenancyCell(cfg Config, os cluster.OSType, scen string, seed int64, rec *tr
 	if msgs <= 0 {
 		msgs = 120
 	}
-	bulkSize := sc.TenancyBulkSize
-	if bulkSize == 0 {
-		bulkSize = 32 << 10
-	}
-	const latSize = 4 << 10
+	const latSize, bulkSize = 4 << 10, 32 << 10
 	cl, err := cfg.cluster(cluster.Spec{Nodes: 4, OS: os, Seed: seed, Congestion: tenancyCong()})
 	if err != nil {
 		return TenancyRow{}, err

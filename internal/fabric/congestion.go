@@ -14,8 +14,7 @@ import (
 // mark, which the receiving NIC surfaces to PSM through the header
 // queue — PSM answers with a CNP and the sender backs its eager window
 // off (see internal/psm/congestion.go). The zero profile is inert:
-// congestion-off runs take none of these paths and stay byte-identical
-// to pre-congestion builds.
+// congestion-off runs take none of these paths.
 
 // CongProfile configures fabric congestion control. The zero value
 // disables it.
@@ -38,10 +37,7 @@ func (cp *CongProfile) Active() bool {
 	return cp != nil && (cp.LinkBudget > 0 || cp.IngressBudget > 0)
 }
 
-// CongStats counts congestion-control activity. Like FailoverStats it
-// is deliberately separate from FaultStats: FaultStats participates
-// byte-for-byte in simtest trace digests, which must stay identical on
-// congestion-off runs.
+// CongStats counts congestion-control activity.
 type CongStats struct {
 	// Marks counts ECN-marked packets.
 	Marks uint64
@@ -58,7 +54,6 @@ func (f *Fabric) SetCongestion(cp *CongProfile) {
 	if cp.Active() {
 		f.inflight = make(map[LinkID]uint64)
 		f.ingress = make(map[int]uint64)
-		f.flow = make(map[LinkID]uint64)
 		f.congCond = sim.NewCond(f.e)
 	}
 }
@@ -71,11 +66,6 @@ func (f *Fabric) Congested() bool { return f.cong.Active() }
 
 // CongStats returns the congestion-control counters.
 func (f *Fabric) CongStats() CongStats { return f.cstats }
-
-// FlowBytes returns the bytes delivered (payload, excluding framing and
-// corrupted packets) over the directed link src→dst since boot — the
-// per-flow fairness counter.
-func (f *Fabric) FlowBytes(src, dst int) uint64 { return f.flow[LinkID{Src: src, Dst: dst}] }
 
 // wireBytes is the credit charge of a packet: payload plus framing.
 func (f *Fabric) wireBytes(pkt *Packet) uint64 {
@@ -134,7 +124,7 @@ func (f *Fabric) congAdmit(proc *sim.Proc, pkt *Packet) {
 // drop — from event context, where Broadcast is safe. Duplicated
 // copies carry congFree and return nothing: the original already
 // charged (and returns) the credit exactly once.
-func (f *Fabric) congDone(pkt *Packet, delivered bool) {
+func (f *Fabric) congDone(pkt *Packet) {
 	if !f.cong.Active() || pkt.congFree {
 		return
 	}
@@ -150,9 +140,6 @@ func (f *Fabric) congDone(pkt *Packet, delivered bool) {
 		f.ingress[ing] = cur - n
 	} else {
 		delete(f.ingress, ing)
-	}
-	if delivered && !pkt.Corrupt {
-		f.flow[lid] += pkt.Bytes
 	}
 	f.congCond.Broadcast()
 }

@@ -142,14 +142,13 @@ type Fabric struct {
 	fstats FaultStats
 
 	// Congestion control (see congestion.go): budgets, in-flight credit
-	// occupancy per directed link and per destination node, delivered
-	// bytes per link (fairness counters), and the condition stalled
-	// senders block on. All nil/empty when congestion is off.
+	// occupancy per directed link and per destination node, and the
+	// condition stalled senders block on. All nil/empty when congestion
+	// is off.
 	cong     *CongProfile
 	cstats   CongStats
 	inflight map[LinkID]uint64
 	ingress  map[int]uint64
-	flow     map[LinkID]uint64
 	congCond *sim.Cond
 
 	// Hot-path freelists (see pool.go) and the pooled delivery records
@@ -372,7 +371,7 @@ func runDelivery(a any) {
 		rec.SpanBytes(trace.CatFabric, kindName(pkt.Kind), route,
 			begin, f.e.Now(), pkt.Bytes)
 	}
-	f.congDone(pkt, true)
+	f.congDone(pkt)
 	f.noteRx(dst, pkt)
 	dst.deliver(pkt)
 }
@@ -402,14 +401,14 @@ func (f *Fabric) deliverAt(dst *Port, pkt *Packet, begin time.Duration, lat time
 func (f *Fabric) sendFaulty(dst *Port, pkt *Packet, begin time.Duration, lat time.Duration) {
 	if f.faults.downAt(pkt.SrcNode, pkt.DstNode, f.e.Now()) {
 		f.fstats.DownDrops++
-		f.congDone(pkt, false)
+		f.congDone(pkt)
 		f.Release(pkt)
 		return
 	}
 	lf := f.faults.linkFor(pkt.SrcNode, pkt.DstNode)
 	if lf.Drop > 0 && f.frng.Float64() < lf.Drop {
 		f.fstats.Dropped++
-		f.congDone(pkt, false)
+		f.congDone(pkt)
 		f.Release(pkt)
 		return
 	}

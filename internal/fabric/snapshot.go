@@ -8,8 +8,9 @@ import (
 )
 
 // EncodeState serializes the fabric's mutable state for a snapshot:
-// fault RNG position, fault and pool counters, per-port egress counters
-// and route-ordering clamps, and freelist depths. In-flight packets are
+// fault RNG position, fault, pool and congestion counters, congestion
+// credits in flight, per-port egress counters and route-ordering clamps,
+// and freelist depths. In-flight packets are
 // not here — they live in the engine event heap as pooled delivery
 // records, which contribute their own state via SnapshotState below.
 //
@@ -26,35 +27,23 @@ func (f *Fabric) EncodeState(e *snapshot.Enc) {
 	e.Printf("pstats bufget=%d bufhit=%d bufput=%d pktget=%d pkthit=%d pktput=%d\n",
 		f.pstats.BufGets, f.pstats.BufHits, f.pstats.BufPuts,
 		f.pstats.PktGets, f.pstats.PktHits, f.pstats.PktPuts)
-	// Congestion-control state is emitted only when a profile is active,
-	// so congestion-off snapshots stay byte-identical to older builds.
-	if f.cong.Active() {
-		e.Printf("cstats marks=%d stalls=%d stalltime=%d\n",
-			f.cstats.Marks, f.cstats.Stalls, int64(f.cstats.StallTime))
-		links := make([]LinkID, 0, len(f.inflight))
-		for l := range f.inflight {
-			links = append(links, l)
-		}
-		sortLinkIDs(links)
-		for _, l := range links {
-			e.Printf("cong inflight src=%d dst=%d bytes=%d\n", l.Src, l.Dst, f.inflight[l])
-		}
-		ings := make([]int, 0, len(f.ingress))
-		for n := range f.ingress {
-			ings = append(ings, n)
-		}
-		sort.Ints(ings)
-		for _, n := range ings {
-			e.Printf("cong ingress node=%d bytes=%d\n", n, f.ingress[n])
-		}
-		links = links[:0]
-		for l := range f.flow {
-			links = append(links, l)
-		}
-		sortLinkIDs(links)
-		for _, l := range links {
-			e.Printf("cong flow src=%d dst=%d bytes=%d\n", l.Src, l.Dst, f.flow[l])
-		}
+	e.Printf("cstats marks=%d stalls=%d stalltime=%d\n",
+		f.cstats.Marks, f.cstats.Stalls, int64(f.cstats.StallTime))
+	links := make([]LinkID, 0, len(f.inflight))
+	for l := range f.inflight {
+		links = append(links, l)
+	}
+	sortLinkIDs(links)
+	for _, l := range links {
+		e.Printf("cong inflight src=%d dst=%d bytes=%d\n", l.Src, l.Dst, f.inflight[l])
+	}
+	ings := make([]int, 0, len(f.ingress))
+	for n := range f.ingress {
+		ings = append(ings, n)
+	}
+	sort.Ints(ings)
+	for _, n := range ings {
+		e.Printf("cong ingress node=%d bytes=%d\n", n, f.ingress[n])
 	}
 	// Freelist depths: pooled buffers are zeroed and packets cleared on
 	// return, so depth per class is the complete pool state.

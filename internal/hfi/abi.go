@@ -297,17 +297,8 @@ type HdrqEntry struct {
 	Bytes    uint64
 	PSN      uint32
 	// ECN carries a fabric congestion mark up to PSM (byte 68 of the
-	// wire entry, previously spare; zero when congestion control is off,
-	// keeping encodings byte-identical).
+	// wire entry; zero when congestion control is off).
 	ECN bool
-}
-
-// EncodeHdrqEntry serializes an entry into a fresh buffer. Hot paths
-// use EncodeHdrqEntryInto with a reused buffer instead.
-func EncodeHdrqEntry(e *HdrqEntry) []byte {
-	b := make([]byte, HdrqEntrySize)
-	EncodeHdrqEntryInto(b, e)
-	return b
 }
 
 // EncodeHdrqEntryInto serializes an entry into b, which must be at
@@ -330,15 +321,6 @@ func EncodeHdrqEntryInto(b []byte, e *HdrqEntry) {
 		b[68] = 1
 	}
 	b[69], b[70], b[71] = 0, 0, 0
-}
-
-// DecodeHdrqEntry parses an entry.
-func DecodeHdrqEntry(b []byte) (*HdrqEntry, error) {
-	e := &HdrqEntry{}
-	if err := DecodeHdrqEntryInto(e, b); err != nil {
-		return nil, err
-	}
-	return e, nil
 }
 
 // DecodeHdrqEntryInto parses an entry into a caller-owned HdrqEntry,

@@ -100,7 +100,10 @@ func TestHdrqEntryRoundTripProperty(t *testing.T) {
 			Type: typ, SrcRank: src, Tag: tag, MsgID: msgid, MsgLen: msglen,
 			Offset: off, Aux: aux, EagerIdx: eidx, Op: op, Bytes: bytes,
 		}
-		got, err := DecodeHdrqEntry(EncodeHdrqEntry(e))
+		b := make([]byte, HdrqEntrySize)
+		EncodeHdrqEntryInto(b, e)
+		got := &HdrqEntry{}
+		err := DecodeHdrqEntryInto(got, b)
 		return err == nil && reflect.DeepEqual(e, got)
 	}
 	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(43))}
@@ -110,7 +113,7 @@ func TestHdrqEntryRoundTripProperty(t *testing.T) {
 }
 
 func TestDecodeHdrqEntryShort(t *testing.T) {
-	if _, err := DecodeHdrqEntry(make([]byte, 10)); err == nil {
+	if err := DecodeHdrqEntryInto(&HdrqEntry{}, make([]byte, 10)); err == nil {
 		t.Fatal("short buffer accepted")
 	}
 }

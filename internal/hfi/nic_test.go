@@ -69,8 +69,8 @@ func (r *nicRig) readEntry(t *testing.T, n int, i uint64) *HdrqEntry {
 	if err := r.phys[n].ReadAt(r.hdrq[n]+mem.PhysAddr((i%64)*HdrqEntrySize), raw); err != nil {
 		t.Fatal(err)
 	}
-	e, err := DecodeHdrqEntry(raw)
-	if err != nil {
+	e := &HdrqEntry{}
+	if err := DecodeHdrqEntryInto(e, raw); err != nil {
 		t.Fatal(err)
 	}
 	return e

@@ -23,8 +23,7 @@ func (n *NIC) EncodeState(e *snapshot.Enc) {
 		n.RxPackets, n.SDMARequests, n.SDMAFullSize, n.IRQsRaised,
 		n.RxDropped, n.RxCorrupt, n.RxStaleTID, n.SDMAErrors,
 		n.TIDProgramOps, n.TIDClearOps)
-	// Rail lines appear only on dual-rail NICs, keeping single-rail
-	// snapshots byte-identical to pre-dual-rail builds.
+	// Rail lines: only a dual-rail NIC has a second port.
 	if n.port1 != nil {
 		e.Printf("rail dual=true tx0=%d tx1=%d\n", n.port.TxBytes, n.port1.TxBytes)
 		dsts := make([]int, 0, len(n.railOf))

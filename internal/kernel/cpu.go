@@ -61,9 +61,6 @@ func NewWorkerPool(e *sim.Engine, name string, cpus []int) *WorkerPool {
 			ctx := &Ctx{P: p, CPU: cpu}
 			for {
 				item := wp.q.Pop(p)
-				if item == nil {
-					return // shutdown
-				}
 				start := p.Now()
 				item.Fn(ctx)
 				wp.Busy[idx] += p.Now() - start
@@ -101,13 +98,6 @@ func (wp *WorkerPool) SubmitAndWait(p *sim.Proc, name string, fn func(ctx *Ctx))
 		item.cond.Wait(p)
 	}
 	return p.Now() - start
-}
-
-// Shutdown stops every worker after the queue drains.
-func (wp *WorkerPool) Shutdown() {
-	for range wp.cpus {
-		wp.q.Push(nil)
-	}
 }
 
 // TotalBusy returns the summed busy time across the pool's CPUs.

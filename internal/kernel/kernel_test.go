@@ -21,10 +21,6 @@ func TestWorkerPoolFIFOAndContention(t *testing.T) {
 			finished = append(finished, p.Now())
 		})
 	}
-	e.Go("stop", func(p *sim.Proc) {
-		p.Sleep(10_000)
-		wp.Shutdown()
-	})
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +47,6 @@ func TestWorkerPoolSubmitNoWait(t *testing.T) {
 	ran := 0
 	wp.Submit("irq", func(ctx *Ctx) { ctx.Spend(50); ran++ })
 	wp.Submit("irq", func(ctx *Ctx) { ran++ })
-	e.After(1000, func() { wp.Shutdown() })
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -232,34 +227,5 @@ func TestSpinLockUnmappedFaults(t *testing.T) {
 	lin, _ := lockSpace(t)
 	if _, err := NewSpinLock(lin, 0xFFFFC90000000000, LinuxSpinLockLayout); err == nil {
 		t.Fatal("lock on unmapped memory accepted")
-	}
-}
-
-func TestWithLock(t *testing.T) {
-	lin, _ := lockSpace(t)
-	e := sim.NewEngine(1)
-	addr, _ := lin.Kmalloc(SpinLockSize, 0)
-	lock, err := NewSpinLock(lin, addr, LinuxSpinLockLayout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Go("p", func(p *sim.Proc) {
-		err := lock.WithLock(p, func() error {
-			held, _ := lock.Held()
-			if !held {
-				t.Error("not held inside WithLock")
-			}
-			return nil
-		})
-		if err != nil {
-			t.Error(err)
-		}
-		held, _ := lock.Held()
-		if held {
-			t.Error("held after WithLock")
-		}
-	})
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -117,12 +117,3 @@ func (l *SpinLock) Held() (bool, error) {
 	}
 	return next != owner, nil
 }
-
-// WithLock runs fn under the lock.
-func (l *SpinLock) WithLock(p *sim.Proc, fn func() error) error {
-	if err := l.Lock(p); err != nil {
-		return err
-	}
-	defer l.Unlock()
-	return fn()
-}

@@ -456,9 +456,3 @@ func mergeExtents(in []Extent) []Extent {
 	}
 	return out
 }
-
-// MergeExtents merges adjacent extents after sorting by address. It is
-// exported for use by page-table walkers and the SDMA request builder.
-func MergeExtents(in []Extent) []Extent {
-	return mergeExtents(append([]Extent(nil), in...))
-}

@@ -261,7 +261,7 @@ func TestMergeExtents(t *testing.T) {
 		{Addr: 0x2000, Len: 0x1000},
 		{Addr: 0x8000, Len: 0x2000},
 	}
-	out := MergeExtents(in)
+	out := mergeExtents(in)
 	if len(out) != 2 || out[0].Addr != 0x1000 || out[0].Len != 0x3000 ||
 		out[1].Addr != 0x8000 || out[1].Len != 0x2000 {
 		t.Fatalf("merge = %+v", out)

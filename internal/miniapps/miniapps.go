@@ -92,17 +92,6 @@ func dims3(n int) (int, int, int) {
 	return bx, by, bestA
 }
 
-// neighbor2 returns the rank at grid offset (dx, dy), or -1.
-func neighbor2(rank, nx, ny, dx, dy int) int {
-	x, y := rank%nx, rank/nx
-	x += dx
-	y += dy
-	if x < 0 || x >= nx || y < 0 || y >= ny {
-		return -1
-	}
-	return y*nx + x
-}
-
 // LAMMPS is the molecular-dynamics skeleton: 64 ranks/node, 6-neighbor
 // halo exchange with ~10 KB faces (PIO), thermo reduction every few
 // steps, dominated by computation.

@@ -45,19 +45,6 @@ func TestDims(t *testing.T) {
 	}
 }
 
-func TestNeighbor2(t *testing.T) {
-	// 4x2 grid: rank 1 is (1,0).
-	if nb := neighbor2(1, 4, 2, 1, 0); nb != 2 {
-		t.Fatalf("+x neighbor = %d", nb)
-	}
-	if nb := neighbor2(1, 4, 2, 0, 1); nb != 5 {
-		t.Fatalf("+y neighbor = %d", nb)
-	}
-	if nb := neighbor2(0, 4, 2, -1, 0); nb != -1 {
-		t.Fatalf("edge neighbor = %d", nb)
-	}
-}
-
 // TestAppsCompleteOnAllOSes runs every skeleton at reduced scale on every
 // OS configuration.
 func TestAppsCompleteOnAllOSes(t *testing.T) {

@@ -26,8 +26,7 @@ type Params struct {
 	// DualRail attaches a second fabric port (rail 1) to every NIC:
 	// large SDMA transfers stripe across both rails and the PSM health
 	// machine fails traffic over to the spare rail when a link goes
-	// down. Off by default — single-rail runs are byte-identical to
-	// pre-dual-rail builds.
+	// down. Off by default.
 	DualRail bool
 	// MaxSDMARequest is the largest physically contiguous SDMA request
 	// the NIC accepts (10 KB on HFI1).

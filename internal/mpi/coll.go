@@ -134,14 +134,6 @@ func (c *Comm) allreduce(n uint64) error {
 	return c.bcast(0, n)
 }
 
-// Reduce combines n bytes at root.
-func (c *Comm) Reduce(root int, n uint64) error {
-	return c.timed("MPI_Reduce", func() error {
-		c.collSeq++
-		return c.reduceTree(c.collSeq, root, n)
-	})
-}
-
 func (c *Comm) reduceTree(seq uint64, root int, n uint64) error {
 	rel := (c.Rank - root + c.Size) % c.Size
 	// Receive from children (highest first), then send to parent.
@@ -169,53 +161,6 @@ func (c *Comm) reduceTree(seq uint64, root int, n uint64) error {
 		mask <<= 1
 	}
 	return nil
-}
-
-// Allreduce1 performs a real 8-byte sum Allreduce over an actual value,
-// used by correctness tests (non-synthetic mode only gives meaningful
-// payloads).
-func (c *Comm) Allreduce1(v uint64) (uint64, error) {
-	var out uint64
-	err := c.timed("MPI_Allreduce", func() error {
-		c.collSeq++
-		seq := c.collSeq
-		acc := v
-		if c.Size&(c.Size-1) != 0 {
-			return fmt.Errorf("mpi: Allreduce1 requires power-of-two size")
-		}
-		for round, mask := 0, 1; mask < c.Size; round, mask = round+1, mask*2 {
-			peer := c.Rank ^ mask
-			sendVA, err := c.stage(false, 0, 8)
-			if err != nil {
-				return err
-			}
-			recvVA, err := c.stage(true, 0, 8)
-			if err != nil {
-				return err
-			}
-			if err := c.writeU64s(sendVA, []uint64{acc}); err != nil {
-				return err
-			}
-			rr, err := c.EP.Irecv(c.P, peer, c.collTag(seq, round, 3), recvVA, 8)
-			if err != nil {
-				return err
-			}
-			if err := c.EP.Send(c.P, peer, c.collTag(seq, round, 3), sendVA, 8); err != nil {
-				return err
-			}
-			if err := c.EP.Wait(c.P, rr); err != nil {
-				return err
-			}
-			got, err := c.readU64s(recvVA, 1)
-			if err != nil {
-				return err
-			}
-			acc += got[0]
-		}
-		out = acc
-		return nil
-	})
-	return out, err
 }
 
 // Alltoallv exchanges per-peer amounts: sizes(peer) gives the bytes this
@@ -305,21 +250,5 @@ func (c *Comm) CartCreate(dims []int) error {
 		// bulk-synchronized by the final barrier.
 		c.Compute(time.Duration(c.Size) * 20 * time.Microsecond)
 		return c.barrier()
-	})
-}
-
-// Allgather gathers n bytes from every rank to every rank (ring).
-func (c *Comm) Allgather(n uint64) error {
-	return c.timed("MPI_Allgather", func() error {
-		c.collSeq++
-		seq := c.collSeq
-		for step := 1; step < c.Size; step++ {
-			dst := (c.Rank + step) % c.Size
-			src := (c.Rank - step + c.Size) % c.Size
-			if err := c.sendrecvStage(seq, step, dst, src, n, n); err != nil {
-				return err
-			}
-		}
-		return nil
 	})
 }

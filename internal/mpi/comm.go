@@ -1,12 +1,11 @@
 // Package mpi implements a small MPI-like runtime over PSM: rank worlds,
 // point-to-point operations, the collectives the paper's mini-apps
-// exercise (Barrier, Allreduce, Bcast, Alltoallv, Scan, Reduce,
+// exercise (Barrier, Allreduce, Bcast, Alltoallv, Scan,
 // Cart_create) and per-call time accounting equivalent to Intel MPI's
 // I_MPI_STATS, which is how Table 1 of the paper was produced.
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -147,32 +146,4 @@ func (c *Comm) stage(recv bool, off, n uint64) (uproc.VirtAddr, error) {
 		return c.recvBuf + uproc.VirtAddr(off), nil
 	}
 	return c.sendBuf + uproc.VirtAddr(off), nil
-}
-
-// writeU64s stores values into user memory (no-op payloads in synthetic
-// mode still move real header traffic).
-func (c *Comm) writeU64s(va uproc.VirtAddr, vals []uint64) error {
-	if c.EP.Synthetic {
-		return nil
-	}
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[i*8:], v)
-	}
-	return c.EP.OS.Proc().WriteAt(va, buf)
-}
-
-func (c *Comm) readU64s(va uproc.VirtAddr, n int) ([]uint64, error) {
-	if c.EP.Synthetic {
-		return make([]uint64, n), nil
-	}
-	buf := make([]byte, 8*n)
-	if err := c.EP.OS.Proc().ReadAt(va, buf); err != nil {
-		return nil, err
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(buf[i*8:])
-	}
-	return out, nil
 }

@@ -1,9 +1,9 @@
 // MPI-3 one-sided communication (RMA) over the verbs data path: windows
 // are registered memory regions exposed through an any-source RDMA
-// target QP, Put/Get are RDMA WRITE/READ work requests, and Fence drains
+// target QP, Put is an RDMA WRITE work request, and Fence drains
 // completions before a barrier. Window creation is pure control path —
-// the registration calls the MLX PicoDriver fast-paths — while Put/Get
-// never enter any kernel on any OS configuration.
+// the registration calls the MLX PicoDriver fast-paths — while Put
+// never enters any kernel on any OS configuration.
 package mpi
 
 import (
@@ -35,11 +35,11 @@ type rmaWorld struct {
 
 func newRMAWorld() *rmaWorld { return &rmaWorld{wins: make(map[winKey]winMeta)} }
 
-// peerSQ sizes the per-peer initiator send queues; Put/Get drain the CQ
+// peerSQ sizes the per-peer initiator send queues; Put drains the CQ
 // when this many operations are outstanding to one target.
 const peerSQ = 64
 
-// Win is one rank's view of an MPI-3 window. Origin buffers for Put/Get
+// Win is one rank's view of an MPI-3 window. Origin buffers for Put
 // are addressed as offsets into the rank's own window region (symmetric
 // windows), so a single registration covers both sides of every
 // transfer.
@@ -50,7 +50,7 @@ type Win struct {
 	size uint64
 
 	mr     *verbs.MR
-	target *verbs.QP // any-source QP peers WRITE/READ through
+	target *verbs.QP // any-source QP peers WRITE through
 
 	meta  []winMeta         // per-rank descriptors, indexed by rank
 	peers map[int]*verbs.QP // lazily connected initiator QPs
@@ -91,8 +91,7 @@ func (c *Comm) WinCreate(base uproc.VirtAddr, size uint64) (*Win, error) {
 		}
 		c.winSeq++
 		w.id = c.winSeq
-		if w.mr, err = u.RegMR(c.P, base, size,
-			mlx.AccessLocalWrite|mlx.AccessRemoteRead|mlx.AccessRemoteWrite); err != nil {
+		if w.mr, err = u.RegMR(c.P, base, size, mlx.AccessLocalWrite|mlx.AccessRemoteWrite); err != nil {
 			return err
 		}
 		if w.target, err = u.CreateQP(c.P, verbs.QPConfig{}); err != nil {
@@ -176,46 +175,33 @@ func (w *Win) drain(qp *verbs.QP, n int) error {
 	return nil
 }
 
-// post issues one RDMA work request toward a target rank.
-func (w *Win) post(target int, opcode uint32, localOff, targetOff, n uint64) error {
-	if localOff+n > w.size || targetOff+n > w.size {
-		return fmt.Errorf("mpi: RMA access [%d,+%d) outside window of %d bytes", targetOff, n, w.size)
-	}
-	qp, err := w.peer(target)
-	if err != nil {
-		return err
-	}
-	if w.out[qp] >= peerSQ {
-		if err := w.drain(qp, w.out[qp]); err != nil {
-			return err
-		}
-	}
-	w.wrid++
-	if err := qp.PostSend(w.c.P, &verbs.WQE{
-		Opcode: opcode, WRID: w.wrid,
-		LKey: w.mr.LKey, LAddr: uint64(w.base) + localOff, Len: n,
-		RKey: w.meta[target].rkey, RAddr: w.meta[target].base + targetOff,
-	}); err != nil {
-		return err
-	}
-	w.out[qp]++
-	return nil
-}
-
 // Put is MPI_Put: an RDMA WRITE of n bytes from this rank's window at
 // localOff into the target rank's window at targetOff. Completion is
 // deferred to the next Fence.
 func (w *Win) Put(target int, localOff, targetOff, n uint64) error {
 	return w.c.timed("MPI_Put", func() error {
-		return w.post(target, verbs.OpcodeWrite, localOff, targetOff, n)
-	})
-}
-
-// Get is MPI_Get: an RDMA READ from the target rank's window at
-// targetOff into this rank's window at localOff.
-func (w *Win) Get(target int, localOff, targetOff, n uint64) error {
-	return w.c.timed("MPI_Get", func() error {
-		return w.post(target, verbs.OpcodeRead, localOff, targetOff, n)
+		if localOff+n > w.size || targetOff+n > w.size {
+			return fmt.Errorf("mpi: RMA access [%d,+%d) outside window of %d bytes", targetOff, n, w.size)
+		}
+		qp, err := w.peer(target)
+		if err != nil {
+			return err
+		}
+		if w.out[qp] >= peerSQ {
+			if err := w.drain(qp, w.out[qp]); err != nil {
+				return err
+			}
+		}
+		w.wrid++
+		if err := qp.PostSend(w.c.P, &verbs.WQE{
+			Opcode: verbs.OpcodeWrite, WRID: w.wrid,
+			LKey: w.mr.LKey, LAddr: uint64(w.base) + localOff, Len: n,
+			RKey: w.meta[target].rkey, RAddr: w.meta[target].base + targetOff,
+		}); err != nil {
+			return err
+		}
+		w.out[qp]++
+		return nil
 	})
 }
 

@@ -26,18 +26,6 @@ const (
 	congCleanChunks = 16
 )
 
-// CongStats counts congestion-response activity. Like FailoverStats it
-// is a separate struct from Stats, which participates byte-for-byte in
-// simtest trace digests that must stay identical on congestion-off runs.
-type CongStats struct {
-	EcnSeen    uint64 // ECN-marked header entries observed
-	CnpsSent   uint64 // congestion-notification packets sent
-	CnpsRcvd   uint64 // CNPs received (multiplicative decrease events)
-	Backoffs   uint64 // window halvings (window was above the floor)
-	Increases  uint64 // additive window increases
-	PaceSleeps uint64 // inter-burst pacing gaps inserted
-}
-
 // congCtl is the per-peer AIMD window.
 type congCtl struct {
 	window int // chunks per burst, in [1, congMaxWindow]
@@ -66,7 +54,7 @@ func (ep *Endpoint) congObserve(src int, op uint32, ecn bool) {
 	if !ep.congEnabled || !ecn || op == OpCnp {
 		return
 	}
-	ep.CongStats.EcnSeen++
+	ep.Stats.EcnSeen++
 	if pe := ep.peerOf(src); !pe.cnpOwed {
 		pe.cnpOwed = true
 		ep.cnpOwed = append(ep.cnpOwed, src)
@@ -79,7 +67,7 @@ func (ep *Endpoint) congBackoff(peer int) {
 	if !ep.congEnabled {
 		return
 	}
-	ep.CongStats.CnpsRcvd++
+	ep.Stats.CnpsRcvd++
 	pe := ep.peerOf(peer)
 	if pe.cong == nil {
 		pe.cong = &congCtl{window: congMaxWindow}
@@ -87,7 +75,7 @@ func (ep *Endpoint) congBackoff(peer int) {
 	cc := pe.cong
 	if cc.window > 1 {
 		cc.window /= 2
-		ep.CongStats.Backoffs++
+		ep.Stats.Backoffs++
 	}
 	cc.clean = 0
 	cc.burst = 0
@@ -108,7 +96,7 @@ func (ep *Endpoint) congPace(p *sim.Proc, peer int, chunkBytes uint64) {
 	if cc.clean >= congCleanChunks {
 		cc.clean = 0
 		cc.window++
-		ep.CongStats.Increases++
+		ep.Stats.Increases++
 		if cc.window >= congMaxWindow {
 			cc.burst = 0
 			return
@@ -120,7 +108,7 @@ func (ep *Endpoint) congPace(p *sim.Proc, peer int, chunkBytes uint64) {
 	cc.burst = 0
 	gap := time.Duration(congMaxWindow-cc.window) * ep.nic.Params().WireTime(chunkBytes)
 	if gap > 0 {
-		ep.CongStats.PaceSleeps++
+		ep.Stats.PaceSleeps++
 		p.Sleep(gap)
 	}
 }
@@ -138,13 +126,13 @@ func (ep *Endpoint) congPreSDMA(p *sim.Proc, peer int, bytes uint64) {
 	wire := ep.nic.Params().WireTime(bytes)
 	gap := wire * time.Duration(congMaxWindow-cc.window) / congMaxWindow
 	if gap > 0 {
-		ep.CongStats.PaceSleeps++
+		ep.Stats.PaceSleeps++
 		p.Sleep(gap)
 		cc.clean += int(bytes / ep.nic.Params().EagerChunk)
 		if cc.clean >= congCleanChunks {
 			cc.clean = 0
 			cc.window++
-			ep.CongStats.Increases++
+			ep.Stats.Increases++
 		}
 	}
 }

@@ -20,14 +20,6 @@ type Endpoint struct {
 	Book      AddressBook
 	Stats     Stats
 
-	// FailoverStats counts health-machine activity (see health.go). It
-	// is kept out of Stats so no-fault trace digests stay byte-stable.
-	FailoverStats FailoverStats
-
-	// CongStats counts congestion-response activity (see congestion.go);
-	// kept out of Stats for the same digest-stability reason.
-	CongStats CongStats
-
 	fd     Handle
 	CtxID  int
 	nic    *hfi.NIC

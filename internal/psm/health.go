@@ -82,18 +82,6 @@ const (
 	healthTrialWindow = 400 * time.Microsecond
 )
 
-// FailoverStats counts health-machine activity. It is deliberately a
-// separate struct from Stats: Stats participates byte-for-byte in
-// simtest trace digests, which must stay identical on no-fault runs.
-type FailoverStats struct {
-	SDMAStrikes  uint64 // SDMA error completions observed
-	LinkStrikes  uint64 // retransmit timeouts that hit a down link
-	Failovers    uint64 // healthy/degraded → failed-over transitions
-	Fallbacks    uint64 // recovering → healthy transitions
-	RailSwitches uint64 // per-peer rail reroutes (either direction)
-	Freezes      uint64 // retry-budget charges suppressed while down
-}
-
 // healthMachine is the state machine itself, owned by one endpoint.
 type healthMachine struct {
 	retryTimer // deadline of the next self-transition (no rto, no budget)
@@ -102,15 +90,6 @@ type healthMachine struct {
 	cause      failCause
 	strikes    int
 	peer       int // peer node of the last link failover
-}
-
-// Health returns the endpoint's current health state (HealthHealthy on
-// a loss-free fabric, where no machine exists).
-func (ep *Endpoint) Health() HealthState {
-	if ep.health == nil {
-		return HealthHealthy
-	}
-	return ep.health.state
 }
 
 // avoidSDMA reports whether eager transfers should bypass the SDMA
@@ -131,7 +110,7 @@ func (h *healthMachine) sdmaStrike() {
 	if h == nil {
 		return
 	}
-	h.ep.FailoverStats.SDMAStrikes++
+	h.ep.Stats.SDMAStrikes++
 	switch h.state {
 	case HealthHealthy:
 		h.state = HealthDegraded
@@ -163,7 +142,7 @@ func (h *healthMachine) linkStrike(peerNode int) bool {
 	if h == nil {
 		return false
 	}
-	h.ep.FailoverStats.LinkStrikes++
+	h.ep.Stats.LinkStrikes++
 	nic := h.ep.nic
 	if !nic.Dual() {
 		return false
@@ -173,7 +152,7 @@ func (h *healthMachine) linkStrike(peerNode int) bool {
 		return false
 	}
 	nic.SetRail(peerNode, spare)
-	h.ep.FailoverStats.RailSwitches++
+	h.ep.Stats.RailSwitches++
 	h.failOver(causeLink, peerNode)
 	return true
 }
@@ -182,7 +161,7 @@ func (h *healthMachine) linkStrike(peerNode int) bool {
 // and arms the recovery probe.
 func (h *healthMachine) failOver(cause failCause, peerNode int) {
 	if h.state != HealthFailedOver {
-		h.ep.FailoverStats.Failovers++
+		h.ep.Stats.Failovers++
 		h.ep.span("failover", h.ep.eng.Now(), 0)
 	}
 	h.state = HealthFailedOver
@@ -209,7 +188,7 @@ func (h *healthMachine) fire(now time.Duration) {
 			// the striking peer is back up.
 			if h.ep.nic.TxRail(h.peer) != 0 && !h.ep.nic.RailDown(0, h.peer) {
 				h.ep.nic.SetRail(h.peer, 0)
-				h.ep.FailoverStats.RailSwitches++
+				h.ep.Stats.RailSwitches++
 				h.beginTrial()
 			} else if h.ep.nic.TxRail(h.peer) == 0 {
 				// Already back on the preferred rail (double failover).
@@ -229,7 +208,7 @@ func (h *healthMachine) fire(now time.Duration) {
 		// Clean trial window: recovered.
 		h.state = HealthHealthy
 		h.cause = causeNone
-		h.ep.FailoverStats.Fallbacks++
+		h.ep.Stats.Fallbacks++
 		h.ep.span("fallback", now, 0)
 	case HealthDegraded:
 		// Strike decay without reaching the limit.

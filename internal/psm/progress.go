@@ -67,7 +67,7 @@ func (ep *Endpoint) Progress(p *sim.Proc) (bool, error) {
 		sort.Ints(ep.cnpOwed)
 		for _, rank := range ep.cnpOwed {
 			ep.peers[rank].cnpOwed = false
-			ep.CongStats.CnpsSent++
+			ep.Stats.CnpsSent++
 			if err := ep.sendCtl(p, rank, OpCnp, 0); err != nil {
 				return made, err
 			}

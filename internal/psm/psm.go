@@ -146,6 +146,24 @@ type Stats struct {
 	AcksSent    uint64
 	NaksSent    uint64
 	MsgResends  uint64 // message-level recoveries (eager replay, re-CTS)
+
+	// Congestion-response counters (all zero unless the fabric runs
+	// congestion control; see congestion.go).
+	EcnSeen    uint64 // ECN-marked header entries observed
+	CnpsSent   uint64 // congestion-notification packets sent
+	CnpsRcvd   uint64 // CNPs received (multiplicative decrease events)
+	Backoffs   uint64 // window halvings (window was above the floor)
+	Increases  uint64 // additive window increases
+	PaceSleeps uint64 // inter-burst pacing gaps inserted
+
+	// Health-machine counters (all zero on a loss-free fabric; see
+	// health.go).
+	SDMAStrikes  uint64 // SDMA error completions observed
+	LinkStrikes  uint64 // retransmit timeouts that hit a down link
+	Failovers    uint64 // healthy/degraded → failed-over transitions
+	Fallbacks    uint64 // recovering → healthy transitions
+	RailSwitches uint64 // per-peer rail reroutes (either direction)
+	Freezes      uint64 // retry-budget charges suppressed while down
 }
 
 // RetryBudgetError is the typed terminal error surfaced when a flow or

@@ -27,8 +27,7 @@ import (
 //     expected data stalls (the sender then re-submits that window).
 //
 // On a loss-free fabric none of this state exists and sendFlowPkt
-// degenerates to a plain PIO send, byte-identical to the pre-
-// reliability protocol.
+// degenerates to a plain PIO send.
 
 // ackWireBytes is the modeled wire size of ACK/NAK/FIN control packets.
 const ackWireBytes = 8
@@ -535,7 +534,7 @@ func (ep *Endpoint) expire(p *sim.Proc, now time.Duration, r *recovery) error {
 				return err
 			}
 		} else {
-			ep.FailoverStats.Freezes++
+			ep.Stats.Freezes++
 		}
 		r.wait(p.Now())
 		return nil

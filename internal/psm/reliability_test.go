@@ -39,7 +39,6 @@ func pattern(tag, size uint64) []byte {
 
 type lossyResult struct {
 	stats  [2]psm.Stats
-	fail   [2]psm.FailoverStats
 	fstats fabric.FaultStats
 	now    time.Duration
 }
@@ -116,7 +115,6 @@ func runLossyTransfersOn(t *testing.T, fp fabric.FaultProfile, pr model.Params, 
 	for i, ep := range eps {
 		if ep != nil {
 			res.stats[i] = ep.Stats
-			res.fail[i] = ep.FailoverStats
 		}
 	}
 	return res
@@ -363,11 +361,11 @@ func TestEagerSDMAErrorFailsOver(t *testing.T) {
 	if res.stats[0].SendsEagerSDMA == 0 {
 		t.Fatalf("no eager-SDMA sends attempted: %+v", res.stats[0])
 	}
-	if res.fail[0].SDMAStrikes == 0 {
-		t.Fatalf("no SDMA strikes recorded: %+v", res.fail[0])
+	if res.stats[0].SDMAStrikes == 0 {
+		t.Fatalf("no SDMA strikes recorded: %+v", res.stats[0])
 	}
-	if res.fail[0].Failovers == 0 {
-		t.Fatalf("health machine never failed over: %+v", res.fail[0])
+	if res.stats[0].Failovers == 0 {
+		t.Fatalf("health machine never failed over: %+v", res.stats[0])
 	}
 }
 
@@ -411,8 +409,8 @@ func TestLinkDownFreezesRetryBudget(t *testing.T) {
 	} {
 		t.Run(tc.what, func(t *testing.T) {
 			res := runLossyTransfers(t, fp, []uint64{tc.size}, 1)
-			if res.fail[0].Freezes == 0 {
-				t.Fatalf("budget never frozen during outage: %+v", res.fail[0])
+			if res.stats[0].Freezes == 0 {
+				t.Fatalf("budget never frozen during outage: %+v", res.stats[0])
 			}
 			if got := res.stats[0].Timeouts; got >= uint64(pr.PSMMaxRetries) {
 				t.Fatalf("outage burned %d timeouts against a budget of %d", got, pr.PSMMaxRetries)
@@ -439,7 +437,7 @@ func TestDualRailFailover(t *testing.T) {
 		Seed: 17,
 	}
 	res := runLossyTransfersOn(t, fp, pr, []uint64{4 << 10, 32 << 10}, 3)
-	f := res.fail[0]
+	f := res.stats[0]
 	if f.LinkStrikes == 0 {
 		t.Fatalf("no link strikes recorded: %+v", f)
 	}

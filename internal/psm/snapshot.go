@@ -15,11 +15,7 @@ import (
 // unregistered by Close, so a snapshot taken after an endpoint teardown
 // matches one taken by a replay that also tore it down.
 func (ep *Endpoint) EncodeState(e *snapshot.Enc) {
-	s := &ep.Stats
-	e.Printf("stats pio=%d sdma=%d rdv=%d local=%d recvs=%d sent=%d recvd=%d unexp=%d writevs=%d tidioctls=%d rexmit=%d timeouts=%d acks=%d naks=%d msgresends=%d\n",
-		s.SendsPIO, s.SendsEagerSDMA, s.SendsRdv, s.SendsLocal, s.Recvs,
-		s.BytesSent, s.BytesRecv, s.Unexpected, s.Writevs, s.TIDIoctls,
-		s.Retransmits, s.Timeouts, s.AcksSent, s.NaksSent, s.MsgResends)
+	e.Printf("stats %+v\n", ep.Stats)
 	e.Printf("cursors hdrq=%d eager=%d cq=%d nextmsg=%d nextcomp=%d closed=%v\n",
 		ep.hdrqTail, ep.eagerTail, ep.cqTail, ep.nextMsgSeq, ep.nextCompSeq, ep.closed)
 
@@ -85,15 +81,7 @@ func (ep *Endpoint) EncodeState(e *snapshot.Enc) {
 			e.Printf("peer=%d owed ack=%v cnp=%v\n", rank, pe.ackOwed, pe.cnpOwed)
 		}
 	}
-	if ep.congEnabled {
-		cs := &ep.CongStats
-		e.Printf("congstats ecn=%d cnptx=%d cnprx=%d backoffs=%d increases=%d paces=%d\n",
-			cs.EcnSeen, cs.CnpsSent, cs.CnpsRcvd, cs.Backoffs, cs.Increases, cs.PaceSleeps)
-	}
 
-	if !ep.reliable {
-		return
-	}
 	tkeys := make([]mtKey, 0, len(ep.msgTimers))
 	for k := range ep.msgTimers {
 		tkeys = append(tkeys, k)
@@ -105,12 +93,10 @@ func (ep *Endpoint) EncodeState(e *snapshot.Enc) {
 		encodeTimer(e, &mt.retryTimer)
 	}
 	e.Printf("completed msgs=%d fifo=%d\n", len(ep.completedMsgs), len(ep.completedFIFO))
+	// Only an endpoint on a lossy fabric has a health machine.
 	if h := ep.health; h != nil {
 		e.Printf("health state=%d cause=%d strikes=%d peer=%d ", h.state, h.cause, h.strikes, h.peer)
 		encodeTimer(e, &h.retryTimer)
-		fs := &ep.FailoverStats
-		e.Printf("failover sdmastrikes=%d linkstrikes=%d failovers=%d fallbacks=%d railswitches=%d freezes=%d\n",
-			fs.SDMAStrikes, fs.LinkStrikes, fs.Failovers, fs.Fallbacks, fs.RailSwitches, fs.Freezes)
 	}
 }
 

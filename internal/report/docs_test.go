@@ -1,0 +1,124 @@
+package report
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// docFiles are the prose documents whose references must resolve. For
+// ROADMAP.md only the open items count: its history names what earlier
+// changes deleted.
+var docFiles = []string{
+	"README.md", "EXPERIMENTS.md", "DESIGN.md", "ROADMAP.md",
+	filepath.Join(".claude", "skills", "verify", "SKILL.md"),
+}
+
+var (
+	backtickRE = regexp.MustCompile("`[^`\n]+`")
+	makeRE     = regexp.MustCompile(`(?:^|\s)make\s+([A-Za-z][\w-]*)`)
+	// A repo path starts a word (or follows "./") and ends on a name
+	// character, which drops ":line" suffixes and trailing punctuation.
+	pathRE     = regexp.MustCompile(`(?:^|[^\w./-]|\./)((?:cmd|internal|artifacts)/[\w./*-]*[\w*])`)
+	testNameRE = regexp.MustCompile(`\b(?:Test|Benchmark)[A-Z0-9_]\w*`)
+	testDeclRE = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	targetRE   = regexp.MustCompile(`(?m)^([A-Za-z][\w-]*):`)
+)
+
+// TestDocReferencesResolve checks the docs against the tree: every
+// backticked `make X` is a Makefile target, every cmd/, internal/ and
+// artifacts/ path exists unless the word "new" precedes it (a proposed
+// file), and every Test…/Benchmark… named is declared in some Go file.
+// A deletion or rename that leaves a reference behind fails here.
+func TestDocReferencesResolve(t *testing.T) {
+	root := filepath.Join("..", "..")
+	mk, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range targetRE.FindAllStringSubmatch(string(mk), -1) {
+		targets[m[1]] = true
+	}
+	declared := map[string]bool{}
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testDeclRE.FindAllStringSubmatch(string(src), -1) {
+			declared[m[1]] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, doc := range docFiles {
+		raw, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(raw)
+		if doc == "ROADMAP.md" {
+			text = openItems(text)
+		}
+		off := 0 // of line within text
+		for i, line := range strings.Split(text, "\n") {
+			where := func(format string, args ...any) {
+				t.Errorf("%s:%d: "+format, append([]any{doc, i + 1}, args...)...)
+			}
+			for _, span := range backtickRE.FindAllString(line, -1) {
+				for _, m := range makeRE.FindAllStringSubmatch(strings.Trim(span, "`"), -1) {
+					if !targets[m[1]] {
+						where("`make %s` names no Makefile target", m[1])
+					}
+				}
+			}
+			for _, m := range pathRE.FindAllStringSubmatchIndex(line, -1) {
+				path := line[m[2]:m[3]]
+				if proposed(text[:off+m[2]]) {
+					continue
+				}
+				if hits, _ := filepath.Glob(filepath.Join(root, path)); len(hits) == 0 {
+					where("path %s does not exist", path)
+				}
+			}
+			for _, name := range testNameRE.FindAllString(line, -1) {
+				if !declared[name] {
+					where("%s is declared nowhere in the tree", name)
+				}
+			}
+			off += len(line) + 1
+		}
+	}
+}
+
+// openItems returns ROADMAP.md from its "## Open items" heading up to
+// the next second-level heading, blanking everything else so line
+// numbers still match the file.
+func openItems(roadmap string) string {
+	lines := strings.Split(roadmap, "\n")
+	in := false
+	for i, l := range lines {
+		if strings.HasPrefix(l, "## ") {
+			in = l == "## Open items"
+		}
+		if !in {
+			lines[i] = ""
+		}
+	}
+	return strings.Join(lines, "\n")
+}
+
+// proposed reports whether the text before a path ends in the word
+// "new" (the path may open a backtick span or start the next line), the
+// way a plan names a file it will create.
+func proposed(before string) bool {
+	before = strings.TrimRight(strings.TrimSuffix(before, "`"), " \n")
+	return strings.HasSuffix(before, " new") || strings.HasSuffix(before, "\nnew")
+}

@@ -86,17 +86,6 @@ type JobReport struct {
 	GoodputMBps float64
 }
 
-// TenantReport aggregates the jobs of one tenant.
-type TenantReport struct {
-	Tenant      string
-	Jobs        int
-	BytesSent   uint64
-	GoodputMBps float64
-	// Elapsed is the latest job completion minus the earliest job
-	// arrival: the tenant's makespan.
-	Elapsed time.Duration
-}
-
 // Scheduler queues jobs against one shared cluster.
 type Scheduler struct {
 	cl   *cluster.Cluster
@@ -211,7 +200,7 @@ func (s *Scheduler) Run() ([]JobReport, error) {
 		}
 		for _, c := range handles[i].Comms() {
 			rep.BytesSent += c.EP.Stats.BytesSent
-			rep.CongBackoffs += c.EP.CongStats.Backoffs
+			rep.CongBackoffs += c.EP.Stats.Backoffs
 		}
 		if res.Elapsed > 0 {
 			rep.GoodputMBps = float64(rep.BytesSent) / 1e6 / res.Elapsed.Seconds()
@@ -219,44 +208,4 @@ func (s *Scheduler) Run() ([]JobReport, error) {
 		reports[i] = rep
 	}
 	return reports, nil
-}
-
-// ByTenant folds job reports into per-tenant aggregates, ordered by
-// tenant name.
-func ByTenant(reports []JobReport) []TenantReport {
-	byName := map[string]*TenantReport{}
-	type window struct{ lo, hi time.Duration }
-	spans := map[string]*window{}
-	for _, r := range reports {
-		tr, ok := byName[r.Tenant]
-		if !ok {
-			tr = &TenantReport{Tenant: r.Tenant}
-			byName[r.Tenant] = tr
-			spans[r.Tenant] = &window{lo: r.Arrival, hi: r.Arrival + r.Res.WallTime}
-		}
-		tr.Jobs++
-		tr.BytesSent += r.BytesSent
-		w := spans[r.Tenant]
-		if r.Arrival < w.lo {
-			w.lo = r.Arrival
-		}
-		if end := r.Arrival + r.Res.WallTime; end > w.hi {
-			w.hi = end
-		}
-	}
-	names := make([]string, 0, len(byName))
-	for n := range byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]TenantReport, 0, len(names))
-	for _, n := range names {
-		tr := byName[n]
-		tr.Elapsed = spans[n].hi - spans[n].lo
-		if tr.Elapsed > 0 {
-			tr.GoodputMBps = float64(tr.BytesSent) / 1e6 / tr.Elapsed.Seconds()
-		}
-		out = append(out, *tr)
-	}
-	return out
 }

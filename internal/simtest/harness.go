@@ -345,14 +345,15 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 }
 
 // traceDigest folds the observable trace of a run — final virtual
-// time, per-node NIC counters, per-rank PSM statistics, per-message
-// payload checksums and the serialized span trace — into a short
-// stable digest. Two executions of the same workload must agree on
+// time, fabric fault and congestion counters, per-node NIC counters,
+// per-rank PSM statistics, per-message payload checksums and the
+// serialized span trace — into a short stable digest. Two executions of the same workload must agree on
 // every one of these.
 func traceDigest(cl *cluster.Cluster, eps []*psm.Endpoint, sums [][]byte, rec *trace.Recorder) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "vt=%d\n", cl.Now())
 	fmt.Fprintf(h, "faults %+v\n", cl.Fab.FaultStats())
+	fmt.Fprintf(h, "cong %+v\n", cl.Fab.CongStats())
 	for _, n := range cl.Nodes {
 		fmt.Fprintf(h, "node%d rx=%d sdma=%d full=%d irq=%d tx=%d tidp=%d tidc=%d crc=%d stale=%d sdmaerr=%d\n",
 			n.ID, n.NIC.RxPackets, n.NIC.SDMARequests, n.NIC.SDMAFullSize,

@@ -122,15 +122,6 @@ func (l Layout) DirectMapVirt(pa mem.PhysAddr) VirtAddr {
 	return l.DirectMap.Start + VirtAddr(pa)
 }
 
-// DirectMapPhys inverts DirectMapVirt. The second result is false when va
-// is outside the direct map.
-func (l Layout) DirectMapPhys(va VirtAddr) (mem.PhysAddr, bool) {
-	if !l.DirectMap.Contains(va) {
-		return 0, false
-	}
-	return mem.PhysAddr(va - l.DirectMap.Start), true
-}
-
 // UnificationError describes why two layouts cannot cooperate.
 type UnificationError struct{ Reason string }
 
@@ -200,23 +191,8 @@ func (a *RangeAllocator) Reserve(size uint64) (Range, error) {
 	return r, nil
 }
 
-// ReserveAt claims a specific range, failing on overlap or if outside the
-// window.
-func (a *RangeAllocator) ReserveAt(r Range) error {
-	if r.Start < a.window.Start || r.End() > a.window.End() {
-		return fmt.Errorf("vas: range %#x+%#x outside window", r.Start, r.Size)
-	}
-	for _, u := range a.used {
-		if u.Overlaps(r) {
-			return fmt.Errorf("vas: range %#x+%#x overlaps reservation at %#x", r.Start, r.Size, u.Start)
-		}
-	}
-	a.insert(r)
-	return nil
-}
-
-// Release returns a reservation. The range must match a prior Reserve or
-// ReserveAt exactly.
+// Release returns a reservation. The range must match a prior Reserve
+// exactly.
 func (a *RangeAllocator) Release(r Range) error {
 	for i, u := range a.used {
 		if u == r {

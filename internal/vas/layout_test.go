@@ -58,21 +58,6 @@ func TestUnifiedLayoutSatisfiesRequirements(t *testing.T) {
 	}
 }
 
-func TestDirectMapRoundTrip(t *testing.T) {
-	l := LinuxLayout()
-	va := l.DirectMapVirt(0x40000000)
-	pa, ok := l.DirectMapPhys(va)
-	if !ok || pa != 0x40000000 {
-		t.Fatalf("round trip = %#x ok=%v", pa, ok)
-	}
-	if _, ok := l.DirectMapPhys(0x1000); ok {
-		t.Fatal("user address accepted as direct map")
-	}
-	if _, ok := l.DirectMapPhys(l.Image.Start); ok {
-		t.Fatal("image address accepted as direct map")
-	}
-}
-
 func TestRangeAllocatorBasic(t *testing.T) {
 	w := Range{Start: 0xFFFFFFFFA0000000, Size: 1 << 20}
 	a := NewRangeAllocator(w, pagetable.Size4K, 0)
@@ -121,31 +106,6 @@ func TestRangeAllocatorExhaustion(t *testing.T) {
 	}
 	if _, err := a.Reserve(0x1000); err == nil {
 		t.Fatal("reservation from full window accepted")
-	}
-}
-
-func TestReserveAt(t *testing.T) {
-	w := Range{Start: 0x1000000, Size: 1 << 20}
-	a := NewRangeAllocator(w, pagetable.Size4K, 0)
-	fixed := Range{Start: 0x1008000, Size: 0x2000}
-	if err := a.ReserveAt(fixed); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.ReserveAt(fixed); err == nil {
-		t.Fatal("double ReserveAt accepted")
-	}
-	if err := a.ReserveAt(Range{Start: 0x900000, Size: 0x1000}); err == nil {
-		t.Fatal("out-of-window ReserveAt accepted")
-	}
-	// Dynamic reservations flow around the fixed one.
-	for i := 0; i < 10; i++ {
-		r, err := a.Reserve(0x3000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Overlaps(fixed) {
-			t.Fatal("dynamic reservation overlaps fixed one")
-		}
 	}
 }
 
