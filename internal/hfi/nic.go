@@ -78,6 +78,10 @@ type Context struct {
 	HdrqEntries int
 	EagerSlots  int
 	CQEntries   int
+	// TIDCount is the context's RcvArray size. tids grows on demand up
+	// to the highest index ever programmed; an index beyond it reads as
+	// an entry never programmed.
+	TIDCount int
 
 	tids []tidEntry
 	// Notify is signaled whenever the NIC or the completion path posts
@@ -292,8 +296,8 @@ func (n *NIC) AllocContext(id int, statusPA, hdrqPA, eagerPA, cqPA mem.PhysAddr,
 	ctx := &Context{
 		ID: id, StatusPA: statusPA, HdrqPA: hdrqPA, EagerPA: eagerPA, CQPA: cqPA,
 		HdrqEntries: hdrqEntries, EagerSlots: eagerSlots, CQEntries: cqEntries,
-		tids:   make([]tidEntry, tidCount),
-		Notify: sim.NewCond(n.e),
+		TIDCount: tidCount,
+		Notify:   sim.NewCond(n.e),
 	}
 	n.contexts[id] = ctx
 	return ctx, nil
@@ -317,8 +321,11 @@ func (n *NIC) ProgramTID(ctxID, idx int, ext mem.Extent) (uint32, error) {
 	if !ok {
 		return 0, fmt.Errorf("hfi: no context %d", ctxID)
 	}
-	if idx < 0 || idx >= len(ctx.tids) {
+	if idx < 0 || idx >= ctx.TIDCount {
 		return 0, fmt.Errorf("hfi: TID index %d out of range", idx)
+	}
+	if idx >= len(ctx.tids) {
+		ctx.tids = append(ctx.tids, make([]tidEntry, idx+1-len(ctx.tids))...)
 	}
 	if ctx.tids[idx].valid {
 		return 0, fmt.Errorf("hfi: TID %d already programmed", idx)

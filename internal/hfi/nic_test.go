@@ -2,6 +2,7 @@ package hfi
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -231,8 +232,17 @@ func TestNICTIDManagement(t *testing.T) {
 	if _, err := r.nic[0].ProgramTID(0, 5, ext); err == nil {
 		t.Fatal("double programming accepted")
 	}
-	if _, err := r.nic[0].ProgramTID(0, 4096, ext); err == nil {
+	// The rig's contexts have 128 entries; tids has grown to index 5.
+	if _, err := r.nic[0].ProgramTID(0, 128, ext); err == nil {
 		t.Fatal("out-of-range index accepted")
+	}
+	for _, idx := range []int{3, 100, 127} {
+		if err := r.nic[0].ClearTID(0, idx); err == nil {
+			t.Fatalf("clearing never-programmed TID %d accepted", idx)
+		}
+	}
+	if _, err := r.nic[0].ProgramTID(0, 127, ext); err != nil {
+		t.Fatalf("last index: %v", err)
 	}
 	if err := r.nic[0].ClearTID(0, 5); err != nil {
 		t.Fatal(err)
@@ -254,6 +264,35 @@ func TestNICTIDManagement(t *testing.T) {
 	}
 	if idx, g := UnpackTID(PackTID(5, gen2)); idx != 5 || g != gen2 {
 		t.Fatalf("pack/unpack mismatch: %d/%d", idx, g)
+	}
+}
+
+// TestAllocContextFootprint: a context's RcvArray grows with the indices
+// programmed, so opening a context costs the same whatever its size.
+func TestAllocContextFootprint(t *testing.T) {
+	r := newNICRig(t)
+	n := r.nic[1]
+	bytesPerOpen := func(tids int) uint64 {
+		open := func() {
+			if _, err := n.AllocContext(1, r.status[1], r.hdrq[1], r.eager[1], r.cq[1], 64, 64, 64, tids); err != nil {
+				t.Fatal(err)
+			}
+			n.FreeContext(1)
+		}
+		open()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 100
+		for range runs {
+			open()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	// The tolerance absorbs runtime noise; an RcvArray allocated up front
+	// would add 32 bytes per entry.
+	if small, full := bytesPerOpen(64), bytesPerOpen(TIDsPerContext); full > small+512 {
+		t.Fatalf("AllocContext: %d bytes with %d TIDs, %d with 64", full, TIDsPerContext, small)
 	}
 }
 

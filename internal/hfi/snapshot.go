@@ -48,7 +48,7 @@ func (n *NIC) EncodeState(e *snapshot.Enc) {
 			uint64(ctx.HdrqPA), ctx.HdrqEntries,
 			uint64(ctx.EagerPA), ctx.EagerSlots,
 			uint64(ctx.CQPA), ctx.CQEntries,
-			len(ctx.tids), ctx.TIDsProgrammed, ctx.Notify.Waiting())
+			ctx.TIDCount, ctx.TIDsProgrammed, ctx.Notify.Waiting())
 		for idx, t := range ctx.tids {
 			// Generation survives a clear, so any touched entry is state
 			// even when invalid.

@@ -43,8 +43,8 @@ type Space struct {
 	// the next owned-CPU allocation (like a remote free queue).
 	deferredFrees []VirtAddr
 	caches        map[int]*cpuCache
-	objects       map[VirtAddr]allocRec
-	slabs         map[VirtAddr]*slab // by slab base VA
+	objects       map[VirtAddr]largeObj // allocations above every size class
+	slabs         map[VirtAddr]*slab    // by slab base VA
 
 	symbols  map[VirtAddr]*Symbol
 	nextText VirtAddr
@@ -58,17 +58,29 @@ type Space struct {
 	extScratch []mem.Extent
 }
 
-type allocRec struct {
-	size  uint64
-	class int // -1 for large (contiguous-extent) allocations
-	ext   mem.Extent
-	slab  VirtAddr
+// largeObj is an allocation too big for the size classes: its own
+// contiguous extent.
+type largeObj struct {
+	size   uint64
+	ext    mem.Extent
+	queued bool // a foreign-CPU free of it waits in deferredFrees
 }
 
+// slab is one slabBytes-aligned run of equal slots of one size class.
+// An object is found from its address alone: the slab by rounding down
+// to slabBytes, the slot by the offset.
 type slab struct {
-	ext  mem.Extent
-	live int
+	ext   mem.Extent
+	class int
+	live  int
+	// sizes holds each slot's requested size, 0 while the slot is free,
+	// with slotQueued set while its foreign-CPU free waits in
+	// deferredFrees.
+	sizes []uint16
 }
+
+// slotQueued flags a slab slot in slab.sizes; every class fits below it.
+const slotQueued = 1 << 15
 
 type cpuCache struct {
 	free map[int][]VirtAddr // per size class
@@ -92,7 +104,7 @@ func NewSpace(name string, layout vas.Layout, alloc *mem.Allocator, cpus []int) 
 		Alloc:   alloc,
 		cpus:    make(map[int]bool),
 		caches:  make(map[int]*cpuCache),
-		objects: make(map[VirtAddr]allocRec),
+		objects: make(map[VirtAddr]largeObj),
 		slabs:   make(map[VirtAddr]*slab),
 		symbols: make(map[VirtAddr]*Symbol),
 	}
@@ -147,7 +159,7 @@ func (s *Space) Kmalloc(size uint64, cpu int) (VirtAddr, error) {
 			return 0, err
 		}
 		va := s.Layout.DirectMapVirt(ext.Addr)
-		s.objects[va] = allocRec{size: size, class: -1, ext: ext}
+		s.objects[va] = largeObj{size: size, ext: ext}
 		return va, nil
 	}
 	cache := s.caches[cpu]
@@ -159,10 +171,9 @@ func (s *Space) Kmalloc(size uint64, cpu int) (VirtAddr, error) {
 	list := cache.free[cl]
 	va := list[len(list)-1]
 	cache.free[cl] = list[:len(list)-1]
-	rec := s.objects[va]
-	rec.size = size
-	s.objects[va] = rec
-	s.slabs[rec.slab].live++
+	sl, slot := s.slotOf(va)
+	sl.sizes[slot] = uint16(size)
+	sl.live++
 	return va, nil
 }
 
@@ -172,14 +183,31 @@ func (s *Space) refill(cache *cpuCache, cl int) error {
 		return err
 	}
 	base := s.Layout.DirectMapVirt(ext.Addr)
-	s.slabs[base] = &slab{ext: ext}
+	if base%slabBytes != 0 {
+		s.Alloc.FreeContig(ext)
+		return fmt.Errorf("kmem: %s: slab at %#x is not %d-byte aligned", s.Name, base, slabBytes)
+	}
 	chunk := classes[cl]
-	for off := uint64(0); off+chunk <= ext.Len; off += chunk {
-		va := base + VirtAddr(off)
-		s.objects[va] = allocRec{size: 0, class: cl, slab: base}
-		cache.free[cl] = append(cache.free[cl], va)
+	s.slabs[base] = &slab{ext: ext, class: cl, sizes: make([]uint16, slabBytes/chunk)}
+	for off := uint64(0); off < slabBytes; off += chunk {
+		cache.free[cl] = append(cache.free[cl], base+VirtAddr(off))
 	}
 	return nil
+}
+
+// slotOf returns the slab and slot index of the slot starting at va, or
+// a nil slab when no slot starts there.
+func (s *Space) slotOf(va VirtAddr) (*slab, int) {
+	base := va &^ (slabBytes - 1)
+	sl := s.slabs[base]
+	if sl == nil {
+		return nil, 0
+	}
+	off, chunk := uint64(va-base), classes[sl.class]
+	if off%chunk != 0 {
+		return nil, 0
+	}
+	return sl, int(off / chunk)
 }
 
 // Kfree releases an allocation. When called on a CPU this kernel does not
@@ -188,12 +216,19 @@ func (s *Space) refill(cache *cpuCache, cl int) error {
 // ForeignFreeCount); disabled, an error is returned — the failure mode
 // the unmodified McKernel allocator exhibits when SDMA completion
 // callbacks run on Linux CPUs.
+//
+// Freeing an object twice is an error, including while the first, foreign
+// free still waits in the queue.
 func (s *Space) Kfree(va VirtAddr, cpu int) error {
-	rec, ok := s.objects[va]
-	if !ok {
-		return fmt.Errorf("kmem: kfree of unknown object %#x", va)
+	obj, large := s.objects[va]
+	var sl *slab
+	var slot int
+	if !large {
+		if sl, slot = s.slotOf(va); sl == nil {
+			return fmt.Errorf("kmem: kfree of unknown object %#x", va)
+		}
 	}
-	if rec.class >= 0 && rec.size == 0 {
+	if obj.queued || !large && (sl.sizes[slot] == 0 || sl.sizes[slot]&slotQueued != 0) {
 		return fmt.Errorf("kmem: double free of %#x", va)
 	}
 	if !s.cpus[cpu] {
@@ -201,27 +236,31 @@ func (s *Space) Kfree(va VirtAddr, cpu int) error {
 			return fmt.Errorf("kmem: kfree on foreign CPU %d in %s (foreign free disabled)", cpu, s.Name)
 		}
 		s.ForeignFreeCount++
+		if large {
+			obj.queued = true
+			s.objects[va] = obj
+		} else {
+			sl.sizes[slot] |= slotQueued
+		}
 		s.deferredFrees = append(s.deferredFrees, va)
 		return nil
 	}
-	return s.freeLocal(va, rec, cpu)
+	s.release(va, cpu)
+	return nil
 }
 
-func (s *Space) freeLocal(va VirtAddr, rec allocRec, cpu int) error {
-	if rec.class == -1 {
-		s.Alloc.FreeContig(rec.ext)
+// release frees a live object on an owned CPU: a large one back to the
+// partition, a slab slot onto cpu's cache.
+func (s *Space) release(va VirtAddr, cpu int) {
+	if obj, ok := s.objects[va]; ok {
+		s.Alloc.FreeContig(obj.ext)
 		delete(s.objects, va)
-		return nil
+		return
 	}
-	sl := s.slabs[rec.slab]
-	if sl == nil || sl.live == 0 {
-		return fmt.Errorf("kmem: double free of %#x", va)
-	}
+	sl, slot := s.slotOf(va)
+	sl.sizes[slot] = 0
 	sl.live--
-	rec.size = 0
-	s.objects[va] = rec
-	s.caches[cpu].free[rec.class] = append(s.caches[cpu].free[rec.class], va)
-	return nil
+	s.caches[cpu].free[sl.class] = append(s.caches[cpu].free[sl.class], va)
 }
 
 // drainDeferred processes remote frees on an owned CPU.
@@ -234,11 +273,7 @@ func (s *Space) drainDeferred() {
 	// Route to an arbitrary owned CPU cache deterministically: lowest id.
 	cpu := s.lowestCPU()
 	for _, va := range pending {
-		rec, ok := s.objects[va]
-		if !ok {
-			continue
-		}
-		_ = s.freeLocal(va, rec, cpu)
+		s.release(va, cpu)
 	}
 }
 
@@ -255,11 +290,9 @@ func (s *Space) lowestCPU() int {
 // LiveObjects returns the number of outstanding allocations (excluding
 // cached free chunks).
 func (s *Space) LiveObjects() int {
-	n := 0
-	for _, rec := range s.objects {
-		if rec.class == -1 || rec.size > 0 {
-			n++
-		}
+	n := len(s.objects)
+	for _, sl := range s.slabs {
+		n += sl.live
 	}
 	return n - len(s.deferredFrees)
 }

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"sort"
 
+	"repro/internal/mem"
 	"repro/internal/pagetable"
 	"repro/internal/snapshot"
 )
@@ -25,22 +26,36 @@ func (s *Space) EncodeState(e *snapshot.Enc) {
 		s.PT.MappedBytes(pagetable.Size2M),
 		s.PT.MappedBytes(pagetable.Size1G))
 
-	vas := make([]VirtAddr, 0, len(s.objects))
-	for va := range s.objects {
-		vas = append(vas, va)
+	// One object line per large allocation and per slab slot, free slots
+	// included (size 0, class and slab set), in address order.
+	type object struct {
+		va, slab VirtAddr
+		size     uint64
+		class    int
+		ext      mem.Extent
 	}
-	sort.Slice(vas, func(i, j int) bool { return vas[i] < vas[j] })
-	for _, va := range vas {
-		rec := s.objects[va]
-		e.Printf("object va=%x size=%d class=%d ext=%x+%d slab=%x\n",
-			uint64(va), rec.size, rec.class, uint64(rec.ext.Addr), rec.ext.Len, uint64(rec.slab))
-	}
-
 	bases := make([]VirtAddr, 0, len(s.slabs))
 	for b := range s.slabs {
 		bases = append(bases, b)
 	}
 	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
+	objs := make([]object, 0, len(s.objects))
+	for va, o := range s.objects {
+		objs = append(objs, object{va: va, size: o.size, class: -1, ext: o.ext})
+	}
+	for _, b := range bases {
+		sl := s.slabs[b]
+		for i, size := range sl.sizes {
+			objs = append(objs, object{va: b + VirtAddr(uint64(i)*classes[sl.class]),
+				slab: b, size: uint64(size &^ slotQueued), class: sl.class})
+		}
+	}
+	sort.Slice(objs, func(i, j int) bool { return objs[i].va < objs[j].va })
+	for _, o := range objs {
+		e.Printf("object va=%x size=%d class=%d ext=%x+%d slab=%x\n",
+			uint64(o.va), o.size, o.class, uint64(o.ext.Addr), o.ext.Len, uint64(o.slab))
+	}
+
 	for _, b := range bases {
 		sl := s.slabs[b]
 		e.Printf("slab base=%x ext=%x+%d live=%d\n",

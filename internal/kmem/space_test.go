@@ -3,6 +3,8 @@ package kmem
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -272,8 +274,12 @@ func TestReadUnmappedVAFails(t *testing.T) {
 	}
 }
 
-// Property: interleaved kmalloc/kfree across CPUs never hands out
-// overlapping objects and LiveObjects stays consistent with an oracle.
+// Property: interleaved kmalloc, local and foreign kfree, double frees
+// and frees of interior pointers agree with an oracle at every step:
+// which calls fail, that no two live objects overlap, LiveObjects and
+// ForeignFreeCount. A foreign free stays queued, neither live nor
+// reusable and not freeable again, until the next kmalloc on an owned
+// CPU drains it.
 func TestKmallocProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		pm, err := mem.NewPhysMem(
@@ -286,38 +292,95 @@ func TestKmallocProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		s.EnableForeignFree()
+		const foreignCPU = 9
 		type obj struct {
 			va   VirtAddr
 			size uint64
 		}
 		var live []obj
+		var freed []VirtAddr // freed and not handed out since
+		queued := make(map[VirtAddr]bool)
+		foreignFrees := 0
 		for _, op := range ops {
 			cpu := int(op>>1) % 2
-			if op%3 == 0 && len(live) > 0 {
-				i := int(op) % len(live)
-				if err := s.Kfree(live[i].va, cpu); err != nil {
+			switch {
+			case op%3 == 0 && len(live) > 0:
+				i := int(op>>2) % len(live)
+				va := live[i].va
+				if op%5 == 0 {
+					cpu = foreignCPU
+					queued[va] = true
+					foreignFrees++
+				}
+				if s.Kfree(va, cpu) != nil {
 					return false
 				}
 				live = append(live[:i], live[i+1:]...)
-				continue
-			}
-			size := uint64(op%5000) + 1
-			va, err := s.Kmalloc(size, cpu)
-			if err != nil {
-				continue // exhaustion acceptable
-			}
-			for _, o := range live {
-				if va < o.va+VirtAddr(o.size) && o.va < va+VirtAddr(size) {
-					return false // overlap
+				freed = append(freed, va)
+			case op%3 == 1 && len(freed) > 0 && op&0x100 == 0:
+				if op%2 == 0 {
+					cpu = foreignCPU
 				}
+				if s.Kfree(freed[int(op>>2)%len(freed)], cpu) == nil {
+					return false // double free accepted
+				}
+			case op%3 == 1 && len(live) > 0:
+				if s.Kfree(live[int(op>>2)%len(live)].va+8, cpu) == nil {
+					return false // interior pointer accepted
+				}
+			default:
+				size := uint64(op%5000) + 1
+				va, err := s.Kmalloc(size, cpu)
+				clear(queued) // drained by the kmalloc, successful or not
+				if err != nil {
+					continue // exhaustion acceptable
+				}
+				for _, o := range live {
+					if va < o.va+VirtAddr(o.size) && o.va < va+VirtAddr(size) {
+						return false // overlap
+					}
+				}
+				live = append(live, obj{va, size})
+				freed = slices.DeleteFunc(freed, func(f VirtAddr) bool { return f == va })
 			}
-			live = append(live, obj{va, size})
+			if s.LiveObjects() != len(live) || s.ForeignFreeCount != foreignFrees {
+				return false
+			}
 		}
-		return s.LiveObjects() == len(live)
+		return true
 	}
 	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(23))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRefillFootprint pins what a slab costs to set up: one slab record
+// and its slot-size array, a few KB, not one map entry per slot.
+func TestRefillFootprint(t *testing.T) {
+	pm := node(t)
+	s := linuxSpace(t, pm)
+	cache := s.caches[0]
+	refill := func() {
+		if err := s.refill(cache, 0); err != nil {
+			t.Fatal(err)
+		}
+		cache.free[0] = cache.free[0][:0] // keep the free list's capacity
+	}
+	refill()
+	if got := testing.AllocsPerRun(50, refill); got != 2 {
+		t.Errorf("class-64 refill: %v allocations, want 2", got)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 50
+	for range runs {
+		refill()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 4<<10 {
+		t.Errorf("class-64 refill allocates %d bytes, want at most 4 KB", per)
 	}
 }
 

@@ -224,7 +224,8 @@ func (a *Allocator) AllocContig(size uint64, policy AllocPolicy) (Extent, error)
 // FreeContig returns an extent allocated with AllocContig.
 func (a *Allocator) FreeContig(e Extent) { a.pm.FreeContig(e) }
 
-// AllocRun allocates best-effort-contiguous pages from the partition.
+// AllocRun allocates best-effort-contiguous pages from the partition
+// (see allocRun).
 func (a *Allocator) AllocRun(npages int, policy AllocPolicy) ([]Extent, error) {
 	return a.pm.allocRun(npages, policy, a.owner)
 }
@@ -281,14 +282,10 @@ func (pm *PhysMem) FreeContig(e Extent) {
 	pm.dropFrames(e)
 }
 
-// AllocRun allocates npages 4K pages with best-effort contiguity: it
+// allocRun allocates npages 4K pages with best-effort contiguity: it
 // greedily carves the largest power-of-two blocks that still fit. This is
 // McKernel's anonymous-mapping backing strategy (§3.4): the result is a
 // small number of large extents whenever memory is not fragmented.
-func (pm *PhysMem) AllocRun(npages int, policy AllocPolicy) ([]Extent, error) {
-	return pm.allocRun(npages, policy, "")
-}
-
 func (pm *PhysMem) allocRun(npages int, policy AllocPolicy, owner string) ([]Extent, error) {
 	if npages <= 0 {
 		return nil, fmt.Errorf("mem: AllocRun of %d pages", npages)

@@ -95,7 +95,7 @@ func TestAllocRunContiguity(t *testing.T) {
 	// 600 pages from a fresh region: should produce very few extents
 	// (greedy power-of-two carving: 512+64+16+8 = 600 → ≤ 4 extents,
 	// possibly merged further).
-	exts, err := pm.AllocRun(600, PreferMCDRAM)
+	exts, err := pm.Partition("").AllocRun(600, PreferMCDRAM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestAllocRunRollbackOnFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := pm.Allocated(DDR4)
-	if _, err := pm.AllocRun(32, DDROnly); err == nil {
+	if _, err := pm.Partition("").AllocRun(32, DDROnly); err == nil {
 		t.Fatal("expected failure")
 	}
 	if pm.Allocated(DDR4) != before {
@@ -326,7 +326,7 @@ func TestAllocRunProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		exts, err := pm.AllocRun(npages, DDROnly)
+		exts, err := pm.Partition("").AllocRun(npages, DDROnly)
 		if err != nil {
 			return npages > (16<<20)/PageSize4K
 		}

@@ -240,7 +240,7 @@ func runPhysMemOps(t testing.TB, prog []byte) {
 				e, err = pm.AllocContig(PageSize4K<<(p.u8()%11), policy)
 				exts = []Extent{e}
 			case allocRun:
-				exts, err = pm.AllocRun(1+p.u16()%700, policy)
+				exts, err = pm.Partition("").AllocRun(1+p.u16()%700, policy)
 			case allocScattered:
 				exts, err = pm.AllocScattered(1+p.u16()%600, policy)
 			}

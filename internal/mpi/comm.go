@@ -74,13 +74,6 @@ func (c *Comm) Send(dst int, tag uint64, buf uproc.VirtAddr, n uint64) error {
 	})
 }
 
-// Recv is MPI_Recv.
-func (c *Comm) Recv(src int, tag uint64, buf uproc.VirtAddr, n uint64) error {
-	return c.timed("MPI_Recv", func() error {
-		return c.EP.Recv(c.P, src, tag, buf, n)
-	})
-}
-
 // Isend is MPI_Isend.
 func (c *Comm) Isend(dst int, tag uint64, buf uproc.VirtAddr, n uint64) (*psm.Request, error) {
 	var r *psm.Request

@@ -191,7 +191,11 @@ func TestJobResultFirstFailureWins(t *testing.T) {
 			return cause
 		}
 		c.P.Sleep(100 * time.Microsecond)
-		consequence = c.Recv(1, 7, buf, 16)
+		r, err := c.Irecv(1, 7, buf, 16)
+		if err == nil {
+			err = c.Wait(r)
+		}
+		consequence = err
 		return consequence
 	})
 	if consequence == nil {

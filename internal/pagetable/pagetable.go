@@ -57,22 +57,47 @@ const (
 	canonicalH = VirtAddr(0xffff800000000000)
 )
 
-// entry is one translation at some level. Leaf entries carry the physical
-// base; interior entries point at the next level table.
-type entry struct {
-	leaf  bool
-	pa    mem.PhysAddr
-	flags Flags
-	next  *table
+// pte is one leaf translation packed into a word the way x86 stores it:
+// the page's 4K-aligned physical address in bits 12–63, the Flags in
+// bits 1–8 (Writable and User land on x86's R/W and U/S bits) and the
+// leaf bit, x86's present bit, in bit 0. The zero pte maps nothing.
+type pte uint64
+
+const (
+	pteLeaf      pte = 1
+	pteFlagShift     = 1
+	pteAddrMask      = ^pte(offMask4K)
+)
+
+func leafPTE(pa mem.PhysAddr, flags Flags) pte {
+	return pte(pa) | pte(flags)<<pteFlagShift | pteLeaf
 }
 
-type table struct {
-	slots [entries]entry
+func (e pte) leaf() bool   { return e&pteLeaf != 0 }
+func (e pte) flags() Flags { return Flags(e >> pteFlagShift) }
+
+// at returns the physical address off bytes into the page.
+func (e pte) at(off uint64) mem.PhysAddr { return mem.PhysAddr(e&pteAddrMask) + mem.PhysAddr(off) }
+
+// pt is a last-level table: 512 packed entries and no pointers (4 KB,
+// never scanned by the garbage collector).
+type pt [entries]pte
+
+// pd and pdpt are the upper-level directories. A slot holds either a
+// large-page leaf in ptes or the table below it in next, never both.
+type pd struct {
+	ptes [entries]pte
+	next [entries]*pt
+}
+
+type pdpt struct {
+	ptes [entries]pte
+	next [entries]*pd
 }
 
 // Table is a four-level page table (one address space).
 type Table struct {
-	root *table
+	root [entries]*pdpt // the PML4: no leaves at this level
 	// mapped tracks the number of bytes currently mapped, per page size
 	// (idx4K, idx2M, idx1G).
 	mapped [3]uint64
@@ -87,7 +112,7 @@ const (
 
 // New returns an empty page table.
 func New() *Table {
-	return &Table{root: &table{}}
+	return &Table{}
 }
 
 // MappedBytes returns the number of mapped bytes using the given page
@@ -116,7 +141,7 @@ func (t *Table) Map(va VirtAddr, pa mem.PhysAddr, length uint64, flags Flags) er
 	if length == 0 {
 		return fmt.Errorf("pagetable: zero-length map")
 	}
-	if !va.Canonical() || !(va + VirtAddr(length-1)).Canonical() {
+	if last := va + VirtAddr(length-1); !va.Canonical() || !last.Canonical() || last < va {
 		return fmt.Errorf("pagetable: non-canonical range at %#x", va)
 	}
 	// Reject overlap first so failed maps leave no partial state. The
@@ -159,121 +184,116 @@ func (t *Table) MapExtents(va VirtAddr, exts []mem.Extent, flags Flags) error {
 	return nil
 }
 
+// mapOne installs one leaf. A large page replaces the (empty, as Map's
+// overlap check proved) table below its slot.
 func (t *Table) mapOne(va VirtAddr, pa mem.PhysAddr, pgsz uint64, flags Flags) {
-	l4 := &t.root.slots[idx(va, l4Shift)]
-	if l4.next == nil {
-		l4.next = &table{}
+	e := leafPTE(pa, flags)
+	i4, i3, i2 := idx(va, l4Shift), idx(va, l3Shift), idx(va, l2Shift)
+	l3 := t.root[i4]
+	if l3 == nil {
+		l3 = new(pdpt)
+		t.root[i4] = l3
 	}
-	l3 := &l4.next.slots[idx(va, l3Shift)]
 	if pgsz == Size1G {
-		*l3 = entry{leaf: true, pa: pa, flags: flags}
+		l3.ptes[i3], l3.next[i3] = e, nil
 		t.mapped[idx1G] += Size1G
 		return
 	}
-	if l3.next == nil {
-		l3.next = &table{}
+	l2 := l3.next[i3]
+	if l2 == nil {
+		l2 = new(pd)
+		l3.next[i3] = l2
 	}
-	l2 := &l3.next.slots[idx(va, l2Shift)]
 	if pgsz == Size2M {
-		*l2 = entry{leaf: true, pa: pa, flags: flags}
+		l2.ptes[i2], l2.next[i2] = e, nil
 		t.mapped[idx2M] += Size2M
 		return
 	}
-	if l2.next == nil {
-		l2.next = &table{}
+	l1 := l2.next[i2]
+	if l1 == nil {
+		l1 = new(pt)
+		l2.next[i2] = l1
 	}
-	l1 := &l2.next.slots[idx(va, l1Shift)]
-	*l1 = entry{leaf: true, pa: pa, flags: flags}
+	l1[idx(va, l1Shift)] = e
 	t.mapped[idx4K] += Size4K
 }
 
 // firstMapped returns the lowest mapped address in [va, va+length), if
 // any. It descends only into subtrees that exist: a nil interior entry
 // proves its whole span is unmapped, so the scan jumps to the next
-// boundary of that level in one step.
+// boundary of that level in one step. The range may end at the top of
+// the address space, so it is bounded by its last byte, not its end.
 func (t *Table) firstMapped(va VirtAddr, length uint64) (bool, VirtAddr) {
-	end := uint64(va) + length
-	for cur := uint64(va); cur < end; {
+	last := uint64(va) + length - 1
+	for cur, more := uint64(va), true; more; {
 		v := VirtAddr(cur)
-		l4 := t.root.slots[idx(v, l4Shift)]
-		if l4.next == nil {
-			cur = nextBoundary(cur, l4Shift, end)
-			continue
-		}
-		l3 := l4.next.slots[idx(v, l3Shift)]
-		if l3.leaf {
+		shift := uint(l1Shift) // the size of the span just proved unmapped
+		if l3 := t.root[idx(v, l4Shift)]; l3 == nil {
+			shift = l4Shift
+		} else if i3 := idx(v, l3Shift); l3.ptes[i3].leaf() {
+			return true, v
+		} else if l2 := l3.next[i3]; l2 == nil {
+			shift = l3Shift
+		} else if i2 := idx(v, l2Shift); l2.ptes[i2].leaf() {
+			return true, v
+		} else if l1 := l2.next[i2]; l1 == nil {
+			shift = l2Shift
+		} else if l1[idx(v, l1Shift)].leaf() {
 			return true, v
 		}
-		if l3.next == nil {
-			cur = nextBoundary(cur, l3Shift, end)
-			continue
-		}
-		l2 := l3.next.slots[idx(v, l2Shift)]
-		if l2.leaf {
-			return true, v
-		}
-		if l2.next == nil {
-			cur = nextBoundary(cur, l2Shift, end)
-			continue
-		}
-		if l2.next.slots[idx(v, l1Shift)].leaf {
-			return true, v
-		}
-		cur += Size4K
+		cur, more = nextBoundary(cur, shift, last)
 	}
 	return false, 0
 }
 
-// nextBoundary advances cur to the next 1<<shift boundary, clamped to
-// end (and guarding against wraparound at the top of the address
-// space).
-func nextBoundary(cur uint64, shift uint, end uint64) uint64 {
+// nextBoundary returns the next 1<<shift boundary above cur and whether
+// it still lies at or below last. Past the top of the address space the
+// boundary wraps to 0, which ends the range too.
+func nextBoundary(cur uint64, shift uint, last uint64) (uint64, bool) {
 	b := (cur | (1<<shift - 1)) + 1
-	if b == 0 || b > end {
-		return end
-	}
-	return b
+	return b, b != 0 && b <= last
 }
 
 // lookup finds the leaf covering va. It returns the leaf entry, the page
-// size of the translation and whether a mapping exists.
-func (t *Table) lookup(va VirtAddr) (entry, uint64, bool) {
-	l4 := t.root.slots[idx(va, l4Shift)]
-	if l4.next == nil {
-		return entry{}, 0, false
+// size of the translation and whether a mapping exists. A non-canonical
+// address maps nothing: its index bits would alias the other half.
+func (t *Table) lookup(va VirtAddr) (pte, uint64, bool) {
+	if !va.Canonical() {
+		return 0, 0, false
 	}
-	l3 := l4.next.slots[idx(va, l3Shift)]
-	if l3.leaf {
-		return l3, Size1G, true
+	l3 := t.root[idx(va, l4Shift)]
+	if l3 == nil {
+		return 0, 0, false
 	}
-	if l3.next == nil {
-		return entry{}, 0, false
+	i3 := idx(va, l3Shift)
+	if e := l3.ptes[i3]; e.leaf() {
+		return e, Size1G, true
 	}
-	l2 := l3.next.slots[idx(va, l2Shift)]
-	if l2.leaf {
-		return l2, Size2M, true
+	l2 := l3.next[i3]
+	if l2 == nil {
+		return 0, 0, false
 	}
-	if l2.next == nil {
-		return entry{}, 0, false
+	i2 := idx(va, l2Shift)
+	if e := l2.ptes[i2]; e.leaf() {
+		return e, Size2M, true
 	}
-	l1 := l2.next.slots[idx(va, l1Shift)]
-	if l1.leaf {
-		return l1, Size4K, true
+	l1 := l2.next[i2]
+	if l1 == nil {
+		return 0, 0, false
 	}
-	return entry{}, 0, false
+	if e := l1[idx(va, l1Shift)]; e.leaf() {
+		return e, Size4K, true
+	}
+	return 0, 0, false
 }
 
 // Translate resolves va to a physical address and the mapping's flags.
 func (t *Table) Translate(va VirtAddr) (mem.PhysAddr, Flags, bool) {
-	if !va.Canonical() {
-		return 0, 0, false
-	}
 	e, pgsz, ok := t.lookup(va)
 	if !ok {
 		return 0, 0, false
 	}
-	off := uint64(va) & (pgsz - 1)
-	return e.pa + mem.PhysAddr(off), e.flags, true
+	return e.at(uint64(va) & (pgsz - 1)), e.flags(), true
 }
 
 // PageSizeAt returns the page size backing va, or 0 if unmapped.
@@ -294,8 +314,7 @@ func (t *Table) Unmap(va VirtAddr, length uint64) error {
 	// First pass: verify the range is an exact union of leaves.
 	for off := uint64(0); off < length; {
 		cur := va + VirtAddr(off)
-		e, pgsz, ok := t.lookup(cur)
-		_ = e
+		_, pgsz, ok := t.lookup(cur)
 		if !ok {
 			return fmt.Errorf("pagetable: unmap of unmapped address %#x", cur)
 		}
@@ -313,21 +332,21 @@ func (t *Table) Unmap(va VirtAddr, length uint64) error {
 }
 
 func (t *Table) clearOne(va VirtAddr) uint64 {
-	l4 := &t.root.slots[idx(va, l4Shift)]
-	l3 := &l4.next.slots[idx(va, l3Shift)]
-	if l3.leaf {
-		*l3 = entry{}
+	l3 := t.root[idx(va, l4Shift)]
+	i3 := idx(va, l3Shift)
+	if l3.ptes[i3].leaf() {
+		l3.ptes[i3] = 0
 		t.mapped[idx1G] -= Size1G
 		return Size1G
 	}
-	l2 := &l3.next.slots[idx(va, l2Shift)]
-	if l2.leaf {
-		*l2 = entry{}
+	l2 := l3.next[i3]
+	i2 := idx(va, l2Shift)
+	if l2.ptes[i2].leaf() {
+		l2.ptes[i2] = 0
 		t.mapped[idx2M] -= Size2M
 		return Size2M
 	}
-	l1 := &l2.next.slots[idx(va, l1Shift)]
-	*l1 = entry{}
+	l2.next[i2][idx(va, l1Shift)] = 0
 	t.mapped[idx4K] -= Size4K
 	return Size4K
 }
@@ -365,7 +384,7 @@ func (t *Table) WalkExtentsInto(dst []mem.Extent, va VirtAddr, length uint64) ([
 		if n > remaining {
 			n = remaining
 		}
-		pa := e.pa + mem.PhysAddr(off)
+		pa := e.at(off)
 		if len(out) > base && out[len(out)-1].End() == pa {
 			out[len(out)-1].Len += n
 		} else {

@@ -2,8 +2,10 @@ package pagetable
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/mem"
 )
@@ -116,6 +118,82 @@ func TestMapErrors(t *testing.T) {
 	if err := pt.Map(0x1000, 0x9000, Size4K, 0); err == nil {
 		t.Fatal("overlap accepted")
 	}
+}
+
+// TestMapOverlapAtTopOfAddressSpace: a range ending at 2^64 used to wrap
+// the overlap scan's end to 0, so a second map of the top page was
+// accepted and the page counted twice.
+func TestMapOverlapAtTopOfAddressSpace(t *testing.T) {
+	pt := New()
+	const top = VirtAddr(0xfffffffffffff000)
+	if err := pt.Map(top, 0x1000, Size4K, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := pt.Map(top, 0x2000, Size4K, 0); err == nil {
+		t.Fatal("second map of the top page accepted")
+	}
+	if err := pt.Map(top-Size4K, 0x3000, 2*Size4K, 0); err == nil {
+		t.Fatal("map ending on the mapped top page accepted")
+	}
+	if err := pt.Map(top, 0x4000, 2*Size4K, 0); err == nil {
+		t.Fatal("map wrapping past the top of the address space accepted")
+	}
+	if pa, _, ok := pt.Translate(top + 0x10); !ok || pa != 0x1010 {
+		t.Fatalf("Translate(top) = %#x, %v; want 0x1010", pa, ok)
+	}
+	if got := pt.MappedBytes(Size4K); got != Size4K {
+		t.Fatalf("MappedBytes(4K) = %d, want %d", got, Size4K)
+	}
+}
+
+// TestNonCanonicalDoesNotAlias: the index bits of a non-canonical
+// address equal those of a canonical one in the other half; lookups must
+// not reach that half's mappings through them.
+func TestNonCanonicalDoesNotAlias(t *testing.T) {
+	pt := New()
+	const high = VirtAddr(0xffff800000000000)
+	if err := pt.Map(high, 0x5000, Size4K, 0); err != nil {
+		t.Fatal(err)
+	}
+	const alias = VirtAddr(0x0000800000000000)
+	if _, _, ok := pt.Translate(alias); ok {
+		t.Fatal("non-canonical address translated")
+	}
+	if _, err := pt.WalkExtents(alias-Size4K, 2*Size4K); err == nil {
+		t.Fatal("walk across the canonical hole succeeded")
+	}
+	if err := pt.Unmap(alias, Size4K); err == nil {
+		t.Fatal("unmap through a non-canonical alias succeeded")
+	}
+}
+
+// TestTableFootprint pins the packed layout: a last-level table is 512
+// eight-byte entries with no pointer the garbage collector would scan.
+func TestTableFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(pt{}); got != 4096 {
+		t.Errorf("last-level table is %d bytes, want 4096", got)
+	}
+	if hasPointers(reflect.TypeFor[pt]()) {
+		t.Error("last-level table type holds pointers")
+	}
+}
+
+func hasPointers(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Array:
+		return hasPointers(typ.Elem())
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			if hasPointers(typ.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice,
+		reflect.String, reflect.Interface, reflect.Chan, reflect.Func:
+		return true
+	}
+	return false
 }
 
 func TestUnmap(t *testing.T) {

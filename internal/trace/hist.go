@@ -137,24 +137,6 @@ func (h *Histogram) P90() time.Duration { return h.Quantile(0.90) }
 // P99 returns the 99th percentile.
 func (h *Histogram) P99() time.Duration { return h.Quantile(0.99) }
 
-// Merge folds another histogram into this one.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || o.n == 0 {
-		return
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	if h.n == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.n += o.n
-	h.sum += o.sum
-}
-
 // String renders the headline percentiles.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p90=%v p99=%v max=%v",

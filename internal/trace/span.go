@@ -118,15 +118,6 @@ func (r *Recorder) SpanBytes(cat, name, track string, begin, end time.Duration, 
 	h.Observe(end - begin)
 }
 
-// Observe feeds a named histogram directly (for latencies that are not
-// spans, e.g. per-repetition ping-pong one-way times).
-func (r *Recorder) Observe(name string, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.histFor(name).Observe(d)
-}
-
 func (r *Recorder) histFor(name string) *Histogram {
 	h, ok := r.hists[name]
 	if !ok {
