@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check simtest artifacts artifacts-paper examples clean
+.PHONY: all build test vet check simtest artifacts artifacts-paper examples reach clean
 
 all: build test
 
@@ -57,6 +57,12 @@ examples:
 	$(GO) run ./examples/structextract
 	$(GO) run ./examples/splitdriver
 	$(GO) run ./examples/halo3d -nodes 2 -rpn 4 -steps 3
+
+# Reachability census (outside tier-1 and CI, a few minutes): every
+# front end built with coverage and run over its default inputs, then
+# the internal/ functions no run executed. See scripts/reach.sh.
+reach:
+	GO=$(GO) sh scripts/reach.sh
 
 clean:
 	rm -rf artifacts artifacts-paper

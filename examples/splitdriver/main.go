@@ -229,8 +229,6 @@ func (d *kxpDriver) Mmap(ctx *kernel.Ctx, f *linux.File, kind uint32, length uin
 	return 0, fmt.Errorf("kxp: mmap unsupported")
 }
 
-func (d *kxpDriver) Poll(ctx *kernel.Ctx, f *linux.File) (uint32, error) { return 0, nil }
-
 // kxpPico is the ported fast path: the entire LWK-side driver.
 type kxpPico struct {
 	space *kmem.Space

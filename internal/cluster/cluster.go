@@ -360,7 +360,7 @@ func (c *Cluster) buildNode(id int) (*Node, error) {
 		if err := n.Pico.Attach(fw, "/dev/hfi1"); err != nil {
 			return nil, err
 		}
-		n.MlxPico, err = core.NewMLXPico(fw, n.Mlx.DWARFBlob, n.RNIC)
+		n.MlxPico, err = core.NewMLXPico(fw, n.Mlx.DWARFBlob, n.RNIC, c.Params)
 		if err != nil {
 			return nil, err
 		}

@@ -22,7 +22,6 @@ type syscalls interface {
 	Writev(ctx *kernel.Ctx, f *linux.File, iov []linux.IOVec) (uint64, error)
 	Ioctl(ctx *kernel.Ctx, f *linux.File, cmd uint32, arg uproc.VirtAddr) (uint64, error)
 	MmapDevice(ctx *kernel.Ctx, f *linux.File, kind uint32, length uint64) (uproc.VirtAddr, error)
-	Poll(ctx *kernel.Ctx, f *linux.File) (uint32, error)
 	MmapAnon(ctx *kernel.Ctx, proc *uproc.Process, size uint64) (uproc.VirtAddr, error)
 	Munmap(ctx *kernel.Ctx, proc *uproc.Process, va uproc.VirtAddr) error
 	Misc(ctx *kernel.Ctx, name string, cost time.Duration)
@@ -86,10 +85,6 @@ func (o *RankOS) Ioctl(p *sim.Proc, f *linux.File, cmd uint32, arg uproc.VirtAdd
 
 func (o *RankOS) MmapDevice(p *sim.Proc, f *linux.File, kind uint32, length uint64) (uproc.VirtAddr, error) {
 	return o.k.MmapDevice(o.ctx(p), f, kind, length)
-}
-
-func (o *RankOS) Poll(p *sim.Proc, f *linux.File) (uint32, error) {
-	return o.k.Poll(o.ctx(p), f)
 }
 
 func (o *RankOS) MmapAnon(p *sim.Proc, size uint64) (uproc.VirtAddr, error) {

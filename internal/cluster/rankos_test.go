@@ -132,10 +132,6 @@ func TestOneSyscallTable(t *testing.T) {
 						}
 						return nil
 					}},
-					{"poll", "poll", device, func() error {
-						_, err := o.Poll(p, f)
-						return err
-					}},
 					{"misc", "read", device, func() error {
 						o.Misc(p, "read", 2*time.Microsecond)
 						return nil

@@ -68,7 +68,7 @@ func NewHFIPico(fw *Framework, nic *hfi.NIC, dwarfBlob []byte, pr *model.Params)
 	if err != nil {
 		return nil, err
 	}
-	return newHFIPicoWithRegistry(fw, nic, reg, pr)
+	return NewHFIPicoWithRegistry(fw, nic, reg, pr)
 }
 
 // NewHFIPicoWithRegistry builds the driver from explicit layouts. It
@@ -76,10 +76,6 @@ func NewHFIPico(fw *Framework, nic *hfi.NIC, dwarfBlob []byte, pr *model.Params)
 // manually-ported layouts and the fast path corrupts or rejects driver
 // state that the DWARF-extracted layouts handle correctly.
 func NewHFIPicoWithRegistry(fw *Framework, nic *hfi.NIC, reg *kstruct.Registry, pr *model.Params) (*HFIPico, error) {
-	return newHFIPicoWithRegistry(fw, nic, reg, pr)
-}
-
-func newHFIPicoWithRegistry(fw *Framework, nic *hfi.NIC, reg *kstruct.Registry, pr *model.Params) (*HFIPico, error) {
 	h := &HFIPico{
 		LWK: fw.LWK, NIC: nic, pr: pr, reg: reg,
 		space:    fw.LWK.Space,

@@ -49,13 +49,13 @@ type MLXPico struct {
 
 // NewMLXPico extracts the layouts from the module's debug info and
 // returns the ported fast path, programming keys into table.
-func NewMLXPico(fw *Framework, dwarfBlob []byte, table mlx.MRTable) (*MLXPico, error) {
+func NewMLXPico(fw *Framework, dwarfBlob []byte, table mlx.MRTable, pr *model.Params) (*MLXPico, error) {
 	reg, err := ExtractLayouts(dwarfBlob, "mlxpico", MLXWants)
 	if err != nil {
 		return nil, err
 	}
 	return &MLXPico{
-		LWK: fw.LWK, reg: reg, space: fw.LWK.Space, table: table,
+		LWK: fw.LWK, pr: pr, reg: reg, space: fw.LWK.Space, table: table,
 		mrs: make(map[uint32]kmem.VirtAddr),
 	}, nil
 }
@@ -102,7 +102,7 @@ func (m *MLXPico) regMR(ctx *kernel.Ctx, f *linux.File, arg uproc.VirtAddr) (uin
 	if err != nil {
 		return 0, true, err
 	}
-	ctx.Spend(time.Duration(len(extents)) * m.pr0().PTWalkPerExtent)
+	ctx.Spend(time.Duration(len(extents)) * m.pr.PTWalkPerExtent)
 	// The MTT can only encode power-of-two runs; split the merged
 	// contiguous extents before programming them.
 	extents = mlx.SplitMTTExtents(extents)
@@ -163,13 +163,3 @@ func (m *MLXPico) deregMR(ctx *kernel.Ctx, f *linux.File, arg uproc.VirtAddr) (u
 
 // LiveMRs counts fast-path registrations not yet deregistered.
 func (m *MLXPico) LiveMRs() int { return len(m.mrs) }
-
-// pr0 lazily defaults the params (the MLX fast path only needs the
-// page-table-walk constant).
-func (m *MLXPico) pr0() *model.Params {
-	if m.pr == nil {
-		p := model.Default()
-		m.pr = &p
-	}
-	return m.pr
-}

@@ -157,7 +157,7 @@ type Scale struct {
 	// stream of 32K messages.
 	FailoverMsgs int
 	// TenancyMsgs is the latency tenant's message count per tenancy
-	// cell (0 = default: 120 messages).
+	// cell.
 	TenancyMsgs int
 	// BigscaleNodes/BigscaleRPN size the sharded-engine scaling run
 	// (the bigscale experiment, an explicit-only id in cmd/experiments);
@@ -185,6 +185,7 @@ func SmallScale() Scale {
 		LossRates:        []float64{0, 0.001, 0.01, 0.05},
 		ReliabilitySizes: []uint64{8 << 10, 32 << 10, 256 << 10},
 		FailoverMsgs:     160,
+		TenancyMsgs:      120,
 		BigscaleNodes:    128,
 		BigscaleRPN:      4,
 		BigscaleShards:   []int{1, 2, 4},
@@ -216,6 +217,7 @@ func PaperScale() Scale {
 			2 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 256 << 10,
 		},
 		FailoverMsgs: 400,
+		TenancyMsgs:  120,
 		// RPN is 4, not the profile sweep's 32: at 1024 nodes the tie
 		// count (fabric.Ties — same-instant arrivals at one destination
 		// from different sources) grows ~40x between rpn=4 (26 ties) and

@@ -213,11 +213,7 @@ func tenancyStreamBody(from int, tagBase uint64, count int, size uint64) mpi.Ran
 // the scenario's tenant mix and collects the victim percentiles,
 // tenant goodputs and fabric congestion counters.
 func tenancyCell(cfg Config, os cluster.OSType, scen string, seed int64, rec *trace.Recorder) (TenancyRow, error) {
-	sc := cfg.Scale
-	msgs := sc.TenancyMsgs
-	if msgs <= 0 {
-		msgs = 120
-	}
+	msgs := cfg.Scale.TenancyMsgs
 	const latSize, bulkSize = 4 << 10, 32 << 10
 	cl, err := cfg.cluster(cluster.Spec{Nodes: 4, OS: os, Seed: seed, Congestion: tenancyCong()})
 	if err != nil {

@@ -815,33 +815,6 @@ func (d *LinuxDriver) Mmap(ctx *kernel.Ctx, f *linux.File, kind uint32, length u
 	return f.Proc.MapDevice([]mem.Extent{ext})
 }
 
-// Poll reports readiness: pending hdrq entries or send completions.
-func (d *LinuxDriver) Poll(ctx *kernel.Ctx, f *linux.File) (uint32, error) {
-	ctx.Spend(400 * time.Nanosecond)
-	fdata := d.obj("hfi1_filedata", f.Private)
-	ctxtVA, err := fdata.GetPtr("uctxt")
-	if err != nil {
-		return 0, err
-	}
-	cctx := d.obj("hfi1_ctxtdata", ctxtVA)
-	statusVA, err := cctx.GetPtr("status_kva")
-	if err != nil {
-		return 0, err
-	}
-	var events uint32
-	hh, _ := d.K.Space.ReadU64(statusVA + StatusHdrqHead)
-	ht, _ := d.K.Space.ReadU64(statusVA + StatusHdrqTail)
-	if hh != ht {
-		events |= 1
-	}
-	ch, _ := d.K.Space.ReadU64(statusVA + StatusCQHead)
-	ct, _ := d.K.Space.ReadU64(statusVA + StatusCQTail)
-	if ch != ct {
-		events |= 2
-	}
-	return events, nil
-}
-
 func fabricKind(op uint32) fabric.PacketKind {
 	if op == OpExpected {
 		return fabric.KindExpected

@@ -252,7 +252,7 @@ func TestDriverTIDUpdateAndFree(t *testing.T) {
 	})
 }
 
-func TestDriverMmapAndPoll(t *testing.T) {
+func TestDriverMmap(t *testing.T) {
 	r := newRig(t)
 	r.run(t, func(p *sim.Proc) {
 		ctx := &kernel.Ctx{P: p, CPU: 0}
@@ -280,13 +280,6 @@ func TestDriverMmapAndPoll(t *testing.T) {
 		}
 		if _, err := r.lin[0].MmapDevice(ctx, f, 99, 0); err == nil {
 			t.Error("unknown mmap kind accepted")
-		}
-		ev, err := r.lin[0].Poll(ctx, f)
-		if err != nil {
-			t.Error(err)
-		}
-		if ev != 0 {
-			t.Errorf("poll on idle context = %#x", ev)
 		}
 	})
 }

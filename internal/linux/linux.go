@@ -51,7 +51,7 @@ type File struct {
 }
 
 // Driver is the file-operations interface a character device registers
-// with the VFS (open/writev/ioctl/mmap/poll/close in the HFI case).
+// with the VFS (open/writev/ioctl/mmap/close in the HFI case).
 type Driver interface {
 	Open(ctx *kernel.Ctx, f *File) error
 	Release(ctx *kernel.Ctx, f *File) error
@@ -60,7 +60,6 @@ type Driver interface {
 	// Mmap maps a driver-defined region (selected by kind) into the
 	// process and returns its user address.
 	Mmap(ctx *kernel.Ctx, f *File, kind uint32, length uint64) (uproc.VirtAddr, error)
-	Poll(ctx *kernel.Ctx, f *File) (uint32, error)
 }
 
 // IOVec is one element of a writev vector.
@@ -179,14 +178,6 @@ func (k *Kernel) MmapDevice(ctx *kernel.Ctx, f *File, kind uint32, length uint64
 	defer k.account(ctx, "mmap", start)
 	k.syscallOverhead(ctx)
 	return f.Drv.Mmap(ctx, f, kind, length)
-}
-
-// Poll polls a device file.
-func (k *Kernel) Poll(ctx *kernel.Ctx, f *File) (uint32, error) {
-	start := ctx.Now()
-	defer k.account(ctx, "poll", start)
-	k.syscallOverhead(ctx)
-	return f.Drv.Poll(ctx, f)
 }
 
 // MmapAnon serves an anonymous mmap for a native Linux process

@@ -51,7 +51,6 @@ func (d *fakeDriver) Ioctl(ctx *kernel.Ctx, f *File, cmd uint32, arg uproc.VirtA
 func (d *fakeDriver) Mmap(ctx *kernel.Ctx, f *File, kind uint32, length uint64) (uproc.VirtAddr, error) {
 	return 0x1000, nil
 }
-func (d *fakeDriver) Poll(ctx *kernel.Ctx, f *File) (uint32, error) { return 3, nil }
 
 func TestVFSDispatchAndProfiling(t *testing.T) {
 	k, e, _ := testKernel(t)
@@ -86,10 +85,6 @@ func TestVFSDispatchAndProfiling(t *testing.T) {
 		if drv.lastCmd != 0xBEEF {
 			t.Error("ioctl not dispatched")
 		}
-		ev, err := k.Poll(ctx, f)
-		if err != nil || ev != 3 {
-			t.Errorf("poll = %d, %v", ev, err)
-		}
 		if err := k.Close(ctx, f); err != nil {
 			t.Error(err)
 		}
@@ -97,7 +92,7 @@ func TestVFSDispatchAndProfiling(t *testing.T) {
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"open", "writev", "ioctl", "poll", "close"} {
+	for _, name := range []string{"open", "writev", "ioctl", "close"} {
 		if k.Syscalls.Count(name) == 0 {
 			t.Errorf("syscall %s not profiled", name)
 		}

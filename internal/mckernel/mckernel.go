@@ -3,7 +3,7 @@
 // own memory management above all), with everything else delegated to
 // Linux through IHK's IKC layer and the proxy process (§2.1).
 //
-// Device files are a hybrid: open/close/mmap/poll are always offloaded;
+// Device files are a hybrid: open/close/mmap are always offloaded;
 // writev and ioctl are offloaded too — unless a PicoDriver has
 // registered a fast path for the device, in which case the performance-
 // critical subset executes locally on the LWK core (§3). A descriptor
@@ -184,14 +184,6 @@ func (k *Kernel) MmapDevice(ctx *kernel.Ctx, f *linux.File, kind uint32, length 
 	defer k.account(ctx, "mmap", k.enter(ctx))
 	return offload(k, ctx, "mmap-dev", func(lctx *kernel.Ctx) (uproc.VirtAddr, error) {
 		return k.lin.MmapDevice(lctx, f, kind, length)
-	})
-}
-
-// Poll polls a device file (offloaded).
-func (k *Kernel) Poll(ctx *kernel.Ctx, f *linux.File) (uint32, error) {
-	defer k.account(ctx, "poll", k.enter(ctx))
-	return offload(k, ctx, "poll", func(lctx *kernel.Ctx) (uint32, error) {
-		return k.lin.Poll(lctx, f)
 	})
 }
 

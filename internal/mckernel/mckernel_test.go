@@ -34,7 +34,6 @@ func (d *countingDriver) Ioctl(ctx *kernel.Ctx, f *linux.File, cmd uint32, arg u
 func (d *countingDriver) Mmap(ctx *kernel.Ctx, f *linux.File, kind uint32, length uint64) (uproc.VirtAddr, error) {
 	return 0x7000, nil
 }
-func (d *countingDriver) Poll(ctx *kernel.Ctx, f *linux.File) (uint32, error) { return 0, nil }
 
 func lwkRig(t *testing.T) (*Kernel, *linux.Kernel, *countingDriver, *sim.Engine) {
 	t.Helper()
@@ -84,9 +83,6 @@ func TestOffloadedDeviceCalls(t *testing.T) {
 		if _, err := mck.MmapDevice(ctx, f, 1, 0); err != nil {
 			t.Error(err)
 		}
-		if _, err := mck.Poll(ctx, f); err != nil {
-			t.Error(err)
-		}
 		if err := mck.Close(ctx, f); err != nil {
 			t.Error(err)
 		}
@@ -97,10 +93,10 @@ func TestOffloadedDeviceCalls(t *testing.T) {
 	if drv.writevs != 1 || drv.ioctls != 1 {
 		t.Fatalf("driver calls: %d/%d", drv.writevs, drv.ioctls)
 	}
-	if mck.Del.Count < 6 {
-		t.Fatalf("offload count = %d, want >= 6", mck.Del.Count)
+	if mck.Del.Count < 5 {
+		t.Fatalf("offload count = %d, want >= 5", mck.Del.Count)
 	}
-	for _, name := range []string{"open", "writev", "ioctl", "mmap", "poll", "close"} {
+	for _, name := range []string{"open", "writev", "ioctl", "mmap", "close"} {
 		if mck.Syscalls.Count(name) == 0 {
 			t.Errorf("LWK profiler missed %s", name)
 		}

@@ -350,15 +350,9 @@ func (d *Driver) Mmap(ctx *kernel.Ctx, f *linux.File, kind uint32, length uint64
 	return f.Proc.MapDevice([]mem.Extent{ext})
 }
 
-// Poll reports nothing pending.
-func (d *Driver) Poll(ctx *kernel.Ctx, f *linux.File) (uint32, error) { return 0, nil }
-
 // mttEntryCost is the per-entry MTT programming time.
 const mttEntryCost = 28 * time.Nanosecond
 
-// BuildMR allocates an mlx_mr and its MTT in the calling kernel's memory
-// and links it to the device under the MR lock. It is expressed over
-// structure layouts so the LWK fast path executes the same protocol with
 // SplitMTTExtents expands physically contiguous extents into
 // power-of-two-sized pieces, largest first. An MTT entry stores its
 // size as a log2 field, so it can only describe a power-of-two run;
@@ -387,6 +381,9 @@ func SplitMTTExtents(extents []mem.Extent) []mem.Extent {
 	return out
 }
 
+// BuildMR allocates an mlx_mr and its MTT in the calling kernel's memory
+// and links it to the device under the MR lock. It is expressed over
+// structure layouts so the LWK fast path executes the same protocol with
 // DWARF-extracted layouts. Each extent becomes one MTT entry (the Linux
 // driver passes per-page extents; the fast path passes merged extents
 // through SplitMTTExtents, so contiguous large-page runs collapse into

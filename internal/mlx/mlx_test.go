@@ -45,7 +45,7 @@ func (r *rig) attachPico(t *testing.T) *core.MLXPico {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pico, err := core.NewMLXPico(fw, r.drv.DWARFBlob, n.RNIC)
+	pico, err := core.NewMLXPico(fw, r.drv.DWARFBlob, n.RNIC, r.cl.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +54,10 @@ func (r *rig) attachPico(t *testing.T) *core.MLXPico {
 }
 
 // regDereg registers and deregisters an MR through the LWK syscall
-// layer, returning the registration latency and the entry count.
-func (r *rig) regDereg(t *testing.T, size uint64) (lat time.Duration, mttEntries uint64) {
+// layer, returning the registration latency and the number of
+// physically contiguous extents backing the buffer (what the fast path
+// walks).
+func (r *rig) regDereg(t *testing.T, size uint64) (lat time.Duration, extents int) {
 	t.Helper()
 	n := r.cl.Nodes[0]
 	proc := n.Mck.NewProcess("verbs-app")
@@ -76,6 +78,12 @@ func (r *rig) regDereg(t *testing.T, size uint64) (lat time.Duration, mttEntries
 			t.Error(err)
 			return
 		}
+		exts, err := proc.PT.WalkExtents(buf, size)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		extents = len(exts)
 		mi := &mlx.MRInfo{VAddr: buf, Length: size}
 		if err := mlx.EncodeMRInfo(proc, argVA, mi); err != nil {
 			t.Error(err)
@@ -111,7 +119,6 @@ func (r *rig) regDereg(t *testing.T, size uint64) (lat time.Duration, mttEntries
 		if count != 1 {
 			t.Errorf("mr_count = %d", count)
 		}
-		mttEntries = 0 // filled below via deregistration path checks
 		// Deregister.
 		if err := mlx.EncodeMRInfo(proc, argVA, &mlx.MRInfo{LKey: out.LKey}); err != nil {
 			t.Error(err)
@@ -129,7 +136,7 @@ func (r *rig) regDereg(t *testing.T, size uint64) (lat time.Duration, mttEntries
 	if err := r.cl.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	return lat, mttEntries
+	return lat, extents
 }
 
 func TestOffloadedRegMR(t *testing.T) {
@@ -166,6 +173,41 @@ func TestPicoRegMRFastAndCoalesced(t *testing.T) {
 	}
 	t.Logf("reg_mr 1MB: offloaded=%v fast=%v (%.1fx)", offLat, fastLat,
 		offLat.Seconds()/fastLat.Seconds())
+}
+
+// TestPicoRegMRChargesClusterParams: the cluster's own MLX fast path
+// charges its page-table walk from the cluster's model.Params, so
+// raising PTWalkPerExtent lengthens a fast-path registration by exactly
+// one increment per walked extent.
+func TestPicoRegMRChargesClusterParams(t *testing.T) {
+	const size = 1 << 20
+	const extra = 100 * time.Nanosecond
+	fastReg := func(pr model.Params) (time.Duration, int) {
+		cl, err := cluster.New(cluster.Spec{
+			Nodes: 1, OS: cluster.OSMcKernelHFI, Params: pr, Seed: 31,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		r := &rig{cl: cl, drv: cl.Nodes[0].Mlx} // fast path left attached
+		lat, extents := r.regDereg(t, size)
+		if got := cl.Nodes[0].MlxPico.FastRegs; got != 1 {
+			t.Fatalf("fast registrations = %d, want 1", got)
+		}
+		return lat, extents
+	}
+	base, extents := fastReg(model.Default())
+	if extents == 0 {
+		t.Fatal("no extents walked")
+	}
+	pr := model.Default()
+	pr.PTWalkPerExtent += extra
+	raised, _ := fastReg(pr)
+	if want := time.Duration(extents) * extra; raised-base != want {
+		t.Fatalf("reg_mr %v → %v with PTWalkPerExtent +%v over %d extents: grew %v, want %v",
+			base, raised, extra, extents, raised-base, want)
+	}
 }
 
 // TestMTTEntriesReflectBacking: the Linux driver writes one entry per 4K
@@ -246,7 +288,7 @@ func TestPicoFallbacks(t *testing.T) {
 		// QP creation is never fast-pathed: it flows to the Linux driver,
 		// which drives the real engine.
 		argVA, _ := n.Mck.MmapAnon(ctx, proc, 4096)
-		qi := &mlx.QPInfo{SQEntries: 8, RQEntries: 8, CQEntries: 16}
+		qi := &mlx.QPInfo{SQEntries: 8, CQEntries: 8}
 		if err := mlx.EncodeQPInfo(proc, argVA, qi); err != nil {
 			t.Error(err)
 			return
@@ -304,7 +346,7 @@ func TestMixedOwnershipDereg(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		pico, err := core.NewMLXPico(fw, r.drv.DWARFBlob, n.RNIC)
+		pico, err := core.NewMLXPico(fw, r.drv.DWARFBlob, n.RNIC, r.cl.Params)
 		if err != nil {
 			t.Error(err)
 			return

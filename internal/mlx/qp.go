@@ -37,7 +37,7 @@ const (
 const (
 	// QPFlagAnySource marks an RTR transition without a bound remote:
 	// the QP accepts RDMA WRITE/READ from any peer (the DC-target-like
-	// shape MPI RMA windows use). SEND still requires a connected QP.
+	// shape MPI RMA windows use) and initiates nothing.
 	QPFlagAnySource uint32 = 1 << 0
 )
 
@@ -53,7 +53,6 @@ type QPInfo struct {
 	RemoteNode uint32
 	RemoteQPN  uint32
 	SQEntries  uint32
-	RQEntries  uint32
 	CQEntries  uint32
 	Flags      uint32
 }
@@ -67,9 +66,8 @@ func EncodeQPInfo(p *uproc.Process, va uproc.VirtAddr, qi *QPInfo) error {
 	le.PutUint32(b[8:], qi.RemoteNode)
 	le.PutUint32(b[12:], qi.RemoteQPN)
 	le.PutUint32(b[16:], qi.SQEntries)
-	le.PutUint32(b[20:], qi.RQEntries)
-	le.PutUint32(b[24:], qi.CQEntries)
-	le.PutUint32(b[28:], qi.Flags)
+	le.PutUint32(b[20:], qi.CQEntries)
+	le.PutUint32(b[24:], qi.Flags)
 	return p.WriteAt(va, b[:])
 }
 
@@ -86,9 +84,8 @@ func DecodeQPInfo(p *uproc.Process, va uproc.VirtAddr) (*QPInfo, error) {
 		RemoteNode: le.Uint32(b[8:]),
 		RemoteQPN:  le.Uint32(b[12:]),
 		SQEntries:  le.Uint32(b[16:]),
-		RQEntries:  le.Uint32(b[20:]),
-		CQEntries:  le.Uint32(b[24:]),
-		Flags:      le.Uint32(b[28:]),
+		CQEntries:  le.Uint32(b[20:]),
+		Flags:      le.Uint32(b[24:]),
 	}, nil
 }
 
@@ -100,12 +97,11 @@ func WriteQPNBack(p *uproc.Process, va uproc.VirtAddr, qpn uint32) error {
 }
 
 // Mmap region selectors: kind = region | qpn<<8 (one file can hold
-// several QPs, each exposing four mappings).
+// several QPs, each exposing three mappings).
 const (
 	MmapSQ uint32 = 1 // send work queue ring
-	MmapRQ uint32 = 2 // receive work queue ring
-	MmapCQ uint32 = 3 // completion queue ring
-	MmapDB uint32 = 4 // doorbell/status page (tails in, producer counts out)
+	MmapCQ uint32 = 2 // completion queue ring
+	MmapDB uint32 = 3 // doorbell/status page (tail in, producer counts out)
 )
 
 // MmapKind composes an mmap kind selector for one region of one QP.

@@ -139,7 +139,7 @@ func (w *Win) peer(rank int) (*verbs.QP, error) {
 	if err != nil {
 		return nil, err
 	}
-	qp, err := u.CreateQP(w.c.P, verbs.QPConfig{SQEntries: peerSQ, RQEntries: 1})
+	qp, err := u.CreateQP(w.c.P, verbs.QPConfig{SQEntries: peerSQ})
 	if err != nil {
 		return nil, err
 	}

@@ -47,8 +47,8 @@ type Endpoint struct {
 	// Send state.
 	nextMsgSeq  uint64
 	nextCompSeq uint32
-	bySeq       map[uint32]*sendWindow // CQ completion → window
-	sends       map[uint64]*sendReq    // by msgid (awaiting CTS)
+	bySeq       map[uint32]*sendReq // CQ completion → its send
+	sends       map[uint64]*sendReq // by msgid (awaiting CTS)
 
 	// Rendezvous receive state.
 	rdvRecvs   map[uint64]*rdvRecv // by msgid
@@ -57,9 +57,6 @@ type Endpoint struct {
 	// freeRdvSlots are scratch TID-list slots available for active
 	// rendezvous receives.
 	freeRdvSlots []int
-
-	// MaxActiveRdv bounds concurrently TID-registered receives.
-	MaxActiveRdv int
 
 	// peers holds the per-remote-rank state: cached address, go-back-N
 	// flows, congestion window (see reliability.go). ackOwed/cnpOwed
@@ -150,10 +147,6 @@ type sendReq struct {
 	ctsSeen map[uint64]bool
 }
 
-type sendWindow struct {
-	send *sendReq
-}
-
 // rdvWindow is one outstanding TID window of a rendezvous receive.
 type rdvWindow struct {
 	off  uint64
@@ -189,15 +182,14 @@ const DevicePath = "/dev/hfi1"
 func NewEndpoint(p *sim.Proc, os OSOps, rank int, book AddressBook, synthetic bool) (*Endpoint, error) {
 	ep := &Endpoint{
 		OS: os, Rank: rank, Book: book, Synthetic: synthetic,
-		trackName:    fmt.Sprintf("rank%d", rank),
-		peers:        make(map[int]*peer),
-		inflight:     make(map[uint64]*inbound),
-		bySeq:        make(map[uint32]*sendWindow),
-		sends:        make(map[uint64]*sendReq),
-		rdvRecvs:     make(map[uint64]*rdvRecv),
-		MaxActiveRdv: 4,
+		trackName: fmt.Sprintf("rank%d", rank),
+		peers:     make(map[int]*peer),
+		inflight:  make(map[uint64]*inbound),
+		bySeq:     make(map[uint32]*sendReq),
+		sends:     make(map[uint64]*sendReq),
+		rdvRecvs:  make(map[uint64]*rdvRecv),
 	}
-	for i := 0; i < ep.MaxActiveRdv*RdvWindowDepth; i++ {
+	for i := 0; i < maxActiveRdv*RdvWindowDepth; i++ {
 		ep.freeRdvSlots = append(ep.freeRdvSlots, i)
 	}
 	fd, err := os.Open(p, DevicePath)

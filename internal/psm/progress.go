@@ -330,7 +330,7 @@ func (ep *Endpoint) onCTS(p *sim.Proc, e *hfi.HdrqEntry) error {
 	if err := ep.writevSDMA(p, hdr, sr.buf+uproc.VirtAddr(windowOff), winLen); err != nil {
 		return err
 	}
-	ep.bySeq[cs] = &sendWindow{send: sr}
+	ep.bySeq[cs] = sr
 	sr.windows++
 	// A re-CTSed window (receiver-side recovery) submits again but only
 	// counts toward remaining once.
@@ -351,12 +351,11 @@ func (ep *Endpoint) onCTS(p *sim.Proc, e *hfi.HdrqEntry) error {
 // sequence number in the low half and the error bit above it.
 func (ep *Endpoint) onSendComplete(p *sim.Proc, seqRaw uint64) error {
 	seq := uint32(seqRaw)
-	w, ok := ep.bySeq[seq]
+	sr, ok := ep.bySeq[seq]
 	if !ok {
 		return fmt.Errorf("psm: rank %d completion for unknown seq %d", ep.Rank, seq)
 	}
 	delete(ep.bySeq, seq)
-	sr := w.send
 	sr.windows--
 	if seqRaw&hfi.CQErrBit != 0 {
 		if ep.reliable && sr.op == "send:eager-sdma" && !sr.req.Done {

@@ -210,7 +210,7 @@ func (ep *Endpoint) sendEagerSDMA(p *sim.Proc, dst int, a Addr, tag, msgid uint6
 		return err
 	}
 	sr.windows = 1
-	ep.bySeq[cs] = &sendWindow{send: sr}
+	ep.bySeq[cs] = sr
 	if ep.reliable {
 		ep.armEagerFin(sr)
 	}
@@ -376,7 +376,7 @@ func (ep *Endpoint) beginRendezvous(p *sim.Proc, rr *recvReq, rts *rtsInfo) erro
 		ep.pendingRTS = append(ep.pendingRTS, rts)
 		return nil
 	}
-	if ep.activeRdvs >= ep.MaxActiveRdv {
+	if ep.activeRdvs >= maxActiveRdv {
 		ep.rdvBacklog = append(ep.rdvBacklog, rts)
 		// Re-queue the receive so the backlog pop can find it.
 		ep.posted = append(ep.posted, rr)

@@ -71,7 +71,6 @@ type OSOps interface {
 	Writev(p *sim.Proc, h Handle, iov []hfi.IOVec) (uint64, error)
 	Ioctl(p *sim.Proc, h Handle, cmd uint32, arg uproc.VirtAddr) (uint64, error)
 	MmapDevice(p *sim.Proc, h Handle, kind uint32, length uint64) (uproc.VirtAddr, error)
-	Poll(p *sim.Proc, h Handle) (uint32, error)
 
 	MmapAnon(p *sim.Proc, size uint64) (uproc.VirtAddr, error)
 	Munmap(p *sim.Proc, va uproc.VirtAddr) error
@@ -199,6 +198,10 @@ func (e *SDMAError) Error() string {
 // outstanding: registration and CTS of window N+1 overlap the data
 // transfer of window N, exactly as PSM pipelines its TID windows.
 const RdvWindowDepth = 2
+
+// maxActiveRdv bounds concurrently TID-registered rendezvous receives;
+// later ones wait in the endpoint's backlog.
+const maxActiveRdv = 4
 
 // pollDelay is the modeled gap between an event landing in host memory
 // and a polling PSM noticing it.

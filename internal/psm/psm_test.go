@@ -153,10 +153,10 @@ func TestTruncationRejected(t *testing.T) {
 }
 
 // TestManyOutstandingRendezvous exercises the TID window limit and the
-// rendezvous backlog: more concurrent large receives than MaxActiveRdv.
+// rendezvous backlog: more concurrent large receives than maxActiveRdv.
 func TestManyOutstandingRendezvous(t *testing.T) {
 	const size = 128 << 10
-	const msgs = 10 // > MaxActiveRdv (4)
+	const msgs = 10 // > maxActiveRdv (4)
 	done := 0
 	pair(t, true, func(p *sim.Proc, rank int, ep *psm.Endpoint) {
 		buf, err := ep.OS.MmapAnon(p, msgs*size)

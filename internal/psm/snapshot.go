@@ -34,7 +34,7 @@ func (ep *Endpoint) EncodeState(e *snapshot.Enc) {
 	}
 
 	for _, sq := range sortedKeys(ep.bySeq) {
-		e.Printf("window seq=%d msgid=%d\n", sq, ep.bySeq[sq].send.msgid)
+		e.Printf("window seq=%d msgid=%d\n", sq, ep.bySeq[sq].msgid)
 	}
 	for _, m := range sortedKeys(ep.sends) {
 		sr := ep.sends[m]

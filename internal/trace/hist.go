@@ -74,9 +74,6 @@ func (h *Histogram) Observe(d time.Duration) {
 // Count returns the number of samples.
 func (h *Histogram) Count() uint64 { return h.n }
 
-// Sum returns the cumulative observed time.
-func (h *Histogram) Sum() time.Duration { return h.sum }
-
 // Mean returns the exact sample mean (zero when empty).
 func (h *Histogram) Mean() time.Duration {
 	if h.n == 0 {

@@ -10,11 +10,8 @@ import "encoding/binary"
 
 // Work-request opcodes (WQE field and wire Hdr.Op).
 const (
-	OpcodeSend  uint32 = 1
 	OpcodeWrite uint32 = 2 // RDMA WRITE
 	OpcodeRead  uint32 = 3 // RDMA READ
-	// OpcodeRecv labels receive completions in CQEs (never in a SQ WQE).
-	OpcodeRecv uint32 = 4
 
 	// Wire-only opcodes.
 	opReadResp uint32 = 5
@@ -27,10 +24,8 @@ const (
 	StatusOK            uint32 = 0
 	StatusLocalProt     uint32 = 1 // local key/bounds/access violation
 	StatusLocalQPErr    uint32 = 2 // WQE processed on a QP not in RTS
-	StatusLocalLen      uint32 = 3 // inbound SEND overruns the RQ buffer
 	StatusRemoteAccess  uint32 = 4 // remote bounds or permission violation
-	StatusRemoteInvalid uint32 = 5 // unknown rkey/QPN or wrong QP flavor
-	StatusRNR           uint32 = 6 // receiver not ready (RQ empty)
+	StatusRemoteInvalid uint32 = 5 // unknown rkey/QPN or wrong peer
 )
 
 // StatusString names a completion status for diagnostics.
@@ -42,14 +37,10 @@ func StatusString(s uint32) string {
 		return "local-protection"
 	case StatusLocalQPErr:
 		return "local-qp-error"
-	case StatusLocalLen:
-		return "local-length"
 	case StatusRemoteAccess:
 		return "remote-access"
 	case StatusRemoteInvalid:
 		return "remote-invalid"
-	case StatusRNR:
-		return "rnr"
 	}
 	return "unknown"
 }
@@ -57,8 +48,7 @@ func StatusString(s uint32) string {
 // WQESize is the fixed work-queue-entry stride.
 const WQESize = 64
 
-// WQE is one work request as encoded into an SQ or RQ ring. RQ entries
-// use only WRID/LKey/LAddr/Len.
+// WQE is one work request as encoded into an SQ ring.
 type WQE struct {
 	Opcode uint32
 	WRID   uint64
@@ -126,14 +116,12 @@ func DecodeCQE(b []byte) CQE {
 	}
 }
 
-// Doorbell/status page layout (one 4 KiB page per QP). The producer
-// tails are written by userspace and DMA-read by the HCA at doorbell
-// time; the consumer/producer counts on the right are DMA-written by
-// the HCA and polled by userspace with no kernel involvement.
+// Doorbell/status page layout (one 4 KiB page per QP). The SQ producer
+// tail is written by userspace and DMA-read by the HCA at doorbell
+// time; the CQ producer and SQ consumer counts are DMA-written by the
+// HCA and polled by userspace with no kernel involvement.
 const (
 	dbSQTail = 0  // user → HCA: SQ producer index
-	dbRQTail = 8  // user → HCA: RQ producer index
-	dbCQProd = 16 // HCA → user: CQ producer index
-	dbSQCons = 24 // HCA → user: SQ consumer index (ring-full detection)
-	dbRQCons = 32 // HCA → user: RQ consumer index
+	dbCQProd = 8  // HCA → user: CQ producer index
+	dbSQCons = 16 // HCA → user: SQ consumer index (ring-full detection)
 )

@@ -1,12 +1,13 @@
 // Package verbs models an RDMA HCA ("RNIC") over the mlx driver: queue
-// pairs with the mandatory RESET→INIT→RTR→RTS state machine, work queues
-// in simulated user memory, doorbell-triggered processing on the engine's
-// virtual clock, and SEND/RECV plus RDMA WRITE/READ whose payloads move
-// page-by-page through real MTT lookups between the nodes' physical
-// memories. The control path (QP creation, state transitions, memory
-// registration) runs through the driver's ioctls — that is the part the
-// paper's §6 future work ports to the LWK — while the data path
-// (doorbell, WQE fetch, DMA, CQE) never enters any kernel.
+// pairs with the mandatory RESET→INIT→RTR→RTS state machine, send and
+// completion queues in simulated user memory, doorbell-triggered
+// processing on the engine's virtual clock, and RDMA WRITE/READ whose
+// payloads move page-by-page through real MTT lookups between the nodes'
+// physical memories. There is no two-sided SEND/RECV: nothing in the
+// simulator drives it. The control path (QP creation, state
+// transitions, memory registration) runs through the driver's ioctls —
+// that is the part the paper's §6 future work ports to the LWK — while
+// the data path (doorbell, WQE fetch, DMA, CQE) never enters any kernel.
 package verbs
 
 import (
@@ -54,16 +55,6 @@ type msgKey struct {
 	msgID uint64
 }
 
-// recvState tracks an in-progress inbound SEND being scattered into a
-// consumed RQ WQE.
-type recvState struct {
-	key   msgKey
-	wrid  uint64
-	lkey  uint32
-	laddr uint64
-	begin time.Duration
-}
-
 // hwQP is the HCA-side queue pair state.
 type hwQP struct {
 	qpn        uint32
@@ -72,11 +63,10 @@ type hwQP struct {
 	remoteNode int
 	remoteQPN  uint32
 
-	sq, rq, cq ring
-	db         mem.Extent
+	sq, cq ring
+	db     mem.Extent
 
 	sqHead, sqTail uint32 // consumer / producer-shadow
-	rqHead, rqTail uint32
 	cqProd         uint32
 
 	scheduled  bool
@@ -84,7 +74,6 @@ type hwQP struct {
 	nextMsg    uint64
 	pending    map[uint64]*pendingWR
 	discard    map[msgKey]bool
-	cur        *recvState
 }
 
 // RNIC is one node's HCA. All processing happens on two engine daemons
@@ -170,12 +159,12 @@ func (r *RNIC) InvalidateKey(lkey uint32) { delete(r.keys, lkey) }
 // must hold one completion per possible outstanding WQE so it can never
 // overflow.
 func (r *RNIC) CreateQP(ctx *kernel.Ctx, info *mlx.QPInfo) (uint32, error) {
-	if info.SQEntries == 0 || info.RQEntries == 0 {
+	if info.SQEntries == 0 {
 		return 0, fmt.Errorf("verbs: zero-sized work queue")
 	}
-	if info.CQEntries < info.SQEntries+info.RQEntries {
-		return 0, fmt.Errorf("verbs: CQ %d entries cannot cover SQ %d + RQ %d",
-			info.CQEntries, info.SQEntries, info.RQEntries)
+	if info.CQEntries < info.SQEntries {
+		return 0, fmt.Errorf("verbs: CQ %d entries cannot cover SQ %d",
+			info.CQEntries, info.SQEntries)
 	}
 	alloc := func(entries, stride uint32) (ring, error) {
 		bytes := (uint64(entries)*uint64(stride) + mem.PageSize4K - 1) &^ uint64(mem.PageSize4K-1)
@@ -189,21 +178,14 @@ func (r *RNIC) CreateQP(ctx *kernel.Ctx, info *mlx.QPInfo) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	rq, err := alloc(info.RQEntries, WQESize)
-	if err != nil {
-		r.space.Alloc.FreeContig(sq.ext)
-		return 0, err
-	}
 	cq, err := alloc(info.CQEntries, CQESize)
 	if err != nil {
 		r.space.Alloc.FreeContig(sq.ext)
-		r.space.Alloc.FreeContig(rq.ext)
 		return 0, err
 	}
 	db, err := r.space.Alloc.AllocContig(uint64(mem.PageSize4K), mem.PreferMCDRAM)
 	if err != nil {
 		r.space.Alloc.FreeContig(sq.ext)
-		r.space.Alloc.FreeContig(rq.ext)
 		r.space.Alloc.FreeContig(cq.ext)
 		return 0, err
 	}
@@ -211,7 +193,7 @@ func (r *RNIC) CreateQP(ctx *kernel.Ctx, info *mlx.QPInfo) (uint32, error) {
 	r.nextQPN++
 	r.qps[qpn] = &hwQP{
 		qpn: qpn, state: mlx.QPStateReset,
-		sq: sq, rq: rq, cq: cq, db: db,
+		sq: sq, cq: cq, db: db,
 		pending: make(map[uint64]*pendingWR),
 		discard: make(map[msgKey]bool),
 	}
@@ -255,7 +237,6 @@ func (r *RNIC) DestroyQP(ctx *kernel.Ctx, qpn uint32) error {
 		return fmt.Errorf("verbs: destroy of unknown QP %d", qpn)
 	}
 	r.space.Alloc.FreeContig(qp.sq.ext)
-	r.space.Alloc.FreeContig(qp.rq.ext)
 	r.space.Alloc.FreeContig(qp.cq.ext)
 	r.space.Alloc.FreeContig(qp.db)
 	delete(r.qps, qpn)
@@ -272,8 +253,6 @@ func (r *RNIC) Region(qpn, region uint32) (mem.Extent, error) {
 	switch region {
 	case mlx.MmapSQ:
 		return qp.sq.ext, nil
-	case mlx.MmapRQ:
-		return qp.rq.ext, nil
 	case mlx.MmapCQ:
 		return qp.cq.ext, nil
 	case mlx.MmapDB:
@@ -285,7 +264,7 @@ func (r *RNIC) Region(qpn, region uint32) (mem.Extent, error) {
 // ---- Data path ----
 
 // RingDoorbell is the userspace MMIO store that kicks the HCA: it reads
-// the producer tails from the doorbell page and schedules the QP. This
+// the SQ producer tail from the doorbell page and schedules the QP. This
 // is the entire submit cost of the kernel-bypass path — no syscall.
 func (r *RNIC) RingDoorbell(p *sim.Proc, qpn uint32) error {
 	p.Sleep(r.pr.VerbsDoorbell)
@@ -298,12 +277,7 @@ func (r *RNIC) RingDoorbell(p *sim.Proc, qpn uint32) error {
 	if err != nil {
 		return err
 	}
-	rqTail, err := r.phys.ReadU64(qp.db.Addr + dbRQTail)
-	if err != nil {
-		return err
-	}
 	qp.sqTail = uint32(sqTail)
-	qp.rqTail = uint32(rqTail)
 	if qp.sqHead != qp.sqTail && !qp.scheduled {
 		qp.scheduled = true
 		qp.doorbellAt = p.Now()
@@ -363,7 +337,7 @@ func (r *RNIC) execWQE(p *sim.Proc, qp *hwQP, w *WQE) {
 	qp.pending[msgID] = pd
 
 	switch w.Opcode {
-	case OpcodeSend, OpcodeWrite:
+	case OpcodeWrite:
 		dmaBegin := p.Now()
 		r.streamOut(p, qp.remoteNode, qp.remoteQPN, qp.qpn, w.Opcode, msgID, h, w)
 		r.e.Recorder().SpanBytes(trace.CatVerbs, "dma", r.track(), dmaBegin, p.Now(), w.Len)
@@ -385,8 +359,8 @@ func (r *RNIC) execWQE(p *sim.Proc, qp *hwQP, w *WQE) {
 	}
 }
 
-// streamOut segments one SEND/WRITE message into MTU packets, gathering
-// payload through the local MTT.
+// streamOut segments one WRITE or READ-response message into MTU
+// packets, gathering payload through the local MTT.
 func (r *RNIC) streamOut(p *sim.Proc, dstNode int, dstQPN, srcQPN, op uint32,
 	msgID uint64, h mlx.MRHandle, w *WQE) {
 	off := uint64(0)
@@ -497,8 +471,6 @@ func (r *RNIC) runRx(p *sim.Proc) {
 		switch pkt.Hdr.Op {
 		case OpcodeWrite:
 			r.rxWrite(p, pkt)
-		case OpcodeSend:
-			r.rxSend(p, pkt)
 		case OpcodeRead:
 			r.rxRead(p, pkt)
 		case opReadResp:
@@ -539,7 +511,7 @@ func inKey(pkt *fabric.Packet) msgKey {
 
 // rxTarget resolves and admission-checks the destination QP of an
 // inbound request; a nil return means the packet was nak'd or dropped.
-func (r *RNIC) rxTarget(p *sim.Proc, pkt *fabric.Packet, needConnected bool) *hwQP {
+func (r *RNIC) rxTarget(p *sim.Proc, pkt *fabric.Packet) *hwQP {
 	qp, ok := r.qps[uint32(pkt.DstCtx)]
 	if !ok || qp.state < mlx.QPStateRTR {
 		if pkt.Hdr.Offset == 0 {
@@ -553,10 +525,7 @@ func (r *RNIC) rxTarget(p *sim.Proc, pkt *fabric.Packet, needConnected bool) *hw
 		}
 		return nil
 	}
-	wrongFlavor := needConnected && qp.anySource
-	wrongPeer := !qp.anySource &&
-		(pkt.SrcNode != qp.remoteNode || pkt.Hdr.SrcRank != qp.remoteQPN)
-	if wrongFlavor || wrongPeer {
+	if !qp.anySource && (pkt.SrcNode != qp.remoteNode || pkt.Hdr.SrcRank != qp.remoteQPN) {
 		r.nakAndDiscard(p, qp, pkt, StatusRemoteInvalid)
 		return nil
 	}
@@ -600,7 +569,7 @@ func mlxAccess(op uint32) uint32 {
 }
 
 func (r *RNIC) rxWrite(p *sim.Proc, pkt *fabric.Packet) {
-	qp := r.rxTarget(p, pkt, false)
+	qp := r.rxTarget(p, pkt)
 	if qp == nil {
 		return
 	}
@@ -625,73 +594,8 @@ func (r *RNIC) rxWrite(p *sim.Proc, pkt *fabric.Packet) {
 	}
 }
 
-func (r *RNIC) rxSend(p *sim.Proc, pkt *fabric.Packet) {
-	qp := r.rxTarget(p, pkt, true)
-	if qp == nil {
-		return
-	}
-	if pkt.Hdr.Offset == 0 {
-		if qp.rqHead == qp.rqTail {
-			// Receiver not ready: no posted RQ WQE.
-			r.nakAndDiscard(p, qp, pkt, StatusRNR)
-			return
-		}
-		var b [WQESize]byte
-		if err := r.phys.ReadAt(qp.rq.slot(qp.rqHead), b[:]); err != nil {
-			r.e.Fail(err)
-			return
-		}
-		p.Sleep(r.pr.VerbsWQEFetch)
-		rwqe := DecodeWQE(b[:])
-		qp.rqHead++
-		if err := r.phys.WriteU64(qp.db.Addr+dbRQCons, uint64(qp.rqHead)); err != nil {
-			r.e.Fail(err)
-			return
-		}
-		r.WQEs++
-		h, ok := r.keys[rwqe.LKey]
-		if !ok || h.Access&mlx.AccessLocalWrite == 0 ||
-			rwqe.LAddr < h.IOVA || rwqe.LAddr+rwqe.Len > h.IOVA+h.Length {
-			r.writeCQE(p, qp, rwqe.WRID, StatusLocalProt, OpcodeRecv, 0, p.Now())
-			r.nakAndDiscard(p, qp, pkt, StatusRemoteInvalid)
-			return
-		}
-		if pkt.Hdr.MsgLen > rwqe.Len {
-			// Message overruns the posted buffer: local length error on
-			// the receiver, remote-invalid nak to the sender.
-			r.writeCQE(p, qp, rwqe.WRID, StatusLocalLen, OpcodeRecv, pkt.Hdr.MsgLen, p.Now())
-			r.nakAndDiscard(p, qp, pkt, StatusRemoteInvalid)
-			return
-		}
-		qp.cur = &recvState{key: inKey(pkt), wrid: rwqe.WRID, lkey: rwqe.LKey,
-			laddr: rwqe.LAddr, begin: p.Now()}
-	}
-	cur := qp.cur
-	if cur == nil || cur.key != inKey(pkt) {
-		// Interleaved SENDs can only happen on a misused QP; reject.
-		r.nakAndDiscard(p, qp, pkt, StatusRemoteInvalid)
-		return
-	}
-	if pkt.Bytes > 0 {
-		h := r.keys[cur.lkey]
-		buf := pkt.Payload
-		if r.synthetic {
-			buf = nil
-		}
-		if err := r.dmaAccess(p, h, cur.laddr-h.IOVA+pkt.Hdr.Offset, buf, true); err != nil {
-			r.e.Fail(err)
-			return
-		}
-	}
-	if pkt.Last {
-		qp.cur = nil
-		r.writeCQE(p, qp, cur.wrid, StatusOK, OpcodeRecv, pkt.Hdr.MsgLen, cur.begin)
-		r.reply(p, pkt, opAck, StatusOK)
-	}
-}
-
 func (r *RNIC) rxRead(p *sim.Proc, pkt *fabric.Packet) {
-	qp := r.rxTarget(p, pkt, false)
+	qp := r.rxTarget(p, pkt)
 	if qp == nil {
 		return
 	}

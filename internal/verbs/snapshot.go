@@ -24,11 +24,11 @@ func (r *RNIC) EncodeState(e *snapshot.Enc) {
 	sort.Slice(qpns, func(i, j int) bool { return qpns[i] < qpns[j] })
 	for _, qpn := range qpns {
 		qp := r.qps[qpn]
-		e.Printf("qp qpn=%d state=%d anysrc=%v remote=%d/%d sq=%d/%d rq=%d/%d cqprod=%d scheduled=%v doorbellat=%d nextmsg=%d pending=%d discard=%d cur=%v\n",
+		e.Printf("qp qpn=%d state=%d anysrc=%v remote=%d/%d sq=%d/%d cqprod=%d scheduled=%v doorbellat=%d nextmsg=%d pending=%d discard=%d\n",
 			qpn, qp.state, qp.anySource, qp.remoteNode, qp.remoteQPN,
-			qp.sqHead, qp.sqTail, qp.rqHead, qp.rqTail, qp.cqProd,
+			qp.sqHead, qp.sqTail, qp.cqProd,
 			qp.scheduled, int64(qp.doorbellAt), qp.nextMsg,
-			len(qp.pending), len(qp.discard), qp.cur != nil)
+			len(qp.pending), len(qp.discard))
 		msgs := make([]uint64, 0, len(qp.pending))
 		for m := range qp.pending {
 			msgs = append(msgs, m)

@@ -1,8 +1,8 @@
 // Userspace verbs library. Setup (device open, memory registration, QP
 // creation and state transitions, ring mmaps) goes through the OS
 // personality — system calls, offloaded or fast-pathed depending on the
-// configuration. After setup the data path (PostSend/PostRecv/PollCQ/
-// WaitCQ) touches only mapped memory and the doorbell MMIO: zero system
+// configuration. After setup the data path (PostSend/PollCQ/WaitCQ)
+// touches only mapped memory and the doorbell MMIO: zero system
 // calls, identical on every OS configuration. That asymmetry is the
 // paper's whole argument for porting only the registration routines.
 package verbs
@@ -93,11 +93,10 @@ func (u *UContext) DeregMR(p *sim.Proc, mr *MR) error {
 	return err
 }
 
-// QPConfig sizes a queue pair's rings. Zero fields take defaults; the
-// CQ is always sized to hold every possible outstanding completion.
+// QPConfig sizes a queue pair's rings. A zero SQEntries takes the
+// default; the CQ gets one entry per SQ entry.
 type QPConfig struct {
 	SQEntries uint32
-	RQEntries uint32
 }
 
 // QP is the userspace view of a queue pair: mapped rings plus local
@@ -105,15 +104,11 @@ type QPConfig struct {
 type QP struct {
 	QPN uint32
 
-	u          *UContext
-	sqVA, rqVA uproc.VirtAddr
-	cqVA, dbVA uproc.VirtAddr
-	sqEntries  uint32
-	rqEntries  uint32
-	cqEntries  uint32
-	sqTail     uint32
-	rqTail     uint32
-	cqCons     uint32
+	u                *UContext
+	sqVA, cqVA, dbVA uproc.VirtAddr
+	sqEntries        uint32 // also the CQ's entry count
+	sqTail           uint32
+	cqCons           uint32
 }
 
 // CreateQP creates a QP in RESET and maps its rings into the process.
@@ -121,14 +116,7 @@ func (u *UContext) CreateQP(p *sim.Proc, cfg QPConfig) (*QP, error) {
 	if cfg.SQEntries == 0 {
 		cfg.SQEntries = 64
 	}
-	if cfg.RQEntries == 0 {
-		cfg.RQEntries = 64
-	}
-	qi := mlx.QPInfo{
-		SQEntries: cfg.SQEntries,
-		RQEntries: cfg.RQEntries,
-		CQEntries: cfg.SQEntries + cfg.RQEntries,
-	}
+	qi := mlx.QPInfo{SQEntries: cfg.SQEntries, CQEntries: cfg.SQEntries}
 	if err := mlx.EncodeQPInfo(u.proc, u.argVA, &qi); err != nil {
 		return nil, err
 	}
@@ -139,16 +127,11 @@ func (u *UContext) CreateQP(p *sim.Proc, cfg QPConfig) (*QP, error) {
 	if err != nil {
 		return nil, err
 	}
-	qp := &QP{QPN: out.QPN, u: u,
-		sqEntries: cfg.SQEntries, rqEntries: cfg.RQEntries,
-		cqEntries: qi.CQEntries}
+	qp := &QP{QPN: out.QPN, u: u, sqEntries: cfg.SQEntries}
 	mapr := func(region uint32, length uint64) (uproc.VirtAddr, error) {
 		return u.os.MmapDevice(p, u.h, mlx.MmapKind(region, out.QPN), length)
 	}
 	if qp.sqVA, err = mapr(mlx.MmapSQ, uint64(cfg.SQEntries)*WQESize); err != nil {
-		return nil, err
-	}
-	if qp.rqVA, err = mapr(mlx.MmapRQ, uint64(cfg.RQEntries)*WQESize); err != nil {
 		return nil, err
 	}
 	if qp.cqVA, err = mapr(mlx.MmapCQ, uint64(qi.CQEntries)*CQESize); err != nil {
@@ -227,28 +210,6 @@ func (qp *QP) PostSend(p *sim.Proc, w *WQE) error {
 	return qp.u.rnic.RingDoorbell(p, qp.QPN)
 }
 
-// PostRecv queues a receive buffer on the RQ.
-func (qp *QP) PostRecv(p *sim.Proc, w *WQE) error {
-	cons, err := qp.u.proc.ReadU64(qp.dbVA + dbRQCons)
-	if err != nil {
-		return err
-	}
-	if qp.rqTail-uint32(cons) >= qp.rqEntries {
-		return fmt.Errorf("verbs: RQ full on QP %d", qp.QPN)
-	}
-	var b [WQESize]byte
-	EncodeWQE(b[:], w)
-	slot := qp.rqVA + uproc.VirtAddr((qp.rqTail%qp.rqEntries)*WQESize)
-	if err := qp.u.proc.WriteAt(slot, b[:]); err != nil {
-		return err
-	}
-	qp.rqTail++
-	if err := qp.u.proc.WriteU64(qp.dbVA+dbRQTail, uint64(qp.rqTail)); err != nil {
-		return err
-	}
-	return qp.u.rnic.RingDoorbell(p, qp.QPN)
-}
-
 // PollCQ drains available completions without blocking (and without any
 // kernel involvement: it reads the HCA-written producer index from the
 // mapped doorbell page).
@@ -260,7 +221,7 @@ func (qp *QP) PollCQ(p *sim.Proc) ([]CQE, error) {
 	var out []CQE
 	for qp.cqCons != uint32(prod) {
 		var b [CQESize]byte
-		slot := qp.cqVA + uproc.VirtAddr((qp.cqCons%qp.cqEntries)*CQESize)
+		slot := qp.cqVA + uproc.VirtAddr((qp.cqCons%qp.sqEntries)*CQESize)
 		if err := qp.u.proc.ReadAt(slot, b[:]); err != nil {
 			return nil, err
 		}

@@ -295,138 +295,6 @@ func TestCQErrors(t *testing.T) {
 	})
 }
 
-// TestSendRecvChannel exercises the two-sided path: RNR when the RQ is
-// empty, a byte-exact delivery into a posted receive, and the truncation
-// error when the message overruns the receive buffer.
-func TestSendRecvChannel(t *testing.T) {
-	const size = 8192
-	withCluster(t, cluster.OSMcKernel, 2, 19, func(p *sim.Proc, cl *cluster.Cluster) error {
-		osI := cl.Nodes[0].NewRankOS(0)
-		osT := cl.Nodes[1].NewRankOS(1)
-		uI, err := verbs.Open(p, osI)
-		if err != nil {
-			return err
-		}
-		uT, err := verbs.Open(p, osT)
-		if err != nil {
-			return err
-		}
-		bufI, err := osI.MmapAnon(p, size)
-		if err != nil {
-			return err
-		}
-		bufT, err := osT.MmapAnon(p, size)
-		if err != nil {
-			return err
-		}
-		mrI, err := uI.RegMR(p, bufI, size, mlx.AccessLocalWrite)
-		if err != nil {
-			return err
-		}
-		mrT, err := uT.RegMR(p, bufT, size, mlx.AccessLocalWrite)
-		if err != nil {
-			return err
-		}
-		// Connected in both directions: SENDs consume the target's RQ.
-		qpI, err := uI.CreateQP(p, verbs.QPConfig{})
-		if err != nil {
-			return err
-		}
-		qpT, err := uT.CreateQP(p, verbs.QPConfig{})
-		if err != nil {
-			return err
-		}
-		if err := qpI.ToInit(p); err != nil {
-			return err
-		}
-		if err := qpI.ToRTR(p, 1, qpT.QPN); err != nil {
-			return err
-		}
-		if err := qpI.ToRTS(p); err != nil {
-			return err
-		}
-		if err := qpT.ToInit(p); err != nil {
-			return err
-		}
-		if err := qpT.ToRTR(p, 0, qpI.QPN); err != nil {
-			return err
-		}
-
-		ref := pattern(size, 77)
-		if err := osI.Proc().WriteAt(bufI, ref); err != nil {
-			return err
-		}
-		send := func(wrid, n uint64) error {
-			return qpI.PostSend(p, &verbs.WQE{Opcode: verbs.OpcodeSend, WRID: wrid,
-				LKey: mrI.LKey, LAddr: uint64(bufI), Len: n})
-		}
-
-		// RQ empty: receiver not ready.
-		if err := send(1, size); err != nil {
-			return err
-		}
-		cqes, err := qpI.WaitCQ(p, 1)
-		if err != nil {
-			return err
-		}
-		if cqes[0].Status != verbs.StatusRNR {
-			return fmt.Errorf("SEND to empty RQ: completion = %+v", cqes[0])
-		}
-
-		// Posted receive: byte-exact delivery, completions on both ends.
-		if err := qpT.PostRecv(p, &verbs.WQE{WRID: 100, LKey: mrT.LKey,
-			LAddr: uint64(bufT), Len: size}); err != nil {
-			return err
-		}
-		if err := send(2, size); err != nil {
-			return err
-		}
-		if cqes, err = qpI.WaitCQ(p, 1); err != nil {
-			return err
-		}
-		if cqes[0].Status != verbs.StatusOK || cqes[0].Opcode != verbs.OpcodeSend {
-			return fmt.Errorf("SEND completion = %+v", cqes[0])
-		}
-		rcq, err := qpT.WaitCQ(p, 1)
-		if err != nil {
-			return err
-		}
-		if rcq[0].Status != verbs.StatusOK || rcq[0].Opcode != verbs.OpcodeRecv ||
-			rcq[0].WRID != 100 || rcq[0].Bytes != size {
-			return fmt.Errorf("RECV completion = %+v", rcq[0])
-		}
-		got := make([]byte, size)
-		if err := osT.Proc().ReadAt(bufT, got); err != nil {
-			return err
-		}
-		if !bytes.Equal(got, ref) {
-			return fmt.Errorf("SEND payload mismatch")
-		}
-
-		// Receive buffer too small: truncation error on both sides.
-		if err := qpT.PostRecv(p, &verbs.WQE{WRID: 101, LKey: mrT.LKey,
-			LAddr: uint64(bufT), Len: 100}); err != nil {
-			return err
-		}
-		if err := send(3, size); err != nil {
-			return err
-		}
-		if cqes, err = qpI.WaitCQ(p, 1); err != nil {
-			return err
-		}
-		if cqes[0].Status != verbs.StatusRemoteInvalid {
-			return fmt.Errorf("overrun SEND completion = %+v", cqes[0])
-		}
-		if rcq, err = qpT.WaitCQ(p, 1); err != nil {
-			return err
-		}
-		if rcq[0].Status != verbs.StatusLocalLen || rcq[0].WRID != 101 {
-			return fmt.Errorf("overrun RECV completion = %+v", rcq[0])
-		}
-		return nil
-	})
-}
-
 // TestReleaseTeardown closes a device file with live MRs and QPs still
 // attached: the driver must destroy the QPs through the engine, tear
 // down every orphaned registration, unpin the pages and invalidate the

@@ -115,15 +115,3 @@ func (r *Rand) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle pseudo-randomizes the order of n elements via swap, with the
-// same contract as math/rand.Shuffle.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	if n < 0 {
-		panic("xrand: Shuffle with negative n")
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
