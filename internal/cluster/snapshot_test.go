@@ -2,10 +2,14 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/hfi"
+	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/psm"
 	"repro/internal/sim"
@@ -120,6 +124,75 @@ func TestSnapshotDeterminism(t *testing.T) {
 			}
 			if os != OSLinux && late.Section("node0/kmem-lwk") == nil {
 				t.Error("section node0/kmem-lwk missing on multi-kernel config")
+			}
+		})
+	}
+}
+
+// TestRingFootprint: once a context's eager ring has wrapped, the node
+// backs only the ring frames that hold entries not yet handed back, not
+// every frame the NIC ever wrote. 5 000 1 KB round trips wrap the
+// 4 096-slot ring; while the NIC kept what it wrote, each context held
+// more than 4 000 frames of its eager ring and header queue. The count
+// is read off the snapshot: the hfi section's ctx lines give the rings'
+// extents, the mem section's frame lines the backed frames.
+func TestRingFootprint(t *testing.T) {
+	const trips, size = 5000, 1 << 10
+	pr := model.Default()
+	for _, os := range AllOSTypes {
+		t.Run(os.String(), func(t *testing.T) {
+			c, err := New(Spec{Nodes: 2, OS: os, Params: pr, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			ranks := c.StartRanks("rank", []int{0, 1}, false, pingPong(trips, size))
+			if err := c.Run(0); err != nil {
+				t.Fatal(err)
+			}
+			if err := ranks.Err(); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := c.Machine().Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := snapshot.Decode(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for node := range 2 {
+				backed := map[uint64]bool{}
+				for _, line := range strings.Split(string(snap.Section(fmt.Sprintf("node%d/mem", node))), "\n") {
+					var addr uint64
+					if _, err := fmt.Sscanf(line, "frame addr=%x", &addr); err == nil {
+						backed[addr] = true
+					}
+				}
+				contexts := 0
+				for _, line := range strings.Split(string(snap.Section(fmt.Sprintf("node%d/hfi", node))), "\n") {
+					var id, status, hdrq, hdrqN, eager, eagerN uint64
+					if _, err := fmt.Sscanf(line, "ctx id=%d status=%d hdrq=%d/%d eager=%d/%d",
+						&id, &status, &hdrq, &hdrqN, &eager, &eagerN); err != nil {
+						continue
+					}
+					contexts++
+					frames := 0
+					for _, ring := range [][2]uint64{{hdrq, hdrqN * hfi.HdrqEntrySize}, {eager, eagerN * pr.EagerChunk}} {
+						for pa := ring[0]; pa < ring[0]+ring[1]; pa += mem.PageSize4K {
+							if backed[pa] {
+								frames++
+							}
+						}
+					}
+					if frames > 4 {
+						t.Errorf("node %d ctx %d: %d ring frames backed after %d round trips, want a handful",
+							node, id, frames, trips)
+					}
+				}
+				if contexts == 0 {
+					t.Fatalf("node %d: no receive context in the snapshot", node)
+				}
 			}
 		})
 	}

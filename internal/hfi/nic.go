@@ -69,6 +69,15 @@ type tidEntry struct {
 // Context is one hardware receive context (one per opened device file,
 // i.e. per rank). The host-memory areas are allocated by the driver and
 // programmed here; the NIC DMAs into them.
+//
+// The eager ring and the header queue are DMA rings: the NIC fills the
+// entry at its head, and the consumer owns the entries from its tail up
+// to the head, reading each before it moves the tail past it. An entry
+// behind the tail belongs to the hardware again: its bytes are
+// undefined, and unbacked once the NIC next writes the ring
+// (releaseRing). Each ring starts on a frame boundary and owns its last
+// frame whole: the driver allocates rings in whole frames, so the bytes
+// past the last entry are padding.
 type Context struct {
 	ID          int
 	StatusPA    mem.PhysAddr
@@ -84,6 +93,9 @@ type Context struct {
 	TIDCount int
 
 	tids []tidEntry
+	// eagerReleased and hdrqReleased count the leading entries of each
+	// ring whose host frames the NIC has handed back.
+	eagerReleased, hdrqReleased uint64
 	// Notify is signaled whenever the NIC or the completion path posts
 	// an event for this context. It stands in for PSM's busy-polling:
 	// instead of burning simulated cycles in empty poll loops, PSM
@@ -428,13 +440,11 @@ func (n *NIC) RecyclePayload(b []byte) { n.fab.PutBuf(b) }
 // LocalDeliver models PSM's shared-memory transport for ranks on the
 // same node: the sender pays the intra-node copy cost and the chunk is
 // posted directly into the destination context's eager ring — no fabric,
-// no SDMA engine, no system call.
+// no SDMA engine, no system call. Like a fabric packet, a chunk longer
+// than an eager slot is refused (rxEager).
 func (n *NIC) LocalDeliver(p *sim.Proc, dstCtx int, hdr fabric.Header, payload []byte, bytes uint64) error {
 	if payload != nil {
 		bytes = uint64(len(payload))
-	}
-	if bytes > n.pr.EagerChunk {
-		return fmt.Errorf("hfi: local delivery of %d bytes exceeds eager chunk", bytes)
 	}
 	ctx, ok := n.contexts[dstCtx]
 	if !ok {
@@ -612,12 +622,19 @@ func (n *NIC) runRx(p *sim.Proc) {
 }
 
 func (n *NIC) rxEager(ctx *Context, pkt *fabric.Packet) error {
+	// A packet lands in exactly one slot: a longer one would spill into
+	// the next slot, or past the ring from the last. Senders chunk at
+	// EagerChunk, so only a sender bug reaches this.
+	if pkt.Bytes > n.pr.EagerChunk {
+		return fmt.Errorf("hfi: eager delivery of %d bytes exceeds eager chunk", pkt.Bytes)
+	}
 	head := n.readStatus(ctx, StatusEagerHead)
 	tail := n.readStatus(ctx, StatusEagerTail)
 	if head-tail >= uint64(ctx.EagerSlots) {
 		return fmt.Errorf("hfi: eager ring overflow (head=%d tail=%d slots=%d)",
 			head, tail, ctx.EagerSlots)
 	}
+	n.releaseRing(ctx.EagerPA, uint64(ctx.EagerSlots), n.pr.EagerChunk, &ctx.eagerReleased, tail, head)
 	slot := head % uint64(ctx.EagerSlots)
 	if pkt.Payload != nil {
 		pa := ctx.EagerPA + mem.PhysAddr(slot*n.pr.EagerChunk)
@@ -690,6 +707,7 @@ func (n *NIC) postHdrq(ctx *Context, e *HdrqEntry) error {
 		return fmt.Errorf("hfi: hdrq overflow (head=%d tail=%d entries=%d)",
 			head, tail, ctx.HdrqEntries)
 	}
+	n.releaseRing(ctx.HdrqPA, uint64(ctx.HdrqEntries), HdrqEntrySize, &ctx.hdrqReleased, tail, head)
 	slot := head % uint64(ctx.HdrqEntries)
 	pa := ctx.HdrqPA + mem.PhysAddr(slot*HdrqEntrySize)
 	EncodeHdrqEntryInto(n.hdrqScratch[:], e)
@@ -698,6 +716,43 @@ func (n *NIC) postHdrq(ctx *Context, e *HdrqEntry) error {
 	}
 	n.writeStatus(ctx, StatusHdrqHead, head+1)
 	return nil
+}
+
+// releaseRing hands back the host frames of the ring entries the
+// consumer has passed since the last call, [*released, tail), and
+// advances *released to tail. The ring has entries slots of size bytes
+// at base; head is the entry about to be written. A frame is kept while
+// any of its ring bytes belongs to an entry in [tail, head]: entries
+// that straddle frames, and those on the ring's next lap, which wrap to
+// its start.
+func (n *NIC) releaseRing(base mem.PhysAddr, entries, size uint64, released *uint64, tail, head uint64) {
+	from := *released
+	if from == tail {
+		return
+	}
+	*released = tail
+	ring := entries * size
+	// Entries [tail, head] occupy ring bytes [ls, le), continuing past
+	// the ring's end at offset 0 on the next lap.
+	ls := tail % entries * size
+	le := ls + (head-tail+1)*size
+	live := func(lo, hi uint64) bool {
+		return lo < le && hi > ls || le > ring && lo < le-ring
+	}
+	discard := func(lo, hi uint64) {
+		for f := lo &^ (mem.PageSize4K - 1); f < hi; f += mem.PageSize4K {
+			if !live(f, min(f+mem.PageSize4K, ring)) {
+				n.phys.Discard(mem.Extent{Addr: base + mem.PhysAddr(f), Len: mem.PageSize4K})
+			}
+		}
+	}
+	fs := from % entries * size
+	if fe := fs + (tail-from)*size; fe <= ring {
+		discard(fs, fe)
+	} else {
+		discard(fs, ring)
+		discard(0, fe-ring)
+	}
 }
 
 func (n *NIC) readStatus(ctx *Context, off int) uint64 {

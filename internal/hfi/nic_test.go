@@ -2,7 +2,9 @@ package hfi
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -362,5 +364,38 @@ func TestNICLocalDeliver(t *testing.T) {
 	})
 	if err := r.e.Run(0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRxEagerRefusesOversizePacket: a fabric packet longer than an eager
+// slot is refused. The receive path used to copy it whole, so from the
+// ring's last slot it overwrote whatever followed the ring.
+func TestRxEagerRefusesOversizePacket(t *testing.T) {
+	r := newNICRig(t)
+	last := uint64(63) // the rig's rings have 64 slots
+	for _, off := range []int{StatusEagerHead, StatusEagerTail} {
+		if err := r.phys[1].WriteU64(r.status[1]+mem.PhysAddr(off), last); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload := bytes.Repeat([]byte{0x5a}, int(r.pr.EagerChunk)+1)
+	r.e.Go("sender", func(p *sim.Proc) {
+		if err := r.nic[0].PIOSend(p, 1, 0, fabric.Header{Op: OpEager, MsgLen: uint64(len(payload))}, payload, 0); err != nil {
+			t.Error(err)
+		}
+	})
+	err := r.e.Run(0)
+	if want := fmt.Sprintf("eager delivery of %d bytes exceeds eager chunk", len(payload)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run: %v, want an error containing %q", err, want)
+	}
+	past := make([]byte, 1)
+	if err := r.phys[1].ReadAt(r.eager[1]+mem.PhysAddr(64*r.pr.EagerChunk), past); err != nil {
+		t.Fatal(err)
+	}
+	if past[0] != 0 {
+		t.Fatal("the packet was written past the end of the eager ring")
+	}
+	if got := r.head(t, 1, StatusEagerHead); got != last {
+		t.Fatalf("eager head moved to %d", got)
 	}
 }

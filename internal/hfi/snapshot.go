@@ -8,12 +8,12 @@ import (
 )
 
 // EncodeState serializes the NIC's mutable device state: the SDMA-error
-// RNG, every instrumentation counter, per-context RcvArray programming
-// (ring cursors themselves live in simulated host memory, which the
-// node's PhysMem section covers), per-engine queue depths with their
-// undrained transactions, the undelivered receive queue, and the
-// coalescing IRQ latch. Registered by cluster.buildNode under
-// "node<N>/hfi".
+// RNG, every instrumentation counter, per-context ring release cursors
+// and RcvArray programming (the head and tail cursors live in simulated
+// host memory, which the node's PhysMem section covers), per-engine
+// queue depths with their undrained transactions, the undelivered
+// receive queue, and the coalescing IRQ latch. Registered by
+// cluster.buildNode under "node<N>/hfi".
 func (n *NIC) EncodeState(e *snapshot.Enc) {
 	if n.frng != nil {
 		st := n.frng.State()
@@ -43,12 +43,13 @@ func (n *NIC) EncodeState(e *snapshot.Enc) {
 	sort.Ints(ids)
 	for _, id := range ids {
 		ctx := n.contexts[id]
-		e.Printf("ctx id=%d status=%d hdrq=%d/%d eager=%d/%d cq=%d/%d tids=%d programmed=%d waiters=%d\n",
+		e.Printf("ctx id=%d status=%d hdrq=%d/%d eager=%d/%d cq=%d/%d tids=%d programmed=%d waiters=%d released=%d/%d\n",
 			id, uint64(ctx.StatusPA),
 			uint64(ctx.HdrqPA), ctx.HdrqEntries,
 			uint64(ctx.EagerPA), ctx.EagerSlots,
 			uint64(ctx.CQPA), ctx.CQEntries,
-			ctx.TIDCount, ctx.TIDsProgrammed, ctx.Notify.Waiting())
+			ctx.TIDCount, ctx.TIDsProgrammed, ctx.Notify.Waiting(),
+			ctx.hdrqReleased, ctx.eagerReleased)
 		for idx, t := range ctx.tids {
 			// Generation survives a clear, so any touched entry is state
 			// even when invalid.

@@ -133,6 +133,18 @@ func (pm *PhysMem) Pinned(pa PhysAddr) bool {
 // PinnedFrames returns the number of distinct pinned frames.
 func (pm *PhysMem) PinnedFrames() int { return pm.pinned }
 
+// Discard drops the backing of every 4K frame lying wholly inside e, as
+// a device does with buffer slots it has handed back: the frames read as
+// zero until written again, and their buffers serve the next first
+// write anywhere on the node. Frames e covers only in part keep their
+// bytes. Pin counts are untouched.
+func (pm *PhysMem) Discard(e Extent) {
+	lo, hi := frameCeil(e.Addr), frameFloor(e.End())
+	if lo < hi {
+		pm.dropFrames(Extent{Addr: lo, Len: uint64(hi - lo)})
+	}
+}
+
 // frameFloor rounds pa down to its 4K frame base.
 func frameFloor(pa PhysAddr) PhysAddr { return pa &^ (PageSize4K - 1) }
 

@@ -4,8 +4,8 @@
 // DDR4, as on Knights Landing nodes). Each region is managed by a buddy
 // allocator supporting contiguous power-of-two allocations, which is the
 // property the PicoDriver's SDMA request coalescing exploits. Frame
-// contents are byte-addressable and backed only once written (table.go),
-// so DMA engines can move real data between nodes without reserving
+// contents are byte-addressable and backed only from their first write
+// until they are freed or discarded (table.go), so DMA engines can move real data between nodes without reserving
 // gigabytes of host RAM.
 package mem
 

@@ -68,6 +68,13 @@ func (r *refMem) drop(exts []Extent) {
 	}
 }
 
+// discard forgets the frames lying wholly inside e.
+func (r *refMem) discard(e Extent) {
+	for pa := frameCeil(e.Addr); pa+PageSize4K <= e.End(); pa += PageSize4K {
+		delete(r.frames, pa)
+	}
+}
+
 // encode renders the frame and pin lines the way the map-backed
 // EncodeState did: collect the keys, sort, print.
 func (r *refMem) encode() string {
@@ -126,8 +133,8 @@ func (p *opProgram) u16() int { return p.u8() | p.u8()<<8 }
 func (p *opProgram) u24() int { return p.u16() | p.u8()<<16 }
 
 // runPhysMemOps interprets prog as a sequence of allocations, unaligned
-// reads and writes, nested pins and frees over a two-region node, and
-// checks PhysMem step by step against refMem.
+// reads and writes, nested pins, discards and frees over a two-region
+// node, and checks PhysMem step by step against refMem.
 //
 // The MCDRAM region is 15 MB, so it ends in the middle of a chunk and the
 // adjoining DDR4 region's chunks are offset from absolute 2 MB alignment.
@@ -229,7 +236,7 @@ func runPhysMemOps(t testing.TB, prog []byte) {
 	}
 
 	for step := 0; !p.done; step++ {
-		switch op := p.u8() % 8; op {
+		switch op := p.u8() % 9; op {
 		case 0, 1, 2:
 			var exts []Extent
 			var err error
@@ -302,6 +309,16 @@ func runPhysMemOps(t testing.TB, prog []byte) {
 			pm.Unpin(e)
 			ref.pin(e, -1)
 			checkPins(e)
+		case 8:
+			e := target()
+			pm.Discard(e)
+			ref.discard(e)
+			// Inner frames read zero, the partly covered edge frames keep
+			// their bytes, and the pins stay as they were.
+			for pa := frameFloor(e.Addr); pa < e.End(); pa += PageSize4K {
+				checkRead(Extent{Addr: pa, Len: PageSize4K})
+			}
+			checkPins(e)
 		}
 	}
 
@@ -332,6 +349,16 @@ func physMemOpSeeds() [][]byte {
 		rand.New(rand.NewSource(seed)).Read(prog)
 		progs = append(progs, prog)
 	}
+	// A discard across a 2 MB chunk boundary: allocate a 4 MB DDR4 block
+	// (its middle is a chunk edge), write 12 000 bytes centred on that
+	// edge, discard the middle 9 000 and read the write's range back.
+	const live, onEdge = 64, 1 // target(): pick live[0], centre on its chunk edge
+	progs = append(progs, []byte{
+		allocContig, byte(DDROnly), 10,
+		4, live, 0, 0, 0xdf, 0x2e, 0, 0, 0, onEdge, 0x11, // n = 12 000
+		8, live, 0, 0, 0x27, 0x23, 0, 0, 0, onEdge, // n = 9 000
+		5, live, 0, 0, 0xdf, 0x2e, 0, 0, 0, onEdge,
+	})
 	return progs
 }
 
@@ -389,6 +416,60 @@ func TestFrameReuseClears(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("partial first write into a reused buffer exposes stale bytes")
 	}
+}
+
+// TestDiscardReusesFrames: a discarded frame reads zero while its
+// allocation stays live, its buffer comes back on the next first write
+// anywhere on the node, and a partial write into it exposes no stale
+// bytes. Frames the range covers only in part keep theirs, and pins are
+// untouched.
+func TestDiscardReusesFrames(t *testing.T) {
+	pm := testMem(t)
+	e, err := pm.AllocContig(4*PageSize4K, PreferMCDRAM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := bytes.Repeat([]byte{0xaa}, int(e.Len))
+	if err := pm.WriteAt(e.Addr, full); err != nil {
+		t.Fatal(err)
+	}
+	pm.Pin(e)
+	// Frames 1 and 2 lie wholly inside; 0 and 3 only in part.
+	pm.Discard(Extent{Addr: e.Addr + 100, Len: 3*PageSize4K + 50})
+	if len(pm.freeFrames) != 2 {
+		t.Fatalf("Discard pooled %d buffers, want 2", len(pm.freeFrames))
+	}
+	if n := pm.PinnedFrames(); n != 4 {
+		t.Fatalf("PinnedFrames = %d after Discard, want 4", n)
+	}
+	got := make([]byte, e.Len)
+	if err := pm.ReadAt(e.Addr, got); err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Clone(full)
+	clear(want[PageSize4K : 3*PageSize4K])
+	if !bytes.Equal(got, want) {
+		t.Fatal("after Discard: inner frames do not read zero or edge frames lost bytes")
+	}
+	other, err := pm.AllocContig(PageSize4K, DDROnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pm.WriteAt(other.Addr+10, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if len(pm.freeFrames) != 1 {
+		t.Fatal("first write elsewhere on the node did not take a discarded buffer")
+	}
+	page, wantPage := make([]byte, PageSize4K), make([]byte, PageSize4K)
+	copy(wantPage[10:], []byte{1, 2, 3})
+	if err := pm.ReadAt(other.Addr, page); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(page, wantPage) {
+		t.Fatal("partial first write into a discarded buffer exposes stale bytes")
+	}
+	pm.Unpin(e)
 }
 
 // TestAllocScatteredOutOfMemory: the rollback used to hand scatter-pool
