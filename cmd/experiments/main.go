@@ -1,10 +1,12 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation section and writes the rendered artifacts.
+// evaluation section and writes the rendered artifacts. It is the
+// simulator's one experiment front end.
 //
 // Usage:
 //
 //	experiments [-scale small|paper] [-only fig4,fig5a,...] [-out DIR] [-j N]
-//	            [-checkpoint FILE [-resume]]
+//	            [-shards N] [-loss P] [-checkpoint FILE [-resume]]
+//	experiments -only ID -trace FILE [...]
 //
 // The experiment ids are the report.Artifacts catalogue, run in its
 // order (an unknown -only id prints the list). With -out, each artifact
@@ -19,8 +21,15 @@
 // artifacts stay identical for any value, only wall-clock moves — except
 // that verbs, reliability, failover and tenancy refuse -shards > 1 (the
 // sharded engine runs no fault injection or congestion control).
-// The shared -j/-shards/-loss block comes from internal/cliconf, the
-// same run-setup path as every other simulator binary.
+// The shared -j/-shards/-loss/-trace block comes from internal/cliconf,
+// the same run-setup path as cmd/snapcheck.
+//
+// -trace FILE reruns one cell of the id -only names under a span
+// recorder, after its table, and writes the cell's Chrome trace-event
+// JSON to FILE; it then prints the cell's values, the span count and
+// the per-phase span latency table. The ids with a traced cell are
+// fig4, fig6a, verbs, reliability, failover and tenancy (the
+// catalogue's Trace entries); -trace with any other -only exits 2.
 //
 // -checkpoint FILE records each finished experiment's artifacts in a
 // resumable manifest; adding -resume emits already-recorded experiments
@@ -40,6 +49,7 @@ import (
 	"repro/internal/cliconf"
 	"repro/internal/experiments"
 	"repro/internal/report"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -66,22 +76,36 @@ func main() {
 		os.Exit(2)
 	}
 
-	var ids []string
-	known := map[string]bool{}
+	var ids, traced []string
+	byID := map[string]report.Artifact{}
 	for _, a := range report.Artifacts {
 		ids = append(ids, a.ID)
-		known[a.ID] = true
+		byID[a.ID] = a
+		if a.Trace != nil {
+			traced = append(traced, a.ID)
+		}
 	}
 	want := map[string]bool{}
 	if *onlyFlag != "" {
 		for _, id := range strings.Split(*onlyFlag, ",") {
 			id = strings.TrimSpace(id)
-			if !known[id] {
+			if _, ok := byID[id]; !ok {
 				fmt.Fprintf(os.Stderr, "unknown experiment id %q (known: %s)\n",
 					id, strings.Join(ids, ", "))
 				os.Exit(2)
 			}
 			want[id] = true
+		}
+	}
+	var tracing report.Artifact
+	if *shared.Trace != "" {
+		for id := range want {
+			tracing = byID[id]
+		}
+		if len(want) != 1 || tracing.Trace == nil {
+			fmt.Fprintf(os.Stderr, "-trace needs -only naming one id with a traced cell (traced: %s)\n",
+				strings.Join(traced, ", "))
+			os.Exit(2)
 		}
 	}
 	selected := func(a report.Artifact) bool {
@@ -152,6 +176,18 @@ func main() {
 			}
 		}
 		fmt.Fprintf(os.Stderr, "experiments: %-6s %s\n", id, time.Since(start).Round(time.Millisecond))
+	}
+
+	if tracing.Trace != nil {
+		rec := trace.NewRecorder()
+		cell, err := tracing.Trace(cfg, rec)
+		if err != nil {
+			fatal(err)
+		}
+		if err := shared.WriteTrace(rec); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("trace: %s, %d spans -> %s\n%s", cell, rec.SpanCount(), *shared.Trace, report.LatencyTable(rec))
 	}
 
 	if len(failed) > 0 {

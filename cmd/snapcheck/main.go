@@ -36,7 +36,7 @@ func main() {
 	snap := flag.String("snap", "", "snapshot file (written by checkpoint, read by resume)")
 	osFlag := flag.String("os", "McKernel+HFI1", "OS configuration: Linux, McKernel or McKernel+HFI1")
 	size := flag.Uint64("size", 1<<20, "ping-pong message size in bytes")
-	shared := cliconf.New(cliconf.WithTrace)
+	shared := cliconf.New()
 	flag.Parse()
 
 	osType, err := cliconf.ParseOS(*osFlag)

@@ -124,10 +124,11 @@ func TestPingPongCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestTracedPingPongIsTheTableCell pins what `pingpong -trace` exports:
-// PingPongStraight under a recorder is Fig4's own cell for that
-// (size, OS) — same derived seed — so the spans belong to the run whose
-// numbers the table prints, on a loss-free and on a lossy fabric.
+// TestTracedPingPongIsTheTableCell pins what `experiments -only fig4
+// -trace` exports: PingPongStraight under a recorder is Fig4's own cell
+// for that (size, OS) — same derived seed — so the spans belong to the
+// run whose numbers the table prints, on a loss-free and on a lossy
+// fabric (-loss).
 func TestTracedPingPongIsTheTableCell(t *testing.T) {
 	const size = 64 << 10
 	os := cluster.OSMcKernelHFI

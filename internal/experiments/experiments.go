@@ -431,10 +431,7 @@ type ScalingPoint struct {
 // (node count, OS) cell. Ranks per node and the seed come from
 // cfg.Scale.
 func AppScaling(cfg Config, app *miniapps.App, nodes []int) ([]ScalingPoint, error) {
-	rpn := cfg.Scale.RanksPerNode
-	if rpn <= 0 {
-		rpn = app.RanksPerNode
-	}
+	rpn := appRPN(cfg.Scale, app)
 	grid, err := osGrid(cfg, nodes,
 		func(n int) string { return scalingKey(app.Name, n) },
 		func(n int, os cluster.OSType, seed int64) (*mpi.JobResult, error) {
@@ -472,24 +469,21 @@ func runApp(cfg Config, app *miniapps.App, spec cluster.Spec, rpn int, rec *trac
 	return mpi.RunJob(cl, rpn, func(c *mpi.Comm) error { return app.Body(c, app) })
 }
 
-// TracedRun executes one mini-app job with a fresh span recorder
-// attached to the cluster's engines and returns the recorder (spans +
-// latency histograms from every layer) alongside the job result.
-// Same-seed calls produce byte-identical Chrome trace output.
-func TracedRun(cfg Config, appName string, nodes, rpn int, os cluster.OSType) (*trace.Recorder, *mpi.JobResult, error) {
-	app, err := miniapps.ByName(appName)
-	if err != nil {
-		return nil, nil, err
+// AppCell reruns one cell of an AppScaling sweep — app on nodes nodes
+// under os, at the scale's ranks per node and on the cell's derived
+// seed — recording spans into rec.
+func AppCell(cfg Config, app *miniapps.App, nodes int, os cluster.OSType, rec *trace.Recorder) (*mpi.JobResult, error) {
+	seed := runner.DeriveSeed(cfg.Scale.Seed, cellID(scalingKey(app.Name, nodes), os))
+	return runApp(cfg, app, cluster.Spec{Nodes: nodes, OS: os, Seed: seed}, appRPN(cfg.Scale, app), rec)
+}
+
+// appRPN is the ranks per node app runs at: the scale's cap, or the
+// app's own density when the scale sets none.
+func appRPN(sc Scale, app *miniapps.App) int {
+	if sc.RanksPerNode > 0 {
+		return sc.RanksPerNode
 	}
-	if rpn <= 0 {
-		rpn = app.RanksPerNode
-	}
-	rec := trace.NewRecorder()
-	res, err := runApp(cfg, app, cluster.Spec{Nodes: nodes, OS: os, Seed: cfg.Scale.Seed}, rpn, rec)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rec, res, nil
+	return app.RanksPerNode
 }
 
 // ---------------------------------------------------------------------

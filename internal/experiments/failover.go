@@ -64,15 +64,11 @@ func Failover(cfg Config) ([]FailoverRow, error) {
 	return grid[0], nil
 }
 
-// TracedFailover runs one failover cell under a trace recorder and
-// returns the measured row together with the recorder, so the
-// failover/fallback spans of the health machine can be exported as a
-// Chrome trace.
-func TracedFailover(cfg Config, os cluster.OSType) (FailoverRow, *trace.Recorder, error) {
-	rec := trace.NewRecorder()
-	seed := runner.DeriveSeed(cfg.Scale.Seed, cellID("failover", os))
-	row, err := failoverCell(cfg, os, seed, rec)
-	return row, rec, err
+// TracedFailover reruns one OS's failover cell on its derived seed,
+// recording spans into rec: the health machine's failover and fallback
+// spans around the outage.
+func TracedFailover(cfg Config, os cluster.OSType, rec *trace.Recorder) (FailoverRow, error) {
+	return failoverCell(cfg, os, runner.DeriveSeed(cfg.Scale.Seed, cellID("failover", os)), rec)
 }
 
 // failoverCell streams the scale's paced messages from rank 0 to rank 1

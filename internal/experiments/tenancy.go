@@ -1,7 +1,7 @@
 // The tenancy experiment measures multi-tenant interference on a
 // congestion-controlled fabric. A latency tenant runs a paced
-// request/echo stream between two nodes while a bulk tenant pushes
-// SDMA transfers through the scheduler under two placement policies:
+// request/echo stream between two nodes while bulk tenants push SDMA
+// transfers beside it, one MPI job per tenant on the shared cluster:
 //
 //   - solo: the latency tenant alone — the interference baseline.
 //   - packed: the bulk tenant lands on the victim's nodes (shared NIC
@@ -26,7 +26,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/mpi"
 	"repro/internal/runner"
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -118,30 +117,11 @@ func tenancyID(os cluster.OSType, scen string) string {
 	return fmt.Sprintf("tenancy/%s/%s", osName(os), scen)
 }
 
-// TracedTenancy runs the packed noisy-neighbor cell for one OS under a
-// trace recorder, so the victim's inflated request spans can be
-// exported as a Chrome trace.
-func TracedTenancy(cfg Config, os cluster.OSType) (TenancyRow, *trace.Recorder, error) {
-	rec := trace.NewRecorder()
-	seed := runner.DeriveSeed(cfg.Scale.Seed, tenancyID(os, "packed"))
-	row, err := tenancyCell(cfg, os, "packed", seed, rec)
-	return row, rec, err
-}
-
-// NeighborDelta runs the solo baseline and the packed noisy-neighbor
-// cell for one OS, tracing the packed cell: cmd/pingpong prints the
-// victim's p50/p99 inflation from the pair.
-func NeighborDelta(cfg Config, os cluster.OSType) (solo, packed TenancyRow, rec *trace.Recorder, err error) {
-	seed := runner.DeriveSeed(cfg.Scale.Seed, tenancyID(os, "solo"))
-	solo, err = tenancyCell(cfg, os, "solo", seed, nil)
-	if err != nil {
-		return TenancyRow{}, TenancyRow{}, nil, err
-	}
-	packed, rec, err = TracedTenancy(cfg, os)
-	if err != nil {
-		return TenancyRow{}, TenancyRow{}, nil, err
-	}
-	return solo, packed, rec, nil
+// TracedTenancy reruns the packed noisy-neighbor cell of the tenancy
+// sweep for one OS on its derived seed, recording spans into rec: the
+// victim's inflated request spans beside the bulk stream.
+func TracedTenancy(cfg Config, os cluster.OSType, rec *trace.Recorder) (TenancyRow, error) {
+	return tenancyCell(cfg, os, "packed", runner.DeriveSeed(cfg.Scale.Seed, tenancyID(os, "packed")), rec)
 }
 
 // tenancyLatencyBody is the victim: msgs paced request/echo round
@@ -209,8 +189,8 @@ func tenancyStreamBody(from int, tagBase uint64, count int, size uint64) mpi.Ran
 	}
 }
 
-// tenancyCell builds a 4-node congestion-controlled cluster, schedules
-// the scenario's tenant mix and collects the victim percentiles,
+// tenancyCell builds a 4-node congestion-controlled cluster, starts
+// the scenario's tenant jobs and collects the victim percentiles,
 // tenant goodputs and fabric congestion counters.
 func tenancyCell(cfg Config, os cluster.OSType, scen string, seed int64, rec *trace.Recorder) (TenancyRow, error) {
 	msgs := cfg.Scale.TenancyMsgs
@@ -221,52 +201,66 @@ func tenancyCell(cfg Config, os cluster.OSType, scen string, seed int64, rec *tr
 	}
 	defer cl.Close()
 	cl.SetRecorder(rec)
-	s := sched.New(cl)
 	hist := &trace.Histogram{}
 
-	// The victim always occupies nodes 0 and 1 (submitted first, so
-	// Packed and Spread agree on its placement).
-	victim := sched.JobSpec{
-		Name: "victim", Tenant: "latency", Ranks: 2, Policy: sched.Packed,
-		Body: tenancyLatencyBody(msgs, latSize, hist),
+	// The victim always occupies nodes 0 and 1; a packed neighbor shares
+	// them, a spread one takes the idle nodes 2 and 3.
+	var jobs []*mpi.JobHandle
+	start := func(name string, placement []int, body mpi.RankFunc) {
+		jobs = append(jobs, mpi.StartJob(cl, mpi.JobSpec{Name: name, Placement: placement, Body: body}))
 	}
-	if err := s.Submit(victim); err != nil {
-		return TenancyRow{}, err
-	}
+	start("victim", []int{0, 1}, tenancyLatencyBody(msgs, latSize, hist))
 	bulkCount := msgs / 2
 	switch scen {
 	case "solo":
 		// No neighbor.
-	case "packed", "spread":
-		pol := sched.Packed
-		if scen == "spread" {
-			pol = sched.Spread
-		}
-		if err := s.Submit(sched.JobSpec{
-			Name: "bulk", Tenant: "bulk", Ranks: 2, Policy: pol,
-			Body: tenancyStreamBody(0, 2000, bulkCount, bulkSize),
-		}); err != nil {
-			return TenancyRow{}, err
-		}
+	case "packed":
+		start("bulk", []int{0, 1}, tenancyStreamBody(0, 2000, bulkCount, bulkSize))
+	case "spread":
+		start("bulk", []int{2, 3}, tenancyStreamBody(0, 2000, bulkCount, bulkSize))
 	case "incast":
 		// Three aggressors converge on node 0 — the victim's own node —
 		// while their senders sit on nodes 1..3.
 		for i := 0; i < 3; i++ {
-			if err := s.Submit(sched.JobSpec{
-				Name: fmt.Sprintf("in%d", i), Tenant: fmt.Sprintf("bulk%d", i),
-				Ranks: 2, Placement: []int{0, i + 1},
-				Body: tenancyStreamBody(1, 3000, bulkCount, bulkSize),
-			}); err != nil {
-				return TenancyRow{}, err
-			}
+			start(fmt.Sprintf("in%d", i), []int{0, i + 1}, tenancyStreamBody(1, 3000, bulkCount, bulkSize))
 		}
 	default:
 		return TenancyRow{}, fmt.Errorf("tenancy: unknown scenario %q", scen)
 	}
-
-	reports, err := s.Run()
-	if err != nil {
+	if err := cl.Run(0); err != nil {
 		return TenancyRow{}, fmt.Errorf("tenancy: %s/%s: %w", osName(os), scen, err)
+	}
+
+	row := TenancyRow{OS: osName(os), Scenario: scen,
+		VictimP50: hist.P50(), VictimP99: hist.P99()}
+	var bulkMin, bulkMax float64
+	for i, job := range jobs {
+		res, err := job.Result()
+		if err != nil {
+			return TenancyRow{}, fmt.Errorf("tenancy: %s/%s: %w", osName(os), scen, err)
+		}
+		// A job's goodput is its ranks' PSM payload bytes over its body
+		// elapsed time.
+		var sent uint64
+		for _, c := range job.Comms() {
+			sent += c.EP.Stats.BytesSent
+			row.Backoffs += c.EP.Stats.Backoffs
+		}
+		var mbps float64
+		if res.Elapsed > 0 {
+			mbps = float64(sent) / 1e6 / res.Elapsed.Seconds()
+		}
+		if i == 0 {
+			row.VictimMBps = mbps
+			continue
+		}
+		row.BulkMBps += mbps
+		if bulkMin == 0 || mbps < bulkMin {
+			bulkMin = mbps
+		}
+		if mbps > bulkMax {
+			bulkMax = mbps
+		}
 	}
 
 	// Pooled-buffer hygiene: after the drain every pooled packet and
@@ -282,26 +276,8 @@ func tenancyCell(cfg Config, os cluster.OSType, scen string, seed int64, rec *tr
 		return TenancyRow{}, fmt.Errorf("tenancy: %s/%s leaked pooled payloads: gets=%d puts=%d",
 			osName(os), scen, ps.BufGets, ps.BufPuts)
 	}
-
-	row := TenancyRow{OS: osName(os), Scenario: scen,
-		VictimP50: hist.P50(), VictimP99: hist.P99()}
 	cs := cl.Fab.CongStats()
 	row.Marks, row.Stalls = cs.Marks, cs.Stalls
-	var bulkMin, bulkMax float64
-	for _, r := range reports {
-		row.Backoffs += r.CongBackoffs
-		if r.Tenant == "latency" {
-			row.VictimMBps = r.GoodputMBps
-			continue
-		}
-		row.BulkMBps += r.GoodputMBps
-		if bulkMin == 0 || r.GoodputMBps < bulkMin {
-			bulkMin = r.GoodputMBps
-		}
-		if r.GoodputMBps > bulkMax {
-			bulkMax = r.GoodputMBps
-		}
-	}
 	if scen == "incast" && bulkMax > 0 {
 		row.Fairness = bulkMin / bulkMax
 	}

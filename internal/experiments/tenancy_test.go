@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/trace"
 )
 
 // TestTenancySweep is the end-to-end gate on the multi-tenant
@@ -51,7 +52,8 @@ func TestTenancySweep(t *testing.T) {
 func TestTracedTenancy(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Scale.TenancyMsgs = 40
-	row, rec, err := TracedTenancy(cfg, cluster.OSMcKernelHFI)
+	rec := trace.NewRecorder()
+	row, err := TracedTenancy(cfg, cluster.OSMcKernelHFI, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,9 +26,6 @@ type Comm struct {
 	// Under non-uniform placement (StartJob) it is the rank count on
 	// this rank's own node.
 	RanksPerNode int
-	// Job names the owning job when launched by a scheduler (empty for
-	// plain RunJob worlds).
-	Job string
 	// Prof accumulates per-MPI-call time for this rank.
 	Prof *trace.SyscallProfile
 

@@ -34,9 +34,9 @@ type JobResult struct {
 }
 
 // JobSpec configures one job launched onto a shared cluster via
-// StartJob. A scheduler overlays several specs — each with its own
-// rank numbering, address book and RMA world — onto the same nodes and
-// engine; their traffic contends on the shared fabric.
+// StartJob. Several specs — each with its own rank numbering, address
+// book and RMA world — can overlay the same nodes and engine; their
+// traffic contends on the shared fabric.
 type JobSpec struct {
 	// Name prefixes rank process names ("<Name>:rank<r>") so traces
 	// from concurrent jobs stay distinguishable. Empty keeps the bare
@@ -44,17 +44,13 @@ type JobSpec struct {
 	Name string
 	// Placement maps rank r of this job to cluster node Placement[r].
 	Placement []int
-	// Delay is the job's arrival time: every rank sleeps Delay of
-	// virtual time before starting MPI_Init.
-	Delay time.Duration
-	Body  RankFunc
+	Body      RankFunc
 }
 
 // JobHandle tracks a job started with StartJob. Result is valid only
 // after the engine has run to completion.
 type JobHandle struct {
-	Spec JobSpec
-	// arrival is the virtual time MPI_Init begins (spawn time + Delay).
+	// arrival is the virtual time MPI_Init begins (spawn time).
 	arrival   time.Duration
 	comms     []*Comm
 	failed    cluster.FirstErr
@@ -63,15 +59,14 @@ type JobHandle struct {
 }
 
 // StartJob spawns one rank process per Placement entry without driving
-// the engine: the caller (RunJob, or a scheduler overlaying several
-// jobs) runs the engine and then collects each handle's Result.
+// the engine: the caller (RunJob, or a cell overlaying several jobs)
+// runs the engine and then collects each handle's Result.
 func StartJob(cl *cluster.Cluster, spec JobSpec) *JobHandle {
 	nRanks := len(spec.Placement)
 	book := make(psm.MapBook, nRanks)
 	rma := newRMAWorld()
 	h := &JobHandle{
-		Spec:      spec,
-		arrival:   cl.Now() + spec.Delay,
+		arrival:   cl.Now(),
 		comms:     make([]*Comm, nRanks),
 		bodyStart: make([]time.Duration, nRanks),
 		bodyEnd:   make([]time.Duration, nRanks),
@@ -94,16 +89,12 @@ func StartJob(cl *cluster.Cluster, spec JobSpec) *JobHandle {
 			name = fmt.Sprintf("%s:rank%d", spec.Name, r)
 		}
 		cl.Go(spec.Placement[r], name, func(p *sim.Proc) {
-			if spec.Delay > 0 {
-				p.Sleep(spec.Delay)
-			}
 			fail := func(err error) { h.failed.Record(p, r, err) }
 			comm, err := initRank(p, cl, osops, r, nRanks, rpn, book, rma, ready)
 			if err != nil {
 				fail(err)
 				return
 			}
-			comm.Job = spec.Name
 			h.comms[r] = comm
 			// Post-init barrier: application timing starts here.
 			if err := comm.Barrier(); err != nil {

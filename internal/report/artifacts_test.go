@@ -11,8 +11,9 @@ import (
 // shortArtifacts are the sub-second ids `go test -short` still rebuilds
 // (make check runs them under -race). Together they cover the plain PSM
 // path (fig4), verbs, fault injection with go-back-N recovery
-// (reliability) and with rail failover, congestion control with the
-// job scheduler, and the mini-app bodies over mpi.RunJob (ablations).
+// (reliability) and with rail failover, congestion control across
+// concurrent jobs (tenancy), and the mini-app bodies over mpi.RunJob
+// (ablations).
 var shortArtifacts = map[string]bool{
 	"fig4": true, "verbs": true, "reliability": true, "failover": true, "tenancy": true, "ablations": true,
 }

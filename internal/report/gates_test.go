@@ -8,49 +8,48 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/experiments"
+	"repro/internal/miniapps"
 	"repro/internal/trace"
 )
 
-// defaultConfig is the configuration the simulator binaries build from
-// their default flags, so every gate row is a run a user can repeat
-// with cmd/profile or cmd/pingpong, and every artifact row what
+// defaultConfig is the configuration cmd/experiments builds from its
+// default flags, so every gate row is a run a user can repeat with
+// `experiments -only ID -trace FILE`, and every artifact row what
 // `make artifacts` writes.
 func defaultConfig() experiments.Config {
 	return experiments.NewConfig(experiments.SmallScale(), 0)
 }
 
-// tracedApp is `profile -what none -nodes N -rpn R -shards S -trace`.
-func tracedApp(app string, nodes, rpn, shards int) func() (string, *trace.Recorder, error) {
+// tracedSpans are the span names an id's exported trace must contain:
+// the mechanism its traced cell exists to show.
+var tracedSpans = map[string][]string{
+	"verbs":       {"doorbell", "dma", "cqe"},
+	"reliability": {"retransmit"},
+	"failover":    {"failover", "fallback"},
+}
+
+// tracedCell is `experiments -only ID -trace FILE` without the file:
+// the traced cell's line and its span latency table.
+func tracedCell(a Artifact) func() (string, *trace.Recorder, error) {
 	return func() (string, *trace.Recorder, error) {
-		cfg := defaultConfig()
-		cfg.Shards = shards
-		rec, res, err := experiments.TracedRun(cfg, app, nodes, rpn, cluster.OSMcKernelHFI)
-		if err != nil {
-			return "", nil, err
-		}
-		return fmt.Sprintf("elapsed=%v spans=%d\n%s", res.Elapsed, rec.SpanCount(), LatencyTable(rec)), rec, nil
+		rec := trace.NewRecorder()
+		line, err := a.Trace(defaultConfig(), rec)
+		return line + "\n" + LatencyTable(rec), rec, err
 	}
 }
 
-// lossyPingPong is `pingpong -sizes 32K,64K -reps 6 -loss 0.05 -trace`:
-// the table of a verified ping-pong on a fabric dropping 5% of packets
-// and the trace of its 64KB McKernel+HFI1 cell, the one cmd/pingpong
-// exports. 5% (not lower) so that cell's fixed RNG stream observes
-// drops — a drop-free trace has no retransmit span to require.
-func lossyPingPong() (string, *trace.Recorder, error) {
+// shardedUMT is a traced UMT2013 cell on 4 nodes x 2 ranks partitioned
+// into 4 engine shards: the sharded engine under a recorder.
+func shardedUMT() (string, *trace.Recorder, error) {
 	cfg := defaultConfig()
-	cfg.Scale.PingPongSizes = []uint64{32 << 10, 64 << 10}
-	cfg.Scale.PingPongReps = 6
-	cfg.Faults.Drop = 0.05
-	rows, err := experiments.Fig4(cfg)
+	cfg.Shards = 4
+	cfg.Scale.RanksPerNode = 2
+	rec := trace.NewRecorder()
+	res, err := experiments.AppCell(cfg, miniapps.UMT2013(), 4, cluster.OSMcKernelHFI, rec)
 	if err != nil {
 		return "", nil, err
 	}
-	rec := trace.NewRecorder()
-	if _, err := experiments.PingPongStraight(cfg, cluster.OSMcKernelHFI, 64<<10, rec); err != nil {
-		return "", nil, err
-	}
-	return Fig4Table(rows), rec, nil
+	return fmt.Sprintf("elapsed=%v spans=%d\n%s", res.Elapsed, rec.SpanCount(), LatencyTable(rec)), rec, nil
 }
 
 // tinyBigscale is the bigscale sweep small enough for tier-1: one
@@ -80,20 +79,24 @@ func tinyBigscale() (string, *trace.Recorder, error) {
 	return b.String(), nil, nil
 }
 
-// TestDeterminismGates is the repo's determinism gate table. Each row
-// runs twice from the same seed and must produce identical table text
-// and — when it traces — byte-identical Chrome trace JSON that passes
-// trace.Validate (what cmd/tracecheck runs) and contains every span
-// name in wantSpans.
+// TestDeterminismGates is the repo's determinism gate table: one row
+// per traced cell of the Artifacts catalogue — every trace a user can
+// export — plus a sharded traced cell and a tiny bigscale sweep. Each
+// row runs twice from the same seed and must produce identical table
+// text and — when it traces — byte-identical Chrome trace JSON that
+// passes trace.Validate (what cmd/tracecheck runs) and contains every
+// span name in wantSpans.
 //
 // Gates that live elsewhere: checkpoint/resume of a traced cell is
 // TestPingPongCheckpointResume and the -checkpoint/-resume manifest
 // TestCheckpointManifest (internal/experiments); a sharded Fig4 table
 // equal to the unsharded one is TestShardsReachEveryCell; the tenancy
-// sweep rerun is TestTenancySweep; and the no-fault Fig4 sweep equal to
-// the committed artifact is TestCommittedArtifactsByteIdentical/fig4.
+// sweep rerun is TestTenancySweep; a traced cell equal to its table's
+// row is TestTracedCellsReproduceTheirRows; and the no-fault sweeps
+// equal to the committed artifacts are
+// TestCommittedArtifactsByteIdentical.
 func TestDeterminismGates(t *testing.T) {
-	gates := []struct {
+	type gate struct {
 		name      string
 		run       func() (table string, rec *trace.Recorder, err error)
 		wantSpans []string
@@ -102,21 +105,16 @@ func TestDeterminismGates(t *testing.T) {
 		// and the shards4 row and simtest's shard cells already put
 		// the sharded engine under -race.
 		slow bool
-	}{
-		{name: "umt2013-2x4", run: tracedApp("UMT2013", 2, 4, 1)},
-		{name: "lammps-rma-2x4", run: tracedApp("LAMMPS-RMA", 2, 4, 1), wantSpans: []string{"doorbell", "dma", "cqe"}},
-		{name: "lossy-pingpong", run: lossyPingPong, wantSpans: []string{"retransmit"}},
-		{name: "failover", run: func() (string, *trace.Recorder, error) {
-			row, rec, err := experiments.TracedFailover(defaultConfig(), cluster.OSMcKernelHFI)
-			return FailoverTable([]experiments.FailoverRow{row}), rec, err
-		}, wantSpans: []string{"failover", "fallback"}},
-		{name: "neighbor", run: func() (string, *trace.Recorder, error) {
-			solo, packed, rec, err := experiments.NeighborDelta(defaultConfig(), cluster.OSMcKernelHFI)
-			return TenancyTable([]experiments.TenancyRow{solo, packed}), rec, err
-		}},
-		{name: "umt2013-4x2-shards4", run: tracedApp("UMT2013", 4, 2, 4)},
-		{name: "bigscale-tiny", run: tinyBigscale, slow: true},
 	}
+	var gates []gate
+	for _, a := range Artifacts {
+		if a.Trace != nil {
+			gates = append(gates, gate{name: a.ID, run: tracedCell(a), wantSpans: tracedSpans[a.ID]})
+		}
+	}
+	gates = append(gates,
+		gate{name: "umt2013-4x2-shards4", run: shardedUMT},
+		gate{name: "bigscale-tiny", run: tinyBigscale, slow: true})
 	for _, g := range gates {
 		t.Run(g.name, func(t *testing.T) {
 			if g.slow && testing.Short() {
@@ -149,6 +147,84 @@ func TestDeterminismGates(t *testing.T) {
 				if !names[want] {
 					t.Errorf("trace has no %q span", want)
 				}
+			}
+		})
+	}
+}
+
+// TestTracedCellsReproduceTheirRows pins that tracing moves no
+// simulated value and that each exported trace explains a row of its
+// artifact: every traced cell's line equals the line rendered from the
+// same cell's entries in the untraced table. The untraced sweeps are
+// narrowed to the traced cell's key; a cell's seed derives from its id
+// alone, so the narrowing moves nothing. verbs is exempt: its traced
+// cell is the application that drives the verbs path, not a sweep cell.
+func TestTracedCellsReproduceTheirRows(t *testing.T) {
+	const hfi = "McKernel+HFI1"
+	tables := map[string]func(cfg experiments.Config) (string, error){
+		"fig4": func(cfg experiments.Config) (string, error) {
+			cfg.Scale.PingPongSizes = []uint64{tracedPPSize}
+			rows, err := experiments.Fig4(cfg)
+			if err != nil {
+				return "", err
+			}
+			return fig4Line(rows[0].OneWayP50[hfi], rows[0].OneWayP99[hfi]), nil
+		},
+		"fig6a": func(cfg experiments.Config) (string, error) {
+			pts, err := experiments.AppScaling(cfg, miniapps.UMT2013(), []int{tracedNodes})
+			if err != nil {
+				return "", err
+			}
+			return fig6aLine(pts[0].Elapsed[hfi]), nil
+		},
+		"reliability": func(cfg experiments.Config) (string, error) {
+			cfg.Scale.LossRates = []float64{tracedRelLoss}
+			cfg.Scale.ReliabilitySizes = []uint64{tracedRelSize}
+			rows, err := experiments.Reliability(cfg)
+			if err != nil {
+				return "", err
+			}
+			r := rows[0]
+			return reliabilityLine(r.OneWayP50[hfi], r.OneWayP99[hfi], r.Retransmits[hfi]), nil
+		},
+		"failover": func(cfg experiments.Config) (string, error) {
+			rows, err := experiments.Failover(cfg)
+			for _, r := range rows {
+				if r.OS == hfi {
+					return rowLine("failover", r), nil
+				}
+			}
+			return "", fmt.Errorf("no %s row (%v)", hfi, err)
+		},
+		"tenancy": func(cfg experiments.Config) (string, error) {
+			rows, err := experiments.Tenancy(cfg)
+			for _, r := range rows {
+				if r.OS == hfi && r.Scenario == "packed" {
+					return rowLine("tenancy", r), nil
+				}
+			}
+			return "", fmt.Errorf("no %s packed row (%v)", hfi, err)
+		},
+	}
+	for _, a := range Artifacts {
+		if a.Trace == nil || a.ID == "verbs" {
+			continue
+		}
+		t.Run(a.ID, func(t *testing.T) {
+			table, ok := tables[a.ID]
+			if !ok {
+				t.Fatal("traced cell has no row to reproduce")
+			}
+			want, err := table(defaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := a.Trace(defaultConfig(), trace.NewRecorder())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("traced cell differs from its table row:\n got  %s\n want %s", got, want)
 			}
 		})
 	}

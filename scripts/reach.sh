@@ -39,18 +39,17 @@ run "$bin/quickstart"
 run "$bin/structextract"
 run "$bin/splitdriver"
 run "$bin/halo3d" -nodes 2 -rpn 4 -steps 3
-run "$bin/pingpong"
-run "$bin/pingpong" -failover
-run "$bin/pingpong" -neighbor
-run "$bin/pingpong" -loss 0.05
-run "$bin/profile" -trace "$out/profile.json"
-run "$bin/miniapp"
+# Every id with a traced cell (the report.Artifacts entries with a
+# Trace), each exported and validated.
+for id in fig4 fig6a verbs reliability failover tenancy; do
+	run "$bin/experiments" -only "$id" -trace "$out/$id.json"
+	run "$bin/tracecheck" "$out/$id.json"
+done
 for shards in 1 2; do
 	run "$bin/snapcheck" -mode checkpoint -shards "$shards" -snap "$out/snap$shards"
 	run "$bin/snapcheck" -mode resume -shards "$shards" -snap "$out/snap$shards"
 done
 run "$bin/dwarf-extract-struct" -hfi -list
-run "$bin/tracecheck" "$out/profile.json"
 run "$bin/benchmark" -seconds 1
 
 echo "reach: internal/ functions no run executed:" >&2
