@@ -29,9 +29,13 @@ func (pm *PhysMem) access(pa PhysAddr, buf []byte, write bool) error {
 		if r.rs.Kind == MMIO {
 			return fmt.Errorf("mem: byte access to MMIO window %#x", cur)
 		}
-		c := r.c
-		if write {
-			c = r.chunk()
+		var frames *[chunkFrames]*frame
+		if r.c != nil {
+			frames = r.c.frames
+		}
+		if write && frames == nil {
+			frames = new([chunkFrames]*frame)
+			r.chunk().frames = frames
 		}
 		for i := r.lo; i < r.hi; i++ {
 			inFrame := int(cur & (PageSize4K - 1))
@@ -40,14 +44,14 @@ func (pm *PhysMem) access(pa PhysAddr, buf []byte, write bool) error {
 				n = len(buf)
 			}
 			var f *frame
-			if c != nil {
-				f = c.frames[i]
+			if frames != nil {
+				f = frames[i]
 			}
 			switch {
 			case write:
 				if f == nil {
 					f = pm.takeFrame(n == PageSize4K)
-					c.frames[i] = f
+					frames[i] = f
 				}
 				copy(f[inFrame:inFrame+n], buf[:n])
 			case f == nil:
@@ -91,11 +95,17 @@ func (pm *PhysMem) Pin(e Extent) {
 	var r frameRun
 	for w.next(&r) {
 		c := r.chunk()
+		if r.whole() && c.pins == nil {
+			if c.pin++; c.pin == 1 {
+				pm.pinned += chunkFrames
+			}
+			continue
+		}
+		pins := c.pinArray()
 		for i := r.lo; i < r.hi; i++ {
-			if c.pins[i] == 0 {
+			if pins[i]++; pins[i] == 1 {
 				pm.pinned++
 			}
-			c.pins[i]++
 		}
 	}
 	if w.pa < w.end {
@@ -108,12 +118,21 @@ func (pm *PhysMem) Unpin(e Extent) {
 	w := pm.walk(e)
 	var r frameRun
 	for w.next(&r) {
+		if r.c.pinCount(r.lo) == 0 {
+			panic(fmt.Sprintf("mem: unpin of unpinned frame %#x", r.rs.frameAddr(r.ci, r.lo)))
+		}
+		if r.whole() && r.c.pins == nil {
+			if r.c.pin--; r.c.pin == 0 {
+				pm.pinned -= chunkFrames
+			}
+			continue
+		}
+		pins := r.c.pinArray()
 		for i := r.lo; i < r.hi; i++ {
-			if r.c == nil || r.c.pins[i] == 0 {
+			if pins[i] == 0 {
 				panic(fmt.Sprintf("mem: unpin of unpinned frame %#x", r.rs.frameAddr(r.ci, i)))
 			}
-			r.c.pins[i]--
-			if r.c.pins[i] == 0 {
+			if pins[i]--; pins[i] == 0 {
 				pm.pinned--
 			}
 		}
@@ -127,7 +146,7 @@ func (pm *PhysMem) Unpin(e Extent) {
 func (pm *PhysMem) Pinned(pa PhysAddr) bool {
 	w := pm.walk(Extent{Addr: pa, Len: 1})
 	var r frameRun
-	return w.next(&r) && r.c != nil && r.c.pins[r.lo] > 0
+	return w.next(&r) && r.c.pinCount(r.lo) > 0
 }
 
 // PinnedFrames returns the number of distinct pinned frames.

@@ -139,9 +139,6 @@ func (pm *PhysMem) Regions() []Region {
 	return out
 }
 
-// Contains reports whether pa lies in any region (including MMIO).
-func (pm *PhysMem) Contains(pa PhysAddr) bool { return pm.regionOf(pa) != nil }
-
 func (pm *PhysMem) regionOf(pa PhysAddr) *regionState {
 	for _, rs := range pm.regions {
 		if pa >= rs.Base && pa < rs.End() {
@@ -212,9 +209,6 @@ func (pm *PhysMem) Partition(owner string) *Allocator {
 
 // Phys returns the underlying node-wide physical memory.
 func (a *Allocator) Phys() *PhysMem { return a.pm }
-
-// Owner returns the partition name this allocator draws from.
-func (a *Allocator) Owner() string { return a.owner }
 
 // AllocContig allocates physically contiguous memory from the partition.
 func (a *Allocator) AllocContig(size uint64, policy AllocPolicy) (Extent, error) {

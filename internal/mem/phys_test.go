@@ -233,13 +233,10 @@ func TestPinUnpin(t *testing.T) {
 
 func TestUnbalancedUnpinPanics(t *testing.T) {
 	pm := testMem(t)
-	defer func() {
-		if got, want := recover(), "mem: unpin of unpinned frame 0x40001000"; got != want {
-			t.Fatalf("panic = %v, want %q", got, want)
-		}
-	}()
 	pm.Pin(Extent{Addr: 1 << 30, Len: PageSize4K})
-	pm.Unpin(Extent{Addr: 1 << 30, Len: 2 * PageSize4K})
+	wantPanic(t, "mem: unpin of unpinned frame 0x40001000", func() {
+		pm.Unpin(Extent{Addr: 1 << 30, Len: 2 * PageSize4K})
+	})
 }
 
 func TestDoubleFreePanics(t *testing.T) {

@@ -47,7 +47,10 @@ func (pm *PhysMem) EncodeState(e *snapshot.Enc) {
 	}
 
 	pm.eachChunk(func(base PhysAddr, c *chunk) {
-		for i, f := range &c.frames {
+		if c.frames == nil {
+			return
+		}
+		for i, f := range c.frames {
 			if f != nil {
 				sum := sha256.Sum256(f[:])
 				e.Printf("frame addr=%x content=%x\n", uint64(base)+uint64(i)*PageSize4K, sum[:8])
@@ -55,8 +58,8 @@ func (pm *PhysMem) EncodeState(e *snapshot.Enc) {
 		}
 	})
 	pm.eachChunk(func(base PhysAddr, c *chunk) {
-		for i, n := range &c.pins {
-			if n != 0 {
+		for i := range chunkFrames {
+			if n := c.pinCount(i); n != 0 {
 				e.Printf("pin addr=%x count=%d\n", uint64(base)+uint64(i)*PageSize4K, n)
 			}
 		}

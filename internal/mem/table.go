@@ -2,11 +2,14 @@ package mem
 
 // Frame contents and pin counts live in a lazily populated two-level
 // table per region: a directory indexed by region-relative 2 MB chunk
-// number, grown on demand, whose records hold the chunk's 512 frame
-// pointers and 512 pin counts side by side. Host memory is therefore
-// proportional to the chunks a run touches. A flat per-frame array is
-// not an option: a node is 16 GiB + 96 GiB, 28 M frames, and the scaling
-// experiments build up to 1024 nodes in one process.
+// number, grown on demand, of records holding one pin count shared by
+// the chunk's 512 frames (pinning a whole chunk, as McKernel does to its
+// large-page runs at mmap, needs no more), its frame pointers from its
+// first write, and per-frame pin counts from the first pin or unpin
+// covering it in part. Host memory therefore follows what a run does to
+// the chunks it touches. A flat per-frame array is not an option: a node
+// is 16 GiB + 96 GiB, 28 M frames, and the scaling experiments build up
+// to 1024 nodes in one process.
 
 // chunkFrames is the number of 4K frames one chunk record covers.
 const chunkFrames = PageSize2M / PageSize4K
@@ -14,8 +17,32 @@ const chunkFrames = PageSize2M / PageSize4K
 type frame = [PageSize4K]byte
 
 type chunk struct {
-	frames [chunkFrames]*frame // nil until first written
-	pins   [chunkFrames]uint32
+	pin    uint32               // every frame's pin count while pins is nil
+	frames *[chunkFrames]*frame // nil until the chunk is first written
+	pins   *[chunkFrames]uint32 // nil until a pin or unpin covers part of the chunk
+}
+
+// pinArray returns the chunk's per-frame pin counts, splitting the shared
+// count into them on first use.
+func (c *chunk) pinArray() *[chunkFrames]uint32 {
+	if c.pins == nil {
+		c.pins = new([chunkFrames]uint32)
+		for i := range c.pins {
+			c.pins[i] = c.pin
+		}
+	}
+	return c.pins
+}
+
+// pinCount returns the pin count of a slot; a nil record has none.
+func (c *chunk) pinCount(slot int) uint32 {
+	if c == nil {
+		return 0
+	}
+	if c.pins != nil {
+		return c.pins[slot]
+	}
+	return c.pin
 }
 
 // frameRun is a run of consecutive frames that share a chunk record.
@@ -26,6 +53,9 @@ type frameRun struct {
 	// lo and hi bound the run's slots within the chunk.
 	lo, hi int
 }
+
+// whole reports whether the run covers every frame of its chunk.
+func (r *frameRun) whole() bool { return r.lo == 0 && r.hi == chunkFrames }
 
 // chunk returns the run's chunk record, creating it on first use.
 func (r *frameRun) chunk() *chunk {
@@ -114,7 +144,7 @@ func (pm *PhysMem) dropFrames(e Extent) {
 	w := pm.walk(e)
 	var r frameRun
 	for w.next(&r) {
-		if r.c == nil {
+		if r.c == nil || r.c.frames == nil {
 			continue
 		}
 		for i := r.lo; i < r.hi; i++ {

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -133,8 +135,9 @@ func (p *opProgram) u16() int { return p.u8() | p.u8()<<8 }
 func (p *opProgram) u24() int { return p.u16() | p.u8()<<16 }
 
 // runPhysMemOps interprets prog as a sequence of allocations, unaligned
-// reads and writes, nested pins, discards and frees over a two-region
-// node, and checks PhysMem step by step against refMem.
+// reads and writes, nested pins, pins and unpins of whole allocations,
+// discards and frees over a two-region node, and checks PhysMem step by
+// step against refMem.
 //
 // The MCDRAM region is 15 MB, so it ends in the middle of a chunk and the
 // adjoining DDR4 region's chunks are offset from absolute 2 MB alignment.
@@ -236,7 +239,7 @@ func runPhysMemOps(t testing.TB, prog []byte) {
 	}
 
 	for step := 0; !p.done; step++ {
-		switch op := p.u8() % 9; op {
+		switch op := p.u8() % 10; op {
 		case 0, 1, 2:
 			var exts []Extent
 			var err error
@@ -319,6 +322,59 @@ func runPhysMemOps(t testing.TB, prog []byte) {
 				checkRead(Extent{Addr: pa, Len: PageSize4K})
 			}
 			checkPins(e)
+		case 9:
+			// Pin or unpin a whole live allocation. Over 2 MB-aligned
+			// blocks the pin takes the chunk records' shared count, which
+			// a later partial pin splits. The unpin releases the
+			// allocation's extents if each is an outstanding pin;
+			// otherwise it must panic at the first frame the reference
+			// holds unpinned, and what it released before is pinned back.
+			if len(live) == 0 {
+				continue
+			}
+			exts := live[p.u8()%len(live)].exts
+			if p.u8()&1 == 0 {
+				for _, e := range exts {
+					pm.Pin(e)
+					ref.pin(e, +1)
+					checkPins(e)
+				}
+				pinned = append(pinned, exts...)
+				continue
+			}
+			if rest, ok := withoutEach(pinned, exts); ok {
+				pinned = rest
+				for _, e := range exts {
+					pm.Unpin(e)
+					ref.pin(e, -1)
+					checkPins(e)
+				}
+				continue
+			}
+			var released []Extent
+			for _, e := range exts {
+				hole := e.End()
+				for pa := e.Addr; pa < e.End(); pa += PageSize4K {
+					if ref.pins[pa] == 0 {
+						hole = pa
+						break
+					}
+				}
+				if hole == e.End() {
+					pm.Unpin(e)
+					released = append(released, e)
+					continue
+				}
+				wantPanic(t, fmt.Sprintf("mem: unpin of unpinned frame %#x", hole), func() { pm.Unpin(e) })
+				released = append(released, Extent{Addr: e.Addr, Len: uint64(hole - e.Addr)})
+				break
+			}
+			for _, e := range released {
+				if e.Len > 0 {
+					pm.Pin(e)
+				}
+			}
+			checkPins(exts[0])
 		}
 	}
 
@@ -340,6 +396,31 @@ func runPhysMemOps(t testing.TB, prog []byte) {
 	}
 }
 
+// wantPanic calls fn and fails t unless fn panics with want.
+func wantPanic(t testing.TB, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		if got := recover(); got != want {
+			t.Fatalf("panic = %v, want %q", got, want)
+		}
+	}()
+	fn()
+}
+
+// withoutEach returns list less one occurrence of each of exts, and
+// whether every one was there.
+func withoutEach(list, exts []Extent) ([]Extent, bool) {
+	rest := slices.Clone(list)
+	for _, e := range exts {
+		i := slices.Index(rest, e)
+		if i < 0 {
+			return list, false
+		}
+		rest = slices.Delete(rest, i, i+1)
+	}
+	return rest, true
+}
+
 // physMemOpSeeds generates the differential test's programs, which are
 // also the fuzz target's corpus.
 func physMemOpSeeds() [][]byte {
@@ -358,6 +439,22 @@ func physMemOpSeeds() [][]byte {
 		4, live, 0, 0, 0xdf, 0x2e, 0, 0, 0, onEdge, 0x11, // n = 12 000
 		8, live, 0, 0, 0x27, 0x23, 0, 0, 0, onEdge, // n = 9 000
 		5, live, 0, 0, 0xdf, 0x2e, 0, 0, 0, onEdge,
+	})
+	// A whole-chunk pin count through its four states, on a 4 MB DDR4
+	// block (two whole chunks): unpinning it while nothing is pinned
+	// panics at a frame with no record; a whole pin takes both chunks'
+	// shared count; a 4 KB pin at the start of the second chunk splits
+	// its count; the whole unpin drops the first chunk's shared count
+	// and the second's per-frame counts; a second whole unpin panics at
+	// the first chunk's unpinned shared count.
+	const whole, pin, unpin = 9, 0, 1
+	progs = append(progs, []byte{
+		allocContig, byte(DDROnly), 10,
+		whole, 0, unpin,
+		whole, 0, pin,
+		6, live, 0, 0, 0xff, 0x0f, 0, 0, 0x20, 0, // n = 4096 at offset 2 MB
+		whole, 0, unpin,
+		whole, 0, unpin,
 	})
 	return progs
 }
@@ -498,13 +595,9 @@ func TestAllocScatteredOutOfMemory(t *testing.T) {
 func TestPinOutsideRegionsPanics(t *testing.T) {
 	pm := testMem(t)
 	const hole = PhysAddr(1<<30 + 8<<20) // one past the MCDRAM region
-	defer func() {
-		want := fmt.Sprintf("mem: pin of frame %#x outside every region", hole)
-		if got := recover(); got != want {
-			t.Fatalf("panic = %v, want %q", got, want)
-		}
-	}()
-	pm.Pin(Extent{Addr: hole - PageSize4K, Len: 2 * PageSize4K})
+	wantPanic(t, fmt.Sprintf("mem: pin of frame %#x outside every region", hole), func() {
+		pm.Pin(Extent{Addr: hole - PageSize4K, Len: 2 * PageSize4K})
+	})
 }
 
 // TestFrameTableSteadyStateAllocs gates the data path's allocations once
@@ -555,6 +648,63 @@ func TestFrameTableSteadyStateAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(10, r.f); got != r.want {
 			t.Errorf("%s: %v allocs per round, want %v", r.name, got, r.want)
 		}
+	}
+}
+
+var footprintSink any
+
+// TestFrameTableFootprint pins what a chunk record costs for what a run
+// does to it, counted in heap bytes: pinning a whole 2 MB-aligned extent
+// at mmap, as McKernel does, allocates no per-frame array; the first
+// write allocates one frame-pointer array and one frame; a 4 KB pin
+// inside the extent allocates one per-frame pin array.
+func TestFrameTableFootprint(t *testing.T) {
+	pm, err := NewPhysMem(Region{Size: 64 << 20, Kind: MCDRAM})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := pm.AllocContig(8<<20, PreferMCDRAM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ext.Addr%PageSize2M != 0 {
+		t.Fatalf("extent %#x not 2 MB-aligned", ext.Addr)
+	}
+	heapBytes := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// What the runtime charges for each array, malloc header and size
+	// class included.
+	pinArray := heapBytes(func() { footprintSink = new([chunkFrames]uint32) })
+	frameArray := heapBytes(func() { footprintSink = new([chunkFrames]*frame) })
+	oneFrame := heapBytes(func() { footprintSink = new(frame) })
+
+	if got := heapBytes(func() { pm.Pin(ext) }); got >= pinArray {
+		t.Errorf("pinning 8 MB whole: %d heap bytes, want fewer than one %d-byte pin array", got, pinArray)
+	}
+	b := []byte{1}
+	if got := heapBytes(func() {
+		if pm.WriteAt(ext.Addr+PageSize2M+5, b) != nil {
+			t.Fatal("write failed")
+		}
+	}); got != frameArray+oneFrame {
+		t.Errorf("first 1-byte write: %d heap bytes, want %d (one frame-pointer array and one frame)", got, frameArray+oneFrame)
+	}
+	inner := Extent{Addr: ext.Addr + 3*PageSize2M + 7*PageSize4K, Len: PageSize4K}
+	if got := heapBytes(func() { pm.Pin(inner) }); got != pinArray {
+		t.Errorf("4 KB pin inside the extent: %d heap bytes, want %d (one pin array)", got, pinArray)
+	}
+	if n := pm.PinnedFrames(); n != int(ext.Len/PageSize4K) {
+		t.Errorf("PinnedFrames = %d, want %d", n, ext.Len/PageSize4K)
+	}
+	pm.Unpin(inner)
+	pm.Unpin(ext)
+	if n := pm.PinnedFrames(); n != 0 {
+		t.Errorf("PinnedFrames = %d after every pin was dropped", n)
 	}
 }
 

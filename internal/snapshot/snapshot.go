@@ -11,10 +11,10 @@
 // captures of identical simulator states are byte-identical. That
 // byte identity is the correctness currency of the whole design.
 //
-// Restore is replay-based: simulated processes are goroutines and Go
-// cannot serialize a goroutine stack, so a snapshot cannot be decoded
-// into live process continuations. Instead the caller rebuilds the
-// simulation exactly as the original run did (same constructors, same
+// Restore is replay-based: simulated processes are iter.Pull coroutines
+// and Go cannot serialize a coroutine's stack, so a snapshot cannot be
+// decoded into live process continuations. Instead the caller rebuilds
+// the simulation exactly as the original run did (same constructors, same
 // seed, same workload processes) and Restore re-executes it to the
 // snapshot's virtual time — cheap, since the expensive parts of a
 // debugging run (tracing, invariant checking) stay off during replay —

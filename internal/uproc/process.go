@@ -50,17 +50,14 @@ func (b Backing) String() string {
 // VMA is one anonymous mapping.
 type VMA struct {
 	Range vas.Range
-	// Extents is the mapped physical backing, trimmed to the mapping
-	// size.
+	// Extents is the mapped physical backing, as the allocator returned
+	// it.
 	Extents []mem.Extent
 	Pinned  bool
 	backing Backing
 	// mapped is the number of bytes actually mapped (Range.Size may be
 	// larger due to reservation alignment).
 	mapped uint64
-	// raw is the physical allocation as returned by the allocator
-	// (whole buddy blocks), kept for balanced freeing.
-	raw []mem.Extent
 }
 
 // Process is a user process.
@@ -124,10 +121,14 @@ func (p *Process) MmapAnon(size uint64) (VirtAddr, error) {
 		_ = relErr
 		return 0, err
 	}
-	// Map exactly the requested size; contiguous runs may be rounded up
-	// to whole buddy blocks, so keep the raw allocation for freeing.
-	raw := extents
-	extents = trimExtents(extents, size)
+	// Both allocators return exactly npages pages: map and free them as is.
+	var backed uint64
+	for _, e := range extents {
+		backed += e.Len
+	}
+	if backed != size {
+		return 0, fmt.Errorf("uproc: backing of %d bytes for a %d-byte mapping", backed, size)
+	}
 	if err := p.PT.MapExtents(r.Start, extents, pagetable.Writable|pagetable.User); err != nil {
 		return 0, fmt.Errorf("uproc: mapping extents: %w", err)
 	}
@@ -136,26 +137,8 @@ func (p *Process) MmapAnon(size uint64) (VirtAddr, error) {
 			p.Alloc.Phys().Pin(e)
 		}
 	}
-	p.vmas[r.Start] = &VMA{Range: r, Extents: extents, Pinned: pinned, backing: p.Backing, mapped: size, raw: raw}
+	p.vmas[r.Start] = &VMA{Range: r, Extents: extents, Pinned: pinned, backing: p.Backing, mapped: size}
 	return r.Start, nil
-}
-
-func trimExtents(in []mem.Extent, want uint64) []mem.Extent {
-	var out []mem.Extent
-	var total uint64
-	for _, e := range in {
-		if total >= want {
-			// Excess extent beyond the request: should not happen with
-			// exact-page allocators, but guard anyway.
-			break
-		}
-		if total+e.Len > want {
-			e.Len = want - total
-		}
-		total += e.Len
-		out = append(out, e)
-	}
-	return out
 }
 
 // MapDevice maps externally owned physical extents (device or kernel
@@ -200,9 +183,9 @@ func (p *Process) Munmap(va VirtAddr) error {
 	}
 	switch v.backing {
 	case BackingScattered4K:
-		p.Alloc.FreeScattered(v.raw)
+		p.Alloc.FreeScattered(v.Extents)
 	case BackingContigLarge:
-		p.Alloc.FreeRun(v.raw)
+		p.Alloc.FreeRun(v.Extents)
 	}
 	if err := p.mmapAlloc.Release(v.Range); err != nil {
 		return err
