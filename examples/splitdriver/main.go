@@ -157,7 +157,7 @@ func (d *kxpDriver) Ioctl(ctx *kernel.Ctx, f *linux.File, cmd uint32, arg uproc.
 	switch cmd {
 	case kxpCmdSubmit:
 		ctx.Spend(800 * time.Nanosecond)
-		pages, err := d.k.GetUserPages(ctx, f.Proc, arg, jobBytes)
+		pages, err := d.k.GetUserPages(ctx, f.Proc, nil, arg, jobBytes)
 		if err != nil {
 			return 0, err
 		}

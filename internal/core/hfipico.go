@@ -144,32 +144,32 @@ func (h *HFIPico) completionFn(args ...any) any {
 	return nil
 }
 
-// gatherExtents walks the process page tables over a user range. With
-// coalescing, physically contiguous runs merge across page boundaries
-// (including large pages); without it, per-page extents mimic the
-// get_user_pages shape. McKernel mappings are pinned by construction, so
-// no page references are taken (§3.4).
-func (h *HFIPico) gatherExtents(ctx *kernel.Ctx, proc *uproc.Process, base uproc.VirtAddr, length uint64) ([]mem.Extent, bool, error) {
+// gatherExtents walks the process page tables over a user range,
+// appending to dst. With coalescing, physically contiguous runs merge
+// across page boundaries (including large pages); without it, per-page
+// extents mimic the get_user_pages shape. McKernel mappings are pinned
+// by construction, so no page references are taken (§3.4).
+func (h *HFIPico) gatherExtents(ctx *kernel.Ctx, proc *uproc.Process, dst []mem.Extent, base uproc.VirtAddr, length uint64) ([]mem.Extent, bool, error) {
 	vma, ok := proc.VMAOf(base)
 	if !ok {
-		return nil, false, fmt.Errorf("core: writev buffer %#x not mapped", base)
+		return dst, false, fmt.Errorf("core: writev buffer %#x not mapped", base)
 	}
 	if !vma.Pinned {
 		// Not a pinned McKernel mapping (e.g. a device window): fall
 		// back to the Linux driver.
-		return nil, false, nil
+		return dst, false, nil
 	}
 	var exts []mem.Extent
 	var err error
 	if h.Coalesce {
-		exts, err = proc.PT.WalkExtents(base, length)
+		exts, err = proc.PT.WalkExtentsInto(dst, base, length)
 	} else {
-		exts, err = proc.PT.Pages(base, length)
+		exts, err = proc.PT.PagesInto(dst, base, length)
 	}
 	if err != nil {
-		return nil, false, err
+		return dst, false, err
 	}
-	ctx.Spend(time.Duration(len(exts)) * h.pr.PTWalkPerExtent)
+	ctx.Spend(time.Duration(len(exts)-len(dst)) * h.pr.PTWalkPerExtent)
 	return exts, true, nil
 }
 
@@ -183,39 +183,6 @@ func (h *HFIPico) writev(ctx *kernel.Ctx, f *linux.File, iov []linux.IOVec) (uin
 	if err != nil {
 		return 0, true, err
 	}
-	var exts []mem.Extent
-	for _, v := range iov[1:] {
-		e, ok, err := h.gatherExtents(ctx, f.Proc, v.Base, v.Len)
-		if err != nil {
-			return 0, true, err
-		}
-		if !ok {
-			h.FallbackCalls++
-			return 0, false, nil
-		}
-		exts = append(exts, e...)
-	}
-	maxReq := h.pr.MaxSDMARequest
-	if !h.Coalesce {
-		maxReq = mem.PageSize4K
-	}
-	var reqs []hfi.SDMARequest
-	switch hdr.Op {
-	case hfi.OpEager:
-		reqs, err = hfi.BuildEagerRequests(exts, maxReq, h.pr.EagerChunk)
-	case hfi.OpExpected:
-		var tids []hfi.TIDPair
-		tids, err = hfi.ReadTIDList(f.Proc, hdr.TIDListVA, int(hdr.TIDCount))
-		if err == nil {
-			reqs, err = hfi.BuildExpectedRequests(exts, maxReq, tids)
-		}
-	default:
-		err = fmt.Errorf("core: bad opcode %d", hdr.Op)
-	}
-	if err != nil {
-		return 0, true, err
-	}
-
 	fdata, err := h.obj("hfi1_filedata", f.Private)
 	if err != nil {
 		return 0, true, err
@@ -253,8 +220,47 @@ func (h *HFIPico) writev(ctx *kernel.Ctx, f *linux.File, iov []linux.IOVec) (uin
 	}
 	engIdx := int(ctxtID % numSdma)
 	engVA := engBase + kmem.VirtAddr(uint64(engIdx)*engLayout.ByteSize)
-	if _, err := hfi.SubmitToEngine(ctx, h.space, h.reg, h.NIC, engVA, engIdx, ctxtVA,
-		hdr, reqs, 1 /* allocator: LWK */, h.completionVA); err != nil {
+
+	s, err := h.NIC.TakeScratch(int(ctxtID))
+	if err != nil {
+		return 0, true, err
+	}
+	defer s.Release()
+	exts := s.Exts[:0]
+	for _, v := range iov[1:] {
+		var ok bool
+		exts, ok, err = h.gatherExtents(ctx, f.Proc, exts, v.Base, v.Len)
+		s.Exts = exts
+		if err != nil {
+			return 0, true, err
+		}
+		if !ok {
+			h.FallbackCalls++
+			return 0, false, nil
+		}
+	}
+	maxReq := h.pr.MaxSDMARequest
+	if !h.Coalesce {
+		maxReq = mem.PageSize4K
+	}
+	txn := h.NIC.GetTxn()
+	switch hdr.Op {
+	case hfi.OpEager:
+		txn.Requests, err = hfi.AppendEagerRequests(txn.Requests, exts, maxReq, h.pr.EagerChunk)
+	case hfi.OpExpected:
+		s.TIDs, s.Wire, err = hfi.ReadTIDListScratch(f.Proc, hdr.TIDListVA, int(hdr.TIDCount), s.TIDs, s.Wire)
+		if err == nil {
+			txn.Requests, err = hfi.AppendExpectedRequests(txn.Requests, exts, maxReq, s.TIDs)
+		}
+	default:
+		err = fmt.Errorf("core: bad opcode %d", hdr.Op)
+	}
+	if err == nil {
+		_, err = hfi.SubmitToEngine(ctx, h.space, h.reg, h.NIC, engVA, engIdx, ctxtVA,
+			&hdr, txn, 1 /* allocator: LWK */, h.completionVA)
+	}
+	if err != nil {
+		h.NIC.PutTxn(txn)
 		return 0, true, err
 	}
 	h.FastWritevs++
@@ -268,16 +274,23 @@ func (h *HFIPico) ioctl(ctx *kernel.Ctx, f *linux.File, cmd uint32, arg uproc.Vi
 		return 0, false, nil
 	}
 	ctx.Spend(h.pr.FastPathBase)
-	switch cmd {
-	case hfi.CmdTIDInvalRdy:
+	if cmd == hfi.CmdTIDInvalRdy {
 		h.FastIoctls++
 		return 0, true, nil
-	case hfi.CmdTIDUpdate:
-		return h.tidUpdate(ctx, f, arg)
-	case hfi.CmdTIDFree:
-		return h.tidFree(ctx, f, arg)
 	}
-	return 0, false, nil
+	id, ctxtVA, err := h.contextOf(f)
+	if err != nil {
+		return 0, true, err
+	}
+	s, err := h.NIC.TakeScratch(id)
+	if err != nil {
+		return 0, true, err
+	}
+	defer s.Release()
+	if cmd == hfi.CmdTIDUpdate {
+		return h.tidUpdate(ctx, f, arg, id, ctxtVA, s)
+	}
+	return h.tidFree(ctx, f, arg, id, ctxtVA, s)
 }
 
 func (h *HFIPico) contextOf(f *linux.File) (int, kmem.VirtAddr, error) {
@@ -296,12 +309,13 @@ func (h *HFIPico) contextOf(f *linux.File) (int, kmem.VirtAddr, error) {
 	return int(id), ctxtVA, nil
 }
 
-func (h *HFIPico) tidUpdate(ctx *kernel.Ctx, f *linux.File, arg uproc.VirtAddr) (uint64, bool, error) {
+func (h *HFIPico) tidUpdate(ctx *kernel.Ctx, f *linux.File, arg uproc.VirtAddr, id int, ctxtVA kmem.VirtAddr, s *hfi.Scratch) (uint64, bool, error) {
 	ti, err := hfi.DecodeTIDInfo(f.Proc, arg)
 	if err != nil {
 		return 0, true, err
 	}
-	exts, ok, err := h.gatherExtents(ctx, f.Proc, ti.VAddr, ti.Length)
+	exts, ok, err := h.gatherExtents(ctx, f.Proc, s.Exts[:0], ti.VAddr, ti.Length)
+	s.Exts = exts
 	if err != nil {
 		return 0, true, err
 	}
@@ -313,16 +327,12 @@ func (h *HFIPico) tidUpdate(ctx *kernel.Ctx, f *linux.File, arg uproc.VirtAddr) 
 	if !h.Coalesce {
 		maxEntry = mem.PageSize4K
 	}
-	segs := hfi.SplitForTIDs(exts, maxEntry)
-	id, ctxtVA, err := h.contextOf(f)
+	s.Segs = hfi.SplitForTIDs(s.Segs[:0], exts, maxEntry)
+	pairs, err := hfi.AllocAndProgramTIDs(ctx, h.space, h.reg, h.NIC, ctxtVA, id, s.Segs, h.pr, s, nil)
 	if err != nil {
 		return 0, true, err
 	}
-	pairs, _, err := hfi.AllocAndProgramTIDs(ctx, h.space, h.reg, h.NIC, ctxtVA, id, segs, h.pr)
-	if err != nil {
-		return 0, true, err
-	}
-	if err := hfi.WriteTIDList(f.Proc, ti.TIDListVA, pairs); err != nil {
+	if s.Wire, err = hfi.WriteTIDListScratch(f.Proc, ti.TIDListVA, pairs, s.Wire); err != nil {
 		return 0, true, err
 	}
 	if err := hfi.WriteTIDCountBack(f.Proc, arg, uint32(len(pairs))); err != nil {
@@ -332,20 +342,17 @@ func (h *HFIPico) tidUpdate(ctx *kernel.Ctx, f *linux.File, arg uproc.VirtAddr) 
 	return uint64(len(pairs)), true, nil
 }
 
-func (h *HFIPico) tidFree(ctx *kernel.Ctx, f *linux.File, arg uproc.VirtAddr) (uint64, bool, error) {
+func (h *HFIPico) tidFree(ctx *kernel.Ctx, f *linux.File, arg uproc.VirtAddr, id int, ctxtVA kmem.VirtAddr, s *hfi.Scratch) (uint64, bool, error) {
 	ti, err := hfi.DecodeTIDInfo(f.Proc, arg)
 	if err != nil {
 		return 0, true, err
 	}
-	pairs, err := hfi.ReadTIDList(f.Proc, ti.TIDListVA, int(ti.TIDCount))
+	pairs, wire, err := hfi.ReadTIDListScratch(f.Proc, ti.TIDListVA, int(ti.TIDCount), s.TIDs, s.Wire)
+	s.TIDs, s.Wire = pairs, wire
 	if err != nil {
 		return 0, true, err
 	}
-	id, ctxtVA, err := h.contextOf(f)
-	if err != nil {
-		return 0, true, err
-	}
-	if err := hfi.FreeTIDs(ctx, h.space, h.reg, h.NIC, ctxtVA, id, pairs, h.pr); err != nil {
+	if err := hfi.FreeTIDs(ctx, h.space, h.reg, h.NIC, ctxtVA, id, pairs, h.pr, s); err != nil {
 		return 0, true, err
 	}
 	h.FastIoctls++

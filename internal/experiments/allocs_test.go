@@ -42,9 +42,9 @@ func TestSteadyStateAllocsPerRoundTrip(t *testing.T) {
 		reps    int
 		ceiling [3]float64
 	}{
-		{1 << 10, 256, [3]float64{10.0 + 1, 10.0 + 1, 10.0 + 1}},       // PIO: 2 packets
-		{32 << 10, 64, [3]float64{78.5 + 8, 92.4 + 8, 80.2 + 4}},       // eager SDMA: 16, 16, 8 packets
-		{4 << 20, 4, [3]float64{1973 + 1033, 2308 + 1033, 1172 + 425}}, // rendezvous: 2066, 2066, 850 packets
+		{1 << 10, 256, [3]float64{6.0 + 1, 6.0 + 1, 6.0 + 1}},       // PIO: 2 packets
+		{32 << 10, 64, [3]float64{16.2 + 8, 30.1 + 8, 16.1 + 4}},    // eager SDMA: 16, 16, 8 packets
+		{4 << 20, 4, [3]float64{147 + 1033, 482 + 1033, 146 + 425}}, // rendezvous: 2066, 2066, 850 packets
 	} {
 		for i, os := range cluster.AllOSTypes {
 			got := marginalMallocs(t, c.reps, func(reps int) error {

@@ -104,13 +104,13 @@ func EncodeSDMAHeader(p *uproc.Process, va uproc.VirtAddr, h *SDMAHeader) error 
 }
 
 // DecodeSDMAHeader reads the header from user memory.
-func DecodeSDMAHeader(p *uproc.Process, va uproc.VirtAddr) (*SDMAHeader, error) {
+func DecodeSDMAHeader(p *uproc.Process, va uproc.VirtAddr) (SDMAHeader, error) {
 	var b [SDMAHeaderSize]byte
 	if err := p.ReadAt(va, b[:]); err != nil {
-		return nil, fmt.Errorf("hfi: reading sdma header: %w", err)
+		return SDMAHeader{}, fmt.Errorf("hfi: reading sdma header: %w", err)
 	}
 	le := binary.LittleEndian
-	h := &SDMAHeader{
+	h := SDMAHeader{
 		Op:        le.Uint32(b[0:]),
 		DstNode:   le.Uint32(b[4:]),
 		DstCtx:    le.Uint32(b[8:]),
@@ -125,7 +125,7 @@ func DecodeSDMAHeader(p *uproc.Process, va uproc.VirtAddr) (*SDMAHeader, error) 
 		Aux:       le.Uint64(b[64:]),
 	}
 	if h.Op != OpEager && h.Op != OpExpected {
-		return nil, fmt.Errorf("hfi: bad sdma opcode %d", h.Op)
+		return SDMAHeader{}, fmt.Errorf("hfi: bad sdma opcode %d", h.Op)
 	}
 	return h, nil
 }
@@ -181,23 +181,11 @@ func AppendTIDPairs(dst []TIDPair, buf []byte) []TIDPair {
 	return dst
 }
 
-// WriteTIDList stores pairs at va in user memory.
-func WriteTIDList(p *uproc.Process, va uproc.VirtAddr, pairs []TIDPair) error {
-	_, err := WriteTIDListScratch(p, va, pairs, nil)
-	return err
-}
-
 // WriteTIDListScratch stores pairs at va, encoding through scratch
 // (reused when large enough); it returns the possibly grown scratch.
 func WriteTIDListScratch(p *uproc.Process, va uproc.VirtAddr, pairs []TIDPair, scratch []byte) ([]byte, error) {
 	buf := AppendTIDList(scratch[:0], pairs)
 	return buf, p.WriteAt(va, buf)
-}
-
-// ReadTIDList loads count pairs from va.
-func ReadTIDList(p *uproc.Process, va uproc.VirtAddr, count int) ([]TIDPair, error) {
-	pairs, _, err := ReadTIDListScratch(p, va, count, nil, nil)
-	return pairs, err
 }
 
 // ReadTIDListScratch loads count pairs from va, decoding into dst
@@ -239,13 +227,13 @@ func EncodeTIDInfo(p *uproc.Process, va uproc.VirtAddr, ti *TIDInfo) error {
 }
 
 // DecodeTIDInfo reads the argument struct from user memory.
-func DecodeTIDInfo(p *uproc.Process, va uproc.VirtAddr) (*TIDInfo, error) {
+func DecodeTIDInfo(p *uproc.Process, va uproc.VirtAddr) (TIDInfo, error) {
 	var b [TIDInfoSize]byte
 	if err := p.ReadAt(va, b[:]); err != nil {
-		return nil, err
+		return TIDInfo{}, err
 	}
 	le := binary.LittleEndian
-	return &TIDInfo{
+	return TIDInfo{
 		VAddr:     uproc.VirtAddr(le.Uint64(b[0:])),
 		Length:    le.Uint64(b[8:]),
 		TIDListVA: uproc.VirtAddr(le.Uint64(b[16:])),

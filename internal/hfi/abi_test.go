@@ -38,8 +38,8 @@ func TestSDMAHeaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(h, got) {
-		t.Fatalf("round trip:\n%+v\n%+v", h, got)
+	if *h != got {
+		t.Fatalf("round trip:\n%+v\n%+v", *h, got)
 	}
 }
 
@@ -59,15 +59,21 @@ func TestTIDListRoundTrip(t *testing.T) {
 	p := testProc(t)
 	va, _ := p.MmapAnon(64 << 10)
 	pairs := []TIDPair{{Idx: 3, Len: 4096}, {Idx: 999, Len: 256 << 10}, {Idx: 0, Len: 1}}
-	if err := WriteTIDList(p, va, pairs); err != nil {
+	wire, err := WriteTIDListScratch(p, va, pairs, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTIDList(p, va, len(pairs))
+	// Reading back through the grown scratch reuses both buffers.
+	dst := make([]TIDPair, 0, len(pairs))
+	got, buf, err := ReadTIDListScratch(p, va, len(pairs), dst, wire)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(pairs, got) {
 		t.Fatalf("round trip mismatch: %v vs %v", pairs, got)
+	}
+	if &got[0] != &dst[:1][0] || &buf[0] != &wire[0] {
+		t.Fatal("ReadTIDListScratch did not reuse the buffers it was given")
 	}
 }
 
@@ -82,7 +88,7 @@ func TestTIDInfoRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ti, got) {
+	if *ti != got {
 		t.Fatalf("round trip mismatch")
 	}
 	if err := WriteTIDCountBack(p, va, 77); err != nil {

@@ -78,8 +78,10 @@ type LinuxDriver struct {
 	open     map[int]*openContext // by context id
 
 	// pinnedByTxreq maps a user_sdma_txreq kernel address to the pages
-	// pinned for that transfer; the completion callback unpins them.
+	// pinned for that transfer; the completion callback unpins them and
+	// hands the list back to freePages for a later writev.
 	pinnedByTxreq map[kmem.VirtAddr][]mem.Extent
+	freePages     [][]mem.Extent
 	// tidPins maps context → TID index → the pinned extent it covers.
 	tidPins map[int]map[int]mem.Extent
 }
@@ -101,19 +103,19 @@ var _ linux.Driver = (*LinuxDriver)(nil)
 // engine array in Linux kernel memory, registers the completion callback
 // in Linux TEXT, and hooks the NIC's completion interrupt.
 func NewLinuxDriver(k *linux.Kernel, nic *NIC, pr *model.Params, worlds []*kmem.Space) (*LinuxDriver, error) {
-	reg := BuildRegistry(DriverVersion)
-	blob, err := BuildDWARFBlob(reg)
+	m, err := shippedModule()
 	if err != nil {
 		return nil, err
 	}
 	d := &LinuxDriver{
-		K: k, NIC: nic, pr: pr, reg: reg, DWARFBlob: blob,
+		K: k, NIC: nic, pr: pr, reg: m.reg, DWARFBlob: m.blob,
 		nEngines: pr.SDMAEngines, worlds: worlds,
 		open:          make(map[int]*openContext),
 		pinnedByTxreq: make(map[kmem.VirtAddr][]mem.Extent),
 		tidPins:       make(map[int]map[int]mem.Extent),
 	}
 	cpu := k.Pool.CPUs()[0]
+	reg := m.reg
 
 	ddLayout, err := reg.Lookup("hfi1_devdata")
 	if err != nil {
@@ -186,7 +188,7 @@ func NewLinuxDriver(k *linux.Kernel, nic *NIC, pr *model.Params, worlds []*kmem.
 		return nil, err
 	}
 
-	nic.SetIRQSink(func(batch []*SDMATxn) {
+	nic.SetIRQSink(func(batch *SDMATxn) {
 		raised := k.Engine().Now()
 		k.Pool.Submit("hfi1-sdma-irq", func(ctx *kernel.Ctx) {
 			// The IRQ span covers delivery (queueing for a Linux CPU)
@@ -197,7 +199,8 @@ func NewLinuxDriver(k *linux.Kernel, nic *NIC, pr *model.Params, worlds []*kmem.
 				}
 			}(raised)
 			ctx.Spend(pr.IRQHandlerCost)
-			for _, txn := range batch {
+			for txn, next := batch, (*SDMATxn)(nil); txn != nil; txn = next {
+				next = txn.irqNext
 				status := uint64(0)
 				if txn.Err != nil {
 					resubmitted, st, rerr := d.recoverSDMA(ctx, txn)
@@ -207,7 +210,8 @@ func NewLinuxDriver(k *linux.Kernel, nic *NIC, pr *model.Params, worlds []*kmem.
 					}
 					if resubmitted {
 						// The transaction is back on an engine; its
-						// completion (or next error) arrives later.
+						// completion (or next error) arrives later, and
+						// it is recycled after that.
 						continue
 					}
 					status = st
@@ -224,6 +228,8 @@ func NewLinuxDriver(k *linux.Kernel, nic *NIC, pr *model.Params, worlds []*kmem.
 					nic.Fail(fmt.Errorf("hfi: node %d completion: %w", nic.Node, cerr))
 					return
 				}
+				// The callback was the last reader of the transaction.
+				nic.PutTxn(txn)
 			}
 		})
 	})
@@ -269,8 +275,9 @@ func (d *LinuxDriver) obj(name string, va kmem.VirtAddr) kstruct.Obj {
 // fault profile, hand back an error status for the CQ completion.
 func (d *LinuxDriver) recoverSDMA(ctx *kernel.Ctx, txn *SDMATxn) (resubmitted bool, status uint64, err error) {
 	// Requests before FailedAt are already on the wire; only the
-	// remainder is retried or degraded.
-	txn.Requests = txn.Requests[txn.FailedAt:]
+	// remainder is retried or degraded. It moves to the front so the
+	// list keeps its capacity for the transaction's next use.
+	txn.Requests = append(txn.Requests[:0], txn.Requests[txn.FailedAt:]...)
 	txn.FailedAt = 0
 	txn.Err = nil
 	txn.Attempts++
@@ -328,6 +335,7 @@ func (d *LinuxDriver) completionFn(args ...any) any {
 			d.K.Space.Alloc.Phys().Unpin(pg)
 		}
 		delete(d.pinnedByTxreq, recVA)
+		d.freePages = append(d.freePages, pages[:0])
 	}
 	if err := d.K.Space.Kfree(recVA, ctx.CPU); err != nil {
 		return fmt.Errorf("hfi: completion kfree: %w", err)
@@ -538,40 +546,50 @@ func (d *LinuxDriver) Writev(ctx *kernel.Ctx, f *linux.File, iov []linux.IOVec) 
 	if err != nil {
 		return 0, err
 	}
-	// get_user_pages over the payload vectors: per-page extents, pinned.
-	var pages []mem.Extent
-	for _, v := range iov[1:] {
-		pg, err := d.K.GetUserPages(ctx, f.Proc, v.Base, v.Len)
-		if err != nil {
-			d.K.PutUserPages(f.Proc, pages)
-			return 0, err
-		}
-		pages = append(pages, pg...)
-	}
-	var reqs []SDMARequest
-	switch hdr.Op {
-	case OpEager:
-		reqs, err = BuildEagerRequests(pages, mem.PageSize4K, d.pr.EagerChunk)
-	case OpExpected:
-		var tids []TIDPair
-		tids, err = ReadTIDList(f.Proc, hdr.TIDListVA, int(hdr.TIDCount))
-		if err == nil {
-			reqs, err = BuildExpectedRequests(pages, mem.PageSize4K, tids)
-		}
-	}
-	if err != nil {
-		d.K.PutUserPages(f.Proc, pages)
-		return 0, err
-	}
 	fdata := d.obj("hfi1_filedata", f.Private)
 	ctxtVA, err := fdata.GetPtr("uctxt")
 	if err != nil {
 		return 0, err
 	}
 	idU, _ := fdata.GetU("ctxt")
-	recVA, err := d.submit(ctx, d.K.Space, int(idU), ctxtVA, hdr, reqs, 0)
+	s, err := d.NIC.TakeScratch(int(idU))
 	if err != nil {
+		return 0, err
+	}
+	defer s.Release()
+	// get_user_pages over the payload vectors: per-page extents, pinned.
+	// The list stays with the transfer until its completion unpins it.
+	var pages []mem.Extent
+	if k := len(d.freePages); k > 0 {
+		pages, d.freePages = d.freePages[k-1], d.freePages[:k-1]
+	}
+	unpin := func() {
 		d.K.PutUserPages(f.Proc, pages)
+		d.freePages = append(d.freePages, pages[:0])
+	}
+	for _, v := range iov[1:] {
+		if pages, err = d.K.GetUserPages(ctx, f.Proc, pages, v.Base, v.Len); err != nil {
+			unpin()
+			return 0, err
+		}
+	}
+	txn := d.NIC.GetTxn()
+	switch hdr.Op {
+	case OpEager:
+		txn.Requests, err = AppendEagerRequests(txn.Requests, pages, mem.PageSize4K, d.pr.EagerChunk)
+	case OpExpected:
+		s.TIDs, s.Wire, err = ReadTIDListScratch(f.Proc, hdr.TIDListVA, int(hdr.TIDCount), s.TIDs, s.Wire)
+		if err == nil {
+			txn.Requests, err = AppendExpectedRequests(txn.Requests, pages, mem.PageSize4K, s.TIDs)
+		}
+	}
+	var recVA kmem.VirtAddr
+	if err == nil {
+		recVA, err = d.submit(ctx, d.K.Space, int(idU), ctxtVA, &hdr, txn, 0)
+	}
+	if err != nil {
+		d.NIC.PutTxn(txn)
+		unpin()
 		return 0, err
 	}
 	d.pinnedByTxreq[recVA] = pages
@@ -582,11 +600,11 @@ func (d *LinuxDriver) Writev(ctx *kernel.Ctx, f *linux.File, iov []linux.IOVec) 
 // publishes the descriptors and rings the doorbell. allocator selects
 // the kernel whose memory holds the completion record (0 = Linux).
 func (d *LinuxDriver) submit(ctx *kernel.Ctx, space *kmem.Space, ctxtID int, ctxtVA kmem.VirtAddr,
-	hdr *SDMAHeader, reqs []SDMARequest, allocator uint64) (kmem.VirtAddr, error) {
+	hdr *SDMAHeader, txn *SDMATxn, allocator uint64) (kmem.VirtAddr, error) {
 	engIdx := ctxtID % d.nEngines
 	engLayout := d.layout("sdma_engine")
 	engVA := d.engBase + kmem.VirtAddr(uint64(engIdx)*engLayout.ByteSize)
-	return SubmitToEngine(ctx, space, d.reg, d.NIC, engVA, engIdx, ctxtVA, hdr, reqs, allocator, d.completionVA)
+	return SubmitToEngine(ctx, space, d.reg, d.NIC, engVA, engIdx, ctxtVA, hdr, txn, allocator, d.completionVA)
 }
 
 // SubmitToEngine is the engine-side submission protocol, expressed over
@@ -594,16 +612,27 @@ func (d *LinuxDriver) submit(ctx *kernel.Ctx, space *kmem.Space, ctxtID int, ctx
 // layouts) and the PicoDriver (DWARF-extracted layouts) execute the same
 // steps against the same kernel memory:
 //
+//	refuse an empty request list
 //	lock engine.tail_lock           (cross-kernel ticket spinlock)
 //	check state.current_state == s99_running
 //	descq_tail += len(reqs)
 //	unlock
 //	allocate + fill user_sdma_txreq in the caller's kernel memory
 //	ring the doorbell
+//
+// txn carries the request list (from NIC.GetTxn); SubmitToEngine fills
+// in the rest. On error the transaction was not queued and stays the
+// caller's.
 func SubmitToEngine(ctx *kernel.Ctx, space *kmem.Space, reg *kstruct.Registry, nic *NIC,
 	engVA kmem.VirtAddr, engIdx int, ctxtVA kmem.VirtAddr, hdr *SDMAHeader,
-	reqs []SDMARequest, allocator uint64, callbackVA kmem.VirtAddr) (kmem.VirtAddr, error) {
+	txn *SDMATxn, allocator uint64, callbackVA kmem.VirtAddr) (kmem.VirtAddr, error) {
 
+	reqs := txn.Requests
+	if len(reqs) == 0 {
+		// Refused before the record below is allocated: nothing would
+		// ever complete, and so free, it.
+		return 0, fmt.Errorf("hfi: empty transaction")
+	}
 	engLayout, err := reg.Lookup("sdma_engine")
 	if err != nil {
 		return 0, err
@@ -675,11 +704,10 @@ func SubmitToEngine(ctx *kernel.Ctx, space *kmem.Space, reg *kstruct.Registry, n
 		}
 	}
 
-	kind := fabricKind(hdr.Op)
-	txn := &SDMATxn{
+	*txn = SDMATxn{
 		Engine:  engIdx,
 		DstNode: int(hdr.DstNode), DstCtx: int(hdr.DstCtx),
-		Kind:        kind,
+		Kind:        fabricKind(hdr.Op),
 		Hdr:         fabricHeader(hdr),
 		Requests:    reqs,
 		Synthetic:   hdr.Flags&FlagSynthetic != 0,
@@ -704,10 +732,16 @@ func (d *LinuxDriver) Ioctl(ctx *kernel.Ctx, f *linux.File, cmd uint32, arg upro
 	}
 	id := int(idU)
 	switch cmd {
-	case CmdTIDUpdate:
-		return d.tidUpdate(ctx, f, id, arg)
-	case CmdTIDFree:
-		return d.tidFree(ctx, f, id, arg)
+	case CmdTIDUpdate, CmdTIDFree:
+		s, err := d.NIC.TakeScratch(id)
+		if err != nil {
+			return 0, err
+		}
+		defer s.Release()
+		if cmd == CmdTIDUpdate {
+			return d.tidUpdate(ctx, f, id, arg, s)
+		}
+		return d.tidFree(ctx, f, id, arg, s)
 	case CmdTIDInvalRdy:
 		return 0, nil
 	case CmdCtxtInfo:
@@ -727,12 +761,13 @@ func (d *LinuxDriver) Ioctl(ctx *kernel.Ctx, f *linux.File, cmd uint32, arg upro
 // under the TID lock, program the hardware and report the TID list back
 // to user space. Like the submission path, the per-page granularity of
 // get_user_pages means every entry covers at most PAGE_SIZE.
-func (d *LinuxDriver) tidUpdate(ctx *kernel.Ctx, f *linux.File, id int, arg uproc.VirtAddr) (uint64, error) {
+func (d *LinuxDriver) tidUpdate(ctx *kernel.Ctx, f *linux.File, id int, arg uproc.VirtAddr, s *Scratch) (uint64, error) {
 	ti, err := DecodeTIDInfo(f.Proc, arg)
 	if err != nil {
 		return 0, err
 	}
-	pages, err := d.K.GetUserPages(ctx, f.Proc, ti.VAddr, ti.Length)
+	pages, err := d.K.GetUserPages(ctx, f.Proc, s.Exts[:0], ti.VAddr, ti.Length)
+	s.Exts = pages
 	if err != nil {
 		return 0, err
 	}
@@ -741,15 +776,12 @@ func (d *LinuxDriver) tidUpdate(ctx *kernel.Ctx, f *linux.File, id int, arg upro
 	if err != nil {
 		return 0, err
 	}
-	pairs, idxExts, err := AllocAndProgramTIDs(ctx, d.K.Space, d.reg, d.NIC, ctxtVA, id, pages, d.pr)
+	pairs, err := AllocAndProgramTIDs(ctx, d.K.Space, d.reg, d.NIC, ctxtVA, id, pages, d.pr, s, d.tidPins[id])
 	if err != nil {
 		d.K.PutUserPages(f.Proc, pages)
 		return 0, err
 	}
-	for idx, ext := range idxExts {
-		d.tidPins[id][idx] = ext
-	}
-	if err := WriteTIDList(f.Proc, ti.TIDListVA, pairs); err != nil {
+	if s.Wire, err = WriteTIDListScratch(f.Proc, ti.TIDListVA, pairs, s.Wire); err != nil {
 		return 0, err
 	}
 	if err := WriteTIDCountBack(f.Proc, arg, uint32(len(pairs))); err != nil {
@@ -760,12 +792,13 @@ func (d *LinuxDriver) tidUpdate(ctx *kernel.Ctx, f *linux.File, id int, arg upro
 
 // tidFree releases RcvArray entries named in the user TID list and
 // unpins their pages.
-func (d *LinuxDriver) tidFree(ctx *kernel.Ctx, f *linux.File, id int, arg uproc.VirtAddr) (uint64, error) {
+func (d *LinuxDriver) tidFree(ctx *kernel.Ctx, f *linux.File, id int, arg uproc.VirtAddr, s *Scratch) (uint64, error) {
 	ti, err := DecodeTIDInfo(f.Proc, arg)
 	if err != nil {
 		return 0, err
 	}
-	pairs, err := ReadTIDList(f.Proc, ti.TIDListVA, int(ti.TIDCount))
+	pairs, wire, err := ReadTIDListScratch(f.Proc, ti.TIDListVA, int(ti.TIDCount), s.TIDs, s.Wire)
+	s.TIDs, s.Wire = pairs, wire
 	if err != nil {
 		return 0, err
 	}
@@ -774,7 +807,7 @@ func (d *LinuxDriver) tidFree(ctx *kernel.Ctx, f *linux.File, id int, arg uproc.
 	if err != nil {
 		return 0, err
 	}
-	if err := FreeTIDs(ctx, d.K.Space, d.reg, d.NIC, ctxtVA, id, pairs, d.pr); err != nil {
+	if err := FreeTIDs(ctx, d.K.Space, d.reg, d.NIC, ctxtVA, id, pairs, d.pr, s); err != nil {
 		return 0, err
 	}
 	for _, tp := range pairs {

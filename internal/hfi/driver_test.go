@@ -19,6 +19,7 @@ import (
 type rig struct {
 	e    *sim.Engine
 	pr   model.Params
+	fab  *fabric.Fabric
 	phys [2]*mem.PhysMem
 	lin  [2]*linux.Kernel
 	nic  [2]*NIC
@@ -29,6 +30,7 @@ func newRig(t *testing.T) *rig {
 	t.Helper()
 	r := &rig{e: sim.NewEngine(3), pr: model.Default()}
 	fab := fabric.New(r.e, &r.pr)
+	r.fab = fab
 	for n := 0; n < 2; n++ {
 		pm, err := mem.NewPhysMem(
 			mem.Region{Base: 0, Size: 512 << 20, Kind: mem.DDR4, Owner: "linux"},
@@ -223,13 +225,13 @@ func TestDriverTIDUpdateAndFree(t *testing.T) {
 		if r.phys[0].PinnedFrames() != int(n) {
 			t.Errorf("pinned frames = %d", r.phys[0].PinnedFrames())
 		}
-		pairs, err := ReadTIDList(proc, listVA, int(n))
+		pairs, wire, err := ReadTIDListScratch(proc, listVA, int(n), nil, nil)
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		// Free them all.
-		if err := WriteTIDList(proc, listVA, pairs); err != nil {
+		if _, err := WriteTIDListScratch(proc, listVA, pairs, wire); err != nil {
 			t.Error(err)
 			return
 		}

@@ -16,6 +16,10 @@ import (
 // a driver from a single writev call, plus completion routing. The
 // callback address is an opaque 64-bit kernel TEXT address stored in the
 // descriptor metadata; the IRQ handler (driver code) dereferences it.
+//
+// Drivers take transactions from the NIC's free list (GetTxn) and the
+// IRQ handler hands each back (PutTxn) once its completion callback has
+// run; the request list keeps its capacity across uses.
 type SDMATxn struct {
 	Engine    int
 	Requests  []SDMARequest
@@ -46,6 +50,10 @@ type SDMATxn struct {
 	// submitAt stamps SubmitSDMA entry; the engine's retirement span
 	// (submit → last packet on the wire) starts here.
 	submitAt time.Duration
+	// irqNext links the transactions of one completion interrupt. A
+	// handler reads it before handing the transaction back or
+	// resubmitting it: either relinks it.
+	irqNext *SDMATxn
 }
 
 // Bytes returns the transaction's total payload length.
@@ -104,6 +112,9 @@ type Context struct {
 
 	// TIDsProgrammed counts ProgramTID calls (instrumentation).
 	TIDsProgrammed uint64
+
+	// scratch is the drivers' per-call working storage (TakeScratch).
+	scratch Scratch
 }
 
 // SDMAEngine is one of the NIC's send-DMA engines with its descriptor
@@ -140,9 +151,16 @@ type NIC struct {
 	engines  []*SDMAEngine
 	rxq      *sim.Queue[*fabric.Packet]
 
-	irqSink      func(completed []*SDMATxn)
-	pendingIRQ   []*SDMATxn
-	irqScheduled bool
+	// irqSink receives each interrupt's batch: completed transactions
+	// linked through irqNext, in completion order. irqHead/irqTail is the
+	// batch pending delivery; raiseIRQ is the method value the interrupt
+	// event runs, built once.
+	irqSink          func(batch *SDMATxn)
+	irqHead, irqTail *SDMATxn
+	irqScheduled     bool
+	raiseIRQ         func()
+	// freeTxns is the transaction free list (GetTxn, PutTxn).
+	freeTxns []*SDMATxn
 
 	// frng draws SDMA error injections (lazily created from the fault
 	// profile seed and node id, so the pattern replays per seed).
@@ -189,6 +207,7 @@ func NewNIC(e *sim.Engine, pr *model.Params, node int, phys *mem.PhysMem, fab *f
 		contexts: make(map[int]*Context),
 		rxq:      sim.NewQueue[*fabric.Packet](e),
 	}
+	n.raiseIRQ = n.deliverIRQ
 	port, err := fab.Attach(node, func(pkt *fabric.Packet) { n.rxq.Push(pkt) })
 	if err != nil {
 		return nil, err
@@ -217,8 +236,29 @@ func (n *NIC) Params() *model.Params { return n.pr }
 
 // SetIRQSink registers the completion interrupt handler entry point
 // (wired by the Linux driver at module init: completions are always
-// processed on Linux CPUs, §3.3).
-func (n *NIC) SetIRQSink(sink func(completed []*SDMATxn)) { n.irqSink = sink }
+// processed on Linux CPUs, §3.3). Each call hands over one batch, the
+// transactions linked through irqNext.
+func (n *NIC) SetIRQSink(sink func(batch *SDMATxn)) { n.irqSink = sink }
+
+// GetTxn returns a cleared transaction from the free list, allocating
+// one when the list is empty. Its Requests has length zero and keeps the
+// capacity of earlier uses.
+func (n *NIC) GetTxn() *SDMATxn {
+	if k := len(n.freeTxns); k > 0 {
+		t := n.freeTxns[k-1]
+		n.freeTxns = n.freeTxns[:k-1]
+		return t
+	}
+	return &SDMATxn{}
+}
+
+// PutTxn returns a transaction to the free list. The caller must hold
+// the only reference: one never queued, or one whose completion callback
+// has run.
+func (n *NIC) PutTxn(t *SDMATxn) {
+	*t = SDMATxn{Requests: t.Requests[:0]}
+	n.freeTxns = append(n.freeTxns, t)
+}
 
 // Engines returns the number of SDMA engines.
 func (n *NIC) Engines() int { return len(n.engines) }
@@ -566,21 +606,30 @@ func (n *NIC) PIOChunk(p *sim.Proc, txn *SDMATxn, req SDMARequest) error {
 // complete queues a finished transaction for interrupt delivery,
 // coalescing completions that occur while an interrupt is pending.
 func (n *NIC) complete(txn *SDMATxn) {
-	n.pendingIRQ = append(n.pendingIRQ, txn)
+	txn.irqNext = nil
+	if n.irqTail == nil {
+		n.irqHead = txn
+	} else {
+		n.irqTail.irqNext = txn
+	}
+	n.irqTail = txn
 	if n.irqScheduled {
 		return
 	}
 	n.irqScheduled = true
-	n.e.After(n.pr.IRQLatency, func() {
-		n.irqScheduled = false
-		batch := n.pendingIRQ
-		n.pendingIRQ = nil
-		n.IRQsRaised++
-		if n.irqSink == nil {
-			panic(fmt.Sprintf("hfi: node %d completion IRQ with no handler", n.Node))
-		}
-		n.irqSink(batch)
-	})
+	n.e.After(n.pr.IRQLatency, n.raiseIRQ)
+}
+
+// deliverIRQ raises the completion interrupt for the pending batch.
+func (n *NIC) deliverIRQ() {
+	n.irqScheduled = false
+	batch := n.irqHead
+	n.irqHead, n.irqTail = nil, nil
+	n.IRQsRaised++
+	if n.irqSink == nil {
+		panic(fmt.Sprintf("hfi: node %d completion IRQ with no handler", n.Node))
+	}
+	n.irqSink(batch)
 }
 
 func (n *NIC) runRx(p *sim.Proc) {

@@ -57,9 +57,13 @@ func newNICRig(t *testing.T) *nicRig {
 			t.Fatal(err)
 		}
 		nn := n
-		nic.SetIRQSink(func(batch []*SDMATxn) {
+		nic.SetIRQSink(func(batch *SDMATxn) {
 			_ = nn
-			r.completed = append(r.completed, batch)
+			var txns []*SDMATxn
+			for txn := batch; txn != nil; txn = txn.irqNext {
+				txns = append(txns, txn)
+			}
+			r.completed = append(r.completed, txns)
 		})
 	}
 	return r

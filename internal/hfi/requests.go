@@ -25,13 +25,16 @@ type SDMARequest struct {
 
 // BuildEagerRequests splits source extents into SDMA requests for an
 // eager transfer: each request must fit both the hardware limit and one
-// eager slot (it lands in a single slot at the receiver).
+// eager slot (it lands in a single slot at the receiver). The list is
+// allocated once, at its exact bound.
 func BuildEagerRequests(extents []mem.Extent, maxReq, eagerChunk uint64) ([]SDMARequest, error) {
-	limit := maxReq
-	if eagerChunk < limit {
-		limit = eagerChunk
-	}
-	return buildRequests(extents, limit, nil)
+	return AppendEagerRequests(nil, extents, maxReq, eagerChunk)
+}
+
+// AppendEagerRequests is BuildEagerRequests appending to dst; with
+// enough spare capacity it allocates nothing.
+func AppendEagerRequests(dst []SDMARequest, extents []mem.Extent, maxReq, eagerChunk uint64) ([]SDMARequest, error) {
+	return appendRequests(dst, extents, min(maxReq, eagerChunk), nil)
 }
 
 // BuildExpectedRequests splits source extents into SDMA requests for an
@@ -39,25 +42,33 @@ func BuildEagerRequests(extents []mem.Extent, maxReq, eagerChunk uint64) ([]SDMA
 // boundaries, so the effective split is at every source discontinuity,
 // every maxReq bytes, and every TID boundary.
 func BuildExpectedRequests(extents []mem.Extent, maxReq uint64, tids []TIDPair) ([]SDMARequest, error) {
-	if len(tids) == 0 {
-		return nil, fmt.Errorf("hfi: expected transfer without TIDs")
-	}
-	return buildRequests(extents, maxReq, tids)
+	return AppendExpectedRequests(nil, extents, maxReq, tids)
 }
 
-func buildRequests(extents []mem.Extent, maxReq uint64, tids []TIDPair) ([]SDMARequest, error) {
+// AppendExpectedRequests is BuildExpectedRequests appending to dst;
+// with enough spare capacity it allocates nothing.
+func AppendExpectedRequests(dst []SDMARequest, extents []mem.Extent, maxReq uint64, tids []TIDPair) ([]SDMARequest, error) {
+	if len(tids) == 0 {
+		return dst, fmt.Errorf("hfi: expected transfer without TIDs")
+	}
+	return appendRequests(dst, extents, maxReq, tids)
+}
+
+// appendRequests appends the requests of one message to dst; on error
+// it returns dst as it was.
+func appendRequests(dst []SDMARequest, extents []mem.Extent, maxReq uint64, tids []TIDPair) ([]SDMARequest, error) {
 	if maxReq == 0 {
-		return nil, fmt.Errorf("hfi: zero max request size")
+		return dst, fmt.Errorf("hfi: zero max request size")
 	}
 	// The validation pass also sizes the list: an extent splits every
 	// maxReq bytes and each TID boundary adds at most one more split, so
-	// Σ⌈len/maxReq⌉ + len(tids) bounds the count and the list is
-	// allocated once.
+	// Σ⌈len/maxReq⌉ + len(tids) bounds the count and the list grows at
+	// most once.
 	var total uint64
 	bound := len(tids)
 	for _, e := range extents {
 		if e.Len == 0 {
-			return nil, fmt.Errorf("hfi: zero-length source extent")
+			return dst, fmt.Errorf("hfi: zero-length source extent")
 		}
 		total += e.Len
 		bound += int((e.Len-1)/maxReq) + 1
@@ -68,11 +79,16 @@ func buildRequests(extents []mem.Extent, maxReq uint64, tids []TIDPair) ([]SDMAR
 			cover += t.Len
 		}
 		if cover < total {
-			return nil, fmt.Errorf("hfi: TIDs cover %d bytes, message needs %d", cover, total)
+			return dst, fmt.Errorf("hfi: TIDs cover %d bytes, message needs %d", cover, total)
 		}
 	}
 
-	out := make([]SDMARequest, 0, bound)
+	out := dst
+	if cap(dst)-len(dst) < bound {
+		out = make([]SDMARequest, len(dst), len(dst)+bound)
+		copy(out, dst)
+	}
+	first := len(out)
 	msgOff := uint64(0)
 	tidIdx := 0
 	tidUsed := uint64(0) // bytes consumed within current TID entry
@@ -93,7 +109,7 @@ func buildRequests(extents []mem.Extent, maxReq uint64, tids []TIDPair) ([]SDMAR
 					tidUsed = 0
 				}
 				if tidIdx >= len(tids) {
-					return nil, fmt.Errorf("hfi: ran out of TIDs at offset %d", msgOff)
+					return dst, fmt.Errorf("hfi: ran out of TIDs at offset %d", msgOff)
 				}
 				if rem := tids[tidIdx].Len - tidUsed; n > rem {
 					n = rem
@@ -109,7 +125,7 @@ func buildRequests(extents []mem.Extent, maxReq uint64, tids []TIDPair) ([]SDMAR
 			msgOff += n
 		}
 	}
-	if len(out) > 0 {
+	if len(out) > first {
 		out[len(out)-1].Last = true
 	}
 	return out, nil

@@ -97,10 +97,10 @@ func TestBuildExpectedErrors(t *testing.T) {
 	if _, err := BuildExpectedRequests(exts, 10240, short); err == nil {
 		t.Fatal("insufficient TID coverage accepted")
 	}
-	if _, err := buildRequests(exts, 0, nil); err == nil {
+	if _, err := appendRequests(nil, exts, 0, nil); err == nil {
 		t.Fatal("zero max accepted")
 	}
-	if _, err := buildRequests([]mem.Extent{{Addr: 1, Len: 0}}, 4096, nil); err == nil {
+	if _, err := appendRequests(nil, []mem.Extent{{Addr: 1, Len: 0}}, 4096, nil); err == nil {
 		t.Fatal("zero-length extent accepted")
 	}
 }
@@ -170,7 +170,7 @@ func TestSplitForTIDs(t *testing.T) {
 		{Addr: 0x0, Len: 600 << 10},
 		{Addr: 0x10000000, Len: 100 << 10},
 	}
-	segs := SplitForTIDs(exts, 256<<10)
+	segs := SplitForTIDs(nil, exts, 256<<10)
 	// 600K → 256+256+88; 100K → 100. Total 4 segments.
 	if len(segs) != 4 {
 		t.Fatalf("segs = %d", len(segs))

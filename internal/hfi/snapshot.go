@@ -75,8 +75,12 @@ func (n *NIC) EncodeState(e *snapshot.Enc) {
 		e.Printf("\n")
 	}
 
-	e.Printf("irq scheduled=%v pending=%d\n", n.irqScheduled, len(n.pendingIRQ))
-	for _, txn := range n.pendingIRQ {
+	pending := 0
+	for txn := n.irqHead; txn != nil; txn = txn.irqNext {
+		pending++
+	}
+	e.Printf("irq scheduled=%v pending=%d\n", n.irqScheduled, pending)
+	for txn := n.irqHead; txn != nil; txn = txn.irqNext {
 		encodeTxnState(e, "irq pending", txn)
 	}
 }

@@ -1,6 +1,8 @@
 package hfi
 
 import (
+	"sync"
+
 	"repro/internal/dwarfx"
 	"repro/internal/kstruct"
 )
@@ -140,6 +142,22 @@ func BuildRegistry(version string) *kstruct.Registry {
 
 	return reg
 }
+
+// module is one build of the driver: its layouts and the debugging
+// information shipped alongside the binary.
+type module struct {
+	reg  *kstruct.Registry
+	blob []byte
+}
+
+// shippedModule is the DriverVersion build every driver instance loads.
+// It is the same on every node, so a process builds it once and all
+// instances share it read-only.
+var shippedModule = sync.OnceValues(func() (module, error) {
+	reg := BuildRegistry(DriverVersion)
+	blob, err := BuildDWARFBlob(reg)
+	return module{reg: reg, blob: blob}, err
+})
 
 // BuildDWARFBlob compiles the registry into the module's debugging
 // information, as shipped alongside the driver binary.

@@ -12,44 +12,49 @@ import (
 
 // AllocAndProgramTIDs allocates one RcvArray entry per segment from the
 // context's TID bitmap (under the context TID lock), programs the NIC
-// and returns the TID list. It operates entirely through structure
-// layouts from reg over the given kernel's address space, so the Linux
-// driver (authoritative layouts) and the PicoDriver (DWARF-extracted
-// layouts) share this protocol against the same kernel memory.
+// and returns the TID list, built in s.TIDs; s.Bitmap stages the bitmap.
+// When pins is non-nil each programmed entry's segment is recorded there
+// by RcvArray index once the whole list is in. It operates entirely
+// through structure layouts from reg over the given kernel's address
+// space, so the Linux driver (authoritative layouts) and the PicoDriver
+// (DWARF-extracted layouts) share this protocol against the same kernel
+// memory.
 //
 // On failure every entry programmed so far is rolled back.
 func AllocAndProgramTIDs(ctx *kernel.Ctx, space *kmem.Space, reg *kstruct.Registry, nic *NIC,
-	ctxtVA kmem.VirtAddr, ctxtID int, segments []mem.Extent, pr *model.Params) ([]TIDPair, map[int]mem.Extent, error) {
+	ctxtVA kmem.VirtAddr, ctxtID int, segments []mem.Extent, pr *model.Params,
+	s *Scratch, pins map[int]mem.Extent) ([]TIDPair, error) {
 
 	ctxtLayout, err := reg.Lookup("hfi1_ctxtdata")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cctx := kstruct.Obj{Space: space, Addr: ctxtVA, Layout: ctxtLayout}
 	lock, err := tidLock(space, cctx)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := lock.Lock(ctx.P); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer lock.Unlock()
 
-	bitmap, err := cctx.GetBytes("tid_map")
+	bitmap, err := cctx.ReadBytes("tid_map", s.Bitmap)
+	s.Bitmap = bitmap
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// tid_cnt bounds the usable RcvArray entries: the driver programs it
 	// at open time (possibly shrunk for fault injection), so allocation
 	// must not wander into the bitmap's unused tail.
 	tidCnt, err := cctx.GetU("tid_cnt")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var pairs []TIDPair
-	idxExts := make(map[int]mem.Extent)
+	pairs := s.TIDs[:0]
 	rollback := func() {
-		for idx := range idxExts {
+		for _, tp := range pairs {
+			idx, _ := UnpackTID(tp.Idx)
 			clearBit(bitmap, idx)
 			_ = nic.ClearTID(ctxtID, idx)
 		}
@@ -58,35 +63,42 @@ func AllocAndProgramTIDs(ctx *kernel.Ctx, space *kmem.Space, reg *kstruct.Regist
 		idx := findClearBit(bitmap, int(tidCnt))
 		if idx < 0 {
 			rollback()
-			return nil, nil, fmt.Errorf("hfi: RcvArray exhausted on context %d", ctxtID)
+			return nil, fmt.Errorf("hfi: RcvArray exhausted on context %d", ctxtID)
 		}
 		setBit(bitmap, idx)
 		gen, err := nic.ProgramTID(ctxtID, idx, seg)
 		if err != nil {
 			rollback()
-			return nil, nil, err
+			return nil, err
 		}
 		ctx.Spend(pr.TIDProgramCost)
 		pairs = append(pairs, TIDPair{Idx: PackTID(idx, gen), Len: seg.Len})
-		idxExts[idx] = seg
 	}
+	s.TIDs = pairs
 	if err := cctx.SetBytes("tid_map", bitmap); err != nil {
 		rollback()
-		return nil, nil, err
+		return nil, err
 	}
 	used, err := cctx.GetU("tid_used")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := cctx.SetU("tid_used", used+uint64(len(pairs))); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return pairs, idxExts, nil
+	if pins != nil {
+		for i, tp := range pairs {
+			idx, _ := UnpackTID(tp.Idx)
+			pins[idx] = segments[i]
+		}
+	}
+	return pairs, nil
 }
 
-// FreeTIDs releases RcvArray entries under the TID lock.
+// FreeTIDs releases RcvArray entries under the TID lock, staging the
+// bitmap in s.Bitmap.
 func FreeTIDs(ctx *kernel.Ctx, space *kmem.Space, reg *kstruct.Registry, nic *NIC,
-	ctxtVA kmem.VirtAddr, ctxtID int, pairs []TIDPair, pr *model.Params) error {
+	ctxtVA kmem.VirtAddr, ctxtID int, pairs []TIDPair, pr *model.Params, s *Scratch) error {
 
 	ctxtLayout, err := reg.Lookup("hfi1_ctxtdata")
 	if err != nil {
@@ -102,7 +114,8 @@ func FreeTIDs(ctx *kernel.Ctx, space *kmem.Space, reg *kstruct.Registry, nic *NI
 	}
 	defer lock.Unlock()
 
-	bitmap, err := cctx.GetBytes("tid_map")
+	bitmap, err := cctx.ReadBytes("tid_map", s.Bitmap)
+	s.Bitmap = bitmap
 	if err != nil {
 		return err
 	}
@@ -131,12 +144,12 @@ func FreeTIDs(ctx *kernel.Ctx, space *kmem.Space, reg *kstruct.Registry, nic *NI
 }
 
 // SplitForTIDs cuts physical extents into TID-entry segments of at most
-// maxEntry bytes each. The Linux driver feeds per-page extents (so every
-// segment is one page); the PicoDriver feeds merged extents from page-
-// table walks, so large pages and contiguous runs become few large
-// entries (§3.4).
-func SplitForTIDs(extents []mem.Extent, maxEntry uint64) []mem.Extent {
-	var out []mem.Extent
+// maxEntry bytes each, appended to dst. The Linux driver feeds per-page
+// extents (so every segment is one page); the PicoDriver feeds merged
+// extents from page-table walks, so large pages and contiguous runs
+// become few large entries (§3.4).
+func SplitForTIDs(dst, extents []mem.Extent, maxEntry uint64) []mem.Extent {
+	out := dst
 	for _, e := range extents {
 		for e.Len > 0 {
 			n := e.Len
@@ -151,12 +164,12 @@ func SplitForTIDs(extents []mem.Extent, maxEntry uint64) []mem.Extent {
 	return out
 }
 
-func tidLock(space *kmem.Space, cctx kstruct.Obj) (*kernel.SpinLock, error) {
+func tidLock(space *kmem.Space, cctx kstruct.Obj) (kernel.SpinLock, error) {
 	la, err := cctx.FieldAddr("tid_lock", 0)
 	if err != nil {
-		return nil, err
+		return kernel.SpinLock{}, err
 	}
-	return &kernel.SpinLock{Space: space, Addr: la,
+	return kernel.SpinLock{Space: space, Addr: la,
 		Layout: kernel.LinuxSpinLockLayout, SpinDelay: kernel.DefaultSpinDelay}, nil
 }
 

@@ -268,13 +268,12 @@ func (s *Space) drainDeferred() {
 	if len(s.deferredFrees) == 0 {
 		return
 	}
-	pending := s.deferredFrees
-	s.deferredFrees = nil
 	// Route to an arbitrary owned CPU cache deterministically: lowest id.
 	cpu := s.lowestCPU()
-	for _, va := range pending {
+	for _, va := range s.deferredFrees {
 		s.release(va, cpu)
 	}
+	s.deferredFrees = s.deferredFrees[:0]
 }
 
 func (s *Space) lowestCPU() int {

@@ -110,7 +110,7 @@ func FuzzBytesRoundTrip(f *testing.F) {
 		if err := obj.SetBytes("b", data); err != nil {
 			t.Fatal(err)
 		}
-		got, err := obj.GetBytes("b")
+		got, err := obj.ReadBytes("b", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -247,10 +247,11 @@ func (o Obj) GetUAt(name string, elem int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	buf := make([]byte, f.Kind.Size())
 	if f.Kind == Bytes {
 		return 0, fmt.Errorf("kstruct: GetU on bytes field %s.%s", o.Layout.Name, name)
 	}
+	var word [8]byte
+	buf := word[:f.Kind.Size()]
 	if err := o.Space.ReadAt(addr, buf); err != nil {
 		return 0, err
 	}
@@ -277,7 +278,8 @@ func (o Obj) SetUAt(name string, elem int, v uint64) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, f.Kind.Size())
+	var word [8]byte
+	buf := word[:f.Kind.Size()]
 	for i := range buf {
 		buf[i] = byte(v >> (8 * i))
 	}
@@ -295,20 +297,21 @@ func (o Obj) SetPtr(name string, va kmem.VirtAddr) error {
 	return o.SetU(name, uint64(va))
 }
 
-// GetBytes reads a Bytes field.
-func (o Obj) GetBytes(name string) ([]byte, error) {
+// ReadBytes reads a Bytes field into buf, reusing its capacity, and
+// returns the field's bytes (buf grown when it was too small).
+func (o Obj) ReadBytes(name string, buf []byte) ([]byte, error) {
 	f, err := o.Layout.Field(name)
 	if err != nil {
-		return nil, err
+		return buf, err
 	}
 	if f.Kind != Bytes {
-		return nil, fmt.Errorf("kstruct: GetBytes on scalar field %s.%s", o.Layout.Name, name)
+		return buf, fmt.Errorf("kstruct: ReadBytes on scalar field %s.%s", o.Layout.Name, name)
 	}
-	buf := make([]byte, f.ByteLen)
-	if err := o.Space.ReadAt(o.Addr+kmem.VirtAddr(f.Offset), buf); err != nil {
-		return nil, err
+	if uint64(cap(buf)) < f.ByteLen {
+		buf = make([]byte, f.ByteLen)
 	}
-	return buf, nil
+	buf = buf[:f.ByteLen]
+	return buf, o.Space.ReadAt(o.Addr+kmem.VirtAddr(f.Offset), buf)
 }
 
 // SetBytes writes a Bytes field; data must not exceed the field length.
@@ -333,9 +336,14 @@ func New(space *kmem.Space, l *Layout, cpu int) (Obj, error) {
 	if err != nil {
 		return Obj{}, err
 	}
-	zero := make([]byte, l.ByteSize)
-	if err := space.WriteAt(va, zero); err != nil {
-		return Obj{}, err
+	for off := uint64(0); off < l.ByteSize; off += uint64(len(zeros)) {
+		n := min(l.ByteSize-off, uint64(len(zeros)))
+		if err := space.WriteAt(va+kmem.VirtAddr(off), zeros[:n]); err != nil {
+			return Obj{}, err
+		}
 	}
 	return Obj{Space: space, Addr: va, Layout: l}, nil
 }
+
+// zeros is the source New clears fresh instances from.
+var zeros [4096]byte

@@ -137,7 +137,7 @@ func TestObjBytesAccess(t *testing.T) {
 	if err := o.SetBytes("lock", data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := o.GetBytes("lock")
+	got, err := o.ReadBytes("lock", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +147,8 @@ func TestObjBytesAccess(t *testing.T) {
 	if err := o.SetBytes("lock", make([]byte, 33)); err == nil {
 		t.Fatal("overflowing SetBytes accepted")
 	}
-	if _, err := o.GetBytes("current_state"); err == nil {
-		t.Fatal("GetBytes on scalar accepted")
+	if _, err := o.ReadBytes("current_state", nil); err == nil {
+		t.Fatal("ReadBytes on scalar accepted")
 	}
 	if _, err := o.GetU("lock"); err == nil {
 		t.Fatal("GetU on bytes accepted")

@@ -212,17 +212,19 @@ func (k *Kernel) Misc(ctx *kernel.Ctx, name string, cost time.Duration) {
 	ctx.Spend(k.pr.SyscallEntry + cost)
 }
 
-// GetUserPages pins the user pages backing [va, va+length) and returns
-// one extent per 4 KiB page — no merging across page boundaries, which
-// is precisely why the stock HFI driver never exceeds PAGE_SIZE SDMA
-// requests (§3.4).
-func (k *Kernel) GetUserPages(ctx *kernel.Ctx, proc *uproc.Process, va uproc.VirtAddr, length uint64) ([]mem.Extent, error) {
-	pages, err := proc.PT.Pages(va, length)
+// GetUserPages pins the user pages backing [va, va+length) and appends
+// one extent per 4 KiB page to dst — no merging across page boundaries,
+// which is precisely why the stock HFI driver never exceeds PAGE_SIZE
+// SDMA requests (§3.4). On a fault it pins nothing and returns dst as
+// it was.
+func (k *Kernel) GetUserPages(ctx *kernel.Ctx, proc *uproc.Process, dst []mem.Extent, va uproc.VirtAddr, length uint64) ([]mem.Extent, error) {
+	pages, err := proc.PT.PagesInto(dst, va, length)
 	if err != nil {
-		return nil, fmt.Errorf("linux: get_user_pages: %w", err)
+		return dst, fmt.Errorf("linux: get_user_pages: %w", err)
 	}
-	ctx.Spend(time.Duration(len(pages)) * k.pr.GetUserPagesPerPage)
-	for _, pg := range pages {
+	added := pages[len(dst):]
+	ctx.Spend(time.Duration(len(added)) * k.pr.GetUserPagesPerPage)
+	for _, pg := range added {
 		proc.Alloc.Phys().Pin(pg)
 	}
 	return pages, nil

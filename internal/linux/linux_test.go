@@ -115,7 +115,7 @@ func TestGetUserPagesPinsPerPage(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		pages, err := k.GetUserPages(ctx, proc, va+100, 20<<10)
+		pages, err := k.GetUserPages(ctx, proc, nil, va+100, 20<<10)
 		if err != nil {
 			t.Error(err)
 			return
@@ -136,9 +136,13 @@ func TestGetUserPagesPinsPerPage(t *testing.T) {
 		if pm.PinnedFrames() != 0 {
 			t.Error("pins leaked")
 		}
-		// Fault path.
-		if _, err := k.GetUserPages(ctx, proc, 0xdead0000, 4096); err == nil {
+		// Fault path: dst comes back as it was, and nothing is pinned.
+		got, err := k.GetUserPages(ctx, proc, pages[:1], 0xdead0000, 4096)
+		if err == nil {
 			t.Error("gup over unmapped range succeeded")
+		}
+		if len(got) != 1 || pm.PinnedFrames() != 0 {
+			t.Errorf("faulted gup returned %d extents with %d frames pinned, want 1 and 0", len(got), pm.PinnedFrames())
 		}
 	})
 	if err := e.Run(0); err != nil {

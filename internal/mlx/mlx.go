@@ -293,7 +293,7 @@ func (d *Driver) regMR(ctx *kernel.Ctx, f *linux.File, arg uproc.VirtAddr) (uint
 	if err != nil {
 		return 0, err
 	}
-	pages, err := d.K.GetUserPages(ctx, f.Proc, mi.VAddr, mi.Length)
+	pages, err := d.K.GetUserPages(ctx, f.Proc, nil, mi.VAddr, mi.Length)
 	if err != nil {
 		return 0, err
 	}

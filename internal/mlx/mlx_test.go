@@ -235,7 +235,7 @@ func TestMTTEntriesReflectBacking(t *testing.T) {
 			return
 		}
 		// Per-page shape (Linux gup style).
-		pages, err := mck.PT.Pages(buf, size)
+		pages, err := mck.PT.PagesInto(nil, buf, size)
 		if err != nil {
 			t.Error(err)
 			return

@@ -421,15 +421,10 @@ func (t *Table) Access(pm *mem.PhysMem, scratch []mem.Extent, va VirtAddr, buf [
 	return exts, nil, nil
 }
 
-// Pages returns one extent per 4K page of the virtual range, in the style
-// of get_user_pages: no merging across page boundaries, every entry at
-// most one page long. The first and last entries may be partial when va
-// or the length are unaligned.
-func (t *Table) Pages(va VirtAddr, length uint64) ([]mem.Extent, error) {
-	return t.PagesInto(nil, va, length)
-}
-
-// PagesInto is Pages appending into dst, reusing its capacity.
+// PagesInto appends one extent per 4K page of the virtual range to dst,
+// in the style of get_user_pages: no merging across page boundaries,
+// every entry at most one page long. The first and last entries may be
+// partial when va or the length are unaligned.
 func (t *Table) PagesInto(dst []mem.Extent, va VirtAddr, length uint64) ([]mem.Extent, error) {
 	out := dst
 	if length == 0 {

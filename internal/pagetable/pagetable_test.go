@@ -296,7 +296,7 @@ func TestPagesNoMerge(t *testing.T) {
 	if err := pt.Map(0x200000, 0x100000, 3*Size4K, 0); err != nil {
 		t.Fatal(err)
 	}
-	pages, err := pt.Pages(0x200800, 2*Size4K)
+	pages, err := pt.PagesInto(nil, 0x200800, 2*Size4K)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,8 +55,11 @@ type Endpoint struct {
 	activeRdvs int
 	rdvBacklog []*rtsInfo
 	// freeRdvSlots are scratch TID-list slots available for active
-	// rendezvous receives.
+	// rendezvous receives; slotTIDs[slot] is the pair array the window
+	// registered in that slot decodes its TID list into, reused by the
+	// slot's next window.
 	freeRdvSlots []int
+	slotTIDs     [maxActiveRdv * RdvWindowDepth][]hfi.TIDPair
 
 	// peers holds the per-remote-rank state: cached address, go-back-N
 	// flows, congestion window (see reliability.go). ackOwed/cnpOwed
@@ -93,11 +96,16 @@ type Endpoint struct {
 	slotBuf   []byte // eager-slot reads consumed before the next entry
 	localBuf  []byte // shared-memory chunk staging (consumed synchronously)
 	tidBuf    []byte // TID-list wire staging
+	iov       [2]hfi.IOVec
 	trackName string // cached "rank<N>" span track
+	// freeInbound recycles the records of eager messages that completed
+	// into a receive buffer.
+	freeInbound []*inbound
 }
 
+// recvReq is a posted receive; Irecv hands out its embedded request.
 type recvReq struct {
-	req      *Request
+	req      Request
 	src      int
 	tag      uint64
 	buf      uproc.VirtAddr

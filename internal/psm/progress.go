@@ -202,7 +202,8 @@ func (ep *Endpoint) onEagerChunk(p *sim.Proc, e *hfi.HdrqEntry) error {
 	}
 	inb := ep.inflight[key]
 	if inb == nil {
-		inb = &inbound{src: e.SrcRank, tag: e.Tag, msgid: e.MsgID, msglen: e.MsgLen}
+		inb = ep.newInbound()
+		inb.src, inb.tag, inb.msgid, inb.msglen = e.SrcRank, e.Tag, e.MsgID, e.MsgLen
 		if rr := ep.matchPosted(e.SrcRank, e.Tag); rr != nil {
 			if e.MsgLen > rr.capacity {
 				// MPI truncation semantics: fail the receive, consume
@@ -253,12 +254,31 @@ func (ep *Endpoint) onEagerChunk(p *sim.Proc, e *hfi.HdrqEntry) error {
 		}
 		if inb.bound != nil {
 			ep.completeRecv(inb.bound, inb.msglen)
+			ep.recycleInbound(inb)
 		} else {
 			ep.Stats.Unexpected++
 			ep.unexpected = append(ep.unexpected, inb)
 		}
 	}
 	return nil
+}
+
+// newInbound returns a cleared inbound record, recycled when one is free.
+func (ep *Endpoint) newInbound() *inbound {
+	if k := len(ep.freeInbound); k > 0 {
+		inb := ep.freeInbound[k-1]
+		ep.freeInbound = ep.freeInbound[:k-1]
+		return inb
+	}
+	return &inbound{}
+}
+
+// recycleInbound returns the record of a message that has completed and
+// left every queue. Its interval set keeps its capacity; its bounce heap,
+// sized to one message, does not.
+func (ep *Endpoint) recycleInbound(inb *inbound) {
+	*inb = inbound{ivs: ivSet{ivs: inb.ivs.ivs[:0]}}
+	ep.freeInbound = append(ep.freeInbound, inb)
 }
 
 // maybeSendEagerFin acknowledges full assembly of an SDMA-borne eager

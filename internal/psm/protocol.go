@@ -110,19 +110,7 @@ func (ep *Endpoint) sendLocal(p *sim.Proc, a Addr, tag, msgid uint64, buf uproc.
 func (ep *Endpoint) sendPIO(p *sim.Proc, dst int, a Addr, tag, msgid uint64, buf uproc.VirtAddr, length uint64, req *Request) error {
 	return ep.eagerChunks(length, func(off, n uint64) error {
 		hdr := ep.header(hfi.OpEager, tag, msgid, length, off, 0)
-		var onAcked func(error)
-		if off+n >= length {
-			onAcked = func(err error) {
-				if req.Done {
-					return
-				}
-				req.Err = err
-				req.Done = true
-				if err == nil {
-					ep.span("send:pio", req.begin, length)
-				}
-			}
-		}
+		last := off+n >= length
 		if !ep.reliable && !ep.Synthetic {
 			// Loss-free fabric: nothing retains the chunk after delivery,
 			// so it can ride a pooled buffer that the receiving NIC
@@ -135,13 +123,17 @@ func (ep *Endpoint) sendPIO(p *sim.Proc, dst int, a Addr, tag, msgid uint64, buf
 			if err := ep.nic.PIOSendPooled(p, a.Node, a.Ctx, hdr, payload); err != nil {
 				return err
 			}
-			if onAcked != nil {
-				onAcked(nil)
+			if last {
+				ep.pioAcked(req, nil)
 			}
 		} else {
 			payload, err := ep.readPayload(buf+uproc.VirtAddr(off), n)
 			if err != nil {
 				return err
+			}
+			var onAcked func(error)
+			if last {
+				onAcked = func(err error) { ep.pioAcked(req, err) }
 			}
 			if err := ep.sendFlowPkt(p, dst, a, hdr, payload, n, onAcked); err != nil {
 				return err
@@ -150,6 +142,18 @@ func (ep *Endpoint) sendPIO(p *sim.Proc, dst int, a Addr, tag, msgid uint64, buf
 		ep.congPace(p, dst, n)
 		return nil
 	})
+}
+
+// pioAcked completes a PIO send once its last chunk is acknowledged.
+func (ep *Endpoint) pioAcked(req *Request, err error) {
+	if req.Done {
+		return
+	}
+	req.Err = err
+	req.Done = true
+	if err == nil {
+		ep.span("send:pio", req.begin, req.Bytes)
+	}
 }
 
 // readPayload loads message bytes from user memory (nil in synthetic
@@ -245,12 +249,12 @@ func (ep *Endpoint) writevSDMA(p *sim.Proc, hdr *hfi.SDMAHeader, buf uproc.VirtA
 	if err := hfi.EncodeSDMAHeader(ep.proc(), hva, hdr); err != nil {
 		return err
 	}
-	iov := []hfi.IOVec{
+	ep.iov = [2]hfi.IOVec{
 		{Base: hva, Len: hfi.SDMAHeaderSize},
 		{Base: buf, Len: length},
 	}
 	ep.Stats.Writevs++
-	_, err := ep.OS.Writev(p, ep.fd, iov)
+	_, err := ep.OS.Writev(p, ep.fd, ep.iov[:])
 	return err
 }
 
@@ -270,8 +274,8 @@ func (ep *Endpoint) flags(size uint64) uint32 {
 
 // Irecv posts a receive for (src, tag) into buf (capacity bytes).
 func (ep *Endpoint) Irecv(p *sim.Proc, src int, tag uint64, buf uproc.VirtAddr, capacity uint64) (*Request, error) {
-	req := &Request{kind: reqRecv, begin: p.Now()}
-	rr := &recvReq{req: req, src: src, tag: tag, buf: buf, capacity: capacity}
+	rr := &recvReq{req: Request{kind: reqRecv, begin: p.Now()}, src: src, tag: tag, buf: buf, capacity: capacity}
+	req := &rr.req
 
 	// MPI non-overtaking: of everything already here for (src, tag) —
 	// fully arrived, partially arrived, or announced by an RTS — the
@@ -318,6 +322,7 @@ func (ep *Endpoint) Irecv(p *sim.Proc, src int, tag uint64, buf uproc.VirtAddr, 
 			}
 		}
 		ep.completeRecv(rr, inb.msglen)
+		ep.recycleInbound(inb)
 	default:
 		// Partially arrived: the rest lands in place.
 		inb.bound = rr
@@ -437,13 +442,14 @@ func (ep *Endpoint) registerWindow(p *sim.Proc, rdv *rdvRecv) error {
 	if err != nil {
 		return fmt.Errorf("psm: TID update: %w", err)
 	}
-	// The pairs are retained on the window until it completes, so they
-	// get an owned slice; the byte staging buffer is endpoint scratch.
-	pairs, buf, err := hfi.ReadTIDListScratch(ep.proc(), listVA, int(n), nil, ep.tidBuf)
+	// The pairs are retained on the window until it completes, in the
+	// slot's own array; the byte staging buffer is endpoint scratch.
+	pairs, buf, err := hfi.ReadTIDListScratch(ep.proc(), listVA, int(n), ep.slotTIDs[slot], ep.tidBuf)
 	ep.tidBuf = buf
 	if err != nil {
 		return err
 	}
+	ep.slotTIDs[slot] = pairs
 	w.tids = pairs
 	// CTS: TID list rides in the payload. These bytes are always real —
 	// the sender must program them into its writev even in synthetic
