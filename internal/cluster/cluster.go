@@ -184,10 +184,12 @@ func New(cfg Spec) (*Cluster, error) {
 		fab, ibfab := fabric.New(eng, c.Params), fabric.New(eng, c.Params)
 		fab.SetFaults(&c.Cfg.Faults)
 		fab.SetCongestion(&c.Cfg.Congestion)
-		// Snapshot registration: the OmniPath fabric takes the bare
-		// label, the IB fabric the deterministic "#1" suffix.
-		eng.RegisterState("fabric", fab.EncodeState)
-		eng.RegisterState("fabric", ibfab.EncodeState)
+		// Snapshot registration: the model constants every layer points
+		// at, then the OmniPath fabric under the bare label and the IB
+		// fabric under the deterministic "#1" suffix.
+		eng.RegisterState("params", c.Params)
+		eng.RegisterState("fabric", fab)
+		eng.RegisterState("fabric", ibfab)
 		if c.Set != nil {
 			fab.SetRouter(c.router(eng, &c.fabs))
 			ibfab.SetRouter(c.router(eng, &c.ibfabs))
@@ -372,16 +374,16 @@ func (c *Cluster) buildNode(id int) (*Node, error) {
 	// Register this node's per-layer snapshot sections. Labels sort
 	// together per node; short-lived layers (PSM endpoints) register
 	// and unregister themselves instead.
-	eng.RegisterState(fmt.Sprintf("node%d/mem", id), n.Phys.EncodeState)
-	eng.RegisterState(fmt.Sprintf("node%d/kmem-linux", id), n.LinSpace.EncodeState)
+	eng.RegisterState(fmt.Sprintf("node%d/mem", id), n.Phys)
+	eng.RegisterState(fmt.Sprintf("node%d/kmem-linux", id), n.LinSpace)
 	if n.LWKSpace != nil {
-		eng.RegisterState(fmt.Sprintf("node%d/kmem-lwk", id), n.LWKSpace.EncodeState)
+		eng.RegisterState(fmt.Sprintf("node%d/kmem-lwk", id), n.LWKSpace)
 	}
-	eng.RegisterState(fmt.Sprintf("node%d/linux", id), n.Lin.EncodeState)
-	eng.RegisterState(fmt.Sprintf("node%d/hfi", id), n.NIC.EncodeState)
-	eng.RegisterState(fmt.Sprintf("node%d/hfidrv", id), n.Drv.EncodeState)
-	eng.RegisterState(fmt.Sprintf("node%d/rnic", id), n.RNIC.EncodeState)
-	eng.RegisterState(fmt.Sprintf("node%d/mlx", id), n.Mlx.EncodeState)
+	eng.RegisterState(fmt.Sprintf("node%d/linux", id), n.Lin)
+	eng.RegisterState(fmt.Sprintf("node%d/hfi", id), n.NIC)
+	eng.RegisterState(fmt.Sprintf("node%d/hfidrv", id), n.Drv)
+	eng.RegisterState(fmt.Sprintf("node%d/rnic", id), n.RNIC)
+	eng.RegisterState(fmt.Sprintf("node%d/mlx", id), n.Mlx)
 	return n, nil
 }
 

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -134,8 +136,8 @@ func TestSnapshotDeterminism(t *testing.T) {
 // every frame the NIC ever wrote. 5 000 1 KB round trips wrap the
 // 4 096-slot ring; while the NIC kept what it wrote, each context held
 // more than 4 000 frames of its eager ring and header queue. The count
-// is read off the snapshot: the hfi section's ctx lines give the rings'
-// extents, the mem section's frame lines the backed frames.
+// is read off the snapshot: the hfi section's contexts lines give the
+// rings' extents, the mem section's frames lines the backed frames.
 func TestRingFootprint(t *testing.T) {
 	const trips, size = 5000, 1 << 10
 	pr := model.Default()
@@ -162,23 +164,26 @@ func TestRingFootprint(t *testing.T) {
 				t.Fatal(err)
 			}
 			for node := range 2 {
-				backed := map[uint64]bool{}
-				for _, line := range strings.Split(string(snap.Section(fmt.Sprintf("node%d/mem", node))), "\n") {
-					var addr uint64
-					if _, err := fmt.Sscanf(line, "frame addr=%x", &addr); err == nil {
-						backed[addr] = true
-					}
-				}
-				contexts := 0
+				backed := backedFrames(string(snap.Section(fmt.Sprintf("node%d/mem", node))))
+				// The hfi section's contexts[ID].<field>=<value> lines.
+				rings := map[uint64]map[string]uint64{}
 				for _, line := range strings.Split(string(snap.Section(fmt.Sprintf("node%d/hfi", node))), "\n") {
-					var id, status, hdrq, hdrqN, eager, eagerN uint64
-					if _, err := fmt.Sscanf(line, "ctx id=%d status=%d hdrq=%d/%d eager=%d/%d",
-						&id, &status, &hdrq, &hdrqN, &eager, &eagerN); err != nil {
+					var id, v uint64
+					var field string
+					if _, err := fmt.Sscanf(strings.Replace(line, "=", " ", 1), "contexts[%d].%s %d", &id, &field, &v); err != nil {
 						continue
 					}
-					contexts++
+					if rings[id] == nil {
+						rings[id] = map[string]uint64{}
+					}
+					rings[id][field] = v
+				}
+				for id, ctx := range rings {
 					frames := 0
-					for _, ring := range [][2]uint64{{hdrq, hdrqN * hfi.HdrqEntrySize}, {eager, eagerN * pr.EagerChunk}} {
+					for _, ring := range [][2]uint64{
+						{ctx["HdrqPA"], ctx["HdrqEntries"] * hfi.HdrqEntrySize},
+						{ctx["EagerPA"], ctx["EagerSlots"] * pr.EagerChunk},
+					} {
 						for pa := ring[0]; pa < ring[0]+ring[1]; pa += mem.PageSize4K {
 							if backed[pa] {
 								frames++
@@ -190,12 +195,39 @@ func TestRingFootprint(t *testing.T) {
 							node, id, frames, trips)
 					}
 				}
-				if contexts == 0 {
+				if len(rings) == 0 {
 					t.Fatalf("node %d: no receive context in the snapshot", node)
 				}
 			}
 		})
 	}
+}
+
+// frameLine matches a backed frame of the mem section:
+// regions[R].chunks[G][C].frames[F], chunk C of 64-chunk directory
+// group G.
+var frameLine = regexp.MustCompile(`^regions\[(\d+)\]\.chunks\[(\d+)\]\[(\d+)\]\.frames\[(\d+)\]=`)
+
+// backedFrames lists the frame addresses a node<N>/mem snapshot
+// section holds bytes for.
+func backedFrames(section string) map[uint64]bool {
+	bases := map[uint64]uint64{}
+	backed := map[uint64]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		var reg, base uint64
+		if _, err := fmt.Sscanf(line, "regions[%d].Region.Base=%d", &reg, &base); err == nil {
+			bases[reg] = base
+		}
+		if m := frameLine.FindStringSubmatch(line); m != nil {
+			var n [4]uint64
+			for i := range n {
+				n[i], _ = strconv.ParseUint(m[i+1], 10, 64)
+			}
+			frame := (n[1]*64+n[2])*(mem.PageSize2M/mem.PageSize4K) + n[3]
+			backed[bases[n[0]]+frame*mem.PageSize4K] = true
+		}
+	}
+	return backed
 }
 
 // TestSnapshotRestore: a fresh, identically constructed simulation

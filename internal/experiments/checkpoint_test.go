@@ -81,11 +81,32 @@ func TestCheckpointManifest(t *testing.T) {
 // cmd/snapcheck drives: a Figure 4 cell checkpointed at half its
 // virtual time and resumed from the image must reproduce the straight
 // run's statistics and serialize a byte-identical, valid Chrome trace.
+// The rows cover every OS, a sharded engine and a lossy fabric, whose
+// psm flows, health machine and shard sections a loss-free single
+// engine never writes.
 func TestPingPongCheckpointResume(t *testing.T) {
-	cfg := tinyConfig()
 	const size = 256 << 10 // rendezvous: TID/SDMA state in flight at mid
-	os := cluster.OSMcKernelHFI
+	for _, c := range []struct {
+		name   string
+		os     cluster.OSType
+		shards int
+		drop   float64
+	}{
+		{"Linux", cluster.OSLinux, 0, 0},
+		{"McKernel", cluster.OSMcKernel, 0, 0},
+		{"McKernel+HFI1", cluster.OSMcKernelHFI, 0, 0},
+		{"McKernel+HFI1/shards=2", cluster.OSMcKernelHFI, 2, 0},
+		{"McKernel+HFI1/loss=0.02", cluster.OSMcKernelHFI, 0, 0.02},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := tinyConfig()
+			cfg.Shards, cfg.Faults.Drop = c.shards, c.drop
+			checkpointResume(t, cfg, c.os, size)
+		})
+	}
+}
 
+func checkpointResume(t *testing.T, cfg Config, os cluster.OSType, size uint64) {
 	recA := trace.NewRecorder()
 	straight, err := PingPongStraight(cfg, os, size, recA)
 	if err != nil {

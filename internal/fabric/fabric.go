@@ -104,7 +104,7 @@ type Port struct {
 	lastRxSrc int
 	// routes caches the per-destination flight-span track name so the
 	// hot path never rebuilds the "wire:src->dst" string.
-	routes map[int]string
+	routes map[int]string `snap:"-"`
 }
 
 // routeTo returns the cached flight-span track name for this port's
@@ -152,10 +152,11 @@ type Fabric struct {
 	congCond *sim.Cond
 
 	// Hot-path freelists (see pool.go) and the pooled delivery records
-	// that replace a per-packet closure in deliverAt.
-	bufs   map[int][][]byte
-	pkts   []*Packet
-	dels   []*delivery
+	// that replace a per-packet closure in deliverAt. Not state: entries
+	// are cleared on return, and pstats counts them.
+	bufs   map[int][][]byte `snap:"-"`
+	pkts   []*Packet        `snap:"-"`
+	dels   []*delivery      `snap:"-"`
 	pstats PoolStats
 
 	// ties counts simultaneity ties: packets from different source
@@ -351,7 +352,7 @@ func (f *Fabric) Send(proc *sim.Proc, pkt *Packet) error {
 // the per-packet path allocates neither a closure nor captured state.
 type delivery struct {
 	f     *Fabric
-	dst   *Port
+	dst   *Port `snap:"-"` // pkt.DstNode's port, in the fabric section
 	pkt   *Packet
 	begin time.Duration
 	route string

@@ -61,7 +61,7 @@ type LinuxDriver struct {
 	NIC *NIC
 
 	pr  *model.Params
-	reg *kstruct.Registry
+	reg *kstruct.Registry `snap:"-"` // the layouts DWARFBlob encodes
 	// DWARFBlob is the module's debugging information, available to
 	// whoever wants to inspect the binary (the PicoDriver port does).
 	DWARFBlob []byte
@@ -81,7 +81,7 @@ type LinuxDriver struct {
 	// pinned for that transfer; the completion callback unpins them and
 	// hands the list back to freePages for a later writev.
 	pinnedByTxreq map[kmem.VirtAddr][]mem.Extent
-	freePages     [][]mem.Extent
+	freePages     [][]mem.Extent `snap:"-"` // recycled lists, emptied on return
 	// tidPins maps context → TID index → the pinned extent it covers.
 	tidPins map[int]map[int]mem.Extent
 }

@@ -113,8 +113,9 @@ type Context struct {
 	// TIDsProgrammed counts ProgramTID calls (instrumentation).
 	TIDsProgrammed uint64
 
-	// scratch is the drivers' per-call working storage (TakeScratch).
-	scratch Scratch
+	// scratch is the drivers' per-call working storage (TakeScratch);
+	// not state: no call holds it across a snapshot.
+	scratch Scratch `snap:"-"`
 }
 
 // SDMAEngine is one of the NIC's send-DMA engines with its descriptor
@@ -159,8 +160,9 @@ type NIC struct {
 	irqHead, irqTail *SDMATxn
 	irqScheduled     bool
 	raiseIRQ         func()
-	// freeTxns is the transaction free list (GetTxn, PutTxn).
-	freeTxns []*SDMATxn
+	// freeTxns is the transaction free list (GetTxn, PutTxn); recycled
+	// records, cleared on return.
+	freeTxns []*SDMATxn `snap:"-"`
 
 	// frng draws SDMA error injections (lazily created from the fault
 	// profile seed and node id, so the pattern replays per seed).
@@ -190,9 +192,10 @@ type NIC struct {
 	// hdrqScratch and hdrqEnt are reused by the rx pipeline: one encode
 	// buffer and one decoded-entry record per NIC, instead of one of
 	// each per received packet. The rx pipeline is single-threaded (one
-	// runRx daemon per NIC), so no packet's entry outlives its handler.
-	hdrqScratch [HdrqEntrySize]byte
-	hdrqEnt     HdrqEntry
+	// runRx daemon per NIC), so no packet's entry outlives its handler
+	// and neither is state.
+	hdrqScratch [HdrqEntrySize]byte `snap:"-"`
+	hdrqEnt     HdrqEntry           `snap:"-"`
 }
 
 // NewNIC creates the NIC, attaches it to the fabric and starts its SDMA

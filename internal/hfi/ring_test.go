@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -231,13 +233,36 @@ func (r *ringRig) checkBound(backed map[mem.PhysAddr]bool, name string, m *ringM
 
 // backedFrames reads the backed frames off the node's snapshot section.
 func (r *ringRig) backedFrames() map[mem.PhysAddr]bool {
-	enc := snapshot.NewEnc()
-	r.pm.EncodeState(enc)
+	var buf bytes.Buffer
+	if err := snapshot.Walk(&buf, "", r.pm, nil); err != nil {
+		r.t.Fatal(err)
+	}
+	return backedFrames(r.t, buf.String())
+}
+
+// frameLine matches a backed frame of the mem section:
+// regions[R].chunks[G][C].frames[F], chunk C of 64-chunk directory
+// group G.
+var frameLine = regexp.MustCompile(`^regions\[(\d+)\]\.chunks\[(\d+)\]\[(\d+)\]\.frames\[(\d+)\]=`)
+
+// backedFrames lists the frame addresses a node<N>/mem snapshot
+// section holds bytes for.
+func backedFrames(t testing.TB, section string) map[mem.PhysAddr]bool {
+	t.Helper()
+	bases := map[uint64]uint64{}
 	backed := map[mem.PhysAddr]bool{}
-	for _, line := range strings.Split(string(enc.Bytes()), "\n") {
-		var addr uint64
-		if _, err := fmt.Sscanf(line, "frame addr=%x", &addr); err == nil {
-			backed[mem.PhysAddr(addr)] = true
+	for _, line := range strings.Split(section, "\n") {
+		var reg, base uint64
+		if _, err := fmt.Sscanf(line, "regions[%d].Region.Base=%d", &reg, &base); err == nil {
+			bases[reg] = base
+		}
+		if m := frameLine.FindStringSubmatch(line); m != nil {
+			var n [4]uint64
+			for i := range n {
+				n[i], _ = strconv.ParseUint(m[i+1], 10, 64)
+			}
+			frame := (n[1]*64+n[2])*(mem.PageSize2M/mem.PageSize4K) + n[3]
+			backed[mem.PhysAddr(bases[n[0]]+frame*mem.PageSize4K)] = true
 		}
 	}
 	return backed

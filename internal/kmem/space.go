@@ -33,7 +33,7 @@ type VirtAddr = pagetable.VirtAddr
 type Space struct {
 	Name   string
 	Layout vas.Layout
-	PT     *pagetable.Table
+	PT     *pagetable.Table `snap:"hash"`
 	// Alloc draws physical memory from this kernel's partition.
 	Alloc *mem.Allocator
 
@@ -41,7 +41,7 @@ type Space struct {
 	foreignFree bool
 	// deferredFrees holds objects freed from foreign CPUs, drained on
 	// the next owned-CPU allocation (like a remote free queue).
-	deferredFrees []VirtAddr
+	deferredFrees []VirtAddr `snap:"hash"`
 	caches        map[int]*cpuCache
 	objects       map[VirtAddr]largeObj // allocations above every size class
 	slabs         map[VirtAddr]*slab    // by slab base VA
@@ -55,7 +55,7 @@ type Space struct {
 	ForeignFreeCount int
 
 	// extScratch backs the page-table walk in access (reused per call).
-	extScratch []mem.Extent
+	extScratch []mem.Extent `snap:"-"`
 }
 
 // largeObj is an allocation too big for the size classes: its own
@@ -83,7 +83,7 @@ type slab struct {
 const slotQueued = 1 << 15
 
 type cpuCache struct {
-	free map[int][]VirtAddr // per size class
+	free map[int][]VirtAddr `snap:"hash"` // per size class, stacks
 }
 
 // Size classes for small allocations; larger requests use contiguous

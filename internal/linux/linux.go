@@ -34,8 +34,9 @@ type File struct {
 	Drv  Driver
 	// Proc is the application process whose memory driver operations
 	// act on. For offloaded calls this access works because the proxy
-	// process mirrors the application's address space.
-	Proc *uproc.Process
+	// process mirrors the application's address space. An owner handle,
+	// not this file's state.
+	Proc *uproc.Process `snap:"-"`
 	// Private is the driver's per-file state: the kernel virtual
 	// address of its hfi1_filedata analog. It lives in Linux kernel
 	// memory; the PicoDriver dereferences it thanks to the unified

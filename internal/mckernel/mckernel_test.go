@@ -213,7 +213,7 @@ func TestLocalMemoryManagement(t *testing.T) {
 			return
 		}
 		// Contiguous, large-page, pinned backing.
-		if proc.PT.MappedBytes(pagetable.Size2M) == 0 {
+		if proc.PT.PageSizeAt(va) != pagetable.Size2M {
 			t.Error("LWK mmap used no large pages")
 		}
 		pa, _, _ := proc.PT.Translate(va)

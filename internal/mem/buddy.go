@@ -7,7 +7,7 @@ type buddy struct {
 	base      PhysAddr
 	size      uint64
 	maxOrder  int
-	freeLists []map[PhysAddr]struct{} // per order, keyed by block address
+	freeLists []map[PhysAddr]struct{} `snap:"hash"` // per order, keyed by block address
 	// sizes records the order of every outstanding allocation so that
 	// invalid frees are caught early.
 	sizes map[PhysAddr]int

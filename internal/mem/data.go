@@ -119,7 +119,7 @@ func (pm *PhysMem) Unpin(e Extent) {
 	var r frameRun
 	for w.next(&r) {
 		if r.c.pinCount(r.lo) == 0 {
-			panic(fmt.Sprintf("mem: unpin of unpinned frame %#x", r.rs.frameAddr(r.ci, r.lo)))
+			panic(fmt.Sprintf("mem: unpin of unpinned frame %#x", r.rs.Base+PhysAddr(r.ci*chunkFrames+r.lo)<<PageShift4K))
 		}
 		if r.whole() && r.c.pins == nil {
 			if r.c.pin--; r.c.pin == 0 {
@@ -130,7 +130,7 @@ func (pm *PhysMem) Unpin(e Extent) {
 		pins := r.c.pinArray()
 		for i := r.lo; i < r.hi; i++ {
 			if pins[i] == 0 {
-				panic(fmt.Sprintf("mem: unpin of unpinned frame %#x", r.rs.frameAddr(r.ci, i)))
+				panic(fmt.Sprintf("mem: unpin of unpinned frame %#x", r.rs.Base+PhysAddr(r.ci*chunkFrames+i)<<PageShift4K))
 			}
 			if pins[i]--; pins[i] == 0 {
 				pm.pinned--

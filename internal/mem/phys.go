@@ -38,18 +38,6 @@ const (
 	MMIO
 )
 
-func (k Kind) String() string {
-	switch k {
-	case MCDRAM:
-		return "MCDRAM"
-	case DDR4:
-		return "DDR4"
-	case MMIO:
-		return "MMIO"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
 // Region describes one physical address range.
 type Region struct {
 	Base PhysAddr
@@ -85,11 +73,11 @@ type PhysMem struct {
 	// pinned counts the frames whose pin count is non-zero.
 	pinned int
 	// freeFrames holds the buffers of freed frames for the next first
-	// write anywhere on the node.
-	freeFrames []*frame
+	// write anywhere on the node; their bytes are dead.
+	freeFrames []*frame `snap:"-"`
 	// regScratch backs regionsFor: allocation paths call it once per
 	// page, so the candidate list must not allocate each time.
-	regScratch []*regionState
+	regScratch []*regionState `snap:"-"`
 }
 
 type regionState struct {
@@ -97,10 +85,10 @@ type regionState struct {
 	buddy *buddy
 	// scatterPool deliberately hands out non-adjacent 4K frames to
 	// emulate a long-running Linux kernel's fragmented page pool.
-	scatterPool []PhysAddr
+	scatterPool []PhysAddr `snap:"hash"`
 	allocated   uint64
 	// chunks is the frame-table directory, see table.go.
-	chunks []*chunk
+	chunks []*chunkGroup
 }
 
 // NewPhysMem creates physical memory from the given regions. Regions must
@@ -121,7 +109,7 @@ func NewPhysMem(regions ...Region) (*PhysMem, error) {
 	}
 	pm := &PhysMem{}
 	for _, r := range sorted {
-		rs := &regionState{Region: r}
+		rs := &regionState{Region: r, chunks: make([]*chunkGroup, (r.Size+groupBytes-1)/groupBytes)}
 		if r.Kind != MMIO {
 			rs.buddy = newBuddy(r.Base, r.Size)
 		}

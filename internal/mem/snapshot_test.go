@@ -9,10 +9,14 @@ import (
 	"repro/internal/snapshot"
 )
 
-func encodeState(pm *PhysMem) []byte {
-	e := snapshot.NewEnc()
-	pm.EncodeState(e)
-	return e.Bytes()
+// encodeState is the node<N>/mem snapshot section of pm.
+func encodeState(t *testing.T, pm *PhysMem) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := snapshot.Walk(&buf, "", pm, nil); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // goldenScript drives a fixed history over testMem: a contiguous and a
@@ -68,19 +72,19 @@ func goldenScript(t *testing.T, detour bool) *PhysMem {
 }
 
 // TestEncodeStateGolden pins the bytes of the node<N>/mem snapshot
-// section. The digest was taken at the commit before frames and pins
-// moved from maps into the per-region chunk table; snapcheck and the
-// snapshot tests compare two runs of one binary and cannot see a section
-// that changed shape between commits.
+// section, snapshot.Walk of the PhysMem: snapcheck and the snapshot
+// tests compare two runs of one binary and cannot see a section that
+// changed shape between commits.
 func TestEncodeStateGolden(t *testing.T) {
-	const want = "3c09a2a3a32f37405d0687c4a91e4011092e05382401c22ccfa5c5fa6c50f700"
-	plain := encodeState(goldenScript(t, false))
+	const want = "2492eef3c0bfed556071e7e972b48f1f1d957cdb351e41c882c2756e3b55f231"
+	plain := encodeState(t, goldenScript(t, false))
 	sum := sha256.Sum256(plain)
 	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Errorf("EncodeState digest = %s, want %s\n%s", got, want, plain)
+		t.Errorf("mem section digest = %s, want %s\n%s", got, want, plain)
 	}
-	// An empty chunk record must not leak into the bytes.
-	if detoured := encodeState(goldenScript(t, true)); !bytes.Equal(plain, detoured) {
+	// An emptied chunk record, a directory group allocated on the way and
+	// recycled frame buffers must not leak into the bytes.
+	if detoured := encodeState(t, goldenScript(t, true)); !bytes.Equal(plain, detoured) {
 		t.Errorf("same contents through a different history encode differently:\n%s\nvs\n%s", plain, detoured)
 	}
 }

@@ -1,8 +1,9 @@
 package mem
 
-// Frame contents and pin counts live in a lazily populated two-level
-// table per region: a directory indexed by region-relative 2 MB chunk
-// number, grown on demand, of records holding one pin count shared by
+// Frame contents and pin counts live in a lazily populated table per
+// region: a directory with one entry per 128 MB of the region, sized at
+// construction, whose groups of 64 chunk records are allocated on
+// demand. A chunk record covers 2 MB and holds one pin count shared by
 // the chunk's 512 frames (pinning a whole chunk, as McKernel does to its
 // large-page runs at mmap, needs no more), its frame pointers from its
 // first write, and per-frame pin counts from the first pin or unpin
@@ -13,6 +14,17 @@ package mem
 
 // chunkFrames is the number of 4K frames one chunk record covers.
 const chunkFrames = PageSize2M / PageSize4K
+
+// groupChunks is the number of chunk records in one directory group,
+// groupBytes the bytes of region they cover. The directory's length
+// depends on the region alone, so two histories that leave the same
+// contents leave the same table shape.
+const (
+	groupChunks = 64
+	groupBytes  = groupChunks * PageSize2M
+)
+
+type chunkGroup [groupChunks]*chunk
 
 type frame = [PageSize4K]byte
 
@@ -60,19 +72,15 @@ func (r *frameRun) whole() bool { return r.lo == 0 && r.hi == chunkFrames }
 // chunk returns the run's chunk record, creating it on first use.
 func (r *frameRun) chunk() *chunk {
 	if r.c == nil {
-		rs := r.rs
-		if r.ci >= len(rs.chunks) {
-			rs.chunks = append(rs.chunks, make([]*chunk, r.ci+1-len(rs.chunks))...)
+		g := r.rs.chunks[r.ci/groupChunks]
+		if g == nil {
+			g = new(chunkGroup)
+			r.rs.chunks[r.ci/groupChunks] = g
 		}
 		r.c = new(chunk)
-		rs.chunks[r.ci] = r.c
+		g[r.ci%groupChunks] = r.c
 	}
 	return r.c
-}
-
-// frameAddr returns the address of a chunk's slot.
-func (rs *regionState) frameAddr(ci, slot int) PhysAddr {
-	return rs.Base + PhysAddr(ci*chunkFrames+slot)<<PageShift4K
 }
 
 // frameWalk yields the frames of [pa, end), both 4K-aligned, as runs in
@@ -114,8 +122,8 @@ func (w *frameWalk) next(r *frameRun) bool {
 	if r.hi > chunkFrames {
 		r.hi = chunkFrames
 	}
-	if r.ci < len(rs.chunks) {
-		r.c = rs.chunks[r.ci]
+	if g := rs.chunks[r.ci/groupChunks]; g != nil {
+		r.c = g[r.ci%groupChunks]
 	}
 	w.pa += PhysAddr(r.hi-r.lo) << PageShift4K
 	return true

@@ -77,8 +77,8 @@ func (r *refMem) discard(e Extent) {
 	}
 }
 
-// encode renders the frame and pin lines the way the map-backed
-// EncodeState did: collect the keys, sort, print.
+// encode renders the reference's backed frames and pin counts as
+// "frame"/"pin" lines in address order, the format tableLines prints.
 func (r *refMem) encode() string {
 	var b strings.Builder
 	addrs := make([]PhysAddr, 0, len(r.frames))
@@ -99,6 +99,36 @@ func (r *refMem) encode() string {
 		fmt.Fprintf(&b, "pin addr=%x count=%d\n", uint64(a), r.pins[a])
 	}
 	return b.String()
+}
+
+// tableLines lists pm's backed frames, then its pinned frames, in
+// address order and in refMem.encode's format.
+func tableLines(pm *PhysMem) string {
+	var frames, pins strings.Builder
+	for _, rs := range pm.regions {
+		for gi, g := range rs.chunks {
+			if g == nil {
+				continue
+			}
+			for j, c := range g {
+				if c == nil {
+					continue
+				}
+				ci := gi*groupChunks + j
+				for i := 0; i < chunkFrames; i++ {
+					addr := uint64(rs.Base + PhysAddr(ci*chunkFrames+i)<<PageShift4K)
+					if c.frames != nil && c.frames[i] != nil {
+						sum := sha256.Sum256(c.frames[i][:])
+						fmt.Fprintf(&frames, "frame addr=%x content=%x\n", addr, sum[:8])
+					}
+					if n := c.pinCount(i); n != 0 {
+						fmt.Fprintf(&pins, "pin addr=%x count=%d\n", addr, n)
+					}
+				}
+			}
+		}
+	}
+	return frames.String() + pins.String()
 }
 
 // Allocation kinds of the op driver; each is freed by its own call.
@@ -378,15 +408,9 @@ func runPhysMemOps(t testing.TB, prog []byte) {
 		}
 	}
 
-	// The snapshot section's frame and pin lines are the reference's.
-	var lines strings.Builder
-	for _, l := range strings.SplitAfter(string(encodeState(pm)), "\n") {
-		if strings.HasPrefix(l, "frame ") || strings.HasPrefix(l, "pin ") {
-			lines.WriteString(l)
-		}
-	}
-	if got, want := lines.String(), ref.encode(); got != want {
-		t.Fatalf("EncodeState frame/pin lines differ from the reference:\n%s\nvs\n%s", got, want)
+	// The table's backed frames and pin counts are the reference's.
+	if got, want := tableLines(pm), ref.encode(); got != want {
+		t.Fatalf("frame/pin lines differ from the reference:\n%s\nvs\n%s", got, want)
 	}
 	for _, e := range pinned {
 		pm.Unpin(e)
@@ -582,7 +606,7 @@ func TestAllocScatteredOutOfMemory(t *testing.T) {
 	if n := pm.PinnedFrames(); n != 0 {
 		t.Fatalf("%d frames pinned after the rollback", n)
 	}
-	if s := string(encodeState(pm)); strings.Contains(s, "frame addr=") {
+	if s := tableLines(pm); strings.Contains(s, "frame addr=") {
 		t.Fatalf("frames left backed after the rollback:\n%s", s)
 	}
 	exts, err := pm.AllocScattered(512, PreferMCDRAM)

@@ -145,7 +145,7 @@ func WriteLKeyBack(p *uproc.Process, va uproc.VirtAddr, lkey uint32) error {
 // Driver is the unmodified Linux mlx driver.
 type Driver struct {
 	K   *linux.Kernel
-	reg *kstruct.Registry
+	reg *kstruct.Registry `snap:"-"` // the layouts DWARFBlob encodes
 	// DWARFBlob is the module's shipped debugging information.
 	DWARFBlob []byte
 	devVA     kmem.VirtAddr
@@ -166,7 +166,7 @@ type linuxMR struct {
 	mttLen uint64
 	pages  []mem.Extent
 	fileID int
-	proc   *uproc.Process
+	proc   *uproc.Process `snap:"-"` // the registering process, an owner handle
 }
 
 // NewDriver performs module init for the given HCA.

@@ -282,8 +282,8 @@ func runPageTableOps(t testing.TB, prog []byte) {
 			}
 		}
 		for _, size := range units {
-			if got, want := tbl.MappedBytes(size), ref.mapped[size]; got != want {
-				t.Fatalf("step %d: MappedBytes(%d) = %d, reference %d", step, size, got, want)
+			if got, want := mappedBytes(tbl, size), ref.mapped[size]; got != want {
+				t.Fatalf("step %d: mapped bytes of size %d = %d, reference %d", step, size, got, want)
 			}
 		}
 	}

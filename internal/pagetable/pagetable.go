@@ -98,35 +98,11 @@ type pdpt struct {
 // Table is a four-level page table (one address space).
 type Table struct {
 	root [entries]*pdpt // the PML4: no leaves at this level
-	// mapped tracks the number of bytes currently mapped, per page size
-	// (idx4K, idx2M, idx1G).
-	mapped [3]uint64
 }
-
-// Indices into Table.mapped.
-const (
-	idx4K = iota
-	idx2M
-	idx1G
-)
 
 // New returns an empty page table.
 func New() *Table {
 	return &Table{}
-}
-
-// MappedBytes returns the number of mapped bytes using the given page
-// size (Size4K, Size2M or Size1G).
-func (t *Table) MappedBytes(pageSize uint64) uint64 {
-	switch pageSize {
-	case Size4K:
-		return t.mapped[idx4K]
-	case Size2M:
-		return t.mapped[idx2M]
-	case Size1G:
-		return t.mapped[idx1G]
-	}
-	return 0
 }
 
 func idx(v VirtAddr, shift uint) int { return int(uint64(v)>>shift) & indexMask }
@@ -196,7 +172,6 @@ func (t *Table) mapOne(va VirtAddr, pa mem.PhysAddr, pgsz uint64, flags Flags) {
 	}
 	if pgsz == Size1G {
 		l3.ptes[i3], l3.next[i3] = e, nil
-		t.mapped[idx1G] += Size1G
 		return
 	}
 	l2 := l3.next[i3]
@@ -206,7 +181,6 @@ func (t *Table) mapOne(va VirtAddr, pa mem.PhysAddr, pgsz uint64, flags Flags) {
 	}
 	if pgsz == Size2M {
 		l2.ptes[i2], l2.next[i2] = e, nil
-		t.mapped[idx2M] += Size2M
 		return
 	}
 	l1 := l2.next[i2]
@@ -215,7 +189,6 @@ func (t *Table) mapOne(va VirtAddr, pa mem.PhysAddr, pgsz uint64, flags Flags) {
 		l2.next[i2] = l1
 	}
 	l1[idx(va, l1Shift)] = e
-	t.mapped[idx4K] += Size4K
 }
 
 // firstMapped returns the lowest mapped address in [va, va+length), if
@@ -336,18 +309,15 @@ func (t *Table) clearOne(va VirtAddr) uint64 {
 	i3 := idx(va, l3Shift)
 	if l3.ptes[i3].leaf() {
 		l3.ptes[i3] = 0
-		t.mapped[idx1G] -= Size1G
 		return Size1G
 	}
 	l2 := l3.next[i3]
 	i2 := idx(va, l2Shift)
 	if l2.ptes[i2].leaf() {
 		l2.ptes[i2] = 0
-		t.mapped[idx2M] -= Size2M
 		return Size2M
 	}
 	l2.next[i2][idx(va, l1Shift)] = 0
-	t.mapped[idx4K] -= Size4K
 	return Size4K
 }
 

@@ -14,16 +14,16 @@ import (
 // Endpoint is one rank's PSM endpoint: an open HFI context plus the
 // matched-queue state.
 type Endpoint struct {
-	OS        OSOps
+	OS        OSOps `snap:"-"` // the rank's kernels: their node sections
 	Rank      int
 	Synthetic bool
-	Book      AddressBook
+	Book      AddressBook `snap:"-"` // the job's, shared; resolved ranks are in peers
 	Stats     Stats
 
 	fd     Handle
 	CtxID  int
 	nic    *hfi.NIC
-	notify *sim.Cond
+	notify *sim.Cond `snap:"-"` // the hardware context's, in the NIC section
 	eng    *sim.Engine
 
 	// User mappings of the context's host-memory areas.
@@ -59,7 +59,7 @@ type Endpoint struct {
 	// registered in that slot decodes its TID list into, reused by the
 	// slot's next window.
 	freeRdvSlots []int
-	slotTIDs     [maxActiveRdv * RdvWindowDepth][]hfi.TIDPair
+	slotTIDs     [maxActiveRdv * RdvWindowDepth][]hfi.TIDPair `snap:"-"` // a registered window's tids
 
 	// peers holds the per-remote-rank state: cached address, go-back-N
 	// flows, congestion window (see reliability.go). ackOwed/cnpOwed
@@ -85,22 +85,19 @@ type Endpoint struct {
 	// not be lossy.
 	congEnabled bool
 
-	// snapLabel is this endpoint's registered snapshot section
-	// (see EncodeState); Close unregisters it.
-	snapLabel string
-
 	// Per-endpoint scratch, safe because each endpoint is driven by its
-	// rank's process one hdrq entry / one chunk at a time.
-	hdrqRaw   [hfi.HdrqEntrySize]byte
-	hdrqEnt   hfi.HdrqEntry
-	slotBuf   []byte // eager-slot reads consumed before the next entry
-	localBuf  []byte // shared-memory chunk staging (consumed synchronously)
-	tidBuf    []byte // TID-list wire staging
-	iov       [2]hfi.IOVec
-	trackName string // cached "rank<N>" span track
+	// rank's process one hdrq entry / one chunk at a time, and never
+	// state: each is consumed within the call that fills it.
+	hdrqRaw   [hfi.HdrqEntrySize]byte `snap:"-"`
+	hdrqEnt   hfi.HdrqEntry           `snap:"-"`
+	slotBuf   []byte                  `snap:"-"` // eager-slot reads consumed before the next entry
+	localBuf  []byte                  `snap:"-"` // shared-memory chunk staging (consumed synchronously)
+	tidBuf    []byte                  `snap:"-"` // TID-list wire staging
+	iov       [2]hfi.IOVec            `snap:"-"`
+	trackName string                  `snap:"-"` // cached "rank<N>" span track
 	// freeInbound recycles the records of eager messages that completed
-	// into a receive buffer.
-	freeInbound []*inbound
+	// into a receive buffer; they are cleared on reuse.
+	freeInbound []*inbound `snap:"-"`
 }
 
 // recvReq is a posted receive; Irecv hands out its embedded request.
@@ -258,7 +255,7 @@ func NewEndpoint(p *sim.Proc, os OSOps, rank int, book AddressBook, synthetic bo
 	}
 	// On a congested fabric, arm the ECN/CNP response machinery.
 	ep.congEnabled = ep.nic.Congested()
-	ep.snapLabel = ep.eng.RegisterState(fmt.Sprintf("psm/rank%d", rank), ep.EncodeState)
+	ep.eng.RegisterState(fmt.Sprintf("psm/rank%d", rank), ep)
 	return ep, nil
 }
 
@@ -266,7 +263,7 @@ func NewEndpoint(p *sim.Proc, os OSOps, rank int, book AddressBook, synthetic bo
 // Quiesce first so no retransmission state is abandoned mid-recovery.
 func (ep *Endpoint) Close(p *sim.Proc) error {
 	ep.closed = true
-	ep.eng.UnregisterState(ep.snapLabel)
+	ep.eng.UnregisterState(ep)
 	if ep.rtCond != nil {
 		ep.rtCond.Broadcast()
 	}

@@ -1,8 +1,10 @@
 package psm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -171,20 +173,6 @@ type mtKey struct {
 	msgid uint64
 	win   uint64
 	kind  mtKind
-}
-
-// sortMTKeys orders message-timer keys deterministically.
-func sortMTKeys(keys []mtKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.msgid != b.msgid {
-			return a.msgid < b.msgid
-		}
-		if a.win != b.win {
-			return a.win < b.win
-		}
-		return a.kind < b.kind
-	})
 }
 
 // ivSet is a set of disjoint byte intervals [lo, hi), tracking coverage
@@ -503,7 +491,9 @@ func (ep *Endpoint) fireTimers(p *sim.Proc) error {
 			keys = append(keys, k)
 		}
 	}
-	sortMTKeys(keys)
+	slices.SortFunc(keys, func(a, b mtKey) int {
+		return cmp.Or(cmp.Compare(a.msgid, b.msgid), cmp.Compare(a.win, b.win), cmp.Compare(a.kind, b.kind))
+	})
 	for _, k := range keys {
 		if mt, ok := ep.msgTimers[k]; ok && mt.due(now) {
 			if err := ep.expire(p, now, mt); err != nil {

@@ -76,11 +76,6 @@ func TestCloseUnwindsParkedProcesses(t *testing.T) {
 			r.inUse = 1
 			return func(p *Proc) { r.Acquire(p) }
 		}},
-		{"waitgroup-wait", 0, func(e *Engine) func(*Proc) {
-			wg := NewWaitGroup(e)
-			wg.Add(1)
-			return func(p *Proc) { wg.Wait(p) }
-		}},
 		{"rendezvous-wait", 0, func(e *Engine) func(*Proc) {
 			r := NewRendezvous(e, n+1)
 			return func(p *Proc) { r.Done(p); r.Wait(p) }

@@ -30,7 +30,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/snapshot"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
@@ -49,7 +48,7 @@ type Engine struct {
 	live   int
 	failv  error // first Fail or panic; ends the window
 	rec    *trace.Recorder
-	states []regState // snapshot section encoders, registration order
+	states []regState // snapshot section roots, registration order
 	closed bool       // Close ran: Go and Run panic
 
 	// bound is the open window's exclusive time bound: step dispatches
@@ -65,10 +64,10 @@ type Engine struct {
 	crossSeq uint64
 }
 
-// regState is one registered snapshot contributor.
+// regState is one registered snapshot root.
 type regState struct {
 	label string
-	fn    func(*snapshot.Enc)
+	root  any
 }
 
 // eventKind selects how a popped event is dispatched. The dominant
@@ -176,12 +175,15 @@ func (e *Engine) AfterArg(d time.Duration, fn func(any), arg any) {
 
 // Proc is a simulated process. Its methods must only be called from the
 // process body.
+//
+// Snapshots print a process by name, state and daemon flag; the engine
+// back-pointer and the coroutine handles are not state of their own.
 type Proc struct {
-	e      *Engine
+	e      *Engine `snap:"-"`
 	name   string
-	next   func() (struct{}, bool) // driver side: run the body until it blocks or ends
-	stop   func()                  // driver side: unwind the body (Close)
-	yield  func(struct{}) bool     // body side: switch back to the driver
+	next   func() (struct{}, bool) `snap:"-"` // driver side: run the body until it blocks or ends
+	stop   func()                  `snap:"-"` // driver side: unwind the body (Close)
+	yield  func(struct{}) bool     `snap:"-"` // body side: switch back to the driver
 	state  string                  // for deadlock diagnostics
 	daemon bool
 }

@@ -201,30 +201,6 @@ func TestResourceReleaseWithoutAcquirePanics(t *testing.T) {
 	r.Release()
 }
 
-func TestWaitGroup(t *testing.T) {
-	e := NewEngine(1)
-	wg := NewWaitGroup(e)
-	wg.Add(3)
-	var doneAt time.Duration
-	for i := 1; i <= 3; i++ {
-		d := time.Duration(i * 100)
-		e.Go("worker", func(p *Proc) {
-			p.Sleep(d)
-			wg.Done()
-		})
-	}
-	e.Go("waiter", func(p *Proc) {
-		wg.Wait(p)
-		doneAt = p.Now()
-	})
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if doneAt != 300 {
-		t.Fatalf("doneAt = %v, want 300", doneAt)
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine(1)
 	q := NewQueue[int](e)

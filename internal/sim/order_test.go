@@ -22,7 +22,7 @@ func TestSplitScenarioOrderPinned(t *testing.T) {
 	}
 }
 
-// runMixScenario drives Queue, Cond, Resource and WaitGroup together
+// runMixScenario drives Queue, Cond, Resource and Rendezvous together
 // with plain and argument callbacks. At t=50 a Broadcast wakes six
 // waiters in the same instant two callbacks and a queue push land, so
 // the log order there is decided by scheduling sequence alone.
@@ -31,13 +31,12 @@ func runMixScenario() []string {
 	q := NewQueue[int](e)
 	c := NewCond(e)
 	r := NewResource(e, 2)
-	wg := NewWaitGroup(e)
+	joined := NewRendezvous(e, 7) // the six workers and burst
 	var log []string
 	rec := func(who, what string) {
 		log = append(log, fmt.Sprintf("%d:%s:%s", int64(e.Now()), who, what))
 	}
 	open := false
-	wg.Add(6)
 	for i := 0; i < 6; i++ {
 		id := i
 		e.Go(fmt.Sprintf("w%d", id), func(p *Proc) {
@@ -48,7 +47,7 @@ func runMixScenario() []string {
 			r.Use(p, time.Duration(10+e.Rng().Intn(5)))
 			rec(p.Name(), "used")
 			q.Push(id)
-			wg.Done()
+			joined.Done(p)
 		})
 	}
 	e.Go("burst", func(p *Proc) {
@@ -58,7 +57,8 @@ func runMixScenario() []string {
 		rec("burst", "broadcast")
 		p.Yield()
 		rec("burst", "yielded")
-		wg.Wait(p)
+		joined.Done(p)
+		joined.Wait(p)
 		rec("burst", "joined")
 	})
 	e.After(50, func() {

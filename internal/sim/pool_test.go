@@ -95,7 +95,7 @@ func TestWaitqFIFOAndClear(t *testing.T) {
 	if got := w.pop(); got != c {
 		t.Fatalf("pop = %v, want c", got)
 	}
-	if w.len() != 0 || w.pop() != nil {
+	if len(w.procs) != w.head || w.pop() != nil {
 		t.Fatalf("waitq not empty after draining")
 	}
 }

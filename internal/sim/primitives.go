@@ -12,8 +12,6 @@ type waitq struct {
 	head  int
 }
 
-func (w *waitq) len() int { return len(w.procs) - w.head }
-
 func (w *waitq) push(p *Proc) {
 	if w.head > 0 && w.head == len(w.procs) {
 		// Empty: rewind to reuse the full capacity.
@@ -46,7 +44,7 @@ func (w *waitq) pop() *Proc {
 // rewound whenever the queue drains, making steady-state push/pop
 // allocation-free.
 type Queue[T any] struct {
-	e       *Engine
+	e       *Engine `snap:"-"` // engine back-pointer
 	items   []T
 	head    int
 	waiters waitq
@@ -57,11 +55,6 @@ func NewQueue[T any](e *Engine) *Queue[T] { return &Queue[T]{e: e} }
 
 // Len reports the number of queued items.
 func (q *Queue[T]) Len() int { return len(q.items) - q.head }
-
-// Items returns a read-only view of the queued items in FIFO order. It
-// aliases the queue's backing array and is only valid until the next
-// Push or Pop; snapshot encoders use it to enumerate in-flight work.
-func (q *Queue[T]) Items() []T { return q.items[q.head:] }
 
 // Push appends v and wakes the longest-waiting process, if any.
 func (q *Queue[T]) Push(v T) {
@@ -110,7 +103,7 @@ func (q *Queue[T]) Pop(p *Proc) T {
 // construction. Callers must re-check their predicate after Wait returns
 // because wakeups may be spurious when several processes share a Cond.
 type Cond struct {
-	e       *Engine
+	e       *Engine `snap:"-"` // engine back-pointer
 	waiters waitq
 }
 
@@ -143,14 +136,11 @@ func (c *Cond) Broadcast() {
 	}
 }
 
-// Waiting reports the number of blocked processes.
-func (c *Cond) Waiting() int { return c.waiters.len() }
-
 // Resource models a pool of identical servers (for example, the Linux
 // CPUs of a node that service offloaded system calls). Acquire blocks
 // until a server is free; requests are granted in FIFO order.
 type Resource struct {
-	e        *Engine
+	e        *Engine `snap:"-"` // engine back-pointer
 	capacity int
 	inUse    int
 	waiters  waitq
@@ -165,12 +155,6 @@ func NewResource(e *Engine, capacity int) *Resource {
 	}
 	return &Resource{e: e, capacity: capacity}
 }
-
-// InUse returns the number of servers currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of processes waiting for a server.
-func (r *Resource) QueueLen() int { return r.waiters.len() }
 
 // Acquire blocks p until a server is available and then claims it.
 func (r *Resource) Acquire(p *Proc) {
@@ -201,37 +185,4 @@ func (r *Resource) Use(p *Proc, d time.Duration) time.Duration {
 	r.Busy += d
 	r.Release()
 	return p.Now() - start
-}
-
-// WaitGroup lets a process wait for a set of simulated activities.
-type WaitGroup struct {
-	e     *Engine
-	count int
-	cond  *Cond
-}
-
-// NewWaitGroup returns a WaitGroup bound to e.
-func NewWaitGroup(e *Engine) *WaitGroup {
-	return &WaitGroup{e: e, cond: NewCond(e)}
-}
-
-// Add increments the outstanding-activity counter.
-func (w *WaitGroup) Add(n int) { w.count += n }
-
-// Done decrements the counter and wakes waiters when it reaches zero.
-func (w *WaitGroup) Done() {
-	w.count--
-	if w.count < 0 {
-		panic("sim: WaitGroup counter below zero")
-	}
-	if w.count == 0 {
-		w.cond.Broadcast()
-	}
-}
-
-// Wait blocks p until the counter reaches zero.
-func (w *WaitGroup) Wait(p *Proc) {
-	for w.count > 0 {
-		w.cond.Wait(p)
-	}
 }

@@ -257,9 +257,8 @@ func (s *ShardSet) barrier(bound time.Duration) error {
 
 // Rendezvous is a count-down synchronization point that works across
 // shards: n participants each call Done, and every waiter resumes at
-// the virtual time of the LAST Done — the same instant WaitGroup's
-// Broadcast fires — which keeps digests identical between sharded and
-// unsharded runs. On a standalone engine the last Done wakes the waiters
+// the virtual time of the LAST Done, which keeps digests identical
+// between sharded and unsharded runs. On a standalone engine the last Done wakes the waiters
 // on the spot, in Wait order; on a ShardSet the completion is observed
 // at the window barrier, where the wakeups are injected in
 // deterministic order.
@@ -313,8 +312,8 @@ func (r *Rendezvous) Done(p *Proc) {
 }
 
 // Wait blocks p until every participant has called Done and the
-// wakeups have been issued; after that, Wait returns immediately
-// (matching WaitGroup.Wait on a drained group). On a ShardSet the final
+// wakeups have been issued; after that, Wait returns immediately. On a
+// ShardSet the final
 // Done-er parks here too — its shard must not run past the completion
 // time before the other shards' waiters have woken.
 func (r *Rendezvous) Wait(p *Proc) {

@@ -168,36 +168,30 @@ func TestShardDeadlockAggregation(t *testing.T) {
 	}
 }
 
-func TestRendezvousSingleEngineMatchesWaitGroup(t *testing.T) {
-	run := func(useRv bool) []string {
-		e := NewEngine(1)
-		var log []string
-		var done func(p *Proc)
-		var wait func(p *Proc)
-		if useRv {
-			rv := NewRendezvous(e, 2)
-			done, wait = rv.Done, rv.Wait
-		} else {
-			wg := NewWaitGroup(e)
-			wg.Add(2)
-			done, wait = func(*Proc) { wg.Done() }, wg.Wait
-		}
-		for i, init := range []time.Duration{40, 90} {
-			name := fmt.Sprintf("p%d", i)
-			e.Go(name, func(p *Proc) {
-				p.Sleep(init)
-				done(p)
-				wait(p)
-				log = append(log, fmt.Sprintf("%s@%v", name, p.Now()))
-			})
-		}
-		if err := e.Run(0); err != nil {
-			t.Fatal(err)
-		}
-		return log
+// TestRendezvousWakesAtLastDone: on a single engine every waiter
+// resumes at the virtual time of the last Done, in Wait order, and a
+// Wait after the count drained returns at once.
+func TestRendezvousWakesAtLastDone(t *testing.T) {
+	e := NewEngine(1)
+	rv := NewRendezvous(e, 3)
+	var log []string
+	for i, init := range []time.Duration{40, 90, 65} {
+		name := fmt.Sprintf("p%d", i)
+		e.Go(name, func(p *Proc) {
+			p.Sleep(init)
+			rv.Done(p)
+			rv.Wait(p)
+			log = append(log, fmt.Sprintf("%s@%v", name, p.Now()))
+			p.Sleep(5)
+			rv.Wait(p)
+			log = append(log, fmt.Sprintf("%s-again@%v", name, p.Now()))
+		})
 	}
-	rv, wg := run(true), run(false)
-	if fmt.Sprint(rv) != fmt.Sprint(wg) {
-		t.Fatalf("Rendezvous %v != WaitGroup %v on a single engine", rv, wg)
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	const want = "[p1@90ns p0@90ns p2@90ns p1-again@95ns p0-again@95ns p2-again@95ns]"
+	if got := fmt.Sprint(log); got != want {
+		t.Fatalf("wake log %s, want %s", got, want)
 	}
 }

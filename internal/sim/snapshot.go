@@ -1,49 +1,40 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/snapshot"
 )
 
-// RegisterState adds a snapshot section encoder under label and returns
-// the label actually used. When a simulation holds several instances of
-// one layer (two fabrics, one NIC per node built through the same
-// constructor), a taken label is deterministically suffixed — "fabric",
-// "fabric#1", ... — so construction order, which is itself
-// deterministic, names each instance stably across runs.
+// RegisterState adds root, a pointer to one layer's state, as a snapshot
+// section under label. The section
+// is snapshot.Walk of root; a pointer to root met while walking any
+// section of this engine prints as the label. When a simulation holds
+// several instances of one layer (two fabrics, one NIC per node built
+// through the same constructor), a taken label is deterministically
+// suffixed — "fabric", "fabric#1", ... — so construction order, which
+// is itself deterministic, names each instance stably across runs.
 //
-// Registration costs nothing on the hot path: encoders are only invoked
-// by Snapshot.
-func (e *Engine) RegisterState(label string, fn func(*snapshot.Enc)) string {
+// Registration costs nothing on the hot path: roots are only walked by
+// Snapshot and WalkState.
+func (e *Engine) RegisterState(label string, root any) {
 	base := label
-	for n := 1; e.stateIndex(label) >= 0; n++ {
+	for n := 1; slices.ContainsFunc(e.states, func(s regState) bool { return s.label == label }); n++ {
 		label = fmt.Sprintf("%s#%d", base, n)
 	}
-	e.states = append(e.states, regState{label: label, fn: fn})
-	return label
+	e.states = append(e.states, regState{label: label, root: root})
 }
 
-// UnregisterState removes the encoder registered under label (as
-// returned by RegisterState). Layers with bounded lifetimes — a PSM
-// endpoint closed mid-run — unregister so a snapshot taken afterwards
-// matches one taken by a replay that also closed it.
-func (e *Engine) UnregisterState(label string) {
-	if i := e.stateIndex(label); i >= 0 {
-		e.states = append(e.states[:i], e.states[i+1:]...)
-	}
-}
-
-func (e *Engine) stateIndex(label string) int {
-	for i, s := range e.states {
-		if s.label == label {
-			return i
-		}
-	}
-	return -1
+// UnregisterState removes root's section. Layers with bounded lifetimes
+// — a PSM endpoint closed mid-run — unregister so a snapshot taken
+// afterwards matches one taken by a replay that also closed it.
+func (e *Engine) UnregisterState(root any) {
+	e.states = slices.DeleteFunc(e.states, func(s regState) bool { return s.root == root })
 }
 
 // Snapshot serializes the complete simulator state: the engine's own
@@ -53,42 +44,67 @@ func (e *Engine) stateIndex(label string) int {
 // Run(t) paused the clock at t.
 func (e *Engine) Snapshot(w io.Writer) error {
 	f := &snapshot.File{Now: e.now, Seq: e.seq}
-	e.appendSections(f, "")
+	if err := e.appendSections(f, ""); err != nil {
+		return err
+	}
 	return snapshot.Encode(w, f)
 }
 
+// WalkState writes snapshot.Walk of v, naming this engine and its
+// registered roots by label, as a snapshot section would print it.
+func (e *Engine) WalkState(w io.Writer, v any) error {
+	return snapshot.Walk(w, "", v, e.labels())
+}
+
+// labels names this engine and every registered root.
+func (e *Engine) labels() *snapshot.Labels {
+	var l snapshot.Labels
+	l.Add("engine", e)
+	for _, s := range e.states {
+		l.Add(s.label, s.root)
+	}
+	return &l
+}
+
 // appendSections appends this engine's part of a snapshot to f: its own
-// "engine" section, then every registered layer section sorted by
+// "engine" section, then every registered root's section sorted by
 // label, each name behind prefix.
-func (e *Engine) appendSections(f *snapshot.File, prefix string) {
-	enc := snapshot.NewEnc()
-	e.encodeEngineState(enc)
+func (e *Engine) appendSections(f *snapshot.File, prefix string) error {
+	labels := e.labels()
+	var enc bytes.Buffer
+	if err := e.encodeEngineState(&enc, labels); err != nil {
+		return err
+	}
 	f.Sections = append(f.Sections, snapshot.Section{Name: prefix + "engine", Payload: enc.Bytes()})
 
 	sections := make([]snapshot.Section, 0, len(e.states))
 	for _, s := range e.states {
-		se := snapshot.NewEnc()
-		s.fn(se)
-		sections = append(sections, snapshot.Section{Name: prefix + s.label, Payload: se.Bytes()})
+		var buf bytes.Buffer
+		if err := snapshot.Walk(&buf, "", s.root, labels); err != nil {
+			return fmt.Errorf("snapshot section %s%s: %w", prefix, s.label, err)
+		}
+		sections = append(sections, snapshot.Section{Name: prefix + s.label, Payload: buf.Bytes()})
 	}
 	sort.Slice(sections, func(i, j int) bool { return sections[i].Name < sections[j].Name })
 	f.Sections = append(f.Sections, sections...)
+	return nil
 }
 
 // encodeEngineState emits the engine's own mutable state. Process
 // records are sorted by (name, state); heap events by their (at, seq)
-// total order — both independent of map iteration and heap layout.
-func (e *Engine) encodeEngineState(enc *snapshot.Enc) {
+// total order — both independent of map iteration and heap layout. An
+// argument event's record is walked under "event[<seq>].".
+func (e *Engine) encodeEngineState(enc *bytes.Buffer, labels *snapshot.Labels) error {
 	st := e.rng.State()
-	enc.Printf("rng=%016x,%016x,%016x,%016x\n", st[0], st[1], st[2], st[3])
-	enc.Printf("live=%d procs=%d events=%d\n", e.live, len(e.procs), len(e.heap))
+	fmt.Fprintf(enc, "rng=%016x,%016x,%016x,%016x\n", st[0], st[1], st[2], st[3])
+	fmt.Fprintf(enc, "live=%d procs=%d events=%d\n", e.live, len(e.procs), len(e.heap))
 
 	procs := make([]string, 0, len(e.procs))
 	for p := range e.procs {
 		procs = append(procs, fmt.Sprintf("proc name=%q state=%q daemon=%v\n", p.name, p.state, p.daemon))
 	}
 	sort.Strings(procs)
-	enc.Printf("%s", strings.Join(procs, ""))
+	enc.WriteString(strings.Join(procs, ""))
 
 	events := make([]event, len(e.heap))
 	copy(events, e.heap)
@@ -101,22 +117,20 @@ func (e *Engine) encodeEngineState(enc *snapshot.Enc) {
 	for _, ev := range events {
 		switch ev.kind {
 		case evProc:
-			enc.Printf("event at=%d seq=%d resume=%q\n", int64(ev.at), ev.seq, ev.p.name)
+			fmt.Fprintf(enc, "event at=%d seq=%d resume=%q\n", int64(ev.at), ev.seq, ev.p.name)
 		case evArg:
-			if st, ok := ev.arg.(snapshot.Stater); ok {
-				enc.Printf("event at=%d seq=%d arg=%T ", int64(ev.at), ev.seq, ev.arg)
-				st.SnapshotState(enc)
-				enc.Printf("\n")
-			} else {
-				enc.Printf("event at=%d seq=%d arg=%T\n", int64(ev.at), ev.seq, ev.arg)
+			fmt.Fprintf(enc, "event at=%d seq=%d arg=%T\n", int64(ev.at), ev.seq, ev.arg)
+			if err := snapshot.Walk(enc, fmt.Sprintf("event[%d].", ev.seq), ev.arg, labels); err != nil {
+				return err
 			}
 		default:
 			// Plain closures (After callbacks, device completions) carry
 			// no introspectable payload; their (at, seq) position is
 			// still pinned, and replay verification covers their effects.
-			enc.Printf("event at=%d seq=%d fn\n", int64(ev.at), ev.seq)
+			fmt.Fprintf(enc, "event at=%d seq=%d fn\n", int64(ev.at), ev.seq)
 		}
 	}
+	return nil
 }
 
 var _ snapshot.Machine = (*Engine)(nil)
@@ -139,17 +153,19 @@ func (s *ShardSet) Snapshot(w io.Writer) error {
 	}
 	f := &snapshot.File{Now: s.Now(), Seq: seq}
 
-	enc := snapshot.NewEnc()
-	enc.Printf("v=1 shards=%d lookahead=%d windows=%d crossevents=%d\n",
+	var enc bytes.Buffer
+	fmt.Fprintf(&enc, "v=1 shards=%d lookahead=%d windows=%d crossevents=%d\n",
 		len(s.shards), int64(s.lookahead), s.Windows, s.CrossEvents)
 	for i, e := range s.shards {
-		enc.Printf("shard i=%d now=%d seq=%d crossseq=%d\n",
+		fmt.Fprintf(&enc, "shard i=%d now=%d seq=%d crossseq=%d\n",
 			i, int64(e.now), e.seq, e.crossSeq)
 	}
 	f.Sections = append(f.Sections, snapshot.Section{Name: "shards", Payload: enc.Bytes()})
 
 	for i, e := range s.shards {
-		e.appendSections(f, fmt.Sprintf("shard%d/", i))
+		if err := e.appendSections(f, fmt.Sprintf("shard%d/", i)); err != nil {
+			return err
+		}
 	}
 	return snapshot.Encode(w, f)
 }

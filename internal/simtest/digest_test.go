@@ -12,14 +12,15 @@ import (
 )
 
 // TestDigestCoversEveryCounter: the determinism digest folds the whole
-// psm counter record and the fabric's congestion counters, so a CNP, a
-// failover or an ECN mark that differs between two runs cannot hide
-// from Check.
+// psm counter record, the fabric's congestion counters and every node's
+// NIC and HCA state, so a CNP, a failover, an ECN mark or a dropped
+// packet that differs between two runs cannot hide from Check.
 func TestDigestCoversEveryCounter(t *testing.T) {
 	// digest sends one raw packet 0→1 over a congested fabric (markFrac
 	// decides whether it is ECN-marked; node 1 has no context open and
-	// drops it), then folds the run with one endpoint's counters bumped.
-	digest := func(markFrac float64, bump func(*psm.Stats)) (string, fabric.CongStats) {
+	// drops it), then folds the run with bump applied to the cluster and
+	// to one endpoint's counters.
+	digest := func(markFrac float64, bump func(*cluster.Cluster, *psm.Stats)) (string, fabric.CongStats) {
 		cl, err := cluster.New(cluster.Spec{
 			Nodes: 2, OS: cluster.OSLinux, Params: model.Default(), Seed: 1,
 			Congestion: fabric.CongProfile{LinkBudget: 1 << 20, MarkFrac: markFrac},
@@ -40,26 +41,32 @@ func TestDigestCoversEveryCounter(t *testing.T) {
 			t.Fatal(err)
 		}
 		ep := &psm.Endpoint{}
-		bump(&ep.Stats)
-		return traceDigest(cl, []*psm.Endpoint{ep}, nil, trace.NewRecorder()), cl.Fab.CongStats()
+		bump(cl, &ep.Stats)
+		d, err := traceDigest(cl, []*psm.Endpoint{ep}, nil, trace.NewRecorder())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, cl.Fab.CongStats()
 	}
+	none := func(*cluster.Cluster, *psm.Stats) {}
 
-	base, cs := digest(0, func(*psm.Stats) {})
+	base, cs := digest(0, none)
 	if cs.Marks != 0 {
 		t.Fatalf("MarkFrac 0 marked %d packets", cs.Marks)
 	}
 	for _, c := range []struct {
 		field string
-		bump  func(*psm.Stats)
+		bump  func(*cluster.Cluster, *psm.Stats)
 	}{
-		{"CnpsSent", func(s *psm.Stats) { s.CnpsSent++ }},
-		{"Failovers", func(s *psm.Stats) { s.Failovers++ }},
+		{"psm Stats.CnpsSent", func(_ *cluster.Cluster, s *psm.Stats) { s.CnpsSent++ }},
+		{"psm Stats.Failovers", func(_ *cluster.Cluster, s *psm.Stats) { s.Failovers++ }},
+		{"hfi NIC.RxDropped", func(cl *cluster.Cluster, _ *psm.Stats) { cl.Nodes[1].NIC.RxDropped++ }},
 	} {
 		if d, _ := digest(0, c.bump); d == base {
-			t.Errorf("bumping psm Stats.%s left the digest unchanged", c.field)
+			t.Errorf("bumping %s left the digest unchanged", c.field)
 		}
 	}
-	marked, cs := digest(1e-9, func(*psm.Stats) {})
+	marked, cs := digest(1e-9, none)
 	if cs.Marks != 1 {
 		t.Fatalf("want the one packet ECN-marked, fabric counted %d marks", cs.Marks)
 	}

@@ -225,7 +225,7 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 	rankErr := make([]error, ranks)
 	sums := make([][]byte, len(w.Msgs))
 	// On a single-engine cluster a rendezvous wakes its waiters at the
-	// last Done, like a WaitGroup; on a sharded one the wakeups are
+	// last Done; on a sharded one the wakeups are
 	// injected at the barrier. drained replaces the shared-counter
 	// idle spin for shard-aware cells: a counter polled across shards
 	// is not a legal cross-shard signal.
@@ -334,9 +334,13 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 			return nil, fmt.Errorf("simtest: node %d leaks %d programmed rkeys", i, live)
 		}
 	}
+	digest, err := traceDigest(cl, eps, sums, rec)
+	if err != nil {
+		return nil, err
+	}
 	return &Report{
 		Workload:    w,
-		Digest:      traceDigest(cl, eps, sums, rec),
+		Digest:      digest,
 		VirtualTime: cl.Now(),
 		Messages:    len(w.Msgs),
 		Spans:       rec.SpanCount(),
@@ -345,23 +349,23 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 }
 
 // traceDigest folds the observable trace of a run — final virtual
-// time, fabric fault and congestion counters, per-node NIC counters,
-// per-rank PSM statistics, per-message payload checksums and the
-// serialized span trace — into a short stable digest. Two executions of the same workload must agree on
-// every one of these.
-func traceDigest(cl *cluster.Cluster, eps []*psm.Endpoint, sums [][]byte, rec *trace.Recorder) string {
+// time, fabric fault and congestion counters, each node's whole NIC and
+// HCA state as its snapshot section prints it, per-rank PSM statistics,
+// per-message payload checksums and the serialized span trace — into a
+// short stable digest. Two executions of the same workload must agree
+// on every one of these.
+func traceDigest(cl *cluster.Cluster, eps []*psm.Endpoint, sums [][]byte, rec *trace.Recorder) (string, error) {
 	h := sha256.New()
 	fmt.Fprintf(h, "vt=%d\n", cl.Now())
 	fmt.Fprintf(h, "faults %+v\n", cl.Fab.FaultStats())
 	fmt.Fprintf(h, "cong %+v\n", cl.Fab.CongStats())
 	for _, n := range cl.Nodes {
-		fmt.Fprintf(h, "node%d rx=%d sdma=%d full=%d irq=%d tx=%d tidp=%d tidc=%d crc=%d stale=%d sdmaerr=%d\n",
-			n.ID, n.NIC.RxPackets, n.NIC.SDMARequests, n.NIC.SDMAFullSize,
-			n.NIC.IRQsRaised, n.NIC.TxBytes(), n.NIC.TIDProgramOps, n.NIC.TIDClearOps,
-			n.NIC.RxCorrupt, n.NIC.RxStaleTID, n.NIC.SDMAErrors)
-		fmt.Fprintf(h, "node%d rnic db=%d wqe=%d dma=%d cqe=%d err=%d rx=%d\n",
-			n.ID, n.RNIC.Doorbells, n.RNIC.WQEs, n.RNIC.DMAChunks,
-			n.RNIC.CQEs, n.RNIC.ErrCQEs, n.RNIC.RxPackets)
+		for _, dev := range []any{n.NIC, n.RNIC} {
+			fmt.Fprintf(h, "node%d %T\n", n.ID, dev)
+			if err := cl.EngineFor(n.ID).WalkState(h, dev); err != nil {
+				return "", err
+			}
+		}
 	}
 	for r, ep := range eps {
 		if ep != nil {
@@ -372,7 +376,7 @@ func traceDigest(cl *cluster.Cluster, eps []*psm.Endpoint, sums [][]byte, rec *t
 		fmt.Fprintf(h, "msg%d %x\n", i, s)
 	}
 	h.Write(rec.ChromeTraceJSON())
-	return hex.EncodeToString(h.Sum(nil))[:16]
+	return hex.EncodeToString(h.Sum(nil))[:16], nil
 }
 
 // runRank is one rank's life: open an endpoint, rendezvous with the

@@ -4,22 +4,24 @@
 // A snapshot is a container file: a fixed header (magic, format
 // version, the virtual time and engine sequence counter at capture)
 // followed by named sections, one per state owner — the engine itself
-// plus every layer that registered a state encoder (fabric, NIC,
-// kernels, PSM endpoints, verbs HCAs, physical memory, ...) — and a
-// trailing SHA-256 over the whole image. Section payloads are
-// deterministic text: sorted, pointer-free, wall-clock-free, so two
-// captures of identical simulator states are byte-identical. That
-// byte identity is the correctness currency of the whole design.
+// plus every root registered on it (fabric, NIC, kernels, PSM
+// endpoints, verbs HCAs, physical memory, ...) — and a trailing SHA-256
+// over the whole image. No layer writes its own section: Walk renders
+// each root from its types as deterministic "path=value" lines (sorted
+// map keys, no pointer values, no wall-clock time), so a field added to
+// a layer is saved unless it is tagged, and two captures of identical
+// simulator states are byte-identical. That byte identity is the
+// correctness currency of the whole design.
 //
-// Restore is replay-based: simulated processes are iter.Pull coroutines
-// and Go cannot serialize a coroutine's stack, so a snapshot cannot be
-// decoded into live process continuations. Instead the caller rebuilds
+// Restore is replay-based: a simulated process is a coroutine whose
+// stack Go cannot serialize, so a snapshot cannot be decoded into live
+// process continuations. Instead the caller rebuilds
 // the simulation exactly as the original run did (same constructors, same
 // seed, same workload processes) and Restore re-executes it to the
 // snapshot's virtual time — cheap, since the expensive parts of a
 // debugging run (tracing, invariant checking) stay off during replay —
 // then re-serializes the rebuilt state and byte-compares it against
-// the snapshot. Any divergence fails loudly, naming the first section
+// the snapshot. Any divergence fails loudly, naming the first field
 // that differs. Determinism is already pinned by simtest replay
 // digests, which is what makes this verification exact rather than
 // probabilistic: a restored run is not "similar to" the original, it
@@ -40,7 +42,7 @@ import (
 // versions instead of guessing.
 const (
 	Magic   = "PICOSNAP"
-	Version = 1
+	Version = 2
 )
 
 // maxSections bounds the section table so a corrupted count cannot
@@ -216,34 +218,6 @@ func (r *reader) uvarint() (uint64, error) {
 	return v, nil
 }
 
-// Enc accumulates one section's payload. Encoders must emit only
-// deterministic, instance-independent text: sorted map walks, no
-// pointer values, no wall-clock time. Durations and integers are fine
-// (the virtual clock is part of simulator state).
-type Enc struct {
-	buf bytes.Buffer
-}
-
-// NewEnc returns an empty payload builder.
-func NewEnc() *Enc { return &Enc{} }
-
-// Printf appends formatted text. Conventionally one "key=value ...\n"
-// line per record.
-func (e *Enc) Printf(format string, args ...any) {
-	fmt.Fprintf(&e.buf, format, args...)
-}
-
-// Bytes returns the accumulated payload.
-func (e *Enc) Bytes() []byte { return e.buf.Bytes() }
-
-// Stater is implemented by values that can contribute their state to a
-// snapshot — notably the pooled argument records sitting in the engine
-// event heap (in-flight fabric deliveries), which would otherwise be
-// opaque closures.
-type Stater interface {
-	SnapshotState(*Enc)
-}
-
 // Machine is the surface Restore drives; *sim.Engine implements it.
 type Machine interface {
 	Now() time.Duration
@@ -284,8 +258,10 @@ func Restore(data []byte, m Machine) (time.Duration, error) {
 }
 
 // Diff names the first difference between two snapshot images — the
-// diverging section and its first differing payload line — for restore
-// failure messages.
+// diverging section, the first path whose value differs and both
+// values — for restore failure messages. A path present in one image
+// only (a value that went from zero to non-zero prints nothing on the
+// zero side) is named as such.
 func Diff(a, b []byte) string {
 	fa, ea := Decode(a)
 	fb, eb := Decode(b)
@@ -300,25 +276,58 @@ func Diff(a, b []byte) string {
 	if an != bn {
 		return fmt.Sprintf("section sets differ:\n  a: %s\n  b: %s", an, bn)
 	}
+	// split cuts a "path=value" line at its first "=" outside a quoted
+	// map key; a line without one is all path.
+	split := func(l []byte) (path, value []byte) {
+		quoted := false
+		for i := 0; i < len(l); i++ {
+			switch c := l[i]; {
+			case c == '\\' && quoted:
+				i++
+			case c == '"':
+				quoted = !quoted
+			case c == '=' && !quoted:
+				return l[:i], l[i+1:]
+			}
+		}
+		return l, nil
+	}
+	has := func(lines [][]byte, path []byte) bool {
+		for _, l := range lines {
+			if p, _ := split(l); bytes.Equal(p, path) {
+				return true
+			}
+		}
+		return false
+	}
 	for i := range fa.Sections {
-		sa, sb := fa.Sections[i], fb.Sections[i]
-		if bytes.Equal(sa.Payload, sb.Payload) {
+		name, pa, pb := fa.Sections[i].Name, fa.Sections[i].Payload, fb.Sections[i].Payload
+		if bytes.Equal(pa, pb) {
 			continue
 		}
-		la := bytes.Split(sa.Payload, []byte("\n"))
-		lb := bytes.Split(sb.Payload, []byte("\n"))
-		for j := 0; j < len(la) || j < len(lb); j++ {
-			var va, vb []byte
-			if j < len(la) {
-				va = la[j]
-			}
-			if j < len(lb) {
-				vb = lb[j]
-			}
-			if !bytes.Equal(va, vb) {
-				return fmt.Sprintf("section %q line %d:\n  snapshot: %s\n  replayed: %s", sa.Name, j+1, va, vb)
-			}
+		la := bytes.Split(bytes.TrimSuffix(pa, []byte("\n")), []byte("\n"))
+		lb := bytes.Split(bytes.TrimSuffix(pb, []byte("\n")), []byte("\n"))
+		j := 0
+		for j < len(la) && j < len(lb) && bytes.Equal(la[j], lb[j]) {
+			j++
 		}
+		switch {
+		case j == len(lb):
+			return fmt.Sprintf("section %q: %s only in snapshot", name, la[j])
+		case j == len(la):
+			return fmt.Sprintf("section %q: %s only in replayed", name, lb[j])
+		}
+		patha, va := split(la[j])
+		pathb, vb := split(lb[j])
+		switch {
+		case bytes.Equal(patha, pathb):
+			return fmt.Sprintf("section %q: %s:\n  snapshot: %s\n  replayed: %s", name, patha, va, vb)
+		case !has(lb[j:], patha):
+			return fmt.Sprintf("section %q: %s only in snapshot", name, la[j])
+		case !has(la[j:], pathb):
+			return fmt.Sprintf("section %q: %s only in replayed", name, lb[j])
+		}
+		return fmt.Sprintf("section %q line %d:\n  snapshot: %s\n  replayed: %s", name, j+1, la[j], lb[j])
 	}
 	return "images differ only in undecoded bytes"
 }

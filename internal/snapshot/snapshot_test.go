@@ -23,9 +23,9 @@ func TestGoldenHeader(t *testing.T) {
 		},
 	}
 	got := EncodeBytes(f)
-	// magic(8) + version=1 u32le + now=1500 i64le + seq=7 u64le
+	// magic(8) + version=2 u32le + now=1500 i64le + seq=7 u64le
 	wantHeader := "5049434f534e4150" + // "PICOSNAP"
-		"01000000" +
+		"02000000" +
 		"dc05000000000000" +
 		"0700000000000000"
 	if h := hex.EncodeToString(got[:28]); h != wantHeader {
@@ -132,9 +132,8 @@ func (m *stubMachine) Run(limit time.Duration) error {
 }
 
 func (m *stubMachine) Snapshot(w io.Writer) error {
-	e := NewEnc()
-	e.Printf("ticks=%d\n", m.ticks)
-	return Encode(w, &File{Now: m.now, Sections: []Section{{Name: "stub", Payload: e.Bytes()}}})
+	payload := fmt.Sprintf("ticks=%d\n", m.ticks)
+	return Encode(w, &File{Now: m.now, Sections: []Section{{Name: "stub", Payload: []byte(payload)}}})
 }
 
 func TestRestore(t *testing.T) {
@@ -181,12 +180,31 @@ func TestRestore(t *testing.T) {
 	}
 }
 
-// TestDiff exercises the failure-message paths directly.
+// TestDiff exercises the failure-message paths directly: a changed
+// value names its path and both values, a path on one side only says
+// which side, and header and section-set differences are named.
 func TestDiff(t *testing.T) {
-	a := EncodeBytes(&File{Now: 10, Seq: 1, Sections: []Section{{Name: "x", Payload: []byte("k=1\nk=2\n")}}})
-	b := EncodeBytes(&File{Now: 10, Seq: 1, Sections: []Section{{Name: "x", Payload: []byte("k=1\nk=3\n")}}})
-	if d := Diff(a, b); !strings.Contains(d, "line 2") || !strings.Contains(d, "k=2") || !strings.Contains(d, "k=3") {
-		t.Fatalf("payload diff unhelpful: %s", d)
+	img := func(payload string) []byte {
+		return EncodeBytes(&File{Now: 10, Seq: 1, Sections: []Section{
+			{Name: "w", Payload: []byte("a=1\n")},
+			{Name: "x", Payload: []byte(payload)},
+		}})
+	}
+	a := img("k=1\nm[\"a=b\"].v=2\nz=9\n")
+	for _, c := range []struct {
+		b    string
+		want []string
+	}{
+		{"k=1\nm[\"a=b\"].v=3\nz=9\n", []string{`section "x"`, `m["a=b"].v`, "snapshot: 2", "replayed: 3"}},
+		// A value that went to zero prints nothing on the replayed side.
+		{"k=1\nz=9\n", []string{`section "x"`, `m["a=b"].v=2 only in snapshot`}},
+		{"k=1\nm[\"a=b\"].v=2\nn=4\nz=9\n", []string{`n=4 only in replayed`}},
+		{"k=1\nm[\"a=b\"].v=2\n", []string{`z=9 only in snapshot`}},
+		{"k=1\nm[\"a=b\"].v=2\nz=9\ny=1\n", []string{`y=1 only in replayed`}},
+	} {
+		if d := Diff(a, img(c.b)); !containsAll(d, c.want) {
+			t.Errorf("Diff against %q = %q, want it to contain %q", c.b, d, c.want)
+		}
 	}
 	c := EncodeBytes(&File{Now: 11, Seq: 1})
 	if d := Diff(a, c); !strings.Contains(d, "header") {
@@ -196,4 +214,13 @@ func TestDiff(t *testing.T) {
 	if d := Diff(a, e); !strings.Contains(d, "section sets differ") {
 		t.Fatalf("section-set diff unhelpful: %s", d)
 	}
+}
+
+func containsAll(s string, subs []string) bool {
+	for _, sub := range subs {
+		if !strings.Contains(s, sub) {
+			return false
+		}
+	}
+	return true
 }

@@ -83,10 +83,18 @@ func TestBackingContiguityDifference(t *testing.T) {
 		t.Fatalf("contiguous backing produced %d extents for 4MB", len(mext))
 	}
 	// McKernel mappings use large pages where possible.
-	if mck.PT.MappedBytes(pagetable.Size2M) == 0 {
+	uses2M := func(p *Process, va VirtAddr) bool {
+		for off := VirtAddr(0); off < size; off += pagetable.Size4K {
+			if p.PT.PageSizeAt(va+off) == pagetable.Size2M {
+				return true
+			}
+		}
+		return false
+	}
+	if !uses2M(mck, mva) {
 		t.Fatal("contig backing used no 2M pages")
 	}
-	if lin.PT.MappedBytes(pagetable.Size2M) != 0 {
+	if uses2M(lin, lva) {
 		t.Fatal("scattered backing unexpectedly used 2M pages")
 	}
 }

@@ -101,7 +101,7 @@ type RNIC struct {
 	Notify *sim.Cond
 
 	// trackName is the cached span-track label ("rnic<node>").
-	trackName string
+	trackName string `snap:"-"`
 
 	// Counters (consumed by simtest digests and invariants).
 	Doorbells uint64
