@@ -10,7 +10,7 @@ import (
 )
 
 // encodeState is the node<N>/mem snapshot section of pm.
-func encodeState(t *testing.T, pm *PhysMem) []byte {
+func encodeState(t testing.TB, pm *PhysMem) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := snapshot.Walk(&buf, "", pm, nil); err != nil {
@@ -23,8 +23,9 @@ func encodeState(t *testing.T, pm *PhysMem) []byte {
 // scattered allocation, writes that straddle frames (one of them all
 // zeros: a written frame is backed even when its content is zero), a
 // nested pin and one free. With detour set it additionally touches, pins
-// and frees a chunk nothing else uses before the free, reaching the same
-// contents through a structurally different history.
+// and frees two chunks nothing else uses before the free, one of whose
+// shared pin counts a partial pin splits, reaching the same contents
+// through a structurally different history.
 func goldenScript(t *testing.T, detour bool) *PhysMem {
 	t.Helper()
 	pm := testMem(t)
@@ -65,6 +66,13 @@ func goldenScript(t *testing.T, detour bool) *PhysMem {
 		must(pm.WriteAt(far.Addr+PageSize2M-5, buf[:10]))
 		pm.Pin(far)
 		pm.Unpin(far)
+		// Pin both chunks whole, split the second's count with a 4 KB
+		// pin, and drop both pins.
+		part := Extent{Addr: far.Addr + PageSize2M + 3*PageSize4K, Len: PageSize4K}
+		pm.Pin(far)
+		pm.Pin(part)
+		pm.Unpin(part)
+		pm.Unpin(far)
 		pm.FreeContig(far)
 	}
 	pm.FreeContig(ddr)
@@ -82,8 +90,9 @@ func TestEncodeStateGolden(t *testing.T) {
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("mem section digest = %s, want %s\n%s", got, want, plain)
 	}
-	// An emptied chunk record, a directory group allocated on the way and
-	// recycled frame buffers must not leak into the bytes.
+	// An emptied chunk record, a split pin count dropped to zero, a
+	// directory group allocated on the way and recycled frame buffers
+	// must not leak into the bytes.
 	if detoured := encodeState(t, goldenScript(t, true)); !bytes.Equal(plain, detoured) {
 		t.Errorf("same contents through a different history encode differently:\n%s\nvs\n%s", plain, detoured)
 	}

@@ -29,19 +29,21 @@ type chunkGroup [groupChunks]*chunk
 type frame = [PageSize4K]byte
 
 type chunk struct {
-	pin    uint32               // every frame's pin count while pins is nil
+	pin    uint32               // every frame's pin count while pins is nil, then 0
 	frames *[chunkFrames]*frame // nil until the chunk is first written
 	pins   *[chunkFrames]uint32 // nil until a pin or unpin covers part of the chunk
 }
 
 // pinArray returns the chunk's per-frame pin counts, splitting the shared
-// count into them on first use.
+// count into them on first use. The shared count is cleared, so the
+// snapshot does not print a count nothing reads any more.
 func (c *chunk) pinArray() *[chunkFrames]uint32 {
 	if c.pins == nil {
 		c.pins = new([chunkFrames]uint32)
 		for i := range c.pins {
 			c.pins[i] = c.pin
 		}
+		c.pin = 0
 	}
 	return c.pins
 }

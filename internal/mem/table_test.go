@@ -5,10 +5,13 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"regexp"
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -78,57 +81,78 @@ func (r *refMem) discard(e Extent) {
 }
 
 // encode renders the reference's backed frames and pin counts as
-// "frame"/"pin" lines in address order, the format tableLines prints.
+// renderFramesPins does.
 func (r *refMem) encode() string {
+	contents := make(map[PhysAddr]string, len(r.frames))
+	for a, f := range r.frames {
+		sum := sha256.Sum256(f[:])
+		contents[a] = fmt.Sprintf("%d:%x", PageSize4K, sum[:8])
+	}
+	return renderFramesPins(contents, r.pins)
+}
+
+// renderFramesPins prints one "frame" line per backed frame, then one
+// "pin" line per pinned frame, each in address order.
+func renderFramesPins(contents map[PhysAddr]string, pins map[PhysAddr]int) string {
 	var b strings.Builder
-	addrs := make([]PhysAddr, 0, len(r.frames))
-	for a := range r.frames {
-		addrs = append(addrs, a)
+	for _, a := range slices.Sorted(maps.Keys(contents)) {
+		fmt.Fprintf(&b, "frame addr=%x content=%s\n", uint64(a), contents[a])
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		sum := sha256.Sum256(r.frames[a][:])
-		fmt.Fprintf(&b, "frame addr=%x content=%x\n", uint64(a), sum[:8])
-	}
-	addrs = addrs[:0]
-	for a := range r.pins {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		fmt.Fprintf(&b, "pin addr=%x count=%d\n", uint64(a), r.pins[a])
+	for _, a := range slices.Sorted(maps.Keys(pins)) {
+		fmt.Fprintf(&b, "pin addr=%x count=%d\n", uint64(a), pins[a])
 	}
 	return b.String()
 }
 
-// tableLines lists pm's backed frames, then its pinned frames, in
-// address order and in refMem.encode's format.
-func tableLines(pm *PhysMem) string {
-	var frames, pins strings.Builder
-	for _, rs := range pm.regions {
-		for gi, g := range rs.chunks {
-			if g == nil {
-				continue
+// chunkLine matches a line the mem section prints under a chunk record:
+// a backed frame, the shared pin count or a per-frame pin count.
+var chunkLine = regexp.MustCompile(`^regions\[(\d+)\]\.chunks\[(\d+)\]\[(\d+)\]\.(?:frames\[(\d+)\]=(\S+)|pin=(\d+)|pins\[(\d+)\]=(\d+))$`)
+
+// sectionFramesPins reads pm's backed frames and pin counts out of its
+// snapshot section and renders them as renderFramesPins does. A shared
+// count stands for each frame of its chunk; a chunk that prints one
+// beside per-frame counts, or any other line under a chunk, fails t.
+func sectionFramesPins(t testing.TB, pm *PhysMem) string {
+	t.Helper()
+	contents := map[PhysAddr]string{}
+	pins := map[PhysAddr]int{}
+	shared, split := map[PhysAddr]bool{}, map[PhysAddr]bool{}
+	for _, l := range strings.Split(string(encodeState(t, pm)), "\n") {
+		if !strings.Contains(l, ".chunks[") {
+			continue
+		}
+		m := chunkLine.FindStringSubmatch(l)
+		if m == nil {
+			t.Fatalf("unexpected line under a chunk record: %q", l)
+		}
+		num := func(i int) int {
+			n, err := strconv.Atoi(m[i])
+			if err != nil {
+				t.Fatalf("%q: %v", l, err)
 			}
-			for j, c := range g {
-				if c == nil {
-					continue
-				}
-				ci := gi*groupChunks + j
-				for i := 0; i < chunkFrames; i++ {
-					addr := uint64(rs.Base + PhysAddr(ci*chunkFrames+i)<<PageShift4K)
-					if c.frames != nil && c.frames[i] != nil {
-						sum := sha256.Sum256(c.frames[i][:])
-						fmt.Fprintf(&frames, "frame addr=%x content=%x\n", addr, sum[:8])
-					}
-					if n := c.pinCount(i); n != 0 {
-						fmt.Fprintf(&pins, "pin addr=%x count=%d\n", addr, n)
-					}
-				}
+			return n
+		}
+		rs := pm.regions[num(1)]
+		base := rs.Base + PhysAddr((num(2)*groupChunks+num(3))*chunkFrames)<<PageShift4K
+		switch {
+		case m[4] != "":
+			contents[base+PhysAddr(num(4))<<PageShift4K] = m[5]
+		case m[6] != "":
+			shared[base] = true
+			for i := 0; i < chunkFrames; i++ {
+				pins[base+PhysAddr(i)<<PageShift4K] = num(6)
 			}
+		default:
+			split[base] = true
+			pins[base+PhysAddr(num(7))<<PageShift4K] = num(8)
 		}
 	}
-	return frames.String() + pins.String()
+	for base := range shared {
+		if split[base] {
+			t.Fatalf("chunk %#x prints a shared pin count beside per-frame counts", uint64(base))
+		}
+	}
+	return renderFramesPins(contents, pins)
 }
 
 // Allocation kinds of the op driver; each is freed by its own call.
@@ -408,9 +432,10 @@ func runPhysMemOps(t testing.TB, prog []byte) {
 		}
 	}
 
-	// The table's backed frames and pin counts are the reference's.
-	if got, want := tableLines(pm), ref.encode(); got != want {
-		t.Fatalf("frame/pin lines differ from the reference:\n%s\nvs\n%s", got, want)
+	// The snapshot section's backed frames and pin counts are the
+	// reference's.
+	if got, want := sectionFramesPins(t, pm), ref.encode(); got != want {
+		t.Fatalf("snapshot frame/pin lines differ from the reference:\n%s\nvs\n%s", got, want)
 	}
 	for _, e := range pinned {
 		pm.Unpin(e)
@@ -606,7 +631,7 @@ func TestAllocScatteredOutOfMemory(t *testing.T) {
 	if n := pm.PinnedFrames(); n != 0 {
 		t.Fatalf("%d frames pinned after the rollback", n)
 	}
-	if s := tableLines(pm); strings.Contains(s, "frame addr=") {
+	if s := sectionFramesPins(t, pm); strings.Contains(s, "frame addr=") {
 		t.Fatalf("frames left backed after the rollback:\n%s", s)
 	}
 	exts, err := pm.AllocScattered(512, PreferMCDRAM)
