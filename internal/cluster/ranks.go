@@ -9,12 +9,14 @@ import (
 )
 
 // Ranks is a set of PSM ranks started by StartRanks: their endpoints,
-// the first error any of them hit, and the teardown protocol of a lossy
-// fabric.
+// the first error any of them hit, and their teardown.
 type Ranks struct {
 	FirstErr
-	eps  []*psm.Endpoint
-	idle int // ranks that have quiesced (Drain)
+	eps []*psm.Endpoint
+	// settle is set when a peer can still owe a rank an ACK, NAK or CNP
+	// after its own flows are idle: the fabric is lossy or congested.
+	settle bool
+	idle   int // ranks that have quiesced (Drain)
 }
 
 // FirstErr keeps, of the errors a set of ranks report, the earliest in
@@ -47,7 +49,10 @@ func (f *FirstErr) Err() error { return f.err }
 func (c *Cluster) StartRanks(prefix string, placement []int, synthetic bool,
 	body func(p *sim.Proc, rank int, ep *psm.Endpoint) error) *Ranks {
 	n := len(placement)
-	rs := &Ranks{eps: make([]*psm.Endpoint, n)}
+	rs := &Ranks{
+		eps:    make([]*psm.Endpoint, n),
+		settle: c.Cfg.Faults.Active() || c.Cfg.Congestion.Active(),
+	}
 	book := make(psm.MapBook, n)
 	ready := c.NewRendezvous(n)
 	for r, node := range placement {
@@ -76,13 +81,19 @@ func (c *Cluster) StartRanks(prefix string, placement []int, synthetic bool,
 // its rank has opened it.
 func (rs *Ranks) Endpoints() []*psm.Endpoint { return rs.eps }
 
-// Drain is how a rank body ends on a lossy fabric: quiesce ep, then
-// keep progressing until every rank has quiesced too. A quiesced rank
-// still re-ACKs duplicate arrivals, and a peer's final ACK may have
-// been the packet that was dropped. It gives up once any rank has
-// failed, since that rank will never quiesce. The count is polled on
-// one clock: fault injection is single-engine (newShardSet).
+// Drain is how a rank body ends. On a lossy or congested fabric it
+// quiesces ep, then keeps progressing until every rank has quiesced
+// too: a quiesced rank still re-ACKs duplicate arrivals, a peer's final
+// ACK may have been the packet that was dropped, and a CNP may still be
+// in flight. It gives up once any rank has failed, since that rank will
+// never quiesce. The count is polled on one clock, which is legal
+// because both fabrics are single-engine (newShardSet). On any other
+// fabric no peer sends a rank anything once its own operations have
+// completed, so Drain returns at once, on one engine or on a shard set.
 func (rs *Ranks) Drain(p *sim.Proc, ep *psm.Endpoint) error {
+	if !rs.settle {
+		return nil
+	}
 	if err := ep.Quiesce(p); err != nil {
 		return err
 	}

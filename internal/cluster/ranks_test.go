@@ -120,9 +120,43 @@ func TestRanksDrainOnLossyFabric(t *testing.T) {
 	}
 }
 
-// TestRanksShardCountInvariant: the same two-rank body ends with the
-// same endpoint counters at the same virtual time on one engine and on
-// two shards.
+// TestRanksDrainReturnsAtOnceOnQuietFabric: on a loss-free, uncongested
+// fabric no peer sends a rank anything once its own operations are
+// done, so a rank that drains while its peer is still busy leaves Drain
+// at the instant it entered, without waiting for the peer.
+func TestRanksDrainReturnsAtOnceOnQuietFabric(t *testing.T) {
+	c, err := New(Spec{Nodes: 2, OS: OSLinux, Params: model.Default(), Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const busy = 200 * time.Microsecond
+	var ranks *Ranks
+	ranks = c.StartRanks("rank", []int{0, 1}, false, func(p *sim.Proc, rank int, ep *psm.Endpoint) error {
+		if rank == 1 {
+			p.Sleep(busy)
+			return ranks.Drain(p, ep)
+		}
+		in := p.Now()
+		if err := ranks.Drain(p, ep); err != nil {
+			return err
+		}
+		if out := p.Now(); out != in {
+			t.Errorf("rank 0 entered Drain at %v and left at %v, with rank 1 busy until %v", in, out, in+busy)
+		}
+		return nil
+	})
+	if err := c.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := ranks.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRanksShardCountInvariant: the same two-rank body, teardown
+// included, ends with the same endpoint counters at the same virtual
+// time on one engine and on two shards.
 func TestRanksShardCountInvariant(t *testing.T) {
 	run := func(shards int) ([]psm.Stats, time.Duration) {
 		c, err := New(Spec{Nodes: 2, OS: OSMcKernelHFI, Params: model.Default(), Seed: 5,
@@ -130,7 +164,15 @@ func TestRanksShardCountInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranks := c.StartRanks("rank", []int{0, 1}, true, pingPong(4, 256<<10))
+		defer c.Close()
+		body := pingPong(4, 256<<10)
+		var ranks *Ranks
+		ranks = c.StartRanks("rank", []int{0, 1}, true, func(p *sim.Proc, rank int, ep *psm.Endpoint) error {
+			if err := body(p, rank, ep); err != nil {
+				return err
+			}
+			return ranks.Drain(p, ep)
+		})
 		if err := c.Run(0); err != nil {
 			t.Fatal(err)
 		}

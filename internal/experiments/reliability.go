@@ -75,8 +75,9 @@ func relReps(loss float64, size uint64, chunk uint64) int {
 // Reliability runs the lossy-fabric sweep, one pool job per (loss rate,
 // message size, OS) cell. Any payload mismatch fails the experiment.
 func Reliability(cfg Config) ([]ReliabilityRow, error) {
-	// Every cell, the loss-free column included, ends in Ranks.Drain,
-	// which polls one counter on one clock.
+	// Every cell ends in Ranks.Drain, which on the lossy columns polls
+	// one counter on one clock (and cluster.New refuses to shard a lossy
+	// fabric).
 	if cfg.Shards > 1 {
 		return nil, fmt.Errorf("reliability: verified ping-pong cells cannot run with Shards=%d", cfg.Shards)
 	}

@@ -31,7 +31,7 @@ type Report struct {
 	// the serialized trace is folded into Digest.
 	Spans int
 	// Faults counts the faults the fabric injected during the run (all
-	// zero unless the workload's FaultPlan carries a profile).
+	// zero unless the workload carries an active fault profile).
 	Faults fabric.FaultStats
 }
 
@@ -197,11 +197,11 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 	cl, err := cluster.New(cluster.Spec{
 		Nodes:          w.Nodes,
 		OS:             w.OS,
-		Params:         w.params(),
+		Params:         w.Params,
 		Seed:           w.Seed,
 		LinuxHugePages: w.LargePages,
-		Faults:         w.Faults.Profile,
-		Congestion:     w.Faults.Congestion,
+		Faults:         w.Faults,
+		Congestion:     w.Congestion,
 		Shards:         w.Shards,
 	})
 	if err != nil {
@@ -220,33 +220,26 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 		basePins[i] = n.Phys.PinnedFrames()
 	}
 
-	book := make(psm.MapBook)
-	eps := make([]*psm.Endpoint, ranks)
-	rankErr := make([]error, ranks)
 	sums := make([][]byte, len(w.Msgs))
-	// On a single-engine cluster a rendezvous wakes its waiters at the
-	// last Done; on a sharded one the wakeups are
-	// injected at the barrier. drained replaces the shared-counter
-	// idle spin for shard-aware cells: a counter polled across shards
-	// is not a legal cross-shard signal.
-	ready := cl.NewRendezvous(ranks)
-	done := cl.NewRendezvous(ranks)
-	var drained *sim.Rendezvous
-	if w.Shards > 0 {
-		drained = cl.NewRendezvous(ranks)
-	}
-	descs := make([]rmaDesc, ranks)
-	idle := new(int)
-	for r := 0; r < ranks; r++ {
-		r := r
-		node := cl.Nodes[r/w.RanksPerNode]
-		cl.Go(r/w.RanksPerNode, fmt.Sprintf("simtest/rank%d", r), func(p *sim.Proc) {
-			if w.RMA {
-				rankErr[r] = runRankRMA(p, w, node, r, descs, ready, done, sums)
-			} else {
-				rankErr[r] = runRank(p, w, node, r, book, eps, ready, done, drained, idle, sums)
+	var (
+		failed *cluster.FirstErr
+		eps    []*psm.Endpoint
+	)
+	if w.RMA {
+		failed = startRMA(cl, w, sums)
+	} else {
+		placement := make([]int, ranks)
+		for r := range placement {
+			placement[r] = r / w.RanksPerNode
+		}
+		var rs *cluster.Ranks
+		rs = cl.StartRanks("simtest/rank", placement, false, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
+			if err := runRank(p, w, rs, r, ep, sums); err != nil {
+				return fmt.Errorf("rank %d: %w", r, err)
 			}
+			return nil
 		})
+		failed, eps = &rs.FirstErr, rs.Endpoints()
 	}
 	var engineErr error
 	if len(o.restore) > 0 {
@@ -276,10 +269,8 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 		}
 	}
 	var fails []string
-	for r, e := range rankErr {
-		if e != nil {
-			fails = append(fails, fmt.Sprintf("rank %d: %v", r, e))
-		}
+	if err := failed.Err(); err != nil {
+		fails = append(fails, err.Error())
 	}
 	// A rank's own error is the cause; a deadlock reported after it is
 	// only the peers left waiting for the failed rank. Any other engine
@@ -379,12 +370,11 @@ func traceDigest(cl *cluster.Cluster, eps []*psm.Endpoint, sums [][]byte, rec *t
 	return hex.EncodeToString(h.Sum(nil))[:16], nil
 }
 
-// runRank is one rank's life: open an endpoint, rendezvous with the
-// other ranks, map and fill buffers, post the workload's operations in
-// the cell's order mode, verify every received payload byte-for-byte,
-// then tear everything down.
-func runRank(p *sim.Proc, w Workload, node *cluster.Node, r int,
-	book psm.MapBook, eps []*psm.Endpoint, ready, done, drained *sim.Rendezvous, idle *int, sums [][]byte) error {
+// runRank is one rank's life once StartRanks has opened its endpoint
+// and every rank has published its address: map and fill buffers, post
+// the workload's operations in the cell's order mode, verify every
+// received payload byte-for-byte, then drain and tear everything down.
+func runRank(p *sim.Proc, w Workload, rs *cluster.Ranks, r int, ep *psm.Endpoint, sums [][]byte) error {
 	last := p.Now()
 	mono := func(stage string) error {
 		now := p.Now()
@@ -394,19 +384,7 @@ func runRank(p *sim.Proc, w Workload, node *cluster.Node, r int,
 		last = now
 		return nil
 	}
-	osops := node.NewRankOS(r)
-	ep, err := psm.NewEndpoint(p, osops, r, book, false)
-	if err != nil {
-		return err
-	}
-	eps[r] = ep
-	book[r] = psm.Addr{Node: node.ID, Ctx: ep.CtxID}
-	ready.Done(p)
-	ready.Wait(p)
-	if err := mono("init"); err != nil {
-		return err
-	}
-
+	osops := ep.OS
 	sends := msgsFrom(w, r)
 	recvs := msgsTo(w, r)
 	bufs := make(map[int]uproc.VirtAddr)
@@ -521,41 +499,20 @@ func runRank(p *sim.Proc, w Workload, node *cluster.Node, r int,
 		sum := sha256.Sum256(got)
 		sums[i] = sum[:8]
 	}
-	done.Done(p)
-	done.Wait(p)
 
-	// Lossy-fabric drain: each rank first quiesces its own flows (every
-	// sequenced packet acknowledged, no armed recovery timers), then
-	// keeps polling until every rank is idle — acknowledgments only flow
-	// while the peer progresses — and finally progresses through a grace
-	// window sized to the worst-case in-flight delay, so stray duplicates
-	// and reordered packets land while the context is still alive (the
-	// harness asserts RxDropped == 0 even on a lossy fabric). Congested
-	// cells take the same grace window: an unsequenced CNP may still be
-	// in flight toward a rank that has otherwise finished.
-	if err := ep.Quiesce(p); err != nil {
+	// Drain keeps this rank progressing until every rank's flows are
+	// idle on a lossy or congested fabric, and returns at once on any
+	// other. On those two fabrics the rank then progresses through a
+	// grace window sized to the worst-case in-flight delay, so stray
+	// duplicates, reordered packets and unsequenced CNPs land while the
+	// context is still alive (the harness asserts RxDropped == 0 even on
+	// a lossy fabric).
+	if err := rs.Drain(p, ep); err != nil {
 		return err
 	}
-	if w.Shards > 0 {
-		// Shard-aware cells rendezvous instead of polling the shared
-		// counter: how many poll iterations a rank runs before the last
-		// rank increments *idle depends on cross-shard interleaving, and
-		// the digest must not. Quiesce above guarantees every flow is
-		// fully acknowledged, so the rendezvous is at a quiescent point.
-		drained.Done(p)
-		drained.Wait(p)
-	} else {
-		*idle++
-		for *idle < w.Nodes*w.RanksPerNode {
-			if _, err := ep.Progress(p); err != nil {
-				return err
-			}
-			p.Sleep(time.Microsecond)
-		}
-	}
-	if w.Faults.Profile.Active() || w.Faults.Congestion.Active() {
-		pr := node.NIC.Params()
-		grace := 4 * (pr.LinkLatency + pr.LinkJitter + w.Faults.maxReorderDelay() + 10*time.Microsecond)
+	if w.Faults.Active() || w.Congestion.Active() {
+		pr := w.Params
+		grace := 4 * (pr.LinkLatency + pr.LinkJitter + maxReorderDelay(w.Faults) + 10*time.Microsecond)
 		deadline := p.Now() + grace
 		for p.Now() < deadline {
 			if _, err := ep.Progress(p); err != nil {
@@ -579,6 +536,38 @@ func runRank(p *sim.Proc, w Workload, node *cluster.Node, r int,
 		return err
 	}
 	return mono("teardown")
+}
+
+// maxReorderDelay returns the largest reorder delay any link of fp can
+// add (the drain grace window is sized from it).
+func maxReorderDelay(fp fabric.FaultProfile) time.Duration {
+	d := fp.ReorderDelay
+	for _, lf := range fp.PerLink {
+		if lf.ReorderDelay > d {
+			d = lf.ReorderDelay
+		}
+	}
+	return d
+}
+
+// startRMA spawns the ranks of a one-sided cell. They open no PSM
+// endpoint, and an RDMA WRITE completes without the target polling, so
+// the ranks can park in a done barrier between the writes and the
+// verification without starving a peer.
+func startRMA(cl *cluster.Cluster, w Workload, sums [][]byte) *cluster.FirstErr {
+	ranks := w.Nodes * w.RanksPerNode
+	failed := new(cluster.FirstErr)
+	ready, done := cl.NewRendezvous(ranks), cl.NewRendezvous(ranks)
+	descs := make([]rmaDesc, ranks)
+	for r := 0; r < ranks; r++ {
+		node := cl.Nodes[r/w.RanksPerNode]
+		cl.Go(node.ID, fmt.Sprintf("simtest/rank%d", r), func(p *sim.Proc) {
+			if err := runRankRMA(p, w, node, r, descs, ready, done, sums); err != nil {
+				failed.Record(p, r, fmt.Errorf("rank %d: %w", r, err))
+			}
+		})
+	}
+	return failed
 }
 
 // rmaDesc is the out-of-band connection descriptor a rank publishes

@@ -228,23 +228,49 @@ func TestFailureSnapshotRepro(t *testing.T) {
 	t.Logf("snapshot at %v (%d bytes) reproduced the fault; %d-byte slice trace", at, len(snap), len(data))
 }
 
-// TestRankErrorReportedWithoutItsDeadlock pins the failure message of a
-// committed soak repro (seed 1, Linux/lossy/25: a flow exhausts its retry
-// budget — ROADMAP item 1, still open, so the cell still fails). The
-// rank's error is the cause; the deadlock the engine reports afterwards
-// only lists the peers left waiting for that rank and must not be
-// appended to it.
+// TestRankErrorReportedWithoutItsDeadlock pins the failure message of
+// the TID-exhaustion cell: the receiver's TID ioctl fails and the sender
+// is left waiting for a CTS that never comes. The rank's error is the
+// cause; the deadlock the engine reports afterwards only lists the peer
+// left waiting for that rank and must not be appended to it.
 func TestRankErrorReportedWithoutItsDeadlock(t *testing.T) {
-	_, err := simtest.CheckCell(1, "Linux/lossy/25")
+	_, err := simtest.CheckCell(1, "Linux/!tid/0")
 	if err == nil {
-		t.Fatal("Linux/lossy/25 at seed 1 passed: update this test with the fix that made it pass")
+		t.Fatal("Linux/!tid/0 passed; the injection is broken")
 	}
 	msg := err.Error()
-	if !strings.Contains(msg, "flow to rank 4 dead after 10 retries") {
-		t.Fatalf("failure does not name the dead flow:\n%s", msg)
+	if !strings.Contains(msg, "RcvArray exhausted") {
+		t.Fatalf("failure does not name the exhausted RcvArray:\n%s", msg)
 	}
 	if strings.Contains(msg, "deadlock") || strings.Contains(msg, "rendezvous-wait") {
 		t.Fatalf("failure reports the consequence beside the cause:\n%s", msg)
+	}
+}
+
+// TestLossyCellsDrainWhileProgressing holds the lossy soak cells that
+// once died with "flow to rank N dead after 10 retries". Each rank
+// parked in a harness barrier after verifying its payloads and stopped
+// ACKing, so a peer's flow spent its whole retry budget against it.
+// The ranks now leave through Ranks.Drain, which keeps progressing.
+func TestLossyCellsDrainWhileProgressing(t *testing.T) {
+	for _, c := range []struct {
+		seed int64
+		cell string
+	}{
+		{1, "Linux/lossy/11"},
+		{1, "Linux/lossy/25"},
+		{1, "McKernel+HFI1/lossy/13"},
+		{1, "McKernel+HFI1/lossy/19"},
+		{1, "McKernel+HFI1/lossy/20"},
+		{1, "McKernel+HFI1/lossy/25"},
+		{2, "McKernel+HFI1/lossy/10"},
+	} {
+		t.Run(fmt.Sprintf("seed%d/%s", c.seed, c.cell), func(t *testing.T) {
+			t.Parallel()
+			if _, err := simtest.CheckCell(c.seed, c.cell); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -84,66 +84,32 @@ type Workload struct {
 	// always contiguous).
 	LargePages bool
 
-	// RendezvousWindow overrides the PSM TID window size (zero = model
-	// default).
-	RendezvousWindow uint64
+	// Params are the model constants the cell's cluster is built with:
+	// model.Default() with the cell's hardware perturbations applied
+	// (ring and RcvArray scarcity, SDMA backpressure, link jitter, a
+	// second rail, a smaller rendezvous window).
+	Params model.Params
+	// Faults is the fabric fault profile (loss, duplication,
+	// reordering, outages, SDMA aborts); an active profile turns on
+	// PSM's reliability protocol.
+	Faults fabric.FaultProfile
+	// Congestion is the fabric's credit/ECN profile; an active profile
+	// also arms PSM's AIMD eager-window backoff.
+	Congestion fabric.CongProfile
 
 	// Shards > 0 marks a shard-aware cell: the cluster is split into
-	// that many engine shards (1 = one standalone engine), the ranks
-	// synchronize through cross-shard rendezvous instead of the
-	// shared-counter drain spin, and Check additionally runs the cell
-	// at Shards=1 requiring an identical digest. Zero keeps the
-	// original single-engine wiring byte-for-byte.
+	// that many engine shards (1 = one standalone engine), and Check
+	// additionally runs the cell at Shards=1 requiring an identical
+	// digest. The ranks start and drain as on one engine: StartRanks'
+	// ready barrier is at a quiescent point, and Ranks.Drain returns at
+	// once on the loss-free, uncongested fabric a shard set requires.
 	Shards int
 	// Untraced disables the span recorder. Shard cells set it: span
 	// interleaving across engines depends on the shard count, and the
 	// digest must not.
 	Untraced bool
 
-	// Faults gathers every fault-injection knob of the workload.
-	Faults FaultPlan
-
 	Msgs []Msg
-}
-
-// FaultPlan is the single fault-injection configuration of a workload:
-// hardware scarcity (ring geometry, RcvArray size, SDMA backpressure),
-// deterministic fabric jitter, and the fabric fault profile (loss,
-// duplication, reordering, outages, SDMA aborts). The zero value
-// injects nothing.
-type FaultPlan struct {
-	// Ring/TID scarcity (zero = hardware default geometry).
-	EagerSlots  int
-	HdrqEntries int
-	CQEntries   int
-	TIDs        int
-	// SDMAQueueDepth bounds each SDMA engine's pending-transaction
-	// queue, forcing descriptor-ring backpressure.
-	SDMAQueueDepth int
-	// LinkJitter adds a deterministic pseudo-random delivery delay in
-	// [0, LinkJitter) to every fabric packet.
-	LinkJitter time.Duration
-	// DualRail equips every NIC with a second fabric port so the
-	// health machine can switch rails under a link outage.
-	DualRail bool
-	// Profile configures lossy-fabric injection; a non-zero profile
-	// activates PSM's reliability protocol.
-	Profile fabric.FaultProfile
-	// Congestion configures fabric credit/ECN congestion control; an
-	// active profile also arms PSM's AIMD eager-window backoff.
-	Congestion fabric.CongProfile
-}
-
-// maxReorderDelay returns the largest reorder delay any link of the
-// profile can add (the harness sizes its drain grace window from it).
-func (fp FaultPlan) maxReorderDelay() time.Duration {
-	d := fp.Profile.ReorderDelay
-	for _, lf := range fp.Profile.PerLink {
-		if lf.ReorderDelay > d {
-			d = lf.ReorderDelay
-		}
-	}
-	return d
 }
 
 // sizeClasses straddle every protocol threshold: the PIO limit (16K),
@@ -195,10 +161,11 @@ func Generate(base int64, cell string) (Workload, error) {
 		return Workload{}, err
 	}
 	w := Workload{
-		Cell: cell,
-		Base: base,
-		Seed: runner.DeriveSeed(base, "simtest/"+cell),
-		OS:   osType,
+		Cell:   cell,
+		Base:   base,
+		Seed:   runner.DeriveSeed(base, "simtest/"+cell),
+		OS:     osType,
+		Params: model.Default(),
 	}
 	if strings.Contains(cell, "/!tid/") {
 		return generateTIDFault(w), nil
@@ -227,30 +194,16 @@ func Generate(base int64, cell string) (Workload, error) {
 	w.Order = OrderMode(rng.Intn(int(orderModes)))
 	w.LargePages = rng.Intn(2) == 0
 	if rng.Intn(2) == 0 {
-		w.RendezvousWindow = 128 << 10
+		w.Params.RendezvousWindow = 128 << 10
 	}
 	if rng.Intn(3) == 0 {
-		w.Faults.LinkJitter = time.Duration(1+rng.Intn(2000)) * time.Nanosecond
+		w.Params.LinkJitter = time.Duration(1+rng.Intn(2000)) * time.Nanosecond
 	}
 	if rng.Intn(3) == 0 {
-		w.Faults.SDMAQueueDepth = 1 + rng.Intn(4)
+		w.Params.SDMAQueueDepth = 1 + rng.Intn(4)
 	}
-
-	ranks := w.Nodes * w.RanksPerNode
-	nmsg := 4 + rng.Intn(9)
-	for i := 0; i < nmsg; i++ {
-		src := rng.Intn(ranks)
-		dst := rng.Intn(ranks - 1)
-		if dst >= src {
-			dst++
-		}
-		w.Msgs = append(w.Msgs, Msg{
-			Src: src, Dst: dst,
-			Tag:  uint64(100 + i),
-			Size: sizeClasses[rng.Intn(len(sizeClasses))],
-		})
-	}
-	if nmsg >= 2 && rng.Intn(3) == 0 {
+	w.randomMsgs(rng, 4+rng.Intn(9), sizeClasses)
+	if rng.Intn(3) == 0 {
 		// Duplicate-tag injection: the last message reuses the first
 		// message's (src, dst, tag, size). Payloads are keyed by (tag,
 		// size), so both copies carry identical bytes and FIFO matching
@@ -258,7 +211,7 @@ func Generate(base int64, cell string) (Workload, error) {
 		first := w.Msgs[0]
 		first.Size = dupSafeSizes[rng.Intn(len(dupSafeSizes))]
 		w.Msgs[0] = first
-		w.Msgs[nmsg-1] = first
+		w.Msgs[len(w.Msgs)-1] = first
 	}
 	if rng.Intn(3) == 0 {
 		w.tightenRings()
@@ -278,22 +231,9 @@ func generateRMA(w Workload) Workload {
 	w.RanksPerNode = 1 + rng.Intn(2)
 	w.LargePages = rng.Intn(2) == 0
 	if rng.Intn(3) == 0 {
-		w.Faults.LinkJitter = time.Duration(1+rng.Intn(2000)) * time.Nanosecond
+		w.Params.LinkJitter = time.Duration(1+rng.Intn(2000)) * time.Nanosecond
 	}
-	ranks := w.Nodes * w.RanksPerNode
-	nmsg := 3 + rng.Intn(6)
-	for i := 0; i < nmsg; i++ {
-		src := rng.Intn(ranks)
-		dst := rng.Intn(ranks - 1)
-		if dst >= src {
-			dst++
-		}
-		w.Msgs = append(w.Msgs, Msg{
-			Src: src, Dst: dst,
-			Tag:  uint64(100 + i),
-			Size: rmaSizeClasses[rng.Intn(len(rmaSizeClasses))],
-		})
-	}
+	w.randomMsgs(rng, 3+rng.Intn(6), rmaSizeClasses)
 	return w
 }
 
@@ -311,9 +251,9 @@ func generateLossy(w Workload) Workload {
 	w.Order = OrderMode(rng.Intn(int(orderModes)))
 	w.LargePages = rng.Intn(2) == 0
 	if rng.Intn(2) == 0 {
-		w.RendezvousWindow = 128 << 10
+		w.Params.RendezvousWindow = 128 << 10
 	}
-	w.Faults.Profile = fabric.FaultProfile{
+	w.Faults = fabric.FaultProfile{
 		LinkFaults: fabric.LinkFaults{
 			Drop:         0.005 + 0.045*rng.Float64(),
 			Corrupt:      0.02 * rng.Float64(),
@@ -323,22 +263,9 @@ func generateLossy(w Workload) Workload {
 		},
 	}
 	if rng.Intn(3) == 0 {
-		w.Faults.Profile.SDMAErr = 0.3 * rng.Float64()
+		w.Faults.SDMAErr = 0.3 * rng.Float64()
 	}
-	ranks := w.Nodes * w.RanksPerNode
-	nmsg := 4 + rng.Intn(7)
-	for i := 0; i < nmsg; i++ {
-		src := rng.Intn(ranks)
-		dst := rng.Intn(ranks - 1)
-		if dst >= src {
-			dst++
-		}
-		w.Msgs = append(w.Msgs, Msg{
-			Src: src, Dst: dst,
-			Tag:  uint64(100 + i),
-			Size: sizeClasses[rng.Intn(len(sizeClasses))],
-		})
-	}
+	w.randomMsgs(rng, 4+rng.Intn(7), sizeClasses)
 	return w
 }
 
@@ -359,29 +286,23 @@ func generateLossy(w Workload) Workload {
 // Ring tightening is skipped for the same reason as generateLossy.
 func generateFailover(w Workload) Workload {
 	rng := rand.New(rand.NewSource(w.Seed))
-	variant := 0
-	if k := strings.LastIndex(w.Cell, "/"); k >= 0 {
-		if n, err := strconv.Atoi(w.Cell[k+1:]); err == nil && n >= 0 {
-			variant = n % 3
-		}
-	}
 	w.Nodes = 2
 	w.RanksPerNode = 1 + rng.Intn(2)
 	w.Order = OrderMode(rng.Intn(int(orderModes)))
 	w.LargePages = rng.Intn(2) == 0
 
 	sizes := sizeClasses
-	switch variant {
+	switch variant := cellVariant(w.Cell); variant {
 	case 1:
-		w.Faults.Profile.SDMAErr = 0.7 + 0.3*rng.Float64()
-		w.Faults.Profile.SDMANoDegrade = true
+		w.Faults.SDMAErr = 0.7 + 0.3*rng.Float64()
+		w.Faults.SDMANoDegrade = true
 		sizes = []uint64{4096, 16 << 10, 16<<10 + 1, 40 << 10, 64<<10 - 8, 64 << 10}
 	default:
-		w.Faults.DualRail = true
+		w.Params.DualRail = true
 		// Outage windows cover only the rail-0 links: the link IDs of
 		// rail 0 are the plain node IDs, rail 1 lives at node+RailBase.
 		down := func(from, until time.Duration) {
-			w.Faults.Profile.Down = append(w.Faults.Profile.Down,
+			w.Faults.Down = append(w.Faults.Down,
 				fabric.DownWindow{Src: 0, Dst: 1, From: from, Until: until},
 				fabric.DownWindow{Src: 1, Dst: 0, From: from, Until: until})
 		}
@@ -394,21 +315,7 @@ func generateFailover(w Workload) Workload {
 			down(start2, start2+time.Duration(300+rng.Intn(1000))*time.Microsecond)
 		}
 	}
-
-	ranks := w.Nodes * w.RanksPerNode
-	nmsg := 4 + rng.Intn(6)
-	for i := 0; i < nmsg; i++ {
-		src := rng.Intn(ranks)
-		dst := rng.Intn(ranks - 1)
-		if dst >= src {
-			dst++
-		}
-		w.Msgs = append(w.Msgs, Msg{
-			Src: src, Dst: dst,
-			Tag:  uint64(100 + i),
-			Size: sizes[rng.Intn(len(sizes))],
-		})
-	}
+	w.randomMsgs(rng, 4+rng.Intn(6), sizes)
 	return w
 }
 
@@ -433,12 +340,7 @@ func generateFailover(w Workload) Workload {
 // the same reason as generateLossy.
 func generateTenancy(w Workload) Workload {
 	rng := rand.New(rand.NewSource(w.Seed))
-	variant := 0
-	if k := strings.LastIndex(w.Cell, "/"); k >= 0 {
-		if n, err := strconv.Atoi(w.Cell[k+1:]); err == nil && n >= 0 {
-			variant = n % 3
-		}
-	}
+	variant := cellVariant(w.Cell)
 	w.Order = OrderMode(rng.Intn(int(orderModes)))
 	w.LargePages = rng.Intn(2) == 0
 
@@ -448,7 +350,7 @@ func generateTenancy(w Workload) Workload {
 		// stalls and marks at node 0's ingress.
 		w.Nodes = 3 + rng.Intn(2)
 		w.RanksPerNode = 1
-		w.Faults.Congestion = fabric.CongProfile{
+		w.Congestion = fabric.CongProfile{
 			LinkBudget: 16 << 10, IngressBudget: 24 << 10, MarkFrac: 0.5,
 		}
 		sizes := []uint64{4096, 16 << 10, 16<<10 + 1, 40 << 10}
@@ -473,11 +375,11 @@ func generateTenancy(w Workload) Workload {
 	// and the link budget arbitrates between them.
 	w.Nodes = 2
 	w.RanksPerNode = 2
-	w.Faults.Congestion = fabric.CongProfile{
+	w.Congestion = fabric.CongProfile{
 		LinkBudget: 16 << 10, IngressBudget: 48 << 10, MarkFrac: 0.5,
 	}
 	if variant == 2 {
-		w.Faults.Profile = fabric.FaultProfile{
+		w.Faults = fabric.FaultProfile{
 			LinkFaults: fabric.LinkFaults{Drop: 0.002 + 0.008*rng.Float64()},
 		}
 	}
@@ -515,22 +417,9 @@ func generateShard(w Workload) Workload {
 	w.Order = OrderMode(rng.Intn(int(orderModes)))
 	w.LargePages = rng.Intn(2) == 0
 	if rng.Intn(2) == 0 {
-		w.RendezvousWindow = 128 << 10
+		w.Params.RendezvousWindow = 128 << 10
 	}
-	ranks := w.Nodes * w.RanksPerNode
-	nmsg := 4 + rng.Intn(9)
-	for i := 0; i < nmsg; i++ {
-		src := rng.Intn(ranks)
-		dst := rng.Intn(ranks - 1)
-		if dst >= src {
-			dst++
-		}
-		w.Msgs = append(w.Msgs, Msg{
-			Src: src, Dst: dst,
-			Tag:  uint64(100 + i),
-			Size: sizeClasses[rng.Intn(len(sizeClasses))],
-		})
-	}
+	w.randomMsgs(rng, 4+rng.Intn(9), sizeClasses)
 	return w
 }
 
@@ -542,12 +431,40 @@ func generateShard(w Workload) Workload {
 func generateTIDFault(w Workload) Workload {
 	w.Nodes, w.RanksPerNode = 2, 1
 	w.Order = OrderInOrder
-	w.Faults.TIDs = 8
+	w.Params.TIDsPerContext = 8
 	w.Msgs = []Msg{
 		{Src: 0, Dst: 1, Tag: 100, Size: 4096},
 		{Src: 0, Dst: 1, Tag: 101, Size: 300 << 10},
 	}
 	return w
+}
+
+// randomMsgs appends n messages between distinct ranks drawn from rng,
+// tagged 100, 101, ... in order, each sized from sizes.
+func (w *Workload) randomMsgs(rng *rand.Rand, n int, sizes []uint64) {
+	ranks := w.Nodes * w.RanksPerNode
+	for i := 0; i < n; i++ {
+		src := rng.Intn(ranks)
+		dst := rng.Intn(ranks - 1)
+		if dst >= src {
+			dst++
+		}
+		w.Msgs = append(w.Msgs, Msg{
+			Src: src, Dst: dst,
+			Tag:  uint64(100 + i),
+			Size: sizes[rng.Intn(len(sizes))],
+		})
+	}
+}
+
+// cellVariant is the scenario a failover or tenancy cell's trailing
+// index selects: the index modulo 3, and 0 if it is not a number.
+func cellVariant(cell string) int {
+	n, err := strconv.Atoi(cell[strings.LastIndex(cell, "/")+1:])
+	if err != nil || n < 0 {
+		return 0
+	}
+	return n % 3
 }
 
 // tightenRings shrinks the eager ring, header queue and completion
@@ -556,11 +473,8 @@ func generateTIDFault(w Workload) Workload {
 // bound assumes the slowest possible consumer: every inbound entry may
 // be resident at once, so capacity must cover the per-context totals.
 func (w *Workload) tightenRings() {
-	pr := model.Default()
+	pr := &w.Params
 	win := pr.RendezvousWindow
-	if w.RendezvousWindow > 0 {
-		win = w.RendezvousWindow
-	}
 	chunk := pr.EagerChunk
 	nodeOf := func(r int) int { return r / w.RanksPerNode }
 	ranks := w.Nodes * w.RanksPerNode
@@ -598,25 +512,9 @@ func (w *Workload) tightenRings() {
 		}
 		return m
 	}
-	w.Faults.EagerSlots = maxOf(eager, 8) + 8
-	w.Faults.HdrqEntries = maxOf(hdrq, 16) + 16
-	w.Faults.CQEntries = maxOf(cq, 4) + 4
-}
-
-// params renders the workload's perturbations onto the model defaults.
-func (w Workload) params() model.Params {
-	pr := model.Default()
-	if w.RendezvousWindow > 0 {
-		pr.RendezvousWindow = w.RendezvousWindow
-	}
-	pr.LinkJitter = w.Faults.LinkJitter
-	pr.DualRail = w.Faults.DualRail
-	pr.SDMAQueueDepth = w.Faults.SDMAQueueDepth
-	pr.EagerSlots = w.Faults.EagerSlots
-	pr.HdrqEntries = w.Faults.HdrqEntries
-	pr.CQEntries = w.Faults.CQEntries
-	pr.TIDsPerContext = w.Faults.TIDs
-	return pr
+	pr.EagerSlots = maxOf(eager, 8) + 8
+	pr.HdrqEntries = maxOf(hdrq, 16) + 16
+	pr.CQEntries = maxOf(cq, 4) + 4
 }
 
 // Summary is the one-line human description used in failure reports.
@@ -627,16 +525,16 @@ func (w Workload) Summary() string {
 	}
 	s := fmt.Sprintf("cell=%s seed=%d os=%s nodes=%d ranks/node=%d order=%s msgs=%d bytes=%d",
 		w.Cell, w.Base, w.OS, w.Nodes, w.RanksPerNode, w.Order, len(w.Msgs), bytes)
-	if w.Faults.Profile.Active() {
+	if w.Faults.Active() {
 		s += fmt.Sprintf(" lossy(drop=%.3f dup=%.3f reorder=%.3f sdmaerr=%.3f)",
-			w.Faults.Profile.Drop, w.Faults.Profile.Dup, w.Faults.Profile.Reorder, w.Faults.Profile.SDMAErr)
+			w.Faults.Drop, w.Faults.Dup, w.Faults.Reorder, w.Faults.SDMAErr)
 	}
-	if w.Faults.DualRail {
-		s += fmt.Sprintf(" dualrail(downwindows=%d)", len(w.Faults.Profile.Down))
+	if w.Params.DualRail {
+		s += fmt.Sprintf(" dualrail(downwindows=%d)", len(w.Faults.Down))
 	}
-	if w.Faults.Congestion.Active() {
+	if w.Congestion.Active() {
 		s += fmt.Sprintf(" cong(link=%d ingress=%d mark=%.2f)",
-			w.Faults.Congestion.LinkBudget, w.Faults.Congestion.IngressBudget, w.Faults.Congestion.MarkFrac)
+			w.Congestion.LinkBudget, w.Congestion.IngressBudget, w.Congestion.MarkFrac)
 	}
 	if w.Shards > 0 {
 		s += fmt.Sprintf(" shards=%d", w.Shards)
