@@ -36,6 +36,11 @@ type RankOS struct {
 	proc *uproc.Process
 	cpu  int
 	k    syscalls
+	// free holds execution contexts between system calls. Each call
+	// takes its own, so a rank's daemon inside one call never shares a
+	// context with the rank sleeping in another, and a context handed
+	// back keeps no finished process reachable.
+	free []*kernel.Ctx
 }
 
 var _ verbs.OSOps = (*RankOS)(nil) // and so psm.OSOps
@@ -59,7 +64,22 @@ func (n *Node) NewRankOS(rank int) *RankOS {
 	return o
 }
 
-func (o *RankOS) ctx(p *sim.Proc) *kernel.Ctx { return &kernel.Ctx{P: p, CPU: o.cpu} }
+// enter returns an execution context on the rank's core for one system
+// call by p; leave hands it back when the call returns.
+func (o *RankOS) enter(p *sim.Proc) *kernel.Ctx {
+	if k := len(o.free); k > 0 {
+		c := o.free[k-1]
+		o.free = o.free[:k-1]
+		c.P = p
+		return c
+	}
+	return &kernel.Ctx{P: p, CPU: o.cpu}
+}
+
+func (o *RankOS) leave(c *kernel.Ctx) {
+	c.P = nil
+	o.free = append(o.free, c)
+}
 
 func (o *RankOS) Name() string         { return o.node.OS.String() }
 func (o *RankOS) NodeID() int          { return o.node.ID }
@@ -68,35 +88,51 @@ func (o *RankOS) NIC() *hfi.NIC        { return o.node.NIC }
 func (o *RankOS) RNIC() *verbs.RNIC    { return o.node.RNIC }
 
 func (o *RankOS) Open(p *sim.Proc, path string) (*linux.File, error) {
-	return o.k.Open(o.ctx(p), o.proc, path)
+	c := o.enter(p)
+	defer o.leave(c)
+	return o.k.Open(c, o.proc, path)
 }
 
 func (o *RankOS) Close(p *sim.Proc, f *linux.File) error {
-	return o.k.Close(o.ctx(p), f)
+	c := o.enter(p)
+	defer o.leave(c)
+	return o.k.Close(c, f)
 }
 
 func (o *RankOS) Writev(p *sim.Proc, f *linux.File, iov []linux.IOVec) (uint64, error) {
-	return o.k.Writev(o.ctx(p), f, iov)
+	c := o.enter(p)
+	defer o.leave(c)
+	return o.k.Writev(c, f, iov)
 }
 
 func (o *RankOS) Ioctl(p *sim.Proc, f *linux.File, cmd uint32, arg uproc.VirtAddr) (uint64, error) {
-	return o.k.Ioctl(o.ctx(p), f, cmd, arg)
+	c := o.enter(p)
+	defer o.leave(c)
+	return o.k.Ioctl(c, f, cmd, arg)
 }
 
 func (o *RankOS) MmapDevice(p *sim.Proc, f *linux.File, kind uint32, length uint64) (uproc.VirtAddr, error) {
-	return o.k.MmapDevice(o.ctx(p), f, kind, length)
+	c := o.enter(p)
+	defer o.leave(c)
+	return o.k.MmapDevice(c, f, kind, length)
 }
 
 func (o *RankOS) MmapAnon(p *sim.Proc, size uint64) (uproc.VirtAddr, error) {
-	return o.k.MmapAnon(o.ctx(p), o.proc, size)
+	c := o.enter(p)
+	defer o.leave(c)
+	return o.k.MmapAnon(c, o.proc, size)
 }
 
 func (o *RankOS) Munmap(p *sim.Proc, va uproc.VirtAddr) error {
-	return o.k.Munmap(o.ctx(p), o.proc, va)
+	c := o.enter(p)
+	defer o.leave(c)
+	return o.k.Munmap(c, o.proc, va)
 }
 
 func (o *RankOS) Compute(p *sim.Proc, d time.Duration) { o.k.Compute(p, d) }
 
 func (o *RankOS) Misc(p *sim.Proc, name string, cost time.Duration) {
-	o.k.Misc(o.ctx(p), name, cost)
+	c := o.enter(p)
+	defer o.leave(c)
+	o.k.Misc(c, name, cost)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/hfi"
+	"repro/internal/kernel"
 	"repro/internal/linux"
 	"repro/internal/mlx"
 	"repro/internal/model"
@@ -260,5 +261,38 @@ func TestBypassCoversOnlyTheFailedDevice(t *testing.T) {
 			return err
 		}
 		return o.Close(p, f)
+	})
+}
+
+// TestRankOSContextPerCall: a system call takes an execution context
+// for itself and hands it back, so a daemon inside a call never shares
+// one with the rank sleeping in another, a warm call allocates none, and
+// a handed-back context keeps no process reachable.
+func TestRankOSContextPerCall(t *testing.T) {
+	oneRank(t, OSMcKernel, func(p *sim.Proc, n *Node, o *RankOS) error {
+		var inCall []*kernel.Ctx
+		seen := func(ctx *kernel.Ctx) { inCall = append(inCall, ctx) }
+		c := o.enter(p)
+		p.Engine().GoDaemon("rank0-daemon", func(dp *sim.Proc) {
+			d := o.enter(dp)
+			seen(d)
+			o.Misc(dp, "read", time.Microsecond)
+			o.leave(d)
+		})
+		seen(c)
+		o.Misc(p, "read", time.Microsecond) // the daemon runs meanwhile
+		o.leave(c)
+		if len(inCall) != 2 || inCall[0] == inCall[1] || inCall[0].P == inCall[1].P {
+			t.Errorf("concurrent calls share a context: %+v", inCall)
+		}
+		for _, f := range o.free {
+			if f.P != nil {
+				t.Errorf("a handed-back context still holds %s", f.P.Name())
+			}
+		}
+		if got := testing.AllocsPerRun(20, func() { o.leave(o.enter(p)) }); got != 0 {
+			t.Errorf("warm enter/leave: %v allocations, want 0", got)
+		}
+		return nil
 	})
 }

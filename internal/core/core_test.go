@@ -198,17 +198,9 @@ func TestStaleManualLayoutsFail(t *testing.T) {
 		stale.MustAdd(cp)
 	}
 	for _, n := range cl.Nodes {
-		fw, err := core.NewFramework(n.Lin, n.Mck)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pico, err := core.NewHFIPicoWithRegistry(fw, n.NIC, stale, cl.Params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Replace the registered fast path with the stale one.
-		n.Pico = pico
-		n.Mck.ReplaceFastPath("/dev/hfi1", pico.FastPath())
+		// The registered fast path now reads the driver through the
+		// stale layouts.
+		core.UseLayouts(n.Pico, stale)
 	}
 	const size = 1 << 20
 	_, err = mpi.RunJob(cl, 1, func(c *mpi.Comm) error {

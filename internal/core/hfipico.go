@@ -114,9 +114,9 @@ func (h *HFIPico) obj(name string, va kmem.VirtAddr) (kstruct.Obj, error) {
 // LWK-allocated metadata: the CQ append goes through the unified address
 // space, and the record free takes the foreign-CPU path of the LWK
 // allocator.
-func (h *HFIPico) completionFn(args ...any) any {
-	ctx := args[0].(*kernel.Ctx)
-	recVA := kmem.VirtAddr(args[1].(uint64))
+func (h *HFIPico) completionFn(kctx any, arg, status uint64) error {
+	ctx := kctx.(*kernel.Ctx)
+	recVA := kmem.VirtAddr(arg)
 	rec, err := h.obj("user_sdma_txreq", recVA)
 	if err != nil {
 		return fmt.Errorf("core: completion: %w", err)
@@ -129,11 +129,7 @@ func (h *HFIPico) completionFn(args ...any) any {
 	if err != nil {
 		return fmt.Errorf("core: completion reading comp_seq: %w", err)
 	}
-	if len(args) > 2 {
-		if st, ok := args[2].(uint64); ok {
-			seq |= st
-		}
-	}
+	seq |= status
 	if err := hfi.PostCompletion(ctx, h.space, h.reg, h.NIC, ctxtVA, seq); err != nil {
 		return fmt.Errorf("core: completion CQ append: %w", err)
 	}

@@ -42,9 +42,9 @@ func TestSteadyStateAllocsPerRoundTrip(t *testing.T) {
 		reps    int
 		ceiling [3]float64
 	}{
-		{1 << 10, 256, [3]float64{6.0 + 1, 6.0 + 1, 6.0 + 1}},       // PIO: 2 packets
-		{32 << 10, 64, [3]float64{16.2 + 8, 30.1 + 8, 16.1 + 4}},    // eager SDMA: 16, 16, 8 packets
-		{4 << 20, 4, [3]float64{147 + 1033, 482 + 1033, 146 + 425}}, // rendezvous: 2066, 2066, 850 packets
+		{1 << 10, 256, [3]float64{0.9 + 1, 0.0 + 1, 0.0 + 1}},       // PIO: 2 packets
+		{32 << 10, 64, [3]float64{0.2 + 8, 0.1 + 8, 0.0 + 4}},       // eager SDMA: 16, 16, 8 packets
+		{4 << 20, 4, [3]float64{1.8 + 1033, 0.8 + 1033, 0.5 + 425}}, // rendezvous: 2066, 2066, 850 packets
 	} {
 		for i, os := range cluster.AllOSTypes {
 			got := marginalMallocs(t, c.reps, func(reps int) error {
@@ -54,6 +54,7 @@ func TestSteadyStateAllocsPerRoundTrip(t *testing.T) {
 				}
 				return err
 			})
+			t.Logf("%s: %.2f mallocs per round trip", cellID(fig4Key(c.size), os), got)
 			if got > c.ceiling[i] {
 				t.Errorf("%s: %.2f mallocs per round trip, ceiling %.2f: something allocates per packet, event or request", cellID(fig4Key(c.size), os), got, c.ceiling[i])
 			}

@@ -296,10 +296,11 @@ type ppCell struct {
 	reps  int
 	total time.Duration
 	hist  *trace.Histogram
-	// want is the payload an arrival of tag at rank must carry:
-	// relPattern on both ranks. The ranks read it when they run, so the
-	// harness test can swap in a wrong one between build and finish.
-	want func(rank int, tag uint64) []byte
+	// want fills dst with the payload an arrival of tag at rank must
+	// carry: relPattern on both ranks. The ranks read it when they run,
+	// so the harness test can swap in a wrong one between build and
+	// finish.
+	want func(dst []byte, rank int, tag uint64)
 }
 
 // fig4Cell builds the Figure 4 cell for one (OS, size): the scale's
@@ -321,22 +322,27 @@ func buildPingPong(cfg Config, os cluster.OSType, size uint64, reps int, seed in
 	}
 	cl.SetRecorder(rec)
 	c := &ppCell{cl: cl, reps: reps, hist: &trace.Histogram{},
-		want: func(_ int, tag uint64) []byte { return relPattern(tag, size) }}
+		want: func(dst []byte, _ int, tag uint64) { relPattern(dst, tag) }}
 	c.ranks = cl.StartRanks("pp", []int{0, 1}, !verified, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
 		proc := ep.OS.Proc()
 		buf, err := ep.OS.MmapAnon(p, size)
 		if err != nil {
 			return err
 		}
+		// The rank's reference and arrival buffers, refilled per bounce.
+		var want, got []byte
+		if verified {
+			want, got = make([]byte, size), make([]byte, size)
+		}
 		arrived := func(tag uint64) error {
 			if !verified {
 				return nil
 			}
-			got := make([]byte, size)
 			if err := proc.ReadAt(buf, got); err != nil {
 				return err
 			}
-			if !bytes.Equal(got, c.want(r, tag)) {
+			c.want(want, r, tag)
+			if !bytes.Equal(got, want) {
 				return fmt.Errorf("pingpong: payload mismatch at rank %d, tag %d (loss=%g size=%d, %s)",
 					r, tag, cfg.Faults.Drop, size, os)
 			}
@@ -347,7 +353,8 @@ func buildPingPong(cfg Config, os cluster.OSType, size uint64, reps int, seed in
 			tag := uint64(10 + i)
 			if r == 0 {
 				if verified {
-					if err := proc.WriteAt(buf, relPattern(tag, size)); err != nil {
+					relPattern(want, tag)
+					if err := proc.WriteAt(buf, want); err != nil {
 						return err
 					}
 				}
@@ -400,13 +407,12 @@ func (c *ppCell) finish() (ppResult, error) {
 	return ppResult{mean: c.total / time.Duration(2*c.reps), hist: c.hist}, nil
 }
 
-// relPattern is the deterministic loss-free reference payload for a tag.
-func relPattern(tag, size uint64) []byte {
-	b := make([]byte, size)
+// relPattern fills b with the deterministic loss-free reference payload
+// for a tag.
+func relPattern(b []byte, tag uint64) {
 	for k := range b {
 		b[k] = byte(uint64(k)*2654435761 + tag*97)
 	}
-	return b
 }
 
 // ---------------------------------------------------------------------

@@ -403,11 +403,11 @@ func TestPingPongCellVerifiesBothRanks(t *testing.T) {
 	}
 	for rank := 0; rank <= 1; rank++ {
 		c := build(lossy)
-		c.want = func(r int, tag uint64) []byte {
+		c.want = func(dst []byte, r int, tag uint64) {
 			if r == rank {
 				tag++ // the neighbouring tag's pattern
 			}
-			return relPattern(tag, size)
+			relPattern(dst, tag)
 		}
 		want := fmt.Sprintf("payload mismatch at rank %d", rank)
 		if _, err := c.finish(); err == nil || !strings.Contains(err.Error(), want) {
@@ -416,9 +416,8 @@ func TestPingPongCellVerifiesBothRanks(t *testing.T) {
 	}
 
 	c = build(tinyConfig())
-	c.want = func(int, uint64) []byte {
+	c.want = func([]byte, int, uint64) {
 		t.Error("loss-free cell asked for a reference payload")
-		return nil
 	}
 	if !c.cl.Cfg.Synthetic {
 		t.Fatal("loss-free cell built a real-payload cluster")

@@ -99,11 +99,14 @@ func failoverCell(cfg Config, os cluster.OSType, seed int64, rec *trace.Recorder
 		if err != nil {
 			return err
 		}
+		// The rank's reference and arrival buffers, refilled per message.
+		want, got := make([]byte, size), make([]byte, size)
 		if r == 0 {
 			streamStart = p.Now()
 			for i := 0; i < msgs; i++ {
 				tag := uint64(10 + i)
-				if err := proc.WriteAt(buf, relPattern(tag, size)); err != nil {
+				relPattern(want, tag)
+				if err := proc.WriteAt(buf, want); err != nil {
 					return err
 				}
 				if err := ep.Send(p, 1, tag, buf, size); err != nil {
@@ -120,11 +123,11 @@ func failoverCell(cfg Config, os cluster.OSType, seed int64, rec *trace.Recorder
 				if err := ep.Recv(p, 0, tag, buf, size); err != nil {
 					return fmt.Errorf("failover: recv %d on %s: %w", i, os, err)
 				}
-				got := make([]byte, size)
 				if err := proc.ReadAt(buf, got); err != nil {
 					return err
 				}
-				if !bytes.Equal(got, relPattern(tag, size)) {
+				relPattern(want, tag)
+				if !bytes.Equal(got, want) {
 					return fmt.Errorf("failover: payload mismatch at msg %d on %s", i, os)
 				}
 			}

@@ -84,6 +84,8 @@ type LinuxDriver struct {
 	freePages     [][]mem.Extent `snap:"-"` // recycled lists, emptied on return
 	// tidPins maps context → TID index → the pinned extent it covers.
 	tidPins map[int]map[int]mem.Extent
+
+	freeIRQs []*irq `snap:"-"` // completion interrupts, recycled by their handlers
 }
 
 type openContext struct {
@@ -188,52 +190,82 @@ func NewLinuxDriver(k *linux.Kernel, nic *NIC, pr *model.Params, worlds []*kmem.
 		return nil, err
 	}
 
-	nic.SetIRQSink(func(batch *SDMATxn) {
-		raised := k.Engine().Now()
-		k.Pool.Submit("hfi1-sdma-irq", func(ctx *kernel.Ctx) {
-			// The IRQ span covers delivery (queueing for a Linux CPU)
-			// plus handler execution, on the servicing CPU's track.
-			defer func(begin time.Duration) {
-				if rec := k.Engine().Recorder(); rec != nil {
-					rec.Span(trace.CatIRQ, "hfi1-sdma-irq", ctx.P.Name(), begin, ctx.Now())
-				}
-			}(raised)
-			ctx.Spend(pr.IRQHandlerCost)
-			for txn, next := batch, (*SDMATxn)(nil); txn != nil; txn = next {
-				next = txn.irqNext
-				status := uint64(0)
-				if txn.Err != nil {
-					resubmitted, st, rerr := d.recoverSDMA(ctx, txn)
-					if rerr != nil {
-						nic.Fail(fmt.Errorf("hfi: node %d SDMA recovery: %w", nic.Node, rerr))
-						return
-					}
-					if resubmitted {
-						// The transaction is back on an engine; its
-						// completion (or next error) arrives later, and
-						// it is recycled after that.
-						continue
-					}
-					status = st
-				}
-				ret, err := k.Space.Call(d.worlds, kmem.VirtAddr(txn.CallbackVA), ctx, txn.CallbackArg, status)
-				if err != nil {
-					// An unresolvable callback address is a wiring bug.
-					panic(fmt.Sprintf("hfi: completion callback: %v", err))
-				}
-				// Data-dependent callback failures (CQ overflow, layout
-				// skew) abort the simulation with a diagnosable error:
-				// IRQ context has no caller to return them to.
-				if cerr, ok := ret.(error); ok && cerr != nil {
-					nic.Fail(fmt.Errorf("hfi: node %d completion: %w", nic.Node, cerr))
-					return
-				}
-				// The callback was the last reader of the transaction.
-				nic.PutTxn(txn)
-			}
-		})
-	})
+	nic.SetIRQSink(d.raiseIRQ)
 	return d, nil
+}
+
+// irq is one completion interrupt between its raise and its handler:
+// the batch it services and when it was raised. Records are recycled
+// once the handler has read them.
+type irq struct {
+	d      *LinuxDriver
+	batch  *SDMATxn
+	raised time.Duration
+	run    func(ctx *kernel.Ctx) // q.handle, bound once
+}
+
+// raiseIRQ is the NIC's interrupt sink: it queues the handler for the
+// batch on the Linux CPUs.
+func (d *LinuxDriver) raiseIRQ(batch *SDMATxn) {
+	var q *irq
+	if k := len(d.freeIRQs); k > 0 {
+		q = d.freeIRQs[k-1]
+		d.freeIRQs = d.freeIRQs[:k-1]
+	} else {
+		q = &irq{d: d}
+		q.run = q.handle
+	}
+	q.batch, q.raised = batch, d.K.Engine().Now()
+	d.K.Pool.Submit("hfi1-sdma-irq", q.run)
+}
+
+// handle is the completion interrupt handler: it runs every batched
+// transaction's completion callback (after error recovery) on a Linux
+// CPU.
+func (q *irq) handle(ctx *kernel.Ctx) {
+	d, batch, raised := q.d, q.batch, q.raised
+	q.batch = nil
+	d.freeIRQs = append(d.freeIRQs, q)
+	nic := d.NIC
+	// The IRQ span covers delivery (queueing for a Linux CPU) plus
+	// handler execution, on the servicing CPU's track.
+	defer func() {
+		if rec := d.K.Engine().Recorder(); rec != nil {
+			rec.Span(trace.CatIRQ, "hfi1-sdma-irq", ctx.P.Name(), raised, ctx.Now())
+		}
+	}()
+	ctx.Spend(d.pr.IRQHandlerCost)
+	for txn, next := batch, (*SDMATxn)(nil); txn != nil; txn = next {
+		next = txn.irqNext
+		status := uint64(0)
+		if txn.Err != nil {
+			resubmitted, st, rerr := d.recoverSDMA(ctx, txn)
+			if rerr != nil {
+				nic.Fail(fmt.Errorf("hfi: node %d SDMA recovery: %w", nic.Node, rerr))
+				return
+			}
+			if resubmitted {
+				// The transaction is back on an engine; its completion (or
+				// next error) arrives later, and it is recycled after that.
+				continue
+			}
+			status = st
+		}
+		fn, err := d.K.Space.Resolve(d.worlds, kmem.VirtAddr(txn.CallbackVA))
+		if err != nil {
+			// An unresolvable callback address is a wiring bug.
+			panic(fmt.Sprintf("hfi: completion callback: %v", err))
+		}
+		// Data-dependent callback failures (CQ overflow, layout skew)
+		// abort the simulation with a diagnosable error: IRQ context has
+		// no caller to return them to.
+		if err := fn(ctx, txn.CallbackArg, status); err != nil {
+			nic.Fail(fmt.Errorf("hfi: node %d completion: %w", nic.Node, err))
+			return
+		}
+		// The callback was the last reader of the transaction.
+		nic.PutTxn(txn)
+	}
 }
 
 // OutstandingTxreqPins returns the number of in-flight SDMA transfers
@@ -306,26 +338,22 @@ func (d *LinuxDriver) recoverSDMA(ctx *kernel.Ctx, txn *SDMATxn) (resubmitted bo
 	return false, 0, nil
 }
 
-// completionFn is the SDMA completion callback: append the completion
-// sequence to the context's send CQ and release the transfer metadata.
-// It runs on a Linux CPU in IRQ context; failures are returned as the
-// call's value and routed to the simulation by the IRQ handler. An
-// optional third argument carries an error status (CQErrBit) that is
-// OR'd into the posted sequence word.
-func (d *LinuxDriver) completionFn(args ...any) any {
-	ctx := args[0].(*kernel.Ctx)
-	recVA := kmem.VirtAddr(args[1].(uint64))
+// completionFn is the SDMA completion callback for the txreq record at
+// kernel address arg: append the completion sequence to the context's
+// send CQ and release the transfer metadata. It runs on a Linux CPU in
+// IRQ context; failures are returned and routed to the simulation by the
+// IRQ handler. status is an error status (CQErrBit, or 0) OR'd into the
+// posted sequence word.
+func (d *LinuxDriver) completionFn(kctx any, arg, status uint64) error {
+	ctx := kctx.(*kernel.Ctx)
+	recVA := kmem.VirtAddr(arg)
 	rec := d.obj("user_sdma_txreq", recVA)
 	ctxtVA, err := rec.GetPtr("ctxt_kva")
 	if err != nil {
 		return fmt.Errorf("hfi: completion txreq read: %w", err)
 	}
 	seq, _ := rec.GetU("comp_seq")
-	if len(args) > 2 {
-		if st, ok := args[2].(uint64); ok {
-			seq |= st
-		}
-	}
+	seq |= status
 	if err := d.postCompletion(ctx, ctxtVA, seq); err != nil {
 		return err
 	}

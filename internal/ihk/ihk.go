@@ -105,6 +105,26 @@ type Delegator struct {
 	// Count and Time accumulate offload statistics.
 	Count uint64
 	Time  time.Duration
+
+	free []*call `snap:"-"`
+}
+
+// call is one offloaded system call on its way through a proxy: the work
+// and the proxy's overhead before it. Records are recycled when the
+// caller wakes, poisoned until reused.
+type call struct {
+	overhead time.Duration
+	fn       func(ctx *kernel.Ctx)
+	run      func(ctx *kernel.Ctx) // c.exec, bound once
+	freed    bool
+}
+
+func (c *call) exec(ctx *kernel.Ctx) {
+	if c.freed {
+		panic("ihk: a freed offload call reached a proxy")
+	}
+	ctx.Spend(c.overhead)
+	c.fn(ctx)
 }
 
 // NewDelegator wires delegation onto the node's Linux CPU pool.
@@ -125,10 +145,19 @@ func (d *Delegator) Offload(p *sim.Proc, name string, fn func(ctx *kernel.Ctx)) 
 	if thrash < 0 {
 		thrash = 0
 	}
-	d.Pool.SubmitAndWait(p, name, func(ctx *kernel.Ctx) {
-		ctx.Spend(d.pr.OffloadFixed + time.Duration(thrash)*d.pr.OffloadThrashPerQueued)
-		fn(ctx)
-	})
+	var c *call
+	if k := len(d.free); k > 0 {
+		c = d.free[k-1]
+		d.free = d.free[:k-1]
+	} else {
+		c = &call{}
+		c.run = c.exec
+	}
+	c.overhead = d.pr.OffloadFixed + time.Duration(thrash)*d.pr.OffloadThrashPerQueued
+	c.fn, c.freed = fn, false
+	d.Pool.SubmitAndWait(p, name, c.run)
+	*c = call{run: c.run, freed: true}
+	d.free = append(d.free, c)
 	p.Sleep(d.pr.IKCLatency)
 	lat := p.Now() - start
 	d.Count++

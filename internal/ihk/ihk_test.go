@@ -138,6 +138,26 @@ func TestOffloadLatencyAndAccounting(t *testing.T) {
 	}
 }
 
+// TestOffloadSteadyStateAllocs pins that a warm offload allocates
+// nothing: the call record and the pool's work item are both recycled.
+func TestOffloadSteadyStateAllocs(t *testing.T) {
+	e := sim.NewEngine(1)
+	pr := model.Default()
+	d := NewDelegator(kernel.NewWorkerPool(e, "linux", []int{0}), &pr)
+	work := func(ctx *kernel.Ctx) { ctx.Spend(time.Microsecond) }
+	e.Go("caller", func(p *sim.Proc) {
+		if got := testing.AllocsPerRun(50, func() { d.Offload(p, "x", work) }); got != 0 {
+			t.Errorf("Offload: %v allocations, want 0", got)
+		}
+	})
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if d.Count != 51 {
+		t.Fatalf("offloads = %d, want 51", d.Count)
+	}
+}
+
 // TestOffloadContentionThrash: latency per call grows superlinearly when
 // many callers pile onto few CPUs — the §4.3 effect.
 func TestOffloadContentionThrash(t *testing.T) {

@@ -25,12 +25,19 @@ func (c *Ctx) Now() time.Duration { return c.P.Now() }
 // Spend consumes CPU time.
 func (c *Ctx) Spend(d time.Duration) { c.P.Sleep(d) }
 
-// WorkItem is a unit of kernel work executed by a WorkerPool.
+// WorkItem is a unit of kernel work executed by a WorkerPool. Items are
+// recycled: a waited item (cond set) goes back to the pool's free list
+// when its submitter wakes, a fire-and-forget one when its Fn returns.
+// A freed item is poisoned until reused; a worker handed one panics.
 type WorkItem struct {
 	Name string
 	Fn   func(ctx *Ctx)
 	done bool
 	cond *sim.Cond
+	// wake is the Cond a waited item keeps across uses, so its waiter
+	// list keeps its capacity; cond points at it while a submitter waits.
+	wake  *sim.Cond `snap:"-"`
+	freed bool      `snap:"-"`
 }
 
 // WorkerPool models a set of CPUs executing kernel work in FIFO order —
@@ -45,6 +52,7 @@ type WorkerPool struct {
 	Busy []time.Duration
 	// Executed counts completed work items.
 	Executed int
+	free     []*WorkItem `snap:"-"`
 }
 
 // NewWorkerPool starts one worker process per CPU id.
@@ -61,18 +69,43 @@ func NewWorkerPool(e *sim.Engine, name string, cpus []int) *WorkerPool {
 			ctx := &Ctx{P: p, CPU: cpu}
 			for {
 				item := wp.q.Pop(p)
+				if item.freed {
+					panic("kernel: a freed WorkItem reached a worker")
+				}
 				start := p.Now()
 				item.Fn(ctx)
 				wp.Busy[idx] += p.Now() - start
 				wp.Executed++
-				item.done = true
-				if item.cond != nil {
-					item.cond.Broadcast()
+				if item.cond == nil {
+					wp.release(item)
+					continue
 				}
+				item.done = true
+				item.cond.Broadcast()
 			}
 		})
 	}
 	return wp
+}
+
+// item returns a cleared work item from the free list, or a new one.
+func (wp *WorkerPool) item(name string, fn func(ctx *Ctx)) *WorkItem {
+	var item *WorkItem
+	if k := len(wp.free); k > 0 {
+		item = wp.free[k-1]
+		wp.free = wp.free[:k-1]
+	} else {
+		item = &WorkItem{}
+	}
+	item.Name, item.Fn, item.freed = name, fn, false
+	return item
+}
+
+// release returns an item nobody holds any more to the free list,
+// poisoned until it is reused.
+func (wp *WorkerPool) release(item *WorkItem) {
+	*item = WorkItem{wake: item.wake, freed: true}
+	wp.free = append(wp.free, item)
 }
 
 // CPUs returns the pool's CPU ids.
@@ -83,7 +116,7 @@ func (wp *WorkerPool) QueueLen() int { return wp.q.Len() }
 
 // Submit enqueues work without waiting for it (IRQ-style).
 func (wp *WorkerPool) Submit(name string, fn func(ctx *Ctx)) {
-	wp.q.Push(&WorkItem{Name: name, Fn: fn})
+	wp.q.Push(wp.item(name, fn))
 }
 
 // SubmitAndWait enqueues work and blocks p until a worker has executed
@@ -92,11 +125,16 @@ func (wp *WorkerPool) Submit(name string, fn func(ctx *Ctx)) {
 // Linux CPU picks the request up and finishes it.
 func (wp *WorkerPool) SubmitAndWait(p *sim.Proc, name string, fn func(ctx *Ctx)) time.Duration {
 	start := p.Now()
-	item := &WorkItem{Name: name, Fn: fn, cond: sim.NewCond(p.Engine())}
+	item := wp.item(name, fn)
+	if item.wake == nil {
+		item.wake = sim.NewCond(wp.e)
+	}
+	item.cond = item.wake
 	wp.q.Push(item)
 	for !item.done {
 		item.cond.Wait(p)
 	}
+	wp.release(item)
 	return p.Now() - start
 }
 

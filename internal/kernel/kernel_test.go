@@ -1,6 +1,9 @@
 package kernel
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,6 +55,49 @@ func TestWorkerPoolSubmitNoWait(t *testing.T) {
 	}
 	if ran != 2 {
 		t.Fatalf("ran = %d", ran)
+	}
+}
+
+// TestWorkerPoolSteadyStateAllocs pins that a warm pool allocates
+// nothing per item: a waited item comes back with its Cond when the
+// submitter wakes, a fire-and-forget one when its Fn returns.
+func TestWorkerPoolSteadyStateAllocs(t *testing.T) {
+	e := sim.NewEngine(1)
+	wp := NewWorkerPool(e, "linux", []int{0, 1})
+	job := func(ctx *Ctx) { ctx.Spend(100) }
+	e.Go("submitter", func(p *sim.Proc) {
+		waited := testing.AllocsPerRun(50, func() { wp.SubmitAndWait(p, "job", job) })
+		if waited != 0 {
+			t.Errorf("SubmitAndWait: %v allocations, want 0", waited)
+		}
+		async := testing.AllocsPerRun(50, func() {
+			wp.Submit("irq", job)
+			p.Sleep(200)
+		})
+		if async != 0 {
+			t.Errorf("Submit: %v allocations, want 0", async)
+		}
+	})
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if wp.Executed != 102 {
+		t.Fatalf("executed = %d, want 102", wp.Executed)
+	}
+}
+
+// TestFreedWorkItemPanics: an item released to the free list is
+// poisoned, so queueing it again panics in the worker instead of
+// running a stale function.
+func TestFreedWorkItemPanics(t *testing.T) {
+	e := sim.NewEngine(1)
+	wp := NewWorkerPool(e, "linux", []int{0})
+	item := wp.item("irq", func(ctx *Ctx) {})
+	wp.release(item)
+	wp.q.Push(item)
+	var pe *sim.PanicError
+	if err := e.Run(0); !errors.As(err, &pe) || !strings.Contains(fmt.Sprint(pe.Value), "freed WorkItem") {
+		t.Fatalf("Run = %v, want a freed-WorkItem panic", err)
 	}
 }
 

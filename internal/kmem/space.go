@@ -102,8 +102,8 @@ func NewSpace(name string, layout vas.Layout, alloc *mem.Allocator, cpus []int) 
 		Layout:  layout,
 		PT:      pagetable.New(),
 		Alloc:   alloc,
-		cpus:    make(map[int]bool),
-		caches:  make(map[int]*cpuCache),
+		cpus:    make(map[int]bool, len(cpus)),
+		caches:  make(map[int]*cpuCache, len(cpus)),
 		objects: make(map[VirtAddr]largeObj),
 		slabs:   make(map[VirtAddr]*slab),
 		symbols: make(map[VirtAddr]*Symbol),

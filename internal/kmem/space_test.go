@@ -197,10 +197,10 @@ func TestTextRegistrationAndCall(t *testing.T) {
 	if err := lwk.LoadImage(1 << 20); err != nil {
 		t.Fatal(err)
 	}
-	hits := 0
-	cb, err := lwk.RegisterText("sdma_complete_mck", func(args ...any) any {
-		hits++
-		return len(args)
+	var got []uint64
+	cb, err := lwk.RegisterText("sdma_complete_mck", func(ctx any, arg, status uint64) error {
+		got = append(got, arg, status)
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -208,24 +208,31 @@ func TestTextRegistrationAndCall(t *testing.T) {
 	worlds := []*Space{lin, lwk}
 
 	// The owner can call its own symbol.
-	if _, err := lwk.Call(worlds, cb); err != nil {
+	fn, err := lwk.Resolve(worlds, cb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fn(nil, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 
 	// Linux cannot call it before mapping the LWK image...
-	if _, err := lin.Call(worlds, cb); err == nil {
+	if _, err := lin.Resolve(worlds, cb); err == nil {
 		t.Fatal("Linux called into unmapped McKernel TEXT")
 	}
 	// ...and can afterwards (the §3.1 boot-time mapping).
 	if err := lin.MapForeignImage(lwk); err != nil {
 		t.Fatal(err)
 	}
-	res, err := lin.Call(worlds, cb, 1, 2)
+	fn, err = lin.Resolve(worlds, cb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.(int) != 2 || hits != 2 {
-		t.Fatalf("res=%v hits=%d", res, hits)
+	if err := fn(nil, 2, 3); err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{1, 0, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("callback saw %v, want %v", got, want)
 	}
 }
 
@@ -260,7 +267,7 @@ func TestOriginalLayoutImageCollision(t *testing.T) {
 func TestRegisterTextBeforeLoadImage(t *testing.T) {
 	pm := node(t)
 	s := linuxSpace(t, pm)
-	if _, err := s.RegisterText("f", func(...any) any { return nil }); err == nil {
+	if _, err := s.RegisterText("f", func(any, uint64, uint64) error { return nil }); err == nil {
 		t.Fatal("RegisterText without image succeeded")
 	}
 }

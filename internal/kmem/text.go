@@ -13,10 +13,16 @@ import (
 type Symbol struct {
 	Name string
 	Addr VirtAddr
-	Fn   func(args ...any) any
+	Fn   TextFunc
 	// owner is the space whose image contains the symbol.
 	owner *Space
 }
+
+// TextFunc is the body of a TEXT symbol. It runs with the caller's
+// execution context (a *kernel.Ctx, which this package cannot name), one
+// word argument and a status word, and returns the failure it hit. Typed
+// arguments keep a call through a callback pointer allocation-free.
+type TextFunc func(ctx any, arg, status uint64) error
 
 const symbolStride = 64 // bytes of "code" per registered function
 
@@ -47,8 +53,8 @@ func (s *Space) ImageExtent() mem.Extent { return s.imageExt }
 
 // RegisterText places fn at the next free address in the kernel's TEXT
 // and returns that address. The address is only callable from a kernel
-// whose page table maps it to the correct physical backing (see Call).
-func (s *Space) RegisterText(name string, fn func(args ...any) any) (VirtAddr, error) {
+// whose page table maps it to the correct physical backing (see Resolve).
+func (s *Space) RegisterText(name string, fn TextFunc) (VirtAddr, error) {
 	if s.imageExt.Len == 0 {
 		return 0, fmt.Errorf("kmem: RegisterText before LoadImage in %s", s.Name)
 	}
@@ -77,14 +83,15 @@ func (s *Space) MapForeignImage(other *Space) error {
 	return nil
 }
 
-// Call invokes the function at virtual address addr as executed by this
-// kernel: the address must translate through this kernel's page table to
-// the physical location where the owning kernel placed the symbol. worlds
-// lists every kernel on the node (to locate the symbol's owner).
+// Resolve returns the function a call to virtual address addr reaches
+// when this kernel executes it: the address must translate through this
+// kernel's page table to the physical location where the owning kernel
+// placed the symbol. worlds lists every kernel on the node (to locate
+// the symbol's owner).
 //
 // A kernel calling a callback pointer into an image it has not mapped
 // faults — the precise failure the unified layout exists to prevent.
-func (s *Space) Call(worlds []*Space, addr VirtAddr, args ...any) (any, error) {
+func (s *Space) Resolve(worlds []*Space, addr VirtAddr) (TextFunc, error) {
 	pa, ok := s.Translate(addr)
 	if !ok {
 		return nil, fmt.Errorf("kmem: %s: call fault at unmapped %#x", s.Name, addr)
@@ -99,7 +106,7 @@ func (s *Space) Call(worlds []*Space, addr VirtAddr, args ...any) (any, error) {
 			return nil, fmt.Errorf("kmem: %s: call at %#x reaches %#x, symbol %q lives at %#x (wild jump)",
 				s.Name, addr, pa, sym.Name, wantPA)
 		}
-		return sym.Fn(args...), nil
+		return sym.Fn, nil
 	}
 	return nil, fmt.Errorf("kmem: %s: no symbol at %#x in any kernel", s.Name, addr)
 }

@@ -49,6 +49,7 @@ type Kernel struct {
 	pr   *model.Params
 	e    *sim.Engine
 	fast map[string]*FastPath // by device path
+	free []*call              `snap:"-"` // offloaded-call records
 }
 
 // NewKernel creates the LWK bound to its node's Linux kernel.
@@ -84,15 +85,6 @@ func (k *Kernel) RegisterFastPath(path string, fp *FastPath) error {
 	return nil
 }
 
-// ReplaceFastPath swaps the fast path of an already-registered device
-// (used by tests and by driver upgrades).
-func (k *Kernel) ReplaceFastPath(path string, fp *FastPath) {
-	k.fast[path] = fp
-}
-
-// HasFastPath reports whether a device has a registered PicoDriver.
-func (k *Kernel) HasFastPath(path string) bool { return k.fast[path] != nil }
-
 // NewProcess creates an application process with McKernel's memory
 // policy: physically contiguous, large-page-mapped, pinned anonymous
 // memory from the LWK partition.
@@ -109,15 +101,87 @@ func (k *Kernel) enter(ctx *kernel.Ctx) time.Duration {
 	return start
 }
 
-// offload delegates one call to Linux: fn runs on a Linux CPU behind an
-// IKC round trip and its result travels back to the LWK core.
-func offload[T any](k *Kernel, ctx *kernel.Ctx, label string, fn func(lctx *kernel.Ctx) (T, error)) (T, error) {
-	var out struct { // one heap cell shared with the closure, not two
-		res T
-		err error
+// callOp names the Linux system call an offloaded call runs.
+type callOp uint8
+
+const (
+	callOpen callOp = iota
+	callClose
+	callWritev
+	callIoctl
+	callMmap
+	callMisc
+)
+
+// call is one offloaded system call: its arguments on the way to Linux
+// and its result on the way back. Records are recycled once the caller
+// has read the result, poisoned until reused.
+type call struct {
+	k      *Kernel
+	op     callOp
+	proc   *uproc.Process
+	f      *linux.File
+	path   string
+	iov    []linux.IOVec
+	cmd    uint32 // ioctl command, or mmap kind
+	arg    uproc.VirtAddr
+	length uint64
+	cost   time.Duration
+	// Results.
+	res   uint64
+	file  *linux.File
+	err   error
+	run   func(lctx *kernel.Ctx) // c.exec, bound once
+	freed bool
+}
+
+// exec runs the call on a Linux CPU, in the proxy's context.
+func (c *call) exec(lctx *kernel.Ctx) {
+	if c.freed {
+		panic("mckernel: a freed offloaded call reached Linux")
 	}
-	k.Del.Offload(ctx.P, label, func(lctx *kernel.Ctx) { out.res, out.err = fn(lctx) })
-	return out.res, out.err
+	lin := c.k.lin
+	switch c.op {
+	case callOpen:
+		c.file, c.err = lin.Open(lctx, c.proc, c.path)
+	case callClose:
+		c.err = lin.Close(lctx, c.f)
+	case callWritev:
+		c.res, c.err = lin.Writev(lctx, c.f, c.iov)
+	case callIoctl:
+		c.res, c.err = lin.Ioctl(lctx, c.f, c.cmd, c.arg)
+	case callMmap:
+		var va uproc.VirtAddr
+		va, c.err = lin.MmapDevice(lctx, c.f, c.cmd, c.length)
+		c.res = uint64(va)
+	case callMisc:
+		lctx.Spend(c.cost)
+	}
+}
+
+// newCall returns a cleared call record for op.
+func (k *Kernel) newCall(op callOp) *call {
+	var c *call
+	if n := len(k.free); n > 0 {
+		c = k.free[n-1]
+		k.free = k.free[:n-1]
+	} else {
+		c = &call{k: k}
+		c.run = c.exec
+	}
+	c.op, c.freed = op, false
+	return c
+}
+
+// offload delegates c to Linux: it runs on a Linux CPU behind an IKC
+// round trip and its result travels back to the LWK core. c goes back
+// to the free list once its result is read.
+func (k *Kernel) offload(ctx *kernel.Ctx, label string, c *call) (uint64, *linux.File, error) {
+	k.Del.Offload(ctx.P, label, c.run)
+	res, file, err := c.res, c.file, c.err
+	*c = call{k: k, run: c.run, freed: true}
+	k.free = append(k.free, c)
+	return res, file, err
 }
 
 // fastPath returns the PicoDriver handlers that serve f: nil when the
@@ -134,17 +198,18 @@ func (k *Kernel) fastPath(f *linux.File) *FastPath {
 // descriptor (§2.1).
 func (k *Kernel) Open(ctx *kernel.Ctx, proc *uproc.Process, path string) (*linux.File, error) {
 	defer k.account(ctx, "open", k.enter(ctx))
-	return offload(k, ctx, "open:"+path, func(lctx *kernel.Ctx) (*linux.File, error) {
-		return k.lin.Open(lctx, proc, path)
-	})
+	c := k.newCall(callOpen)
+	c.proc, c.path = proc, path
+	_, f, err := k.offload(ctx, "open:"+path, c)
+	return f, err
 }
 
 // Close releases a device file (offloaded).
 func (k *Kernel) Close(ctx *kernel.Ctx, f *linux.File) error {
 	defer k.account(ctx, "close", k.enter(ctx))
-	_, err := offload(k, ctx, "close", func(lctx *kernel.Ctx) (struct{}, error) {
-		return struct{}{}, k.lin.Close(lctx, f)
-	})
+	c := k.newCall(callClose)
+	c.f = f
+	_, _, err := k.offload(ctx, "close", c)
 	return err
 }
 
@@ -159,9 +224,10 @@ func (k *Kernel) Writev(ctx *kernel.Ctx, f *linux.File, iov []linux.IOVec) (uint
 			return n, err
 		}
 	}
-	return offload(k, ctx, "writev", func(lctx *kernel.Ctx) (uint64, error) {
-		return k.lin.Writev(lctx, f, iov)
-	})
+	c := k.newCall(callWritev)
+	c.f, c.iov = f, iov
+	n, _, err := k.offload(ctx, "writev", c)
+	return n, err
 }
 
 // Ioctl dispatches an ioctl, fast-pathing the commands the PicoDriver
@@ -173,18 +239,20 @@ func (k *Kernel) Ioctl(ctx *kernel.Ctx, f *linux.File, cmd uint32, arg uproc.Vir
 			return res, err
 		}
 	}
-	return offload(k, ctx, "ioctl", func(lctx *kernel.Ctx) (uint64, error) {
-		return k.lin.Ioctl(lctx, f, cmd, arg)
-	})
+	c := k.newCall(callIoctl)
+	c.f, c.cmd, c.arg = f, cmd, arg
+	res, _, err := k.offload(ctx, "ioctl", c)
+	return res, err
 }
 
 // MmapDevice maps a driver region (offloaded; device mappings are
 // established through the proxy, §2.1).
 func (k *Kernel) MmapDevice(ctx *kernel.Ctx, f *linux.File, kind uint32, length uint64) (uproc.VirtAddr, error) {
 	defer k.account(ctx, "mmap", k.enter(ctx))
-	return offload(k, ctx, "mmap-dev", func(lctx *kernel.Ctx) (uproc.VirtAddr, error) {
-		return k.lin.MmapDevice(lctx, f, kind, length)
-	})
+	c := k.newCall(callMmap)
+	c.f, c.cmd, c.length = f, kind, length
+	va, _, err := k.offload(ctx, "mmap-dev", c)
+	return uproc.VirtAddr(va), err
 }
 
 // MmapAnon is served locally: memory management is exactly what McKernel
@@ -211,7 +279,9 @@ func (k *Kernel) Munmap(ctx *kernel.Ctx, proc *uproc.Process, va uproc.VirtAddr)
 // nanosleep, ...) so that kernel profiles include them.
 func (k *Kernel) Misc(ctx *kernel.Ctx, name string, linuxCost time.Duration) {
 	defer k.account(ctx, name, k.enter(ctx))
-	k.Del.Offload(ctx.P, name, func(lctx *kernel.Ctx) { lctx.Spend(linuxCost) })
+	c := k.newCall(callMisc)
+	c.cost = linuxCost
+	k.offload(ctx, name, c)
 }
 
 // Compute runs application computation on an isolated LWK core: no

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/kernel"
@@ -85,6 +86,22 @@ func BuildRegistry(version string) *kstruct.Registry {
 	})
 	return reg
 }
+
+// module is one build of the driver: its layouts and the debugging
+// information shipped alongside the binary.
+type module struct {
+	reg  *kstruct.Registry
+	blob []byte
+}
+
+// shippedModule is the DriverVersion build every driver instance loads.
+// It is the same on every node, so a process builds it once and all
+// instances share it read-only.
+var shippedModule = sync.OnceValues(func() (module, error) {
+	reg := BuildRegistry(DriverVersion)
+	blob, err := BuildDWARFBlob(reg)
+	return module{reg: reg, blob: blob}, err
+})
 
 // BuildDWARFBlob compiles the registry into module debug info.
 func BuildDWARFBlob(reg *kstruct.Registry) ([]byte, error) {
@@ -171,12 +188,12 @@ type linuxMR struct {
 
 // NewDriver performs module init for the given HCA.
 func NewDriver(k *linux.Kernel, hca HCA) (*Driver, error) {
-	reg := BuildRegistry(DriverVersion)
-	blob, err := BuildDWARFBlob(reg)
+	m, err := shippedModule()
 	if err != nil {
 		return nil, err
 	}
-	d := &Driver{K: k, reg: reg, DWARFBlob: blob, hca: hca,
+	reg := m.reg
+	d := &Driver{K: k, reg: reg, DWARFBlob: m.blob, hca: hca,
 		mrs: make(map[uint32]*linuxMR), qps: make(map[int][]uint32)}
 	devLayout, err := reg.Lookup("mlx_device")
 	if err != nil {

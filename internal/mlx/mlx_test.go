@@ -17,13 +17,14 @@ import (
 )
 
 // rig boots a one-node McKernel+HFI cluster (for the unified address
-// space) and uses its built-in mlx driver. The cluster attaches the MLX
-// fast path itself on this configuration, so the rig detaches it: tests
-// measure offloaded-vs-fast deltas from a known pure-offload state and
-// attach their own pico instance to count on.
+// space) and uses its built-in mlx driver and MLX fast path. Until
+// useFastPath, the descriptors it opens bypass the fast path
+// (linux.File.NoFastPath): tests measure offloaded-vs-fast deltas from a
+// known pure-offload state and count on the cluster's own pico instance.
 type rig struct {
-	cl  *cluster.Cluster
-	drv *mlx.Driver
+	cl   *cluster.Cluster
+	drv  *mlx.Driver
+	fast bool
 }
 
 func newRig(t *testing.T) *rig {
@@ -34,23 +35,24 @@ func newRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.Nodes[0].Mck.ReplaceFastPath(mlx.DevicePath, nil)
 	return &rig{cl: cl, drv: cl.Nodes[0].Mlx}
 }
 
-func (r *rig) attachPico(t *testing.T) *core.MLXPico {
-	t.Helper()
-	n := r.cl.Nodes[0]
-	fw, err := core.NewFramework(n.Lin, n.Mck)
-	if err != nil {
-		t.Fatal(err)
+// useFastPath lets descriptors opened from now on reach the cluster's
+// MLX fast path, and returns it.
+func (r *rig) useFastPath() *core.MLXPico {
+	r.fast = true
+	return r.cl.Nodes[0].MlxPico
+}
+
+// open opens the verbs device through the LWK, bypassing the fast path
+// unless the rig uses it.
+func (r *rig) open(ctx *kernel.Ctx, proc *uproc.Process) (*linux.File, error) {
+	f, err := r.cl.Nodes[0].Mck.Open(ctx, proc, mlx.DevicePath)
+	if err == nil {
+		f.NoFastPath = !r.fast
 	}
-	pico, err := core.NewMLXPico(fw, r.drv.DWARFBlob, n.RNIC, r.cl.Params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Mck.ReplaceFastPath(mlx.DevicePath, pico.FastPath())
-	return pico
+	return f, err
 }
 
 // regDereg registers and deregisters an MR through the LWK syscall
@@ -63,7 +65,7 @@ func (r *rig) regDereg(t *testing.T, size uint64) (lat time.Duration, extents in
 	proc := n.Mck.NewProcess("verbs-app")
 	r.cl.Go(0, "app", func(p *sim.Proc) {
 		ctx := &kernel.Ctx{P: p, CPU: n.AppCPUs()[0]}
-		f, err := n.Mck.Open(ctx, proc, mlx.DevicePath)
+		f, err := r.open(ctx, proc)
 		if err != nil {
 			t.Error(err)
 			return
@@ -162,7 +164,7 @@ func TestPicoRegMRFastAndCoalesced(t *testing.T) {
 	r := newRig(t)
 	offLat, _ := r.regDereg(t, 1<<20)
 
-	pico := r.attachPico(t)
+	pico := r.useFastPath()
 	fastLat, _ := r.regDereg(t, 1<<20)
 
 	if pico.FastRegs != 1 || pico.FastDeregs != 1 {
@@ -190,7 +192,7 @@ func TestPicoRegMRChargesClusterParams(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Close()
-		r := &rig{cl: cl, drv: cl.Nodes[0].Mlx} // fast path left attached
+		r := &rig{cl: cl, drv: cl.Nodes[0].Mlx, fast: true}
 		lat, extents := r.regDereg(t, size)
 		if got := cl.Nodes[0].MlxPico.FastRegs; got != 1 {
 			t.Fatalf("fast registrations = %d, want 1", got)
@@ -275,12 +277,12 @@ func TestMTTEntriesReflectBacking(t *testing.T) {
 // lkeys reach the Linux driver.
 func TestPicoFallbacks(t *testing.T) {
 	r := newRig(t)
-	pico := r.attachPico(t)
+	pico := r.useFastPath()
 	n := r.cl.Nodes[0]
 	proc := n.Mck.NewProcess("app")
 	r.cl.Go(0, "t", func(p *sim.Proc) {
 		ctx := &kernel.Ctx{P: p, CPU: n.AppCPUs()[0]}
-		f, err := n.Mck.Open(ctx, proc, mlx.DevicePath)
+		f, err := r.open(ctx, proc)
 		if err != nil {
 			t.Error(err)
 			return
@@ -322,7 +324,7 @@ func TestMixedOwnershipDereg(t *testing.T) {
 	// Phase 1: register via offload (no fast path yet).
 	r.cl.Go(0, "reg", func(p *sim.Proc) {
 		ctx := &kernel.Ctx{P: p, CPU: n.AppCPUs()[0]}
-		f, err := n.Mck.Open(ctx, proc, mlx.DevicePath)
+		f, err := r.open(ctx, proc)
 		if err != nil {
 			t.Error(err)
 			return
@@ -339,19 +341,10 @@ func TestMixedOwnershipDereg(t *testing.T) {
 			return
 		}
 		lkey = uint32(v)
-		// Phase 2: attach the fast path, then deregister the
-		// Linux-owned MR: must transparently fall back.
-		fw, err := core.NewFramework(n.Lin, n.Mck)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		pico, err := core.NewMLXPico(fw, r.drv.DWARFBlob, n.RNIC, r.cl.Params)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		n.Mck.ReplaceFastPath(mlx.DevicePath, pico.FastPath())
+		// Phase 2: let the descriptor reach the fast path, then
+		// deregister the Linux-owned MR: must transparently fall back.
+		pico := r.useFastPath()
+		f.NoFastPath = false
 		if err := mlx.EncodeMRInfo(proc, argVA, &mlx.MRInfo{LKey: lkey}); err != nil {
 			t.Error(err)
 			return
@@ -376,7 +369,7 @@ func TestDeregUnknownLKey(t *testing.T) {
 	proc := n.Mck.NewProcess("app")
 	r.cl.Go(0, "t", func(p *sim.Proc) {
 		ctx := &kernel.Ctx{P: p, CPU: n.AppCPUs()[0]}
-		f, err := n.Mck.Open(ctx, proc, mlx.DevicePath)
+		f, err := r.open(ctx, proc)
 		if err != nil {
 			t.Error(err)
 			return

@@ -94,14 +94,15 @@ func (c *Comm) Irecv(src int, tag uint64, buf uproc.VirtAddr, n uint64) (*psm.Re
 }
 
 // Wait is MPI_Wait: where asynchronous progression actually happens, and
-// therefore where offloading pain shows up in Table 1.
+// therefore where offloading pain shows up in Table 1. Like
+// MPI_REQUEST_NULL, r is the endpoint's again once Wait returns.
 func (c *Comm) Wait(r *psm.Request) error {
 	return c.timed("MPI_Wait", func() error {
 		return c.EP.Wait(c.P, r)
 	})
 }
 
-// Waitall is MPI_Waitall.
+// Waitall is MPI_Waitall; each waited request is the endpoint's again.
 func (c *Comm) Waitall(rs []*psm.Request) error {
 	return c.timed("MPI_Waitall", func() error {
 		return c.EP.WaitAll(c.P, rs)

@@ -42,7 +42,7 @@ type Endpoint struct {
 	posted     []*recvReq
 	unexpected []*inbound
 	inflight   map[uint64]*inbound // by msgid
-	pendingRTS []*rtsInfo
+	pendingRTS []rtsInfo
 
 	// Send state.
 	nextMsgSeq  uint64
@@ -53,7 +53,7 @@ type Endpoint struct {
 	// Rendezvous receive state.
 	rdvRecvs   map[uint64]*rdvRecv // by msgid
 	activeRdvs int
-	rdvBacklog []*rtsInfo
+	rdvBacklog []rtsInfo
 	// freeRdvSlots are scratch TID-list slots available for active
 	// rendezvous receives; slotTIDs[slot] is the pair array the window
 	// registered in that slot decodes its TID list into, reused by the
@@ -95,9 +95,14 @@ type Endpoint struct {
 	tidBuf    []byte                  `snap:"-"` // TID-list wire staging
 	iov       [2]hfi.IOVec            `snap:"-"`
 	trackName string                  `snap:"-"` // cached "rank<N>" span track
-	// freeInbound recycles the records of eager messages that completed
-	// into a receive buffer; they are cleared on reuse.
-	freeInbound []*inbound `snap:"-"`
+	// Free lists of the per-message records: a request's record returns
+	// when its last holder drops it (Request.holds), a rendezvous and its
+	// windows when the transfer retires. All come back cleared.
+	freeInbound []*inbound   `snap:"-"`
+	freeSends   []*sendReq   `snap:"-"`
+	freeRecvs   []*recvReq   `snap:"-"`
+	freeRdvs    []*rdvRecv   `snap:"-"`
+	freeWindows []*rdvWindow `snap:"-"`
 }
 
 // recvReq is a posted receive; Irecv hands out its embedded request.
@@ -132,8 +137,9 @@ type rtsInfo struct {
 	msglen uint64
 }
 
+// sendReq is a send in flight; Isend hands out its embedded request.
 type sendReq struct {
-	req       *Request
+	req       Request
 	dst       Addr
 	peer      int // destination rank
 	tag       uint64
@@ -150,6 +156,11 @@ type sendReq struct {
 	needFin bool
 	finDone bool
 	ctsSeen map[uint64]bool
+
+	ep *Endpoint `snap:"-"`
+	// acked is sr.pioAcked, bound once: the flow waiter of a PIO send's
+	// last chunk.
+	acked func(error) `snap:"-"`
 }
 
 // rdvWindow is one outstanding TID window of a rendezvous receive.
@@ -336,16 +347,104 @@ func (ep *Endpoint) WaitFor(p *sim.Proc, cond func() bool) error {
 	return nil
 }
 
-// Wait blocks until the request completes.
+// Wait blocks until the request completes, then hands it back to the
+// endpoint: the caller must not touch r afterwards.
 func (ep *Endpoint) Wait(p *sim.Proc, r *Request) error {
+	r.live()
 	if err := ep.WaitFor(p, func() bool { return r.Done }); err != nil {
 		return err
 	}
-	return r.Err
+	err := r.Err
+	ep.drop(r)
+	return err
 }
 
-// WaitAll blocks until every request completes, returning the first
-// error.
+// newSend returns a cleared send record, held by its caller.
+func (ep *Endpoint) newSend() *sendReq {
+	var sr *sendReq
+	if k := len(ep.freeSends); k > 0 {
+		sr = ep.freeSends[k-1]
+		ep.freeSends = ep.freeSends[:k-1]
+	} else {
+		sr = &sendReq{ep: ep}
+		sr.acked = sr.pioAcked
+	}
+	sr.req = Request{kind: reqSend, holds: 1, send: sr}
+	return sr
+}
+
+// newRecv returns a cleared receive record, held by its caller and by
+// the matching state until the receive completes.
+func (ep *Endpoint) newRecv() *recvReq {
+	var rr *recvReq
+	if k := len(ep.freeRecvs); k > 0 {
+		rr = ep.freeRecvs[k-1]
+		ep.freeRecvs = ep.freeRecvs[:k-1]
+	} else {
+		rr = &recvReq{}
+	}
+	rr.req = Request{kind: reqRecv, holds: 2, recv: rr}
+	return rr
+}
+
+// drop lets go of one hold on r's record. The last one clears the
+// record, poisons it and returns it to its free list.
+func (ep *Endpoint) drop(r *Request) {
+	r.live()
+	if r.holds--; r.holds > 0 {
+		return
+	}
+	if sr := r.send; sr != nil {
+		clear(sr.ctsSeen)
+		*sr = sendReq{ctsSeen: sr.ctsSeen, ep: ep, acked: sr.acked}
+		sr.req = Request{kind: reqSend, freed: true}
+		ep.freeSends = append(ep.freeSends, sr)
+		return
+	}
+	rr := r.recv
+	*rr = recvReq{req: Request{kind: reqRecv, freed: true}}
+	ep.freeRecvs = append(ep.freeRecvs, rr)
+}
+
+// newRdv returns a cleared rendezvous record; its windows map keeps its
+// buckets across uses.
+func (ep *Endpoint) newRdv() *rdvRecv {
+	if k := len(ep.freeRdvs); k > 0 {
+		rdv := ep.freeRdvs[k-1]
+		ep.freeRdvs = ep.freeRdvs[:k-1]
+		return rdv
+	}
+	return &rdvRecv{windows: make(map[uint64]*rdvWindow)}
+}
+
+// retireRdv returns the record of a rendezvous that finished and left
+// every map. Its window timers were cancelled as each window finished.
+func (ep *Endpoint) retireRdv(rdv *rdvRecv) {
+	clear(rdv.windows)
+	*rdv = rdvRecv{windows: rdv.windows}
+	ep.freeRdvs = append(ep.freeRdvs, rdv)
+}
+
+// newWindow returns a cleared rendezvous window record.
+func (ep *Endpoint) newWindow() *rdvWindow {
+	if k := len(ep.freeWindows); k > 0 {
+		w := ep.freeWindows[k-1]
+		ep.freeWindows = ep.freeWindows[:k-1]
+		return w
+	}
+	return &rdvWindow{}
+}
+
+// retireWindow returns the record of a finished window. Its interval set
+// keeps its capacity; its CTS payload, which a flow may still retain for
+// retransmission, does not.
+func (ep *Endpoint) retireWindow(w *rdvWindow) {
+	*w = rdvWindow{ivs: ivSet{ivs: w.ivs.ivs[:0]}}
+	ep.freeWindows = append(ep.freeWindows, w)
+}
+
+// WaitAll waits on every request in turn, returning the first error;
+// each waited request is handed back as by Wait.
 func (ep *Endpoint) WaitAll(p *sim.Proc, rs []*Request) error {
 	for _, r := range rs {
 		if err := ep.Wait(p, r); err != nil {

@@ -206,9 +206,11 @@ func (ep *Endpoint) onEagerChunk(p *sim.Proc, e *hfi.HdrqEntry) error {
 		inb.src, inb.tag, inb.msgid, inb.msglen = e.SrcRank, e.Tag, e.MsgID, e.MsgLen
 		if rr := ep.matchPosted(e.SrcRank, e.Tag); rr != nil {
 			if e.MsgLen > rr.capacity {
-				// MPI truncation semantics: fail the receive, consume
-				// the message as unexpected data.
-				rr.req.fail(fmt.Errorf("psm: message of %d bytes truncates %d-byte receive", e.MsgLen, rr.capacity))
+				// MPI truncation semantics: fail the receive, which
+				// nothing holds on to any more, and consume the message
+				// as unexpected data.
+				rr.req.complete(fmt.Errorf("psm: message of %d bytes truncates %d-byte receive", e.MsgLen, rr.capacity))
+				ep.drop(&rr.req)
 			} else {
 				inb.bound = rr
 			}
@@ -301,7 +303,7 @@ func (ep *Endpoint) maybeSendEagerFin(p *sim.Proc, inb *inbound) error {
 
 // onRTS matches a rendezvous announcement against posted receives.
 func (ep *Endpoint) onRTS(p *sim.Proc, e *hfi.HdrqEntry) error {
-	rts := &rtsInfo{src: e.SrcRank, tag: e.Tag, msgid: e.MsgID, msglen: e.MsgLen}
+	rts := rtsInfo{src: e.SrcRank, tag: e.Tag, msgid: e.MsgID, msglen: e.MsgLen}
 	if rr := ep.matchPosted(e.SrcRank, e.Tag); rr != nil {
 		return ep.beginRendezvous(p, rr, rts)
 	}
@@ -350,7 +352,7 @@ func (ep *Endpoint) onCTS(p *sim.Proc, e *hfi.HdrqEntry) error {
 	if err := ep.writevSDMA(p, hdr, sr.buf+uproc.VirtAddr(windowOff), winLen); err != nil {
 		return err
 	}
-	ep.bySeq[cs] = sr
+	ep.awaitCompletion(cs, sr)
 	sr.windows++
 	// A re-CTSed window (receiver-side recovery) submits again but only
 	// counts toward remaining once.
@@ -368,7 +370,8 @@ func (ep *Endpoint) onCTS(p *sim.Proc, e *hfi.HdrqEntry) error {
 }
 
 // onSendComplete retires one CQ completion. The raw CQ word carries the
-// sequence number in the low half and the error bit above it.
+// sequence number in the low half and the error bit above it. The CQ
+// entry's hold on the send is dropped once the completion is handled.
 func (ep *Endpoint) onSendComplete(p *sim.Proc, seqRaw uint64) error {
 	seq := uint32(seqRaw)
 	sr, ok := ep.bySeq[seq]
@@ -376,6 +379,7 @@ func (ep *Endpoint) onSendComplete(p *sim.Proc, seqRaw uint64) error {
 		return fmt.Errorf("psm: rank %d completion for unknown seq %d", ep.Rank, seq)
 	}
 	delete(ep.bySeq, seq)
+	defer ep.drop(&sr.req)
 	sr.windows--
 	if seqRaw&hfi.CQErrBit != 0 {
 		if ep.reliable && sr.op == "send:eager-sdma" && !sr.req.Done {
@@ -390,8 +394,8 @@ func (ep *Endpoint) onSendComplete(p *sim.Proc, seqRaw uint64) error {
 		}
 		// Terminal SDMA failure (driver retry budget exhausted with
 		// degradation disabled, no recovery path): surface a typed error.
-		sr.req.fail(&SDMAError{Rank: ep.Rank, Seq: seq})
-		delete(ep.sends, sr.msgid)
+		sr.req.complete(&SDMAError{Rank: ep.Rank, Seq: seq})
+		ep.untrackSend(sr)
 		if ep.reliable {
 			ep.cancelMsgTimer(mtKey{msgid: sr.msgid, kind: mtEagerFin})
 		}

@@ -20,9 +20,11 @@ func (ep *Endpoint) Isend(p *sim.Proc, dst int, tag uint64, buf uproc.VirtAddr, 
 	if err != nil {
 		return nil, err
 	}
-	req := &Request{Bytes: length, kind: reqSend, begin: p.Now()}
+	sr := ep.newSend()
+	sr.req.Bytes, sr.req.begin = length, p.Now()
+	sr.dst, sr.peer, sr.tag, sr.buf, sr.length = a, dst, tag, buf, length
 	ep.nextMsgSeq++
-	msgid := uint64(ep.Rank)<<32 | ep.nextMsgSeq
+	sr.msgid = uint64(ep.Rank)<<32 | ep.nextMsgSeq
 	ep.Stats.BytesSent += length
 
 	// A congested endpoint polls the wire before each send: loss-free
@@ -38,29 +40,29 @@ func (ep *Endpoint) Isend(p *sim.Proc, dst int, tag uint64, buf uproc.VirtAddr, 
 
 	switch {
 	case a.Node == ep.OS.NodeID():
-		if err := ep.sendLocal(p, a, tag, msgid, buf, length); err != nil {
+		if err := ep.sendLocal(p, sr); err != nil {
 			return nil, err
 		}
 		ep.Stats.SendsLocal++
-		req.Done = true
-		ep.span("send:local", req.begin, length)
+		sr.req.complete(nil)
+		ep.span("send:local", sr.req.begin, length)
 	case length <= ep.nic.Params().PIOMaxSize:
-		if err := ep.sendPIO(p, dst, a, tag, msgid, buf, length, req); err != nil {
+		if err := ep.sendPIO(p, sr); err != nil {
 			return nil, err
 		}
 		ep.Stats.SendsPIO++
 	case length <= ep.nic.Params().SDMAThreshold:
-		if err := ep.sendEagerSDMA(p, dst, a, tag, msgid, buf, length, req); err != nil {
+		if err := ep.sendEagerSDMA(p, sr); err != nil {
 			return nil, err
 		}
 		ep.Stats.SendsEagerSDMA++
 	default:
-		if err := ep.sendRendezvous(p, dst, a, tag, msgid, buf, length, req); err != nil {
+		if err := ep.sendRendezvous(p, sr); err != nil {
 			return nil, err
 		}
 		ep.Stats.SendsRdv++
 	}
-	return req, nil
+	return &sr.req, nil
 }
 
 // Send is the blocking variant.
@@ -90,16 +92,16 @@ func (ep *Endpoint) eagerChunks(length uint64, send func(off, n uint64) error) e
 }
 
 // sendLocal uses the shared-memory transport for same-node peers.
-func (ep *Endpoint) sendLocal(p *sim.Proc, a Addr, tag, msgid uint64, buf uproc.VirtAddr, length uint64) error {
-	return ep.eagerChunks(length, func(off, n uint64) error {
+func (ep *Endpoint) sendLocal(p *sim.Proc, sr *sendReq) error {
+	return ep.eagerChunks(sr.length, func(off, n uint64) error {
 		// LocalDeliver consumes the payload synchronously, so the scratch
 		// chunk can be reused for the next one.
-		payload, err := ep.readPayloadScratch(buf+uproc.VirtAddr(off), n)
+		payload, err := ep.readPayloadScratch(sr.buf+uproc.VirtAddr(off), n)
 		if err != nil {
 			return err
 		}
-		hdr := ep.header(hfi.OpEager, tag, msgid, length, off, 0)
-		return ep.nic.LocalDeliver(p, a.Ctx, hdr, payload, n)
+		hdr := ep.header(hfi.OpEager, sr.tag, sr.msgid, sr.length, off, 0)
+		return ep.nic.LocalDeliver(p, sr.dst.Ctx, hdr, payload, n)
 	})
 }
 
@@ -107,53 +109,53 @@ func (ep *Endpoint) sendLocal(p *sim.Proc, a Addr, tag, msgid uint64, buf uproc.
 // stores, no kernel involvement at all. The request completes when the
 // last chunk is acknowledged — immediately on a loss-free fabric,
 // on cumulative ACK otherwise.
-func (ep *Endpoint) sendPIO(p *sim.Proc, dst int, a Addr, tag, msgid uint64, buf uproc.VirtAddr, length uint64, req *Request) error {
-	return ep.eagerChunks(length, func(off, n uint64) error {
-		hdr := ep.header(hfi.OpEager, tag, msgid, length, off, 0)
-		last := off+n >= length
+func (ep *Endpoint) sendPIO(p *sim.Proc, sr *sendReq) error {
+	a := sr.dst
+	return ep.eagerChunks(sr.length, func(off, n uint64) error {
+		hdr := ep.header(hfi.OpEager, sr.tag, sr.msgid, sr.length, off, 0)
+		last := off+n >= sr.length
 		if !ep.reliable && !ep.Synthetic {
 			// Loss-free fabric: nothing retains the chunk after delivery,
 			// so it can ride a pooled buffer that the receiving NIC
 			// recycles.
 			payload := ep.nic.AllocPayload(int(n))
-			if err := ep.proc().ReadAt(buf+uproc.VirtAddr(off), payload); err != nil {
+			if err := ep.proc().ReadAt(sr.buf+uproc.VirtAddr(off), payload); err != nil {
 				ep.nic.RecyclePayload(payload)
 				return fmt.Errorf("psm: rank %d payload read: %w", ep.Rank, err)
 			}
 			if err := ep.nic.PIOSendPooled(p, a.Node, a.Ctx, hdr, payload); err != nil {
 				return err
 			}
-			if last {
-				ep.pioAcked(req, nil)
+			if last && sr.req.complete(nil) {
+				ep.span("send:pio", sr.req.begin, sr.length)
 			}
 		} else {
-			payload, err := ep.readPayload(buf+uproc.VirtAddr(off), n)
+			payload, err := ep.readPayload(sr.buf+uproc.VirtAddr(off), n)
 			if err != nil {
 				return err
 			}
 			var onAcked func(error)
 			if last {
-				onAcked = func(err error) { ep.pioAcked(req, err) }
+				// The flow waiter holds the record until it fires.
+				sr.req.hold()
+				onAcked = sr.acked
 			}
-			if err := ep.sendFlowPkt(p, dst, a, hdr, payload, n, onAcked); err != nil {
+			if err := ep.sendFlowPkt(p, sr.peer, a, hdr, payload, n, onAcked); err != nil {
 				return err
 			}
 		}
-		ep.congPace(p, dst, n)
+		ep.congPace(p, sr.peer, n)
 		return nil
 	})
 }
 
-// pioAcked completes a PIO send once its last chunk is acknowledged.
-func (ep *Endpoint) pioAcked(req *Request, err error) {
-	if req.Done {
-		return
+// pioAcked completes a PIO send once its last chunk is acknowledged (or
+// its flow died), and lets go of the flow waiter's hold.
+func (sr *sendReq) pioAcked(err error) {
+	if sr.req.complete(err) && err == nil {
+		sr.ep.span("send:pio", sr.req.begin, sr.length)
 	}
-	req.Err = err
-	req.Done = true
-	if err == nil {
-		ep.span("send:pio", req.begin, req.Bytes)
-	}
+	sr.ep.drop(&sr.req)
 }
 
 // readPayload loads message bytes from user memory (nil in synthetic
@@ -190,9 +192,8 @@ func (ep *Endpoint) readPayloadScratch(va uproc.VirtAddr, n uint64) ([]byte, err
 // payload lands in the receiver's eager ring. On a lossy fabric the
 // send additionally awaits the receiver's FIN, with a recovery timer
 // that replays the message as sequenced PIO chunks.
-func (ep *Endpoint) sendEagerSDMA(p *sim.Proc, dst int, a Addr, tag, msgid uint64, buf uproc.VirtAddr, length uint64, req *Request) error {
-	sr := &sendReq{req: req, dst: a, peer: dst, tag: tag, msgid: msgid, buf: buf,
-		length: length, ctsDone: true, needFin: ep.reliable, op: "send:eager-sdma"}
+func (ep *Endpoint) sendEagerSDMA(p *sim.Proc, sr *sendReq) error {
+	sr.ctsDone, sr.needFin, sr.op = true, ep.reliable, "send:eager-sdma"
 	if ep.avoidSDMA() {
 		// Failed over from the SDMA fast path: carry the payload as
 		// sequenced PIO chunks instead of a writev. Completion still
@@ -202,44 +203,65 @@ func (ep *Endpoint) sendEagerSDMA(p *sim.Proc, dst int, a Addr, tag, msgid uint6
 		ep.armEagerFin(sr)
 		return ep.resendEagerPIO(p, sr)
 	}
-	ep.congPreSDMA(p, dst, length)
+	ep.congPreSDMA(p, sr.peer, sr.length)
 	ep.nextCompSeq++
 	cs := ep.nextCompSeq
 	hdr := &hfi.SDMAHeader{
-		Op: hfi.OpEager, DstNode: uint32(a.Node), DstCtx: uint32(a.Ctx),
-		SrcRank: uint32(ep.Rank), Tag: tag, MsgID: msgid, MsgLen: length,
-		CompSeq: cs, Flags: ep.flags(length),
+		Op: hfi.OpEager, DstNode: uint32(sr.dst.Node), DstCtx: uint32(sr.dst.Ctx),
+		SrcRank: uint32(ep.Rank), Tag: sr.tag, MsgID: sr.msgid, MsgLen: sr.length,
+		CompSeq: cs, Flags: ep.flags(sr.length),
 	}
-	if err := ep.writevSDMA(p, hdr, buf, length); err != nil {
+	if err := ep.writevSDMA(p, hdr, sr.buf, sr.length); err != nil {
 		return err
 	}
 	sr.windows = 1
-	ep.bySeq[cs] = sr
+	ep.awaitCompletion(cs, sr)
 	if ep.reliable {
 		ep.armEagerFin(sr)
 	}
 	return nil
 }
 
+// awaitCompletion files sr under the CQ sequence of one of its SDMA
+// submissions; the entry holds the record until the completion retires.
+func (ep *Endpoint) awaitCompletion(cs uint32, sr *sendReq) {
+	sr.req.hold()
+	ep.bySeq[cs] = sr
+}
+
+// trackSend files sr in ep.sends, which holds it until untrackSend.
+func (ep *Endpoint) trackSend(sr *sendReq) {
+	sr.req.hold()
+	ep.sends[sr.msgid] = sr
+}
+
+// untrackSend removes sr from ep.sends, if there, and drops the map's
+// hold.
+func (ep *Endpoint) untrackSend(sr *sendReq) {
+	if ep.sends[sr.msgid] == sr {
+		delete(ep.sends, sr.msgid)
+		ep.drop(&sr.req)
+	}
+}
+
 // armEagerFin registers an eager-SDMA send to await its FIN and arms the
 // FIN-replay recovery timer.
 func (ep *Endpoint) armEagerFin(sr *sendReq) {
-	ep.sends[sr.msgid] = sr
-	ep.armMsgTimer(mtKey{msgid: sr.msgid, kind: mtEagerFin}, sr.peer, sr.dst,
+	ep.trackSend(sr)
+	ep.armMsgTimer(mtKey{msgid: sr.msgid, kind: mtEagerFin}, sr.peer, sr.dst, &sr.req,
 		func(tp *sim.Proc) error { return ep.resendEagerPIO(tp, sr) },
 		func(err error) {
-			sr.req.fail(err)
-			delete(ep.sends, sr.msgid)
+			sr.req.complete(err)
+			ep.untrackSend(sr)
 		})
 }
 
 // sendRendezvous issues the RTS; the CTS handler drives the SDMA windows.
-func (ep *Endpoint) sendRendezvous(p *sim.Proc, dst int, a Addr, tag, msgid uint64, buf uproc.VirtAddr, length uint64, req *Request) error {
-	sr := &sendReq{req: req, dst: a, peer: dst, tag: tag, msgid: msgid, buf: buf,
-		length: length, remaining: length, op: "send:rdv", needFin: ep.reliable}
-	ep.sends[msgid] = sr
-	hdr := ep.header(OpRTS, tag, msgid, length, 0, 0)
-	return ep.sendFlowPkt(p, dst, a, hdr, nil, 16, nil)
+func (ep *Endpoint) sendRendezvous(p *sim.Proc, sr *sendReq) error {
+	sr.remaining, sr.op, sr.needFin = sr.length, "send:rdv", ep.reliable
+	ep.trackSend(sr)
+	hdr := ep.header(OpRTS, sr.tag, sr.msgid, sr.length, 0, 0)
+	return ep.sendFlowPkt(p, sr.peer, sr.dst, hdr, nil, 16, nil)
 }
 
 // writevSDMA encodes the header into scratch and performs the writev
@@ -274,7 +296,9 @@ func (ep *Endpoint) flags(size uint64) uint32 {
 
 // Irecv posts a receive for (src, tag) into buf (capacity bytes).
 func (ep *Endpoint) Irecv(p *sim.Proc, src int, tag uint64, buf uproc.VirtAddr, capacity uint64) (*Request, error) {
-	rr := &recvReq{req: Request{kind: reqRecv, begin: p.Now()}, src: src, tag: tag, buf: buf, capacity: capacity}
+	rr := ep.newRecv()
+	rr.req.begin = p.Now()
+	rr.src, rr.tag, rr.buf, rr.capacity = src, tag, buf, capacity
 	req := &rr.req
 
 	// MPI non-overtaking: of everything already here for (src, tag) —
@@ -283,7 +307,7 @@ func (ep *Endpoint) Irecv(p *sim.Proc, src int, tag uint64, buf uproc.VirtAddr, 
 	// order within one source, so that is the lowest msgid, whichever
 	// list holds it and whatever order the inflight map iterates in.
 	var inb *inbound
-	var rts *rtsInfo
+	rtsAt := -1
 	for _, c := range ep.unexpected {
 		if int(c.src) == src && c.tag == tag && (inb == nil || c.msgid < inb.msgid) {
 			inb = c
@@ -294,15 +318,15 @@ func (ep *Endpoint) Irecv(p *sim.Proc, src int, tag uint64, buf uproc.VirtAddr, 
 			inb = c
 		}
 	}
-	for _, r := range ep.pendingRTS {
-		if int(r.src) == src && r.tag == tag && (rts == nil || r.msgid < rts.msgid) {
-			rts = r
+	for i, r := range ep.pendingRTS {
+		if int(r.src) == src && r.tag == tag && (rtsAt < 0 || r.msgid < ep.pendingRTS[rtsAt].msgid) {
+			rtsAt = i
 		}
 	}
 	switch {
-	case rts != nil && (inb == nil || rts.msgid < inb.msgid):
-		i := slices.Index(ep.pendingRTS, rts)
-		ep.pendingRTS = slices.Delete(ep.pendingRTS, i, i+1)
+	case rtsAt >= 0 && (inb == nil || ep.pendingRTS[rtsAt].msgid < inb.msgid):
+		rts := ep.pendingRTS[rtsAt]
+		ep.pendingRTS = slices.Delete(ep.pendingRTS, rtsAt, rtsAt+1)
 		if err := ep.beginRendezvous(p, rr, rts); err != nil {
 			return nil, err
 		}
@@ -353,11 +377,15 @@ func (ep *Endpoint) Recv(p *sim.Proc, src int, tag uint64, buf uproc.VirtAddr, c
 	return ep.Wait(p, req)
 }
 
+// completeRecv finishes a receive of n bytes and lets go of the matching
+// state's hold: the caller has read the record for the last time. A
+// receive a recovery timer already failed keeps its error.
 func (ep *Endpoint) completeRecv(rr *recvReq, n uint64) {
-	rr.req.Done = true
+	rr.req.complete(nil)
 	ep.Stats.Recvs++
 	ep.Stats.BytesRecv += n
 	ep.span("recv", rr.req.begin, n)
+	ep.drop(&rr.req)
 }
 
 // matchPosted removes and returns the oldest posted receive matching
@@ -373,11 +401,12 @@ func (ep *Endpoint) matchPosted(src uint32, tag uint64) *recvReq {
 }
 
 // beginRendezvous admits a matched RTS, respecting the TID window limit.
-func (ep *Endpoint) beginRendezvous(p *sim.Proc, rr *recvReq, rts *rtsInfo) error {
+func (ep *Endpoint) beginRendezvous(p *sim.Proc, rr *recvReq, rts rtsInfo) error {
 	if rts.msglen > rr.capacity {
-		// Truncation fails the receive; the RTS stays pending for a
-		// correctly sized receive.
-		rr.req.fail(fmt.Errorf("psm: rendezvous of %d bytes truncates %d-byte receive", rts.msglen, rr.capacity))
+		// Truncation fails the receive, which nothing holds on to any
+		// more; the RTS stays pending for a correctly sized receive.
+		rr.req.complete(fmt.Errorf("psm: rendezvous of %d bytes truncates %d-byte receive", rts.msglen, rr.capacity))
+		ep.drop(&rr.req)
 		ep.pendingRTS = append(ep.pendingRTS, rts)
 		return nil
 	}
@@ -387,11 +416,9 @@ func (ep *Endpoint) beginRendezvous(p *sim.Proc, rr *recvReq, rts *rtsInfo) erro
 		ep.posted = append(ep.posted, rr)
 		return nil
 	}
-	rdv := &rdvRecv{
-		rr: rr, src: rts.src, msgid: rts.msgid, msglen: rts.msglen,
-		windows: make(map[uint64]*rdvWindow),
-		winSize: ep.nic.Params().RendezvousWindow,
-	}
+	rdv := ep.newRdv()
+	rdv.rr, rdv.src, rdv.msgid, rdv.msglen = rr, rts.src, rts.msgid, rts.msglen
+	rdv.winSize = ep.nic.Params().RendezvousWindow
 	ep.rdvRecvs[rts.msgid] = rdv
 	ep.activeRdvs++
 	for i := 0; i < RdvWindowDepth && rdv.nextReg < rdv.msglen; i++ {
@@ -422,8 +449,9 @@ func (ep *Endpoint) registerWindow(p *sim.Proc, rdv *rdvRecv) error {
 	}
 	rdv.nextReg += winLen
 	slot := ep.freeRdvSlots[0]
-	ep.freeRdvSlots = ep.freeRdvSlots[1:]
-	w := &rdvWindow{off: winOff, len: winLen, slot: slot}
+	ep.freeRdvSlots = slices.Delete(ep.freeRdvSlots, 0, 1)
+	w := ep.newWindow()
+	w.off, w.len, w.slot = winOff, winLen, slot
 	rdv.windows[winOff] = w
 
 	listVA := ep.slotVA(slot)
@@ -466,11 +494,12 @@ func (ep *Endpoint) registerWindow(p *sim.Proc, rdv *rdvRecv) error {
 		payload := hfi.AppendTIDList(make([]byte, 0, len(pairs)*hfi.TIDPairSize), pairs)
 		w.ctsPayload = payload
 		key := mtKey{msgid: rdv.msgid, win: winOff, kind: mtRdvWindow}
-		ep.armMsgTimer(key, int(rdv.src), addr,
+		rr := rdv.rr
+		ep.armMsgTimer(key, int(rdv.src), addr, &rr.req,
 			func(tp *sim.Proc) error {
 				return ep.sendFlowPkt(tp, int(rdv.src), addr, hdr, w.ctsPayload, 0, nil)
 			},
-			rdv.rr.req.fail)
+			func(err error) { rr.req.complete(err) })
 		return ep.sendFlowPkt(p, int(rdv.src), addr, hdr, payload, 0, nil)
 	}
 	// Loss-free fabric: the CTS payload is consumed on delivery, so it
@@ -501,6 +530,7 @@ func (ep *Endpoint) finishWindow(p *sim.Proc, rdv *rdvRecv, w *rdvWindow) error 
 	delete(rdv.windows, w.off)
 	ep.freeRdvSlots = append(ep.freeRdvSlots, w.slot)
 	rdv.completed += w.len
+	ep.retireWindow(w)
 	if rdv.nextReg < rdv.msglen {
 		if err := ep.registerWindow(p, rdv); err != nil {
 			return err
@@ -509,26 +539,29 @@ func (ep *Endpoint) finishWindow(p *sim.Proc, rdv *rdvRecv, w *rdvWindow) error 
 	if rdv.completed < rdv.msglen {
 		return nil
 	}
-	// Rendezvous complete.
+	// Rendezvous complete: the receive is completed, and the record
+	// retired, after the last read of either.
 	delete(ep.rdvRecvs, rdv.msgid)
 	ep.activeRdvs--
+	src := int(rdv.src)
+	fin := ep.header(OpRdvFin, rdv.rr.tag, rdv.msgid, 0, 0, 0)
 	ep.completeRecv(rdv.rr, rdv.msglen)
+	ep.retireRdv(rdv)
 	if ep.reliable {
 		// Sequenced receipt: the sender's request completes only when
 		// this FIN lands (its CQ completions can predate wire delivery).
-		addr, err := ep.addrOf(int(rdv.src))
+		addr, err := ep.addrOf(src)
 		if err != nil {
 			return err
 		}
-		fin := ep.header(OpRdvFin, rdv.rr.tag, rdv.msgid, 0, 0, 0)
-		if err := ep.sendFlowPkt(p, int(rdv.src), addr, fin, nil, ackWireBytes, nil); err != nil {
+		if err := ep.sendFlowPkt(p, src, addr, fin, nil, ackWireBytes, nil); err != nil {
 			return err
 		}
 	}
 	// Admit a backlogged rendezvous, if any.
 	if len(ep.rdvBacklog) > 0 {
 		rts := ep.rdvBacklog[0]
-		ep.rdvBacklog = ep.rdvBacklog[1:]
+		ep.rdvBacklog = slices.Delete(ep.rdvBacklog, 0, 1)
 		if rr := ep.matchPosted(rts.src, rts.tag); rr != nil {
 			return ep.beginRendezvous(p, rr, rts)
 		}

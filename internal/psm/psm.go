@@ -101,7 +101,12 @@ func (m MapBook) Lookup(rank int) (Addr, bool) {
 	return a, ok
 }
 
-// Request is an asynchronous operation handle.
+// Request is an asynchronous operation handle. Wait, and WaitAll, Send
+// and Recv through it, hands a finished request back to its endpoint, as
+// MPI_Wait sets MPI_REQUEST_NULL: the caller must not touch the request
+// after Wait returns. The endpoint reuses the record once the protocol
+// has let go of it too; until then the freed record is poisoned, and
+// completing or waiting on it panics.
 type Request struct {
 	Done bool
 	Err  error
@@ -110,13 +115,41 @@ type Request struct {
 	kind  reqKind
 	// begin stamps Isend/Irecv entry for the operation's trace span.
 	begin time.Duration
+
+	// holds counts the record's holders: the caller until Wait, and the
+	// endpoint's send map and CQ entries, armed recovery timers, flow
+	// waiters, and a receive's matching state until it completes. The
+	// last drop frees the record.
+	holds int  `snap:"-"`
+	freed bool `snap:"-"`
+	// send or recv is the record embedding this request.
+	send *sendReq `snap:"-"`
+	recv *recvReq `snap:"-"`
 }
 
-// fail completes the request with err, unless it already completed.
-func (r *Request) fail(err error) {
-	if !r.Done {
-		r.Err, r.Done = err, true
+// complete finishes the request with err (nil on success), unless it
+// already finished, and reports whether it did. It is the only place a
+// request finishes.
+func (r *Request) complete(err error) bool {
+	r.live()
+	if r.Done {
+		return false
 	}
+	r.Err, r.Done = err, true
+	return true
+}
+
+// live panics if r's record was freed: a holder outlived its hold.
+func (r *Request) live() {
+	if r.freed {
+		panic("psm: " + recordName[r.kind] + " used after Wait freed it")
+	}
+}
+
+// hold records one more holder of r's record.
+func (r *Request) hold() {
+	r.live()
+	r.holds++
 }
 
 type reqKind uint8
@@ -125,6 +158,9 @@ const (
 	reqSend reqKind = iota
 	reqRecv
 )
+
+// recordName names the record type embedding each kind of request.
+var recordName = [...]string{reqSend: "sendReq", reqRecv: "recvReq"}
 
 // Stats accumulates per-endpoint instrumentation.
 type Stats struct {

@@ -236,6 +236,42 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestSteadyStateRoundTripAllocs pins that a warm 1 KB Send+Recv round
+// trip on a loss-free fabric allocates nothing, payloads included: Wait
+// hands each request back and the next Isend or Irecv reuses its record.
+func TestSteadyStateRoundTripAllocs(t *testing.T) {
+	const size = 1 << 10
+	const runs = 50
+	pair(t, false, func(p *sim.Proc, rank int, ep *psm.Endpoint) {
+		buf, err := ep.OS.MmapAnon(p, size)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		bounce := func(peer int) {
+			if err == nil && rank == 0 {
+				err = ep.Send(p, peer, 1, buf, size)
+			}
+			if err == nil {
+				err = ep.Recv(p, peer, 1, buf, size)
+			}
+			if err == nil && rank == 1 {
+				err = ep.Send(p, peer, 1, buf, size)
+			}
+		}
+		if rank == 1 {
+			for i := 0; i <= runs; i++ { // AllocsPerRun's warm-up, then its runs
+				bounce(0)
+			}
+		} else if got := testing.AllocsPerRun(runs, func() { bounce(1) }); got != 0 {
+			t.Errorf("1 KB round trip: %v allocations, want 0", got)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	})
+}
+
 // TestUnknownDestination errors cleanly.
 func TestUnknownDestination(t *testing.T) {
 	pair(t, true, func(p *sim.Proc, rank int, ep *psm.Endpoint) {

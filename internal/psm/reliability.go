@@ -111,6 +111,9 @@ type recovery struct {
 	fire func(p *sim.Proc, switched bool) error
 	// fail abandons the machine with its terminal error.
 	fail func(err error)
+	// held is the request a message timer holds while it is armed (nil
+	// for a flow).
+	held *Request `snap:"-"`
 }
 
 // peer is everything the endpoint keeps about one remote rank. The
@@ -360,12 +363,22 @@ func (ep *Endpoint) goBackN(p *sim.Proc, fl *txFlow, force bool) error {
 }
 
 // armMsgTimer starts a message-level recovery toward peer: replay runs
-// on every charged expiry, abandon when the retry budget is spent.
-func (ep *Endpoint) armMsgTimer(key mtKey, peer int, a Addr, replay func(*sim.Proc) error, abandon func(error)) {
-	mt := &recovery{peer: peer, addr: a, what: mtWhat[key.kind]}
+// on every charged expiry, abandon when the retry budget is spent. The
+// timer holds held's record while it is armed, and again while a replay
+// runs: a replay sleeps on the wire, and the timer can be cancelled
+// meanwhile.
+func (ep *Endpoint) armMsgTimer(key mtKey, peer int, a Addr, held *Request, replay func(*sim.Proc) error, abandon func(error)) {
+	mt := &recovery{peer: peer, addr: a, what: mtWhat[key.kind], held: held}
+	held.hold()
 	mt.fail = func(err error) {
-		delete(ep.msgTimers, key)
+		armed := ep.msgTimers[key] == mt
+		if armed {
+			delete(ep.msgTimers, key)
+		}
 		abandon(err)
+		if armed {
+			ep.drop(held)
+		}
 	}
 	mt.fire = func(p *sim.Proc, switched bool) error {
 		if switched {
@@ -374,6 +387,8 @@ func (ep *Endpoint) armMsgTimer(key mtKey, peer int, a Addr, replay func(*sim.Pr
 			return nil
 		}
 		ep.Stats.MsgResends++
+		held.hold()
+		defer ep.drop(held)
 		err := replay(p)
 		// A recovery action against an already-dead flow fails the
 		// request, not the simulation.
@@ -396,7 +411,13 @@ func (ep *Endpoint) touchMsgTimer(key mtKey) {
 	}
 }
 
-func (ep *Endpoint) cancelMsgTimer(key mtKey) { delete(ep.msgTimers, key) }
+// cancelMsgTimer disarms a message timer, if armed, and drops its hold.
+func (ep *Endpoint) cancelMsgTimer(key mtKey) {
+	if mt, ok := ep.msgTimers[key]; ok {
+		delete(ep.msgTimers, key)
+		ep.drop(mt.held)
+	}
+}
 
 // nextDeadline returns the earliest armed deadline across flows,
 // message timers and the health machine. A deadline of 0 (virtual time
@@ -568,9 +589,9 @@ func (ep *Endpoint) maybeCompleteSend(sr *sendReq) {
 	if sr.needFin && !sr.finDone {
 		return
 	}
-	sr.req.Done = true
-	delete(ep.sends, sr.msgid)
+	sr.req.complete(nil)
 	ep.span(sr.op, sr.req.begin, sr.length)
+	ep.untrackSend(sr)
 }
 
 // resendEagerPIO replays a whole eager-SDMA message as sequenced PIO

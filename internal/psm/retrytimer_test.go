@@ -89,7 +89,11 @@ func TestForwardProgressRestartsSchedule(t *testing.T) {
 	}
 
 	key := mtKey{msgid: 9, kind: mtRdvWindow}
-	ep.armMsgTimer(key, 1, Addr{Node: 1}, nil, nil)
+	held := &Request{holds: 1} // the caller's
+	ep.armMsgTimer(key, 1, Addr{Node: 1}, held, nil, nil)
+	if held.holds != 2 {
+		t.Errorf("armed timer: %d holds on its request, want 2", held.holds)
+	}
 	mt := ep.msgTimers[key]
 	if mt.retryTimer != fresh || mt.what != "rdv-window" {
 		t.Errorf("newly armed message timer = %+v (%s), want %+v", mt.retryTimer, mt.what, fresh)
@@ -103,5 +107,9 @@ func TestForwardProgressRestartsSchedule(t *testing.T) {
 	ep.touchMsgTimer(key) // a cancelled timer is not resurrected
 	if len(ep.msgTimers) != 0 {
 		t.Error("touch resurrected a cancelled message timer")
+	}
+	ep.cancelMsgTimer(key) // cancelling twice drops one hold only
+	if held.holds != 1 {
+		t.Errorf("cancelled timer: %d holds on its request, want 1", held.holds)
 	}
 }
