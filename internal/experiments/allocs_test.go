@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/fabric"
 )
 
 // marginalMallocs is what one more repetition of run mallocs: run at
@@ -40,23 +41,37 @@ func TestSteadyStateAllocsPerRoundTrip(t *testing.T) {
 	for _, c := range []struct {
 		size    uint64
 		reps    int
+		drop    float64
 		ceiling [3]float64
 	}{
-		{1 << 10, 256, [3]float64{0.9 + 1, 0.0 + 1, 0.0 + 1}},       // PIO: 2 packets
-		{32 << 10, 64, [3]float64{0.2 + 8, 0.1 + 8, 0.0 + 4}},       // eager SDMA: 16, 16, 8 packets
-		{4 << 20, 4, [3]float64{1.8 + 1033, 0.8 + 1033, 0.5 + 425}}, // rendezvous: 2066, 2066, 850 packets
+		{1 << 10, 256, 0, [3]float64{0.9 + 1, 0.0 + 1, 0.0 + 1}},       // PIO: 2 packets
+		{32 << 10, 64, 0, [3]float64{0.2 + 8, 0.1 + 8, 0.0 + 4}},       // eager SDMA: 16, 16, 8 packets
+		{4 << 20, 4, 0, [3]float64{1.8 + 1033, 0.8 + 1033, 0.5 + 425}}, // rendezvous: 2066, 2066, 850 packets
+		// Eager SDMA at 2 % drop (fault seed 7), verified: 20, 20, 12
+		// packets before any loss (data, two FINs, their ACKs), plus
+		// go-back-N rounds, message timers and PIO replays. What remains
+		// is mostly the replays' retained chunks (readPayload).
+		{32 << 10, 64, 0.02, [3]float64{1.5 + 10, 1.4 + 10, 0.8 + 6}},
 	} {
+		cfg := tinyConfig()
+		cfg.Faults = fabric.FaultProfile{LinkFaults: fabric.LinkFaults{Drop: c.drop}, Seed: 7}
+		id := func(os cluster.OSType) string {
+			if c.drop > 0 {
+				return cellID(relKey{c.drop, c.size}.String(), os)
+			}
+			return cellID(fig4Key(c.size), os)
+		}
 		for i, os := range cluster.AllOSTypes {
 			got := marginalMallocs(t, c.reps, func(reps int) error {
-				cell, err := buildPingPong(tinyConfig(), os, c.size, reps, 1, nil, false)
+				cell, err := buildPingPong(cfg, os, c.size, reps, 1, nil, c.drop > 0)
 				if err == nil {
 					_, err = cell.finish()
 				}
 				return err
 			})
-			t.Logf("%s: %.2f mallocs per round trip", cellID(fig4Key(c.size), os), got)
+			t.Logf("%s: %.2f mallocs per round trip", id(os), got)
 			if got > c.ceiling[i] {
-				t.Errorf("%s: %.2f mallocs per round trip, ceiling %.2f: something allocates per packet, event or request", cellID(fig4Key(c.size), os), got, c.ceiling[i])
+				t.Errorf("%s: %.2f mallocs per round trip, ceiling %.2f: something allocates per packet, event or request", id(os), got, c.ceiling[i])
 			}
 		}
 	}

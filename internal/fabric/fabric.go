@@ -398,7 +398,12 @@ func (f *Fabric) deliverAt(dst *Port, pkt *Packet, begin time.Duration, lat time
 // The sender has paid egress either way — faults happen in flight, so
 // the sender never learns a packet was lost. Drop/corrupt/dup/reorder
 // decisions come from the dedicated fault RNG in a fixed order so that
-// the fault pattern replays exactly for a given seed.
+// the fault pattern replays exactly for a given seed: drop, dup, then
+// for the original and after it the duplicate, corrupt before reorder.
+//
+// The packet that flies is the caller's own (every sender's comes from
+// GetPacket), so a faulty send allocates nothing; only a duplicate is a
+// fresh copy, taken before the original's corrupt draw marks it.
 func (f *Fabric) sendFaulty(dst *Port, pkt *Packet, begin time.Duration, lat time.Duration) {
 	if f.faults.downAt(pkt.SrcNode, pkt.DstNode, f.e.Now()) {
 		f.fstats.DownDrops++
@@ -413,41 +418,38 @@ func (f *Fabric) sendFaulty(dst *Port, pkt *Packet, begin time.Duration, lat tim
 		f.Release(pkt)
 		return
 	}
-	copies := 1
+	var dup *Packet
 	if lf.Dup > 0 && f.frng.Float64() < lf.Dup {
 		f.fstats.Duplicated++
-		copies = 2
 		// Both in-flight copies alias the same payload, so neither may
 		// recycle it: take the packet out of the pooled regime and let
 		// the garbage collector reclaim both (duplication is rare).
 		pkt.Pooled = false
 		pkt.PooledPayload = false
+		dup = new(Packet)
+		*dup = *pkt
+		// The duplicate trails the original by one extra hop. The
+		// original alone carries the congestion credit charge.
+		dup.congFree = true
 	}
-	for i := 0; i < copies; i++ {
-		cp := *pkt
-		clat := lat
-		if i > 0 {
-			// The duplicate trails the original by one extra hop. The
-			// original alone carries the congestion credit charge.
-			clat += f.pr.LinkLatency
-			cp.congFree = true
-		}
-		if lf.Corrupt > 0 && f.frng.Float64() < lf.Corrupt {
-			f.fstats.Corrupted++
-			cp.Corrupt = true
-		}
-		if lf.Reorder > 0 && lf.ReorderDelay > 0 && f.frng.Float64() < lf.Reorder {
-			f.fstats.Reordered++
-			// Extra delay past the jitter FIFO clamp: packets sent later
-			// on this route may overtake this one.
-			clat += time.Duration(1 + f.frng.Int63n(int64(lf.ReorderDelay)))
-		}
-		if copies == 1 && pkt.Pooled {
-			// Single pooled copy: fly the original packet itself.
-			pkt.Corrupt = cp.Corrupt
-			f.deliverAt(dst, pkt, begin, clat)
-			continue
-		}
-		f.deliverAt(dst, &cp, begin, clat)
+	f.flyFaulty(dst, pkt, lf, begin, lat)
+	if dup != nil {
+		f.flyFaulty(dst, dup, lf, begin, lat+f.pr.LinkLatency)
 	}
+}
+
+// flyFaulty draws one in-flight copy's corruption and reordering, in
+// that order, and schedules its delivery.
+func (f *Fabric) flyFaulty(dst *Port, pkt *Packet, lf LinkFaults, begin, lat time.Duration) {
+	if lf.Corrupt > 0 && f.frng.Float64() < lf.Corrupt {
+		f.fstats.Corrupted++
+		pkt.Corrupt = true
+	}
+	if lf.Reorder > 0 && lf.ReorderDelay > 0 && f.frng.Float64() < lf.Reorder {
+		f.fstats.Reordered++
+		// Extra delay past the jitter FIFO clamp: packets sent later
+		// on this route may overtake this one.
+		lat += time.Duration(1 + f.frng.Int63n(int64(lf.ReorderDelay)))
+	}
+	f.deliverAt(dst, pkt, begin, lat)
 }

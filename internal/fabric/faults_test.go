@@ -200,3 +200,51 @@ func TestFaultRDMAExempt(t *testing.T) {
 		t.Fatalf("fault stats on RDMA traffic: %+v", st)
 	}
 }
+
+// TestFaultySendSteadyStateAllocs pins a warm faulty Send at zero
+// allocations: a pooled packet that the profile drops, corrupts or
+// reorders flies (or is released) as itself. Only a duplicate is a copy,
+// so the profile injects everything but duplication. One run is a burst
+// of packets: AllocsPerRun truncates its average, so one allocation per
+// delivered packet must add up to at least one per run.
+func TestFaultySendSteadyStateAllocs(t *testing.T) {
+	const warm, runs, burst = 32, 100, 16
+	e := sim.NewEngine(1)
+	defer e.Close()
+	pr := model.Default()
+	f := New(e, &pr)
+	if _, err := f.Attach(0, func(*Packet) {}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Attach(1, f.Release); err != nil {
+		t.Fatal(err)
+	}
+	f.SetFaults(&FaultProfile{LinkFaults: LinkFaults{
+		Drop: 0.1, Corrupt: 0.1, Reorder: 0.3, ReorderDelay: 2 * time.Microsecond,
+	}, Seed: 5})
+	e.Go("sender", func(p *sim.Proc) {
+		var err error
+		send := func() {
+			for i := 0; i < burst && err == nil; i++ {
+				pkt := f.GetPacket()
+				pkt.SrcNode, pkt.DstNode, pkt.Bytes = 0, 1, 4096
+				err = f.Send(p, pkt)
+			}
+		}
+		for i := 0; i < warm; i++ {
+			send()
+		}
+		if got := testing.AllocsPerRun(runs, send); got != 0 {
+			t.Errorf("warm faulty send: %v allocations, want 0", got)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.FaultStats(); st.Dropped == 0 || st.Corrupted == 0 || st.Reordered == 0 || st.Duplicated != 0 {
+		t.Errorf("profile did not inject every fault but duplication: %+v", st)
+	}
+}

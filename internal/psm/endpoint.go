@@ -72,9 +72,11 @@ type Endpoint struct {
 	reliable      bool
 	msgTimers     map[mtKey]*recovery
 	rtCond        *sim.Cond
+	alarm         func() `snap:"-"` // rtCond.Broadcast, bound once
 	closed        bool
 	completedMsgs map[uint64]bool // by msgid
 	completedFIFO []uint64
+	completedBuf  []uint64 `snap:"-"` // completedFIFO's array (rememberCompleted)
 	// health drives live fast-path/slow-path switching and dual-rail
 	// failover (nil on a loss-free fabric); see health.go.
 	health *healthMachine
@@ -95,14 +97,19 @@ type Endpoint struct {
 	tidBuf    []byte                  `snap:"-"` // TID-list wire staging
 	iov       [2]hfi.IOVec            `snap:"-"`
 	trackName string                  `snap:"-"` // cached "rank<N>" span track
+	dueRanks  []int                   `snap:"-"` // fireTimers' due flows
+	dueKeys   []mtKey                 `snap:"-"` // fireTimers' due message timers
 	// Free lists of the per-message records: a request's record returns
 	// when its last holder drops it (Request.holds), a rendezvous and its
-	// windows when the transfer retires. All come back cleared.
+	// windows when the transfer retires, a message timer's when
+	// msgTimers and any running expiry let go (recovery.holds). All come
+	// back cleared.
 	freeInbound []*inbound   `snap:"-"`
 	freeSends   []*sendReq   `snap:"-"`
 	freeRecvs   []*recvReq   `snap:"-"`
 	freeRdvs    []*rdvRecv   `snap:"-"`
 	freeWindows []*rdvWindow `snap:"-"`
+	freeTimers  []*recovery  `snap:"-"` // message timers' records
 }
 
 // recvReq is a posted receive; Irecv hands out its embedded request.
@@ -259,6 +266,7 @@ func NewEndpoint(p *sim.Proc, os OSOps, rank int, book AddressBook, synthetic bo
 		ep.msgTimers = make(map[mtKey]*recovery)
 		ep.completedMsgs = make(map[uint64]bool)
 		ep.rtCond = sim.NewCond(ep.eng)
+		ep.alarm = ep.rtCond.Broadcast
 		ep.health = &healthMachine{ep: ep}
 		ep.eng.GoDaemon(fmt.Sprintf("psm-rt-rank%d", rank), func(dp *sim.Proc) {
 			ep.runRetransmit(dp)

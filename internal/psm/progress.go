@@ -216,7 +216,7 @@ func (ep *Endpoint) onEagerChunk(p *sim.Proc, e *hfi.HdrqEntry) error {
 			}
 		}
 		if inb.bound == nil && !ep.Synthetic {
-			inb.heap = make([]byte, e.MsgLen)
+			inb.heap = bounceHeap(inb.heap, e.MsgLen)
 		}
 		ep.inflight[key] = inb
 	}
@@ -276,11 +276,23 @@ func (ep *Endpoint) newInbound() *inbound {
 }
 
 // recycleInbound returns the record of a message that has completed and
-// left every queue. Its interval set keeps its capacity; its bounce heap,
-// sized to one message, does not.
+// left every queue. Its interval set and its bounce heap keep their
+// capacity.
 func (ep *Endpoint) recycleInbound(inb *inbound) {
-	*inb = inbound{ivs: ivSet{ivs: inb.ivs.ivs[:0]}}
+	*inb = inbound{ivs: ivSet{ivs: inb.ivs.ivs[:0]}, heap: inb.heap[:0]}
 	ep.freeInbound = append(ep.freeInbound, inb)
+}
+
+// bounceHeap returns a zeroed n-byte bounce heap, reusing heap's array
+// when it is large enough. Zeroing matters on a lossy fabric: a partial
+// match copies the whole heap, gaps included, into the receive buffer.
+func bounceHeap(heap []byte, n uint64) []byte {
+	if uint64(cap(heap)) < n {
+		return make([]byte, n)
+	}
+	heap = heap[:n]
+	clear(heap)
+	return heap
 }
 
 // maybeSendEagerFin acknowledges full assembly of an SDMA-borne eager

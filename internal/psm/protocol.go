@@ -160,7 +160,12 @@ func (sr *sendReq) pioAcked(err error) {
 
 // readPayload loads message bytes from user memory (nil in synthetic
 // mode — lengths still flow through the whole stack). The buffer is
-// freshly allocated: reliability-mode callers retain it for retransmit.
+// freshly allocated and never recycled: reliability-mode callers retain
+// it for go-back-N retransmission, and a retransmitted packet still in
+// flight aliases it after its flow has let go, so no point is known at
+// which it is free (EXPERIMENTS.md, "Retained payloads are never
+// pooled"). Going through the fabric's buffer pool instead would also
+// move its exact hit counters.
 func (ep *Endpoint) readPayload(va uproc.VirtAddr, n uint64) ([]byte, error) {
 	if ep.Synthetic {
 		return nil, nil
@@ -248,12 +253,7 @@ func (ep *Endpoint) untrackSend(sr *sendReq) {
 // FIN-replay recovery timer.
 func (ep *Endpoint) armEagerFin(sr *sendReq) {
 	ep.trackSend(sr)
-	ep.armMsgTimer(mtKey{msgid: sr.msgid, kind: mtEagerFin}, sr.peer, sr.dst, &sr.req,
-		func(tp *sim.Proc) error { return ep.resendEagerPIO(tp, sr) },
-		func(err error) {
-			sr.req.complete(err)
-			ep.untrackSend(sr)
-		})
+	ep.armMsgTimer(mtKey{msgid: sr.msgid, kind: mtEagerFin}, sr.peer, sr.dst, &sr.req)
 }
 
 // sendRendezvous issues the RTS; the CTS handler drives the SDMA windows.
@@ -357,13 +357,15 @@ func (ep *Endpoint) Irecv(p *sim.Proc, src int, tag uint64, buf uproc.VirtAddr, 
 			if ep.reliable {
 				// Coverage may be non-contiguous on a lossy fabric;
 				// copy the whole heap (gaps are rewritten on arrival).
+				// A reused heap was zeroed, so the gaps copy zeroes.
 				landed = inb.heap
 			}
 			if err := ep.proc().WriteAt(rr.buf, landed); err != nil {
 				return nil, err
 			}
 		}
-		inb.heap = nil
+		// The rest lands in place; the record keeps the heap's array.
+		inb.heap = inb.heap[:0]
 	}
 	return req, nil
 }
@@ -494,12 +496,7 @@ func (ep *Endpoint) registerWindow(p *sim.Proc, rdv *rdvRecv) error {
 		payload := hfi.AppendTIDList(make([]byte, 0, len(pairs)*hfi.TIDPairSize), pairs)
 		w.ctsPayload = payload
 		key := mtKey{msgid: rdv.msgid, win: winOff, kind: mtRdvWindow}
-		rr := rdv.rr
-		ep.armMsgTimer(key, int(rdv.src), addr, &rr.req,
-			func(tp *sim.Proc) error {
-				return ep.sendFlowPkt(tp, int(rdv.src), addr, hdr, w.ctsPayload, 0, nil)
-			},
-			func(err error) { rr.req.complete(err) })
+		ep.armMsgTimer(key, int(rdv.src), addr, &rdv.rr.req)
 		return ep.sendFlowPkt(p, int(rdv.src), addr, hdr, payload, 0, nil)
 	}
 	// Loss-free fabric: the CTS payload is consumed on delivery, so it

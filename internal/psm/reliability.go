@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/fabric"
@@ -100,7 +99,8 @@ func (t *retryTimer) backoff(now, max time.Duration) {
 // recovery is one retry-budgeted state machine as the expiry policy
 // (Endpoint.expire) sees it: the timer, the peer it talks to, the name
 // a RetryBudgetError gives it, and the two hooks where the kinds
-// genuinely differ.
+// genuinely differ. A flow binds its hooks once, when it is created; a
+// message timer's are Endpoint methods, so arming one binds nothing.
 type recovery struct {
 	retryTimer
 	peer int
@@ -108,12 +108,18 @@ type recovery struct {
 	what string
 	// fire retransmits after a charged expiry or — switched — right after
 	// the health machine moved the peer onto a live rail.
-	fire func(p *sim.Proc, switched bool) error
+	fire func(ep *Endpoint, p *sim.Proc, r *recovery, switched bool) error
 	// fail abandons the machine with its terminal error.
-	fail func(err error)
-	// held is the request a message timer holds while it is armed (nil
-	// for a flow).
-	held *Request `snap:"-"`
+	fail func(ep *Endpoint, r *recovery, err error)
+
+	// The rest is a message timer's own (zero for a flow). held is the
+	// request the timer holds while it is armed; key files the timer in
+	// Endpoint.msgTimers. holds counts the holders of the recovery record
+	// itself: msgTimers while the timer is armed, and an expiry while it
+	// runs (see expire). The last one returns it to freeTimers.
+	held  *Request `snap:"-"`
+	key   mtKey    `snap:"-"`
+	holds int      `snap:"-"`
 }
 
 // peer is everything the endpoint keeps about one remote rank. The
@@ -144,8 +150,14 @@ func (ep *Endpoint) peerOf(rank int) *peer {
 type txFlow struct {
 	recovery
 	nextPSN uint32
+	// unacked and waiters are compacted in place as ACKs retire their
+	// heads, so a warm flow reuses their arrays. A go-back-N round's
+	// resend set is fixed at its start, though: rounds counts the rounds
+	// iterating unacked (each sleeps on the wire per packet), and an ACK
+	// landing meanwhile moves the survivors to a new array instead.
 	unacked []txPkt
 	waiters []txWaiter
+	rounds  int `snap:"-"` // a process's stack state, not the flow's
 	failed  error
 	// lastGBN rate-limits NAK-triggered resends: a burst of NAKs from
 	// one loss event triggers one go-back-N round. gbnRan gates it for
@@ -185,6 +197,7 @@ type ivSet struct{ ivs []iv }
 type iv struct{ lo, hi uint64 }
 
 // add inserts [lo, hi) and returns the number of newly covered bytes.
+// The set stays sorted by lo and reuses its array.
 func (s *ivSet) add(lo, hi uint64) uint64 {
 	if hi <= lo {
 		return 0
@@ -204,19 +217,22 @@ func (s *ivSet) add(lo, hi uint64) uint64 {
 		}
 		nlo, nhi = min(nlo, v.lo), max(nhi, v.hi)
 	}
+	// keep is still sorted: slide the merged interval down into place.
 	keep = append(keep, iv{lo: nlo, hi: nhi})
-	sort.Slice(keep, func(i, j int) bool { return keep[i].lo < keep[j].lo })
+	for i := len(keep) - 1; i > 0 && keep[i-1].lo > keep[i].lo; i-- {
+		keep[i-1], keep[i] = keep[i], keep[i-1]
+	}
 	s.ivs = keep
 	return added
 }
 
-// newTxFlow builds the send flow toward peer with its per-kind hooks.
-func (ep *Endpoint) newTxFlow(peer int, a Addr) *txFlow {
+// newTxFlow builds the send flow toward peer with its hooks.
+func newTxFlow(peer int, a Addr) *txFlow {
 	fl := &txFlow{}
 	fl.recovery = recovery{peer: peer, addr: a, what: "flow",
 		// A flow goes back N on every firing, a rail switch included.
-		fire: func(p *sim.Proc, _ bool) error { return ep.goBackN(p, fl, true) },
-		fail: func(err error) {
+		fire: func(ep *Endpoint, p *sim.Proc, _ *recovery, _ bool) error { return ep.goBackN(p, fl, true) },
+		fail: func(_ *Endpoint, _ *recovery, err error) {
 			fl.failed = err
 			for _, w := range fl.waiters {
 				w.fn(err)
@@ -247,7 +263,7 @@ func (ep *Endpoint) sendFlowPkt(p *sim.Proc, peer int, a Addr, hdr fabric.Header
 	}
 	pe := ep.peerOf(peer)
 	if pe.tx == nil {
-		pe.tx = ep.newTxFlow(peer, a)
+		pe.tx = newTxFlow(peer, a)
 	}
 	fl := pe.tx
 	if fl.failed != nil {
@@ -295,14 +311,28 @@ func (ep *Endpoint) ackUpTo(fl *txFlow, cum uint32) {
 	if n == 0 {
 		return
 	}
-	fl.unacked = append(fl.unacked[:0:0], fl.unacked[n:]...)
+	if fl.rounds > 0 {
+		// A go-back-N round is still reading this array: leave it to the
+		// round and carry the survivors on in a new one.
+		fl.unacked = append(make([]txPkt, 0, cap(fl.unacked)), fl.unacked[n:]...)
+	} else {
+		fl.unacked = compact(fl.unacked, n)
+	}
 	w := 0
 	for w < len(fl.waiters) && fl.waiters[w].psn <= cum {
 		fl.waiters[w].fn(nil)
 		w++
 	}
-	fl.waiters = append(fl.waiters[:0:0], fl.waiters[w:]...)
+	fl.waiters = compact(fl.waiters, w)
 	fl.progress(ep.eng.Now(), ep.nic.Params().PSMRtoBase, len(fl.unacked) > 0)
+}
+
+// compact drops the first n elements of s in place and zeroes the
+// vacated tail, so the array keeps no retired payload or callback alive.
+func compact[T any](s []T, n int) []T {
+	k := copy(s, s[n:])
+	clear(s[k:])
+	return s[:k]
 }
 
 // onAck retires the packets a cumulative ACK covers. A NAK names the
@@ -345,6 +375,8 @@ func (ep *Endpoint) goBackN(p *sim.Proc, fl *txFlow, force bool) error {
 	}
 	fl.gbnRan = true
 	fl.lastGBN = now
+	fl.rounds++
+	defer func() { fl.rounds-- }()
 	var resent uint64
 	for _, tp := range fl.unacked {
 		ep.Stats.Retransmits++
@@ -362,46 +394,91 @@ func (ep *Endpoint) goBackN(p *sim.Proc, fl *txFlow, force bool) error {
 	return nil
 }
 
-// armMsgTimer starts a message-level recovery toward peer: replay runs
-// on every charged expiry, abandon when the retry budget is spent. The
-// timer holds held's record while it is armed, and again while a replay
-// runs: a replay sleeps on the wire, and the timer can be cancelled
-// meanwhile.
-func (ep *Endpoint) armMsgTimer(key mtKey, peer int, a Addr, held *Request, replay func(*sim.Proc) error, abandon func(error)) {
-	mt := &recovery{peer: peer, addr: a, what: mtWhat[key.kind], held: held}
-	held.hold()
-	mt.fail = func(err error) {
-		armed := ep.msgTimers[key] == mt
-		if armed {
-			delete(ep.msgTimers, key)
-		}
-		abandon(err)
-		if armed {
-			ep.drop(held)
-		}
+// armMsgTimer starts a message-level recovery toward peer. The timer
+// holds held's record while it is armed, and again while a replay runs:
+// a replay sleeps on the wire, and the timer can be cancelled meanwhile.
+func (ep *Endpoint) armMsgTimer(key mtKey, peer int, a Addr, held *Request) {
+	var mt *recovery
+	if k := len(ep.freeTimers); k > 0 {
+		mt = ep.freeTimers[k-1]
+		ep.freeTimers = ep.freeTimers[:k-1]
+	} else {
+		mt = &recovery{}
 	}
-	mt.fire = func(p *sim.Proc, switched bool) error {
-		if switched {
-			// Unlike a flow, a message timer does not replay on a rail
-			// switch: it fires normally on its next expiry.
-			return nil
-		}
-		ep.Stats.MsgResends++
-		held.hold()
-		defer ep.drop(held)
-		err := replay(p)
+	*mt = recovery{peer: peer, addr: a, what: mtWhat[key.kind],
+		fire: (*Endpoint).replayMsg, fail: (*Endpoint).endMsgTimer,
+		held: held, key: key, holds: 1}
+	held.hold()
+	mt.progress(ep.eng.Now(), ep.nic.Params().PSMRtoBase, true)
+	ep.msgTimers[key] = mt
+	ep.rtCond.Broadcast()
+}
+
+// replayMsg is a message timer's fire hook: the eager-fin timer replays
+// its send as sequenced PIO chunks, the rdv-window timer re-sends its
+// window's CTS (the window is registered for as long as its timer is
+// armed). Unlike a flow, a message timer does not replay on a rail
+// switch: it fires normally on its next expiry.
+func (ep *Endpoint) replayMsg(p *sim.Proc, mt *recovery, switched bool) error {
+	if switched {
+		return nil
+	}
+	ep.Stats.MsgResends++
+	held := mt.held
+	held.hold()
+	defer ep.drop(held)
+	var err error
+	switch mt.key.kind {
+	case mtEagerFin:
+		err = ep.resendEagerPIO(p, held.send)
+	case mtRdvWindow:
+		rdv := ep.rdvRecvs[mt.key.msgid]
+		w := rdv.windows[mt.key.win]
+		hdr := ep.header(OpCTS, rdv.rr.tag, rdv.msgid, w.len, 0, w.off)
+		err = ep.sendFlowPkt(p, mt.peer, mt.addr, hdr, w.ctsPayload, 0, nil)
+	}
+	if err != nil {
 		// A recovery action against an already-dead flow fails the
 		// request, not the simulation.
 		var rbe *RetryBudgetError
 		if errors.As(err, &rbe) {
-			mt.fail(err)
+			ep.endMsgTimer(mt, err)
 			return nil
 		}
-		return err
 	}
-	mt.progress(ep.eng.Now(), ep.nic.Params().PSMRtoBase, true)
-	ep.msgTimers[key] = mt
-	ep.rtCond.Broadcast()
+	return err
+}
+
+// endMsgTimer disarms a message timer, if still armed, and drops the
+// holds its arming took. With a non-nil err (it is the fail hook) the
+// request it recovers first fails with err; a timer cancelled while its
+// replay ran only fails the request.
+func (ep *Endpoint) endMsgTimer(mt *recovery, err error) {
+	held := mt.held
+	armed := ep.msgTimers[mt.key] == mt
+	if armed {
+		delete(ep.msgTimers, mt.key)
+	}
+	if err != nil {
+		held.complete(err)
+		if mt.key.kind == mtEagerFin {
+			ep.untrackSend(held.send)
+		}
+	}
+	if armed {
+		ep.releaseMsgTimer(mt)
+		ep.drop(held)
+	}
+}
+
+// releaseMsgTimer lets go of one hold on a message timer's record. The
+// last one clears it and returns it to freeTimers.
+func (ep *Endpoint) releaseMsgTimer(mt *recovery) {
+	if mt.holds--; mt.holds > 0 {
+		return
+	}
+	*mt = recovery{}
+	ep.freeTimers = append(ep.freeTimers, mt)
 }
 
 // touchMsgTimer records forward progress: the backoff schedule restarts.
@@ -411,11 +488,10 @@ func (ep *Endpoint) touchMsgTimer(key mtKey) {
 	}
 }
 
-// cancelMsgTimer disarms a message timer, if armed, and drops its hold.
+// cancelMsgTimer disarms a message timer, if armed, and drops its holds.
 func (ep *Endpoint) cancelMsgTimer(key mtKey) {
 	if mt, ok := ep.msgTimers[key]; ok {
-		delete(ep.msgTimers, key)
-		ep.drop(mt.held)
+		ep.endMsgTimer(mt, nil)
 	}
 }
 
@@ -472,7 +548,7 @@ func (ep *Endpoint) runRetransmit(p *sim.Proc) {
 			// Alarm: wake this daemon exactly at the deadline. Stale
 			// alarms (for timers since retired) wake it spuriously and
 			// it just re-parks.
-			ep.eng.After(next-now, func() { ep.rtCond.Broadcast() })
+			ep.eng.After(next-now, ep.alarm)
 		}
 		ep.rtCond.Wait(p)
 	}
@@ -485,13 +561,15 @@ func (ep *Endpoint) runRetransmit(p *sim.Proc) {
 func (ep *Endpoint) fireTimers(p *sim.Proc) error {
 	now := p.Now()
 
-	var ranks []int
+	// The due lists are endpoint scratch: this daemon is their only user.
+	ranks := ep.dueRanks[:0]
 	for rank, pe := range ep.peers {
 		if pe.tx != nil && pe.tx.due(now) {
 			ranks = append(ranks, rank)
 		}
 	}
-	sort.Ints(ranks)
+	slices.Sort(ranks)
+	ep.dueRanks = ranks
 	for _, rank := range ranks {
 		fl := ep.peers[rank].tx
 		if !fl.due(now) {
@@ -506,7 +584,7 @@ func (ep *Endpoint) fireTimers(p *sim.Proc) error {
 		}
 	}
 
-	var keys []mtKey
+	keys := ep.dueKeys[:0]
 	for k, mt := range ep.msgTimers {
 		if mt.due(now) {
 			keys = append(keys, k)
@@ -515,6 +593,7 @@ func (ep *Endpoint) fireTimers(p *sim.Proc) error {
 	slices.SortFunc(keys, func(a, b mtKey) int {
 		return cmp.Or(cmp.Compare(a.msgid, b.msgid), cmp.Compare(a.win, b.win), cmp.Compare(a.kind, b.kind))
 	})
+	ep.dueKeys = keys
 	for _, k := range keys {
 		if mt, ok := ep.msgTimers[k]; ok && mt.due(now) {
 			if err := ep.expire(p, now, mt); err != nil {
@@ -533,6 +612,13 @@ func (ep *Endpoint) fireTimers(p *sim.Proc) error {
 // fires and backs off (rto doubling from PSMRtoBase to the PSMRtoMax
 // cap: 100 µs … 2 ms, 15.1 ms over the default 11 expiries).
 func (ep *Endpoint) expire(p *sim.Proc, now time.Duration, r *recovery) error {
+	if r.held != nil {
+		// A message timer's record outlives its expiry: a replay sleeps
+		// on the wire, the timer can be cancelled meanwhile, and r is
+		// still written after fire returns.
+		r.holds++
+		defer ep.releaseMsgTimer(r)
+	}
 	pr := ep.nic.Params()
 	if ep.pathDown(r.addr.Node) {
 		// The link this machine transmits on is down: resending into it
@@ -541,7 +627,7 @@ func (ep *Endpoint) expire(p *sim.Proc, now time.Duration, r *recovery) error {
 		// rail, or spare also down), freeze the budget and re-check
 		// after rto.
 		if ep.health.linkStrike(r.addr.Node) {
-			if err := r.fire(p, true); err != nil {
+			if err := r.fire(ep, p, r, true); err != nil {
 				return err
 			}
 		} else {
@@ -554,12 +640,12 @@ func (ep *Endpoint) expire(p *sim.Proc, now time.Duration, r *recovery) error {
 	ep.Stats.Timeouts++
 	if r.retries > pr.PSMMaxRetries {
 		r.armed = false
-		r.fail(&RetryBudgetError{Rank: ep.Rank, Peer: r.peer, Retries: r.retries - 1, What: r.what})
+		r.fail(ep, r, &RetryBudgetError{Rank: ep.Rank, Peer: r.peer, Retries: r.retries - 1, What: r.what})
 		return nil
 	}
 	// The backoff span covers the silent wait that just ended.
 	ep.span("backoff", now-r.rto, 0)
-	if err := r.fire(p, false); err != nil {
+	if err := r.fire(ep, p, r, false); err != nil {
 		return err
 	}
 	r.backoff(p.Now(), pr.PSMRtoMax)
@@ -614,11 +700,22 @@ func (ep *Endpoint) resendEagerPIO(p *sim.Proc, sr *sendReq) error {
 
 // rememberCompleted records a finished eager message so stale duplicate
 // chunks (late SDMA packets racing the FIN) are discarded.
+//
+// completedFIFO is a window sliding along completedBuf, an array of
+// twice completedCap: evicting advances the window, and when it reaches
+// the array's end its completedCap entries move back to the front. The
+// FIFO reads oldest first, as it always has, and needs no new array.
 func (ep *Endpoint) rememberCompleted(key uint64) {
 	if ep.completedMsgs[key] {
 		return
 	}
 	ep.completedMsgs[key] = true
+	if len(ep.completedFIFO) == cap(ep.completedFIFO) {
+		if ep.completedBuf == nil {
+			ep.completedBuf = make([]uint64, 2*completedCap)
+		}
+		ep.completedFIFO = ep.completedBuf[:copy(ep.completedBuf, ep.completedFIFO)]
+	}
 	ep.completedFIFO = append(ep.completedFIFO, key)
 	if len(ep.completedFIFO) > completedCap {
 		old := ep.completedFIFO[0]

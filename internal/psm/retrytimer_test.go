@@ -4,11 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fabric"
-	"repro/internal/hfi"
-	"repro/internal/mem"
 	"repro/internal/model"
-	"repro/internal/sim"
 )
 
 // TestRetryTimerSchedule pins the schedule the one timer type walks:
@@ -57,22 +53,12 @@ func TestRetryTimerSchedule(t *testing.T) {
 // message timer (touchMsgTimer) — hand back the full retry budget and
 // the base rto; a flow with nothing left outstanding disarms.
 func TestForwardProgressRestartsSchedule(t *testing.T) {
-	eng := sim.NewEngine(1)
-	pr := model.Default()
-	phys, err := mem.NewPhysMem()
-	if err != nil {
-		t.Fatal(err)
-	}
-	nic, err := hfi.NewNIC(eng, &pr, 0, phys, fabric.New(eng, &pr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep := &Endpoint{eng: eng, nic: nic, rtCond: sim.NewCond(eng),
-		peers: map[int]*peer{}, msgTimers: map[mtKey]*recovery{}}
+	ep, _ := bareEndpoint(t)
+	eng, pr := ep.eng, ep.nic.Params()
 	worn := retryTimer{armed: true, deadline: 7 * time.Millisecond, rto: pr.PSMRtoMax, retries: pr.PSMMaxRetries}
 	fresh := retryTimer{armed: true, deadline: eng.Now() + pr.PSMRtoBase, rto: pr.PSMRtoBase}
 
-	fl := ep.newTxFlow(1, Addr{Node: 1})
+	fl := newTxFlow(1, Addr{Node: 1})
 	fl.unacked = []txPkt{{psn: 1}, {psn: 2}}
 	fl.retryTimer = worn
 	ep.ackUpTo(fl, 0) // acknowledges nothing: no progress, nothing changes
@@ -90,7 +76,7 @@ func TestForwardProgressRestartsSchedule(t *testing.T) {
 
 	key := mtKey{msgid: 9, kind: mtRdvWindow}
 	held := &Request{holds: 1} // the caller's
-	ep.armMsgTimer(key, 1, Addr{Node: 1}, held, nil, nil)
+	ep.armMsgTimer(key, 1, Addr{Node: 1}, held)
 	if held.holds != 2 {
 		t.Errorf("armed timer: %d holds on its request, want 2", held.holds)
 	}
