@@ -58,9 +58,9 @@ examples:
 	$(GO) run ./examples/splitdriver
 	$(GO) run ./examples/halo3d -nodes 2 -rpn 4 -steps 3
 
-# Reachability census (outside tier-1 and CI, a few minutes): every
-# front end built with coverage and run over its default inputs, then
-# the internal/ functions no run executed. See scripts/reach.sh.
+# Reachability gate (CI, ≈2 min): every front end built with coverage
+# and run, then the internal/ functions no run executed, compared with
+# scripts/reach.allow; any difference fails. See scripts/reach.sh.
 reach:
 	GO=$(GO) sh scripts/reach.sh
 

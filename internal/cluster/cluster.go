@@ -5,7 +5,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -90,8 +92,10 @@ type Spec struct {
 	// (sim.ShardSet). 0 or 1 builds one standalone engine that runs the
 	// whole machine in a single unbounded window: same dispatcher, no
 	// barrier, and no restriction on faults, congestion or jitter.
-	// Shards > 1 requires the loss-free, jitter-free, congestion-free,
-	// untraced profile and is clamped to the node count.
+	// Shards > 1 is clamped to the node count, and New refuses it with
+	// an active fault profile, active congestion control, LinkJitter > 0
+	// or a non-positive LinkLatency. Tracing is allowed, but span order
+	// depends on the shard count (ROADMAP item 2(c)).
 	Shards int
 }
 
@@ -151,6 +155,9 @@ func New(cfg Spec) (*Cluster, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one node")
 	}
+	if err := checkFaultRates(&cfg.Faults); err != nil {
+		return nil, err
+	}
 	if cfg.Spec.TotalCPUs == 0 {
 		cfg.Spec = ihk.DefaultNodeSpec()
 	}
@@ -206,6 +213,48 @@ func New(cfg Spec) (*Cluster, error) {
 		c.Nodes = append(c.Nodes, n)
 	}
 	return c, nil
+}
+
+// checkFaultRates refuses a fault probability that is NaN or outside
+// [0, 1], naming the field. FaultProfile.Active reads "> 0", so such a
+// rate would otherwise run loss-free while the profile still records it.
+func checkFaultRates(fp *fabric.FaultProfile) error {
+	const want = "want a probability in [0, 1]"
+	if v := fp.SDMAErr; !(v >= 0 && v <= 1) { // true for NaN
+		return fmt.Errorf("cluster: Faults.SDMAErr = %v, %s", v, want)
+	}
+	if name, v := badRate(fp.LinkFaults); name != "" {
+		return fmt.Errorf("cluster: Faults.%s = %v, %s", name, v, want)
+	}
+	// In key order, so a profile with several bad links names the same
+	// one on every run.
+	ids := make([]fabric.LinkID, 0, len(fp.PerLink))
+	for id := range fp.PerLink {
+		ids = append(ids, id)
+	}
+	slices.SortFunc(ids, func(a, b fabric.LinkID) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
+	for _, id := range ids {
+		if name, v := badRate(fp.PerLink[id]); name != "" {
+			return fmt.Errorf("cluster: Faults.PerLink[%d->%d].%s = %v, %s", id.Src, id.Dst, name, v, want)
+		}
+	}
+	return nil
+}
+
+// badRate names lf's first rate that is NaN or outside [0, 1], and
+// returns "" when there is none.
+func badRate(lf fabric.LinkFaults) (string, float64) {
+	for _, r := range [...]struct {
+		name string
+		v    float64
+	}{{"Drop", lf.Drop}, {"Corrupt", lf.Corrupt}, {"Dup", lf.Dup}, {"Reorder", lf.Reorder}} {
+		if !(r.v >= 0 && r.v <= 1) {
+			return r.name, r.v
+		}
+	}
+	return "", 0
 }
 
 // newShardSet checks that the spec's profile can be sharded and creates

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/model"
 	"repro/internal/psm"
 	"repro/internal/sim"
@@ -391,5 +394,49 @@ func TestDeterministicRuns(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("non-deterministic: %v vs %v", a, b)
+	}
+}
+
+// TestNewRejectsBadFaultRates: every fault probability, top-level and
+// per link, must be a number in [0, 1], and New names the field it
+// refuses. FaultProfile.Active reads "> 0", so a negative or NaN rate
+// used to run loss-free while the profile still recorded it.
+func TestNewRejectsBadFaultRates(t *testing.T) {
+	type profile = fabric.FaultProfile
+	perLink := func(lf fabric.LinkFaults) map[fabric.LinkID]fabric.LinkFaults {
+		return map[fabric.LinkID]fabric.LinkFaults{{Src: 0, Dst: 1}: lf}
+	}
+	for _, c := range []struct {
+		field string
+		set   func(fp *profile, v float64)
+	}{
+		{"Drop", func(fp *profile, v float64) { fp.Drop = v }},
+		{"Corrupt", func(fp *profile, v float64) { fp.Corrupt = v }},
+		{"Dup", func(fp *profile, v float64) { fp.Dup = v }},
+		{"Reorder", func(fp *profile, v float64) { fp.Reorder = v }},
+		{"SDMAErr", func(fp *profile, v float64) { fp.SDMAErr = v }},
+		{"PerLink[0->1].Drop", func(fp *profile, v float64) { fp.PerLink = perLink(fabric.LinkFaults{Drop: v}) }},
+		{"PerLink[0->1].Corrupt", func(fp *profile, v float64) { fp.PerLink = perLink(fabric.LinkFaults{Corrupt: v}) }},
+		{"PerLink[0->1].Dup", func(fp *profile, v float64) { fp.PerLink = perLink(fabric.LinkFaults{Dup: v}) }},
+		{"PerLink[0->1].Reorder", func(fp *profile, v float64) { fp.PerLink = perLink(fabric.LinkFaults{Reorder: v}) }},
+	} {
+		build := func(v float64) (*Cluster, error) {
+			var fp profile
+			c.set(&fp, v)
+			return New(Spec{Nodes: 2, OS: OSLinux, Params: model.Default(), Seed: 1, Faults: fp})
+		}
+		for _, v := range []float64{-0.5, 1.5, math.NaN()} {
+			if _, err := build(v); err == nil || !strings.Contains(err.Error(), "Faults."+c.field+" = ") {
+				t.Errorf("%s = %v: New returned %v, want an error naming Faults.%s", c.field, v, err, c.field)
+			}
+		}
+		for _, v := range []float64{0, 1} {
+			cl, err := build(v)
+			if err != nil {
+				t.Errorf("%s = %v refused: %v", c.field, v, err)
+				continue
+			}
+			cl.Close()
+		}
 	}
 }

@@ -81,7 +81,6 @@ func (o *RankOS) leave(c *kernel.Ctx) {
 	o.free = append(o.free, c)
 }
 
-func (o *RankOS) Name() string         { return o.node.OS.String() }
 func (o *RankOS) NodeID() int          { return o.node.ID }
 func (o *RankOS) Proc() *uproc.Process { return o.proc }
 func (o *RankOS) NIC() *hfi.NIC        { return o.node.NIC }

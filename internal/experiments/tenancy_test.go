@@ -60,7 +60,7 @@ func TestTracedTenancy(t *testing.T) {
 	if row.Scenario != "packed" {
 		t.Fatalf("traced scenario = %q", row.Scenario)
 	}
-	if len(rec.Spans()) == 0 {
+	if rec.SpanCount() == 0 {
 		t.Fatal("traced tenancy cell recorded no spans")
 	}
 }

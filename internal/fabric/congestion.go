@@ -58,9 +58,6 @@ func (f *Fabric) SetCongestion(cp *CongProfile) {
 	}
 }
 
-// Congestion returns the installed congestion profile (nil if none).
-func (f *Fabric) Congestion() *CongProfile { return f.cong }
-
 // Congested reports whether congestion control is active.
 func (f *Fabric) Congested() bool { return f.cong.Active() }
 

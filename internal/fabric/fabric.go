@@ -225,9 +225,6 @@ func (f *Fabric) Attach(node int, deliver func(*Packet)) (*Port, error) {
 	return p, nil
 }
 
-// Nodes returns the number of attached ports.
-func (f *Fabric) Nodes() int { return len(f.ports) }
-
 // Ties returns the simultaneity-tie count: arrivals that landed at a
 // destination at the same virtual instant as the previous arrival from
 // a different source node. Zero ties certifies the run's delivery order

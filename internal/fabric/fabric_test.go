@@ -12,14 +12,27 @@ func TestAttachRejectsDuplicates(t *testing.T) {
 	e := sim.NewEngine(1)
 	pr := model.Default()
 	f := New(e, &pr)
-	if _, err := f.Attach(0, func(*Packet) {}); err != nil {
+	first, second := 0, 0
+	if _, err := f.Attach(0, func(*Packet) { first++ }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Attach(0, func(*Packet) {}); err == nil {
+	if _, err := f.Attach(0, func(*Packet) { second++ }); err == nil {
 		t.Fatal("duplicate attach accepted")
 	}
-	if f.Nodes() != 1 {
-		t.Fatalf("nodes = %d", f.Nodes())
+	if _, err := f.Attach(1, func(*Packet) {}); err != nil {
+		t.Fatal(err)
+	}
+	// The refused attach left node 0's first port in place.
+	e.Go("sender", func(p *sim.Proc) {
+		if err := f.Send(p, &Packet{SrcNode: 1, DstNode: 0, Bytes: 64}); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if first != 1 || second != 0 {
+		t.Fatalf("deliveries: first port %d, refused port %d; want 1, 0", first, second)
 	}
 }
 

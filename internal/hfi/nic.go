@@ -263,9 +263,6 @@ func (n *NIC) PutTxn(t *SDMATxn) {
 	n.freeTxns = append(n.freeTxns, t)
 }
 
-// Engines returns the number of SDMA engines.
-func (n *NIC) Engines() int { return len(n.engines) }
-
 // LiveContexts returns the number of currently allocated receive
 // contexts (teardown-balance instrumentation).
 func (n *NIC) LiveContexts() int { return len(n.contexts) }
@@ -275,9 +272,6 @@ func (n *NIC) LiveContexts() int { return len(n.contexts) }
 // context where no process return value can carry the error back to the
 // caller under test.
 func (n *NIC) Fail(err error) { n.e.Fail(err) }
-
-// Engine returns instrumentation for engine i.
-func (n *NIC) Engine(i int) *SDMAEngine { return n.engines[i] }
 
 // Lossy reports whether the NIC's fabric injects faults; PSM enables
 // its reliability protocol exactly when this is true.

@@ -137,12 +137,3 @@ func (wp *WorkerPool) SubmitAndWait(p *sim.Proc, name string, fn func(ctx *Ctx))
 	wp.release(item)
 	return p.Now() - start
 }
-
-// TotalBusy returns the summed busy time across the pool's CPUs.
-func (wp *WorkerPool) TotalBusy() time.Duration {
-	var t time.Duration
-	for _, b := range wp.Busy {
-		t += b
-	}
-	return t
-}

@@ -39,8 +39,12 @@ func TestWorkerPoolFIFOAndContention(t *testing.T) {
 	if wp.Executed != 6 {
 		t.Fatalf("executed = %d", wp.Executed)
 	}
-	if wp.TotalBusy() != 600 {
-		t.Fatalf("busy = %v", wp.TotalBusy())
+	var busy time.Duration
+	for _, b := range wp.Busy {
+		busy += b
+	}
+	if busy != 600 {
+		t.Fatalf("busy = %v", busy)
 	}
 }
 
@@ -157,9 +161,13 @@ func TestSpinLockMutualExclusion(t *testing.T) {
 	if maxInside != 1 {
 		t.Fatalf("max concurrent holders = %d", maxInside)
 	}
-	held, err := lock.Held()
-	if err != nil || held {
-		t.Fatalf("held after all unlocks = %v, %v", held, err)
+	next, err := lock.readWord(lock.Layout.NextOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, err := lock.readWord(lock.Layout.OwnerOff)
+	if err != nil || next != owner {
+		t.Fatalf("held after all unlocks: next %d, owner %d, %v", next, owner, err)
 	}
 }
 
@@ -176,7 +184,8 @@ func TestCrossKernelSpinLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lwkLock := linLock.View(lwk, LinuxSpinLockLayout)
+	// The McKernel view: the same address through McKernel's page tables.
+	lwkLock := &SpinLock{Space: lwk, Addr: addr, Layout: LinuxSpinLockLayout, SpinDelay: linLock.SpinDelay}
 
 	inside := 0
 	violation := false
@@ -225,7 +234,7 @@ func TestIncompatibleSpinLockLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Swapped word layout: reads the dispenser as the owner word.
-	badLock := linLock.View(lwk, SpinLockLayout{NextOff: 4, OwnerOff: 0})
+	badLock := &SpinLock{Space: lwk, Addr: addr, Layout: SpinLockLayout{NextOff: 4, OwnerOff: 0}, SpinDelay: linLock.SpinDelay}
 
 	inside := 0
 	violation := false

@@ -53,13 +53,6 @@ func NewSpinLock(space *kmem.Space, addr kmem.VirtAddr, layout SpinLockLayout) (
 	return l, nil
 }
 
-// View returns a handle to the same lock as seen from another kernel.
-// The returned handle shares the address but uses the other kernel's
-// page tables and (possibly different) layout.
-func (l *SpinLock) View(space *kmem.Space, layout SpinLockLayout) *SpinLock {
-	return &SpinLock{Space: space, Addr: l.Addr, Layout: layout, SpinDelay: l.SpinDelay}
-}
-
 func (l *SpinLock) readWord(off uint64) (uint32, error) {
 	var b [4]byte
 	if err := l.Space.ReadAt(l.Addr+kmem.VirtAddr(off), b[:]); err != nil {
@@ -103,17 +96,4 @@ func (l *SpinLock) Unlock() error {
 		return err
 	}
 	return l.writeWord(l.Layout.OwnerOff, owner+1)
-}
-
-// Held reports whether the lock is currently held (next != owner).
-func (l *SpinLock) Held() (bool, error) {
-	next, err := l.readWord(l.Layout.NextOff)
-	if err != nil {
-		return false, err
-	}
-	owner, err := l.readWord(l.Layout.OwnerOff)
-	if err != nil {
-		return false, err
-	}
-	return next != owner, nil
 }

@@ -129,9 +129,6 @@ func NewSpace(name string, layout vas.Layout, alloc *mem.Allocator, cpus []int) 
 // routines run correctly on CPUs this kernel does not manage.
 func (s *Space) EnableForeignFree() { s.foreignFree = true }
 
-// CPUs returns the number of CPUs the kernel manages.
-func (s *Space) CPUs() int { return len(s.cpus) }
-
 func classFor(size uint64) int {
 	for i, c := range classes {
 		if size <= c {

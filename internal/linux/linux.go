@@ -113,9 +113,6 @@ func (k *Kernel) RegisterDevice(path string, drv Driver) error {
 // Engine returns the simulation engine.
 func (k *Kernel) Engine() *sim.Engine { return k.e }
 
-// Params returns the model constants.
-func (k *Kernel) Params() *model.Params { return k.pr }
-
 // account closes out one syscall: it feeds the profiler and, when
 // tracing is on, emits a span on the calling process's track.
 func (k *Kernel) account(ctx *kernel.Ctx, name string, start time.Duration) {

@@ -123,15 +123,6 @@ func (b *buddy) buddyOf(addr PhysAddr, order int) PhysAddr {
 	return b.base + PhysAddr(off^blockSize(order))
 }
 
-// freeBytes returns the total bytes on the free lists.
-func (b *buddy) freeBytes() uint64 {
-	var total uint64
-	for order, set := range b.freeLists {
-		total += uint64(len(set)) * blockSize(order)
-	}
-	return total
-}
-
 func lowest(set map[PhysAddr]struct{}) PhysAddr {
 	first := true
 	var min PhysAddr

@@ -142,13 +142,6 @@ func (pm *PhysMem) Unpin(e Extent) {
 	}
 }
 
-// Pinned reports whether the 4K frame containing pa is pinned.
-func (pm *PhysMem) Pinned(pa PhysAddr) bool {
-	w := pm.walk(Extent{Addr: pa, Len: 1})
-	var r frameRun
-	return w.next(&r) && r.c.pinCount(r.lo) > 0
-}
-
 // PinnedFrames returns the number of distinct pinned frames.
 func (pm *PhysMem) PinnedFrames() int { return pm.pinned }
 

@@ -405,19 +405,6 @@ func (pm *PhysMem) FreeScattered(extents []Extent) {
 	}
 }
 
-// Allocated returns the number of bytes currently held from the buddy
-// allocators, per region kind. Frames sitting in scatter pools count as
-// allocated (they are unavailable for contiguous allocation).
-func (pm *PhysMem) Allocated(kind Kind) uint64 {
-	var total uint64
-	for _, rs := range pm.regions {
-		if rs.Kind == kind {
-			total += rs.allocated
-		}
-	}
-	return total
-}
-
 // mergeExtents sorts extents by address and merges adjacent ones.
 func mergeExtents(in []Extent) []Extent {
 	if len(in) <= 1 {

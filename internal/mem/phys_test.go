@@ -52,7 +52,7 @@ func TestAllocContigBasic(t *testing.T) {
 		t.Fatalf("addr %#x not naturally aligned to %d", e.Addr, e.Len)
 	}
 	pm.FreeContig(e)
-	if got := pm.Allocated(MCDRAM); got != 0 {
+	if got := heldBytes(pm, MCDRAM); got != 0 {
 		t.Fatalf("allocated after free = %d", got)
 	}
 }
@@ -142,11 +142,11 @@ func TestAllocRunRollbackOnFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := pm.Allocated(DDR4)
+	before := heldBytes(pm, DDR4)
 	if _, err := pm.Partition("").AllocRun(32, DDROnly); err == nil {
 		t.Fatal("expected failure")
 	}
-	if pm.Allocated(DDR4) != before {
+	if heldBytes(pm, DDR4) != before {
 		t.Fatal("failed AllocRun leaked memory")
 	}
 }
@@ -217,7 +217,7 @@ func TestPinUnpin(t *testing.T) {
 	if pm.PinnedFrames() != 2 {
 		t.Fatalf("pinned frames = %d, want 2", pm.PinnedFrames())
 	}
-	if !pm.Pinned(sub.Addr) || !pm.Pinned(sub.Addr+PageSize4K) {
+	if !pinnedAt(pm, sub.Addr) || !pinnedAt(pm, sub.Addr+PageSize4K) {
 		t.Fatal("frames not reported pinned")
 	}
 	pm.Pin(sub) // second pin
@@ -305,8 +305,8 @@ func TestBuddyInvariants(t *testing.T) {
 		for _, e := range live {
 			pm.FreeContig(e)
 		}
-		return pm.Allocated(DDR4) == 0 &&
-			pm.regions[0].buddy.freeBytes() == 4<<20
+		return heldBytes(pm, DDR4) == 0 &&
+			freeListBytes(pm.regions[0].buddy) == 4<<20
 	}
 	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(11))}
 	if err := quick.Check(f, cfg); err != nil {
@@ -385,4 +385,26 @@ func TestPartitionedAllocation(t *testing.T) {
 	}
 	lin.FreeContig(e1)
 	lwk.FreeContig(e2)
+}
+
+// heldBytes sums the bytes kind's regions hold from their buddy
+// allocators. Frames sitting in scatter pools count as held (they are
+// unavailable for contiguous allocation).
+func heldBytes(pm *PhysMem, kind Kind) uint64 {
+	var total uint64
+	for _, rs := range pm.regions {
+		if rs.Kind == kind {
+			total += rs.allocated
+		}
+	}
+	return total
+}
+
+// freeListBytes sums the bytes on b's free lists.
+func freeListBytes(b *buddy) uint64 {
+	var total uint64
+	for order, set := range b.freeLists {
+		total += uint64(len(set)) * blockSize(order)
+	}
+	return total
 }

@@ -276,8 +276,8 @@ func runPhysMemOps(t testing.TB, prog []byte) {
 			t.Fatalf("PinnedFrames = %d, reference %d", got, want)
 		}
 		for _, pa := range []PhysAddr{e.Addr, e.End() - 1} {
-			if got, want := pm.Pinned(pa), ref.pins[frameFloor(pa)] > 0; got != want {
-				t.Fatalf("Pinned(%#x) = %v, reference %v", pa, got, want)
+			if got, want := pinnedAt(pm, pa), ref.pins[frameFloor(pa)] > 0; got != want {
+				t.Fatalf("pinned at %#x = %v, reference %v", pa, got, want)
 			}
 		}
 	}
@@ -786,4 +786,11 @@ func BenchmarkAccess64K(b *testing.B) {
 			b.Fatal("access failed")
 		}
 	}
+}
+
+// pinnedAt reports whether the 4K frame containing pa is pinned.
+func pinnedAt(pm *PhysMem, pa PhysAddr) bool {
+	w := pm.walk(Extent{Addr: pa, Len: 1})
+	var r frameRun
+	return w.next(&r) && r.c.pinCount(r.lo) > 0
 }

@@ -223,9 +223,6 @@ func NewDriver(k *linux.Kernel, hca HCA) (*Driver, error) {
 // Registry exposes the authoritative layouts (test oracle only).
 func (d *Driver) Registry() *kstruct.Registry { return d.reg }
 
-// DeviceVA returns the mlx_device address (exported module symbol).
-func (d *Driver) DeviceVA() kmem.VirtAddr { return d.devVA }
-
 var _ linux.Driver = (*Driver)(nil)
 
 // Open allocates per-file data.

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/kmem"
 	"repro/internal/kstruct"
 	"repro/internal/linux"
 	"repro/internal/mem"
@@ -53,6 +54,16 @@ func (r *rig) open(ctx *kernel.Ctx, proc *uproc.Process) (*linux.File, error) {
 		f.NoFastPath = !r.fast
 	}
 	return f, err
+}
+
+// deviceVA reads the mlx_device address out of an open file's private
+// data, the way the fast path finds it.
+func deviceVA(reg *kstruct.Registry, space *kmem.Space, f *linux.File) (kmem.VirtAddr, error) {
+	fdl, err := reg.Lookup("mlx_filedata")
+	if err != nil {
+		return 0, err
+	}
+	return kstruct.Obj{Space: space, Addr: f.Private, Layout: fdl}.GetPtr("dev")
 }
 
 // regDereg registers and deregisters an MR through the LWK syscall
@@ -107,12 +118,17 @@ func (r *rig) regDereg(t *testing.T, size uint64) (lat time.Duration, extents in
 			return
 		}
 		// Inspect the MR count through the authoritative layout.
+		devVA, err := deviceVA(r.drv.Registry(), n.LinSpace, f)
+		if err != nil {
+			t.Error(err)
+			return
+		}
 		devLayout, err := r.drv.Registry().Lookup("mlx_device")
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		dev := kstruct.Obj{Space: n.LinSpace, Addr: r.drv.DeviceVA(), Layout: devLayout}
+		dev := kstruct.Obj{Space: n.LinSpace, Addr: devVA, Layout: devLayout}
 		count, err := dev.GetU("mr_count")
 		if err != nil {
 			t.Error(err)
@@ -242,7 +258,17 @@ func TestMTTEntriesReflectBacking(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		_, _, mttPagesVA, err := mlx.BuildMR(ctx, n.LinSpace, drv.Registry(), drv.DeviceVA(),
+		var f linux.File
+		if err := drv.Open(ctx, &f); err != nil {
+			t.Error(err)
+			return
+		}
+		devVA, err := deviceVA(drv.Registry(), n.LinSpace, &f)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		_, _, mttPagesVA, err := mlx.BuildMR(ctx, n.LinSpace, drv.Registry(), devVA,
 			pages, uint64(buf), size, 0, uint64(mlx.AccessLocalWrite))
 		if err != nil {
 			t.Error(err)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/model"
+	"repro/internal/trace"
 )
 
 func testCluster(t *testing.T, nodes int, os cluster.OSType, synthetic bool) *cluster.Cluster {
@@ -124,8 +125,8 @@ func TestProfileCapturesInitAndWait(t *testing.T) {
 	if res.MPI.Time("MPI_Init") < 2*cl.Params.MPIInitBase {
 		t.Fatalf("MPI_Init time %v too small", res.MPI.Time("MPI_Init"))
 	}
-	if res.MPI.Count("MPI_Wait") != 4 {
-		t.Fatalf("MPI_Wait count = %d", res.MPI.Count("MPI_Wait"))
+	if syscallCount(res.MPI, "MPI_Wait") != 4 {
+		t.Fatalf("MPI_Wait count = %d", syscallCount(res.MPI, "MPI_Wait"))
 	}
 	// +HFI initialization must exceed what Linux would pay (Table 1's
 	// MPI_Init observation): check the Pico extra is included.
@@ -204,4 +205,14 @@ func TestJobResultFirstFailureWins(t *testing.T) {
 	if !errors.Is(err, cause) {
 		t.Fatalf("Result error = %v, want the first failure %v", err, cause)
 	}
+}
+
+// syscallCount is name's invocation count in prof.
+func syscallCount(prof *trace.SyscallProfile, name string) uint64 {
+	for _, e := range prof.Top(0) {
+		if e.Name == name {
+			return e.Count
+		}
+	}
+	return 0
 }

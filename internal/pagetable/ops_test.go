@@ -157,7 +157,7 @@ type vaRange struct {
 	length uint64
 }
 
-// runPageTableOps interprets prog as Map, Unmap, Translate, PageSizeAt,
+// runPageTableOps interprets prog as Map, Unmap, Translate, lookup,
 // WalkExtentsInto and PagesInto calls over 4K, 2M and 1G pages and
 // checks every result, error or success, against refTable.
 func runPageTableOps(t testing.TB, prog []byte) {
@@ -231,7 +231,7 @@ func runPageTableOps(t testing.TB, prog []byte) {
 			if err := tbl.Unmap(va, length); (err == nil) != want {
 				t.Fatalf("step %d: Unmap(%#x, %#x) = %v, reference ok=%v", step, va, length, err, want)
 			}
-		case 2: // Translate, PageSizeAt
+		case 2: // Translate, lookup's page size
 			va := probe()
 			if p.u8()%8 == 0 {
 				va ^= 1 << 47 // the non-canonical twin of a canonical address
@@ -242,8 +242,8 @@ func runPageTableOps(t testing.TB, prog []byte) {
 				t.Fatalf("step %d: Translate(%#x) = %#x/%#x/%v, reference %#x/%#x/%v",
 					step, va, pa, flags, ok, l.pa+mem.PhysAddr(va-base), l.flags, want)
 			}
-			if got := tbl.PageSizeAt(va); got != l.size {
-				t.Fatalf("step %d: PageSizeAt(%#x) = %d, reference %d", step, va, got, l.size)
+			if _, got, _ := tbl.lookup(va); got != l.size {
+				t.Fatalf("step %d: page size at %#x = %d, reference %d", step, va, got, l.size)
 			}
 		case 3, 4: // WalkExtentsInto, PagesInto
 			pages := op == 4

@@ -269,15 +269,6 @@ func (t *Table) Translate(va VirtAddr) (mem.PhysAddr, Flags, bool) {
 	return e.at(uint64(va) & (pgsz - 1)), e.flags(), true
 }
 
-// PageSizeAt returns the page size backing va, or 0 if unmapped.
-func (t *Table) PageSizeAt(va VirtAddr) uint64 {
-	_, pgsz, ok := t.lookup(va)
-	if !ok {
-		return 0
-	}
-	return pgsz
-}
-
 // Unmap removes translations covering [va, va+length). It is an error if
 // the range is not fully mapped or if it would split a large page.
 func (t *Table) Unmap(va VirtAddr, length uint64) error {

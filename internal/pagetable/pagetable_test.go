@@ -61,7 +61,7 @@ func TestLargePageSelection(t *testing.T) {
 	if got := mappedBytes(pt, Size4K); got != 0 {
 		t.Fatalf("4K mapped = %d", got)
 	}
-	if pt.PageSizeAt(VirtAddr(Size2M*10)) != Size2M {
+	if _, pgsz, _ := pt.lookup(VirtAddr(Size2M * 10)); pgsz != Size2M {
 		t.Fatal("wrong page size")
 	}
 	pa, _, ok := pt.Translate(VirtAddr(Size2M*10) + 0x12345)

@@ -61,7 +61,6 @@ type Handle = *linux.File
 // evaluation (Linux, McKernel, McKernel+HFI): PSM is identical across
 // them, just like the unmodified binaries the paper runs.
 type OSOps interface {
-	Name() string
 	NodeID() int
 	Proc() *uproc.Process
 	NIC() *hfi.NIC

@@ -1,6 +1,9 @@
 package report
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -26,6 +29,7 @@ var (
 	testNameRE = regexp.MustCompile(`\b(?:Test|Benchmark)[A-Z0-9_]\w*`)
 	testDeclRE = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 	targetRE   = regexp.MustCompile(`(?m)^([A-Za-z][\w-]*):`)
+	allowRE    = regexp.MustCompile(`^(internal/[\w/]+\.go): (\*?\w+(?:\.\w+)?) — \S`)
 )
 
 // TestDocReferencesResolve checks the docs against the tree: every
@@ -121,4 +125,54 @@ func openItems(roadmap string) string {
 func proposed(before string) bool {
 	before = strings.TrimRight(strings.TrimSuffix(before, "`"), " \n")
 	return strings.HasSuffix(before, " new") || strings.HasSuffix(before, "\nnew")
+}
+
+// TestReachAllowResolves checks scripts/reach.allow, the internal/
+// functions `make reach` may find that no run executes: each line reads
+// `file: function — reason`, and the file declares the function, named
+// the way go tool covdata prints it (F, T.M or *T.M; a method of a
+// generic type as plain M). A rename or a deletion that leaves a line
+// behind fails here in seconds, not only in the two-minute make reach.
+func TestReachAllowResolves(t *testing.T) {
+	root := filepath.Join("..", "..")
+	raw, err := os.ReadFile(filepath.Join(root, "scripts", "reach.allow"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		m := allowRE.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("reach.allow:%d: %q is not `file: function — reason`", i+1, line)
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(root, m[1]), nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Errorf("reach.allow:%d: %v", i+1, err)
+			continue
+		}
+		found := false
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && covName(fd) == m[2] {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("reach.allow:%d: %s declares no %s", i+1, m[1], m[2])
+		}
+	}
+}
+
+// covName is d's name as go tool covdata func prints it.
+func covName(d *ast.FuncDecl) string {
+	if d.Recv == nil {
+		return d.Name.Name
+	}
+	typ, star := d.Recv.List[0].Type, ""
+	if s, ok := typ.(*ast.StarExpr); ok {
+		typ, star = s.X, "*"
+	}
+	if id, ok := typ.(*ast.Ident); ok {
+		return star + id.Name + "." + d.Name.Name
+	}
+	return d.Name.Name // a generic type's method prints bare
 }

@@ -151,7 +151,7 @@ func TestCloseNeverStartedAndQueued(t *testing.T) {
 	if err := e.Run(0); err == nil {
 		t.Fatal("Run with a process parked on a Cond reported no deadlock")
 	}
-	c.Signal()
+	c.Broadcast()
 	e.Go("never", func(p *Proc) {
 		log = append(log, "never")
 		t.Error("a never-started process ran")

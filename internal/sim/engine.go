@@ -362,10 +362,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.block("sleep")
 }
 
-// Yield lets every event already scheduled for the current instant run
-// before the process continues.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // PanicError is returned (wrapped) by Run and ShardSet.Run when a
 // simulated process or an event callback panics. It preserves the
 // panicking process's name ("(event callback)" for a callback), the

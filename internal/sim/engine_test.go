@@ -237,7 +237,7 @@ func TestDeterminism(t *testing.T) {
 			id := i
 			e.Go(fmt.Sprintf("p%d", id), func(p *Proc) {
 				for j := 0; j < 5; j++ {
-					p.Sleep(time.Duration(e.Rng().Intn(50)))
+					p.Sleep(time.Duration(e.Rng().Int63n(50)))
 					q.Push(id*10 + j)
 				}
 			})
@@ -291,12 +291,14 @@ func TestHeapProperty(t *testing.T) {
 	}
 }
 
+// Sleep(0) yields: every event already scheduled for the current
+// instant runs before the process continues.
 func TestYieldRunsPendingEvents(t *testing.T) {
 	e := NewEngine(1)
 	var order []string
 	e.Go("a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a2")
 	})
 	e.Go("b", func(p *Proc) {

@@ -44,7 +44,7 @@ func runMixScenario() []string {
 				c.Wait(p)
 			}
 			rec(p.Name(), "woke")
-			r.Use(p, time.Duration(10+e.Rng().Intn(5)))
+			r.Use(p, time.Duration(10+e.Rng().Int63n(5)))
 			rec(p.Name(), "used")
 			q.Push(id)
 			joined.Done(p)
@@ -55,7 +55,7 @@ func runMixScenario() []string {
 		open = true
 		c.Broadcast()
 		rec("burst", "broadcast")
-		p.Yield()
+		p.Sleep(0)
 		rec("burst", "yielded")
 		joined.Done(p)
 		joined.Wait(p)

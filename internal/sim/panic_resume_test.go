@@ -49,7 +49,7 @@ func runSplitScenario(seed int64, split time.Duration) []string {
 		id := i
 		e.Go(fmt.Sprintf("p%d", id), func(p *Proc) {
 			for j := 0; j < 6; j++ {
-				p.Sleep(time.Duration(e.Rng().Intn(40) + 1))
+				p.Sleep(time.Duration(e.Rng().Int63n(40) + 1))
 				q.Push(id*10 + j)
 			}
 		})

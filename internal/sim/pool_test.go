@@ -37,20 +37,20 @@ func TestQueuePopClearsSlots(t *testing.T) {
 	for _, v := range vals {
 		q.Push(v)
 	}
-	if v, ok := q.TryPop(); !ok || v != vals[0] {
-		t.Fatalf("TryPop = %v, %v; want first value", v, ok)
+	if v := q.popHead(); v != vals[0] {
+		t.Fatalf("popHead = %v, want first value", v)
 	}
 	if q.items[0] != nil {
 		t.Fatalf("vacated queue slot not cleared")
 	}
-	if v, ok := q.TryPop(); !ok || v != vals[1] {
-		t.Fatalf("TryPop = %v, %v; want second value", v, ok)
+	if v := q.popHead(); v != vals[1] {
+		t.Fatalf("popHead = %v, want second value", v)
 	}
 	if q.items[1] != nil {
 		t.Fatalf("vacated queue slot not cleared")
 	}
 	// Draining rewinds to the front of the backing array.
-	q.TryPop()
+	q.popHead()
 	if q.head != 0 || len(q.items) != 0 {
 		t.Fatalf("drained queue did not rewind: head=%d len=%d", q.head, len(q.items))
 	}
@@ -62,12 +62,12 @@ func TestQueueSteadyStateNoGrowth(t *testing.T) {
 	e := NewEngine(1)
 	q := NewQueue[int](e)
 	q.Push(0)
-	q.TryPop()
+	q.popHead()
 	c := cap(q.items)
 	for i := 0; i < 10000; i++ {
 		q.Push(i)
-		if v, ok := q.TryPop(); !ok || v != i {
-			t.Fatalf("pop %d = %v, %v", i, v, ok)
+		if v := q.popHead(); v != i {
+			t.Fatalf("pop %d = %v", i, v)
 		}
 	}
 	if cap(q.items) != c {

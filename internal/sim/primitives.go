@@ -80,15 +80,6 @@ func (q *Queue[T]) popHead() T {
 	return v
 }
 
-// TryPop removes and returns the head item without blocking.
-func (q *Queue[T]) TryPop() (T, bool) {
-	if q.Len() == 0 {
-		var zero T
-		return zero, false
-	}
-	return q.popHead(), true
-}
-
 // Pop blocks p until an item is available, then removes and returns it.
 func (q *Queue[T]) Pop(p *Proc) T {
 	for q.Len() == 0 {
@@ -110,17 +101,10 @@ type Cond struct {
 // NewCond returns a condition variable bound to e.
 func NewCond(e *Engine) *Cond { return &Cond{e: e} }
 
-// Wait blocks p until Signal or Broadcast wakes it.
+// Wait blocks p until Broadcast wakes it.
 func (c *Cond) Wait(p *Proc) {
 	c.waiters.push(p)
 	p.block("cond-wait")
-}
-
-// Signal wakes the longest-waiting process, if any.
-func (c *Cond) Signal() {
-	if w := c.waiters.pop(); w != nil {
-		c.e.wake(w)
-	}
 }
 
 // Broadcast wakes every waiting process.

@@ -98,9 +98,6 @@ func NewShardSet(seed int64, n int, lookahead time.Duration) (*ShardSet, error) 
 // Engines returns the per-shard engines in shard order.
 func (s *ShardSet) Engines() []*Engine { return s.shards }
 
-// Shards returns the shard count.
-func (s *ShardSet) Shards() int { return len(s.shards) }
-
 // Now returns the set's virtual time: the maximum shard clock.
 func (s *ShardSet) Now() time.Duration {
 	var t time.Duration
@@ -111,14 +108,6 @@ func (s *ShardSet) Now() time.Duration {
 	}
 	return t
 }
-
-// Shard returns the index of the shard this engine belongs to (0 on a
-// standalone engine).
-func (e *Engine) Shard() int { return e.shard }
-
-// ShardSet returns the set this engine is a shard of (nil on a
-// standalone engine).
-func (e *Engine) ShardSet() *ShardSet { return e.set }
 
 // CrossAfter schedules fn(arg) on the dst shard at src.Now()+d. It is
 // the only legal way for one shard to affect another, and d must be at

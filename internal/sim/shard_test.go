@@ -27,7 +27,7 @@ func shardPing(t *testing.T, hops int, d time.Duration) ([]string, *ShardSet) {
 		if hop%2 == 0 {
 			dst, src = b, a
 		}
-		log = append(log, fmt.Sprintf("%d@%v shard%d", hop, src.Now(), src.Shard()))
+		log = append(log, fmt.Sprintf("%d@%v shard%d", hop, src.Now(), src.shard))
 		if hop < hops {
 			s.CrossAfter(src, dst, d, bounce, hop+1)
 		}
@@ -94,7 +94,7 @@ func TestShardRunLimitResume(t *testing.T) {
 		if hop%2 == 0 {
 			dst, src = b, a
 		}
-		log = append(log, fmt.Sprintf("%d@%v shard%d", hop, src.Now(), src.Shard()))
+		log = append(log, fmt.Sprintf("%d@%v shard%d", hop, src.Now(), src.shard))
 		if hop < 8 {
 			s.CrossAfter(src, dst, 150, bounce, hop+1)
 		}
@@ -110,7 +110,7 @@ func TestShardRunLimitResume(t *testing.T) {
 	}
 	for _, e := range s.Engines() {
 		if e.Now() != 460 {
-			t.Fatalf("shard %d clock = %v at pause, want 460ns", e.Shard(), e.Now())
+			t.Fatalf("shard %d clock = %v at pause, want 460ns", e.shard, e.Now())
 		}
 	}
 	if err := s.Run(0); err != nil {

@@ -62,7 +62,7 @@ func TestSpawnMidWindow(t *testing.T) {
 			rec("child-woke")
 		})
 		rec("parent-spawned")
-		p.Yield()
+		p.Sleep(0)
 		rec("parent-yielded")
 	})
 	e.After(10, func() {
@@ -205,7 +205,7 @@ func TestEnginesIsolatedAcrossGoroutines(t *testing.T) {
 				id := j
 				e.Go(fmt.Sprint("p", id), func(p *Proc) {
 					for k := 0; k < 5; k++ {
-						p.Sleep(time.Duration(e.Rng().Intn(50)))
+						p.Sleep(time.Duration(e.Rng().Int63n(50)))
 						q.Push(id*10 + k)
 					}
 				})

@@ -201,7 +201,8 @@ func TestSimRestore(t *testing.T) {
 
 // TestFailureSnapshotRepro pins the failure time-travel workflow end
 // to end on a known-failing cell: FailureSnapshot must capture a
-// restorable image from before the injected fault, and Replay from
+// restorable image from before the injected fault, the printed replay
+// command must name the cell, its seed and the image, and Replay from
 // that image must reproduce the same fault while emitting the
 // final-slice trace.
 func TestFailureSnapshotRepro(t *testing.T) {
@@ -213,7 +214,16 @@ func TestFailureSnapshotRepro(t *testing.T) {
 	if at <= 0 || len(snap) == 0 {
 		t.Fatalf("empty failure snapshot (at=%v, %d bytes)", at, len(snap))
 	}
-	tracePath := filepath.Join(t.TempDir(), "slice.trace.json")
+	dir := t.TempDir()
+	snapPath := filepath.Join(dir, "fail.snap")
+	replay := simtest.ReproRestore(*seedFlag, cell, snapPath)
+	for _, want := range []string{"-run 'TestSimRestore$'", fmt.Sprintf("-seed=%d", *seedFlag),
+		"-cell='" + cell + "'", "-restore=" + snapPath} {
+		if !strings.Contains(replay, want) {
+			t.Fatalf("replay command %q lacks %q", replay, want)
+		}
+	}
+	tracePath := filepath.Join(dir, "slice.trace.json")
 	_, rerr := simtest.Replay(*seedFlag, cell, snap, tracePath)
 	if rerr == nil {
 		t.Fatal("replay from the failure snapshot passed; fault not reproduced")

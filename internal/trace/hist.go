@@ -82,9 +82,6 @@ func (h *Histogram) Mean() time.Duration {
 	return h.sum / time.Duration(h.n)
 }
 
-// Min returns the smallest sample (zero when empty).
-func (h *Histogram) Min() time.Duration { return h.min }
-
 // Max returns the largest sample (zero when empty).
 func (h *Histogram) Max() time.Duration { return h.max }
 

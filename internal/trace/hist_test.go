@@ -14,7 +14,7 @@ func TestHistogramEmptyQuantiles(t *testing.T) {
 			t.Fatalf("empty Quantile(%v) = %v, want 0", q, got)
 		}
 	}
-	if h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h.Mean() != 0 || h.min != 0 || h.Max() != 0 {
 		t.Fatalf("empty summary = %s", h)
 	}
 }

@@ -80,9 +80,6 @@ func NewRecorder() *Recorder {
 	}
 }
 
-// Enabled reports whether spans are being collected.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Span records a completed interval and feeds the cat/name histogram.
 func (r *Recorder) Span(cat, name, track string, begin, end time.Duration) {
 	r.SpanBytes(cat, name, track, begin, end, 0)
@@ -134,20 +131,6 @@ func (r *Recorder) SpanCount() int {
 		return 0
 	}
 	return r.nspans
-}
-
-// Spans returns a copy of the recorded spans in emission order (nil
-// when disabled or empty). Exporters that only iterate should use
-// ForEachSpan, which does not materialize the copy.
-func (r *Recorder) Spans() []Span {
-	if r == nil || r.nspans == 0 {
-		return nil
-	}
-	out := make([]Span, 0, r.nspans)
-	for _, c := range r.chunks {
-		out = append(out, c...)
-	}
-	return out
 }
 
 // ForEachSpan visits the recorded spans in emission order.

@@ -11,11 +11,8 @@ import (
 
 func TestNilRecorderIsNoop(t *testing.T) {
 	var r *Recorder
-	if r.Enabled() {
-		t.Fatal("nil recorder reports enabled")
-	}
 	r.Span(CatPSM, "send", "rank0", 0, 10) // must not panic
-	if r.Spans() != nil || r.Histogram("x") != nil || r.HistogramNames() != nil {
+	if r.SpanCount() != 0 || r.Histogram("x") != nil || r.HistogramNames() != nil {
 		t.Fatal("nil recorder returned data")
 	}
 	var b bytes.Buffer
@@ -35,7 +32,7 @@ func TestRecorderSpansAndHistograms(t *testing.T) {
 	r.Span(CatMcKernel, "writev", "rank0", 100, 400)
 	r.SpanBytes(CatSDMA, "txn", "nic0/sdma1", 150, 950, 8192)
 	r.Span(CatMcKernel, "writev", "rank0", 500, 600)
-	spans := r.Spans()
+	spans := spansOf(r)
 	if len(spans) != 3 {
 		t.Fatalf("spans = %d, want 3", len(spans))
 	}
@@ -110,8 +107,8 @@ func TestHistogramQuantiles(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		h.Observe(time.Duration(i) * time.Microsecond)
 	}
-	if h.Count() != 1000 || h.Min() != time.Microsecond || h.Max() != time.Millisecond {
-		t.Fatalf("count/min/max = %d/%v/%v", h.Count(), h.Min(), h.Max())
+	if h.Count() != 1000 || h.min != time.Microsecond || h.Max() != time.Millisecond {
+		t.Fatalf("count/min/max = %d/%v/%v", h.Count(), h.min, h.Max())
 	}
 	// Upper-bound quantiles: within one bucket (≤25% relative error)
 	// above the exact value, never below.
@@ -149,4 +146,11 @@ func TestHistogramBucketRoundTrip(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// spansOf copies r's spans in emission order.
+func spansOf(r *Recorder) []Span {
+	var out []Span
+	r.ForEachSpan(func(s *Span) { out = append(out, *s) })
+	return out
 }

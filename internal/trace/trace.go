@@ -45,14 +45,6 @@ func (s *SyscallProfile) Time(name string) time.Duration {
 	return 0
 }
 
-// Count returns the invocation count of one call.
-func (s *SyscallProfile) Count(name string) uint64 {
-	if e, ok := s.calls[name]; ok {
-		return e.Count
-	}
-	return 0
-}
-
 // Total returns the cumulative time across all calls.
 func (s *SyscallProfile) Total() time.Duration {
 	var t time.Duration

@@ -204,9 +204,6 @@ func (p *Process) VMAOf(va VirtAddr) (*VMA, bool) {
 	return nil, false
 }
 
-// Mappings returns the number of live VMAs.
-func (p *Process) Mappings() int { return len(p.vmas) }
-
 // ReadAt reads user memory at va through the process page table.
 func (p *Process) ReadAt(va VirtAddr, buf []byte) error {
 	return p.access(va, buf, false)

@@ -203,9 +203,6 @@ func (a *RangeAllocator) Release(r Range) error {
 	return fmt.Errorf("vas: release of unknown range %#x+%#x", r.Start, r.Size)
 }
 
-// Reserved returns the number of live reservations.
-func (a *RangeAllocator) Reserved() int { return len(a.used) }
-
 func (a *RangeAllocator) insert(r Range) {
 	a.used = append(a.used, r)
 	sort.Slice(a.used, func(i, j int) bool { return a.used[i].Start < a.used[j].Start })

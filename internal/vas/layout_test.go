@@ -146,7 +146,7 @@ func TestRangeAllocatorProperty(t *testing.T) {
 			}
 			live = append(live, r)
 		}
-		return a.Reserved() == len(live)
+		return len(a.used) == len(live)
 	}
 	cfg := &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(17))}
 	if err := quick.Check(f, cfg); err != nil {

@@ -13,8 +13,6 @@
 // The zero value is not a valid generator; use New.
 package xrand
 
-import "fmt"
-
 // Rand is a deterministic pseudo-random generator (xoshiro256++).
 // It is not safe for concurrent use — exactly like the simulator's
 // single-threaded-by-construction event code that draws from it.
@@ -44,17 +42,6 @@ func New(seed int64) *Rand {
 
 // State returns the generator's complete internal state.
 func (r *Rand) State() [4]uint64 { return r.s }
-
-// SetState overwrites the generator's state, e.g. when rebuilding a
-// stream from a snapshot. An all-zero state is rejected (it is the
-// generator's fixed point and can never occur naturally).
-func (r *Rand) SetState(s [4]uint64) error {
-	if s == [4]uint64{} {
-		return fmt.Errorf("xrand: all-zero state is invalid")
-	}
-	r.s = s
-	return nil
-}
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
@@ -92,26 +79,7 @@ func (r *Rand) Int63n(n int64) int64 {
 	return v % n
 }
 
-// Intn returns a uniform random integer in [0, n). It panics if n <= 0.
-func (r *Rand) Intn(n int) int {
-	if n <= 0 {
-		panic("xrand: Intn with non-positive n")
-	}
-	return int(r.Int63n(int64(n)))
-}
-
 // Float64 returns a uniform random float in [0, 1).
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }

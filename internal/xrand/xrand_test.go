@@ -24,9 +24,9 @@ func TestGoldenSequence(t *testing.T) {
 	}
 }
 
-// TestStateRoundTrip: capturing State mid-stream and SetState-ing it
-// into a fresh generator must continue the identical sequence — the
-// exact property snapshot restore relies on.
+// TestStateRoundTrip: State is the whole generator. A generator built
+// from a mid-stream State continues the identical sequence, so the four
+// words a snapshot prints are everything the stream depends on.
 func TestStateRoundTrip(t *testing.T) {
 	r := New(42)
 	for i := 0; i < 100; i++ {
@@ -37,17 +37,11 @@ func TestStateRoundTrip(t *testing.T) {
 	for i := range cont {
 		cont[i] = r.Uint64()
 	}
-	r2 := New(0)
-	if err := r2.SetState(st); err != nil {
-		t.Fatal(err)
-	}
+	r2 := &Rand{s: st}
 	for i, w := range cont {
 		if g := r2.Uint64(); g != w {
 			t.Fatalf("restored stream diverges at draw %d: %d != %d", i, g, w)
 		}
-	}
-	if err := r2.SetState([4]uint64{}); err == nil {
-		t.Fatal("all-zero state accepted")
 	}
 }
 
@@ -58,21 +52,8 @@ func TestBounds(t *testing.T) {
 		if v := r.Int63n(3); v < 0 || v >= 3 {
 			t.Fatalf("Int63n(3) = %d", v)
 		}
-		if v := r.Intn(17); v < 0 || v >= 17 {
-			t.Fatalf("Intn(17) = %d", v)
-		}
 		if f := r.Float64(); f < 0 || f >= 1 {
 			t.Fatalf("Float64() = %v", f)
 		}
-	}
-	seen := map[int]bool{}
-	for _, v := range New(9).Perm(64) {
-		if seen[v] {
-			t.Fatalf("Perm repeated %d", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 64 {
-		t.Fatalf("Perm covered %d of 64", len(seen))
 	}
 }

@@ -1,17 +1,24 @@
 #!/bin/sh
-# Reachability census (make reach). Builds every front end — each cmd/
-# binary, the four examples and the benchmark — with coverage counters
-# over the whole module, drives each one over its default inputs in a
-# temporary directory, and prints the internal/ functions that no run
-# executed (0.0% in `go tool covdata func`), one per line.
+# Reachability gate (make reach). Builds every front end — each cmd/
+# binary, the four examples, the benchmark and the simtest test binary —
+# with coverage counters over the whole module, drives each one over the
+# inputs below, and prints the internal/ functions that no run executed
+# (0.0% in `go tool covdata func`) as `file: function`, one per line.
 #
-# Not a gate: error paths, String methods, test oracles and test seams
-# also show up, and stay. A capability whose every function is listed
-# is a removal candidate. Takes a few minutes; the bigscale run peaks
-# at ≈650 MB.
+# It then compares that list with scripts/reach.allow, whose lines read
+# `file: function — reason`, and exits non-zero on any difference. A
+# function no run reaches is deleted, reached by a run added here, or
+# named in the allowlist; an allowlisted function that a run now reaches
+# loses its line. report.TestReachAllowResolves checks in tier-1 that
+# every allowlist line names a function declared in its file.
+#
+# ≈2 min on 2 vCPUs; the bigscale run peaks at ≈650 MB. Binaries,
+# counters and outputs go to a directory made by mktemp under $TMPDIR,
+# removed on exit.
 set -eu
 
 GO=${GO:-go}
+allow=$(dirname "$0")/reach.allow
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 bin=$tmp/bin
@@ -23,6 +30,7 @@ mkdir -p "$bin" "$out" "$GOCOVERDIR"
 # -coverpkg=./... rather than a comma-separated list of import paths:
 # with go1.24 the list form writes no counter files.
 $GO build -cover -coverpkg=./... -o "$bin/" ./cmd/... ./examples/... ./benchmark
+$GO test -c -cover -coverpkg=./... -o "$bin/simtest.test" ./internal/simtest
 
 run() {
 	echo "reach: $*" >&2
@@ -31,14 +39,32 @@ run() {
 
 run "$bin/experiments" -scale small -out "$out/artifacts"
 run "$bin/experiments" -scale small -only bigscale -out "$out/bigscale"
+# A resumable manifest, written and then read back: the resumed run
+# prints the recorded table.
+run "$bin/experiments" -only fig4 -checkpoint "$out/fig4.ckpt" -out "$out/ckpt"
+run "$bin/experiments" -only fig4 -checkpoint "$out/fig4.ckpt" -resume -out "$out/resumed"
+run cmp "$out/ckpt/fig4.txt" "$out/resumed/fig4.txt"
 # The soak has known failing cells (ROADMAP item 1), so its exit status
 # is not the point here; its coverage is.
 echo "reach: $bin/simtest -seed 1 -cells 100" >&2
 "$bin/simtest" -seed 1 -cells 100 >/dev/null 2>&1 || true
+# The failure tooling, on the deliberate fault cell: the repro command
+# simtest.Repro prints (TestSimHarness on one cell, which shrinks the
+# failing workload), then the failure snapshot and its replay.
+echo "reach: simtest.test TestSimHarness -cell Linux/!tid/0" >&2
+if "$bin/simtest.test" -test.run 'TestSimHarness$' -seed=1 -cell='Linux/!tid/0' \
+	-test.gocoverdir="$GOCOVERDIR" >"$out/last.log" 2>&1; then
+	echo "reach: the fault cell Linux/!tid/0 passed" >&2
+	exit 1
+fi
+grep -q 'RcvArray exhausted' "$out/last.log" || { cat "$out/last.log" >&2; exit 1; }
+run "$bin/simtest.test" -test.run 'TestFailureSnapshotRepro$' -test.gocoverdir="$GOCOVERDIR"
 run "$bin/quickstart"
 run "$bin/structextract"
 run "$bin/splitdriver"
 run "$bin/halo3d" -nodes 2 -rpn 4 -steps 3
+# Three ranks: a reduction over a non-power-of-two communicator.
+run "$bin/halo3d" -nodes 3 -rpn 1 -steps 1
 # Every id with a traced cell (the report.Artifacts entries with a
 # Trace), each exported and validated.
 for id in fig4 fig6a verbs reliability failover tenancy; do
@@ -51,7 +77,19 @@ for shards in 1 2; do
 done
 run "$bin/dwarf-extract-struct" -hfi -list
 run "$bin/benchmark" -seconds 1
+# The traced pass also runs the per-layer rungs.
+run "$bin/benchmark" -layers -seconds 1 -tracefile "$out/layers.json"
 
 echo "reach: internal/ functions no run executed:" >&2
 $GO tool covdata func -i="$GOCOVERDIR" |
-	awk '$1 ~ /^repro\/internal\// && $NF == "0.0%" { print $1, $2 }' | sort
+	awk '$1 ~ /^repro\/internal\// && $NF == "0.0%" {
+		sub(/^repro\//, "", $1); sub(/:[0-9]+:$/, ":", $1); print $1, $2 }' |
+	sort -u >"$out/unreached"
+cat "$out/unreached"
+sed 's/ — .*//' "$allow" | sort >"$out/allowed"
+if ! diff -u "$out/allowed" "$out/unreached" >"$out/diff"; then
+	echo "reach: the unreached list differs from $allow (- allowed, + unreached):" >&2
+	sed '1,2d' "$out/diff" >&2
+	exit 1
+fi
+echo "reach: every unreached function is in $allow" >&2
