@@ -197,12 +197,12 @@ func New(cfg Spec) (*Cluster, error) {
 		eng.RegisterState("params", c.Params)
 		eng.RegisterState("fabric", fab)
 		eng.RegisterState("fabric", ibfab)
-		if c.Set != nil {
-			fab.SetRouter(c.router(eng, &c.fabs))
-			ibfab.SetRouter(c.router(eng, &c.ibfabs))
-		}
 		c.fabs = append(c.fabs, fab)
 		c.ibfabs = append(c.ibfabs, ibfab)
+	}
+	if c.Set != nil {
+		c.route(c.fabs)
+		c.route(c.ibfabs)
 	}
 	c.Fab, c.IBFab = c.fabs[0], c.ibfabs[0]
 	for i := 0; i < cfg.Nodes; i++ {
@@ -277,37 +277,39 @@ func newShardSet(cfg *Spec) (*sim.ShardSet, error) {
 	return sim.NewShardSet(cfg.Seed, cfg.Shards, cfg.Params.LinkLatency)
 }
 
-// crossPkt is the argument record of one routed cross-shard delivery.
-type crossPkt struct {
-	fab *fabric.Fabric
-	pkt *fabric.Packet
-}
-
-// crossDeliver completes a routed flight on the destination shard. A
-// package-level func value, so every delivery shares it (sim.AfterArg
-// convention).
-var crossDeliver = func(a any) {
-	cp := a.(*crossPkt)
-	if err := cp.fab.Deliver(cp.pkt); err != nil {
-		cp.fab.Engine().Fail(err)
+// route installs the cross-shard routing hook on every shard's fabric of
+// one network (fabs is c.fabs or c.ibfabs, indexed by shard): resolve
+// the destination shard, then schedule the delivery on its engine
+// through the conservative cross-event path. The packet itself is the
+// event's argument and each destination's delivery func is bound once
+// here (sim.AfterArg convention), so a routed packet allocates nothing.
+func (c *Cluster) route(fabs []*fabric.Fabric) {
+	deliver := make([]func(any), len(fabs))
+	for s, fab := range fabs {
+		deliver[s] = deliverOn(fab)
+	}
+	for s, fab := range fabs {
+		src := c.engines[s]
+		fab.SetRouter(func(pkt *fabric.Packet, lat time.Duration) error {
+			// Port IDs are rail-qualified; rails share the node's shard.
+			node := pkt.DstNode % fabric.RailBase
+			if node < 0 || node >= len(c.shardOf) {
+				return fmt.Errorf("cluster: route to unknown node %d", pkt.DstNode)
+			}
+			dst := c.shardOf[node]
+			c.Set.CrossAfter(src, c.engines[dst], lat, deliver[dst], pkt)
+			return nil
+		})
 	}
 }
 
-// router builds the cross-shard routing hook for one shard's fabric:
-// resolve the destination shard, then schedule the delivery on its
-// engine through the conservative cross-event path. fabs (c.fabs or
-// c.ibfabs) is read at routing time, after every shard's fabrics exist.
-func (c *Cluster) router(src *sim.Engine, fabs *[]*fabric.Fabric) func(*fabric.Packet, time.Duration) error {
-	return func(pkt *fabric.Packet, lat time.Duration) error {
-		// Port IDs are rail-qualified; rails share the node's shard.
-		node := pkt.DstNode % fabric.RailBase
-		if node < 0 || node >= len(c.shardOf) {
-			return fmt.Errorf("cluster: route to unknown node %d", pkt.DstNode)
+// deliverOn returns the func that completes a routed flight on fab, the
+// destination shard's fabric; its argument is the *fabric.Packet.
+func deliverOn(fab *fabric.Fabric) func(any) {
+	return func(a any) {
+		if err := fab.Deliver(a.(*fabric.Packet)); err != nil {
+			fab.Engine().Fail(err)
 		}
-		dst := c.shardOf[node]
-		c.Set.CrossAfter(src, c.engines[dst], lat, crossDeliver,
-			&crossPkt{fab: (*fabs)[dst], pkt: pkt})
-		return nil
 	}
 }
 

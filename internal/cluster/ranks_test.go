@@ -235,3 +235,56 @@ func TestStartRanksDoesNotRun(t *testing.T) {
 		t.Fatalf("straight run finished at %v, restored run at %v", a.Now(), b.Now())
 	}
 }
+
+// TestCrossShardAllocs: once warm, a packet routed from one shard to
+// another allocates nothing, neither for its delivery event nor in the
+// barrier that merges each window's cross-shard batch. Two nodes on two
+// shards bounce 1 KB messages, so every packet of a round trip crosses.
+// Rank 0 counts allocations per round trip, which must be 0, and checks
+// that each round trip really made at least two cross-shard deliveries.
+func TestCrossShardAllocs(t *testing.T) {
+	const size = 1 << 10
+	const runs = 50
+	c, err := New(Spec{Nodes: 2, OS: OSMcKernelHFI, Params: model.Default(), Seed: 1, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ranks := c.StartRanks("rank", []int{0, 1}, false, func(p *sim.Proc, rank int, ep *psm.Endpoint) error {
+		buf, err := ep.OS.MmapAnon(p, size)
+		if err != nil {
+			return err
+		}
+		bounce := func(peer int) {
+			if err == nil && rank == 0 {
+				err = ep.Send(p, peer, 1, buf, size)
+			}
+			if err == nil {
+				err = ep.Recv(p, peer, 1, buf, size)
+			}
+			if err == nil && rank == 1 {
+				err = ep.Send(p, peer, 1, buf, size)
+			}
+		}
+		if rank == 1 {
+			for i := 0; i <= runs; i++ { // AllocsPerRun's warm-up, then its runs
+				bounce(0)
+			}
+			return err
+		}
+		before := c.Set.CrossEvents
+		if got := testing.AllocsPerRun(runs, func() { bounce(1) }); got != 0 {
+			t.Errorf("%v allocations per round trip across shards, want 0", got)
+		}
+		if crossed := c.Set.CrossEvents - before; crossed < 2*(runs+1) {
+			t.Errorf("%d cross-shard deliveries in %d round trips, want at least 2 each", crossed, runs+1)
+		}
+		return err
+	})
+	if err := c.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := ranks.Err(); err != nil {
+		t.Fatal(err)
+	}
+}

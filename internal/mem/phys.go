@@ -10,7 +10,9 @@
 package mem
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -410,7 +412,8 @@ func mergeExtents(in []Extent) []Extent {
 	if len(in) <= 1 {
 		return in
 	}
-	sort.Slice(in, func(i, j int) bool { return in[i].Addr < in[j].Addr })
+	// Extents never share an address, so the order is total.
+	slices.SortFunc(in, func(a, b Extent) int { return cmp.Compare(a.Addr, b.Addr) })
 	out := in[:1]
 	for _, e := range in[1:] {
 		last := &out[len(out)-1]

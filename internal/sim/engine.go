@@ -158,14 +158,14 @@ func (e *Engine) atProc(at time.Duration, p *Proc) {
 }
 
 // After schedules fn to run d from now.
-func (e *Engine) After(d time.Duration, fn func()) { e.At(e.now+d, fn) }
+func (e *Engine) After(d time.Duration, fn func()) { e.At(later(e.now, d), fn) }
 
 // AfterArg schedules fn(arg) to run d from now. Unlike After it
 // allocates nothing when fn is a reused func value and arg is a
 // pointer: hot callers (the fabric schedules one delivery per packet)
 // pool their argument records and pass the same fn every time.
 func (e *Engine) AfterArg(d time.Duration, fn func(any), arg any) {
-	at := e.now + d
+	at := later(e.now, d)
 	if at < e.now {
 		at = e.now
 	}
@@ -346,19 +346,33 @@ func (e *Engine) step() *Proc {
 	return nil
 }
 
+// endOfTime is the latest virtual time. A delay that would carry a sum
+// past it saturates here, and an event at endOfTime never runs: windows
+// are bounded exclusively, so both drivers stop with it still queued
+// and report the processes waiting on it as deadlocked.
+const endOfTime = time.Duration(math.MaxInt64)
+
+// later returns t+d for a time t >= 0, saturated at endOfTime.
+func later(t, d time.Duration) time.Duration {
+	if d > endOfTime-t {
+		return endOfTime
+	}
+	return t + d
+}
+
 // wake schedules p to resume at the current virtual time.
 func (e *Engine) wake(p *Proc) {
 	e.atProc(e.now, p)
 }
 
 // Sleep advances the process's virtual time by d. Negative durations are
-// treated as zero.
+// treated as zero; a sleep past the end of time never returns.
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
 	e := p.e
-	e.atProc(e.now+d, p)
+	e.atProc(later(e.now, d), p)
 	p.block("sleep")
 }
 
@@ -382,7 +396,7 @@ func (e *PanicError) Error() string {
 }
 
 // DeadlockError is returned by Run when processes remain blocked but no
-// events are pending.
+// events are pending before the end of time.
 type DeadlockError struct {
 	Now     time.Duration
 	Blocked []string // "name [state]" of each blocked process
@@ -446,9 +460,9 @@ func (e *Engine) Run(limit time.Duration) error {
 	}
 	// One window: events at exactly limit execute, so its exclusive
 	// bound is limit+1; with no limit it is unbounded.
-	bound := time.Duration(math.MaxInt64)
+	bound := endOfTime
 	if limit > 0 {
-		bound = limit + 1
+		bound = later(limit, 1)
 	}
 	if err := e.runWindow(bound); err != nil {
 		return err
@@ -460,51 +474,61 @@ func (e *Engine) Run(limit time.Duration) error {
 	return deadlockError(e.now, e)
 }
 
-// eventHeap is a binary min-heap ordered by (at, seq).
+// eventHeap is a binary min-heap ordered by (at, seq). push and pop
+// sift with a hole: the moving event is held aside while each event it
+// passes is written once into the slot above or below it, and the
+// moving event lands in the final slot.
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether a is ordered ahead of b.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
 func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	i := len(*h) - 1
+	*h = append(*h, event{})
+	q := *h
+	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		if !ev.before(&q[parent]) {
 			break
 		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
+		q[i] = q[parent]
 		i = parent
 	}
+	q[i] = ev
 }
 
 func (h *eventHeap) pop() event {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = event{}
-	*h = old[:n]
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{}
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && (*h).less(l, smallest) {
-			smallest = l
-		}
-		if r < n && (*h).less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		(*h)[i], (*h)[smallest] = (*h)[smallest], (*h)[i]
-		i = smallest
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
 	}
+	q[i] = last
 	return top
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -420,4 +421,65 @@ func TestSpawnAllocs(t *testing.T) {
 	if want := 12.0; got != want {
 		t.Fatalf("GoDaemon allocates %v objects per process, want %v", got, want)
 	}
+}
+
+// TestEndOfTime: a delay that would carry virtual time past
+// math.MaxInt64 saturates there, and an event at the end of time never
+// runs. The sleeper sleeps 1 ms, then to 50 ns before the end (inside
+// one 100 ns lookahead of it), then forever. Before sums saturated, its
+// last sleep wrapped negative and was clamped to the present, so it
+// woke at once; and the shard set, whose window bound t+lookahead
+// wrapped, ran empty windows without end (run this test under a short
+// -timeout). Both drivers must stop with the sleeper still queued and
+// report it deadlocked, and no After, AfterArg or CrossAfter callback
+// scheduled past the end may run.
+func TestEndOfTime(t *testing.T) {
+	const forever = time.Duration(math.MaxInt64)
+	body := func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		p.Sleep(forever - time.Millisecond - 50)
+		if p.Now() != forever-50 {
+			t.Errorf("woke at %d, want %d", p.Now(), forever-50)
+		}
+		p.Sleep(forever)
+		t.Errorf("woke from a sleep past the end of time at %d", p.Now())
+	}
+	late := func(any) { t.Error("a callback past the end of time ran") }
+	check := func(t *testing.T, err error) {
+		t.Helper()
+		var dl *DeadlockError
+		if !errors.As(err, &dl) {
+			t.Fatalf("Run = %v, want DeadlockError", err)
+		}
+		if fmt.Sprint(dl.Blocked) != "[sleeper [sleep]]" || dl.Now != forever-50 {
+			t.Fatalf("deadlock at %d blocking %v, want sleeper [sleep] at %d", dl.Now, dl.Blocked, forever-50)
+		}
+	}
+	t.Run("engine", func(t *testing.T) {
+		e := NewEngine(1)
+		defer e.Close()
+		e.Go("sleeper", body)
+		e.Go("scheduler", func(p *Proc) {
+			p.Sleep(time.Millisecond)
+			e.After(forever, func() { late(nil) })
+			e.AfterArg(forever, late, nil)
+		})
+		check(t, e.Run(0))
+	})
+	t.Run("shards=2", func(t *testing.T) {
+		s, err := NewShardSet(1, 2, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := s.Engines()[0], s.Engines()[1]
+		defer a.Close()
+		defer b.Close()
+		b.Go("sleeper", body)
+		a.Go("scheduler", func(p *Proc) {
+			p.Sleep(time.Millisecond)
+			s.CrossAfter(a, b, forever, late, nil)
+			a.AfterArg(forever, late, nil)
+		})
+		check(t, s.Run(0))
+	})
 }

@@ -1,30 +1,69 @@
 package sim
 
 import (
+	"bytes"
+	"cmp"
+	"slices"
 	"testing"
 	"time"
 )
 
-// TestHeapPopClearsSlots pins the fix for the event-retention leak:
-// pop used to shrink the heap slice without clearing the vacated tail
-// slot, keeping the event's closure (and everything it captured)
-// reachable until a later push happened to overwrite it.
-func TestHeapPopClearsSlots(t *testing.T) {
-	var h eventHeap
-	for i := 0; i < 8; i++ {
-		h.push(event{at: time.Duration(i), seq: uint64(i), kind: evFn, fn: func() {}})
+// FuzzEventHeap runs an op program against eventHeap and checks every
+// pop against a slice kept sorted by (at, seq). An odd op byte pops; an
+// even one pushes an event whose at is drawn from eight values, so ties
+// on at are common and seq, which always increases as the engine's
+// does, must break them. Each event carries its seq as payload, which
+// must leave the heap with its key. After every pop the vacated slot
+// past the heap's length must be zeroed: a stale slot keeps the popped
+// event's closure, and everything it captured, reachable until a later
+// push happens to overwrite it.
+func FuzzEventHeap(f *testing.F) {
+	f.Add([]byte{0, 2, 4, 6, 1, 1, 1, 1})
+	f.Add([]byte{14, 12, 10, 8, 6, 4, 2, 0, 1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1})
+	f.Add([]byte{6, 6, 6, 6, 6, 1, 6, 1, 2, 2, 1, 1, 1, 1, 1})
+	ramp := make([]byte, 0, 96)
+	for i := 0; i < 64; i++ {
+		ramp = append(ramp, byte(i*6)&^1)
 	}
-	backing := h[:cap(h)]
-	for len(h) > 0 {
-		h.pop()
-		// Every slot past the logical length must be fully zeroed.
-		for i := len(h); i < len(backing); i++ {
-			ev := backing[i]
-			if ev.fn != nil || ev.afn != nil || ev.p != nil || ev.arg != nil || ev.at != 0 || ev.seq != 0 {
-				t.Fatalf("heap slot %d not cleared after pop: %+v", i, ev)
+	f.Add(append(ramp, bytes.Repeat([]byte{1}, 32)...))
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		var h eventHeap
+		var want []event // sorted by (at, seq)
+		var seq uint64
+		pop := func() {
+			got, w := h.pop(), want[0]
+			want = want[1:]
+			if got.at != w.at || got.seq != w.seq || got.arg != w.arg {
+				t.Fatalf("pop = (at %d, seq %d, arg %v), want (at %d, seq %d, arg %v)",
+					got.at, got.seq, got.arg, w.at, w.seq, w.arg)
+			}
+			if ev := h[:len(h)+1][len(h)]; ev.fn != nil || ev.afn != nil || ev.p != nil ||
+				ev.arg != nil || ev.at != 0 || ev.seq != 0 || ev.kind != 0 {
+				t.Fatalf("heap slot %d not cleared after pop: %+v", len(h), ev)
 			}
 		}
-	}
+		for _, op := range prog {
+			if op&1 == 1 {
+				if len(h) > 0 {
+					pop()
+				}
+				continue
+			}
+			seq++
+			ev := event{at: time.Duration(op >> 1 & 7), seq: seq, kind: evArg, afn: func(any) {}, arg: seq}
+			h.push(ev)
+			i, _ := slices.BinarySearchFunc(want, &ev, func(w event, ev *event) int {
+				return cmp.Or(cmp.Compare(w.at, ev.at), cmp.Compare(w.seq, ev.seq))
+			})
+			want = slices.Insert(want, i, ev)
+		}
+		for len(h) > 0 {
+			pop()
+		}
+		if len(want) != 0 {
+			t.Fatalf("heap drained with %d events still expected", len(want))
+		}
+	})
 }
 
 // TestQueuePopClearsSlots checks that Queue's head-indexed buffer zeroes

@@ -33,8 +33,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -123,7 +124,7 @@ func (s *ShardSet) CrossAfter(src, dst *Engine, d time.Duration, fn func(any), a
 	}
 	src.crossSeq++
 	s.cross = append(s.cross, crossEvent{
-		at: src.now + d, src: src.shard, seq: src.crossSeq,
+		at: later(src.now, d), src: src.shard, seq: src.crossSeq,
 		dst: dst, fn: fn, arg: arg,
 	})
 }
@@ -162,11 +163,14 @@ func (s *ShardSet) Run(limit time.Duration) error {
 			}
 			return nil
 		}
-		bound := t + s.lookahead
+		if t == endOfTime {
+			break // nothing left runs (Engine.Run parity)
+		}
+		bound := later(t, s.lookahead)
 		// Events at exactly limit must execute (Engine.Run parity), so
 		// the window cap is limit+1 with the bound kept exclusive.
-		if limit > 0 && bound > limit+1 {
-			bound = limit + 1
+		if limit > 0 {
+			bound = min(bound, later(limit, 1))
 		}
 		for _, e := range s.shards {
 			if err := e.runWindow(bound); err != nil {
@@ -191,15 +195,8 @@ func (s *ShardSet) barrier(bound time.Duration) error {
 		return s.violation
 	}
 	if len(s.cross) > 0 {
-		sort.Slice(s.cross, func(i, j int) bool {
-			a, b := &s.cross[i], &s.cross[j]
-			if a.at != b.at {
-				return a.at < b.at
-			}
-			if a.src != b.src {
-				return a.src < b.src
-			}
-			return a.seq < b.seq
+		slices.SortFunc(s.cross, func(a, b crossEvent) int {
+			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
 		})
 		for i := range s.cross {
 			ev := &s.cross[i]

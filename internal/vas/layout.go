@@ -12,8 +12,9 @@
 package vas
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/pagetable"
@@ -174,8 +175,10 @@ func (a *RangeAllocator) Reserve(size uint64) (Range, error) {
 	}
 	size = (size + a.align - 1) &^ (a.align - 1)
 	cursor := a.window.Start
-	for _, u := range a.used {
+	at := len(a.used) // where r goes to keep used sorted
+	for i, u := range a.used {
 		if uint64(u.Start-cursor) >= size+a.guard {
+			at = i
 			break
 		}
 		next := u.End() + VirtAddr(a.guard)
@@ -187,25 +190,21 @@ func (a *RangeAllocator) Reserve(size uint64) (Range, error) {
 	if r.End() > a.window.End() {
 		return Range{}, fmt.Errorf("vas: window exhausted (%d bytes requested)", size)
 	}
-	a.insert(r)
+	a.used = slices.Insert(a.used, at, r)
 	return r, nil
 }
 
 // Release returns a reservation. The range must match a prior Reserve
 // exactly.
 func (a *RangeAllocator) Release(r Range) error {
-	for i, u := range a.used {
-		if u == r {
-			a.used = append(a.used[:i], a.used[i+1:]...)
-			return nil
-		}
+	i, ok := slices.BinarySearchFunc(a.used, r.Start, func(u Range, start VirtAddr) int {
+		return cmp.Compare(u.Start, start)
+	})
+	if !ok || a.used[i] != r {
+		return fmt.Errorf("vas: release of unknown range %#x+%#x", r.Start, r.Size)
 	}
-	return fmt.Errorf("vas: release of unknown range %#x+%#x", r.Start, r.Size)
-}
-
-func (a *RangeAllocator) insert(r Range) {
-	a.used = append(a.used, r)
-	sort.Slice(a.used, func(i, j int) bool { return a.used[i].Start < a.used[j].Start })
+	a.used = slices.Delete(a.used, i, i+1)
+	return nil
 }
 
 func alignUp(v VirtAddr, align uint64) VirtAddr {

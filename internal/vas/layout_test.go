@@ -1,7 +1,10 @@
 package vas
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -151,5 +154,103 @@ func TestRangeAllocatorProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(17))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sortedReserve and sortedRelease are RangeAllocator's Reserve and
+// Release as they were before reservations were inserted in place: the
+// same first-fit scan, then append and sort the whole list; release by
+// linear search. TestRangeAllocatorMatchesSortedOracle runs them as the
+// reference.
+func sortedReserve(a *RangeAllocator, size uint64) (Range, error) {
+	size = (size + a.align - 1) &^ (a.align - 1)
+	cursor := a.window.Start
+	for _, u := range a.used {
+		if uint64(u.Start-cursor) >= size+a.guard {
+			break
+		}
+		next := u.End() + VirtAddr(a.guard)
+		if next > cursor {
+			cursor = alignUp(next, a.align)
+		}
+	}
+	r := Range{Start: cursor, Size: size}
+	if r.End() > a.window.End() {
+		return Range{}, fmt.Errorf("window exhausted")
+	}
+	a.used = append(a.used, r)
+	sort.Slice(a.used, func(i, j int) bool { return a.used[i].Start < a.used[j].Start })
+	return r, nil
+}
+
+func sortedRelease(a *RangeAllocator, r Range) error {
+	for i, u := range a.used {
+		if u == r {
+			a.used = append(a.used[:i], a.used[i+1:]...)
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown range")
+}
+
+// Property: random Reserve/Release sequences, including releases of
+// ranges never reserved, give the same ranges and the same errors as
+// the append-and-sort reference, and keep used sorted by Start,
+// non-overlapping, guard-separated and inside the window.
+func TestRangeAllocatorMatchesSortedOracle(t *testing.T) {
+	for _, geom := range []struct{ align, guard uint64 }{
+		{pagetable.Size4K, 0},
+		{pagetable.Size4K, pagetable.Size4K},
+		{16 * pagetable.Size4K, 3 * pagetable.Size4K},
+	} {
+		f := func(ops []uint16) bool {
+			w := Range{Start: 0x2000000, Size: 512 << 10}
+			a := NewRangeAllocator(w, geom.align, geom.guard)
+			ref := NewRangeAllocator(w, geom.align, geom.guard)
+			var live []Range
+			for _, op := range ops {
+				var err, refErr error
+				switch {
+				case op%4 == 0 && len(live) > 0:
+					i := int(op>>2) % len(live)
+					err, refErr = a.Release(live[i]), sortedRelease(ref, live[i])
+					live = slices.Delete(live, i, i+1)
+				case op%4 == 1:
+					// Not a reservation: a start inside the window, most
+					// often off every live range's.
+					bogus := Range{Start: w.Start + VirtAddr(op>>2)*pagetable.Size4K, Size: pagetable.Size4K}
+					err, refErr = a.Release(bogus), sortedRelease(ref, bogus)
+				default:
+					size := uint64(op>>2%24+1) * pagetable.Size4K
+					var r, refR Range
+					r, err = a.Reserve(size)
+					refR, refErr = sortedReserve(ref, size)
+					if r != refR {
+						t.Logf("Reserve(%#x) = %#x+%#x, reference %#x+%#x", size, r.Start, r.Size, refR.Start, refR.Size)
+						return false
+					}
+					if err == nil {
+						live = append(live, r)
+					}
+				}
+				if (err == nil) != (refErr == nil) || !slices.Equal(a.used, ref.used) {
+					t.Logf("op %#x: err %v, reference %v; used %v, reference %v", op, err, refErr, a.used, ref.used)
+					return false
+				}
+				for i, u := range a.used {
+					if u.Start < w.Start || u.End() > w.End() {
+						return false
+					}
+					if i > 0 && u.Start < a.used[i-1].End()+VirtAddr(geom.guard) {
+						return false
+					}
+				}
+			}
+			return len(a.used) == len(live)
+		}
+		cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(23))}
+		if err := quick.Check(f, cfg); err != nil {
+			t.Fatalf("align %#x guard %#x: %v", geom.align, geom.guard, err)
+		}
 	}
 }
