@@ -53,9 +53,6 @@ type Space struct {
 	// ForeignFreeCount counts frees handled through the foreign-CPU
 	// path, for tests and profiling.
 	ForeignFreeCount int
-
-	// extScratch backs the page-table walk in access (reused per call).
-	extScratch []mem.Extent `snap:"-"`
 }
 
 // largeObj is an allocation too big for the size classes: its own
@@ -313,8 +310,7 @@ func (s *Space) WriteAt(va VirtAddr, buf []byte) error {
 }
 
 func (s *Space) access(va VirtAddr, buf []byte, write bool) error {
-	exts, fault, err := s.PT.Access(s.Alloc.Phys(), s.extScratch[:0], va, buf, write)
-	s.extScratch = exts
+	fault, err := s.PT.Access(s.Alloc.Phys(), va, buf, write)
 	if fault != nil {
 		return fmt.Errorf("kmem: %s: fault accessing %#x: %w", s.Name, va, fault)
 	}

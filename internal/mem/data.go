@@ -18,53 +18,49 @@ func (pm *PhysMem) WriteAt(pa PhysAddr, buf []byte) error {
 	return pm.access(pa, buf, true)
 }
 
+// access copies frame by frame. The region is resolved once per region
+// crossed and each frame by index (directory group, chunk, slot), with
+// no run bookkeeping between them.
 func (pm *PhysMem) access(pa PhysAddr, buf []byte, write bool) error {
-	if len(buf) == 0 {
-		return nil
-	}
-	cur := pa
-	w := pm.walk(Extent{Addr: pa, Len: uint64(len(buf))})
-	var r frameRun
-	for w.next(&r) {
-		if r.rs.Kind == MMIO {
-			return fmt.Errorf("mem: byte access to MMIO window %#x", cur)
-		}
-		var frames *[chunkFrames]*frame
-		if r.c != nil {
-			frames = r.c.frames
-		}
-		if write && frames == nil {
-			frames = new([chunkFrames]*frame)
-			r.chunk().frames = frames
-		}
-		for i := r.lo; i < r.hi; i++ {
-			inFrame := int(cur & (PageSize4K - 1))
-			n := PageSize4K - inFrame
-			if n > len(buf) {
-				n = len(buf)
+	var rs *regionState
+	for len(buf) > 0 {
+		if rs == nil || pa >= rs.End() {
+			if rs = pm.regionOf(pa); rs == nil {
+				return fmt.Errorf("mem: access to unmapped physical address %#x", pa)
 			}
-			var f *frame
-			if frames != nil {
-				f = frames[i]
+			if rs.Kind == MMIO {
+				return fmt.Errorf("mem: byte access to MMIO window %#x", pa)
 			}
-			switch {
-			case write:
-				if f == nil {
-					f = pm.takeFrame(n == PageSize4K)
-					frames[i] = f
+		}
+		idx := uint64(pa-rs.Base) >> PageShift4K
+		ci, slot := int(idx/chunkFrames), int(idx%chunkFrames)
+		c := rs.chunkAt(ci)
+		var f *frame
+		if c != nil && c.frames != nil {
+			f = c.frames[slot]
+		}
+		inFrame := int(pa & (PageSize4K - 1))
+		n := min(PageSize4K-inFrame, len(buf))
+		switch {
+		case write:
+			if f == nil {
+				if c == nil {
+					c = rs.newChunk(ci)
 				}
-				copy(f[inFrame:inFrame+n], buf[:n])
-			case f == nil:
-				clear(buf[:n])
-			default:
-				copy(buf[:n], f[inFrame:inFrame+n])
+				if c.frames == nil {
+					c.frames = new([chunkFrames]*frame)
+				}
+				f = pm.takeFrame(n == PageSize4K)
+				c.frames[slot] = f
 			}
-			buf = buf[n:]
-			cur += PhysAddr(n)
+			copy(f[inFrame:inFrame+n], buf[:n])
+		case f == nil:
+			clear(buf[:n])
+		default:
+			copy(buf[:n], f[inFrame:inFrame+n])
 		}
-	}
-	if len(buf) > 0 {
-		return fmt.Errorf("mem: access to unmapped physical address %#x", cur)
+		buf = buf[n:]
+		pa += PhysAddr(n)
 	}
 	return nil
 }

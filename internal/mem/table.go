@@ -74,15 +74,30 @@ func (r *frameRun) whole() bool { return r.lo == 0 && r.hi == chunkFrames }
 // chunk returns the run's chunk record, creating it on first use.
 func (r *frameRun) chunk() *chunk {
 	if r.c == nil {
-		g := r.rs.chunks[r.ci/groupChunks]
-		if g == nil {
-			g = new(chunkGroup)
-			r.rs.chunks[r.ci/groupChunks] = g
-		}
-		r.c = new(chunk)
-		g[r.ci%groupChunks] = r.c
+		r.c = r.rs.newChunk(r.ci)
 	}
 	return r.c
+}
+
+// chunkAt returns chunk ci's record, nil while it has none.
+func (rs *regionState) chunkAt(ci int) *chunk {
+	if g := rs.chunks[ci/groupChunks]; g != nil {
+		return g[ci%groupChunks]
+	}
+	return nil
+}
+
+// newChunk creates chunk ci's record, and its directory group if the
+// group has none yet.
+func (rs *regionState) newChunk(ci int) *chunk {
+	g := rs.chunks[ci/groupChunks]
+	if g == nil {
+		g = new(chunkGroup)
+		rs.chunks[ci/groupChunks] = g
+	}
+	c := new(chunk)
+	g[ci%groupChunks] = c
+	return c
 }
 
 // frameWalk yields the frames of [pa, end), both 4K-aligned, as runs in
@@ -101,8 +116,8 @@ func (pm *PhysMem) walk(e Extent) frameWalk {
 
 // next fills r with the following run and reports whether there is one.
 // It stops early, leaving w.pa < w.end, at the first frame no region
-// contains. The run is filled in place because returning it by value
-// doubled the cost of a single-frame access (PIO-sized messages).
+// contains. Pin, Unpin and dropFrames walk this way; byte access
+// resolves frame by frame instead (PhysMem.access).
 func (w *frameWalk) next(r *frameRun) bool {
 	if w.pa >= w.end {
 		return false
@@ -124,9 +139,7 @@ func (w *frameWalk) next(r *frameRun) bool {
 	if r.hi > chunkFrames {
 		r.hi = chunkFrames
 	}
-	if g := rs.chunks[r.ci/groupChunks]; g != nil {
-		r.c = g[r.ci%groupChunks]
-	}
+	r.c = rs.chunkAt(r.ci)
 	w.pa += PhysAddr(r.hi-r.lo) << PageShift4K
 	return true
 }

@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -89,13 +90,14 @@ func (r *refTable) unmap(va VirtAddr, length uint64) bool {
 }
 
 // walk translates [va, va+length) page by page (pages) or into merged
-// physical extents, in the shapes Pages and WalkExtents return.
+// physical extents, in the shapes Pages and WalkExtents return. On a
+// fault it returns the extents of the translated prefix.
 func (r *refTable) walk(va VirtAddr, length uint64, pages bool) ([]mem.Extent, bool) {
 	var out []mem.Extent
 	for cur, rem := va, length; rem > 0; {
 		base, l, ok := r.find(cur)
 		if !ok {
-			return nil, false
+			return out, false
 		}
 		off := uint64(cur - base)
 		n := min(l.size-off, rem)
@@ -157,11 +159,27 @@ type vaRange struct {
 	length uint64
 }
 
+// physSpan is the physical memory behind the programs' Access calls: it
+// covers every pa a Map op can choose.
+const physSpan = 260 << 30
+
+// pageName names a leaf size in accessCover's keys.
+var pageName = map[uint64]string{Size4K: "4K", Size2M: "2M", Size1G: "1G"}
+
 // runPageTableOps interprets prog as Map, Unmap, Translate, lookup,
-// WalkExtentsInto and PagesInto calls over 4K, 2M and 1G pages and
-// checks every result, error or success, against refTable.
-func runPageTableOps(t testing.TB, prog []byte) {
+// WalkExtentsInto, PagesInto and Access calls over 4K, 2M and 1G pages
+// and checks every result, error or success, against refTable and, for
+// Access, a reference byte store keyed by physical address. It returns
+// how often an Access crossed out of its first leaf, by the sizes of
+// the leaves on either side ("4K→2M", "2M→unmapped", ...).
+func runPageTableOps(t testing.TB, prog []byte) (accessCover map[string]int) {
 	tbl, ref := New(), newRefTable()
+	pm, err := mem.NewPhysMem(mem.Region{Base: 0, Size: physSpan, Kind: mem.DDR4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refBytes := make(map[mem.PhysAddr]byte) // absent: never written, reads as zero
+	accessCover = make(map[string]int)
 	p := &ptProgram{data: prog}
 	var scratch []mem.Extent
 	// mapped lists the ranges of successful Maps, some since unmapped:
@@ -186,20 +204,59 @@ func runPageTableOps(t testing.TB, prog []byte) {
 		return r.va + VirtAddr(off%r.length)
 	}
 	units := []uint64{Size4K, Size2M, Size1G}
+	// accessRange returns a range of up to three pages that, most of the
+	// time, starts in a leaf and ends exactly at its end or runs past it:
+	// by one byte or by anything up to all but one. A quarter of the
+	// leaves it starts in open a mapped range, where a large-page map
+	// keeps its head of smaller pages.
+	accessRange := func() (VirtAddr, uint64) {
+		length := uint64(2 + p.u16()%(3*Size4K))
+		at := probe()
+		if len(mapped) > 0 && p.u8() < 64 {
+			at = mapped[p.u16()%len(mapped)].va + VirtAddr(p.u16()%(2*Size4K))
+		}
+		base, l, ok := ref.find(at)
+		if !ok || p.u8() < 32 {
+			return at, length
+		}
+		var back uint64 // bytes before the leaf's end
+		switch p.u8() % 4 {
+		case 0:
+			back = length - 1
+		case 1:
+			back = length
+		default:
+			back = 1 + uint64(p.u16())%(length-1)
+		}
+		back = min(back, l.size)
+		return base + VirtAddr(l.size-back), length
+	}
 
 	for step := 0; !p.done; step++ {
-		switch op := p.u8() % 6; op {
+		switch op := p.u8() % 7; op {
 		case 0: // Map
 			unit := units[p.u8()%len(units)]
 			va := pick(unit)
+			if len(mapped) > 0 && p.u8()%4 == 0 {
+				// Right after an earlier map: the leaves meet with a
+				// physical discontinuity between them.
+				r := mapped[p.u16()%len(mapped)]
+				va = (r.va + VirtAddr(r.length) + VirtAddr(unit-1)) &^ VirtAddr(unit-1)
+			}
 			pa := mem.PhysAddr(uint64(p.u8()) * unit)
 			length := uint64(1+p.u8()%20) * Size4K
 			if unit > Size4K {
-				// Large pages and a tail of next-smaller ones, or one
-				// large page's worth at a pa misaligned so that Map must
-				// fall back to the smaller size (512 leaves).
+				// Large pages with a head and a tail of next-smaller
+				// ones, or one large page's worth at a pa misaligned so
+				// that Map must fall back to the smaller size (512
+				// leaves).
 				smaller := unit >> 9
 				length = uint64(1+p.u8()%3)*unit + uint64(p.u8()%3)*smaller
+				if head := uint64(p.u8()%3) * smaller; uint64(pa) >= head {
+					va -= VirtAddr(head)
+					pa -= mem.PhysAddr(head)
+					length += head
+				}
 				if p.u8()%4 == 0 {
 					pa += mem.PhysAddr(smaller)
 					length = unit
@@ -280,6 +337,60 @@ func runPageTableOps(t testing.TB, prog []byte) {
 			if err := tbl.Map(top, pa, Size4K, 0); (err == nil) != want {
 				t.Fatalf("step %d: Map(top, %#x) = %v, reference ok=%v", step, pa, err, want)
 			}
+		case 6: // Access
+			va, length := accessRange()
+			write := p.u8()%2 == 0
+			if base, l, ok := ref.find(va); ok && uint64(va-base)+length > l.size {
+				next := "unmapped"
+				if _, nl, ok := ref.find(base + VirtAddr(l.size)); ok {
+					next = pageName[nl.size]
+				}
+				accessCover[pageName[l.size]+"→"+next]++
+			}
+			exts, ok := ref.walk(va, length, false)
+			buf := make([]byte, length)
+			for i := range buf {
+				buf[i] = byte(step + 13*i + 1)
+			}
+			orig := bytes.Clone(buf)
+			fault, err := tbl.Access(pm, va, buf, write)
+			if err != nil || (fault == nil) != ok {
+				t.Fatalf("step %d: Access(%#x, %#x, write=%v) = %v/%v, reference ok=%v", step, va, length, write, fault, err, ok)
+			}
+			if !ok && !bytes.Equal(buf, orig) {
+				t.Fatalf("step %d: faulting Access(%#x, %#x, write=%v) changed the buffer", step, va, length, write)
+			}
+			if ok && write {
+				// In range order, so the last of two virtual aliases of
+				// one byte wins, as it does in memory.
+				i := 0
+				for _, x := range exts {
+					for j := range x.Len {
+						refBytes[x.Addr+mem.PhysAddr(j)] = buf[i]
+						i++
+					}
+				}
+			}
+			// Every byte the range translates (its prefix, on a fault)
+			// holds the reference's value, and a read returned it.
+			i := 0
+			for _, x := range exts {
+				got := make([]byte, x.Len)
+				if err := pm.ReadAt(x.Addr, got); err != nil {
+					t.Fatal(err)
+				}
+				for j, b := range got {
+					pa := x.Addr + mem.PhysAddr(j)
+					if b != refBytes[pa] {
+						t.Fatalf("step %d: Access(%#x, %#x, write=%v, fault=%v): pa %#x holds %#x, reference %#x",
+							step, va, length, write, fault, pa, b, refBytes[pa])
+					}
+					if ok && !write && buf[i] != b {
+						t.Fatalf("step %d: Access(%#x, %#x) read %#x at offset %d, memory holds %#x", step, va, length, buf[i], i, b)
+					}
+					i++
+				}
+			}
 		}
 		for _, size := range units {
 			if got, want := mappedBytes(tbl, size), ref.mapped[size]; got != want {
@@ -294,13 +405,14 @@ func runPageTableOps(t testing.TB, prog []byte) {
 			}
 		}
 	}
+	return accessCover
 }
 
 // pageTableOpSeeds generates the differential test's programs, which are
 // also the fuzz target's corpus.
 func pageTableOpSeeds() [][]byte {
 	var progs [][]byte
-	for seed := int64(1); seed <= 4; seed++ {
+	for seed := int64(1); seed <= 8; seed++ {
 		prog := make([]byte, 4000)
 		rand.New(rand.NewSource(seed)).Read(prog)
 		progs = append(progs, prog)
@@ -308,9 +420,23 @@ func pageTableOpSeeds() [][]byte {
 	return progs
 }
 
+// TestPageTableDifferential runs the seed programs. Between them their
+// Access calls must cross each kind of leaf boundary that the copy
+// loop has to get right.
 func TestPageTableDifferential(t *testing.T) {
+	cover := make(map[string]int)
 	for i, prog := range pageTableOpSeeds() {
-		t.Run(fmt.Sprintf("seed%d", i+1), func(t *testing.T) { runPageTableOps(t, prog) })
+		t.Run(fmt.Sprintf("seed%d", i+1), func(t *testing.T) {
+			for k, n := range runPageTableOps(t, prog) {
+				cover[k] += n
+			}
+		})
+	}
+	t.Logf("Access crossings: %v", cover)
+	for _, k := range []string{"4K→4K", "4K→2M", "2M→4K", "4K→unmapped", "2M→unmapped"} {
+		if cover[k] == 0 {
+			t.Errorf("no seed program's Access crosses %s", k)
+		}
 	}
 }
 

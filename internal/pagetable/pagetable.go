@@ -322,8 +322,9 @@ func (t *Table) WalkExtents(va VirtAddr, length uint64) ([]mem.Extent, error) {
 }
 
 // WalkExtentsInto is WalkExtents appending into dst (reusing its
-// capacity): hot callers that translate a range per memory access keep
-// a scratch slice and pay no allocation once it has grown.
+// capacity): a hot caller, such as the fast path's SDMA request
+// builder, keeps a scratch slice and pays no allocation once it has
+// grown.
 func (t *Table) WalkExtentsInto(dst []mem.Extent, va VirtAddr, length uint64) ([]mem.Extent, error) {
 	if length == 0 {
 		return dst, nil
@@ -358,28 +359,44 @@ func (t *Table) WalkExtentsInto(dst []mem.Extent, va VirtAddr, length uint64) ([
 }
 
 // Access copies buf into (write) or out of the physical memory behind
-// [va, va+len(buf)). It walks through the owner's scratch slice exactly
-// like WalkExtentsInto and hands it back grown. A translation fault is
-// returned as fault, apart from a physical-memory err, so that each
-// address-space owner can report it in its own words.
-func (t *Table) Access(pm *mem.PhysMem, scratch []mem.Extent, va VirtAddr, buf []byte, write bool) (exts []mem.Extent, fault, err error) {
-	exts, fault = t.WalkExtentsInto(scratch, va, uint64(len(buf)))
-	if fault != nil {
-		return exts, fault, nil
+// [va, va+len(buf)), leaf by leaf. Every leaf the range touches is
+// translated before the first byte moves, so an access that faults
+// changes nothing: neither memory nor buf. The fault is returned as
+// fault, apart from a physical-memory err, so that each address-space
+// owner can report it in its own words. An access inside one leaf (a
+// word, anything within a page) costs one lookup.
+func (t *Table) Access(pm *mem.PhysMem, va VirtAddr, buf []byte, write bool) (fault, err error) {
+	if len(buf) == 0 {
+		return nil, nil
 	}
-	for _, e := range exts {
-		chunk := buf[:e.Len]
+	e, pgsz, ok := t.lookup(va)
+	if !ok {
+		return fmt.Errorf("pagetable: fault at %#x", va), nil
+	}
+	off := uint64(va) & (pgsz - 1)
+	for done := pgsz - off; done < uint64(len(buf)); {
+		cur := va + VirtAddr(done)
+		_, size, ok := t.lookup(cur)
+		if !ok {
+			return fmt.Errorf("pagetable: fault at %#x", cur), nil
+		}
+		done += size - uint64(cur)&(size-1)
+	}
+	for {
+		n := min(pgsz-off, uint64(len(buf)))
 		if write {
-			err = pm.WriteAt(e.Addr, chunk)
+			err = pm.WriteAt(e.at(off), buf[:n])
 		} else {
-			err = pm.ReadAt(e.Addr, chunk)
+			err = pm.ReadAt(e.at(off), buf[:n])
 		}
-		if err != nil {
-			return exts, nil, err
+		if err != nil || n == uint64(len(buf)) {
+			return nil, err
 		}
-		buf = buf[e.Len:]
+		buf = buf[n:]
+		va += VirtAddr(n)
+		e, pgsz, _ = t.lookup(va)
+		off = uint64(va) & (pgsz - 1)
 	}
-	return exts, nil, nil
 }
 
 // PagesInto appends one extent per 4K page of the virtual range to dst,

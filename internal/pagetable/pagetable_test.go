@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -478,6 +479,38 @@ func BenchmarkPageTableWalk(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchExtents, _ = pt.WalkExtents(va, 4<<20)
+	}
+}
+
+// BenchmarkAccess measures one Access write and one read of 8 B and
+// 1 KB inside a page, and of 64 KB across sixteen 4K leaves that are
+// not physically adjacent.
+func BenchmarkAccess(b *testing.B) {
+	pm, err := mem.NewPhysMem(mem.Region{Base: 0, Size: 1 << 20, Kind: mem.DDR4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pt := New()
+	const va = VirtAddr(0x400000)
+	for i := range 16 {
+		if err := pt.Map(va+VirtAddr(i*Size4K), mem.PhysAddr(2*i*Size4K), Size4K, Writable); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, size := range []int{8, 1 << 10, 64 << 10} {
+		b.Run(fmt.Sprint(size), func(b *testing.B) {
+			buf := make([]byte, size)
+			b.SetBytes(2 * int64(size))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if f, err := pt.Access(pm, va, buf, true); f != nil || err != nil {
+					b.Fatal(f, err)
+				}
+				if f, err := pt.Access(pm, va, buf, false); f != nil || err != nil {
+					b.Fatal(f, err)
+				}
+			}
+		})
 	}
 }
 

@@ -9,7 +9,9 @@
 // Exactly one of them executes at any instant and the Go scheduler is not
 // involved in the switch, so no locking is needed inside simulation code
 // and runs are reproducible. Events that fire at the same virtual time
-// are ordered by their scheduling sequence number.
+// are ordered by their scheduling sequence number. A Sleep whose
+// resumption would be the next event dispatched does not switch at all:
+// it takes the event's sequence number, advances the clock and returns.
 //
 // A parked process is still a goroutine, and its stack keeps everything
 // it references reachable — for a daemon blocked forever, the whole
@@ -245,17 +247,11 @@ func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 var errClosed = errors.New("sim: engine closed")
 
 // block suspends the calling process until it is woken via wake: it
-// switches back to the driver, which dispatches onward. When the next
-// event is this process's own resumption (a sleep nothing else
-// interleaves with) the switch pair would land right back here, so the
-// event is consumed in place instead, under step's conditions. A yield
-// that returns false is Close stopping the coroutine.
+// switches back to the driver, which dispatches onward. A yield that
+// returns false is Close stopping the coroutine.
 func (p *Proc) block(state string) {
 	p.state = state
-	e := p.e
-	if h := e.heap; len(h) > 0 && h[0].p == p && h[0].at < e.bound && e.failv == nil {
-		e.now = e.heap.pop().at
-	} else if !p.yield(struct{}{}) {
+	if !p.yield(struct{}{}) {
 		panic(errClosed)
 	}
 	p.state = ""
@@ -278,8 +274,8 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	// No window is open: a Sleep in a deferred call must reach yield, not
-	// be consumed in place by block.
+	// No window is open: a Sleep in a deferred call fails its bound
+	// check and reaches yield, which unwinds it.
 	e.bound = 0
 	procs := make([]*Proc, 0, len(e.procs))
 	for p := range e.procs {
@@ -367,12 +363,24 @@ func (e *Engine) wake(p *Proc) {
 
 // Sleep advances the process's virtual time by d. Negative durations are
 // treated as zero; a sleep past the end of time never returns.
+//
+// When nothing is ordered before the resumption event and step would
+// dispatch it next (inside the window, no failure latched), the switch
+// pair to the driver and back would land right here: the event takes
+// its sequence number and the clock moves, but it never enters the
+// heap.
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
 	e := p.e
-	e.atProc(later(e.now, d), p)
+	e.seq++
+	ev := event{at: later(e.now, d), seq: e.seq, kind: evProc, p: p}
+	if (len(e.heap) == 0 || ev.before(&e.heap[0])) && ev.at < e.bound && e.failv == nil {
+		e.now = ev.at
+		return
+	}
+	e.heap.push(ev)
 	p.block("sleep")
 }
 

@@ -112,10 +112,11 @@ func countResumes(p *Proc) *int {
 	return n
 }
 
-// TestSelfResumeSwitchesNothing: a sleep that nothing interleaves with is
-// consumed inside block, so a lone process is resumed once however often
-// it sleeps, while two processes in lockstep are resumed once per event;
-// the clock and sequence numbers cannot tell the two paths apart.
+// TestSelfResumeSwitchesNothing: a sleep that nothing interleaves with
+// returns from Sleep without an event, so a lone process is resumed once
+// however often it sleeps, while two processes in lockstep are resumed
+// once per event; the clock and sequence numbers cannot tell the two
+// paths apart.
 func TestSelfResumeSwitchesNothing(t *testing.T) {
 	const sleeps = 100
 	body := func(p *Proc) {
@@ -145,10 +146,11 @@ func TestSelfResumeSwitchesNothing(t *testing.T) {
 	}
 }
 
-// TestSelfResumeRespectsBoundAndFailure: the in-place path obeys the two
-// conditions step does. A resumption at or past the window bound stays
-// queued for the next Run, and once a failure is latched the process
-// stays blocked and is named in the state it blocked in.
+// TestSelfResumeRespectsBoundAndFailure: Sleep returns at once only under
+// the two conditions step dispatches by. A resumption at or past the
+// window bound stays queued for the next Run, and once a failure is
+// latched the process stays blocked and is named in the state it blocked
+// in.
 func TestSelfResumeRespectsBoundAndFailure(t *testing.T) {
 	e := NewEngine(1)
 	var at []time.Duration
@@ -186,6 +188,96 @@ func TestSelfResumeRespectsBoundAndFailure(t *testing.T) {
 	if !errors.As(err, &dl) || fmt.Sprint(dl.Blocked) != "[lone [sleep]]" {
 		t.Fatalf("blocked after the failure = %v, want [lone [sleep]]", err)
 	}
+}
+
+// TestSleepTieAndBoundRows: Sleep returns without yielding only when its
+// resumption is ordered before every queued event and lies strictly
+// inside the window. An event queued for the same instant has the lower
+// sequence number and runs first; a wake-up at the bound itself belongs
+// to the next window, on one engine and on a shard of a set alike.
+func TestSleepTieAndBoundRows(t *testing.T) {
+	t.Run("tie with a callback", func(t *testing.T) {
+		e := NewEngine(1)
+		var log []string
+		e.After(10, func() { log = append(log, fmt.Sprint(e.Now(), ":cb")) })
+		e.Go("sleeper", func(p *Proc) {
+			p.Sleep(10)
+			log = append(log, fmt.Sprint(p.Now(), ":sleeper"))
+		})
+		if err := e.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(log, " "); got != "10ns:cb 10ns:sleeper" {
+			t.Fatalf("log = %s, want the queued callback first", got)
+		}
+	})
+	t.Run("tie with a process", func(t *testing.T) {
+		e := NewEngine(1)
+		var log []string
+		e.Go("early", func(p *Proc) {
+			p.Sleep(10) // queued: the sleeper's spawn event is still pending
+			log = append(log, fmt.Sprint(p.Now(), ":early"))
+		})
+		sleeper := e.Go("sleeper", func(p *Proc) {
+			p.Sleep(5)
+			p.Sleep(5) // ties with early's resumption, which has the lower seq
+			log = append(log, fmt.Sprint(p.Now(), ":sleeper"))
+		})
+		resumes := countResumes(sleeper)
+		if err := e.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(log, " "); got != "10ns:early 10ns:sleeper" {
+			t.Fatalf("log = %s, want the earlier-queued process first", got)
+		}
+		// Spawn, and the tied wake-up; the sleep to 5ns had nothing
+		// before it.
+		if *resumes != 2 {
+			t.Fatalf("sleeper resumed %d times, want 2", *resumes)
+		}
+	})
+	t.Run("wake at the bound", func(t *testing.T) {
+		e := NewEngine(1)
+		var woke []time.Duration
+		e.Go("sleeper", func(p *Proc) {
+			p.Sleep(26) // Run(25)'s window is [0, 26)
+			woke = append(woke, p.Now())
+		})
+		if err := e.Run(25); err != nil {
+			t.Fatal(err)
+		}
+		if len(woke) != 0 || e.Now() != 25 || len(e.heap) != 1 {
+			t.Fatalf("after Run(25): woke at %v, Now = %v, %d queued; want none, 25ns, 1", woke, e.Now(), len(e.heap))
+		}
+		if err := e.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(woke) != "[26ns]" {
+			t.Fatalf("after resume: woke at %v", woke)
+		}
+	})
+	t.Run("wake at the bound, 2 shards", func(t *testing.T) {
+		s, err := NewShardSet(1, 2, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log []string
+		a, b := s.Engines()[0], s.Engines()[1]
+		a.Go("sleeper", func(p *Proc) {
+			p.Sleep(100) // the first window is [0, 100)
+			log = append(log, fmt.Sprint(p.Now(), ":sleeper:window", s.Windows))
+		})
+		b.Go("peer", func(p *Proc) {
+			p.Sleep(99)
+			log = append(log, fmt.Sprint(p.Now(), ":peer:window", s.Windows))
+		})
+		if err := s.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(log, " "); got != "99ns:peer:window0 100ns:sleeper:window1" || s.Windows != 2 {
+			t.Fatalf("log = %s after %d windows, want the sleeper in the second of 2", got, s.Windows)
+		}
+	})
 }
 
 // TestEnginesIsolatedAcrossGoroutines: each engine's coroutines belong

@@ -70,10 +70,6 @@ type Process struct {
 
 	mmapAlloc *vas.RangeAllocator
 	vmas      map[VirtAddr]*VMA
-	// extScratch backs the page-table walk in access: user memory is
-	// touched on every simulated syscall and DMA, so the extent list is
-	// reused instead of reallocated per access.
-	extScratch []mem.Extent
 }
 
 // mmapWindow is where anonymous mappings are placed (a 2M-aligned slice
@@ -215,8 +211,7 @@ func (p *Process) WriteAt(va VirtAddr, buf []byte) error {
 }
 
 func (p *Process) access(va VirtAddr, buf []byte, write bool) error {
-	exts, fault, err := p.PT.Access(p.Alloc.Phys(), p.extScratch[:0], va, buf, write)
-	p.extScratch = exts
+	fault, err := p.PT.Access(p.Alloc.Phys(), va, buf, write)
 	if fault != nil {
 		return fmt.Errorf("uproc: %s: segfault at %#x: %w", p.Name, va, fault)
 	}

@@ -10,7 +10,7 @@ import (
 	"repro/internal/pagetable"
 )
 
-func allocator(t *testing.T) *mem.Allocator {
+func allocator(t testing.TB) *mem.Allocator {
 	t.Helper()
 	pm, err := mem.NewPhysMem(
 		mem.Region{Base: 1 << 30, Size: 16 << 20, Kind: mem.MCDRAM, Owner: "k"},
@@ -170,6 +170,72 @@ func TestU64UserAccess(t *testing.T) {
 	if err != nil || v != 0x1122334455667788 {
 		t.Fatalf("v = %#x, %v", v, err)
 	}
+}
+
+// scattered64K maps 64 KB of scattered 4K pages, checks that they are
+// sixteen physically separate leaves, and writes them all once so that
+// every frame behind them is backed.
+func scattered64K(tb testing.TB) (*Process, VirtAddr) {
+	p := NewProcess("r", allocator(tb), BackingScattered4K)
+	va, err := p.MmapAnon(64 << 10)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if exts, err := p.PT.WalkExtents(va, 64<<10); err != nil || len(exts) != 16 {
+		tb.Fatalf("64 KB scattered mapping: %d extents, %v; want 16", len(exts), err)
+	}
+	if err := p.WriteAt(va, make([]byte, 64<<10)); err != nil {
+		tb.Fatal(err)
+	}
+	return p, va
+}
+
+// TestUserAccessAllocs: once the frames are backed, user memory access
+// allocates nothing, a word inside a page or across two, and a 64 KB
+// copy across sixteen leaves alike.
+func TestUserAccessAllocs(t *testing.T) {
+	p, va := scattered64K(t)
+	words := testing.AllocsPerRun(100, func() {
+		for _, at := range []VirtAddr{va + 8, va + 4092} {
+			if err := p.WriteU64(at, 0x1122334455667788); err != nil {
+				t.Fatal(err)
+			}
+			if v, err := p.ReadU64(at); err != nil || v != 0x1122334455667788 {
+				t.Fatalf("ReadU64(%#x) = %#x, %v", at, v, err)
+			}
+		}
+	})
+	buf := make([]byte, 64<<10)
+	copies := testing.AllocsPerRun(100, func() {
+		if p.WriteAt(va, buf) != nil || p.ReadAt(va, buf) != nil {
+			t.Fatal("64 KB access failed")
+		}
+	})
+	if words != 0 || copies != 0 {
+		t.Fatalf("allocs per run: word accesses %v, 64 KB WriteAt+ReadAt %v; want 0 and 0", words, copies)
+	}
+}
+
+// BenchmarkWordAccess measures a ReadU64 and a WriteU64 inside a page
+// of user memory.
+func BenchmarkWordAccess(b *testing.B) {
+	p, va := scattered64K(b)
+	b.Run("ReadU64", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := p.ReadU64(va + 8); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("WriteU64", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := p.WriteU64(va+8, uint64(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // Property: mmap/munmap cycles with mixed sizes leak neither physical
