@@ -28,7 +28,9 @@
 package core
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"sync"
 
 	"repro/internal/dwarfx"
 	"repro/internal/kmem"
@@ -91,6 +93,48 @@ func ExtractLayouts(blob []byte, version string, wants map[string][]string) (*ks
 		}
 	}
 	return reg, nil
+}
+
+// layoutKey names one module build's extraction: the fast path's
+// version, which fixes the structures and fields it wants, and the
+// SHA-256 of the debugging information.
+type layoutKey struct {
+	version string
+	sum     [sha256.Size]byte
+}
+
+// extraction is one memoised ExtractLayouts result.
+type extraction struct {
+	once sync.Once
+	reg  *kstruct.Registry
+	err  error
+}
+
+// extractions memoises portLayouts. It only grows: a process sees one
+// entry per fast path and module build.
+var extractions struct {
+	sync.Mutex
+	m map[layoutKey]*extraction
+}
+
+// portLayouts is ExtractLayouts run once per module build: every node of
+// every cluster loads the same module, and §3.2 runs dwarf-extract-struct
+// when the fast path is ported, not at every boot. Callers share the
+// registry read-only. version must name one wants set.
+func portLayouts(blob []byte, version string, wants map[string][]string) (*kstruct.Registry, error) {
+	k := layoutKey{version: version, sum: sha256.Sum256(blob)}
+	extractions.Lock()
+	x := extractions.m[k]
+	if x == nil {
+		if extractions.m == nil {
+			extractions.m = make(map[layoutKey]*extraction)
+		}
+		x = &extraction{}
+		extractions.m[k] = x
+	}
+	extractions.Unlock()
+	x.once.Do(func() { x.reg, x.err = ExtractLayouts(blob, version, wants) })
+	return x.reg, x.err
 }
 
 // CallbackSpace returns the kernel space whose TEXT holds fast-path

@@ -61,10 +61,11 @@ type HFIPico struct {
 }
 
 // NewHFIPico ports the fast path: extract layouts from the driver
-// module's DWARF blob, register the duplicated completion callback in
-// LWK TEXT, and hand back the driver instance.
+// module's DWARF blob (once per module build, shared by every node),
+// register the duplicated completion callback in LWK TEXT, and hand
+// back the driver instance.
 func NewHFIPico(fw *Framework, nic *hfi.NIC, dwarfBlob []byte, pr *model.Params) (*HFIPico, error) {
-	reg, err := ExtractLayouts(dwarfBlob, "hfipico", HFIWants)
+	reg, err := portLayouts(dwarfBlob, "hfipico", HFIWants)
 	if err != nil {
 		return nil, err
 	}

@@ -47,10 +47,11 @@ type MLXPico struct {
 	Fallbacks  uint64
 }
 
-// NewMLXPico extracts the layouts from the module's debug info and
-// returns the ported fast path, programming keys into table.
+// NewMLXPico extracts the layouts from the module's debug info (once per
+// module build, shared by every node) and returns the ported fast path,
+// programming keys into table.
 func NewMLXPico(fw *Framework, dwarfBlob []byte, table mlx.MRTable, pr *model.Params) (*MLXPico, error) {
-	reg, err := ExtractLayouts(dwarfBlob, "mlxpico", MLXWants)
+	reg, err := portLayouts(dwarfBlob, "mlxpico", MLXWants)
 	if err != nil {
 		return nil, err
 	}

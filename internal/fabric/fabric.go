@@ -84,6 +84,24 @@ type Packet struct {
 	// returns it to the buffer pool. Never set on payloads the sender
 	// retains (reliability-mode retransmit buffers).
 	PooledPayload bool
+	// Owner, when set, is the holder of a payload its sender retains:
+	// Release tells it once per copy (see PayloadOwner). Never set
+	// together with PooledPayload.
+	Owner PayloadOwner `snap:"-"`
+}
+
+// PayloadOwner counts the in-flight copies of a retained payload. The
+// sender takes one hold per packet it sends with the payload, the
+// fabric takes one more for each duplicate it makes, and Release lets
+// go of one per copy delivered, dropped or discarded. The owner may
+// reuse the payload once its own holders and every copy have let go.
+// Release runs on the engine of the fabric that delivers the copy, so a
+// routed (cross-shard) packet must not carry an owner; the only owner,
+// psm's retained chunk, travels on lossy fabrics alone, which a shard
+// set refuses.
+type PayloadOwner interface {
+	HoldPayload()
+	ReleasePayload()
 }
 
 // Port is one node's attachment to the fabric.
@@ -419,10 +437,15 @@ func (f *Fabric) sendFaulty(dst *Port, pkt *Packet, begin time.Duration, lat tim
 	if lf.Dup > 0 && f.frng.Float64() < lf.Dup {
 		f.fstats.Duplicated++
 		// Both in-flight copies alias the same payload, so neither may
-		// recycle it: take the packet out of the pooled regime and let
-		// the garbage collector reclaim both (duplication is rare).
+		// recycle a pooled one: take the packet out of the pooled regime
+		// and let the garbage collector reclaim both (duplication is
+		// rare). An owned payload counts the copy instead, and goes back
+		// to its owner when both have been released.
 		pkt.Pooled = false
 		pkt.PooledPayload = false
+		if pkt.Owner != nil {
+			pkt.Owner.HoldPayload()
+		}
 		dup = new(Packet)
 		*dup = *pkt
 		// The duplicate trails the original by one extra hop. The

@@ -24,8 +24,13 @@ package fabric
 //     instead of silently corrupting data.
 //
 // Senders that retain payloads after Send (the PSM reliability layer
-// keeps them for retransmission) must not use pooled buffers; they pass
-// ordinary allocations and leave PooledPayload unset.
+// keeps them for retransmission) must not use pooled buffers. They
+// recycle their own, by hold count: a packet carrying one names its
+// holder in Owner, the sender holds the payload once per packet it
+// sends, the fabric adds a hold when it duplicates the packet, and
+// Release lets go of one hold per copy. The payload is the owner's
+// again once the count it keeps reaches zero; this pool never sees it,
+// so its counters are the same whether a sender recycles or not.
 
 // PoolStats counts freelist traffic (instrumentation for tests and the
 // EXPERIMENTS.md performance section).
@@ -84,13 +89,18 @@ func (f *Fabric) GetPacket() *Packet {
 }
 
 // Release recycles a delivered (or dropped) packet: the payload goes
-// back to the buffer pool when pool-owned, the Packet itself when it
-// came from GetPacket. Receiving NICs call this exactly once per packet
-// after their rx handler returns; calling it on a non-pooled packet is
-// a harmless no-op.
+// back to the buffer pool when pool-owned, or its owner is told that
+// this copy is done, and the Packet itself goes back when it came from
+// GetPacket. Receiving NICs call this exactly once per packet after
+// their rx handler returns; calling it on a packet with neither is a
+// harmless no-op.
 func (f *Fabric) Release(pkt *Packet) {
 	if pkt == nil {
 		return
+	}
+	if o := pkt.Owner; o != nil {
+		pkt.Owner = nil
+		o.ReleasePayload()
 	}
 	if pkt.PooledPayload && pkt.Payload != nil {
 		f.PutBuf(pkt.Payload)

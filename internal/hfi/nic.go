@@ -436,19 +436,22 @@ func (n *NIC) SubmitSDMA(p *sim.Proc, txn *SDMATxn) error {
 
 // PIOSend transmits a small message by programmed I/O: the calling
 // process pays the store cost and the wire serialization; no SDMA engine
-// and no system call are involved.
-func (n *NIC) PIOSend(p *sim.Proc, dstNode, dstCtx int, hdr fabric.Header, payload []byte, bytes uint64) error {
-	return n.pioSend(p, dstNode, dstCtx, hdr, payload, bytes, false)
+// and no system call are involved. owner, when non-nil, holds a payload
+// the caller retains: the caller has taken a hold for this packet, and
+// the fabric lets go of it (fabric.PayloadOwner) once the packet is
+// delivered or lost. Control packets pass nil.
+func (n *NIC) PIOSend(p *sim.Proc, dstNode, dstCtx int, hdr fabric.Header, payload []byte, bytes uint64, owner fabric.PayloadOwner) error {
+	return n.pioSend(p, dstNode, dstCtx, hdr, payload, bytes, false, owner)
 }
 
 // PIOSendPooled is PIOSend for a payload obtained from AllocPayload:
 // ownership transfers to the fabric and the receiving NIC recycles the
 // buffer after delivery. The caller must not touch payload again.
 func (n *NIC) PIOSendPooled(p *sim.Proc, dstNode, dstCtx int, hdr fabric.Header, payload []byte) error {
-	return n.pioSend(p, dstNode, dstCtx, hdr, payload, uint64(len(payload)), true)
+	return n.pioSend(p, dstNode, dstCtx, hdr, payload, uint64(len(payload)), true, nil)
 }
 
-func (n *NIC) pioSend(p *sim.Proc, dstNode, dstCtx int, hdr fabric.Header, payload []byte, bytes uint64, pooled bool) error {
+func (n *NIC) pioSend(p *sim.Proc, dstNode, dstCtx int, hdr fabric.Header, payload []byte, bytes uint64, pooled bool, owner fabric.PayloadOwner) error {
 	if payload != nil {
 		bytes = uint64(len(payload))
 	}
@@ -461,7 +464,7 @@ func (n *NIC) pioSend(p *sim.Proc, dstNode, dstCtx int, hdr fabric.Header, paylo
 	*pkt = fabric.Packet{
 		SrcNode: fabric.RailID(n.Node, rail), DstNode: fabric.RailID(dstNode, rail), DstCtx: dstCtx,
 		Kind: fabric.KindEager, Hdr: hdr, Payload: payload, Bytes: bytes,
-		Pooled: true, PooledPayload: pooled && payload != nil,
+		Pooled: true, PooledPayload: pooled && payload != nil, Owner: owner,
 	}
 	return n.fab.Send(p, pkt)
 }

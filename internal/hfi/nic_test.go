@@ -98,7 +98,7 @@ func TestNICEagerDelivery(t *testing.T) {
 	r.e.Go("sender", func(p *sim.Proc) {
 		if err := r.nic[0].PIOSend(p, 1, 0, fabric.Header{
 			Op: OpEager, SrcRank: 7, Tag: 42, MsgID: 9, MsgLen: uint64(len(payload)),
-		}, payload, 0); err != nil {
+		}, payload, 0, nil); err != nil {
 			t.Error(err)
 		}
 	})
@@ -218,7 +218,7 @@ func TestNICRejectsOversizedRequest(t *testing.T) {
 func TestNICPIOSizeLimit(t *testing.T) {
 	r := newNICRig(t)
 	r.e.Go("send", func(p *sim.Proc) {
-		err := r.nic[0].PIOSend(p, 1, 0, fabric.Header{Op: OpEager}, nil, r.pr.PIOMaxSize+1)
+		err := r.nic[0].PIOSend(p, 1, 0, fabric.Header{Op: OpEager}, nil, r.pr.PIOMaxSize+1, nil)
 		if err == nil {
 			t.Error("oversized PIO accepted")
 		}
@@ -384,7 +384,7 @@ func TestRxEagerRefusesOversizePacket(t *testing.T) {
 	}
 	payload := bytes.Repeat([]byte{0x5a}, int(r.pr.EagerChunk)+1)
 	r.e.Go("sender", func(p *sim.Proc) {
-		if err := r.nic[0].PIOSend(p, 1, 0, fabric.Header{Op: OpEager, MsgLen: uint64(len(payload))}, payload, 0); err != nil {
+		if err := r.nic[0].PIOSend(p, 1, 0, fabric.Header{Op: OpEager, MsgLen: uint64(len(payload))}, payload, 0, nil); err != nil {
 			t.Error(err)
 		}
 	})

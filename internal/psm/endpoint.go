@@ -102,14 +102,22 @@ type Endpoint struct {
 	// Free lists of the per-message records: a request's record returns
 	// when its last holder drops it (Request.holds), a rendezvous and its
 	// windows when the transfer retires, a message timer's when
-	// msgTimers and any running expiry let go (recovery.holds). All come
-	// back cleared.
+	// msgTimers and any running expiry let go (recovery.holds), a
+	// retained payload chunk when its flow listing, any go-back-N round
+	// reading it and every packet copy in flight let go (chunk.holds).
+	// All but the chunks come back cleared; a chunk's bytes are
+	// overwritten by its next read.
 	freeInbound []*inbound   `snap:"-"`
 	freeSends   []*sendReq   `snap:"-"`
 	freeRecvs   []*recvReq   `snap:"-"`
 	freeRdvs    []*rdvRecv   `snap:"-"`
 	freeWindows []*rdvWindow `snap:"-"`
 	freeTimers  []*recovery  `snap:"-"` // message timers' records
+	freeChunks  []*chunk     `snap:"-"`
+	chunksMade  int          `snap:"-"` // chunks ever allocated (CheckRetained)
+	// midRoundAcks counts ACKs that retired packets while a go-back-N
+	// round was running; tests read it to know they exercised one.
+	midRoundAcks int `snap:"-"`
 }
 
 // recvReq is a posted receive; Irecv hands out its embedded request.

@@ -310,7 +310,7 @@ func (ep *Endpoint) maybeSendEagerFin(p *sim.Proc, inb *inbound) error {
 		return nil
 	}
 	fin := ep.header(OpEagerFin, inb.tag, inb.msgid, 0, 0, 0)
-	return ep.sendFlowPkt(p, int(inb.src), addr, fin, nil, ackWireBytes, nil)
+	return ep.sendFlowPkt(p, int(inb.src), addr, fin, nil, nil, ackWireBytes, nil)
 }
 
 // onRTS matches a rendezvous announcement against posted receives.

@@ -130,7 +130,7 @@ func (ep *Endpoint) sendPIO(p *sim.Proc, sr *sendReq) error {
 				ep.span("send:pio", sr.req.begin, sr.length)
 			}
 		} else {
-			payload, err := ep.readPayload(sr.buf+uproc.VirtAddr(off), n)
+			payload, c, err := ep.readPayload(sr.buf+uproc.VirtAddr(off), n)
 			if err != nil {
 				return err
 			}
@@ -140,7 +140,7 @@ func (ep *Endpoint) sendPIO(p *sim.Proc, sr *sendReq) error {
 				sr.req.hold()
 				onAcked = sr.acked
 			}
-			if err := ep.sendFlowPkt(p, sr.peer, a, hdr, payload, n, onAcked); err != nil {
+			if err := ep.sendFlowPkt(p, sr.peer, a, hdr, payload, c, n, onAcked); err != nil {
 				return err
 			}
 		}
@@ -158,23 +158,24 @@ func (sr *sendReq) pioAcked(err error) {
 	sr.ep.drop(&sr.req)
 }
 
-// readPayload loads message bytes from user memory (nil in synthetic
-// mode — lengths still flow through the whole stack). The buffer is
-// freshly allocated and never recycled: reliability-mode callers retain
-// it for go-back-N retransmission, and a retransmitted packet still in
-// flight aliases it after its flow has let go, so no point is known at
-// which it is free (EXPERIMENTS.md, "Retained payloads are never
-// pooled"). Going through the fabric's buffer pool instead would also
-// move its exact hit counters.
-func (ep *Endpoint) readPayload(va uproc.VirtAddr, n uint64) ([]byte, error) {
+// readPayload loads message bytes from user memory into a retained
+// chunk from the endpoint's free list (nil, nil in synthetic mode —
+// lengths still flow through the whole stack). The chunk comes back
+// unheld: sendFlowPkt takes its holds, and the last holder to let go
+// returns it to the free list (chunk, EXPERIMENTS.md "Retained payloads
+// go back by hold count"). It never touches the fabric's buffer pool,
+// whose hit counters are exact benchmark counters.
+func (ep *Endpoint) readPayload(va uproc.VirtAddr, n uint64) ([]byte, *chunk, error) {
 	if ep.Synthetic {
-		return nil, nil
+		return nil, nil, nil
 	}
-	buf := make([]byte, n)
+	c := ep.takeChunk()
+	buf := c.buf[:n]
 	if err := ep.proc().ReadAt(va, buf); err != nil {
-		return nil, fmt.Errorf("psm: rank %d payload read: %w", ep.Rank, err)
+		ep.freeChunks = append(ep.freeChunks, c)
+		return nil, nil, fmt.Errorf("psm: rank %d payload read: %w", ep.Rank, err)
 	}
-	return buf, nil
+	return buf, c, nil
 }
 
 // readPayloadScratch is readPayload into the endpoint's reusable chunk
@@ -261,7 +262,7 @@ func (ep *Endpoint) sendRendezvous(p *sim.Proc, sr *sendReq) error {
 	sr.remaining, sr.op, sr.needFin = sr.length, "send:rdv", ep.reliable
 	ep.trackSend(sr)
 	hdr := ep.header(OpRTS, sr.tag, sr.msgid, sr.length, 0, 0)
-	return ep.sendFlowPkt(p, sr.peer, sr.dst, hdr, nil, 16, nil)
+	return ep.sendFlowPkt(p, sr.peer, sr.dst, hdr, nil, nil, 16, nil)
 }
 
 // writevSDMA encodes the header into scratch and performs the writev
@@ -497,7 +498,7 @@ func (ep *Endpoint) registerWindow(p *sim.Proc, rdv *rdvRecv) error {
 		w.ctsPayload = payload
 		key := mtKey{msgid: rdv.msgid, win: winOff, kind: mtRdvWindow}
 		ep.armMsgTimer(key, int(rdv.src), addr, &rdv.rr.req)
-		return ep.sendFlowPkt(p, int(rdv.src), addr, hdr, payload, 0, nil)
+		return ep.sendFlowPkt(p, int(rdv.src), addr, hdr, payload, nil, 0, nil)
 	}
 	// Loss-free fabric: the CTS payload is consumed on delivery, so it
 	// rides a pooled buffer.
@@ -551,7 +552,7 @@ func (ep *Endpoint) finishWindow(p *sim.Proc, rdv *rdvRecv, w *rdvWindow) error 
 		if err != nil {
 			return err
 		}
-		if err := ep.sendFlowPkt(p, src, addr, fin, nil, ackWireBytes, nil); err != nil {
+		if err := ep.sendFlowPkt(p, src, addr, fin, nil, nil, ackWireBytes, nil); err != nil {
 			return err
 		}
 	}

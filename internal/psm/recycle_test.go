@@ -78,7 +78,7 @@ func TestGoBackNRoundKeepsItsResendSet(t *testing.T) {
 				}
 			}
 			hdr := ep.header(hfi.OpEager, 5, 1, uint64(len(msg)), off, 0)
-			if err := ep.sendFlowPkt(p, 1, Addr{Node: 1}, hdr, payload, chunk, onAcked); err != nil {
+			if err := ep.sendFlowPkt(p, 1, Addr{Node: 1}, hdr, payload, nil, chunk, onAcked); err != nil {
 				t.Error(err)
 				return
 			}

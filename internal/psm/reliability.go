@@ -38,12 +38,14 @@ const ackWireBytes = 8
 const completedCap = 1024
 
 // txPkt is one unacknowledged sequenced packet retained for go-back-N
-// retransmission.
+// retransmission. chunk, when set, is the retained chunk payload lies
+// in; the listing holds it.
 type txPkt struct {
 	psn     uint32
 	hdr     fabric.Header
 	payload []byte
 	bytes   uint64
+	chunk   *chunk `snap:"-"` // payload's holder, not state of its own
 }
 
 // txWaiter delivers the acknowledgment (or the flow's terminal error)
@@ -154,11 +156,14 @@ type txFlow struct {
 	// heads, so a warm flow reuses their arrays. A go-back-N round's
 	// resend set is fixed at its start, though: rounds counts the rounds
 	// iterating unacked (each sleeps on the wire per packet), and an ACK
-	// landing meanwhile moves the survivors to a new array instead.
-	unacked []txPkt
-	waiters []txWaiter
-	rounds  int `snap:"-"` // a process's stack state, not the flow's
-	failed  error
+	// landing meanwhile moves the survivors to a new array instead and
+	// parks the retired packets' chunks in detached, held until the last
+	// round ends (see chunk).
+	unacked  []txPkt
+	waiters  []txWaiter
+	rounds   int      `snap:"-"` // a process's stack state, not the flow's
+	detached []*chunk `snap:"-"`
+	failed   error
 	// lastGBN rate-limits NAK-triggered resends: a burst of NAKs from
 	// one loss event triggers one go-back-N round. gbnRan gates it for
 	// the same reason armed gates deadline: a round fired at virtual
@@ -238,6 +243,7 @@ func newTxFlow(peer int, a Addr) *txFlow {
 				w.fn(err)
 			}
 			fl.waiters = nil
+			fl.letGo(fl.unacked)
 			fl.unacked = nil
 		},
 	}
@@ -248,12 +254,15 @@ func newTxFlow(peer int, a Addr) *txFlow {
 // loss-free fabric it is a plain PIO send and onAcked (if any) fires
 // immediately; on a lossy fabric the packet is sequenced, retained for
 // go-back-N retransmission, and onAcked fires when the cumulative ACK
-// covers it — or with the flow's terminal error.
+// covers it — or with the flow's terminal error. c, when non-nil, is
+// the unheld chunk payload lies in (readPayload): the flow's listing and
+// the packet copy take their holds on it, and if the flow has already
+// failed it goes straight back to the free list.
 func (ep *Endpoint) sendFlowPkt(p *sim.Proc, peer int, a Addr, hdr fabric.Header,
-	payload []byte, bytes uint64, onAcked func(error)) error {
+	payload []byte, c *chunk, bytes uint64, onAcked func(error)) error {
 
 	if !ep.reliable {
-		if err := ep.nic.PIOSend(p, a.Node, a.Ctx, hdr, payload, bytes); err != nil {
+		if err := ep.pioCopy(p, a, hdr, payload, c, bytes); err != nil {
 			return err
 		}
 		if onAcked != nil {
@@ -267,11 +276,14 @@ func (ep *Endpoint) sendFlowPkt(p *sim.Proc, peer int, a Addr, hdr fabric.Header
 	}
 	fl := pe.tx
 	if fl.failed != nil {
+		if c != nil {
+			ep.freeChunks = append(ep.freeChunks, c)
+		}
 		return fl.failed
 	}
 	fl.nextPSN++
 	hdr.PSN = fl.nextPSN
-	fl.unacked = append(fl.unacked, txPkt{psn: hdr.PSN, hdr: hdr, payload: payload, bytes: bytes})
+	fl.retain(txPkt{psn: hdr.PSN, hdr: hdr, payload: payload, bytes: bytes, chunk: c})
 	if onAcked != nil {
 		fl.waiters = append(fl.waiters, txWaiter{psn: hdr.PSN, fn: onAcked})
 	}
@@ -279,7 +291,19 @@ func (ep *Endpoint) sendFlowPkt(p *sim.Proc, peer int, a Addr, hdr fabric.Header
 		fl.progress(ep.eng.Now(), ep.nic.Params().PSMRtoBase, true)
 		ep.rtCond.Broadcast()
 	}
-	return ep.nic.PIOSend(p, a.Node, a.Ctx, hdr, payload, bytes)
+	return ep.pioCopy(p, a, hdr, payload, c, bytes)
+}
+
+// pioCopy puts one copy of a flow packet on the wire; a retained chunk
+// holds it until the fabric releases the copy. Packets without one
+// (control packets, CTS lists) carry no owner.
+func (ep *Endpoint) pioCopy(p *sim.Proc, a Addr, hdr fabric.Header, payload []byte, c *chunk, bytes uint64) error {
+	var owner fabric.PayloadOwner
+	if c != nil {
+		c.HoldPayload()
+		owner = c
+	}
+	return ep.nic.PIOSend(p, a.Node, a.Ctx, hdr, payload, bytes, owner)
 }
 
 // sendCtl emits an unsequenced control packet (ACK/NAK) to peer.
@@ -298,25 +322,18 @@ func (ep *Endpoint) sendCtl(p *sim.Proc, peer int, op uint32, aux uint64) error 
 		ep.health.linkStrike(a.Node)
 	}
 	hdr := ep.header(op, 0, 0, 0, 0, aux)
-	return ep.nic.PIOSend(p, a.Node, a.Ctx, hdr, nil, ackWireBytes)
+	return ep.nic.PIOSend(p, a.Node, a.Ctx, hdr, nil, ackWireBytes, nil)
 }
 
-// ackUpTo pops acknowledged packets, fires their waiters and re-arms
-// (or disarms) the flow's retransmit timer.
+// ackUpTo pops acknowledged packets, lets go of their listing holds
+// (txFlow.retire), fires their waiters and re-arms (or disarms) the
+// flow's retransmit timer.
 func (ep *Endpoint) ackUpTo(fl *txFlow, cum uint32) {
-	n := 0
-	for n < len(fl.unacked) && fl.unacked[n].psn <= cum {
-		n++
+	if fl.rounds > 0 && len(fl.unacked) > 0 && fl.unacked[0].psn <= cum {
+		ep.midRoundAcks++
 	}
-	if n == 0 {
+	if fl.retire(cum) == 0 {
 		return
-	}
-	if fl.rounds > 0 {
-		// A go-back-N round is still reading this array: leave it to the
-		// round and carry the survivors on in a new one.
-		fl.unacked = append(make([]txPkt, 0, cap(fl.unacked)), fl.unacked[n:]...)
-	} else {
-		fl.unacked = compact(fl.unacked, n)
 	}
 	w := 0
 	for w < len(fl.waiters) && fl.waiters[w].psn <= cum {
@@ -376,7 +393,7 @@ func (ep *Endpoint) goBackN(p *sim.Proc, fl *txFlow, force bool) error {
 	fl.gbnRan = true
 	fl.lastGBN = now
 	fl.rounds++
-	defer func() { fl.rounds-- }()
+	defer fl.endRound()
 	var resent uint64
 	for _, tp := range fl.unacked {
 		ep.Stats.Retransmits++
@@ -385,7 +402,7 @@ func (ep *Endpoint) goBackN(p *sim.Proc, fl *txFlow, force bool) error {
 		} else {
 			resent += tp.bytes
 		}
-		if err := ep.nic.PIOSend(p, fl.addr.Node, fl.addr.Ctx, tp.hdr, tp.payload, tp.bytes); err != nil {
+		if err := ep.pioCopy(p, fl.addr, tp.hdr, tp.payload, tp.chunk, tp.bytes); err != nil {
 			return err
 		}
 	}
@@ -435,7 +452,7 @@ func (ep *Endpoint) replayMsg(p *sim.Proc, mt *recovery, switched bool) error {
 		rdv := ep.rdvRecvs[mt.key.msgid]
 		w := rdv.windows[mt.key.win]
 		hdr := ep.header(OpCTS, rdv.rr.tag, rdv.msgid, w.len, 0, w.off)
-		err = ep.sendFlowPkt(p, mt.peer, mt.addr, hdr, w.ctsPayload, 0, nil)
+		err = ep.sendFlowPkt(p, mt.peer, mt.addr, hdr, w.ctsPayload, nil, 0, nil)
 	}
 	if err != nil {
 		// A recovery action against an already-dead flow fails the
@@ -685,12 +702,12 @@ func (ep *Endpoint) maybeCompleteSend(sr *sendReq) {
 // flow-level go-back-N then guarantees the replay end to end.
 func (ep *Endpoint) resendEagerPIO(p *sim.Proc, sr *sendReq) error {
 	return ep.eagerChunks(sr.length, func(off, n uint64) error {
-		payload, err := ep.readPayload(sr.buf+uproc.VirtAddr(off), n)
+		payload, c, err := ep.readPayload(sr.buf+uproc.VirtAddr(off), n)
 		if err != nil {
 			return err
 		}
 		hdr := ep.header(hfi.OpEager, sr.tag, sr.msgid, sr.length, off, 0)
-		if err := ep.sendFlowPkt(p, sr.peer, sr.dst, hdr, payload, n, nil); err != nil {
+		if err := ep.sendFlowPkt(p, sr.peer, sr.dst, hdr, payload, c, n, nil); err != nil {
 			return err
 		}
 		ep.congPace(p, sr.peer, n)

@@ -153,9 +153,9 @@ func Check(w Workload) (*Report, error) {
 }
 
 // Run executes the workload once through the real stack and checks the
-// invariant battery: byte-exact delivery, pin and TID balance at
-// teardown, closed contexts, no dropped packets, and per-rank
-// virtual-clock monotonicity.
+// invariant battery: byte-exact delivery, pin, TID and retained-chunk
+// balance at teardown, closed contexts, no dropped packets, and
+// per-rank virtual-clock monotonicity.
 func Run(w Workload) (*Report, error) { return runWith(w, runOpts{}) }
 
 // runOpts selects the checkpoint/restore variant of a harness run.
@@ -323,6 +323,15 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 		}
 		if live := n.RNIC.KeysLive(); live != 0 {
 			return nil, fmt.Errorf("simtest: node %d leaks %d programmed rkeys", i, live)
+		}
+	}
+	// Pool balance: on a lossy fabric every payload chunk a rank retained
+	// for retransmission is back on its free list once the machine has
+	// drained, or held by exactly the flow listings that still name it
+	// (psm.Endpoint.CheckRetained).
+	for _, ep := range eps {
+		if err := ep.CheckRetained(); err != nil {
+			return nil, fmt.Errorf("simtest: %w", err)
 		}
 	}
 	digest, err := traceDigest(cl, eps, sums, rec)
