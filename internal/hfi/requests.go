@@ -37,6 +37,15 @@ func AppendEagerRequests(dst []SDMARequest, extents []mem.Extent, maxReq, eagerC
 	return appendRequests(dst, extents, min(maxReq, eagerChunk), nil)
 }
 
+// MaxEagerRequests bounds the requests, and so the receiver's eager
+// slots and header-queue entries, of an n-byte eager transfer whose
+// extents break only at 4 KB page boundaries and whose split limit is
+// at least 4 KB (both drivers): ⌈n/4 KB⌉, plus one for a buffer that
+// does not start on a page boundary.
+func MaxEagerRequests(n uint64) int {
+	return int((n+mem.PageSize4K-1)/mem.PageSize4K) + 1
+}
+
 // BuildExpectedRequests splits source extents into SDMA requests for an
 // expected (TID) transfer. Requests must not cross destination TID-entry
 // boundaries, so the effective split is at every source discontinuity,

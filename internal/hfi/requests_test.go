@@ -165,6 +165,50 @@ func TestBuildRequestsProperty(t *testing.T) {
 	}
 }
 
+// TestMaxEagerRequestsBounds checks that no eager message of up to
+// 64 KB, at any page offset, splits into more requests than
+// MaxEagerRequests: pinned as one extent per 4 KB frame (the Linux
+// driver's pages) or as one contiguous extent (the PicoDriver's walk),
+// at either driver's request limit. The bound is also at most one
+// above the Linux driver's own count.
+func TestMaxEagerRequestsBounds(t *testing.T) {
+	const page = mem.PageSize4K
+	var sizes []uint64
+	for n := uint64(1); n <= 64<<10; n += 251 {
+		sizes = append(sizes, n)
+	}
+	for k := uint64(1); k <= 16; k++ {
+		sizes = append(sizes, k*page-1, k*page, k*page+1)
+	}
+	for _, n := range sizes {
+		for _, off := range []uint64{0, 1, page / 2, page - 1} {
+			// Frames are 4 KB apart with a gap after each, so no two merge.
+			var frames []mem.Extent
+			for at, left := off, n; left > 0; at = 0 {
+				l := min(left, page-at)
+				frames = append(frames, mem.Extent{Addr: mem.PhysAddr(uint64(len(frames))*2*page + at), Len: l})
+				left -= l
+			}
+			contig := []mem.Extent{{Addr: mem.PhysAddr(off), Len: n}}
+			bound := MaxEagerRequests(n)
+			for _, maxReq := range []uint64{page, 10240} {
+				for shape, exts := range map[string][]mem.Extent{"frames": frames, "contiguous": contig} {
+					reqs, err := AppendEagerRequests(nil, exts, maxReq, 8<<10)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(reqs) > bound {
+						t.Fatalf("n=%d off=%d maxReq=%d %s: %d requests, bound %d", n, off, maxReq, shape, len(reqs), bound)
+					}
+					if shape == "frames" && maxReq == page && bound > len(reqs)+1 {
+						t.Fatalf("n=%d off=%d: bound %d is more than one above the 4 KB path's %d", n, off, bound, len(reqs))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSplitForTIDs(t *testing.T) {
 	exts := []mem.Extent{
 		{Addr: 0x0, Len: 600 << 10},

@@ -263,10 +263,7 @@ func TestRankErrorReportedWithoutItsDeadlock(t *testing.T) {
 // ACKing, so a peer's flow spent its whole retry budget against it.
 // The ranks now leave through Ranks.Drain, which keeps progressing.
 func TestLossyCellsDrainWhileProgressing(t *testing.T) {
-	for _, c := range []struct {
-		seed int64
-		cell string
-	}{
+	checkCellsPass(t, []seedCell{
 		{1, "Linux/lossy/11"},
 		{1, "Linux/lossy/25"},
 		{1, "McKernel+HFI1/lossy/13"},
@@ -274,7 +271,36 @@ func TestLossyCellsDrainWhileProgressing(t *testing.T) {
 		{1, "McKernel+HFI1/lossy/20"},
 		{1, "McKernel+HFI1/lossy/25"},
 		{2, "McKernel+HFI1/lossy/10"},
-	} {
+	})
+}
+
+// TestTightRingsHoldTheirTraffic holds the tightened-ring cells that
+// once failed with "hfi: eager ring overflow". The harness counted an
+// eager-SDMA message in EagerChunk slots, but each request of the
+// drivers' split takes a slot; the rings are now sized at
+// hfi.MaxEagerRequests. Linux/18 at seed 4 overflowed after its
+// receiver had polled.
+func TestTightRingsHoldTheirTraffic(t *testing.T) {
+	checkCellsPass(t, []seedCell{
+		{1, "Linux/29"},
+		{1, "McKernel/16"},
+		{1, "McKernel/60"},
+		{2, "Linux/5"},
+		{3, "Linux/60"},
+		{4, "Linux/18"},
+	})
+}
+
+// seedCell names one soak cell with its base seed.
+type seedCell struct {
+	seed int64
+	cell string
+}
+
+// checkCellsPass runs each cell as a parallel subtest named
+// seed<N>/<cell>, failing it on any error.
+func checkCellsPass(t *testing.T, cells []seedCell) {
+	for _, c := range cells {
 		t.Run(fmt.Sprintf("seed%d/%s", c.seed, c.cell), func(t *testing.T) {
 			t.Parallel()
 			if _, err := simtest.CheckCell(c.seed, c.cell); err != nil {

@@ -15,12 +15,14 @@ package simtest
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/fabric"
+	"repro/internal/hfi"
 	"repro/internal/model"
 	"repro/internal/runner"
 )
@@ -467,11 +469,13 @@ func cellVariant(cell string) int {
 	return n % 3
 }
 
-// tightenRings shrinks the eager ring, header queue and completion
-// queue to just above this workload's worst-case occupancy, forcing
-// the near-overflow paths without ever making a correct run fail. The
+// tightenRings sizes the eager ring, header queue and completion queue
+// at exactly this workload's worst-case occupancy, forcing the
+// near-overflow paths without ever making a correct run fail. The
 // bound assumes the slowest possible consumer: every inbound entry may
 // be resident at once, so capacity must cover the per-context totals.
+// An eager-SDMA message takes hfi.MaxEagerRequests slots, the bound of
+// the drivers' request split; no slack is added, so a miscount fails.
 func (w *Workload) tightenRings() {
 	pr := &w.Params
 	win := pr.RendezvousWindow
@@ -482,18 +486,17 @@ func (w *Workload) tightenRings() {
 	hdrq := make([]int, ranks)
 	cq := make([]int, ranks)
 	for _, m := range w.Msgs {
-		chunks := int((m.Size + chunk - 1) / chunk)
 		switch {
-		case nodeOf(m.Src) == nodeOf(m.Dst):
-			// Shared-memory delivery still lands in the eager ring.
+		case nodeOf(m.Src) == nodeOf(m.Dst) || m.Size <= pr.PIOMaxSize:
+			// Shared-memory and PIO delivery land one EagerChunk per slot.
+			chunks := int((m.Size + chunk - 1) / chunk)
 			eager[m.Dst] += chunks
 			hdrq[m.Dst] += chunks
 		case m.Size <= pr.SDMAThreshold:
-			eager[m.Dst] += chunks
-			hdrq[m.Dst] += chunks
-			if m.Size > pr.PIOMaxSize {
-				cq[m.Src]++ // one writev completion
-			}
+			reqs := hfi.MaxEagerRequests(m.Size)
+			eager[m.Dst] += reqs
+			hdrq[m.Dst] += reqs
+			cq[m.Src]++ // one writev completion
 		default:
 			wins := int((m.Size + win - 1) / win)
 			eager[m.Dst]++          // RTS
@@ -503,18 +506,9 @@ func (w *Workload) tightenRings() {
 			cq[m.Src] += wins // one writev completion per window
 		}
 	}
-	maxOf := func(v []int, floor int) int {
-		m := floor
-		for _, x := range v {
-			if x > m {
-				m = x
-			}
-		}
-		return m
-	}
-	pr.EagerSlots = maxOf(eager, 8) + 8
-	pr.HdrqEntries = maxOf(hdrq, 16) + 16
-	pr.CQEntries = maxOf(cq, 4) + 4
+	pr.EagerSlots = max(slices.Max(eager), 1)
+	pr.HdrqEntries = max(slices.Max(hdrq), 1)
+	pr.CQEntries = max(slices.Max(cq), 1)
 }
 
 // Summary is the one-line human description used in failure reports.
@@ -538,6 +532,9 @@ func (w Workload) Summary() string {
 	}
 	if w.Shards > 0 {
 		s += fmt.Sprintf(" shards=%d", w.Shards)
+	}
+	if pr := w.Params; pr.EagerSlots > 0 {
+		s += fmt.Sprintf(" rings(eager=%d hdrq=%d cq=%d)", pr.EagerSlots, pr.HdrqEntries, pr.CQEntries)
 	}
 	return s
 }

@@ -15,13 +15,13 @@ import (
 func TestGenerateDrawOrder(t *testing.T) {
 	for _, c := range []struct{ cell, summary, msgs, knobs string }{
 		{"Linux/5",
-			"cell=Linux/5 seed=1 os=Linux nodes=1 ranks/node=3 order=in-order msgs=9 bytes=286762",
+			"cell=Linux/5 seed=1 os=Linux nodes=1 ranks/node=3 order=in-order msgs=9 bytes=286762 rings(eager=18 hdrq=18 cq=1)",
 			"[{1 2 100 65544} {2 1 101 65544} {0 1 102 4096} {1 2 103 65536} {2 1 104 1} {2 0 105 16384} {2 1 106 4096} {1 0 107 65544} {0 2 108 17}]",
-			"rdv=524288 jitter=0 sdmaq=3 eager=26 hdrq=34 cq=8 tids=0 dualrail=false down=[]"},
+			"rdv=524288 jitter=0 sdmaq=3 eager=18 hdrq=18 cq=1 tids=0 dualrail=false down=[]"},
 		{"Linux/7",
-			"cell=Linux/7 seed=1 os=Linux nodes=1 ranks/node=2 order=send-first msgs=9 bytes=739296",
+			"cell=Linux/7 seed=1 os=Linux nodes=1 ranks/node=2 order=send-first msgs=9 bytes=739296 rings(eager=86 hdrq=86 cq=1)",
 			"[{1 0 100 1000} {0 1 101 40960} {0 1 102 16383} {0 1 103 532480} {0 1 104 17} {0 1 105 65536} {0 1 106 40960} {1 0 107 40960} {1 0 100 1000}]",
-			"rdv=131072 jitter=0 sdmaq=0 eager=94 hdrq=102 cq=8 tids=0 dualrail=false down=[]"},
+			"rdv=131072 jitter=0 sdmaq=0 eager=86 hdrq=86 cq=1 tids=0 dualrail=false down=[]"},
 		{"Linux/8",
 			"cell=Linux/8 seed=1 os=Linux nodes=2 ranks/node=2 order=staggered msgs=6 bytes=648175",
 			"[{3 2 100 16384} {2 0 101 16383} {0 2 102 1000} {2 0 103 532480} {0 1 104 65544} {3 2 100 16384}]",
