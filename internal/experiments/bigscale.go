@@ -19,6 +19,7 @@ import (
 	"repro/internal/miniapps"
 	"repro/internal/mpi"
 	"repro/internal/runner"
+	"repro/internal/snapshot"
 )
 
 // BigscaleRow is one shard count of the bigscale sweep.
@@ -68,8 +69,9 @@ func Bigscale(cfg Config, appName string, nodes, rpn int, shards []int) ([]Bigsc
 		if len(rows) > 0 {
 			if want := rows[0].Digest; row.Digest != want {
 				return nil, fmt.Errorf(
-					"bigscale: shards=%d diverged: digest %016x != %016x at shards=%d (virt %v vs %v)",
-					s, row.Digest, want, rows[0].Shards, row.Virt, rows[0].Virt)
+					"bigscale: shards=%d diverged: digest %016x != %016x at shards=%d (virt %v vs %v)\n%s",
+					s, row.Digest, want, rows[0].Shards, row.Virt, rows[0].Virt,
+					firstDivergence(cfg, app, nodes, rpn, seed, shards[0], s, max(row.Virt, rows[0].Virt)))
 			}
 			row.Speedup = float64(rows[0].Wall) / float64(row.Wall)
 		} else {
@@ -80,10 +82,24 @@ func Bigscale(cfg Config, appName string, nodes, rpn int, shards []int) ([]Bigsc
 	return rows, nil
 }
 
+// bigscaleJob builds one shard count's cluster and starts the job on
+// it; the engine has not run yet.
+func bigscaleJob(cfg Config, app *miniapps.App, nodes, rpn int, seed int64) (*cluster.Cluster, *mpi.JobHandle, error) {
+	cl, err := cfg.cluster(cluster.Spec{Nodes: nodes, OS: cluster.OSMcKernelHFI, Seed: seed, Synthetic: true})
+	if err != nil {
+		return nil, nil, err
+	}
+	h := mpi.StartJob(cl, mpi.JobSpec{
+		Placement: mpi.Blocks(nodes, rpn),
+		Body:      func(co *mpi.Comm) error { return app.Body(co, app) },
+	})
+	return cl, h, nil
+}
+
 // bigscaleRow builds, runs, measures and closes one shard count's
 // cluster, so the next row is built with the last one already freed.
 func bigscaleRow(cfg Config, app *miniapps.App, nodes, rpn int, seed int64) (BigscaleRow, error) {
-	cl, err := cfg.cluster(cluster.Spec{Nodes: nodes, OS: cluster.OSMcKernelHFI, Seed: seed, Synthetic: true})
+	cl, job, err := bigscaleJob(cfg, app, nodes, rpn, seed)
 	if err != nil {
 		return BigscaleRow{}, err
 	}
@@ -95,7 +111,10 @@ func bigscaleRow(cfg Config, app *miniapps.App, nodes, rpn int, seed int64) (Big
 	runtime.GC()
 	debug.FreeOSMemory()
 	start := time.Now()
-	res, err := mpi.RunJob(cl, rpn, func(co *mpi.Comm) error { return app.Body(co, app) })
+	if err := cl.Run(0); err != nil {
+		return BigscaleRow{}, err
+	}
+	res, err := job.Result()
 	if err != nil {
 		return BigscaleRow{}, err
 	}
@@ -111,6 +130,31 @@ func bigscaleRow(cfg Config, app *miniapps.App, nodes, rpn int, seed int64) (Big
 		row.Windows, row.Cross = cl.Set.Windows, cl.Set.CrossEvents
 	}
 	return row, nil
+}
+
+// firstDivergence bisects the run at the sweep's first shard count
+// (Diff's "snapshot" side) against the run at shards (its "replayed"
+// side) over [0, to] and renders where their snapshots first differ.
+func firstDivergence(cfg Config, app *miniapps.App, nodes, rpn int, seed int64, first, shards int, to time.Duration) string {
+	side := func(s int) snapshot.Builder {
+		return func() (snapshot.Machine, func(), error) {
+			c := cfg
+			c.Shards = s
+			cl, _, err := bigscaleJob(c, app, nodes, rpn, seed)
+			if err != nil {
+				return nil, nil, err
+			}
+			return cl.Machine(), cl.Close, nil
+		}
+	}
+	d, err := snapshot.Bisect(side(first), side(shards), 0, to)
+	switch {
+	case err != nil:
+		return err.Error()
+	case d == nil:
+		return fmt.Sprintf("bisect: the snapshots at shards=%d and shards=%d are equal at every step to %v", first, shards, to)
+	}
+	return fmt.Sprintf("bisect of shards=%d (snapshot) against shards=%d (replayed): %v", first, shards, d)
 }
 
 // bigscaleDigest hashes the run outcome a shard count must not change:

@@ -138,16 +138,11 @@ func PingPongStraight(cfg Config, os cluster.OSType, size uint64, rec *trace.Rec
 // checkpoint's virtual time.
 func PingPongCheckpoint(cfg Config, os cluster.OSType, size uint64, w io.Writer) (time.Duration, error) {
 	seed := pingPongSeed(cfg, os, size)
-	// Probe run to learn the cell's total virtual time.
-	probe, err := fig4Cell(cfg, os, size, seed, nil)
+	end, err := pingPongEnd(cfg, os, size, seed)
 	if err != nil {
 		return 0, err
 	}
-	defer probe.cl.Close()
-	if _, err := probe.finish(); err != nil {
-		return 0, err
-	}
-	mid := probe.cl.Now() / 2
+	mid := end / 2
 
 	c, err := fig4Cell(cfg, os, size, seed, nil)
 	if err != nil {
@@ -161,6 +156,20 @@ func PingPongCheckpoint(cfg Config, os cluster.OSType, size uint64, w io.Writer)
 		return 0, err
 	}
 	return mid, nil
+}
+
+// pingPongEnd runs the cell once, untraced, to learn its total virtual
+// time.
+func pingPongEnd(cfg Config, os cluster.OSType, size uint64, seed int64) (time.Duration, error) {
+	probe, err := fig4Cell(cfg, os, size, seed, nil)
+	if err != nil {
+		return 0, err
+	}
+	defer probe.cl.Close()
+	if _, err := probe.finish(); err != nil {
+		return 0, err
+	}
+	return probe.cl.Now(), nil
 }
 
 // PingPongResume rebuilds the cell, fast-forwards it through the
@@ -177,4 +186,39 @@ func PingPongResume(cfg Config, os cluster.OSType, size uint64, img []byte, rec 
 		return PingPongCell{}, fmt.Errorf("restore: %w", err)
 	}
 	return c.observable()
+}
+
+// PingPongBisect steps the straight cell (snapshot.Bisect's side a) and
+// the cell resumed from img (side b) in lockstep from the checkpoint's
+// virtual time to the end of the run and returns where their snapshots
+// first differ, or nil if they never do.
+func PingPongBisect(cfg Config, os cluster.OSType, size uint64, img []byte) (*snapshot.Divergence, error) {
+	f, err := snapshot.Decode(img)
+	if err != nil {
+		return nil, err
+	}
+	seed := pingPongSeed(cfg, os, size)
+	end, err := pingPongEnd(cfg, os, size, seed)
+	if err != nil {
+		return nil, err
+	}
+	straight := func() (snapshot.Machine, func(), error) {
+		c, err := fig4Cell(cfg, os, size, seed, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		return c.cl.Machine(), c.cl.Close, nil
+	}
+	resumed := func() (snapshot.Machine, func(), error) {
+		m, done, err := straight()
+		if err != nil {
+			return nil, nil, err
+		}
+		if _, err := snapshot.Restore(img, m); err != nil {
+			done()
+			return nil, nil, fmt.Errorf("restore: %w", err)
+		}
+		return m, done, nil
+	}
+	return snapshot.Bisect(straight, resumed, f.Now, end)
 }

@@ -80,7 +80,8 @@ func TestCheckpointManifest(t *testing.T) {
 // TestPingPongCheckpointResume pins the engine-level workflow
 // cmd/snapcheck drives: a Figure 4 cell checkpointed at half its
 // virtual time and resumed from the image must reproduce the straight
-// run's statistics and serialize a byte-identical, valid Chrome trace.
+// run's statistics, serialize a byte-identical, valid Chrome trace and
+// bisect against the straight run to no divergence.
 // The rows cover every OS, a sharded engine and a lossy fabric, whose
 // psm flows, health machine and shard sections a loss-free single
 // engine never writes.
@@ -135,6 +136,9 @@ func checkpointResume(t *testing.T, cfg Config, os cluster.OSType, size uint64) 
 	}
 	if _, _, err := trace.Validate(recB.ChromeTraceJSON()); err != nil {
 		t.Fatalf("resumed run's trace is not a loadable Chrome trace: %v", err)
+	}
+	if d, err := PingPongBisect(cfg, os, size, img.Bytes()); err != nil || d != nil {
+		t.Fatalf("straight and resumed runs bisect to %v (err %v)", d, err)
 	}
 
 	// A corrupted image must be rejected, not half-restored.

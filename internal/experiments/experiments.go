@@ -218,13 +218,15 @@ func PaperScale() Scale {
 		},
 		FailoverMsgs: 400,
 		TenancyMsgs:  120,
-		// RPN is 4, not the profile sweep's 32: at 1024 nodes the tie
-		// count (fabric.Ties — same-instant arrivals at one destination
-		// from different sources) grows ~40x between rpn=4 (26 ties) and
-		// rpn=8 (872), and with that many ties the delivery order the
-		// sharded barrier imposes starts to differ observably from the
-		// single-engine send order — rpn=16 fails the digest gate. At
-		// rpn=4 the full shard sweep is digest-identical.
+		// RPN is 4, not the profile sweep's 32. The sharded barrier
+		// orders same-instant arrivals at one destination from different
+		// sources (fabric.Ties) by shard, the single engine by send
+		// order, so a tie is necessary for a shard sweep to diverge but
+		// not sufficient: UMT2013 at 16x16 has 30 ties and matches, at
+		// 4x12 two and diverges (TestBigscaleNamesFirstDivergence). At
+		// 1024 nodes the count grows ~40x between rpn=4 (26 ties) and
+		// rpn=8 (872), and rpn=16 fails the digest gate. At rpn=4 the
+		// full shard sweep is digest-identical.
 		BigscaleNodes:  1024,
 		BigscaleRPN:    4,
 		BigscaleShards: []int{1, 2, 4, 8, 16},

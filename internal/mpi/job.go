@@ -155,16 +155,21 @@ func (h *JobHandle) Result() (*JobResult, error) {
 // costs), synchronizes, executes body on every rank and aggregates
 // profiles. It drives the engine to completion.
 func RunJob(cl *cluster.Cluster, ranksPerNode int, body RankFunc) (*JobResult, error) {
-	nRanks := len(cl.Nodes) * ranksPerNode
-	placement := make([]int, nRanks)
-	for r := range placement {
-		placement[r] = r / ranksPerNode
-	}
-	h := StartJob(cl, JobSpec{Placement: placement, Body: body})
+	h := StartJob(cl, JobSpec{Placement: Blocks(len(cl.Nodes), ranksPerNode), Body: body})
 	if err := cl.Run(0); err != nil {
 		return nil, fmt.Errorf("mpi: job execution: %w", err)
 	}
 	return h.Result()
+}
+
+// Blocks is RunJob's placement: ranks [n*ranksPerNode, (n+1)*ranksPerNode)
+// on node n, for each of nodes nodes.
+func Blocks(nodes, ranksPerNode int) []int {
+	placement := make([]int, nodes*ranksPerNode)
+	for r := range placement {
+		placement[r] = r / ranksPerNode
+	}
+	return placement
 }
 
 // initRank is MPI_Init: PSM endpoint creation (device open, context

@@ -34,6 +34,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -259,20 +261,32 @@ func Restore(data []byte, m Machine) (time.Duration, error) {
 
 // Diff names the first difference between two snapshot images — the
 // diverging section, the first path whose value differs and both
-// values — for restore failure messages. A path present in one image
-// only (a value that went from zero to non-zero prints nothing on the
-// zero side) is named as such.
+// values — for restore failure messages and Bisect reports, or returns
+// "" when the images hold the same state. Its "snapshot" side is a and
+// its "replayed" side b. A path present in one image only (a value that
+// went from zero to non-zero prints nothing on the zero side) is named
+// as such.
+//
+// Images of one shard layout are compared section by section, headers
+// included. Images of two layouts (a single engine against a shard
+// set, or two shard counts) are compared by what the layout does not
+// move; see views.
 func Diff(a, b []byte) string {
 	fa, ea := Decode(a)
 	fb, eb := Decode(b)
 	if ea != nil || eb != nil {
 		return fmt.Sprintf("undecodable image(s): %v / %v", ea, eb)
 	}
-	if fa.Now != fb.Now || fa.Seq != fb.Seq {
+	same := shardsOf(fa) == shardsOf(fb)
+	if fa.Now != fb.Now || same && fa.Seq != fb.Seq {
 		return fmt.Sprintf("header: now=%v seq=%d vs now=%v seq=%d", fa.Now, fa.Seq, fb.Now, fb.Seq)
 	}
-	an := sectionNames(fa)
-	bn := sectionNames(fb)
+	sa, sb := fa.Sections, fb.Sections
+	if !same {
+		sa, sb = views(fa, fb)
+	}
+	an := sectionNames(sa)
+	bn := sectionNames(sb)
 	if an != bn {
 		return fmt.Sprintf("section sets differ:\n  a: %s\n  b: %s", an, bn)
 	}
@@ -300,13 +314,12 @@ func Diff(a, b []byte) string {
 		}
 		return false
 	}
-	for i := range fa.Sections {
-		name, pa, pb := fa.Sections[i].Name, fa.Sections[i].Payload, fb.Sections[i].Payload
+	for i := range sa {
+		name, pa, pb := sa[i].Name, sa[i].Payload, sb[i].Payload
 		if bytes.Equal(pa, pb) {
 			continue
 		}
-		la := bytes.Split(bytes.TrimSuffix(pa, []byte("\n")), []byte("\n"))
-		lb := bytes.Split(bytes.TrimSuffix(pb, []byte("\n")), []byte("\n"))
+		la, lb := lines(pa), lines(pb)
 		j := 0
 		for j < len(la) && j < len(lb) && bytes.Equal(la[j], lb[j]) {
 			j++
@@ -329,16 +342,132 @@ func Diff(a, b []byte) string {
 		}
 		return fmt.Sprintf("section %q line %d:\n  snapshot: %s\n  replayed: %s", name, j+1, la[j], lb[j])
 	}
-	return "images differ only in undecoded bytes"
+	return ""
 }
 
-func sectionNames(f *File) string {
+// lines splits a section payload into its lines.
+func lines(payload []byte) [][]byte {
+	return bytes.Split(bytes.TrimSuffix(payload, []byte("\n")), []byte("\n"))
+}
+
+func sectionNames(secs []Section) string {
 	var buf bytes.Buffer
-	for i, s := range f.Sections {
+	for i, s := range secs {
 		if i > 0 {
 			buf.WriteByte(' ')
 		}
 		buf.WriteString(s.Name)
 	}
 	return buf.String()
+}
+
+// cutShard splits a "shard<i>/" prefix off a section name. The prefix
+// says which engine of a shard set holds the section, not what the
+// section is.
+func cutShard(name string) (shard, rest string, ok bool) {
+	i := len("shard")
+	if !strings.HasPrefix(name, "shard") {
+		return "", name, false
+	}
+	j := i
+	for j < len(name) && '0' <= name[j] && name[j] <= '9' {
+		j++
+	}
+	if j == i || j == len(name) || name[j] != '/' {
+		return "", name, false
+	}
+	return name[:j], name[j+1:], true
+}
+
+// shardsOf counts the shard prefixes in f: 0 for a single engine's
+// image, N for a shard set of N.
+func shardsOf(f *File) int {
+	seen := map[string]bool{}
+	for _, s := range f.Sections {
+		if shard, _, ok := cutShard(s.Name); ok {
+			seen[shard] = true
+		}
+	}
+	return len(seen)
+}
+
+// mergedEngine names the view Diff compares engine state by across
+// shard layouts.
+const mergedEngine = "engine (proc and resume records, every shard)"
+
+// views returns the sections two images of different shard layouts are
+// compared by, in the same name order on both sides:
+//
+//   - every section whose name, shard prefix dropped, occurs exactly
+//     once in each image (node3/hfi, psm/rank7, ...), under that name;
+//   - one mergedEngine view: the proc records and the process-resume
+//     event records of every engine section, seq= dropped, sorted. A
+//     process lives on one engine and its records name it, so the view
+//     does not depend on which engine that is.
+//
+// Sections that repeat per shard (engine, params, fabric, fabric#1) are
+// compared only through that view, and a shard set's own sections (no
+// shard prefix: "shards") not at all. A name that occurs once in one
+// image and not in the other makes the section sets differ.
+func views(fa, fb *File) (va, vb []Section) {
+	sa, na, ma := placed(fa)
+	sb, nb, mb := placed(fb)
+	pick := func(secs []Section, n, other map[string]int, merged []byte) []Section {
+		var out []Section
+		for _, s := range secs {
+			if n[s.Name] == 1 && other[s.Name] <= 1 {
+				out = append(out, s)
+			}
+		}
+		slices.SortFunc(out, func(x, y Section) int { return strings.Compare(x.Name, y.Name) })
+		return append(out, Section{Name: mergedEngine, Payload: merged})
+	}
+	return pick(sa, na, nb, ma), pick(sb, nb, na, mb)
+}
+
+// placed returns f's sections with their shard prefixes dropped (a
+// shard set's own sections left out), how often each name occurs, and
+// f's merged engine records.
+func placed(f *File) (secs []Section, n map[string]int, merged []byte) {
+	sharded := shardsOf(f) > 0
+	n = map[string]int{}
+	var recs [][]byte
+	for _, s := range f.Sections {
+		_, name, ok := cutShard(s.Name)
+		if sharded && !ok {
+			continue
+		}
+		secs = append(secs, Section{Name: name, Payload: s.Payload})
+		n[name]++
+		if name != "engine" {
+			continue
+		}
+		for _, l := range lines(s.Payload) {
+			switch {
+			case bytes.HasPrefix(l, []byte("proc ")):
+				recs = append(recs, l)
+			case bytes.HasPrefix(l, []byte("event ")) && bytes.Contains(l, []byte(" resume=")):
+				recs = append(recs, dropSeq(l))
+			}
+		}
+	}
+	slices.SortFunc(recs, bytes.Compare)
+	for _, r := range recs {
+		merged = append(append(merged, r...), '\n')
+	}
+	return secs, n, merged
+}
+
+// dropSeq removes the " seq=<n>" field from an event record: sequence
+// numbers count one engine's events, so they differ between layouts.
+func dropSeq(l []byte) []byte {
+	i := bytes.Index(l, []byte(" seq="))
+	if i < 0 {
+		return l
+	}
+	j := i + 1
+	for j < len(l) && l[j] != ' ' {
+		j++
+	}
+	return append(append([]byte(nil), l[:i]...), l[j:]...)
 }

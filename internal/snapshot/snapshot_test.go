@@ -108,13 +108,17 @@ func TestDecodeRejects(t *testing.T) {
 	}
 }
 
-// stubMachine lets Restore be tested without a simulator: state is a
-// counter that Run advances one tick per nanosecond.
+// stubMachine lets Restore and Bisect be tested without a simulator.
+// Its state is its clock, one tick per nanosecond, plus skew once the
+// clock reaches skewAt; its run ends at end (0: never). Its snapshot
+// is a single engine's layout, or a shard set's of shards engines.
 type stubMachine struct {
-	now   time.Duration
-	ticks int64
-	skew  int64 // injected divergence
-	fail  error
+	now    time.Duration
+	end    time.Duration
+	skewAt time.Duration
+	skew   int64 // injected divergence
+	shards int
+	fail   error
 }
 
 func (m *stubMachine) Now() time.Duration { return m.now }
@@ -123,17 +127,55 @@ func (m *stubMachine) Run(limit time.Duration) error {
 	if m.fail != nil {
 		return m.fail
 	}
-	if limit == 0 {
-		limit = m.now + 10
+	if m.end > 0 && (limit == 0 || limit > m.end) {
+		limit = m.end
 	}
-	m.ticks += int64(limit-m.now) + m.skew
-	m.now = limit
+	m.now = max(m.now, limit)
 	return nil
 }
 
 func (m *stubMachine) Snapshot(w io.Writer) error {
-	payload := fmt.Sprintf("ticks=%d\n", m.ticks)
-	return Encode(w, &File{Now: m.now, Sections: []Section{{Name: "stub", Payload: []byte(payload)}}})
+	ticks := int64(m.now)
+	if m.skew != 0 && m.now >= m.skewAt {
+		ticks += m.skew
+	}
+	return Encode(w, stubImage(m.now, m.shards, fmt.Sprintf("ticks=%d\n", ticks), "sleeping"))
+}
+
+// stubImage lays out a snapshot as a cluster does: two processes p and
+// q, each due to resume 1 ns from now, on nodes 0 and 1. A single
+// engine holds both; in a shard set shard i holds node i, and every
+// shard repeats the engine and params sections, under shard prefixes
+// that number its events per shard, beside the set's "shards" section.
+// node1's section reads node1, p's process record state.
+func stubImage(now time.Duration, shards int, node1, state string) *File {
+	procs := []string{
+		fmt.Sprintf("proc name=\"p\" state=%q daemon=false\n", state),
+		"proc name=\"q\" state=\"sleeping\" daemon=false\n",
+	}
+	resume := func(seq int, name string) string {
+		return fmt.Sprintf("event at=%d seq=%d resume=%q\n", int64(now+1), seq, name)
+	}
+	nodes := []Section{{Name: "node0/x", Payload: []byte("ticks=0\n")}, {Name: "node1/x", Payload: []byte(node1)}}
+	params := Section{Name: "params", Payload: []byte("lookahead=1\n")}
+	if shards == 0 {
+		engine := fmt.Sprintf("events=2\n%s%s%s%s", procs[0], procs[1], resume(7, "p"), resume(8, "q"))
+		return &File{Now: now, Seq: 8, Sections: append([]Section{{Name: "engine", Payload: []byte(engine)}}, append(nodes, params)...)}
+	}
+	f := &File{Now: now, Seq: 4, Sections: []Section{{Name: "shards", Payload: []byte(fmt.Sprintf("shards=%d\n", shards))}}}
+	for i := 0; i < shards; i++ {
+		prefix := fmt.Sprintf("shard%d/", i)
+		engine := "events=0\n"
+		if i < len(nodes) {
+			engine = fmt.Sprintf("events=1\n%s%s", procs[i], resume(2+i, []string{"p", "q"}[i]))
+		}
+		f.Sections = append(f.Sections, Section{Name: prefix + "engine", Payload: []byte(engine)})
+		if i < len(nodes) {
+			f.Sections = append(f.Sections, Section{Name: prefix + nodes[i].Name, Payload: nodes[i].Payload})
+		}
+		f.Sections = append(f.Sections, Section{Name: prefix + params.Name, Payload: params.Payload})
+	}
+	return f
 }
 
 func TestRestore(t *testing.T) {
@@ -153,8 +195,8 @@ func TestRestore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if at != 50 || m2.now != 50 || m2.ticks != 50 {
-		t.Fatalf("restored machine at now=%v ticks=%d", m2.now, m2.ticks)
+	if at != 50 || m2.now != 50 {
+		t.Fatalf("restored machine at now=%v", m2.now)
 	}
 
 	// A machine that diverges during replay must be caught, and the
@@ -162,7 +204,7 @@ func TestRestore(t *testing.T) {
 	m3 := &stubMachine{skew: 1}
 	if _, err := Restore(snap.Bytes(), m3); err == nil {
 		t.Fatal("diverging replay passed verification")
-	} else if !strings.Contains(err.Error(), `"stub"`) {
+	} else if !strings.Contains(err.Error(), `"node1/x"`) {
 		t.Fatalf("divergence error does not name the section: %v", err)
 	}
 
@@ -213,6 +255,95 @@ func TestDiff(t *testing.T) {
 	e := EncodeBytes(&File{Now: 10, Seq: 1, Sections: []Section{{Name: "y", Payload: []byte("k=1\n")}}})
 	if d := Diff(a, e); !strings.Contains(d, "section sets differ") {
 		t.Fatalf("section-set diff unhelpful: %s", d)
+	}
+	if d := Diff(a, a); d != "" {
+		t.Fatalf("Diff of an image with itself = %q, want none", d)
+	}
+
+	// Across shard layouts, a name met once in each image is compared
+	// whatever its shard prefix; repeated sections (engine, params) only
+	// through the merged proc and resume records, and the shard set's
+	// own section not at all.
+	layout := func(shards int, node1, state string) []byte {
+		return EncodeBytes(stubImage(10, shards, node1, state))
+	}
+	one := layout(0, "ticks=5\n", "sleeping")
+	for _, c := range []struct {
+		name string
+		b    []byte
+		want []string // nil: no difference
+	}{
+		{"two shards", layout(2, "ticks=5\n", "sleeping"), nil},
+		{"three shards, one empty", layout(3, "ticks=5\n", "sleeping"), nil},
+		{"node value", layout(2, "ticks=6\n", "sleeping"), []string{`section "node1/x"`, "ticks", "snapshot: 5", "replayed: 6"}},
+		{"proc state", layout(2, "ticks=5\n", "running"), []string{mergedEngine, `"p"`, "sleeping", "running"}},
+		{"missing node", EncodeBytes(&File{Now: 10, Sections: []Section{{Name: "shard0/node0/x"}, {Name: "shard1/engine"}}}),
+			[]string{"section sets differ"}},
+		{"clock", EncodeBytes(stubImage(11, 2, "ticks=5\n", "sleeping")), []string{"header", "now=10ns", "now=11ns"}},
+	} {
+		d := Diff(one, c.b)
+		if c.want == nil && d != "" || c.want != nil && !containsAll(d, c.want) {
+			t.Errorf("%s: Diff = %q, want %q", c.name, d, c.want)
+		}
+	}
+	// The seq= fields differ between the layouts, and so do the engine
+	// and params sections, which the merged view leaves out.
+	if Diff(layout(2, "ticks=5\n", "sleeping"), layout(3, "ticks=5\n", "sleeping")) != "" {
+		t.Error("two and three shards holding the same state differ")
+	}
+}
+
+// TestBisect drives Bisect over stub machines: it must name the first
+// differing nanosecond and list both sides' events due in it.
+func TestBisect(t *testing.T) {
+	side := func(m stubMachine) Builder {
+		return func() (Machine, func(), error) {
+			fresh := m
+			return &fresh, func() {}, nil
+		}
+	}
+	for _, c := range []struct {
+		name     string
+		a, b     stubMachine
+		from, to time.Duration
+		lo       time.Duration // -1: no divergence
+		want     []string
+	}{
+		{"skew from 777", stubMachine{}, stubMachine{skewAt: 777, skew: 1}, 0, 1000, 776,
+			[]string{"(776, 777] ns", `section "node1/x"`, "snapshot: 777", "replayed: 778"}},
+		{"equal", stubMachine{}, stubMachine{}, 0, 1000, -1, nil},
+		{"first step", stubMachine{}, stubMachine{skewAt: 1, skew: 1}, 0, 1000, 0, []string{"(0, 1] ns"}},
+		{"from a later start", stubMachine{}, stubMachine{skewAt: 500, skew: 3}, 300, 1000, 499, []string{"(499, 500] ns"}},
+		{"already differ at from", stubMachine{}, stubMachine{skewAt: 200, skew: 3}, 300, 1000, 300, []string{"already differ at 300 ns"}},
+		{"to past the end", stubMachine{end: 400}, stubMachine{end: 400}, 0, 1 << 20, -1, nil},
+		{"ends apart", stubMachine{end: 400}, stubMachine{end: 401}, 0, 1 << 20, 400, []string{"(400, 401] ns", "header"}},
+		{"layouts, equal", stubMachine{}, stubMachine{shards: 2}, 0, 1000, -1, nil},
+		{"layouts, skew from 613", stubMachine{}, stubMachine{shards: 2, skewAt: 613, skew: 1}, 0, 1000, 612,
+			[]string{"(612, 613] ns", `section "node1/x"`,
+				"snapshot (a):\n    engine: event at=613 seq=7 resume=\"p\"\n    engine: event at=613 seq=8 resume=\"q\"\n",
+				"replayed (b):\n    shard0/engine: event at=613 seq=2 resume=\"p\"\n    shard1/engine: event at=613 seq=3 resume=\"q\"\n"}},
+	} {
+		d, err := Bisect(side(c.a), side(c.b), c.from, c.to)
+		switch {
+		case err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.lo < 0 && d != nil:
+			t.Errorf("%s: found a divergence in equal runs: %v", c.name, d)
+		case c.lo < 0:
+		case d == nil:
+			t.Errorf("%s: no divergence found", c.name)
+		case d.Lo != c.lo || !containsAll(d.String(), c.want):
+			t.Errorf("%s: Bisect = %v (lo %v), want lo %v and %q", c.name, d, d.Lo, c.lo, c.want)
+		}
+	}
+
+	// A side that fails to build or run is an error.
+	broken := func() (Machine, func(), error) { return nil, nil, fmt.Errorf("no such cell") }
+	if _, err := Bisect(side(stubMachine{}), broken, 0, 100); err == nil || !strings.Contains(err.Error(), "no such cell") {
+		t.Errorf("unbuildable side b: %v", err)
+	}
+	if _, err := Bisect(side(stubMachine{fail: fmt.Errorf("boom")}), side(stubMachine{}), 0, 100); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Errorf("failing side a: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Reachability gate (make reach). Builds every front end — each cmd/
-# binary, the four examples, the benchmark and the simtest test binary —
+# binary, the four examples, the benchmark, and the simtest and
+# experiments test binaries —
 # with coverage counters over the whole module, drives each one over the
 # inputs below, and prints the internal/ functions that no run executed
 # (0.0% in `go tool covdata func`) as `file: function`, one per line.
@@ -31,6 +32,7 @@ mkdir -p "$bin" "$out" "$GOCOVERDIR"
 # with go1.24 the list form writes no counter files.
 $GO build -cover -coverpkg=./... -o "$bin/" ./cmd/... ./examples/... ./benchmark
 $GO test -c -cover -coverpkg=./... -o "$bin/simtest.test" ./internal/simtest
+$GO test -c -cover -coverpkg=./... -o "$bin/experiments.test" ./internal/experiments
 
 run() {
 	echo "reach: $*" >&2
@@ -68,10 +70,14 @@ for id in fig4 fig6a verbs reliability failover tenancy; do
 	run "$bin/experiments" -only "$id" -trace "$out/$id.json"
 	run "$bin/tracecheck" "$out/$id.json"
 done
+# resume bisects the straight and the resumed run, which never differ.
 for shards in 1 2; do
 	run "$bin/snapcheck" -mode checkpoint -shards "$shards" -snap "$out/snap$shards"
 	run "$bin/snapcheck" -mode resume -shards "$shards" -snap "$out/snap$shards"
 done
+# The shard gate's bisect report, on the one pair known to diverge (a
+# Shards=1 and a Shards=2 snapshot compared across layouts).
+run "$bin/experiments.test" -test.run 'TestBigscaleNamesFirstDivergence$' -test.gocoverdir="$GOCOVERDIR"
 run "$bin/dwarf-extract-struct" -hfi -list
 run "$bin/benchmark" -seconds 1
 # The traced pass also runs the per-layer rungs.
