@@ -20,6 +20,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/mlx"
 	"repro/internal/model"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
@@ -142,6 +143,7 @@ type Node struct {
 
 	appCPUs []int
 	nextApp int
+	ranks   []*RankOS // every rank personality made on the node (Pools)
 
 	pr        *model.Params
 	synthetic bool
@@ -513,6 +515,34 @@ func (c *Cluster) Ties() uint64 {
 		n += f.Ties()
 	}
 	return n
+}
+
+// Pools returns the counts of every per-operation pool of the nodes,
+// their ranks' kernel personalities and the fabrics, for a teardown
+// balance check (pool.Balance). Two kinds are not listed: psm endpoints
+// list their own (psm.Endpoint.Pools), and a node's frame pool is not a
+// per-operation pool, since mapped memory keeps its frames.
+func (c *Cluster) Pools() []pool.Stats {
+	var ss []pool.Stats
+	for _, n := range c.Nodes {
+		ss = append(ss, n.NIC.Txns.Stats())
+		ss = append(ss, n.Drv.Pools()...)
+		ss = append(ss, n.Lin.Pool.Pools()...)
+		if n.Mck != nil {
+			ss = append(ss, n.Del.Pools()...)
+			ss = append(ss, n.Mck.Pools()...)
+		}
+		for _, o := range n.ranks {
+			ss = append(ss, o.Pools()...)
+		}
+	}
+	for _, f := range c.fabs {
+		ss = append(ss, f.Pools()...)
+	}
+	for _, f := range c.ibfabs {
+		ss = append(ss, f.Pools()...)
+	}
+	return ss
 }
 
 // AppCPUs returns the node's application core ids.

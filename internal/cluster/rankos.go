@@ -7,6 +7,7 @@ import (
 	"repro/internal/hfi"
 	"repro/internal/kernel"
 	"repro/internal/linux"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/uproc"
 	"repro/internal/verbs"
@@ -36,11 +37,11 @@ type RankOS struct {
 	proc *uproc.Process
 	cpu  int
 	k    syscalls
-	// free holds execution contexts between system calls. Each call
+	// ctxs holds execution contexts between system calls. Each call
 	// takes its own, so a rank's daemon inside one call never shares a
 	// context with the rank sleeping in another, and a context handed
 	// back keeps no finished process reachable.
-	free []*kernel.Ctx
+	ctxs pool.Pool[*kernel.Ctx]
 }
 
 var _ verbs.OSOps = (*RankOS)(nil) // and so psm.OSOps
@@ -49,6 +50,8 @@ var _ verbs.OSOps = (*RankOS)(nil) // and so psm.OSOps
 // OS-appropriate memory policy) bound to the node's application kernel.
 func (n *Node) NewRankOS(rank int) *RankOS {
 	o := &RankOS{node: n, cpu: n.nextAppCPU()}
+	o.ctxs = pool.New("cluster: kernel.Ctx", nil, func() *kernel.Ctx { return new(kernel.Ctx) },
+		func(c *kernel.Ctx) { c.P = nil })
 	name := fmt.Sprintf("rank%d@node%d", rank, n.ID)
 	if n.OS == OSLinux {
 		backing := uproc.BackingScattered4K
@@ -61,25 +64,22 @@ func (n *Node) NewRankOS(rank int) *RankOS {
 		o.proc = n.Mck.NewProcess(name)
 		o.k = n.Mck
 	}
+	n.ranks = append(n.ranks, o)
 	return o
 }
 
 // enter returns an execution context on the rank's core for one system
 // call by p; leave hands it back when the call returns.
 func (o *RankOS) enter(p *sim.Proc) *kernel.Ctx {
-	if k := len(o.free); k > 0 {
-		c := o.free[k-1]
-		o.free = o.free[:k-1]
-		c.P = p
-		return c
-	}
-	return &kernel.Ctx{P: p, CPU: o.cpu}
+	c := o.ctxs.Get()
+	c.P, c.CPU = p, o.cpu
+	return c
 }
 
-func (o *RankOS) leave(c *kernel.Ctx) {
-	c.P = nil
-	o.free = append(o.free, c)
-}
+func (o *RankOS) leave(c *kernel.Ctx) { o.ctxs.Put(c) }
+
+// Pools returns the counts of the rank's context pool.
+func (o *RankOS) Pools() []pool.Stats { return []pool.Stats{o.ctxs.Stats()} }
 
 func (o *RankOS) NodeID() int          { return o.node.ID }
 func (o *RankOS) Proc() *uproc.Process { return o.proc }

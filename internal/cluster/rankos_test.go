@@ -286,10 +286,8 @@ func TestRankOSContextPerCall(t *testing.T) {
 		if len(inCall) != 2 || inCall[0] == inCall[1] || inCall[0].P == inCall[1].P {
 			t.Errorf("concurrent calls share a context: %+v", inCall)
 		}
-		for _, f := range o.free {
-			if f.P != nil {
-				t.Errorf("a handed-back context still holds %s", f.P.Name())
-			}
+		if c.P != nil {
+			t.Errorf("a handed-back context still holds %s", c.P.Name())
 		}
 		if got := testing.AllocsPerRun(20, func() { o.leave(o.enter(p)) }); got != 0 {
 			t.Errorf("warm enter/leave: %v allocations, want 0", got)

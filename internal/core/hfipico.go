@@ -240,7 +240,7 @@ func (h *HFIPico) writev(ctx *kernel.Ctx, f *linux.File, iov []linux.IOVec) (uin
 	if !h.Coalesce {
 		maxReq = mem.PageSize4K
 	}
-	txn := h.NIC.GetTxn()
+	txn := h.NIC.Txns.Get()
 	switch hdr.Op {
 	case hfi.OpEager:
 		txn.Requests, err = hfi.AppendEagerRequests(txn.Requests, exts, maxReq, h.pr.EagerChunk)
@@ -257,7 +257,7 @@ func (h *HFIPico) writev(ctx *kernel.Ctx, f *linux.File, iov []linux.IOVec) (uin
 			&hdr, txn, 1 /* allocator: LWK */, h.completionVA)
 	}
 	if err != nil {
-		h.NIC.PutTxn(txn)
+		h.NIC.Txns.Put(txn)
 		return 0, true, err
 	}
 	h.FastWritevs++

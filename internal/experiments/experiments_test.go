@@ -11,8 +11,8 @@ import (
 	"repro/internal/runner"
 )
 
-// pool is the default worker pool for the smoke tests.
-var pool = runner.New(0)
+// workers is the default worker pool for the smoke tests.
+var workers = runner.New(0)
 
 // tinyScale keeps the smoke tests fast.
 func tinyScale() Scale {
@@ -33,7 +33,7 @@ func tinyScale() Scale {
 
 // tinyConfig bundles tinyScale with the shared pool.
 func tinyConfig() Config {
-	return Config{Scale: tinyScale(), Pool: pool}
+	return Config{Scale: tinyScale(), Pool: workers}
 }
 
 func TestFig4ShapesAndDeterminism(t *testing.T) {

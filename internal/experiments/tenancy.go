@@ -14,8 +14,9 @@
 // Every cell runs with credit/ECN congestion control active, so the
 // sweep is the end-to-end gate on the fabric's admission gating and
 // PSM's CNP backoff — and on pooled-buffer hygiene under multi-flow
-// contention: each cell's teardown asserts the fabric freelists
-// balance (every pooled packet and payload returned exactly once).
+// contention: each cell's teardown asserts the fabric's pools balance
+// (every pooled packet, payload and delivery record returned exactly
+// once).
 package experiments
 
 import (
@@ -25,6 +26,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/mpi"
+	"repro/internal/pool"
 	"repro/internal/runner"
 	"repro/internal/trace"
 )
@@ -267,14 +269,8 @@ func tenancyCell(cfg Config, os cluster.OSType, scen string, seed int64, rec *tr
 	// payload the fabric handed out must have come back exactly once —
 	// congestion stalls must neither leak in-flight buffers nor
 	// double-release them.
-	ps := cl.Fab.PoolStats()
-	if ps.PktGets != ps.PktPuts {
-		return TenancyRow{}, fmt.Errorf("tenancy: %s/%s leaked pooled packets: gets=%d puts=%d",
-			osName(os), scen, ps.PktGets, ps.PktPuts)
-	}
-	if ps.BufGets != ps.BufPuts {
-		return TenancyRow{}, fmt.Errorf("tenancy: %s/%s leaked pooled payloads: gets=%d puts=%d",
-			osName(os), scen, ps.BufGets, ps.BufPuts)
+	if err := pool.Balance(cl.Fab.Pools()...); err != nil {
+		return TenancyRow{}, fmt.Errorf("tenancy: %s/%s leaked pooled records: %w", osName(os), scen, err)
 	}
 	cs := cl.Fab.CongStats()
 	row.Marks, row.Stalls = cs.Marks, cs.Stalls

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -169,13 +170,17 @@ type Fabric struct {
 	ingress  map[int]uint64
 	congCond *sim.Cond
 
-	// Hot-path freelists (see pool.go) and the pooled delivery records
-	// that replace a per-packet closure in deliverAt. Not state: entries
-	// are cleared on return, and pstats counts them.
-	bufs   map[int][][]byte `snap:"-"`
-	pkts   []*Packet        `snap:"-"`
-	dels   []*delivery      `snap:"-"`
-	pstats PoolStats
+	// Hot-path pools (see pool.go): payload buffers by exact size, all
+	// classes counting in bufCounts, packets, and the delivery records
+	// that replace a per-packet closure in deliverAt. Not state: records
+	// are cleared on return. pstats prints the buffer and packet counts
+	// in checkpoints, where they have always been.
+	bufs      map[int]*pool.Pool[[]byte] `snap:"-"`
+	pkts      pool.Pool[*Packet]         `snap:"-"`
+	dels      pool.Pool[*delivery]       `snap:"-"`
+	bufCounts pool.Counts                `snap:"-"`
+	pktCounts pool.Counts                `snap:"-"`
+	pstats    struct{ BufGets, BufHits, BufPuts, PktGets, PktHits, PktPuts *uint64 }
 
 	// ties counts simultaneity ties: packets from different source
 	// nodes arriving at the same destination at the same virtual
@@ -188,7 +193,9 @@ type Fabric struct {
 
 // New creates an empty fabric.
 func New(e *sim.Engine, pr *model.Params) *Fabric {
-	return &Fabric{e: e, pr: pr, ports: make(map[int]*Port)}
+	f := &Fabric{e: e, pr: pr, ports: make(map[int]*Port)}
+	f.initPools()
+	return f
 }
 
 // SetFaults installs a fault profile. Call before traffic flows; a nil
@@ -381,8 +388,7 @@ func runDelivery(a any) {
 	f, dst, pkt, begin, route := d.f, d.dst, d.pkt, d.begin, d.route
 	// Recycle the record before delivering: deliver can synchronously
 	// trigger further sends that need fresh records.
-	*d = delivery{}
-	f.dels = append(f.dels, d)
+	f.dels.Put(d)
 	if rec := f.e.Recorder(); rec != nil {
 		rec.SpanBytes(trace.CatFabric, kindName(pkt.Kind), route,
 			begin, f.e.Now(), pkt.Bytes)
@@ -396,14 +402,7 @@ func runDelivery(a any) {
 // span. The span covers egress serialization plus link latency: begin
 // at Send entry, end at delivery.
 func (f *Fabric) deliverAt(dst *Port, pkt *Packet, begin time.Duration, lat time.Duration) {
-	var d *delivery
-	if n := len(f.dels); n > 0 {
-		d = f.dels[n-1]
-		f.dels[n-1] = nil
-		f.dels = f.dels[:n-1]
-	} else {
-		d = &delivery{}
-	}
+	d := f.dels.Get()
 	src := f.ports[pkt.SrcNode]
 	*d = delivery{f: f, dst: dst, pkt: pkt, begin: begin, route: src.routeTo(pkt.DstNode)}
 	f.e.AfterArg(lat, runDelivery, d)
@@ -441,8 +440,7 @@ func (f *Fabric) sendFaulty(dst *Port, pkt *Packet, begin time.Duration, lat tim
 		// and let the garbage collector reclaim both (duplication is
 		// rare). An owned payload counts the copy instead, and goes back
 		// to its owner when both have been released.
-		pkt.Pooled = false
-		pkt.PooledPayload = false
+		f.unpool(pkt)
 		if pkt.Owner != nil {
 			pkt.Owner.HoldPayload()
 		}

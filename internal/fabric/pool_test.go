@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/pool"
 	"repro/internal/sim"
 )
 
@@ -127,7 +128,9 @@ func TestPooledPayloadAliasing(t *testing.T) {
 }
 
 // TestDuplicatedPacketLeavesPool: a fault-injected duplicate means two
-// in-flight packets alias one payload, so neither may recycle it.
+// in-flight packets alias one payload, so neither may recycle it. The
+// packet and its payload are dropped from their pools, whose live
+// counts stay balanced.
 func TestDuplicatedPacketLeavesPool(t *testing.T) {
 	e := sim.NewEngine(1)
 	pr := model.Default()
@@ -166,7 +169,10 @@ func TestDuplicatedPacketLeavesPool(t *testing.T) {
 			t.Fatalf("delivery %d payload corrupted by recycling: %q", i, pl)
 		}
 	}
-	if st := f.PoolStats(); st.BufPuts != 0 {
+	if st := f.PoolStats(); st.BufPuts != 0 || st.PktPuts != 0 {
 		t.Fatalf("shared duplicate payload was returned to the pool: %+v", st)
+	}
+	if err := pool.Balance(f.Pools()...); err != nil {
+		t.Fatal(err)
 	}
 }

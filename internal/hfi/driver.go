@@ -11,6 +11,7 @@ import (
 	"repro/internal/linux"
 	"repro/internal/mem"
 	"repro/internal/model"
+	"repro/internal/pool"
 	"repro/internal/trace"
 	"repro/internal/uproc"
 )
@@ -79,13 +80,13 @@ type LinuxDriver struct {
 
 	// pinnedByTxreq maps a user_sdma_txreq kernel address to the pages
 	// pinned for that transfer; the completion callback unpins them and
-	// hands the list back to freePages for a later writev.
+	// puts the list back in pageLists, emptied, for a later writev.
 	pinnedByTxreq map[kmem.VirtAddr][]mem.Extent
-	freePages     [][]mem.Extent `snap:"-"` // recycled lists, emptied on return
+	pageLists     pool.Pool[[]mem.Extent] `snap:"-"`
 	// tidPins maps context → TID index → the pinned extent it covers.
 	tidPins map[int]map[int]mem.Extent
 
-	freeIRQs []*irq `snap:"-"` // completion interrupts, recycled by their handlers
+	irqs pool.Pool[*irq] `snap:"-"` // completion interrupts, put back by their handlers
 }
 
 type openContext struct {
@@ -115,7 +116,13 @@ func NewLinuxDriver(k *linux.Kernel, nic *NIC, pr *model.Params, worlds []*kmem.
 		open:          make(map[int]*openContext),
 		pinnedByTxreq: make(map[kmem.VirtAddr][]mem.Extent),
 		tidPins:       make(map[int]map[int]mem.Extent),
+		pageLists:     pool.New[[]mem.Extent]("hfi: page list", nil, nil, nil),
 	}
+	d.irqs = pool.New("hfi: irq", nil, func() *irq {
+		q := &irq{d: d}
+		q.run = q.handle
+		return q
+	}, nil)
 	cpu := k.Pool.CPUs()[0]
 	reg := m.reg
 
@@ -207,14 +214,7 @@ type irq struct {
 // raiseIRQ is the NIC's interrupt sink: it queues the handler for the
 // batch on the Linux CPUs.
 func (d *LinuxDriver) raiseIRQ(batch *SDMATxn) {
-	var q *irq
-	if k := len(d.freeIRQs); k > 0 {
-		q = d.freeIRQs[k-1]
-		d.freeIRQs = d.freeIRQs[:k-1]
-	} else {
-		q = &irq{d: d}
-		q.run = q.handle
-	}
+	q := d.irqs.Get()
 	q.batch, q.raised = batch, d.K.Engine().Now()
 	d.K.Pool.Submit("hfi1-sdma-irq", q.run)
 }
@@ -225,7 +225,7 @@ func (d *LinuxDriver) raiseIRQ(batch *SDMATxn) {
 func (q *irq) handle(ctx *kernel.Ctx) {
 	d, batch, raised := q.d, q.batch, q.raised
 	q.batch = nil
-	d.freeIRQs = append(d.freeIRQs, q)
+	d.irqs.Put(q)
 	nic := d.NIC
 	// The IRQ span covers delivery (queueing for a Linux CPU) plus
 	// handler execution, on the servicing CPU's track.
@@ -264,9 +264,13 @@ func (q *irq) handle(ctx *kernel.Ctx) {
 			return
 		}
 		// The callback was the last reader of the transaction.
-		nic.PutTxn(txn)
+		nic.Txns.Put(txn)
 	}
 }
+
+// Pools returns the counts of the driver's interrupt and page-list
+// pools.
+func (d *LinuxDriver) Pools() []pool.Stats { return []pool.Stats{d.irqs.Stats(), d.pageLists.Stats()} }
 
 // OutstandingTxreqPins returns the number of in-flight SDMA transfers
 // still holding get_user_pages pins (zero after all completions ran).
@@ -363,7 +367,7 @@ func (d *LinuxDriver) completionFn(kctx any, arg, status uint64) error {
 			d.K.Space.Alloc.Phys().Unpin(pg)
 		}
 		delete(d.pinnedByTxreq, recVA)
-		d.freePages = append(d.freePages, pages[:0])
+		d.pageLists.Put(pages[:0])
 	}
 	if err := d.K.Space.Kfree(recVA, ctx.CPU); err != nil {
 		return fmt.Errorf("hfi: completion kfree: %w", err)
@@ -587,13 +591,10 @@ func (d *LinuxDriver) Writev(ctx *kernel.Ctx, f *linux.File, iov []linux.IOVec) 
 	defer s.Release()
 	// get_user_pages over the payload vectors: per-page extents, pinned.
 	// The list stays with the transfer until its completion unpins it.
-	var pages []mem.Extent
-	if k := len(d.freePages); k > 0 {
-		pages, d.freePages = d.freePages[k-1], d.freePages[:k-1]
-	}
+	pages := d.pageLists.Get()
 	unpin := func() {
 		d.K.PutUserPages(f.Proc, pages)
-		d.freePages = append(d.freePages, pages[:0])
+		d.pageLists.Put(pages[:0])
 	}
 	for _, v := range iov[1:] {
 		if pages, err = d.K.GetUserPages(ctx, f.Proc, pages, v.Base, v.Len); err != nil {
@@ -601,7 +602,7 @@ func (d *LinuxDriver) Writev(ctx *kernel.Ctx, f *linux.File, iov []linux.IOVec) 
 			return 0, err
 		}
 	}
-	txn := d.NIC.GetTxn()
+	txn := d.NIC.Txns.Get()
 	switch hdr.Op {
 	case OpEager:
 		txn.Requests, err = AppendEagerRequests(txn.Requests, pages, mem.PageSize4K, d.pr.EagerChunk)
@@ -616,7 +617,7 @@ func (d *LinuxDriver) Writev(ctx *kernel.Ctx, f *linux.File, iov []linux.IOVec) 
 		recVA, err = d.submit(ctx, d.K.Space, int(idU), ctxtVA, &hdr, txn, 0)
 	}
 	if err != nil {
-		d.NIC.PutTxn(txn)
+		d.NIC.Txns.Put(txn)
 		unpin()
 		return 0, err
 	}
@@ -648,7 +649,7 @@ func (d *LinuxDriver) submit(ctx *kernel.Ctx, space *kmem.Space, ctxtID int, ctx
 //	allocate + fill user_sdma_txreq in the caller's kernel memory
 //	ring the doorbell
 //
-// txn carries the request list (from NIC.GetTxn); SubmitToEngine fills
+// txn carries the request list (from NIC.Txns); SubmitToEngine fills
 // in the rest. On error the transaction was not queued and stays the
 // caller's.
 func SubmitToEngine(ctx *kernel.Ctx, space *kmem.Space, reg *kstruct.Registry, nic *NIC,

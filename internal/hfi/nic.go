@@ -7,6 +7,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/mem"
 	"repro/internal/model"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -17,9 +18,9 @@ import (
 // callback address is an opaque 64-bit kernel TEXT address stored in the
 // descriptor metadata; the IRQ handler (driver code) dereferences it.
 //
-// Drivers take transactions from the NIC's free list (GetTxn) and the
-// IRQ handler hands each back (PutTxn) once its completion callback has
-// run; the request list keeps its capacity across uses.
+// Drivers take transactions from the NIC's pool (NIC.Txns) and the IRQ
+// handler puts each back once its completion callback has run; the
+// request list keeps its capacity across uses.
 type SDMATxn struct {
 	Engine    int
 	Requests  []SDMARequest
@@ -160,9 +161,9 @@ type NIC struct {
 	irqHead, irqTail *SDMATxn
 	irqScheduled     bool
 	raiseIRQ         func()
-	// freeTxns is the transaction free list (GetTxn, PutTxn); recycled
-	// records, cleared on return.
-	freeTxns []*SDMATxn `snap:"-"`
+	// Txns is the transaction pool. A transaction goes back only from
+	// its one holder: never queued, or its completion callback has run.
+	Txns pool.Pool[*SDMATxn] `snap:"-"`
 
 	// frng draws SDMA error injections (lazily created from the fault
 	// profile seed and node id, so the pattern replays per seed).
@@ -209,6 +210,8 @@ func NewNIC(e *sim.Engine, pr *model.Params, node int, phys *mem.PhysMem, fab *f
 		fab:      fab,
 		contexts: make(map[int]*Context),
 		rxq:      sim.NewQueue[*fabric.Packet](e),
+		Txns: pool.New("hfi: SDMATxn", nil, func() *SDMATxn { return new(SDMATxn) },
+			func(t *SDMATxn) { *t = SDMATxn{Requests: t.Requests[:0]} }),
 	}
 	n.raiseIRQ = n.deliverIRQ
 	port, err := fab.Attach(node, func(pkt *fabric.Packet) { n.rxq.Push(pkt) })
@@ -242,26 +245,6 @@ func (n *NIC) Params() *model.Params { return n.pr }
 // processed on Linux CPUs, §3.3). Each call hands over one batch, the
 // transactions linked through irqNext.
 func (n *NIC) SetIRQSink(sink func(batch *SDMATxn)) { n.irqSink = sink }
-
-// GetTxn returns a cleared transaction from the free list, allocating
-// one when the list is empty. Its Requests has length zero and keeps the
-// capacity of earlier uses.
-func (n *NIC) GetTxn() *SDMATxn {
-	if k := len(n.freeTxns); k > 0 {
-		t := n.freeTxns[k-1]
-		n.freeTxns = n.freeTxns[:k-1]
-		return t
-	}
-	return &SDMATxn{}
-}
-
-// PutTxn returns a transaction to the free list. The caller must hold
-// the only reference: one never queued, or one whose completion callback
-// has run.
-func (n *NIC) PutTxn(t *SDMATxn) {
-	*t = SDMATxn{Requests: t.Requests[:0]}
-	n.freeTxns = append(n.freeTxns, t)
-}
 
 // LiveContexts returns the number of currently allocated receive
 // contexts (teardown-balance instrumentation).

@@ -208,14 +208,14 @@ func TestScratchTakenTwicePanics(t *testing.T) {
 // TestRecoverSDMARecyclesOnce drives an always-failing SDMA engine: the
 // IRQ handler resubmits the transaction for its retry budget, then
 // degrades it to PIO and runs the completion. The transaction must stay
-// out of the free list while resubmitted and go back exactly once, after
+// out of the NIC's pool while resubmitted and go back exactly once, after
 // the callback.
 func TestRecoverSDMARecyclesOnce(t *testing.T) {
 	type seen struct {
 		txn      *SDMATxn
 		attempts int
 		failed   bool
-		free     int // occurrences of txn in the free list at delivery
+		out      int64 // the NIC's transactions out of its pool at delivery
 	}
 	var irqs []seen
 	faulty := func(r *rig) {
@@ -224,7 +224,7 @@ func TestRecoverSDMARecyclesOnce(t *testing.T) {
 		handler := nic.irqSink
 		nic.SetIRQSink(func(batch *SDMATxn) {
 			for txn := batch; txn != nil; txn = txn.irqNext {
-				irqs = append(irqs, seen{txn, txn.Attempts, txn.Err != nil, countFree(nic, txn)})
+				irqs = append(irqs, seen{txn, txn.Attempts, txn.Err != nil, nic.Txns.Stats().Live()})
 			}
 			handler(batch)
 		})
@@ -232,6 +232,7 @@ func TestRecoverSDMARecyclesOnce(t *testing.T) {
 	runSender(t, faulty, func(r *rig, s *sender) {
 		nic := r.nic[0]
 		live := r.lin[0].Space.LiveObjects()
+		puts := nic.Txns.Stats().Puts
 		err := s.header(OpEager)
 		if err == nil {
 			_, err = r.lin[0].Writev(s.ctx, s.f, s.iov)
@@ -247,12 +248,12 @@ func TestRecoverSDMARecyclesOnce(t *testing.T) {
 			return
 		}
 		for i, irq := range irqs {
-			if irq.txn != irqs[0].txn || irq.attempts != i || !irq.failed || irq.free != 0 {
-				t.Errorf("interrupt %d: %+v, want the first transaction, attempt %d, failed, not free", i, irq, i)
+			if irq.txn != irqs[0].txn || irq.attempts != i || !irq.failed || irq.out != 1 {
+				t.Errorf("interrupt %d: %+v, want the first transaction, attempt %d, failed, the only one out", i, irq, i)
 			}
 		}
-		if got := countFree(nic, irqs[0].txn); got != 1 {
-			t.Errorf("transaction in the free list %d times after its completion, want 1", got)
+		if st := nic.Txns.Stats(); st.Live() != 0 || st.Puts != puts+1 {
+			t.Errorf("transaction pool after the completion: %+v, want one put and none out", st)
 		}
 		if nic.SDMAErrors != uint64(budget+1) {
 			t.Errorf("SDMA errors = %d, want %d", nic.SDMAErrors, budget+1)
@@ -264,14 +265,4 @@ func TestRecoverSDMARecyclesOnce(t *testing.T) {
 			t.Error("degraded transfer still holds its page pins")
 		}
 	})
-}
-
-func countFree(n *NIC, txn *SDMATxn) int {
-	c := 0
-	for _, t := range n.freeTxns {
-		if t == txn {
-			c++
-		}
-	}
-	return c
 }

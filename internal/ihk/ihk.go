@@ -12,6 +12,7 @@ import (
 	"repro/internal/kmem"
 	"repro/internal/mem"
 	"repro/internal/model"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vas"
@@ -106,31 +107,36 @@ type Delegator struct {
 	Count uint64
 	Time  time.Duration
 
-	free []*call `snap:"-"`
+	calls pool.Pool[*call] `snap:"-"`
 }
 
 // call is one offloaded system call on its way through a proxy: the work
-// and the proxy's overhead before it. Records are recycled when the
-// caller wakes, poisoned until reused.
+// and the proxy's overhead before it. Records go back to the pool when
+// the caller wakes, poisoned until reused.
 type call struct {
+	pool.Slot
 	overhead time.Duration
 	fn       func(ctx *kernel.Ctx)
 	run      func(ctx *kernel.Ctx) // c.exec, bound once
-	freed    bool
 }
 
 func (c *call) exec(ctx *kernel.Ctx) {
-	if c.freed {
-		panic("ihk: a freed offload call reached a proxy")
-	}
+	c.Check()
 	ctx.Spend(c.overhead)
 	c.fn(ctx)
 }
 
 // NewDelegator wires delegation onto the node's Linux CPU pool.
-func NewDelegator(pool *kernel.WorkerPool, pr *model.Params) *Delegator {
-	return &Delegator{Pool: pool, pr: pr}
+func NewDelegator(wp *kernel.WorkerPool, pr *model.Params) *Delegator {
+	return &Delegator{Pool: wp, pr: pr, calls: pool.New("ihk: call", nil, func() *call {
+		c := &call{}
+		c.run = c.exec
+		return c
+	}, func(c *call) { *c = call{run: c.run} })}
 }
+
+// Pools returns the counts of the delegator's call pool.
+func (d *Delegator) Pools() []pool.Stats { return []pool.Stats{d.calls.Stats()} }
 
 // Offload runs fn as an offloaded system call on behalf of p and returns
 // the end-to-end latency: IKC to Linux, queueing + proxy execution on a
@@ -145,19 +151,11 @@ func (d *Delegator) Offload(p *sim.Proc, name string, fn func(ctx *kernel.Ctx)) 
 	if thrash < 0 {
 		thrash = 0
 	}
-	var c *call
-	if k := len(d.free); k > 0 {
-		c = d.free[k-1]
-		d.free = d.free[:k-1]
-	} else {
-		c = &call{}
-		c.run = c.exec
-	}
+	c := d.calls.Get()
 	c.overhead = d.pr.OffloadFixed + time.Duration(thrash)*d.pr.OffloadThrashPerQueued
-	c.fn, c.freed = fn, false
+	c.fn = fn
 	d.Pool.SubmitAndWait(p, name, c.run)
-	*c = call{run: c.run, freed: true}
-	d.free = append(d.free, c)
+	d.calls.Put(c)
 	p.Sleep(d.pr.IKCLatency)
 	lat := p.Now() - start
 	d.Count++

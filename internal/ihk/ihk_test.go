@@ -1,6 +1,9 @@
 package ihk
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -182,5 +185,23 @@ func TestOffloadContentionThrash(t *testing.T) {
 	heavy := perCall(32)
 	if heavy < 4*light {
 		t.Fatalf("contention too gentle: 2 callers %v, 32 callers %v", light, heavy)
+	}
+}
+
+// TestFreedCallPanics: an offload call put back in its pool is
+// poisoned, so a proxy handed it again panics instead of running a
+// stale system call.
+func TestFreedCallPanics(t *testing.T) {
+	e := sim.NewEngine(1)
+	pr := model.Default()
+	wp := kernel.NewWorkerPool(e, "linux", []int{0})
+	d := NewDelegator(wp, &pr)
+	c := d.calls.Get()
+	c.fn = func(*kernel.Ctx) { t.Error("a freed call ran its system call") }
+	d.calls.Put(c)
+	wp.Submit("stale", c.run)
+	var pe *sim.PanicError
+	if err := e.Run(0); !errors.As(err, &pe) || !strings.Contains(fmt.Sprint(pe.Value), "ihk: call used after put") {
+		t.Fatalf("Run = %v, want a freed-call panic", err)
 	}
 }

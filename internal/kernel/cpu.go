@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/pool"
 	"repro/internal/sim"
 )
 
@@ -26,9 +27,10 @@ func (c *Ctx) Now() time.Duration { return c.P.Now() }
 func (c *Ctx) Spend(d time.Duration) { c.P.Sleep(d) }
 
 // WorkItem is a unit of kernel work executed by a WorkerPool. Items are
-// recycled: a waited item (cond set) goes back to the pool's free list
-// when its submitter wakes, a fire-and-forget one when its Fn returns.
-// A freed item is poisoned until reused; a worker handed one panics.
+// recycled: a waited item (cond set) goes back to the worker pool's
+// record pool when its submitter wakes, a fire-and-forget one when its
+// Fn returns. A freed item is poisoned until reused; a worker handed one
+// panics.
 type WorkItem struct {
 	Name string
 	Fn   func(ctx *Ctx)
@@ -36,8 +38,8 @@ type WorkItem struct {
 	cond *sim.Cond
 	// wake is the Cond a waited item keeps across uses, so its waiter
 	// list keeps its capacity; cond points at it while a submitter waits.
-	wake  *sim.Cond `snap:"-"`
-	freed bool      `snap:"-"`
+	wake      *sim.Cond `snap:"-"`
+	pool.Slot `snap:"-"`
 }
 
 // WorkerPool models a set of CPUs executing kernel work in FIFO order —
@@ -52,7 +54,7 @@ type WorkerPool struct {
 	Busy []time.Duration
 	// Executed counts completed work items.
 	Executed int
-	free     []*WorkItem `snap:"-"`
+	items    pool.Pool[*WorkItem] `snap:"-"`
 }
 
 // NewWorkerPool starts one worker process per CPU id.
@@ -62,6 +64,8 @@ func NewWorkerPool(e *sim.Engine, name string, cpus []int) *WorkerPool {
 		cpus: append([]int(nil), cpus...),
 		q:    sim.NewQueue[*WorkItem](e),
 		Busy: make([]time.Duration, len(cpus)),
+		items: pool.New("kernel: WorkItem", nil, func() *WorkItem { return new(WorkItem) },
+			func(item *WorkItem) { *item = WorkItem{wake: item.wake} }),
 	}
 	for i, cpu := range wp.cpus {
 		idx, cpu := i, cpu
@@ -69,15 +73,13 @@ func NewWorkerPool(e *sim.Engine, name string, cpus []int) *WorkerPool {
 			ctx := &Ctx{P: p, CPU: cpu}
 			for {
 				item := wp.q.Pop(p)
-				if item.freed {
-					panic("kernel: a freed WorkItem reached a worker")
-				}
+				item.Check()
 				start := p.Now()
 				item.Fn(ctx)
 				wp.Busy[idx] += p.Now() - start
 				wp.Executed++
 				if item.cond == nil {
-					wp.release(item)
+					wp.items.Put(item)
 					continue
 				}
 				item.done = true
@@ -88,25 +90,15 @@ func NewWorkerPool(e *sim.Engine, name string, cpus []int) *WorkerPool {
 	return wp
 }
 
-// item returns a cleared work item from the free list, or a new one.
+// item returns a cleared work item from the pool.
 func (wp *WorkerPool) item(name string, fn func(ctx *Ctx)) *WorkItem {
-	var item *WorkItem
-	if k := len(wp.free); k > 0 {
-		item = wp.free[k-1]
-		wp.free = wp.free[:k-1]
-	} else {
-		item = &WorkItem{}
-	}
-	item.Name, item.Fn, item.freed = name, fn, false
+	item := wp.items.Get()
+	item.Name, item.Fn = name, fn
 	return item
 }
 
-// release returns an item nobody holds any more to the free list,
-// poisoned until it is reused.
-func (wp *WorkerPool) release(item *WorkItem) {
-	*item = WorkItem{wake: item.wake, freed: true}
-	wp.free = append(wp.free, item)
-}
+// Pools returns the counts of the work-item pool.
+func (wp *WorkerPool) Pools() []pool.Stats { return []pool.Stats{wp.items.Stats()} }
 
 // CPUs returns the pool's CPU ids.
 func (wp *WorkerPool) CPUs() []int { return wp.cpus }
@@ -134,6 +126,6 @@ func (wp *WorkerPool) SubmitAndWait(p *sim.Proc, name string, fn func(ctx *Ctx))
 	for !item.done {
 		item.cond.Wait(p)
 	}
-	wp.release(item)
+	wp.items.Put(item)
 	return p.Now() - start
 }

@@ -90,17 +90,17 @@ func TestWorkerPoolSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestFreedWorkItemPanics: an item released to the free list is
-// poisoned, so queueing it again panics in the worker instead of
-// running a stale function.
+// TestFreedWorkItemPanics: an item put back in its pool is poisoned,
+// so queueing it again panics in the worker instead of running a stale
+// function.
 func TestFreedWorkItemPanics(t *testing.T) {
 	e := sim.NewEngine(1)
 	wp := NewWorkerPool(e, "linux", []int{0})
 	item := wp.item("irq", func(ctx *Ctx) {})
-	wp.release(item)
+	wp.items.Put(item)
 	wp.q.Push(item)
 	var pe *sim.PanicError
-	if err := e.Run(0); !errors.As(err, &pe) || !strings.Contains(fmt.Sprint(pe.Value), "freed WorkItem") {
+	if err := e.Run(0); !errors.As(err, &pe) || !strings.Contains(fmt.Sprint(pe.Value), "kernel: WorkItem used after put") {
 		t.Fatalf("Run = %v, want a freed-WorkItem panic", err)
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"repro/internal/linux"
 	"repro/internal/mem"
 	"repro/internal/model"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/uproc"
@@ -45,16 +46,16 @@ type Kernel struct {
 	// Syscalls is the in-house kernel profiler (Figures 8 and 9).
 	Syscalls *trace.SyscallProfile
 
-	lin  *linux.Kernel
-	pr   *model.Params
-	e    *sim.Engine
-	fast map[string]*FastPath // by device path
-	free []*call              `snap:"-"` // offloaded-call records
+	lin   *linux.Kernel
+	pr    *model.Params
+	e     *sim.Engine
+	fast  map[string]*FastPath // by device path
+	calls pool.Pool[*call]     `snap:"-"` // offloaded-call records
 }
 
 // NewKernel creates the LWK bound to its node's Linux kernel.
 func NewKernel(e *sim.Engine, pr *model.Params, space *kmem.Space, lin *linux.Kernel, del *ihk.Delegator) *Kernel {
-	return &Kernel{
+	k := &Kernel{
 		Space:    space,
 		Del:      del,
 		Syscalls: trace.NewSyscallProfile(),
@@ -63,6 +64,12 @@ func NewKernel(e *sim.Engine, pr *model.Params, space *kmem.Space, lin *linux.Ke
 		e:        e,
 		fast:     make(map[string]*FastPath),
 	}
+	k.calls = pool.New("mckernel: call", nil, func() *call {
+		c := &call{k: k}
+		c.run = c.exec
+		return c
+	}, func(c *call) { *c = call{k: c.k, run: c.run} })
+	return k
 }
 
 // account closes out one syscall: it feeds the in-house profiler and,
@@ -117,6 +124,7 @@ const (
 // and its result on the way back. Records are recycled once the caller
 // has read the result, poisoned until reused.
 type call struct {
+	pool.Slot
 	k      *Kernel
 	op     callOp
 	proc   *uproc.Process
@@ -128,18 +136,15 @@ type call struct {
 	length uint64
 	cost   time.Duration
 	// Results.
-	res   uint64
-	file  *linux.File
-	err   error
-	run   func(lctx *kernel.Ctx) // c.exec, bound once
-	freed bool
+	res  uint64
+	file *linux.File
+	err  error
+	run  func(lctx *kernel.Ctx) // c.exec, bound once
 }
 
 // exec runs the call on a Linux CPU, in the proxy's context.
 func (c *call) exec(lctx *kernel.Ctx) {
-	if c.freed {
-		panic("mckernel: a freed offloaded call reached Linux")
-	}
+	c.Check()
 	lin := c.k.lin
 	switch c.op {
 	case callOpen:
@@ -161,28 +166,23 @@ func (c *call) exec(lctx *kernel.Ctx) {
 
 // newCall returns a cleared call record for op.
 func (k *Kernel) newCall(op callOp) *call {
-	var c *call
-	if n := len(k.free); n > 0 {
-		c = k.free[n-1]
-		k.free = k.free[:n-1]
-	} else {
-		c = &call{k: k}
-		c.run = c.exec
-	}
-	c.op, c.freed = op, false
+	c := k.calls.Get()
+	c.op = op
 	return c
 }
 
 // offload delegates c to Linux: it runs on a Linux CPU behind an IKC
 // round trip and its result travels back to the LWK core. c goes back
-// to the free list once its result is read.
+// to the pool once its result is read.
 func (k *Kernel) offload(ctx *kernel.Ctx, label string, c *call) (uint64, *linux.File, error) {
 	k.Del.Offload(ctx.P, label, c.run)
 	res, file, err := c.res, c.file, c.err
-	*c = call{k: k, run: c.run, freed: true}
-	k.free = append(k.free, c)
+	k.calls.Put(c)
 	return res, file, err
 }
+
+// Pools returns the counts of the kernel's offloaded-call pool.
+func (k *Kernel) Pools() []pool.Stats { return []pool.Stats{k.calls.Stats()} }
 
 // fastPath returns the PicoDriver handlers that serve f: nil when the
 // device has none, or while the descriptor bypasses them (failover).

@@ -1,6 +1,9 @@
 package mckernel
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -277,4 +280,18 @@ func syscallCount(prof *trace.SyscallProfile, name string) uint64 {
 		}
 	}
 	return 0
+}
+
+// TestFreedCallPanics: an offloaded-call record put back in its pool is
+// poisoned, so one that reaches Linux again panics instead of running a
+// stale operation.
+func TestFreedCallPanics(t *testing.T) {
+	mck, lin, _, e := lwkRig(t)
+	c := mck.newCall(callMisc)
+	mck.calls.Put(c)
+	lin.Pool.Submit("stale", c.run)
+	var pe *sim.PanicError
+	if err := e.Run(0); !errors.As(err, &pe) || !strings.Contains(fmt.Sprint(pe.Value), "mckernel: call used after put") {
+		t.Fatalf("Run = %v, want a freed-call panic", err)
+	}
 }

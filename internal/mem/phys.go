@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+
+	"repro/internal/pool"
 )
 
 // PhysAddr is a physical byte address within a node.
@@ -74,9 +76,9 @@ type PhysMem struct {
 	regions []*regionState
 	// pinned counts the frames whose pin count is non-zero.
 	pinned int
-	// freeFrames holds the buffers of freed frames for the next first
-	// write anywhere on the node; their bytes are dead.
-	freeFrames []*frame `snap:"-"`
+	// frames holds the buffers of freed frames for the next first write
+	// anywhere on the node; their bytes are dead.
+	frames pool.Pool[*frame] `snap:"-"`
 	// regScratch backs regionsFor: allocation paths call it once per
 	// page, so the candidate list must not allocate each time.
 	regScratch []*regionState `snap:"-"`
@@ -109,7 +111,7 @@ func NewPhysMem(regions ...Region) (*PhysMem, error) {
 			return nil, fmt.Errorf("mem: regions overlap at %#x", r.Base)
 		}
 	}
-	pm := &PhysMem{}
+	pm := &PhysMem{frames: pool.New("mem: frame", nil, func() *frame { return new(frame) }, nil)}
 	for _, r := range sorted {
 		rs := &regionState{Region: r, chunks: make([]*chunkGroup, (r.Size+groupBytes-1)/groupBytes)}
 		if r.Kind != MMIO {

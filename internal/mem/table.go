@@ -149,13 +149,7 @@ func (w *frameWalk) next(r *frameRun) bool {
 // previous owner's bytes; it is cleared unless the first write covers
 // the whole frame.
 func (pm *PhysMem) takeFrame(whole bool) *frame {
-	n := len(pm.freeFrames)
-	if n == 0 {
-		return new(frame)
-	}
-	f := pm.freeFrames[n-1]
-	pm.freeFrames[n-1] = nil
-	pm.freeFrames = pm.freeFrames[:n-1]
+	f := pm.frames.Get()
 	if !whole {
 		clear(f[:])
 	}
@@ -173,7 +167,7 @@ func (pm *PhysMem) dropFrames(e Extent) {
 		for i := r.lo; i < r.hi; i++ {
 			if f := r.c.frames[i]; f != nil {
 				r.c.frames[i] = nil
-				pm.freeFrames = append(pm.freeFrames, f)
+				pm.frames.Put(f)
 			}
 		}
 	}

@@ -437,6 +437,10 @@ func runPhysMemOps(t testing.TB, prog []byte) {
 	if got, want := sectionFramesPins(t, pm), ref.encode(); got != want {
 		t.Fatalf("snapshot frame/pin lines differ from the reference:\n%s\nvs\n%s", got, want)
 	}
+	// Every buffer out of the frame pool backs one of those frames.
+	if live := pm.frames.Stats().Live(); live != int64(len(ref.frames)) {
+		t.Fatalf("%d frame buffers out of the pool, %d frames backed", live, len(ref.frames))
+	}
 	for _, e := range pinned {
 		pm.Unpin(e)
 	}
@@ -534,8 +538,8 @@ func TestFrameReuseClears(t *testing.T) {
 		t.Fatal(err)
 	}
 	pm.FreeContig(e)
-	if len(pm.freeFrames) != 1 {
-		t.Fatalf("freed frame not pooled: %d buffers", len(pm.freeFrames))
+	if freeFrames(pm) != 1 {
+		t.Fatalf("freed frame not pooled: %d buffers", freeFrames(pm))
 	}
 	e, err = pm.AllocContig(PageSize4K, PreferMCDRAM)
 	if err != nil {
@@ -551,7 +555,7 @@ func TestFrameReuseClears(t *testing.T) {
 	if err := pm.WriteAt(e.Addr+100, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if len(pm.freeFrames) != 0 {
+	if freeFrames(pm) != 0 {
 		t.Fatal("first write did not take the pooled buffer")
 	}
 	want := make([]byte, PageSize4K)
@@ -582,8 +586,8 @@ func TestDiscardReusesFrames(t *testing.T) {
 	pm.Pin(e)
 	// Frames 1 and 2 lie wholly inside; 0 and 3 only in part.
 	pm.Discard(Extent{Addr: e.Addr + 100, Len: 3*PageSize4K + 50})
-	if len(pm.freeFrames) != 2 {
-		t.Fatalf("Discard pooled %d buffers, want 2", len(pm.freeFrames))
+	if freeFrames(pm) != 2 {
+		t.Fatalf("Discard pooled %d buffers, want 2", freeFrames(pm))
 	}
 	if n := pm.PinnedFrames(); n != 4 {
 		t.Fatalf("PinnedFrames = %d after Discard, want 4", n)
@@ -604,7 +608,7 @@ func TestDiscardReusesFrames(t *testing.T) {
 	if err := pm.WriteAt(other.Addr+10, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if len(pm.freeFrames) != 1 {
+	if freeFrames(pm) != 1 {
 		t.Fatal("first write elsewhere on the node did not take a discarded buffer")
 	}
 	page, wantPage := make([]byte, PageSize4K), make([]byte, PageSize4K)
@@ -793,4 +797,10 @@ func pinnedAt(pm *PhysMem, pa PhysAddr) bool {
 	w := pm.walk(Extent{Addr: pa, Len: 1})
 	var r frameRun
 	return w.next(&r) && r.c.pinCount(r.lo) > 0
+}
+
+// freeFrames returns the number of buffers in pm's frame pool.
+func freeFrames(pm *PhysMem) int {
+	st := pm.frames.Stats()
+	return int(st.Puts - st.Hits)
 }

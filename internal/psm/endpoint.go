@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/hfi"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/uproc"
@@ -99,22 +100,20 @@ type Endpoint struct {
 	trackName string                  `snap:"-"` // cached "rank<N>" span track
 	dueRanks  []int                   `snap:"-"` // fireTimers' due flows
 	dueKeys   []mtKey                 `snap:"-"` // fireTimers' due message timers
-	// Free lists of the per-message records: a request's record returns
-	// when its last holder drops it (Request.holds), a rendezvous and its
-	// windows when the transfer retires, a message timer's when
-	// msgTimers and any running expiry let go (recovery.holds), a
-	// retained payload chunk when its flow listing, any go-back-N round
-	// reading it and every packet copy in flight let go (chunk.holds).
+	// Pools of the per-message records: a request's record goes back
+	// when its last holder lets go, a rendezvous and its windows when the
+	// transfer retires, a message timer's when msgTimers and any running
+	// expiry let go, a retained payload chunk when its flow listing, any
+	// go-back-N round reading it and every packet copy in flight let go.
 	// All but the chunks come back cleared; a chunk's bytes are
 	// overwritten by its next read.
-	freeInbound []*inbound   `snap:"-"`
-	freeSends   []*sendReq   `snap:"-"`
-	freeRecvs   []*recvReq   `snap:"-"`
-	freeRdvs    []*rdvRecv   `snap:"-"`
-	freeWindows []*rdvWindow `snap:"-"`
-	freeTimers  []*recovery  `snap:"-"` // message timers' records
-	freeChunks  []*chunk     `snap:"-"`
-	chunksMade  int          `snap:"-"` // chunks ever allocated (CheckRetained)
+	inbounds   pool.Pool[*inbound]   `snap:"-"`
+	sendRecs   pool.Pool[*sendReq]   `snap:"-"`
+	recvRecs   pool.Pool[*recvReq]   `snap:"-"`
+	rdvRecs    pool.Pool[*rdvRecv]   `snap:"-"`
+	windowRecs pool.Pool[*rdvWindow] `snap:"-"`
+	timerRecs  pool.Pool[*recovery]  `snap:"-"` // message timers' records
+	chunks     pool.Pool[*chunk]     `snap:"-"`
 	// midRoundAcks counts ACKs that retired packets while a go-back-N
 	// round was running; tests read it to know they exercised one.
 	midRoundAcks int `snap:"-"`
@@ -220,6 +219,7 @@ func NewEndpoint(p *sim.Proc, os OSOps, rank int, book AddressBook, synthetic bo
 		sends:     make(map[uint64]*sendReq),
 		rdvRecvs:  make(map[uint64]*rdvRecv),
 	}
+	ep.initPools()
 	for i := 0; i < maxActiveRdv*RdvWindowDepth; i++ {
 		ep.freeRdvSlots = append(ep.freeRdvSlots, i)
 	}
@@ -375,88 +375,92 @@ func (ep *Endpoint) Wait(p *sim.Proc, r *Request) error {
 	return err
 }
 
+// initPools builds the endpoint's record pools.
+func (ep *Endpoint) initPools() {
+	ep.inbounds = pool.New("psm: inbound", nil, func() *inbound { return new(inbound) },
+		func(inb *inbound) { *inb = inbound{ivs: ivSet{ivs: inb.ivs.ivs[:0]}, heap: inb.heap[:0]} })
+	ep.sendRecs = pool.New("psm: sendReq", nil, func() *sendReq {
+		sr := &sendReq{ep: ep}
+		sr.acked = sr.pioAcked
+		resetSend(sr)
+		return sr
+	}, resetSend)
+	ep.recvRecs = pool.New("psm: recvReq", nil, func() *recvReq {
+		rr := new(recvReq)
+		resetRecv(rr)
+		return rr
+	}, resetRecv)
+	ep.rdvRecs = pool.New("psm: rdvRecv", nil,
+		func() *rdvRecv { return &rdvRecv{windows: make(map[uint64]*rdvWindow)} },
+		func(rdv *rdvRecv) {
+			clear(rdv.windows)
+			*rdv = rdvRecv{windows: rdv.windows}
+		})
+	// A retired window's interval set keeps its capacity; its CTS
+	// payload, which a flow may still retain for retransmission, does
+	// not.
+	ep.windowRecs = pool.New("psm: rdvWindow", nil, func() *rdvWindow { return new(rdvWindow) },
+		func(w *rdvWindow) { *w = rdvWindow{ivs: ivSet{ivs: w.ivs.ivs[:0]}} })
+	ep.timerRecs = pool.New("psm: recovery", nil, func() *recovery { return new(recovery) },
+		func(mt *recovery) { *mt = recovery{} })
+	// Every chunk holds a whole eager chunk, the most one read takes
+	// (eagerChunks).
+	ep.chunks = pool.New("psm: chunk", nil, func() *chunk {
+		return &chunk{ep: ep, buf: make([]byte, ep.nic.Params().EagerChunk)}
+	}, nil)
+}
+
+func resetSend(sr *sendReq) {
+	clear(sr.ctsSeen)
+	*sr = sendReq{ctsSeen: sr.ctsSeen, ep: sr.ep, acked: sr.acked}
+	sr.req = Request{kind: reqSend, send: sr}
+}
+
+func resetRecv(rr *recvReq) { *rr = recvReq{req: Request{kind: reqRecv, recv: rr}} }
+
+func (sr *sendReq) PoolSlot() *pool.Slot { return &sr.req.slot }
+func (rr *recvReq) PoolSlot() *pool.Slot { return &rr.req.slot }
+
+// Pools returns the counts of the endpoint's record pools but the
+// chunks, which CheckRetained counts against the flows' listings.
+func (ep *Endpoint) Pools() []pool.Stats {
+	return []pool.Stats{ep.inbounds.Stats(), ep.sendRecs.Stats(), ep.recvRecs.Stats(),
+		ep.rdvRecs.Stats(), ep.windowRecs.Stats(), ep.timerRecs.Stats()}
+}
+
 // newSend returns a cleared send record, held by its caller.
 func (ep *Endpoint) newSend() *sendReq {
-	var sr *sendReq
-	if k := len(ep.freeSends); k > 0 {
-		sr = ep.freeSends[k-1]
-		ep.freeSends = ep.freeSends[:k-1]
-	} else {
-		sr = &sendReq{ep: ep}
-		sr.acked = sr.pioAcked
-	}
-	sr.req = Request{kind: reqSend, holds: 1, send: sr}
+	sr := ep.sendRecs.Get()
+	ep.sendRecs.Hold(sr)
 	return sr
 }
 
 // newRecv returns a cleared receive record, held by its caller and by
 // the matching state until the receive completes.
 func (ep *Endpoint) newRecv() *recvReq {
-	var rr *recvReq
-	if k := len(ep.freeRecvs); k > 0 {
-		rr = ep.freeRecvs[k-1]
-		ep.freeRecvs = ep.freeRecvs[:k-1]
-	} else {
-		rr = &recvReq{}
-	}
-	rr.req = Request{kind: reqRecv, holds: 2, recv: rr}
+	rr := ep.recvRecs.Get()
+	ep.recvRecs.Hold(rr)
+	ep.recvRecs.Hold(rr)
 	return rr
 }
 
+// hold records one more holder of r's record.
+func (ep *Endpoint) hold(r *Request) {
+	if r.kind == reqSend {
+		ep.sendRecs.Hold(r.send)
+	} else {
+		ep.recvRecs.Hold(r.recv)
+	}
+}
+
 // drop lets go of one hold on r's record. The last one clears the
-// record, poisons it and returns it to its free list.
+// record, poisons it and returns it to its pool.
 func (ep *Endpoint) drop(r *Request) {
-	r.live()
-	if r.holds--; r.holds > 0 {
-		return
+	if r.kind == reqSend {
+		ep.sendRecs.Release(r.send)
+	} else {
+		ep.recvRecs.Release(r.recv)
 	}
-	if sr := r.send; sr != nil {
-		clear(sr.ctsSeen)
-		*sr = sendReq{ctsSeen: sr.ctsSeen, ep: ep, acked: sr.acked}
-		sr.req = Request{kind: reqSend, freed: true}
-		ep.freeSends = append(ep.freeSends, sr)
-		return
-	}
-	rr := r.recv
-	*rr = recvReq{req: Request{kind: reqRecv, freed: true}}
-	ep.freeRecvs = append(ep.freeRecvs, rr)
-}
-
-// newRdv returns a cleared rendezvous record; its windows map keeps its
-// buckets across uses.
-func (ep *Endpoint) newRdv() *rdvRecv {
-	if k := len(ep.freeRdvs); k > 0 {
-		rdv := ep.freeRdvs[k-1]
-		ep.freeRdvs = ep.freeRdvs[:k-1]
-		return rdv
-	}
-	return &rdvRecv{windows: make(map[uint64]*rdvWindow)}
-}
-
-// retireRdv returns the record of a rendezvous that finished and left
-// every map. Its window timers were cancelled as each window finished.
-func (ep *Endpoint) retireRdv(rdv *rdvRecv) {
-	clear(rdv.windows)
-	*rdv = rdvRecv{windows: rdv.windows}
-	ep.freeRdvs = append(ep.freeRdvs, rdv)
-}
-
-// newWindow returns a cleared rendezvous window record.
-func (ep *Endpoint) newWindow() *rdvWindow {
-	if k := len(ep.freeWindows); k > 0 {
-		w := ep.freeWindows[k-1]
-		ep.freeWindows = ep.freeWindows[:k-1]
-		return w
-	}
-	return &rdvWindow{}
-}
-
-// retireWindow returns the record of a finished window. Its interval set
-// keeps its capacity; its CTS payload, which a flow may still retain for
-// retransmission, does not.
-func (ep *Endpoint) retireWindow(w *rdvWindow) {
-	*w = rdvWindow{ivs: ivSet{ivs: w.ivs.ivs[:0]}}
-	ep.freeWindows = append(ep.freeWindows, w)
 }
 
 // WaitAll waits on every request in turn, returning the first error;

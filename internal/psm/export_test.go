@@ -4,5 +4,9 @@ package psm
 // while a go-back-N round was running.
 func MidRoundAcks(ep *Endpoint) int { return ep.midRoundAcks }
 
-// ChunksMade is the number of retained chunks ep has allocated.
-func ChunksMade(ep *Endpoint) int { return ep.chunksMade }
+// ChunksMade is the number of retained chunks ep has allocated: the
+// gets its chunk pool could not serve from its free list.
+func ChunksMade(ep *Endpoint) int {
+	st := ep.chunks.Stats()
+	return int(st.Gets - st.Hits)
+}

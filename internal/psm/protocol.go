@@ -137,7 +137,7 @@ func (ep *Endpoint) sendPIO(p *sim.Proc, sr *sendReq) error {
 			var onAcked func(error)
 			if last {
 				// The flow waiter holds the record until it fires.
-				sr.req.hold()
+				ep.sendRecs.Hold(sr)
 				onAcked = sr.acked
 			}
 			if err := ep.sendFlowPkt(p, sr.peer, a, hdr, payload, c, n, onAcked); err != nil {
@@ -169,10 +169,10 @@ func (ep *Endpoint) readPayload(va uproc.VirtAddr, n uint64) ([]byte, *chunk, er
 	if ep.Synthetic {
 		return nil, nil, nil
 	}
-	c := ep.takeChunk()
+	c := ep.chunks.Get()
 	buf := c.buf[:n]
 	if err := ep.proc().ReadAt(va, buf); err != nil {
-		ep.freeChunks = append(ep.freeChunks, c)
+		ep.chunks.Put(c)
 		return nil, nil, fmt.Errorf("psm: rank %d payload read: %w", ep.Rank, err)
 	}
 	return buf, c, nil
@@ -231,13 +231,13 @@ func (ep *Endpoint) sendEagerSDMA(p *sim.Proc, sr *sendReq) error {
 // awaitCompletion files sr under the CQ sequence of one of its SDMA
 // submissions; the entry holds the record until the completion retires.
 func (ep *Endpoint) awaitCompletion(cs uint32, sr *sendReq) {
-	sr.req.hold()
+	ep.sendRecs.Hold(sr)
 	ep.bySeq[cs] = sr
 }
 
 // trackSend files sr in ep.sends, which holds it until untrackSend.
 func (ep *Endpoint) trackSend(sr *sendReq) {
-	sr.req.hold()
+	ep.sendRecs.Hold(sr)
 	ep.sends[sr.msgid] = sr
 }
 
@@ -347,7 +347,7 @@ func (ep *Endpoint) Irecv(p *sim.Proc, src int, tag uint64, buf uproc.VirtAddr, 
 			}
 		}
 		ep.completeRecv(rr, inb.msglen)
-		ep.recycleInbound(inb)
+		ep.inbounds.Put(inb)
 	default:
 		// Partially arrived: the rest lands in place.
 		inb.bound = rr
@@ -419,7 +419,7 @@ func (ep *Endpoint) beginRendezvous(p *sim.Proc, rr *recvReq, rts rtsInfo) error
 		ep.posted = append(ep.posted, rr)
 		return nil
 	}
-	rdv := ep.newRdv()
+	rdv := ep.rdvRecs.Get()
 	rdv.rr, rdv.src, rdv.msgid, rdv.msglen = rr, rts.src, rts.msgid, rts.msglen
 	rdv.winSize = ep.nic.Params().RendezvousWindow
 	ep.rdvRecvs[rts.msgid] = rdv
@@ -453,7 +453,7 @@ func (ep *Endpoint) registerWindow(p *sim.Proc, rdv *rdvRecv) error {
 	rdv.nextReg += winLen
 	slot := ep.freeRdvSlots[0]
 	ep.freeRdvSlots = slices.Delete(ep.freeRdvSlots, 0, 1)
-	w := ep.newWindow()
+	w := ep.windowRecs.Get()
 	w.off, w.len, w.slot = winOff, winLen, slot
 	rdv.windows[winOff] = w
 
@@ -528,7 +528,7 @@ func (ep *Endpoint) finishWindow(p *sim.Proc, rdv *rdvRecv, w *rdvWindow) error 
 	delete(rdv.windows, w.off)
 	ep.freeRdvSlots = append(ep.freeRdvSlots, w.slot)
 	rdv.completed += w.len
-	ep.retireWindow(w)
+	ep.windowRecs.Put(w)
 	if rdv.nextReg < rdv.msglen {
 		if err := ep.registerWindow(p, rdv); err != nil {
 			return err
@@ -544,7 +544,7 @@ func (ep *Endpoint) finishWindow(p *sim.Proc, rdv *rdvRecv, w *rdvWindow) error 
 	src := int(rdv.src)
 	fin := ep.header(OpRdvFin, rdv.rr.tag, rdv.msgid, 0, 0, 0)
 	ep.completeRecv(rdv.rr, rdv.msglen)
-	ep.retireRdv(rdv)
+	ep.rdvRecs.Put(rdv)
 	if ep.reliable {
 		// Sequenced receipt: the sender's request completes only when
 		// this FIN lands (its CQ completions can predate wire delivery).

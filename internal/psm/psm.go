@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/hfi"
 	"repro/internal/linux"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/uproc"
 )
@@ -115,12 +116,11 @@ type Request struct {
 	// begin stamps Isend/Irecv entry for the operation's trace span.
 	begin time.Duration
 
-	// holds counts the record's holders: the caller until Wait, and the
-	// endpoint's send map and CQ entries, armed recovery timers, flow
-	// waiters, and a receive's matching state until it completes. The
-	// last drop frees the record.
-	holds int  `snap:"-"`
-	freed bool `snap:"-"`
+	// slot counts the record's holders in its endpoint's pool: the
+	// caller until Wait, and the endpoint's send map and CQ entries,
+	// armed recovery timers, flow waiters, and a receive's matching state
+	// until it completes. The last drop frees the record.
+	slot pool.Slot `snap:"-"`
 	// send or recv is the record embedding this request.
 	send *sendReq `snap:"-"`
 	recv *recvReq `snap:"-"`
@@ -139,17 +139,7 @@ func (r *Request) complete(err error) bool {
 }
 
 // live panics if r's record was freed: a holder outlived its hold.
-func (r *Request) live() {
-	if r.freed {
-		panic("psm: " + recordName[r.kind] + " used after Wait freed it")
-	}
-}
-
-// hold records one more holder of r's record.
-func (r *Request) hold() {
-	r.live()
-	r.holds++
-}
+func (r *Request) live() { r.slot.Check() }
 
 type reqKind uint8
 
@@ -157,9 +147,6 @@ const (
 	reqSend reqKind = iota
 	reqRecv
 )
-
-// recordName names the record type embedding each kind of request.
-var recordName = [...]string{reqSend: "sendReq", reqRecv: "recvReq"}
 
 // Stats accumulates per-endpoint instrumentation.
 type Stats struct {

@@ -2,6 +2,7 @@ package psm
 
 import (
 	"bytes"
+	"iter"
 	"slices"
 	"testing"
 	"time"
@@ -133,8 +134,8 @@ func TestCancelledTimerOutlivesItsReplay(t *testing.T) {
 	if _, err := fab.Attach(1, fab.Release); err != nil {
 		t.Fatal(err)
 	}
-	rr := &recvReq{}
-	rr.req = Request{kind: reqRecv, holds: 1, recv: rr} // the caller's hold
+	rr := ep.recvRecs.Get()
+	ep.recvRecs.Hold(rr) // the caller's
 	rdv := &rdvRecv{rr: rr, msgid: 9, windows: map[uint64]*rdvWindow{}}
 	ep.rdvRecvs[rdv.msgid] = rdv
 	for _, off := range []uint64{0, 4096} {
@@ -171,11 +172,14 @@ func TestCancelledTimerOutlivesItsReplay(t *testing.T) {
 	if mt.rto != pr.PSMRtoBase || mt.deadline != armedAt+pr.PSMRtoBase || mt.retries != 0 {
 		t.Errorf("timer armed mid-replay = %+v, want a fresh schedule from %v", mt.retryTimer, armedAt)
 	}
-	if len(ep.freeTimers) != 1 || ep.freeTimers[0] != old || old.held != nil || old.fire != nil || old.armed {
-		t.Errorf("cancelled timer's record not cleared and recycled after its expiry: %d free", len(ep.freeTimers))
+	if st := ep.timerRecs.Stats(); st.Puts-st.Hits != 1 || old.held != nil || old.fire != nil || old.armed {
+		t.Errorf("cancelled timer's record not cleared and recycled after its expiry: %+v", st)
 	}
-	if rr.req.holds != 2 { // the caller's and the new timer's
-		t.Errorf("request holds = %d, want 2", rr.req.holds)
+	if err := ep.recvRecs.CheckHolds(one(rr, 2)); err != nil { // the caller's and the new timer's
+		t.Error(err)
+	}
+	if ep.timerRecs.Get() != old {
+		t.Error("the pool's free record is not the cancelled timer's")
 	}
 }
 
@@ -196,8 +200,10 @@ func bareEndpoint(t *testing.T) (*Endpoint, *fabric.Fabric) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Endpoint{eng: eng, nic: nic, reliable: true, rtCond: sim.NewCond(eng),
-		peers: map[int]*peer{}, msgTimers: map[mtKey]*recovery{}, rdvRecvs: map[uint64]*rdvRecv{}}, fab
+	ep := &Endpoint{eng: eng, nic: nic, reliable: true, rtCond: sim.NewCond(eng),
+		peers: map[int]*peer{}, msgTimers: map[mtKey]*recovery{}, rdvRecvs: map[uint64]*rdvRecv{}}
+	ep.initPools()
+	return ep, fab
 }
 
 func unackedPSNs(fl *txFlow) []uint32 {
@@ -206,4 +212,10 @@ func unackedPSNs(fl *txFlow) []uint32 {
 		psns = append(psns, tp.psn)
 	}
 	return psns
+}
+
+// one is the sequence pool.Pool.CheckHolds takes for one record x that
+// should have n holds.
+func one[T any](x T, n int) iter.Seq2[T, int] {
+	return func(yield func(T, int) bool) { yield(x, n) }
 }

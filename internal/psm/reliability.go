@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/hfi"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/uproc"
 )
@@ -116,12 +117,13 @@ type recovery struct {
 
 	// The rest is a message timer's own (zero for a flow). held is the
 	// request the timer holds while it is armed; key files the timer in
-	// Endpoint.msgTimers. holds counts the holders of the recovery record
-	// itself: msgTimers while the timer is armed, and an expiry while it
-	// runs (see expire). The last one returns it to freeTimers.
-	held  *Request `snap:"-"`
-	key   mtKey    `snap:"-"`
-	holds int      `snap:"-"`
+	// Endpoint.msgTimers. The Slot counts the holders of the recovery
+	// record itself: msgTimers while the timer is armed, and an expiry
+	// while it runs (see expire). The last one returns it to
+	// Endpoint.timerRecs.
+	held      *Request `snap:"-"`
+	key       mtKey    `snap:"-"`
+	pool.Slot `snap:"-"`
 }
 
 // peer is everything the endpoint keeps about one remote rank. The
@@ -277,7 +279,7 @@ func (ep *Endpoint) sendFlowPkt(p *sim.Proc, peer int, a Addr, hdr fabric.Header
 	fl := pe.tx
 	if fl.failed != nil {
 		if c != nil {
-			ep.freeChunks = append(ep.freeChunks, c)
+			ep.chunks.Put(c)
 		}
 		return fl.failed
 	}
@@ -415,17 +417,12 @@ func (ep *Endpoint) goBackN(p *sim.Proc, fl *txFlow, force bool) error {
 // holds held's record while it is armed, and again while a replay runs:
 // a replay sleeps on the wire, and the timer can be cancelled meanwhile.
 func (ep *Endpoint) armMsgTimer(key mtKey, peer int, a Addr, held *Request) {
-	var mt *recovery
-	if k := len(ep.freeTimers); k > 0 {
-		mt = ep.freeTimers[k-1]
-		ep.freeTimers = ep.freeTimers[:k-1]
-	} else {
-		mt = &recovery{}
-	}
-	*mt = recovery{peer: peer, addr: a, what: mtWhat[key.kind],
-		fire: (*Endpoint).replayMsg, fail: (*Endpoint).endMsgTimer,
-		held: held, key: key, holds: 1}
-	held.hold()
+	mt := ep.timerRecs.Get()
+	mt.peer, mt.addr, mt.what = peer, a, mtWhat[key.kind]
+	mt.fire, mt.fail = (*Endpoint).replayMsg, (*Endpoint).endMsgTimer
+	mt.held, mt.key = held, key
+	ep.timerRecs.Hold(mt)
+	ep.hold(held)
 	mt.progress(ep.eng.Now(), ep.nic.Params().PSMRtoBase, true)
 	ep.msgTimers[key] = mt
 	ep.rtCond.Broadcast()
@@ -442,7 +439,7 @@ func (ep *Endpoint) replayMsg(p *sim.Proc, mt *recovery, switched bool) error {
 	}
 	ep.Stats.MsgResends++
 	held := mt.held
-	held.hold()
+	ep.hold(held)
 	defer ep.drop(held)
 	var err error
 	switch mt.key.kind {
@@ -483,19 +480,9 @@ func (ep *Endpoint) endMsgTimer(mt *recovery, err error) {
 		}
 	}
 	if armed {
-		ep.releaseMsgTimer(mt)
+		ep.timerRecs.Release(mt)
 		ep.drop(held)
 	}
-}
-
-// releaseMsgTimer lets go of one hold on a message timer's record. The
-// last one clears it and returns it to freeTimers.
-func (ep *Endpoint) releaseMsgTimer(mt *recovery) {
-	if mt.holds--; mt.holds > 0 {
-		return
-	}
-	*mt = recovery{}
-	ep.freeTimers = append(ep.freeTimers, mt)
 }
 
 // touchMsgTimer records forward progress: the backoff schedule restarts.
@@ -633,8 +620,8 @@ func (ep *Endpoint) expire(p *sim.Proc, now time.Duration, r *recovery) error {
 		// A message timer's record outlives its expiry: a replay sleeps
 		// on the wire, the timer can be cancelled meanwhile, and r is
 		// still written after fire returns.
-		r.holds++
-		defer ep.releaseMsgTimer(r)
+		ep.timerRecs.Hold(r)
+		defer ep.timerRecs.Release(r)
 	}
 	pr := ep.nic.Params()
 	if ep.pathDown(r.addr.Node) {

@@ -13,6 +13,7 @@ import (
 // record's name instead of corrupting the message that reuses it.
 func TestFreedRequestPanics(t *testing.T) {
 	ep := &Endpoint{}
+	ep.initPools()
 	sr := ep.newSend()
 	sr.req.complete(nil)
 	if err := ep.Wait(nil, &sr.req); err != nil {
@@ -23,8 +24,8 @@ func TestFreedRequestPanics(t *testing.T) {
 	if err := ep.Wait(nil, &rr.req); err != nil {
 		t.Fatal(err)
 	}
-	if len(ep.freeSends) != 1 || ep.freeSends[0] != sr || len(ep.freeRecvs) != 1 || ep.freeRecvs[0] != rr {
-		t.Fatalf("free lists after Wait: %d sends, %d receives; want the two records", len(ep.freeSends), len(ep.freeRecvs))
+	if s, r := ep.sendRecs.Stats(), ep.recvRecs.Stats(); s.Puts != 1 || r.Puts != 1 || s.Live() != 0 || r.Live() != 0 {
+		t.Fatalf("pools after Wait: sends %+v, receives %+v; want both records back", s, r)
 	}
 	late := errors.New("late")
 	for _, c := range []struct {
@@ -42,7 +43,7 @@ func TestFreedRequestPanics(t *testing.T) {
 		func() {
 			defer func() {
 				msg := fmt.Sprint(recover())
-				if !strings.Contains(msg, c.record+" used after Wait freed it") {
+				if !strings.Contains(msg, "psm: "+c.record+" used after put") {
 					t.Errorf("%s: recovered %q, want a panic naming %s", c.name, msg, c.record)
 				}
 			}()
@@ -60,6 +61,7 @@ func TestFreedRequestPanics(t *testing.T) {
 // free list when the map drops it.
 func TestRequestFreedByLastHolder(t *testing.T) {
 	ep := &Endpoint{sends: make(map[uint64]*sendReq)}
+	ep.initPools()
 	sr := ep.newSend()
 	sr.msgid = 7
 	ep.trackSend(sr)
@@ -67,14 +69,14 @@ func TestRequestFreedByLastHolder(t *testing.T) {
 	if err := ep.Wait(nil, &sr.req); err == nil {
 		t.Fatal("Wait lost the request's error")
 	}
-	if len(ep.freeSends) != 0 || sr.req.freed {
+	if ep.sendRecs.Stats().Puts != 0 {
 		t.Fatal("Wait freed a send the send map still holds")
 	}
 	ep.untrackSend(sr)
-	if len(ep.freeSends) != 1 || !sr.req.freed {
+	if ep.sendRecs.Stats().Puts != 1 {
 		t.Fatal("the send map's drop did not free the record")
 	}
-	if again := ep.newSend(); again != sr || again.req.freed || again.req.Done || again.msgid != 0 {
+	if again := ep.newSend(); again != sr || again.req.Done || again.msgid != 0 {
 		t.Fatalf("reused record not cleared: %+v", again)
 	}
 }

@@ -1,10 +1,16 @@
 package psm
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+
+	"repro/internal/pool"
+)
 
 // chunk is one retained payload: the bytes a lossy-fabric PIO send or
 // eager replay reads out of user memory (readPayload) and keeps for
-// go-back-N retransmission. holds counts its holders:
+// go-back-N retransmission. Its Slot counts its holders in
+// Endpoint.chunks:
 //
 //   - the flow's unacked listing, from sendFlowPkt until an ACK retires
 //     the packet or the flow fails;
@@ -16,7 +22,8 @@ import "fmt"
 //     fabric.Release lets go once per copy delivered, dropped or
 //     discarded (chunk is the packets' fabric.PayloadOwner).
 //
-// The last holder to let go returns the chunk to Endpoint.freeChunks.
+// The last holder to let go puts the chunk back in the pool, which
+// poisons it until its next read takes it again.
 //
 // Reliable mode exists only on lossy fabrics, which newShardSet
 // (internal/cluster) refuses, so every release runs on the owner's
@@ -24,40 +31,18 @@ import "fmt"
 // refusal, a copy delivered on another shard must route its release
 // through the window barrier back to the sending shard.
 type chunk struct {
-	ep    *Endpoint
-	buf   []byte
-	holds int
-}
-
-// takeChunk returns an unheld chunk: a free one if any, else a new one.
-// Every chunk holds a whole eager chunk, the most one read takes
-// (eagerChunks).
-func (ep *Endpoint) takeChunk() *chunk {
-	if k := len(ep.freeChunks); k > 0 {
-		c := ep.freeChunks[k-1]
-		ep.freeChunks[k-1] = nil
-		ep.freeChunks = ep.freeChunks[:k-1]
-		return c
-	}
-	ep.chunksMade++
-	return &chunk{ep: ep, buf: make([]byte, ep.nic.Params().EagerChunk)}
+	pool.Slot
+	ep  *Endpoint
+	buf []byte
 }
 
 // HoldPayload takes one hold: a packet copy the sender or the fabric
 // puts in flight.
-func (c *chunk) HoldPayload() { c.holds++ }
+func (c *chunk) HoldPayload() { c.ep.chunks.Hold(c) }
 
 // ReleasePayload lets go of one hold; the last one returns the chunk to
-// its endpoint's free list.
-func (c *chunk) ReleasePayload() {
-	c.holds--
-	switch {
-	case c.holds == 0:
-		c.ep.freeChunks = append(c.ep.freeChunks, c)
-	case c.holds < 0:
-		panic(fmt.Sprintf("psm: rank %d retained chunk released more often than held", c.ep.Rank))
-	}
-}
+// its endpoint's pool.
+func (c *chunk) ReleasePayload() { c.ep.chunks.Release(c) }
 
 // retain lists tp on the flow until an ACK retires it; the listing
 // holds its chunk.
@@ -118,10 +103,11 @@ func (fl *txFlow) endRound() {
 }
 
 // CheckRetained reports a retained chunk whose count disagrees with its
-// holders once no packet is in flight (the machine has drained): each
-// chunk the endpoint made is either on its free list with no holds, or
-// held exactly once per listing of it on a flow (unacked or detached).
-// A flow whose endpoint closed before its last ACK keeps its listings.
+// holders once no packet is in flight (the machine has drained): the
+// chunks out of the endpoint's pool are exactly those a flow lists
+// (unacked or detached), each held once per listing. A flow whose
+// endpoint closed before its last ACK keeps its listings, so this, not
+// a zero balance (Pools), is the chunk pool's teardown check.
 func (ep *Endpoint) CheckRetained() error {
 	listed := map[*chunk]int{}
 	for _, pe := range ep.peers {
@@ -136,18 +122,11 @@ func (ep *Endpoint) CheckRetained() error {
 			}
 		}
 	}
-	for c, n := range listed {
-		if c.holds != n {
-			return fmt.Errorf("psm: rank %d: retained chunk with %d holds has %d listings and no copy in flight", ep.Rank, c.holds, n)
-		}
+	if err := ep.chunks.CheckHolds(maps.All(listed)); err != nil {
+		return fmt.Errorf("psm: rank %d: listed retained chunk (no copy in flight): %w", ep.Rank, err)
 	}
-	for _, c := range ep.freeChunks {
-		if c.holds != 0 {
-			return fmt.Errorf("psm: rank %d: free retained chunk with %d holds", ep.Rank, c.holds)
-		}
-	}
-	if n := len(ep.freeChunks) + len(listed); n != ep.chunksMade {
-		return fmt.Errorf("psm: rank %d: %d of %d retained chunks neither free nor listed", ep.Rank, ep.chunksMade-n, ep.chunksMade)
+	if out := ep.chunks.Stats().Live(); out != int64(len(listed)) {
+		return fmt.Errorf("psm: rank %d: %d retained chunks out of the pool, %d listed", ep.Rank, out, len(listed))
 	}
 	return nil
 }

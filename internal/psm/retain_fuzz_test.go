@@ -21,9 +21,11 @@ import (
 // rounds, and fails the flow. The reference counts a chunk's holders
 // directly: the packets listed on the flow, the packets retired while a
 // round ran (held until the last round ends), and the copies in flight.
-// A chunk is on the free list exactly when that count is zero, a round
-// step never resends a chunk reused for another packet, and once
-// everything has landed and been acknowledged CheckRetained passes.
+// A chunk is back in the endpoint's pool (poisoned) exactly when that
+// count is zero, the pool's live count is the number of chunks with a
+// holder, a round step never resends a chunk reused for another packet,
+// and once everything has landed and been acknowledged CheckRetained
+// passes.
 func FuzzRetainedHolds(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 3, 1, 2, 0, 2, 0, 2, 0})
 	// A round starts, an ACK lands under it, the round resends a retired
@@ -58,6 +60,7 @@ func FuzzRetainedHolds(f *testing.F) {
 			ops = ops[:1024]
 		}
 		ep := &Endpoint{nic: nic}
+		ep.initPools()
 		fl := newTxFlow(1, Addr{Node: 1})
 		var (
 			listed   []txPkt   // the reference's unacked listing
@@ -79,20 +82,20 @@ func FuzzRetainedHolds(f *testing.F) {
 			for _, cp := range flight {
 				want[cp.c]++
 			}
-			free := map[*chunk]bool{}
-			for _, c := range ep.freeChunks {
-				if free[c] {
-					t.Fatalf("op %d: a chunk is on the free list twice", op)
-				}
-				free[c] = true
-			}
+			held := 0
 			for _, c := range made {
-				if c.holds != want[c] {
-					t.Fatalf("op %d: chunk of PSN %d has %d holds, reference %d", op, stamp(c), c.holds, want[c])
+				if err := ep.chunks.CheckHolds(one(c, want[c])); err != nil {
+					t.Fatalf("op %d: chunk of PSN %d: %v", op, stamp(c), err)
 				}
-				if free[c] != (want[c] == 0) {
-					t.Fatalf("op %d: chunk of PSN %d with %d holders: on the free list %v", op, stamp(c), want[c], free[c])
+				if free := freed(c); free != (want[c] == 0) {
+					t.Fatalf("op %d: chunk of PSN %d with %d holders: back in the pool %v", op, stamp(c), want[c], free)
 				}
+				if want[c] > 0 {
+					held++
+				}
+			}
+			if live := ep.chunks.Stats().Live(); live != int64(held) {
+				t.Fatalf("op %d: %d chunks out of the pool, %d held", op, live, held)
 			}
 		}
 		// retireRef mirrors txFlow.retire on the reference.
@@ -120,7 +123,7 @@ func FuzzRetainedHolds(f *testing.F) {
 					continue
 				}
 				fl.nextPSN++
-				c := ep.takeChunk()
+				c := ep.chunks.Get()
 				if !slices.Contains(made, c) {
 					made = append(made, c)
 				}
@@ -173,8 +176,8 @@ func FuzzRetainedHolds(f *testing.F) {
 				if tp.psn != want.psn || tp.chunk != want.chunk {
 					t.Fatalf("op %d: round read PSN %d, its resend set had PSN %d", i/2, tp.psn, want.psn)
 				}
-				if stamp(tp.chunk) != tp.psn || tp.chunk.holds == 0 {
-					t.Fatalf("op %d: round resends PSN %d from a chunk reused for PSN %d (%d holds)", i/2, tp.psn, stamp(tp.chunk), tp.chunk.holds)
+				if stamp(tp.chunk) != tp.psn || freed(tp.chunk) {
+					t.Fatalf("op %d: round resends PSN %d from a chunk reused for PSN %d (back in the pool %v)", i/2, tp.psn, stamp(tp.chunk), freed(tp.chunk))
 				}
 				tp.chunk.HoldPayload()
 				flight = append(flight, copyRef{tp.psn, tp.chunk})
@@ -218,4 +221,12 @@ func FuzzRetainedHolds(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// freed reports whether c is back in its pool: a free record panics on
+// use.
+func freed(c *chunk) (free bool) {
+	defer func() { free = recover() != nil }()
+	c.Check()
+	return false
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/model"
+	"repro/internal/pool"
 	"repro/internal/psm"
 	"repro/internal/sim"
 )
@@ -100,6 +101,9 @@ func TestRetainedChunksBalance(t *testing.T) {
 		}
 		if err := ep.CheckRetained(); err != nil {
 			t.Error(err)
+		}
+		if err := pool.Balance(ep.Pools()...); err != nil {
+			t.Errorf("rank %d: %v", ep.Rank, err)
 		}
 		midRound += psm.MidRoundAcks(ep)
 	}

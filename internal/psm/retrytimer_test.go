@@ -75,10 +75,11 @@ func TestForwardProgressRestartsSchedule(t *testing.T) {
 	}
 
 	key := mtKey{msgid: 9, kind: mtRdvWindow}
-	held := &Request{holds: 1} // the caller's
+	sr := ep.newSend() // held by the caller
+	held := &sr.req
 	ep.armMsgTimer(key, 1, Addr{Node: 1}, held)
-	if held.holds != 2 {
-		t.Errorf("armed timer: %d holds on its request, want 2", held.holds)
+	if err := ep.sendRecs.CheckHolds(one(sr, 2)); err != nil {
+		t.Errorf("armed timer: %v", err)
 	}
 	mt := ep.msgTimers[key]
 	if mt.retryTimer != fresh || mt.what != "rdv-window" {
@@ -95,7 +96,7 @@ func TestForwardProgressRestartsSchedule(t *testing.T) {
 		t.Error("touch resurrected a cancelled message timer")
 	}
 	ep.cancelMsgTimer(key) // cancelling twice drops one hold only
-	if held.holds != 1 {
-		t.Errorf("cancelled timer: %d holds on its request, want 1", held.holds)
+	if err := ep.sendRecs.CheckHolds(one(sr, 1)); err != nil {
+		t.Errorf("cancelled timer: %v", err)
 	}
 }

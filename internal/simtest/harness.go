@@ -13,6 +13,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/mlx"
+	"repro/internal/pool"
 	"repro/internal/psm"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
@@ -325,14 +326,20 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 			return nil, fmt.Errorf("simtest: node %d leaks %d programmed rkeys", i, live)
 		}
 	}
-	// Pool balance: on a lossy fabric every payload chunk a rank retained
-	// for retransmission is back on its free list once the machine has
-	// drained, or held by exactly the flow listings that still name it
+	// Pool balance: once the machine has drained, every per-operation
+	// record is back in its pool, but a payload chunk a rank retained
+	// for retransmission on a lossy fabric: a flow whose endpoint closed
+	// before its last ACK still lists it, held once per listing
 	// (psm.Endpoint.CheckRetained).
+	pools := cl.Pools()
 	for _, ep := range eps {
 		if err := ep.CheckRetained(); err != nil {
 			return nil, fmt.Errorf("simtest: %w", err)
 		}
+		pools = append(pools, ep.Pools()...)
+	}
+	if err := pool.Balance(pools...); err != nil {
+		return nil, fmt.Errorf("simtest: %w", err)
 	}
 	digest, err := traceDigest(cl, eps, sums, rec)
 	if err != nil {
