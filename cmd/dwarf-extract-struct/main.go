@@ -32,10 +32,11 @@ func main() {
 	var blob []byte
 	var err error
 	if *hfiFlag {
-		blob, err = hfi.BuildDWARFBlob(hfi.BuildRegistry(hfi.DriverVersion))
+		m, err := dwarfx.NewModule(hfi.BuildRegistry(hfi.DriverVersion))
 		if err != nil {
 			fatal(err)
 		}
+		blob = m.Blob
 	} else {
 		if len(args) < 1 {
 			usage()

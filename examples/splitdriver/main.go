@@ -81,12 +81,12 @@ type kxpDriver struct {
 }
 
 func newKXPDriver(k *linux.Kernel) (*kxpDriver, error) {
-	reg := kxpRegistry()
-	root, err := buildBlob(reg)
+	m, err := dwarfx.NewModule(kxpRegistry())
 	if err != nil {
 		return nil, err
 	}
-	d := &kxpDriver{k: k, reg: reg, blob: root}
+	reg := m.Reg
+	d := &kxpDriver{k: k, reg: reg, blob: m.Blob}
 	devLayout, err := reg.Lookup("kxp_device")
 	if err != nil {
 		return nil, err
@@ -107,15 +107,6 @@ func newKXPDriver(k *linux.Kernel) (*kxpDriver, error) {
 	}
 	d.devVA = dev.Addr
 	return d, nil
-}
-
-// buildBlob compiles the registry into the module's debug info blob.
-func buildBlob(reg *kstruct.Registry) ([]byte, error) {
-	root, err := dwarfx.Build(reg)
-	if err != nil {
-		return nil, err
-	}
-	return dwarfx.Encode(root)
 }
 
 func (d *kxpDriver) obj(name string, va kmem.VirtAddr) kstruct.Obj {

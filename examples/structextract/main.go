@@ -30,15 +30,15 @@ func main() {
 
 	// --- Step 1: extract from the shipped driver version. ---
 	regV1 := hfi.BuildRegistry(hfi.DriverVersion)
-	blobV1, err := hfi.BuildDWARFBlob(regV1)
+	v1, err := dwarfx.NewModule(regV1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rootV1, err := dwarfx.Decode(blobV1)
+	rootV1, err := dwarfx.Decode(v1.Blob)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("module debug info: %s (%d bytes)\n\n", dwarfx.Producer(rootV1), len(blobV1))
+	fmt.Printf("module debug info: %s (%d bytes)\n\n", dwarfx.Producer(rootV1), len(v1.Blob))
 	layoutV1, err := dwarfx.ExtractStruct(rootV1, "sdma_state", fields)
 	if err != nil {
 		log.Fatal(err)
@@ -59,11 +59,11 @@ func main() {
 			{Name: "previous_state", Offset: 68, Kind: kstruct.Enum, TypeName: "sdma_states"},
 		},
 	})
-	blobV2, err := hfi.BuildDWARFBlob(regV2)
+	v2, err := dwarfx.NewModule(regV2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rootV2, err := dwarfx.Decode(blobV2)
+	rootV2, err := dwarfx.Decode(v2.Blob)
 	if err != nil {
 		log.Fatal(err)
 	}

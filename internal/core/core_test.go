@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/dwarfx"
 	"repro/internal/hfi"
 	"repro/internal/kstruct"
 	"repro/internal/model"
@@ -50,11 +51,11 @@ func TestLinuxDriverIsUnmodified(t *testing.T) {
 // into the driver.
 func TestExtractedLayoutsMatchAuthoritative(t *testing.T) {
 	authoritative := hfi.BuildRegistry(hfi.DriverVersion)
-	blob, err := hfi.BuildDWARFBlob(authoritative)
+	m, err := dwarfx.NewModule(authoritative)
 	if err != nil {
 		t.Fatal(err)
 	}
-	extracted, err := core.ExtractLayouts(blob, "test", core.HFIWants)
+	extracted, err := core.ExtractLayouts(m.Blob, "test", core.HFIWants)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,10 +287,11 @@ var benchLayouts *kstruct.Registry
 
 // BenchmarkDWARFExtract measures the §3.2 extraction path.
 func BenchmarkDWARFExtract(b *testing.B) {
-	blob, err := hfi.BuildDWARFBlob(hfi.BuildRegistry(hfi.DriverVersion))
+	m, err := dwarfx.NewModule(hfi.BuildRegistry(hfi.DriverVersion))
 	if err != nil {
 		b.Fatal(err)
 	}
+	blob := m.Blob
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

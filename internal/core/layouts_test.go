@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/dwarfx"
 	"repro/internal/hfi"
 	"repro/internal/kstruct"
 	"repro/internal/model"
@@ -56,18 +57,18 @@ func TestLayoutsExtractedOncePerBuild(t *testing.T) {
 		}
 	}
 
-	blob, err := hfi.BuildDWARFBlob(hfi.BuildRegistry("hfi1-10.9-0"))
+	m, err := dwarfx.NewModule(hfi.BuildRegistry("hfi1-10.9-0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := core.PortLayouts(blob, "hfipico", core.HFIWants)
+	other, err := core.PortLayouts(m.Blob, "hfipico", core.HFIWants)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if other == hfiReg {
 		t.Fatal("a different module build got the shipped build's registry")
 	}
-	again, err := core.PortLayouts(blob, "hfipico", core.HFIWants)
+	again, err := core.PortLayouts(m.Blob, "hfipico", core.HFIWants)
 	if err != nil {
 		t.Fatal(err)
 	}

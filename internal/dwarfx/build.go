@@ -7,6 +7,24 @@ import (
 	"repro/internal/kstruct"
 )
 
+// Module is one build of a driver: its structure layouts and the
+// debugging information compiled from them, as shipped alongside the
+// driver binary.
+type Module struct {
+	Reg  *kstruct.Registry
+	Blob []byte
+}
+
+// NewModule compiles reg into the module a driver build ships.
+func NewModule(reg *kstruct.Registry) (Module, error) {
+	root, err := Build(reg)
+	if err != nil {
+		return Module{}, err
+	}
+	blob, err := Encode(root)
+	return Module{Reg: reg, Blob: blob}, err
+}
+
 // Build compiles a driver's authoritative structure layouts into a DIE
 // tree, the way a compiler emits debug info into a module binary. The
 // producer string records the driver version so version-skew can be

@@ -111,7 +111,7 @@ func NewLinuxDriver(k *linux.Kernel, nic *NIC, pr *model.Params, worlds []*kmem.
 		return nil, err
 	}
 	d := &LinuxDriver{
-		K: k, NIC: nic, pr: pr, reg: m.reg, DWARFBlob: m.blob,
+		K: k, NIC: nic, pr: pr, reg: m.Reg, DWARFBlob: m.Blob,
 		nEngines: pr.SDMAEngines, worlds: worlds,
 		open:          make(map[int]*openContext),
 		pinnedByTxreq: make(map[kmem.VirtAddr][]mem.Extent),
@@ -124,7 +124,7 @@ func NewLinuxDriver(k *linux.Kernel, nic *NIC, pr *model.Params, worlds []*kmem.
 		return q
 	}, nil)
 	cpu := k.Pool.CPUs()[0]
-	reg := m.reg
+	reg := m.Reg
 
 	ddLayout, err := reg.Lookup("hfi1_devdata")
 	if err != nil {

@@ -143,28 +143,9 @@ func BuildRegistry(version string) *kstruct.Registry {
 	return reg
 }
 
-// module is one build of the driver: its layouts and the debugging
-// information shipped alongside the binary.
-type module struct {
-	reg  *kstruct.Registry
-	blob []byte
-}
-
 // shippedModule is the DriverVersion build every driver instance loads.
 // It is the same on every node, so a process builds it once and all
 // instances share it read-only.
-var shippedModule = sync.OnceValues(func() (module, error) {
-	reg := BuildRegistry(DriverVersion)
-	blob, err := BuildDWARFBlob(reg)
-	return module{reg: reg, blob: blob}, err
+var shippedModule = sync.OnceValues(func() (dwarfx.Module, error) {
+	return dwarfx.NewModule(BuildRegistry(DriverVersion))
 })
-
-// BuildDWARFBlob compiles the registry into the module's debugging
-// information, as shipped alongside the driver binary.
-func BuildDWARFBlob(reg *kstruct.Registry) ([]byte, error) {
-	root, err := dwarfx.Build(reg)
-	if err != nil {
-		return nil, err
-	}
-	return dwarfx.Encode(root)
-}

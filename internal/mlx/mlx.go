@@ -87,30 +87,12 @@ func BuildRegistry(version string) *kstruct.Registry {
 	return reg
 }
 
-// module is one build of the driver: its layouts and the debugging
-// information shipped alongside the binary.
-type module struct {
-	reg  *kstruct.Registry
-	blob []byte
-}
-
 // shippedModule is the DriverVersion build every driver instance loads.
 // It is the same on every node, so a process builds it once and all
 // instances share it read-only.
-var shippedModule = sync.OnceValues(func() (module, error) {
-	reg := BuildRegistry(DriverVersion)
-	blob, err := BuildDWARFBlob(reg)
-	return module{reg: reg, blob: blob}, err
+var shippedModule = sync.OnceValues(func() (dwarfx.Module, error) {
+	return dwarfx.NewModule(BuildRegistry(DriverVersion))
 })
-
-// BuildDWARFBlob compiles the registry into module debug info.
-func BuildDWARFBlob(reg *kstruct.Registry) ([]byte, error) {
-	root, err := dwarfx.Build(reg)
-	if err != nil {
-		return nil, err
-	}
-	return dwarfx.Encode(root)
-}
 
 // MRInfoSize is the encoded RegMR/DeregMR argument size.
 const MRInfoSize = 32
@@ -192,8 +174,8 @@ func NewDriver(k *linux.Kernel, hca HCA) (*Driver, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := m.reg
-	d := &Driver{K: k, reg: reg, DWARFBlob: m.blob, hca: hca,
+	reg := m.Reg
+	d := &Driver{K: k, reg: reg, DWARFBlob: m.Blob, hca: hca,
 		mrs: make(map[uint32]*linuxMR), qps: make(map[int][]uint32)}
 	devLayout, err := reg.Lookup("mlx_device")
 	if err != nil {

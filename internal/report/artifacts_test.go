@@ -1,6 +1,7 @@
 package report
 
 import (
+	"encoding/csv"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -62,6 +63,27 @@ func TestCommittedArtifactsByteIdentical(t *testing.T) {
 		if !owned[f.Name()] {
 			t.Errorf("artifacts/%s belongs to no id in the Artifacts catalogue", f.Name())
 		}
+	}
+}
+
+// TestCommittedCSVsAreRectangular checks that every line of every
+// committed artifacts/*.csv has as many fields as its header, so a column
+// whose CSV side emits the wrong number of fields cannot be committed.
+func TestCommittedCSVsAreRectangular(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "artifacts", "*.csv"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed CSVs (%v)", err)
+	}
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// FieldsPerRecord 0 holds every record to the header's count.
+		if _, err := csv.NewReader(f).ReadAll(); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+		f.Close()
 	}
 }
 

@@ -30,40 +30,53 @@ type Artifact struct {
 // It is the only such list: cmd/experiments loops over it and
 // TestCommittedArtifactsByteIdentical rebuilds artifacts/ from it.
 var Artifacts = []Artifact{
-	artifact("fig4", experiments.Fig4, Fig4Table, Fig4CSV).traced(fig4Cell),
+	artifact("fig4", experiments.Fig4,
+		"Figure 4: MPI ping-pong bandwidth (MB/s) and one-way latency p50/p99 (µs)", fig4Cols).traced(fig4Cell),
 	scaling("fig5a", "Figure 5a: LAMMPS", miniapps.LAMMPS, appNodes),
 	scaling("fig5b", "Figure 5b: Nekbone", miniapps.Nekbone, appNodes),
 	scaling("fig6a", "Figure 6a: UMT2013", miniapps.UMT2013, appNodes).traced(fig6aCell),
 	scaling("fig6b", "Figure 6b: HACC", miniapps.HACC, appNodes),
 	scaling("fig7", "Figure 7: QBOX", miniapps.QBOX, qboxNodes),
-	artifact("table1", experiments.Table1, Table1, Table1CSV),
+	{ID: "table1", Run: func(cfg experiments.Config) (string, string, error) {
+		profiles, err := experiments.Table1(cfg)
+		if err != nil {
+			return "", "", err
+		}
+		return Table1(profiles), Table1CSV(profiles), nil
+	}},
 	breakdown("fig8", "UMT2013"),
 	breakdown("fig9", "QBOX"),
-	artifact("verbs", experiments.VerbsSweep, VerbsTable, VerbsCSV).traced(verbsCell),
-	artifact("reliability", experiments.Reliability, ReliabilityTable, ReliabilityCSV).traced(reliabilityCell),
-	artifact("failover", experiments.Failover, FailoverTable, FailoverCSV).traced(failoverCell),
-	artifact("tenancy", experiments.Tenancy, TenancyTable, TenancyCSV).traced(tenancyCell),
-	artifact("ablations", experiments.Ablations, AblationTable, AblationCSV),
+	artifact("verbs", experiments.VerbsSweep,
+		"RDMA verbs: registration latency (µs) vs data-path latency (µs)", verbsCols).traced(verbsCell),
+	artifact("reliability", experiments.Reliability,
+		"Reliability: goodput (MB/s), one-way p50/p99 (µs) and retransmits vs loss rate", reliabilityCols).traced(reliabilityCell),
+	artifact("failover", experiments.Failover,
+		"Failover: rail-0 outage blackout window and goodput per OS configuration", failoverCols).traced(failoverCell),
+	artifact("tenancy", experiments.Tenancy,
+		"Tenancy: victim latency vs neighbor placement under fabric congestion control", tenancyCols).traced(tenancyCell),
+	artifact("ablations", experiments.Ablations,
+		"Ablations: one mechanism per row, everything else fixed (ratio = without / with)", ablationCols),
 	{ID: "bigscale", Explicit: true, Run: func(cfg experiments.Config) (string, string, error) {
 		sc := cfg.Scale
 		rows, err := experiments.Bigscale(cfg, "UMT2013", sc.BigscaleNodes, sc.BigscaleRPN, sc.BigscaleShards)
 		if err != nil {
 			return "", "", err
 		}
-		title := fmt.Sprintf("Sharded engine: UMT2013, %d nodes x %d ranks/node, one seed",
-			sc.BigscaleNodes, sc.BigscaleRPN)
-		return BigscaleTable(title, rows), BigscaleCSV(rows), nil
+		text, csv := table(fmt.Sprintf("Sharded engine: UMT2013, %d nodes x %d ranks/node, one seed",
+			sc.BigscaleNodes, sc.BigscaleRPN), bigscaleCols, rows)
+		return text, csv, nil
 	}},
 }
 
-// artifact pairs one sweep with its two renderers.
-func artifact[R any](id string, run func(experiments.Config) (R, error), table, csv func(R) string) Artifact {
+// artifact runs one sweep and renders its rows as one table under title.
+func artifact[R any](id string, run func(experiments.Config) ([]R, error), title string, cols func(R) []col) Artifact {
 	return Artifact{ID: id, Run: func(cfg experiments.Config) (string, string, error) {
 		rows, err := run(cfg)
 		if err != nil {
 			return "", "", err
 		}
-		return table(rows), csv(rows), nil
+		text, csv := table(title, cols, rows)
+		return text, csv, nil
 	}}
 }
 
@@ -76,8 +89,7 @@ func scaling(id, title string, app func() *miniapps.App, nodes func(experiments.
 		func(cfg experiments.Config) ([]experiments.ScalingPoint, error) {
 			return experiments.AppScaling(cfg, app(), nodes(cfg.Scale))
 		},
-		func(pts []experiments.ScalingPoint) string { return ScalingTable(title, pts) },
-		ScalingCSV)
+		title+" (performance relative to Linux; rank-time p50/p99 in ms)", scalingCols)
 }
 
 // breakdown is one kernel-level system call breakdown figure.

@@ -27,6 +27,9 @@ var (
 	// character, which drops ":line" suffixes and trailing punctuation.
 	pathRE     = regexp.MustCompile(`(?:^|[^\w./-]|\./)((?:cmd|internal|artifacts)/[\w./*-]*[\w*])`)
 	testNameRE = regexp.MustCompile(`\b(?:Test|Benchmark)[A-Z0-9_]\w*`)
+	// qualRE is a qualified exported name, pkg.Name; a longer selector
+	// (pkg.Type.Method) is checked by its first two components.
+	qualRE     = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)`)
 	testDeclRE = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 	targetRE   = regexp.MustCompile(`(?m)^([A-Za-z][\w-]*):`)
 	allowRE    = regexp.MustCompile(`^(internal/[\w/]+\.go): (\*?\w+(?:\.\w+)?) — \S`)
@@ -61,6 +64,10 @@ func TestDocReferencesResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pkgs, err := internalDecls(filepath.Join(root, "internal"))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, doc := range docFiles {
 		raw, err := os.ReadFile(filepath.Join(root, doc))
@@ -82,6 +89,11 @@ func TestDocReferencesResolve(t *testing.T) {
 						where("`make %s` names no Makefile target", m[1])
 					}
 				}
+				for _, m := range qualRE.FindAllStringSubmatch(span, -1) {
+					if decls, ok := pkgs[m[1]]; ok && !decls[m[2]] {
+						where("%s.%s is declared nowhere in internal/%s", m[1], m[2], m[1])
+					}
+				}
 			}
 			for _, m := range pathRE.FindAllStringSubmatchIndex(line, -1) {
 				path := line[m[2]:m[3]]
@@ -100,6 +112,52 @@ func TestDocReferencesResolve(t *testing.T) {
 			off += len(line) + 1
 		}
 	}
+}
+
+// internalDecls maps each package directory under dir to the names its
+// Go files, tests included, declare at package level or as methods (the
+// docs write pkg.Method for a method of the package's main type).
+func internalDecls(dir string) (map[string]map[string]bool, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	pkgs := map[string]map[string]bool{}
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		files, err := filepath.Glob(filepath.Join(dir, e.Name(), "*.go"))
+		if err != nil {
+			return nil, err
+		}
+		decls := map[string]bool{}
+		for _, path := range files {
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					decls[d.Name.Name] = true
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							decls[s.Name.Name] = true
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								decls[n.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+		pkgs[e.Name()] = decls
+	}
+	return pkgs, nil
 }
 
 // openItems returns ROADMAP.md from its "## Open items" heading up to

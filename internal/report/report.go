@@ -1,5 +1,6 @@
 // Package report renders experiment results as text tables in the
-// layout of the paper's figures and tables.
+// layout of the paper's figures and tables, and as CSVs for plotting
+// them with external tools.
 package report
 
 import (
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/trace"
 )
@@ -28,31 +30,82 @@ func LatencyTable(rec *trace.Recorder) string {
 	return b.String()
 }
 
-// Fig4Table renders the ping-pong bandwidth sweep with one-way latency
-// percentiles (p50/p99 over repetitions) next to the means.
-func Fig4Table(rows []experiments.Fig4Row) string {
-	var b strings.Builder
-	b.WriteString("Figure 4: MPI ping-pong bandwidth (MB/s) and one-way latency p50/p99 (µs)\n")
-	fmt.Fprintf(&b, "%-10s %12s %12s %14s %9s %9s %15s %15s %15s\n",
-		"size", "Linux", "McKernel", "McKernel+HFI1", "McK/Lin", "HFI/Lin",
-		"Lin p50/p99", "McK p50/p99", "HFI p50/p99")
-	for _, r := range rows {
-		lin := r.MBps["Linux"]
-		mck := r.MBps["McKernel"]
-		hfi := r.MBps["McKernel+HFI1"]
-		fmt.Fprintf(&b, "%-10s %12.1f %12.1f %14.1f %8.1f%% %8.1f%% %15s %15s %15s\n",
-			sizeLabel(r.Size), lin, mck, hfi, 100*mck/lin, 100*hfi/lin,
-			pctPair(r.OneWayP50["Linux"], r.OneWayP99["Linux"]),
-			pctPair(r.OneWayP50["McKernel"], r.OneWayP99["McKernel"]),
-			pctPair(r.OneWayP50["McKernel+HFI1"], r.OneWayP99["McKernel+HFI1"]))
-	}
-	return b.String()
+// col is one column of an artifact, named once: its text header, width
+// (negative left-aligns) and cell, then its CSV header and field, all
+// read from the same row. The CSV side may hold several comma-separated
+// fields (a p50/p99 pair is one text cell but two CSV fields). An empty
+// head leaves the column out of the text table, an empty csvHead out of
+// the CSV.
+type col struct {
+	head         string
+	width        int
+	text         string
+	csvHead, csv string
 }
 
-// pctPair formats a p50/p99 pair in microseconds.
-func pctPair(p50, p99 time.Duration) string {
-	return fmt.Sprintf("%.1f/%.1f", float64(p50)/1e3, float64(p99)/1e3)
+// table renders rows under title as a text table of padded cells joined
+// by spaces, and as a CSV. cols maps a row to its columns; the headers
+// are read from the zero row's columns, so no header depends on a row.
+func table[R any](title string, cols func(R) []col, rows []R) (text, csv string) {
+	var t, c strings.Builder
+	t.WriteString(title + "\n")
+	line := func(cs []col, cell func(col) (text, csv string)) {
+		var cells, fields []string
+		for _, k := range cs {
+			text, csv := cell(k)
+			if k.head != "" {
+				cells = append(cells, fmt.Sprintf("%*s", k.width, text))
+			}
+			if k.csvHead != "" {
+				fields = append(fields, csv)
+			}
+		}
+		t.WriteString(strings.Join(cells, " ") + "\n")
+		c.WriteString(strings.Join(fields, ",") + "\n")
+	}
+	var zero R
+	line(cols(zero), func(k col) (string, string) { return k.head, k.csvHead })
+	for _, r := range rows {
+		line(cols(r), func(k col) (string, string) { return k.text, k.csv })
+	}
+	return t.String(), c.String()
 }
+
+// osLabel labels one OS configuration's columns: name keys the rows'
+// per-OS maps and heads the bandwidth and relative-performance columns
+// (width wide), short heads the other text columns and csv prefixes the
+// CSV fields.
+type osLabel struct {
+	name, short, csv string
+	width            int
+}
+
+// osLabels are the per-OS column labels in cluster.AllOSTypes order.
+var osLabels = []osLabel{
+	{cluster.OSLinux.String(), "Lin", "linux", 12},
+	{cluster.OSMcKernel.String(), "McK", "mckernel", 12},
+	{cluster.OSMcKernelHFI.String(), "HFI", "mckernel_hfi", 14},
+}
+
+// plain is a column whose text cell and CSV field both print v.
+func plain(head string, width int, csvHead string, v any) col {
+	s := fmt.Sprint(v)
+	return col{head, width, s, csvHead, s}
+}
+
+// sizeCol is a message size: a label in the text table, bytes in the CSV.
+func sizeCol(width int, n uint64) col {
+	return col{"size", width, sizeLabel(n), "bytes", fmt.Sprint(n)}
+}
+
+// usPair is one OS's pair of latencies, a and b: one text cell in µs,
+// two CSV fields in µs to the nanosecond.
+func usPair(o osLabel, head, csvA, csvB string, a, b time.Duration) col {
+	return col{o.short + " " + head, 15, fmt.Sprintf("%.1f/%.1f", us(a), us(b)),
+		o.csv + "_" + csvA + "_us," + o.csv + "_" + csvB + "_us", fmt.Sprintf("%.3f,%.3f", us(a), us(b))}
+}
+
+func us(d time.Duration) float64 { return float64(d) / 1e3 }
 
 func sizeLabel(n uint64) string {
 	switch {
@@ -64,38 +117,168 @@ func sizeLabel(n uint64) string {
 	return fmt.Sprintf("%dB", n)
 }
 
-// ScalingTable renders one mini-app scaling study (Figures 5-7): the
-// paper's y axis is performance relative to Linux (100% = parity).
-// Per-rank body-time p50/p99 columns expose the OS-noise spread behind
-// each mean.
-func ScalingTable(title string, pts []experiments.ScalingPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (performance relative to Linux; rank-time p50/p99 in ms)\n", title)
-	fmt.Fprintf(&b, "%-7s %12s %12s %14s %17s %17s %17s\n",
-		"nodes", "Linux", "McKernel", "McKernel+HFI1",
-		"Lin p50/p99", "McK p50/p99", "HFI p50/p99")
-	for _, p := range pts {
-		fmt.Fprintf(&b, "%-7d %11.1f%% %11.1f%% %13.1f%% %17s %17s %17s\n",
-			p.Nodes,
-			100*p.RelToLinux["Linux"],
-			100*p.RelToLinux["McKernel"],
-			100*p.RelToLinux["McKernel+HFI1"],
-			msPair(p.RankP50["Linux"], p.RankP99["Linux"]),
-			msPair(p.RankP50["McKernel"], p.RankP99["McKernel"]),
-			msPair(p.RankP50["McKernel+HFI1"], p.RankP99["McKernel+HFI1"]))
+// lossLabel renders a drop probability as a percentage.
+func lossLabel(loss float64) string {
+	if loss == 0 {
+		return "0%"
 	}
-	return b.String()
+	return fmt.Sprintf("%.2g%%", 100*loss)
 }
 
-// msPair formats a p50/p99 pair in milliseconds.
-func msPair(p50, p99 time.Duration) string {
-	return fmt.Sprintf("%.2f/%.2f", float64(p50)/1e6, float64(p99)/1e6)
+// fig4Cols is the ping-pong bandwidth sweep with one-way latency
+// percentiles (p50/p99 over repetitions) next to the means.
+func fig4Cols(r experiments.Fig4Row) []col {
+	cs := []col{sizeCol(-10, r.Size)}
+	for _, o := range osLabels {
+		cs = append(cs, plain(o.name, o.width, o.csv+"_mbps", fmt.Sprintf("%.1f", r.MBps[o.name])))
+	}
+	for _, o := range osLabels[1:] {
+		cs = append(cs, col{head: o.short + "/Lin", width: 9, text: fmt.Sprintf("%.1f%%", 100*r.MBps[o.name]/r.MBps["Linux"])})
+	}
+	for _, o := range osLabels {
+		cs = append(cs, usPair(o, "p50/p99", "p50", "p99", r.OneWayP50[o.name], r.OneWayP99[o.name]))
+	}
+	return cs
+}
+
+// scalingCols is one mini-app scaling study (Figures 5-7): the paper's
+// y axis is performance relative to Linux (100% = parity). Per-rank
+// body-time p50/p99 columns expose the OS-noise spread behind each mean.
+func scalingCols(p experiments.ScalingPoint) []col {
+	cs := []col{plain("nodes", -7, "nodes", p.Nodes)}
+	for _, o := range osLabels {
+		rel := p.RelToLinux[o.name]
+		cs = append(cs, col{o.name, o.width, fmt.Sprintf("%.1f%%", 100*rel), o.csv + "_rel", fmt.Sprintf("%.4f", rel)})
+	}
+	cs = append(cs, col{csvHead: "linux_seconds", csv: fmt.Sprintf("%.6f", p.Elapsed["Linux"].Seconds())})
+	for _, o := range osLabels {
+		p50, p99 := p.RankP50[o.name], p.RankP99[o.name]
+		cs = append(cs, col{o.short + " p50/p99", 17, fmt.Sprintf("%.2f/%.2f", float64(p50)/1e6, float64(p99)/1e6),
+			o.csv + "_p50_s," + o.csv + "_p99_s", fmt.Sprintf("%.6f,%.6f", p50.Seconds(), p99.Seconds())})
+	}
+	return cs
+}
+
+// bigscaleCols is the sharded-engine scaling sweep: one row per shard
+// count, all rows digest-identical by construction (Bigscale fails
+// otherwise).
+func bigscaleCols(r experiments.BigscaleRow) []col {
+	return []col{
+		plain("shards", -7, "shards", r.Shards),
+		{"wall", 12, r.Wall.Round(time.Millisecond).String(), "wall_seconds", fmt.Sprintf("%.3f", r.Wall.Seconds())},
+		{"virtual", 12, r.Virt.Round(time.Microsecond).String(), "virtual_seconds", fmt.Sprintf("%.6f", r.Virt.Seconds())},
+		plain("windows", 9, "windows", r.Windows),
+		plain("ties", 6, "ties", r.Ties),
+		plain("cross-ev", 10, "cross_events", r.Cross),
+		{"speedup", 12, fmt.Sprintf("%.2fx", r.Speedup), "speedup", fmt.Sprintf("%.3f", r.Speedup)},
+		plain("digest", 18, "digest", fmt.Sprintf("%016x", r.Digest)),
+	}
+}
+
+// verbsCols is the RDMA registration-vs-data-path sweep: per message
+// size, the memory-registration latency under each OS configuration
+// next to the mean RDMA WRITE/READ post-to-completion latencies. The
+// data-path columns are OS-invariant by construction (kernel bypass);
+// the registration columns carry the PicoDriver story.
+func verbsCols(r experiments.VerbsRow) []col {
+	cs := []col{sizeCol(-10, r.Size)}
+	for _, o := range osLabels {
+		reg := us(r.RegLat[o.name])
+		cs = append(cs, col{"reg " + o.short, 10, fmt.Sprintf("%.1f", reg), o.csv + "_reg_us", fmt.Sprintf("%.3f", reg)})
+	}
+	for _, o := range osLabels {
+		cs = append(cs, usPair(o, "wr/rd", "write", "read", r.WriteLat[o.name], r.ReadLat[o.name]))
+	}
+	return cs
+}
+
+// reliabilityCols is the lossy-fabric sweep: per (loss rate, size), the
+// goodput and one-way latency percentiles under each OS configuration,
+// with the recovery (retransmission) counts that bought the
+// byte-identical delivery.
+func reliabilityCols(r experiments.ReliabilityRow) []col {
+	cs := []col{
+		{"loss", -7, lossLabel(r.Loss), "loss", fmt.Sprintf("%g", r.Loss)},
+		sizeCol(-8, r.Size),
+		plain("reps", 5, "reps", r.Reps),
+	}
+	for _, o := range osLabels {
+		cs = append(cs, plain(o.short+" MB/s", 9, o.csv+"_mbps", fmt.Sprintf("%.1f", r.Goodput[o.name])))
+	}
+	for _, o := range osLabels {
+		cs = append(cs, usPair(o, "p50/p99", "p50", "p99", r.OneWayP50[o.name], r.OneWayP99[o.name]))
+	}
+	for _, o := range osLabels {
+		cs = append(cs, plain(o.short+" rt", 7, o.csv+"_retransmits", r.Retransmits[o.name]))
+	}
+	return cs
+}
+
+// failoverCols is the live-failover measurement: blackout window and
+// pre-outage / post-recovery goodput per OS configuration, plus the
+// health-machine counters that prove the rail switch actually happened.
+func failoverCols(r experiments.FailoverRow) []col {
+	return []col{
+		plain("os", -14, "os", r.OS),
+		plain("msgs", 5, "msgs", r.Msgs),
+		sizeCol(-8, r.Size),
+		{"blackout", 12, r.Blackout.String(), "blackout_us", fmt.Sprintf("%.3f", us(r.Blackout))},
+		plain("pre MB/s", 10, "pre_mbps", fmt.Sprintf("%.1f", r.PreMBps)),
+		plain("post MB/s", 10, "post_mbps", fmt.Sprintf("%.1f", r.PostMBps)),
+		plain("fo", 5, "failovers", r.Failovers),
+		plain("rail", 5, "rail_switches", r.RailSwitches),
+		plain("fb", 5, "fallbacks", r.Fallbacks),
+		plain("freezes", 7, "freezes", r.Freezes),
+	}
+}
+
+// tenancyCols is the multi-tenant interference sweep: the latency
+// tenant's round-trip percentiles under each neighbor scenario, the bulk
+// tenants' goodput, and the fabric congestion-control counters that
+// prove the backoff machinery (not luck) kept the tail bounded. Fairness
+// means something only under incast; the text table shows it there
+// alone.
+func tenancyCols(r experiments.TenancyRow) []col {
+	fair := "-"
+	if r.Scenario == "incast" {
+		fair = fmt.Sprintf("%.2f", r.Fairness)
+	}
+	return []col{
+		plain("os", -14, "os", r.OS),
+		plain("scenario", -8, "scenario", r.Scenario),
+		{"p50", 10, r.VictimP50.String(), "victim_p50_us", fmt.Sprintf("%.3f", us(r.VictimP50))},
+		{"p99", 10, r.VictimP99.String(), "victim_p99_us", fmt.Sprintf("%.3f", us(r.VictimP99))},
+		plain("vict MB/s", 10, "victim_mbps", fmt.Sprintf("%.1f", r.VictimMBps)),
+		plain("bulk MB/s", 10, "bulk_mbps", fmt.Sprintf("%.1f", r.BulkMBps)),
+		plain("marks", 7, "marks", r.Marks),
+		plain("stalls", 7, "stalls", r.Stalls),
+		plain("backoffs", 8, "backoffs", r.Backoffs),
+		{"fairness", 8, fair, "fairness", fmt.Sprintf("%.3f", r.Fairness)},
+	}
+}
+
+// ablationCols is the ablations: per mechanism, the measurement without
+// it, with it (%v keeps every digit), and the ratio it buys.
+func ablationCols(r experiments.AblationRow) []col {
+	arm := func(head string, i int) col {
+		return col{head, -26, fmt.Sprintf("%-12s %v %s", r.Arms[i], r.Value[i], r.Unit),
+			head + "_arm," + head, fmt.Sprintf("%s,%v", r.Arms[i], r.Value[i])}
+	}
+	return []col{
+		plain("id", -11, "id", r.ID),
+		{csvHead: "unit", csv: r.Unit},
+		arm("without", 0),
+		arm("with", 1),
+		{"ratio", 8, fmt.Sprintf("%.4gx", r.Ratio()), "ratio", fmt.Sprintf("%.6f", r.Ratio())},
+		{head: " workload: knob", text: " " + r.What}, // two spaces before the free text
+	}
 }
 
 // Table1 renders the communication profile in the layout of the paper's
 // Table 1: per application and OS, the top five MPI calls with
 // cumulative time (summed over ranks), share of MPI time and share of
-// runtime.
+// runtime. Its text groups rows by application and OS, so unlike the
+// column-list artifacts it pairs with a hand-written flat CSV.
 func Table1(profiles []experiments.AppProfile) string {
 	var b strings.Builder
 	b.WriteString("Table 1: communication profile (top-5 MPI calls; Time summed over ranks)\n")
@@ -120,133 +303,23 @@ func Table1(profiles []experiments.AppProfile) string {
 	return b.String()
 }
 
-// BigscaleTable renders the sharded-engine scaling sweep: one row per
-// shard count, all rows digest-identical by construction (Bigscale
-// fails otherwise).
-func BigscaleTable(title string, rows []experiments.BigscaleRow) string {
+// Table1CSV renders the communication profile rows.
+func Table1CSV(profiles []experiments.AppProfile) string {
 	var b strings.Builder
-	b.WriteString(title + "\n")
-	fmt.Fprintf(&b, "%-7s %12s %12s %9s %6s %10s %12s %18s\n",
-		"shards", "wall", "virtual", "windows", "ties", "cross-ev", "speedup", "digest")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-7d %12s %12s %9d %6d %10d %11.2fx %18s\n",
-			r.Shards, r.Wall.Round(time.Millisecond), r.Virt.Round(time.Microsecond),
-			r.Windows, r.Ties, r.Cross, r.Speedup, fmt.Sprintf("%016x", r.Digest))
-	}
-	return b.String()
-}
-
-// VerbsTable renders the RDMA registration-vs-data-path sweep: per
-// message size, the memory-registration latency under each OS
-// configuration next to the mean RDMA WRITE/READ post-to-completion
-// latencies. The data-path columns are OS-invariant by construction
-// (kernel bypass); the registration columns carry the PicoDriver story.
-func VerbsTable(rows []experiments.VerbsRow) string {
-	var b strings.Builder
-	b.WriteString("RDMA verbs: registration latency (µs) vs data-path latency (µs)\n")
-	fmt.Fprintf(&b, "%-10s %10s %10s %10s %15s %15s %15s\n",
-		"size", "reg Lin", "reg McK", "reg HFI",
-		"Lin wr/rd", "McK wr/rd", "HFI wr/rd")
-	us := func(d time.Duration) float64 { return float64(d) / 1e3 }
-	wrRd := func(r experiments.VerbsRow, os string) string {
-		return fmt.Sprintf("%.1f/%.1f", us(r.WriteLat[os]), us(r.ReadLat[os]))
-	}
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %10.1f %10.1f %10.1f %15s %15s %15s\n",
-			sizeLabel(r.Size),
-			us(r.RegLat["Linux"]), us(r.RegLat["McKernel"]), us(r.RegLat["McKernel+HFI1"]),
-			wrRd(r, "Linux"), wrRd(r, "McKernel"), wrRd(r, "McKernel+HFI1"))
-	}
-	return b.String()
-}
-
-// ReliabilityTable renders the lossy-fabric sweep: per (loss rate,
-// size), the goodput and one-way latency percentiles under each OS
-// configuration, with the recovery (retransmission) counts that bought
-// the byte-identical delivery.
-func ReliabilityTable(rows []experiments.ReliabilityRow) string {
-	var b strings.Builder
-	b.WriteString("Reliability: goodput (MB/s), one-way p50/p99 (µs) and retransmits vs loss rate\n")
-	fmt.Fprintf(&b, "%-7s %-8s %5s %9s %9s %9s %15s %15s %15s %7s %7s %7s\n",
-		"loss", "size", "reps", "Lin MB/s", "McK MB/s", "HFI MB/s",
-		"Lin p50/p99", "McK p50/p99", "HFI p50/p99",
-		"Lin rt", "McK rt", "HFI rt")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-7s %-8s %5d %9.1f %9.1f %9.1f %15s %15s %15s %7d %7d %7d\n",
-			lossLabel(r.Loss), sizeLabel(r.Size), r.Reps,
-			r.Goodput["Linux"], r.Goodput["McKernel"], r.Goodput["McKernel+HFI1"],
-			pctPair(r.OneWayP50["Linux"], r.OneWayP99["Linux"]),
-			pctPair(r.OneWayP50["McKernel"], r.OneWayP99["McKernel"]),
-			pctPair(r.OneWayP50["McKernel+HFI1"], r.OneWayP99["McKernel+HFI1"]),
-			r.Retransmits["Linux"], r.Retransmits["McKernel"], r.Retransmits["McKernel+HFI1"])
-	}
-	return b.String()
-}
-
-// FailoverTable renders the live-failover measurement: blackout window
-// and pre-outage / post-recovery goodput per OS configuration, plus the
-// health-machine counters that prove the rail switch actually happened.
-func FailoverTable(rows []experiments.FailoverRow) string {
-	var b strings.Builder
-	b.WriteString("Failover: rail-0 outage blackout window and goodput per OS configuration\n")
-	fmt.Fprintf(&b, "%-14s %5s %-8s %12s %10s %10s %5s %5s %5s %7s\n",
-		"os", "msgs", "size", "blackout", "pre MB/s", "post MB/s",
-		"fo", "rail", "fb", "freezes")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %5d %-8s %12s %10.1f %10.1f %5d %5d %5d %7d\n",
-			r.OS, r.Msgs, sizeLabel(r.Size), r.Blackout,
-			r.PreMBps, r.PostMBps,
-			r.Failovers, r.RailSwitches, r.Fallbacks, r.Freezes)
-	}
-	return b.String()
-}
-
-// TenancyTable renders the multi-tenant interference sweep: the latency
-// tenant's round-trip percentiles under each neighbor scenario, the
-// bulk tenants' goodput, and the fabric congestion-control counters
-// that prove the backoff machinery (not luck) kept the tail bounded.
-func TenancyTable(rows []experiments.TenancyRow) string {
-	var b strings.Builder
-	b.WriteString("Tenancy: victim latency vs neighbor placement under fabric congestion control\n")
-	fmt.Fprintf(&b, "%-14s %-8s %10s %10s %10s %10s %7s %7s %8s %8s\n",
-		"os", "scenario", "p50", "p99", "vict MB/s", "bulk MB/s",
-		"marks", "stalls", "backoffs", "fairness")
-	for _, r := range rows {
-		fair := "-"
-		if r.Scenario == "incast" {
-			fair = fmt.Sprintf("%.2f", r.Fairness)
+	b.WriteString("app,os,call,seconds,pct_mpi,pct_rt\n")
+	for _, p := range profiles {
+		for _, e := range p.Top {
+			fmt.Fprintf(&b, "%s,%s,%s,%.6f,%.2f,%.2f\n",
+				p.App, p.OS, e.Call, e.Time.Seconds(), e.PctMPI, e.PctRt)
 		}
-		fmt.Fprintf(&b, "%-14s %-8s %10s %10s %10.1f %10.1f %7d %7d %8d %8s\n",
-			r.OS, r.Scenario, r.VictimP50, r.VictimP99,
-			r.VictimMBps, r.BulkMBps, r.Marks, r.Stalls, r.Backoffs, fair)
 	}
 	return b.String()
-}
-
-// AblationTable renders the ablations: per mechanism, the measurement
-// without it, with it (%v keeps every digit), and the ratio it buys.
-func AblationTable(rows []experiments.AblationRow) string {
-	var b strings.Builder
-	b.WriteString("Ablations: one mechanism per row, everything else fixed (ratio = without / with)\n")
-	fmt.Fprintf(&b, "%-11s %-26s %-26s %8s  %s\n", "id", "without", "with", "ratio", "workload: knob")
-	for _, r := range rows {
-		arm := func(i int) string { return fmt.Sprintf("%-12s %v %s", r.Arms[i], r.Value[i], r.Unit) }
-		fmt.Fprintf(&b, "%-11s %-26s %-26s %7.4gx  %s\n", r.ID, arm(0), arm(1), r.Ratio(), r.What)
-	}
-	return b.String()
-}
-
-// lossLabel renders a drop probability as a percentage.
-func lossLabel(loss float64) string {
-	if loss == 0 {
-		return "0%"
-	}
-	return fmt.Sprintf("%.2g%%", 100*loss)
 }
 
 // BreakdownTable renders a Figures 8/9 pair: the per-syscall kernel-time
 // shares under the original McKernel and under McKernel+HFI, plus the
-// headline ratio of total kernel time.
+// headline ratio of total kernel time. Its text pivots the two
+// configurations into columns, so it pairs with a hand-written flat CSV.
 func BreakdownTable(orig, pico experiments.Breakdown) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "System call breakdown for %s (share of in-kernel time)\n", orig.App)
@@ -277,5 +350,17 @@ func BreakdownTable(orig, pico experiments.Breakdown) string {
 	fmt.Fprintf(&b, "total kernel time: %v -> %v (%.0f%% of original)\n",
 		orig.KernelTime.Round(10_000), pico.KernelTime.Round(10_000),
 		100*float64(pico.KernelTime)/float64(orig.KernelTime))
+	return b.String()
+}
+
+// BreakdownCSV renders a syscall-share pair.
+func BreakdownCSV(orig, pico experiments.Breakdown) string {
+	var b strings.Builder
+	b.WriteString("app,os,syscall,share\n")
+	for _, bd := range []experiments.Breakdown{orig, pico} {
+		for _, e := range bd.Shares {
+			fmt.Fprintf(&b, "%s,%s,%s,%.4f\n", bd.App, bd.OS, e.Name, e.Share)
+		}
+	}
 	return b.String()
 }
