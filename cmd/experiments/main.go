@@ -5,7 +5,7 @@
 // Usage:
 //
 //	experiments [-scale small|paper] [-only fig4,fig5a,...] [-out DIR] [-j N]
-//	            [-shards N] [-loss P] [-checkpoint FILE [-resume]]
+//	            [-shards N] [-loss P] [-checkpoint FILE]
 //	experiments -only ID -trace FILE [...]
 //
 // The experiment ids are the report.Artifacts catalogue, run in its
@@ -21,8 +21,6 @@
 // artifacts stay identical for any value, only wall-clock moves — except
 // that verbs, reliability, failover and tenancy refuse -shards > 1 (the
 // sharded engine runs no fault injection or congestion control).
-// The shared -j/-shards/-loss/-trace block comes from internal/cliconf,
-// the same run-setup path as cmd/snapcheck.
 //
 // -trace FILE reruns one cell of the id -only names under a span
 // recorder, after its table, and writes the cell's Chrome trace-event
@@ -32,10 +30,11 @@
 // catalogue's Trace entries); -trace with any other -only exits 2.
 //
 // -checkpoint FILE records each finished experiment's artifacts in a
-// resumable manifest; adding -resume emits already-recorded experiments
-// from the manifest instead of re-running them, so an interrupted
-// -scale paper run picks up where it stopped. The manifest pins scale,
-// seed and fault profile (-loss), not -j or -shards: a mismatch is refused.
+// resumable manifest. When FILE already exists, its recorded
+// experiments are emitted from it instead of re-run, so rerunning an
+// interrupted -scale paper run picks up where it stopped. The manifest
+// pins scale, seed and fault profile (-loss), not -j or -shards: a
+// mismatch is refused.
 package main
 
 import (
@@ -46,7 +45,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cliconf"
 	"repro/internal/experiments"
 	"repro/internal/report"
 	"repro/internal/trace"
@@ -56,14 +54,12 @@ func main() {
 	scaleFlag := flag.String("scale", "small", "experiment scale: small or paper")
 	onlyFlag := flag.String("only", "", "comma-separated experiment ids (default: all)")
 	outFlag := flag.String("out", "", "directory to write artifacts into")
-	shared := cliconf.New()
-	ckptFlag := flag.String("checkpoint", "", "record finished experiments in this resumable manifest")
-	resumeFlag := flag.Bool("resume", false, "with -checkpoint: emit already-recorded experiments from the manifest")
+	jFlag := flag.Int("j", 0, "parallel simulation jobs (0 = GOMAXPROCS)")
+	shardsFlag := flag.Int("shards", 1, "simulation engine shards (1 = one standalone engine)")
+	lossFlag := flag.Float64("loss", 0, "per-packet drop probability (activates the PSM reliability layer)")
+	traceFlag := flag.String("trace", "", "write a Chrome trace-event JSON of one cell to this file")
+	ckptFlag := flag.String("checkpoint", "", "record finished experiments in this manifest, resuming from it if it exists")
 	flag.Parse()
-	if *resumeFlag && *ckptFlag == "" {
-		fmt.Fprintln(os.Stderr, "-resume requires -checkpoint FILE")
-		os.Exit(2)
-	}
 
 	var sc experiments.Scale
 	switch *scaleFlag {
@@ -98,7 +94,7 @@ func main() {
 		}
 	}
 	var tracing report.Artifact
-	if *shared.Trace != "" {
+	if *traceFlag != "" {
 		for id := range want {
 			tracing = byID[id]
 		}
@@ -115,14 +111,16 @@ func main() {
 		return len(want) == 0 || want[a.ID]
 	}
 
-	cfg := shared.Config(sc)
+	cfg := experiments.NewConfig(sc, *jFlag)
+	cfg.Faults.Drop = *lossFlag
+	cfg.Shards = *shardsFlag
 	fmt.Fprintf(os.Stderr, "experiments: scale=%s workers=%d shards=%d\n",
-		sc.Name, cfg.Pool.Workers(), *shared.Shards)
+		sc.Name, cfg.Pool.Workers(), cfg.Shards)
 
 	var ckpt *experiments.Checkpoint
 	if *ckptFlag != "" {
 		var err error
-		if ckpt, err = experiments.LoadCheckpoint(*ckptFlag, cfg, *resumeFlag); err != nil {
+		if ckpt, err = experiments.LoadCheckpoint(*ckptFlag, cfg); err != nil {
 			fatal(err)
 		}
 	}
@@ -144,7 +142,7 @@ func main() {
 		}
 	}
 
-	// Each selected experiment runs — or replays from the resume
+	// Each selected experiment runs — or replays from the checkpoint
 	// manifest — emits its artifacts, records them in the checkpoint,
 	// and reports wall-clock on stderr (where the effect of -j is
 	// otherwise invisible). A failed sweep job doesn't abort the whole
@@ -184,10 +182,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := shared.WriteTrace(rec); err != nil {
+		if err := os.WriteFile(*traceFlag, rec.ChromeTraceJSON(), 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("trace: %s, %d spans -> %s\n%s", cell, rec.SpanCount(), *shared.Trace, report.LatencyTable(rec))
+		fmt.Printf("trace: %s, %d spans -> %s\n%s", cell, rec.SpanCount(), *traceFlag, report.LatencyTable(rec))
 	}
 
 	if len(failed) > 0 {

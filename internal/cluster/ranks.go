@@ -42,11 +42,12 @@ func (f *FirstErr) Err() error { return f.err }
 // StartRanks spawns one process per placement entry — rank r on node
 // placement[r], named prefix+r — that opens a PSM endpoint, publishes
 // its address, waits until every rank has done so, and then runs body.
+// The endpoints elide payload bytes exactly when Spec.Synthetic is set.
 // It schedules but does not run: the caller drives the machine with
 // Run, so a checkpoint or a recorder can still be put in between. An
 // error from the endpoint or from body ends that rank and is kept for
 // Err.
-func (c *Cluster) StartRanks(prefix string, placement []int, synthetic bool,
+func (c *Cluster) StartRanks(prefix string, placement []int,
 	body func(p *sim.Proc, rank int, ep *psm.Endpoint) error) *Ranks {
 	n := len(placement)
 	rs := &Ranks{
@@ -59,7 +60,7 @@ func (c *Cluster) StartRanks(prefix string, placement []int, synthetic bool,
 		r := r
 		osops := c.Nodes[node].NewRankOS(r)
 		c.Go(node, fmt.Sprintf("%s%d", prefix, r), func(p *sim.Proc) {
-			ep, err := psm.NewEndpoint(p, osops, r, book, synthetic)
+			ep, err := psm.NewEndpoint(p, osops, r, book, c.Cfg.Synthetic)
 			if err != nil {
 				rs.Record(p, r, err)
 				ready.Done(p)

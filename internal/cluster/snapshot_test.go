@@ -16,6 +16,7 @@ import (
 	"repro/internal/psm"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
+	"repro/internal/trace"
 )
 
 // startPair boots a 2-node cluster and spawns one ping-pong exchange
@@ -36,7 +37,7 @@ func startPair(t *testing.T, os OSType, size uint64) *Cluster {
 // (goroutine-safe).
 func startPairOn(t *testing.T, c *Cluster, size uint64) {
 	body := pingPong(1, size)
-	c.StartRanks("rank", []int{0, 1}, true, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
+	c.StartRanks("rank", []int{0, 1}, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
 		err := body(p, r, ep)
 		if err != nil {
 			t.Errorf("rank %d: %v", r, err)
@@ -148,7 +149,7 @@ func TestRingFootprint(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			ranks := c.StartRanks("rank", []int{0, 1}, false, pingPong(trips, size))
+			ranks := c.StartRanks("rank", []int{0, 1}, pingPong(trips, size))
 			if err := c.Run(0); err != nil {
 				t.Fatal(err)
 			}
@@ -232,19 +233,53 @@ func backedFrames(section string) map[uint64]bool {
 
 // TestSnapshotRestore: a fresh, identically constructed simulation
 // restored from a midpoint snapshot verifies byte-exact (replay
-// equivalence) and then finishes the run at the same virtual time as
-// the straight run.
+// equivalence), then finishes the run at the same virtual time as the
+// straight run and records a byte-identical, valid Chrome trace. The
+// sharded row restores through the engine set's per-shard sections.
 func TestSnapshotRestore(t *testing.T) {
-	const size = 256 << 10
-	for _, os := range AllOSTypes {
-		os := os
-		t.Run(os.String(), func(t *testing.T) {
-			total := totalTime(t, os, size)
+	const size = 256 << 10 // rendezvous: TID/SDMA state in flight at mid
+	for _, c := range []struct {
+		name   string
+		os     OSType
+		shards int
+	}{
+		{"Linux", OSLinux, 1},
+		{"McKernel", OSMcKernel, 1},
+		{"McKernel+HFI1", OSMcKernelHFI, 1},
+		{"McKernel+HFI1/shards=2", OSMcKernelHFI, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			build := func(rec *trace.Recorder) *Cluster {
+				cl, err := New(Spec{Nodes: 2, OS: c.os, Params: model.Default(), Seed: 42,
+					Synthetic: true, Shards: c.shards})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(cl.Close)
+				cl.SetRecorder(rec)
+				startPairOn(t, cl, size)
+				return cl
+			}
+			straightRec := trace.NewRecorder()
+			straight := build(straightRec)
+			if err := straight.Run(0); err != nil {
+				t.Fatal(err)
+			}
+			total := straight.Now()
 			mid := total / 2
-			snap := snapAt(t, os, size, mid)
 
-			fresh := startPair(t, os, size)
-			now, err := snapshot.Restore(snap, fresh.Machine())
+			half := build(nil)
+			if err := half.Run(mid); err != nil {
+				t.Fatal(err)
+			}
+			var snap bytes.Buffer
+			if err := half.Machine().Snapshot(&snap); err != nil {
+				t.Fatal(err)
+			}
+
+			rec := trace.NewRecorder()
+			fresh := build(rec)
+			now, err := snapshot.Restore(snap.Bytes(), fresh.Machine())
 			if err != nil {
 				t.Fatalf("restore: %v", err)
 			}
@@ -256,6 +291,15 @@ func TestSnapshotRestore(t *testing.T) {
 			}
 			if fresh.Now() != total {
 				t.Fatalf("restored run finished at %v, straight run at %v", fresh.Now(), total)
+			}
+			if straightRec.SpanCount() == 0 {
+				t.Fatal("straight run recorded no spans")
+			}
+			if !bytes.Equal(rec.ChromeTraceJSON(), straightRec.ChromeTraceJSON()) {
+				t.Fatal("restored run's trace differs from the straight run's")
+			}
+			if _, _, err := trace.Validate(rec.ChromeTraceJSON()); err != nil {
+				t.Fatalf("restored run's trace is not a loadable Chrome trace: %v", err)
 			}
 		})
 	}

@@ -3,43 +3,31 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
-	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/runner"
 	"repro/internal/snapshot"
-	"repro/internal/trace"
 )
-
-// ---------------------------------------------------------------------
-// Experiment-level checkpointing: a resumable artifact manifest.
-// ---------------------------------------------------------------------
 
 // Checkpoint records completed experiment artifacts in the snapshot
 // container format — a "meta" section pinning the scale, seed and fault
 // profile, then "artifact/<id>.txt" and "artifact/<id>.csv" sections
-// per finished experiment. cmd/experiments -checkpoint/-resume use it
-// so an interrupted -scale paper run re-emits finished experiments from
-// the manifest instead of re-running them.
+// per finished experiment. cmd/experiments -checkpoint uses it so a
+// rerun of an interrupted -scale paper run re-emits finished
+// experiments from the manifest instead of re-running them.
 type Checkpoint struct {
 	path string
 	f    *snapshot.File
 }
 
-// LoadCheckpoint opens (resume=true) or starts (resume=false) the
-// manifest at path. It pins everything of cfg that moves a result —
+// LoadCheckpoint opens the manifest at path, or starts an empty one if
+// no file exists there. It pins everything of cfg that moves a result —
 // scale, seed and fault profile, not the pool or the shard count — and
-// a resumed manifest recorded under a different pin is rejected.
-func LoadCheckpoint(path string, cfg Config, resume bool) (*Checkpoint, error) {
+// a manifest recorded under a different pin is rejected.
+func LoadCheckpoint(path string, cfg Config) (*Checkpoint, error) {
 	meta := fmt.Sprintf("scale=%s seed=%d faults=%+v", cfg.Scale.Name, cfg.Scale.Seed, cfg.Faults)
 	c := &Checkpoint{path: path, f: &snapshot.File{
 		Sections: []snapshot.Section{{Name: "meta", Payload: []byte(meta)}},
 	}}
-	if !resume {
-		return c, nil
-	}
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return c, nil
@@ -88,137 +76,4 @@ func (c *Checkpoint) Record(id, text, csv string) error {
 		return err
 	}
 	return os.Rename(tmp, c.path)
-}
-
-// ---------------------------------------------------------------------
-// Engine-level checkpointing: one Figure 4 cell, stopped mid-flight.
-// ---------------------------------------------------------------------
-
-// PingPongCell is the rendered observable of one Figure 4 ping-pong
-// cell: the statistics the artifact tables are built from. A resumed
-// cell must reproduce them exactly.
-type PingPongCell struct {
-	Mean     time.Duration
-	P50, P99 time.Duration
-}
-
-func (c PingPongCell) String() string {
-	return fmt.Sprintf("mean=%v p50=%v p99=%v", c.Mean, c.P50, c.P99)
-}
-
-// pingPongSeed derives the same per-cell seed Fig4 uses, so a
-// checkpointed cell is the cell from the artifact sweep.
-func pingPongSeed(cfg Config, os cluster.OSType, size uint64) int64 {
-	return runner.DeriveSeed(cfg.Scale.Seed, cellID(fig4Key(size), os))
-}
-
-// observable runs the built cell to completion and renders its result.
-func (c *ppCell) observable() (PingPongCell, error) {
-	r, err := c.finish()
-	if err != nil {
-		return PingPongCell{}, err
-	}
-	return PingPongCell{Mean: r.mean, P50: r.hist.P50(), P99: r.hist.P99()}, nil
-}
-
-// PingPongStraight runs one Figure 4 cell start-to-finish, recording
-// spans into rec (nil = untraced).
-func PingPongStraight(cfg Config, os cluster.OSType, size uint64, rec *trace.Recorder) (PingPongCell, error) {
-	c, err := fig4Cell(cfg, os, size, pingPongSeed(cfg, os, size), rec)
-	if err != nil {
-		return PingPongCell{}, err
-	}
-	defer c.cl.Close()
-	return c.observable()
-}
-
-// PingPongCheckpoint runs the same cell but abandons it halfway: the
-// engine pauses at half the cell's straight-through virtual time and
-// the complete simulator state is written to w. Returns the
-// checkpoint's virtual time.
-func PingPongCheckpoint(cfg Config, os cluster.OSType, size uint64, w io.Writer) (time.Duration, error) {
-	seed := pingPongSeed(cfg, os, size)
-	end, err := pingPongEnd(cfg, os, size, seed)
-	if err != nil {
-		return 0, err
-	}
-	mid := end / 2
-
-	c, err := fig4Cell(cfg, os, size, seed, nil)
-	if err != nil {
-		return 0, err
-	}
-	defer c.cl.Close() // abandoned at mid: its ranks are parked mid-exchange
-	if err := c.cl.Run(mid); err != nil {
-		return 0, err
-	}
-	if err := c.cl.Machine().Snapshot(w); err != nil {
-		return 0, err
-	}
-	return mid, nil
-}
-
-// pingPongEnd runs the cell once, untraced, to learn its total virtual
-// time.
-func pingPongEnd(cfg Config, os cluster.OSType, size uint64, seed int64) (time.Duration, error) {
-	probe, err := fig4Cell(cfg, os, size, seed, nil)
-	if err != nil {
-		return 0, err
-	}
-	defer probe.cl.Close()
-	if _, err := probe.finish(); err != nil {
-		return 0, err
-	}
-	return probe.cl.Now(), nil
-}
-
-// PingPongResume rebuilds the cell, fast-forwards it through the
-// snapshot image — snapshot.Restore replays to the checkpoint and
-// byte-verifies the re-encoded state against img — and finishes the
-// run. The result must match PingPongStraight's exactly.
-func PingPongResume(cfg Config, os cluster.OSType, size uint64, img []byte, rec *trace.Recorder) (PingPongCell, error) {
-	c, err := fig4Cell(cfg, os, size, pingPongSeed(cfg, os, size), rec)
-	if err != nil {
-		return PingPongCell{}, err
-	}
-	defer c.cl.Close()
-	if _, err := snapshot.Restore(img, c.cl.Machine()); err != nil {
-		return PingPongCell{}, fmt.Errorf("restore: %w", err)
-	}
-	return c.observable()
-}
-
-// PingPongBisect steps the straight cell (snapshot.Bisect's side a) and
-// the cell resumed from img (side b) in lockstep from the checkpoint's
-// virtual time to the end of the run and returns where their snapshots
-// first differ, or nil if they never do.
-func PingPongBisect(cfg Config, os cluster.OSType, size uint64, img []byte) (*snapshot.Divergence, error) {
-	f, err := snapshot.Decode(img)
-	if err != nil {
-		return nil, err
-	}
-	seed := pingPongSeed(cfg, os, size)
-	end, err := pingPongEnd(cfg, os, size, seed)
-	if err != nil {
-		return nil, err
-	}
-	straight := func() (snapshot.Machine, func(), error) {
-		c, err := fig4Cell(cfg, os, size, seed, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		return c.cl.Machine(), c.cl.Close, nil
-	}
-	resumed := func() (snapshot.Machine, func(), error) {
-		m, done, err := straight()
-		if err != nil {
-			return nil, nil, err
-		}
-		if _, err := snapshot.Restore(img, m); err != nil {
-			done()
-			return nil, nil, fmt.Errorf("restore: %w", err)
-		}
-		return m, done, nil
-	}
-	return snapshot.Bisect(straight, resumed, f.Now, end)
 }

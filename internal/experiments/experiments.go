@@ -290,8 +290,8 @@ func Fig4(cfg Config) ([]Fig4Row, error) {
 
 // ppCell is a built-but-not-yet-run ping-pong cell: the cluster with
 // both rank processes spawned, plus the accumulators their closures
-// write into. Splitting construction from execution is what lets
-// checkpoint/resume interpose on the engine between the two.
+// write into. Splitting construction from execution lets a test swap
+// the payload reference between the two.
 type ppCell struct {
 	cl    *cluster.Cluster
 	ranks *cluster.Ranks
@@ -311,6 +311,27 @@ func fig4Cell(cfg Config, os cluster.OSType, size uint64, seed int64, rec *trace
 	return buildPingPong(cfg, os, size, cfg.Scale.PingPongReps, seed, rec, cfg.Faults.Active())
 }
 
+// PingPongCell is the rendered observable of one ping-pong cell: the
+// one-way latency percentiles its traced line prints.
+type PingPongCell struct {
+	P50, P99 time.Duration
+}
+
+// PingPongStraight runs one Figure 4 cell start-to-finish on the seed
+// Fig4 derives for it, recording spans into rec (nil = untraced).
+func PingPongStraight(cfg Config, os cluster.OSType, size uint64, rec *trace.Recorder) (PingPongCell, error) {
+	c, err := fig4Cell(cfg, os, size, runner.DeriveSeed(cfg.Scale.Seed, cellID(fig4Key(size), os)), rec)
+	if err != nil {
+		return PingPongCell{}, err
+	}
+	defer c.cl.Close()
+	r, err := c.finish()
+	if err != nil {
+		return PingPongCell{}, err
+	}
+	return PingPongCell{P50: r.hist.P50(), P99: r.hist.P99()}, nil
+}
+
 // buildPingPong constructs the cell and spawns the ranks; the engine
 // has not run yet when it returns. A verified cell moves real bytes:
 // rank 0 seeds a per-tag reference pattern, both ranks check every
@@ -325,7 +346,7 @@ func buildPingPong(cfg Config, os cluster.OSType, size uint64, reps int, seed in
 	cl.SetRecorder(rec)
 	c := &ppCell{cl: cl, reps: reps, hist: &trace.Histogram{},
 		want: func(dst []byte, _ int, tag uint64) { relPattern(dst, tag) }}
-	c.ranks = cl.StartRanks("pp", []int{0, 1}, !verified, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
+	c.ranks = cl.StartRanks("pp", []int{0, 1}, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
 		proc := ep.OS.Proc()
 		buf, err := ep.OS.MmapAnon(p, size)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/miniapps"
 	"repro/internal/runner"
+	"repro/internal/trace"
 )
 
 // workers is the default worker pool for the smoke tests.
@@ -424,5 +425,38 @@ func TestPingPongCellVerifiesBothRanks(t *testing.T) {
 	}
 	if _, err := c.finish(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTracedPingPongIsTheTableCell pins what `experiments -only fig4
+// -trace` exports: PingPongStraight under a recorder is Fig4's own cell
+// for that (size, OS) — same derived seed — so the spans belong to the
+// run whose numbers the table prints, on a loss-free and on a lossy
+// fabric (-loss).
+func TestTracedPingPongIsTheTableCell(t *testing.T) {
+	const size = 64 << 10
+	os := cluster.OSMcKernelHFI
+	for _, drop := range []float64{0, 0.05} {
+		cfg := tinyConfig()
+		cfg.Scale.PingPongSizes = []uint64{size}
+		cfg.Scale.PingPongReps = 4
+		cfg.Faults.Drop = drop
+		rows, err := Fig4(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := trace.NewRecorder()
+		cell, err := PingPongStraight(cfg, os, size, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := rows[0]
+		if cell.P50 != row.OneWayP50[os.String()] || cell.P99 != row.OneWayP99[os.String()] {
+			t.Errorf("drop=%g: traced cell p50/p99 = %v/%v, Fig4 row has %v/%v",
+				drop, cell.P50, cell.P99, row.OneWayP50[os.String()], row.OneWayP99[os.String()])
+		}
+		if rec.SpanCount() == 0 {
+			t.Errorf("drop=%g: traced cell recorded no spans", drop)
+		}
 	}
 }

@@ -119,7 +119,7 @@ func ReliabilityCell(cfg Config, os cluster.OSType, loss float64, size uint64, r
 	if err != nil {
 		return PingPongCell{}, 0, err
 	}
-	return PingPongCell{Mean: c.hist.Mean(), P50: c.hist.P50(), P99: c.hist.P99()}, c.retrans, nil
+	return PingPongCell{P50: c.hist.P50(), P99: c.hist.P99()}, c.retrans, nil
 }
 
 // relCellRun runs the verified ping-pong cell under the key's drop

@@ -80,9 +80,9 @@ func goldenScript(t *testing.T, detour bool) *PhysMem {
 }
 
 // TestEncodeStateGolden pins the bytes of the node<N>/mem snapshot
-// section, snapshot.Walk of the PhysMem: snapcheck and the snapshot
-// tests compare two runs of one binary and cannot see a section that
-// changed shape between commits.
+// section, snapshot.Walk of the PhysMem: simtest's restore check and
+// the snapshot tests compare two runs of one binary and cannot see a
+// section that changed shape between commits.
 func TestEncodeStateGolden(t *testing.T) {
 	const want = "2492eef3c0bfed556071e7e972b48f1f1d957cdb351e41c882c2756e3b55f231"
 	plain := encodeState(t, goldenScript(t, false))

@@ -87,8 +87,8 @@ func tinyBigscale() (string, *trace.Recorder, error) {
 // passes trace.Validate (what cmd/tracecheck runs) and contains every
 // span name in wantSpans.
 //
-// Gates that live elsewhere: checkpoint/resume of a traced cell is
-// TestPingPongCheckpointResume and the -checkpoint/-resume manifest
+// Gates that live elsewhere: a traced restore is
+// cluster.TestSnapshotRestore and the -checkpoint manifest
 // TestCheckpointManifest (internal/experiments); a sharded Fig4 table
 // equal to the unsharded one is TestShardsReachEveryCell; the tenancy
 // sweep rerun is TestTenancySweep; a traced cell equal to its table's

@@ -14,16 +14,28 @@ import (
 	"repro/internal/trace"
 )
 
-// LatencyTable renders the per-phase latency distributions a Recorder
-// accumulated (one histogram per category/name pair, in first-use
-// order).
+// LatencyTable renders the per-phase latency distributions of the
+// spans a Recorder holds: one histogram per category/name pair, in
+// first-use order.
 func LatencyTable(rec *trace.Recorder) string {
+	hists := map[string]*trace.Histogram{}
+	var names []string
+	rec.ForEachSpan(func(s *trace.Span) {
+		name := s.Cat + "/" + s.Name
+		h, ok := hists[name]
+		if !ok {
+			h = &trace.Histogram{}
+			hists[name] = h
+			names = append(names, name)
+		}
+		h.Observe(s.End - s.Begin)
+	})
 	var b strings.Builder
 	b.WriteString("Span latency distributions (per category/phase)\n")
 	fmt.Fprintf(&b, "%-28s %9s %12s %12s %12s %12s %12s\n",
 		"phase", "count", "mean", "p50", "p90", "p99", "max")
-	for _, name := range rec.HistogramNames() {
-		h := rec.Histogram(name)
+	for _, name := range names {
+		h := hists[name]
 		fmt.Fprintf(&b, "%-28s %9d %12v %12v %12v %12v %12v\n",
 			name, h.Count(), h.Mean(), h.P50(), h.P90(), h.P99(), h.Max())
 	}

@@ -130,3 +130,28 @@ func TestBigscaleRendering(t *testing.T) {
 		t.Errorf("csv:\n%s--- want\n%s", csv, wantCSV)
 	}
 }
+
+// TestLatencyTable pins the per-phase histograms LatencyTable derives
+// from a recorder's spans: one row per category/name pair in first-use
+// order, with that pair's count and mean.
+func TestLatencyTable(t *testing.T) {
+	r := trace.NewRecorder()
+	r.Span(trace.CatMcKernel, "writev", "rank0", 100, 400)
+	r.SpanBytes(trace.CatSDMA, "txn", "nic0/sdma1", 150, 950, 8192)
+	r.Span(trace.CatMcKernel, "writev", "rank0", 500, 600)
+	lines := strings.Split(strings.TrimSuffix(LatencyTable(r), "\n"), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("want a title, a header and 2 rows:\n%s", strings.Join(lines, "\n"))
+	}
+	for i, want := range [][]string{
+		{"mckernel/writev", "2", "200ns"},
+		{"sdma/txn", "1", "800ns"},
+	} {
+		if got := strings.Fields(lines[2+i])[:3]; strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("row %d = %v, want phase, count and mean %v", i, got, want)
+		}
+	}
+	if got := LatencyTable(nil); strings.Count(got, "\n") != 2 {
+		t.Errorf("nil recorder: want the title and header only, got:\n%s", got)
+	}
+}

@@ -234,7 +234,7 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 			placement[r] = r / w.RanksPerNode
 		}
 		var rs *cluster.Ranks
-		rs = cl.StartRanks("simtest/rank", placement, false, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
+		rs = cl.StartRanks("simtest/rank", placement, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
 			if err := runRank(p, w, rs, r, ep, sums); err != nil {
 				return fmt.Errorf("rank %d: %w", r, err)
 			}

@@ -23,12 +23,12 @@ func record(r *Recorder, n int) {
 }
 
 // TestSpanRecordingSteadyStateAllocs pins the zero-alloc property of
-// enabled tracing: once the (cat, name) keys are interned and the first
-// chunk exists, recording a span allocates only when a 4096-span chunk
+// enabled tracing: once the tracks are interned and the first chunk
+// exists, recording a span allocates only when a 4096-span chunk
 // fills (amortized 1/4096 allocations per span).
 func TestSpanRecordingSteadyStateAllocs(t *testing.T) {
 	r := NewRecorder()
-	record(r, 8) // intern every key and track; allocate the first chunk
+	record(r, 8) // intern every track; allocate the first chunk
 	i := 0
 	avg := testing.AllocsPerRun(1000, func() {
 		r.SpanBytes(CatPSM, "send", "rank0", time.Duration(i), time.Duration(i+5), 0)
@@ -61,7 +61,7 @@ func TestSpanStorageAcrossChunks(t *testing.T) {
 
 // TestChromeTraceByteIdentical pins export determinism: two recorders
 // fed the same span sequence serialize to byte-identical JSON, across
-// chunk boundaries and with interned histogram keys.
+// chunk boundaries.
 func TestChromeTraceByteIdentical(t *testing.T) {
 	a, b := NewRecorder(), NewRecorder()
 	n := spanChunkSize + 100
@@ -70,33 +70,5 @@ func TestChromeTraceByteIdentical(t *testing.T) {
 	ja, jb := a.ChromeTraceJSON(), b.ChromeTraceJSON()
 	if !bytes.Equal(ja, jb) {
 		t.Fatalf("same span sequence produced different JSON (%d vs %d bytes)", len(ja), len(jb))
-	}
-	if len(a.HistogramNames()) == 0 {
-		t.Fatalf("no histograms registered")
-	}
-	for _, name := range a.HistogramNames() {
-		ha, hb := a.Histogram(name), b.Histogram(name)
-		if ha == nil || hb == nil || ha.Count() != hb.Count() {
-			t.Fatalf("histogram %q diverged", name)
-		}
-	}
-}
-
-// TestInternedHistogramSharesStringKey checks the interning is an alias,
-// not a fork: the span-fed histogram must be the same *Histogram the
-// string-keyed lookup returns, with first-use registration order kept.
-func TestInternedHistogramSharesStringKey(t *testing.T) {
-	r := NewRecorder()
-	r.SpanBytes(CatPSM, "send", "rank0", 0, time.Microsecond, 0)
-	r.SpanBytes(CatPSM, "send", "rank0", 0, 2*time.Microsecond, 0)
-	h := r.Histogram(CatPSM + "/send")
-	if h == nil {
-		t.Fatalf("span histogram not reachable under its cat/name key")
-	}
-	if h != r.spanHists[histKey{cat: CatPSM, name: "send"}] || h.Count() != 2 {
-		t.Fatalf("interned and string-keyed histograms diverged: count = %d, want 2", h.Count())
-	}
-	if names := r.HistogramNames(); len(names) != 1 || names[0] != CatPSM+"/send" {
-		t.Fatalf("histogram registration order = %v", names)
 	}
 }

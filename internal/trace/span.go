@@ -2,8 +2,8 @@
 // layer of the simulated stack (system calls, IKC round trips, SDMA
 // descriptor lifecycles, IRQ delivery, PSM protocol phases, packet
 // flight) and exports them as Chrome trace-event JSON that Perfetto
-// loads directly. Every span also feeds a per-(category, name) latency
-// histogram, so distributions come for free wherever spans are emitted.
+// loads directly. Latency distributions are derived from the stored
+// spans after the run (report.LatencyTable).
 //
 // All Recorder methods are safe on a nil receiver and do nothing: an
 // untraced simulation pays only a nil check per span site.
@@ -47,16 +47,12 @@ type Span struct {
 // doubling copies of one growing slice.
 const spanChunkSize = 4096
 
-// histKey interns a (category, name) histogram identity so the per-span
-// histogram lookup needs no cat+"/"+name string concatenation.
-type histKey struct{ cat, name string }
-
-// Recorder accumulates spans and derived latency histograms. The zero
-// value is not usable; create with NewRecorder. A nil *Recorder is the
-// disabled state: every method is a no-op.
+// Recorder accumulates spans. The zero value is not usable; create with
+// NewRecorder. A nil *Recorder is the disabled state: every method is a
+// no-op.
 //
-// Determinism: spans are stored in emission order and track/histogram
-// ids are interned in first-use order, both of which are reproducible
+// Determinism: spans are stored in emission order and track ids are
+// interned in first-use order, both of which are reproducible
 // under the deterministic engine — so two same-seed runs serialize to
 // byte-identical JSON.
 type Recorder struct {
@@ -64,23 +60,14 @@ type Recorder struct {
 	nspans     int
 	trackIDs   map[string]int
 	trackOrder []string
-	hists      map[string]*Histogram
-	histOrder  []string
-	// spanHists shares the hists entries under interned (cat, name)
-	// keys; the "cat/name" string is built once per distinct pair.
-	spanHists map[histKey]*Histogram
 }
 
 // NewRecorder returns an empty, enabled recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{
-		trackIDs:  make(map[string]int),
-		hists:     make(map[string]*Histogram),
-		spanHists: make(map[histKey]*Histogram),
-	}
+	return &Recorder{trackIDs: make(map[string]int)}
 }
 
-// Span records a completed interval and feeds the cat/name histogram.
+// Span records a completed interval.
 func (r *Recorder) Span(cat, name, track string, begin, end time.Duration) {
 	r.SpanBytes(cat, name, track, begin, end, 0)
 }
@@ -106,23 +93,6 @@ func (r *Recorder) SpanBytes(cat, name, track string, begin, end time.Duration, 
 	r.chunks[last] = append(r.chunks[last],
 		Span{Cat: cat, Name: name, Track: track, Begin: begin, End: end, Bytes: bytes})
 	r.nspans++
-	key := histKey{cat: cat, name: name}
-	h, ok := r.spanHists[key]
-	if !ok {
-		h = r.histFor(cat + "/" + name)
-		r.spanHists[key] = h
-	}
-	h.Observe(end - begin)
-}
-
-func (r *Recorder) histFor(name string) *Histogram {
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
-		r.histOrder = append(r.histOrder, name)
-	}
-	return h
 }
 
 // SpanCount returns the number of recorded spans (0 when disabled).
@@ -143,24 +113,6 @@ func (r *Recorder) ForEachSpan(fn func(*Span)) {
 			fn(&c[i])
 		}
 	}
-}
-
-// Histogram returns the named histogram, or nil if nothing was
-// observed under that name.
-func (r *Recorder) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.hists[name]
-}
-
-// HistogramNames returns the observed histogram names in first-use
-// order.
-func (r *Recorder) HistogramNames() []string {
-	if r == nil {
-		return nil
-	}
-	return r.histOrder
 }
 
 // tsMicros renders a virtual-nanosecond timestamp in the microsecond

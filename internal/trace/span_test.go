@@ -12,7 +12,7 @@ import (
 func TestNilRecorderIsNoop(t *testing.T) {
 	var r *Recorder
 	r.Span(CatPSM, "send", "rank0", 0, 10) // must not panic
-	if r.SpanCount() != 0 || r.Histogram("x") != nil || r.HistogramNames() != nil {
+	if r.SpanCount() != 0 {
 		t.Fatal("nil recorder returned data")
 	}
 	var b bytes.Buffer
@@ -27,7 +27,7 @@ func TestNilRecorderIsNoop(t *testing.T) {
 	}
 }
 
-func TestRecorderSpansAndHistograms(t *testing.T) {
+func TestRecorderSpans(t *testing.T) {
 	r := NewRecorder()
 	r.Span(CatMcKernel, "writev", "rank0", 100, 400)
 	r.SpanBytes(CatSDMA, "txn", "nic0/sdma1", 150, 950, 8192)
@@ -39,16 +39,8 @@ func TestRecorderSpansAndHistograms(t *testing.T) {
 	if spans[1].Bytes != 8192 || spans[1].Track != "nic0/sdma1" {
 		t.Fatalf("span[1] = %+v", spans[1])
 	}
-	h := r.Histogram(CatMcKernel + "/writev")
-	if h == nil || h.Count() != 2 {
-		t.Fatalf("writev histogram = %v", h)
-	}
-	if h.Mean() != 200 {
-		t.Fatalf("mean = %v, want 200ns", h.Mean())
-	}
-	names := r.HistogramNames()
-	if len(names) != 2 || names[0] != "mckernel/writev" || names[1] != "sdma/txn" {
-		t.Fatalf("histogram names = %v", names)
+	if spans[2].Name != "writev" || spans[2].End-spans[2].Begin != 100 {
+		t.Fatalf("span[2] = %+v", spans[2])
 	}
 }
 

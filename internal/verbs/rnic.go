@@ -373,16 +373,10 @@ func (r *RNIC) streamOut(p *sim.Proc, dstNode int, dstQPN, srcQPN, op uint32,
 		var payload []byte
 		if !r.synthetic && n > 0 {
 			payload = r.fab.GetBuf(int(n))
-			if err := r.dmaAccess(p, h, w.LAddr-h.IOVA+off, payload, false); err != nil {
-				r.e.Fail(err)
-				return
-			}
-		} else if n > 0 {
-			// Synthetic: pay the translation cost, skip the copy.
-			if err := r.dmaAccess(p, h, w.LAddr-h.IOVA+off, nil, false); err != nil {
-				r.e.Fail(err)
-				return
-			}
+		}
+		if err := r.dmaAccess(p, h, w.LAddr-h.IOVA+off, n, payload, false); err != nil {
+			r.e.Fail(err)
+			return
 		}
 		pkt := r.fab.GetPacket()
 		*pkt = fabric.Packet{
@@ -404,17 +398,16 @@ func (r *RNIC) streamOut(p *sim.Proc, dstNode int, dstQPN, srcQPN, op uint32,
 	}
 }
 
-// dmaAccess walks the MTT to translate [off, off+len(buf)) of the MR and
-// copies between the physical pages and buf (read or write). A nil buf
-// with synthetic mode still pays the per-entry translation cost via
-// length tracking: callers pass nil only when bytes are elided.
-func (r *RNIC) dmaAccess(p *sim.Proc, h mlx.MRHandle, off uint64, buf []byte, write bool) error {
-	want := uint64(len(buf))
-	if buf == nil {
-		// Synthetic transfers still resolve one chunk per MTU packet.
-		want = 0
+// dmaAccess walks the MTT to translate [off, off+n) of the MR, paying
+// one lookup per entry the range spans, and copies between the physical
+// pages and buf (read or write). A nil buf translates only: synthetic
+// mode elides the bytes but walks the same entries, so it costs the
+// same simulated time.
+func (r *RNIC) dmaAccess(p *sim.Proc, h mlx.MRHandle, off, n uint64, buf []byte, write bool) error {
+	if n == 0 {
+		return nil
 	}
-	pos := uint64(0) // consumed bytes of buf
+	pos := uint64(0) // consumed bytes of the range
 	base := uint64(0)
 	for i := uint64(0); i < h.Entries; i++ {
 		entry, err := h.Space.ReadU64(h.MTTVA + kmem.VirtAddr(i*8))
@@ -431,33 +424,25 @@ func (r *RNIC) dmaAccess(p *sim.Proc, h mlx.MRHandle, off uint64, buf []byte, wr
 		}
 		p.Sleep(r.pr.VerbsMTTLookup)
 		r.DMAChunks++
-		if buf == nil {
-			return nil // translation only
-		}
 		skip := off + pos - base
-		n := size - skip
-		if n > want-pos {
-			n = want - pos
+		chunk := min(size-skip, n-pos)
+		if buf != nil {
+			if write {
+				err = r.phys.WriteAt(pa+mem.PhysAddr(skip), buf[pos:pos+chunk])
+			} else {
+				err = r.phys.ReadAt(pa+mem.PhysAddr(skip), buf[pos:pos+chunk])
+			}
+			if err != nil {
+				return err
+			}
 		}
-		var err2 error
-		if write {
-			err2 = r.phys.WriteAt(pa+mem.PhysAddr(skip), buf[pos:pos+n])
-		} else {
-			err2 = r.phys.ReadAt(pa+mem.PhysAddr(skip), buf[pos:pos+n])
-		}
-		if err2 != nil {
-			return err2
-		}
-		pos += n
+		pos += chunk
 		base += size
-		if pos == want {
+		if pos == n {
 			return nil
 		}
 	}
-	if buf == nil {
-		return nil
-	}
-	return fmt.Errorf("verbs: MTT walk ran past the table (off %d, want %d)", off, want)
+	return fmt.Errorf("verbs: MTT walk ran past the table (off %d, want %d)", off, n)
 }
 
 // runRx is the receive pipeline: validates inbound requests against the
@@ -578,16 +563,9 @@ func (r *RNIC) rxWrite(p *sim.Proc, pkt *fabric.Packet) {
 		r.nakAndDiscard(p, qp, pkt, st)
 		return
 	}
-	if !r.synthetic && pkt.Bytes > 0 {
-		if err := r.dmaAccess(p, h, pkt.Hdr.Tag-h.IOVA+pkt.Hdr.Offset, pkt.Payload, true); err != nil {
-			r.e.Fail(err)
-			return
-		}
-	} else if pkt.Bytes > 0 {
-		if err := r.dmaAccess(p, h, pkt.Hdr.Tag-h.IOVA+pkt.Hdr.Offset, nil, true); err != nil {
-			r.e.Fail(err)
-			return
-		}
+	if err := r.dmaAccess(p, h, pkt.Hdr.Tag-h.IOVA+pkt.Hdr.Offset, pkt.Bytes, pkt.Payload, true); err != nil {
+		r.e.Fail(err)
+		return
 	}
 	if pkt.Last {
 		r.reply(p, pkt, opAck, StatusOK)
@@ -621,16 +599,10 @@ func (r *RNIC) rxReadResp(p *sim.Proc, pkt *fabric.Packet) {
 	if !ok {
 		return
 	}
-	if pkt.Bytes > 0 {
-		h := r.keys[pd.lkey]
-		buf := pkt.Payload
-		if r.synthetic {
-			buf = nil
-		}
-		if err := r.dmaAccess(p, h, pd.laddr-h.IOVA+pkt.Hdr.Offset, buf, true); err != nil {
-			r.e.Fail(err)
-			return
-		}
+	h := r.keys[pd.lkey]
+	if err := r.dmaAccess(p, h, pd.laddr-h.IOVA+pkt.Hdr.Offset, pkt.Bytes, pkt.Payload, true); err != nil {
+		r.e.Fail(err)
+		return
 	}
 	if pkt.Last {
 		delete(qp.pending, pkt.Hdr.MsgID)
