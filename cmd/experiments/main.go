@@ -22,19 +22,21 @@
 // that verbs, reliability, failover and tenancy refuse -shards > 1 (the
 // sharded engine runs no fault injection or congestion control).
 //
-// -trace FILE reruns one cell of the id -only names under a span
-// recorder, after its table, and writes the cell's Chrome trace-event
-// JSON to FILE; it then prints the cell's values, the span count and
-// the per-phase span latency table. The ids with a traced cell are
-// fig4, fig6a, verbs, reliability, failover and tenancy (the
-// catalogue's Trace entries); -trace with any other -only exits 2.
+// -trace FILE records one cell of the id -only names under a span
+// recorder while the table runs — the cell the catalogue's Trace entry
+// names, so the trace is the run whose values the table prints — and
+// writes its Chrome trace-event JSON to FILE after the run; it then
+// prints the cell id, the span count and the per-phase span latency
+// table. The ids with a traced cell are fig4, fig6a, verbs,
+// reliability, failover and tenancy; -trace with any other -only exits
+// 2, and a traced cell that records no span exits 1.
 //
 // -checkpoint FILE records each finished experiment's artifacts in a
 // resumable manifest. When FILE already exists, its recorded
 // experiments are emitted from it instead of re-run, so rerunning an
-// interrupted -scale paper run picks up where it stopped. The manifest
-// pins scale, seed and fault profile (-loss), not -j or -shards: a
-// mismatch is refused.
+// interrupted -scale paper run picks up where it stopped; a traced id
+// always runs. The manifest pins scale, seed and fault profile (-loss),
+// not -j or -shards: a mismatch is refused.
 package main
 
 import (
@@ -77,7 +79,7 @@ func main() {
 	for _, a := range report.Artifacts {
 		ids = append(ids, a.ID)
 		byID[a.ID] = a
-		if a.Trace != nil {
+		if a.Trace != "" {
 			traced = append(traced, a.ID)
 		}
 	}
@@ -98,7 +100,7 @@ func main() {
 		for id := range want {
 			tracing = byID[id]
 		}
-		if len(want) != 1 || tracing.Trace == nil {
+		if len(want) != 1 || tracing.Trace == "" {
 			fmt.Fprintf(os.Stderr, "-trace needs -only naming one id with a traced cell (traced: %s)\n",
 				strings.Join(traced, ", "))
 			os.Exit(2)
@@ -114,6 +116,10 @@ func main() {
 	cfg := experiments.NewConfig(sc, *jFlag)
 	cfg.Faults.Drop = *lossFlag
 	cfg.Shards = *shardsFlag
+	rec := trace.NewRecorder()
+	if tracing.Trace != "" {
+		cfg.Trace = map[string]*trace.Recorder{tracing.Trace: rec}
+	}
 	fmt.Fprintf(os.Stderr, "experiments: scale=%s workers=%d shards=%d\n",
 		sc.Name, cfg.Pool.Workers(), cfg.Shards)
 
@@ -142,19 +148,20 @@ func main() {
 		}
 	}
 
-	// Each selected experiment runs — or replays from the checkpoint
-	// manifest — emits its artifacts, records them in the checkpoint,
-	// and reports wall-clock on stderr (where the effect of -j is
-	// otherwise invisible). A failed sweep job doesn't abort the whole
-	// run: the experiment is named on stderr, the remaining experiments
-	// still execute, and the process exits non-zero at the end.
+	// Each selected experiment runs — or, untraced, replays from the
+	// checkpoint manifest — emits its artifacts, records them in the
+	// checkpoint, and reports wall-clock on stderr (where the effect of
+	// -j is otherwise invisible). A failed sweep job doesn't abort the
+	// whole run: the experiment is named on stderr, the remaining
+	// experiments still execute, and the process exits non-zero at the
+	// end.
 	var failed []string
 	for _, a := range report.Artifacts {
 		id := a.ID
 		if !selected(a) {
 			continue
 		}
-		if ckpt != nil && ckpt.Has(id) {
+		if ckpt != nil && ckpt.Has(id) && id != tracing.ID {
 			text, csv := ckpt.Artifact(id)
 			emit(id, text, csv)
 			fmt.Fprintf(os.Stderr, "experiments: %-6s resumed from %s\n", id, *ckptFlag)
@@ -168,7 +175,7 @@ func main() {
 			continue
 		}
 		emit(id, text, csv)
-		if ckpt != nil {
+		if ckpt != nil && !ckpt.Has(id) {
 			if err := ckpt.Record(id, text, csv); err != nil {
 				fatal(err)
 			}
@@ -176,16 +183,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: %-6s %s\n", id, time.Since(start).Round(time.Millisecond))
 	}
 
-	if tracing.Trace != nil {
-		rec := trace.NewRecorder()
-		cell, err := tracing.Trace(cfg, rec)
-		if err != nil {
-			fatal(err)
+	if tracing.Trace != "" && len(failed) == 0 {
+		if rec.SpanCount() == 0 {
+			fatal(fmt.Errorf("trace: cell %s recorded no spans", tracing.Trace))
 		}
 		if err := os.WriteFile(*traceFlag, rec.ChromeTraceJSON(), 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("trace: %s, %d spans -> %s\n%s", cell, rec.SpanCount(), *traceFlag, report.LatencyTable(rec))
+		fmt.Printf("trace: %s, %d spans -> %s\n%s", tracing.Trace, rec.SpanCount(), *traceFlag, report.LatencyTable(rec))
 	}
 
 	if len(failed) > 0 {

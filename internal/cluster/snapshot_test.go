@@ -21,13 +21,14 @@ import (
 
 // startPair boots a 2-node cluster and spawns one ping-pong exchange
 // per rank without running the engine, so the caller owns the clock.
-// Identical calls build byte-identical simulations.
+// Identical calls build byte-identical simulations; each closes with t.
 func startPair(t *testing.T, os OSType, size uint64) *Cluster {
 	t.Helper()
 	c, err := New(Spec{Nodes: 2, OS: os, Params: model.Default(), Seed: 42, Synthetic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(c.Close)
 	startPairOn(t, c, size)
 	return c
 }
@@ -317,6 +318,7 @@ func TestSnapshotRestoreDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(c.Close)
 	if _, err := snapshot.Restore(snap, c.Machine()); err == nil {
 		t.Fatal("restore into a differently seeded simulation succeeded")
 	}
@@ -343,6 +345,7 @@ func TestConcurrentEngineIsolation(t *testing.T) {
 				errs[i] = err
 				return
 			}
+			defer c.Close()
 			startPairOn(t, c, size)
 			if err := c.Run(mid); err != nil {
 				errs[i] = err

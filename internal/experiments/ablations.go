@@ -31,7 +31,7 @@ func (r AblationRow) Ratio() float64 { return r.Value[0] / r.Value[1] }
 // Arms make the cell ids, so they are frozen like every other cell id.
 var ablations = []struct {
 	AblationRow
-	cell func(cfg Config, arm int, seed int64) (float64, error)
+	cell func(cfg Config, arm int) (float64, error)
 }{
 	{AblationRow{ID: "coalescing", Unit: "us", Arms: [2]string{"off", "on"},
 		What: "4 MB exchange, 2 nodes x 1 rank, McKernel+HFI1: SDMA request coalescing"}, coalescingCell},
@@ -47,10 +47,9 @@ var ablations = []struct {
 func ablationJobs(cfg Config) (jobs []runner.Job[float64]) {
 	for _, a := range ablations {
 		for arm, name := range a.Arms {
-			id := "ablation/" + a.ID + "/" + name
-			jobs = append(jobs, runner.Job[float64]{ID: id, Fn: func() (float64, error) {
-				return a.cell(cfg, arm, runner.DeriveSeed(cfg.Scale.Seed, id))
-			}})
+			jobs = append(jobs, job(cfg, "ablation/"+a.ID+"/"+name, func(cfg Config) (float64, error) {
+				return a.cell(cfg, arm)
+			}))
 		}
 	}
 	return jobs
@@ -80,8 +79,8 @@ func elapsedUS(res *mpi.JobResult, err error) (float64, error) {
 
 // coalescingCell exchanges 4 MB each way with the PicoDriver's SDMA
 // requests one per page, like the Linux driver's, or coalesced (§3.4).
-func coalescingCell(cfg Config, arm int, seed int64) (float64, error) {
-	cl, err := cfg.cluster(cluster.Spec{Nodes: 2, OS: cluster.OSMcKernelHFI, Seed: seed, Synthetic: true})
+func coalescingCell(cfg Config, arm int) (float64, error) {
+	cl, err := cfg.cluster(cluster.Spec{Nodes: 2, OS: cluster.OSMcKernelHFI, Synthetic: true})
 	if err != nil {
 		return 0, err
 	}
@@ -108,26 +107,26 @@ func coalescingCell(cfg Config, arm int, seed int64) (float64, error) {
 
 // linuxCPUsCell runs one UMT2013 step with the offloaded system calls
 // of 16 ranks queueing on 2 or on 16 Linux CPUs (§4.3).
-func linuxCPUsCell(cfg Config, arm int, seed int64) (float64, error) {
+func linuxCPUsCell(cfg Config, arm int) (float64, error) {
 	spec := ihk.DefaultNodeSpec()
 	spec.LinuxCPUs = [2]int{2, 16}[arm]
 	app := miniapps.UMT2013()
 	app.Steps = 1
-	return elapsedUS(runApp(cfg, app, cluster.Spec{Nodes: 2, OS: cluster.OSMcKernel, Spec: spec, Seed: seed}, 16, nil))
+	return elapsedUS(runApp(cfg, app, cluster.Spec{Nodes: 2, OS: cluster.OSMcKernel, Spec: spec}, 16))
 }
 
 // munmapCell runs QBOX with McKernel's munmap at its calibrated cost and
 // at the cost a fixed path would have (§6 future work; Figure 9).
-func munmapCell(cfg Config, arm int, seed int64) (float64, error) {
+func munmapCell(cfg Config, arm int) (float64, error) {
 	pr := model.Default()
 	pr.McKMunmapPerPage = [2]time.Duration{260 * time.Nanosecond, 20 * time.Nanosecond}[arm]
-	return elapsedUS(runApp(cfg, miniapps.QBOX(), cluster.Spec{Nodes: 2, OS: cluster.OSMcKernelHFI, Params: pr, Seed: seed}, 8, nil))
+	return elapsedUS(runApp(cfg, miniapps.QBOX(), cluster.Spec{Nodes: 2, OS: cluster.OSMcKernelHFI, Params: pr}, 8))
 }
 
 // backingCell counts the extents a 4 MB anonymous mapping walks to
 // under Linux's scattered 4 KB frames and McKernel's contiguous runs:
 // the raw material of coalescing. It builds no cluster.
-func backingCell(_ Config, arm int, _ int64) (float64, error) {
+func backingCell(_ Config, arm int) (float64, error) {
 	const size = 4 << 20
 	pm, err := mem.NewPhysMem(mem.Region{Base: 0, Size: 256 << 20, Kind: mem.DDR4, Owner: "k"})
 	if err != nil {

@@ -71,7 +71,7 @@ func TestSteadyStateAllocsPerRoundTrip(t *testing.T) {
 		}
 		for i, os := range cluster.AllOSTypes {
 			got := marginalMallocs(t, c.reps, func(reps int) error {
-				cell, err := buildPingPong(cfg, os, c.size, reps, 1, nil, c.drop > 0)
+				cell, err := buildPingPong(cfg, os, c.size, reps, c.drop > 0)
 				if err == nil {
 					_, err = cell.finish()
 				}

@@ -18,7 +18,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/miniapps"
 	"repro/internal/mpi"
-	"repro/internal/runner"
 	"repro/internal/snapshot"
 )
 
@@ -57,12 +56,13 @@ func Bigscale(cfg Config, appName string, nodes, rpn int, shards []int) ([]Bigsc
 	if rpn <= 0 {
 		rpn = app.RanksPerNode
 	}
-	seed := runner.DeriveSeed(cfg.Scale.Seed, fmt.Sprintf("bigscale/%s/%dn", appName, nodes))
+	// The rows are one cell at each shard count: one id, one seed.
+	cfg.cell = fmt.Sprintf("bigscale/%s/%dn", appName, nodes)
 	rows := make([]BigscaleRow, 0, len(shards))
 	for _, s := range shards {
 		c := cfg
 		c.Shards = s
-		row, err := bigscaleRow(c, app, nodes, rpn, seed)
+		row, err := bigscaleRow(c, app, nodes, rpn)
 		if err != nil {
 			return nil, fmt.Errorf("bigscale: shards=%d: %w", s, err)
 		}
@@ -71,7 +71,7 @@ func Bigscale(cfg Config, appName string, nodes, rpn int, shards []int) ([]Bigsc
 				return nil, fmt.Errorf(
 					"bigscale: shards=%d diverged: digest %016x != %016x at shards=%d (virt %v vs %v)\n%s",
 					s, row.Digest, want, rows[0].Shards, row.Virt, rows[0].Virt,
-					firstDivergence(cfg, app, nodes, rpn, seed, shards[0], s, max(row.Virt, rows[0].Virt)))
+					firstDivergence(cfg, app, nodes, rpn, shards[0], s, max(row.Virt, rows[0].Virt)))
 			}
 			row.Speedup = float64(rows[0].Wall) / float64(row.Wall)
 		} else {
@@ -84,8 +84,8 @@ func Bigscale(cfg Config, appName string, nodes, rpn int, shards []int) ([]Bigsc
 
 // bigscaleJob builds one shard count's cluster and starts the job on
 // it; the engine has not run yet.
-func bigscaleJob(cfg Config, app *miniapps.App, nodes, rpn int, seed int64) (*cluster.Cluster, *mpi.JobHandle, error) {
-	cl, err := cfg.cluster(cluster.Spec{Nodes: nodes, OS: cluster.OSMcKernelHFI, Seed: seed, Synthetic: true})
+func bigscaleJob(cfg Config, app *miniapps.App, nodes, rpn int) (*cluster.Cluster, *mpi.JobHandle, error) {
+	cl, err := cfg.cluster(cluster.Spec{Nodes: nodes, OS: cluster.OSMcKernelHFI, Synthetic: true})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -98,8 +98,8 @@ func bigscaleJob(cfg Config, app *miniapps.App, nodes, rpn int, seed int64) (*cl
 
 // bigscaleRow builds, runs, measures and closes one shard count's
 // cluster, so the next row is built with the last one already freed.
-func bigscaleRow(cfg Config, app *miniapps.App, nodes, rpn int, seed int64) (BigscaleRow, error) {
-	cl, job, err := bigscaleJob(cfg, app, nodes, rpn, seed)
+func bigscaleRow(cfg Config, app *miniapps.App, nodes, rpn int) (BigscaleRow, error) {
+	cl, job, err := bigscaleJob(cfg, app, nodes, rpn)
 	if err != nil {
 		return BigscaleRow{}, err
 	}
@@ -135,12 +135,12 @@ func bigscaleRow(cfg Config, app *miniapps.App, nodes, rpn int, seed int64) (Big
 // firstDivergence bisects the run at the sweep's first shard count
 // (Diff's "snapshot" side) against the run at shards (its "replayed"
 // side) over [0, to] and renders where their snapshots first differ.
-func firstDivergence(cfg Config, app *miniapps.App, nodes, rpn int, seed int64, first, shards int, to time.Duration) string {
+func firstDivergence(cfg Config, app *miniapps.App, nodes, rpn, first, shards int, to time.Duration) string {
 	side := func(s int) snapshot.Builder {
 		return func() (snapshot.Machine, func(), error) {
 			c := cfg
 			c.Shards = s
-			cl, _, err := bigscaleJob(c, app, nodes, rpn, seed)
+			cl, _, err := bigscaleJob(c, app, nodes, rpn)
 			if err != nil {
 				return nil, nil, err
 			}

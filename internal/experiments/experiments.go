@@ -7,13 +7,16 @@
 //
 // Every experiment is the same shape — a parameter sweep × the OS
 // configurations, one independent simulation per cell — and runs on one
-// cell harness: Config.cluster builds the cell's machine (the package's
-// only cluster.New call), a cell function drives it and returns one
-// measurement, and osGrid fans the cells out over a runner.Pool and
-// hands the results back indexed [key][os]. Results merge in submission
-// order, so artifacts are byte-identical for any pool size; each cell's
-// engine seed is derived from (Scale.Seed, cell id), never from
-// scheduling, which is what keeps the merge deterministic.
+// cell harness: job names a cell by its frozen id and hands it a Config
+// that knows that id, Config.cluster builds the cell's machine (the
+// package's only cluster.New call), a cell function drives it and
+// returns one measurement, and osGrid fans the cells out over a
+// runner.Pool and hands the results back indexed [key][os]. Results
+// merge in submission order, so artifacts are byte-identical for any
+// pool size; each cell's engine seed is derived from (Scale.Seed, cell
+// id), never from scheduling, which is what keeps the merge
+// deterministic. The same id selects the cell's span recorder
+// (Config.Trace), so a traced cell is the table's own run.
 package experiments
 
 import (
@@ -34,10 +37,10 @@ import (
 
 // Config is the single entry point every experiment runs under: the
 // sweep bounds, the pool the independent simulation cells fan out over,
-// and the fabric fault profile and shard count of every cluster the
-// experiments build. Callers construct one Config instead of
-// re-plumbing (pool, scale, seed, faults, shards) through each entry
-// point.
+// the fabric fault profile and shard count of every cluster the
+// experiments build, and the cells traced. Callers construct one Config
+// instead of re-plumbing (pool, scale, seed, faults, shards, recorders)
+// through each entry point.
 type Config struct {
 	Scale Scale
 	// Pool fans the experiment's cells out (nil = a fresh
@@ -54,6 +57,15 @@ type Config struct {
 	// Sharding requires the loss-free, jitter-free, congestion-free
 	// profile; cluster.New rejects anything else.
 	Shards int
+	// Trace maps cell ids (e.g. "fig4/65536B/McKernel+HFI1") to the span
+	// recorder the cell runs under; a cell whose id is absent runs
+	// untraced. Recording moves no simulated value. Cells run
+	// concurrently, so each recorder belongs to one id.
+	Trace map[string]*trace.Recorder
+
+	// cell is the id of the cell this Config runs: set by job, and by
+	// Bigscale for its one cell.
+	cell string
 }
 
 // NewConfig bundles a scale with a worker pool (workers 0 = GOMAXPROCS).
@@ -71,38 +83,53 @@ func (c Config) pool() *runner.Pool {
 
 // cluster builds one cell's machine, and is the only place the package
 // calls cluster.New. spec carries what the cell chooses — nodes, OS,
-// seed, Synthetic, Congestion, and Params when it departs from
+// Synthetic, Congestion, and Params when it departs from
 // model.Default(); the fault profile and the shard count always come
 // from the Config, so they reach every cell or cluster.New refuses the
 // combination. A cell that sweeps the fault profile edits its own copy
-// of the Config first.
+// of the Config first. The seed and the recorder come from the cell's
+// id: the engine is seeded DeriveSeed(Scale.Seed, id) and records into
+// Trace[id].
 func (c Config) cluster(spec cluster.Spec) (*cluster.Cluster, error) {
 	if spec.Params == (model.Params{}) {
 		spec.Params = model.Default()
 	}
 	spec.Faults = c.Faults
 	spec.Shards = c.Shards
-	return cluster.New(spec)
+	spec.Seed = runner.DeriveSeed(c.Scale.Seed, c.cell)
+	cl, err := cluster.New(spec)
+	if err != nil {
+		return nil, err
+	}
+	cl.SetRecorder(c.Trace[c.cell])
+	return cl, nil
 }
 
-// cellID names one (key, OS) cell. The runner reports errors under it
-// and the cell's engine seed is derived from it, so these strings are
-// frozen: changing one reseeds the cell and with it the artifact.
+// job is the one constructor of a runner.Job: the cell named id runs
+// fn on a copy of cfg that knows the id. The runner reports errors
+// under it, and the cell's seed and recorder derive from it, so cell
+// ids are frozen: changing one reseeds the cell and with it the
+// artifact.
+func job[R any](cfg Config, id string, fn func(Config) (R, error)) runner.Job[R] {
+	cfg.cell = id
+	return runner.Job[R]{ID: id, Fn: func() (R, error) { return fn(cfg) }}
+}
+
+// cellID names one (key, OS) cell.
 func cellID(key string, os cluster.OSType) string { return key + "/" + osName(os) }
 
 // osGrid runs cell once per (key, OS configuration) on the Config's pool
 // and returns the results indexed [key][os], os in cluster.AllOSTypes
 // order. key names a sweep entry; together with the OS it is the cell's
-// id, from which the cell's seed is derived.
+// id.
 func osGrid[K, R any](cfg Config, keys []K, key func(K) string,
-	cell func(k K, os cluster.OSType, seed int64) (R, error)) ([][]R, error) {
+	cell func(cfg Config, k K, os cluster.OSType) (R, error)) ([][]R, error) {
 	var jobs []runner.Job[R]
 	for _, k := range keys {
 		for _, os := range cluster.AllOSTypes {
-			id := cellID(key(k), os)
-			jobs = append(jobs, runner.Job[R]{ID: id, Fn: func() (R, error) {
-				return cell(k, os, runner.DeriveSeed(cfg.Scale.Seed, id))
-			}})
+			jobs = append(jobs, job(cfg, cellID(key(k), os), func(cfg Config) (R, error) {
+				return cell(cfg, k, os)
+			}))
 		}
 	}
 	flat, err := runner.Run(cfg.pool(), jobs)
@@ -265,8 +292,8 @@ func fig4Key(size uint64) string { return fmt.Sprintf("fig4/%dB", size) }
 func Fig4(cfg Config) ([]Fig4Row, error) {
 	sc := cfg.Scale
 	grid, err := osGrid(cfg, sc.PingPongSizes, fig4Key,
-		func(size uint64, os cluster.OSType, seed int64) (ppResult, error) {
-			c, err := fig4Cell(cfg, os, size, seed, nil)
+		func(cfg Config, size uint64, os cluster.OSType) (ppResult, error) {
+			c, err := fig4Cell(cfg, os, size)
 			if err != nil {
 				return ppResult{}, err
 			}
@@ -307,29 +334,8 @@ type ppCell struct {
 
 // fig4Cell builds the Figure 4 cell for one (OS, size): the scale's
 // repetition count, verified exactly when the Config's fabric is lossy.
-func fig4Cell(cfg Config, os cluster.OSType, size uint64, seed int64, rec *trace.Recorder) (*ppCell, error) {
-	return buildPingPong(cfg, os, size, cfg.Scale.PingPongReps, seed, rec, cfg.Faults.Active())
-}
-
-// PingPongCell is the rendered observable of one ping-pong cell: the
-// one-way latency percentiles its traced line prints.
-type PingPongCell struct {
-	P50, P99 time.Duration
-}
-
-// PingPongStraight runs one Figure 4 cell start-to-finish on the seed
-// Fig4 derives for it, recording spans into rec (nil = untraced).
-func PingPongStraight(cfg Config, os cluster.OSType, size uint64, rec *trace.Recorder) (PingPongCell, error) {
-	c, err := fig4Cell(cfg, os, size, runner.DeriveSeed(cfg.Scale.Seed, cellID(fig4Key(size), os)), rec)
-	if err != nil {
-		return PingPongCell{}, err
-	}
-	defer c.cl.Close()
-	r, err := c.finish()
-	if err != nil {
-		return PingPongCell{}, err
-	}
-	return PingPongCell{P50: r.hist.P50(), P99: r.hist.P99()}, nil
+func fig4Cell(cfg Config, os cluster.OSType, size uint64) (*ppCell, error) {
+	return buildPingPong(cfg, os, size, cfg.Scale.PingPongReps, cfg.Faults.Active())
 }
 
 // buildPingPong constructs the cell and spawns the ranks; the engine
@@ -338,12 +344,11 @@ func PingPongStraight(cfg Config, os cluster.OSType, size uint64, rec *trace.Rec
 // arrival against it — the reliability layer must recover loss, never
 // rewrite bytes — and both leave through Ranks.Drain. An unverified
 // cell runs synthetic and never materializes a payload.
-func buildPingPong(cfg Config, os cluster.OSType, size uint64, reps int, seed int64, rec *trace.Recorder, verified bool) (*ppCell, error) {
-	cl, err := cfg.cluster(cluster.Spec{Nodes: 2, OS: os, Seed: seed, Synthetic: !verified})
+func buildPingPong(cfg Config, os cluster.OSType, size uint64, reps int, verified bool) (*ppCell, error) {
+	cl, err := cfg.cluster(cluster.Spec{Nodes: 2, OS: os, Synthetic: !verified})
 	if err != nil {
 		return nil, err
 	}
-	cl.SetRecorder(rec)
 	c := &ppCell{cl: cl, reps: reps, hist: &trace.Histogram{},
 		want: func(dst []byte, _ int, tag uint64) { relPattern(dst, tag) }}
 	c.ranks = cl.StartRanks("pp", []int{0, 1}, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
@@ -463,8 +468,8 @@ func AppScaling(cfg Config, app *miniapps.App, nodes []int) ([]ScalingPoint, err
 	rpn := appRPN(cfg.Scale, app)
 	grid, err := osGrid(cfg, nodes,
 		func(n int) string { return scalingKey(app.Name, n) },
-		func(n int, os cluster.OSType, seed int64) (*mpi.JobResult, error) {
-			return runApp(cfg, app, cluster.Spec{Nodes: n, OS: os, Seed: seed}, rpn, nil)
+		func(cfg Config, n int, os cluster.OSType) (*mpi.JobResult, error) {
+			return runApp(cfg, app, cluster.Spec{Nodes: n, OS: os}, rpn)
 		})
 	if err != nil {
 		return nil, err
@@ -486,24 +491,15 @@ func AppScaling(cfg Config, app *miniapps.App, nodes []int) ([]ScalingPoint, err
 func scalingKey(app string, nodes int) string { return fmt.Sprintf("%s/%dn", app, nodes) }
 
 // runApp runs one mini-app job on a fresh synthetic cluster built from
-// spec, recording spans into rec (nil = untraced).
-func runApp(cfg Config, app *miniapps.App, spec cluster.Spec, rpn int, rec *trace.Recorder) (*mpi.JobResult, error) {
+// spec.
+func runApp(cfg Config, app *miniapps.App, spec cluster.Spec, rpn int) (*mpi.JobResult, error) {
 	spec.Synthetic = true
 	cl, err := cfg.cluster(spec)
 	if err != nil {
 		return nil, err
 	}
 	defer cl.Close()
-	cl.SetRecorder(rec)
 	return mpi.RunJob(cl, rpn, func(c *mpi.Comm) error { return app.Body(c, app) })
-}
-
-// AppCell reruns one cell of an AppScaling sweep — app on nodes nodes
-// under os, at the scale's ranks per node and on the cell's derived
-// seed — recording spans into rec.
-func AppCell(cfg Config, app *miniapps.App, nodes int, os cluster.OSType, rec *trace.Recorder) (*mpi.JobResult, error) {
-	seed := runner.DeriveSeed(cfg.Scale.Seed, cellID(scalingKey(app.Name, nodes), os))
-	return runApp(cfg, app, cluster.Spec{Nodes: nodes, OS: os, Seed: seed}, appRPN(cfg.Scale, app), rec)
 }
 
 // appRPN is the ranks per node app runs at: the scale's cap, or the
@@ -543,8 +539,8 @@ func Table1(cfg Config) ([]AppProfile, error) {
 	apps := []*miniapps.App{miniapps.UMT2013(), miniapps.HACC(), miniapps.QBOX()}
 	grid, err := osGrid(cfg, apps,
 		func(app *miniapps.App) string { return table1Key(app.Name) },
-		func(app *miniapps.App, os cluster.OSType, seed int64) (*mpi.JobResult, error) {
-			return runApp(cfg, app, cluster.Spec{Nodes: sc.ProfileNodes, OS: os, Seed: seed}, sc.ProfileRPN, nil)
+		func(cfg Config, app *miniapps.App, os cluster.OSType) (*mpi.JobResult, error) {
+			return runApp(cfg, app, cluster.Spec{Nodes: sc.ProfileNodes, OS: os}, sc.ProfileRPN)
 		})
 	if err != nil {
 		return nil, err
@@ -600,8 +596,8 @@ func SyscallBreakdown(cfg Config, appName string) (orig, pico Breakdown, err err
 	if err != nil {
 		return orig, pico, err
 	}
-	run := func(os cluster.OSType, seed int64) (Breakdown, error) {
-		cl, err := cfg.cluster(cluster.Spec{Nodes: sc.ProfileNodes, OS: os, Seed: seed, Synthetic: true})
+	run := func(cfg Config, os cluster.OSType) (Breakdown, error) {
+		cl, err := cfg.cluster(cluster.Spec{Nodes: sc.ProfileNodes, OS: os, Synthetic: true})
 		if err != nil {
 			return Breakdown{}, err
 		}
@@ -635,10 +631,9 @@ func SyscallBreakdown(cfg Config, appName string) (orig, pico Breakdown, err err
 	}
 	var jobs []runner.Job[Breakdown]
 	for _, os := range []cluster.OSType{cluster.OSMcKernel, cluster.OSMcKernelHFI} {
-		id := cellID("breakdown/"+appName, os)
-		jobs = append(jobs, runner.Job[Breakdown]{ID: id, Fn: func() (Breakdown, error) {
-			return run(os, runner.DeriveSeed(sc.Seed, id))
-		}})
+		jobs = append(jobs, job(cfg, cellID("breakdown/"+appName, os), func(cfg Config) (Breakdown, error) {
+			return run(cfg, os)
+		}))
 	}
 	results, err := runner.Run(cfg.pool(), jobs)
 	if err != nil {

@@ -278,7 +278,7 @@ func TestShardsReachEveryCell(t *testing.T) {
 	cfg.Faults.Drop = 0.5
 	for _, a := range ablations {
 		for arm, name := range a.Arms {
-			_, err := a.cell(cfg, arm, 1)
+			_, err := a.cell(cfg, arm)
 			if a.ID != "backing" && (err == nil || !strings.Contains(err.Error(), "Shards=2")) {
 				t.Errorf("ablation %s/%s at Shards=2 on a lossy fabric: %v", a.ID, name, err)
 			}
@@ -290,11 +290,12 @@ func TestShardsReachEveryCell(t *testing.T) {
 // Every cell's engine seed is DeriveSeed(Scale.Seed, id), so a drifting
 // format string would silently reseed — and change — every artifact.
 // Each sweep's key formatter runs through osGrid with a cell that only
-// reports the seed it was handed, compared against the seed of the
-// literal id; and each sweep that can be made to fail inside its first
-// cell must report that cell under the literal id.
+// reports the id its Config was handed, compared against the literal
+// id; each sweep that can be made to fail inside its first cell must
+// report that cell under the literal id; and a cell's cluster must be
+// seeded from its id.
 func TestCellIDsPinned(t *testing.T) {
-	seeds := func(grid [][]int64, err error) [][]int64 {
+	ids := func(grid [][]string, err error) [][]string {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,6 +303,17 @@ func TestCellIDsPinned(t *testing.T) {
 	}
 	cfg := tinyConfig()
 	cfg.Scale.Seed = 7
+	seed, err := job(cfg, "fig4/1024B/Linux", func(cfg Config) (int64, error) {
+		cl, err := cfg.cluster(cluster.Spec{Nodes: 1, OS: cluster.OSLinux})
+		if err != nil {
+			return 0, err
+		}
+		defer cl.Close()
+		return cl.Cfg.Seed, nil
+	}).Fn()
+	if want := runner.DeriveSeed(7, "fig4/1024B/Linux"); err != nil || seed != want {
+		t.Errorf("fig4/1024B/Linux was seeded %v (%v), want DeriveSeed(7, id) = %d", seed, err, want)
+	}
 	// Shards on a lossy fabric: cluster.New refuses every cell at once.
 	bad := cfg
 	bad.Shards, bad.Faults.Drop = 2, 0.5
@@ -309,36 +321,36 @@ func TestCellIDsPinned(t *testing.T) {
 	bad.Scale.VerbsSizes, bad.Scale.VerbsReps = []uint64{4096, 65536}, 1
 	for _, c := range []struct {
 		sweep string
-		got   [][]int64
+		got   [][]string
 		want  [2][3]string // [key][os], as osGrid indexes
 		run   func() error // nil: the sweep refuses Shards before any cell runs
 	}{
 		{"Fig4",
-			seeds(osGrid(cfg, []uint64{1024, 4096}, fig4Key, seedOf[uint64])),
+			ids(osGrid(cfg, []uint64{1024, 4096}, fig4Key, idOf[uint64])),
 			[2][3]string{
 				{"fig4/1024B/Linux", "fig4/1024B/McKernel", "fig4/1024B/McKernel+HFI1"},
 				{"fig4/4096B/Linux", "fig4/4096B/McKernel", "fig4/4096B/McKernel+HFI1"}},
 			func() error { _, err := Fig4(bad); return err }},
 		{"AppScaling",
-			seeds(osGrid(cfg, []int{2, 64}, func(n int) string { return scalingKey("LAMMPS", n) }, seedOf[int])),
+			ids(osGrid(cfg, []int{2, 64}, func(n int) string { return scalingKey("LAMMPS", n) }, idOf[int])),
 			[2][3]string{
 				{"LAMMPS/2n/Linux", "LAMMPS/2n/McKernel", "LAMMPS/2n/McKernel+HFI1"},
 				{"LAMMPS/64n/Linux", "LAMMPS/64n/McKernel", "LAMMPS/64n/McKernel+HFI1"}},
 			func() error { _, err := AppScaling(bad, miniapps.LAMMPS(), []int{2, 64}); return err }},
 		{"Table1",
-			seeds(osGrid(cfg, []string{"UMT2013", "QBOX"}, table1Key, seedOf[string])),
+			ids(osGrid(cfg, []string{"UMT2013", "QBOX"}, table1Key, idOf[string])),
 			[2][3]string{
 				{"table1/UMT2013/Linux", "table1/UMT2013/McKernel", "table1/UMT2013/McKernel+HFI1"},
 				{"table1/QBOX/Linux", "table1/QBOX/McKernel", "table1/QBOX/McKernel+HFI1"}},
 			func() error { _, err := Table1(bad); return err }},
 		{"VerbsSweep",
-			seeds(osGrid(cfg, []uint64{4096, 2<<20 + 4096}, verbsKey, seedOf[uint64])),
+			ids(osGrid(cfg, []uint64{4096, 2<<20 + 4096}, verbsKey, idOf[uint64])),
 			[2][3]string{
 				{"verbs/4096B/Linux", "verbs/4096B/McKernel", "verbs/4096B/McKernel+HFI1"},
 				{"verbs/2101248B/Linux", "verbs/2101248B/McKernel", "verbs/2101248B/McKernel+HFI1"}},
 			func() error { _, err := VerbsSweep(bad); return err }},
 		{"Reliability",
-			seeds(osGrid(cfg, []relKey{{0.01, 8192}, {0, 262144}}, relKey.String, seedOf[relKey])),
+			ids(osGrid(cfg, []relKey{{0.01, 8192}, {0, 262144}}, relKey.String, idOf[relKey])),
 			[2][3]string{
 				{"reliability/0.0100/8192B/Linux", "reliability/0.0100/8192B/McKernel", "reliability/0.0100/8192B/McKernel+HFI1"},
 				{"reliability/0.0000/262144B/Linux", "reliability/0.0000/262144B/McKernel", "reliability/0.0000/262144B/McKernel+HFI1"}},
@@ -346,8 +358,8 @@ func TestCellIDsPinned(t *testing.T) {
 	} {
 		for i, row := range c.want {
 			for j, id := range row {
-				if want := runner.DeriveSeed(7, id); c.got[i][j] != want {
-					t.Errorf("%s: cell [%d][%d] was seeded %d, want DeriveSeed(7, %q) = %d", c.sweep, i, j, c.got[i][j], id, want)
+				if c.got[i][j] != id {
+					t.Errorf("%s: cell [%d][%d] is %q, want %q", c.sweep, i, j, c.got[i][j], id)
 				}
 			}
 		}
@@ -360,20 +372,20 @@ func TestCellIDsPinned(t *testing.T) {
 	}
 
 	// The ablation cells.
-	var ids []string
+	var got []string
 	for _, j := range ablationJobs(cfg) {
-		ids = append(ids, j.ID)
+		got = append(got, j.ID)
 	}
 	want := []string{
 		"ablation/coalescing/off", "ablation/coalescing/on", "ablation/linux-cpus/2", "ablation/linux-cpus/16",
 		"ablation/backing/scattered-4k", "ablation/backing/contig-large", "ablation/munmap/260ns", "ablation/munmap/20ns"}
-	if !reflect.DeepEqual(ids, want) {
-		t.Errorf("Ablations: cell ids %q, want %q", ids, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Ablations: cell ids %q, want %q", got, want)
 	}
 }
 
-// seedOf is an osGrid cell that only reports the seed it was handed.
-func seedOf[K any](_ K, _ cluster.OSType, seed int64) (int64, error) { return seed, nil }
+// idOf is an osGrid cell that only reports the id its Config knows.
+func idOf[K any](cfg Config, _ K, _ cluster.OSType) (string, error) { return cfg.cell, nil }
 
 // TestPingPongCellVerifiesBothRanks covers the merged ping-pong cell:
 // on a lossy fabric it moves real bytes and checks every arrival at
@@ -386,7 +398,7 @@ func TestPingPongCellVerifiesBothRanks(t *testing.T) {
 	lossy.Faults.Drop = 0.05
 	lossy.Scale.PingPongReps = 20 // enough packets that 5% drops some
 	build := func(cfg Config) *ppCell {
-		c, err := fig4Cell(cfg, cluster.OSMcKernelHFI, size, 1, nil)
+		c, err := fig4Cell(cfg, cluster.OSMcKernelHFI, size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -428,35 +440,47 @@ func TestPingPongCellVerifiesBothRanks(t *testing.T) {
 	}
 }
 
-// TestTracedPingPongIsTheTableCell pins what `experiments -only fig4
-// -trace` exports: PingPongStraight under a recorder is Fig4's own cell
-// for that (size, OS) — same derived seed — so the spans belong to the
-// run whose numbers the table prints, on a loss-free and on a lossy
-// fabric (-loss).
-func TestTracedPingPongIsTheTableCell(t *testing.T) {
-	const size = 64 << 10
-	os := cluster.OSMcKernelHFI
-	for _, drop := range []float64{0, 0.05} {
-		cfg := tinyConfig()
-		cfg.Scale.PingPongSizes = []uint64{size}
-		cfg.Scale.PingPongReps = 4
-		cfg.Faults.Drop = drop
-		rows, err := Fig4(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := trace.NewRecorder()
-		cell, err := PingPongStraight(cfg, os, size, rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		row := rows[0]
-		if cell.P50 != row.OneWayP50[os.String()] || cell.P99 != row.OneWayP99[os.String()] {
-			t.Errorf("drop=%g: traced cell p50/p99 = %v/%v, Fig4 row has %v/%v",
-				drop, cell.P50, cell.P99, row.OneWayP50[os.String()], row.OneWayP99[os.String()])
-		}
-		if rec.SpanCount() == 0 {
-			t.Errorf("drop=%g: traced cell recorded no spans", drop)
-		}
+// TestTracedCellsAreTheirRows pins that a recorder moves no simulated
+// value: a sweep run with one cell in Config.Trace returns rows deeply
+// equal to the untraced sweep's, and the cell recorded spans. Fig4 runs
+// on a loss-free and on a lossy fabric (-loss); Reliability and Tenancy
+// run real bytes under fault injection and congestion control.
+func TestTracedCellsAreTheirRows(t *testing.T) {
+	tiny := tinyConfig()
+	tiny.Scale.PingPongSizes = []uint64{64 << 10}
+	tiny.Scale.PingPongReps = 4
+	tiny.Scale.LossRates = []float64{0.05}
+	tiny.Scale.ReliabilitySizes = []uint64{32 << 10}
+	tiny.Scale.TenancyMsgs = 40
+	lossy := tiny
+	lossy.Faults.Drop = 0.05
+	for _, c := range []struct {
+		name, cell string
+		cfg        Config
+		run        func(Config) (any, error)
+	}{
+		{"fig4", "fig4/65536B/McKernel+HFI1", tiny, func(cfg Config) (any, error) { return Fig4(cfg) }},
+		{"fig4-lossy", "fig4/65536B/McKernel+HFI1", lossy, func(cfg Config) (any, error) { return Fig4(cfg) }},
+		{"reliability", "reliability/0.0500/32768B/McKernel+HFI1", tiny, func(cfg Config) (any, error) { return Reliability(cfg) }},
+		{"tenancy", "tenancy/McKernel+HFI1/packed", tiny, func(cfg Config) (any, error) { return Tenancy(cfg) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			want, err := c.run(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := trace.NewRecorder()
+			c.cfg.Trace = map[string]*trace.Recorder{c.cell: rec}
+			got, err := c.run(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("traced rows differ from untraced:\n%+v\n%+v", got, want)
+			}
+			if rec.SpanCount() == 0 {
+				t.Errorf("%s recorded no spans", c.cell)
+			}
+		})
 	}
 }

@@ -17,9 +17,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/model"
 	"repro/internal/psm"
-	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // failoverOutage is the rail-0 outage window every failover cell runs
@@ -55,8 +53,8 @@ type FailoverRow struct {
 // Failover runs the failover cell once per OS configuration.
 func Failover(cfg Config) ([]FailoverRow, error) {
 	grid, err := osGrid(cfg, []string{"failover"}, func(k string) string { return k },
-		func(_ string, os cluster.OSType, seed int64) (FailoverRow, error) {
-			return failoverCell(cfg, os, seed, nil)
+		func(cfg Config, _ string, os cluster.OSType) (FailoverRow, error) {
+			return failoverCell(cfg, os)
 		})
 	if err != nil {
 		return nil, err
@@ -64,18 +62,11 @@ func Failover(cfg Config) ([]FailoverRow, error) {
 	return grid[0], nil
 }
 
-// TracedFailover reruns one OS's failover cell on its derived seed,
-// recording spans into rec: the health machine's failover and fallback
-// spans around the outage.
-func TracedFailover(cfg Config, os cluster.OSType, rec *trace.Recorder) (FailoverRow, error) {
-	return failoverCell(cfg, os, runner.DeriveSeed(cfg.Scale.Seed, cellID("failover", os)), rec)
-}
-
 // failoverCell streams the scale's paced messages from rank 0 to rank 1
 // over a dual-rail cluster whose rail 0 is down for
 // [failoverOutageFrom, failoverOutageUntil), verifying every payload and
 // timing every completion.
-func failoverCell(cfg Config, os cluster.OSType, seed int64, rec *trace.Recorder) (FailoverRow, error) {
+func failoverCell(cfg Config, os cluster.OSType) (FailoverRow, error) {
 	msgs := cfg.Scale.FailoverMsgs
 	const size = 32 << 10
 	pr := model.Default()
@@ -84,12 +75,11 @@ func failoverCell(cfg Config, os cluster.OSType, seed int64, rec *trace.Recorder
 	cfg.Faults.Down = append(append([]fabric.DownWindow{}, cfg.Faults.Down...),
 		fabric.DownWindow{Src: 0, Dst: 1, From: failoverOutageFrom, Until: failoverOutageUntil},
 		fabric.DownWindow{Src: 1, Dst: 0, From: failoverOutageFrom, Until: failoverOutageUntil})
-	cl, err := cfg.cluster(cluster.Spec{Nodes: 2, OS: os, Params: pr, Seed: seed})
+	cl, err := cfg.cluster(cluster.Spec{Nodes: 2, OS: os, Params: pr})
 	if err != nil {
 		return FailoverRow{}, err
 	}
 	defer cl.Close()
-	cl.SetRecorder(rec)
 	completions := make([]time.Duration, 0, msgs)
 	var streamStart time.Duration
 	var ranks *cluster.Ranks

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/model"
-	"repro/internal/runner"
 	"repro/internal/trace"
 )
 
@@ -88,8 +87,8 @@ func Reliability(cfg Config) ([]ReliabilityRow, error) {
 			keys = append(keys, relKey{loss, size})
 		}
 	}
-	grid, err := osGrid(cfg, keys, relKey.String, func(k relKey, os cluster.OSType, seed int64) (relCell, error) {
-		return relCellRun(cfg, os, k, seed, nil)
+	grid, err := osGrid(cfg, keys, relKey.String, func(cfg Config, k relKey, os cluster.OSType) (relCell, error) {
+		return relCellRun(cfg, os, k)
 	})
 	if err != nil {
 		return nil, err
@@ -110,26 +109,14 @@ func Reliability(cfg Config) ([]ReliabilityRow, error) {
 	return rows, nil
 }
 
-// ReliabilityCell reruns one (loss, size, OS) cell of the reliability
-// sweep on its derived seed, recording spans into rec. It returns the
-// cell's one-way latency distribution and its retransmit count.
-func ReliabilityCell(cfg Config, os cluster.OSType, loss float64, size uint64, rec *trace.Recorder) (PingPongCell, uint64, error) {
-	k := relKey{loss, size}
-	c, err := relCellRun(cfg, os, k, runner.DeriveSeed(cfg.Scale.Seed, cellID(k.String(), os)), rec)
-	if err != nil {
-		return PingPongCell{}, 0, err
-	}
-	return PingPongCell{P50: c.hist.P50(), P99: c.hist.P99()}, c.retrans, nil
-}
-
 // relCellRun runs the verified ping-pong cell under the key's drop
 // rate and couples its recovery counters to the injected faults.
-func relCellRun(cfg Config, os cluster.OSType, k relKey, seed int64, rec *trace.Recorder) (relCell, error) {
+func relCellRun(cfg Config, os cluster.OSType, k relKey) (relCell, error) {
 	// The cell inherits cfg.Faults (duplication, reordering, SDMA
 	// aborts, ...) and sweeps only the drop rate on top of it.
 	cfg.Faults.Drop = k.loss
 	reps := relReps(k.loss, k.size, model.Default().EagerChunk)
-	c, err := buildPingPong(cfg, os, k.size, reps, seed, rec, true)
+	c, err := buildPingPong(cfg, os, k.size, reps, true)
 	if err != nil {
 		return relCell{}, err
 	}

@@ -21,12 +21,11 @@ import (
 // cluster is synthetic or moves real bytes.
 func TestSyntheticModeMovesNoTime(t *testing.T) {
 	cfg := tinyConfig()
-	seed := cfg.Scale.Seed
 	for _, os := range cluster.AllOSTypes {
 		for _, app := range miniapps.All() {
 			t.Run(app.Name+"/"+os.String(), func(t *testing.T) {
 				sameInBothModes(t, func(synthetic bool) (string, error) {
-					cl, err := cfg.cluster(cluster.Spec{Nodes: 2, OS: os, Seed: seed, Synthetic: synthetic})
+					cl, err := cfg.cluster(cluster.Spec{Nodes: 2, OS: os, Synthetic: synthetic})
 					if err != nil {
 						return "", err
 					}
@@ -58,7 +57,7 @@ func TestSyntheticModeMovesNoTime(t *testing.T) {
 		for _, size := range cfg.Scale.PingPongSizes {
 			t.Run(fmt.Sprintf("pingpong/%dB/%v", size, os), func(t *testing.T) {
 				sameInBothModes(t, func(synthetic bool) (string, error) {
-					c, err := buildPingPong(cfg, os, size, cfg.Scale.PingPongReps, seed, nil, !synthetic)
+					c, err := buildPingPong(cfg, os, size, cfg.Scale.PingPongReps, !synthetic)
 					if err != nil {
 						return "", err
 					}

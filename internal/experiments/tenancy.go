@@ -71,14 +71,12 @@ type TenancyRow struct {
 
 // Tenancy runs the four tenancy scenarios once per OS configuration.
 func Tenancy(cfg Config) ([]TenancyRow, error) {
-	sc := cfg.Scale
 	var jobs []runner.Job[TenancyRow]
 	for _, os := range cluster.AllOSTypes {
 		for _, scen := range tenancyScenarios {
-			id := tenancyID(os, scen)
-			jobs = append(jobs, runner.Job[TenancyRow]{ID: id, Fn: func() (TenancyRow, error) {
-				return tenancyCell(cfg, os, scen, runner.DeriveSeed(sc.Seed, id), nil)
-			}})
+			jobs = append(jobs, job(cfg, tenancyID(os, scen), func(cfg Config) (TenancyRow, error) {
+				return tenancyCell(cfg, os, scen)
+			}))
 		}
 	}
 	rows, err := runner.Run(cfg.pool(), jobs)
@@ -117,13 +115,6 @@ func Tenancy(cfg Config) ([]TenancyRow, error) {
 // grouped per OS). Frozen like every cell id — seeds derive from it.
 func tenancyID(os cluster.OSType, scen string) string {
 	return fmt.Sprintf("tenancy/%s/%s", osName(os), scen)
-}
-
-// TracedTenancy reruns the packed noisy-neighbor cell of the tenancy
-// sweep for one OS on its derived seed, recording spans into rec: the
-// victim's inflated request spans beside the bulk stream.
-func TracedTenancy(cfg Config, os cluster.OSType, rec *trace.Recorder) (TenancyRow, error) {
-	return tenancyCell(cfg, os, "packed", runner.DeriveSeed(cfg.Scale.Seed, tenancyID(os, "packed")), rec)
 }
 
 // tenancyLatencyBody is the victim: msgs paced request/echo round
@@ -194,15 +185,14 @@ func tenancyStreamBody(from int, tagBase uint64, count int, size uint64) mpi.Ran
 // tenancyCell builds a 4-node congestion-controlled cluster, starts
 // the scenario's tenant jobs and collects the victim percentiles,
 // tenant goodputs and fabric congestion counters.
-func tenancyCell(cfg Config, os cluster.OSType, scen string, seed int64, rec *trace.Recorder) (TenancyRow, error) {
+func tenancyCell(cfg Config, os cluster.OSType, scen string) (TenancyRow, error) {
 	msgs := cfg.Scale.TenancyMsgs
 	const latSize, bulkSize = 4 << 10, 32 << 10
-	cl, err := cfg.cluster(cluster.Spec{Nodes: 4, OS: os, Seed: seed, Congestion: tenancyCong()})
+	cl, err := cfg.cluster(cluster.Spec{Nodes: 4, OS: os, Congestion: tenancyCong()})
 	if err != nil {
 		return TenancyRow{}, err
 	}
 	defer cl.Close()
-	cl.SetRecorder(rec)
 	hist := &trace.Histogram{}
 
 	// The victim always occupies nodes 0 and 1; a packed neighbor shares

@@ -3,9 +3,6 @@ package experiments
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/cluster"
-	"repro/internal/trace"
 )
 
 // TestTenancySweep is the end-to-end gate on the multi-tenant
@@ -45,22 +42,5 @@ func TestTenancySweep(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rows, again) {
 		t.Fatal("tenancy sweep not deterministic")
-	}
-}
-
-// TestTracedTenancy checks the traced packed cell produces spans.
-func TestTracedTenancy(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Scale.TenancyMsgs = 40
-	rec := trace.NewRecorder()
-	row, err := TracedTenancy(cfg, cluster.OSMcKernelHFI, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.Scenario != "packed" {
-		t.Fatalf("traced scenario = %q", row.Scenario)
-	}
-	if rec.SpanCount() == 0 {
-		t.Fatal("traced tenancy cell recorded no spans")
 	}
 }

@@ -38,8 +38,8 @@ type verbsCell struct {
 func VerbsSweep(cfg Config) ([]VerbsRow, error) {
 	sc := cfg.Scale
 	grid, err := osGrid(cfg, sc.VerbsSizes, verbsKey,
-		func(size uint64, os cluster.OSType, seed int64) (verbsCell, error) {
-			return verbsCellRun(cfg, os, size, sc.VerbsReps, seed)
+		func(cfg Config, size uint64, os cluster.OSType) (verbsCell, error) {
+			return verbsCellRun(cfg, os, size, sc.VerbsReps)
 		})
 	if err != nil {
 		return nil, err
@@ -63,14 +63,14 @@ func verbsKey(size uint64) string { return fmt.Sprintf("verbs/%dB", size) }
 // cfg.Faults like every other experiment — RDMA packets are exempt from
 // fabric fault injection (the HCA's hardware retransmission is below
 // the model), so the data-path numbers hold even on a lossy profile.
-func verbsCellRun(cfg Config, os cluster.OSType, size uint64, reps int, seed int64) (verbsCell, error) {
+func verbsCellRun(cfg Config, os cluster.OSType, size uint64, reps int) (verbsCell, error) {
 	// The cell is one process driving both nodes' HCAs directly, which
 	// has no legal cross-shard decomposition — reject rather than let a
 	// shard-0 process touch devices homed on another engine.
 	if cfg.Shards > 1 {
 		return verbsCell{}, fmt.Errorf("verbs: single-process cell cannot run with Shards=%d", cfg.Shards)
 	}
-	cl, err := cfg.cluster(cluster.Spec{Nodes: 2, OS: os, Seed: seed, Synthetic: true})
+	cl, err := cfg.cluster(cluster.Spec{Nodes: 2, OS: os, Synthetic: true})
 	if err != nil {
 		return verbsCell{}, err
 	}

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // shortArtifacts are the sub-second ids `go test -short` still rebuilds
@@ -28,6 +30,8 @@ var shortArtifacts = map[string]bool{
 // that artifacts/ holds no file the catalogue does not own, and that
 // every cell closed its cluster: a parked process is a goroutine, so a
 // forgotten Close shows here as a count rather than as memory growth.
+// Each id runs with its traced cell under a recorder, which must record
+// spans: the committed bytes then prove that tracing moves nothing.
 func TestCommittedArtifactsByteIdentical(t *testing.T) {
 	defer checkNoParkedProcesses(t, runtime.NumGoroutine())
 	cfg := defaultConfig()
@@ -39,9 +43,15 @@ func TestCommittedArtifactsByteIdentical(t *testing.T) {
 			continue
 		}
 		t.Run(a.ID, func(t *testing.T) {
+			rec := trace.NewRecorder()
+			cfg := cfg
+			cfg.Trace = map[string]*trace.Recorder{a.Trace: rec}
 			text, csv, err := a.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if a.Trace != "" && rec.SpanCount() == 0 {
+				t.Errorf("traced cell %s recorded no spans", a.Trace)
 			}
 			for ext, got := range map[string]string{".txt": text, ".csv": csv} {
 				path := filepath.Join(dir, a.ID+ext)

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/miniapps"
 	"repro/internal/trace"
@@ -21,35 +20,66 @@ func defaultConfig() experiments.Config {
 }
 
 // tracedSpans are the span names an id's exported trace must contain:
-// the mechanism its traced cell exists to show.
+// the mechanism its traced cell exists to show. fig4's and fig6a's show
+// the PicoDriver fast path: writev served in McKernel, and none
+// offloaded to Linux (noSpans).
 var tracedSpans = map[string][]string{
+	"fig4":        {"writev"},
+	"fig6a":       {"writev"},
 	"verbs":       {"doorbell", "dma", "cqe"},
 	"reliability": {"retransmit"},
 	"failover":    {"failover", "fallback"},
 }
 
-// tracedCell is `experiments -only ID -trace FILE` without the file:
-// the traced cell's line and its span latency table.
-func tracedCell(a Artifact) func() (string, *trace.Recorder, error) {
+var noSpans = map[string][]string{"fig4": {"offload:writev"}, "fig6a": {"offload:writev"}}
+
+// gateScale narrows an id's sweep for its gate row to the traced cell's
+// key. A cell's seed derives from its id alone, so the narrowing moves
+// nothing in the traced cell.
+var gateScale = map[string]func(*experiments.Scale){
+	"fig4":  func(sc *experiments.Scale) { sc.PingPongSizes = []uint64{64 << 10} },
+	"fig6a": func(sc *experiments.Scale) { sc.AppNodes = []int{2} },
+	"verbs": func(sc *experiments.Scale) { sc.VerbsSizes = []uint64{64 << 10} },
+	"reliability": func(sc *experiments.Scale) {
+		sc.LossRates, sc.ReliabilitySizes = []float64{0.05}, []uint64{32 << 10}
+	},
+}
+
+// traced runs sweep with cell under a recorder and returns what it
+// printed, the recorder's span latency table after it.
+func traced(cfg experiments.Config, cell string, sweep func(experiments.Config) (any, error)) (string, *trace.Recorder, error) {
+	rec := trace.NewRecorder()
+	cfg.Trace = map[string]*trace.Recorder{cell: rec}
+	out, err := sweep(cfg)
+	return fmt.Sprintf("%v\n%s", out, LatencyTable(rec)), rec, err
+}
+
+// tracedArtifact is `experiments -only ID -trace FILE` without the
+// file, on the gate's narrowed scale.
+func tracedArtifact(a Artifact) func() (string, *trace.Recorder, error) {
 	return func() (string, *trace.Recorder, error) {
-		rec := trace.NewRecorder()
-		line, err := a.Trace(defaultConfig(), rec)
-		return line + "\n" + LatencyTable(rec), rec, err
+		cfg := defaultConfig()
+		if narrow := gateScale[a.ID]; narrow != nil {
+			narrow(&cfg.Scale)
+		}
+		return traced(cfg, a.Trace, func(cfg experiments.Config) (any, error) {
+			text, _, err := a.Run(cfg)
+			return text, err
+		})
 	}
 }
 
-// shardedUMT is a traced UMT2013 cell on 4 nodes x 2 ranks partitioned
-// into 4 engine shards: the sharded engine under a recorder.
-func shardedUMT() (string, *trace.Recorder, error) {
-	cfg := defaultConfig()
-	cfg.Shards = 4
-	cfg.Scale.RanksPerNode = 2
-	rec := trace.NewRecorder()
-	res, err := experiments.AppCell(cfg, miniapps.UMT2013(), 4, cluster.OSMcKernelHFI, rec)
-	if err != nil {
-		return "", nil, err
+// tracedApp is the McKernel+HFI1 cell of app's AppScaling sweep at one
+// node count and rpn ranks per node, traced; shards partitions it.
+func tracedApp(app *miniapps.App, nodes, rpn, shards int) func() (string, *trace.Recorder, error) {
+	return func() (string, *trace.Recorder, error) {
+		cfg := defaultConfig()
+		cfg.Shards = shards
+		cfg.Scale.RanksPerNode = rpn
+		return traced(cfg, fmt.Sprintf("%s/%dn/McKernel+HFI1", app.Name, nodes), func(cfg experiments.Config) (any, error) {
+			return experiments.AppScaling(cfg, app, []int{nodes})
+		})
 	}
-	return fmt.Sprintf("elapsed=%v spans=%d\n%s", res.Elapsed, rec.SpanCount(), LatencyTable(rec)), rec, nil
 }
 
 // tinyBigscale is the bigscale sweep small enough for tier-1: one
@@ -80,26 +110,28 @@ func tinyBigscale() (string, *trace.Recorder, error) {
 }
 
 // TestDeterminismGates is the repo's determinism gate table: one row
-// per traced cell of the Artifacts catalogue — every trace a user can
-// export — plus a sharded traced cell and a tiny bigscale sweep. Each
-// row runs twice from the same seed and must produce identical table
-// text and — when it traces — byte-identical Chrome trace JSON that
-// passes trace.Validate (what cmd/tracecheck runs) and contains every
-// span name in wantSpans.
+// per traced id of the Artifacts catalogue — every trace a user can
+// export — plus LAMMPS-RMA's MPI RMA over the verbs path, a sharded
+// traced cell and a tiny bigscale sweep. Each row runs twice from the
+// same seed and must produce identical table text and — when it
+// traces — byte-identical Chrome trace JSON that passes trace.Validate
+// (what cmd/tracecheck runs), contains every span name in wantSpans
+// and none in noSpans.
 //
 // Gates that live elsewhere: a traced restore is
 // cluster.TestSnapshotRestore and the -checkpoint manifest
 // TestCheckpointManifest (internal/experiments); a sharded Fig4 table
 // equal to the unsharded one is TestShardsReachEveryCell; the tenancy
-// sweep rerun is TestTenancySweep; a traced cell equal to its table's
-// row is TestTracedCellsReproduceTheirRows; and the no-fault sweeps
-// equal to the committed artifacts are
+// sweep rerun is TestTenancySweep; traced rows equal to untraced ones
+// are TestTracedCellsAreTheirRows; and the no-fault sweeps, traced
+// cells recorded, equal to the committed artifacts are
 // TestCommittedArtifactsByteIdentical.
 func TestDeterminismGates(t *testing.T) {
 	type gate struct {
 		name      string
 		run       func() (table string, rec *trace.Recorder, err error)
 		wantSpans []string
+		noSpans   []string
 		// slow rows are skipped under -short: `make check` runs that
 		// mode under the race detector, where the sweep takes ~18 s,
 		// and the shards4 row and simtest's shard cells already put
@@ -108,12 +140,13 @@ func TestDeterminismGates(t *testing.T) {
 	}
 	var gates []gate
 	for _, a := range Artifacts {
-		if a.Trace != nil {
-			gates = append(gates, gate{name: a.ID, run: tracedCell(a), wantSpans: tracedSpans[a.ID]})
+		if a.Trace != "" {
+			gates = append(gates, gate{name: a.ID, run: tracedArtifact(a), wantSpans: tracedSpans[a.ID], noSpans: noSpans[a.ID]})
 		}
 	}
 	gates = append(gates,
-		gate{name: "umt2013-4x2-shards4", run: shardedUMT},
+		gate{name: "lammps-rma-2x4", run: tracedApp(miniapps.LAMMPSRMA(), 2, 4, 1), wantSpans: tracedSpans["verbs"]},
+		gate{name: "umt2013-4x2-shards4", run: tracedApp(miniapps.UMT2013(), 4, 2, 4)},
 		gate{name: "bigscale-tiny", run: tinyBigscale, slow: true})
 	for _, g := range gates {
 		t.Run(g.name, func(t *testing.T) {
@@ -148,83 +181,10 @@ func TestDeterminismGates(t *testing.T) {
 					t.Errorf("trace has no %q span", want)
 				}
 			}
-		})
-	}
-}
-
-// TestTracedCellsReproduceTheirRows pins that tracing moves no
-// simulated value and that each exported trace explains a row of its
-// artifact: every traced cell's line equals the line rendered from the
-// same cell's entries in the untraced table. The untraced sweeps are
-// narrowed to the traced cell's key; a cell's seed derives from its id
-// alone, so the narrowing moves nothing. verbs is exempt: its traced
-// cell is the application that drives the verbs path, not a sweep cell.
-func TestTracedCellsReproduceTheirRows(t *testing.T) {
-	const hfi = "McKernel+HFI1"
-	tables := map[string]func(cfg experiments.Config) (string, error){
-		"fig4": func(cfg experiments.Config) (string, error) {
-			cfg.Scale.PingPongSizes = []uint64{tracedPPSize}
-			rows, err := experiments.Fig4(cfg)
-			if err != nil {
-				return "", err
-			}
-			return fig4Line(rows[0].OneWayP50[hfi], rows[0].OneWayP99[hfi]), nil
-		},
-		"fig6a": func(cfg experiments.Config) (string, error) {
-			pts, err := experiments.AppScaling(cfg, miniapps.UMT2013(), []int{tracedNodes})
-			if err != nil {
-				return "", err
-			}
-			return fig6aLine(pts[0].Elapsed[hfi]), nil
-		},
-		"reliability": func(cfg experiments.Config) (string, error) {
-			cfg.Scale.LossRates = []float64{tracedRelLoss}
-			cfg.Scale.ReliabilitySizes = []uint64{tracedRelSize}
-			rows, err := experiments.Reliability(cfg)
-			if err != nil {
-				return "", err
-			}
-			r := rows[0]
-			return reliabilityLine(r.OneWayP50[hfi], r.OneWayP99[hfi], r.Retransmits[hfi]), nil
-		},
-		"failover": func(cfg experiments.Config) (string, error) {
-			rows, err := experiments.Failover(cfg)
-			for _, r := range rows {
-				if r.OS == hfi {
-					return rowLine("failover", r), nil
+			for _, no := range g.noSpans {
+				if names[no] {
+					t.Errorf("trace has a %q span", no)
 				}
-			}
-			return "", fmt.Errorf("no %s row (%v)", hfi, err)
-		},
-		"tenancy": func(cfg experiments.Config) (string, error) {
-			rows, err := experiments.Tenancy(cfg)
-			for _, r := range rows {
-				if r.OS == hfi && r.Scenario == "packed" {
-					return rowLine("tenancy", r), nil
-				}
-			}
-			return "", fmt.Errorf("no %s packed row (%v)", hfi, err)
-		},
-	}
-	for _, a := range Artifacts {
-		if a.Trace == nil || a.ID == "verbs" {
-			continue
-		}
-		t.Run(a.ID, func(t *testing.T) {
-			table, ok := tables[a.ID]
-			if !ok {
-				t.Fatal("traced cell has no row to reproduce")
-			}
-			want, err := table(defaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := a.Trace(defaultConfig(), trace.NewRecorder())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Errorf("traced cell differs from its table row:\n got  %s\n want %s", got, want)
 			}
 		})
 	}

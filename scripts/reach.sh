@@ -1,7 +1,7 @@
 #!/bin/sh
 # Reachability gate (make reach). Builds every front end — each cmd/
-# binary, the four examples, the benchmark, and the simtest and
-# experiments test binaries —
+# binary, the four examples, the benchmark, and the simtest,
+# experiments and report test binaries —
 # with coverage counters over the whole module, drives each one over the
 # inputs below, and prints the internal/ functions that no run executed
 # (0.0% in `go tool covdata func`) as `file: function`, one per line.
@@ -33,6 +33,7 @@ mkdir -p "$bin" "$out" "$GOCOVERDIR"
 $GO build -cover -coverpkg=./... -o "$bin/" ./cmd/... ./examples/... ./benchmark
 $GO test -c -cover -coverpkg=./... -o "$bin/simtest.test" ./internal/simtest
 $GO test -c -cover -coverpkg=./... -o "$bin/experiments.test" ./internal/experiments
+$GO test -c -cover -coverpkg=./... -o "$bin/report.test" ./internal/report
 
 run() {
 	echo "reach: $*" >&2
@@ -73,6 +74,9 @@ done
 # The shard gate's bisect report, on the one pair known to diverge (a
 # Shards=1 and a Shards=2 snapshot compared across layouts).
 run "$bin/experiments.test" -test.run 'TestBigscaleNamesFirstDivergence$' -test.gocoverdir="$GOCOVERDIR"
+# LAMMPS-RMA, the one application that drives MPI RMA windows over the
+# verbs path, traced (its TestDeterminismGates row).
+run "$bin/report.test" -test.run 'TestDeterminismGates$/^lammps-rma-2x4$' -test.gocoverdir="$GOCOVERDIR"
 run "$bin/dwarf-extract-struct" -hfi -list
 run "$bin/benchmark" -seconds 1
 # The traced pass also runs the per-layer rungs.
