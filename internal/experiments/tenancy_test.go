@@ -3,6 +3,8 @@ package experiments
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // TestTenancySweep is the end-to-end gate on the multi-tenant
@@ -42,5 +44,29 @@ func TestTenancySweep(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rows, again) {
 		t.Fatal("tenancy sweep not deterministic")
+	}
+}
+
+// TestTracedTenancy checks that the traced id the tenancy artifact
+// exports names a cell of the sweep: the McKernel+HFI1 packed row is
+// there and its recorder holds spans.
+func TestTracedTenancy(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Scale.TenancyMsgs = 40
+	rec := trace.NewRecorder()
+	cfg.Trace = map[string]*trace.Recorder{"tenancy/McKernel+HFI1/packed": rec}
+	rows, err := Tenancy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed := false
+	for _, r := range rows {
+		packed = packed || r.OS == "McKernel+HFI1" && r.Scenario == "packed"
+	}
+	if !packed {
+		t.Fatalf("no McKernel+HFI1 packed row in %+v", rows)
+	}
+	if rec.SpanCount() == 0 {
+		t.Fatal("traced tenancy cell recorded no spans")
 	}
 }

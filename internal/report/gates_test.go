@@ -123,7 +123,9 @@ func tinyBigscale() (string, *trace.Recorder, error) {
 // TestCheckpointManifest (internal/experiments); a sharded Fig4 table
 // equal to the unsharded one is TestShardsReachEveryCell; the tenancy
 // sweep rerun is TestTenancySweep; traced rows equal to untraced ones
-// are TestTracedCellsAreTheirRows; and the no-fault sweeps, traced
+// are TestTracedCellsAreTheirRows (internal/experiments) and traced
+// artifacts equal to untraced ones TestTracedCellsReproduceTheirRows;
+// and the no-fault sweeps, traced
 // cells recorded, equal to the committed artifacts are
 // TestCommittedArtifactsByteIdentical.
 func TestDeterminismGates(t *testing.T) {
@@ -185,6 +187,41 @@ func TestDeterminismGates(t *testing.T) {
 				if names[no] {
 					t.Errorf("trace has a %q span", no)
 				}
+			}
+		})
+	}
+}
+
+// TestTracedCellsReproduceTheirRows pins that each exported trace is
+// a cell of its artifact's own run: the artifact rendered with its
+// traced cell under a recorder is byte-identical, text and CSV, to the
+// untraced rendering, and the cell recorded spans. Both runs take the
+// gate's narrowed scale.
+func TestTracedCellsReproduceTheirRows(t *testing.T) {
+	for _, a := range Artifacts {
+		if a.Trace == "" {
+			continue
+		}
+		t.Run(a.ID, func(t *testing.T) {
+			cfg := defaultConfig()
+			if narrow := gateScale[a.ID]; narrow != nil {
+				narrow(&cfg.Scale)
+			}
+			wantText, wantCSV, err := a.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := trace.NewRecorder()
+			cfg.Trace = map[string]*trace.Recorder{a.Trace: rec}
+			text, csv, err := a.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if text != wantText || csv != wantCSV {
+				t.Errorf("traced artifact differs from untraced:\n--- traced\n%s%s--- untraced\n%s%s", text, csv, wantText, wantCSV)
+			}
+			if rec.SpanCount() == 0 {
+				t.Errorf("traced cell %s recorded no spans", a.Trace)
 			}
 		})
 	}
