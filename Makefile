@@ -35,11 +35,13 @@ check: vet
 
 # Property-based simulation testing. Default: the short battery (one
 # randomized cell grid across all three OS configs). SOAK=1 runs the
-# long parallel soak via cmd/simtest; SEED overrides the base seed.
+# soak: TestSimHarness over the 810-cell grid (-cells=100), in parallel
+# (go test -parallel N); -count=1 keeps a cached pass from standing in
+# for a run. SEED overrides the base seed.
 SEED ?= 1
 simtest:
 ifeq ($(SOAK),1)
-	$(GO) run ./cmd/simtest -seed $(SEED) -cells 100
+	$(GO) test ./internal/simtest -count=1 -run 'TestSimHarness$$' -seed=$(SEED) -cells=100
 else
 	$(GO) test ./internal/simtest -count=1 -seed=$(SEED) -v -run 'TestSim'
 endif

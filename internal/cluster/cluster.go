@@ -66,8 +66,8 @@ var AllOSTypes = []OSType{OSLinux, OSMcKernel, OSMcKernelHFI}
 type Spec struct {
 	Nodes int
 	OS    OSType
-	// Params are the model constants (model.Default() if zero-valued
-	// fields — callers pass a full set).
+	// Params are the model constants; the zero value means
+	// model.Default().
 	Params model.Params
 	Spec   ihk.NodeSpec
 	Seed   int64
@@ -159,6 +159,9 @@ func New(cfg Spec) (*Cluster, error) {
 	}
 	if err := checkFaultRates(&cfg.Faults); err != nil {
 		return nil, err
+	}
+	if cfg.Params == (model.Params{}) {
+		cfg.Params = model.Default()
 	}
 	if cfg.Spec.TotalCPUs == 0 {
 		cfg.Spec = ihk.DefaultNodeSpec()

@@ -440,3 +440,37 @@ func TestNewRejectsBadFaultRates(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroParamsMeanDefault: a Spec without Params builds with
+// model.Default(), so a 1 KB send finishes at the same virtual time as
+// on a cluster given model.Default() explicitly.
+func TestZeroParamsMeanDefault(t *testing.T) {
+	var ends []time.Duration
+	for _, pr := range []model.Params{{}, model.Default()} {
+		cl, err := New(Spec{Nodes: 2, Params: pr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		ranks := cl.StartRanks("rank", []int{0, 1}, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
+			buf, err := ep.OS.MmapAnon(p, 1024)
+			if err != nil {
+				return err
+			}
+			if r == 0 {
+				return ep.Send(p, 1, 7, buf, 1024)
+			}
+			return ep.Recv(p, 0, 7, buf, 1024)
+		})
+		if err := cl.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := ranks.Err(); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, cl.Now())
+	}
+	if ends[0] != ends[1] {
+		t.Fatalf("1 KB send ends at %v with zero Params, %v with model.Default()", ends[0], ends[1])
+	}
+}

@@ -27,7 +27,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/miniapps"
-	"repro/internal/model"
 	"repro/internal/mpi"
 	"repro/internal/psm"
 	"repro/internal/runner"
@@ -84,16 +83,13 @@ func (c Config) pool() *runner.Pool {
 // cluster builds one cell's machine, and is the only place the package
 // calls cluster.New. spec carries what the cell chooses — nodes, OS,
 // Synthetic, Congestion, and Params when it departs from
-// model.Default(); the fault profile and the shard count always come
-// from the Config, so they reach every cell or cluster.New refuses the
-// combination. A cell that sweeps the fault profile edits its own copy
-// of the Config first. The seed and the recorder come from the cell's
-// id: the engine is seeded DeriveSeed(Scale.Seed, id) and records into
-// Trace[id].
+// model.Default(), cluster.New's default; the fault profile and the
+// shard count always come from the Config, so they reach every cell or
+// cluster.New refuses the combination. A cell that sweeps the fault
+// profile edits its own copy of the Config first. The seed and the
+// recorder come from the cell's id: the engine is seeded
+// DeriveSeed(Scale.Seed, id) and records into Trace[id].
 func (c Config) cluster(spec cluster.Spec) (*cluster.Cluster, error) {
-	if spec.Params == (model.Params{}) {
-		spec.Params = model.Default()
-	}
 	spec.Faults = c.Faults
 	spec.Shards = c.Shards
 	spec.Seed = runner.DeriveSeed(c.Scale.Seed, c.cell)

@@ -24,16 +24,12 @@ import (
 
 // Report summarizes one successful workload execution.
 type Report struct {
-	Workload    Workload
 	Digest      string
 	VirtualTime time.Duration
 	Messages    int
 	// Spans is the number of trace spans the run's recorder captured;
 	// the serialized trace is folded into Digest.
 	Spans int
-	// Faults counts the faults the fabric injected during the run (all
-	// zero unless the workload carries an active fault profile).
-	Faults fabric.FaultStats
 }
 
 // Repro is the single-seed repro command printed with every failure.
@@ -41,62 +37,32 @@ func Repro(base int64, cell string) string {
 	return fmt.Sprintf("go test ./internal/simtest -run 'TestSimHarness$' -seed=%d -cell='%s'", base, cell)
 }
 
-// ReproRestore is the time-travel repro command printed when a failing
-// cell's snapshot was captured: it replays the final slice from the
-// snapshot under tracing.
-func ReproRestore(base int64, cell, snapFile string) string {
-	return fmt.Sprintf("go test ./internal/simtest -run 'TestSimRestore$' -seed=%d -cell='%s' -restore=%s -restore-trace=%s.trace.json",
-		base, cell, snapFile, snapFile)
-}
-
-// FailureSnapshot reruns a failing cell to locate the virtual time of
-// the failure, then reruns once more capturing a full simulator
-// snapshot at 90% of that time — late enough that replaying the rest
-// under tracing covers only the interesting slice. Returns the
-// snapshot image and its capture time; it is an error if the cell
-// passes, or fails before any snapshot could be taken.
-func FailureSnapshot(base int64, cell string) ([]byte, time.Duration, error) {
-	w, err := Generate(base, cell)
-	if err != nil {
-		return nil, 0, err
-	}
-	var failAt time.Duration
-	if _, err := runWith(w, runOpts{failNow: &failAt}); err == nil {
-		return nil, 0, fmt.Errorf("simtest: cell %s passed on rerun; nothing to snapshot", cell)
-	}
-	at := failAt * 9 / 10
-	var snap []byte
-	runWith(w, runOpts{snapshotAt: at, snapOut: &snap}) // fails again; the snapshot lands first
-	if len(snap) == 0 {
-		return nil, 0, fmt.Errorf("simtest: cell %s stopped before %v; no snapshot captured", cell, at)
-	}
-	return snap, at, nil
-}
-
-// Replay re-executes a cell from a snapshot image: the simulation is
-// rebuilt from the cell's seed, fast-forwarded through the image
-// (byte-verified by snapshot.Restore), and run to the end with the
-// span recorder attached only from the restore point on. The
-// final-slice Chrome trace is written to tracePath ("" discards it)
-// whether or not the run fails, so a failure replay still yields its
-// trace.
-func Replay(base int64, cell string, img []byte, tracePath string) (*Report, error) {
-	w, err := Generate(base, cell)
-	if err != nil {
-		return nil, err
-	}
-	return runWith(w, runOpts{restore: img, traceFromRestore: true, traceOut: tracePath})
-}
-
-// CheckCell generates the cell's workload, runs it twice and compares
-// trace digests. Any failure carries the workload summary and a
-// one-line repro command.
+// CheckCell generates the cell's workload and runs it through Check.
+// Any failure carries the workload summary and a one-line repro
+// command.
 func CheckCell(base int64, cell string) (*Report, error) {
+	return withRepro(base, cell, Check)
+}
+
+// TraceCell runs the cell once straight through, as Check's reference
+// run does, and writes the run's Chrome trace to file whether or not
+// the run fails; it returns the run's failure as CheckCell words it.
+// Shard cells record no spans (their recorder is off).
+func TraceCell(base int64, cell, file string) error {
+	_, err := withRepro(base, cell, func(w Workload) (*Report, error) {
+		return runWith(w, runOpts{traceOut: file})
+	})
+	return err
+}
+
+// withRepro generates the cell's workload and runs it with run, adding
+// the workload summary and the repro command to any failure.
+func withRepro(base int64, cell string, run func(Workload) (*Report, error)) (*Report, error) {
 	w, err := Generate(base, cell)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := Check(w)
+	rep, err := run(w)
 	if err != nil {
 		return nil, fmt.Errorf("%w\nworkload: %s\nrepro: %s", err, w.Summary(), Repro(base, cell))
 	}
@@ -159,7 +125,8 @@ func Check(w Workload) (*Report, error) {
 // per-rank virtual-clock monotonicity.
 func Run(w Workload) (*Report, error) { return runWith(w, runOpts{}) }
 
-// runOpts selects the checkpoint/restore variant of a harness run.
+// runOpts selects the checkpoint/restore variant of a harness run and
+// where its trace goes.
 type runOpts struct {
 	// snapshotAt pauses the engine at this virtual time, captures a
 	// full simulator snapshot into snapOut, and resumes. The pause
@@ -170,18 +137,9 @@ type runOpts struct {
 	// snapshot image (snapshot.Restore: replay, re-encode,
 	// byte-compare) before finishing the run.
 	restore []byte
-	// traceFromRestore attaches the span recorder only after the
-	// restore point, so the trace covers exactly the final slice
-	// (time-travel debugging). Digests then cover only that slice, so
-	// equivalence checks leave it unset.
-	traceFromRestore bool
 	// traceOut, when non-empty, receives the run's Chrome trace JSON
-	// even if the run fails — the whole point when replaying a
-	// failure snapshot.
+	// even if the run fails.
 	traceOut string
-	// failNow, when non-nil, receives the virtual time at which a
-	// failing run stopped.
-	failNow *time.Duration
 }
 
 // runWith executes the workload under o's checkpoint/restore plan.
@@ -210,7 +168,7 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 	}
 	defer cl.Close()
 	rec := trace.NewRecorder()
-	if !o.traceFromRestore && !w.Untraced {
+	if !w.Untraced {
 		cl.SetRecorder(rec)
 	}
 	// Pin balance is measured against the post-boot baseline: McKernel
@@ -246,8 +204,6 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 	if len(o.restore) > 0 {
 		if _, rerr := snapshot.Restore(o.restore, cl.Machine()); rerr != nil {
 			engineErr = fmt.Errorf("restore: %w", rerr)
-		} else if o.traceFromRestore {
-			cl.SetRecorder(rec)
 		}
 	}
 	if engineErr == nil && o.snapshotAt > 0 {
@@ -264,11 +220,6 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 	if engineErr == nil {
 		engineErr = cl.Run(0)
 	}
-	if o.traceOut != "" {
-		if werr := os.WriteFile(o.traceOut, rec.ChromeTraceJSON(), 0o644); werr != nil && engineErr == nil {
-			engineErr = fmt.Errorf("writing trace: %w", werr)
-		}
-	}
 	var fails []string
 	if err := failed.Err(); err != nil {
 		fails = append(fails, err.Error())
@@ -280,10 +231,12 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 	if engineErr != nil && (len(fails) == 0 || !errors.As(engineErr, &dl)) {
 		fails = append(fails, engineErr.Error())
 	}
-	if len(fails) > 0 {
-		if o.failNow != nil {
-			*o.failNow = cl.Now()
+	if o.traceOut != "" {
+		if err := os.WriteFile(o.traceOut, rec.ChromeTraceJSON(), 0o644); err != nil {
+			fails = append(fails, fmt.Sprintf("writing trace: %v", err))
 		}
+	}
+	if len(fails) > 0 {
 		return nil, fmt.Errorf("simtest: %s", strings.Join(fails, "; "))
 	}
 	for i, n := range cl.Nodes {
@@ -346,12 +299,10 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 		return nil, err
 	}
 	return &Report{
-		Workload:    w,
 		Digest:      digest,
 		VirtualTime: cl.Now(),
 		Messages:    len(w.Msgs),
 		Spans:       rec.SpanCount(),
-		Faults:      cl.Fab.FaultStats(),
 	}, nil
 }
 
@@ -386,13 +337,12 @@ func traceDigest(cl *cluster.Cluster, eps []*psm.Endpoint, sums [][]byte, rec *t
 	return hex.EncodeToString(h.Sum(nil))[:16], nil
 }
 
-// runRank is one rank's life once StartRanks has opened its endpoint
-// and every rank has published its address: map and fill buffers, post
-// the workload's operations in the cell's order mode, verify every
-// received payload byte-for-byte, then drain and tear everything down.
-func runRank(p *sim.Proc, w Workload, rs *cluster.Ranks, r int, ep *psm.Endpoint, sums [][]byte) error {
+// monotonic returns a check that p's virtual clock has not moved
+// backwards since the previous check (the first compares with the time
+// monotonic was called); stage names the point in the error.
+func monotonic(p *sim.Proc) func(stage string) error {
 	last := p.Now()
-	mono := func(stage string) error {
+	return func(stage string) error {
 		now := p.Now()
 		if now < last {
 			return fmt.Errorf("virtual clock moved backwards at %s: %v < %v", stage, now, last)
@@ -400,6 +350,14 @@ func runRank(p *sim.Proc, w Workload, rs *cluster.Ranks, r int, ep *psm.Endpoint
 		last = now
 		return nil
 	}
+}
+
+// runRank is one rank's life once StartRanks has opened its endpoint
+// and every rank has published its address: map and fill buffers, post
+// the workload's operations in the cell's order mode, verify every
+// received payload byte-for-byte, then drain and tear everything down.
+func runRank(p *sim.Proc, w Workload, rs *cluster.Ranks, r int, ep *psm.Endpoint, sums [][]byte) error {
+	mono := monotonic(p)
 	osops := ep.OS
 	sends := msgsFrom(w, r)
 	recvs := msgsTo(w, r)
@@ -617,15 +575,7 @@ func rmaLayout(w Workload, r int) (total uint64, off map[int]uint64) {
 // byte-for-byte, then tear the HCA state down explicitly.
 func runRankRMA(p *sim.Proc, w Workload, node *cluster.Node, r int,
 	descs []rmaDesc, ready, done *sim.Rendezvous, sums [][]byte) error {
-	last := p.Now()
-	mono := func(stage string) error {
-		now := p.Now()
-		if now < last {
-			return fmt.Errorf("virtual clock moved backwards at %s: %v < %v", stage, now, last)
-		}
-		last = now
-		return nil
-	}
+	mono := monotonic(p)
 	osops := node.NewRankOS(r)
 	u, err := verbs.Open(p, osops)
 	if err != nil {

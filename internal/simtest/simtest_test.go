@@ -10,95 +10,48 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/simtest"
+	"repro/internal/trace"
 )
 
 var (
-	seedFlag  = flag.Int64("seed", 1, "simtest base seed (reproduce a failure with the printed -seed/-cell pair)")
-	cellFlag  = flag.String("cell", "", "run only this simtest cell (e.g. 'Linux/3')")
-	cellsFlag = flag.Int("cells", 9, "randomized cells per OS configuration")
-
-	restoreFlag      = flag.String("restore", "", "replay -cell from this snapshot file (TestSimRestore)")
-	restoreTraceFlag = flag.String("restore-trace", "", "write the final-slice Chrome trace of the -restore replay here")
+	seedFlag      = flag.Int64("seed", 1, "simtest base seed (reproduce a failure with the printed -seed/-cell pair)")
+	cellFlag      = flag.String("cell", "", "run only this simtest cell (e.g. 'Linux/3')")
+	cellsFlag     = flag.Int("cells", 9, "plain cells per OS configuration (the soak runs 100)")
+	cellTraceFlag = flag.String("cell-trace", "", "with -cell, write the cell's straight-run Chrome trace here, even if it fails")
 )
 
 // TestSimHarness drives randomized workloads through the real
-// sim→fabric→hfi→psm stack under all three OS configurations. Each
-// cell asserts byte-exact delivery against an in-memory reference,
-// pin/TID balance at teardown, virtual-clock monotonicity and
-// same-seed trace-digest equality. A failing cell prints a one-line
-// repro command and a greedily shrunk workload. Once every cell is
-// done, no simulated process may be left parked: each run closes its
-// cluster.
+// sim→fabric→hfi→psm stack under all three OS configurations, one
+// subtest per cell of the simtest.Cells grid. Each cell asserts
+// byte-exact delivery against an in-memory reference, pin/TID balance
+// at teardown, virtual-clock monotonicity and same-seed trace-digest
+// equality across a straight, a paused and a restored run (shard cells
+// also at Shards=1). A failing cell prints a one-line repro command and
+// a greedily shrunk workload. Once every cell is done, no simulated
+// process may be left parked: each run closes its cluster. At
+// -cells=100 this is the soak.
 func TestSimHarness(t *testing.T) {
 	base := runtime.NumGoroutine()
 	t.Cleanup(func() { checkNoParkedProcesses(t, base) })
+	if *cellTraceFlag != "" && *cellFlag == "" {
+		t.Fatal("-cell-trace needs -cell")
+	}
 	if *cellFlag != "" {
+		if *cellTraceFlag != "" {
+			if err := simtest.TraceCell(*seedFlag, *cellFlag, *cellTraceFlag); err != nil {
+				t.Fatalf("cell %s, traced into %s: %v", *cellFlag, *cellTraceFlag, err)
+			}
+			t.Logf("cell %s: trace written to %s", *cellFlag, *cellTraceFlag)
+		}
 		runCell(t, *cellFlag)
 		return
 	}
-	for _, osType := range cluster.AllOSTypes {
-		for i := 0; i < *cellsFlag; i++ {
-			cell := fmt.Sprintf("%s/%d", osType, i)
-			t.Run(cell, func(t *testing.T) {
-				t.Parallel()
-				runCell(t, cell)
-			})
-		}
-		// One-sided cells: the same invariant battery over RDMA WRITEs
-		// through the verbs HCA instead of PSM send/recv.
-		for i := 0; i < (*cellsFlag+2)/3; i++ {
-			cell := fmt.Sprintf("%s/rma/%d", osType, i)
-			t.Run(cell, func(t *testing.T) {
-				t.Parallel()
-				runCell(t, cell)
-			})
-		}
-		// Lossy cells: the same battery over a fabric that drops,
-		// corrupts, duplicates and reorders packets; the reliability
-		// layer must still deliver byte-identical payloads.
-		for i := 0; i < (*cellsFlag+2)/3; i++ {
-			cell := fmt.Sprintf("%s/lossy/%d", osType, i)
-			t.Run(cell, func(t *testing.T) {
-				t.Parallel()
-				runCell(t, cell)
-			})
-		}
-		// Failover cells: rail flaps, mid-message fast→slow switching and
-		// recovery fallback; the health machine must carry every payload
-		// across the failovers and the 3× straight/snapshot/restore digest
-		// comparison covers the new health and rail snapshot sections.
-		for i := 0; i < (*cellsFlag+2)/3; i++ {
-			cell := fmt.Sprintf("%s/failover/%d", osType, i)
-			t.Run(cell, func(t *testing.T) {
-				t.Parallel()
-				runCell(t, cell)
-			})
-		}
-		// Tenancy cells: two concurrent jobs (or an incast fan-in) share
-		// a congestion-controlled fabric; AIMD backoff, CNPs and the
-		// congestion snapshot sections ride the same 3× digest check.
-		for i := 0; i < (*cellsFlag+2)/3; i++ {
-			cell := fmt.Sprintf("%s/tenancy/%d", osType, i)
-			t.Run(cell, func(t *testing.T) {
-				t.Parallel()
-				runCell(t, cell)
-			})
-		}
-		// Shard cells: the same battery on a sharded engine (Shards=4).
-		// Check additionally reruns each at Shards=1 and fails on any
-		// digest difference, so these cells certify the conservative
-		// parallel engine is observationally identical to the sequential
-		// one — and the sharded run's snapshot/restore leg covers the
-		// versioned ShardSet snapshot sections.
-		for i := 0; i < (*cellsFlag+2)/3; i++ {
-			cell := fmt.Sprintf("%s/shard/%d", osType, i)
-			t.Run(cell, func(t *testing.T) {
-				t.Parallel()
-				runCell(t, cell)
-			})
-		}
+	for _, cell := range simtest.Cells(*cellsFlag) {
+		t.Run(cell, func(t *testing.T) {
+			t.Parallel()
+			runCell(t, cell)
+		})
 	}
 }
 
@@ -135,8 +88,9 @@ func runCell(t *testing.T, cell string) {
 // TestSimTIDExhaustionFault checks the harness catches injected
 // faults: a cell whose RcvArray is shrunk below one rendezvous
 // window's demand must fail, the failure must name the exhausted
-// RcvArray and carry a working single-seed repro command, and the
-// shrinker must preserve the failure while reducing the workload.
+// RcvArray and carry a working single-seed repro command, the traced
+// repro must write a valid trace of the failed run, and the shrinker
+// must preserve the failure while reducing the workload.
 func TestSimTIDExhaustionFault(t *testing.T) {
 	cell := "Linux/!tid/0"
 	_, err := simtest.CheckCell(*seedFlag, cell)
@@ -151,10 +105,19 @@ func TestSimTIDExhaustionFault(t *testing.T) {
 		!strings.Contains(out, "-cell='"+cell+"'") {
 		t.Fatalf("failure lacks a repro command:\n%s", out)
 	}
-	// The printed repro pair actually reproduces the fault.
-	if _, err2 := simtest.CheckCell(*seedFlag, cell); err2 == nil ||
+	// The printed repro pair reproduces the fault, and its traced run
+	// (the -cell-trace repro) still writes a valid trace of the failure.
+	tracePath := filepath.Join(t.TempDir(), "cell.json")
+	if err2 := simtest.TraceCell(*seedFlag, cell, tracePath); err2 == nil ||
 		!strings.Contains(err2.Error(), "RcvArray exhausted") {
-		t.Fatalf("repro run did not reproduce the fault: %v", err2)
+		t.Fatalf("traced repro run did not reproduce the fault: %v", err2)
+	}
+	data, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := trace.Validate(data); err != nil {
+		t.Fatalf("the failed run's trace: %v", err)
 	}
 	w, gerr := simtest.Generate(*seedFlag, cell)
 	if gerr != nil {
@@ -168,74 +131,6 @@ func TestSimTIDExhaustionFault(t *testing.T) {
 		t.Fatalf("shrinker grew the workload: %d > %d msgs", len(min.Msgs), len(w.Msgs))
 	}
 	t.Logf("fault output:\n%s\nshrunk: %s → %v", out, min.Summary(), minErr)
-}
-
-// TestSimRestore is the time-travel entry point printed with failure
-// snapshots: given -cell and -restore=<snapshot file>, it rebuilds the
-// cell's simulation, fast-forwards it through the snapshot (byte-
-// verified), and replays the final slice with tracing attached from
-// the restore point on. -restore-trace names the Chrome trace output.
-// The replayed cell's failure — the thing being debugged — is
-// reported after the trace is written.
-func TestSimRestore(t *testing.T) {
-	if *restoreFlag == "" {
-		t.Skip("no -restore snapshot given")
-	}
-	if *cellFlag == "" {
-		t.Fatal("-restore requires -cell (and the matching -seed)")
-	}
-	img, err := os.ReadFile(*restoreFlag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, rerr := simtest.Replay(*seedFlag, *cellFlag, img, *restoreTraceFlag)
-	if *restoreTraceFlag != "" {
-		t.Logf("final-slice trace written to %s", *restoreTraceFlag)
-	}
-	if rerr != nil {
-		t.Fatalf("cell %s replayed from %s:\n%v", *cellFlag, *restoreFlag, rerr)
-	}
-	t.Logf("cell %s replayed clean from %s: digest %s, %v virtual time",
-		*cellFlag, *restoreFlag, rep.Digest, rep.VirtualTime)
-}
-
-// TestFailureSnapshotRepro pins the failure time-travel workflow end
-// to end on a known-failing cell: FailureSnapshot must capture a
-// restorable image from before the injected fault, the printed replay
-// command must name the cell, its seed and the image, and Replay from
-// that image must reproduce the same fault while emitting the
-// final-slice trace.
-func TestFailureSnapshotRepro(t *testing.T) {
-	cell := "Linux/!tid/0"
-	snap, at, err := simtest.FailureSnapshot(*seedFlag, cell)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if at <= 0 || len(snap) == 0 {
-		t.Fatalf("empty failure snapshot (at=%v, %d bytes)", at, len(snap))
-	}
-	dir := t.TempDir()
-	snapPath := filepath.Join(dir, "fail.snap")
-	replay := simtest.ReproRestore(*seedFlag, cell, snapPath)
-	for _, want := range []string{"-run 'TestSimRestore$'", fmt.Sprintf("-seed=%d", *seedFlag),
-		"-cell='" + cell + "'", "-restore=" + snapPath} {
-		if !strings.Contains(replay, want) {
-			t.Fatalf("replay command %q lacks %q", replay, want)
-		}
-	}
-	tracePath := filepath.Join(dir, "slice.trace.json")
-	_, rerr := simtest.Replay(*seedFlag, cell, snap, tracePath)
-	if rerr == nil {
-		t.Fatal("replay from the failure snapshot passed; fault not reproduced")
-	}
-	if !strings.Contains(rerr.Error(), "RcvArray exhausted") {
-		t.Fatalf("replay failed differently than the original fault:\n%v", rerr)
-	}
-	data, err := os.ReadFile(tracePath)
-	if err != nil || len(data) == 0 {
-		t.Fatalf("failure replay wrote no final-slice trace: %v (%d bytes)", err, len(data))
-	}
-	t.Logf("snapshot at %v (%d bytes) reproduced the fault; %d-byte slice trace", at, len(snap), len(data))
 }
 
 // TestRankErrorReportedWithoutItsDeadlock pins the failure message of
@@ -327,7 +222,8 @@ func TestTraceFoldedIntoDigest(t *testing.T) {
 
 // TestGenerateStable pins generation determinism: the same (seed,
 // cell) pair must always expand to the identical workload, and
-// distinct cells must differ.
+// distinct cells must differ. Every soak cell generates; a name
+// outside the catalogue is refused.
 func TestGenerateStable(t *testing.T) {
 	a, err := simtest.Generate(7, "Linux/0")
 	if err != nil {
@@ -352,7 +248,14 @@ func TestGenerateStable(t *testing.T) {
 	if a.Seed == c.Seed {
 		t.Fatalf("distinct cells derived the same seed %d", a.Seed)
 	}
-	if _, err := simtest.Generate(7, "Plan9/0"); err == nil {
-		t.Fatal("unknown OS prefix accepted")
+	for _, bad := range []string{"Plan9/0", "Linux/lossy3/1", "Linux/shrad/2", "Linux/3x", "Linux//1", "Linux/03"} {
+		if _, err := simtest.Generate(7, bad); err == nil {
+			t.Errorf("cell %q outside the catalogue accepted", bad)
+		}
+	}
+	for _, cell := range simtest.Cells(100) {
+		if _, err := simtest.Generate(7, cell); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

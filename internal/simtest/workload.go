@@ -140,53 +140,98 @@ var rmaSizeClasses = []uint64{
 // FIFO matching of identical tags schedule-dependent.
 var dupSafeSizes = []uint64{1000, 4096, 16 << 10}
 
-// ParseCell extracts the OS configuration a cell name is pinned to.
-func ParseCell(cell string) (cluster.OSType, error) {
+// cellKind is one kind of simtest cell: the path segment between the OS
+// and the index that names it ("" for a plain cell) and the generator
+// that expands it.
+type cellKind struct {
+	name string
+	gen  func(w Workload, index int) Workload
+	// fault marks a deliberate fault cell: it must fail, so Cells, the
+	// soak grid, leaves it out.
+	fault bool
+}
+
+// cellKinds is the cell catalogue, in soak-grid order. A cell is named
+// OS/index (a plain cell) or OS/kind/index.
+var cellKinds = []cellKind{
+	{name: "", gen: generatePlain},
+	{name: "rma", gen: generateRMA},
+	{name: "lossy", gen: generateLossy},
+	{name: "failover", gen: generateFailover},
+	{name: "tenancy", gen: generateTenancy},
+	{name: "shard", gen: generateShard},
+	{name: "!tid", gen: generateTIDFault, fault: true},
+}
+
+// Cells is the soak grid: for each OS configuration, perOS plain cells
+// and (perOS+2)/3 cells of every other non-fault kind. A cell's name
+// seeds it, so the names never change.
+func Cells(perOS int) []string {
+	var cells []string
 	for _, os := range cluster.AllOSTypes {
-		if strings.HasPrefix(cell, os.String()+"/") {
-			return os, nil
+		for _, k := range cellKinds {
+			if k.fault {
+				continue
+			}
+			n, prefix := (perOS+2)/3, os.String()+"/"+k.name+"/"
+			if k.name == "" {
+				n, prefix = perOS, os.String()+"/"
+			}
+			for i := 0; i < n; i++ {
+				cells = append(cells, prefix+strconv.Itoa(i))
+			}
 		}
 	}
-	return 0, fmt.Errorf("simtest: cell %q does not start with an OS config (Linux/, McKernel/, McKernel+HFI1/)", cell)
+	return cells
+}
+
+// parseCell splits a cell name into its OS configuration, its kind and
+// its index, refusing any name outside the catalogue.
+func parseCell(cell string) (cluster.OSType, cellKind, int, error) {
+	osName, rest, _ := strings.Cut(cell, "/")
+	kind, idx, hasKind := strings.Cut(rest, "/")
+	if !hasKind {
+		kind, idx = "", rest
+	}
+	i := slices.IndexFunc(cluster.AllOSTypes, func(os cluster.OSType) bool { return os.String() == osName })
+	k := slices.IndexFunc(cellKinds, func(k cellKind) bool { return k.name == kind })
+	n, err := strconv.Atoi(idx)
+	if i < 0 || k < 0 || (hasKind && kind == "") || err != nil || n < 0 || strconv.Itoa(n) != idx {
+		var kinds []string
+		for _, k := range cellKinds[1:] {
+			kinds = append(kinds, k.name)
+		}
+		return 0, cellKind{}, 0, fmt.Errorf("simtest: cell %q is not OS/index or OS/kind/index (OS one of %v, kind one of %s)",
+			cell, cluster.AllOSTypes, strings.Join(kinds, ", "))
+	}
+	return cluster.AllOSTypes[i], cellKinds[k], n, nil
 }
 
 // Generate expands a (base, cell) pair into a concrete workload. The
 // per-cell seed comes from runner.DeriveSeed, so distinct cells explore
 // distinct corners while any single cell is exactly reproducible.
 //
-// A cell containing "/!tid/" is a deliberate fault cell: the RcvArray
-// is shrunk far below what a rendezvous window needs, so the run must
-// fail with a TID-exhaustion error.
+// A fault kind's cells must fail: generateTIDFault shrinks the
+// RcvArray far below what a rendezvous window needs, so the run fails
+// with a TID-exhaustion error.
 func Generate(base int64, cell string) (Workload, error) {
-	osType, err := ParseCell(cell)
+	osType, kind, index, err := parseCell(cell)
 	if err != nil {
 		return Workload{}, err
 	}
-	w := Workload{
+	return kind.gen(Workload{
 		Cell:   cell,
 		Base:   base,
 		Seed:   runner.DeriveSeed(base, "simtest/"+cell),
 		OS:     osType,
 		Params: model.Default(),
-	}
-	if strings.Contains(cell, "/!tid/") {
-		return generateTIDFault(w), nil
-	}
-	if strings.Contains(cell, "/rma/") {
-		return generateRMA(w), nil
-	}
-	if strings.Contains(cell, "/lossy/") {
-		return generateLossy(w), nil
-	}
-	if strings.Contains(cell, "/failover/") {
-		return generateFailover(w), nil
-	}
-	if strings.Contains(cell, "/tenancy/") {
-		return generateTenancy(w), nil
-	}
-	if strings.Contains(cell, "/shard/") {
-		return generateShard(w), nil
-	}
+	}, index), nil
+}
+
+// generatePlain builds a plain cell: randomized loss-free point-to-point
+// traffic, sometimes with a duplicate tag, link jitter, SDMA
+// backpressure or rings sized at exactly the workload's occupancy.
+func generatePlain(w Workload, _ int) Workload {
 	rng := rand.New(rand.NewSource(w.Seed))
 	w.Nodes = 1 + rng.Intn(3)
 	w.RanksPerNode = 1 + rng.Intn(3)
@@ -218,7 +263,7 @@ func Generate(base int64, cell string) (Workload, error) {
 	if rng.Intn(3) == 0 {
 		w.tightenRings()
 	}
-	return w, nil
+	return w
 }
 
 // generateRMA builds a one-sided workload: every message becomes an
@@ -226,7 +271,7 @@ func Generate(base int64, cell string) (Workload, error) {
 // window, so delivery order cannot affect the bytes and the harness
 // additionally exercises MR registration, QP wiring and the HCA
 // teardown balance.
-func generateRMA(w Workload) Workload {
+func generateRMA(w Workload, _ int) Workload {
 	rng := rand.New(rand.NewSource(w.Seed))
 	w.RMA = true
 	w.Nodes = 2 + rng.Intn(2)
@@ -246,7 +291,7 @@ func generateRMA(w Workload) Workload {
 // Ring tightening is skipped: a lossy rendezvous posts one header-queue
 // entry per expected packet instead of one per window, so the plain
 // cells' occupancy bound does not apply.
-func generateLossy(w Workload) Workload {
+func generateLossy(w Workload, _ int) Workload {
 	rng := rand.New(rand.NewSource(w.Seed))
 	w.Nodes = 2 + rng.Intn(2)
 	w.RanksPerNode = 1 + rng.Intn(2)
@@ -271,8 +316,8 @@ func generateLossy(w Workload) Workload {
 	return w
 }
 
-// generateFailover builds a live-failover cell. The trailing index of
-// the cell name selects a scenario, cycling through three:
+// generateFailover builds a live-failover cell. The cell's index selects
+// a scenario, cycling through three:
 //
 //	0 — rail flap: dual-rail NICs, two finite rail-0 outage windows;
 //	    the health machine must strike, switch to rail 1, and probe
@@ -286,7 +331,7 @@ func generateLossy(w Workload) Workload {
 //	    to rail 0 (striping resumes once both rails are up).
 //
 // Ring tightening is skipped for the same reason as generateLossy.
-func generateFailover(w Workload) Workload {
+func generateFailover(w Workload, index int) Workload {
 	rng := rand.New(rand.NewSource(w.Seed))
 	w.Nodes = 2
 	w.RanksPerNode = 1 + rng.Intn(2)
@@ -294,7 +339,7 @@ func generateFailover(w Workload) Workload {
 	w.LargePages = rng.Intn(2) == 0
 
 	sizes := sizeClasses
-	switch variant := cellVariant(w.Cell); variant {
+	switch variant := index % 3; variant {
 	case 1:
 		w.Faults.SDMAErr = 0.7 + 0.3*rng.Float64()
 		w.Faults.SDMANoDegrade = true
@@ -326,7 +371,7 @@ func generateFailover(w Workload) Workload {
 // credit/ECN congestion profile, so the AIMD backoff, CNP wiring, pace
 // gaps and the congestion snapshot sections all ride the same 3×
 // straight/snapshot/restore digest check as every other cell. The
-// trailing index selects a scenario, cycling through three:
+// cell's index selects a scenario, cycling through three:
 //
 //	0 — packed contention: two jobs, each a rank pair straddling the
 //	    same two nodes, so both streams contend for the shared links
@@ -340,9 +385,9 @@ func generateFailover(w Workload) Workload {
 // Sizes stay at or below the eager-SDMA threshold: ECN marks surface
 // through the eager header-queue path. Ring tightening is skipped for
 // the same reason as generateLossy.
-func generateTenancy(w Workload) Workload {
+func generateTenancy(w Workload, index int) Workload {
 	rng := rand.New(rand.NewSource(w.Seed))
-	variant := cellVariant(w.Cell)
+	variant := index % 3
 	w.Order = OrderMode(rng.Intn(int(orderModes)))
 	w.LargePages = rng.Intn(2) == 0
 
@@ -410,7 +455,7 @@ func generateTenancy(w Workload) Workload {
 // never a model change). Tracing stays off — span interleaving across
 // engines depends on the shard count — and so do jitter, faults and
 // congestion, which cluster.New rejects for sharded runs.
-func generateShard(w Workload) Workload {
+func generateShard(w Workload, _ int) Workload {
 	rng := rand.New(rand.NewSource(w.Seed))
 	w.Shards = 4
 	w.Untraced = true
@@ -430,7 +475,7 @@ func generateShard(w Workload) Workload {
 // limited to 8 TIDs. On Linux (scattered 4K frames) a 300K window
 // needs 75 RcvArray entries, so the receiver's TID-update ioctl must
 // fail.
-func generateTIDFault(w Workload) Workload {
+func generateTIDFault(w Workload, _ int) Workload {
 	w.Nodes, w.RanksPerNode = 2, 1
 	w.Order = OrderInOrder
 	w.Params.TIDsPerContext = 8
@@ -457,16 +502,6 @@ func (w *Workload) randomMsgs(rng *rand.Rand, n int, sizes []uint64) {
 			Size: sizes[rng.Intn(len(sizes))],
 		})
 	}
-}
-
-// cellVariant is the scenario a failover or tenancy cell's trailing
-// index selects: the index modulo 3, and 0 if it is not a number.
-func cellVariant(cell string) int {
-	n, err := strconv.Atoi(cell[strings.LastIndex(cell, "/")+1:])
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n % 3
 }
 
 // tightenRings sizes the eager ring, header queue and completion queue

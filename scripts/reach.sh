@@ -1,7 +1,7 @@
 #!/bin/sh
 # Reachability gate (make reach). Builds every front end — each cmd/
-# binary, the four examples, the benchmark, and the simtest,
-# experiments and report test binaries —
+# binary, the four examples, the benchmark, and the simtest (the soak
+# and the failure repro), experiments and report test binaries —
 # with coverage counters over the whole module, drives each one over the
 # inputs below, and prints the internal/ functions that no run executed
 # (0.0% in `go tool covdata func`) as `file: function`, one per line.
@@ -47,18 +47,24 @@ run "$bin/experiments" -scale small -only bigscale -out "$out/bigscale"
 run "$bin/experiments" -only fig4 -checkpoint "$out/fig4.ckpt" -out "$out/ckpt"
 run "$bin/experiments" -only fig4 -checkpoint "$out/fig4.ckpt" -out "$out/resumed"
 run cmp "$out/ckpt/fig4.txt" "$out/resumed/fig4.txt"
-run "$bin/simtest" -seed 1 -cells 100
-# The failure tooling, on the deliberate fault cell: the repro command
+# The soak: TestSimHarness over the 810-cell grid.
+run "$bin/simtest.test" -test.run 'TestSimHarness$' -seed=1 -cells=100 -test.gocoverdir="$GOCOVERDIR"
+# The failure workflow, on the deliberate fault cell: the repro command
 # simtest.Repro prints (TestSimHarness on one cell, which shrinks the
-# failing workload), then the failure snapshot and its replay.
-echo "reach: simtest.test TestSimHarness -cell Linux/!tid/0" >&2
-if "$bin/simtest.test" -test.run 'TestSimHarness$' -seed=1 -cell='Linux/!tid/0' \
-	-test.gocoverdir="$GOCOVERDIR" >"$out/last.log" 2>&1; then
-	echo "reach: the fault cell Linux/!tid/0 passed" >&2
-	exit 1
-fi
-grep -q 'RcvArray exhausted' "$out/last.log" || { cat "$out/last.log" >&2; exit 1; }
-run "$bin/simtest.test" -test.run 'TestFailureSnapshotRepro$' -test.gocoverdir="$GOCOVERDIR"
+# failing workload), then the same repro with -cell-trace, whose trace
+# of the failed run must validate.
+fault() {
+	echo "reach: simtest.test TestSimHarness -cell Linux/!tid/0 $*" >&2
+	if "$bin/simtest.test" -test.run 'TestSimHarness$' -seed=1 -cell='Linux/!tid/0' "$@" \
+		-test.gocoverdir="$GOCOVERDIR" >"$out/last.log" 2>&1; then
+		echo "reach: the fault cell Linux/!tid/0 passed" >&2
+		exit 1
+	fi
+	grep -q 'RcvArray exhausted' "$out/last.log" || { cat "$out/last.log" >&2; exit 1; }
+}
+fault
+fault -cell-trace="$out/fault.json"
+run "$bin/tracecheck" "$out/fault.json"
 run "$bin/quickstart"
 run "$bin/structextract"
 run "$bin/splitdriver"
