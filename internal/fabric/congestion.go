@@ -69,41 +69,53 @@ func (f *Fabric) wireBytes(pkt *Packet) uint64 {
 	return pkt.Bytes + uint64(f.pr.PacketOverheadBytes)
 }
 
-// congAdmit blocks proc until pkt fits under every budget it crosses,
-// then charges the credits and ECN-marks the packet if occupancy is
-// past the marking threshold. A packet larger than a whole budget is
-// admitted alone on an idle link (the `cur > 0` guards), so oversized
-// transfers make progress instead of livelocking.
-func (f *Fabric) congAdmit(proc *sim.Proc, pkt *Packet) {
+// stall is one packet's credit wait: whether it has stalled yet, and
+// since when.
+type stall struct {
+	on   bool
+	from time.Duration
+}
+
+// gated reports whether pkt must pass the credit gate: congestion
+// control is on, the packet flies on this fabric (dst non-nil), and it
+// is not RDMA.
+func (f *Fabric) gated(dst *Port, pkt *Packet) bool {
+	return dst != nil && f.cong.Active() && pkt.Kind != KindRDMA
+}
+
+// admit is the credit gate before serialization. When pkt fits under
+// every budget it crosses, admit charges the credits, ECN-marks the
+// packet if occupancy is past the marking threshold and returns true.
+// Otherwise it counts the stall (once per packet, timed from the first
+// refusal) and returns false: the sender waits on congCond and calls
+// again. A packet larger than a whole budget is admitted alone on an
+// idle link (the `cur > 0` guards), so oversized transfers make
+// progress instead of livelocking.
+func (f *Fabric) admit(pkt *Packet, st *stall) bool {
 	cp := f.cong
 	lid := LinkID{Src: pkt.SrcNode, Dst: pkt.DstNode}
 	ing := pkt.DstNode % RailBase
 	n := f.wireBytes(pkt)
-	stallFrom := proc.Now()
-	stalled := false
-	for {
-		over := false
-		if cp.LinkBudget > 0 {
-			if cur := f.inflight[lid]; cur > 0 && cur+n > cp.LinkBudget {
-				over = true
-			}
+	over := false
+	if cp.LinkBudget > 0 {
+		if cur := f.inflight[lid]; cur > 0 && cur+n > cp.LinkBudget {
+			over = true
 		}
-		if !over && cp.IngressBudget > 0 {
-			if cur := f.ingress[ing]; cur > 0 && cur+n > cp.IngressBudget {
-				over = true
-			}
+	}
+	if !over && cp.IngressBudget > 0 {
+		if cur := f.ingress[ing]; cur > 0 && cur+n > cp.IngressBudget {
+			over = true
 		}
-		if !over {
-			break
-		}
-		if !stalled {
-			stalled = true
+	}
+	if over {
+		if !st.on {
+			*st = stall{on: true, from: f.e.Now()}
 			f.cstats.Stalls++
 		}
-		f.congCond.Wait(proc)
+		return false
 	}
-	if stalled {
-		f.cstats.StallTime += proc.Now() - stallFrom
+	if st.on {
+		f.cstats.StallTime += f.e.Now() - st.from
 	}
 	f.inflight[lid] += n
 	f.ingress[ing] += n
@@ -114,6 +126,7 @@ func (f *Fabric) congAdmit(proc *sim.Proc, pkt *Packet) {
 			f.cstats.Marks++
 		}
 	}
+	return true
 }
 
 // congDone returns pkt's credits and wakes stalled senders. Called once

@@ -312,40 +312,119 @@ func kindName(k PacketKind) string {
 // Send transmits pkt from the caller's node, blocking proc for the wire
 // serialization time (the sender's egress link is a shared resource; SDMA
 // engines of one NIC contend here). Delivery happens LinkLatency later
-// without blocking the sender.
+// without blocking the sender. Transmit is the same send for event
+// context.
 func (f *Fabric) Send(proc *sim.Proc, pkt *Packet) error {
 	begin := proc.Now()
+	src, dst, err := f.ends(pkt)
+	if err != nil {
+		return err
+	}
+	if f.gated(dst, pkt) {
+		var st stall
+		for !f.admit(pkt, &st) {
+			f.congCond.Wait(proc)
+		}
+	}
+	src.egress.Use(proc, f.pr.WireTime(pkt.Bytes))
+	return f.sent(src, dst, pkt, begin)
+}
+
+// Transmit is a send in flight from event context: the state a process
+// keeps on its stack through Send, for a device pipeline that has none
+// (the NIC's SDMA engines). Its owner sets Done and Arg once and reuses
+// it for one send at a time.
+type Transmit struct {
+	// Done(Arg) runs in the event in which Send would have returned,
+	// with Err holding what Send would have returned. Arg names the
+	// sender in a snapshot of a pending Transmit event.
+	Done func(any) `snap:"-"`
+	Arg  any
+	Err  error
+
+	f        *Fabric `snap:"-"`
+	src, dst *Port   `snap:"-"`
+	pkt      *Packet
+	begin    time.Duration
+	stall    stall
+}
+
+// Transmit sends pkt as Send does, event for event, without a process:
+// a credit stall waits on the congestion condition and a busy egress
+// port on its Resource as callbacks in the blocked senders' FIFO, and
+// serialization is one AfterArg. x.Done runs when the send is over.
+func (f *Fabric) Transmit(x *Transmit, pkt *Packet) {
+	x.f, x.pkt, x.begin, x.stall = f, pkt, f.e.Now(), stall{}
+	x.src, x.dst, x.Err = f.ends(pkt)
+	if x.Err != nil {
+		x.pkt = nil
+		x.Done(x.Arg)
+		return
+	}
+	xmitAdmit(x)
+}
+
+// xmitAdmit is a Transmit's credit gate, retried at each wake.
+func xmitAdmit(a any) {
+	x := a.(*Transmit)
+	if x.f.gated(x.dst, x.pkt) && !x.f.admit(x.pkt, &x.stall) {
+		x.f.congCond.WaitFunc(xmitAdmit, x)
+		return
+	}
+	xmitEgress(x)
+}
+
+// xmitEgress claims the egress port, retried at each grant, and starts
+// serialization.
+func xmitEgress(a any) {
+	x := a.(*Transmit)
+	if !x.src.egress.TryAcquire(xmitEgress, x) {
+		return
+	}
+	x.f.e.AfterArg(x.f.pr.WireTime(x.pkt.Bytes), xmitWire, x)
+}
+
+// xmitWire ends serialization: it frees the egress port as Resource.Use
+// does, hands the packet on and runs Done.
+func xmitWire(a any) {
+	x := a.(*Transmit)
+	f, pkt := x.f, x.pkt
+	x.src.egress.Busy += f.pr.WireTime(pkt.Bytes)
+	x.src.egress.Release()
+	x.pkt = nil
+	x.Err = f.sent(x.src, x.dst, pkt, x.begin)
+	x.Done(x.Arg)
+}
+
+// ends looks up pkt's source port and its destination port (nil for a
+// destination attached to another fabric, when a router is installed),
+// and sets pkt.Bytes from a real payload.
+func (f *Fabric) ends(pkt *Packet) (src, dst *Port, err error) {
 	src, ok := f.ports[pkt.SrcNode]
 	if !ok {
-		return fmt.Errorf("fabric: source node %d not attached", pkt.SrcNode)
+		return nil, nil, fmt.Errorf("fabric: source node %d not attached", pkt.SrcNode)
 	}
-	dst, ok := f.ports[pkt.DstNode]
-	if !ok {
-		if f.route == nil {
-			return fmt.Errorf("fabric: destination node %d not attached", pkt.DstNode)
-		}
-		// Cross-fabric send: pay egress serialization on the local link
-		// exactly like the attached path, then hand the packet and its
-		// remaining flight latency to the router.
-		if pkt.Payload != nil {
-			pkt.Bytes = uint64(len(pkt.Payload))
-		}
-		src.egress.Use(proc, f.pr.WireTime(pkt.Bytes))
-		src.TxBytes += pkt.Bytes
-		src.TxPackets++
-		return f.route(pkt, f.pr.LinkLatency)
+	dst, ok = f.ports[pkt.DstNode]
+	if !ok && f.route == nil {
+		return nil, nil, fmt.Errorf("fabric: destination node %d not attached", pkt.DstNode)
 	}
 	if pkt.Payload != nil {
 		pkt.Bytes = uint64(len(pkt.Payload))
 	}
-	if f.cong.Active() && pkt.Kind != KindRDMA {
-		// Credit gate before serialization: the sender stalls here until
-		// the link and ingress budgets admit the packet.
-		f.congAdmit(proc, pkt)
-	}
-	src.egress.Use(proc, f.pr.WireTime(pkt.Bytes))
+	return src, dst, nil
+}
+
+// sent finishes a send once pkt is serialized: it counts the egress
+// traffic and hands the packet on, either to the router with the link
+// latency still to fly (dst nil: a cross-fabric send) or into its
+// flight toward dst, jittered and, on a lossy fabric, through the fault
+// profile.
+func (f *Fabric) sent(src, dst *Port, pkt *Packet, begin time.Duration) error {
 	src.TxBytes += pkt.Bytes
 	src.TxPackets++
+	if dst == nil {
+		return f.route(pkt, f.pr.LinkLatency)
+	}
 	lat := f.pr.LinkLatency
 	if f.pr.LinkJitter > 0 {
 		lat += time.Duration(f.e.Rng().Int63n(int64(f.pr.LinkJitter)))

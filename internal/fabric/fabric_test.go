@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -147,5 +149,86 @@ func TestPayloadSetsBytes(t *testing.T) {
 	}
 	if port0.TxBytes != 777 || port0.TxPackets != 1 {
 		t.Fatalf("tx stats = %d/%d", port0.TxBytes, port0.TxPackets)
+	}
+}
+
+// TestTransmitIsSend: six packets sent by a process with Send, and the
+// same six sent from events with Transmit, schedule alike while a
+// rival process contends for the egress port and for a credit budget
+// that stalls both: the same arrivals, stalls and marks, and the same
+// (Now, Seq) at every step. Transmit reports what Send would return
+// through Err.
+func TestTransmitIsSend(t *testing.T) {
+	run := func(events bool) string {
+		e := sim.NewEngine(1)
+		defer e.Close()
+		pr := model.Default()
+		f := New(e, &pr)
+		f.SetCongestion(&CongProfile{LinkBudget: 3 << 12, MarkFrac: 0.5})
+		var log []string
+		rec := func(what string) { log = append(log, fmt.Sprintf("%d/%d:%s", e.Now(), e.Seq(), what)) }
+		if _, err := f.Attach(0, func(*Packet) {}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Attach(1, func(p *Packet) { rec(fmt.Sprint("rx", p.Bytes, p.ECN)) }); err != nil {
+			t.Fatal(err)
+		}
+		e.Go("rival", func(p *sim.Proc) {
+			for i := 0; i < 4; i++ {
+				if err := f.Send(p, &Packet{SrcNode: 0, DstNode: 1, Bytes: 4096}); err != nil {
+					t.Error(err)
+				}
+				rec("rival")
+			}
+		})
+		if !events {
+			e.GoDaemon("sender", func(p *sim.Proc) {
+				for i := 0; i < 6; i++ {
+					if err := f.Send(p, &Packet{SrcNode: 0, DstNode: 1, Bytes: 8192}); err != nil {
+						t.Error(err)
+					}
+					rec("sent")
+				}
+			})
+		} else {
+			var x Transmit
+			sent := 0
+			x.Done = func(any) {
+				if x.Err != nil {
+					t.Error(x.Err)
+				}
+				rec("sent")
+				if sent++; sent < 6 {
+					f.Transmit(&x, &Packet{SrcNode: 0, DstNode: 1, Bytes: 8192})
+				}
+			}
+			e.AfterArg(0, func(any) { f.Transmit(&x, &Packet{SrcNode: 0, DstNode: 1, Bytes: 8192}) }, nil)
+		}
+		if err := e.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		cs := f.CongStats()
+		return fmt.Sprintf("%s stalls=%d/%v marks=%d", strings.Join(log, " "), cs.Stalls, cs.StallTime, cs.Marks)
+	}
+	want := run(false)
+	if !strings.Contains(want, "stalls=") || strings.Contains(want, "stalls=0/") {
+		t.Fatalf("the scenario lost its credit stalls: %s", want)
+	}
+	if got := run(true); got != want {
+		t.Fatalf("Transmit scheduled differently from Send:\n got %s\nwant %s", got, want)
+	}
+
+	e := sim.NewEngine(1)
+	pr := model.Default()
+	f := New(e, &pr)
+	if _, err := f.Attach(0, func(*Packet) {}); err != nil {
+		t.Fatal(err)
+	}
+	for _, pkt := range []*Packet{{SrcNode: 0, DstNode: 9}, {SrcNode: 9, DstNode: 0}} {
+		x := Transmit{Done: func(any) {}}
+		f.Transmit(&x, pkt)
+		if x.Err == nil {
+			t.Errorf("Transmit %d->%d: no error", pkt.SrcNode, pkt.DstNode)
+		}
 	}
 }

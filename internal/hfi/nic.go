@@ -120,7 +120,13 @@ type Context struct {
 }
 
 // SDMAEngine is one of the NIC's send-DMA engines with its descriptor
-// queue.
+// queue. The engine is an event handler, not a process: it takes a
+// transaction off its queue, pays SDMADescCost per request with one
+// AfterArg each, sends the request's packet with fabric.Transmit and
+// retires the transaction once the last one is on the wire. An empty
+// queue holds it as a callback waiter that the next SubmitSDMA
+// schedules. Every pending event of an engine carries the engine (or
+// its Transmit) as its argument.
 type SDMAEngine struct {
 	Index int
 	q     *sim.Queue[*SDMATxn]
@@ -130,6 +136,21 @@ type SDMAEngine struct {
 	// BytesSent and Submitted are instrumentation counters.
 	BytesSent uint64
 	Submitted uint64
+
+	n *NIC `snap:"-"`
+	// track names the engine's trace spans ("nic<node>-sdma<index>").
+	track string `snap:"-"`
+	// The transaction in flight (nil while idle, and the rest zero): the
+	// index of the next request, the injected failure point (-1: none),
+	// and the rail choice made when the engine took the transaction.
+	txn    *SDMATxn
+	req    int
+	failAt int
+	rail   int
+	stripe bool
+	// x is the send of request req, from the serialization wait until
+	// the packet has left the wire.
+	x fabric.Transmit
 }
 
 // NIC is the HFI hardware model of one node.
@@ -190,17 +211,24 @@ type NIC struct {
 	TIDProgramOps uint64
 	TIDClearOps   uint64
 
+	// rxPkt is the packet the receive pipeline is processing, from its
+	// pop until RcvPacketCost later (nil while idle).
+	rxPkt *fabric.Packet
+
 	// hdrqScratch and hdrqEnt are reused by the rx pipeline: one encode
 	// buffer and one decoded-entry record per NIC, instead of one of
-	// each per received packet. The rx pipeline is single-threaded (one
-	// runRx daemon per NIC), so no packet's entry outlives its handler
-	// and neither is state.
+	// each per received packet. The NIC has one receive pipeline, which
+	// handles one packet at a time, so no packet's entry outlives its
+	// handler and neither is state.
 	hdrqScratch [HdrqEntrySize]byte `snap:"-"`
 	hdrqEnt     HdrqEntry           `snap:"-"`
 }
 
-// NewNIC creates the NIC, attaches it to the fabric and starts its SDMA
-// engine and receive pipelines.
+// NewNIC creates the NIC, attaches it to the fabric and powers on its
+// SDMA engines and receive pipeline with one AfterArg(0) each. A
+// pipeline with nothing to do goes idle at once, but its power-on event
+// takes a sequence number, and the tie order of every later event (and
+// so golden.json's event counts) rests on it.
 func NewNIC(e *sim.Engine, pr *model.Params, node int, phys *mem.PhysMem, fab *fabric.Fabric) (*NIC, error) {
 	n := &NIC{
 		Node:     node,
@@ -227,11 +255,15 @@ func NewNIC(e *sim.Engine, pr *model.Params, node int, phys *mem.PhysMem, fab *f
 		n.port1 = port1
 	}
 	for i := 0; i < pr.SDMAEngines; i++ {
-		eng := &SDMAEngine{Index: i, q: sim.NewQueue[*SDMATxn](e), drain: sim.NewCond(e)}
+		eng := &SDMAEngine{
+			Index: i, q: sim.NewQueue[*SDMATxn](e), drain: sim.NewCond(e),
+			n: n, track: fmt.Sprintf("nic%d-sdma%d", node, i),
+		}
+		eng.x.Done, eng.x.Arg = sdmaSent, eng
 		n.engines = append(n.engines, eng)
-		e.GoDaemon(fmt.Sprintf("nic%d-sdma%d", node, i), func(p *sim.Proc) { n.runEngine(p, eng) })
+		e.AfterArg(0, sdmaNext, eng)
 	}
-	e.GoDaemon(fmt.Sprintf("nic%d-rx", node), func(p *sim.Proc) { n.runRx(p) })
+	e.AfterArg(0, rxNext, n)
 	return n, nil
 }
 
@@ -251,9 +283,9 @@ func (n *NIC) SetIRQSink(sink func(batch *SDMATxn)) { n.irqSink = sink }
 func (n *NIC) LiveContexts() int { return len(n.contexts) }
 
 // Fail aborts the simulation with err. Device pipelines (SDMA engines,
-// the receive path, IRQ completion callbacks) run in daemon or event
-// context where no process return value can carry the error back to the
-// caller under test.
+// the receive path, IRQ completion callbacks) run in event context,
+// where no process return value can carry the error back to the caller
+// under test.
 func (n *NIC) Fail(err error) { n.e.Fail(err) }
 
 // Lossy reports whether the NIC's fabric injects faults; PSM enables
@@ -491,56 +523,94 @@ func (n *NIC) LocalDeliver(p *sim.Proc, dstCtx int, hdr fabric.Header, payload [
 	return nil
 }
 
-func (n *NIC) runEngine(p *sim.Proc, eng *SDMAEngine) {
-	for {
-		txn := eng.q.Pop(p)
-		if txn == nil {
-			return
-		}
-		failAt := n.sdmaErrAt(len(txn.Requests))
-		// Rail selection: large striped transfers alternate requests
-		// across both rails when both are up; everything else follows
-		// the per-destination rail the health machine selected.
-		baseRail := n.TxRail(txn.DstNode)
-		stripe := txn.Stripe && n.Dual() &&
-			!n.RailDown(0, txn.DstNode) && !n.RailDown(1, txn.DstNode)
-		for i, req := range txn.Requests {
-			if i == failAt {
-				// Mid-transfer abort: requests before i are on the wire,
-				// the rest are not. The error completion reaches the
-				// driver through the normal IRQ path.
-				n.SDMAErrors++
-				txn.Err = fmt.Errorf("hfi: engine %d descriptor stall at request %d/%d",
-					eng.Index, i, len(txn.Requests))
-				txn.FailedAt = i
-				break
-			}
-			p.Sleep(n.pr.SDMADescCost)
-			n.SDMARequests++
-			if req.Src.Len == n.pr.MaxSDMARequest {
-				n.SDMAFullSize++
-			}
-			payload, err := n.dmaRead(txn, req)
-			if err != nil {
-				n.e.Fail(fmt.Errorf("hfi: node %d engine %d DMA read: %w", n.Node, eng.Index, err))
-				return
-			}
-			rail := baseRail
-			if stripe {
-				rail = i % 2
-			}
-			if err := n.fab.Send(p, n.reqPacket(txn, req, payload, rail)); err != nil {
-				n.e.Fail(fmt.Errorf("hfi: node %d send: %w", n.Node, err))
-				return
-			}
-			eng.BytesSent += req.Src.Len
-		}
-		if rec := n.e.Recorder(); rec != nil {
-			rec.SpanBytes(trace.CatSDMA, "txn", p.Name(), txn.submitAt, p.Now(), txn.Bytes())
-		}
-		n.complete(txn)
-		eng.drain.Broadcast()
+// sdmaNext takes the engine's next transaction, or leaves the engine
+// idle as a callback waiter on its queue.
+func sdmaNext(a any) {
+	eng := a.(*SDMAEngine)
+	txn, ok := eng.q.TryPop(sdmaNext, eng)
+	if !ok {
+		return
 	}
+	n := eng.n
+	eng.txn, eng.req = txn, 0
+	eng.failAt = n.sdmaErrAt(len(txn.Requests))
+	// Rail selection: large striped transfers alternate requests
+	// across both rails when both are up; everything else follows
+	// the per-destination rail the health machine selected.
+	eng.rail = n.TxRail(txn.DstNode)
+	eng.stripe = txn.Stripe && n.Dual() &&
+		!n.RailDown(0, txn.DstNode) && !n.RailDown(1, txn.DstNode)
+	n.sdmaIssue(eng)
+}
+
+// sdmaIssue starts the engine's next request, or retires the
+// transaction after its last one or at its injected failure point.
+func (n *NIC) sdmaIssue(eng *SDMAEngine) {
+	txn := eng.txn
+	switch i := eng.req; i {
+	case len(txn.Requests):
+		n.sdmaRetire(eng)
+	case eng.failAt:
+		// Mid-transfer abort: requests before i are on the wire, the
+		// rest are not. The error completion reaches the driver
+		// through the normal IRQ path.
+		n.SDMAErrors++
+		txn.Err = fmt.Errorf("hfi: engine %d descriptor stall at request %d/%d",
+			eng.Index, i, len(txn.Requests))
+		txn.FailedAt = i
+		n.sdmaRetire(eng)
+	default:
+		n.e.AfterArg(n.pr.SDMADescCost, sdmaDesc, eng)
+	}
+}
+
+// sdmaDesc runs once a request's descriptor cost is paid: it reads the
+// payload and puts the packet on the request's rail. A failed read or
+// send stops the engine with the simulation.
+func sdmaDesc(a any) {
+	eng := a.(*SDMAEngine)
+	n, txn := eng.n, eng.txn
+	req := txn.Requests[eng.req]
+	n.SDMARequests++
+	if req.Src.Len == n.pr.MaxSDMARequest {
+		n.SDMAFullSize++
+	}
+	payload, err := n.dmaRead(txn, req)
+	if err != nil {
+		n.e.Fail(fmt.Errorf("hfi: node %d engine %d DMA read: %w", n.Node, eng.Index, err))
+		return
+	}
+	rail := eng.rail
+	if eng.stripe {
+		rail = eng.req % 2
+	}
+	n.fab.Transmit(&eng.x, n.reqPacket(txn, req, payload, rail))
+}
+
+// sdmaSent runs when a request's packet has left the wire.
+func sdmaSent(a any) {
+	eng := a.(*SDMAEngine)
+	n := eng.n
+	if err := eng.x.Err; err != nil {
+		n.e.Fail(fmt.Errorf("hfi: node %d send: %w", n.Node, err))
+		return
+	}
+	eng.BytesSent += eng.txn.Requests[eng.req].Src.Len
+	eng.req++
+	n.sdmaIssue(eng)
+}
+
+// sdmaRetire completes the engine's transaction, wakes submitters
+// waiting on the descriptor ring and moves on to the next one.
+func (n *NIC) sdmaRetire(eng *SDMAEngine) {
+	txn := eng.txn
+	eng.txn, eng.req, eng.failAt, eng.rail, eng.stripe = nil, 0, 0, 0, false
+	if rec := n.e.Recorder(); rec != nil {
+		rec.SpanBytes(trace.CatSDMA, "txn", eng.track, txn.submitAt, n.e.Now(), txn.Bytes())
+	}
+	n.complete(txn)
+	eng.drain.Broadcast()
+	sdmaNext(eng)
 }
 
 // dmaRead loads one request's payload from host memory into a pooled
@@ -615,42 +685,59 @@ func (n *NIC) deliverIRQ() {
 	n.irqSink(batch)
 }
 
-func (n *NIC) runRx(p *sim.Proc) {
-	for {
-		pkt := n.rxq.Pop(p)
-		p.Sleep(n.pr.RcvPacketCost)
-		n.RxPackets++
-		if pkt.Corrupt {
-			// Port CRC check: damaged packets are counted and discarded
-			// before any context processing.
-			n.RxCorrupt++
-			n.fab.Release(pkt)
-			continue
-		}
-		ctx, ok := n.contexts[pkt.DstCtx]
-		if !ok {
-			// Packets racing a context teardown are dropped, like on
-			// real hardware.
-			n.RxDropped++
-			n.fab.Release(pkt)
-			continue
-		}
-		var err error
-		switch pkt.Kind {
-		case fabric.KindEager:
-			err = n.rxEager(ctx, pkt)
-		case fabric.KindExpected:
-			err = n.rxExpected(ctx, pkt)
-		}
-		// The rx handlers copy the payload into simulated host memory
-		// synchronously; the packet and its pooled payload recycle here.
-		n.fab.Release(pkt)
-		if err != nil {
-			n.e.Fail(fmt.Errorf("hfi: node %d ctx %d rx: %w", n.Node, ctx.ID, err))
-			return
-		}
-		ctx.Notify.Broadcast()
+// rxNext takes the next arrived packet into the receive pipeline, or
+// leaves the pipeline idle as a callback waiter on its queue.
+func rxNext(a any) {
+	n := a.(*NIC)
+	pkt, ok := n.rxq.TryPop(rxNext, n)
+	if !ok {
+		return
 	}
+	n.rxPkt = pkt
+	n.e.AfterArg(n.pr.RcvPacketCost, rxDone, n)
+}
+
+// rxDone processes the pipeline's packet once RcvPacketCost is paid and
+// moves on to the next. A failed delivery stops the pipeline with the
+// simulation.
+func rxDone(a any) {
+	n := a.(*NIC)
+	pkt := n.rxPkt
+	n.rxPkt = nil
+	n.RxPackets++
+	if pkt.Corrupt {
+		// Port CRC check: damaged packets are counted and discarded
+		// before any context processing.
+		n.RxCorrupt++
+		n.fab.Release(pkt)
+		rxNext(n)
+		return
+	}
+	ctx, ok := n.contexts[pkt.DstCtx]
+	if !ok {
+		// Packets racing a context teardown are dropped, like on
+		// real hardware.
+		n.RxDropped++
+		n.fab.Release(pkt)
+		rxNext(n)
+		return
+	}
+	var err error
+	switch pkt.Kind {
+	case fabric.KindEager:
+		err = n.rxEager(ctx, pkt)
+	case fabric.KindExpected:
+		err = n.rxExpected(ctx, pkt)
+	}
+	// The rx handlers copy the payload into simulated host memory
+	// synchronously; the packet and its pooled payload recycle here.
+	n.fab.Release(pkt)
+	if err != nil {
+		n.e.Fail(fmt.Errorf("hfi: node %d ctx %d rx: %w", n.Node, ctx.ID, err))
+		return
+	}
+	ctx.Notify.Broadcast()
+	rxNext(n)
 }
 
 func (n *NIC) rxEager(ctx *Context, pkt *fabric.Packet) error {

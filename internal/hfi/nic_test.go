@@ -19,6 +19,7 @@ import (
 type nicRig struct {
 	e    *sim.Engine
 	pr   model.Params
+	fab  *fabric.Fabric
 	phys [2]*mem.PhysMem
 	nic  [2]*NIC
 	// ctx area base addresses per node.
@@ -28,8 +29,19 @@ type nicRig struct {
 
 func newNICRig(t *testing.T) *nicRig {
 	t.Helper()
+	return newNICRigWith(t, nil)
+}
+
+// newNICRigWith is newNICRig with setup run on the parameters and the
+// fabric before the NICs are built (nil: defaults).
+func newNICRigWith(t *testing.T, setup func(*model.Params, *fabric.Fabric)) *nicRig {
+	t.Helper()
 	r := &nicRig{e: sim.NewEngine(5), pr: model.Default()}
 	fab := fabric.New(r.e, &r.pr)
+	if setup != nil {
+		setup(&r.pr, fab)
+	}
+	r.fab = fab
 	for n := 0; n < 2; n++ {
 		pm, err := mem.NewPhysMem(mem.Region{Base: 0, Size: 256 << 20, Kind: mem.DDR4, Owner: "x"})
 		if err != nil {

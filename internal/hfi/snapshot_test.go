@@ -2,7 +2,9 @@ package hfi
 
 import (
 	"bytes"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/mem"
@@ -46,6 +48,54 @@ func TestSnapshotCoversSDMARequests(t *testing.T) {
 	} {
 		if bytes.Equal(section(c.mut), base) {
 			t.Errorf("changing %s left the hfi section unchanged:\n%s", c.what, base)
+		}
+	}
+}
+
+// TestSnapshotNamesPendingPipelines: the SDMA engines and the receive
+// pipeline are event handlers, so a snapshot shows no process of
+// theirs; each pending event names its pipeline by its argument. A
+// transfer paused every 100 ns for 10 µs must show, among its snapshots, a
+// descriptor-cost event carrying its engine (index 3), a wire event
+// carrying that engine's Transmit, and a receive event carrying the
+// NIC.
+func TestSnapshotNamesPendingPipelines(t *testing.T) {
+	r := newNICRig(t)
+	defer r.e.Close()
+	r.e.Go("submit", func(p *sim.Proc) {
+		if err := r.nic[0].SubmitSDMA(p, engineTxn(r, 3, 1, 4, 1, false)); err != nil {
+			t.Error(err)
+		}
+	})
+	seen := map[string]bool{}
+	for at := 100 * time.Nanosecond; at <= 10*time.Microsecond; at += 100 {
+		if err := r.e.Run(at); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := r.e.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		f, err := snapshot.Decode(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		engine := string(f.Section("engine"))
+		if strings.Contains(engine, `resume="nic`) {
+			t.Fatalf("a NIC pipeline is a process again:\n%s", engine)
+		}
+		for _, l := range strings.Split(engine, "\n") {
+			if _, typ, ok := strings.Cut(l, " arg="); ok {
+				seen[typ] = true
+			}
+			if strings.HasSuffix(l, "].Index=3") || strings.HasSuffix(l, "].Arg.(*hfi.SDMAEngine).Index=3") {
+				seen[l[strings.Index(l, "]."):]] = true
+			}
+		}
+	}
+	for _, want := range []string{"*hfi.SDMAEngine", "*fabric.Transmit", "*hfi.NIC", "].Index=3", "].Arg.(*hfi.SDMAEngine).Index=3"} {
+		if !seen[want] {
+			t.Errorf("no snapshot named %q; seen %v", want, seen)
 		}
 	}
 }

@@ -207,9 +207,12 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	return e.spawn(name, fn, false)
 }
 
-// GoDaemon creates an infrastructure process (CPU worker, NIC engine,
-// ...) that is expected to block forever: daemons do not keep Run alive
-// and do not count as deadlocked.
+// GoDaemon creates an infrastructure process (a Linux CPU worker, a
+// verbs HCA pipeline, ...) that is expected to block forever: daemons do
+// not keep Run alive and do not count as deadlocked. Device pipelines
+// that need no stack are event handlers instead (the HFI's SDMA engines
+// and receive pipeline): Queue.TryPop, Resource.TryAcquire and
+// Cond.WaitFunc queue a callback where a daemon would block.
 func (e *Engine) GoDaemon(name string, fn func(p *Proc)) *Proc {
 	return e.spawn(name, fn, true)
 }

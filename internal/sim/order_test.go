@@ -91,3 +91,136 @@ func TestMixScenarioOrderPinned(t *testing.T) {
 		t.Fatalf("runMixScenario event log moved:\n got %s\nwant %s", got, mixScenario)
 	}
 }
+
+// runCallbackScenario runs one subject against process contenders. The
+// subject takes three items from a Queue; for each it acquires a
+// one-server Resource, holds it 5 ns, releases it and waits on a Cond
+// until a gate is open. As a daemon process it does this with Pop,
+// Acquire, Sleep and Wait; in callback form with TryPop, TryAcquire,
+// AfterArg and WaitFunc, powered on by an AfterArg(0) where the daemon
+// is spawned. A rival process pops the same Queue from t=20, a watcher
+// waits on the same Cond, and a hog holding the Resource releases it
+// at t=7 and takes it straight back, before the subject's grant runs:
+// the subject must find the server taken and queue again. Each log
+// line carries (Now(), Seq()), so the two forms must schedule event for
+// event alike.
+func runCallbackScenario(callbacks bool) (log []string, barged bool) {
+	e := NewEngine(5)
+	defer e.Close()
+	q := NewQueue[int](e)
+	c := NewCond(e)
+	r := NewResource(e, 1)
+	open := false
+	rec := func(who, what string) {
+		log = append(log, fmt.Sprintf("%d/%d:%s:%s", int64(e.Now()), e.Seq(), who, what))
+	}
+	e.Go("hog", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			r.Acquire(p)
+			rec("hog", "acquired")
+			p.Sleep(7)
+			r.Release()
+			r.Acquire(p)
+			rec("hog", "barged")
+			p.Sleep(3)
+			r.Release()
+			p.Sleep(1)
+		}
+	})
+	e.Go("feeder", func(p *Proc) {
+		for i := 0; i < 5; i++ {
+			p.Sleep(time.Duration(1 + 6*i))
+			q.Push(i)
+		}
+	})
+	e.Go("rival", func(p *Proc) {
+		p.Sleep(20)
+		for i := 0; i < 2; i++ {
+			rec("rival", fmt.Sprint("pop", q.Pop(p)))
+		}
+	})
+	e.Go("watcher", func(p *Proc) {
+		for i := 0; i < 2; i++ {
+			c.Wait(p)
+			rec("watcher", "woke")
+		}
+	})
+	e.Go("gate", func(p *Proc) {
+		for _, d := range []time.Duration{30, 8, 12} {
+			p.Sleep(d)
+			open = !open
+			c.Broadcast()
+			rec("gate", fmt.Sprint("open=", open))
+		}
+	})
+	if !callbacks {
+		e.GoDaemon("subject", func(p *Proc) {
+			for i := 0; i < 3; i++ {
+				rec("subject", fmt.Sprint("pop", q.Pop(p)))
+				r.Acquire(p)
+				rec("subject", "acquired")
+				p.Sleep(5)
+				r.Release()
+				for !open {
+					c.Wait(p)
+				}
+				rec("subject", "passed")
+			}
+		})
+	} else {
+		done, tries := 0, 0
+		var pop, acquire, held, gate func(any)
+		pop = func(any) {
+			v, ok := q.TryPop(pop, nil)
+			if !ok {
+				return
+			}
+			rec("subject", fmt.Sprint("pop", v))
+			tries = 0
+			acquire(nil)
+		}
+		acquire = func(any) {
+			if tries++; !r.TryAcquire(acquire, nil) {
+				return
+			}
+			barged = barged || tries > 2
+			rec("subject", "acquired")
+			e.AfterArg(5, held, nil)
+		}
+		held = func(any) {
+			r.Release()
+			gate(nil)
+		}
+		gate = func(any) {
+			if !open {
+				c.WaitFunc(gate, nil)
+				return
+			}
+			rec("subject", "passed")
+			if done++; done < 3 {
+				pop(nil)
+			}
+		}
+		e.AfterArg(0, pop, nil)
+	}
+	if err := e.Run(0); err != nil {
+		log = append(log, "ERR:"+err.Error())
+	}
+	rec("end", "")
+	return log, barged
+}
+
+// TestCallbackFormKeepsOrder: a callback waiter on a Queue, a Resource
+// and a Cond takes a blocked process's place in the same FIFO and is
+// scheduled with the (at, seq) the process's resumption would have
+// taken, so the two forms of the subject log identical sequences.
+func TestCallbackFormKeepsOrder(t *testing.T) {
+	procLog, _ := runCallbackScenario(false)
+	cbLog, barged := runCallbackScenario(true)
+	if !barged {
+		t.Fatalf("the scenario lost its barging acquire:\n%s", strings.Join(cbLog, "\n"))
+	}
+	if got, want := strings.Join(cbLog, " "), strings.Join(procLog, " "); got != want {
+		t.Fatalf("callback form moved the schedule:\n got %s\nwant %s", got, want)
+	}
+}

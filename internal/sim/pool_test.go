@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"cmp"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -119,22 +120,116 @@ func TestQueueSteadyStateNoGrowth(t *testing.T) {
 func TestWaitqFIFOAndClear(t *testing.T) {
 	var w waitq
 	a, b, c := &Proc{name: "a"}, &Proc{name: "b"}, &Proc{name: "c"}
-	w.push(a)
-	w.push(b)
-	if got := w.pop(); got != a {
-		t.Fatalf("pop = %v, want a", got)
+	w.push(waiter{p: a})
+	w.push(waiter{p: b})
+	if got, _ := w.pop(); got.p != a {
+		t.Fatalf("pop = %v, want a", got.p)
 	}
-	if w.procs[:1][0] != nil {
+	if x := w.ws[:1][0]; x.p != nil || x.fn != nil || x.arg != nil {
 		t.Fatalf("popped waitq slot not cleared")
 	}
-	w.push(c)
-	if got := w.pop(); got != b {
-		t.Fatalf("pop = %v, want b", got)
+	w.push(waiter{p: c})
+	if got, _ := w.pop(); got.p != b {
+		t.Fatalf("pop = %v, want b", got.p)
 	}
-	if got := w.pop(); got != c {
-		t.Fatalf("pop = %v, want c", got)
+	if got, _ := w.pop(); got.p != c {
+		t.Fatalf("pop = %v, want c", got.p)
 	}
-	if len(w.procs) != w.head || w.pop() != nil {
+	if _, ok := w.pop(); len(w.ws) != w.head || ok {
 		t.Fatalf("waitq not empty after draining")
+	}
+}
+
+// FuzzWaitq runs an op program against waitq and checks every pop
+// against a reference FIFO. An op byte's low two bits pick the op:
+// 0 and 1 push a process waiter, 2 pushes a callback waiter (told apart
+// by its argument, the op's index), 3 pops. The queue must keep FIFO order
+// across rewinds and the compaction a full array with a dead front
+// takes, leave every slot outside [head, len) zeroed, and never hold
+// more than four times its largest backlog (plus the first few slots
+// append hands out).
+func FuzzWaitq(f *testing.F) {
+	f.Add([]byte{0, 2, 3, 1, 3, 3})
+	f.Add([]byte{0, 0, 0, 0, 3, 3, 3, 2, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3})
+	f.Add(bytes.Repeat([]byte{0, 2, 3}, 40))
+	f.Add(append(bytes.Repeat([]byte{2}, 9), bytes.Repeat([]byte{1, 3}, 30)...))
+	procs := []*Proc{{name: "p0"}, {name: "p1"}}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		var w waitq
+		var want []waiter
+		peak := 0
+		for i, op := range prog {
+			switch op & 3 {
+			case 0, 1:
+				x := waiter{p: procs[op&1]}
+				w.push(x)
+				want = append(want, x)
+			case 2:
+				x := waiter{fn: func(any) {}, arg: i}
+				w.push(x)
+				want = append(want, x)
+			case 3:
+				got, ok := w.pop()
+				if ok != (len(want) > 0) {
+					t.Fatalf("op %d: pop ok=%v with %d expected", i, ok, len(want))
+				}
+				if ok {
+					if got.p != want[0].p || got.arg != want[0].arg {
+						t.Fatalf("op %d: pop = %+v, want %+v", i, got, want[0])
+					}
+					want = want[1:]
+				}
+			}
+			peak = max(peak, len(want))
+			if live := len(w.ws) - w.head; live != len(want) {
+				t.Fatalf("op %d: %d live entries, want %d", i, live, len(want))
+			}
+			for j, x := range w.ws[:cap(w.ws)] {
+				if (j < w.head || j >= len(w.ws)) && (x.p != nil || x.fn != nil || x.arg != nil) {
+					t.Fatalf("op %d: dead slot %d not cleared: %+v", i, j, x)
+				}
+			}
+			if cap(w.ws) > 4*peak+4 {
+				t.Fatalf("op %d: cap %d for a peak backlog of %d", i, cap(w.ws), peak)
+			}
+		}
+	})
+}
+
+// TestQueueRotationAllocs: four processes pass one token round through
+// a Queue, so three of them are always waiting and its waitq never
+// drains. Before a full waitq slid its live entries down, the array
+// grew by one slot per wait for the whole run; warm, the rotation now
+// allocates nothing and the array stays at its backlog.
+func TestQueueRotationAllocs(t *testing.T) {
+	e := NewEngine(1)
+	defer e.Close()
+	q := NewQueue[int](e)
+	for i := 0; i < 4; i++ {
+		e.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
+			for {
+				v := q.Pop(p)
+				if v < 0 {
+					return
+				}
+				p.Sleep(1)
+				q.Push(v + 1)
+			}
+		})
+	}
+	e.Go("measure", func(p *Proc) {
+		q.Push(0)
+		if got := testing.AllocsPerRun(5, func() { p.Sleep(10000) }); got != 0 {
+			t.Errorf("rotation allocates %v objects per 10000 waits, want 0", got)
+		}
+		if c := cap(q.waiters.ws); c > 8 {
+			t.Errorf("waitq array holds %d slots for a backlog of 3", c)
+		}
+		for i := 0; i < 4; i++ {
+			q.Push(-1)
+		}
+	})
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
 	}
 }
