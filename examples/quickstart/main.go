@@ -50,7 +50,7 @@ func exchange(os cluster.OSType) (time.Duration, error) {
 	//    context areas — publishes its address, and runs the body once
 	//    every rank has done so.
 	var lat time.Duration
-	ranks := cl.StartRanks("rank", []int{0, 1}, func(p *sim.Proc, rank int, ep *psm.Endpoint) error {
+	ranks := cl.StartRanks("rank", []int{0, 1}, nil, func(p *sim.Proc, rank int, ep *psm.Endpoint) error {
 		// 3. Allocate a user buffer (contiguous+pinned on McKernel,
 		//    scattered 4K pages on Linux) and move real bytes.
 		buf, err := ep.OS.MmapAnon(p, size)

@@ -21,6 +21,7 @@ import (
 	"repro/internal/mlx"
 	"repro/internal/model"
 	"repro/internal/pool"
+	"repro/internal/psm"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
@@ -141,9 +142,10 @@ type Node struct {
 	Mlx      *mlx.Driver
 	MlxPico  *core.MLXPico
 
-	appCPUs []int
-	nextApp int
-	ranks   []*RankOS // every rank personality made on the node (Pools)
+	appCPUs  []int
+	nextApp  int
+	ranks    []*RankOS // every rank personality made on the node (pools)
+	bootPins int       // pinned frames after boot, CheckTeardown's baseline
 
 	pr        *model.Params
 	synthetic bool
@@ -440,6 +442,8 @@ func (c *Cluster) buildNode(id int) (*Node, error) {
 	eng.RegisterState(fmt.Sprintf("node%d/hfidrv", id), n.Drv)
 	eng.RegisterState(fmt.Sprintf("node%d/rnic", id), n.RNIC)
 	eng.RegisterState(fmt.Sprintf("node%d/mlx", id), n.Mlx)
+	// Pins taken while booting stay; the ranks' must all go back.
+	n.bootPins = n.Phys.PinnedFrames()
 	return n, nil
 }
 
@@ -520,12 +524,12 @@ func (c *Cluster) Ties() uint64 {
 	return n
 }
 
-// Pools returns the counts of every per-operation pool of the nodes,
-// their ranks' kernel personalities and the fabrics, for a teardown
-// balance check (pool.Balance). Two kinds are not listed: psm endpoints
-// list their own (psm.Endpoint.Pools), and a node's frame pool is not a
-// per-operation pool, since mapped memory keeps its frames.
-func (c *Cluster) Pools() []pool.Stats {
+// pools returns the counts of every per-operation pool of the nodes,
+// their ranks' kernel personalities and the fabrics. Two kinds are not
+// listed: psm endpoints list their own (psm.Endpoint.Pools), and a
+// node's frame pool is not a per-operation pool, since mapped memory
+// keeps its frames.
+func (c *Cluster) pools() []pool.Stats {
 	var ss []pool.Stats
 	for _, n := range c.Nodes {
 		ss = append(ss, n.NIC.Txns.Stats())
@@ -546,6 +550,65 @@ func (c *Cluster) Pools() []pool.Stats {
 		ss = append(ss, f.Pools()...)
 	}
 	return ss
+}
+
+// CheckTeardown checks, once the machine has drained, that the ranks
+// let go of everything they took: every node's pins are back at their
+// boot count, TID entries programmed were cleared, no hardware or driver
+// context, txreq or TID pin set, verbs MR, QP or rkey is left, no packet
+// was dropped, every per-operation record is back in its pool, and each
+// of eps lists its retained payload chunks exactly
+// (psm.Endpoint.CheckRetained): a flow whose endpoint closed before its
+// last ACK still lists its chunks, held once per listing. It names the
+// first leak it finds.
+func (c *Cluster) CheckTeardown(eps []*psm.Endpoint) error {
+	for i, n := range c.Nodes {
+		if got := n.Phys.PinnedFrames(); got != n.bootPins {
+			return fmt.Errorf("cluster: node %d pin imbalance: %d pinned frames after teardown, baseline %d", i, got, n.bootPins)
+		}
+		if n.NIC.TIDProgramOps != n.NIC.TIDClearOps {
+			return fmt.Errorf("cluster: node %d TID program/release imbalance: %d programmed, %d cleared", i, n.NIC.TIDProgramOps, n.NIC.TIDClearOps)
+		}
+		if open := n.Drv.OpenContexts(); open != 0 {
+			return fmt.Errorf("cluster: node %d leaks %d open driver contexts", i, open)
+		}
+		if live := n.NIC.LiveContexts(); live != 0 {
+			return fmt.Errorf("cluster: node %d leaks %d hardware contexts", i, live)
+		}
+		if pins := n.Drv.OutstandingTxreqPins(); pins != 0 {
+			return fmt.Errorf("cluster: node %d leaks %d txreq pin sets", i, pins)
+		}
+		if pins := n.Drv.OutstandingTIDPins(); pins != 0 {
+			return fmt.Errorf("cluster: node %d leaks %d TID pins", i, pins)
+		}
+		if n.NIC.RxDropped != 0 {
+			return fmt.Errorf("cluster: node %d dropped %d packets", i, n.NIC.RxDropped)
+		}
+		// Every MR deregistered and every QP destroyed, on whichever
+		// path — Linux driver or PicoDriver fast path — registered them.
+		if live := n.Mlx.LiveMRs(); live != 0 {
+			return fmt.Errorf("cluster: node %d leaks %d mlx MRs", i, live)
+		}
+		if n.MlxPico != nil {
+			if live := n.MlxPico.LiveMRs(); live != 0 {
+				return fmt.Errorf("cluster: node %d leaks %d fast-path MRs", i, live)
+			}
+		}
+		if live := n.RNIC.LiveQPs(); live != 0 {
+			return fmt.Errorf("cluster: node %d leaks %d verbs QPs", i, live)
+		}
+		if live := n.RNIC.KeysLive(); live != 0 {
+			return fmt.Errorf("cluster: node %d leaks %d programmed rkeys", i, live)
+		}
+	}
+	pools := c.pools()
+	for _, ep := range eps {
+		if err := ep.CheckRetained(); err != nil {
+			return err
+		}
+		pools = append(pools, ep.Pools()...)
+	}
+	return pool.Balance(pools...)
 }
 
 // AppCPUs returns the node's application core ids.

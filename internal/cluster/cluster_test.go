@@ -25,7 +25,7 @@ func runPair(t *testing.T, os OSType, synthetic bool,
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranks := c.StartRanks("rank", []int{0, 1}, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
+	ranks := c.StartRanks("rank", []int{0, 1}, nil, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
 		body(p, r, ep)
 		return nil
 	})
@@ -140,7 +140,7 @@ func TestIntraNodeMessaging(t *testing.T) {
 	}
 	const size = 100 << 10
 	ok := false
-	ranks := c.StartRanks("rank", []int{0, 0}, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
+	ranks := c.StartRanks("rank", []int{0, 0}, nil, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
 		buf, err := ep.OS.MmapAnon(p, size)
 		if err != nil {
 			return err
@@ -452,7 +452,7 @@ func TestZeroParamsMeanDefault(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Close()
-		ranks := cl.StartRanks("rank", []int{0, 1}, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
+		ranks := cl.StartRanks("rank", []int{0, 1}, nil, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
 			buf, err := ep.OS.MmapAnon(p, 1024)
 			if err != nil {
 				return err

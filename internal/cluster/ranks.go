@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/psm"
@@ -40,15 +40,16 @@ func (f *FirstErr) Record(p *sim.Proc, rank int, err error) {
 func (f *FirstErr) Err() error { return f.err }
 
 // StartRanks spawns one process per placement entry — rank r on node
-// placement[r], named prefix+r — that opens a PSM endpoint, publishes
+// placement[r], named prefix+r — that opens a PSM endpoint, runs init
+// (when not nil: a runtime's own startup, MPI_Init for mpi), publishes
 // its address, waits until every rank has done so, and then runs body.
 // The endpoints elide payload bytes exactly when Spec.Synthetic is set.
 // It schedules but does not run: the caller drives the machine with
 // Run, so a checkpoint or a recorder can still be put in between. An
-// error from the endpoint or from body ends that rank and is kept for
+// error from the endpoint, init or body ends that rank and is kept for
 // Err.
 func (c *Cluster) StartRanks(prefix string, placement []int,
-	body func(p *sim.Proc, rank int, ep *psm.Endpoint) error) *Ranks {
+	init, body func(p *sim.Proc, rank int, ep *psm.Endpoint) error) *Ranks {
 	n := len(placement)
 	rs := &Ranks{
 		eps:    make([]*psm.Endpoint, n),
@@ -59,14 +60,20 @@ func (c *Cluster) StartRanks(prefix string, placement []int,
 	for r, node := range placement {
 		r := r
 		osops := c.Nodes[node].NewRankOS(r)
-		c.Go(node, fmt.Sprintf("%s%d", prefix, r), func(p *sim.Proc) {
+		var name [32]byte // the name costs its string alone
+		c.Go(node, string(strconv.AppendInt(append(name[:0], prefix...), int64(r), 10)), func(p *sim.Proc) {
 			ep, err := psm.NewEndpoint(p, osops, r, book, c.Cfg.Synthetic)
+			if err == nil {
+				rs.eps[r] = ep
+				if init != nil {
+					err = init(p, r, ep)
+				}
+			}
 			if err != nil {
 				rs.Record(p, r, err)
 				ready.Done(p)
 				return
 			}
-			rs.eps[r] = ep
 			book[r] = psm.Addr{Node: osops.NodeID(), Ctx: ep.CtxID}
 			ready.Done(p)
 			ready.Wait(p)
@@ -76,6 +83,16 @@ func (c *Cluster) StartRanks(prefix string, placement []int,
 		})
 	}
 	return rs
+}
+
+// Blocks is the block placement: ranks [n*ranksPerNode,
+// (n+1)*ranksPerNode) on node n, for each of nodes nodes.
+func Blocks(nodes, ranksPerNode int) []int {
+	placement := make([]int, nodes*ranksPerNode)
+	for r := range placement {
+		placement[r] = r / ranksPerNode
+	}
+	return placement
 }
 
 // Endpoints returns the endpoints in rank order; an entry is nil until

@@ -53,7 +53,7 @@ func TestRanksErrFirstFailureWins(t *testing.T) {
 	}
 	cause := errors.New("rank 1 gave up")
 	var consequence error
-	ranks := c.StartRanks("rank", []int{0, 1}, func(p *sim.Proc, rank int, ep *psm.Endpoint) error {
+	ranks := c.StartRanks("rank", []int{0, 1}, nil, func(p *sim.Proc, rank int, ep *psm.Endpoint) error {
 		buf, err := ep.OS.MmapAnon(p, 4096)
 		if err != nil {
 			return err
@@ -90,7 +90,7 @@ func TestRanksDrainOnLossyFabric(t *testing.T) {
 	}
 	body := pingPong(40, 32<<10)
 	var ranks *Ranks
-	ranks = c.StartRanks("rank", []int{0, 1}, func(p *sim.Proc, rank int, ep *psm.Endpoint) error {
+	ranks = c.StartRanks("rank", []int{0, 1}, nil, func(p *sim.Proc, rank int, ep *psm.Endpoint) error {
 		if err := body(p, rank, ep); err != nil {
 			return err
 		}
@@ -132,7 +132,7 @@ func TestRanksDrainReturnsAtOnceOnQuietFabric(t *testing.T) {
 	defer c.Close()
 	const busy = 200 * time.Microsecond
 	var ranks *Ranks
-	ranks = c.StartRanks("rank", []int{0, 1}, func(p *sim.Proc, rank int, ep *psm.Endpoint) error {
+	ranks = c.StartRanks("rank", []int{0, 1}, nil, func(p *sim.Proc, rank int, ep *psm.Endpoint) error {
 		if rank == 1 {
 			p.Sleep(busy)
 			return ranks.Drain(p, ep)
@@ -167,7 +167,7 @@ func TestRanksShardCountInvariant(t *testing.T) {
 		defer c.Close()
 		body := pingPong(4, 256<<10)
 		var ranks *Ranks
-		ranks = c.StartRanks("rank", []int{0, 1}, func(p *sim.Proc, rank int, ep *psm.Endpoint) error {
+		ranks = c.StartRanks("rank", []int{0, 1}, nil, func(p *sim.Proc, rank int, ep *psm.Endpoint) error {
 			if err := body(p, rank, ep); err != nil {
 				return err
 			}
@@ -206,7 +206,7 @@ func TestStartRanksDoesNotRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c, c.StartRanks("rank", []int{0, 1}, pingPong(2, 64<<10))
+		return c, c.StartRanks("rank", []int{0, 1}, nil, pingPong(2, 64<<10))
 	}
 	a, ranksA := build()
 	if now := a.Now(); now != 0 {
@@ -250,7 +250,7 @@ func TestCrossShardAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ranks := c.StartRanks("rank", []int{0, 1}, func(p *sim.Proc, rank int, ep *psm.Endpoint) error {
+	ranks := c.StartRanks("rank", []int{0, 1}, nil, func(p *sim.Proc, rank int, ep *psm.Endpoint) error {
 		buf, err := ep.OS.MmapAnon(p, size)
 		if err != nil {
 			return err

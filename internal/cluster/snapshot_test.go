@@ -38,7 +38,7 @@ func startPair(t *testing.T, os OSType, size uint64) *Cluster {
 // (goroutine-safe).
 func startPairOn(t *testing.T, c *Cluster, size uint64) {
 	body := pingPong(1, size)
-	c.StartRanks("rank", []int{0, 1}, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
+	c.StartRanks("rank", []int{0, 1}, nil, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
 		err := body(p, r, ep)
 		if err != nil {
 			t.Errorf("rank %d: %v", r, err)
@@ -150,7 +150,7 @@ func TestRingFootprint(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			ranks := c.StartRanks("rank", []int{0, 1}, pingPong(trips, size))
+			ranks := c.StartRanks("rank", []int{0, 1}, nil, pingPong(trips, size))
 			if err := c.Run(0); err != nil {
 				t.Fatal(err)
 			}

@@ -246,7 +246,7 @@ func TestPicoFallbackForUnpinnedBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fellBack bool
-	ranks := cl.StartRanks("rank", []int{0, 1}, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
+	ranks := cl.StartRanks("rank", []int{0, 1}, nil, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
 		if r != 0 {
 			// Receiver posts a matching receive into a regular
 			// (pinned) buffer.

@@ -90,7 +90,7 @@ func bigscaleJob(cfg Config, app *miniapps.App, nodes, rpn int) (*cluster.Cluste
 		return nil, nil, err
 	}
 	h := mpi.StartJob(cl, mpi.JobSpec{
-		Placement: mpi.Blocks(nodes, rpn),
+		Placement: cluster.Blocks(nodes, rpn),
 		Body:      func(co *mpi.Comm) error { return app.Body(co, app) },
 	})
 	return cl, h, nil

@@ -347,7 +347,7 @@ func buildPingPong(cfg Config, os cluster.OSType, size uint64, reps int, verifie
 	}
 	c := &ppCell{cl: cl, reps: reps, hist: &trace.Histogram{},
 		want: func(dst []byte, _ int, tag uint64) { relPattern(dst, tag) }}
-	c.ranks = cl.StartRanks("pp", []int{0, 1}, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
+	c.ranks = cl.StartRanks("pp", []int{0, 1}, nil, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
 		proc := ep.OS.Proc()
 		buf, err := ep.OS.MmapAnon(p, size)
 		if err != nil {

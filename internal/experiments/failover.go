@@ -83,7 +83,7 @@ func failoverCell(cfg Config, os cluster.OSType) (FailoverRow, error) {
 	completions := make([]time.Duration, 0, msgs)
 	var streamStart time.Duration
 	var ranks *cluster.Ranks
-	ranks = cl.StartRanks("fo", []int{0, 1}, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
+	ranks = cl.StartRanks("fo", []int{0, 1}, nil, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
 		proc := ep.OS.Proc()
 		buf, err := ep.OS.MmapAnon(p, size)
 		if err != nil {

@@ -30,7 +30,7 @@ func TestSyntheticModeMovesNoTime(t *testing.T) {
 						return "", err
 					}
 					defer cl.Close()
-					placement := mpi.Blocks(2, 4)
+					placement := cluster.Blocks(2, 4)
 					body := make([]time.Duration, len(placement))
 					h := mpi.StartJob(cl, mpi.JobSpec{Placement: placement, Body: func(c *mpi.Comm) error {
 						start := c.P.Now()

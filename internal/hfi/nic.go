@@ -176,12 +176,11 @@ type NIC struct {
 
 	// irqSink receives each interrupt's batch: completed transactions
 	// linked through irqNext, in completion order. irqHead/irqTail is the
-	// batch pending delivery; raiseIRQ is the method value the interrupt
-	// event runs, built once.
+	// batch pending delivery; its interrupt event is deliverIRQ on the
+	// NIC.
 	irqSink          func(batch *SDMATxn)
 	irqHead, irqTail *SDMATxn
 	irqScheduled     bool
-	raiseIRQ         func()
 	// Txns is the transaction pool. A transaction goes back only from
 	// its one holder: never queued, or its completion callback has run.
 	Txns pool.Pool[*SDMATxn] `snap:"-"`
@@ -241,7 +240,6 @@ func NewNIC(e *sim.Engine, pr *model.Params, node int, phys *mem.PhysMem, fab *f
 		Txns: pool.New("hfi: SDMATxn", nil, func() *SDMATxn { return new(SDMATxn) },
 			func(t *SDMATxn) { *t = SDMATxn{Requests: t.Requests[:0]} }),
 	}
-	n.raiseIRQ = n.deliverIRQ
 	port, err := fab.Attach(node, func(pkt *fabric.Packet) { n.rxq.Push(pkt) })
 	if err != nil {
 		return nil, err
@@ -670,11 +668,13 @@ func (n *NIC) complete(txn *SDMATxn) {
 		return
 	}
 	n.irqScheduled = true
-	n.e.After(n.pr.IRQLatency, n.raiseIRQ)
+	n.e.AfterArg(n.pr.IRQLatency, deliverIRQ, n)
 }
 
-// deliverIRQ raises the completion interrupt for the pending batch.
-func (n *NIC) deliverIRQ() {
+// deliverIRQ raises the completion interrupt for the pending batch of
+// the *NIC it is given.
+func deliverIRQ(a any) {
+	n := a.(*NIC)
 	n.irqScheduled = false
 	batch := n.irqHead
 	n.irqHead, n.irqTail = nil, nil

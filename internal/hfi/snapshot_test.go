@@ -58,7 +58,8 @@ func TestSnapshotCoversSDMARequests(t *testing.T) {
 // transfer paused every 100 ns for 10 µs must show, among its snapshots, a
 // descriptor-cost event carrying its engine (index 3), a wire event
 // carrying that engine's Transmit, and a receive event carrying the
-// NIC.
+// NIC. Once the transaction has retired, within IRQLatency, the pending
+// completion interrupt is an event carrying the sending NIC (node 0).
 func TestSnapshotNamesPendingPipelines(t *testing.T) {
 	r := newNICRig(t)
 	defer r.e.Close()
@@ -84,6 +85,21 @@ func TestSnapshotNamesPendingPipelines(t *testing.T) {
 		if strings.Contains(engine, `resume="nic`) {
 			t.Fatalf("a NIC pipeline is a process again:\n%s", engine)
 		}
+		// Node 0's NIC walks without a Node line (zero fields print
+		// nothing), node 1's with "Node=1".
+		nic0 := map[string]bool{}
+		for _, l := range strings.Split(engine, "\n") {
+			if head, typ, ok := strings.Cut(l, " arg="); ok && typ == "*hfi.NIC" {
+				_, seq, _ := strings.Cut(head, " seq=")
+				nic0["event["+seq+"]"] = true
+			}
+			if ev, ok := strings.CutSuffix(l, ".Node=1"); ok {
+				delete(nic0, ev)
+			}
+		}
+		if r.nic[0].irqScheduled && len(nic0) > 0 {
+			seen["irq"] = true
+		}
 		for _, l := range strings.Split(engine, "\n") {
 			if _, typ, ok := strings.Cut(l, " arg="); ok {
 				seen[typ] = true
@@ -93,7 +109,7 @@ func TestSnapshotNamesPendingPipelines(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"*hfi.SDMAEngine", "*fabric.Transmit", "*hfi.NIC", "].Index=3", "].Arg.(*hfi.SDMAEngine).Index=3"} {
+	for _, want := range []string{"*hfi.SDMAEngine", "*fabric.Transmit", "*hfi.NIC", "].Index=3", "].Arg.(*hfi.SDMAEngine).Index=3", "irq"} {
 		if !seen[want] {
 			t.Errorf("no snapshot named %q; seen %v", want, seen)
 		}

@@ -52,18 +52,18 @@ type JobSpec struct {
 type JobHandle struct {
 	// arrival is the virtual time MPI_Init begins (spawn time).
 	arrival   time.Duration
+	ranks     *cluster.Ranks
 	comms     []*Comm
-	failed    cluster.FirstErr
 	bodyStart []time.Duration
 	bodyEnd   []time.Duration
 }
 
-// StartJob spawns one rank process per Placement entry without driving
-// the engine: the caller (RunJob, or a cell overlaying several jobs)
-// runs the engine and then collects each handle's Result.
+// StartJob starts one rank per Placement entry through
+// cluster.StartRanks, with MPI_Init (initRank) as its init stage,
+// without driving the engine: the caller (RunJob, or a cell overlaying
+// several jobs) runs the engine and then collects each handle's Result.
 func StartJob(cl *cluster.Cluster, spec JobSpec) *JobHandle {
 	nRanks := len(spec.Placement)
-	book := make(psm.MapBook, nRanks)
 	rma := newRMAWorld()
 	h := &JobHandle{
 		arrival:   cl.Now(),
@@ -77,43 +77,32 @@ func StartJob(cl *cluster.Cluster, spec JobSpec) *JobHandle {
 	for _, n := range spec.Placement {
 		occupancy[n]++
 	}
-	ready := cl.NewRendezvous(nRanks)
-
-	for r := 0; r < nRanks; r++ {
-		r := r
-		node := cl.Nodes[spec.Placement[r]]
-		rpn := occupancy[spec.Placement[r]]
-		osops := node.NewRankOS(r)
-		name := fmt.Sprintf("rank%d", r)
-		if spec.Name != "" {
-			name = fmt.Sprintf("%s:rank%d", spec.Name, r)
-		}
-		cl.Go(spec.Placement[r], name, func(p *sim.Proc) {
-			fail := func(err error) { h.failed.Record(p, r, err) }
-			comm, err := initRank(p, cl, osops, r, nRanks, rpn, book, rma, ready)
-			if err != nil {
-				fail(err)
-				return
-			}
-			h.comms[r] = comm
+	prefix := "rank"
+	if spec.Name != "" {
+		prefix = spec.Name + ":rank"
+	}
+	h.ranks = cl.StartRanks(prefix, spec.Placement,
+		func(p *sim.Proc, r int, ep *psm.Endpoint) (err error) {
+			h.comms[r], err = initRank(p, cl, ep, h.arrival, nRanks, occupancy[spec.Placement[r]], rma)
+			return err
+		},
+		func(p *sim.Proc, r int, _ *psm.Endpoint) error {
+			comm := h.comms[r]
 			// Post-init barrier: application timing starts here.
 			if err := comm.Barrier(); err != nil {
-				fail(err)
-				return
+				return err
 			}
 			h.bodyStart[r] = p.Now()
 			if err := spec.Body(comm); err != nil {
-				fail(fmt.Errorf("rank %d: %w", r, err))
-				return
+				return fmt.Errorf("rank %d: %w", r, err)
 			}
 			// Completion barrier quiesces outstanding traffic.
 			if err := comm.Barrier(); err != nil {
-				fail(err)
-				return
+				return err
 			}
 			h.bodyEnd[r] = p.Now()
+			return nil
 		})
-	}
 	return h
 }
 
@@ -124,9 +113,9 @@ func (h *JobHandle) Comms() []*Comm { return h.comms }
 
 // Result aggregates the finished job's profiles and timings. It must
 // only be called after the engine has drained. If ranks failed it
-// returns the first failure (cluster.FirstErr's rule, as Ranks.Err).
+// returns the first failure (Ranks.Err).
 func (h *JobHandle) Result() (*JobResult, error) {
-	if err := h.failed.Err(); err != nil {
+	if err := h.ranks.Err(); err != nil {
 		return nil, err
 	}
 	nRanks := len(h.comms)
@@ -155,36 +144,21 @@ func (h *JobHandle) Result() (*JobResult, error) {
 // costs), synchronizes, executes body on every rank and aggregates
 // profiles. It drives the engine to completion.
 func RunJob(cl *cluster.Cluster, ranksPerNode int, body RankFunc) (*JobResult, error) {
-	h := StartJob(cl, JobSpec{Placement: Blocks(len(cl.Nodes), ranksPerNode), Body: body})
+	h := StartJob(cl, JobSpec{Placement: cluster.Blocks(len(cl.Nodes), ranksPerNode), Body: body})
 	if err := cl.Run(0); err != nil {
 		return nil, fmt.Errorf("mpi: job execution: %w", err)
 	}
 	return h.Result()
 }
 
-// Blocks is RunJob's placement: ranks [n*ranksPerNode, (n+1)*ranksPerNode)
-// on node n, for each of nodes nodes.
-func Blocks(nodes, ranksPerNode int) []int {
-	placement := make([]int, nodes*ranksPerNode)
-	for r := range placement {
-		placement[r] = r / ranksPerNode
-	}
-	return placement
-}
-
-// initRank is MPI_Init: PSM endpoint creation (device open, context
-// setup, mmaps — all offloaded on McKernel) plus the runtime's own
-// startup costs, which differ per OS configuration (Table 1 shows
-// MPI_Init visibly larger with the PicoDriver because of its kernel-
-// level mapping bootstrap).
-func initRank(p *sim.Proc, cl *cluster.Cluster, osops psm.OSOps, rank, nRanks, rpn int,
-	book psm.MapBook, rma *rmaWorld, ready *sim.Rendezvous) (*Comm, error) {
-	initStart := p.Now()
-	ep, err := psm.NewEndpoint(p, osops, rank, book, cl.Cfg.Synthetic)
-	if err != nil {
-		ready.Done(p)
-		return nil, fmt.Errorf("rank %d init: %w", rank, err)
-	}
+// initRank is MPI_Init past the endpoint, which StartRanks has opened
+// (device open, context setup, mmaps — all offloaded on McKernel): the
+// runtime's own startup costs, which differ per OS configuration (Table
+// 1 shows MPI_Init visibly larger with the PicoDriver because of its
+// kernel-level mapping bootstrap). Its profile entry is timed from
+// spawn, the endpoint's opening included.
+func initRank(p *sim.Proc, cl *cluster.Cluster, ep *psm.Endpoint, spawn time.Duration,
+	nRanks, rpn int, rma *rmaWorld) (*Comm, error) {
 	// Runtime init: configuration reads, shared-memory setup, PMI
 	// exchange. The base cost is amortized model time; per-OS extras
 	// reflect offloaded device initialization and the PicoDriver's
@@ -199,31 +173,25 @@ func initRank(p *sim.Proc, cl *cluster.Cluster, osops psm.OSOps, rank, nRanks, r
 	}
 	// A few visible miscellaneous syscalls during startup.
 	for i := 0; i < 4; i++ {
-		osops.Misc(p, "open", 2*time.Microsecond)
-		osops.Misc(p, "read", 3*time.Microsecond)
+		ep.OS.Misc(p, "open", 2*time.Microsecond)
+		ep.OS.Misc(p, "read", 3*time.Microsecond)
 	}
 	p.Sleep(pr.MPIInitBase + extra)
 
 	comm := &Comm{
-		EP: ep, P: p, Rank: rank, Size: nRanks,
+		EP: ep, P: p, Rank: ep.Rank, Size: nRanks,
 		RanksPerNode: rpn,
 		Prof:         trace.NewSyscallProfile(),
 		bufCap:       collBufCap,
 		rma:          rma,
 	}
-	comm.sendBuf, err = osops.MmapAnon(p, collBufCap)
-	if err != nil {
-		ready.Done(p)
+	var err error
+	if comm.sendBuf, err = ep.OS.MmapAnon(p, collBufCap); err != nil {
 		return nil, err
 	}
-	comm.recvBuf, err = osops.MmapAnon(p, collBufCap)
-	if err != nil {
-		ready.Done(p)
+	if comm.recvBuf, err = ep.OS.MmapAnon(p, collBufCap); err != nil {
 		return nil, err
 	}
-	book[rank] = psm.Addr{Node: osops.NodeID(), Ctx: ep.CtxID}
-	comm.Prof.Add("MPI_Init", p.Now()-initStart)
-	ready.Done(p)
-	ready.Wait(p)
+	comm.Prof.Add("MPI_Init", p.Now()-spawn)
 	return comm, nil
 }

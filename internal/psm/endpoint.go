@@ -73,7 +73,6 @@ type Endpoint struct {
 	reliable      bool
 	msgTimers     map[mtKey]*recovery
 	rtCond        *sim.Cond
-	alarm         func() `snap:"-"` // rtCond.Broadcast, bound once
 	closed        bool
 	completedMsgs map[uint64]bool // by msgid
 	completedFIFO []uint64
@@ -274,7 +273,6 @@ func NewEndpoint(p *sim.Proc, os OSOps, rank int, book AddressBook, synthetic bo
 		ep.msgTimers = make(map[mtKey]*recovery)
 		ep.completedMsgs = make(map[uint64]bool)
 		ep.rtCond = sim.NewCond(ep.eng)
-		ep.alarm = ep.rtCond.Broadcast
 		ep.health = &healthMachine{ep: ep}
 		ep.eng.GoDaemon(fmt.Sprintf("psm-rt-rank%d", rank), func(dp *sim.Proc) {
 			ep.runRetransmit(dp)

@@ -20,7 +20,7 @@ func runPair(t *testing.T, spec cluster.Spec, body func(p *sim.Proc, rank int, e
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranks := cl.StartRanks("r", []int{0, 1}, func(p *sim.Proc, rank int, ep *psm.Endpoint) error {
+	ranks := cl.StartRanks("r", []int{0, 1}, nil, func(p *sim.Proc, rank int, ep *psm.Endpoint) error {
 		body(p, rank, ep)
 		return nil
 	})

@@ -552,11 +552,15 @@ func (ep *Endpoint) runRetransmit(p *sim.Proc) {
 			// Alarm: wake this daemon exactly at the deadline. Stale
 			// alarms (for timers since retired) wake it spuriously and
 			// it just re-parks.
-			ep.eng.After(next-now, ep.alarm)
+			ep.eng.AfterArg(next-now, broadcast, ep.rtCond)
 		}
 		ep.rtCond.Wait(p)
 	}
 }
+
+// broadcast is the retransmit alarm's event: it wakes the *sim.Cond it
+// is given.
+func broadcast(a any) { a.(*sim.Cond).Broadcast() }
 
 // fireTimers fires every expired timer in deterministic order: flows by
 // peer rank, then message timers by key, then the health machine. An

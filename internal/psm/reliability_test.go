@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/psm"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 // lossyPair boots a 2-node cluster with the given fault profile and runs
@@ -450,4 +452,56 @@ func TestDualRailFailover(t *testing.T) {
 	if f.Fallbacks == 0 {
 		t.Fatalf("never fell back to rail 0 after the outage: %+v", f)
 	}
+}
+
+// TestSnapshotNamesRetransmitAlarm: the retransmit daemon's alarm is an
+// event carrying the endpoint's retransmit condition, so a snapshot of
+// a lossy pair with a timer armed names it by its argument.
+func TestSnapshotNamesRetransmitAlarm(t *testing.T) {
+	cl, err := cluster.New(cluster.Spec{Nodes: 2, OS: cluster.OSLinux, Seed: 21, Params: model.Default(),
+		Faults: fabric.FaultProfile{LinkFaults: fabric.LinkFaults{Drop: 0.02}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const size = 4 << 10
+	var rs *cluster.Ranks
+	rs = cl.StartRanks("r", []int{0, 1}, nil, func(p *sim.Proc, rank int, ep *psm.Endpoint) error {
+		buf, err := ep.OS.MmapAnon(p, size)
+		if err != nil {
+			return err
+		}
+		for i := uint64(0); i < 8; i++ {
+			if rank == 0 {
+				err = ep.Send(p, 1, i, buf, size)
+			} else {
+				err = ep.Recv(p, 0, i, buf, size)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return rs.Drain(p, ep)
+	})
+	// Run(at) stops short of at only once the machine has drained.
+	for at := time.Microsecond; cl.Now() == at-time.Microsecond; at += time.Microsecond {
+		if err := cl.Run(at); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := cl.Machine().Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		f, err := snapshot.Decode(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(f.Section("engine")), " arg=*sim.Cond\n") {
+			return
+		}
+	}
+	if err := rs.Err(); err != nil {
+		t.Fatal(err)
+	}
+	t.Fatal("no snapshot of the lossy pair named a pending arg=*sim.Cond alarm")
 }

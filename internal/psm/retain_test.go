@@ -40,7 +40,7 @@ func TestRetainedChunksBalance(t *testing.T) {
 	sizes := []uint64{2 << 10, 12 << 10, 32 << 10}
 	const iters = 6
 	var rs *cluster.Ranks
-	rs = cl.StartRanks("r", []int{0, 1}, func(p *sim.Proc, rank int, ep *psm.Endpoint) error {
+	rs = cl.StartRanks("r", []int{0, 1}, nil, func(p *sim.Proc, rank int, ep *psm.Endpoint) error {
 		proc := ep.OS.Proc()
 		buf, err := ep.OS.MmapAnon(p, 32<<10)
 		if err != nil {

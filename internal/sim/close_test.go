@@ -183,7 +183,7 @@ func TestCloseAfterFailure(t *testing.T) {
 			e.Go("bomb", bombBody)
 		}, func(err error) bool { var pe *PanicError; return errors.As(err, &pe) }},
 		{"fail", func(e *Engine) {
-			e.After(5, func() { e.Fail(wedged) })
+			e.AfterArg(5, func(any) { e.Fail(wedged) }, nil)
 		}, func(err error) bool { return errors.Is(err, wedged) }},
 	}
 	for _, c := range cases {

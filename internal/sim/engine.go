@@ -72,27 +72,16 @@ type regState struct {
 	root  any
 }
 
-// eventKind selects how a popped event is dispatched. The dominant
-// event types — process resumptions from Sleep, wake and spawn — carry
-// the *Proc directly (evProc) so scheduling them allocates nothing; the
-// general evFn path keeps the closure for everything else (After
-// callbacks, device completions).
-type eventKind uint8
-
-const (
-	evFn eventKind = iota
-	evProc
-	evArg
-)
-
+// event is one entry of the heap: a process resumption (Sleep, wake,
+// spawn) when p is set, else the callback afn(arg). Callers that fire
+// the same callback repeatedly pass one func value and a pooled or
+// long-lived pointer argument, so scheduling allocates nothing.
 type event struct {
-	at   time.Duration
-	seq  uint64
-	kind eventKind
-	p    *Proc
-	fn   func()
-	afn  func(any)
-	arg  any
+	at  time.Duration
+	seq uint64
+	p   *Proc
+	afn func(any)
+	arg any
 }
 
 // NewEngine returns an engine with its virtual clock at zero and a
@@ -137,42 +126,27 @@ func (e *Engine) Fail(err error) {
 // by a restored run continue the straight run's sequence exactly.
 func (e *Engine) Rng() *xrand.Rand { return e.rng }
 
-// At schedules fn to run at absolute virtual time at. Times in the past
-// are clamped to the present.
-func (e *Engine) At(at time.Duration, fn func()) {
-	if at < e.now {
-		at = e.now
-	}
-	e.seq++
-	e.heap.push(event{at: at, seq: e.seq, kind: evFn, fn: fn})
-}
-
-// atProc schedules p to resume at absolute virtual time at without
-// allocating a closure. It follows the exact clamping and sequencing of
-// At, so the (at, seq) total order is identical to the closure path it
-// replaces.
+// atProc schedules p to resume at absolute virtual time at. Times in
+// the past are clamped to the present.
 func (e *Engine) atProc(at time.Duration, p *Proc) {
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	e.heap.push(event{at: at, seq: e.seq, kind: evProc, p: p})
+	e.heap.push(event{at: at, seq: e.seq, p: p})
 }
 
-// After schedules fn to run d from now.
-func (e *Engine) After(d time.Duration, fn func()) { e.At(later(e.now, d), fn) }
-
-// AfterArg schedules fn(arg) to run d from now. Unlike After it
-// allocates nothing when fn is a reused func value and arg is a
-// pointer: hot callers (the fabric schedules one delivery per packet)
-// pool their argument records and pass the same fn every time.
+// AfterArg schedules fn(arg) to run d from now. It allocates nothing
+// when fn is a reused func value and arg is a pointer: hot callers (the
+// fabric schedules one delivery per packet) pool their argument records
+// and pass the same fn every time.
 func (e *Engine) AfterArg(d time.Duration, fn func(any), arg any) {
 	at := later(e.now, d)
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	e.heap.push(event{at: at, seq: e.seq, kind: evArg, afn: fn, arg: arg})
+	e.heap.push(event{at: at, seq: e.seq, afn: fn, arg: arg})
 }
 
 // Proc is a simulated process. Its methods must only be called from the
@@ -314,7 +288,7 @@ func (e *Engine) mustBeOpen(op string) {
 }
 
 // callbackProc is the PanicError.Proc value of a panic raised by an
-// After/At/AfterArg callback rather than by a process body.
+// AfterArg callback rather than by a process body.
 const callbackProc = "(event callback)"
 
 // step is the dispatcher: it runs queued events strictly before the
@@ -333,14 +307,10 @@ func (e *Engine) step() *Proc {
 	for len(e.heap) > 0 && e.heap[0].at < e.bound && e.failv == nil {
 		ev := e.heap.pop()
 		e.now = ev.at
-		switch ev.kind {
-		case evProc:
+		if ev.p != nil {
 			return ev.p
-		case evArg:
-			ev.afn(ev.arg)
-		default:
-			ev.fn()
 		}
+		ev.afn(ev.arg)
 	}
 	return nil
 }
@@ -378,7 +348,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	}
 	e := p.e
 	e.seq++
-	ev := event{at: later(e.now, d), seq: e.seq, kind: evProc, p: p}
+	ev := event{at: later(e.now, d), seq: e.seq, p: p}
 	if (len(e.heap) == 0 || ev.before(&e.heap[0])) && ev.at < e.bound && e.failv == nil {
 		e.now = ev.at
 		return

@@ -13,9 +13,9 @@ import (
 func TestAfterOrdering(t *testing.T) {
 	e := NewEngine(1)
 	var order []int
-	e.After(30, func() { order = append(order, 3) })
-	e.After(10, func() { order = append(order, 1) })
-	e.After(20, func() { order = append(order, 2) })
+	e.AfterArg(30, func(any) { order = append(order, 3) }, nil)
+	e.AfterArg(10, func(any) { order = append(order, 1) }, nil)
+	e.AfterArg(20, func(any) { order = append(order, 2) }, nil)
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestSameInstantFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.After(5, func() { order = append(order, i) })
+		e.AfterArg(5, func(any) { order = append(order, i) }, nil)
 	}
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
@@ -79,8 +79,8 @@ func TestNegativeSleepIsZero(t *testing.T) {
 func TestRunLimit(t *testing.T) {
 	e := NewEngine(1)
 	fired := 0
-	e.After(10, func() { fired++ })
-	e.After(1000, func() { fired++ })
+	e.AfterArg(10, func(any) { fired++ }, nil)
+	e.AfterArg(1000, func(any) { fired++ }, nil)
 	if err := e.Run(100); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestHeapProperty(t *testing.T) {
 		var got []time.Duration
 		for _, d := range delays {
 			at := time.Duration(d)
-			e.After(at, func() { got = append(got, at) })
+			e.AfterArg(at, func(any) { got = append(got, at) }, nil)
 		}
 		if err := e.Run(0); err != nil {
 			return false
@@ -431,7 +431,7 @@ func TestSpawnAllocs(t *testing.T) {
 // woke at once; and the shard set, whose window bound t+lookahead
 // wrapped, ran empty windows without end (run this test under a short
 // -timeout). Both drivers must stop with the sleeper still queued and
-// report it deadlocked, and no After, AfterArg or CrossAfter callback
+// report it deadlocked, and no AfterArg or CrossAfter callback
 // scheduled past the end may run.
 func TestEndOfTime(t *testing.T) {
 	const forever = time.Duration(math.MaxInt64)
@@ -461,7 +461,6 @@ func TestEndOfTime(t *testing.T) {
 		e.Go("sleeper", body)
 		e.Go("scheduler", func(p *Proc) {
 			p.Sleep(time.Millisecond)
-			e.After(forever, func() { late(nil) })
 			e.AfterArg(forever, late, nil)
 		})
 		check(t, e.Run(0))

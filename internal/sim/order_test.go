@@ -61,10 +61,10 @@ func runMixScenario() []string {
 		joined.Wait(p)
 		rec("burst", "joined")
 	})
-	e.After(50, func() {
+	e.AfterArg(50, func(any) {
 		rec("cb", "after")
 		q.Push(100)
-	})
+	}, nil)
 	e.AfterArg(50, func(a any) { rec("cb", fmt.Sprintf("arg%v", a)) }, 7)
 	e.Go("drain", func(p *Proc) {
 		for i := 0; i < 7; i++ {

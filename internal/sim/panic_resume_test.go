@@ -18,7 +18,7 @@ func TestRunLimitKeepsFirstEventPastLimit(t *testing.T) {
 	var fired []time.Duration
 	for _, at := range []time.Duration{10, 150, 300} {
 		at := at
-		e.After(at, func() { fired = append(fired, at) })
+		e.AfterArg(at, func(any) { fired = append(fired, at) }, nil)
 	}
 	if err := e.Run(100); err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestPanicErrorCarriesStack(t *testing.T) {
 func TestFailErrorUnwraps(t *testing.T) {
 	sentinel := errors.New("device wedged")
 	e := NewEngine(1)
-	e.After(5, func() { e.Fail(fmt.Errorf("nic: %w", sentinel)) })
+	e.AfterArg(5, func(any) { e.Fail(fmt.Errorf("nic: %w", sentinel)) }, nil)
 	err := e.Run(0)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("errors.Is failed: %v", err)
@@ -182,13 +182,13 @@ func TestCallbackPanicNamesNoProcess(t *testing.T) {
 	// labelled driver=true/false: the second used to be dispatched from
 	// the bystander's own block.)
 	arm := func(e *Engine, first bool) {
-		boom := func() { panic("callback kaboom") }
+		boom := func(any) { panic("callback kaboom") }
 		if first {
-			e.After(0, boom)
+			e.AfterArg(0, boom, nil)
 		}
 		e.Go("bystander", bystanderBody)
 		if !first {
-			e.After(25, boom)
+			e.AfterArg(25, boom, nil)
 		}
 	}
 	check := func(t *testing.T, err error) {

@@ -38,8 +38,8 @@ func FuzzEventHeap(f *testing.F) {
 				t.Fatalf("pop = (at %d, seq %d, arg %v), want (at %d, seq %d, arg %v)",
 					got.at, got.seq, got.arg, w.at, w.seq, w.arg)
 			}
-			if ev := h[:len(h)+1][len(h)]; ev.fn != nil || ev.afn != nil || ev.p != nil ||
-				ev.arg != nil || ev.at != 0 || ev.seq != 0 || ev.kind != 0 {
+			if ev := h[:len(h)+1][len(h)]; ev.afn != nil || ev.p != nil ||
+				ev.arg != nil || ev.at != 0 || ev.seq != 0 {
 				t.Fatalf("heap slot %d not cleared after pop: %+v", len(h), ev)
 			}
 		}
@@ -51,7 +51,7 @@ func FuzzEventHeap(f *testing.F) {
 				continue
 			}
 			seq++
-			ev := event{at: time.Duration(op >> 1 & 7), seq: seq, kind: evArg, afn: func(any) {}, arg: seq}
+			ev := event{at: time.Duration(op >> 1 & 7), seq: seq, afn: func(any) {}, arg: seq}
 			h.push(ev)
 			i, _ := slices.BinarySearchFunc(want, &ev, func(w event, ev *event) int {
 				return cmp.Or(cmp.Compare(w.at, ev.at), cmp.Compare(w.seq, ev.seq))

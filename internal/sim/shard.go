@@ -207,7 +207,7 @@ func (s *ShardSet) barrier(bound time.Duration) error {
 			}
 			dst := ev.dst
 			dst.seq++
-			dst.heap.push(event{at: ev.at, seq: dst.seq, kind: evArg, afn: ev.fn, arg: ev.arg})
+			dst.heap.push(event{at: ev.at, seq: dst.seq, afn: ev.fn, arg: ev.arg})
 			s.CrossEvents++
 			s.cross[i] = crossEvent{}
 		}
@@ -230,7 +230,7 @@ func (s *ShardSet) barrier(bound time.Duration) error {
 							r.tLast, p.e.shard, p.e.now, p.name)
 					}
 					p.e.seq++
-					p.e.heap.push(event{at: r.tLast, seq: p.e.seq, kind: evProc, p: p})
+					p.e.heap.push(event{at: r.tLast, seq: p.e.seq, p: p})
 				}
 			}
 			r.waiters = nil

@@ -32,7 +32,7 @@ func shardPing(t *testing.T, hops int, d time.Duration) ([]string, *ShardSet) {
 			s.CrossAfter(src, dst, d, bounce, hop+1)
 		}
 	}
-	a.After(10, func() { bounce(0) })
+	a.AfterArg(10, func(any) { bounce(0) }, nil)
 	if err := s.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +66,12 @@ func TestShardLookaheadViolationFailsLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := s.Engines()[0], s.Engines()[1]
-	a.After(10, func() {
+	a.AfterArg(10, func(any) {
 		// Delay below the declared lookahead: the destination shard may
 		// already be past the delivery time, so this must fail, not
 		// silently reorder.
 		s.CrossAfter(a, b, 40, func(any) {}, nil)
-	})
+	}, nil)
 	err = s.Run(0)
 	if err == nil || !strings.Contains(err.Error(), "lookahead violation") {
 		t.Fatalf("Run = %v, want lookahead violation", err)
@@ -99,7 +99,7 @@ func TestShardRunLimitResume(t *testing.T) {
 			s.CrossAfter(src, dst, 150, bounce, hop+1)
 		}
 	}
-	a.After(10, func() { bounce(0) })
+	a.AfterArg(10, func(any) { bounce(0) }, nil)
 	// Pause mid-run: hop 3 fires at exactly 460, so a limit of 460 must
 	// include it (Engine.Run parity) and leave hop 4 queued.
 	if err := s.Run(460); err != nil {

@@ -115,19 +115,13 @@ func (e *Engine) encodeEngineState(enc *bytes.Buffer, labels *snapshot.Labels) e
 		return events[i].seq < events[j].seq
 	})
 	for _, ev := range events {
-		switch ev.kind {
-		case evProc:
+		if ev.p != nil {
 			fmt.Fprintf(enc, "event at=%d seq=%d resume=%q\n", int64(ev.at), ev.seq, ev.p.name)
-		case evArg:
-			fmt.Fprintf(enc, "event at=%d seq=%d arg=%T\n", int64(ev.at), ev.seq, ev.arg)
-			if err := snapshot.Walk(enc, fmt.Sprintf("event[%d].", ev.seq), ev.arg, labels); err != nil {
-				return err
-			}
-		default:
-			// Plain closures (After callbacks, device completions) carry
-			// no introspectable payload; their (at, seq) position is
-			// still pinned, and replay verification covers their effects.
-			fmt.Fprintf(enc, "event at=%d seq=%d fn\n", int64(ev.at), ev.seq)
+			continue
+		}
+		fmt.Fprintf(enc, "event at=%d seq=%d arg=%T\n", int64(ev.at), ev.seq, ev.arg)
+		if err := snapshot.Walk(enc, fmt.Sprintf("event[%d].", ev.seq), ev.arg, labels); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -65,10 +65,10 @@ func TestSpawnMidWindow(t *testing.T) {
 		p.Sleep(0)
 		rec("parent-yielded")
 	})
-	e.After(10, func() {
+	e.AfterArg(10, func(any) {
 		e.Go("from-callback", func(*Proc) { rec("from-callback") })
 		rec("callback-spawned")
-	})
+	}, nil)
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestSleepTieAndBoundRows(t *testing.T) {
 	t.Run("tie with a callback", func(t *testing.T) {
 		e := NewEngine(1)
 		var log []string
-		e.After(10, func() { log = append(log, fmt.Sprint(e.Now(), ":cb")) })
+		e.AfterArg(10, func(any) { log = append(log, fmt.Sprint(e.Now(), ":cb")) }, nil)
 		e.Go("sleeper", func(p *Proc) {
 			p.Sleep(10)
 			log = append(log, fmt.Sprint(p.Now(), ":sleeper"))

@@ -13,7 +13,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/mlx"
-	"repro/internal/pool"
 	"repro/internal/psm"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
@@ -120,9 +119,8 @@ func Check(w Workload) (*Report, error) {
 }
 
 // Run executes the workload once through the real stack and checks the
-// invariant battery: byte-exact delivery, pin, TID and retained-chunk
-// balance at teardown, closed contexts, no dropped packets, and
-// per-rank virtual-clock monotonicity.
+// invariant battery: byte-exact delivery, per-rank virtual-clock
+// monotonicity, and Cluster.CheckTeardown once the machine has drained.
 func Run(w Workload) (*Report, error) { return runWith(w, runOpts{}) }
 
 // runOpts selects the checkpoint/restore variant of a harness run and
@@ -171,14 +169,6 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 	if !w.Untraced {
 		cl.SetRecorder(rec)
 	}
-	// Pin balance is measured against the post-boot baseline: McKernel
-	// ranks pin their anonymous memory at mmap time, so only the delta
-	// across the workload must return to zero.
-	basePins := make([]int, w.Nodes)
-	for i, n := range cl.Nodes {
-		basePins[i] = n.Phys.PinnedFrames()
-	}
-
 	sums := make([][]byte, len(w.Msgs))
 	var (
 		failed *cluster.FirstErr
@@ -187,12 +177,8 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 	if w.RMA {
 		failed = startRMA(cl, w, sums)
 	} else {
-		placement := make([]int, ranks)
-		for r := range placement {
-			placement[r] = r / w.RanksPerNode
-		}
 		var rs *cluster.Ranks
-		rs = cl.StartRanks("simtest/rank", placement, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
+		rs = cl.StartRanks("simtest/rank", cluster.Blocks(w.Nodes, w.RanksPerNode), nil, func(p *sim.Proc, r int, ep *psm.Endpoint) error {
 			if err := runRank(p, w, rs, r, ep, sums); err != nil {
 				return fmt.Errorf("rank %d: %w", r, err)
 			}
@@ -239,59 +225,7 @@ func runWith(w Workload, o runOpts) (*Report, error) {
 	if len(fails) > 0 {
 		return nil, fmt.Errorf("simtest: %s", strings.Join(fails, "; "))
 	}
-	for i, n := range cl.Nodes {
-		if got := n.Phys.PinnedFrames(); got != basePins[i] {
-			return nil, fmt.Errorf("simtest: node %d pin imbalance: %d pinned frames after teardown, baseline %d", i, got, basePins[i])
-		}
-		if n.NIC.TIDProgramOps != n.NIC.TIDClearOps {
-			return nil, fmt.Errorf("simtest: node %d TID program/release imbalance: %d programmed, %d cleared", i, n.NIC.TIDProgramOps, n.NIC.TIDClearOps)
-		}
-		if live := n.NIC.LiveContexts(); live != 0 {
-			return nil, fmt.Errorf("simtest: node %d leaks %d hardware contexts", i, live)
-		}
-		if pins := n.Drv.OutstandingTxreqPins(); pins != 0 {
-			return nil, fmt.Errorf("simtest: node %d leaks %d txreq pin sets", i, pins)
-		}
-		if pins := n.Drv.OutstandingTIDPins(); pins != 0 {
-			return nil, fmt.Errorf("simtest: node %d leaks %d TID pins", i, pins)
-		}
-		if open := n.Drv.OpenContexts(); open != 0 {
-			return nil, fmt.Errorf("simtest: node %d leaks %d open driver contexts", i, open)
-		}
-		if n.NIC.RxDropped != 0 {
-			return nil, fmt.Errorf("simtest: node %d dropped %d packets", i, n.NIC.RxDropped)
-		}
-		// HCA-side balance: every MR deregistered (lkeys invalidated on
-		// the RNIC) and every QP destroyed, on whichever path — Linux
-		// driver or PicoDriver fast path — registered them.
-		if live := n.Mlx.LiveMRs(); live != 0 {
-			return nil, fmt.Errorf("simtest: node %d leaks %d mlx MRs", i, live)
-		}
-		if n.MlxPico != nil {
-			if live := n.MlxPico.LiveMRs(); live != 0 {
-				return nil, fmt.Errorf("simtest: node %d leaks %d fast-path MRs", i, live)
-			}
-		}
-		if live := n.RNIC.LiveQPs(); live != 0 {
-			return nil, fmt.Errorf("simtest: node %d leaks %d verbs QPs", i, live)
-		}
-		if live := n.RNIC.KeysLive(); live != 0 {
-			return nil, fmt.Errorf("simtest: node %d leaks %d programmed rkeys", i, live)
-		}
-	}
-	// Pool balance: once the machine has drained, every per-operation
-	// record is back in its pool, but a payload chunk a rank retained
-	// for retransmission on a lossy fabric: a flow whose endpoint closed
-	// before its last ACK still lists it, held once per listing
-	// (psm.Endpoint.CheckRetained).
-	pools := cl.Pools()
-	for _, ep := range eps {
-		if err := ep.CheckRetained(); err != nil {
-			return nil, fmt.Errorf("simtest: %w", err)
-		}
-		pools = append(pools, ep.Pools()...)
-	}
-	if err := pool.Balance(pools...); err != nil {
+	if err := cl.CheckTeardown(eps); err != nil {
 		return nil, fmt.Errorf("simtest: %w", err)
 	}
 	digest, err := traceDigest(cl, eps, sums, rec)
