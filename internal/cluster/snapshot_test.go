@@ -133,6 +133,49 @@ func TestSnapshotDeterminism(t *testing.T) {
 	}
 }
 
+// TestSnapshotNamesRootEvents: a pending event whose argument is a
+// registered snapshot root, such as the SDMA completion interrupt's
+// *hfi.NIC, names that root's section in the engine section rather
+// than repeating the whole section under "event[<seq>].". A 32 KB
+// round trip goes by eager SDMA, so such an event is pending at some
+// 100 ns step.
+func TestSnapshotNamesRootEvents(t *testing.T) {
+	c := startPair(t, OSLinux, 32<<10)
+	for at := time.Microsecond; at <= 200*time.Microsecond; at += 100 * time.Nanosecond {
+		if err := c.Run(at); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := c.Machine().Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		f, err := snapshot.Decode(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		engine := string(f.Section("engine"))
+		nics := 0
+		for _, l := range strings.Split(engine, "\n") {
+			head, typ, ok := strings.Cut(l, " arg=")
+			if !ok || typ != "*hfi.NIC" {
+				continue
+			}
+			nics++
+			_, seq, _ := strings.Cut(head, " seq=")
+			if !regexp.MustCompile(`(?m)^event\[` + seq + `\]=node[01]/hfi$`).MatchString(engine) {
+				t.Errorf("at %v: NIC event %s does not name its node's hfi section:\n%s", at, seq, engine)
+			}
+			if strings.Contains(engine, "event["+seq+"].") {
+				t.Errorf("at %v: NIC event %s walks the NIC again:\n%s", at, seq, engine)
+			}
+		}
+		if nics > 0 {
+			return
+		}
+	}
+	t.Fatal("no snapshot in the first 200 µs held a pending NIC event")
+}
+
 // TestRingFootprint: once a context's eager ring has wrapped, the node
 // backs only the ring frames that hold entries not yet handed back, not
 // every frame the NIC ever wrote. 5 000 1 KB round trips wrap the

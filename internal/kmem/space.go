@@ -41,8 +41,8 @@ type Space struct {
 	foreignFree bool
 	// deferredFrees holds objects freed from foreign CPUs, drained on
 	// the next owned-CPU allocation (like a remote free queue).
-	deferredFrees []VirtAddr `snap:"hash"`
-	caches        map[int]*cpuCache
+	deferredFrees []VirtAddr            `snap:"hash"`
+	caches        map[int]*cpuCache     // made on each CPU's first kmalloc or free
 	objects       map[VirtAddr]largeObj // allocations above every size class
 	slabs         map[VirtAddr]*slab    // by slab base VA
 
@@ -65,7 +65,9 @@ type largeObj struct {
 
 // slab is one slabBytes-aligned run of equal slots of one size class.
 // An object is found from its address alone: the slab by rounding down
-// to slabBytes, the slot by the offset.
+// to slabBytes, the slot by the offset. A new slab's slots are not
+// listed anywhere: its CPU cache records how many it has not handed
+// out yet and counts down through them (see cpuCache).
 type slab struct {
 	ext   mem.Extent
 	class int
@@ -79,13 +81,26 @@ type slab struct {
 // slotQueued flags a slab slot in slab.sizes; every class fits below it.
 const slotQueued = 1 << 15
 
+// cpuCache holds one CPU's free slots, per size class. A class hands
+// out its freed slots first, the most recently freed first, and then
+// the never-used slots of its newest slab from the top down; only when
+// both have run out does it take a new slab. That is the order a stack
+// that listed every slot of the slab on refill would pop them in.
 type cpuCache struct {
-	free map[int][]VirtAddr `snap:"hash"` // per size class, stacks
+	free  [len(classes)][]VirtAddr `snap:"hash"` // stacks of freed slots
+	fresh [len(classes)]freshSlots
+}
+
+// freshSlots are the slots of a slab never handed out: the lowest left
+// slots of the slab at base.
+type freshSlots struct {
+	base VirtAddr
+	left int
 }
 
 // Size classes for small allocations; larger requests use contiguous
 // extents directly.
-var classes = []uint64{64, 128, 256, 512, 1024, 2048, 4096}
+var classes = [...]uint64{64, 128, 256, 512, 1024, 2048, 4096}
 
 const slabBytes = 16 * mem.PageSize4K
 
@@ -100,14 +115,13 @@ func NewSpace(name string, layout vas.Layout, alloc *mem.Allocator, cpus []int) 
 		PT:      pagetable.New(),
 		Alloc:   alloc,
 		cpus:    make(map[int]bool, len(cpus)),
-		caches:  make(map[int]*cpuCache, len(cpus)),
+		caches:  make(map[int]*cpuCache),
 		objects: make(map[VirtAddr]largeObj),
 		slabs:   make(map[VirtAddr]*slab),
 		symbols: make(map[VirtAddr]*Symbol),
 	}
 	for _, c := range cpus {
 		s.cpus[c] = true
-		s.caches[c] = &cpuCache{free: make(map[int][]VirtAddr)}
 	}
 	for _, r := range alloc.Phys().Regions() {
 		if r.Kind == mem.MMIO {
@@ -156,22 +170,39 @@ func (s *Space) Kmalloc(size uint64, cpu int) (VirtAddr, error) {
 		s.objects[va] = largeObj{size: size, ext: ext}
 		return va, nil
 	}
-	cache := s.caches[cpu]
-	if len(cache.free[cl]) == 0 {
-		if err := s.refill(cache, cl); err != nil {
-			return 0, err
+	cache := s.cache(cpu)
+	var va VirtAddr
+	if list := cache.free[cl]; len(list) > 0 {
+		va = list[len(list)-1]
+		cache.free[cl] = list[:len(list)-1]
+	} else {
+		fresh := &cache.fresh[cl]
+		if fresh.left == 0 {
+			if err := s.refill(fresh, cl); err != nil {
+				return 0, err
+			}
 		}
+		fresh.left--
+		va = fresh.base + VirtAddr(uint64(fresh.left)*classes[cl])
 	}
-	list := cache.free[cl]
-	va := list[len(list)-1]
-	cache.free[cl] = list[:len(list)-1]
 	sl, slot := s.slotOf(va)
 	sl.sizes[slot] = uint16(size)
 	sl.live++
 	return va, nil
 }
 
-func (s *Space) refill(cache *cpuCache, cl int) error {
+// cache returns the cache of cpu, an owned CPU, making it on first use.
+func (s *Space) cache(cpu int) *cpuCache {
+	c := s.caches[cpu]
+	if c == nil {
+		c = new(cpuCache)
+		s.caches[cpu] = c
+	}
+	return c
+}
+
+// refill takes a new slab for class cl and makes its slots fresh.
+func (s *Space) refill(fresh *freshSlots, cl int) error {
 	ext, err := s.Alloc.AllocContig(slabBytes, mem.PreferMCDRAM)
 	if err != nil {
 		return err
@@ -181,11 +212,9 @@ func (s *Space) refill(cache *cpuCache, cl int) error {
 		s.Alloc.FreeContig(ext)
 		return fmt.Errorf("kmem: %s: slab at %#x is not %d-byte aligned", s.Name, base, slabBytes)
 	}
-	chunk := classes[cl]
-	s.slabs[base] = &slab{ext: ext, class: cl, sizes: make([]uint16, slabBytes/chunk)}
-	for off := uint64(0); off < slabBytes; off += chunk {
-		cache.free[cl] = append(cache.free[cl], base+VirtAddr(off))
-	}
+	n := slabBytes / classes[cl]
+	s.slabs[base] = &slab{ext: ext, class: cl, sizes: make([]uint16, n)}
+	*fresh = freshSlots{base: base, left: int(n)}
 	return nil
 }
 
@@ -254,7 +283,8 @@ func (s *Space) release(va VirtAddr, cpu int) {
 	sl, slot := s.slotOf(va)
 	sl.sizes[slot] = 0
 	sl.live--
-	s.caches[cpu].free[sl.class] = append(s.caches[cpu].free[sl.class], va)
+	cache := s.cache(cpu)
+	cache.free[sl.class] = append(cache.free[sl.class], va)
 }
 
 // drainDeferred processes remote frees on an owned CPU.

@@ -364,16 +364,17 @@ func TestKmallocProperty(t *testing.T) {
 }
 
 // TestRefillFootprint pins what a slab costs to set up: one slab record
-// and its slot-size array, a few KB, not one map entry per slot.
+// and its slot-size array, a few KB, and no list of its slots. The
+// first kmalloc of each class on a fresh CPU cache allocates those two
+// and no free-list storage.
 func TestRefillFootprint(t *testing.T) {
 	pm := node(t)
 	s := linuxSpace(t, pm)
-	cache := s.caches[0]
+	var fresh freshSlots
 	refill := func() {
-		if err := s.refill(cache, 0); err != nil {
+		if err := s.refill(&fresh, 0); err != nil {
 			t.Fatal(err)
 		}
-		cache.free[0] = cache.free[0][:0] // keep the free list's capacity
 	}
 	refill()
 	if got := testing.AllocsPerRun(50, refill); got != 2 {
@@ -386,8 +387,44 @@ func TestRefillFootprint(t *testing.T) {
 		refill()
 	}
 	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 4<<10 {
-		t.Errorf("class-64 refill allocates %d bytes, want at most 4 KB", per)
+	// The slot-size array is 2 KB for class 64; the slab index's growth
+	// adds a few bytes per refill.
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 2<<10+256 {
+		t.Errorf("class-64 refill allocates %d bytes, want at most 2.25 KB", per)
+	}
+
+	// The first kmalloc of each class on a new, empty cache, counted beyond
+	// what the physical allocator's own bookkeeping costs: a twin node
+	// takes the same slabs directly. The slab index is made with room
+	// for more slabs than it will hold, so that its growth does not count
+	// either.
+	s = linuxSpace(t, node(t))
+	s.slabs = make(map[VirtAddr]*slab, 2*len(classes))
+	twin := linuxSpace(t, node(t)).Alloc
+	s.cache(1)
+	mallocs := func(f func() error) uint64 {
+		runtime.ReadMemStats(&before)
+		if err := f(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	for cl, size := range classes {
+		phys := mallocs(func() error {
+			_, err := twin.AllocContig(slabBytes, mem.PreferMCDRAM)
+			return err
+		})
+		n := mallocs(func() error {
+			_, err := s.Kmalloc(size, 1)
+			return err
+		})
+		if n-phys != 2 {
+			t.Errorf("first kmalloc of class %d: %d allocations beyond the slab's physical memory, want 2 (the slab and its sizes)", size, n-phys)
+		}
+		if s.caches[1].free[cl] != nil {
+			t.Errorf("first kmalloc of class %d made a free list", size)
+		}
 	}
 }
 

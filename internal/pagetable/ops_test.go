@@ -167,7 +167,8 @@ const physSpan = 260 << 30
 var pageName = map[uint64]string{Size4K: "4K", Size2M: "2M", Size1G: "1G"}
 
 // runPageTableOps interprets prog as Map, Unmap, Translate, lookup,
-// WalkExtentsInto, PagesInto and Access calls over 4K, 2M and 1G pages
+// WalkExtentsInto, PagesInto and Access calls over 4K, 2M and 1G pages,
+// and remaps of one span from a smaller page to a larger one,
 // and checks every result, error or success, against refTable and, for
 // Access, a reference byte store keyed by physical address. It returns
 // how often an Access crossed out of its first leaf, by the sizes of
@@ -232,8 +233,33 @@ func runPageTableOps(t testing.TB, prog []byte) (accessCover map[string]int) {
 		return base + VirtAddr(l.size-back), length
 	}
 
+	// translate checks Translate and lookup's page size at va against
+	// the reference.
+	translate := func(step int, va VirtAddr) {
+		base, l, want := ref.find(va)
+		pa, flags, ok := tbl.Translate(va)
+		if ok != want || (ok && (pa != l.pa+mem.PhysAddr(va-base) || flags != l.flags)) {
+			t.Fatalf("step %d: Translate(%#x) = %#x/%#x/%v, reference %#x/%#x/%v",
+				step, va, pa, flags, ok, l.pa+mem.PhysAddr(va-base), l.flags, want)
+		}
+		if _, got, ok := tbl.lookup(va); ok && got != l.size {
+			t.Fatalf("step %d: page size at %#x = %d, reference %d", step, va, got, l.size)
+		}
+	}
+	// touched translates across a range a Map or Unmap just worked on,
+	// whether it succeeded or not: its ends and evenly spaced addresses
+	// between them. A lookup cache that outlives a change to the table
+	// answers one of them from before the change.
+	touched := func(step int, va VirtAddr, length uint64) {
+		const probes = 16
+		for i := range uint64(probes) {
+			translate(step, va+VirtAddr(length/probes*i))
+		}
+		translate(step, va+VirtAddr(length-1))
+	}
+
 	for step := 0; !p.done; step++ {
-		switch op := p.u8() % 7; op {
+		switch op := p.u8() % 8; op {
 		case 0: // Map
 			unit := units[p.u8()%len(units)]
 			va := pick(unit)
@@ -273,6 +299,7 @@ func runPageTableOps(t testing.TB, prog []byte) (accessCover map[string]int) {
 			if want {
 				mapped = append(mapped, vaRange{va, length})
 			}
+			touched(step, va, length)
 		case 1: // Unmap
 			var va VirtAddr
 			var length uint64
@@ -288,20 +315,13 @@ func runPageTableOps(t testing.TB, prog []byte) (accessCover map[string]int) {
 			if err := tbl.Unmap(va, length); (err == nil) != want {
 				t.Fatalf("step %d: Unmap(%#x, %#x) = %v, reference ok=%v", step, va, length, err, want)
 			}
+			touched(step, va, length)
 		case 2: // Translate, lookup's page size
 			va := probe()
 			if p.u8()%8 == 0 {
 				va ^= 1 << 47 // the non-canonical twin of a canonical address
 			}
-			base, l, want := ref.find(va)
-			pa, flags, ok := tbl.Translate(va)
-			if ok != want || (ok && (pa != l.pa+mem.PhysAddr(va-base) || flags != l.flags)) {
-				t.Fatalf("step %d: Translate(%#x) = %#x/%#x/%v, reference %#x/%#x/%v",
-					step, va, pa, flags, ok, l.pa+mem.PhysAddr(va-base), l.flags, want)
-			}
-			if _, got, _ := tbl.lookup(va); got != l.size {
-				t.Fatalf("step %d: page size at %#x = %d, reference %d", step, va, got, l.size)
-			}
+			translate(step, va)
 		case 3, 4: // WalkExtentsInto, PagesInto
 			pages := op == 4
 			va := probe()
@@ -337,6 +357,31 @@ func runPageTableOps(t testing.TB, prog []byte) (accessCover map[string]int) {
 			if err := tbl.Map(top, pa, Size4K, 0); (err == nil) != want {
 				t.Fatalf("step %d: Map(top, %#x) = %v, reference ok=%v", step, pa, err, want)
 			}
+			touched(step, top, Size4K)
+		case 7: // a smaller page looked up, unmapped and replaced by a larger one
+			unit := units[1+p.u8()%2]
+			va, small := pick(unit), unit>>9
+			pa := mem.PhysAddr(uint64(p.u8()) * unit)
+			if len(ref.leaves) > maxRefLeaves || !ref.mapRange(va, pa, small, 0) {
+				continue
+			}
+			if err := tbl.Map(va, pa, small, 0); err != nil {
+				t.Fatalf("step %d: Map(%#x, %#x, %#x) = %v, reference ok", step, va, pa, small, err)
+			}
+			translate(step, va) // caches the table the larger page replaces
+			ref.unmap(va, small)
+			if err := tbl.Unmap(va, small); err != nil {
+				t.Fatalf("step %d: Unmap(%#x, %#x) = %v, reference ok", step, va, small, err)
+			}
+			touched(step, va, unit)
+			want := ref.mapRange(va, pa, unit, 0)
+			if err := tbl.Map(va, pa, unit, 0); (err == nil) != want {
+				t.Fatalf("step %d: Map(%#x, %#x, %#x) = %v, reference ok=%v", step, va, pa, unit, err, want)
+			}
+			if want {
+				mapped = append(mapped, vaRange{va, unit})
+			}
+			touched(step, va, unit)
 		case 6: // Access
 			va, length := accessRange()
 			write := p.u8()%2 == 0
@@ -396,6 +441,9 @@ func runPageTableOps(t testing.TB, prog []byte) (accessCover map[string]int) {
 			if got, want := mappedBytes(tbl, size), ref.mapped[size]; got != want {
 				t.Fatalf("step %d: mapped bytes of size %d = %d, reference %d", step, size, got, want)
 			}
+		}
+		if err := checkDirs(tbl); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 	}
 	for base, l := range ref.leaves {

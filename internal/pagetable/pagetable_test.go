@@ -2,8 +2,10 @@ package pagetable
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -168,14 +170,34 @@ func TestNonCanonicalDoesNotAlias(t *testing.T) {
 	}
 }
 
+var footprintSink *Table
+
 // TestTableFootprint pins the packed layout: a last-level table is 512
-// eight-byte entries with no pointer the garbage collector would scan.
+// eight-byte entries with no pointer the garbage collector would scan,
+// and directories store only the slots they use. A table holding one 4K
+// and one 2M mapping has a PML4 and a PDPT of one slot and a PD of two:
+// under 1 KB of directories beside its one PT (the dense directories
+// took 8 KB each).
 func TestTableFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(pt{}); got != 4096 {
 		t.Errorf("last-level table is %d bytes, want 4096", got)
 	}
 	if hasPointers(reflect.TypeFor[pt]()) {
 		t.Error("last-level table type holds pointers")
+	}
+	var before, after runtime.MemStats
+	const runs = 20
+	runtime.ReadMemStats(&before)
+	for range runs {
+		tbl := New()
+		if tbl.Map(0x400000, 0x10000, Size4K, Writable) != nil || tbl.Map(0x600000, 0x600000, Size2M, Writable) != nil {
+			t.Fatal("map failed")
+		}
+		footprintSink = tbl
+	}
+	runtime.ReadMemStats(&after)
+	if dirs := (after.TotalAlloc-before.TotalAlloc)/runs - uint64(unsafe.Sizeof(pt{})); dirs > 1<<10 {
+		t.Errorf("one 4K and one 2M mapping: %d bytes of directories, want at most 1 KB", dirs)
 	}
 }
 
@@ -514,30 +536,24 @@ func BenchmarkAccess(b *testing.B) {
 	}
 }
 
-// mappedBytes sums the bytes t maps with leaves of one page size.
+// mappedBytes sums the bytes t maps with leaves of one page size,
+// reading the directories' used slots.
 func mappedBytes(t *Table, pageSize uint64) uint64 {
 	var n [3]uint64 // 4K, 2M, 1G
-	for _, l3 := range t.root {
-		if l3 == nil {
-			continue
-		}
-		for i3, e := range l3.ptes {
-			if e.leaf() {
+	for _, s3 := range t.root.slots {
+		for _, s2 := range s3.next.slots {
+			if s2.leaf.leaf() {
 				n[2] += Size1G
-			}
-			l2 := l3.next[i3]
-			if l2 == nil {
 				continue
 			}
-			for i2, e := range l2.ptes {
-				if e.leaf() {
+			for _, s1 := range s2.next.slots {
+				if s1.leaf.leaf() {
 					n[1] += Size2M
+					continue
 				}
-				if l1 := l2.next[i2]; l1 != nil {
-					for _, e := range l1 {
-						if e.leaf() {
-							n[0] += Size4K
-						}
+				for _, e := range s1.next {
+					if e.leaf() {
+						n[0] += Size4K
 					}
 				}
 			}
@@ -552,4 +568,37 @@ func mappedBytes(t *Table, pageSize uint64) uint64 {
 		return n[2]
 	}
 	return 0
+}
+
+// checkDirs verifies every directory's bookkeeping: as many slots as
+// presence bits, the per-word counts, and each slot holding exactly one
+// of a leaf and a table.
+func checkDirs(t *Table) error {
+	return checkDir(&t.root, func(l3 *pdpt) error {
+		return checkDir(l3, func(l2 *pd) error { return checkDir(l2, nil) })
+	})
+}
+
+func checkDir[T any](d *dir[T], sub func(*T) error) error {
+	var used uint16
+	for w, word := range d.present {
+		if d.below[w] != used {
+			return fmt.Errorf("word %d counts %d slots below it, want %d", w, d.below[w], used)
+		}
+		used += uint16(bits.OnesCount64(word))
+	}
+	if int(used) != len(d.slots) {
+		return fmt.Errorf("%d presence bits, %d slots", used, len(d.slots))
+	}
+	for i, s := range d.slots {
+		if s.leaf.leaf() == (s.next != nil) {
+			return fmt.Errorf("slot %d holds leaf=%v and a table=%v", i, s.leaf.leaf(), s.next != nil)
+		}
+		if s.next != nil && sub != nil {
+			if err := sub(s.next); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

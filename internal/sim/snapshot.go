@@ -93,7 +93,9 @@ func (e *Engine) appendSections(f *snapshot.File, prefix string) error {
 // encodeEngineState emits the engine's own mutable state. Process
 // records are sorted by (name, state); heap events by their (at, seq)
 // total order — both independent of map iteration and heap layout. An
-// argument event's record is walked under "event[<seq>].".
+// argument event's record is walked under "event[<seq>].", unless the
+// argument is the engine or a registered root: its state is that
+// section's, so the record names it as "event[<seq>]=<label>".
 func (e *Engine) encodeEngineState(enc *bytes.Buffer, labels *snapshot.Labels) error {
 	st := e.rng.State()
 	fmt.Fprintf(enc, "rng=%016x,%016x,%016x,%016x\n", st[0], st[1], st[2], st[3])
@@ -120,6 +122,10 @@ func (e *Engine) encodeEngineState(enc *bytes.Buffer, labels *snapshot.Labels) e
 			continue
 		}
 		fmt.Fprintf(enc, "event at=%d seq=%d arg=%T\n", int64(ev.at), ev.seq, ev.arg)
+		if label, ok := labels.Of(ev.arg); ok {
+			fmt.Fprintf(enc, "event[%d]=%s\n", ev.seq, label)
+			continue
+		}
 		if err := snapshot.Walk(enc, fmt.Sprintf("event[%d].", ev.seq), ev.arg, labels); err != nil {
 			return err
 		}

@@ -35,6 +35,16 @@ func (l *Labels) Add(label string, ptr any) {
 	l.m[refOf(reflect.ValueOf(ptr))] = label
 }
 
+// Of returns the label of ptr, when ptr is a non-nil pointer named in l.
+func (l *Labels) Of(ptr any) (string, bool) {
+	v := reflect.ValueOf(ptr)
+	if v.Kind() != reflect.Pointer || v.IsNil() {
+		return "", false
+	}
+	label, ok := l.m[refOf(v)]
+	return label, ok
+}
+
 // Walk writes the state reachable from v to w as one "path=value" line
 // per scalar, each path behind prefix. It reads the types, never calls a
 // method of the walked value, and prints:
