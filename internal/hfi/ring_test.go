@@ -240,10 +240,10 @@ func (r *ringRig) backedFrames() map[mem.PhysAddr]bool {
 	return backedFrames(r.t, buf.String())
 }
 
-// frameLine matches a backed frame of the mem section:
-// regions[R].chunks[G][C].frames[F], chunk C of 64-chunk directory
-// group G.
-var frameLine = regexp.MustCompile(`^regions\[(\d+)\]\.chunks\[(\d+)\]\[(\d+)\]\.frames\[(\d+)\]=`)
+// frameLine matches a backed frame's buffer or one of its sectors in
+// the mem section: regions[R].chunks[G][C].frames[F].buf or
+// .sectors[S], chunk C of 64-chunk directory group G.
+var frameLine = regexp.MustCompile(`^regions\[(\d+)\]\.chunks\[(\d+)\]\[(\d+)\]\.frames\[(\d+)\]\.(?:buf|sectors\[\d+\])=`)
 
 // backedFrames lists the frame addresses a node<N>/mem snapshot
 // section holds bytes for.

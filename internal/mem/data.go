@@ -12,19 +12,21 @@ func (pm *PhysMem) ReadAt(pa PhysAddr, buf []byte) error {
 	return pm.access(pa, buf, false)
 }
 
-// WriteAt copies buf into physical memory starting at pa, backing frames
-// on first write.
+// WriteAt copies buf into physical memory starting at pa, backing each
+// sector or frame on its first write.
 func (pm *PhysMem) WriteAt(pa PhysAddr, buf []byte) error {
 	return pm.access(pa, buf, true)
 }
 
 // access copies frame by frame. The region is resolved once per region
 // crossed and each frame by index (directory group, chunk, slot), with
-// no run bookkeeping between them.
+// no run bookkeeping between them. An access inside one buffer or one
+// backed sector is one copy (frame.span); everything else (first
+// writes, unbacked sectors, several sectors) takes the slow paths.
 func (pm *PhysMem) access(pa PhysAddr, buf []byte, write bool) error {
 	var rs *regionState
 	for len(buf) > 0 {
-		if rs == nil || pa >= rs.End() {
+		if rs == nil || !rs.contains(pa) {
 			if rs = pm.regionOf(pa); rs == nil {
 				return fmt.Errorf("mem: access to unmapped physical address %#x", pa)
 			}
@@ -34,35 +36,96 @@ func (pm *PhysMem) access(pa PhysAddr, buf []byte, write bool) error {
 		}
 		idx := uint64(pa-rs.Base) >> PageShift4K
 		ci, slot := int(idx/chunkFrames), int(idx%chunkFrames)
-		c := rs.chunkAt(ci)
 		var f *frame
-		if c != nil && c.frames != nil {
+		if c := rs.chunkAt(ci); c != nil && c.frames != nil {
 			f = c.frames[slot]
 		}
 		inFrame := int(pa & (PageSize4K - 1))
 		n := min(PageSize4K-inFrame, len(buf))
-		switch {
+		switch b := f.span(inFrame, n); {
+		case b != nil && write:
+			copy(b, buf[:n])
+		case b != nil:
+			copy(buf[:n], b)
 		case write:
-			if f == nil {
-				if c == nil {
-					c = rs.newChunk(ci)
-				}
-				if c.frames == nil {
-					c.frames = new([chunkFrames]*frame)
-				}
-				f = pm.takeFrame(n == PageSize4K)
-				c.frames[slot] = f
-			}
-			copy(f[inFrame:inFrame+n], buf[:n])
-		case f == nil:
-			clear(buf[:n])
+			pm.writeSlow(rs, ci, slot, f, inFrame, buf[:n])
 		default:
-			copy(buf[:n], f[inFrame:inFrame+n])
+			f.readSparse(inFrame, buf[:n])
 		}
 		buf = buf[n:]
 		pa += PhysAddr(n)
 	}
 	return nil
+}
+
+// span returns the backing of bytes [off, off+n) of f when one buffer or
+// one backed sector holds them all, and nil otherwise, also for a frame
+// never written (nil).
+func (f *frame) span(off, n int) []byte {
+	if f == nil {
+		return nil
+	}
+	if f.buf != nil {
+		return f.buf[off : off+n]
+	}
+	if in := off & sectorMask; in+n <= sectorSize {
+		if sec := f.sectors[off>>sectorShift]; sec != nil {
+			return sec[in : in+n]
+		}
+	}
+	return nil
+}
+
+// writeSlow copies b into frame slot of chunk ci at byte off, creating
+// the chunk record, its frame slots and the frame on first write (f is
+// the slot's frame, nil until then): whole when the write covers it,
+// sparse otherwise. A sparse frame first backs what the write needs
+// (back), which may make it whole.
+func (pm *PhysMem) writeSlow(rs *regionState, ci, slot int, f *frame, off int, b []byte) {
+	if f == nil {
+		c := rs.chunkAt(ci)
+		if c == nil {
+			c = rs.newChunk(ci)
+		}
+		if c.frames == nil {
+			c.frames = new([chunkFrames]*frame)
+		}
+		if len(b) == PageSize4K {
+			f = pm.wholes.Get()
+		} else {
+			f = pm.sparse.Get()
+		}
+		c.frames[slot] = f
+	}
+	if f.buf == nil {
+		pm.back(f, off, off+len(b))
+	}
+	if f.buf != nil {
+		copy(f.buf[off:], b)
+		return
+	}
+	for len(b) > 0 {
+		k := copy(f.sectors[off>>sectorShift][off&sectorMask:], b)
+		b, off = b[k:], off+k
+	}
+}
+
+// readSparse copies sparse frame f's bytes from off into b; a sector f
+// lacks, and every byte of a frame never written (nil), reads as zero.
+func (f *frame) readSparse(off int, b []byte) {
+	if f == nil {
+		clear(b)
+		return
+	}
+	for len(b) > 0 {
+		k := min(sectorSize-off&sectorMask, len(b))
+		if sec := f.sectors[off>>sectorShift]; sec != nil {
+			copy(b[:k], sec[off&sectorMask:])
+		} else {
+			clear(b[:k])
+		}
+		b, off = b[k:], off+k
+	}
 }
 
 // ReadU64 reads a little-endian uint64 at pa.
@@ -143,9 +206,9 @@ func (pm *PhysMem) PinnedFrames() int { return pm.pinned }
 
 // Discard drops the backing of every 4K frame lying wholly inside e, as
 // a device does with buffer slots it has handed back: the frames read as
-// zero until written again, and their buffers serve the next first
-// write anywhere on the node. Frames e covers only in part keep their
-// bytes. Pin counts are untouched.
+// zero until written again, and their buffers and sectors serve the
+// next first write anywhere on the node. Frames e covers only in part
+// keep their bytes. Pin counts are untouched.
 func (pm *PhysMem) Discard(e Extent) {
 	lo, hi := frameCeil(e.Addr), frameFloor(e.End())
 	if lo < hi {

@@ -5,8 +5,9 @@
 // allocator supporting contiguous power-of-two allocations, which is the
 // property the PicoDriver's SDMA request coalescing exploits. Frame
 // contents are byte-addressable and backed only from their first write
-// until they are freed or discarded (table.go), so DMA engines can move real data between nodes without reserving
-// gigabytes of host RAM.
+// until they are freed or discarded, 1 KB sector by sector until more
+// than half of a frame's sectors are (table.go), so DMA engines can move
+// real data between nodes without reserving gigabytes of host RAM.
 package mem
 
 import (
@@ -76,9 +77,13 @@ type PhysMem struct {
 	regions []*regionState
 	// pinned counts the frames whose pin count is non-zero.
 	pinned int
-	// frames holds the buffers of freed frames for the next first write
-	// anywhere on the node; their bytes are dead.
-	frames pool.Pool[*frame] `snap:"-"`
+	// wholes, sparse and sectors hold the records and backing of freed
+	// frames for the next first write anywhere on the node: whole frames'
+	// records with their buffers, sparse frames' records empty, and
+	// sectors. Their bytes are dead.
+	wholes  pool.Pool[*frame]  `snap:"-"`
+	sparse  pool.Pool[*frame]  `snap:"-"`
+	sectors pool.Pool[*sector] `snap:"-"`
 	// regScratch backs regionsFor: allocation paths call it once per
 	// page, so the candidate list must not allocate each time.
 	regScratch []*regionState `snap:"-"`
@@ -111,7 +116,16 @@ func NewPhysMem(regions ...Region) (*PhysMem, error) {
 			return nil, fmt.Errorf("mem: regions overlap at %#x", r.Base)
 		}
 	}
-	pm := &PhysMem{frames: pool.New("mem: frame", nil, func() *frame { return new(frame) }, nil)}
+	record := carve[frame](frameBlock)
+	pm := &PhysMem{
+		wholes: pool.New("mem: whole frame", nil, func() *frame {
+			f := record()
+			f.buf = new(frameBuf)
+			return f
+		}, nil),
+		sparse:  pool.New("mem: sparse frame", nil, record, nil),
+		sectors: pool.New("mem: sector", nil, carve[sector](sectorBlock), nil),
+	}
 	for _, r := range sorted {
 		rs := &regionState{Region: r, chunks: make([]*chunkGroup, (r.Size+groupBytes-1)/groupBytes)}
 		if r.Kind != MMIO {
@@ -133,11 +147,18 @@ func (pm *PhysMem) Regions() []Region {
 
 func (pm *PhysMem) regionOf(pa PhysAddr) *regionState {
 	for _, rs := range pm.regions {
-		if pa >= rs.Base && pa < rs.End() {
+		if rs.contains(pa) {
 			return rs
 		}
 	}
 	return nil
+}
+
+// contains reports whether pa lies in the region. It reads the two
+// fields it needs rather than calling End, which would copy the whole
+// Region on every byte access.
+func (rs *regionState) contains(pa PhysAddr) bool {
+	return pa-rs.Base < PhysAddr(rs.Size)
 }
 
 // AllocPolicy selects which regions an allocation may come from and in

@@ -21,11 +21,13 @@ func encodeState(t testing.TB, pm *PhysMem) []byte {
 
 // goldenScript drives a fixed history over testMem: a contiguous and a
 // scattered allocation, writes that straddle frames (one of them all
-// zeros: a written frame is backed even when its content is zero), a
-// nested pin and one free. With detour set it additionally touches, pins
-// and frees two chunks nothing else uses before the free, one of whose
-// shared pin counts a partial pin splits, reaching the same contents
-// through a structurally different history.
+// zeros: a written frame is backed even when its content is zero), two
+// frames written in part, one sparse and one made whole, a nested pin
+// and one free. With detour set it writes those two frames in other
+// pieces and another order, and additionally touches, pins and frees
+// two chunks nothing else uses before the free, one of whose shared pin
+// counts a partial pin splits, reaching the same contents through a
+// structurally different history.
 func goldenScript(t *testing.T, detour bool) *PhysMem {
 	t.Helper()
 	pm := testMem(t)
@@ -50,6 +52,19 @@ func goldenScript(t *testing.T, detour bool) *PhysMem {
 	must(pm.WriteAt(scat[3].Addr+17, buf[:1000]))
 	must(pm.WriteAt(scat[5].Addr, make([]byte, PageSize4K)))
 	must(pm.WriteAt(ddr.Addr+PageSize4K-1, buf[:2]))
+	// Frame 10 of contig keeps two sectors; frame 11 backs three, so it
+	// is whole. The detour writes them in pieces, last piece first.
+	for _, w := range []struct{ frame, lo, hi int }{{10, 100, 1500}, {11, 500, 2600}} {
+		pa := contig.Addr + PhysAddr(w.frame)*PageSize4K
+		if !detour {
+			must(pm.WriteAt(pa+PhysAddr(w.lo), buf[w.lo:w.hi]))
+			continue
+		}
+		for hi := w.hi; hi > w.lo; hi -= 700 {
+			lo := max(hi-700, w.lo)
+			must(pm.WriteAt(pa+PhysAddr(lo), buf[lo:hi]))
+		}
+	}
 
 	pin := Extent{Addr: contig.Addr + 100, Len: 3 * PageSize4K}
 	pm.Pin(pin)
@@ -84,7 +99,7 @@ func goldenScript(t *testing.T, detour bool) *PhysMem {
 // the snapshot tests compare two runs of one binary and cannot see a
 // section that changed shape between commits.
 func TestEncodeStateGolden(t *testing.T) {
-	const want = "2492eef3c0bfed556071e7e972b48f1f1d957cdb351e41c882c2756e3b55f231"
+	const want = "c8d3376464209c1ff5ce51c9f4ec3406007830910247d0c36a7eed8e64e6ca92"
 	plain := encodeState(t, goldenScript(t, false))
 	sum := sha256.Sum256(plain)
 	if got := hex.EncodeToString(sum[:]); got != want {

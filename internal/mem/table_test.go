@@ -6,26 +6,33 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math/bits"
 	"math/rand"
 	"regexp"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"repro/internal/pool"
 )
 
 // refMem is the map-backed frame and pin state PhysMem kept before the
-// chunk table, reduced to what the differential driver needs: the table
-// must be indistinguishable from it through the public API.
+// chunk table, reduced to what the differential driver needs, plus the
+// sectors each frame has backed: the table must be indistinguishable
+// from it through the public API and in its snapshot section.
 type refMem struct {
 	frames map[PhysAddr]*[PageSize4K]byte
+	// backed has bit s set when the frame has backed sector s; all bits
+	// once more than half are.
+	backed map[PhysAddr]uint16
 	pins   map[PhysAddr]int
 }
 
 func newRefMem() *refMem {
-	return &refMem{frames: map[PhysAddr]*[PageSize4K]byte{}, pins: map[PhysAddr]int{}}
+	return &refMem{frames: map[PhysAddr]*[PageSize4K]byte{}, backed: map[PhysAddr]uint16{}, pins: map[PhysAddr]int{}}
 }
 
 func (r *refMem) write(pa PhysAddr, buf []byte) {
@@ -37,6 +44,14 @@ func (r *refMem) write(pa PhysAddr, buf []byte) {
 			r.frames[base] = f
 		}
 		n := copy(f[pa-base:], buf)
+		mask := r.backed[base]
+		for s := int(pa-base) >> sectorShift; s <= int(pa-base+PhysAddr(n)-1)>>sectorShift; s++ {
+			mask |= 1 << s
+		}
+		if bits.OnesCount16(mask) > frameSectors/2 {
+			mask = 1<<frameSectors - 1
+		}
+		r.backed[base] = mask
 		buf, pa = buf[n:], pa+PhysAddr(n)
 	}
 }
@@ -65,10 +80,15 @@ func (r *refMem) pin(e Extent, delta int) {
 	}
 }
 
+func (r *refMem) forget(pa PhysAddr) {
+	delete(r.frames, pa)
+	delete(r.backed, pa)
+}
+
 func (r *refMem) drop(exts []Extent) {
 	for _, e := range exts {
 		for pa := e.Addr; pa < e.End(); pa += PageSize4K {
-			delete(r.frames, pa)
+			r.forget(pa)
 		}
 	}
 }
@@ -76,27 +96,55 @@ func (r *refMem) drop(exts []Extent) {
 // discard forgets the frames lying wholly inside e.
 func (r *refMem) discard(e Extent) {
 	for pa := frameCeil(e.Addr); pa+PageSize4K <= e.End(); pa += PageSize4K {
-		delete(r.frames, pa)
+		r.forget(pa)
 	}
 }
 
-// encode renders the reference's backed frames and pin counts as
+// backing counts the reference's whole frames, sparse frames and
+// sparse frames' sectors: what PhysMem's three pools should have out.
+func (r *refMem) backing() (wholes, sparse, sectors int) {
+	for _, mask := range r.backed {
+		if mask == 1<<frameSectors-1 {
+			wholes++
+		} else {
+			sparse++
+			sectors += bits.OnesCount16(mask)
+		}
+	}
+	return wholes, sparse, sectors
+}
+
+// encode renders the reference's backing and pin counts as
 // renderFramesPins does.
 func (r *refMem) encode() string {
-	contents := make(map[PhysAddr]string, len(r.frames))
+	contents := map[PhysAddr]string{}
 	for a, f := range r.frames {
-		sum := sha256.Sum256(f[:])
-		contents[a] = fmt.Sprintf("%d:%x", PageSize4K, sum[:8])
+		if mask := r.backed[a]; mask == 1<<frameSectors-1 {
+			contents[a] = "buf " + bytesHash(f[:])
+		} else {
+			for s := 0; s < frameSectors; s++ {
+				if mask&(1<<s) != 0 {
+					contents[a+PhysAddr(s)<<sectorShift] = "sector " + bytesHash(f[s<<sectorShift:(s+1)<<sectorShift])
+				}
+			}
+		}
 	}
 	return renderFramesPins(contents, r.pins)
 }
 
-// renderFramesPins prints one "frame" line per backed frame, then one
-// "pin" line per pinned frame, each in address order.
+// bytesHash is the snapshot walk's text of a buffer.
+func bytesHash(b []byte) string {
+	sum := sha256.Sum256(b)
+	return fmt.Sprintf("%d:%x", len(b), sum[:8])
+}
+
+// renderFramesPins prints one line per whole frame's buffer or sparse
+// frame's sector, then one "pin" line per pinned frame, each in address
+// order.
 func renderFramesPins(contents map[PhysAddr]string, pins map[PhysAddr]int) string {
 	var b strings.Builder
 	for _, a := range slices.Sorted(maps.Keys(contents)) {
-		fmt.Fprintf(&b, "frame addr=%x content=%s\n", uint64(a), contents[a])
+		fmt.Fprintf(&b, "addr=%x %s\n", uint64(a), contents[a])
 	}
 	for _, a := range slices.Sorted(maps.Keys(pins)) {
 		fmt.Fprintf(&b, "pin addr=%x count=%d\n", uint64(a), pins[a])
@@ -105,18 +153,21 @@ func renderFramesPins(contents map[PhysAddr]string, pins map[PhysAddr]int) strin
 }
 
 // chunkLine matches a line the mem section prints under a chunk record:
-// a backed frame, the shared pin count or a per-frame pin count.
-var chunkLine = regexp.MustCompile(`^regions\[(\d+)\]\.chunks\[(\d+)\]\[(\d+)\]\.(?:frames\[(\d+)\]=(\S+)|pin=(\d+)|pins\[(\d+)\]=(\d+))$`)
+// a whole frame's buffer, a sparse frame's sector, the shared pin count
+// or a per-frame pin count.
+var chunkLine = regexp.MustCompile(`^regions\[(\d+)\]\.chunks\[(\d+)\]\[(\d+)\]\.(?:frames\[(\d+)\]\.(?:buf=(\S+)|sectors\[(\d+)\]=(\S+))|pin=(\d+)|pins\[(\d+)\]=(\d+))$`)
 
-// sectionFramesPins reads pm's backed frames and pin counts out of its
+// sectionFramesPins reads pm's frame backing and pin counts out of its
 // snapshot section and renders them as renderFramesPins does. A shared
 // count stands for each frame of its chunk; a chunk that prints one
-// beside per-frame counts, or any other line under a chunk, fails t.
+// beside per-frame counts, a frame that prints a buffer beside sectors,
+// or any other line under a chunk, fails t.
 func sectionFramesPins(t testing.TB, pm *PhysMem) string {
 	t.Helper()
 	contents := map[PhysAddr]string{}
 	pins := map[PhysAddr]int{}
 	shared, split := map[PhysAddr]bool{}, map[PhysAddr]bool{}
+	whole, sparse := map[PhysAddr]bool{}, map[PhysAddr]bool{}
 	for _, l := range strings.Split(string(encodeState(t, pm)), "\n") {
 		if !strings.Contains(l, ".chunks[") {
 			continue
@@ -135,21 +186,32 @@ func sectionFramesPins(t testing.TB, pm *PhysMem) string {
 		rs := pm.regions[num(1)]
 		base := rs.Base + PhysAddr((num(2)*groupChunks+num(3))*chunkFrames)<<PageShift4K
 		switch {
-		case m[4] != "":
-			contents[base+PhysAddr(num(4))<<PageShift4K] = m[5]
+		case m[5] != "":
+			a := base + PhysAddr(num(4))<<PageShift4K
+			whole[a] = true
+			contents[a] = "buf " + m[5]
 		case m[6] != "":
+			a := base + PhysAddr(num(4))<<PageShift4K
+			sparse[a] = true
+			contents[a+PhysAddr(num(6))<<sectorShift] = "sector " + m[7]
+		case m[8] != "":
 			shared[base] = true
 			for i := 0; i < chunkFrames; i++ {
-				pins[base+PhysAddr(i)<<PageShift4K] = num(6)
+				pins[base+PhysAddr(i)<<PageShift4K] = num(8)
 			}
 		default:
 			split[base] = true
-			pins[base+PhysAddr(num(7))<<PageShift4K] = num(8)
+			pins[base+PhysAddr(num(9))<<PageShift4K] = num(10)
 		}
 	}
 	for base := range shared {
 		if split[base] {
 			t.Fatalf("chunk %#x prints a shared pin count beside per-frame counts", uint64(base))
+		}
+	}
+	for a := range whole {
+		if sparse[a] {
+			t.Fatalf("frame %#x prints a buffer beside sectors", uint64(a))
 		}
 	}
 	return renderFramesPins(contents, pins)
@@ -189,7 +251,8 @@ func (p *opProgram) u16() int { return p.u8() | p.u8()<<8 }
 func (p *opProgram) u24() int { return p.u16() | p.u8()<<16 }
 
 // runPhysMemOps interprets prog as a sequence of allocations, unaligned
-// reads and writes, nested pins, pins and unpins of whole allocations,
+// reads and writes, runs of small writes around sector and frame edges,
+// small reads, nested pins, pins and unpins of whole allocations,
 // discards and frees over a two-region node, and checks PhysMem step by
 // step against refMem.
 //
@@ -291,9 +354,24 @@ func runPhysMemOps(t testing.TB, prog []byte) {
 			t.Fatalf("ReadAt(%#x, %d) differs from the reference", e.Addr, e.Len)
 		}
 	}
+	// small picks up to two sectors inside e: starting at or centred on
+	// one of the sector edges of e's first two frames (so also on a frame
+	// edge), or at e's start.
+	small := func(e Extent) Extent {
+		n := min(uint64(1+p.u16()%(2*sectorSize)), e.Len)
+		a := e.Addr
+		if k := p.u8(); k < 2*frameSectors*4 {
+			a = (e.Addr+sectorMask)&^sectorMask + PhysAddr(k/4)<<sectorShift
+			if k&1 == 1 && a-e.Addr >= PhysAddr(n/2) {
+				a -= PhysAddr(n / 2)
+			}
+		}
+		a = min(a, e.End()-PhysAddr(n))
+		return Extent{Addr: a, Len: n}
+	}
 
 	for step := 0; !p.done; step++ {
-		switch op := p.u8() % 10; op {
+		switch op := p.u8() % 12; op {
 		case 0, 1, 2:
 			var exts []Extent
 			var err error
@@ -429,6 +507,28 @@ func runPhysMemOps(t testing.TB, prog []byte) {
 				}
 			}
 			checkPins(exts[0])
+		case 10:
+			// Small writes inside one range: sub-sector ones, ones
+			// straddling a sector or a frame edge, and enough of them on
+			// one frame to back more than half its sectors.
+			e := target()
+			fill := p.u8()
+			for k := 1 + p.u8()%12; k > 0; k-- {
+				w := small(e)
+				for i := range buf[:w.Len] {
+					buf[i] = byte(fill+k+i*7) | 1
+				}
+				if err := pm.WriteAt(w.Addr, buf[:w.Len]); err != nil {
+					t.Fatal(err)
+				}
+				ref.write(w.Addr, buf[:w.Len])
+			}
+			for pa := frameFloor(e.Addr); pa < e.End() && pa < e.Addr+2*PageSize4K; pa += PageSize4K {
+				checkRead(Extent{Addr: pa, Len: PageSize4K})
+			}
+		case 11:
+			// A small read, often of sectors a backed frame lacks.
+			checkRead(small(target()))
 		}
 	}
 
@@ -437,9 +537,21 @@ func runPhysMemOps(t testing.TB, prog []byte) {
 	if got, want := sectionFramesPins(t, pm), ref.encode(); got != want {
 		t.Fatalf("snapshot frame/pin lines differ from the reference:\n%s\nvs\n%s", got, want)
 	}
-	// Every buffer out of the frame pool backs one of those frames.
-	if live := pm.frames.Stats().Live(); live != int64(len(ref.frames)) {
-		t.Fatalf("%d frame buffers out of the pool, %d frames backed", live, len(ref.frames))
+	// Every frame record and sector out of its pool backs one of those
+	// frames.
+	wholes, sparse, sectors := ref.backing()
+	for _, c := range []struct {
+		name string
+		live int64
+		want int
+	}{
+		{"whole frames", pm.wholes.Stats().Live(), wholes},
+		{"sparse frames", pm.sparse.Stats().Live(), sparse},
+		{"sectors", pm.sectors.Stats().Live(), sectors},
+	} {
+		if c.live != int64(c.want) {
+			t.Fatalf("%d %s out of their pool, the reference backs %d", c.live, c.name, c.want)
+		}
 	}
 	for _, e := range pinned {
 		pm.Unpin(e)
@@ -509,7 +621,39 @@ func physMemOpSeeds() [][]byte {
 		whole, 0, unpin,
 		whole, 0, unpin,
 	})
-	return progs
+	// A sparse frame's life on an 8 KB DDR4 block: sub-sector, sector-
+	// and frame-straddling small writes back single sectors; 1-byte
+	// writes to more than half the second frame's sectors promote it; a
+	// small read of a sector the first frame lacks; a discard over the
+	// sparse frame and the promoted one; the block read back.
+	block := []byte{live, 0, 0, 0xff, 0x1f, 0, 0, 0, 0} // target(): all of live[0]
+	// smallAt is small()'s operands for n bytes at sector s of the block,
+	// or centred on that sector's start.
+	smallAt := func(n, s int, centred bool) []byte {
+		k := byte(s * 4)
+		if centred {
+			k++
+		}
+		return []byte{byte(n - 1), byte((n - 1) >> 8), k}
+	}
+	prog := []byte{allocContig, byte(DDROnly), 1}
+	prog = append(append(prog, 10), block...)
+	prog = append(prog, 0x30, 4) // five writes:
+	prog = append(prog, smallAt(1, 0, false)...)
+	prog = append(prog, smallAt(100, 0, false)...)
+	prog = append(prog, smallAt(200, frameSectors, true)...)   // across the frame edge
+	prog = append(prog, smallAt(100, frameSectors+1, true)...) // across a sector edge
+	prog = append(prog, smallAt(sectorSize, 0, false)...)
+	prog = append(append(prog, 10), block...)
+	prog = append(prog, 0x40, frameSectors/2) // one 1-byte write per sector of frame 1 up to more than half
+	for s := frameSectors; s <= frameSectors+frameSectors/2; s++ {
+		prog = append(prog, smallAt(1, s, false)...)
+	}
+	prog = append(append(prog, 11), block...)
+	prog = append(prog, smallAt(10, frameSectors-2, false)...) // a sector frame 0 lacks
+	prog = append(append(prog, 8), block...)
+	prog = append(append(prog, 5), block...)
+	return append(progs, prog)
 }
 
 func TestPhysMemDifferential(t *testing.T) {
@@ -525,54 +669,83 @@ func FuzzPhysMemOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) { runPhysMemOps(t, prog) })
 }
 
-// TestFrameReuseClears pins the reuse pool's contract: a freed frame's
-// buffer comes back on the next first write, and a partial first write
-// must not expose the previous owner's bytes around it.
+// TestFrameReuseClears pins the reuse pools' contract: a freed frame's
+// sectors and buffer come back on the next first writes that need them,
+// and neither a partial first write into a reused sector nor a promotion
+// into a reused buffer exposes the previous owner's bytes around it.
 func TestFrameReuseClears(t *testing.T) {
 	pm := testMem(t)
-	e, err := pm.AllocContig(PageSize4K, PreferMCDRAM)
-	if err != nil {
-		t.Fatal(err)
+	alloc := func() Extent {
+		t.Helper()
+		e, err := pm.AllocContig(PageSize4K, PreferMCDRAM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
 	}
-	if err := pm.WriteAt(e.Addr, bytes.Repeat([]byte{0xaa}, PageSize4K)); err != nil {
-		t.Fatal(err)
+	readsAs := func(e Extent, want []byte, what string) {
+		t.Helper()
+		got := make([]byte, PageSize4K)
+		if err := pm.ReadAt(e.Addr, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal(what)
+		}
 	}
+	write := func(pa PhysAddr, b []byte) {
+		t.Helper()
+		if err := pm.WriteAt(pa, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale := bytes.Repeat([]byte{0xaa}, PageSize4K)
+
+	// A sector: one whole stale sector freed, three bytes written into
+	// the reused one.
+	e := alloc()
+	write(e.Addr, stale[:sectorSize])
 	pm.FreeContig(e)
-	if freeFrames(pm) != 1 {
-		t.Fatalf("freed frame not pooled: %d buffers", freeFrames(pm))
+	if freeSectors(pm) != 1 || freeBufs(pm) != 0 {
+		t.Fatalf("freed sparse frame pooled %d sectors and %d buffers, want 1 and 0", freeSectors(pm), freeBufs(pm))
 	}
-	e, err = pm.AllocContig(PageSize4K, PreferMCDRAM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, PageSize4K)
-	if err := pm.ReadAt(e.Addr, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, make([]byte, PageSize4K)) {
-		t.Fatal("reallocated, unwritten frame does not read zero")
-	}
-	if err := pm.WriteAt(e.Addr+100, []byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if freeFrames(pm) != 0 {
-		t.Fatal("first write did not take the pooled buffer")
+	e = alloc()
+	readsAs(e, make([]byte, PageSize4K), "reallocated, unwritten frame does not read zero")
+	write(e.Addr+100, []byte{1, 2, 3})
+	if freeSectors(pm) != 0 {
+		t.Fatal("first write did not take the pooled sector")
 	}
 	want := make([]byte, PageSize4K)
 	copy(want[100:], []byte{1, 2, 3})
-	if err := pm.ReadAt(e.Addr, got); err != nil {
-		t.Fatal(err)
+	readsAs(e, want, "partial first write into a reused sector exposes stale bytes")
+	pm.FreeContig(e)
+
+	// A buffer: one whole stale frame freed, then a frame promoted by
+	// its ninth backed sector.
+	e = alloc()
+	write(e.Addr, stale)
+	pm.FreeContig(e)
+	if freeBufs(pm) != 1 {
+		t.Fatalf("freed whole frame not pooled: %d buffers", freeBufs(pm))
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("partial first write into a reused buffer exposes stale bytes")
+	e = alloc()
+	want = make([]byte, PageSize4K)
+	for s := 0; s <= frameSectors/2; s++ {
+		off := s<<sectorShift + 7
+		write(e.Addr+PhysAddr(off), []byte{byte(s + 1)})
+		want[off] = byte(s + 1)
 	}
+	if freeBufs(pm) != 0 {
+		t.Fatal("promotion did not take the pooled buffer")
+	}
+	readsAs(e, want, "promotion into a reused buffer exposes stale bytes or loses sectors")
 }
 
 // TestDiscardReusesFrames: a discarded frame reads zero while its
-// allocation stays live, its buffer comes back on the next first write
-// anywhere on the node, and a partial write into it exposes no stale
-// bytes. Frames the range covers only in part keep theirs, and pins are
-// untouched.
+// allocation stays live, its buffer comes back on the next write
+// anywhere on the node that needs one, and a partial write into it
+// exposes no stale bytes. Frames the range covers only in part keep
+// theirs, and pins are untouched.
 func TestDiscardReusesFrames(t *testing.T) {
 	pm := testMem(t)
 	e, err := pm.AllocContig(4*PageSize4K, PreferMCDRAM)
@@ -586,8 +759,8 @@ func TestDiscardReusesFrames(t *testing.T) {
 	pm.Pin(e)
 	// Frames 1 and 2 lie wholly inside; 0 and 3 only in part.
 	pm.Discard(Extent{Addr: e.Addr + 100, Len: 3*PageSize4K + 50})
-	if freeFrames(pm) != 2 {
-		t.Fatalf("Discard pooled %d buffers, want 2", freeFrames(pm))
+	if freeBufs(pm) != 2 {
+		t.Fatalf("Discard pooled %d buffers, want 2", freeBufs(pm))
 	}
 	if n := pm.PinnedFrames(); n != 4 {
 		t.Fatalf("PinnedFrames = %d after Discard, want 4", n)
@@ -605,14 +778,17 @@ func TestDiscardReusesFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pm.WriteAt(other.Addr+10, []byte{1, 2, 3}); err != nil {
+	// 2 049 bytes from offset 10 touch more than half the sectors: a
+	// buffer.
+	part := bytes.Repeat([]byte{1, 2, 3}, 683)
+	if err := pm.WriteAt(other.Addr+10, part); err != nil {
 		t.Fatal(err)
 	}
-	if freeFrames(pm) != 1 {
+	if freeBufs(pm) != 1 {
 		t.Fatal("first write elsewhere on the node did not take a discarded buffer")
 	}
 	page, wantPage := make([]byte, PageSize4K), make([]byte, PageSize4K)
-	copy(wantPage[10:], []byte{1, 2, 3})
+	copy(wantPage[10:], part)
 	if err := pm.ReadAt(other.Addr, page); err != nil {
 		t.Fatal(err)
 	}
@@ -681,6 +857,8 @@ func TestFrameTableSteadyStateAllocs(t *testing.T) {
 				t.Fatal("access failed")
 			}
 		}},
+		// Sectors and frame records come back to their pools on Discard.
+		{"device ring: status words, 1 KB slot, discard", 0, func() { deviceRing(pm, ext.Addr, ext.Addr+PageSize2M, buf[:1<<10]) }},
 		// One allocation is AllocScattered's extent list; the 1024 frame
 		// buffers come out of the reuse pool.
 		{"scattered 4 MB: alloc, write, free", 1, func() {
@@ -704,13 +882,17 @@ func TestFrameTableSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-var footprintSink any
-
-// TestFrameTableFootprint pins what a chunk record costs for what a run
-// does to it, counted in heap bytes: pinning a whole 2 MB-aligned extent
-// at mmap, as McKernel does, allocates no per-frame array; the first
-// write allocates one frame-pointer array and one frame; a 4 KB pin
-// inside the extent allocates one per-frame pin array.
+// TestFrameTableFootprint pins what a chunk record and a frame cost for
+// what a run does to them. Allocations are counted per 2 MB chunk of an
+// 8 MB extent, one fresh chunk per run: pinning a chunk whole at mmap,
+// as McKernel does, allocates the chunk record and no per-frame array;
+// its first write one frame-slot array; a 4 KB pin inside it one
+// per-frame pin array. Frame backing comes out of pools that are warm by
+// then, and is counted there: a 1-byte first write takes one sparse
+// frame record and one sector, a write of a whole frame one whole
+// frame's record with its 4 KB buffer. Both are PhysMem's own counts,
+// which nothing else in the process moves, and each form's bytes are
+// its records' sizes.
 func TestFrameTableFootprint(t *testing.T) {
 	pm, err := NewPhysMem(Region{Size: 64 << 20, Kind: MCDRAM})
 	if err != nil {
@@ -723,39 +905,88 @@ func TestFrameTableFootprint(t *testing.T) {
 	if ext.Addr%PageSize2M != 0 {
 		t.Fatalf("extent %#x not 2 MB-aligned", ext.Addr)
 	}
-	heapBytes := func(fn func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		fn()
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	// What the runtime charges for each array, malloc header and size
-	// class included.
-	pinArray := heapBytes(func() { footprintSink = new([chunkFrames]uint32) })
-	frameArray := heapBytes(func() { footprintSink = new([chunkFrames]*frame) })
-	oneFrame := heapBytes(func() { footprintSink = new(frame) })
-
-	if got := heapBytes(func() { pm.Pin(ext) }); got >= pinArray {
-		t.Errorf("pinning 8 MB whole: %d heap bytes, want fewer than one %d-byte pin array", got, pinArray)
-	}
-	b := []byte{1}
-	if got := heapBytes(func() {
-		if pm.WriteAt(ext.Addr+PageSize2M+5, b) != nil {
+	const chunks = 8 << 20 / PageSize2M
+	write := func(pa PhysAddr, b []byte) {
+		if pm.WriteAt(pa, b) != nil {
 			t.Fatal("write failed")
 		}
-	}); got != frameArray+oneFrame {
-		t.Errorf("first 1-byte write: %d heap bytes, want %d (one frame-pointer array and one frame)", got, frameArray+oneFrame)
 	}
-	inner := Extent{Addr: ext.Addr + 3*PageSize2M + 7*PageSize4K, Len: PageSize4K}
-	if got := heapBytes(func() { pm.Pin(inner) }); got != pinArray {
-		t.Errorf("4 KB pin inside the extent: %d heap bytes, want %d (one pin array)", got, pinArray)
+	// Warm the pools with chunks frames' worth of records, buffers and
+	// sectors, from a scratch extent.
+	scratch, err := pm.AllocContig(chunks*PageSize4K, PreferMCDRAM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, PageSize4K)
+	for i := range chunks {
+		write(scratch.Addr+PhysAddr(i)*PageSize4K, page[:1])
+	}
+	pm.Discard(scratch)
+	for i := range chunks {
+		write(scratch.Addr+PhysAddr(i)*PageSize4K, page)
+	}
+	pm.Discard(scratch)
+
+	// perChunk runs fn on each chunk of ext in turn (AllocsPerRun's
+	// warm-up call included) and returns the allocations per chunk.
+	perChunk := func(fn func(base PhysAddr)) float64 {
+		i := 0
+		return testing.AllocsPerRun(chunks-1, func() {
+			fn(ext.Addr + PhysAddr(i)*PageSize2M)
+			i++
+		})
+	}
+	gets := func() [3]uint64 {
+		return [3]uint64{pm.wholes.Stats().Gets, pm.sparse.Stats().Gets, pm.sectors.Stats().Gets}
+	}
+	for _, r := range []struct {
+		name   string
+		allocs float64
+		gets   [3]uint64 // whole frames, sparse frames, sectors per chunk
+		fn     func(base PhysAddr)
+	}{
+		{"whole pin", 1, [3]uint64{}, func(base PhysAddr) {
+			pm.Pin(Extent{Addr: base, Len: PageSize2M})
+		}},
+		{"first 1-byte write", 1, [3]uint64{0, 1, 1}, func(base PhysAddr) {
+			write(base+PageSize4K+5, page[:1])
+		}},
+		{"4 KB pin inside", 1, [3]uint64{}, func(base PhysAddr) {
+			pm.Pin(Extent{Addr: base + 7*PageSize4K, Len: PageSize4K})
+		}},
+		{"whole-frame write", 0, [3]uint64{1, 0, 0}, func(base PhysAddr) {
+			write(base+3*PageSize4K, page)
+		}},
+	} {
+		before := gets()
+		if got := perChunk(r.fn); got != r.allocs {
+			t.Errorf("%s: %v allocations per chunk, want %v", r.name, got, r.allocs)
+		}
+		after := gets()
+		for k := range after {
+			if got := (after[k] - before[k]) / chunks; got != r.gets[k] || (after[k]-before[k])%chunks != 0 {
+				t.Errorf("%s: %d %s per chunk, want %d", r.name, got, []string{"whole frames", "sparse frames", "sectors"}[k], r.gets[k])
+			}
+		}
+	}
+	// The two forms' bytes, and the record blocks they are carved from.
+	if got := sectorSize + unsafe.Sizeof(frame{}); got != 1064 {
+		t.Errorf("a frame written in one sector backs %d bytes, want 1064", got)
+	}
+	if got := PageSize4K + unsafe.Sizeof(frame{}); got != 4136 {
+		t.Errorf("a whole frame backs %d bytes, want 4136", got)
+	}
+	if b := uintptr(frameBlock) * unsafe.Sizeof(frame{}); b+8 > PageSize4K || b+unsafe.Sizeof(frame{})+8 <= PageSize4K {
+		t.Errorf("a block of %d frame records is %d bytes; it should fill 4 KB less the 8-byte malloc header", frameBlock, b)
 	}
 	if n := pm.PinnedFrames(); n != int(ext.Len/PageSize4K) {
 		t.Errorf("PinnedFrames = %d, want %d", n, ext.Len/PageSize4K)
 	}
-	pm.Unpin(inner)
-	pm.Unpin(ext)
+	for i := range chunks {
+		base := ext.Addr + PhysAddr(i)*PageSize2M
+		pm.Unpin(Extent{Addr: base + 7*PageSize4K, Len: PageSize4K})
+		pm.Unpin(Extent{Addr: base, Len: PageSize2M})
+	}
 	if n := pm.PinnedFrames(); n != 0 {
 		t.Errorf("PinnedFrames = %d after every pin was dropped", n)
 	}
@@ -792,6 +1023,41 @@ func BenchmarkAccess64K(b *testing.B) {
 	}
 }
 
+// deviceRing is one round of a NIC's ring traffic: six 8-byte status
+// words written and read back, as header-queue and completion entries
+// are, then payload written into an 8 KB slot at slot, read back, and
+// the slot handed back with Discard.
+func deviceRing(pm *PhysMem, status, slot PhysAddr, payload []byte) {
+	for w := PhysAddr(0); w < 6; w++ {
+		if pm.WriteU64(status+8*w, uint64(w)) != nil {
+			panic("status write failed")
+		}
+		if _, err := pm.ReadU64(status + 8*w); err != nil {
+			panic(err)
+		}
+	}
+	if pm.WriteAt(slot, payload) != nil || pm.ReadAt(slot, payload) != nil {
+		panic("slot access failed")
+	}
+	pm.Discard(Extent{Addr: slot, Len: 8 << 10})
+}
+
+// BenchmarkDeviceRing times deviceRing: the small-access pattern of the
+// NIC's eager slots and status words, where frames stay sparse.
+func BenchmarkDeviceRing(b *testing.B) {
+	pm, _ := NewPhysMem(Region{Size: 64 << 20, Kind: MCDRAM})
+	ext, err := pm.AllocContig(16<<10, PreferMCDRAM)
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := make([]byte, 1<<10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		deviceRing(pm, ext.Addr, ext.Addr+8<<10, payload)
+	}
+}
+
 // pinnedAt reports whether the 4K frame containing pa is pinned.
 func pinnedAt(pm *PhysMem, pa PhysAddr) bool {
 	w := pm.walk(Extent{Addr: pa, Len: 1})
@@ -799,8 +1065,9 @@ func pinnedAt(pm *PhysMem, pa PhysAddr) bool {
 	return w.next(&r) && r.c.pinCount(r.lo) > 0
 }
 
-// freeFrames returns the number of buffers in pm's frame pool.
-func freeFrames(pm *PhysMem) int {
-	st := pm.frames.Stats()
-	return int(st.Puts - st.Hits)
-}
+// freeBufs and freeSectors return the number of whole frames' buffers
+// and of sectors on pm's free lists.
+func freeBufs(pm *PhysMem) int    { return free(pm.wholes.Stats()) }
+func freeSectors(pm *PhysMem) int { return free(pm.sectors.Stats()) }
+
+func free(st pool.Stats) int { return int(st.Puts - st.Hits) }

@@ -494,13 +494,15 @@ func TestWalkExtentsAllocs(t *testing.T) {
 
 var benchExtents []mem.Extent
 
-// BenchmarkPageTableWalk measures the fast path's extent gathering.
+// BenchmarkPageTableWalk measures the fast path's extent gathering: a
+// walk into a reused slice, as the PicoDriver's request building does,
+// so the lookups are timed and not the result's allocation.
 func BenchmarkPageTableWalk(b *testing.B) {
 	pt, va := largePage4M(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchExtents, _ = pt.WalkExtents(va, 4<<20)
+		benchExtents, _ = pt.WalkExtentsInto(benchExtents[:0], va, 4<<20)
 	}
 }
 

@@ -13,7 +13,7 @@
 # loses its line. report.TestReachAllowResolves checks in tier-1 that
 # every allowlist line names a function declared in its file.
 #
-# ≈2 min on 2 vCPUs; the bigscale run peaks at ≈92 MB. Binaries,
+# ≈2 min on 2 vCPUs; the bigscale run peaks at ≈63 MB. Binaries,
 # counters and outputs go to a directory made by mktemp under $TMPDIR,
 # removed on exit.
 set -eu
