@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check simtest artifacts artifacts-paper examples reach clean
+.PHONY: all build test vet check simtest soak-digests artifacts artifacts-paper examples reach clean
 
 all: build test
 
@@ -45,6 +45,15 @@ ifeq ($(SOAK),1)
 else
 	$(GO) test ./internal/simtest -count=1 -seed=$(SEED) -v -run 'TestSim'
 endif
+
+# The soak's cell digests, one sorted "cell <id>: <n> msgs, digest <d>,
+# <t> virtual time" line per cell, for SEED (default 1). A change meant
+# to move no simulated result leaves them equal: run it on both trees
+# and diff the two outputs. A failing soak prints its log and fails.
+soak-digests:
+	@out="$$($(GO) test ./internal/simtest -count=1 -run 'TestSimHarness$$' -seed=$(SEED) -cells=100 -v 2>&1)" || \
+		{ echo "$$out"; exit 1; }; \
+	echo "$$out" | sed -n 's/^ *simtest_test\.go:[0-9]*: \(cell .* digest .*\)$$/\1/p' | sort
 
 # Regenerate every table/figure (text + CSV) at the default scale.
 artifacts:

@@ -148,7 +148,6 @@ type Node struct {
 	bootPins int       // pinned frames after boot, CheckTeardown's baseline
 
 	pr        *model.Params
-	synthetic bool
 	hugePages bool
 }
 
@@ -323,7 +322,7 @@ func deliverOn(fab *fabric.Fabric) func(any) {
 func (c *Cluster) buildNode(id int) (*Node, error) {
 	cfg := c.Cfg
 	eng, fab, ibfab := c.EngineFor(id), c.fabs[c.shardOf[id]], c.ibfabs[c.shardOf[id]]
-	n := &Node{ID: id, OS: cfg.OS, pr: c.Params, synthetic: cfg.Synthetic, hugePages: cfg.LinuxHugePages}
+	n := &Node{ID: id, OS: cfg.OS, pr: c.Params, hugePages: cfg.LinuxHugePages}
 
 	plan, err := ihk.Partition(cfg.Spec)
 	if err != nil {
@@ -536,7 +535,6 @@ func (c *Cluster) pools() []pool.Stats {
 		ss = append(ss, n.Drv.Pools()...)
 		ss = append(ss, n.Lin.Pool.Pools()...)
 		if n.Mck != nil {
-			ss = append(ss, n.Del.Pools()...)
 			ss = append(ss, n.Mck.Pools()...)
 		}
 		for _, o := range n.ranks {

@@ -91,8 +91,8 @@ func (s *picoSender) header(op uint32) error {
 // TestPicoSteadyStateAllocs pins what the PicoDriver's fast-path system
 // calls allocate once warm. A writev is measured with its drain, so its
 // count includes the completion interrupt's, which runs in the Linux
-// driver's handler on a recycled interrupt record and work item. Neither
-// the fast path, its completion nor a TID update+free cycle allocates.
+// driver's handler on a recycled work item. Neither the fast path, its
+// completion nor a TID update+free cycle allocates.
 func TestPicoSteadyStateAllocs(t *testing.T) {
 	runPicoSender(t, func(s *picoSender) {
 		for _, c := range []struct {

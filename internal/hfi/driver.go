@@ -86,7 +86,7 @@ type LinuxDriver struct {
 	// tidPins maps context → TID index → the pinned extent it covers.
 	tidPins map[int]map[int]mem.Extent
 
-	irqs pool.Pool[*irq] `snap:"-"` // completion interrupts, put back by their handlers
+	irq func(ctx *kernel.Ctx, batch any) `snap:"-"` // d.handleIRQ, bound once
 }
 
 type openContext struct {
@@ -118,11 +118,7 @@ func NewLinuxDriver(k *linux.Kernel, nic *NIC, pr *model.Params, worlds []*kmem.
 		tidPins:       make(map[int]map[int]mem.Extent),
 		pageLists:     pool.New[[]mem.Extent]("hfi: page list", nil, nil, nil),
 	}
-	d.irqs = pool.New("hfi: irq", nil, func() *irq {
-		q := &irq{d: d}
-		q.run = q.handle
-		return q
-	}, nil)
+	d.irq = d.handleIRQ
 	cpu := k.Pool.CPUs()[0]
 	reg := m.Reg
 
@@ -201,31 +197,19 @@ func NewLinuxDriver(k *linux.Kernel, nic *NIC, pr *model.Params, worlds []*kmem.
 	return d, nil
 }
 
-// irq is one completion interrupt between its raise and its handler:
-// the batch it services and when it was raised. Records are recycled
-// once the handler has read them.
-type irq struct {
-	d      *LinuxDriver
-	batch  *SDMATxn
-	raised time.Duration
-	run    func(ctx *kernel.Ctx) // q.handle, bound once
-}
-
-// raiseIRQ is the NIC's interrupt sink: it queues the handler for the
-// batch on the Linux CPUs.
+// raiseIRQ is the NIC's interrupt sink: it stamps the batch with the
+// raise time and queues the handler for it on the Linux CPUs.
 func (d *LinuxDriver) raiseIRQ(batch *SDMATxn) {
-	q := d.irqs.Get()
-	q.batch, q.raised = batch, d.K.Engine().Now()
-	d.K.Pool.Submit("hfi1-sdma-irq", q.run)
+	batch.irqRaised = d.K.Engine().Now()
+	d.K.Pool.Submit("hfi1-sdma-irq", d.irq, batch)
 }
 
-// handle is the completion interrupt handler: it runs every batched
-// transaction's completion callback (after error recovery) on a Linux
-// CPU.
-func (q *irq) handle(ctx *kernel.Ctx) {
-	d, batch, raised := q.d, q.batch, q.raised
-	q.batch = nil
-	d.irqs.Put(q)
+// handleIRQ is the completion interrupt handler for the *SDMATxn batch
+// it is given: it runs every batched transaction's completion callback
+// (after error recovery) on a Linux CPU.
+func (d *LinuxDriver) handleIRQ(ctx *kernel.Ctx, arg any) {
+	batch := arg.(*SDMATxn)
+	raised := batch.irqRaised
 	nic := d.NIC
 	// The IRQ span covers delivery (queueing for a Linux CPU) plus
 	// handler execution, on the servicing CPU's track.
@@ -268,9 +252,8 @@ func (q *irq) handle(ctx *kernel.Ctx) {
 	}
 }
 
-// Pools returns the counts of the driver's interrupt and page-list
-// pools.
-func (d *LinuxDriver) Pools() []pool.Stats { return []pool.Stats{d.irqs.Stats(), d.pageLists.Stats()} }
+// Pools returns the counts of the driver's page-list pool.
+func (d *LinuxDriver) Pools() []pool.Stats { return []pool.Stats{d.pageLists.Stats()} }
 
 // OutstandingTxreqPins returns the number of in-flight SDMA transfers
 // still holding get_user_pages pins (zero after all completions ran).

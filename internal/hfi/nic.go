@@ -55,6 +55,9 @@ type SDMATxn struct {
 	// handler reads it before handing the transaction back or
 	// resubmitting it: either relinks it.
 	irqNext *SDMATxn
+	// irqRaised stamps a batch's head with its interrupt's raise; the
+	// handler's span starts there.
+	irqRaised time.Duration `snap:"-"`
 }
 
 // Bytes returns the transaction's total payload length.

@@ -1,15 +1,18 @@
 package hfi
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/ihk"
 	"repro/internal/kernel"
 	"repro/internal/linux"
 	"repro/internal/mem"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/uproc"
 )
 
@@ -98,9 +101,9 @@ func (s *sender) drain() { s.ctx.P.Sleep(200 * time.Microsecond) }
 // TestLinuxDriverSteadyStateAllocs pins what the Linux driver's fast-path
 // system calls allocate once warm. A writev is measured with its drain,
 // so its count includes the completion interrupt's, which runs on a
-// recycled interrupt record and work item. Neither the system call, the
-// SDMA engine, the interrupt nor the callback allocates; nor does a TID
-// update+free cycle.
+// recycled work item. Neither the system call, the SDMA engine, the
+// interrupt nor the callback allocates; nor does a TID update+free
+// cycle.
 func TestLinuxDriverSteadyStateAllocs(t *testing.T) {
 	runSender(t, nil, func(r *rig, s *sender) {
 		for _, c := range []struct {
@@ -265,4 +268,64 @@ func TestRecoverSDMARecyclesOnce(t *testing.T) {
 			t.Error("degraded transfer still holds its page pins")
 		}
 	})
+}
+
+// TestIRQSpanStartsAtRaise: the hfi1-sdma-irq span covers the
+// interrupt's wait for a Linux CPU as well as its handler. Every Linux
+// CPU is busy with an offloaded call when the completion interrupt is
+// raised, so the handler is picked up only once one of them finishes;
+// the span must still begin at the raise.
+func TestIRQSpanStartsAtRaise(t *testing.T) {
+	rec := trace.NewRecorder()
+	var raised []time.Duration
+	freed := time.Duration(math.MaxInt64) // when the first busy CPU frees up
+	var handlerCost time.Duration
+	runSender(t, func(r *rig) {
+		r.e.SetRecorder(rec)
+		handlerCost = r.pr.IRQHandlerCost
+		handler := r.nic[0].irqSink
+		r.nic[0].SetIRQSink(func(batch *SDMATxn) {
+			raised = append(raised, r.e.Now())
+			handler(batch)
+		})
+	}, func(r *rig, s *sender) {
+		del := ihk.NewDelegator(r.lin[0].Pool, &r.pr)
+		busy := func(ctx *kernel.Ctx, _ any) {
+			ctx.Spend(50 * time.Microsecond)
+			freed = min(freed, ctx.Now())
+		}
+		for range r.lin[0].Pool.CPUs() {
+			r.e.Go("proxy", func(p *sim.Proc) { del.Offload(p, "busy", busy, nil) })
+		}
+		if err := s.header(OpEager); err != nil {
+			t.Error(err)
+			return
+		}
+		// Let the proxies reach the Linux CPUs before the transfer.
+		s.ctx.P.Sleep(r.pr.IKCLatency + r.pr.OffloadFixed)
+		if _, err := r.lin[0].Writev(s.ctx, s.f, s.iov); err != nil {
+			t.Error(err)
+			return
+		}
+		s.drain()
+	})
+	if len(raised) != 1 {
+		t.Fatalf("%d completion interrupts raised, want 1", len(raised))
+	}
+	if raised[0] >= freed {
+		t.Fatalf("interrupt raised at %v, after a Linux CPU freed up at %v: it never waited", raised[0], freed)
+	}
+	var spans []trace.Span
+	rec.ForEachSpan(func(sp *trace.Span) {
+		if sp.Cat == trace.CatIRQ && sp.Name == "hfi1-sdma-irq" {
+			spans = append(spans, *sp)
+		}
+	})
+	if len(spans) != 1 {
+		t.Fatalf("%d hfi1-sdma-irq spans, want 1", len(spans))
+	}
+	if sp := spans[0]; sp.Begin != raised[0] || sp.End < freed+handlerCost {
+		t.Errorf("span %v–%v, want it to begin at the raise %v and end no earlier than the pickup %v plus the handler",
+			sp.Begin, sp.End, raised[0], freed)
+	}
 }

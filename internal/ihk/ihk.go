@@ -12,7 +12,6 @@ import (
 	"repro/internal/kmem"
 	"repro/internal/mem"
 	"repro/internal/model"
-	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vas"
@@ -106,42 +105,17 @@ type Delegator struct {
 	// Count and Time accumulate offload statistics.
 	Count uint64
 	Time  time.Duration
-
-	calls pool.Pool[*call] `snap:"-"`
-}
-
-// call is one offloaded system call on its way through a proxy: the work
-// and the proxy's overhead before it. Records go back to the pool when
-// the caller wakes, poisoned until reused.
-type call struct {
-	pool.Slot
-	overhead time.Duration
-	fn       func(ctx *kernel.Ctx)
-	run      func(ctx *kernel.Ctx) // c.exec, bound once
-}
-
-func (c *call) exec(ctx *kernel.Ctx) {
-	c.Check()
-	ctx.Spend(c.overhead)
-	c.fn(ctx)
 }
 
 // NewDelegator wires delegation onto the node's Linux CPU pool.
 func NewDelegator(wp *kernel.WorkerPool, pr *model.Params) *Delegator {
-	return &Delegator{Pool: wp, pr: pr, calls: pool.New("ihk: call", nil, func() *call {
-		c := &call{}
-		c.run = c.exec
-		return c
-	}, func(c *call) { *c = call{run: c.run} })}
+	return &Delegator{Pool: wp, pr: pr}
 }
 
-// Pools returns the counts of the delegator's call pool.
-func (d *Delegator) Pools() []pool.Stats { return []pool.Stats{d.calls.Stats()} }
-
-// Offload runs fn as an offloaded system call on behalf of p and returns
-// the end-to-end latency: IKC to Linux, queueing + proxy execution on a
-// Linux CPU, IKC back.
-func (d *Delegator) Offload(p *sim.Proc, name string, fn func(ctx *kernel.Ctx)) time.Duration {
+// Offload runs fn(arg) as an offloaded system call on behalf of p and
+// returns the end-to-end latency: IKC to Linux, queueing + proxy
+// execution on a Linux CPU, IKC back.
+func (d *Delegator) Offload(p *sim.Proc, name string, fn func(ctx *kernel.Ctx, arg any), arg any) time.Duration {
 	start := p.Now()
 	p.Sleep(d.pr.IKCLatency)
 	// Scheduler thrash: every runnable proxy beyond one per Linux CPU
@@ -151,11 +125,8 @@ func (d *Delegator) Offload(p *sim.Proc, name string, fn func(ctx *kernel.Ctx)) 
 	if thrash < 0 {
 		thrash = 0
 	}
-	c := d.calls.Get()
-	c.overhead = d.pr.OffloadFixed + time.Duration(thrash)*d.pr.OffloadThrashPerQueued
-	c.fn = fn
-	d.Pool.SubmitAndWait(p, name, c.run)
-	d.calls.Put(c)
+	lead := d.pr.OffloadFixed + time.Duration(thrash)*d.pr.OffloadThrashPerQueued
+	d.Pool.SubmitAndWait(p, name, lead, fn, arg)
 	p.Sleep(d.pr.IKCLatency)
 	lat := p.Now() - start
 	d.Count++

@@ -26,14 +26,17 @@ func (c *Ctx) Now() time.Duration { return c.P.Now() }
 // Spend consumes CPU time.
 func (c *Ctx) Spend(d time.Duration) { c.P.Sleep(d) }
 
-// WorkItem is a unit of kernel work executed by a WorkerPool. Items are
-// recycled: a waited item (cond set) goes back to the worker pool's
-// record pool when its submitter wakes, a fire-and-forget one when its
-// Fn returns. A freed item is poisoned until reused; a worker handed one
-// panics.
+// WorkItem is a unit of kernel work executed by a WorkerPool: Fn(ctx,
+// Arg), like an engine event's fn(arg), behind Lead of proxy overhead
+// for a waited item. Items are recycled: a waited item (cond set) goes
+// back to the worker pool's record pool when its submitter wakes, a
+// fire-and-forget one when its Fn returns. A freed item is poisoned
+// until reused; a worker handed one panics.
 type WorkItem struct {
 	Name string
-	Fn   func(ctx *Ctx)
+	Fn   func(ctx *Ctx, arg any)
+	Arg  any           `snap:"-"`
+	Lead time.Duration `snap:"-"`
 	done bool
 	cond *sim.Cond
 	// wake is the Cond a waited item keeps across uses, so its waiter
@@ -75,7 +78,12 @@ func NewWorkerPool(e *sim.Engine, name string, cpus []int) *WorkerPool {
 				item := wp.q.Pop(p)
 				item.Check()
 				start := p.Now()
-				item.Fn(ctx)
+				if item.cond != nil {
+					// A waited item is an offloaded call with its proxy in
+					// front; an interrupt handler starts at pickup.
+					ctx.Spend(item.Lead)
+				}
+				item.Fn(ctx, item.Arg)
 				wp.Busy[idx] += p.Now() - start
 				wp.Executed++
 				if item.cond == nil {
@@ -91,9 +99,9 @@ func NewWorkerPool(e *sim.Engine, name string, cpus []int) *WorkerPool {
 }
 
 // item returns a cleared work item from the pool.
-func (wp *WorkerPool) item(name string, fn func(ctx *Ctx)) *WorkItem {
+func (wp *WorkerPool) item(name string, fn func(ctx *Ctx, arg any), arg any) *WorkItem {
 	item := wp.items.Get()
-	item.Name, item.Fn = name, fn
+	item.Name, item.Fn, item.Arg = name, fn, arg
 	return item
 }
 
@@ -106,26 +114,24 @@ func (wp *WorkerPool) CPUs() []int { return wp.cpus }
 // QueueLen returns the number of items waiting for a worker.
 func (wp *WorkerPool) QueueLen() int { return wp.q.Len() }
 
-// Submit enqueues work without waiting for it (IRQ-style).
-func (wp *WorkerPool) Submit(name string, fn func(ctx *Ctx)) {
-	wp.q.Push(wp.item(name, fn))
+// Submit enqueues fn(arg) without waiting for it (IRQ-style).
+func (wp *WorkerPool) Submit(name string, fn func(ctx *Ctx, arg any), arg any) {
+	wp.q.Push(wp.item(name, fn, arg))
 }
 
-// SubmitAndWait enqueues work and blocks p until a worker has executed
-// it, returning the total latency including queueing. This is the shape
-// of an offloaded system call: the caller's proxy context sleeps until a
-// Linux CPU picks the request up and finishes it.
-func (wp *WorkerPool) SubmitAndWait(p *sim.Proc, name string, fn func(ctx *Ctx)) time.Duration {
-	start := p.Now()
-	item := wp.item(name, fn)
+// SubmitAndWait enqueues fn(arg) and blocks p until a worker has spent
+// lead and then executed it. This is the shape of an offloaded system
+// call: the caller's proxy context sleeps until a Linux CPU picks the
+// request up, pays the proxy's overhead and finishes it.
+func (wp *WorkerPool) SubmitAndWait(p *sim.Proc, name string, lead time.Duration, fn func(ctx *Ctx, arg any), arg any) {
+	item := wp.item(name, fn, arg)
 	if item.wake == nil {
 		item.wake = sim.NewCond(wp.e)
 	}
-	item.cond = item.wake
+	item.cond, item.Lead = item.wake, lead
 	wp.q.Push(item)
 	for !item.done {
 		item.cond.Wait(p)
 	}
 	wp.items.Put(item)
-	return p.Now() - start
 }

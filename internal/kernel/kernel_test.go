@@ -20,7 +20,7 @@ func TestWorkerPoolFIFOAndContention(t *testing.T) {
 	// 6 jobs of 100ns on 2 CPUs: completions at 100,100,200,200,300,300.
 	for i := 0; i < 6; i++ {
 		e.Go("submitter", func(p *sim.Proc) {
-			wp.SubmitAndWait(p, "job", func(ctx *Ctx) { ctx.Spend(100) })
+			wp.SubmitAndWait(p, "job", 0, func(ctx *Ctx, _ any) { ctx.Spend(100) }, nil)
 			finished = append(finished, p.Now())
 		})
 	}
@@ -51,14 +51,37 @@ func TestWorkerPoolFIFOAndContention(t *testing.T) {
 func TestWorkerPoolSubmitNoWait(t *testing.T) {
 	e := sim.NewEngine(1)
 	wp := NewWorkerPool(e, "linux", []int{0})
-	ran := 0
-	wp.Submit("irq", func(ctx *Ctx) { ctx.Spend(50); ran++ })
-	wp.Submit("irq", func(ctx *Ctx) { ran++ })
+	var ran []int
+	run := func(ctx *Ctx, arg any) { ctx.Spend(50); ran = append(ran, *arg.(*int)) }
+	first, second := 1, 2
+	wp.Submit("irq", run, &first)
+	wp.Submit("irq", run, &second)
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if ran != 2 {
-		t.Fatalf("ran = %d", ran)
+	if fmt.Sprint(ran) != "[1 2]" || e.Now() != 100 {
+		t.Fatalf("ran %v by %v, want [1 2] by 100ns: each Fn gets its own Arg, and no lead", ran, e.Now())
+	}
+}
+
+// TestWorkerPoolLeadBeforeFn: a waited item's worker spends the lead
+// before calling Fn, and both count as the CPU's busy time.
+func TestWorkerPoolLeadBeforeFn(t *testing.T) {
+	e := sim.NewEngine(1)
+	wp := NewWorkerPool(e, "linux", []int{0})
+	var began, done time.Duration
+	e.Go("submitter", func(p *sim.Proc) {
+		wp.SubmitAndWait(p, "job", 30, func(ctx *Ctx, arg any) {
+			began = ctx.Now()
+			ctx.Spend(arg.(time.Duration))
+		}, time.Duration(100))
+		done = p.Now()
+	})
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if began != 30 || done != 130 || wp.Busy[0] != 130 {
+		t.Fatalf("Fn began at %v, done at %v, busy %v; want 30, 130, 130", began, done, wp.Busy[0])
 	}
 }
 
@@ -68,14 +91,15 @@ func TestWorkerPoolSubmitNoWait(t *testing.T) {
 func TestWorkerPoolSteadyStateAllocs(t *testing.T) {
 	e := sim.NewEngine(1)
 	wp := NewWorkerPool(e, "linux", []int{0, 1})
-	job := func(ctx *Ctx) { ctx.Spend(100) }
+	job := func(ctx *Ctx, arg any) { ctx.Spend(*arg.(*time.Duration)) }
+	cost := 100 * time.Nanosecond
 	e.Go("submitter", func(p *sim.Proc) {
-		waited := testing.AllocsPerRun(50, func() { wp.SubmitAndWait(p, "job", job) })
+		waited := testing.AllocsPerRun(50, func() { wp.SubmitAndWait(p, "job", 10, job, &cost) })
 		if waited != 0 {
 			t.Errorf("SubmitAndWait: %v allocations, want 0", waited)
 		}
 		async := testing.AllocsPerRun(50, func() {
-			wp.Submit("irq", job)
+			wp.Submit("irq", job, &cost)
 			p.Sleep(200)
 		})
 		if async != 0 {
@@ -96,7 +120,7 @@ func TestWorkerPoolSteadyStateAllocs(t *testing.T) {
 func TestFreedWorkItemPanics(t *testing.T) {
 	e := sim.NewEngine(1)
 	wp := NewWorkerPool(e, "linux", []int{0})
-	item := wp.item("irq", func(ctx *Ctx) {})
+	item := wp.item("irq", func(*Ctx, any) {}, nil)
 	wp.items.Put(item)
 	wp.q.Push(item)
 	var pe *sim.PanicError

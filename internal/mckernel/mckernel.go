@@ -64,11 +64,8 @@ func NewKernel(e *sim.Engine, pr *model.Params, space *kmem.Space, lin *linux.Ke
 		e:        e,
 		fast:     make(map[string]*FastPath),
 	}
-	k.calls = pool.New("mckernel: call", nil, func() *call {
-		c := &call{k: k}
-		c.run = c.exec
-		return c
-	}, func(c *call) { *c = call{k: c.k, run: c.run} })
+	k.calls = pool.New("mckernel: call", nil, func() *call { return &call{k: k} },
+		func(c *call) { *c = call{k: c.k} })
 	return k
 }
 
@@ -139,11 +136,11 @@ type call struct {
 	res  uint64
 	file *linux.File
 	err  error
-	run  func(lctx *kernel.Ctx) // c.exec, bound once
 }
 
-// exec runs the call on a Linux CPU, in the proxy's context.
-func (c *call) exec(lctx *kernel.Ctx) {
+// exec runs the *call arg on a Linux CPU, in the proxy's context.
+func exec(lctx *kernel.Ctx, arg any) {
+	c := arg.(*call)
 	c.Check()
 	lin := c.k.lin
 	switch c.op {
@@ -175,7 +172,7 @@ func (k *Kernel) newCall(op callOp) *call {
 // round trip and its result travels back to the LWK core. c goes back
 // to the pool once its result is read.
 func (k *Kernel) offload(ctx *kernel.Ctx, label string, c *call) (uint64, *linux.File, error) {
-	k.Del.Offload(ctx.P, label, c.run)
+	k.Del.Offload(ctx.P, label, exec, c)
 	res, file, err := c.res, c.file, c.err
 	k.calls.Put(c)
 	return res, file, err

@@ -289,7 +289,7 @@ func TestFreedCallPanics(t *testing.T) {
 	mck, lin, _, e := lwkRig(t)
 	c := mck.newCall(callMisc)
 	mck.calls.Put(c)
-	lin.Pool.Submit("stale", c.run)
+	lin.Pool.Submit("stale", exec, c)
 	var pe *sim.PanicError
 	if err := e.Run(0); !errors.As(err, &pe) || !strings.Contains(fmt.Sprint(pe.Value), "mckernel: call used after put") {
 		t.Fatalf("Run = %v, want a freed-call panic", err)

@@ -1,6 +1,6 @@
 // Package pool is the one free list behind every record the simulator
 // recycles on its hot paths: psm's per-message records, the NIC's SDMA
-// transactions, interrupt and offload records, work items, system-call
+// transactions, offloaded-call records, work items, system-call
 // contexts, frame buffers and the fabric's packets and payloads.
 //
 // A Pool hands records out (Get) and takes them back (Put), last in,

@@ -218,12 +218,9 @@ func (r *Resource) Release() {
 }
 
 // Use occupies one server for duration d: Acquire, Sleep(d), Release.
-// It returns the total time spent including queueing.
-func (r *Resource) Use(p *Proc, d time.Duration) time.Duration {
-	start := p.Now()
+func (r *Resource) Use(p *Proc, d time.Duration) {
 	r.Acquire(p)
 	p.Sleep(d)
 	r.Busy += d
 	r.Release()
-	return p.Now() - start
 }

@@ -71,7 +71,9 @@ func (l *Labels) Of(ptr any) (string, bool) {
 // printed state) and `snap:"hash"` folds a field's lines into one
 // "#<SHA-256 prefix>" line (large real state such as page-table leaves).
 func Walk(w io.Writer, prefix string, v any, labels *Labels) error {
-	wk := walker{seen: make(map[ref]string)}
+	wk := walkers.Get().(*walker)
+	defer wk.release()
+	wk.seen = make(map[ref]firstPath)
 	if labels != nil {
 		wk.labels = labels.m
 	}
@@ -79,7 +81,7 @@ func Walk(w io.Writer, prefix string, v any, labels *Labels) error {
 	rv := reflect.ValueOf(v)
 	if rv.Kind() == reflect.Pointer && !rv.IsNil() {
 		// The root itself is walked, not printed as its own label.
-		wk.seen[refOf(rv)] = prefix
+		wk.seen[refOf(rv)] = wk.remember()
 		rv = rv.Elem()
 	}
 	if err := wk.value(rv); err != nil {
@@ -89,11 +91,35 @@ func Walk(w io.Writer, prefix string, v any, labels *Labels) error {
 	return err
 }
 
+// walkers recycles walkers, so the byte buffers of one walk grow once
+// per pooled walker rather than once per walk. A snapshot walks each
+// section, and each pending event's argument, on its own.
+var walkers = sync.Pool{New: func() any { return new(walker) }}
+
+// release empties w, keeping its buffers' capacity, and pools it.
+func (w *walker) release() {
+	*w = walker{paths: w.paths[:0], path: w.path[:0], out: w.out[:0]}
+	walkers.Put(w)
+}
+
 type walker struct {
 	labels map[ref]string
-	seen   map[ref]string // pointer → path it was first walked at
-	path   []byte
-	out    []byte
+	seen   map[ref]firstPath // pointer → path it was first walked at
+	// paths holds the first paths end to end: a pointer met once costs
+	// an append here, not a string of its own.
+	paths []byte
+	path  []byte
+	out   []byte
+}
+
+// firstPath is the span paths[start:end].
+type firstPath struct{ start, end int }
+
+// remember appends the current path to paths and returns its span.
+func (w *walker) remember() firstPath {
+	start := len(w.paths)
+	w.paths = append(w.paths, w.path...)
+	return firstPath{start, len(w.paths)}
 }
 
 // line emits path=val.
@@ -179,10 +205,11 @@ func (w *walker) pointer(v reflect.Value) error {
 		return nil
 	}
 	if first, ok := w.seen[r]; ok {
-		w.line("&" + first)
+		w.out = append(append(append(w.out, w.path...), "=&"...), w.paths[first.start:first.end]...)
+		w.out = append(w.out, '\n')
 		return nil
 	}
-	w.seen[r] = string(w.path)
+	w.seen[r] = w.remember()
 	if e := v.Elem(); e.Kind() == reflect.Array && e.Type().Elem().Kind() == reflect.Uint8 {
 		// A buffer reference, like a byte slice: it prints even when the
 		// bytes are all zero.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"strings"
 	"testing"
 )
@@ -236,4 +237,24 @@ func TestWalkCallsNoMethods(t *testing.T) {
 		"M[5].N=5",
 		`Key[{6,"k"}]=1`,
 	)
+}
+
+// TestWalkPointerAllocs pins that a pointer met once costs the walk no
+// allocation of its own: its first path goes into one shared buffer,
+// and only a pointer met again reads it back.
+func TestWalkPointerAllocs(t *testing.T) {
+	type node struct{ ID int }
+	const n = 4096
+	v := make([]*node, n)
+	for i := range v {
+		v[i] = &node{ID: i + 1}
+	}
+	got := testing.AllocsPerRun(5, func() {
+		if err := Walk(io.Discard, "", v, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > n/16 {
+		t.Errorf("walking %d distinct pointers: %v allocations, want at most %d", n, got, n/16)
+	}
 }
