@@ -96,8 +96,9 @@ type Spec struct {
 	// barrier, and no restriction on faults, congestion or jitter.
 	// Shards > 1 is clamped to the node count, and New refuses it with
 	// an active fault profile, active congestion control, LinkJitter > 0
-	// or a non-positive LinkLatency. Tracing is allowed, but span order
-	// depends on the shard count (ROADMAP item 2(c)).
+	// or a non-positive LinkLatency. Tracing is allowed: a sharded run
+	// records the unsharded run's spans, but their interleaving in the
+	// trace depends on the shard count (ROADMAP item 2(c)).
 	Shards int
 }
 
@@ -285,14 +286,15 @@ func newShardSet(cfg *Spec) (*sim.ShardSet, error) {
 
 // route installs the cross-shard routing hook on every shard's fabric of
 // one network (fabs is c.fabs or c.ibfabs, indexed by shard): resolve
-// the destination shard, then schedule the delivery on its engine
-// through the conservative cross-event path. The packet itself is the
-// event's argument and each destination's delivery func is bound once
-// here (sim.AfterArg convention), so a routed packet allocates nothing.
+// the destination shard, then schedule the packet's arrival on its
+// engine through the conservative cross-event path. The packet itself
+// is the event's argument and each destination fabric's Arrive is bound
+// once here (sim.AfterArg convention), so a routed packet allocates
+// nothing and ends its flight as a local one does.
 func (c *Cluster) route(fabs []*fabric.Fabric) {
-	deliver := make([]func(any), len(fabs))
+	arrive := make([]func(any), len(fabs))
 	for s, fab := range fabs {
-		deliver[s] = deliverOn(fab)
+		arrive[s] = fab.Arrive
 	}
 	for s, fab := range fabs {
 		src := c.engines[s]
@@ -303,19 +305,9 @@ func (c *Cluster) route(fabs []*fabric.Fabric) {
 				return fmt.Errorf("cluster: route to unknown node %d", pkt.DstNode)
 			}
 			dst := c.shardOf[node]
-			c.Set.CrossAfter(src, c.engines[dst], lat, deliver[dst], pkt)
+			c.Set.CrossAfter(src, c.engines[dst], lat, arrive[dst], pkt)
 			return nil
 		})
-	}
-}
-
-// deliverOn returns the func that completes a routed flight on fab, the
-// destination shard's fabric; its argument is the *fabric.Packet.
-func deliverOn(fab *fabric.Fabric) func(any) {
-	return func(a any) {
-		if err := fab.Deliver(a.(*fabric.Packet)); err != nil {
-			fab.Engine().Fail(err)
-		}
 	}
 }
 

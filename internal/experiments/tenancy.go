@@ -15,8 +15,7 @@
 // sweep is the end-to-end gate on the fabric's admission gating and
 // PSM's CNP backoff — and on pooled-buffer hygiene under multi-flow
 // contention: each cell's teardown asserts the fabric's pools balance
-// (every pooled packet, payload and delivery record returned exactly
-// once).
+// (every pooled packet and payload returned exactly once).
 package experiments
 
 import (

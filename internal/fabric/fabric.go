@@ -89,6 +89,10 @@ type Packet struct {
 	// Release tells it once per copy (see PayloadOwner). Never set
 	// together with PooledPayload.
 	Owner PayloadOwner `snap:"-"`
+	// begin is when Send or Transmit took the packet: its flight span
+	// runs from there, across egress serialization and the link, to
+	// Arrive.
+	begin time.Duration
 }
 
 // PayloadOwner counts the in-flight copies of a retained payload. The
@@ -121,21 +125,21 @@ type Port struct {
 	// can count simultaneity ties (see Fabric.Ties).
 	lastRxAt  time.Duration
 	lastRxSrc int
-	// routes caches the per-destination flight-span track name so the
-	// hot path never rebuilds the "wire:src->dst" string.
+	// routes caches the per-source flight-span track name so the hot
+	// path never rebuilds the "wire:src->dst" string.
 	routes map[int]string `snap:"-"`
 }
 
-// routeTo returns the cached flight-span track name for this port's
-// route to dst.
-func (p *Port) routeTo(dst int) string {
-	s, ok := p.routes[dst]
+// routeFrom returns the cached flight-span track name for the route
+// from src to this port.
+func (p *Port) routeFrom(src int) string {
+	s, ok := p.routes[src]
 	if !ok {
 		if p.routes == nil {
 			p.routes = make(map[int]string)
 		}
-		s = fmt.Sprintf("wire:%d->%d", p.Node, dst)
-		p.routes[dst] = s
+		s = fmt.Sprintf("wire:%d->%d", src, p.Node)
+		p.routes[src] = s
 	}
 	return s
 }
@@ -146,12 +150,16 @@ type Fabric struct {
 	pr    *model.Params
 	ports map[int]*Port
 
+	// arrive is Arrive, bound once: the callback of every flight that
+	// ends on this fabric's engine.
+	arrive func(any) `snap:"-"`
+
 	// route, when set, carries packets whose destination port is not
 	// attached to this instance: sharded clusters build one Fabric per
 	// shard and route cross-shard traffic through it. It is handed the
 	// packet after egress serialization, together with the link latency
-	// still to be applied; the receiving side completes the flight with
-	// Deliver. Cross-fabric routing composes only with the loss-free,
+	// still to be applied; the flight ends in the destination fabric's
+	// Arrive. Cross-fabric routing composes only with the loss-free,
 	// jitter-free, congestion-free profile (the cluster validates this),
 	// so the routed path never consults the fault or congestion state.
 	route func(pkt *Packet, lat time.Duration) error
@@ -171,13 +179,11 @@ type Fabric struct {
 	congCond *sim.Cond
 
 	// Hot-path pools (see pool.go): payload buffers by exact size, all
-	// classes counting in bufCounts, packets, and the delivery records
-	// that replace a per-packet closure in deliverAt. Not state: records
-	// are cleared on return. pstats prints the buffer and packet counts
-	// in checkpoints, where they have always been.
+	// classes counting in bufCounts, and packets. Not state: records are
+	// cleared on return. pstats prints the buffer and packet counts in
+	// checkpoints, where they have always been.
 	bufs      map[int]*pool.Pool[[]byte] `snap:"-"`
 	pkts      pool.Pool[*Packet]         `snap:"-"`
-	dels      pool.Pool[*delivery]       `snap:"-"`
 	bufCounts pool.Counts                `snap:"-"`
 	pktCounts pool.Counts                `snap:"-"`
 	pstats    struct{ BufGets, BufHits, BufPuts, PktGets, PktHits, PktPuts *uint64 }
@@ -194,6 +200,7 @@ type Fabric struct {
 // New creates an empty fabric.
 func New(e *sim.Engine, pr *model.Params) *Fabric {
 	f := &Fabric{e: e, pr: pr, ports: make(map[int]*Port)}
+	f.arrive = f.Arrive
 	f.initPools()
 	return f
 }
@@ -275,27 +282,32 @@ func (f *Fabric) noteRx(dst *Port, pkt *Packet) {
 	dst.lastRxAt, dst.lastRxSrc = now, pkt.SrcNode
 }
 
-// Engine returns the engine this fabric schedules on.
-func (f *Fabric) Engine() *sim.Engine { return f.e }
-
 // SetRouter installs the cross-fabric routing hook (see the route
 // field). Passing nil restores the single-fabric behavior where an
 // unattached destination is a send error.
 func (f *Fabric) SetRouter(fn func(pkt *Packet, lat time.Duration) error) { f.route = fn }
 
-// Deliver hands an arriving packet to its destination port. It is the
-// receive half of a routed cross-fabric send and must run in this
-// fabric's engine at the packet's arrival time; it mirrors the tail of
-// a local delivery (minus flight-span emission and congestion credit
-// return, both inactive whenever routing is configured).
-func (f *Fabric) Deliver(pkt *Packet) error {
+// Arrive ends the flight of its argument, a *Packet, at the packet's
+// destination port: it emits the flight span, returns the congestion
+// credit, counts a tie and hands the packet to the port. Every flight
+// ends here, in an event of this fabric's engine: a flight within the
+// fabric is one AfterArg of the bound arrive, and a router schedules a
+// flight from another shard's fabric with Arrive as its callback. A
+// destination not attached here fails the engine.
+func (f *Fabric) Arrive(a any) {
+	pkt := a.(*Packet)
 	dst, ok := f.ports[pkt.DstNode]
 	if !ok {
-		return fmt.Errorf("fabric: destination node %d not attached", pkt.DstNode)
+		f.e.Fail(fmt.Errorf("fabric: packet from node %d arrived for node %d, which is not attached", pkt.SrcNode, pkt.DstNode))
+		return
 	}
+	if rec := f.e.Recorder(); rec != nil {
+		rec.SpanBytes(trace.CatFabric, kindName(pkt.Kind), dst.routeFrom(pkt.SrcNode),
+			pkt.begin, f.e.Now(), pkt.Bytes)
+	}
+	f.congDone(pkt)
 	f.noteRx(dst, pkt)
 	dst.deliver(pkt)
-	return nil
 }
 
 // kindName labels flight spans by receive-side handling.
@@ -315,7 +327,7 @@ func kindName(k PacketKind) string {
 // without blocking the sender. Transmit is the same send for event
 // context.
 func (f *Fabric) Send(proc *sim.Proc, pkt *Packet) error {
-	begin := proc.Now()
+	pkt.begin = proc.Now()
 	src, dst, err := f.ends(pkt)
 	if err != nil {
 		return err
@@ -327,7 +339,7 @@ func (f *Fabric) Send(proc *sim.Proc, pkt *Packet) error {
 		}
 	}
 	src.egress.Use(proc, f.pr.WireTime(pkt.Bytes))
-	return f.sent(src, dst, pkt, begin)
+	return f.sent(src, dst, pkt)
 }
 
 // Transmit is a send in flight from event context: the state a process
@@ -345,7 +357,6 @@ type Transmit struct {
 	f        *Fabric `snap:"-"`
 	src, dst *Port   `snap:"-"`
 	pkt      *Packet
-	begin    time.Duration
 	stall    stall
 }
 
@@ -354,7 +365,8 @@ type Transmit struct {
 // port on its Resource as callbacks in the blocked senders' FIFO, and
 // serialization is one AfterArg. x.Done runs when the send is over.
 func (f *Fabric) Transmit(x *Transmit, pkt *Packet) {
-	x.f, x.pkt, x.begin, x.stall = f, pkt, f.e.Now(), stall{}
+	x.f, x.pkt, x.stall = f, pkt, stall{}
+	pkt.begin = f.e.Now()
 	x.src, x.dst, x.Err = f.ends(pkt)
 	if x.Err != nil {
 		x.pkt = nil
@@ -392,7 +404,7 @@ func xmitWire(a any) {
 	x.src.egress.Busy += f.pr.WireTime(pkt.Bytes)
 	x.src.egress.Release()
 	x.pkt = nil
-	x.Err = f.sent(x.src, x.dst, pkt, x.begin)
+	x.Err = f.sent(x.src, x.dst, pkt)
 	x.Done(x.Arg)
 }
 
@@ -419,7 +431,7 @@ func (f *Fabric) ends(pkt *Packet) (src, dst *Port, err error) {
 // latency still to fly (dst nil: a cross-fabric send) or into its
 // flight toward dst, jittered and, on a lossy fabric, through the fault
 // profile.
-func (f *Fabric) sent(src, dst *Port, pkt *Packet, begin time.Duration) error {
+func (f *Fabric) sent(src, dst *Port, pkt *Packet) error {
 	src.TxBytes += pkt.Bytes
 	src.TxPackets++
 	if dst == nil {
@@ -441,50 +453,11 @@ func (f *Fabric) sent(src, dst *Port, pkt *Packet, begin time.Duration) error {
 		lat = at - f.e.Now()
 	}
 	if f.frng != nil && f.faults.Active() && pkt.Kind != KindRDMA {
-		f.sendFaulty(dst, pkt, begin, lat)
+		f.sendFaulty(pkt, lat)
 		return nil
 	}
-	f.deliverAt(dst, pkt, begin, lat)
+	f.e.AfterArg(lat, f.arrive, pkt)
 	return nil
-}
-
-// delivery is the pooled argument record of one scheduled packet
-// delivery: deliverAt fills one and hands it to sim.Engine.AfterArg, so
-// the per-packet path allocates neither a closure nor captured state.
-type delivery struct {
-	f     *Fabric
-	dst   *Port `snap:"-"` // pkt.DstNode's port, in the fabric section
-	pkt   *Packet
-	begin time.Duration
-	route string
-}
-
-// runDelivery fires one scheduled delivery. It is a package function
-// (not a closure) so AfterArg can reuse the same func value for every
-// packet.
-func runDelivery(a any) {
-	d := a.(*delivery)
-	f, dst, pkt, begin, route := d.f, d.dst, d.pkt, d.begin, d.route
-	// Recycle the record before delivering: deliver can synchronously
-	// trigger further sends that need fresh records.
-	f.dels.Put(d)
-	if rec := f.e.Recorder(); rec != nil {
-		rec.SpanBytes(trace.CatFabric, kindName(pkt.Kind), route,
-			begin, f.e.Now(), pkt.Bytes)
-	}
-	f.congDone(pkt)
-	f.noteRx(dst, pkt)
-	dst.deliver(pkt)
-}
-
-// deliverAt schedules delivery of pkt after lat and emits the flight
-// span. The span covers egress serialization plus link latency: begin
-// at Send entry, end at delivery.
-func (f *Fabric) deliverAt(dst *Port, pkt *Packet, begin time.Duration, lat time.Duration) {
-	d := f.dels.Get()
-	src := f.ports[pkt.SrcNode]
-	*d = delivery{f: f, dst: dst, pkt: pkt, begin: begin, route: src.routeTo(pkt.DstNode)}
-	f.e.AfterArg(lat, runDelivery, d)
 }
 
 // sendFaulty applies the fault profile to one already-serialized packet.
@@ -497,7 +470,7 @@ func (f *Fabric) deliverAt(dst *Port, pkt *Packet, begin time.Duration, lat time
 // The packet that flies is the caller's own (every sender's comes from
 // GetPacket), so a faulty send allocates nothing; only a duplicate is a
 // fresh copy, taken before the original's corrupt draw marks it.
-func (f *Fabric) sendFaulty(dst *Port, pkt *Packet, begin time.Duration, lat time.Duration) {
+func (f *Fabric) sendFaulty(pkt *Packet, lat time.Duration) {
 	if f.faults.downAt(pkt.SrcNode, pkt.DstNode, f.e.Now()) {
 		f.fstats.DownDrops++
 		f.congDone(pkt)
@@ -529,15 +502,15 @@ func (f *Fabric) sendFaulty(dst *Port, pkt *Packet, begin time.Duration, lat tim
 		// original alone carries the congestion credit charge.
 		dup.congFree = true
 	}
-	f.flyFaulty(dst, pkt, lf, begin, lat)
+	f.flyFaulty(pkt, lf, lat)
 	if dup != nil {
-		f.flyFaulty(dst, dup, lf, begin, lat+f.pr.LinkLatency)
+		f.flyFaulty(dup, lf, lat+f.pr.LinkLatency)
 	}
 }
 
 // flyFaulty draws one in-flight copy's corruption and reordering, in
-// that order, and schedules its delivery.
-func (f *Fabric) flyFaulty(dst *Port, pkt *Packet, lf LinkFaults, begin, lat time.Duration) {
+// that order, and schedules its arrival.
+func (f *Fabric) flyFaulty(pkt *Packet, lf LinkFaults, lat time.Duration) {
 	if lf.Corrupt > 0 && f.frng.Float64() < lf.Corrupt {
 		f.fstats.Corrupted++
 		pkt.Corrupt = true
@@ -548,5 +521,5 @@ func (f *Fabric) flyFaulty(dst *Port, pkt *Packet, lf LinkFaults, begin, lat tim
 		// on this route may overtake this one.
 		lat += time.Duration(1 + f.frng.Int63n(int64(lf.ReorderDelay)))
 	}
-	f.deliverAt(dst, pkt, begin, lat)
+	f.e.AfterArg(lat, f.arrive, pkt)
 }

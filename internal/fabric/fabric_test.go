@@ -124,6 +124,38 @@ func TestSendUnknownNodes(t *testing.T) {
 	}
 }
 
+// TestArriveUnattachedFails: a flight routed to a fabric that has no
+// port for its destination fails that fabric's engine at arrival, naming
+// the node, and delivers nothing.
+func TestArriveUnattachedFails(t *testing.T) {
+	e := sim.NewEngine(1)
+	pr := model.Default()
+	src, dst := New(e, &pr), New(e, &pr)
+	if _, err := src.Attach(0, func(*Packet) {}); err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	if _, err := dst.Attach(1, func(*Packet) { delivered++ }); err != nil {
+		t.Fatal(err)
+	}
+	src.SetRouter(func(pkt *Packet, lat time.Duration) error {
+		e.AfterArg(lat, dst.Arrive, pkt)
+		return nil
+	})
+	e.Go("s", func(p *sim.Proc) {
+		if err := src.Send(p, &Packet{SrcNode: 0, DstNode: 5, Bytes: 64}); err != nil {
+			t.Error(err)
+		}
+	})
+	err := e.Run(0)
+	if err == nil || !strings.Contains(err.Error(), "node 5") {
+		t.Fatalf("Run = %v, want the error naming node 5", err)
+	}
+	if delivered != 0 {
+		t.Fatalf("%d packets delivered, want 0", delivered)
+	}
+}
+
 func TestPayloadSetsBytes(t *testing.T) {
 	e := sim.NewEngine(1)
 	pr := model.Default()

@@ -3,9 +3,9 @@ package fabric
 import "repro/internal/pool"
 
 // Pools for the per-packet hot path. A Fabric owns one payload-buffer
-// pool per exact size class, one Packet pool and one pool of delivery
-// records, all internal/pool free lists shared by every NIC attached to
-// it. They run in simulation context (an event callback or a running
+// pool per exact size class and one Packet pool, internal/pool free
+// lists shared by every NIC attached to it. A packet in flight needs no
+// record of its own: it is the argument of its arrival event. They run in simulation context (an event callback or a running
 // process), so no locking is needed.
 //
 // Ownership protocol:
@@ -49,14 +49,11 @@ type PoolStats struct {
 	PktPuts uint64 // packets returned via Release
 }
 
-// initPools builds the packet and delivery pools and points pstats at
-// the counts.
+// initPools builds the packet pool and points pstats at the counts.
 func (f *Fabric) initPools() {
 	f.bufs = make(map[int]*pool.Pool[[]byte])
 	f.pkts = pool.New("fabric: packet", &f.pktCounts, func() *Packet { return new(Packet) },
 		func(p *Packet) { *p = Packet{} })
-	f.dels = pool.New("fabric: delivery", nil, func() *delivery { return new(delivery) },
-		func(d *delivery) { *d = delivery{} })
 	b, p := &f.bufCounts, &f.pktCounts
 	f.pstats.BufGets, f.pstats.BufHits, f.pstats.BufPuts = &b.Gets, &b.Hits, &b.Puts
 	f.pstats.PktGets, f.pstats.PktHits, f.pstats.PktPuts = &p.Gets, &p.Hits, &p.Puts
@@ -144,8 +141,8 @@ func (f *Fabric) PoolStats() PoolStats {
 		PktGets: p.Gets, PktHits: p.Hits, PktPuts: p.Puts}
 }
 
-// Pools returns the counts of the fabric's buffer, packet and delivery
-// pools; the buffer size classes count as one.
+// Pools returns the counts of the fabric's buffer and packet pools; the
+// buffer size classes count as one.
 func (f *Fabric) Pools() []pool.Stats {
-	return []pool.Stats{{Name: "fabric: buffer", Counts: f.bufCounts}, f.pkts.Stats(), f.dels.Stats()}
+	return []pool.Stats{{Name: "fabric: buffer", Counts: f.bufCounts}, f.pkts.Stats()}
 }

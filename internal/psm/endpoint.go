@@ -18,7 +18,7 @@ type Endpoint struct {
 	OS        OSOps `snap:"-"` // the rank's kernels: their node sections
 	Rank      int
 	Synthetic bool
-	Book      AddressBook `snap:"-"` // the job's, shared; resolved ranks are in peers
+	Book      MapBook `snap:"-"` // the job's, shared; resolved ranks are in peers
 	Stats     Stats
 
 	fd     Handle
@@ -208,7 +208,7 @@ const DevicePath = "/dev/hfi1"
 // NewEndpoint opens the device, queries the context, maps the shared
 // areas and allocates scratch memory. This is the (slow-path, offloaded
 // on McKernel) initialization PSM performs inside MPI_Init.
-func NewEndpoint(p *sim.Proc, os OSOps, rank int, book AddressBook, synthetic bool) (*Endpoint, error) {
+func NewEndpoint(p *sim.Proc, os OSOps, rank int, book MapBook, synthetic bool) (*Endpoint, error) {
 	ep := &Endpoint{
 		OS: os, Rank: rank, Book: book, Synthetic: synthetic,
 		trackName: fmt.Sprintf("rank%d", rank),
@@ -316,7 +316,7 @@ func (ep *Endpoint) addrOf(rank int) (Addr, error) {
 	if pe, ok := ep.peers[rank]; ok && pe.hasAddr {
 		return pe.addr, nil
 	}
-	a, ok := ep.Book.Lookup(rank)
+	a, ok := ep.Book[rank]
 	if !ok {
 		return Addr{}, fmt.Errorf("psm: no address for rank %d", rank)
 	}

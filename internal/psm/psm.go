@@ -87,19 +87,9 @@ type Addr struct {
 	Ctx  int
 }
 
-// AddressBook resolves ranks to fabric addresses; MPI_Init fills it.
-type AddressBook interface {
-	Lookup(rank int) (Addr, bool)
-}
-
-// MapBook is a map-backed AddressBook.
+// MapBook is a job's address book: it resolves ranks to fabric
+// addresses, and MPI_Init fills it.
 type MapBook map[int]Addr
-
-// Lookup implements AddressBook.
-func (m MapBook) Lookup(rank int) (Addr, bool) {
-	a, ok := m[rank]
-	return a, ok
-}
 
 // Request is an asynchronous operation handle. Wait, and WaitAll, Send
 // and Recv through it, hands a finished request back to its endpoint, as

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/miniapps"
@@ -189,6 +190,63 @@ func TestDeterminismGates(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestShardedTraceKeepsEverySpan: fig6a's traced cell records the same
+// spans at Shards=2 as on one engine, the same multiset keyed by
+// (category, name, track, start, duration), although the trace
+// interleaves them in another order. A flight routed between shards
+// ends in the same arrival as a local one, flight span included.
+func TestShardedTraceKeepsEverySpan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs fig6a's traced cell twice: runs without -short")
+	}
+	var fig6a Artifact
+	for _, a := range Artifacts {
+		if a.ID == "fig6a" {
+			fig6a = a
+		}
+	}
+	type key struct {
+		cat, name, track string
+		begin, dur       time.Duration
+	}
+	spans := func(shards int) map[key]int {
+		cfg := defaultConfig()
+		gateScale["fig6a"](&cfg.Scale)
+		cfg.Shards = shards
+		_, rec, err := traced(cfg, fig6a.Trace, func(cfg experiments.Config) (any, error) {
+			text, _, err := fig6a.Run(cfg)
+			return text, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := map[key]int{}
+		rec.ForEachSpan(func(s *trace.Span) { m[key{s.Cat, s.Name, s.Track, s.Begin, s.End - s.Begin}]++ })
+		return m
+	}
+	one, two := spans(1), spans(2)
+	flights, differ := 0, 0
+	for k := range two {
+		one[k] += 0 // a span only Shards=2 recorded is compared too
+	}
+	for k, n := range one {
+		if k.cat == trace.CatFabric {
+			flights += n
+		}
+		if two[k] != n {
+			if differ++; differ <= 5 {
+				t.Errorf("span %+v: %d at Shards=1, %d at Shards=2", k, n, two[k])
+			}
+		}
+	}
+	if differ > 0 {
+		t.Errorf("%d spans differ in count between Shards=1 and Shards=2", differ)
+	}
+	if flights == 0 {
+		t.Error("the cell recorded no flight span")
 	}
 }
 

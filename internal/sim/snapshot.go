@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/snapshot"
 )
@@ -43,11 +44,23 @@ func (e *Engine) UnregisterState(root any) {
 // from outside simulation context, between Run calls — typically after
 // Run(t) paused the clock at t.
 func (e *Engine) Snapshot(w io.Writer) error {
+	buf := sectionBufs.Get().(*bytes.Buffer)
+	defer putSectionBuf(buf)
 	f := &snapshot.File{Now: e.now, Seq: e.seq}
-	if err := e.appendSections(f, ""); err != nil {
+	if err := e.appendSections(f, "", buf); err != nil {
 		return err
 	}
 	return snapshot.Encode(w, f)
+}
+
+// sectionBufs recycles the buffers an engine's sections are walked
+// into. The payloads are slices of them, dead once the image is
+// encoded, so each buffer goes back right after Encode.
+var sectionBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func putSectionBuf(b *bytes.Buffer) {
+	b.Reset()
+	sectionBufs.Put(b)
 }
 
 // WalkState writes snapshot.Walk of v, naming this engine and its
@@ -68,22 +81,26 @@ func (e *Engine) labels() *snapshot.Labels {
 
 // appendSections appends this engine's part of a snapshot to f: its own
 // "engine" section, then every registered root's section sorted by
-// label, each name behind prefix.
-func (e *Engine) appendSections(f *snapshot.File, prefix string) error {
+// label, each name behind prefix. All of them are walked into buf, and
+// each payload is sliced from it after the last write.
+func (e *Engine) appendSections(f *snapshot.File, prefix string, buf *bytes.Buffer) error {
 	labels := e.labels()
-	var enc bytes.Buffer
-	if err := e.encodeEngineState(&enc, labels); err != nil {
+	if err := e.encodeEngineState(buf, labels); err != nil {
 		return err
 	}
-	f.Sections = append(f.Sections, snapshot.Section{Name: prefix + "engine", Payload: enc.Bytes()})
-
-	sections := make([]snapshot.Section, 0, len(e.states))
+	ends := make([]int, 1, 1+len(e.states))
+	ends[0] = buf.Len()
 	for _, s := range e.states {
-		var buf bytes.Buffer
-		if err := snapshot.Walk(&buf, "", s.root, labels); err != nil {
+		if err := snapshot.Walk(buf, "", s.root, labels); err != nil {
 			return fmt.Errorf("snapshot section %s%s: %w", prefix, s.label, err)
 		}
-		sections = append(sections, snapshot.Section{Name: prefix + s.label, Payload: buf.Bytes()})
+		ends = append(ends, buf.Len())
+	}
+	all := buf.Bytes()
+	f.Sections = append(f.Sections, snapshot.Section{Name: prefix + "engine", Payload: all[:ends[0]:ends[0]]})
+	sections := make([]snapshot.Section, len(e.states))
+	for i, s := range e.states {
+		sections[i] = snapshot.Section{Name: prefix + s.label, Payload: all[ends[i]:ends[i+1]:ends[i+1]]}
 	}
 	sort.Slice(sections, func(i, j int) bool { return sections[i].Name < sections[j].Name })
 	f.Sections = append(f.Sections, sections...)
@@ -163,7 +180,9 @@ func (s *ShardSet) Snapshot(w io.Writer) error {
 	f.Sections = append(f.Sections, snapshot.Section{Name: "shards", Payload: enc.Bytes()})
 
 	for i, e := range s.shards {
-		if err := e.appendSections(f, fmt.Sprintf("shard%d/", i)); err != nil {
+		buf := sectionBufs.Get().(*bytes.Buffer)
+		defer putSectionBuf(buf)
+		if err := e.appendSections(f, fmt.Sprintf("shard%d/", i), buf); err != nil {
 			return err
 		}
 	}

@@ -34,6 +34,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 	"strings"
 	"time"
@@ -77,44 +78,40 @@ func (f *File) Section(name string) []byte {
 	return nil
 }
 
-// Encode writes f in the versioned container format. Encoding is
-// deterministic: identical Files serialize to identical bytes.
+// Encode writes f in the versioned container format, in one Write of
+// EncodeBytes(f). Encoding is deterministic: identical Files serialize
+// to identical bytes.
 func Encode(w io.Writer, f *File) error {
-	var buf bytes.Buffer
-	buf.WriteString(Magic)
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], Version)
-	buf.Write(u32[:])
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], uint64(f.Now))
-	buf.Write(u64[:])
-	binary.LittleEndian.PutUint64(u64[:], f.Seq)
-	buf.Write(u64[:])
-	putUvarint(&buf, uint64(len(f.Sections)))
-	for _, s := range f.Sections {
-		putUvarint(&buf, uint64(len(s.Name)))
-		buf.WriteString(s.Name)
-		putUvarint(&buf, uint64(len(s.Payload)))
-		buf.Write(s.Payload)
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	buf.Write(sum[:])
-	_, err := w.Write(buf.Bytes())
+	_, err := w.Write(EncodeBytes(f))
 	return err
 }
 
-// EncodeBytes is Encode into a fresh byte slice.
+// EncodeBytes returns f's image. Every length is known before the first
+// byte is written, so the image is one slice of exactly its size, and
+// that slice is the only allocation.
 func EncodeBytes(f *File) []byte {
-	var buf bytes.Buffer
-	Encode(&buf, f) // bytes.Buffer writes cannot fail
-	return buf.Bytes()
+	n := len(Magic) + 4 + 8 + 8 + uvarintLen(uint64(len(f.Sections))) + sha256.Size
+	for _, s := range f.Sections {
+		n += uvarintLen(uint64(len(s.Name))) + len(s.Name) + uvarintLen(uint64(len(s.Payload))) + len(s.Payload)
+	}
+	b := make([]byte, 0, n)
+	b = append(b, Magic...)
+	b = binary.LittleEndian.AppendUint32(b, Version)
+	b = binary.LittleEndian.AppendUint64(b, uint64(f.Now))
+	b = binary.LittleEndian.AppendUint64(b, f.Seq)
+	b = binary.AppendUvarint(b, uint64(len(f.Sections)))
+	for _, s := range f.Sections {
+		b = binary.AppendUvarint(b, uint64(len(s.Name)))
+		b = append(b, s.Name...)
+		b = binary.AppendUvarint(b, uint64(len(s.Payload)))
+		b = append(b, s.Payload...)
+	}
+	sum := sha256.Sum256(b)
+	return append(b, sum[:]...)
 }
 
-func putUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	buf.Write(tmp[:n])
-}
+// uvarintLen is the length of v's binary.AppendUvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Decode parses a snapshot image. It never panics: corrupted or
 // truncated input returns an error. The trailing checksum must match.

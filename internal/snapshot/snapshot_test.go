@@ -76,6 +76,46 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeBytesAllocs pins that an image is built in one slice of
+// exactly its size: EncodeBytes of a file whose section lengths take
+// one-, two- and three-byte varints allocates once, and Encode hands
+// the writer the same bytes in one Write.
+func TestEncodeBytesAllocs(t *testing.T) {
+	f := &File{Now: time.Millisecond, Seq: 300, Sections: []Section{
+		{Name: "engine", Payload: []byte("a=1\n")},
+		{Name: "fabric", Payload: nil},
+		{Name: strings.Repeat("n", 200), Payload: bytes.Repeat([]byte("x"), 300)},
+		{Name: "mem", Payload: bytes.Repeat([]byte("y"), 20000)},
+	}}
+	img := EncodeBytes(f)
+	if len(img) != cap(img) {
+		t.Errorf("image of %d bytes in a slice of capacity %d", len(img), cap(img))
+	}
+	if got := testing.AllocsPerRun(10, func() { EncodeBytes(f) }); got != 1 {
+		t.Errorf("EncodeBytes allocates %v times, want 1", got)
+	}
+	var w countingWriter
+	if err := Encode(&w, f); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes != 1 || !bytes.Equal(w.buf.Bytes(), img) {
+		t.Errorf("Encode: %d writes, same bytes as EncodeBytes %v; want 1, true", w.writes, bytes.Equal(w.buf.Bytes(), img))
+	}
+	if _, err := Decode(img); err != nil {
+		t.Fatal(err)
+	}
+}
+
+type countingWriter struct {
+	buf    bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.buf.Write(p)
+}
+
 // TestDecodeRejects: malformed inputs must error, never panic, and a
 // flipped bit anywhere must trip the checksum.
 func TestDecodeRejects(t *testing.T) {
